@@ -2,12 +2,17 @@
 
 GO ?= go
 
-.PHONY: all build vet test race test-net verify cover fuzz fuzz-smoke bench bench-round bench-all bench-scale profile experiments quick-experiments clean
+.PHONY: all build vet test race test-net verify cover fuzz fuzz-smoke bench bench-round bench-dense bench-all bench-scale profile experiments quick-experiments clean
 
 all: build vet test race
 
+# The arm64 cross-build keeps the no-assembly path (kernels_noasm.go, the
+# only path off amd64) compiling; vet there checks the stubs against the
+# declarations the amd64 .s files are checked against.
 build:
 	$(GO) build ./...
+	GOARCH=arm64 $(GO) build ./...
+	GOARCH=arm64 $(GO) vet ./internal/tensor/
 
 vet:
 	$(GO) vet ./...
@@ -22,10 +27,14 @@ test:
 # k-means sweep), and the communication scheduler whose decisions every
 # runtime replays. The core package's TestScale100KSmoke makes this lane
 # build the 100k streaming preset under the race detector on every verify.
+# The dense side (tensor, nn, gnn) starts goroutines too since the row split:
+# its packages ride the lane, and the kernel path test — every product and
+# row-wise pass at 1/2/3/8 workers — runs ten times over under the detector.
 race:
 	$(GO) test -race ./internal/dist/... ./internal/worker/... \
 		./internal/cluster/... ./internal/core/... ./internal/graph/... \
-		./internal/sched/...
+		./internal/sched/... ./internal/tensor/... ./internal/nn/... ./internal/gnn/...
+	$(GO) test -race -count=10 -run 'TestKernelSIMDMatchesGeneric|TestRowwisePasses|TestParallelRows' ./internal/tensor/
 
 # The multi-process lane: the whole socket transport package under the race
 # detector (framing/control codecs, fault-injection matrix, cross-runtime
@@ -108,6 +117,16 @@ bench:
 bench-round:
 	$(GO) test -run '^$$' -bench 'BenchmarkLocalPhase|BenchmarkRoundEndToEnd' -benchmem ./internal/worker/ \
 		| $(GO) run ./cmd/scgnn-benchjson -o BENCH_worker.json -key round
+
+# The dense lane: the three products of a linear layer and a whole dense
+# epoch (everything but the aggregate) at 10k×32 and 100k×32, vector and Go
+# kernels in one run, on one core and on two. Rows land in BENCH_dense.json
+# under "after"; its "before" holds the same benchmarks at the commit before
+# the AVX2 products (where the simd and generic rows ran the same Go loops).
+bench-dense:
+	$(GO) test -run '^$$' -bench 'BenchmarkMatMulInto|BenchmarkATBInto|BenchmarkABTInto|BenchmarkDenseEpoch' \
+		-benchmem -cpu 1,2 ./internal/tensor/ \
+		| $(GO) run ./cmd/scgnn-benchjson -o BENCH_dense.json -key after
 
 # The million-node scale lane (ROADMAP "out-of-core scale"): the flat-vs-
 # reference CSR constructor micro-benchmarks at the 100k preset land under

@@ -49,6 +49,35 @@ type EvalMarker interface {
 	StartEvalEpoch(epoch int)
 }
 
+// intoAggregator is the optional allocation-free form of Aggregator: the
+// aggregate (backward: its transpose) of h written into a caller-owned dst
+// of the same shape, which it overwrites. LocalAggregator implements it, and
+// so does worker.Cluster; GCN and SAGE keep one dst per layer and direction
+// for such aggregators, so a steady-state epoch allocates no node-sized
+// matrix. A non-nil error means the output is unusable; the models panic
+// with it, as the aggregators' own Forward/Backward do.
+type intoAggregator interface {
+	AggregateInto(dst, h *tensor.Matrix, backward bool) error
+}
+
+// aggregate runs agg over h, into *buf when agg can write into a retained
+// matrix (re-allocated only when the shape changes) and through
+// Forward/Backward otherwise.
+func aggregate(agg Aggregator, buf **tensor.Matrix, h *tensor.Matrix, backward bool) *tensor.Matrix {
+	into, ok := agg.(intoAggregator)
+	if !ok {
+		if backward {
+			return agg.Backward(h)
+		}
+		return agg.Forward(h)
+	}
+	*buf = tensor.Retained(*buf, h.Rows, h.Cols)
+	if err := into.AggregateInto(*buf, h, backward); err != nil {
+		panic(err)
+	}
+	return *buf
+}
+
 // LocalAggregator is the exact single-machine GCN aggregate
 // Â = D̃^{-1/2}(A+I)D̃^{-1/2} applied by sparse traversal. Â is symmetric, so
 // Backward applies the same operator.
@@ -63,17 +92,30 @@ func NewLocalAggregator(g *graph.Graph) *LocalAggregator {
 }
 
 // Forward implements Aggregator.
-func (a *LocalAggregator) Forward(h *tensor.Matrix) *tensor.Matrix { return a.apply(h) }
+func (a *LocalAggregator) Forward(h *tensor.Matrix) *tensor.Matrix {
+	out := tensor.New(h.Rows, h.Cols)
+	a.AggregateInto(out, h, false)
+	return out
+}
 
 // Backward implements Aggregator (Â is symmetric).
-func (a *LocalAggregator) Backward(g *tensor.Matrix) *tensor.Matrix { return a.apply(g) }
+func (a *LocalAggregator) Backward(g *tensor.Matrix) *tensor.Matrix {
+	out := tensor.New(g.Rows, g.Cols)
+	a.AggregateInto(out, g, true)
+	return out
+}
 
-func (a *LocalAggregator) apply(h *tensor.Matrix) *tensor.Matrix {
+// AggregateInto overwrites out with Â·h. Â is symmetric, so backward is the
+// same operator; the error is always nil.
+func (a *LocalAggregator) AggregateInto(out, h *tensor.Matrix, backward bool) error {
 	n := a.g.NumNodes()
 	if h.Rows != n {
 		panic(fmt.Sprintf("gnn: aggregator rows %d, graph has %d nodes", h.Rows, n))
 	}
-	out := tensor.New(n, h.Cols)
+	if out.Rows != n || out.Cols != h.Cols {
+		panic(fmt.Sprintf("gnn: aggregator output %dx%d, want %dx%d", out.Rows, out.Cols, n, h.Cols))
+	}
+	out.Zero()
 	for u := int32(0); int(u) < n; u++ {
 		orow := out.Row(int(u))
 		fu := a.coeff[u]
@@ -83,12 +125,14 @@ func (a *LocalAggregator) apply(h *tensor.Matrix) *tensor.Matrix {
 			tensor.AXPY(fu*a.coeff[v], h.Row(int(v)), orow)
 		}
 	}
-	return out
+	return nil
 }
 
 // Model is a trainable full-batch node classifier.
 type Model interface {
-	// Forward computes logits for every node.
+	// Forward computes logits for every node. GCN and SAGE return a buffer
+	// the model retains: it is valid until the model's next Forward, and a
+	// caller that holds logits across a second Forward must Clone them.
 	Forward(x *tensor.Matrix) *tensor.Matrix
 	// Backward propagates ∂L/∂logits, accumulating parameter gradients.
 	Backward(dlogits *tensor.Matrix)
@@ -107,8 +151,9 @@ type GCN struct {
 	// drops, when non-empty (NewGCNWithDropout), applies inverted dropout
 	// to each layer's input during training.
 	drops []*nn.Dropout
-	// cached aggregate outputs per layer for backward
-	aggOut []*tensor.Matrix
+	// aggOut and aggGrad are the retained per-layer aggregate outputs of
+	// the forward and backward pass (see aggregate).
+	aggOut, aggGrad []*tensor.Matrix
 }
 
 // NewGCN builds a GCN with the given layer widths (dims[0] = input feature
@@ -124,6 +169,8 @@ func NewGCN(agg Aggregator, dims []int, rng *rand.Rand) *GCN {
 			m.acts = append(m.acts, &nn.ReLU{})
 		}
 	}
+	m.aggOut = make([]*tensor.Matrix, len(m.layers))
+	m.aggGrad = make([]*tensor.Matrix, len(m.layers))
 	return m
 }
 
@@ -132,15 +179,12 @@ func (m *GCN) NumLayers() int { return len(m.layers) }
 
 // Forward implements Model.
 func (m *GCN) Forward(x *tensor.Matrix) *tensor.Matrix {
-	m.aggOut = m.aggOut[:0]
 	h := x
 	for i, lin := range m.layers {
 		if i < len(m.drops) {
 			h = m.drops[i].Forward(h)
 		}
-		a := m.Agg.Forward(h)
-		m.aggOut = append(m.aggOut, a)
-		h = lin.Forward(a)
+		h = lin.Forward(aggregate(m.Agg, &m.aggOut[i], h, false))
 		if i < len(m.acts) {
 			h = m.acts[i].Forward(h)
 		}
@@ -156,7 +200,7 @@ func (m *GCN) Backward(dlogits *tensor.Matrix) {
 			d = m.acts[i].Backward(d)
 		}
 		d = m.layers[i].Backward(d)
-		d = m.Agg.Backward(d)
+		d = aggregate(m.Agg, &m.aggGrad[i], d, true)
 		if i < len(m.drops) {
 			d = m.drops[i].Backward(d)
 		}
@@ -205,6 +249,8 @@ type SAGE struct {
 	self  []*nn.Linear
 	neigh []*nn.Linear
 	acts  []*nn.ReLU
+	// retained per-layer aggregate outputs, as in GCN
+	aggOut, aggGrad []*tensor.Matrix
 }
 
 // NewSAGE builds a GraphSAGE model with the given layer widths.
@@ -220,6 +266,8 @@ func NewSAGE(agg Aggregator, dims []int, rng *rand.Rand) *SAGE {
 			m.acts = append(m.acts, &nn.ReLU{})
 		}
 	}
+	m.aggOut = make([]*tensor.Matrix, len(m.self))
+	m.aggGrad = make([]*tensor.Matrix, len(m.self))
 	return m
 }
 
@@ -227,7 +275,7 @@ func NewSAGE(agg Aggregator, dims []int, rng *rand.Rand) *SAGE {
 func (m *SAGE) Forward(x *tensor.Matrix) *tensor.Matrix {
 	h := x
 	for i := range m.self {
-		a := m.Agg.Forward(h)
+		a := aggregate(m.Agg, &m.aggOut[i], h, false)
 		y := m.self[i].Forward(h)
 		tensor.AddInPlace(y, m.neigh[i].Forward(a))
 		if i < len(m.acts) {
@@ -247,7 +295,9 @@ func (m *SAGE) Backward(dlogits *tensor.Matrix) {
 		}
 		dSelf := m.self[i].Backward(d)
 		dAgg := m.neigh[i].Backward(d)
-		d = tensor.Add(dSelf, m.Agg.Backward(dAgg))
+		// dSelf is self[i]'s retained buffer: the sum can land in it.
+		tensor.AddInPlace(dSelf, aggregate(m.Agg, &m.aggGrad[i], dAgg, true))
+		d = dSelf
 	}
 }
 

@@ -203,15 +203,17 @@ func TestGCNWithDropout(t *testing.T) {
 		t.Fatalf("dropout GCN accuracy = %v", res.TestAcc)
 	}
 	// Evaluation mode must be deterministic (dropout disabled).
+	// (Forward returns a buffer the model retains: Clone to hold one result
+	// across the next call.)
 	model.SetTraining(false)
-	a := model.Forward(d.Features)
+	a := model.Forward(d.Features).Clone()
 	b := model.Forward(d.Features)
 	if !a.Equal(b, 0) {
 		t.Fatal("eval-mode forward is stochastic")
 	}
 	// Training mode is stochastic.
 	model.SetTraining(true)
-	c := model.Forward(d.Features)
+	c := model.Forward(d.Features).Clone()
 	e := model.Forward(d.Features)
 	if c.Equal(e, 1e-12) {
 		t.Fatal("train-mode forward suspiciously deterministic under dropout")

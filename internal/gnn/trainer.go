@@ -27,6 +27,11 @@ type Trainer struct {
 	res       *TrainResult
 	sinceBest int
 	next      int // next epoch index to run
+
+	// Retained between epochs so a steady-state RunEpoch allocates no
+	// node-sized buffer: the loss gradient and the per-row predictions.
+	loss nn.CrossEntropy
+	pred []int
 }
 
 // NewTrainer applies the TrainConfig defaults (100 epochs, LR 0.01) and
@@ -89,7 +94,8 @@ func (t *Trainer) RunEpoch() (st EpochStats, err error) {
 		em.StartEpoch(e)
 	}
 	logits := t.Model.Forward(t.X)
-	loss, grad := nn.MaskedCrossEntropy(logits, t.Labels, t.TrainMask)
+	loss, grad := t.loss.Loss(logits, t.Labels, t.TrainMask)
+	t.pred = tensor.ArgmaxRowsInto(t.pred, logits)
 	t.Model.ZeroGrad()
 	t.Model.Backward(grad)
 	t.Opt.Step(t.Model.Params())
@@ -97,8 +103,8 @@ func (t *Trainer) RunEpoch() (st EpochStats, err error) {
 	st = EpochStats{
 		Epoch:    e,
 		Loss:     loss,
-		TrainAcc: nn.Accuracy(logits, t.Labels, t.TrainMask),
-		ValAcc:   nn.Accuracy(logits, t.Labels, t.ValMask),
+		TrainAcc: nn.AccuracyOf(t.pred, t.Labels, t.TrainMask),
+		ValAcc:   nn.AccuracyOf(t.pred, t.Labels, t.ValMask),
 	}
 	t.res.Epochs = append(t.res.Epochs, st)
 	if st.ValAcc > t.res.BestValAcc {

@@ -2,8 +2,10 @@ package gnn
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
+	"scgnn/internal/datasets"
 	"scgnn/internal/graph"
 	"scgnn/internal/tensor"
 )
@@ -177,3 +179,38 @@ type panicAgg struct{}
 
 func (panicAgg) Forward(h *tensor.Matrix) *tensor.Matrix  { panic("peer down") }
 func (panicAgg) Backward(g *tensor.Matrix) *tensor.Matrix { panic("peer down") }
+
+// TestDenseEpochAllocs: once the first epoch has sized the retained buffers
+// (layer outputs and input gradients, per-layer aggregates, loss gradient,
+// predictions), RunEpoch on LocalAggregator makes a fixed handful of small
+// allocations — parameter lists, the row split's goroutines — and nothing
+// that grows with the node count.
+func TestDenseEpochAllocs(t *testing.T) {
+	const n = 20_000
+	d := datasets.Generate(datasets.Spec{Name: "allocs", Nodes: n, AvgDegree: 6, Classes: 8, FeatureDim: 16, Seed: 4})
+	for name, model := range map[string]Model{
+		"gcn":  NewGCN(NewLocalAggregator(d.Graph), []int{16, 32, 8}, rand.New(rand.NewSource(1))),
+		"sage": NewSAGE(NewLocalAggregator(d.Graph), []int{16, 32, 8}, rand.New(rand.NewSource(1))),
+	} {
+		trn := NewTrainer(model, d.Features, d.Labels, d.TrainMask, d.ValMask, d.TestMask, TrainConfig{Epochs: 100})
+		trn.res.Epochs = make([]EpochStats, 0, 100) // keep the stats log's growth out of the count
+		epoch := func() {
+			if _, err := trn.RunEpoch(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		epoch()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		allocs := testing.AllocsPerRun(5, epoch)
+		runtime.ReadMemStats(&after)
+		perEpoch := (after.TotalAlloc - before.TotalAlloc) / 6 // AllocsPerRun warms up once
+		if allocs > 100 {
+			t.Errorf("%s: %v allocations per steady-state epoch, want a small constant", name, allocs)
+		}
+		// The smallest node-sized buffer an epoch could allocate is a []bool.
+		if perEpoch >= n {
+			t.Errorf("%s: %d bytes allocated per steady-state epoch at %d nodes: something node-sized is not retained", name, perEpoch, n)
+		}
+	}
+}

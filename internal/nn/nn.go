@@ -25,6 +25,7 @@ type Linear struct {
 	W, B   *tensor.Matrix // W: in×out, B: 1×out
 	GW, GB *tensor.Matrix
 	x      *tensor.Matrix // cached input for backward
+	y      *tensor.Matrix // retained output buffer (see Forward)
 	dx     *tensor.Matrix // retained input-gradient buffer (see Backward)
 }
 
@@ -44,33 +45,35 @@ func NewLinear(in, out int, rng *rand.Rand) *Linear {
 }
 
 // Forward computes XW + b, caching X for the backward pass.
+//
+// The result lands in a buffer the layer retains, so the steady-state
+// forward pass is allocation-free. The returned matrix is valid (and may
+// be modified in place, as ReLU does) until this layer's next Forward
+// call; callers that need it longer must Clone it.
 func (l *Linear) Forward(x *tensor.Matrix) *tensor.Matrix {
 	if x.Cols != l.W.Rows {
 		panic(fmt.Sprintf("nn: Linear input dim %d, want %d", x.Cols, l.W.Rows))
 	}
 	l.x = x
-	y := tensor.MatMul(x, l.W)
-	y.AddRowVector(l.B.Row(0))
-	return y
+	l.y = tensor.Retained(l.y, x.Rows, l.W.Cols)
+	tensor.MatMulBiasInto(l.y, x, l.W, l.B.Row(0))
+	return l.y
 }
 
 // Backward accumulates dW += Xᵀ·dY and db += Σ dY rows, and returns
 // dX = dY·Wᵀ. Must be called after Forward.
 //
 // The gradients accumulate straight into GW/GB and dX lands in a buffer
-// the layer retains (re-allocated only when the batch shape changes), so
-// the steady-state backward pass is allocation-free. The returned matrix
-// is valid until this layer's next Backward call; callers that need it
-// longer must copy it.
+// the layer retains, so the steady-state backward pass is allocation-free.
+// The returned matrix is valid until this layer's next Backward call;
+// callers that need it longer must copy it.
 func (l *Linear) Backward(dy *tensor.Matrix) *tensor.Matrix {
 	if l.x == nil {
 		panic("nn: Linear.Backward before Forward")
 	}
 	tensor.MatMulATBInto(l.GW, l.x, dy)
 	dy.ColSumsInto(l.GB.Row(0))
-	if l.dx == nil || l.dx.Rows != dy.Rows || l.dx.Cols != l.W.Rows {
-		l.dx = tensor.New(dy.Rows, l.W.Rows)
-	}
+	l.dx = tensor.Retained(l.dx, dy.Rows, l.W.Rows)
 	tensor.MatMulABTInto(l.dx, dy, l.W)
 	return l.dx
 }
@@ -89,83 +92,95 @@ func (l *Linear) ZeroGrad() {
 	l.GB.Zero()
 }
 
-// ReLU is the elementwise rectifier with cached mask.
+// ReLU is the elementwise rectifier, applied in place.
 type ReLU struct {
-	mask []bool
+	out *tensor.Matrix // the rectified matrix Forward returned
 }
 
-// Forward returns max(x, 0) and caches the activation mask.
+// Forward rectifies x in place — max(x, 0), with −0 and NaN going to +0 —
+// and returns it. The layer keeps a reference to it for Backward.
 func (r *ReLU) Forward(x *tensor.Matrix) *tensor.Matrix {
-	out := tensor.New(x.Rows, x.Cols)
-	if cap(r.mask) < len(x.Data) {
-		r.mask = make([]bool, len(x.Data))
-	}
-	r.mask = r.mask[:len(x.Data)]
-	for i, v := range x.Data {
-		if v > 0 {
-			out.Data[i] = v
-			r.mask[i] = true
-		} else {
-			r.mask[i] = false
-		}
-	}
-	return out
+	x.ReLUInPlace()
+	r.out = x
+	return x
 }
 
-// Backward gates the incoming gradient by the cached mask.
+// Backward gates the incoming gradient in place by out > 0, which holds
+// exactly where the forward input was > 0, and returns it.
 func (r *ReLU) Backward(dy *tensor.Matrix) *tensor.Matrix {
-	if len(r.mask) != len(dy.Data) {
+	if r.out == nil || len(r.out.Data) != len(dy.Data) {
 		panic("nn: ReLU.Backward shape mismatch or called before Forward")
 	}
-	out := tensor.New(dy.Rows, dy.Cols)
-	for i, v := range dy.Data {
-		if r.mask[i] {
-			out.Data[i] = v
-		}
-	}
-	return out
+	tensor.GatePositiveInPlace(dy, r.out)
+	return dy
 }
 
-// MaskedCrossEntropy computes mean softmax cross-entropy over the rows where
-// mask is true, plus the gradient w.r.t. the logits (zero on unmasked rows).
-// labels[i] is the target class of row i.
-func MaskedCrossEntropy(logits *tensor.Matrix, labels []int, mask []bool) (float64, *tensor.Matrix) {
+// CrossEntropy is the reusable form of MaskedCrossEntropy: it keeps the
+// gradient matrix and its per-row scratch between calls, so a training
+// loop that owns one computes its loss without allocating.
+type CrossEntropy struct {
+	grad   *tensor.Matrix
+	picked []float64 // log-softmax at the label, per masked row
+}
+
+// Loss computes mean softmax cross-entropy over the rows where mask is
+// true, plus the gradient w.r.t. the logits (zero on unmasked rows).
+// labels[i] is the target class of row i. The gradient is valid until the
+// next Loss call on c.
+func (c *CrossEntropy) Loss(logits *tensor.Matrix, labels []int, mask []bool) (float64, *tensor.Matrix) {
 	if len(labels) != logits.Rows || len(mask) != logits.Rows {
 		panic(fmt.Sprintf("nn: MaskedCrossEntropy rows %d, labels %d, mask %d",
 			logits.Rows, len(labels), len(mask)))
 	}
-	ls := tensor.LogSoftmaxRows(logits)
-	grad := tensor.New(logits.Rows, logits.Cols)
-	var loss float64
+	c.grad = tensor.Retained(c.grad, logits.Rows, logits.Cols)
 	var count int
-	for i := 0; i < logits.Rows; i++ {
-		if !mask[i] {
+	for i, m := range mask {
+		if !m {
 			continue
 		}
 		count++
-		loss -= ls.At(i, labels[i])
+		// Checked here, on the caller's goroutine, because the row pass
+		// below may run on others.
+		if l := labels[i]; l < 0 || l >= logits.Cols {
+			panic(fmt.Sprintf("nn: label %d of row %d out of %d classes", l, i, logits.Cols))
+		}
 	}
 	if count == 0 {
-		return 0, grad
+		c.grad.Zero()
+		return 0, c.grad
 	}
+	if cap(c.picked) < logits.Rows {
+		c.picked = make([]float64, logits.Rows)
+	}
+	c.picked = c.picked[:logits.Rows]
 	inv := 1.0 / float64(count)
-	for i := 0; i < logits.Rows; i++ {
-		if !mask[i] {
-			continue
+	tensor.SoftmaxCrossEntropyRows(c.grad, logits, labels, mask, inv, c.picked)
+	// The sum runs serially in row order: its rounding is observable.
+	var loss float64
+	for i, m := range mask {
+		if m {
+			loss -= c.picked[i]
 		}
-		lrow := ls.Row(i)
-		grow := grad.Row(i)
-		for j := range grow {
-			grow[j] = math.Exp(lrow[j]) * inv
-		}
-		grow[labels[i]] -= inv
 	}
-	return loss * inv, grad
+	return loss * inv, c.grad
+}
+
+// MaskedCrossEntropy computes mean softmax cross-entropy over the rows where
+// mask is true, plus the gradient w.r.t. the logits (zero on unmasked rows).
+// labels[i] is the target class of row i. It allocates the gradient; loops
+// that call it every epoch keep a CrossEntropy instead.
+func MaskedCrossEntropy(logits *tensor.Matrix, labels []int, mask []bool) (float64, *tensor.Matrix) {
+	return new(CrossEntropy).Loss(logits, labels, mask)
 }
 
 // Accuracy returns the fraction of masked rows whose argmax matches labels.
 func Accuracy(logits *tensor.Matrix, labels []int, mask []bool) float64 {
-	pred := tensor.ArgmaxRows(logits)
+	return AccuracyOf(tensor.ArgmaxRows(logits), labels, mask)
+}
+
+// AccuracyOf returns the fraction of masked rows whose prediction matches
+// labels, for callers that score several masks from one argmax pass.
+func AccuracyOf(pred, labels []int, mask []bool) float64 {
 	var hit, count int
 	for i, p := range pred {
 		if !mask[i] {

@@ -107,6 +107,23 @@ func TestReLU(t *testing.T) {
 	if !dx.Equal(wantDx, 0) {
 		t.Fatalf("ReLU backward = %v", dx)
 	}
+	// Both passes work in place, and what is not > 0 (−0 and NaN too)
+	// becomes +0 exactly, as the allocating ReLU's zeroed output was.
+	if y != x || dx != dy {
+		t.Fatal("ReLU passes must return their argument")
+	}
+	z := tensor.FromRows([][]float64{{math.Copysign(0, -1), math.NaN(), math.Inf(-1), math.Inf(1)}})
+	r.Forward(z)
+	g := tensor.FromRows([][]float64{{1, 2, 3, math.Copysign(0, -1)}})
+	r.Backward(g)
+	for j := 0; j < 3; j++ {
+		if math.Float64bits(z.Data[j]) != 0 || math.Float64bits(g.Data[j]) != 0 {
+			t.Fatalf("ReLU column %d: forward %v backward %v, want +0 and +0", j, z.Data[j], g.Data[j])
+		}
+	}
+	if !math.IsInf(z.Data[3], 1) || !math.Signbit(g.Data[3]) {
+		t.Fatalf("ReLU must pass +Inf and the gradient under it untouched: %v, %v", z.Data[3], g.Data[3])
+	}
 }
 
 func TestMaskedCrossEntropy(t *testing.T) {
@@ -137,6 +154,78 @@ func TestMaskedCrossEntropy(t *testing.T) {
 			t.Fatalf("grad row %d sums to %v", i, s)
 		}
 	}
+}
+
+// TestCrossEntropyReuse pins the fused, reusable loss to the formulation it
+// replaced — LogSoftmaxRows over every row, then two serial passes — bit for
+// bit, and its gradient buffer to the documented lifetime.
+func TestCrossEntropyReuse(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	const rows, classes = 53, 7
+	labels := make([]int, rows)
+	mask := make([]bool, rows)
+	for i := range labels {
+		labels[i], mask[i] = rng.Intn(classes), rng.Intn(3) > 0
+	}
+	var ce CrossEntropy
+	var first *tensor.Matrix
+	for rep := 0; rep < 3; rep++ {
+		logits := randMat(rows, classes, rng)
+		logits.Scale(4)
+		ls := tensor.LogSoftmaxRows(logits)
+		wantGrad := tensor.New(rows, classes)
+		var wantLoss float64
+		var count int
+		for i := 0; i < rows; i++ {
+			if mask[i] {
+				count++
+				wantLoss -= ls.At(i, labels[i])
+			}
+		}
+		inv := 1.0 / float64(count)
+		for i := 0; i < rows; i++ {
+			if !mask[i] {
+				continue
+			}
+			for j, l := range ls.Row(i) {
+				wantGrad.Set(i, j, math.Exp(l)*inv)
+			}
+			wantGrad.Row(i)[labels[i]] -= inv
+		}
+		wantLoss *= inv
+
+		loss, grad := ce.Loss(logits, labels, mask)
+		if math.Float64bits(loss) != math.Float64bits(wantLoss) {
+			t.Fatalf("rep %d: loss %v, want %v", rep, loss, wantLoss)
+		}
+		for i := range grad.Data {
+			if math.Float64bits(grad.Data[i]) != math.Float64bits(wantGrad.Data[i]) {
+				t.Fatalf("rep %d: grad[%d] = %v, want %v", rep, i, grad.Data[i], wantGrad.Data[i])
+			}
+		}
+		if rep == 0 {
+			first = grad
+		} else if grad != first {
+			t.Fatal("same-shape Loss did not reuse the retained gradient")
+		}
+		l2, g2 := MaskedCrossEntropy(logits, labels, mask)
+		if l2 != loss || g2 == grad || !g2.Equal(grad, 0) {
+			t.Fatal("MaskedCrossEntropy must return the same values in a matrix of its own")
+		}
+	}
+	// No masked row: zero loss, zero gradient (also on a warm buffer).
+	loss, grad := ce.Loss(randMat(rows, classes, rng), labels, make([]bool, rows))
+	if loss != 0 || grad.MaxAbs() != 0 {
+		t.Fatalf("empty mask: loss %v, max |grad| %v", loss, grad.MaxAbs())
+	}
+	// A label outside the classes panics on the caller's goroutine.
+	defer func() {
+		if recover() == nil {
+			t.Fatal("out-of-range label did not panic")
+		}
+	}()
+	labels[0], mask[0] = classes, true
+	ce.Loss(randMat(rows, classes, rng), labels, mask)
 }
 
 // TestCrossEntropyGradient: finite-difference check of the loss gradient.
@@ -265,32 +354,50 @@ func TestCrossEntropyProperties(t *testing.T) {
 	}
 }
 
-// TestLinearBackwardAllocs: after warm-up (first call sizes the retained
-// dX buffer), a Linear backward step performs no allocations — GW/GB
-// accumulate in place and dX reuses the layer's buffer.
-func TestLinearBackwardAllocs(t *testing.T) {
+// TestLinearAllocs: after warm-up (the first calls size the retained
+// output and dX buffers), a Linear forward or backward step performs no
+// allocations — GW/GB accumulate in place, Y and dX reuse the layer's
+// buffers — and neither do the in-place ReLU passes or a reused loss.
+func TestLinearAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	l := NewLinear(7, 4, rng)
 	x := randMat(11, 7, rng)
 	dy := randMat(11, 4, rng)
-	l.Forward(x)
-	l.Backward(dy) // warm-up: allocates the retained dX once
+	labels := make([]int, 11)
+	mask := make([]bool, 11)
+	mask[3], mask[7] = true, true
+	var r ReLU
+	var ce CrossEntropy
+	ce.Loss(r.Forward(l.Forward(x)), labels, mask)
+	l.Backward(dy) // warm-up: allocates the retained buffers once
 	if n := testing.AllocsPerRun(50, func() {
-		l.Backward(dy)
+		ce.Loss(r.Forward(l.Forward(x)), labels, mask)
+		l.Backward(r.Backward(dy))
 	}); n != 0 {
-		t.Fatalf("Linear.Backward: %v allocs/op, want 0", n)
+		t.Fatalf("Linear/ReLU/CrossEntropy step: %v allocs/op, want 0", n)
 	}
 }
 
-// TestLinearBackwardRetainedBuffer pins the retention contract: the same
-// buffer comes back while the batch shape holds, a fresh one when it
+// TestLinearRetainedBuffers pins the retention contract: the same buffer
+// comes back while the batch shape holds, a fresh one when it
 // changes, and the values always match the allocating formulation.
-func TestLinearBackwardRetainedBuffer(t *testing.T) {
+func TestLinearRetainedBuffers(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	l := NewLinear(5, 3, rng)
 	x := randMat(9, 5, rng)
 	dy := randMat(9, 3, rng)
-	l.Forward(x)
+	for j := range l.B.Data {
+		l.B.Data[j] = rng.NormFloat64()
+	}
+	y1 := l.Forward(x)
+	wantY := tensor.MatMul(x, l.W)
+	wantY.AddRowVector(l.B.Row(0))
+	if !y1.Equal(wantY, 0) {
+		t.Fatal("Y != XW + b")
+	}
+	if y2 := l.Forward(x); y2 != y1 {
+		t.Fatal("same-shape Forward did not reuse the retained buffer")
+	}
 	dx1 := l.Backward(dy)
 	want := tensor.MatMulABT(dy, l.W)
 	if !dx1.Equal(want, 0) {
@@ -301,7 +408,9 @@ func TestLinearBackwardRetainedBuffer(t *testing.T) {
 	}
 	x2 := randMat(4, 5, rng)
 	dy2 := randMat(4, 3, rng)
-	l.Forward(x2)
+	if y3 := l.Forward(x2); y3 == y1 || y3.Rows != 4 {
+		t.Fatal("shape change must re-allocate the Y buffer")
+	}
 	dx3 := l.Backward(dy2)
 	if dx3 == dx1 {
 		t.Fatal("shape change must re-allocate the dX buffer")

@@ -148,55 +148,6 @@ func ScatterAXPY(m *Matrix, rows []int32, w []float64, x []float64, scale float6
 	}
 }
 
-// MatMulATBInto accumulates dst += aᵀ × b without allocating — the
-// in-place form of MatMulATB for gradient accumulators. dst must be
-// a.Cols × b.Cols and must not alias a or b.
-func MatMulATBInto(dst, a, b *Matrix) {
-	if a.Rows != b.Rows {
-		shapeCheck(false, "MatMulATBInto", a, b)
-	}
-	if dst.Rows != a.Cols || dst.Cols != b.Cols {
-		panic(fmt.Sprintf("tensor: MatMulATBInto dst %dx%d want %dx%d", dst.Rows, dst.Cols, a.Cols, b.Cols))
-	}
-	for k := 0; k < a.Rows; k++ {
-		arow := a.Data[k*a.Cols : (k+1)*a.Cols]
-		brow := b.Data[k*b.Cols : (k+1)*b.Cols]
-		for i, av := range arow {
-			if av == 0 {
-				continue
-			}
-			drow := dst.Data[i*dst.Cols : (i+1)*dst.Cols]
-			for j, bv := range brow {
-				drow[j] += av * bv
-			}
-		}
-	}
-}
-
-// MatMulABTInto computes dst = a × bᵀ without allocating — the in-place
-// form of MatMulABT for retained input-gradient buffers. dst must be
-// a.Rows × b.Rows and must not alias a or b.
-func MatMulABTInto(dst, a, b *Matrix) {
-	if a.Cols != b.Cols {
-		shapeCheck(false, "MatMulABTInto", a, b)
-	}
-	if dst.Rows != a.Rows || dst.Cols != b.Rows {
-		panic(fmt.Sprintf("tensor: MatMulABTInto dst %dx%d want %dx%d", dst.Rows, dst.Cols, a.Rows, b.Rows))
-	}
-	for i := 0; i < a.Rows; i++ {
-		arow := a.Data[i*a.Cols : (i+1)*a.Cols]
-		orow := dst.Data[i*dst.Cols : (i+1)*dst.Cols]
-		for j := 0; j < b.Rows; j++ {
-			brow := b.Data[j*b.Cols : (j+1)*b.Cols]
-			var s float64
-			for k, av := range arow {
-				s += av * brow[k]
-			}
-			orow[j] = s
-		}
-	}
-}
-
 // ColSumsInto accumulates the per-column sums of m into dst (length
 // m.Cols) — the allocation-free form of ColSums for bias-gradient
 // accumulators. Note the accumulate (+=) semantics: zero dst first for

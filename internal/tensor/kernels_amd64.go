@@ -2,9 +2,10 @@
 
 package tensor
 
-// useSIMD gates the AVX2 quad kernels in GatherAXPY/ScatterAXPY. It is a
-// variable (not a constant) so tests can flip it and pin the vector and
-// generic paths bit-identical on the same host.
+// useSIMD gates the AVX2 bodies: the quad kernels in GatherAXPY/ScatterAXPY
+// and the product tiles in matmul.go. It is a variable (not a constant) so
+// tests can flip it and pin the vector and generic paths bit-identical on
+// the same host.
 //
 // The vector kernels are exact replacements, not approximations: VMULPD +
 // VADDPD round each element exactly like the scalar mul-then-add they
@@ -31,3 +32,15 @@ func gatherAXPYQuads(y *float64, n int, data *float64, rows *int32, w *float64, 
 //
 //go:noescape
 func scatterAXPYQuads(x *float64, n int, data *float64, rows *int32, w *float64, quads, c int, scale float64)
+
+// mulTile is the AVX2 body of the dense products in matmul.go: for each of
+// rows output rows it holds one tile of 4·nvec columns (nvec 8, 4, 2 or 1)
+// in registers while k runs 0..kdim, reading a[r·aRow + k·aK] and
+// b[k·ldb : +4·nvec] (strides in elements), starting from dst's current
+// value when accumulate is set and from zero otherwise, and adding the bias
+// tile (nil for none) before the store. With skipZero, terms whose a element
+// is ±0 are skipped. kdim and rows must be positive; pointers are trusted
+// exactly as the Go loops' slice expressions are.
+//
+//go:noescape
+func mulTile(dst, a, b, bias *float64, rows, kdim, aRow, aK, ldb, ldd, nvec int, accumulate, skipZero bool)

@@ -219,3 +219,117 @@ snext:
 	JNZ	squad
 	VZEROUPPER
 	RET
+
+// Dense product tiles. mulTile computes, for each of `rows` output rows,
+// one tile of 4·nvec columns (nvec ∈ {8, 4, 2, 1}):
+//
+//	acc = accumulate ? dst[r] : 0
+//	for k in 0..kdim: acc += a[r·aRow + k·aK] · b[k·ldb : +4·nvec]
+//	dst[r] = acc + bias        (bias only when non-nil)
+//
+// with the accumulators in Y0–Y7 across the whole k loop, skipping the
+// terms whose a element is ±0 when skipZero is set. See matmul.go for the
+// contract: VMULPD then VADDPD per term (never FMA), ascending k, lanes are
+// independent output columns.
+//
+// Registers: DI dst row, R15 ldd bytes · R9 a row, R14 aRow bytes · DX a
+// walker, R12 aK bytes · R8 b tile, SI b walker, R13 ldb bytes, R11 b tile
+// end · BX bias or 0 · CX rows left · R10 flags (1 accumulate, 2 skipZero) ·
+// AX scratch · Y8 broadcast a · Y9–Y15 products.
+
+#define ACC_ZERO \
+	VXORPD Y0, Y0, Y0; VXORPD Y1, Y1, Y1; VXORPD Y2, Y2, Y2; VXORPD Y3, Y3, Y3; \
+	VXORPD Y4, Y4, Y4; VXORPD Y5, Y5, Y5; VXORPD Y6, Y6, Y6; VXORPD Y7, Y7, Y7
+
+#define LOAD1 VMOVUPD (DI), Y0
+#define LOAD2 LOAD1; VMOVUPD 32(DI), Y1
+#define LOAD4 LOAD2; VMOVUPD 64(DI), Y2; VMOVUPD 96(DI), Y3
+#define LOAD8 LOAD4; VMOVUPD 128(DI), Y4; VMOVUPD 160(DI), Y5; VMOVUPD 192(DI), Y6; VMOVUPD 224(DI), Y7
+
+#define STORE1 VMOVUPD Y0, (DI)
+#define STORE2 STORE1; VMOVUPD Y1, 32(DI)
+#define STORE4 STORE2; VMOVUPD Y2, 64(DI); VMOVUPD Y3, 96(DI)
+#define STORE8 STORE4; VMOVUPD Y4, 128(DI); VMOVUPD Y5, 160(DI); VMOVUPD Y6, 192(DI); VMOVUPD Y7, 224(DI)
+
+#define BIAS1 VADDPD (BX), Y0, Y0
+#define BIAS2 BIAS1; VADDPD 32(BX), Y1, Y1
+#define BIAS4 BIAS2; VADDPD 64(BX), Y2, Y2; VADDPD 96(BX), Y3, Y3
+#define BIAS8 BIAS4; VADDPD 128(BX), Y4, Y4; VADDPD 160(BX), Y5, Y5; VADDPD 192(BX), Y6, Y6; VADDPD 224(BX), Y7, Y7
+
+#define STEP(off, acc, t) VMULPD off(SI), Y8, t; VADDPD t, acc, acc
+#define STEPS1 STEP(0, Y0, Y9)
+#define STEPS2 STEPS1; STEP(32, Y1, Y10)
+#define STEPS4 STEPS2; STEP(64, Y2, Y11); STEP(96, Y3, Y12)
+#define STEPS8 STEPS4; STEP(128, Y4, Y13); STEP(160, Y5, Y14); STEP(192, Y6, Y15); STEP(224, Y7, Y9)
+
+// The zero test: a == ±0 exactly when its bits shifted left by one are
+// zero (a NaN's are not).
+#define TILE(ROW, INIT, K, MUL, NEXT, OUT, LOADN, STEPSN, BIASN, STOREN) \
+ROW: \
+	ACC_ZERO; \
+	TESTQ	$1, R10; \
+	JZ	INIT; \
+	LOADN; \
+INIT: \
+	MOVQ	R8, SI; \
+	MOVQ	R9, DX; \
+K: \
+	TESTQ	$2, R10; \
+	JZ	MUL; \
+	MOVQ	(DX), AX; \
+	SHLQ	$1, AX; \
+	JZ	NEXT; \
+MUL: \
+	VBROADCASTSD (DX), Y8; \
+	STEPSN; \
+NEXT: \
+	ADDQ	R12, DX; \
+	ADDQ	R13, SI; \
+	CMPQ	SI, R11; \
+	JNE	K; \
+	TESTQ	BX, BX; \
+	JZ	OUT; \
+	BIASN; \
+OUT: \
+	STOREN; \
+	ADDQ	R14, R9; \
+	ADDQ	R15, DI; \
+	DECQ	CX; \
+	JNZ	ROW; \
+	VZEROUPPER; \
+	RET
+
+// func mulTile(dst, a, b, bias *float64, rows, kdim, aRow, aK, ldb, ldd, nvec int, accumulate, skipZero bool)
+TEXT ·mulTile(SB), NOSPLIT, $0-90
+	MOVQ	dst+0(FP), DI
+	MOVQ	a+8(FP), R9
+	MOVQ	b+16(FP), R8
+	MOVQ	bias+24(FP), BX
+	MOVQ	rows+32(FP), CX
+	MOVQ	kdim+40(FP), R11
+	MOVQ	aRow+48(FP), R14
+	MOVQ	aK+56(FP), R12
+	MOVQ	ldb+64(FP), R13
+	MOVQ	ldd+72(FP), R15
+	MOVQ	nvec+80(FP), AX
+	MOVBQZX	accumulate+88(FP), R10
+	MOVBQZX	skipZero+89(FP), DX
+	SHLQ	$1, DX
+	ORQ	DX, R10
+	SHLQ	$3, R14
+	SHLQ	$3, R12
+	SHLQ	$3, R13
+	SHLQ	$3, R15
+	IMULQ	R13, R11
+	ADDQ	R8, R11
+	CMPQ	AX, $8
+	JEQ	row8
+	CMPQ	AX, $4
+	JEQ	row4
+	CMPQ	AX, $2
+	JEQ	row2
+	JMP	row1
+	TILE(row8, init8, k8, mul8, next8, out8, LOAD8, STEPS8, BIAS8, STORE8)
+	TILE(row4, init4, k4, mul4, next4, out4, LOAD4, STEPS4, BIAS4, STORE4)
+	TILE(row2, init2, k2, mul2, next2, out2, LOAD2, STEPS2, BIAS2, STORE2)
+	TILE(row1, init1, k1, mul1, next1, out1, LOAD1, STEPS1, BIAS1, STORE1)

@@ -2,8 +2,8 @@
 
 package tensor
 
-// useSIMD is false off amd64: the fused kernels run their generic
-// unroll-by-4 Go loops, which the amd64 vector path is pinned against
+// useSIMD is false off amd64: the fused kernels and the dense products run
+// their generic Go loops, which the amd64 vector path is pinned against
 // bit-for-bit (TestKernelSIMDMatchesGeneric).
 var useSIMD = false
 
@@ -12,5 +12,9 @@ func gatherAXPYQuads(y *float64, n int, data *float64, rows *int32, w *float64, 
 }
 
 func scatterAXPYQuads(x *float64, n int, data *float64, rows *int32, w *float64, quads, c int, scale float64) {
+	panic("tensor: vector kernel called without SIMD support")
+}
+
+func mulTile(dst, a, b, bias *float64, rows, kdim, aRow, aK, ldb, ldd, nvec int, accumulate, skipZero bool) {
 	panic("tensor: vector kernel called without SIMD support")
 }

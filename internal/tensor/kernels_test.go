@@ -1,8 +1,11 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
+	"sync/atomic"
 	"testing"
 )
 
@@ -28,6 +31,21 @@ func bitsEqual(a, b []float64) bool {
 	}
 	for i := range a {
 		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// bitsEqualOrNaN is bitsEqual, except that a NaN matches any NaN: which
+// payload survives when two NaNs meet depends on operand order, which Go
+// leaves to the compiler (see matmul.go).
+func bitsEqualOrNaN(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) && !(math.IsNaN(a[i]) && math.IsNaN(b[i])) {
 			return false
 		}
 	}
@@ -226,15 +244,23 @@ func BenchmarkGatherAXPY(b *testing.B) {
 }
 
 // TestKernelSIMDMatchesGeneric pins the amd64 vector bodies bit-identical
-// to the generic Go quad loops by running both paths on identical inputs
-// (±0, subnormals, and NaN payloads included via fillRand). Off amd64, or
-// on amd64 hosts without AVX2, the SIMD path does not exist and the test
-// skips.
+// to the generic Go loops by running both paths on identical inputs. Off
+// amd64, or on amd64 hosts without AVX2, the SIMD path does not exist: the
+// gather/scatter half skips and the matmul half still pins the Go loops to
+// the reference and to themselves across worker counts.
 func TestKernelSIMDMatchesGeneric(t *testing.T) {
-	if !useSIMD {
-		t.Skip("no SIMD kernels on this host")
-	}
-	defer func() { useSIMD = true }()
+	simd := useSIMD
+	defer func() { useSIMD = simd }()
+	t.Run("gather-scatter", func(t *testing.T) {
+		if !simd {
+			t.Skip("no SIMD kernels on this host")
+		}
+		testGatherScatterSIMD(t)
+	})
+	t.Run("matmul", func(t *testing.T) { testMatMulPaths(t, simd) })
+}
+
+func testGatherScatterSIMD(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for _, dim := range []int{1, 3, 32, 33, kernelTile, kernelTile + 7} {
 		m := New(24, dim)
@@ -273,6 +299,297 @@ func TestKernelSIMDMatchesGeneric(t *testing.T) {
 			ScatterAXPY(mS, rows, w, base, -1.5)
 			if !bitsEqual(mS.Data, mG.Data) {
 				t.Fatalf("ScatterAXPY dim=%d n=%d: SIMD differs from generic", dim, n)
+			}
+		}
+	}
+}
+
+// fillSpecial is fillRand plus the values that tell a careless kernel from
+// a careful one: denormals, both infinities and three different NaNs (Go's,
+// the one x86 generates for 0·Inf, and one with a payload).
+func fillSpecial(m *Matrix, rng *rand.Rand) {
+	fillRand(m, rng)
+	specials := []float64{
+		5e-324, -2.3e-308, math.Inf(1), math.Inf(-1), math.NaN(),
+		math.Float64frombits(0xFFF8000000000000), math.Float64frombits(0x7FF80000DEADBEEF),
+	}
+	for i := range m.Data {
+		if rng.Intn(12) == 0 {
+			m.Data[i] = specials[rng.Intn(len(specials))]
+		}
+	}
+}
+
+// The three reference products: the loops the repository shipped before
+// the column-tiled bodies, kept here as the oracle for finite inputs.
+func refMatMulBias(dst, a, b *Matrix, bias []float64) {
+	dst.Zero()
+	for i := 0; i < a.Rows; i++ {
+		drow := dst.Row(i)
+		for k, av := range a.Row(i) {
+			if av == 0 {
+				continue
+			}
+			for j, bv := range b.Row(k) {
+				drow[j] += av * bv
+			}
+		}
+	}
+	if bias != nil {
+		dst.AddRowVector(bias)
+	}
+}
+
+func refMatMulATB(dst, a, b *Matrix) {
+	for k := 0; k < a.Rows; k++ {
+		for i, av := range a.Row(k) {
+			if av == 0 {
+				continue
+			}
+			drow := dst.Row(i)
+			for j, bv := range b.Row(k) {
+				drow[j] += av * bv
+			}
+		}
+	}
+}
+
+func refMatMulABT(dst, a, b *Matrix) {
+	for i := 0; i < a.Rows; i++ {
+		for j := 0; j < b.Rows; j++ {
+			var s float64
+			for k, av := range a.Row(i) {
+				s += av * b.Row(j)[k]
+			}
+			dst.Set(i, j, s)
+		}
+	}
+}
+
+// tallEnough is the row count at which an n×k·k×c product crosses
+// parallelMinWork, so the row split really runs.
+func tallEnough(k, c int) int { return parallelMinWork/(k*c) + 7 }
+
+// testMatMulPaths runs MatMulBiasInto, MatMulATBInto and MatMulABTInto over
+// a shape table on every path — vector and Go body, 1/2/3/8 workers — and
+// demands the same bits from all of them (a NaN for a NaN); on finite inputs
+// also the bits of the reference loops.
+func testMatMulPaths(t *testing.T, simd bool) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	type shape struct{ n, k, c int }
+	shapes := []shape{{1, 1, 1}, {17, 9, 6}, {0, 5, 8}, {5, 0, 8}, {6, 40, 70}}
+	for _, c := range []int{3, 4, 31, 32, 33, 41, 64, 130} {
+		shapes = append(shapes, shape{23, 9, c}, shape{tallEnough(9, c), 9, c})
+	}
+	// A deep ABT (k > 32: several transposed k tiles) and a wide ATB left
+	// operand (more dst rows than workers), both tall enough to split.
+	shapes = append(shapes, shape{tallEnough(70, 36), 70, 36})
+
+	paths := []bool{false}
+	if simd {
+		paths = append(paths, true)
+	}
+	rng := rand.New(rand.NewSource(12))
+	for _, sh := range shapes {
+		for _, special := range []bool{false, true} {
+			fill := fillRand
+			if special {
+				fill = fillSpecial
+			}
+			// x: n×k, w: k×c, dy: n×c — the three operands of a linear layer.
+			x, w, dy := New(sh.n, sh.k), New(sh.k, sh.c), New(sh.n, sh.c)
+			fill(x, rng)
+			fill(w, rng)
+			fill(dy, rng)
+			bias := New(1, sh.c)
+			fill(bias, rng)
+			// A column of x that is all ±0 leaves its dst row of xᵀ·dy to the
+			// prefill, whose −0 entries must survive.
+			if sh.k > 0 {
+				for i := 0; i < sh.n; i++ {
+					x.Set(i, sh.k-1, math.Copysign(0, float64(i%2)-0.5))
+				}
+			}
+			prefill := New(sh.k, sh.c)
+			fillRand(prefill, rng)
+			for j := range prefill.Data {
+				if j%3 == 0 {
+					prefill.Data[j] = math.Copysign(0, -1)
+				}
+			}
+
+			var wantY, wantGW, wantDX *Matrix
+			for _, vec := range paths {
+				for _, procs := range []int{1, 2, 3, 8} {
+					useSIMD = vec
+					runtime.GOMAXPROCS(procs)
+					y, gw, dx := New(sh.n, sh.c), prefill.Clone(), New(sh.n, sh.k)
+					y.Fill(999)
+					dx.Fill(999)
+					MatMulBiasInto(y, x, w, bias.Data)
+					MatMulATBInto(gw, x, dy)
+					MatMulABTInto(dx, dy, w)
+					if wantY == nil {
+						wantY, wantGW, wantDX = y, gw, dx
+						if !special {
+							ry, rgw, rdx := New(sh.n, sh.c), prefill.Clone(), New(sh.n, sh.k)
+							refMatMulBias(ry, x, w, bias.Data)
+							refMatMulATB(rgw, x, dy)
+							refMatMulABT(rdx, dy, w)
+							if !bitsEqual(y.Data, ry.Data) || !bitsEqual(gw.Data, rgw.Data) || !bitsEqual(dx.Data, rdx.Data) {
+								t.Fatalf("%+v: Go bodies differ from the reference loops", sh)
+							}
+						}
+						continue
+					}
+					for _, c := range []struct {
+						name      string
+						got, want *Matrix
+					}{{"MatMulBiasInto", y, wantY}, {"MatMulATBInto", gw, wantGW}, {"MatMulABTInto", dx, wantDX}} {
+						if !bitsEqualOrNaN(c.got.Data, c.want.Data) {
+							t.Fatalf("%s %+v special=%v simd=%v procs=%d: differs from the serial Go body", c.name, sh, special, vec, procs)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestParallelRowsCoversEachIndexOnce: whatever the worker count, the ranges
+// handed out are disjoint and cover [0, n).
+func TestParallelRowsCoversEachIndexOnce(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 3, 8} {
+		runtime.GOMAXPROCS(procs)
+		for _, n := range []int{0, 1, 2, 7, 8, 9, 1000} {
+			for _, work := range []int{0, parallelMinWork} {
+				hits := make([]int32, n)
+				parallelRows(n, work, hits, func(hits []int32, lo, hi int) {
+					if lo >= hi {
+						t.Errorf("procs=%d n=%d: empty range [%d,%d)", procs, n, lo, hi)
+					}
+					for i := lo; i < hi; i++ {
+						atomic.AddInt32(&hits[i], 1)
+					}
+				})
+				for i, h := range hits {
+					if h != 1 {
+						t.Fatalf("procs=%d n=%d work=%d: index %d visited %d times", procs, n, work, i, h)
+					}
+				}
+			}
+		}
+	}
+}
+
+// benchDense times one dense product of a hidden-32 layer at the 10k and
+// 100k presets on both paths; `make bench-dense` runs it at -cpu 1,2.
+func benchDense(b *testing.B, run func(x, w, dy, y, gw, dx *Matrix)) {
+	simd := useSIMD
+	defer func() { useSIMD = simd }()
+	rng := rand.New(rand.NewSource(13))
+	for _, n := range []int{10_000, 100_000} {
+		x, w, dy := New(n, 32), New(32, 32), New(n, 32)
+		for _, m := range []*Matrix{x, w, dy} {
+			for i := range m.Data {
+				m.Data[i] = rng.NormFloat64()
+			}
+		}
+		y, gw, dx := New(n, 32), New(32, 32), New(n, 32)
+		for _, vec := range []bool{true, false} {
+			name := "generic"
+			if vec {
+				if !simd {
+					continue
+				}
+				name = "simd"
+			}
+			b.Run(fmt.Sprintf("%dk/%s", n/1000, name), func(b *testing.B) {
+				useSIMD = vec
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					run(x, w, dy, y, gw, dx)
+				}
+			})
+		}
+	}
+}
+
+func BenchmarkMatMulInto(b *testing.B) {
+	benchDense(b, func(x, w, dy, y, gw, dx *Matrix) { MatMulInto(y, x, w) })
+}
+
+func BenchmarkATBInto(b *testing.B) {
+	benchDense(b, func(x, w, dy, y, gw, dx *Matrix) { MatMulATBInto(gw, x, dy) })
+}
+
+func BenchmarkABTInto(b *testing.B) {
+	benchDense(b, func(x, w, dy, y, gw, dx *Matrix) { MatMulABTInto(dx, dy, w) })
+}
+
+// TestRowwisePasses pins the row-parallel passes to their plain
+// definitions, bit for bit, on special values and for 1/2/3/8 workers.
+func TestRowwisePasses(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	rng := rand.New(rand.NewSource(16))
+	for _, rows := range []int{0, 1, 37, parallelMinWork/5 + 3} {
+		x, dy := New(rows, 5), New(rows, 5)
+		fillSpecial(x, rng)
+		fillSpecial(dy, rng)
+		labels := make([]int, rows)
+		mask := make([]bool, rows)
+		for i := range labels {
+			labels[i], mask[i] = rng.Intn(5), rng.Intn(3) > 0
+		}
+
+		// The definitions the passes replace.
+		wantRelu, wantGate := New(rows, 5), New(rows, 5)
+		for i, v := range x.Data {
+			if v > 0 {
+				wantRelu.Data[i] = v
+				wantGate.Data[i] = dy.Data[i]
+			}
+		}
+		wantArg := make([]int, rows)
+		wantGrad, wantPicked := New(rows, 5), make([]float64, rows)
+		ls := LogSoftmaxRows(x)
+		for i := 0; i < rows; i++ {
+			best := math.Inf(-1)
+			for j, v := range x.Row(i) {
+				if v > best {
+					best, wantArg[i] = v, j
+				}
+			}
+			if !mask[i] {
+				continue
+			}
+			wantPicked[i] = ls.At(i, labels[i])
+			for j, l := range ls.Row(i) {
+				wantGrad.Set(i, j, math.Exp(l)*0.25)
+			}
+			wantGrad.Row(i)[labels[i]] -= 0.25
+		}
+
+		for _, procs := range []int{1, 2, 3, 8} {
+			runtime.GOMAXPROCS(procs)
+			relu, gate := x.Clone(), dy.Clone()
+			relu.ReLUInPlace()
+			GatePositiveInPlace(gate, relu)
+			if !bitsEqual(relu.Data, wantRelu.Data) || !bitsEqual(gate.Data, wantGate.Data) {
+				t.Fatalf("rows=%d procs=%d: ReLU passes differ from max(x,0) and its gate", rows, procs)
+			}
+			arg := ArgmaxRowsInto(make([]int, 0, rows), x)
+			for i := range arg {
+				if arg[i] != wantArg[i] {
+					t.Fatalf("rows=%d procs=%d: argmax row %d = %d, want %d", rows, procs, i, arg[i], wantArg[i])
+				}
+			}
+			grad, picked := New(rows, 5), make([]float64, rows)
+			grad.Fill(999)
+			SoftmaxCrossEntropyRows(grad, x, labels, mask, 0.25, picked)
+			if !bitsEqual(grad.Data, wantGrad.Data) || !bitsEqual(picked, wantPicked) {
+				t.Fatalf("rows=%d procs=%d: SoftmaxCrossEntropyRows differs from LogSoftmaxRows-then-exp", rows, procs)
 			}
 		}
 	}

@@ -12,8 +12,6 @@ package tensor
 import (
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
 )
 
 // Matrix is a dense row-major matrix of float64.
@@ -48,6 +46,16 @@ func FromRows(rows [][]float64) *Matrix {
 		copy(m.Data[i*c:(i+1)*c], r)
 	}
 	return m
+}
+
+// Retained returns buf when it already is rows×cols and a new zeroed matrix
+// otherwise — the one-line form of "keep this batch-sized buffer between
+// calls, re-allocate only when the batch shape changes".
+func Retained(buf *Matrix, rows, cols int) *Matrix {
+	if buf != nil && buf.Rows == rows && buf.Cols == cols {
+		return buf
+	}
+	return New(rows, cols)
 }
 
 // Clone returns a deep copy of m.
@@ -119,80 +127,6 @@ func shapeCheck(cond bool, op string, a, b *Matrix) {
 	if !cond {
 		panic(fmt.Sprintf("tensor: %s shape mismatch: %dx%d vs %dx%d", op, a.Rows, a.Cols, b.Rows, b.Cols))
 	}
-}
-
-// MatMul returns a × b.
-func MatMul(a, b *Matrix) *Matrix {
-	out := New(a.Rows, b.Cols)
-	MatMulInto(out, a, b)
-	return out
-}
-
-// MatMulInto computes dst = a × b. dst must be a.Rows × b.Cols and must not
-// alias a or b.
-func MatMulInto(dst, a, b *Matrix) {
-	shapeCheck(a.Cols == b.Rows, "MatMul", a, b)
-	if dst.Rows != a.Rows || dst.Cols != b.Cols {
-		panic(fmt.Sprintf("tensor: MatMulInto dst %dx%d want %dx%d", dst.Rows, dst.Cols, a.Rows, b.Cols))
-	}
-	dst.Zero()
-	// ikj loop order: the inner loop walks both b and dst rows contiguously.
-	for i := 0; i < a.Rows; i++ {
-		arow := a.Data[i*a.Cols : (i+1)*a.Cols]
-		drow := dst.Data[i*dst.Cols : (i+1)*dst.Cols]
-		for k, av := range arow {
-			if av == 0 {
-				continue
-			}
-			brow := b.Data[k*b.Cols : (k+1)*b.Cols]
-			for j, bv := range brow {
-				drow[j] += av * bv
-			}
-		}
-	}
-}
-
-// MatMulATB returns aᵀ × b, used by linear-layer weight gradients.
-func MatMulATB(a, b *Matrix) *Matrix {
-	if a.Rows != b.Rows {
-		shapeCheck(false, "MatMulATB", a, b)
-	}
-	out := New(a.Cols, b.Cols)
-	for k := 0; k < a.Rows; k++ {
-		arow := a.Data[k*a.Cols : (k+1)*a.Cols]
-		brow := b.Data[k*b.Cols : (k+1)*b.Cols]
-		for i, av := range arow {
-			if av == 0 {
-				continue
-			}
-			orow := out.Data[i*out.Cols : (i+1)*out.Cols]
-			for j, bv := range brow {
-				orow[j] += av * bv
-			}
-		}
-	}
-	return out
-}
-
-// MatMulABT returns a × bᵀ, used by linear-layer input gradients.
-func MatMulABT(a, b *Matrix) *Matrix {
-	if a.Cols != b.Cols {
-		shapeCheck(false, "MatMulABT", a, b)
-	}
-	out := New(a.Rows, b.Rows)
-	for i := 0; i < a.Rows; i++ {
-		arow := a.Data[i*a.Cols : (i+1)*a.Cols]
-		orow := out.Data[i*out.Cols : (i+1)*out.Cols]
-		for j := 0; j < b.Rows; j++ {
-			brow := b.Data[j*b.Cols : (j+1)*b.Cols]
-			var s float64
-			for k, av := range arow {
-				s += av * brow[k]
-			}
-			orow[j] = s
-		}
-	}
-	return out
 }
 
 // Transpose returns mᵀ.
@@ -395,26 +329,27 @@ func SquaredDistanceBounded(a, b []float64, bound float64) float64 {
 func LogSoftmaxRows(m *Matrix) *Matrix {
 	out := New(m.Rows, m.Cols)
 	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		orow := out.Row(i)
-		mx := math.Inf(-1)
-		for _, v := range row {
-			if v > mx {
-				mx = v
-			}
-		}
-		var sum float64
-		for j, v := range row {
-			e := math.Exp(v - mx)
-			orow[j] = e
-			sum += e
-		}
-		ls := math.Log(sum)
-		for j := range orow {
-			orow[j] = row[j] - mx - ls
-		}
+		logSoftmaxRow(out.Row(i), m.Row(i))
 	}
 	return out
+}
+
+// logSoftmaxRow writes the log-softmax of row into dst (same length).
+func logSoftmaxRow(dst, row []float64) {
+	mx := math.Inf(-1)
+	for _, v := range row {
+		if v > mx {
+			mx = v
+		}
+	}
+	var sum float64
+	for _, v := range row {
+		sum += math.Exp(v - mx)
+	}
+	ls := math.Log(sum)
+	for j, v := range row {
+		dst[j] = v - mx - ls
+	}
 }
 
 // SoftmaxRows computes the row-wise softmax of m into a new matrix.
@@ -426,65 +361,5 @@ func SoftmaxRows(m *Matrix) *Matrix {
 
 // ArgmaxRows returns the column index of the max element of each row.
 func ArgmaxRows(m *Matrix) []int {
-	out := make([]int, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		best, bi := math.Inf(-1), 0
-		for j, v := range row {
-			if v > best {
-				best, bi = v, j
-			}
-		}
-		out[i] = bi
-	}
-	return out
-}
-
-// parallelThreshold is the a.Rows*a.Cols*b.Cols product above which
-// MatMulInto splits rows across goroutines.
-const parallelThreshold = 1 << 21
-
-// MatMulParallel computes a × b, splitting row blocks across GOMAXPROCS
-// goroutines when the operation is large enough to amortize the fan-out.
-// Results are identical to MatMul (row blocks are disjoint).
-func MatMulParallel(a, b *Matrix) *Matrix {
-	out := New(a.Rows, b.Cols)
-	shapeCheck(a.Cols == b.Rows, "MatMulParallel", a, b)
-	work := a.Rows * a.Cols * b.Cols
-	workers := runtime.GOMAXPROCS(0)
-	if work < parallelThreshold || workers < 2 || a.Rows < 2*workers {
-		MatMulInto(out, a, b)
-		return out
-	}
-	var wg sync.WaitGroup
-	chunk := (a.Rows + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > a.Rows {
-			hi = a.Rows
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				arow := a.Data[i*a.Cols : (i+1)*a.Cols]
-				drow := out.Data[i*out.Cols : (i+1)*out.Cols]
-				for k, av := range arow {
-					if av == 0 {
-						continue
-					}
-					brow := b.Data[k*b.Cols : (k+1)*b.Cols]
-					for j, bv := range brow {
-						drow[j] += av * bv
-					}
-				}
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
-	return out
+	return ArgmaxRowsInto(nil, m)
 }

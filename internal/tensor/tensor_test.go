@@ -293,41 +293,6 @@ func BenchmarkLogSoftmax(b *testing.B) {
 	}
 }
 
-func TestMatMulParallelMatchesSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	// Big enough to take the parallel path.
-	a, b := New(256, 128), New(128, 128)
-	for i := range a.Data {
-		a.Data[i] = rng.NormFloat64()
-	}
-	for i := range b.Data {
-		b.Data[i] = rng.NormFloat64()
-	}
-	if !MatMulParallel(a, b).Equal(MatMul(a, b), 1e-12) {
-		t.Fatal("parallel matmul diverges from serial")
-	}
-	// Small matrices take the serial path but must still be correct.
-	sa := FromRows([][]float64{{1, 2}, {3, 4}})
-	sb := FromRows([][]float64{{5, 6}, {7, 8}})
-	if !MatMulParallel(sa, sb).Equal(MatMul(sa, sb), 0) {
-		t.Fatal("small-path parallel matmul wrong")
-	}
-}
-
-func BenchmarkMatMulParallel256(b *testing.B) {
-	rng := rand.New(rand.NewSource(22))
-	x, y := New(256, 256), New(256, 256)
-	for i := range x.Data {
-		x.Data[i] = rng.NormFloat64()
-		y.Data[i] = rng.NormFloat64()
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		MatMulParallel(x, y)
-	}
-}
-
 func TestApplyAndFillZero(t *testing.T) {
 	m := FromRows([][]float64{{1, -2}, {3, -4}})
 	m.Apply(math.Abs)
@@ -377,7 +342,7 @@ func TestPanicPaths(t *testing.T) {
 		"Dot len":             func() { Dot([]float64{1}, []float64{1, 2}) },
 		"AXPY len":            func() { AXPY(1, []float64{1}, []float64{1, 2}) },
 		"SquaredDistance len": func() { SquaredDistance([]float64{1}, []float64{1, 2}) },
-		"MatMulParallel":      func() { MatMulParallel(New(2, 3), New(2, 3)) },
+		"MatMulBiasInto len":  func() { MatMulBiasInto(New(2, 2), New(2, 3), New(3, 2), []float64{1}) },
 	}
 	for name, f := range cases {
 		func() {
