@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race test-net verify cover fuzz fuzz-smoke bench bench-round bench-dense bench-all bench-scale profile experiments quick-experiments clean
+.PHONY: all build vet test race test-net verify cover loc fuzz fuzz-smoke bench bench-round bench-dense bench-all bench-scale profile experiments quick-experiments clean
 
 all: build vet test race
 
@@ -22,7 +22,8 @@ test:
 
 # The concurrent surfaces: the worker runtime (including the cross-engine
 # equivalence matrix over all Fig. 12(b) method combinations), the
-# receiver-sharded parallel engine, the planning pipeline (single-sweep
+# receiver-sharded parallel engine, the exchange core both of them walk (one
+# goroutine per pair, per-pair streams), the planning pipeline (single-sweep
 # DBG extraction fanned into concurrent per-pair plan builds and the sharded
 # k-means sweep), and the communication scheduler whose decisions every
 # runtime replays. The core package's TestScale100KSmoke makes this lane
@@ -31,10 +32,11 @@ test:
 # its packages ride the lane, and the kernel path test — every product and
 # row-wise pass at 1/2/3/8 workers — runs ten times over under the detector.
 race:
-	$(GO) test -race ./internal/dist/... ./internal/worker/... \
+	$(GO) test -race ./internal/dist/... ./internal/worker/... ./internal/exchange/... \
 		./internal/cluster/... ./internal/core/... ./internal/graph/... \
 		./internal/sched/... ./internal/tensor/... ./internal/nn/... ./internal/gnn/...
 	$(GO) test -race -count=10 -run 'TestKernelSIMDMatchesGeneric|TestRowwisePasses|TestParallelRows' ./internal/tensor/
+	$(GO) test -race -count=10 -run 'TestClusterArrivalOrderInvariant' ./internal/worker/
 
 # The multi-process lane: the whole socket transport package under the race
 # detector (framing/control codecs, fault-injection matrix, cross-runtime
@@ -56,9 +58,10 @@ test-net:
 # while an untested subsystem landing in one of them fails the gate. The
 # scheduler package holds a 90% floor (currently 100%): its decisions must
 # replay bit-identically on three runtimes, so untested branches there are
-# cross-runtime divergence waiting to happen.
+# cross-runtime divergence waiting to happen. The exchange core holds the same
+# floor for the same reason (currently 99%): every runtime replays its coins.
 cover:
-	@for spec in ./internal/core:90 ./internal/graph:90 ./internal/cluster:85 ./internal/net:85 ./internal/sched:90; do \
+	@for spec in ./internal/core:90 ./internal/graph:90 ./internal/cluster:85 ./internal/net:85 ./internal/sched:90 ./internal/exchange:90; do \
 		pkg=$${spec%:*}; floor=$${spec##*:}; \
 		line=$$($(GO) test -cover $$pkg) || { echo "$$line"; exit 1; }; \
 		pct=$$(echo "$$line" | sed -n 's/.*coverage: \([0-9.]*\)%.*/\1/p'); \
@@ -68,6 +71,11 @@ cover:
 		fi; \
 		echo "cover: $$pkg $$pct% (floor $$floor%)"; \
 	done
+
+# Non-test Go lines outside bench/ — ROADMAP aim 2's number, counted the one
+# way the acceptance criteria count it.
+loc:
+	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' -print0 | xargs -0 cat | wc -l
 
 # Coverage-guided fuzzing of the wire decoders and the arc-bucket differ
 # (go test -fuzz accepts one target per invocation). FUZZTIME=10m for a soak;
@@ -92,15 +100,17 @@ fuzz-smoke:
 # arc-bucket differ, transport framing + control codecs).
 verify: build vet test race test-net cover fuzz-smoke
 
-# Cluster-round + halo-exchange benchmarks with allocation counts; the JSON
-# lands in BENCH_worker.json under "after" (the committed "before" baseline
-# is preserved by the merge). The planning-pipeline benchmarks (one-sweep DBG
+# Cluster-round + halo-exchange benchmarks with allocation counts, on one core
+# and on two; the JSON lands in BENCH_worker.json under "after" (the committed
+# "before" baseline is preserved by the merge). The "exchange-core-before" /
+# "exchange-core" keys hold this lane's and bench-round's rows from one run
+# each side of the exchange-core extraction (DESIGN.md §15). The planning-pipeline benchmarks (one-sweep DBG
 # extraction + concurrent plan builds + EEP sweep, plus the 100k-preset
 # dirty-fraction replan sweep BenchmarkReplan100K*) refresh BENCH_plan.json
 # the same way. The scheduler-overhead rows (per-boundary merge+decide cost
 # across pair counts) land in BENCH_plan.json under "sched".
 bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkClusterRound|BenchmarkEngineExchange' -benchmem . ./internal/worker/ \
+	$(GO) test -run '^$$' -bench 'BenchmarkClusterRound|BenchmarkEngineExchange' -benchmem -cpu 1,2 . ./internal/worker/ \
 		| $(GO) run ./cmd/scgnn-benchjson -o BENCH_worker.json -key after
 	$(GO) test -run '^$$' -bench 'BenchmarkAllDBGs|BenchmarkPlanPipeline|BenchmarkReplan' -benchmem . \
 		| $(GO) run ./cmd/scgnn-benchjson -o BENCH_plan.json -key after
@@ -115,7 +125,7 @@ bench:
 # The alloc ceiling itself is gated by tests that ride `make verify`
 # (TestKernelAllocs, TestClusterSteadyStateAllocs), not by this lane.
 bench-round:
-	$(GO) test -run '^$$' -bench 'BenchmarkLocalPhase|BenchmarkRoundEndToEnd' -benchmem ./internal/worker/ \
+	$(GO) test -run '^$$' -bench 'BenchmarkLocalPhase|BenchmarkRoundEndToEnd' -benchmem -cpu 1,2 ./internal/worker/ \
 		| $(GO) run ./cmd/scgnn-benchjson -o BENCH_worker.json -key round
 
 # The dense lane: the three products of a linear layer and a whole dense

@@ -9,26 +9,22 @@ package core
 // at plan-install time.
 //
 // Ownership/invalidation contract (DESIGN.md §11): compiled plans are
-// pure functions of (plan groups, O2O list, coeff). They hold baked
+// pure functions of (plan groups, coeff). They hold baked
 // copies — nothing aliases the PairPlan — so they stay valid until the
-// plan itself is replaced. Whoever installs plans (worker.Cluster,
+// plan itself is replaced. Whoever compiles them (the worker runtime,
 // future runtimes) must recompile exactly when it swaps a plan:
 // construction and the dirty pairs of a Repartition.
 
 // EncodePlan is the sender-side compilation of one direction of a
 // PairPlan: flattened group member lists for the semantic fuse
-// (payload += Σ GroupW·h_row per group) and the O2O residual rows as a
-// flat scaled-copy list. Row k of group g spans
+// (payload += Σ GroupW·h_row per group). Row k of group g spans
 // GroupRows[GroupOff[g]:GroupOff[g+1]], with GroupW[k] = WOut[k]·coeff[row].
+// O2O residuals need no compilation: the exchange walk hands each one to
+// the sink as a (sender, receiver) pair straight off the plan.
 type EncodePlan struct {
 	GroupOff  []int32
 	GroupRows []int32
 	GroupW    []float64
-	// O2OSrc[k] is the sending row of residual edge k, O2OW[k] its baked
-	// coefficient coeff[src], and O2ODst[k] the receiver-side target node.
-	O2OSrc []int32
-	O2OW   []float64
-	O2ODst []int32
 }
 
 // NumGroups returns the number of groups the plan encodes.
@@ -60,8 +56,8 @@ func (dp *DeliverPlan) Group(g int) (rows []int32, w []float64) {
 }
 
 // ReverseGroups returns the Reverse() of every group in p — the group
-// set of the backward direction. Shared by the runtimes' installPlan
-// paths so forward and backward compile from the same source of truth.
+// set of the backward direction. The exchange core caches them per plan so
+// forward and backward compile from the same source of truth.
 func ReverseGroups(p *PairPlan) []*Group {
 	rev := make([]*Group, len(p.Groups))
 	for i, grp := range p.Groups {
@@ -72,9 +68,9 @@ func ReverseGroups(p *PairPlan) []*Group {
 
 // CompileEncode flattens the sender side of one direction of a plan:
 // groups must already be oriented for the direction (p.Groups forward,
-// ReverseGroups(p) backward); backward flips the O2O edge orientation.
-// coeff is the full symmetric-normalization coefficient vector.
-func CompileEncode(groups []*Group, o2o []O2OEdge, backward bool, coeff []float64) *EncodePlan {
+// ReverseGroups(p) backward). coeff is the full symmetric-normalization
+// coefficient vector.
+func CompileEncode(groups []*Group, coeff []float64) *EncodePlan {
 	var members int
 	for _, grp := range groups {
 		members += len(grp.SrcNodes)
@@ -83,9 +79,6 @@ func CompileEncode(groups []*Group, o2o []O2OEdge, backward bool, coeff []float6
 		GroupOff:  make([]int32, 1, len(groups)+1),
 		GroupRows: make([]int32, 0, members),
 		GroupW:    make([]float64, 0, members),
-		O2OSrc:    make([]int32, len(o2o)),
-		O2OW:      make([]float64, len(o2o)),
-		O2ODst:    make([]int32, len(o2o)),
 	}
 	for _, grp := range groups {
 		for k, u := range grp.SrcNodes {
@@ -93,15 +86,6 @@ func CompileEncode(groups []*Group, o2o []O2OEdge, backward bool, coeff []float6
 			ep.GroupW = append(ep.GroupW, grp.WOut[k]*coeff[u])
 		}
 		ep.GroupOff = append(ep.GroupOff, int32(len(ep.GroupRows)))
-	}
-	for k, o := range o2o {
-		src, dst := o.Src, o.Dst
-		if backward {
-			src, dst = dst, src
-		}
-		ep.O2OSrc[k] = src
-		ep.O2OW[k] = coeff[src]
-		ep.O2ODst[k] = dst
 	}
 	return ep
 }

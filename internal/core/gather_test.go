@@ -33,7 +33,7 @@ func TestCompileEncodeMatchesTraversal(t *testing.T) {
 		if backward {
 			groups = ReverseGroups(p)
 		}
-		ep := CompileEncode(groups, p.O2O, backward, coeff)
+		ep := CompileEncode(groups, coeff)
 		if ep.NumGroups() != len(groups) {
 			t.Fatalf("backward=%v: %d groups, want %d", backward, ep.NumGroups(), len(groups))
 		}
@@ -50,22 +50,6 @@ func TestCompileEncodeMatchesTraversal(t *testing.T) {
 				if math.Float64bits(w[k]) != math.Float64bits(want) {
 					t.Fatalf("group %d weight %d: %v, want %v", gi, k, w[k], want)
 				}
-			}
-		}
-		if len(ep.O2OSrc) != len(p.O2O) {
-			t.Fatalf("backward=%v: %d O2O rows, want %d", backward, len(ep.O2OSrc), len(p.O2O))
-		}
-		for k, o := range p.O2O {
-			src, dst := o.Src, o.Dst
-			if backward {
-				src, dst = dst, src
-			}
-			if ep.O2OSrc[k] != src || ep.O2ODst[k] != dst {
-				t.Fatalf("O2O %d backward=%v: (%d→%d), want (%d→%d)",
-					k, backward, ep.O2OSrc[k], ep.O2ODst[k], src, dst)
-			}
-			if math.Float64bits(ep.O2OW[k]) != math.Float64bits(coeff[src]) {
-				t.Fatalf("O2O %d weight: %v, want coeff[%d]=%v", k, ep.O2OW[k], src, coeff[src])
 			}
 		}
 	}
@@ -134,8 +118,8 @@ func TestReverseGroupsMatchesPerGroupReverse(t *testing.T) {
 // valid empty structures (NumGroups 0, no rows).
 func TestCompileEncodeEmpty(t *testing.T) {
 	coeff := []float64{1, 1}
-	ep := CompileEncode(nil, nil, false, coeff)
-	if ep.NumGroups() != 0 || len(ep.GroupRows) != 0 || len(ep.O2OSrc) != 0 {
+	ep := CompileEncode(nil, coeff)
+	if ep.NumGroups() != 0 || len(ep.GroupRows) != 0 {
 		t.Fatal("empty encode plan not empty")
 	}
 	dp := CompileDeliver(nil, coeff)

@@ -35,6 +35,7 @@ import (
 
 	"scgnn/internal/compress"
 	"scgnn/internal/core"
+	"scgnn/internal/exchange"
 	"scgnn/internal/graph"
 	"scgnn/internal/sched"
 	"scgnn/internal/simnet"
@@ -108,7 +109,7 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// MethodName renders the enabled features, e.g. "vanilla", "semantic",
+// MethodName renders the enabled features, e.core.G. "vanilla", "semantic",
 // "sampling+quant".
 func (c Config) MethodName() string {
 	var parts []string
@@ -159,6 +160,18 @@ func (c Config) BaseSetting() sched.Setting {
 	}
 }
 
+// Exchange projects the config onto the options of the shared exchange core —
+// the one mapping every runtime builds its core from. The Workers cap also
+// bounds offline planning when the plan config leaves it unset (plans are
+// identical for any worker count).
+func (c Config) Exchange() exchange.Options {
+	plan := c.Plan
+	if plan.Workers == 0 {
+		plan.Workers = c.Workers
+	}
+	return exchange.Options{Semantic: c.Semantic, Plan: plan, Base: c.BaseSetting(), Seed: c.Seed, Sched: c.Sched}
+}
+
 // Vanilla returns the uncompressed baseline configuration.
 func Vanilla() Config { return Config{} }
 
@@ -174,19 +187,6 @@ func Delay(period int) Config { return Config{DelayPeriod: period} }
 // Semantic returns the SC-GNN configuration with the given plan.
 func Semantic(plan core.PlanConfig) Config { return Config{Semantic: true, Plan: plan} }
 
-// pairState is the per-ordered-partition-pair compression state. A pair is
-// touched by exactly one receiver goroutine per round (its DstPart forward,
-// its SrcPart backward), so none of this needs locking, and because each
-// pair consumes its own RNG stream and residual store, drop decisions and
-// error feedback are independent of the parallel schedule.
-type pairState struct {
-	sampler     *compress.Sampler
-	nodeSampler *compress.NodeSampler
-	quant       *compress.Quantizer
-	adaptive    *compress.AdaptiveQuantizer
-	ef          *compress.ErrorFeedback
-}
-
 // shard is the per-receiver-partition accumulator for one parallel phase:
 // traffic and processing counters land here and are merged into the engine
 // totals after the barrier.
@@ -198,10 +198,9 @@ type shard struct {
 	semanticValues int64
 	aggFlops       int64
 
-	// payload, group, and efTrue are scratch vectors reused across this
-	// shard's pairs (outgoing payload, group fusion, error-feedback staging).
+	// payload and efTrue are scratch vectors reused across this shard's pairs
+	// (outgoing payload, error-feedback staging).
 	payload []float64
-	group   []float64
 	efTrue  []float64
 }
 
@@ -233,54 +232,17 @@ func (b *pairBuf) push(ref unitRef, payload []float64) {
 	b.vals = append(b.vals, payload...)
 }
 
-// groupCoinKey maps a plan-group index into the dedicated negative key
-// space of the per-pair node sampler. Boundary-node ids are always ≥ 0, so
-// a group coin can never share a memo entry with the O2O residual path's
-// per-node coins — the key-collision bug this replaces used
-// idx*4096+gi, which aliased real node ids (and other plans' groups for
-// gi ≥ 4096).
-func groupCoinKey(gi int) int32 { return int32(-1 - gi) }
-
 // Engine orchestrates partitioned aggregation for one (graph, partition)
 // pair under one Config. It implements gnn.Aggregator, so any model from
 // internal/gnn trains on it unchanged.
 type Engine struct {
-	g      *graph.Graph
-	part   []int
+	// core is the shared exchange state: topology, plans, and the per-pair
+	// compression streams every unit walk runs on (internal/exchange).
+	core   *exchange.Core
 	nparts int
 	cfg    Config
-	coeff  []float64 // GCN symmetric-normalization factors
 
 	fabric *simnet.Fabric
-
-	// buckets is the CSR-of-pairs bucketing of the current partition's cross
-	// arcs, retained so Repartition can diff against it and touch only the
-	// pairs whose boundary sets changed. spare is the bucketing the previous
-	// Repartition displaced, recycled as extraction scratch.
-	buckets, spare *graph.ArcBuckets
-	// crossOut[s*nparts+t] lists the cross arcs u→v with part[u]=s,
-	// part[v]=t (baseline per-edge exchange) — pair (s→t)'s arc bucket.
-	crossOut [][]graph.Edge
-	// own[p] lists the nodes owned by partition p, ascending.
-	own [][]int32
-	// planCache owns the semantic plans and rebuilds only dirty pairs on
-	// Repartition (nil when Semantic is off).
-	planCache *core.PlanCache
-	// plans holds the semantic pair plans (nil entries for pairs without
-	// cross edges or when Semantic is off).
-	plans []*core.PairPlan
-	// revGroups caches the reversed groups of each plan for the backward
-	// pass (gradients flow dst→src through the same semantics).
-	revGroups [][]*core.Group
-
-	// pairs[s*nparts+t] holds per-pair samplers, quantizers, adaptive
-	// quantizers, and error-feedback stores. Fixed-width quantizers are
-	// per-pair (not shared) because the variable-rate scheduler can put
-	// every pair on a different rung.
-	pairs []pairState
-	// sched holds the variable-rate schedule state (nil when disabled);
-	// initPairState reads the pair's current rung from it.
-	sched *sched.Scheduler
 
 	delay *compress.DelayCache
 	// freshEval forces the next rounds to bypass delayed transmission —
@@ -311,41 +273,11 @@ type Engine struct {
 // which validates first.
 func NewEngine(g *graph.Graph, part []int, nparts int, cfg Config) *Engine {
 	cfg = cfg.withDefaults()
-	if len(part) != g.NumNodes() {
-		panic(fmt.Sprintf("dist: partition len %d, want %d", len(part), g.NumNodes()))
-	}
 	e := &Engine{
-		g:      g,
-		part:   part,
+		core:   exchange.New(g, part, nparts, cfg.Exchange()),
 		nparts: nparts,
 		cfg:    cfg,
-		coeff:  g.SymNormCoeffs(),
 		fabric: simnet.NewFabric(nparts),
-	}
-	e.buckets = graph.ExtractArcBuckets(g, part, nparts)
-	e.crossOut = make([][]graph.Edge, nparts*nparts)
-	for idx := range e.crossOut {
-		e.crossOut[idx] = e.buckets.Edges(idx)
-	}
-	e.rebuildOwnership(part)
-	if cfg.Semantic {
-		pc, err := core.NewPlanCache(g, part, nparts, e.planConfig())
-		if err != nil {
-			panic("dist: " + err.Error())
-		}
-		e.planCache = pc
-		e.plans = make([]*core.PairPlan, nparts*nparts)
-		e.revGroups = make([][]*core.Group, nparts*nparts)
-		for idx := range e.plans {
-			e.installPlan(idx)
-		}
-	}
-	if cfg.Sched.Enabled {
-		e.sched = sched.New(cfg.Sched, cfg.BaseSetting(), cfg.Seed, nparts*nparts)
-	}
-	e.pairs = make([]pairState, nparts*nparts)
-	for idx := range e.pairs {
-		e.initPairState(idx)
 	}
 	if cfg.DelayPeriod > 1 {
 		e.delay = compress.NewDelayCache(cfg.DelayPeriod)
@@ -357,123 +289,16 @@ func NewEngine(g *graph.Graph, part []int, nparts int, cfg Config) *Engine {
 	return e
 }
 
-// planConfig resolves the offline-planning configuration: the engine's
-// Workers cap also bounds planning when the plan config leaves it unset.
-func (e *Engine) planConfig() core.PlanConfig {
-	planCfg := e.cfg.Plan
-	if planCfg.Workers == 0 {
-		planCfg.Workers = e.cfg.Workers
-	}
-	return planCfg
-}
-
-// rebuildOwnership recomputes own[p] (ascending node ids per partition) from
-// a partition vector.
-func (e *Engine) rebuildOwnership(part []int) {
-	e.own = make([][]int32, e.nparts)
-	for u := int32(0); int(u) < e.g.NumNodes(); u++ {
-		s := part[u]
-		e.own[s] = append(e.own[s], u)
-	}
-}
-
-// installPlan refreshes the engine's view of pair idx's semantic plan from
-// the plan cache, including the cached reversed groups for the backward pass.
-func (e *Engine) installPlan(idx int) {
-	p := e.planCache.Plan(idx)
-	e.plans[idx] = p
-	if p == nil {
-		e.revGroups[idx] = nil
-		return
-	}
-	e.revGroups[idx] = core.ReverseGroups(p)
-}
-
-// pairSetting resolves the compression gates pair idx currently runs: the
-// scheduler's rung when variable-rate scheduling is on, else the config's
-// static gates.
-func (e *Engine) pairSetting(idx int) sched.Setting {
-	if e.sched != nil {
-		return e.sched.Setting(idx)
-	}
-	return e.cfg.BaseSetting()
-}
-
-// initPairState (re)creates pair idx's stateful compression from scratch
-// under its current setting: the sampler restarts its DeriveSeed(seed, idx)
-// stream at the beginning, the quantizers and error-feedback store drop
-// their history. Used at construction for every pair, by Repartition for
-// dirty pairs, and by the scheduler whenever a pair changes rung — a freshly
-// re-seeded pair behaves exactly like the same pair in a brand-new engine,
-// which is what keeps engine and worker-cluster reconfigurations equivalent.
-func (e *Engine) initPairState(idx int) {
-	ps := &e.pairs[idx]
-	*ps = pairState{}
-	s, t := idx/e.nparts, idx%e.nparts
-	if s == t {
-		return
-	}
-	st := e.pairSetting(idx)
-	if st.SampleRate > 0 && st.SampleRate < 1 {
-		pairSeed := compress.DeriveSeed(e.cfg.Seed, idx)
-		if st.SampleNodes {
-			ps.nodeSampler = compress.NewNodeSampler(st.SampleRate, pairSeed)
-		} else {
-			ps.sampler = compress.NewSampler(st.SampleRate, pairSeed)
-		}
-	}
-	if st.QuantBits > 0 && st.QuantBits < 32 {
-		if st.Adaptive {
-			minBits := 2
-			if st.QuantBits < minBits {
-				minBits = st.QuantBits
-			}
-			ps.adaptive = compress.NewAdaptiveQuantizer(minBits, st.QuantBits, 0)
-		} else {
-			ps.quant = compress.NewQuantizer(st.QuantBits)
-		}
-		if st.EF {
-			ps.ef = compress.NewErrorFeedback()
-		}
-	}
-}
-
-// Repartition moves the engine to a new partition of the same graph,
-// rebuilding only what the partition change actually touched. The new
-// partition's cross arcs are bucketed in one sweep and diffed against the
-// retained bucketing; pairs whose boundary sets are unchanged keep their
-// plan, cross-edge list, sampler stream, adaptive-quantizer history, and
-// error-feedback residuals verbatim, while dirty pairs get a rebuilt plan
-// (bit-identical to a from-scratch build, via the plan cache's per-pair
-// DeriveSeed streams) and freshly re-seeded compression state. Delay slots
-// hold whole-round aggregates, so they are invalidated iff any pair is
-// dirty; a boundary-preserving repartition keeps its replays. The partition
-// vector is copied. Returns the ascending dirty pair indices; on error the
-// engine is unchanged.
+// Repartition moves the engine to a new partition of the same graph under the
+// exchange core's incremental contract (exchange.Core.Repartition): clean
+// pairs keep plan, arcs and streams verbatim, dirty pairs are rebuilt and
+// re-seeded. Delay slots hold whole-round aggregates, so they are invalidated
+// iff any pair is dirty; a boundary-preserving repartition keeps its replays.
+// Returns the ascending dirty pair indices; on error the engine is unchanged.
 func (e *Engine) Repartition(part []int) ([]int, error) {
-	if err := graph.ValidatePartition(e.g.NumNodes(), part, e.nparts); err != nil {
-		return nil, fmt.Errorf("dist: Repartition: %w", err)
-	}
-	nb := graph.ExtractArcBucketsInto(e.spare, e.g, part, e.nparts)
-	var dirty []int
-	if e.planCache != nil {
-		// The cache diffs against its own retained buckets (content-equal to
-		// e.buckets — both were extracted from the same (graph, partition)),
-		// so one diff serves both.
-		dirty = e.planCache.RepartitionBuckets(nb)
-		for _, idx := range dirty {
-			e.installPlan(idx)
-		}
-	} else {
-		dirty = graph.DiffDBGs(e.buckets, nb)
-	}
-	e.spare = e.buckets // displaced; recycled by the next extraction
-	e.buckets = nb
-	e.part = append([]int(nil), part...)
-	e.rebuildOwnership(e.part)
-	for _, idx := range dirty {
-		e.crossOut[idx] = nb.Edges(idx)
-		e.initPairState(idx)
+	dirty, err := e.core.Repartition(part)
+	if err != nil {
+		return nil, fmt.Errorf("dist: %w", err)
 	}
 	if e.delay != nil && len(dirty) > 0 {
 		e.delay.Invalidate()
@@ -487,7 +312,7 @@ func (e *Engine) Fabric() *simnet.Fabric { return e.fabric }
 // Plans exposes the semantic pair plans (nil when Semantic is off).
 func (e *Engine) Plans() []*core.PairPlan {
 	var out []*core.PairPlan
-	for _, p := range e.plans {
+	for _, p := range e.core.PairPlans {
 		if p != nil {
 			out = append(out, p)
 		}
@@ -500,17 +325,13 @@ func (e *Engine) Config() Config { return e.cfg }
 
 // StartEpoch resets the per-epoch counters; must be called before each
 // training epoch. When variable-rate scheduling is on, the epoch boundary is
-// also the decision point: the scheduler reads every pair's signal snapshot,
-// runs the pure decision function, and each pair whose rung changed is
-// re-seeded from scratch — the same reconfiguration contract Repartition
-// applies to dirty pairs. Rung changes never touch the delay cache (delay
-// slots hold whole-round aggregates, which scheduling does not vary).
+// also the decision point (exchange.Streams.Advance): pairs whose rung
+// changed are re-seeded from scratch — the same reconfiguration contract
+// Repartition applies to dirty pairs. Rung changes never touch the delay
+// cache (delay slots hold whole-round aggregates, which scheduling does not
+// vary).
 func (e *Engine) StartEpoch(epoch int) {
-	if e.sched != nil {
-		for _, idx := range e.sched.Advance(epoch, e.collectSignals()) {
-			e.initPairState(idx)
-		}
-	}
+	e.core.Advance(epoch)
 	e.epoch = epoch
 	e.round = 0
 	e.freshEval = false
@@ -524,39 +345,9 @@ func (e *Engine) StartEpoch(epoch int) {
 	}
 }
 
-// collectSignals snapshots every pair's scheduler-visible counters (see the
-// sched package's signal contract). All counters are cumulative since the
-// pair's stream was last (re)seeded.
-func (e *Engine) collectSignals() []sched.Signals {
-	sigs := make([]sched.Signals, len(e.pairs))
-	for idx := range e.pairs {
-		ps := &e.pairs[idx]
-		sg := &sigs[idx]
-		if ps.sampler != nil {
-			sg.Draws = ps.sampler.Draws()
-		}
-		if ps.adaptive != nil {
-			sg.BitsSum = ps.adaptive.BitsSum
-			sg.BitsCalls = ps.adaptive.Calls
-			sg.LastBits = ps.adaptive.LastBits
-		}
-		if ps.ef != nil {
-			sg.EFUnits = int64(ps.ef.Units())
-			sg.EFCorrected = ps.ef.Corrected
-			sg.ResidualNorm = ps.ef.ResidualNorm()
-		}
-	}
-	return sigs
-}
-
 // ScheduleLevels returns a copy of the current per-pair rung levels, or nil
 // when variable-rate scheduling is disabled.
-func (e *Engine) ScheduleLevels() []int {
-	if e.sched == nil {
-		return nil
-	}
-	return e.sched.Levels()
-}
+func (e *Engine) ScheduleLevels() []int { return e.core.Levels() }
 
 // StartEvalEpoch prepares a measurement-only forward pass: counters reset as
 // in StartEpoch, and delayed transmission is bypassed — the pass computes
@@ -670,7 +461,7 @@ func (e *Engine) chunksPerPart(workers int) int {
 func (e *Engine) chunkRows(i, chunks int) (int, []int32) {
 	r := i / chunks
 	c := i % chunks
-	rows := e.own[r]
+	rows := e.core.Own[r]
 	a := c * len(rows) / chunks
 	b := (c + 1) * len(rows) / chunks
 	return r, rows[a:b]
@@ -684,24 +475,13 @@ func (sh *shard) scratch(dim int) []float64 {
 	return sh.payload[:dim]
 }
 
-// fuseScratch returns the shard's reusable group-fusion buffer, sized to dim
-// (contents undefined — callers zero it per group). It is distinct from
-// scratch so a pair walk can stage a group payload and an O2O payload
-// without re-slicing per unit.
-func (sh *shard) fuseScratch(dim int) []float64 {
-	if cap(sh.group) < dim {
-		sh.group = make([]float64, dim)
-	}
-	return sh.group[:dim]
-}
-
 // localAggregate computes the within-partition part of Â·h (self loops plus
 // same-partition neighbors); no traffic. Rows are sharded by their owner
 // partition — or into finer contiguous row chunks when Workers > nparts —
 // each task writes only its own rows, and each row's sum is accumulated in
 // the same neighbor order as the sequential schedule.
 func (e *Engine) localAggregate(h *tensor.Matrix) *tensor.Matrix {
-	n := e.g.NumNodes()
+	n := e.core.G.NumNodes()
 	if h.Rows != n {
 		panic(fmt.Sprintf("dist: matrix rows %d, graph nodes %d", h.Rows, n))
 	}
@@ -709,7 +489,7 @@ func (e *Engine) localAggregate(h *tensor.Matrix) *tensor.Matrix {
 	workers := e.workerCount()
 	if workers <= e.nparts {
 		e.runShards(func(r int, sh *shard) {
-			e.localRows(r, e.own[r], h, out, sh)
+			e.localRows(r, e.core.Own[r], h, out, sh)
 		})
 		return out
 	}
@@ -723,12 +503,12 @@ func (e *Engine) localAggregate(h *tensor.Matrix) *tensor.Matrix {
 
 func (e *Engine) localRows(r int, rows []int32, h, out *tensor.Matrix, sh *shard) {
 	for _, u := range rows {
-		fu := e.coeff[u]
+		fu := e.core.Coeff[u]
 		orow := out.Row(int(u))
 		tensor.AXPY(fu*fu, h.Row(int(u)), orow)
-		for _, v := range e.g.Neighbors(u) {
-			if e.part[v] == r {
-				tensor.AXPY(fu*e.coeff[v], h.Row(int(v)), orow)
+		for _, v := range e.core.G.Neighbors(u) {
+			if e.core.Part[v] == r {
+				tensor.AXPY(fu*e.core.Coeff[v], h.Row(int(v)), orow)
 				sh.aggFlops += int64(2 * h.Cols)
 			}
 		}
@@ -765,10 +545,10 @@ func (e *Engine) remote(h, out *tensor.Matrix, backward bool) {
 		e.remoteSharded(h, target, backward, round, workers)
 	} else {
 		e.runShards(func(r int, sh *shard) {
-			if e.cfg.Semantic {
-				e.receiveSemantic(r, h, target, backward, round, sh)
-			} else {
-				e.receiveEdges(r, h, target, backward, round, sh)
+			for peer := 0; peer < e.nparts; peer++ {
+				if peer != r {
+					e.exchangePair(r, peer, h, target, backward, round, sh, nil)
+				}
 			}
 		})
 	}
@@ -802,11 +582,7 @@ func (e *Engine) remoteSharded(h, delta *tensor.Matrix, backward bool, round, wo
 		idx, _, _ := e.pairFor(r, peer, backward)
 		buf := &e.pairBufs[idx]
 		buf.reset()
-		if e.cfg.Semantic {
-			e.semanticPair(r, peer, h, nil, backward, round, sh, buf)
-		} else {
-			e.edgesPair(r, peer, h, nil, backward, round, sh, buf)
-		}
+		e.exchangePair(r, peer, h, nil, backward, round, sh, buf)
 	})
 	chunks := e.chunksPerPart(workers)
 	e.forEachTask(np*chunks, workers, func(i int, sh *shard) {
@@ -833,13 +609,7 @@ func (e *Engine) deliverChunk(r int, lo, hi int32, delta *tensor.Matrix, backwar
 		if len(buf.units) == 0 {
 			continue
 		}
-		var groups []*core.Group
-		if e.cfg.Semantic && e.plans[idx] != nil {
-			groups = e.plans[idx].Groups
-			if backward {
-				groups = e.revGroups[idx]
-			}
-		}
+		groups := e.core.Groups(idx, backward)
 		for ui, u := range buf.units {
 			payload := buf.vals[ui*dim : (ui+1)*dim]
 			if u.gi < 0 {
@@ -847,7 +617,7 @@ func (e *Engine) deliverChunk(r int, lo, hi int32, delta *tensor.Matrix, backwar
 				if v < lo || v > hi {
 					continue
 				}
-				tensor.AXPY(e.coeff[v], payload, delta.Row(int(v)))
+				tensor.AXPY(e.core.Coeff[v], payload, delta.Row(int(v)))
 				sh.aggFlops += int64(2 * dim)
 				continue
 			}
@@ -856,7 +626,7 @@ func (e *Engine) deliverChunk(r int, lo, hi int32, delta *tensor.Matrix, backwar
 				if v < lo || v > hi {
 					continue
 				}
-				tensor.AXPY(grp.DDst[k]*e.coeff[v], payload, delta.Row(int(v)))
+				tensor.AXPY(grp.DDst[k]*e.core.Coeff[v], payload, delta.Row(int(v)))
 				sh.aggFlops += int64(2 * dim)
 				sh.semanticValues += int64(dim)
 			}
@@ -876,199 +646,72 @@ func (e *Engine) pairFor(r, peer int, backward bool) (idx, from, to int) {
 	return peer*e.nparts + r, peer, r
 }
 
-// receiveEdges is the baseline per-edge exchange of Fig. 7(a), optionally
-// sampled and/or quantized, for the rows receiver partition r owns.
-func (e *Engine) receiveEdges(r int, h, delta *tensor.Matrix, backward bool, round int, sh *shard) {
-	for peer := 0; peer < e.nparts; peer++ {
-		if peer == r {
-			continue
-		}
-		e.edgesPair(r, peer, h, delta, backward, round, sh, nil)
-	}
-}
-
-// edgesPair walks one ordered pair's cross edges toward receiver r. With
-// buf == nil each surviving payload is delivered straight into delta (the
-// coarse schedule); with buf != nil it is staged in the pair's arena for
-// stage-2 chunk delivery, and the delivery-side counters are deferred with
-// it.
-func (e *Engine) edgesPair(r, peer int, h, delta *tensor.Matrix, backward bool, round int, sh *shard, buf *pairBuf) {
+// exchangePair runs one ordered pair's exchange toward receiver r: the shared
+// unit walk decides which units survive, and this sink does the engine's part
+// per unit — build the payload in float64 (Fig. 7(b) line 2 for a group:
+// h_g = Σ w(u)·f[u]·h_u, the GCN normalization folded in so delivery only
+// needs the receiver factor; f[u]·h_u for a per-node unit), account it through
+// sendPayload, and deliver it. With buf == nil the payload is delivered
+// straight into delta (the coarse schedule); with buf != nil it is staged in
+// the pair's arena for stage-2 chunk delivery, and the delivery-side counters
+// are deferred with it.
+func (e *Engine) exchangePair(r, peer int, h, delta *tensor.Matrix, backward bool, round int, sh *shard, buf *pairBuf) {
 	dim := h.Cols
 	idx, from, to := e.pairFor(r, peer, backward)
-	edges := e.crossOut[idx]
-	if len(edges) == 0 {
-		return
+	ps := &e.core.Pairs[idx]
+	coeff := e.core.Coeff
+	groups := e.core.Groups(idx, backward)
+	if !e.cfg.Semantic && (ps.Sampler != nil || ps.NodeSampler != nil) {
+		sh.sampleEdges += int64(len(e.core.CrossOut[idx]))
 	}
 	payload := sh.scratch(dim)
-	ps := &e.pairs[idx]
-	if ps.nodeSampler != nil {
-		ps.nodeSampler.StartRound()
-	}
-	if ps.sampler != nil || ps.nodeSampler != nil {
-		sh.sampleEdges += int64(len(edges))
-	}
-	var unit int64
-	for _, edge := range edges {
-		// Forward: u→v payload f[u]h_u. Backward: v→u payload f[v]h_v.
-		sender, receiver := edge.U, edge.V
-		if backward {
-			sender, receiver = edge.V, edge.U
-		}
-		scale := e.coeff[sender]
-		switch {
-		case ps.sampler != nil:
-			if !ps.sampler.Keep() {
-				unit++
-				continue
+	e.core.Walk(idx, backward, func(u exchange.Unit) {
+		if u.Group < 0 {
+			scale := coeff[u.Sender] * u.Scale
+			for i, v := range h.Row(int(u.Sender)) {
+				payload[i] = scale * v
 			}
-			scale *= ps.sampler.Scale()
-		case ps.nodeSampler != nil:
-			if !ps.nodeSampler.Keep(sender) {
-				unit++
-				continue
+			e.sendPayload(ps, sh, from, to, round, u.Index, payload)
+			if buf != nil {
+				buf.push(unitRef{gi: -1, recv: u.Receiver}, payload)
+				return
 			}
-			scale *= ps.nodeSampler.Scale()
+			tensor.AXPY(coeff[u.Receiver], payload, delta.Row(int(u.Receiver)))
+			sh.aggFlops += int64(2 * dim)
+			return
 		}
-		src := h.Row(int(sender))
-		for i, v := range src {
-			payload[i] = scale * v
-		}
-		e.sendPayload(ps, sh, from, to, round, unit, payload)
-		unit++
-		if buf != nil {
-			buf.push(unitRef{gi: -1, recv: receiver}, payload)
-			continue
-		}
-		tensor.AXPY(e.coeff[receiver], payload, delta.Row(int(receiver)))
-		sh.aggFlops += int64(2 * dim)
-	}
-}
-
-// receiveSemantic is the SC-GNN exchange of Fig. 7(b): one fused message per
-// group plus raw O2O residuals, optionally sampled/quantized on top (the
-// compatibility combinations of Fig. 12(b)), for the rows receiver
-// partition r owns.
-func (e *Engine) receiveSemantic(r int, h, delta *tensor.Matrix, backward bool, round int, sh *shard) {
-	for peer := 0; peer < e.nparts; peer++ {
-		if peer == r {
-			continue
-		}
-		e.semanticPair(r, peer, h, delta, backward, round, sh, nil)
-	}
-}
-
-// semanticPair walks one ordered pair's semantic plan (fused groups, then
-// raw O2O residuals) toward receiver r. buf semantics match edgesPair:
-// nil delivers inline, non-nil stages units for chunked delivery.
-func (e *Engine) semanticPair(r, peer int, h, delta *tensor.Matrix, backward bool, round int, sh *shard, buf *pairBuf) {
-	dim := h.Cols
-	idx, from, to := e.pairFor(r, peer, backward)
-	plan := e.plans[idx]
-	if plan == nil {
-		return
-	}
-	groups := plan.Groups
-	if backward {
-		groups = e.revGroups[idx]
-	}
-	ps := &e.pairs[idx]
-	if ps.nodeSampler != nil {
-		ps.nodeSampler.StartRound()
-	}
-	hg := sh.fuseScratch(dim)
-	var unit int64
-	for gi, grp := range groups {
-		scale := 1.0
-		switch {
-		case ps.sampler != nil:
-			if !ps.sampler.Keep() {
-				unit++
-				continue
-			}
-			scale = ps.sampler.Scale()
-		case ps.nodeSampler != nil:
-			// Under node-granularity sampling a group is the transfer
-			// unit: one coin per (pair, group) per round, keyed in the
-			// negative key space so it can never collide with the
-			// boundary-node coins of the O2O path below.
-			if !ps.nodeSampler.Keep(groupCoinKey(gi)) {
-				unit++
-				continue
-			}
-			scale = ps.nodeSampler.Scale()
-		}
-		// Fuse with the GCN normalization folded into the payload:
-		// h_g = Σ w(u)·f[u]·h_u (Fig. 7(b) line 2, with Â's coefficients
-		// riding along so delivery only needs the receiver factor).
-		for i := range hg {
-			hg[i] = 0
-		}
-		for k, u := range grp.SrcNodes {
-			tensor.AXPY(grp.WOut[k]*e.coeff[u]*scale, h.Row(int(u)), hg)
+		grp := groups[u.Group]
+		clear(payload)
+		for k, m := range grp.SrcNodes {
+			tensor.AXPY(grp.WOut[k]*coeff[m]*u.Scale, h.Row(int(m)), payload)
 		}
 		sh.semanticValues += int64(len(grp.SrcNodes) * dim)
-		e.sendPayload(ps, sh, from, to, round, unit, hg)
-		unit++
+		e.sendPayload(ps, sh, from, to, round, u.Index, payload)
 		if buf != nil {
 			sh.aggFlops += int64(2 * dim * len(grp.SrcNodes))
-			buf.push(unitRef{gi: int32(gi), recv: -1}, hg)
-			continue
+			buf.push(unitRef{gi: u.Group, recv: -1}, payload)
+			return
 		}
 		for k, v := range grp.DstNodes {
-			tensor.AXPY(grp.DDst[k]*e.coeff[v], hg, delta.Row(int(v)))
+			tensor.AXPY(grp.DDst[k]*coeff[v], payload, delta.Row(int(v)))
 		}
 		sh.semanticValues += int64(len(grp.DstNodes) * dim)
 		sh.aggFlops += int64(2 * dim * (len(grp.SrcNodes) + len(grp.DstNodes)))
-	}
-	// Residual O2O edges travel raw.
-	payload := sh.scratch(dim)
-	for _, o := range plan.O2O {
-		sender, receiver := o.Src, o.Dst
-		if backward {
-			sender, receiver = o.Dst, o.Src
-		}
-		scale := e.coeff[sender]
-		switch {
-		case ps.sampler != nil:
-			if !ps.sampler.Keep() {
-				unit++
-				continue
-			}
-			scale *= ps.sampler.Scale()
-		case ps.nodeSampler != nil:
-			if !ps.nodeSampler.Keep(sender) {
-				unit++
-				continue
-			}
-			scale *= ps.nodeSampler.Scale()
-		}
-		src := h.Row(int(sender))
-		for i, v := range src {
-			payload[i] = scale * v
-		}
-		e.sendPayload(ps, sh, from, to, round, unit, payload)
-		unit++
-		if buf != nil {
-			buf.push(unitRef{gi: -1, recv: receiver}, payload)
-			continue
-		}
-		tensor.AXPY(e.coeff[receiver], payload, delta.Row(int(receiver)))
-		sh.aggFlops += int64(2 * dim)
-	}
+	})
 }
 
 // sendPayload optionally quantizes the payload in place, records the message
 // on the shard's traffic counter, and returns the wire size. unit is the
 // candidate-unit index within (pair, round); dropped candidates consume an
 // index too, so error-feedback keys stay aligned across epochs.
-func (e *Engine) sendPayload(ps *pairState, sh *shard, from, to, round int, unit int64, payload []float64) int {
+func (e *Engine) sendPayload(ps *exchange.PairState, sh *shard, from, to, round int, unit int64, payload []float64) int {
 	// Residual error feedback: correct the payload by last round's
 	// quantization error for this transfer unit, then record the new error.
 	var trueVals []float64
 	var efKey int64
-	if ps.ef != nil {
+	if ps.EF != nil {
 		efKey = compress.RoundUnitKey(round, unit)
-		ps.ef.PreCompress(efKey, payload)
+		ps.EF.PreCompress(efKey, payload)
 		// Stage the pre-compression values in the shard's retained scratch
 		// instead of a fresh slice per unit.
 		trueVals = append(sh.efTrue[:0], payload...)
@@ -1076,17 +719,20 @@ func (e *Engine) sendPayload(ps *pairState, sh *shard, from, to, round int, unit
 	}
 	var bytes int
 	switch {
-	case ps.quant != nil:
-		bytes = ps.quant.Roundtrip(payload)
+	case ps.Adaptive != nil:
+		bytes = ps.Adaptive.Roundtrip(payload)
 		sh.quantValues += int64(len(payload))
-	case ps.adaptive != nil:
-		bytes = ps.adaptive.Roundtrip(payload)
+	case ps.Bits > 0:
+		// The engine's fp64 quantizer is stateless; it derives from the
+		// pair's rung width.
+		q := compress.Quantizer{Bits: ps.Bits}
+		bytes = q.Roundtrip(payload)
 		sh.quantValues += int64(len(payload))
 	default:
 		bytes = len(payload) * e.cfg.BytesPerValue
 	}
-	if ps.ef != nil {
-		ps.ef.PostCompress(efKey, trueVals, payload)
+	if ps.EF != nil {
+		ps.EF.PostCompress(efKey, trueVals, payload)
 	}
 	sh.traffic.Send(from, to, bytes)
 	return bytes
@@ -1095,7 +741,7 @@ func (e *Engine) sendPayload(ps *pairState, sh *shard, from, to, round int, unit
 // CrossEdgeCount returns the total number of cross-partition arcs.
 func (e *Engine) CrossEdgeCount() int {
 	n := 0
-	for _, edges := range e.crossOut {
+	for _, edges := range e.core.CrossOut {
 		n += len(edges)
 	}
 	return n

@@ -1,0 +1,79 @@
+// Package exchange is the single implementation of the reproduction's
+// exchange semantic — the rule of PAPER.md §1: per ordered partition pair,
+// one fused h_g = Σ w(u)·h_u per group plus raw O2O residuals (or one payload
+// per cross arc in the baseline), composable with sampling, quantisation and
+// error feedback. The three runtimes are drivers over it: the analytic
+// dist.Engine, the in-process worker.Cluster and the multi-process worker.Peer
+// each hold one Core and supply only what genuinely differs — where a
+// surviving unit's payload goes (see Walk's sink).
+//
+// The package owns three things (DESIGN.md §15):
+//
+//   - Topology: everything derived from (graph, partition) — ownership, the
+//     cross-arc buckets, the semantic plans — and the one incremental
+//     Repartition.
+//   - Streams: the per-ordered-pair compression state (sampler coins,
+//     adaptive widths, error-feedback residuals, rung width), its
+//     variable-rate schedule, and its checkpoint form.
+//   - Walk: the only code that consumes sampler coins. Every runtime
+//     enumerates a pair's candidate units through it, so drop decisions,
+//     unit indices and therefore bytes agree by construction.
+package exchange
+
+import (
+	"fmt"
+
+	"scgnn/internal/core"
+	"scgnn/internal/graph"
+	"scgnn/internal/sched"
+)
+
+// Options is the slice of a dist.Config the exchange core runs on
+// (dist.Config.Exchange builds it; the package cannot import dist).
+type Options struct {
+	// Semantic enables SC-GNN grouping; Plan configures it.
+	Semantic bool
+	Plan     core.PlanConfig
+	// Base holds the per-pair compression gates — the static setting, or the
+	// final rung of the annealing ladder when Sched is enabled.
+	Base sched.Setting
+	// Seed drives every pair's sampler stream and the schedule's stagger.
+	Seed  int64
+	Sched sched.Policy
+}
+
+// Core is one runtime's exchange state: the partition-derived structure and
+// the per-pair streams walking it.
+type Core struct {
+	Topology
+	Streams
+}
+
+// New builds the core for one (graph, partition, options). An invalid
+// partition or plan configuration panics; callers wanting an error validate
+// with graph.ValidatePartition first.
+func New(g *graph.Graph, part []int, nparts int, o Options) *Core {
+	c := &Core{}
+	c.Topology.init(g, part, nparts, o.Semantic, o.Plan)
+	c.Streams.init(nparts, o.Base, o.Seed, o.Sched)
+	return c
+}
+
+// Repartition moves the core to a new partition of the same graph, rebuilding
+// only what the change touched: pairs whose boundary sets are unchanged keep
+// their plan, arc list, sampler stream, adaptive history and residuals
+// verbatim; dirty pairs get a rebuilt plan (bit-identical to a from-scratch
+// build) and freshly re-seeded streams. Rung levels never change. Returns the
+// ascending dirty pair indices; on error the core is unchanged. Callers own
+// the post-steps for state they derived themselves (delay caches, compiled
+// kernels).
+func (c *Core) Repartition(part []int) ([]int, error) {
+	dirty, err := c.Topology.repartition(part)
+	if err != nil {
+		return nil, fmt.Errorf("Repartition: %w", err)
+	}
+	for _, idx := range dirty {
+		c.Reseed(idx)
+	}
+	return dirty, nil
+}

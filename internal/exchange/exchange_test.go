@@ -1,0 +1,436 @@
+package exchange
+
+import (
+	"reflect"
+	"testing"
+
+	"scgnn/internal/core"
+	"scgnn/internal/datasets"
+	"scgnn/internal/graph"
+	"scgnn/internal/partition"
+	"scgnn/internal/sched"
+)
+
+const nparts = 3
+
+func setup(t *testing.T) (*graph.Graph, []int) {
+	t.Helper()
+	d := datasets.Generate(datasets.Spec{
+		Name: "x", Nodes: 150, AvgDegree: 10, Classes: 3, FeatureDim: 5, Seed: 1,
+	})
+	return d.Graph, partition.Partition(d.Graph, nparts, partition.NodeCut, partition.Config{Seed: 2})
+}
+
+func semantic() Options {
+	return Options{Semantic: true, Plan: core.PlanConfig{Grouping: core.GroupingConfig{Seed: 3}}, Seed: 7}
+}
+
+func nonNil(plans []*core.PairPlan) []*core.PairPlan {
+	var out []*core.PairPlan
+	for _, p := range plans {
+		if p != nil {
+			out = append(out, p)
+		}
+	}
+	return out
+}
+
+// collect runs one Walk and returns the surviving units.
+func collect(c *Core, idx int, backward bool) []Unit {
+	var out []Unit
+	c.Walk(idx, backward, func(u Unit) { out = append(out, u) })
+	return out
+}
+
+// TestWalkOrderContract: without sampling every candidate survives, in the
+// contract order — groups by index then O2O in plan order (semantic), cross
+// arcs in bucket order (baseline) — with consecutive indices, unit scale 1,
+// and sender/receiver swapped on backward walks.
+func TestWalkOrderContract(t *testing.T) {
+	g, part := setup(t)
+	for _, o := range []Options{{}, semantic()} {
+		c := New(g, part, nparts, o)
+		if c.Semantic() != o.Semantic {
+			t.Fatalf("Semantic() = %v", c.Semantic())
+		}
+		units := 0
+		for idx := range c.Pairs {
+			fwd, bwd := collect(c, idx, false), collect(c, idx, true)
+			var want []Unit
+			if o.Semantic {
+				if plan := c.PairPlans[idx]; plan != nil {
+					for gi := range plan.Groups {
+						want = append(want, Unit{Group: int32(gi)})
+					}
+					for _, e := range plan.O2O {
+						want = append(want, Unit{Group: -1, Sender: e.Src, Receiver: e.Dst})
+					}
+					if len(c.Groups(idx, false)) != len(plan.Groups) || len(c.Groups(idx, true)) != len(plan.Groups) {
+						t.Fatalf("pair %d: Groups disagrees with the plan", idx)
+					}
+				} else if c.Groups(idx, false) != nil || c.Groups(idx, true) != nil {
+					t.Fatalf("pair %d: groups without a plan", idx)
+				}
+			} else {
+				for _, e := range c.CrossOut[idx] {
+					want = append(want, Unit{Group: -1, Sender: e.U, Receiver: e.V})
+				}
+			}
+			if len(fwd) != len(want) || len(bwd) != len(want) {
+				t.Fatalf("pair %d: %d forward / %d backward units, want %d", idx, len(fwd), len(bwd), len(want))
+			}
+			for i, w := range want {
+				w.Index, w.Scale = int64(i), 1
+				if w.Group >= 0 {
+					// A group unit's node fields are not meaningful.
+					fwd[i].Sender, fwd[i].Receiver, bwd[i].Sender, bwd[i].Receiver = 0, 0, 0, 0
+				}
+				if fwd[i] != w {
+					t.Fatalf("pair %d unit %d: forward %+v, want %+v", idx, i, fwd[i], w)
+				}
+				w.Sender, w.Receiver = w.Receiver, w.Sender
+				if bwd[i] != w {
+					t.Fatalf("pair %d unit %d: backward %+v, want %+v", idx, i, bwd[i], w)
+				}
+			}
+			units += len(want)
+		}
+		if units == 0 {
+			t.Fatal("no units walked")
+		}
+	}
+}
+
+// TestWalkSamplingAndGhostAdvance: under both coin kinds a walk drops some
+// candidates, survivors carry scale 1/rate and the candidate's index, and a
+// sink-less walk leaves the streams exactly where a sinking walk does — so a
+// replica ghost-advancing the pairs it did not encode tracks the encoders
+// round after round.
+func TestWalkSamplingAndGhostAdvance(t *testing.T) {
+	g, part := setup(t)
+	for _, nodes := range []bool{false, true} {
+		for _, o := range []Options{{}, semantic()} {
+			o.Base = sched.Setting{SampleRate: 0.5, SampleNodes: nodes}
+			o.Seed = 11
+			enc := New(g, part, nparts, o)
+			full := New(g, part, nparts, Options{Semantic: o.Semantic, Plan: o.Plan})
+			for round := 0; round < 3; round++ {
+				backward := round%2 == 1
+				for idx := range enc.Pairs {
+					all := collect(full, idx, backward)
+					kept := collect(enc, idx, backward)
+					if len(all) > 8 && (len(kept) == 0 || len(kept) == len(all)) {
+						t.Fatalf("nodes=%v pair %d: kept %d of %d at rate 0.5", nodes, idx, len(kept), len(all))
+					}
+					for _, u := range kept {
+						w := all[u.Index]
+						w.Scale = 2
+						if u != w {
+							t.Fatalf("nodes=%v pair %d: kept %+v, candidate %+v", nodes, idx, u, w)
+						}
+					}
+				}
+			}
+			// A replica that took the same walks without a sink.
+			once := New(g, part, nparts, o)
+			for round := 0; round < 3; round++ {
+				for idx := range once.Pairs {
+					once.Walk(idx, round%2 == 1, nil)
+				}
+			}
+			encPairs, _ := enc.State()
+			oncePairs, _ := once.State()
+			if !reflect.DeepEqual(encPairs, oncePairs) {
+				t.Fatalf("nodes=%v semantic=%v: sink-less walk left the streams elsewhere", nodes, o.Semantic)
+			}
+			// GhostAdvance(me) skips exactly the pairs me encodes.
+			a, b := New(g, part, nparts, o), New(g, part, nparts, o)
+			a.GhostAdvance(0, false)
+			for idx := range b.Pairs {
+				if s, t := idx/nparts, idx%nparts; s != t && s != 0 {
+					b.Walk(idx, false, nil)
+				}
+			}
+			ap, _ := a.State()
+			bp, _ := b.State()
+			if !reflect.DeepEqual(ap, bp) {
+				t.Fatalf("nodes=%v: GhostAdvance walked the wrong pairs", nodes)
+			}
+		}
+	}
+}
+
+// TestReseedGates: each gate of the setting creates exactly its stream, a
+// stateless setting creates none, the diagonal stays empty, and a width the
+// quantizers cannot represent panics.
+func TestReseedGates(t *testing.T) {
+	g, part := setup(t)
+	for _, tc := range []struct {
+		name                               string
+		base                               sched.Setting
+		sampler, nodeSampler, adaptive, ef bool
+		bits                               int
+	}{
+		{name: "vanilla"},
+		{name: "rate 1 and bits 32 are off", base: sched.Setting{SampleRate: 1, QuantBits: 32, Adaptive: true, EF: true}},
+		{name: "sampling", base: sched.Setting{SampleRate: 0.3}, sampler: true},
+		{name: "nsampling", base: sched.Setting{SampleRate: 0.3, SampleNodes: true}, nodeSampler: true},
+		{name: "quant", base: sched.Setting{QuantBits: 8}, bits: 8},
+		{name: "aquant+ef", base: sched.Setting{QuantBits: 6, Adaptive: true, EF: true}, adaptive: true, ef: true, bits: 6},
+		{name: "1-bit adaptive", base: sched.Setting{QuantBits: 1, Adaptive: true}, adaptive: true, bits: 1},
+	} {
+		c := New(g, part, nparts, Options{Base: tc.base})
+		for idx := range c.Pairs {
+			ps := c.Pairs[idx]
+			if idx/nparts == idx%nparts {
+				if ps != (PairState{}) {
+					t.Fatalf("%s: diagonal pair %d has state", tc.name, idx)
+				}
+				continue
+			}
+			if (ps.Sampler != nil) != tc.sampler || (ps.NodeSampler != nil) != tc.nodeSampler ||
+				(ps.Adaptive != nil) != tc.adaptive || (ps.EF != nil) != tc.ef || ps.Bits != tc.bits {
+				t.Fatalf("%s: pair %d state %+v", tc.name, idx, ps)
+			}
+		}
+		if c.Setting(1) != tc.base {
+			t.Fatalf("%s: Setting = %+v", tc.name, c.Setting(1))
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("20-bit quantization did not panic")
+		}
+	}()
+	New(g, part, nparts, Options{Base: sched.Setting{QuantBits: 20}})
+}
+
+// TestScheduleAndSignals: without a schedule the schedule surface is inert;
+// with one, pairs start on rung 0, Advance anneals them (re-seeding what
+// changed), SetLevels validates and installs, and Signals reports the
+// counters the streams accumulated.
+func TestScheduleAndSignals(t *testing.T) {
+	g, part := setup(t)
+	off := New(g, part, nparts, Options{Base: sched.Setting{QuantBits: 8}})
+	if off.Signals() != nil || off.Levels() != nil {
+		t.Fatal("schedule surface live without a schedule")
+	}
+	off.Advance(3) // no-op
+	if err := off.SetLevels(make([]int, nparts*nparts)); err == nil {
+		t.Fatal("SetLevels accepted without a schedule")
+	}
+
+	base := sched.Setting{QuantBits: 8, Adaptive: true, EF: true}
+	c := New(g, part, nparts, Options{Base: base, Seed: 5, Sched: sched.Policy{Enabled: true, EpochsPerLevel: 1}})
+	last := len(sched.Ladder(base)) - 1
+	if lv := c.Levels(); len(lv) != nparts*nparts || lv[1] != 0 {
+		t.Fatalf("initial levels %v", lv)
+	}
+	if c.Setting(1) == base {
+		t.Fatal("rung 0 is already the base setting")
+	}
+	// Drive some traffic through pair 1's streams, then read it back.
+	ps := &c.Pairs[1]
+	if ps.Sampler == nil {
+		t.Fatalf("rung 0 does not sample: %+v", c.Setting(1))
+	}
+	c.Walk(1, false, nil)
+	if ps.Adaptive != nil {
+		ps.Adaptive.ChooseBits([]float64{0, 1, 2, 3})
+	}
+	if ps.EF != nil {
+		ps.EF.PreCompress(1, []float64{1, 2})
+		ps.EF.PostCompress(1, []float64{1, 2}, []float64{1, 1})
+	}
+	sg := c.Signals()[1]
+	if sg.Draws != int64(len(c.CrossOut[1])) {
+		t.Fatalf("signals report %d draws, walked %d arcs", sg.Draws, len(c.CrossOut[1]))
+	}
+	if (ps.Adaptive != nil && sg.BitsCalls != 1) || (ps.EF != nil && sg.EFUnits != 1) {
+		t.Fatalf("signals %+v miss the adaptive/EF counters", sg)
+	}
+	for epoch := 1; epoch <= 2*last+2; epoch++ {
+		c.Advance(epoch)
+	}
+	if lv := c.Levels(); lv[1] != last {
+		t.Fatalf("levels after annealing %v, want rung %d", lv, last)
+	}
+	if c.Setting(1) != base || c.Pairs[1].Adaptive == nil || c.Pairs[1].EF == nil {
+		t.Fatalf("final rung not re-seeded to the base: %+v", c.Pairs[1])
+	}
+	if err := c.SetLevels([]int{0}); err == nil {
+		t.Fatal("short level vector accepted")
+	}
+	if err := c.SetLevels(make([]int, nparts*nparts)); err != nil {
+		t.Fatal(err)
+	}
+	if c.Setting(1) == base || c.Pairs[1].Sampler == nil {
+		t.Fatal("SetLevels did not re-seed the changed pairs")
+	}
+}
+
+// TestStateRestore: a captured state restores bit-exactly into a fresh core
+// (streams continue with identical coins and residuals), a stateless core
+// captures nothing, and shape mismatches are errors.
+func TestStateRestore(t *testing.T) {
+	g, part := setup(t)
+	pol := sched.Policy{Enabled: true, EpochsPerLevel: 1}
+	for name, o := range map[string]Options{
+		"sampling":        {Base: sched.Setting{SampleRate: 0.5}, Seed: 3},
+		"nsampling":       {Base: sched.Setting{SampleRate: 0.5, SampleNodes: true}, Seed: 3},
+		"aquant+ef":       {Base: sched.Setting{QuantBits: 8, Adaptive: true, EF: true}},
+		"sched(quant+ef)": {Base: sched.Setting{QuantBits: 8, EF: true}, Seed: 3, Sched: pol},
+	} {
+		a := New(g, part, nparts, o)
+		drive := func(c *Core, rounds int) {
+			for r := 0; r < rounds; r++ {
+				c.Advance(r)
+				for idx := range c.Pairs {
+					ps := &c.Pairs[idx]
+					c.Walk(idx, r%2 == 1, nil)
+					if ps.Adaptive != nil {
+						ps.Adaptive.ChooseBits([]float64{0, float64(idx), 2, 9})
+					}
+					if ps.EF != nil {
+						ps.EF.PreCompress(int64(r), []float64{1, 2})
+						ps.EF.PostCompress(int64(r), []float64{1, 2}, []float64{0.5, float64(idx)})
+					}
+				}
+			}
+		}
+		drive(a, 3)
+		pairs, levels := a.State()
+		if len(pairs) != nparts*nparts || (levels != nil) != o.Sched.Enabled {
+			t.Fatalf("%s: state has %d pairs, levels %v", name, len(pairs), levels)
+		}
+		b := New(g, part, nparts, o)
+		if err := b.Restore(pairs, levels); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		drive(a, 2)
+		drive(b, 2)
+		ap, al := a.State()
+		bp, bl := b.State()
+		if !reflect.DeepEqual(ap, bp) || !reflect.DeepEqual(al, bl) {
+			t.Fatalf("%s: restored core diverged from the original", name)
+		}
+		if err := b.Restore(pairs[:2], levels); err == nil {
+			t.Fatalf("%s: short pair vector accepted", name)
+		}
+		if o.Sched.Enabled {
+			if err := b.Restore(pairs, levels[:1]); err == nil {
+				t.Fatalf("%s: short level vector accepted", name)
+			}
+		} else if err := b.Restore(pairs, []int32{0}); err == nil {
+			t.Fatalf("%s: levels accepted without a schedule", name)
+		}
+	}
+	plain := New(g, part, nparts, Options{Base: sched.Setting{QuantBits: 8}})
+	if pairs, levels := plain.State(); pairs != nil || levels != nil {
+		t.Fatal("stateless core captured state")
+	}
+	if err := plain.Restore(nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := plain.Restore(make([]PairStreamState, nparts*nparts), nil); err == nil {
+		t.Fatal("pair streams accepted by a stateless core")
+	}
+}
+
+// TestRepartition: a perturbed partition dirties some pairs and not others;
+// the core ends up structurally identical to one built on the new partition,
+// dirty pairs restart their streams, clean pairs keep theirs, rung levels are
+// untouched, and a malformed partition is an error that changes nothing.
+func TestRepartition(t *testing.T) {
+	g, part := setup(t)
+	// Move partition-0 nodes with no neighbour in partition 2 over to 1: the
+	// 1↔2 boundary sets cannot change, so those two pairs stay clean.
+	next := append([]int(nil), part...)
+	for u := range part {
+		touches2 := part[u] != 0
+		for _, v := range g.Neighbors(int32(u)) {
+			touches2 = touches2 || part[v] == 2
+		}
+		if !touches2 {
+			next[u] = 1
+		}
+	}
+	for _, o := range []Options{
+		{Base: sched.Setting{SampleRate: 0.5}, Seed: 4},
+		func() Options { o := semantic(); o.Base = sched.Setting{SampleRate: 0.5}; return o }(),
+		{Base: sched.Setting{QuantBits: 8}, Seed: 4, Sched: sched.Policy{Enabled: true}},
+	} {
+		c := New(g, part, nparts, o)
+		for idx := range c.Pairs {
+			c.Walk(idx, false, nil)
+		}
+		before, levels := c.State()
+		if _, err := c.Repartition(part[:10]); err == nil {
+			t.Fatal("short partition accepted")
+		}
+		if after, _ := c.State(); !reflect.DeepEqual(before, after) {
+			t.Fatal("failed Repartition touched the streams")
+		}
+		dirty, err := c.Repartition(next)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(dirty) == 0 || len(dirty) == nparts*(nparts-1) {
+			t.Fatalf("dirty set %v is not a strict, non-empty subset", dirty)
+		}
+		fresh := New(g, next, nparts, o)
+		if !reflect.DeepEqual(c.Own, fresh.Own) || !reflect.DeepEqual(c.CrossOut, fresh.CrossOut) ||
+			!reflect.DeepEqual(c.Part, fresh.Part) {
+			t.Fatal("repartitioned topology differs from a fresh build")
+		}
+		if o.Semantic && string(core.MarshalPlans(nonNil(c.PairPlans))) != string(core.MarshalPlans(nonNil(fresh.PairPlans))) {
+			t.Fatal("repartitioned plans differ from a fresh build")
+		}
+		after, levelsAfter := c.State()
+		freshState, _ := fresh.State()
+		isDirty := make(map[int]bool)
+		for _, idx := range dirty {
+			isDirty[idx] = true
+		}
+		for idx := range after {
+			want := before[idx]
+			if isDirty[idx] {
+				want = freshState[idx]
+			}
+			if !reflect.DeepEqual(after[idx], want) {
+				t.Fatalf("pair %d (dirty=%v): streams %+v, want %+v", idx, isDirty[idx], after[idx], want)
+			}
+		}
+		if !reflect.DeepEqual(levels, levelsAfter) {
+			t.Fatal("Repartition changed rung levels")
+		}
+		// A second move recycles the displaced bucketing.
+		if _, err := c.Repartition(part); err != nil {
+			t.Fatal(err)
+		}
+		if orig := New(g, part, nparts, o); !reflect.DeepEqual(c.CrossOut, orig.CrossOut) {
+			t.Fatal("moving back does not restore the arc buckets")
+		}
+	}
+}
+
+func TestBadInputsPanic(t *testing.T) {
+	g, part := setup(t)
+	for name, fn := range map[string]func(){
+		"short partition": func() { New(g, part[:5], nparts, Options{}) },
+		"bad plan config": func() {
+			bad := append([]int(nil), part...)
+			bad[0] = nparts + 3
+			New(g, bad, nparts, semantic())
+		},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s: no panic", name)
+				}
+			}()
+			fn()
+		}()
+	}
+}

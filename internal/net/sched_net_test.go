@@ -88,7 +88,7 @@ func TestScheduledCoordClusterEquivalenceMatrix(t *testing.T) {
 					if err != nil {
 						t.Fatalf("epoch %d bwd=%v: %v", epoch, bwd, err)
 					}
-					if !out.Equal(w, 1e-9*(1+w.MaxAbs())) {
+					if !out.Equal(w, 0) {
 						t.Fatalf("epoch %d bwd=%v: socket aggregate diverged from cluster", epoch, bwd)
 					}
 				}

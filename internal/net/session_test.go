@@ -113,8 +113,8 @@ func quickCoordOpts() CoordOptions {
 // TestCoordClusterEquivalenceMatrix is the cross-runtime equivalence lock:
 // the multi-node socket deployment must agree with the in-process
 // worker.Cluster on every method combination, through a mid-training
-// Repartition — aggregate values to fp64-reassociation tolerance (the wire
-// bytes are identical; only decode arrival order differs) and per-epoch
+// Repartition — aggregate values bit for bit (nodes and cluster workers run
+// the one round body, summing inbound batches in sender order) and per-epoch
 // traffic snapshots exactly.
 func TestCoordClusterEquivalenceMatrix(t *testing.T) {
 	if testing.Short() {
@@ -172,7 +172,7 @@ func TestCoordClusterEquivalenceMatrix(t *testing.T) {
 					if err != nil {
 						t.Fatalf("epoch %d bwd=%v: %v", epoch, bwd, err)
 					}
-					if !got.Equal(want, 1e-9*(1+want.MaxAbs())) {
+					if !got.Equal(want, 0) {
 						t.Fatalf("epoch %d bwd=%v: socket aggregate diverged from cluster", epoch, bwd)
 					}
 				}
@@ -208,7 +208,7 @@ func TestCoordEvalEpoch(t *testing.T) {
 		if err != nil {
 			t.Fatalf("epoch %d: %v", epoch, err)
 		}
-		if !got.Equal(want, 1e-9*(1+want.MaxAbs())) {
+		if !got.Equal(want, 0) {
 			t.Fatalf("epoch %d diverged", epoch)
 		}
 	}
@@ -219,7 +219,7 @@ func TestCoordEvalEpoch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !got.Equal(want, 1e-9*(1+want.MaxAbs())) {
+	if !got.Equal(want, 0) {
 		t.Fatal("eval pass diverged (delay cache not bypassed)")
 	}
 	tc.coord.Shutdown()

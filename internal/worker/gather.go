@@ -2,23 +2,21 @@ package worker
 
 // Precompiled gather plans for the round hot path.
 //
-// The per-round phases used to re-traverse structural state every
-// round: localPhase walked every owned node's full neighbor list
-// testing part[v]==me per arc and paying one tensor.AXPY call per kept
-// neighbor; encodeSemantic re-walked each group's member list; group
-// delivery re-walked DstNodes. All of that structure is fixed between
-// plan changes, so the cluster now compiles it once — at NewCluster,
-// plan install, and Repartition (dirty state only) — into flat int32
-// row lists with the coefficient products baked in, and the round
-// phases run fused tensor.GatherAXPY / tensor.ScatterAXPY kernels over
-// them.
+// Walking the structure per round — every owned node's full neighbor
+// list testing part[v]==me per arc, each group's member list, each
+// group's DstNodes — pays one tensor.AXPY call per term for state that
+// is fixed between plan changes. The runtime compiles it once — at
+// construction and on Repartition (dirty state only) — into flat int32
+// row lists with the coefficient products baked in, and the round runs
+// fused tensor.GatherAXPY / tensor.ScatterAXPY kernels over them.
 //
 // Invalidation contract (DESIGN.md §11): compiled state is a pure
-// function of (graph, part, plans/crossOut, coeff).
-//   - pairKernels[idx] ← plans[idx]: recompiled by installPlan, i.e. at
-//     construction and for every dirty pair of a Repartition.
-//   - local[p] ← (part, own[p], plans/crossOut touching p): recompiled
-//     at construction and, on Repartition, for the partitions a moved
+// function of (graph, part, plans/CrossOut, coeff) in the exchange core.
+//   - kernels[idx] ← PairPlans[idx]: compiled at construction and for
+//     every dirty pair of a Repartition, for pairs with an endpoint this
+//     process runs.
+//   - local[p] ← (part, Own[p], plans/CrossOut touching p): compiled at
+//     construction and, on Repartition, for the partitions a moved
 //     node left or joined plus both endpoints of every dirty pair
 //     (dirtyLocalParts below proves that set is sufficient).
 // Delay replay/eval bypass need no invalidation hooks of their own:
@@ -44,7 +42,7 @@ type pairKernels struct {
 // Row i's terms span nbr[off[i]:off[i+1]]: the self-loop first
 // (weight coeff[u]²), then the same-partition neighbors in adjacency
 // order (weight coeff[u]·coeff[v]) — exactly the term order of the
-// pre-kernel localPhase, so outputs are bit-identical.
+// reference row body (localRows), so outputs are bit-identical.
 type localPlan struct {
 	rows      []int32
 	nBoundary int
@@ -54,20 +52,20 @@ type localPlan struct {
 }
 
 // compilePairKernels refreshes pair idx's compiled encode/deliver plans
-// from the installed plan. installPlan calls it, so the kernels can
-// never go stale against the plan they were compiled from.
-func (c *Cluster) compilePairKernels(idx int) {
-	p := c.plans[idx]
-	if p == nil {
-		c.kernels[idx] = pairKernels{}
+// from the core's current plan. A pair neither of whose endpoints this
+// process runs is never encoded or decoded here and compiles to nothing.
+func (x *exchanger) compilePairKernels(idx int) {
+	p := x.core.PairPlans[idx]
+	if p == nil || (x.ws[idx/x.core.NParts] == nil && x.ws[idx%x.core.NParts] == nil) {
+		x.kernels[idx] = pairKernels{}
 		return
 	}
-	rev := c.revGroups[idx]
-	c.kernels[idx] = pairKernels{
-		encF: core.CompileEncode(p.Groups, p.O2O, false, c.coeff),
-		encB: core.CompileEncode(rev, p.O2O, true, c.coeff),
-		delF: core.CompileDeliver(p.Groups, c.coeff),
-		delB: core.CompileDeliver(rev, c.coeff),
+	rev, coeff := x.core.RevGroups[idx], x.core.Coeff
+	x.kernels[idx] = pairKernels{
+		encF: core.CompileEncode(p.Groups, coeff),
+		encB: core.CompileEncode(rev, coeff),
+		delF: core.CompileDeliver(p.Groups, coeff),
+		delB: core.CompileDeliver(rev, coeff),
 	}
 }
 
@@ -78,13 +76,14 @@ func (c *Cluster) compilePairKernels(idx int) {
 // sinks. Vanilla mode reads the cross-arc endpoints it owns. Marked
 // nodes are always owned by p, which is what lets compileLocal clear
 // the scratch by walking own[p].
-func (c *Cluster) markBoundary(p int, mark []bool) {
-	for t := 0; t < c.nparts; t++ {
+func (x *exchanger) markBoundary(p int, mark []bool) {
+	c := x.core
+	for t := 0; t < c.NParts; t++ {
 		if t == p {
 			continue
 		}
-		if c.semantic {
-			if plan := c.plans[p*c.nparts+t]; plan != nil {
+		if c.Semantic() {
+			if plan := c.PairPlans[p*c.NParts+t]; plan != nil {
 				for _, grp := range plan.Groups {
 					for _, u := range grp.SrcNodes {
 						mark[u] = true
@@ -94,7 +93,7 @@ func (c *Cluster) markBoundary(p int, mark []bool) {
 					mark[o.Src] = true
 				}
 			}
-			if plan := c.plans[t*c.nparts+p]; plan != nil {
+			if plan := c.PairPlans[t*c.NParts+p]; plan != nil {
 				for _, grp := range plan.Groups {
 					for _, v := range grp.DstNodes {
 						mark[v] = true
@@ -105,26 +104,23 @@ func (c *Cluster) markBoundary(p int, mark []bool) {
 				}
 			}
 		} else {
-			for _, e := range c.crossOut[p*c.nparts+t] {
+			for _, e := range c.CrossOut[p*c.NParts+t] {
 				mark[e.U] = true
 			}
-			for _, e := range c.crossOut[t*c.nparts+p] {
+			for _, e := range c.CrossOut[t*c.NParts+p] {
 				mark[e.V] = true
 			}
 		}
 	}
 }
 
-// compileLocal builds worker p's local-aggregation CSR from the current
-// partition and plans. Must run after ownership, crossOut, and (when
-// semantic) the pair plans reflect the partition it compiles for.
-func (c *Cluster) compileLocal(p int) *localPlan {
-	if len(c.boundScratch) != c.g.NumNodes() {
-		c.boundScratch = make([]bool, c.g.NumNodes())
-	}
-	mark := c.boundScratch
-	c.markBoundary(p, mark)
-	own := c.own[p]
+// compileLocal builds worker p's local-aggregation CSR from the core's
+// current partition and plans. mark is an all-false scratch vector of
+// one entry per node, returned all-false.
+func (x *exchanger) compileLocal(p int, mark []bool) *localPlan {
+	x.markBoundary(p, mark)
+	c := x.core
+	own := c.Own[p]
 	lp := &localPlan{
 		rows: make([]int32, 0, len(own)),
 		off:  make([]int32, 1, len(own)+1),
@@ -147,8 +143,8 @@ func (c *Cluster) compileLocal(p int) *localPlan {
 	// no growth slack.
 	arcs := len(own)
 	for _, u := range own {
-		for _, v := range c.g.Neighbors(u) {
-			if c.part[v] == p {
+		for _, v := range c.G.Neighbors(u) {
+			if c.Part[v] == p {
 				arcs++
 			}
 		}
@@ -156,13 +152,13 @@ func (c *Cluster) compileLocal(p int) *localPlan {
 	lp.nbr = make([]int32, 0, arcs)
 	lp.w = make([]float64, 0, arcs)
 	for _, u := range lp.rows {
-		fu := c.coeff[u]
+		fu := c.Coeff[u]
 		lp.nbr = append(lp.nbr, u)
 		lp.w = append(lp.w, fu*fu)
-		for _, v := range c.g.Neighbors(u) {
-			if c.part[v] == p {
+		for _, v := range c.G.Neighbors(u) {
+			if c.Part[v] == p {
 				lp.nbr = append(lp.nbr, v)
-				lp.w = append(lp.w, fu*c.coeff[v])
+				lp.w = append(lp.w, fu*c.Coeff[v])
 			}
 		}
 		lp.off = append(lp.off, int32(len(lp.nbr)))
@@ -180,17 +176,17 @@ func (c *Cluster) compileLocal(p int) *localPlan {
 // of pairs touching p, which change exactly for dirty pairs — so both
 // endpoints of every dirty pair join the set. No in-neighbor walk is
 // needed.
-func (c *Cluster) dirtyLocalParts(next []int, dirtyPairs []int) []bool {
-	dp := make([]bool, c.nparts)
+func dirtyLocalParts(old, next []int, nparts int, dirtyPairs []int) []bool {
+	dp := make([]bool, nparts)
 	for u, np := range next {
-		if op := c.part[u]; op != np {
+		if op := old[u]; op != np {
 			dp[op] = true
 			dp[np] = true
 		}
 	}
 	for _, idx := range dirtyPairs {
-		dp[idx/c.nparts] = true
-		dp[idx%c.nparts] = true
+		dp[idx/nparts] = true
+		dp[idx%nparts] = true
 	}
 	return dp
 }

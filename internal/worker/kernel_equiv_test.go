@@ -1,10 +1,12 @@
 package worker
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
 	"scgnn/internal/core"
+	"scgnn/internal/datasets"
 	"scgnn/internal/dist"
 	"scgnn/internal/tensor"
 )
@@ -14,74 +16,76 @@ import (
 // combination, a kernelized cluster and a useReference cluster run two
 // epochs, Repartition onto the same perturbed partition, and run two more
 // — outputs must match byte-for-byte (Equal with tolerance 0) and traffic
-// exactly, throughout. nparts=2 keeps the cross-cluster comparison
-// deterministic: each worker decodes exactly one inbound buffer, so there
-// is no arrival-order reassociation of the floating-point sums.
+// exactly, throughout, at nparts 2 and 4 (receivers sum their inbound
+// batches in sender order, so any width is deterministic).
 func TestKernelReferenceLockstep(t *testing.T) {
-	d, part := setup(t, 2)
-	const nparts = 2
-	next := movedPart(t, d.NumNodes(), part, nparts)
+	for _, nparts := range []int{2, 4} {
+		d, part := setup(t, nparts)
+		next := movedPart(t, d.NumNodes(), part, nparts)
+		for name, cfg := range dist.MethodMatrix(11) {
+			t.Run(fmt.Sprintf("%dp/%s", nparts, name), func(t *testing.T) {
+				kernelReferenceLockstep(t, d, part, next, nparts, cfg)
+			})
+		}
+	}
+}
+
+func kernelReferenceLockstep(t *testing.T, d *datasets.Dataset, part, next []int, nparts int, cfg dist.Config) {
 	h := randMat(d.NumNodes(), 5, 91)
 	g := randMat(d.NumNodes(), 5, 92)
+	kern := NewClusterFromConfig(d.Graph, part, nparts, cfg)
+	defer kern.Close()
+	ref := NewClusterFromConfig(d.Graph, part, nparts, cfg)
+	defer ref.Close()
+	ref.useReference = true
 
-	for name, cfg := range dist.MethodMatrix(11) {
-		cfg := cfg
-		t.Run(name, func(t *testing.T) {
-			kern := NewClusterFromConfig(d.Graph, part, nparts, cfg)
-			defer kern.Close()
-			ref := NewClusterFromConfig(d.Graph, part, nparts, cfg)
-			defer ref.Close()
-			ref.useReference = true
+	compare := func(epoch int, stage string) {
+		t.Helper()
+		kern.ResetTraffic()
+		kern.StartEpoch(epoch)
+		gotF := kern.Forward(h).Clone()
+		gotB := kern.Backward(g).Clone()
+		snap := kern.Snapshot()
+		ref.ResetTraffic()
+		ref.StartEpoch(epoch)
+		wantF := ref.Forward(h)
+		wantB := ref.Backward(g)
+		want := ref.Snapshot()
+		if !gotF.Equal(wantF, 0) {
+			t.Fatalf("%s epoch %d: kernel forward not byte-identical to reference", stage, epoch)
+		}
+		if !gotB.Equal(wantB, 0) {
+			t.Fatalf("%s epoch %d: kernel backward not byte-identical to reference", stage, epoch)
+		}
+		if snap != want {
+			t.Fatalf("%s epoch %d: traffic %+v vs reference %+v", stage, epoch, snap, want)
+		}
+	}
 
-			compare := func(epoch int, stage string) {
-				t.Helper()
-				kern.ResetTraffic()
-				kern.StartEpoch(epoch)
-				gotF := kern.Forward(h).Clone()
-				gotB := kern.Backward(g).Clone()
-				snap := kern.Snapshot()
-				ref.ResetTraffic()
-				ref.StartEpoch(epoch)
-				wantF := ref.Forward(h)
-				wantB := ref.Backward(g)
-				want := ref.Snapshot()
-				if !gotF.Equal(wantF, 0) {
-					t.Fatalf("%s epoch %d: kernel forward not byte-identical to reference", stage, epoch)
-				}
-				if !gotB.Equal(wantB, 0) {
-					t.Fatalf("%s epoch %d: kernel backward not byte-identical to reference", stage, epoch)
-				}
-				if snap != want {
-					t.Fatalf("%s epoch %d: traffic %+v vs reference %+v", stage, epoch, snap, want)
-				}
-			}
-
-			for epoch := 0; epoch < 2; epoch++ {
-				compare(epoch, "pre-repartition")
-			}
-			dKern, err := kern.Repartition(next)
-			if err != nil {
-				t.Fatal(err)
-			}
-			dRef, err := ref.Repartition(next)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(dKern) != len(dRef) {
-				t.Fatalf("dirty sets differ: kernel %v vs reference %v", dKern, dRef)
-			}
-			for i := range dKern {
-				if dKern[i] != dRef[i] {
-					t.Fatalf("dirty sets differ: kernel %v vs reference %v", dKern, dRef)
-				}
-			}
-			if len(dKern) == 0 {
-				t.Fatal("a real perturbation must dirty at least one pair")
-			}
-			for epoch := 2; epoch < 4; epoch++ {
-				compare(epoch, "post-repartition")
-			}
-		})
+	for epoch := 0; epoch < 2; epoch++ {
+		compare(epoch, "pre-repartition")
+	}
+	dKern, err := kern.Repartition(next)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dRef, err := ref.Repartition(next)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(dKern) != len(dRef) {
+		t.Fatalf("dirty sets differ: kernel %v vs reference %v", dKern, dRef)
+	}
+	for i := range dKern {
+		if dKern[i] != dRef[i] {
+			t.Fatalf("dirty sets differ: kernel %v vs reference %v", dKern, dRef)
+		}
+	}
+	if len(dKern) == 0 {
+		t.Fatal("a real perturbation must dirty at least one pair")
+	}
+	for epoch := 2; epoch < 4; epoch++ {
+		compare(epoch, "post-repartition")
 	}
 }
 
@@ -141,14 +145,14 @@ func TestKernelLocalPlanBoundarySplit(t *testing.T) {
 		defer c.Close()
 		for p := 0; p < nparts; p++ {
 			lp := c.local[p]
-			if len(lp.rows) != len(c.own[p]) {
+			if len(lp.rows) != len(c.core.Own[p]) {
 				t.Fatalf("semantic=%v worker %d: %d plan rows, own %d nodes",
-					semantic, p, len(lp.rows), len(c.own[p]))
+					semantic, p, len(lp.rows), len(c.core.Own[p]))
 			}
 			mark := make([]bool, d.NumNodes())
 			c.markBoundary(p, mark)
 			nMarked := 0
-			for _, u := range c.own[p] {
+			for _, u := range c.core.Own[p] {
 				if mark[u] {
 					nMarked++
 				}

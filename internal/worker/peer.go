@@ -5,18 +5,19 @@ import (
 	"fmt"
 
 	"scgnn/internal/dist"
+	"scgnn/internal/exchange"
 	"scgnn/internal/graph"
-	"scgnn/internal/sched"
 	"scgnn/internal/tensor"
 )
 
 // Peer is one partition's share of the cluster runtime, driven externally by
 // a transport instead of the in-process goroutine pool: internal/net runs one
 // Peer per OS process and carries the framed batches over sockets. The peer
-// holds the complete cluster state — plans, kernels, cross-arc buckets,
-// per-pair compression streams — rebuilt deterministically from the same
-// (graph, partition, config) every node receives, so all replicas agree on
-// every structural decision without ever serializing a plan.
+// holds the complete exchange core — plans, cross-arc buckets, per-pair
+// compression streams — rebuilt deterministically from the same (graph,
+// partition, config) every node receives, so all replicas agree on every
+// structural decision without ever serializing a plan; of the compiled state
+// it builds only its own worker's share.
 //
 // # Shared RNG streams across processes
 //
@@ -24,22 +25,24 @@ import (
 // worker s on forward rounds and worker t on backward rounds. Across
 // processes each node holds a replica of every pair's stream, but only the
 // encoding node consumes coins — so after each exchanging round every peer
-// ghost-advances the pairs it did not encode, replaying the structural coin
-// loop (unit counts and memo keys derive from plans and cross-edge lists,
-// which all replicas share) without touching any payload. Streams therefore
+// ghost-advances the pairs it did not encode: the same unit walk the encoder
+// ran, with no sink (unit counts and memo keys derive from plans and
+// cross-edge lists, which all replicas share). Streams therefore
 // stay position-identical across all replicas, which is what makes a later
 // backward round, checkpoint, or repartition agree bit-for-bit with the
 // in-process oracle.
 type Peer struct {
-	c  *Cluster
+	exchanger
 	me int
 }
 
 // NewPeer builds partition me's driven runtime for the same method
 // combination a dist.Config engine or NewClusterFromConfig cluster would
-// run. The full cluster state is constructed (every node needs every plan to
-// encode, decode, and ghost-advance), but no goroutines are spawned; rounds
-// are executed by Round on the caller's goroutine.
+// run. The whole exchange core is constructed (every node needs every plan
+// and stream to encode, decode, and ghost-advance), but only what worker me
+// runs is compiled — its local plan, the kernels of the pairs it touches, its
+// scratch — and no goroutines are spawned; rounds are executed by Round on
+// the caller's goroutine.
 func NewPeer(g *graph.Graph, part []int, nparts, me int, cfg dist.Config) (*Peer, error) {
 	if me < 0 || me >= nparts {
 		return nil, fmt.Errorf("worker: peer id %d out of range [0,%d)", me, nparts)
@@ -47,252 +50,56 @@ func NewPeer(g *graph.Graph, part []int, nparts, me int, cfg dist.Config) (*Peer
 	if err := graph.ValidatePartition(g.NumNodes(), part, nparts); err != nil {
 		return nil, fmt.Errorf("worker: NewPeer: %w", err)
 	}
-	c := newClusterState(g, part, nparts, cfg.Semantic, cfg.Plan)
-	c.applyConfig(cfg)
-	// A transport-driven replica never advances its own schedule: the
-	// coordinator runs the decision function on merged signals and pushes
-	// levels through ApplySchedule before each epoch frame.
-	c.schedExternal = true
-	return &Peer{c: c, me: me}, nil
+	return &Peer{exchanger: *newExchanger(g, part, nparts, me, cfg), me: me}, nil
 }
 
 // ID returns the partition this peer runs.
 func (p *Peer) ID() int { return p.me }
 
 // NumParts returns the cluster width.
-func (p *Peer) NumParts() int { return p.c.nparts }
+func (p *Peer) NumParts() int { return p.core.NParts }
 
 // NumNodes returns the graph's node count (the row dimension Round expects).
-func (p *Peer) NumNodes() int { return p.c.g.NumNodes() }
+func (p *Peer) NumNodes() int { return p.core.G.NumNodes() }
 
 // Own returns the ascending node ids this peer owns under the current
-// partition. The slice is live cluster state; callers must not mutate it and
+// partition. The slice is live runtime state; callers must not mutate it and
 // must re-fetch it after Repartition.
-func (p *Peer) Own() []int32 { return p.c.own[p.me] }
+func (p *Peer) Own() []int32 { return p.core.Own[p.me] }
 
-// StartEpoch marks an epoch boundary (see Cluster.StartEpoch).
-func (p *Peer) StartEpoch(epoch int) { p.c.StartEpoch(epoch) }
+// StartEpoch marks an epoch boundary (see Cluster.StartEpoch). A
+// transport-driven replica never advances its own schedule: the coordinator
+// runs the decision function on merged signals and pushes levels through
+// ApplySchedule before each epoch frame.
+func (p *Peer) StartEpoch(epoch int) { p.startEpoch(epoch) }
 
 // StartEvalEpoch prepares a measurement-only pass (see
 // Cluster.StartEvalEpoch).
-func (p *Peer) StartEvalEpoch(epoch int) { p.c.StartEvalEpoch(epoch) }
+func (p *Peer) StartEvalEpoch(epoch int) {
+	p.startEpoch(epoch)
+	p.freshEval = true
+}
 
-// Repartition moves the peer to a new partition of the same graph, with
-// Cluster.Repartition's exact incremental contract. Every node applies the
-// same vector, computes the same dirty set, and reseeds the same pair
-// streams, so the replicas stay in lockstep.
-func (p *Peer) Repartition(part []int) ([]int, error) { return p.c.Repartition(part) }
-
-// SchedSignals reports this replica's per-pair scheduler signals (see
-// Cluster.SchedSignals); the coordinator merges all replicas' snapshots with
-// sched.MergeNodeSignals before deciding.
-func (p *Peer) SchedSignals() []sched.Signals { return p.c.SchedSignals() }
-
-// ApplySchedule installs coordinator-decided rung levels (see
-// Cluster.ApplySchedule). Must arrive between rounds — the coordinator sends
-// it before each epoch frame.
-func (p *Peer) ApplySchedule(levels []int) error { return p.c.ApplySchedule(levels) }
-
-// ScheduleLevels returns the current rung levels (nil when scheduling is
-// off).
-func (p *Peer) ScheduleLevels() []int { return p.c.ScheduleLevels() }
-
-// Round executes one aggregate round for this peer: the boundary-first local
-// schedule, one encoded frame handed to send per peer (ascending, skipping
-// self), ghost-advance of the pairs other nodes encoded, then nparts-1 recv
-// calls whose buffers are stream-decoded into the rows this peer owns.
-// h and out are full-size n×d matrices of which only this peer's rows are
-// meaningful: h must carry valid rows for every node this peer owns (local
-// aggregation and encoding read nothing else), and out receives the
-// aggregate on owned rows. Delayed-transmission replay/fresh decisions are
-// computed locally from the epoch schedule — deterministic, so every node
-// independently agrees on the round shape. A non-nil error (transport or
-// decode) poisons the peer: contributions may have been dropped mid-round,
-// so every later Round returns the same error until Restore rewinds the
-// state.
+// Round executes one aggregate round for this peer — the round body a
+// Cluster worker runs (runRound), plus ghost-advance of the pairs other nodes
+// encoded: one encoded frame handed to send per peer (ascending, skipping
+// self), then nparts-1 recv calls, which must yield the peers' frames in
+// ascending sender order. h and out are full-size n×d matrices of which only
+// this peer's rows are meaningful: h must carry valid rows for every node
+// this peer owns (local aggregation and encoding read nothing else), and out
+// receives the aggregate on owned rows. Delayed-transmission replay/fresh
+// decisions are computed locally from the epoch schedule — deterministic, so
+// every node independently agrees on the round shape. A mis-shaped matrix is
+// an error before anything runs; an error from the round itself (transport or
+// decode) poisons the peer: contributions may have been dropped mid-round, so
+// every later Round returns the same error until Restore rewinds the state.
 func (p *Peer) Round(h, out *tensor.Matrix, backward bool, send func(peer int, frame []byte) error, recv func() ([]byte, error)) error {
-	c, me := p.c, p.me
-	if c.err != nil {
-		return c.err
+	target, replay, err := p.beginRound(out, h)
+	if err != nil {
+		return err
 	}
-	n := c.g.NumNodes()
-	if h.Rows != n {
-		return fmt.Errorf("worker: peer %d: matrix rows %d, graph nodes %d", me, h.Rows, n)
-	}
-	if out.Rows != n || out.Cols != h.Cols {
-		return fmt.Errorf("worker: peer %d: out shape (%d,%d), want (%d,%d)", me, out.Rows, out.Cols, n, h.Cols)
-	}
-	out.Zero()
-	round := c.round
-	c.ws[me].ensure(h.Cols)
-
-	// Same replay/fresh/target resolution as AggregateInto, applied to the
-	// node-local slot store.
-	delayOn := c.delayPeriod > 1 && !c.freshEval
-	replay := false
-	target := out
-	if delayOn {
-		transmit := c.epoch%c.delayPeriod == 0
-		filled := round < len(c.delayFilled) && c.delayFilled[round]
-		if !transmit && filled {
-			replay = true
-			target = c.delaySlots[round]
-		} else {
-			for len(c.delaySlots) <= round {
-				c.delaySlots = append(c.delaySlots, nil)
-				c.delayFilled = append(c.delayFilled, false)
-			}
-			slot := c.delaySlots[round]
-			if slot == nil || slot.Rows != out.Rows || slot.Cols != out.Cols {
-				slot = tensor.New(out.Rows, out.Cols)
-				c.delaySlots[round] = slot
-				c.delayFilled[round] = false
-			}
-			target = slot
-		}
-	}
-
-	lp := c.local[me]
-	if replay {
-		// No exchange anywhere this round (all replicas agree), so no coins
-		// are consumed and no ghost-advance is needed.
-		c.localRows(me, h, out, 0, len(lp.rows))
-		for _, u := range c.own[me] {
-			tensor.AXPY(1, target.Row(int(u)), out.Row(int(u)))
-		}
-		c.round++
-		return nil
-	}
-
-	c.localRows(me, h, out, 0, lp.nBoundary)
-	for peer := 0; peer < c.nparts; peer++ {
-		if peer == me {
-			continue
-		}
-		buf := c.encodePeer(me, peer, h, backward)
-		if err := send(peer, buf); err != nil {
-			c.err = fmt.Errorf("worker: peer %d: send to %d: %w", me, peer, err)
-			return c.err
-		}
-	}
-	c.ghostAdvance(me, backward)
-	if target != out {
-		for _, u := range c.own[me] {
-			clear(target.Row(int(u)))
-		}
-	}
-	c.localRows(me, h, out, lp.nBoundary, len(lp.rows))
-
-	var firstErr error
-	for k := 0; k < c.nparts-1; k++ {
-		buf, err := recv()
-		if err != nil {
-			// Transport failure: the remaining batches are not coming; abort
-			// rather than drain.
-			if firstErr == nil {
-				firstErr = fmt.Errorf("worker: peer %d: recv: %w", me, err)
-			}
-			break
-		}
-		if firstErr != nil {
-			continue // keep draining so the transport stays balanced
-		}
-		if err := c.decodeBatch(me, backward, target, buf); err != nil {
-			firstErr = err
-		}
-	}
-	if firstErr != nil {
-		c.err = firstErr
-		return firstErr
-	}
-	if target != out {
-		for _, u := range c.own[me] {
-			tensor.AXPY(1, target.Row(int(u)), out.Row(int(u)))
-		}
-		c.delayFilled[round] = true
-	}
-	c.round++
-	return nil
-}
-
-// ghostAdvance replays the structural coin consumption of every pair some
-// OTHER node encoded this round, so this replica's streams end the round at
-// the same position as the consumer's. Pair (s,t) is consumed by node s on
-// forward rounds and node t on backward rounds.
-func (c *Cluster) ghostAdvance(me int, backward bool) {
-	if c.pairs == nil {
-		return
-	}
-	for s := 0; s < c.nparts; s++ {
-		for t := 0; t < c.nparts; t++ {
-			if s == t {
-				continue
-			}
-			consumer := s
-			if backward {
-				consumer = t
-			}
-			if consumer == me {
-				continue
-			}
-			c.ghostAdvancePair(s*c.nparts+t, backward)
-		}
-	}
-}
-
-// ghostAdvancePair replays one pair's coin loop without touching payloads:
-// the same unit order (groups by index, then O2O; or cross edges in bucket
-// order) and the same memo keys as the encoders, so per-edge samplers
-// consume one coin per unit and node samplers consume exactly the coins a
-// memo miss would.
-func (c *Cluster) ghostAdvancePair(idx int, backward bool) {
-	ps := c.pairAt(idx)
-	if ps == nil {
-		return
-	}
-	sampler, nodeSampler := ps.sampler, ps.nodeSampler
-	if sampler == nil && nodeSampler == nil {
-		return
-	}
-	if nodeSampler != nil {
-		nodeSampler.StartRound()
-	}
-	if c.semantic {
-		plan := c.plans[idx]
-		if plan == nil {
-			return
-		}
-		for gi := range plan.Groups {
-			if sampler != nil {
-				sampler.Keep()
-			} else {
-				nodeSampler.Keep(groupCoinKey(gi))
-			}
-		}
-		for _, o := range plan.O2O {
-			sender := o.Src
-			if backward {
-				sender = o.Dst
-			}
-			if sampler != nil {
-				sampler.Keep()
-			} else {
-				nodeSampler.Keep(sender)
-			}
-		}
-		return
-	}
-	for _, e := range c.crossOut[idx] {
-		sender := e.U
-		if backward {
-			sender = e.V
-		}
-		if sampler != nil {
-			sampler.Keep()
-		} else {
-			nodeSampler.Keep(sender)
-		}
-	}
+	err = p.runRound(p.me, h, out, target, backward, replay, true, send, recv)
+	return p.endRound(target, out, replay, err)
 }
 
 // TrafficDelta exports and clears the peer's per-destination traffic counted
@@ -300,24 +107,14 @@ func (c *Cluster) ghostAdvancePair(idx int, backward bool) {
 // The coordinator merges the rows of all nodes into its fabric, reproducing
 // the in-process cluster's exact per-link accounting.
 func (p *Peer) TrafficDelta() (bytes, msgs []int64) {
-	return p.c.counters[p.me].DrainRow(p.me)
+	return p.counters[p.me].DrainRow(p.me)
 }
 
 // PairStreamState is one ordered pair's serializable compression-stream
-// position. Sampler streams are stored as draw counts (restore re-derives
-// the seed and fast-forwards); the node sampler's xorshift state word is
-// stored directly; error-feedback residuals are stored in full.
-type PairStreamState struct {
-	SamplerDraws int64
-	NodeState    uint64
-	EF           map[int64][]float64
-	// Scheduler-visible cumulative counters (zero when the pair runs no
-	// adaptive quantizer / error feedback): restoring them keeps a resumed
-	// run's schedule decisions bit-equal to an undisturbed one.
-	AdaptiveBitsSum int64
-	AdaptiveCalls   int64
-	EFCorrected     int64
-}
+// position (see exchange.PairStreamState, whose fields it shares). It is
+// declared here because gob writes the defining package into the encoded type
+// name, and PeerState's encoded form is a compatibility contract.
+type PairStreamState exchange.PairStreamState
 
 // PeerState is the peer's checkpointable runtime state: every pair's stream
 // position plus the delayed-transmission cache restricted to the rows this
@@ -347,46 +144,27 @@ type PeerState struct {
 // State captures the peer's stream and delay-cache state at an epoch
 // boundary, deep-copied so later rounds leave the checkpoint untouched.
 func (p *Peer) State() *PeerState {
-	c := p.c
-	st := &PeerState{NParts: c.nparts}
-	if c.pairs != nil {
-		st.Pairs = make([]PairStreamState, len(c.pairs))
-		for i := range c.pairs {
-			ps := &c.pairs[i]
-			if ps.sampler != nil {
-				st.Pairs[i].SamplerDraws = ps.sampler.Draws()
-			}
-			if ps.nodeSampler != nil {
-				st.Pairs[i].NodeState = ps.nodeSampler.State()
-			}
-			if ps.ef != nil {
-				st.Pairs[i].EF = ps.ef.Snapshot()
-				st.Pairs[i].EFCorrected = ps.ef.Corrected
-			}
-			if ps.adaptive != nil {
-				st.Pairs[i].AdaptiveBitsSum = ps.adaptive.BitsSum
-				st.Pairs[i].AdaptiveCalls = ps.adaptive.Calls
-			}
+	own := p.Own()
+	st := &PeerState{NParts: p.core.NParts}
+	pairs, levels := p.core.State()
+	st.Levels = levels
+	if pairs != nil {
+		st.Pairs = make([]PairStreamState, len(pairs))
+		for i, ps := range pairs {
+			st.Pairs[i] = PairStreamState(ps)
 		}
 	}
-	if c.schedule != nil {
-		lv := c.schedule.Levels()
-		st.Levels = make([]int32, len(lv))
-		for i, v := range lv {
-			st.Levels[i] = int32(v)
-		}
-	}
-	if len(c.delayFilled) > 0 {
-		st.DelayFilled = append([]bool(nil), c.delayFilled...)
-		st.DelayRows = make([][]float64, len(c.delaySlots))
-		st.DelayCols = make([]int, len(c.delaySlots))
-		for r, slot := range c.delaySlots {
-			if !c.delayFilled[r] || slot == nil {
+	if len(p.delayFilled) > 0 {
+		st.DelayFilled = append([]bool(nil), p.delayFilled...)
+		st.DelayRows = make([][]float64, len(p.delaySlots))
+		st.DelayCols = make([]int, len(p.delaySlots))
+		for r, slot := range p.delaySlots {
+			if !p.delayFilled[r] || slot == nil {
 				continue
 			}
 			st.DelayCols[r] = slot.Cols
-			rows := make([]float64, 0, len(c.own[p.me])*slot.Cols)
-			for _, u := range c.own[p.me] {
+			rows := make([]float64, 0, len(own)*slot.Cols)
+			for _, u := range own {
 				rows = append(rows, slot.Row(int(u))...)
 			}
 			st.DelayRows[r] = rows
@@ -402,54 +180,22 @@ func (p *Peer) State() *PeerState {
 // config) the state was captured under; the coordinator guarantees this by
 // re-running Setup from its own checkpoint before restoring nodes.
 func (p *Peer) Restore(st *PeerState) error {
-	c := p.c
+	own := p.Own()
 	if st == nil {
 		return errors.New("worker: nil peer state")
 	}
-	if st.NParts != c.nparts {
-		return fmt.Errorf("worker: peer state for %d parts, cluster has %d", st.NParts, c.nparts)
+	if st.NParts != p.core.NParts {
+		return fmt.Errorf("worker: peer state for %d parts, cluster has %d", st.NParts, p.core.NParts)
 	}
-	if (st.Pairs == nil) != (c.pairs == nil) || len(st.Pairs) != len(c.pairs) {
-		return fmt.Errorf("worker: peer state has %d pair streams, cluster has %d (method config mismatch)",
-			len(st.Pairs), len(c.pairs))
+	var pairs []exchange.PairStreamState
+	for _, ps := range st.Pairs {
+		pairs = append(pairs, exchange.PairStreamState(ps))
 	}
-	if c.schedule != nil {
-		// The rung vector must land before the reseed loop below: reseedPair
-		// derives each pair's sampler/quantizer/EF gates from its rung.
-		if len(st.Levels) != c.nparts*c.nparts {
-			return fmt.Errorf("worker: peer state has %d schedule levels, cluster has %d pairs (sched config mismatch)",
-				len(st.Levels), c.nparts*c.nparts)
-		}
-		lv := make([]int, len(st.Levels))
-		for i, v := range st.Levels {
-			lv[i] = int(v)
-		}
-		if _, err := c.schedule.SetLevels(lv); err != nil {
-			return fmt.Errorf("worker: peer state: %w", err)
-		}
-	} else if st.Levels != nil {
-		return errors.New("worker: peer state carries schedule levels but scheduling is off (sched config mismatch)")
+	if err := p.core.Restore(pairs, st.Levels); err != nil {
+		return fmt.Errorf("worker: peer state: %w", err)
 	}
-	for i := range c.pairs {
-		c.reseedPair(i)
-		ps := &c.pairs[i]
-		if ps.sampler != nil {
-			ps.sampler.Skip(st.Pairs[i].SamplerDraws)
-		}
-		if ps.nodeSampler != nil {
-			ps.nodeSampler.SetState(st.Pairs[i].NodeState)
-		}
-		if ps.ef != nil {
-			ps.ef.Restore(st.Pairs[i].EF)
-			ps.ef.Corrected = st.Pairs[i].EFCorrected
-		}
-		if ps.adaptive != nil {
-			ps.adaptive.BitsSum = st.Pairs[i].AdaptiveBitsSum
-			ps.adaptive.Calls = st.Pairs[i].AdaptiveCalls
-		}
-	}
-	c.delayFilled = append([]bool(nil), st.DelayFilled...)
-	c.delaySlots = make([]*tensor.Matrix, len(st.DelayFilled))
+	p.delayFilled = append([]bool(nil), st.DelayFilled...)
+	p.delaySlots = make([]*tensor.Matrix, len(st.DelayFilled))
 	for r := range st.DelayFilled {
 		if !st.DelayFilled[r] {
 			continue
@@ -461,16 +207,15 @@ func (p *Peer) Restore(st *PeerState) error {
 		if r < len(st.DelayCols) {
 			cols = st.DelayCols[r]
 		}
-		if cols < 1 || rows != len(c.own[p.me])*cols {
-			return fmt.Errorf("worker: peer state slot %d has %d row values, want %d×%d",
-				r, rows, len(c.own[p.me]), cols)
+		if cols < 1 || rows != len(own)*cols {
+			return fmt.Errorf("worker: peer state slot %d has %d row values, want %d×%d", r, rows, len(own), cols)
 		}
-		slot := tensor.New(c.g.NumNodes(), cols)
-		for k, u := range c.own[p.me] {
+		slot := tensor.New(p.core.G.NumNodes(), cols)
+		for k, u := range own {
 			copy(slot.Row(int(u)), st.DelayRows[r][k*cols:(k+1)*cols])
 		}
-		c.delaySlots[r] = slot
+		p.delaySlots[r] = slot
 	}
-	c.err = nil
+	p.err = nil
 	return nil
 }

@@ -1,0 +1,499 @@
+package worker
+
+import (
+	"fmt"
+
+	"scgnn/internal/compress"
+	"scgnn/internal/dist"
+	"scgnn/internal/exchange"
+	"scgnn/internal/graph"
+	"scgnn/internal/sched"
+	"scgnn/internal/simnet"
+	"scgnn/internal/tensor"
+	"scgnn/internal/wire"
+)
+
+// exchanger is the wire runtime one process holds, shared by both drivers:
+// Cluster runs every partition's worker over an in-process transport, Peer
+// runs one over sockets. It owns the exchange core, the gather plans compiled
+// from it, the delay slots, and the retained scratch of the workers this
+// process runs — and the one round body both drivers execute (runRound).
+type exchanger struct {
+	core *exchange.Core
+
+	// Compiled gather plans (see gather.go for the invalidation contract):
+	// kernels[idx] is pair idx's flattened encode/deliver lists (semantic
+	// only), local[p] worker p's local-aggregation CSR in boundary-first row
+	// order. local, ws and counters have an entry per partition, non-nil only
+	// for the workers this process runs.
+	kernels  []pairKernels
+	local    []*localPlan
+	ws       []*workerScratch
+	counters []*simnet.ShardCounter
+	// useReference swaps the fused kernel bodies (local row, group fuse,
+	// group deliver) for the retained per-member loops — the bit-identity
+	// oracle the equivalence tests compare the kernels against. Set before
+	// any round; must not race a round in flight.
+	useReference bool
+	// phaseHook, when non-nil, observes each worker's round phases in
+	// execution order ("local-boundary", "send", "local-interior",
+	// "receive") — test instrumentation for the boundary-first schedule.
+	// Called from worker goroutines; implementations must be thread-safe.
+	phaseHook func(worker int, phase string)
+
+	// delaySlots[round] is the retained remote-delta matrix of one
+	// aggregate-round slot (layer × direction); delayFilled marks slots that
+	// hold a usable cached delta. Touched between rounds only, except that
+	// workers write disjoint rows of a slot during fresh rounds.
+	delayPeriod int
+	delaySlots  []*tensor.Matrix
+	delayFilled []bool
+	// round is the aggregate-round slot within the current epoch, the stable
+	// half of error-feedback unit keys and the delay-slot index; epoch and
+	// freshEval drive the delayed-transmission schedule.
+	epoch, round int
+	freshEval    bool
+	// err poisons the runtime after the first failed round.
+	err error
+}
+
+// workerScratch is one worker's buffer set retained across rounds. Slices
+// grow to the largest feature dimension seen and are then reused; after
+// warm-up a round allocates nothing.
+type workerScratch struct {
+	batches []wire.Batch // one encode buffer per peer (self entry unused)
+	msg     wire.Message // reused header struct for encoding
+	payload []float64    // outgoing payload / group-fuse accumulator
+	dec     []float64    // inbound group payload staging
+	efTrue  []float64    // error feedback: residual-corrected true values
+	efSent  []float64    // error feedback: receiver-reconstructed values
+}
+
+func (ws *workerScratch) ensure(dim int) {
+	if cap(ws.payload) < dim {
+		ws.payload = make([]float64, dim)
+		ws.dec = make([]float64, dim)
+		ws.efTrue = make([]float64, dim)
+		ws.efSent = make([]float64, dim)
+	}
+}
+
+// newExchanger builds the runtime for the method combination a dist.Engine
+// configured with cfg would run: the exchange core reads cfg exactly as the
+// engine does, and delay is active for DelayPeriod > 1. me selects the one
+// worker this process runs, or -1 for all of them; kernels and local plans
+// are compiled only for what those workers encode, decode and aggregate.
+func newExchanger(g *graph.Graph, part []int, nparts, me int, cfg dist.Config) *exchanger {
+	x := &exchanger{
+		core:     exchange.New(g, part, nparts, cfg.Exchange()),
+		local:    make([]*localPlan, nparts),
+		ws:       make([]*workerScratch, nparts),
+		counters: make([]*simnet.ShardCounter, nparts),
+	}
+	if cfg.DelayPeriod > 1 {
+		x.delayPeriod = cfg.DelayPeriod
+	}
+	for p := 0; p < nparts; p++ {
+		if me < 0 || p == me {
+			x.ws[p] = &workerScratch{batches: make([]wire.Batch, nparts)}
+			x.counters[p] = simnet.NewShardCounter(nparts)
+		}
+	}
+	if cfg.Semantic {
+		x.kernels = make([]pairKernels, nparts*nparts)
+		for idx := range x.kernels {
+			x.compilePairKernels(idx)
+		}
+	}
+	mark := make([]bool, g.NumNodes())
+	for p := range x.ws {
+		if x.ws[p] != nil {
+			x.local[p] = x.compileLocal(p, mark)
+		}
+	}
+	return x
+}
+
+// startEpoch marks an epoch boundary: it resets the aggregate-round slot and
+// moves the delayed-transmission schedule to the given epoch.
+func (x *exchanger) startEpoch(epoch int) {
+	x.epoch, x.round, x.freshEval = epoch, 0, false
+}
+
+// SchedSignals snapshots every pair's scheduler-visible counters (nil when
+// scheduling is off; see exchange.Streams.Signals).
+func (x *exchanger) SchedSignals() []sched.Signals { return x.core.Signals() }
+
+// ScheduleLevels returns a copy of the current per-pair rung levels, or nil
+// when variable-rate scheduling is disabled.
+func (x *exchanger) ScheduleLevels() []int { return x.core.Levels() }
+
+// ApplySchedule installs externally decided per-pair rung levels — the
+// coordinator of a transport-driven fleet sends them before each epoch frame
+// — reseeding every pair whose rung changed. Must be called between rounds.
+// Returns an error when scheduling is off or the levels are malformed;
+// nothing changes on error.
+func (x *exchanger) ApplySchedule(levels []int) error { return x.core.SetLevels(levels) }
+
+// Repartition moves the runtime to a new partition of the same graph under
+// the exchange core's incremental contract — the mirror of
+// dist.Engine.Repartition: clean pairs keep plan, arcs and streams verbatim,
+// dirty pairs are rebuilt and re-seeded; their gather kernels and the local
+// plans the move invalidates are recompiled; delay slots (whole-round
+// aggregates) are invalidated iff any pair is dirty. Must not race a round in
+// flight. Returns the ascending dirty pair indices; on error nothing changes.
+func (x *exchanger) Repartition(part []int) ([]int, error) {
+	old := x.core.Part
+	dirty, err := x.core.Repartition(part)
+	if err != nil {
+		return nil, fmt.Errorf("worker: %w", err)
+	}
+	if x.kernels != nil {
+		for _, idx := range dirty {
+			x.compilePairKernels(idx)
+		}
+	}
+	// Local plans compile from the new ownership/plans/arcs, so this comes
+	// after the core has moved.
+	var mark []bool
+	for p, d := range dirtyLocalParts(old, x.core.Part, x.core.NParts, dirty) {
+		if d && x.local[p] != nil {
+			if mark == nil {
+				mark = make([]bool, len(part))
+			}
+			x.local[p] = x.compileLocal(p, mark)
+		}
+	}
+	if len(dirty) > 0 {
+		// Matrices are retained (fresh rounds fully rewrite them), only the
+		// filled marks drop.
+		clear(x.delayFilled)
+	}
+	return dirty, nil
+}
+
+// beginRound validates the round's matrices, zeroes out, and resolves where
+// remote contributions accumulate: out itself normally; under delayed
+// transmission the round slot's retained matrix — replayed as cached when the
+// epoch does not transmit and the slot is filled (replay: no exchange, zero
+// traffic), else rewritten by a fresh exchange; a forced-fresh eval pass
+// bypasses the slots in both directions. The decision is a pure function of
+// (epoch, round, slot marks), so every worker and every replica agrees on
+// the round shape.
+func (x *exchanger) beginRound(out, h *tensor.Matrix) (target *tensor.Matrix, replay bool, err error) {
+	if x.err != nil {
+		return nil, false, x.err
+	}
+	if n := x.core.G.NumNodes(); h.Rows != n || out.Rows != n || out.Cols != h.Cols {
+		return nil, false, fmt.Errorf("worker: round shapes h (%d,%d) out (%d,%d), want %d rows each and equal cols",
+			h.Rows, h.Cols, out.Rows, out.Cols, n)
+	}
+	out.Zero()
+	delayOn := x.delayPeriod > 1 && !x.freshEval
+	if !delayOn {
+		return out, false, nil
+	}
+	round := x.round
+	if x.epoch%x.delayPeriod != 0 && round < len(x.delayFilled) && x.delayFilled[round] {
+		return x.delaySlots[round], true, nil
+	}
+	for len(x.delaySlots) <= round {
+		x.delaySlots = append(x.delaySlots, nil)
+		x.delayFilled = append(x.delayFilled, false)
+	}
+	slot := x.delaySlots[round]
+	if slot == nil || slot.Rows != out.Rows || slot.Cols != out.Cols {
+		slot = tensor.New(out.Rows, out.Cols)
+		x.delaySlots[round] = slot
+	}
+	x.delayFilled[round] = false // being rewritten; endRound marks it again
+	return slot, false, nil
+}
+
+// endRound closes the round beginRound opened: a failed round poisons the
+// runtime (contributions may have been dropped mid-round, so every later
+// round returns the same error), a clean fresh delayed round marks its slot
+// filled.
+func (x *exchanger) endRound(target, out *tensor.Matrix, replay bool, err error) error {
+	if err != nil {
+		x.err = err
+		return err
+	}
+	if target != out && !replay {
+		x.delayFilled[x.round] = true
+	}
+	x.round++
+	return nil
+}
+
+// runRound is worker me's share of one aggregate round — the one round body
+// of both drivers, scheduled boundary-first: the rows peers are waiting on
+// (the worker's outgoing boundary) aggregate first so the sends launch as
+// early as possible, and the interior aggregation — which no peer depends on
+// — runs between send and receive, overlapping the peers' decode work. Every
+// row's accumulation is self-contained and encoding reads only h, so the
+// order is output-invariant.
+//
+// send gets one framed batch (possibly empty) per peer, ascending; recv is
+// called nparts-1 times and must yield the peers' batches in ascending sender
+// order — every row then sums its remote contributions in one fixed order,
+// which is what makes the result independent of arrival order and equal on
+// every transport. ghost is set by a driver whose peers' pairs are encoded in
+// other processes. A send error aborts the round, a recv error stops
+// receiving; after a decode error the remaining batches are still drained so
+// the transport stays balanced.
+func (x *exchanger) runRound(me int, h, out, target *tensor.Matrix, backward, replay, ghost bool,
+	send func(peer int, frame []byte) error, recv func() ([]byte, error)) error {
+	x.ws[me].ensure(h.Cols)
+	lp := x.local[me]
+	if replay {
+		// No exchange anywhere this round, so no coins are consumed.
+		x.localRows(me, h, out, 0, len(lp.rows))
+		x.addOwnRows(me, target, out)
+		return nil
+	}
+	x.localRows(me, h, out, 0, lp.nBoundary)
+	x.hook(me, "local-boundary")
+	for peer := 0; peer < x.core.NParts; peer++ {
+		if peer == me {
+			continue
+		}
+		if err := send(peer, x.encodePeer(me, peer, h, backward)); err != nil {
+			return fmt.Errorf("worker: peer %d: send to %d: %w", me, peer, err)
+		}
+	}
+	x.hook(me, "send")
+	if ghost {
+		x.core.GhostAdvance(me, backward)
+	}
+	if target != out {
+		// Fresh delayed round: the slot holds last period's delta; clear this
+		// worker's rows before accumulating the new one. Every row is owned
+		// by exactly one worker, so the slot is fully rewritten.
+		for _, u := range x.core.Own[me] {
+			clear(target.Row(int(u)))
+		}
+	}
+	x.localRows(me, h, out, lp.nBoundary, len(lp.rows))
+	x.hook(me, "local-interior")
+	var firstErr error
+	for k := 0; k < x.core.NParts-1; k++ {
+		buf, err := recv()
+		if err != nil {
+			if firstErr == nil {
+				firstErr = fmt.Errorf("worker: peer %d: recv: %w", me, err)
+			}
+			break // transport failure: the remaining batches are not coming
+		}
+		if firstErr == nil {
+			firstErr = x.decodeBatch(me, backward, target, buf)
+		}
+	}
+	x.hook(me, "receive")
+	if firstErr == nil && target != out {
+		x.addOwnRows(me, target, out)
+	}
+	return firstErr
+}
+
+// addOwnRows adds the delay slot's rows worker me owns into out.
+func (x *exchanger) addOwnRows(me int, slot, out *tensor.Matrix) {
+	for _, u := range x.core.Own[me] {
+		tensor.AXPY(1, slot.Row(int(u)), out.Row(int(u)))
+	}
+}
+
+// hook reports a completed phase to the test instrumentation, if any.
+func (x *exchanger) hook(me int, phase string) {
+	if x.phaseHook != nil {
+		x.phaseHook(me, phase)
+	}
+}
+
+// localRows computes rows [from, to) of worker me's local plan — the
+// within-partition part of Â·h for those rows. The compiled CSR bakes the
+// self-loop and same-partition neighbor terms (coefficients included) per
+// row; the reference body walks the same rows arc by arc.
+func (x *exchanger) localRows(me int, h, out *tensor.Matrix, from, to int) {
+	lp := x.local[me]
+	for i := from; i < to; i++ {
+		u := lp.rows[i]
+		orow := out.Row(int(u))
+		if !x.useReference {
+			lo, hi := lp.off[i], lp.off[i+1]
+			tensor.GatherAXPY(orow, h, lp.nbr[lo:hi], lp.w[lo:hi], 1)
+			continue
+		}
+		fu := x.core.Coeff[u]
+		tensor.AXPY(fu*fu, h.Row(int(u)), orow)
+		for _, v := range x.core.G.Neighbors(u) {
+			if x.core.Part[v] == me {
+				tensor.AXPY(fu*x.core.Coeff[v], h.Row(int(v)), orow)
+			}
+		}
+	}
+}
+
+// localPhase computes the within-partition part of Â·h for all rows worker
+// me owns (benchmark and test entry point; rounds call localRows in the
+// boundary-first split).
+func (x *exchanger) localPhase(me int, h, out *tensor.Matrix) {
+	x.localRows(me, h, out, 0, len(x.local[me].rows))
+}
+
+// encodePeer encodes worker me's outgoing halo for one peer into the retained
+// batch buffer, records the traffic on me's shard counter, and returns the
+// framed bytes. It is the wire runtime's sink of the shared unit walk: one
+// KindGroup message per surviving group (Fig. 7(b)), one KindNode message per
+// surviving O2O residual or cross arc (Fig. 7(a)). Forward it walks pair
+// (me→peer); backward pair (peer→me) reversed — me owns its sinks. The
+// buffer is reused next round: receivers must fully consume it before then
+// (in-process the round barrier guarantees this; the socket transport copies
+// it out immediately).
+func (x *exchanger) encodePeer(me, peer int, h *tensor.Matrix, backward bool) []byte {
+	ws := x.ws[me]
+	batch := &ws.batches[peer]
+	batch.Reset()
+	idx := me*x.core.NParts + peer
+	if backward {
+		idx = peer*x.core.NParts + me
+	}
+	payload := ws.payload[:h.Cols]
+	msg := &ws.msg
+	msg.SrcPart, msg.Payload = int32(me), payload
+	x.core.Walk(idx, backward, func(u exchange.Unit) {
+		if u.Group < 0 {
+			scale := x.core.Coeff[u.Sender] * u.Scale
+			for i, v := range h.Row(int(u.Sender)) {
+				payload[i] = scale * v
+			}
+			msg.Kind, msg.Target = wire.KindNode, u.Receiver
+		} else {
+			clear(payload)
+			x.fuseGroup(idx, int(u.Group), backward, u.Scale, h, payload)
+			msg.Kind, msg.Target = wire.KindGroup, u.Group
+		}
+		x.addMsg(ws, batch, &x.core.Pairs[idx], u.Index)
+	})
+	buf := batch.Bytes()
+	// Wire framing is already inside buf (each message carries its own
+	// header), so record pre-framed bytes rather than ShardCounter.Send.
+	x.counters[me].Add(me, peer, int64(len(buf)), int64(batch.Len()))
+	return buf
+}
+
+// fuseGroup accumulates h_g = scale·Σ w(u)·f[u]·h_u for group gi of pair idx
+// into payload: one fused GatherAXPY over the compiled member list, or — the
+// reference body — one AXPY per member off the plan itself.
+func (x *exchanger) fuseGroup(idx, gi int, backward bool, scale float64, h *tensor.Matrix, payload []float64) {
+	if x.useReference {
+		grp := x.core.Groups(idx, backward)[gi]
+		for k, u := range grp.SrcNodes {
+			tensor.AXPY(grp.WOut[k]*x.core.Coeff[u]*scale, h.Row(int(u)), payload)
+		}
+		return
+	}
+	ep := x.kernels[idx].encF
+	if backward {
+		ep = x.kernels[idx].encB
+	}
+	rows, w := ep.Group(gi)
+	tensor.GatherAXPY(payload, h, rows, w, scale)
+}
+
+// addMsg appends the staged message ws.msg to the batch — quantized at the
+// pair's width when it has one, with residual error feedback layered on top
+// when enabled. unit is the message's candidate index within (pair, round);
+// with the round slot it keys the residual store exactly like the analytic
+// engine's RoundUnitKey scheme. Bytes reflect the reduced wire size:
+// ceil(n·bits/8) + 8 metadata in place of 4n (+1 width byte when adaptive).
+func (x *exchanger) addMsg(ws *workerScratch, batch *wire.Batch, ps *exchange.PairState, unit int64) {
+	m := &ws.msg
+	switch {
+	case ps.Bits <= 0:
+		batch.Add(m)
+	case ps.EF == nil && ps.Adaptive != nil:
+		batch.AddAdaptive(m, ps.Adaptive.ChooseBits(m.Payload))
+	case ps.EF == nil:
+		batch.AddQuantized(m, ps.Bits)
+	default:
+		key := compress.RoundUnitKey(x.round, unit)
+		ps.EF.PreCompress(key, m.Payload)
+		trueVals := append(ws.efTrue[:0], m.Payload...)
+		ws.efTrue = trueVals
+		sent := ws.efSent[:len(m.Payload)]
+		if ps.Adaptive != nil {
+			// Width is chosen on the residual-corrected payload — the values
+			// the engine's Roundtrip sees after its own PreCompress.
+			batch.AddAdaptiveRoundtrip(m, ps.Adaptive.ChooseBits(m.Payload), sent)
+		} else {
+			batch.AddQuantizedRoundtrip(m, ps.Bits, sent)
+		}
+		ps.EF.PostCompress(key, trueVals, sent)
+	}
+}
+
+// decodeBatch walks one inbound buffer with the streaming decoder: node
+// payloads are decoded directly into an AXPY against the destination row;
+// group payloads are staged once in the retained scratch and fanned out.
+// Every reference the bytes make (row, part, group) is validated — corrupt
+// wire data is an error, never a panic.
+func (x *exchanger) decodeBatch(me int, backward bool, out *tensor.Matrix, buf []byte) error {
+	dim := out.Cols
+	dec := wire.NewDecoder(buf)
+	scratch := x.ws[me].dec[:dim]
+	part, coeff := x.core.Part, x.core.Coeff
+	for dec.More() {
+		hd, err := dec.Next()
+		if err != nil {
+			return fmt.Errorf("worker %d: corrupt batch: %w", me, err)
+		}
+		if hd.N != dim {
+			return fmt.Errorf("worker %d: corrupt batch: payload %d values, want %d", me, hd.N, dim)
+		}
+		switch hd.Kind {
+		case wire.KindNode:
+			v := hd.Target
+			if v < 0 || int(v) >= len(part) {
+				return fmt.Errorf("worker %d: corrupt batch: node %d out of range", me, v)
+			}
+			if part[v] != me {
+				return fmt.Errorf("worker %d: received node %d owned by %d", me, v, part[v])
+			}
+			if err := dec.AXPY(coeff[v], out.Row(int(v))); err != nil {
+				return fmt.Errorf("worker %d: %w", me, err)
+			}
+		case wire.KindGroup:
+			from, gi := int(hd.SrcPart), int(hd.Target)
+			if from < 0 || from >= x.core.NParts || from == me {
+				return fmt.Errorf("worker %d: corrupt batch: group message from invalid part %d", me, from)
+			}
+			// Forward groups ride the (from→me) pair; backward groups are the
+			// reversed (me→from) pair's.
+			idx := from*x.core.NParts + me
+			if backward {
+				idx = me*x.core.NParts + from
+			}
+			groups := x.core.Groups(idx, backward)
+			if gi < 0 || gi >= len(groups) {
+				return fmt.Errorf("worker %d: corrupt batch: group index %d out of range (pair has %d groups)", me, gi, len(groups))
+			}
+			if err := dec.Read(scratch); err != nil {
+				return fmt.Errorf("worker %d: %w", me, err)
+			}
+			if x.useReference {
+				for k, v := range groups[gi].DstNodes {
+					tensor.AXPY(groups[gi].DDst[k]*coeff[v], scratch, out.Row(int(v)))
+				}
+				continue
+			}
+			dp := x.kernels[idx].delF
+			if backward {
+				dp = x.kernels[idx].delB
+			}
+			rows, w := dp.Group(gi)
+			tensor.ScatterAXPY(out, rows, w, scratch, 1)
+		}
+	}
+	return nil
+}

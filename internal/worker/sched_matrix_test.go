@@ -214,7 +214,7 @@ func TestScheduledPeerClusterEquivalence(t *testing.T) {
 						t.Fatalf("epoch %d bwd=%v: %v", epoch, bwd, err)
 					}
 					mesh.gather(want)
-					if !want.Equal(wantOut, 1e-9*(1+wantOut.MaxAbs())) {
+					if !want.Equal(wantOut, 0) {
 						t.Fatalf("epoch %d bwd=%v: peer aggregate diverged from cluster", epoch, bwd)
 					}
 				}

@@ -1,56 +1,60 @@
 // Package worker is the concurrent distributed runtime of the reproduction:
-// P goroutine workers, one per partition, that exchange *real* serialized
-// messages (internal/wire) over channels during every aggregate round —
-// the closest laptop-scale analogue of the paper's multi-GPU deployment.
+// P workers, one per partition, that exchange *real* serialized messages
+// (internal/wire) during every aggregate round — the closest laptop-scale
+// analogue of the paper's multi-GPU deployment. Cluster runs all P workers as
+// goroutines over an in-process transport; Peer runs one of them in its own
+// OS process, with internal/net carrying the frames over sockets.
 //
 // It complements internal/dist: the analytic engine accounts traffic
-// symbolically; the worker cluster executes the full Fig. 12(b) method
-// matrix — vanilla per-edge exchange, SC-GNN semantic compression, Bernoulli
-// edge/node sampling, fixed and variance-adaptive wire quantization,
-// quantized error feedback, and delayed transmission — with actual
-// concurrency, actual fp32 wire encoding, and bytes measured off the encoded
-// buffers. Tests assert that the cluster's aggregates match the sequential
-// engine to fp32 precision and that its measured bytes equal the engine's
-// analytic accounting exactly, for every method combination.
+// symbolically; this runtime executes the full Fig. 12(b) method matrix —
+// vanilla per-edge exchange, SC-GNN semantic compression, Bernoulli edge/node
+// sampling, fixed and variance-adaptive wire quantization, quantized error
+// feedback, and delayed transmission — with actual concurrency, actual fp32
+// wire encoding, and bytes measured off the encoded buffers. Tests assert
+// that its aggregates match the sequential engine to fp32 precision and that
+// its measured bytes equal the engine's analytic accounting exactly, for
+// every method combination.
 //
-// # Per-pair compression state
+// # One exchange core, one configuration
 //
-// All stateful compression (sampler RNG streams, adaptive-width choices,
-// error-feedback residuals) lives in one pairState per ordered partition
-// pair, seeded with compress.DeriveSeed(seed, s·nparts+t) — the engine's
-// exact scheme. A pair is touched by exactly one worker per round (its src
-// part forward, its dst part backward), and the round barrier orders rounds,
-// so the state needs no locking and consumes its RNG stream in the same
-// unit order as the engine — which is what makes drop decisions, chosen bit
-// widths, and traffic identical across the two runtimes.
+// What is exchanged — which units exist, which survive sampling, at which
+// width they ship, which residuals they carry — is decided by the
+// internal/exchange core the engine also runs, configured by the same
+// dist.Config (NewClusterFromConfig, NewPeer; there is no other knob). This
+// package adds the wire: a sink that turns each surviving unit into a framed
+// message, the streaming decode on the other side, and the round schedule.
 //
 // # Delayed transmission
 //
-// With SetDelay(period), each aggregate-round slot keeps a retained delta
-// matrix: fresh rounds (epoch % period == 0, or an unfilled slot) decode the
-// remote contributions into the slot and add it to the output; replay rounds
-// add the cached slot with zero traffic. StartEvalEpoch forces a fresh pass
-// that neither reads nor writes the cache, so a final evaluation never
-// scores the model against stale replays (mirroring the engine's
-// StartEvalEpoch contract). The replay/fresh decision is made once by the
-// coordinator before workers are released, so every worker agrees on it.
+// With Config.DelayPeriod > 1, each aggregate-round slot keeps a retained
+// delta matrix: fresh rounds (epoch % period == 0, or an unfilled slot)
+// decode the remote contributions into the slot and add it to the output;
+// replay rounds add the cached slot with zero traffic. StartEvalEpoch forces
+// a fresh pass that neither reads nor writes the cache, so a final evaluation
+// never scores the model against stale replays (the engine's StartEvalEpoch
+// contract). The decision is made once per round before any worker runs, so
+// every worker agrees on it.
 //
-// # Round-barrier protocol
+// # Round protocol
 //
-// NewCluster spawns the nparts workers once; they stay parked between rounds.
-// Each aggregate round the coordinator (the goroutine calling Forward,
-// Backward, or AggregateInto — there must be exactly one at a time) publishes
-// the round inputs, releases every worker through its start channel, and
-// blocks on a barrier. Each worker then runs three phases:
+// NewClusterFromConfig spawns the nparts workers once; they stay parked
+// between rounds. Each aggregate round the coordinator (the goroutine calling
+// Forward, Backward, or AggregateInto — there must be exactly one at a time)
+// publishes the round inputs, releases every worker through its start
+// channel, and blocks on a barrier. Each worker runs the one round body
+// (runRound) a Peer also runs:
 //
-//	localPhase   — within-partition part of Â·h for the rows it owns
-//	sendPhase    — encode its outgoing halo into retained wire.Batch buffers,
-//	               one framed buffer per peer, delivered to the peer's inbox
-//	receivePhase — stream-decode the nparts−1 inbound buffers straight into
-//	               the output rows it owns (wire.Decoder, no intermediate
-//	               message or payload allocation)
+//	local-boundary — the rows its outgoing halo reads
+//	send           — encode the halo into retained wire.Batch buffers, one
+//	                 framed buffer per peer, into the peer's per-sender inbox
+//	local-interior — the remaining owned rows, overlapping the peers' work
+//	receive        — stream-decode the nparts−1 inbound buffers, in ascending
+//	                 sender order, straight into the output rows it owns
 //
-// and signals the barrier. After the barrier the coordinator drains each
+// and signals the barrier. Because every row sums its remote contributions
+// in sender order, not arrival order, a cluster's output is bit-identical
+// from run to run at any nparts — and bit-identical to the same round run by
+// Peers over any transport. After the barrier the coordinator drains each
 // worker's traffic shard into the fabric in worker order, so per-link totals
 // are exact and schedule-free. Inboxes, encode buffers, and payload scratch
 // are retained across rounds: a steady-state round performs no allocations.
@@ -64,10 +68,10 @@
 //
 // # Errors and shutdown
 //
-// A corrupt inbound batch no longer panics inside a worker goroutine (which
-// would kill the process): the decode error travels through the barrier,
-// AggregateInto returns it, and the cluster becomes permanently poisoned —
-// every later round returns the same error, since workers may have dropped
+// A mis-shaped input or a corrupt inbound batch never panics inside a worker
+// goroutine (which would kill the process): AggregateInto returns the error,
+// and after a failed exchange the cluster is permanently poisoned — every
+// later round returns the same error, since workers may have dropped
 // contributions mid-round. Forward/Backward, whose gnn.Aggregator signatures
 // have no error result, panic with that error on the *caller's* goroutine,
 // where it is recoverable. Close releases the worker goroutines; it is
@@ -76,18 +80,13 @@ package worker
 
 import (
 	"errors"
-	"fmt"
 	"sync"
 	"sync/atomic"
 
-	"scgnn/internal/compress"
-	"scgnn/internal/core"
 	"scgnn/internal/dist"
 	"scgnn/internal/graph"
-	"scgnn/internal/sched"
 	"scgnn/internal/simnet"
 	"scgnn/internal/tensor"
-	"scgnn/internal/wire"
 )
 
 // Cluster is a persistent pool of goroutine workers jointly computing the
@@ -95,84 +94,7 @@ import (
 // train on it unchanged. Rounds must be driven by one goroutine at a time;
 // Traffic, Snapshot, and ResetTraffic may be called concurrently with rounds.
 type Cluster struct {
-	g      *graph.Graph
-	part   []int
-	nparts int
-	coeff  []float64
-
-	semantic bool
-	// planCache owns the semantic plans and rebuilds only dirty pairs on
-	// Repartition (nil when semantic is off).
-	planCache *core.PlanCache
-	plans     []*core.PairPlan // index s*nparts+t; nil when no cross edges
-	revGroups [][]*core.Group
-
-	// Compiled gather plans (see gather.go for the invalidation
-	// contract): kernels[idx] is pair idx's flattened encode/deliver
-	// lists (semantic only), local[p] worker p's local-aggregation CSR
-	// in boundary-first row order. boundScratch is compileLocal's
-	// retained mark vector.
-	kernels      []pairKernels
-	local        []*localPlan
-	boundScratch []bool
-	// useReference routes the round phases through the retained
-	// pre-kernel implementations — the bit-identity oracle the
-	// equivalence tests compare the fused kernels against. Set before
-	// any round; must not race a round in flight.
-	useReference bool
-	// phaseHook, when non-nil, observes each worker's round phases in
-	// execution order ("local-boundary", "send", "local-interior",
-	// "receive") — test instrumentation for the boundary-first schedule.
-	// Called from worker goroutines; implementations must be
-	// thread-safe. Set before any round.
-	phaseHook func(worker int, phase string)
-
-	// buckets is the CSR-of-pairs bucketing of the current partition's cross
-	// arcs, retained so Repartition can diff against it. spare is the
-	// bucketing the previous Repartition displaced, recycled as extraction
-	// scratch.
-	buckets, spare *graph.ArcBuckets
-	// crossOut[s*nparts+t] lists arcs u→v with part[u]=s, part[v]=t —
-	// pair (s→t)'s arc bucket.
-	crossOut [][]graph.Edge
-	// own[p] lists the nodes owned by worker p.
-	own [][]int32
-
-	// quantBits > 0 quantizes every payload before encoding; bytes reflect
-	// the reduced wire size: ceil(n·bits/8) + 8 metadata in place of 4n
-	// (+1 width byte under adaptive quantization).
-	quantBits int
-	// Method configuration behind the stateful paths; rebuildPairs derives
-	// the per-pair state below from these.
-	sampleRate  float64
-	sampleNodes bool
-	seed        int64
-	adaptive    bool
-	efOn        bool
-	delayPeriod int
-	// pairs[s*nparts+t] holds the ordered pair's sampler / adaptive
-	// quantizer / error-feedback residual store (nil when no stateful method
-	// is enabled). A pair is touched by exactly one worker per round (its
-	// src part forward, its dst part backward), with a barrier between
-	// rounds, so the state needs no locking.
-	pairs []pairState
-
-	// schedule holds the variable-rate communication schedule (nil when
-	// disabled): reseedPair reads each pair's current rung from it, and pairs
-	// is always non-nil while it is set (every rung below the base carries
-	// stateful compression). schedExternal marks a transport-driven replica
-	// (a Peer): its schedule advances only through ApplySchedule — the
-	// coordinator runs the decision function and broadcasts levels — never
-	// through StartEpoch.
-	schedule      *sched.Scheduler
-	schedExternal bool
-
-	// delaySlots[round] is the retained remote-delta matrix of one
-	// aggregate-round slot (layer × direction); delayFilled marks slots that
-	// hold a usable cached delta. Only the coordinator touches these outside
-	// a round; workers write disjoint rows during fresh rounds.
-	delaySlots  []*tensor.Matrix
-	delayFilled []bool
+	exchanger
 
 	// Traffic accounting mirrors the engine's shard-and-merge scheme instead
 	// of hot-loop atomics: each worker records its sends on its own
@@ -181,11 +103,9 @@ type Cluster struct {
 	// order, so per-link totals are exact and schedule-free.
 	trafficMu sync.Mutex
 	fabric    *simnet.Fabric
-	counters  []*simnet.ShardCounter // one per worker
 
-	// --- persistent pool state ---
-
-	// inbox[t] receives exactly nparts-1 framed batch buffers per round.
+	// inbox[t*nparts+s] is the one-slot mailbox for sender s's batch to
+	// receiver t: exactly one buffer per round, drained by t in ascending s.
 	inbox []chan []byte
 	// start[p] releases worker p into the next round.
 	start   []chan struct{}
@@ -196,501 +116,58 @@ type Cluster struct {
 
 	// Round inputs: written by the coordinator before the start signals,
 	// read by workers after — the channel send orders the accesses.
-	roundH        *tensor.Matrix
-	roundOut      *tensor.Matrix
-	roundBackward bool
-	// roundTarget is where workers accumulate remote contributions this
-	// round: roundOut normally, a delay slot on fresh delayed rounds, the
-	// filled slot on replay rounds.
-	roundTarget *tensor.Matrix
-	// roundReplay marks a delayed-replay round: no send/receive, just add
-	// the cached slot (decided by the coordinator, so all workers agree).
-	roundReplay bool
-	// roundErrs[p] is worker p's decode error for the round (nil if clean);
-	// each entry is written only by its owner during the round.
+	// roundTarget and roundReplay are beginRound's resolution.
+	roundH, roundOut, roundTarget *tensor.Matrix
+	roundBackward, roundReplay    bool
+	// roundErrs[p] is worker p's error for the round (nil if clean); each
+	// entry is written only by its owner during the round.
 	roundErrs []error
-	// round is the aggregate-round slot within the current epoch (layer ×
-	// direction), the stable half of error-feedback unit keys and the delay
-	// cache index. StartEpoch resets it.
-	round int
-	// epoch and freshEval drive the delayed-transmission schedule (set by
-	// StartEpoch / StartEvalEpoch).
-	epoch     int
-	freshEval bool
-	// err poisons the cluster after the first failed round.
-	err error
-
-	// ws[p] is worker p's retained scratch: encode buffers, payload and
-	// decode vectors, error-feedback staging.
-	ws []workerScratch
 }
 
-// pairState is the per-ordered-partition-pair compression state, mirroring
-// the engine's struct of the same name: every stream is seeded and consumed
-// identically, so the two runtimes make identical drop and width decisions.
-type pairState struct {
-	sampler     *compress.Sampler
-	nodeSampler *compress.NodeSampler
-	adaptive    *compress.AdaptiveQuantizer
-	ef          *compress.ErrorFeedback
-	// bits is the pair's fixed quantization width under variable-rate
-	// scheduling (0 = unquantized rung); without a schedule the global
-	// quantBits applies and this field is ignored.
-	bits int
-}
-
-// groupCoinKey maps a plan-group index into the dedicated negative key space
-// of the per-pair node sampler, disjoint from boundary-node ids (always ≥ 0)
-// — the engine's exact keying, so group coins replay identically.
-func groupCoinKey(gi int) int32 { return int32(-1 - gi) }
-
-// workerScratch is the per-worker buffer set retained across rounds. Slices
-// grow to the largest feature dimension seen and are then reused; after
-// warm-up a round allocates nothing.
-type workerScratch struct {
-	batches []wire.Batch // one encode buffer per peer (self entry unused)
-	msg     wire.Message // reused header struct for encoding
-	payload []float64    // outgoing payload / group-fuse accumulator
-	dec     []float64    // inbound group payload staging
-	efTrue  []float64    // error feedback: residual-corrected true values
-	efSent  []float64    // error feedback: receiver-reconstructed values
-}
-
-func (ws *workerScratch) ensure(dim int) {
-	if cap(ws.payload) < dim {
-		ws.payload = make([]float64, dim)
-		ws.dec = make([]float64, dim)
-		ws.efTrue = make([]float64, dim)
-		ws.efSent = make([]float64, dim)
+// NewClusterFromConfig builds a cluster running the same method combination
+// as a dist.Engine configured with cfg — both read cfg through the same
+// exchange core, so gates cannot drift — and spawns its nparts persistent
+// workers. An invalid partition or configuration panics. Call Close when done
+// with the cluster to release the worker goroutines.
+func NewClusterFromConfig(g *graph.Graph, part []int, nparts int, cfg dist.Config) *Cluster {
+	c := &Cluster{
+		exchanger: *newExchanger(g, part, nparts, -1, cfg),
+		fabric:    simnet.NewFabric(nparts),
+		inbox:     make([]chan []byte, nparts*nparts),
+		start:     make([]chan struct{}, nparts),
+		quit:      make(chan struct{}),
+		roundErrs: make([]error, nparts),
 	}
-}
-
-// SetQuantization enables b-bit payload quantization on the wire (0
-// disables). Call before training starts; must not race a round in flight.
-func (c *Cluster) SetQuantization(bits int) {
-	if bits != 0 {
-		compress.NewQuantizer(bits) // validate range, panics on bad input
+	for i := range c.inbox {
+		c.inbox[i] = make(chan []byte, 1)
 	}
-	c.quantBits = bits
-	c.rebuildPairs()
-}
-
-// SetAdaptiveQuant switches the quantized wire path to variance-adaptive bit
-// allocation: each message picks its width in [2, quantBits] from the
-// payload's dynamic range (AdaQP's adaptive idea), shipped in the wire
-// format's adaptive variant whose extra width byte matches the engine's
-// +9-byte metadata accounting. Takes effect only when quantization is
-// enabled. Call before training starts; must not race a round in flight.
-func (c *Cluster) SetAdaptiveQuant(on bool) {
-	c.adaptive = on
-	c.rebuildPairs()
-}
-
-// SetSampling enables Bernoulli sampling of transfer units at the given keep
-// rate: per-edge coins by default, per-boundary-node coins (BNS-GCN's
-// granularity; one coin per (node, destination pair) per round, groups keyed
-// separately) when nodes is true. Kept units rescale by 1/rate. Every
-// ordered pair derives its own decorrelated stream from seed via
-// compress.DeriveSeed — the engine's exact scheme, so drop decisions match
-// it coin for coin. A rate outside (0,1) disables sampling. Call before
-// training starts; must not race a round in flight.
-func (c *Cluster) SetSampling(rate float64, nodes bool, seed int64) {
-	if rate <= 0 || rate >= 1 {
-		rate = 0
-	}
-	c.sampleRate = rate
-	c.sampleNodes = nodes
-	c.seed = seed
-	c.rebuildPairs()
-}
-
-// SetDelay enables delayed transmission with the given period: fresh values
-// every period epochs (per aggregate-round slot), cached replays with zero
-// traffic in between. Callers must mark epoch boundaries with StartEpoch so
-// the schedule advances, and should use StartEvalEpoch for measurement
-// passes (see the package comment). A period ≤ 1 disables. Call before
-// training starts; must not race a round in flight.
-func (c *Cluster) SetDelay(period int) {
-	if period > 1 {
-		compress.NewDelayCache(period) // validate, panics on bad input
-		c.delayPeriod = period
-	} else {
-		c.delayPeriod = 0
-	}
-	c.delaySlots = nil
-	c.delayFilled = nil
-}
-
-// SetErrorFeedback toggles residual error feedback on the quantized wire
-// path: each transfer unit's quantization error (measured against the exact
-// fp32 reconstruction the receiver computes) is carried into its next round,
-// the same scheme internal/dist runs analytically. It only takes effect when
-// quantization is enabled, and callers must mark epoch boundaries with
-// StartEpoch so residual keys line up across epochs. Call before training
-// starts; must not race a round in flight.
-func (c *Cluster) SetErrorFeedback(on bool) {
-	c.efOn = on
-	c.rebuildPairs()
-}
-
-// rebuildPairs derives the per-pair compression state from the current
-// method configuration. Setters call it, so configuration is
-// order-independent and always starts training from pristine streams. With a
-// schedule installed the pair array always exists: rungs below the base
-// carry their own samplers and quantizers even when the base config has no
-// stateful method.
-func (c *Cluster) rebuildPairs() {
-	if c.schedule == nil {
-		samplingOn := c.sampleRate > 0 && c.sampleRate < 1
-		adaptiveOn := c.adaptive && c.quantBits > 0
-		efOn := c.efOn && c.quantBits > 0
-		if !samplingOn && !adaptiveOn && !efOn {
-			c.pairs = nil
-			return
-		}
-	}
-	c.pairs = make([]pairState, c.nparts*c.nparts)
-	for idx := range c.pairs {
-		c.reseedPair(idx)
-	}
-}
-
-// pairSetting resolves the compression gates pair idx currently runs — the
-// scheduler's rung when variable-rate scheduling is on, else the cluster's
-// global method configuration — mirroring the engine's resolution exactly.
-func (c *Cluster) pairSetting(idx int) sched.Setting {
-	if c.schedule != nil {
-		return c.schedule.Setting(idx)
-	}
-	return sched.Setting{
-		SampleRate:  c.sampleRate,
-		SampleNodes: c.sampleNodes,
-		QuantBits:   c.quantBits,
-		Adaptive:    c.adaptive,
-		EF:          c.efOn,
-	}
-}
-
-// reseedPair (re)creates one ordered pair's compression state from scratch
-// under its current setting — the sampler restarts its DeriveSeed(seed, idx)
-// stream, the adaptive quantizer and error-feedback store drop their history
-// — exactly like the same pair in a freshly built cluster. Repartition calls
-// this for dirty pairs only, and the scheduler for pairs whose rung changed,
-// mirroring the engine's initPairState so the two runtimes stay equivalent
-// after any reconfiguration.
-func (c *Cluster) reseedPair(idx int) {
-	if c.pairs == nil {
-		return
-	}
-	ps := &c.pairs[idx]
-	*ps = pairState{}
-	if idx/c.nparts == idx%c.nparts {
-		return
-	}
-	st := c.pairSetting(idx)
-	if st.SampleRate > 0 && st.SampleRate < 1 {
-		pairSeed := compress.DeriveSeed(c.seed, idx)
-		if st.SampleNodes {
-			ps.nodeSampler = compress.NewNodeSampler(st.SampleRate, pairSeed)
-		} else {
-			ps.sampler = compress.NewSampler(st.SampleRate, pairSeed)
-		}
-	}
-	if st.QuantBits > 0 && st.QuantBits < 32 {
-		ps.bits = st.QuantBits
-		if st.Adaptive {
-			minBits := 2
-			if st.QuantBits < minBits {
-				minBits = st.QuantBits
-			}
-			ps.adaptive = compress.NewAdaptiveQuantizer(minBits, st.QuantBits, 0)
-		}
-		if st.EF {
-			ps.ef = compress.NewErrorFeedback()
-		}
-	}
-}
-
-// pairAt returns the ordered pair's compression state, or nil when no
-// stateful method is configured.
-func (c *Cluster) pairAt(idx int) *pairState {
-	if c.pairs == nil {
-		return nil
-	}
-	return &c.pairs[idx]
-}
-
-// StartEpoch marks an epoch boundary: it resets the aggregate-round slot
-// that keys error-feedback residuals and the delay cache, and advances the
-// delayed-transmission schedule to the given epoch (gnn.Train calls this
-// through the gnn.EpochMarker interface). Harmless when neither method is
-// on. With variable-rate scheduling the boundary is also the decision point:
-// the scheduler reads every pair's signal snapshot, runs the pure decision
-// function, and pairs whose rung changed are reseeded from scratch — unless
-// the replica is transport-driven, in which case the coordinator decides and
-// broadcasts levels through ApplySchedule before releasing the epoch.
-func (c *Cluster) StartEpoch(epoch int) {
-	if c.schedule != nil && !c.schedExternal {
-		for _, idx := range c.schedule.Advance(epoch, c.SchedSignals()) {
-			c.reseedPair(idx)
-		}
-	}
-	c.epoch = epoch
-	c.round = 0
-	c.freshEval = false
-}
-
-// SchedSignals snapshots every pair's scheduler-visible counters (nil when
-// scheduling is off) under the sched package's signal contract: the integer
-// fields are exact on every runtime, the float fields are diagnostics. A
-// transport-driven replica reports its local snapshot; the coordinator
-// merges replicas with sched.Signals.Merge.
-func (c *Cluster) SchedSignals() []sched.Signals {
-	if c.schedule == nil {
-		return nil
-	}
-	sigs := make([]sched.Signals, len(c.pairs))
-	for idx := range c.pairs {
-		ps := &c.pairs[idx]
-		sg := &sigs[idx]
-		if ps.sampler != nil {
-			sg.Draws = ps.sampler.Draws()
-		}
-		if ps.adaptive != nil {
-			sg.BitsSum = ps.adaptive.BitsSum
-			sg.BitsCalls = ps.adaptive.Calls
-			sg.LastBits = ps.adaptive.LastBits
-		}
-		if ps.ef != nil {
-			sg.EFUnits = int64(ps.ef.Units())
-			sg.EFCorrected = ps.ef.Corrected
-			sg.ResidualNorm = ps.ef.ResidualNorm()
-		}
-	}
-	return sigs
-}
-
-// ScheduleLevels returns a copy of the current per-pair rung levels, or nil
-// when variable-rate scheduling is disabled.
-func (c *Cluster) ScheduleLevels() []int {
-	if c.schedule == nil {
-		return nil
-	}
-	return c.schedule.Levels()
-}
-
-// ApplySchedule installs coordinator-decided per-pair rung levels on a
-// transport-driven replica, reseeding every pair whose rung changed. Must be
-// called between rounds (the coordinator sends it before the epoch frame).
-// Returns an error when scheduling is off or the levels are malformed; the
-// cluster is unchanged on error.
-func (c *Cluster) ApplySchedule(levels []int) error {
-	if c.schedule == nil {
-		return errors.New("worker: ApplySchedule without a schedule")
-	}
-	changed, err := c.schedule.SetLevels(levels)
-	if err != nil {
-		return err
-	}
-	for _, idx := range changed {
-		c.reseedPair(idx)
-	}
-	return nil
-}
-
-// StartEvalEpoch prepares a measurement-only pass: like StartEpoch, but
-// delayed transmission is bypassed — the pass computes fresh remote
-// contributions without reading or writing the delay cache, so a final
-// evaluation never scores the model against stale replays. gnn.Train calls
-// this through the gnn.EvalMarker interface with the actual next epoch
-// before the final accuracy pass.
-func (c *Cluster) StartEvalEpoch(epoch int) {
-	c.StartEpoch(epoch)
-	c.freshEval = true
-}
-
-// NewCluster builds the worker runtime and spawns its nparts persistent
-// workers. When semantic is true, planCfg drives grouping; otherwise the
-// vanilla per-edge exchange is used. Call Close when done with the cluster to
-// release the worker goroutines.
-func NewCluster(g *graph.Graph, part []int, nparts int, semantic bool, planCfg core.PlanConfig) *Cluster {
-	c := newClusterState(g, part, nparts, semantic, planCfg)
-	for p := 0; p < nparts; p++ {
+	for p := range c.start {
+		c.start[p] = make(chan struct{})
 		go c.run(p)
 	}
 	return c
 }
 
-// newClusterState builds every piece of cluster state — ownership, cross-arc
-// buckets, semantic plans, compiled kernels — without spawning the worker
-// goroutines. NewCluster adds the goroutine pool for the in-process runtime;
-// NewPeer reuses the state as-is, with rounds driven externally by the
-// multi-process transport.
-func newClusterState(g *graph.Graph, part []int, nparts int, semantic bool, planCfg core.PlanConfig) *Cluster {
-	if len(part) != g.NumNodes() {
-		panic(fmt.Sprintf("worker: partition len %d, want %d", len(part), g.NumNodes()))
-	}
-	c := &Cluster{
-		g:         g,
-		part:      part,
-		nparts:    nparts,
-		coeff:     g.SymNormCoeffs(),
-		semantic:  semantic,
-		crossOut:  make([][]graph.Edge, nparts*nparts),
-		own:       make([][]int32, nparts),
-		fabric:    simnet.NewFabric(nparts),
-		counters:  make([]*simnet.ShardCounter, nparts),
-		inbox:     make([]chan []byte, nparts),
-		start:     make([]chan struct{}, nparts),
-		quit:      make(chan struct{}),
-		roundErrs: make([]error, nparts),
-		ws:        make([]workerScratch, nparts),
-	}
-	for p := 0; p < nparts; p++ {
-		c.counters[p] = simnet.NewShardCounter(nparts)
-		c.inbox[p] = make(chan []byte, nparts)
-		c.start[p] = make(chan struct{})
-		c.ws[p].batches = make([]wire.Batch, nparts)
-	}
-	c.buckets = graph.ExtractArcBuckets(g, part, nparts)
-	for idx := range c.crossOut {
-		c.crossOut[idx] = c.buckets.Edges(idx)
-	}
-	c.rebuildOwnership(part)
-	if semantic {
-		pc, err := core.NewPlanCache(g, part, nparts, planCfg)
-		if err != nil {
-			panic("worker: " + err.Error())
-		}
-		c.planCache = pc
-		c.plans = make([]*core.PairPlan, nparts*nparts)
-		c.revGroups = make([][]*core.Group, nparts*nparts)
-		c.kernels = make([]pairKernels, nparts*nparts)
-		for idx := range c.plans {
-			c.installPlan(idx)
-		}
-	}
-	c.local = make([]*localPlan, nparts)
-	for p := 0; p < nparts; p++ {
-		c.local[p] = c.compileLocal(p)
-	}
-	return c
+// StartEpoch marks an epoch boundary: it resets the aggregate-round slot
+// that keys error-feedback residuals and the delay cache, and advances the
+// delayed-transmission schedule to the given epoch (gnn.Train calls this
+// through the gnn.EpochMarker interface). With variable-rate scheduling the
+// boundary is also the decision point: the scheduler reads every pair's
+// signal snapshot, runs the pure decision function, and pairs whose rung
+// changed are reseeded from scratch.
+func (c *Cluster) StartEpoch(epoch int) {
+	c.core.Advance(epoch)
+	c.startEpoch(epoch)
 }
 
-// rebuildOwnership recomputes own[p] (ascending node ids per worker) from a
-// partition vector.
-func (c *Cluster) rebuildOwnership(part []int) {
-	c.own = make([][]int32, c.nparts)
-	for u := int32(0); int(u) < c.g.NumNodes(); u++ {
-		c.own[part[u]] = append(c.own[part[u]], u)
-	}
-}
-
-// installPlan refreshes the cluster's view of pair idx's semantic plan from
-// the plan cache: the cached reversed groups for the backward pass and the
-// compiled encode/deliver gather kernels for both directions. This is the
-// single recompile point, so the kernels can never go stale against the
-// plan they ride.
-func (c *Cluster) installPlan(idx int) {
-	p := c.planCache.Plan(idx)
-	c.plans[idx] = p
-	if p == nil {
-		c.revGroups[idx] = nil
-	} else {
-		c.revGroups[idx] = core.ReverseGroups(p)
-	}
-	c.compilePairKernels(idx)
-}
-
-// Repartition moves the cluster to a new partition of the same graph,
-// rebuilding only what the partition change actually touched — the worker
-// runtime's mirror of dist.Engine.Repartition, and subject to the same
-// contract: pairs whose boundary sets are unchanged keep their plan,
-// cross-edge list, and compression state verbatim; dirty pairs get a rebuilt
-// plan (bit-identical to a from-scratch build) and freshly re-seeded
-// sampler/adaptive/EF streams; delay slots (whole-round aggregates) are
-// invalidated iff any pair is dirty. The partition vector is copied. Must
-// not race a round in flight. Returns the ascending dirty pair indices; on
-// error the cluster is unchanged.
-func (c *Cluster) Repartition(part []int) ([]int, error) {
-	if err := graph.ValidatePartition(c.g.NumNodes(), part, c.nparts); err != nil {
-		return nil, fmt.Errorf("worker: Repartition: %w", err)
-	}
-	nb := graph.ExtractArcBucketsInto(c.spare, c.g, part, c.nparts)
-	var dirty []int
-	if c.planCache != nil {
-		dirty = c.planCache.RepartitionBuckets(nb)
-		for _, idx := range dirty {
-			c.installPlan(idx)
-		}
-	} else {
-		dirty = graph.DiffDBGs(c.buckets, nb)
-	}
-	// Which local gather plans the move invalidates — decided against the
-	// OLD partition vector, before it is overwritten below.
-	dirtyParts := c.dirtyLocalParts(part, dirty)
-	c.spare = c.buckets // displaced; recycled by the next extraction
-	c.buckets = nb
-	c.part = append([]int(nil), part...)
-	c.rebuildOwnership(c.part)
-	for _, idx := range dirty {
-		c.crossOut[idx] = nb.Edges(idx)
-		c.reseedPair(idx)
-	}
-	// Local plans compile from the NEW ownership/plans/crossOut, so this
-	// must come after everything above.
-	for p, d := range dirtyParts {
-		if d {
-			c.local[p] = c.compileLocal(p)
-		}
-	}
-	if len(dirty) > 0 {
-		// Slots hold whole-round aggregates over all pairs; any dirty plan
-		// makes every replay stale. Matrices are retained (fresh rounds fully
-		// rewrite them), only the filled marks drop.
-		for i := range c.delayFilled {
-			c.delayFilled[i] = false
-		}
-	}
-	return dirty, nil
-}
-
-// NewClusterFromConfig builds a cluster running the same method combination
-// as a dist.Engine configured with cfg — the canonical mapping used by
-// TrainConcurrent, the ablation harness, and the cross-engine equivalence
-// tests. Gates mirror the engine exactly: quantization is active for
-// QuantBits in (0,32), sampling for SampleRate in (0,1), delay for
-// DelayPeriod > 1; AdaptiveQuant and ErrorFeedback ride on quantization.
-func NewClusterFromConfig(g *graph.Graph, part []int, nparts int, cfg dist.Config) *Cluster {
-	c := NewCluster(g, part, nparts, cfg.Semantic, cfg.Plan)
-	c.applyConfig(cfg)
-	return c
-}
-
-// applyConfig maps a dist.Config onto the method setters with the engine's
-// exact gating, shared by NewClusterFromConfig and NewPeer. Variable-rate
-// scheduling is enabled last: the scheduler's ladder anneals toward the base
-// gates the setters just configured, and the final rebuild derives every
-// pair's state from its rung.
-func (c *Cluster) applyConfig(cfg dist.Config) {
-	if cfg.QuantBits > 0 && cfg.QuantBits < 32 {
-		c.SetQuantization(cfg.QuantBits)
-		c.SetAdaptiveQuant(cfg.AdaptiveQuant)
-		c.SetErrorFeedback(cfg.ErrorFeedback)
-	}
-	if cfg.SampleRate > 0 && cfg.SampleRate < 1 {
-		c.SetSampling(cfg.SampleRate, cfg.SampleNodes, cfg.Seed)
-	}
-	if cfg.DelayPeriod > 1 {
-		c.SetDelay(cfg.DelayPeriod)
-	}
-	if cfg.Sched.Enabled {
-		// Rung streams derive from cfg.Seed even when the base has no
-		// sampling (where no setter recorded the seed).
-		c.seed = cfg.Seed
-		c.schedule = sched.New(cfg.Sched, cfg.BaseSetting(), cfg.Seed, c.nparts*c.nparts)
-		c.rebuildPairs()
-	}
+// StartEvalEpoch prepares a measurement-only pass: like StartEpoch, but
+// delayed transmission is bypassed — the pass computes fresh remote
+// contributions without reading or writing the delay cache. gnn.Train calls
+// this through the gnn.EvalMarker interface with the actual next epoch
+// before the final accuracy pass.
+func (c *Cluster) StartEvalEpoch(epoch int) {
+	c.StartEpoch(epoch)
+	c.freshEval = true
 }
 
 // Close releases the persistent worker goroutines. It is idempotent, must
@@ -747,62 +224,25 @@ func (c *Cluster) mustAggregate(h *tensor.Matrix, backward bool) *tensor.Matrix 
 // every worker computes its local aggregate, encodes its outgoing halo as
 // wire batches, exchanges them over channels, and accumulates the decoded
 // remote contributions into the rows it owns. Reusing one dst across rounds
-// makes the steady state allocation-free. A non-nil error means the round's
-// output is unusable and the cluster is poisoned (see the package comment).
+// makes the steady state allocation-free. A mis-shaped h or dst is an error
+// before anything runs; an error from the round itself means the output is
+// unusable and the cluster is poisoned (see the package comment).
 func (c *Cluster) AggregateInto(dst, h *tensor.Matrix, backward bool) error {
 	if c.closed.Load() {
 		return errors.New("worker: cluster is closed")
 	}
-	if c.err != nil {
-		return c.err
+	target, replay, err := c.beginRound(dst, h)
+	if err != nil {
+		return err
 	}
-	n := c.g.NumNodes()
-	if h.Rows != n {
-		panic(fmt.Sprintf("worker: matrix rows %d, graph nodes %d", h.Rows, n))
-	}
-	if dst.Rows != n || dst.Cols != h.Cols {
-		panic(fmt.Sprintf("worker: dst shape (%d,%d), want (%d,%d)", dst.Rows, dst.Cols, n, h.Cols))
-	}
-	dst.Zero()
-	round := c.round
-	// Delayed transmission: the coordinator decides replay vs fresh before
-	// the workers are released, so every worker agrees on the round shape.
-	// Fresh delayed rounds accumulate the remote delta into the round slot's
-	// retained matrix (the wire-runtime analogue of DelayCache.Store, without
-	// the per-round clone); replay rounds add the cached slot with zero
-	// traffic; a forced-fresh eval pass bypasses the cache in both directions.
-	delayOn := c.delayPeriod > 1 && !c.freshEval
-	replay := false
-	target := dst
-	if delayOn {
-		transmit := c.epoch%c.delayPeriod == 0
-		filled := round < len(c.delayFilled) && c.delayFilled[round]
-		if !transmit && filled {
-			replay = true
-			target = c.delaySlots[round]
-		} else {
-			for len(c.delaySlots) <= round {
-				c.delaySlots = append(c.delaySlots, nil)
-				c.delayFilled = append(c.delayFilled, false)
-			}
-			slot := c.delaySlots[round]
-			if slot == nil || slot.Rows != dst.Rows || slot.Cols != dst.Cols {
-				slot = tensor.New(dst.Rows, dst.Cols)
-				c.delaySlots[round] = slot
-				c.delayFilled[round] = false
-			}
-			target = slot
-		}
-	}
-	c.roundH, c.roundOut, c.roundBackward = h, dst, backward
-	c.roundTarget, c.roundReplay = target, replay
-	c.barrier.Add(c.nparts)
+	c.roundH, c.roundOut, c.roundTarget = h, dst, target
+	c.roundBackward, c.roundReplay = backward, replay
+	c.barrier.Add(len(c.start))
 	for _, ch := range c.start {
 		ch <- struct{}{}
 	}
 	c.barrier.Wait()
 	c.roundH, c.roundOut, c.roundTarget = nil, nil, nil
-	c.round++
 	// Drain each worker's round traffic into the fabric after the barrier,
 	// in worker order — totals are independent of goroutine scheduling.
 	c.trafficMu.Lock()
@@ -810,573 +250,39 @@ func (c *Cluster) AggregateInto(dst, h *tensor.Matrix, backward bool) error {
 		c.fabric.Drain(sc)
 	}
 	c.trafficMu.Unlock()
-	for _, err := range c.roundErrs {
-		if err != nil {
-			c.err = err
-			return err
-		}
-	}
-	if delayOn && !replay {
-		c.delayFilled[round] = true
-	}
-	return nil
+	return c.endRound(target, dst, replay, errors.Join(c.roundErrs...))
 }
 
 // run is the persistent worker loop: park until released, execute the round
-// phases, hit the barrier, repeat. Rounds with an exchange are scheduled
-// boundary-first: the rows peers are waiting on (the worker's outgoing
-// boundary) aggregate first so sendPhase launches as early as possible, and
-// the interior aggregation — which no peer depends on — runs between send
-// and receive, overlapping the peers' decode work. Every row's accumulation
-// is self-contained and sendPhase reads only h, so the reordering is
-// output-invariant (bit-identical to local→send→receive).
+// body over the in-process transport, hit the barrier, repeat. The transport
+// is one one-slot channel per (receiver, sender): send never fails or blocks
+// (one buffer per slot per round), and recv drains the senders in ascending
+// order — a late sender stalls the receiver behind it (head-of-line), which
+// is the price of an arrival-order-free sum.
 func (c *Cluster) run(me int) {
+	np := c.core.NParts
+	send := func(peer int, frame []byte) error {
+		c.inbox[peer*np+me] <- frame
+		return nil
+	}
+	from := 0
+	recv := func() ([]byte, error) {
+		if from == me {
+			from++
+		}
+		frame := <-c.inbox[me*np+from]
+		from++
+		return frame, nil
+	}
 	for {
 		select {
 		case <-c.quit:
 			return
 		case <-c.start[me]:
 		}
-		h, out, backward := c.roundH, c.roundOut, c.roundBackward
-		target, replay := c.roundTarget, c.roundReplay
-		c.ws[me].ensure(h.Cols)
-		if replay {
-			// Delayed replay: no exchange at all — aggregate locally, then
-			// add the cached remote delta for the rows this worker owns
-			// (the engine's AddInPlace, row-sharded).
-			lp := c.local[me]
-			c.localRows(me, h, out, 0, len(lp.rows))
-			for _, u := range c.own[me] {
-				tensor.AXPY(1, target.Row(int(u)), out.Row(int(u)))
-			}
-			c.roundErrs[me] = nil
-			c.barrier.Done()
-			continue
-		}
-		lp := c.local[me]
-		c.localRows(me, h, out, 0, lp.nBoundary)
-		c.hook(me, "local-boundary")
-		c.sendPhase(me, h, backward)
-		c.hook(me, "send")
-		if target != out {
-			// Fresh delayed round: the slot holds last period's delta; clear
-			// this worker's rows before accumulating the new one. Every row
-			// is owned by exactly one worker, so the slot is fully rewritten.
-			for _, u := range c.own[me] {
-				clear(target.Row(int(u)))
-			}
-		}
-		c.localRows(me, h, out, lp.nBoundary, len(lp.rows))
-		c.hook(me, "local-interior")
-		err := c.receivePhase(me, backward, target)
-		c.hook(me, "receive")
-		if err == nil && target != out {
-			for _, u := range c.own[me] {
-				tensor.AXPY(1, target.Row(int(u)), out.Row(int(u)))
-			}
-		}
-		c.roundErrs[me] = err
+		from = 0
+		c.roundErrs[me] = c.runRound(me, c.roundH, c.roundOut, c.roundTarget,
+			c.roundBackward, c.roundReplay, false, send, recv)
 		c.barrier.Done()
 	}
-}
-
-// hook reports a completed phase to the test instrumentation, if any.
-func (c *Cluster) hook(me int, phase string) {
-	if c.phaseHook != nil {
-		c.phaseHook(me, phase)
-	}
-}
-
-// localRows computes rows [from, to) of worker me's local plan — the
-// within-partition part of Â·h for those rows. The compiled CSR bakes the
-// self-loop and same-partition neighbor terms (coefficients included) per
-// row, so the fused gather kernel replaces the per-arc partition test and
-// per-neighbor AXPY of the reference path below.
-func (c *Cluster) localRows(me int, h, out *tensor.Matrix, from, to int) {
-	lp := c.local[me]
-	if c.useReference {
-		c.localRowsReference(me, h, out, from, to)
-		return
-	}
-	for i := from; i < to; i++ {
-		lo, hi := lp.off[i], lp.off[i+1]
-		tensor.GatherAXPY(out.Row(int(lp.rows[i])), h, lp.nbr[lo:hi], lp.w[lo:hi], 1)
-	}
-}
-
-// localRowsReference is the pre-kernel local aggregation, retained as the
-// bit-identity oracle the kernel-equivalence tests run the cluster on. It
-// walks the same plan rows, so the only difference from localRows is the
-// per-arc traversal itself.
-func (c *Cluster) localRowsReference(me int, h, out *tensor.Matrix, from, to int) {
-	lp := c.local[me]
-	for i := from; i < to; i++ {
-		u := lp.rows[i]
-		fu := c.coeff[u]
-		orow := out.Row(int(u))
-		tensor.AXPY(fu*fu, h.Row(int(u)), orow)
-		for _, v := range c.g.Neighbors(u) {
-			if c.part[v] == me {
-				tensor.AXPY(fu*c.coeff[v], h.Row(int(v)), orow)
-			}
-		}
-	}
-}
-
-// localPhase computes the within-partition part of Â·h for all rows worker
-// me owns (benchmark and test entry point; rounds call localRows in the
-// boundary-first split).
-func (c *Cluster) localPhase(me int, h, out *tensor.Matrix) {
-	c.localRows(me, h, out, 0, len(c.local[me].rows))
-}
-
-// sendPhase encodes worker me's outgoing halo for this round and delivers
-// one batch (possibly empty) to every peer's inbox. Batches reuse the
-// buffers of two rounds ago; the barrier guarantees the receiver is done
-// with them.
-func (c *Cluster) sendPhase(me int, h *tensor.Matrix, backward bool) {
-	for peer := 0; peer < c.nparts; peer++ {
-		if peer == me {
-			continue
-		}
-		c.inbox[peer] <- c.encodePeer(me, peer, h, backward)
-	}
-}
-
-// encodePeer encodes worker me's outgoing halo for one peer into the
-// retained batch buffer, records the traffic on me's shard counter, and
-// returns the framed bytes. The buffer is reused next round: receivers must
-// fully consume it before then (in-process the round barrier guarantees
-// this; the multi-process transport copies it onto the socket immediately).
-func (c *Cluster) encodePeer(me, peer int, h *tensor.Matrix, backward bool) []byte {
-	batch := &c.ws[me].batches[peer]
-	batch.Reset()
-	if c.semantic {
-		c.encodeSemantic(batch, me, peer, h, backward)
-	} else {
-		c.encodeVanilla(batch, me, peer, h, backward)
-	}
-	buf := batch.Bytes()
-	// Wire framing is already inside buf (each message carries its own
-	// header), so record pre-framed bytes rather than ShardCounter.Send.
-	c.counters[me].Add(me, peer, int64(len(buf)), int64(batch.Len()))
-	return buf
-}
-
-// addMsg appends a message to the batch — quantized when configured, with
-// residual error feedback layered on top when enabled. pairIdx is the
-// structural ordered-pair index the message rides and unit its candidate
-// index within (pair, round); together with the round slot they key the
-// residual store exactly like the analytic engine's RoundUnitKey scheme.
-func (c *Cluster) addMsg(me int, batch *wire.Batch, m *wire.Message, pairIdx int, unit int64) {
-	ps := c.pairAt(pairIdx)
-	bits := c.quantBits
-	var ef *compress.ErrorFeedback
-	var aq *compress.AdaptiveQuantizer
-	if ps != nil {
-		ef, aq = ps.ef, ps.adaptive
-		if c.schedule != nil {
-			// Under variable-rate scheduling the width is the pair's rung,
-			// not the global configuration (and 0 means this rung ships raw).
-			bits = ps.bits
-		}
-	}
-	if bits <= 0 {
-		batch.Add(m)
-		return
-	}
-	if ef == nil {
-		if aq != nil {
-			batch.AddAdaptive(m, aq.ChooseBits(m.Payload))
-		} else {
-			batch.AddQuantized(m, bits)
-		}
-		return
-	}
-	ws := &c.ws[me]
-	key := compress.RoundUnitKey(c.round, unit)
-	ef.PreCompress(key, m.Payload)
-	trueVals := append(ws.efTrue[:0], m.Payload...)
-	ws.efTrue = trueVals
-	sent := ws.efSent[:len(m.Payload)]
-	if aq != nil {
-		// Width is chosen on the residual-corrected payload — the values the
-		// engine's Roundtrip sees after its own PreCompress.
-		batch.AddAdaptiveRoundtrip(m, aq.ChooseBits(m.Payload), sent)
-	} else {
-		batch.AddQuantizedRoundtrip(m, bits, sent)
-	}
-	ef.PostCompress(key, trueVals, sent)
-}
-
-// encodeVanilla emits one KindNode message per cross edge (Fig. 7(a)).
-func (c *Cluster) encodeVanilla(batch *wire.Batch, me, peer int, h *tensor.Matrix, backward bool) {
-	// Forward: my arcs me→peer carry f[u]h_u addressed to v.
-	// Backward: arcs peer→me reverse — I own the sinks v and send f[v]h_v
-	// addressed to u.
-	var idx int
-	if backward {
-		idx = peer*c.nparts + me
-	} else {
-		idx = me*c.nparts + peer
-	}
-	edges := c.crossOut[idx]
-	if len(edges) == 0 {
-		return
-	}
-	ws := &c.ws[me]
-	payload := ws.payload[:h.Cols]
-	msg := &ws.msg
-	msg.Kind = wire.KindNode
-	msg.SrcPart = int32(me)
-	msg.Payload = payload
-	var sampler *compress.Sampler
-	var nodeSampler *compress.NodeSampler
-	if ps := c.pairAt(idx); ps != nil {
-		sampler, nodeSampler = ps.sampler, ps.nodeSampler
-	}
-	if nodeSampler != nil {
-		nodeSampler.StartRound()
-	}
-	var unit int64
-	for _, e := range edges {
-		sender, receiver := e.U, e.V
-		if backward {
-			sender, receiver = e.V, e.U
-		}
-		scale := c.coeff[sender]
-		switch {
-		case sampler != nil:
-			if !sampler.Keep() {
-				unit++
-				continue
-			}
-			scale *= sampler.Scale()
-		case nodeSampler != nil:
-			if !nodeSampler.Keep(sender) {
-				unit++
-				continue
-			}
-			scale *= nodeSampler.Scale()
-		}
-		src := h.Row(int(sender))
-		for i, v := range src {
-			payload[i] = scale * v
-		}
-		msg.Target = receiver
-		c.addMsg(me, batch, msg, idx, unit)
-		unit++
-	}
-}
-
-// encodeSemantic emits one KindGroup message per group plus KindNode
-// messages for O2O residuals (Fig. 7(b)), running the compiled gather
-// lists of pair idx's EncodePlan: each group fuse is one fused
-// GatherAXPY over pre-flattened member rows with WOut·coeff baked, each
-// O2O residual a scaled row copy with coeff[sender] baked. Unit
-// ordering (groups first, then O2O, dropped units still advancing the
-// counter) matches the reference path coin for coin.
-func (c *Cluster) encodeSemantic(batch *wire.Batch, me, peer int, h *tensor.Matrix, backward bool) {
-	if c.useReference {
-		c.encodeSemanticReference(batch, me, peer, h, backward)
-		return
-	}
-	// Forward: plan(me→peer), fuse over SrcNodes.
-	// Backward: plan(peer→me) reversed — I own its DstNodes and fuse them.
-	var idx int
-	if backward {
-		idx = peer*c.nparts + me
-	} else {
-		idx = me*c.nparts + peer
-	}
-	if c.plans[idx] == nil {
-		return
-	}
-	ep := c.kernels[idx].encF
-	if backward {
-		ep = c.kernels[idx].encB
-	}
-	ws := &c.ws[me]
-	payload := ws.payload[:h.Cols]
-	msg := &ws.msg
-	msg.SrcPart = int32(me)
-	msg.Payload = payload
-	var sampler *compress.Sampler
-	var nodeSampler *compress.NodeSampler
-	if ps := c.pairAt(idx); ps != nil {
-		sampler, nodeSampler = ps.sampler, ps.nodeSampler
-	}
-	if nodeSampler != nil {
-		nodeSampler.StartRound()
-	}
-	var unit int64
-	for gi := 0; gi < ep.NumGroups(); gi++ {
-		scale := 1.0
-		switch {
-		case sampler != nil:
-			if !sampler.Keep() {
-				unit++
-				continue
-			}
-			scale = sampler.Scale()
-		case nodeSampler != nil:
-			if !nodeSampler.Keep(groupCoinKey(gi)) {
-				unit++
-				continue
-			}
-			scale = nodeSampler.Scale()
-		}
-		for i := range payload {
-			payload[i] = 0
-		}
-		rows, w := ep.Group(gi)
-		tensor.GatherAXPY(payload, h, rows, w, scale)
-		msg.Kind = wire.KindGroup
-		msg.Target = int32(gi)
-		c.addMsg(me, batch, msg, idx, unit)
-		unit++
-	}
-	msg.Kind = wire.KindNode
-	for k, src := range ep.O2OSrc {
-		scale := ep.O2OW[k]
-		switch {
-		case sampler != nil:
-			if !sampler.Keep() {
-				unit++
-				continue
-			}
-			scale *= sampler.Scale()
-		case nodeSampler != nil:
-			if !nodeSampler.Keep(src) {
-				unit++
-				continue
-			}
-			scale *= nodeSampler.Scale()
-		}
-		row := h.Row(int(src))
-		for i, v := range row {
-			payload[i] = scale * v
-		}
-		msg.Target = ep.O2ODst[k]
-		c.addMsg(me, batch, msg, idx, unit)
-		unit++
-	}
-}
-
-// encodeSemanticReference is the pre-kernel semantic encoder, retained
-// as the bit-identity oracle for encodeSemantic (same wire bytes, same
-// RNG consumption).
-func (c *Cluster) encodeSemanticReference(batch *wire.Batch, me, peer int, h *tensor.Matrix, backward bool) {
-	var idx int
-	if backward {
-		idx = peer*c.nparts + me
-	} else {
-		idx = me*c.nparts + peer
-	}
-	plan := c.plans[idx]
-	if plan == nil {
-		return
-	}
-	groups := plan.Groups
-	if backward {
-		groups = c.revGroups[idx]
-	}
-	ws := &c.ws[me]
-	payload := ws.payload[:h.Cols]
-	msg := &ws.msg
-	msg.SrcPart = int32(me)
-	msg.Payload = payload
-	var sampler *compress.Sampler
-	var nodeSampler *compress.NodeSampler
-	if ps := c.pairAt(idx); ps != nil {
-		sampler, nodeSampler = ps.sampler, ps.nodeSampler
-	}
-	if nodeSampler != nil {
-		nodeSampler.StartRound()
-	}
-	var unit int64
-	for gi, grp := range groups {
-		scale := 1.0
-		switch {
-		case sampler != nil:
-			if !sampler.Keep() {
-				unit++
-				continue
-			}
-			scale = sampler.Scale()
-		case nodeSampler != nil:
-			// Under node-granularity sampling a group is the transfer unit:
-			// one coin per (pair, group) per round, keyed in the negative key
-			// space so it can never collide with the boundary-node coins of
-			// the O2O path below.
-			if !nodeSampler.Keep(groupCoinKey(gi)) {
-				unit++
-				continue
-			}
-			scale = nodeSampler.Scale()
-		}
-		// Fuse into the retained scratch (pre-sized once per round, zeroed
-		// per group) instead of a fresh hg slice per group.
-		for i := range payload {
-			payload[i] = 0
-		}
-		for k, u := range grp.SrcNodes {
-			tensor.AXPY(grp.WOut[k]*c.coeff[u]*scale, h.Row(int(u)), payload)
-		}
-		msg.Kind = wire.KindGroup
-		msg.Target = int32(gi)
-		c.addMsg(me, batch, msg, idx, unit)
-		unit++
-	}
-	msg.Kind = wire.KindNode
-	for _, o := range plan.O2O {
-		sender, receiver := o.Src, o.Dst
-		if backward {
-			sender, receiver = o.Dst, o.Src
-		}
-		scale := c.coeff[sender]
-		switch {
-		case sampler != nil:
-			if !sampler.Keep() {
-				unit++
-				continue
-			}
-			scale *= sampler.Scale()
-		case nodeSampler != nil:
-			if !nodeSampler.Keep(sender) {
-				unit++
-				continue
-			}
-			scale *= nodeSampler.Scale()
-		}
-		src := h.Row(int(sender))
-		for i, v := range src {
-			payload[i] = scale * v
-		}
-		msg.Target = receiver
-		c.addMsg(me, batch, msg, idx, unit)
-		unit++
-	}
-}
-
-// receivePhase stream-decodes the nparts-1 batches addressed to worker me
-// and accumulates their contributions into the rows me owns. On a decode
-// error it keeps draining its inbox (so the round protocol stays balanced)
-// and reports the first error through the barrier.
-func (c *Cluster) receivePhase(me int, backward bool, out *tensor.Matrix) error {
-	var firstErr error
-	for k := 0; k < c.nparts-1; k++ {
-		buf := <-c.inbox[me]
-		if firstErr != nil {
-			continue
-		}
-		if err := c.decodeBatch(me, backward, out, buf); err != nil {
-			firstErr = err
-		}
-	}
-	return firstErr
-}
-
-// decodeBatch walks one inbound buffer with the streaming decoder: node
-// payloads are decoded directly into an AXPY against the destination row;
-// group payloads are staged once in the retained scratch and fanned out.
-func (c *Cluster) decodeBatch(me int, backward bool, out *tensor.Matrix, buf []byte) error {
-	dim := out.Cols
-	dec := wire.NewDecoder(buf)
-	scratch := c.ws[me].dec[:dim]
-	for dec.More() {
-		hd, err := dec.Next()
-		if err != nil {
-			return fmt.Errorf("worker %d: corrupt batch: %w", me, err)
-		}
-		if hd.N != dim {
-			return fmt.Errorf("worker %d: corrupt batch: payload %d values, want %d", me, hd.N, dim)
-		}
-		switch hd.Kind {
-		case wire.KindNode:
-			v := hd.Target
-			if v < 0 || int(v) >= len(c.part) {
-				return fmt.Errorf("worker %d: corrupt batch: node %d out of range", me, v)
-			}
-			if c.part[v] != me {
-				return fmt.Errorf("worker %d: received node %d owned by %d", me, v, c.part[v])
-			}
-			if err := dec.AXPY(c.coeff[v], out.Row(int(v))); err != nil {
-				return fmt.Errorf("worker %d: %w", me, err)
-			}
-		case wire.KindGroup:
-			if c.useReference {
-				grp, err := c.groupFor(int(hd.SrcPart), me, int(hd.Target), backward)
-				if err != nil {
-					return fmt.Errorf("worker %d: corrupt batch: %w", me, err)
-				}
-				if err := dec.Read(scratch); err != nil {
-					return fmt.Errorf("worker %d: %w", me, err)
-				}
-				for k, v := range grp.DstNodes {
-					tensor.AXPY(grp.DDst[k]*c.coeff[v], scratch, out.Row(int(v)))
-				}
-				continue
-			}
-			rows, w, err := c.deliverFor(int(hd.SrcPart), me, int(hd.Target), backward)
-			if err != nil {
-				return fmt.Errorf("worker %d: corrupt batch: %w", me, err)
-			}
-			if err := dec.Read(scratch); err != nil {
-				return fmt.Errorf("worker %d: %w", me, err)
-			}
-			tensor.ScatterAXPY(out, rows, w, scratch, 1)
-		}
-	}
-	return nil
-}
-
-// deliverFor resolves a received group reference against the compiled
-// deliver plans: forward groups ride the (from→me) pair's kernels,
-// backward groups the reversed (me→from) pair's. Out-of-range references
-// (possible only on corrupt wire data) are errors, not panics — the same
-// validation groupFor applies on the reference path.
-func (c *Cluster) deliverFor(from, me, gi int, backward bool) (rows []int32, w []float64, err error) {
-	if from < 0 || from >= c.nparts || from == me {
-		return nil, nil, fmt.Errorf("group message from invalid part %d", from)
-	}
-	var dp *core.DeliverPlan
-	if c.kernels != nil {
-		if backward {
-			dp = c.kernels[me*c.nparts+from].delB
-		} else {
-			dp = c.kernels[from*c.nparts+me].delF
-		}
-	}
-	n := 0
-	if dp != nil {
-		n = dp.NumGroups()
-	}
-	if gi < 0 || gi >= n {
-		return nil, nil, fmt.Errorf("group index %d out of range (pair has %d groups)", gi, n)
-	}
-	rows, w = dp.Group(gi)
-	return rows, w, nil
-}
-
-// groupFor resolves a received group reference: forward groups live in the
-// (from→me) plan; backward groups are the reversed (me→from) plan groups.
-// Out-of-range references (possible only on corrupt wire data) are errors,
-// not panics.
-func (c *Cluster) groupFor(from, me, gi int, backward bool) (*core.Group, error) {
-	if from < 0 || from >= c.nparts || from == me {
-		return nil, fmt.Errorf("group message from invalid part %d", from)
-	}
-	var groups []*core.Group
-	if backward {
-		groups = c.revGroups[me*c.nparts+from]
-	} else {
-		if plan := c.plans[from*c.nparts+me]; plan != nil {
-			groups = plan.Groups
-		}
-	}
-	if gi < 0 || gi >= len(groups) {
-		return nil, fmt.Errorf("group index %d out of range (pair has %d groups)", gi, len(groups))
-	}
-	return groups[gi], nil
 }

@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"scgnn/internal/core"
 	"scgnn/internal/datasets"
 	"scgnn/internal/dist"
 	"scgnn/internal/gnn"
@@ -30,11 +29,10 @@ func TestClusterEngineEquivalenceMatrix(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			cl := NewClusterFromConfig(d.Graph, part, nparts, cfg)
 			defer cl.Close()
-			// A second cluster pinned to the retained pre-kernel phase
-			// implementations: the compiled hot path must not drift from the
-			// reference under any method combination. (Byte-exact lockstep
-			// incl. Repartition lives in TestKernelReferenceLockstep; here
-			// the reference rides the full engine matrix at wire tolerance.)
+			// A second cluster pinned to the retained per-member reference
+			// bodies: the compiled hot path must not drift from them by a bit
+			// under any method combination (lockstep across a Repartition
+			// lives in TestKernelReferenceLockstep).
 			ref := NewClusterFromConfig(d.Graph, part, nparts, cfg)
 			defer ref.Close()
 			ref.useReference = true
@@ -55,14 +53,11 @@ func TestClusterEngineEquivalenceMatrix(t *testing.T) {
 				ref.StartEpoch(epoch)
 				refF := ref.Forward(h)
 				refB := ref.Backward(g)
-				// Inbox arrival order may reassociate fp64 row sums between
-				// two cluster runs at nparts=3 — fp64 reordering tolerance;
-				// traffic must match exactly.
-				if !gotF.Equal(refF, 1e-9*(1+refF.MaxAbs())) {
-					t.Fatalf("epoch %d: kernel forward diverged from reference phases", epoch)
+				if !gotF.Equal(refF, 0) {
+					t.Fatalf("epoch %d: kernel forward diverged from reference bodies", epoch)
 				}
-				if !gotB.Equal(refB, 1e-9*(1+refB.MaxAbs())) {
-					t.Fatalf("epoch %d: kernel backward diverged from reference phases", epoch)
+				if !gotB.Equal(refB, 0) {
+					t.Fatalf("epoch %d: kernel backward diverged from reference bodies", epoch)
 				}
 				if rs := ref.Snapshot(); snap != rs {
 					t.Fatalf("epoch %d: kernel traffic %+v vs reference %+v", epoch, snap, rs)
@@ -105,10 +100,9 @@ func TestClusterStartEvalEpochBypassesDelay(t *testing.T) {
 	h0 := randMat(d.NumNodes(), 4, 21)
 	h1 := randMat(d.NumNodes(), 4, 22)
 
-	delayed := NewCluster(d.Graph, part, 3, false, core.PlanConfig{})
-	delayed.SetDelay(2)
+	delayed := NewClusterFromConfig(d.Graph, part, 3, dist.Delay(2))
 	defer delayed.Close()
-	vanilla := NewCluster(d.Graph, part, 3, false, core.PlanConfig{})
+	vanilla := NewClusterFromConfig(d.Graph, part, 3, dist.Vanilla())
 	defer vanilla.Close()
 
 	delayed.StartEpoch(0) // fresh epoch: caches h0's remote contribution
@@ -125,17 +119,14 @@ func TestClusterStartEvalEpochBypassesDelay(t *testing.T) {
 	}
 	vanilla.StartEpoch(1)
 	want := vanilla.Forward(h1)
-	// Both sides run the same wire encode/decode; only inbox arrival order
-	// may reassociate row sums — fp64 reordering tolerance.
-	if !got.Equal(want, 1e-9) {
+	if !got.Equal(want, 0) {
 		t.Fatal("eval pass under delay != fresh vanilla exchange")
 	}
 
 	// Resumed training at epoch 1 still replays the *h0* cache with zero
 	// traffic — the eval pass neither consumed nor overwrote it. The control
 	// cluster runs the same schedule without the interleaved eval.
-	control := NewCluster(d.Graph, part, 3, false, core.PlanConfig{})
-	control.SetDelay(2)
+	control := NewClusterFromConfig(d.Graph, part, 3, dist.Delay(2))
 	defer control.Close()
 	control.StartEpoch(0)
 	control.Forward(h0)
@@ -148,7 +139,7 @@ func TestClusterStartEvalEpochBypassesDelay(t *testing.T) {
 	if bytes, _ := delayed.Traffic(); bytes != 0 {
 		t.Fatalf("replay epoch transmitted %d bytes", bytes)
 	}
-	if !replay.Equal(wantReplay, 1e-9) {
+	if !replay.Equal(wantReplay, 0) {
 		t.Fatal("post-eval replay drifted from the undisturbed schedule")
 	}
 }
@@ -159,8 +150,7 @@ func TestClusterStartEvalEpochBypassesDelay(t *testing.T) {
 // budget lands on a transmit epoch. gnn.Train marks the final pass through
 // the EvalMarker interface with the actual next epoch; before that hook, the
 // final forward silently reused the last training epoch's delay schedule.
-// Two partitions make the wire runtime bit-deterministic (one inbound buffer
-// per worker per round), so exact equality is required.
+// The wire runtime is bit-deterministic, so exact equality is required.
 func TestClusterFinalEvalUsesActualNextEpoch(t *testing.T) {
 	d := datasets.PubMedSim(3)
 	part := partition.Partition(d.Graph, 2, partition.NodeCut, partition.Config{Seed: 4})
@@ -168,8 +158,7 @@ func TestClusterFinalEvalUsesActualNextEpoch(t *testing.T) {
 	var stop, epochs0 int
 	var acc0 float64
 	for i, budget := range []int{100, 101, 102, 103} {
-		c := NewCluster(d.Graph, part, 2, false, core.PlanConfig{})
-		c.SetDelay(3)
+		c := NewClusterFromConfig(d.Graph, part, 2, dist.Delay(3))
 		rng := rand.New(rand.NewSource(2))
 		model := gnn.NewGCN(c, []int{d.FeatureDim(), 32, d.NumClasses}, rng)
 		r := gnn.Train(model, d.Features, d.Labels, d.TrainMask, d.ValMask, d.TestMask,

@@ -25,46 +25,26 @@ func TestClusterSteadyStateAllocs(t *testing.T) {
 	d, part := setup(t, 3)
 	h := randMat(d.NumNodes(), 8, 21)
 	out := tensor.New(d.NumNodes(), 8)
+	plan := core.PlanConfig{Grouping: core.GroupingConfig{Seed: 5}}
 	cases := []struct {
-		name     string
-		semantic bool
-		bits     int
-		ef       bool
-		rate     float64
-		nodes    bool
-		adaptive bool
-		delay    int
+		name string
+		cfg  dist.Config
 	}{
-		{name: "vanilla"},
-		{name: "semantic", semantic: true},
-		{name: "quant8", bits: 8},
-		{name: "quant8+ef", bits: 8, ef: true},
-		{name: "sampling", rate: 0.5},
-		{name: "nsampling", rate: 0.5, nodes: true},
-		{name: "aquant", bits: 8, adaptive: true},
-		{name: "delay3", delay: 3},
-		{name: "semantic+nsampling", semantic: true, rate: 0.5, nodes: true},
-		{name: "semantic+delay", semantic: true, delay: 2},
+		{"vanilla", dist.Config{}},
+		{"semantic", dist.Config{Semantic: true, Plan: plan}},
+		{"quant8", dist.Config{QuantBits: 8}},
+		{"quant8+ef", dist.Config{QuantBits: 8, ErrorFeedback: true}},
+		{"sampling", dist.Config{SampleRate: 0.5, Seed: 7}},
+		{"nsampling", dist.Config{SampleRate: 0.5, SampleNodes: true, Seed: 7}},
+		{"aquant", dist.Config{QuantBits: 8, AdaptiveQuant: true}},
+		{"delay3", dist.Config{DelayPeriod: 3}},
+		{"semantic+nsampling", dist.Config{Semantic: true, Plan: plan, SampleRate: 0.5, SampleNodes: true, Seed: 7}},
+		{"semantic+delay", dist.Config{Semantic: true, Plan: plan, DelayPeriod: 2}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			c := NewCluster(d.Graph, part, 3, tc.semantic, core.PlanConfig{Grouping: core.GroupingConfig{Seed: 5}})
+			c := NewClusterFromConfig(d.Graph, part, 3, tc.cfg)
 			defer c.Close()
-			if tc.bits > 0 {
-				c.SetQuantization(tc.bits)
-			}
-			if tc.ef {
-				c.SetErrorFeedback(true)
-			}
-			if tc.adaptive {
-				c.SetAdaptiveQuant(true)
-			}
-			if tc.rate > 0 {
-				c.SetSampling(tc.rate, tc.nodes, 7)
-			}
-			if tc.delay > 1 {
-				c.SetDelay(tc.delay)
-			}
 			// Warm up both directions so scratch buffers, batch capacities,
 			// the delay slots, and (for ef) the residual stores reach steady
 			// state. Three epochs cover a full delay period, so both fresh
@@ -102,7 +82,7 @@ func TestClusterSteadyStateAllocs(t *testing.T) {
 // first round's, and under -race this doubles as the pool's data-race proof.
 func TestClusterPersistentManyRounds(t *testing.T) {
 	d, part := setup(t, 3)
-	c := NewCluster(d.Graph, part, 3, true, core.PlanConfig{Grouping: core.GroupingConfig{K: 2, Seed: 6}})
+	c := NewClusterFromConfig(d.Graph, part, 3, dist.Semantic(core.PlanConfig{Grouping: core.GroupingConfig{K: 2, Seed: 6}}))
 	defer c.Close()
 	h := randMat(d.NumNodes(), 6, 22)
 	refF := c.Forward(h)
@@ -139,10 +119,7 @@ func TestClusterPersistentManyRounds(t *testing.T) {
 		if err := c.AggregateInto(outB, h, true); err != nil {
 			t.Fatal(err)
 		}
-		// Inbound batches are consumed in arrival order, so row sums may
-		// reassociate across runs — fp64 reordering tolerance, like
-		// TestClusterDeterministicUnderConcurrency.
-		if !outF.Equal(refF, 1e-9) || !outB.Equal(refB, 1e-9) {
+		if !outF.Equal(refF, 0) || !outB.Equal(refB, 0) {
 			t.Fatalf("round %d diverged from first round", round)
 		}
 	}
@@ -169,7 +146,7 @@ func TestClusterCorruptBatchError(t *testing.T) {
 	for i := range part {
 		part[i] = i % 2
 	}
-	c := NewCluster(d.Graph, part, 2, false, core.PlanConfig{})
+	c := NewClusterFromConfig(d.Graph, part, 2, dist.Vanilla())
 	defer c.Close()
 	h := randMat(d.NumNodes(), 4, 23)
 	out := tensor.New(d.NumNodes(), 4)
@@ -177,9 +154,10 @@ func TestClusterCorruptBatchError(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Worker 0 expects exactly one inbound buffer per round; pre-stuffing its
-	// inbox makes the garbage arrive in place of worker 1's real batch.
-	c.inbox[0] <- []byte{0xff, 0xee, 0xdd}
+	// Worker 0 drains exactly one buffer from its sender-1 slot per round;
+	// pre-stuffing the slot makes the garbage arrive in place of worker 1's
+	// real batch (which lands in the slot once the garbage is taken).
+	c.inbox[0*2+1] <- []byte{0xff, 0xee, 0xdd}
 	err := c.AggregateInto(out, h, false)
 	if err == nil {
 		t.Fatal("corrupt batch did not error")
@@ -205,7 +183,7 @@ func TestClusterCorruptBatchError(t *testing.T) {
 // cleanly.
 func TestClusterCloseSemantics(t *testing.T) {
 	d, part := setup(t, 3)
-	c := NewCluster(d.Graph, part, 3, false, core.PlanConfig{})
+	c := NewClusterFromConfig(d.Graph, part, 3, dist.Vanilla())
 	h := randMat(d.NumNodes(), 4, 24)
 	c.Forward(h)
 	bytes, _ := c.Traffic()
@@ -230,16 +208,9 @@ func TestClusterErrorFeedbackMatchesEngine(t *testing.T) {
 	h := randMat(d.NumNodes(), 8, 25)
 	plan := core.PlanConfig{Grouping: core.GroupingConfig{K: 2, Seed: 8}}
 	for _, semantic := range []bool{false, true} {
-		c := NewCluster(d.Graph, part, 3, semantic, plan)
-		c.SetQuantization(bits)
-		c.SetErrorFeedback(true)
-		noEF := NewCluster(d.Graph, part, 3, semantic, plan)
-		noEF.SetQuantization(bits)
-		engCfg := dist.Config{QuantBits: bits, ErrorFeedback: true}
-		if semantic {
-			engCfg.Semantic = true
-			engCfg.Plan = plan
-		}
+		engCfg := dist.Config{Semantic: semantic, Plan: plan, QuantBits: bits, ErrorFeedback: true}
+		c := NewClusterFromConfig(d.Graph, part, 3, engCfg)
+		noEF := NewClusterFromConfig(d.Graph, part, 3, dist.Config{Semantic: semantic, Plan: plan, QuantBits: bits})
 		eng := dist.NewEngine(d.Graph, part, 3, engCfg)
 
 		var efDiverged bool
@@ -275,36 +246,30 @@ func TestClusterErrorFeedbackMatchesEngine(t *testing.T) {
 // BenchmarkClusterRound*Into measure the allocation-free steady state of
 // each wire path: a preallocated output and AggregateInto, the loop a
 // training run's inner rounds actually execute.
-func BenchmarkClusterRoundVanillaInto(b *testing.B) {
-	benchInto(b, false, func(c *Cluster) {})
-}
+func BenchmarkClusterRoundVanillaInto(b *testing.B) { benchInto(b, dist.Vanilla()) }
 
 func BenchmarkClusterRoundSemanticInto(b *testing.B) {
-	benchInto(b, true, func(c *Cluster) {})
+	benchInto(b, dist.Semantic(core.PlanConfig{Grouping: core.GroupingConfig{Seed: 1}}))
 }
 
 func BenchmarkClusterRoundSampledInto(b *testing.B) {
-	benchInto(b, false, func(c *Cluster) { c.SetSampling(0.5, true, 7) })
+	benchInto(b, dist.Config{SampleRate: 0.5, SampleNodes: true, Seed: 7})
 }
 
 func BenchmarkClusterRoundAdaptiveInto(b *testing.B) {
-	benchInto(b, false, func(c *Cluster) {
-		c.SetQuantization(8)
-		c.SetAdaptiveQuant(true)
-	})
+	benchInto(b, dist.Config{QuantBits: 8, AdaptiveQuant: true})
 }
 
 func BenchmarkClusterRoundDelayInto(b *testing.B) {
 	// Period 2 with a fixed epoch alternates fresh and replay rounds —
 	// the steady-state mix of a delayed-transmission training run.
-	benchInto(b, false, func(c *Cluster) { c.SetDelay(2) })
+	benchInto(b, dist.Delay(2))
 }
 
-func benchInto(b *testing.B, semantic bool, configure func(*Cluster)) {
+func benchInto(b *testing.B, cfg dist.Config) {
 	d, part := benchSetup()
-	c := NewCluster(d.Graph, part, 4, semantic, core.PlanConfig{Grouping: core.GroupingConfig{Seed: 1}})
+	c := NewClusterFromConfig(d.Graph, part, 4, cfg)
 	defer c.Close()
-	configure(c)
 	h := randMat(d.NumNodes(), 16, 1)
 	out := tensor.New(d.NumNodes(), 16)
 	epoch := 0

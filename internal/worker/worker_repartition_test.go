@@ -41,10 +41,9 @@ func TestClusterEngineRepartitionLockstep(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			cl := NewClusterFromConfig(d.Graph, part, nparts, cfg)
 			defer cl.Close()
-			// Reference-phase cluster rides the same schedule: compiled
-			// plans must survive the repartition exactly like the retained
-			// pre-kernel implementations (fp64 reordering tolerance only —
-			// inbox arrival order differs between runs at nparts=3).
+			// Reference-body cluster rides the same schedule: compiled plans
+			// must survive the repartition bit for bit like the retained
+			// per-member loops.
 			ref := NewClusterFromConfig(d.Graph, part, nparts, cfg)
 			defer ref.Close()
 			ref.useReference = true
@@ -61,11 +60,11 @@ func TestClusterEngineRepartitionLockstep(t *testing.T) {
 				ref.StartEpoch(epoch)
 				refF := ref.Forward(h)
 				refB := ref.Backward(g)
-				if !gotF.Equal(refF, 1e-9*(1+refF.MaxAbs())) {
-					t.Fatalf("%s epoch %d: kernel forward diverged from reference phases", stage, epoch)
+				if !gotF.Equal(refF, 0) {
+					t.Fatalf("%s epoch %d: kernel forward diverged from reference bodies", stage, epoch)
 				}
-				if !gotB.Equal(refB, 1e-9*(1+refB.MaxAbs())) {
-					t.Fatalf("%s epoch %d: kernel backward diverged from reference phases", stage, epoch)
+				if !gotB.Equal(refB, 0) {
+					t.Fatalf("%s epoch %d: kernel backward diverged from reference bodies", stage, epoch)
 				}
 				if rs := ref.Snapshot(); snap != rs {
 					t.Fatalf("%s epoch %d: kernel traffic %+v vs reference %+v", stage, epoch, snap, rs)
@@ -147,9 +146,7 @@ func TestClusterRepartitionHostileInput(t *testing.T) {
 				t.Fatal("Repartition accepted a malformed partition")
 			}
 			cl.StartEpoch(0)
-			// 1e-9: channel arrival order can reorder the accumulation
-			// (same bound as TestClusterDeterministicUnderConcurrency).
-			if !cl.Forward(h).Equal(before, 1e-9) {
+			if !cl.Forward(h).Equal(before, 0) {
 				t.Fatal("failed Repartition changed the cluster's aggregate")
 			}
 		})

@@ -36,7 +36,7 @@ func randMat(r, c int, seed int64) *tensor.Matrix {
 // reproduce Â·h up to fp32 wire precision.
 func TestVanillaClusterMatchesExact(t *testing.T) {
 	d, part := setup(t, 3)
-	c := NewCluster(d.Graph, part, 3, false, core.PlanConfig{})
+	c := NewClusterFromConfig(d.Graph, part, 3, dist.Vanilla())
 	local := gnn.NewLocalAggregator(d.Graph)
 	h := randMat(d.NumNodes(), 5, 3)
 	got := c.Forward(h)
@@ -59,7 +59,7 @@ func TestClusterBytesMatchEngineAccounting(t *testing.T) {
 	h := randMat(d.NumNodes(), 5, 4)
 	for _, semantic := range []bool{false, true} {
 		plan := core.PlanConfig{Grouping: core.GroupingConfig{K: 2, Seed: 7}}
-		c := NewCluster(d.Graph, part, 3, semantic, plan)
+		c := NewClusterFromConfig(d.Graph, part, 3, dist.Config{Semantic: semantic, Plan: plan})
 		c.ResetTraffic()
 		c.Forward(h)
 		cb, cm := c.Traffic()
@@ -86,7 +86,7 @@ func TestClusterBytesMatchEngineAccounting(t *testing.T) {
 func TestSemanticClusterMatchesEngine(t *testing.T) {
 	d, part := setup(t, 4)
 	plan := core.PlanConfig{Grouping: core.GroupingConfig{K: 3, Seed: 9}}
-	c := NewCluster(d.Graph, part, 4, true, plan)
+	c := NewClusterFromConfig(d.Graph, part, 4, dist.Semantic(plan))
 	eng := dist.NewEngine(d.Graph, part, 4, dist.Semantic(plan))
 	h := randMat(d.NumNodes(), 6, 5)
 
@@ -105,18 +105,17 @@ func TestSemanticClusterMatchesEngine(t *testing.T) {
 }
 
 // TestClusterDeterministicUnderConcurrency: repeated rounds on the same
-// input produce identical outputs regardless of goroutine scheduling
-// (each worker writes only rows it owns; accumulation order within a row is
-// fixed by the per-peer receive loop... which is NOT ordered — so we require
-// results to be equal only up to fp64 summation reordering tolerance).
+// input produce bit-identical outputs regardless of goroutine scheduling
+// (each worker writes only rows it owns, and sums its inbound batches in
+// ascending sender order whatever order they arrive in).
 func TestClusterDeterministicUnderConcurrency(t *testing.T) {
 	d, part := setup(t, 4)
-	c := NewCluster(d.Graph, part, 4, false, core.PlanConfig{})
+	c := NewClusterFromConfig(d.Graph, part, 4, dist.Vanilla())
 	h := randMat(d.NumNodes(), 4, 6)
 	ref := c.Forward(h)
 	for trial := 0; trial < 10; trial++ {
 		got := c.Forward(h)
-		if !got.Equal(ref, 1e-9) {
+		if !got.Equal(ref, 0) {
 			t.Fatal("concurrent aggregate not reproducible")
 		}
 	}
@@ -127,7 +126,7 @@ func TestClusterTrainsGCN(t *testing.T) {
 	d := datasets.PubMedSim(5)
 	part := partition.Partition(d.Graph, 4, partition.NodeCut, partition.Config{Seed: 3})
 	plan := core.PlanConfig{Grouping: core.GroupingConfig{Seed: 4}}
-	c := NewCluster(d.Graph, part, 4, true, plan)
+	c := NewClusterFromConfig(d.Graph, part, 4, dist.Semantic(plan))
 	rng := rand.New(rand.NewSource(8))
 	model := gnn.NewGCN(c, []int{d.FeatureDim(), 32, d.NumClasses}, rng)
 	res := gnn.Train(model, d.Features, d.Labels, d.TrainMask, d.ValMask, d.TestMask,
@@ -146,8 +145,8 @@ func TestClusterTrainsGCN(t *testing.T) {
 func TestSemanticClusterCompresses(t *testing.T) {
 	d, part := setup(t, 3)
 	h := randMat(d.NumNodes(), 8, 7)
-	van := NewCluster(d.Graph, part, 3, false, core.PlanConfig{})
-	sem := NewCluster(d.Graph, part, 3, true, core.PlanConfig{Grouping: core.GroupingConfig{Seed: 1}})
+	van := NewClusterFromConfig(d.Graph, part, 3, dist.Vanilla())
+	sem := NewClusterFromConfig(d.Graph, part, 3, dist.Semantic(core.PlanConfig{Grouping: core.GroupingConfig{Seed: 1}}))
 	van.Forward(h)
 	sem.Forward(h)
 	vb, _ := van.Traffic()
@@ -164,14 +163,14 @@ func TestBadPartitionPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	NewCluster(d.Graph, []int{0, 1}, 2, false, core.PlanConfig{})
+	NewClusterFromConfig(d.Graph, []int{0, 1}, 2, dist.Vanilla())
 }
 
 // TestSelfAdjointSemantic: ⟨A x, y⟩ == ⟨x, Aᵀ y⟩ through real message
 // passing, fp32 tolerance.
 func TestSelfAdjointSemantic(t *testing.T) {
 	d, part := setup(t, 3)
-	c := NewCluster(d.Graph, part, 3, true, core.PlanConfig{Grouping: core.GroupingConfig{K: 2, Seed: 11}})
+	c := NewClusterFromConfig(d.Graph, part, 3, dist.Semantic(core.PlanConfig{Grouping: core.GroupingConfig{K: 2, Seed: 11}}))
 	n := d.NumNodes()
 	x, y := randMat(n, 3, 12), randMat(n, 3, 13)
 	ax := c.Forward(x)
@@ -189,7 +188,7 @@ func TestSelfAdjointSemantic(t *testing.T) {
 func BenchmarkClusterRoundVanilla(b *testing.B) {
 	d := datasets.PubMedSim(1)
 	part := partition.Partition(d.Graph, 4, partition.NodeCut, partition.Config{Seed: 1})
-	c := NewCluster(d.Graph, part, 4, false, core.PlanConfig{})
+	c := NewClusterFromConfig(d.Graph, part, 4, dist.Vanilla())
 	h := randMat(d.NumNodes(), 16, 1)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -201,7 +200,7 @@ func BenchmarkClusterRoundVanilla(b *testing.B) {
 func BenchmarkClusterRoundSemantic(b *testing.B) {
 	d := datasets.PubMedSim(1)
 	part := partition.Partition(d.Graph, 4, partition.NodeCut, partition.Config{Seed: 1})
-	c := NewCluster(d.Graph, part, 4, true, core.PlanConfig{Grouping: core.GroupingConfig{Seed: 1}})
+	c := NewClusterFromConfig(d.Graph, part, 4, dist.Semantic(core.PlanConfig{Grouping: core.GroupingConfig{Seed: 1}}))
 	h := randMat(d.NumNodes(), 16, 1)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -217,9 +216,10 @@ func TestQuantizedClusterWire(t *testing.T) {
 	// Realistic hidden width: headers amortize, so 4-bit packing shows its
 	// ~3.5x savings (16B header + 8B meta + dim/2 vs 16B header + 4·dim).
 	h := randMat(d.NumNodes(), 32, 40)
-	fp := NewCluster(d.Graph, part, 3, true, core.PlanConfig{Grouping: core.GroupingConfig{Seed: 2}})
-	q := NewCluster(d.Graph, part, 3, true, core.PlanConfig{Grouping: core.GroupingConfig{Seed: 2}})
-	q.SetQuantization(4)
+	cfg := dist.Semantic(core.PlanConfig{Grouping: core.GroupingConfig{Seed: 2}})
+	fp := NewClusterFromConfig(d.Graph, part, 3, cfg)
+	cfg.QuantBits = 4
+	q := NewClusterFromConfig(d.Graph, part, 3, cfg)
 	outFP := fp.Forward(h)
 	outQ := q.Forward(h)
 	fb, _ := fp.Traffic()
@@ -231,13 +231,15 @@ func TestQuantizedClusterWire(t *testing.T) {
 	if diff > 0.25*(1+outFP.MaxAbs()) {
 		t.Fatalf("quantized aggregate error too large: %v", diff)
 	}
-	// Invalid bits must panic via the validator.
+	// A width the quantizers cannot represent must panic via the validator
+	// (32 and above mean "unquantized", as on the engine).
 	defer func() {
 		if recover() == nil {
-			t.Fatal("expected panic for bits=40")
+			t.Fatal("expected panic for bits=20")
 		}
 	}()
-	q.SetQuantization(40)
+	cfg.QuantBits = 20
+	NewClusterFromConfig(d.Graph, part, 3, cfg)
 }
 
 // TestClusterPerLinkAccounting: the shard-and-merge plumbing must agree with
@@ -247,7 +249,7 @@ func TestQuantizedClusterWire(t *testing.T) {
 func TestClusterPerLinkAccounting(t *testing.T) {
 	d, part := setup(t, 3)
 	h := randMat(d.NumNodes(), 5, 9)
-	c := NewCluster(d.Graph, part, 3, false, core.PlanConfig{})
+	c := NewClusterFromConfig(d.Graph, part, 3, dist.Vanilla())
 	eng := dist.NewEngine(d.Graph, part, 3, dist.Vanilla())
 
 	c.Forward(h)
