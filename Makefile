@@ -60,8 +60,11 @@ test-net:
 # replay bit-identically on three runtimes, so untested branches there are
 # cross-runtime divergence waiting to happen. The exchange core holds the same
 # floor for the same reason (currently 99%): every runtime replays its coins.
+# So do compress (85, currently 87%) and wire (95, currently 100%): they hold
+# the quantisation grid and the frames every runtime's payloads pass through.
 cover:
-	@for spec in ./internal/core:90 ./internal/graph:90 ./internal/cluster:85 ./internal/net:85 ./internal/sched:90 ./internal/exchange:90; do \
+	@for spec in ./internal/core:90 ./internal/graph:90 ./internal/cluster:85 ./internal/net:85 ./internal/sched:90 ./internal/exchange:90 \
+			./internal/compress:85 ./internal/wire:95; do \
 		pkg=$${spec%:*}; floor=$${spec##*:}; \
 		line=$$($(GO) test -cover $$pkg) || { echo "$$line"; exit 1; }; \
 		pct=$$(echo "$$line" | sed -n 's/.*coverage: \([0-9.]*\)%.*/\1/p'); \
@@ -104,10 +107,12 @@ verify: build vet test race test-net cover fuzz-smoke
 # and on two; the JSON lands in BENCH_worker.json under "after" (the committed
 # "before" baseline is preserved by the merge). The "exchange-core-before" /
 # "exchange-core" keys hold this lane's and bench-round's rows from one run
-# each side of the exchange-core extraction (DESIGN.md §15). The planning-pipeline benchmarks (one-sweep DBG
-# extraction + concurrent plan builds + EEP sweep, plus the 100k-preset
-# dirty-fraction replan sweep BenchmarkReplan100K*) refresh BENCH_plan.json
-# the same way. The scheduler-overhead rows (per-boundary merge+decide cost
+# each side of the exchange-core extraction (DESIGN.md §15); "one-grid-before" /
+# "one-grid" hold the same rows either side of the move onto one quantisation
+# grid, which put every quantised encode and decode through compress.Grid.
+# The planning-pipeline benchmarks (one-sweep DBG extraction + concurrent plan
+# builds + EEP sweep, plus the 100k-preset dirty-fraction replan sweep
+# BenchmarkReplan100K*) refresh BENCH_plan.json the same way. The scheduler-overhead rows (per-boundary merge+decide cost
 # across pair counts) land in BENCH_plan.json under "sched".
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkClusterRound|BenchmarkEngineExchange' -benchmem -cpu 1,2 . ./internal/worker/ \

@@ -1,9 +1,18 @@
 package scgnn_test
 
 import (
+	"math"
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"scgnn"
+	"scgnn/internal/core"
+	"scgnn/internal/dist"
+	"scgnn/internal/gnn"
+	"scgnn/internal/sched"
+	"scgnn/internal/simnet"
+	"scgnn/internal/worker"
 )
 
 // TestIntegrationMatrix sweeps the full pipeline — every benchmark dataset ×
@@ -88,6 +97,78 @@ func TestIntegrationDifferentialNeverLoses(t *testing.T) {
 		}
 		if drop.TestAcc < full.TestAcc-0.06 {
 			t.Fatalf("%s: drop-O2O accuracy %v vs full %v", name, drop.TestAcc, full.TestAcc)
+		}
+	}
+}
+
+// TestTrainingEngineEqualsCluster locks whole training runs across the two
+// in-process runtimes: the same GCN, initialised from the same seed, trains
+// six epochs on dist.Engine and on worker.Cluster, and every epoch's loss
+// (by bit pattern), traffic snapshot and per-pair schedule must coincide.
+// Both runtimes compute every payload on the one compress.Grid and sum in the
+// same order, so nothing here is a tolerance. The semantic lane is the paper's
+// method; the scheduled quant8+EF lane climbs every rung of the ladder
+// (sampler coins, 4- and 8-bit grids, residuals) on signals each runtime
+// collects for itself.
+func TestTrainingEngineEqualsCluster(t *testing.T) {
+	const nparts, epochs = 4, 6
+	ds, err := scgnn.LoadDataset("pubmed-sim", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	part := scgnn.PartitionGraph(ds, nparts, scgnn.NodeCut, 1)
+	type epochRecord struct {
+		loss    uint64
+		traffic simnet.Snapshot
+		levels  []int
+	}
+	train := func(agg gnn.Aggregator, traffic func() simnet.Snapshot, levels func() []int) []epochRecord {
+		model := gnn.NewGCN(agg, []int{ds.FeatureDim(), 16, ds.NumClasses}, rand.New(rand.NewSource(5)))
+		tr := gnn.NewTrainer(model, ds.Features, ds.Labels, ds.TrainMask, ds.ValMask, ds.TestMask,
+			gnn.TrainConfig{Epochs: epochs, LR: 0.02})
+		var out []epochRecord
+		for !tr.Done() {
+			st, err := tr.RunEpoch()
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, epochRecord{math.Float64bits(st.Loss), traffic(), levels()})
+		}
+		return out
+	}
+	for name, cfg := range map[string]dist.Config{
+		"semantic": dist.Semantic(core.PlanConfig{Grouping: core.GroupingConfig{Seed: 1}}),
+		"sched(quant8+ef)": {QuantBits: 8, ErrorFeedback: true, Seed: 1,
+			Sched: sched.Policy{Enabled: true, EpochsPerLevel: 1}},
+	} {
+		eng := dist.NewEngine(ds.Graph, part, nparts, cfg)
+		want := train(eng, eng.CaptureEpoch, eng.ScheduleLevels)
+
+		cl := worker.NewClusterFromConfig(ds.Graph, part, nparts, cfg)
+		got := train(cl, func() simnet.Snapshot {
+			snap := cl.Snapshot()
+			cl.ResetTraffic()
+			return snap
+		}, cl.ScheduleLevels)
+		cl.Close()
+
+		for e := range want {
+			w, g := want[e], got[e]
+			if g.loss != w.loss {
+				t.Errorf("%s epoch %d: cluster loss %016x, engine %016x", name, e, g.loss, w.loss)
+			}
+			// The engine's snapshot also carries its cost-model counters;
+			// the traffic the two runtimes share is the link accounting.
+			if g.traffic.TotalBytes != w.traffic.TotalBytes || g.traffic.TotalMessages != w.traffic.TotalMessages ||
+				g.traffic.MaxInboundBytes != w.traffic.MaxInboundBytes || g.traffic.MaxOutboundBytes != w.traffic.MaxOutboundBytes {
+				t.Errorf("%s epoch %d: cluster traffic %+v, engine %+v", name, e, g.traffic, w.traffic)
+			}
+			if !reflect.DeepEqual(g.levels, w.levels) {
+				t.Errorf("%s epoch %d: cluster schedule %v, engine %v", name, e, g.levels, w.levels)
+			}
+		}
+		if name != "semantic" && reflect.DeepEqual(want[0].levels, want[epochs-1].levels) {
+			t.Errorf("%s: the schedule never moved (%v)", name, want[0].levels)
 		}
 	}
 }

@@ -49,20 +49,19 @@ func NewAdaptiveQuantizer(minBits, maxBits int, errorBudget float64) *AdaptiveQu
 // recording it in LastBits). The worker runtime calls this to pick a
 // per-message width before handing the untouched payload to the wire
 // encoder; the analytic engine's Roundtrip makes the identical choice on the
-// identical float64 payload, which is what keeps the two runtimes'
-// byte accounting equal.
+// identical payload.
 func (q *AdaptiveQuantizer) ChooseBits(v []float64) int {
 	bits := q.MinBits
 	if len(v) > 0 {
 		lo, hi, std := rangeAndStd(v)
 		if std > 0 && hi > lo {
-			need := math.Log2((hi - lo) / (2 * q.ErrorBudget * std))
-			bits = int(math.Ceil(need))
-			if bits < q.MinBits {
-				bits = q.MinBits
-			}
-			if bits > q.MaxBits {
+			// Clamped as a float: an overflowed range or variance makes need
+			// NaN or ±Inf, which must not reach an integer conversion.
+			need := math.Ceil(math.Log2((hi - lo) / (2 * q.ErrorBudget * std)))
+			if need >= float64(q.MaxBits) {
 				bits = q.MaxBits
+			} else if need > float64(q.MinBits) {
+				bits = int(need)
 			}
 		}
 	}
@@ -72,26 +71,12 @@ func (q *AdaptiveQuantizer) ChooseBits(v []float64) int {
 	return bits
 }
 
-// Roundtrip quantizes v in place at an adaptively chosen bit width and
-// returns the wire size (payload bits + 8 bytes scale/zero + 1 byte width).
+// Roundtrip quantizes v in place at an adaptively chosen bit width (see
+// Quantizer.Roundtrip) and returns the wire size (payload bits + 8 bytes
+// lo/step + 1 byte width).
 func (q *AdaptiveQuantizer) Roundtrip(v []float64) int {
 	bits := q.ChooseBits(v)
-	if len(v) == 0 {
-		return 9
-	}
-	lo, hi := v[0], v[0]
-	for _, x := range v {
-		lo = math.Min(lo, x)
-		hi = math.Max(hi, x)
-	}
-	if hi > lo {
-		levels := float64(int(1)<<uint(bits)) - 1
-		scale := (hi - lo) / levels
-		for i, x := range v {
-			qv := math.Round((x - lo) / scale)
-			v[i] = lo + qv*scale
-		}
-	}
+	NewGrid(v, bits).Roundtrip(v)
 	return (len(v)*bits+7)/8 + 9
 }
 

@@ -14,7 +14,6 @@ package compress
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 
 	"scgnn/internal/tensor"
@@ -33,40 +32,12 @@ func NewQuantizer(bits int) *Quantizer {
 	return &Quantizer{Bits: bits}
 }
 
-// Roundtrip quantizes v to Bits and dequantizes back in place, returning the
-// wire size in bytes: ceil(len·Bits/8) payload + 8 bytes for the fp32 scale
-// and zero-point pair. This mirrors torch.quantize_per_tensor: values are
-// mapped to the integer grid [0, 2^Bits−1] spanning [min, max].
+// Roundtrip replaces v in place by what a receiver reconstructs from its
+// Bits-wide quantization (see Grid), returning the wire size in bytes:
+// ceil(len·Bits/8) payload + 8 bytes for the fp32 lo/step pair.
 func (q *Quantizer) Roundtrip(v []float64) int {
-	if len(v) == 0 {
-		return 8
-	}
-	lo, hi := v[0], v[0]
-	for _, x := range v {
-		lo = math.Min(lo, x)
-		hi = math.Max(hi, x)
-	}
-	levels := float64(int(1)<<uint(q.Bits)) - 1
-	if hi > lo {
-		scale := (hi - lo) / levels
-		for i, x := range v {
-			qv := math.Round((x - lo) / scale)
-			v[i] = lo + qv*scale
-		}
-	}
-	return q.PayloadBytes(len(v))
-}
-
-// PayloadBytes returns the wire size of an n-value quantized payload.
-func (q *Quantizer) PayloadBytes(n int) int {
-	return (n*q.Bits+7)/8 + 8
-}
-
-// MaxError returns the worst-case absolute round-trip error for values
-// spanning [lo, hi]: half a quantization step.
-func (q *Quantizer) MaxError(lo, hi float64) float64 {
-	levels := float64(int(1)<<uint(q.Bits)) - 1
-	return (hi - lo) / levels / 2
+	NewGrid(v, q.Bits).Roundtrip(v)
+	return (len(v)*q.Bits+7)/8 + 8
 }
 
 // DeriveSeed maps a base seed and a stream index to a decorrelated child

@@ -9,6 +9,16 @@ import (
 	"scgnn/internal/tensor"
 )
 
+// gridBound is the worst-case absolute round-trip error of a bits-wide grid
+// over [lo, hi]: half a step on the exact grid the level is picked on, plus
+// the fp32 rounding of the metadata the value is rebuilt from — lo moves by
+// at most 2⁻²⁴·|lo|, and the top level times the step's rounding by at most
+// 2⁻²⁴·(hi−lo). The last factor covers the float64 arithmetic itself.
+func gridBound(lo, hi float64, bits int) float64 {
+	levels := float64(int(1)<<uint(bits)) - 1
+	return ((hi-lo)/levels/2 + (math.Abs(lo)+(hi-lo))/(1<<24)) * (1 + 1e-9)
+}
+
 func TestQuantizerRoundtripError(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, bits := range []int{2, 4, 8, 16} {
@@ -24,7 +34,7 @@ func TestQuantizerRoundtripError(t *testing.T) {
 			lo, hi = math.Min(lo, x), math.Max(hi, x)
 		}
 		q.Roundtrip(v)
-		bound := q.MaxError(lo, hi) * (1 + 1e-9)
+		bound := gridBound(lo, hi, bits)
 		for i := range v {
 			if math.Abs(v[i]-orig[i]) > bound {
 				t.Fatalf("bits=%d: error %v exceeds bound %v", bits, math.Abs(v[i]-orig[i]), bound)
@@ -34,13 +44,13 @@ func TestQuantizerRoundtripError(t *testing.T) {
 }
 
 func TestQuantizerPayloadBytes(t *testing.T) {
-	if got := NewQuantizer(8).PayloadBytes(32); got != 40 { // 32 + 8 meta
+	if got := NewQuantizer(8).Roundtrip(make([]float64, 32)); got != 40 { // 32 + 8 meta
 		t.Fatalf("8-bit payload = %d", got)
 	}
-	if got := NewQuantizer(4).PayloadBytes(32); got != 24 { // 16 + 8
+	if got := NewQuantizer(4).Roundtrip(make([]float64, 32)); got != 24 { // 16 + 8
 		t.Fatalf("4-bit payload = %d", got)
 	}
-	if got := NewQuantizer(1).PayloadBytes(9); got != 10 { // ceil(9/8)=2 + 8
+	if got := NewQuantizer(1).Roundtrip(make([]float64, 9)); got != 10 { // ceil(9/8)=2 + 8
 		t.Fatalf("1-bit payload = %d", got)
 	}
 }
@@ -72,10 +82,9 @@ func TestQuantizerInvalidBits(t *testing.T) {
 	}
 }
 
-// Property: the round-trip error stays within the half-step bound MaxError
-// for every bit-width. (The observed error itself is NOT monotone in bits —
-// a value can land on a coarse grid point by luck — only the bound is; and
-// endpoints reconstruct only to within an ulp of lo + levels·scale.)
+// Property: the round-trip error stays within gridBound for every bit-width.
+// (The observed error itself is NOT monotone in bits — a value can land on a
+// coarse grid point by luck — only the bound is.)
 func TestQuantizerErrorBoundProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -91,7 +100,7 @@ func TestQuantizerErrorBoundProperty(t *testing.T) {
 			q := NewQuantizer(bits)
 			v := append([]float64(nil), base...)
 			q.Roundtrip(v)
-			bound := q.MaxError(lo, hi)*(1+1e-9) + 1e-12
+			bound := gridBound(lo, hi, bits)
 			for i := range v {
 				if math.Abs(v[i]-base[i]) > bound {
 					return false

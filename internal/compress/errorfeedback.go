@@ -104,9 +104,7 @@ func (ef *ErrorFeedback) Units() int { return len(ef.residual) }
 
 // ResidualNorm returns the L2 norm over every stored residual, accumulated
 // in ascending key order so the float summation order is identical on every
-// replica. It is a diagnostic for the variable-rate scheduler's reporting —
-// decisions must never gate on it (the residuals themselves differ between
-// the fp64 analytic engine and the fp32 wire runtimes).
+// replica. It is a diagnostic for the variable-rate scheduler's reporting.
 func (ef *ErrorFeedback) ResidualNorm() float64 {
 	if len(ef.residual) == 0 {
 		return 0

@@ -40,6 +40,7 @@ import (
 	"scgnn/internal/sched"
 	"scgnn/internal/simnet"
 	"scgnn/internal/tensor"
+	"scgnn/internal/wire"
 )
 
 // Config selects the halo-exchange method(s) for a training run.
@@ -87,9 +88,6 @@ type Config struct {
 	// delayed transmission stay global (plans and whole-round delay caches
 	// cannot vary per pair).
 	Sched sched.Policy
-	// BytesPerValue is the wire size of an unquantized value (default 4,
-	// mirroring fp32 training payloads).
-	BytesPerValue int
 	// Workers caps the goroutines driving the local aggregate and the
 	// cross-partition exchange. 0 uses GOMAXPROCS; 1 forces the sequential
 	// schedule; values above the partition count engage intra-partition row
@@ -100,13 +98,6 @@ type Config struct {
 	// streams, compression state, and traffic counters, and every row
 	// accumulates its contributions in the sequential order.
 	Workers int
-}
-
-func (c Config) withDefaults() Config {
-	if c.BytesPerValue == 0 {
-		c.BytesPerValue = 4
-	}
-	return c
 }
 
 // MethodName renders the enabled features, e.core.G. "vanilla", "semantic",
@@ -272,7 +263,6 @@ type Engine struct {
 // here; callers wanting an error instead go through the public scgnn API,
 // which validates first.
 func NewEngine(g *graph.Graph, part []int, nparts int, cfg Config) *Engine {
-	cfg = cfg.withDefaults()
 	e := &Engine{
 		core:   exchange.New(g, part, nparts, cfg.Exchange()),
 		nparts: nparts,
@@ -650,11 +640,12 @@ func (e *Engine) pairFor(r, peer int, backward bool) (idx, from, to int) {
 // unit walk decides which units survive, and this sink does the engine's part
 // per unit — build the payload in float64 (Fig. 7(b) line 2 for a group:
 // h_g = Σ w(u)·f[u]·h_u, the GCN normalization folded in so delivery only
-// needs the receiver factor; f[u]·h_u for a per-node unit), account it through
-// sendPayload, and deliver it. With buf == nil the payload is delivered
-// straight into delta (the coarse schedule); with buf != nil it is staged in
-// the pair's arena for stage-2 chunk delivery, and the delivery-side counters
-// are deferred with it.
+// needs the receiver factor; f[u]·h_u for a per-node unit; rounded to the
+// fp32 the wire ships when the pair sends plain payloads, in the build loop
+// where it is cheapest), account it through sendPayload, and deliver it. With
+// buf == nil the payload is delivered straight into delta (the coarse
+// schedule); with buf != nil it is staged in the pair's arena for stage-2
+// chunk delivery, and the delivery-side counters are deferred with it.
 func (e *Engine) exchangePair(r, peer int, h, delta *tensor.Matrix, backward bool, round int, sh *shard, buf *pairBuf) {
 	dim := h.Cols
 	idx, from, to := e.pairFor(r, peer, backward)
@@ -665,11 +656,18 @@ func (e *Engine) exchangePair(r, peer int, h, delta *tensor.Matrix, backward boo
 		sh.sampleEdges += int64(len(e.core.CrossOut[idx]))
 	}
 	payload := sh.scratch(dim)
+	plain := ps.Bits == 0 // nothing quantises: deliver the fp32 the wire ships
 	e.core.Walk(idx, backward, func(u exchange.Unit) {
 		if u.Group < 0 {
 			scale := coeff[u.Sender] * u.Scale
-			for i, v := range h.Row(int(u.Sender)) {
-				payload[i] = scale * v
+			if plain {
+				for i, v := range h.Row(int(u.Sender)) {
+					payload[i] = float64(float32(scale * v))
+				}
+			} else {
+				for i, v := range h.Row(int(u.Sender)) {
+					payload[i] = scale * v
+				}
 			}
 			e.sendPayload(ps, sh, from, to, round, u.Index, payload)
 			if buf != nil {
@@ -684,6 +682,11 @@ func (e *Engine) exchangePair(r, peer int, h, delta *tensor.Matrix, backward boo
 		clear(payload)
 		for k, m := range grp.SrcNodes {
 			tensor.AXPY(grp.WOut[k]*coeff[m]*u.Scale, h.Row(int(m)), payload)
+		}
+		if plain {
+			for i, x := range payload {
+				payload[i] = float64(float32(x))
+			}
 		}
 		sh.semanticValues += int64(len(grp.SrcNodes) * dim)
 		e.sendPayload(ps, sh, from, to, round, u.Index, payload)
@@ -700,11 +703,13 @@ func (e *Engine) exchangePair(r, peer int, h, delta *tensor.Matrix, backward boo
 	})
 }
 
-// sendPayload optionally quantizes the payload in place, records the message
-// on the shard's traffic counter, and returns the wire size. unit is the
-// candidate-unit index within (pair, round); dropped candidates consume an
-// index too, so error-feedback keys stay aligned across epochs.
-func (e *Engine) sendPayload(ps *exchange.PairState, sh *shard, from, to, round int, unit int64, payload []float64) int {
+// sendPayload replaces a quantized pair's payload in place by what the
+// receiver reconstructs from the bytes the wire runtimes ship for it (a plain
+// payload arrives already rounded to fp32) and records the message on the
+// shard's traffic counter. unit is the candidate-unit index within (pair,
+// round); dropped candidates consume an index too, so error-feedback keys
+// stay aligned across epochs.
+func (e *Engine) sendPayload(ps *exchange.PairState, sh *shard, from, to, round int, unit int64, payload []float64) {
 	// Residual error feedback: correct the payload by last round's
 	// quantization error for this transfer unit, then record the new error.
 	var trueVals []float64
@@ -717,25 +722,19 @@ func (e *Engine) sendPayload(ps *exchange.PairState, sh *shard, from, to, round 
 		trueVals = append(sh.efTrue[:0], payload...)
 		sh.efTrue = trueVals
 	}
-	var bytes int
-	switch {
-	case ps.Adaptive != nil:
-		bytes = ps.Adaptive.Roundtrip(payload)
+	bytes := wire.ValueBytes * len(payload)
+	if ps.Bits > 0 {
 		sh.quantValues += int64(len(payload))
-	case ps.Bits > 0:
-		// The engine's fp64 quantizer is stateless; it derives from the
-		// pair's rung width.
-		q := compress.Quantizer{Bits: ps.Bits}
-		bytes = q.Roundtrip(payload)
-		sh.quantValues += int64(len(payload))
-	default:
-		bytes = len(payload) * e.cfg.BytesPerValue
+		if ps.Adaptive != nil {
+			bytes = ps.Adaptive.Roundtrip(payload)
+		} else {
+			bytes = (&compress.Quantizer{Bits: ps.Bits}).Roundtrip(payload)
+		}
 	}
 	if ps.EF != nil {
 		ps.EF.PostCompress(efKey, trueVals, payload)
 	}
 	sh.traffic.Send(from, to, bytes)
-	return bytes
 }
 
 // CrossEdgeCount returns the total number of cross-partition arcs.

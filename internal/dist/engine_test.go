@@ -32,7 +32,9 @@ func randMat(r, c int, seed int64) *tensor.Matrix {
 }
 
 // TestVanillaMatchesLocalAggregator: the partitioned vanilla exchange must
-// reproduce Â·h exactly — the distribution is a pure refactoring.
+// reproduce Â·h to fp32 precision. The engine delivers each cross-partition
+// payload as the fp32 the wire ships — a relative error of at most 2⁻²⁴ per
+// summed term — so a row is off by at most 2⁻²⁴·(Â·|h|) of that row.
 func TestVanillaMatchesLocalAggregator(t *testing.T) {
 	d, part := smallSetup(t)
 	eng := NewEngine(d.Graph, part, 3, Vanilla())
@@ -41,12 +43,17 @@ func TestVanillaMatchesLocalAggregator(t *testing.T) {
 	eng.StartEpoch(0)
 	got := eng.Forward(h)
 	want := local.Forward(h)
-	if !got.Equal(want, 1e-9) {
+	abs := h.Clone()
+	for i, x := range abs.Data {
+		abs.Data[i] = math.Abs(x)
+	}
+	tol := local.Forward(abs).MaxAbs() / (1 << 24)
+	if !got.Equal(want, tol) {
 		t.Fatal("vanilla distributed aggregate != exact aggregate")
 	}
 	gotB := eng.Backward(h)
 	wantB := local.Backward(h)
-	if !gotB.Equal(wantB, 1e-9) {
+	if !gotB.Equal(wantB, tol) {
 		t.Fatal("vanilla distributed backward != exact backward")
 	}
 }

@@ -20,10 +20,13 @@ func goldenLine(losses []float64, bytes int64) string {
 }
 
 // TestEngineGoldenBits: a 4-epoch dist.Run must reproduce, bit for bit, the
-// losses and byte totals recorded at the commit before the exchange core was
-// extracted, at Workers 1 and 8. Between them the three method stacks drive
-// every stateful stream (edge coins, node coins, fixed and adaptive widths,
-// error feedback, delay slots); internal/worker pins the same three.
+// recorded losses and byte totals at Workers 1 and 8. The losses were
+// re-recorded once, when the engine moved onto the wire's quantisation grid
+// and began rounding plain payloads to fp32 (they moved at ≈1e-8 relative);
+// the byte totals are those of the commit before the exchange core was
+// extracted. Between them the three method stacks drive every stateful
+// stream (edge coins, node coins, fixed and adaptive widths, error feedback,
+// delay slots); internal/worker pins the same three.
 func TestEngineGoldenBits(t *testing.T) {
 	plan := core.PlanConfig{Grouping: core.GroupingConfig{Seed: 3}}
 	d, part := smallSetup(t)
@@ -31,10 +34,10 @@ func TestEngineGoldenBits(t *testing.T) {
 		name, want string
 		cfg        Config
 	}{
-		{"vanilla", "3fee229af17bdf65 3fecb46fca9d9fac 3feb38bd502bee54 3fe9b15b8c256907 305536", Config{Seed: 3}},
-		{"semantic+sampling+q8ef", "3ff0022a2d3e9e62 3fee8dcdf8cdbc87 3fec894fc9f5258e 3feade723000509a 15672",
+		{"vanilla", "3fee229af1494765 3fecb46fcaafb403 3feb38bd5045dbb7 3fe9b15b8bed4600 305536", Config{Seed: 3}},
+		{"semantic+sampling+q8ef", "3ff0022a2d3785ba 3fee8dcdf88dd783 3fec894fca165113 3feade72302b8039 15672",
 			Config{Semantic: true, Plan: plan, SampleRate: 0.5, QuantBits: 8, ErrorFeedback: true, Seed: 3}},
-		{"nsampling+aquant+delay", "3feda5738aca86e1 3feca54c68a53fa3 3fead31544947bb0 3fe9a8d1bcbc6726 52886",
+		{"nsampling+aquant+delay", "3feda5738a3f6b2a 3feca54c6825529c 3fead3154464236e 3fe9a8d1bc96638d 52886",
 			Config{SampleRate: 0.5, SampleNodes: true, QuantBits: 8, AdaptiveQuant: true, DelayPeriod: 2, Seed: 3}},
 	} {
 		for _, workers := range []int{1, 8} {

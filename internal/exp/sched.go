@@ -23,14 +23,13 @@ func schedPolicy(epochs int) sched.Policy {
 	return sched.Policy{Enabled: true, EpochsPerLevel: per}
 }
 
-// isoTol is the fp32-reassociation accuracy tolerance the cross-runtime
-// equivalence matrix uses — two runs within it are "iso accuracy" here.
+// isoTol is the accuracy band within which two runs count as "iso accuracy".
 func isoTol(acc float64) float64 { return 1e-3 * (1 + acc) }
 
 // AblSched measures variable-rate communication scheduling (internal/sched)
 // end to end. Per dataset it runs the full fixed-rate method matrix and
-// picks the best fixed combination: among the combos within the fp32
-// equivalence tolerance of the top test accuracy, the one with the fewest
+// picks the best fixed combination: among the combos within isoTol of the
+// top test accuracy, the one with the fewest
 // total bytes. It then reruns that combination's configuration with the
 // scheduler enabled — same base method, but every partition pair anneals
 // from 0.25-sampling+4-bit up to the base rate. The acceptance evidence

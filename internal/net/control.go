@@ -238,8 +238,8 @@ func decodeHello(p []byte) (Hello, error) {
 
 // WireConfig is the flattened, serializable subset of dist.Config a node
 // needs to rebuild its worker.Peer bit-identically. The grouping similarity
-// function stays the default (it is code, not data); engine-only accounting
-// knobs (BytesPerValue, Workers) are irrelevant to a peer and not shipped.
+// function stays the default (it is code, not data); the engine's Workers cap
+// is irrelevant to a peer and not shipped.
 type WireConfig struct {
 	Semantic      bool
 	SampleRate    float64

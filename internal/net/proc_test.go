@@ -2,7 +2,6 @@ package net
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	stdnet "net"
 	"os"
@@ -192,8 +191,8 @@ func runProcTraining(t *testing.T, d *datasets.Dataset, part, part2 []int, repar
 // must, after respawn + checkpoint restore + incremental repartition of the
 // dead shard across the survivors, converge to the same TestAcc as an
 // uninterrupted run. The undisturbed multi-process run is compared bit for
-// bit; the in-process worker.Cluster run (the simulation oracle, same
-// schedule) to fp32 wire tolerance.
+// bit, and so is the in-process worker.Cluster run (the simulation oracle,
+// same schedule).
 func TestProcessKillRecoverConvergence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-process training is not short")
@@ -247,9 +246,9 @@ func TestProcessKillRecoverConvergence(t *testing.T) {
 	if got.res.TestAcc != ref.res.TestAcc {
 		t.Fatalf("recovered TestAcc=%v, undisturbed TestAcc=%v", got.res.TestAcc, ref.res.TestAcc)
 	}
-	// The simulation oracle computes identical wire bytes; only fp64
-	// summation order differs, so accuracies agree to fp32 tolerance.
-	if math.Abs(got.res.TestAcc-clRes.TestAcc) > 1e-6 {
+	// The simulation oracle ships identical wire bytes and, like every node,
+	// sums its inbound batches in ascending sender order.
+	if got.res.TestAcc != clRes.TestAcc {
 		t.Fatalf("recovered TestAcc=%v, in-process oracle TestAcc=%v", got.res.TestAcc, clRes.TestAcc)
 	}
 	t.Logf("TestAcc %.4f after kill+recover (undisturbed %.4f, in-process %.4f)",

@@ -26,9 +26,8 @@ func schedMatrix(seed int64) map[string]dist.Config {
 // TestScheduledCoordClusterEquivalenceMatrix extends the socket-vs-cluster
 // lock to scheduled runs: the coordinator gathers per-node signals over
 // SchedSig frames, decides centrally, and broadcasts SchedUpdate — and the
-// resulting per-epoch schedules must equal the self-advancing in-process
-// cluster's exactly, the aggregates to the established fp64-reassociation
-// tolerance, and the traffic snapshots bit for bit, through a mid-training
+// resulting per-epoch schedules, aggregates and traffic snapshots must equal
+// the self-advancing in-process cluster's exactly, through a mid-training
 // Repartition.
 func TestScheduledCoordClusterEquivalenceMatrix(t *testing.T) {
 	if testing.Short() {

@@ -28,8 +28,7 @@
 //     use disjoint round-keyed units, so these also merge by summation.
 //
 // Float-valued diagnostics (EF residual norms, last adaptive width) ride
-// along in Signals for reporting but must never influence a decision: the
-// fp64 engine and the fp32 wire runtimes disagree on them.
+// along in Signals for reporting; Decide ignores them.
 package sched
 
 import (
@@ -60,17 +59,10 @@ type Setting struct {
 func (s Setting) Equal(o Setting) bool { return s == o }
 
 // Ladder returns the annealing ladder for a base configuration, from the
-// most aggressive rung to the base itself. Two properties hold by
-// construction:
-//
-//   - Rung quantizer widths clamp to the base's own width when the base
-//     quantizes more tightly, so no rung ever costs more bytes than the base
-//     — even a 4-bit base still anneals upward through its sampled rungs
-//     rather than detouring through a wider quantizer.
-//   - The middle rungs avoid adaptive quantization composed with error
-//     feedback: EF residuals differ between the fp64 engine and the fp32
-//     wire runtimes, so an adaptive width chosen from residual-corrected
-//     payloads could diverge across runtimes.
+// most aggressive rung to the base itself. Rung quantizer widths clamp to
+// the base's own width when the base quantizes more tightly, so no rung ever
+// costs more bytes than the base — even a 4-bit base still anneals upward
+// through its sampled rungs rather than detouring through a wider quantizer.
 func Ladder(base Setting) []Setting {
 	q4, q8 := clampBits(base, 4), clampBits(base, 8)
 	return []Setting{

@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+
+	"scgnn/internal/compress"
 )
 
 // Header is the parsed fixed-size prefix of one message, yielded by
@@ -33,10 +35,10 @@ type Header struct {
 type Decoder struct {
 	b []byte
 	// pending payload (set by Next, consumed by AXPY/Read)
-	payload  []byte
-	bits     int
-	lo, step float64
-	n        int
+	payload []byte
+	bits    int
+	grid    compress.WireGrid
+	n       int
 }
 
 // NewDecoder returns a decoder positioned at the first message of buf.
@@ -82,8 +84,7 @@ func (d *Decoder) Next() (Header, error) {
 		if adaptive && int(b[HeaderBytes+8]) != bits {
 			return Header{}, fmt.Errorf("wire: adaptive width byte %d disagrees with header bits %d", b[HeaderBytes+8], bits)
 		}
-		d.lo = float64(math.Float32frombits(binary.LittleEndian.Uint32(b[HeaderBytes:])))
-		d.step = float64(math.Float32frombits(binary.LittleEndian.Uint32(b[HeaderBytes+4:])))
+		d.grid = readGrid(b[HeaderBytes:])
 		d.payload = b[HeaderBytes+meta : need]
 		d.bits = bits
 		d.b = b[need:]
@@ -132,7 +133,7 @@ func (d *Decoder) AXPY(alpha float64, dst []float64) error {
 		q := acc & mask
 		acc >>= bits
 		accBits -= bits
-		dst[i] += alpha * (d.lo + float64(q)*d.step)
+		dst[i] += alpha * d.grid.Value(q)
 	}
 	return nil
 }
@@ -165,7 +166,7 @@ func (d *Decoder) Read(dst []float64) error {
 		q := acc & mask
 		acc >>= bits
 		accBits -= bits
-		dst[i] = d.lo + float64(q)*d.step
+		dst[i] = d.grid.Value(q)
 	}
 	return nil
 }

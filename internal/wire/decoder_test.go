@@ -1,6 +1,8 @@
 package wire
 
 import (
+	"encoding/binary"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -200,7 +202,7 @@ func TestEncodeQuantizedRoundtripMatchesDecoder(t *testing.T) {
 	}
 	m := &Message{Kind: KindNode, Target: 7, Payload: payload}
 	rt := make([]float64, len(payload))
-	buf := EncodeQuantizedRoundtrip(nil, m, 4, rt)
+	buf := encodeQuantized(nil, m, 4, false, rt)
 
 	got, rest, err := Decode(buf)
 	if err != nil {
@@ -220,5 +222,48 @@ func TestEncodeQuantizedRoundtripMatchesDecoder(t *testing.T) {
 			t.Fatal("expected panic for short roundtrip slice")
 		}
 	}()
-	EncodeQuantizedRoundtrip(nil, m, 4, rt[:3])
+	encodeQuantized(nil, m, 4, false, rt[:3])
+}
+
+// TestNonFiniteQuantizedFrames pins what a poisoned unit (compress.Grid's
+// non-finite policy) looks like on the wire and to the receiver: NaN metadata,
+// every packed level zero — no non-finite float was converted to an integer —
+// a frame the streaming decoder accepts, all-NaN values, and a sender-side
+// roundtrip bit-identical to them.
+func TestNonFiniteQuantizedFrames(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, payload := range [][]float64{{1, nan, 3}, {1, inf, 3}, {-inf, 1, 3}, {inf, nan, -inf, 0}} {
+		for _, adaptive := range []bool{false, true} {
+			rt := make([]float64, len(payload))
+			buf := encodeQuantized(nil, &Message{Kind: KindGroup, Target: 2, Payload: payload}, 8, adaptive, rt)
+			levels := HeaderBytes + 8
+			if adaptive {
+				levels++
+			}
+			for _, at := range []int{HeaderBytes, HeaderBytes + 4} {
+				if m := math.Float32frombits(binary.LittleEndian.Uint32(buf[at:])); !math.IsNaN(float64(m)) {
+					t.Fatalf("payload %v: metadata %v at byte %d, want NaN", payload, m, at)
+				}
+			}
+			for i, b := range buf[levels:] {
+				if b != 0 {
+					t.Fatalf("payload %v: packed level byte %d = %#x, want 0", payload, i, b)
+				}
+			}
+			dec := NewDecoder(buf)
+			hd, err := dec.Next()
+			if err != nil || hd.N != len(payload) {
+				t.Fatalf("payload %v: decoder rejected the frame: %v (header %+v)", payload, err, hd)
+			}
+			got := make([]float64, hd.N)
+			if err := dec.Read(got); err != nil {
+				t.Fatal(err)
+			}
+			for i, v := range got {
+				if !math.IsNaN(v) || !sameF64(v, rt[i]) {
+					t.Fatalf("payload %v: value %d decodes as %v (sender saw %v), want NaN", payload, i, v, rt[i])
+				}
+			}
+		}
+	}
 }

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"encoding/binary"
 	"flag"
 	"math"
 	"os"
@@ -155,18 +156,31 @@ func FuzzBatchRoundtrip(f *testing.F) {
 			if len(got.Payload) != len(sm.m.Payload) {
 				t.Fatalf("message %d payload length %d, want %d", i, len(got.Payload), len(sm.m.Payload))
 			}
-			bound := sm.errorBound()
+			bound, poisoned := sm.errorBound()
 			for j, want := range sm.m.Payload {
-				if d := got.Payload[j] - want; d > bound || d < -bound {
-					t.Fatalf("message %d (bits=%d) payload[%d] error %v > %v", i, sm.bits, j, d, bound)
+				switch g := got.Payload[j]; {
+				case poisoned:
+					// compress.Grid's non-finite policy: the whole unit is NaN.
+					if !math.IsNaN(g) {
+						t.Fatalf("message %d (bits=%d) payload[%d] = %v in a poisoned unit, want NaN", i, sm.bits, j, g)
+					}
+				case sm.bits == 0:
+					// fp32 carries script values, non-finite ones included, exactly.
+					if g != want && !(math.IsNaN(g) && math.IsNaN(want)) {
+						t.Fatalf("message %d fp32 payload[%d] = %v, want %v", i, j, g, want)
+					}
+				default:
+					if d := g - want; d > bound || d < -bound {
+						t.Fatalf("message %d (bits=%d) payload[%d] error %v > %v", i, sm.bits, j, d, bound)
+					}
 				}
 				// Streaming decode of the same bytes is bit-identical.
-				if stream[i].Payload[j] != got.Payload[j] {
+				if !sameF64(stream[i].Payload[j], got.Payload[j]) {
 					t.Fatalf("message %d payload[%d]: streaming %v, DecodeAll %v",
 						i, j, stream[i].Payload[j], got.Payload[j])
 				}
 				// The sender-side roundtrip is exactly the receiver's view.
-				if sm.rt != nil && sm.rt[j] != got.Payload[j] {
+				if sm.rt != nil && !sameF64(sm.rt[j], got.Payload[j]) {
 					t.Fatalf("message %d roundtrip[%d] = %v, receiver decoded %v",
 						i, j, sm.rt[j], got.Payload[j])
 				}
@@ -174,6 +188,14 @@ func FuzzBatchRoundtrip(f *testing.F) {
 		}
 	})
 }
+
+// Payload bytes buildScripted reads as non-finite values (the extremes of the
+// int8 range, which would otherwise be ±8).
+const (
+	scriptNaN    = 0x80
+	scriptPosInf = 0x7f
+	scriptNegInf = 0x81
+)
 
 // scripted is one message built by buildScripted plus how it was encoded.
 type scripted struct {
@@ -183,29 +205,31 @@ type scripted struct {
 	rt       []float64 // roundtrip output, nil unless a Roundtrip variant
 }
 
-// errorBound returns the maximum absolute reconstruction error the encoding
-// admits: zero for fp32 (script payloads are exactly representable), half a
-// quantization step plus fp32 metadata slop otherwise.
-func (s *scripted) errorBound() float64 {
-	if s.bits == 0 {
-		return 0
+// errorBound returns the maximum absolute reconstruction error a quantized
+// encoding admits — half a quantization step plus fp32 metadata slop — or
+// poisoned when the payload holds a non-finite value, in which case the whole
+// unit must decode as NaN. (fp32 messages are checked for exactness instead.)
+func (s *scripted) errorBound() (bound float64, poisoned bool) {
+	if s.bits == 0 || len(s.m.Payload) == 0 {
+		return 0, false
 	}
-	lo, hi := 0.0, 0.0
-	if len(s.m.Payload) > 0 {
-		lo, hi = s.m.Payload[0], s.m.Payload[0]
-		for _, v := range s.m.Payload {
-			lo = math.Min(lo, v)
-			hi = math.Max(hi, v)
-		}
+	lo, hi := s.m.Payload[0], s.m.Payload[0]
+	for _, v := range s.m.Payload {
+		lo = math.Min(lo, v)
+		hi = math.Max(hi, v)
+	}
+	if math.IsNaN(lo) || math.IsInf(lo, 0) || math.IsNaN(hi) || math.IsInf(hi, 0) {
+		return 0, true
 	}
 	levels := float64(int(1)<<uint(s.bits)) - 1
-	return (hi-lo)/levels/2 + 1e-4
+	return (hi-lo)/levels/2 + 1e-4, false
 }
 
 // buildScripted interprets script as a message construction program: each
 // message consumes a 4-byte opcode (variant/kind/src, bits, payload length,
 // target) followed by its payload bytes, decoded as sixteenths so every
-// value is exactly representable in fp32.
+// value is exactly representable in fp32 — except the three bytes scriptNaN,
+// scriptPosInf and scriptNegInf, which stand for the non-finite values.
 func buildScripted(script []byte) ([]scripted, *Batch, int) {
 	var out []scripted
 	var b Batch
@@ -224,7 +248,16 @@ func buildScripted(script []byte) ([]scripted, *Batch, int) {
 		}
 		payload := make([]float64, n)
 		for i := range payload {
-			payload[i] = float64(int8(script[i])) / 16
+			switch script[i] {
+			case scriptNaN:
+				payload[i] = math.NaN()
+			case scriptPosInf:
+				payload[i] = math.Inf(1)
+			case scriptNegInf:
+				payload[i] = math.Inf(-1)
+			default:
+				payload[i] = float64(int8(script[i])) / 16
+			}
 		}
 		script = script[n:]
 		s := scripted{
@@ -299,8 +332,14 @@ func decoderSeeds() []corpusSeed {
 	badFlags[2] = 0x80
 	fp32Adaptive := Encode(nil, &Message{Kind: KindNode, Target: 1, Payload: pay})
 	fp32Adaptive[2] = FlagAdaptive
-	widthMismatch := EncodeAdaptive(nil, &Message{Kind: KindNode, Target: 2, Payload: pay}, 6)
+	widthMismatch := encodeQuantized(nil, &Message{Kind: KindNode, Target: 2, Payload: pay}, 6, true, nil)
 	widthMismatch[HeaderBytes+8] = 7
+	// Two different NaNs as lo and step: which one an addition propagates is
+	// the compiler's choice per call site, so only a canonical poisoned grid
+	// keeps the two decoders bit-equal.
+	nanMeta := encodeQuantized(nil, &Message{Kind: KindNode, Target: 3, Payload: pay}, 8, false, nil)
+	binary.LittleEndian.PutUint32(nanMeta[HeaderBytes:], 0x7fc12345)
+	binary.LittleEndian.PutUint32(nanMeta[HeaderBytes+4:], 0xffc00001)
 	hugeLen := make([]byte, HeaderBytes)
 	hugeLen[0] = byte(KindNode)
 	for i := 12; i < 16; i++ {
@@ -318,6 +357,7 @@ func decoderSeeds() []corpusSeed {
 		{"hostile-fp32-adaptive", fp32Adaptive},
 		{"hostile-width-mismatch", widthMismatch},
 		{"hostile-huge-length", hugeLen},
+		{"hostile-nan-metadata", nanMeta},
 	}
 }
 
@@ -335,6 +375,13 @@ func roundtripSeeds() []corpusSeed {
 			0x02, 7, 3, 2, 1, 2, 3,
 			0x0e, 3, 2, 3, 100, 200,
 		}},
+		// Non-finite payloads through every variant: fp32 carries them, the
+		// quantized encodings poison the unit (compress.Grid's policy).
+		{"nonfinite-fp32", []byte{0x00, 0, 4, 1, scriptNaN, scriptPosInf, scriptNegInf, 16}},
+		{"nonfinite-quant-nan", []byte{0x02, 7, 4, 2, 16, scriptNaN, 32, 48}},
+		{"nonfinite-adaptive-posinf", []byte{0x04, 3, 3, 3, scriptPosInf, 16, 240}},
+		{"nonfinite-roundtrip-neginf", []byte{0x06, 7, 3, 4, 16, 32, scriptNegInf}},
+		{"nonfinite-roundtrip-adaptive-mixed", []byte{0x0e, 15, 4, 5, scriptPosInf, scriptNaN, scriptNegInf, 0}},
 	}
 }
 

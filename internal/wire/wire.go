@@ -13,6 +13,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+
+	"scgnn/internal/compress"
 )
 
 // Kind discriminates message semantics at the receiver.
@@ -49,8 +51,11 @@ type Message struct {
 	Payload []float64
 }
 
+// ValueBytes is the wire size of one unquantized payload value (fp32).
+const ValueBytes = 4
+
 // EncodedSize returns the wire size of a message with n payload values.
-func EncodedSize(n int) int { return HeaderBytes + 4*n }
+func EncodedSize(n int) int { return HeaderBytes + ValueBytes*n }
 
 // Encode serializes m, appending to dst (which may be nil) and returning the
 // extended slice. Payload values are truncated to fp32 — the same precision
@@ -170,8 +175,10 @@ func DecodeAll(buf []byte) ([]*Message, error) {
 }
 
 // Quantized payload support: header byte 1 carries the bit width (0 means
-// fp32). A quantized message stores the value range as two fp32s (lo, step)
-// followed by the bit-packed little-endian payload.
+// fp32). A quantized message stores its compress.Grid metadata as two fp32s
+// (lo, step) followed by the bit-packed little-endian levels. The grid owns
+// the arithmetic in both directions (which level a value takes, what a level
+// or a non-finite payload reconstructs to); this package frames and packs.
 
 // EncodedSizeQuantized returns the wire size of an n-value payload at the
 // given bit width.
@@ -186,96 +193,41 @@ func EncodedSizeAdaptive(n, bits int) int {
 	return HeaderBytes + 9 + (n*bits+7)/8
 }
 
-// EncodeQuantized serializes m with b-bit affine quantization of the
-// payload (1 ≤ bits ≤ 16). The caller's payload is not modified; the
-// receiver reconstructs the dequantized values.
-func EncodeQuantized(dst []byte, m *Message, bits int) []byte {
-	return encodeQuantized(dst, m, bits, false, nil)
-}
-
-// EncodeQuantizedRoundtrip is EncodeQuantized, additionally writing the
-// values the receiver will reconstruct into roundtrip (len(m.Payload) values).
-// Senders running residual error feedback need exactly what the other side
-// will see: the reconstruction uses the fp32-truncated lo/step metadata that
-// travels on the wire, so it is bit-identical to the decoder's output.
-func EncodeQuantizedRoundtrip(dst []byte, m *Message, bits int, roundtrip []float64) []byte {
-	if len(roundtrip) != len(m.Payload) {
-		panic(fmt.Sprintf("wire: roundtrip len %d, payload len %d", len(roundtrip), len(m.Payload)))
-	}
-	return encodeQuantized(dst, m, bits, false, roundtrip)
-}
-
-// EncodeAdaptive serializes m quantized at a per-message adaptive width
-// (FlagAdaptive set, width repeated in the metadata). The caller — typically
-// holding an AdaptiveQuantizer — chooses bits per payload.
-func EncodeAdaptive(dst []byte, m *Message, bits int) []byte {
-	return encodeQuantized(dst, m, bits, true, nil)
-}
-
-// EncodeAdaptiveRoundtrip is EncodeAdaptive with the receiver-reconstructed
-// values written into roundtrip (see EncodeQuantizedRoundtrip).
-func EncodeAdaptiveRoundtrip(dst []byte, m *Message, bits int, roundtrip []float64) []byte {
-	if len(roundtrip) != len(m.Payload) {
-		panic(fmt.Sprintf("wire: roundtrip len %d, payload len %d", len(roundtrip), len(m.Payload)))
-	}
-	return encodeQuantized(dst, m, bits, true, roundtrip)
-}
-
+// encodeQuantized serializes m with bits-wide affine quantization of the
+// payload (1 ≤ bits ≤ 16), which is not modified. adaptive marks the width as
+// a per-message choice (FlagAdaptive set, width repeated in the metadata). A
+// non-nil roundtrip (len(m.Payload) values) receives what the receiver will
+// reconstruct, which senders running residual error feedback need exactly.
 func encodeQuantized(dst []byte, m *Message, bits int, adaptive bool, roundtrip []float64) []byte {
-	if bits < 1 || bits > 16 {
-		panic(fmt.Sprintf("wire: quantized bits %d out of 1..16", bits))
+	if roundtrip != nil && len(roundtrip) != len(m.Payload) {
+		panic(fmt.Sprintf("wire: roundtrip len %d, payload len %d", len(roundtrip), len(m.Payload)))
 	}
-	var hdr [HeaderBytes]byte
+	grid := compress.NewGrid(m.Payload, bits)
+	rx := compress.NewWireGrid(grid.Meta()) // what the receiver will hold
+	var hdr [HeaderBytes + 9]byte
 	hdr[0] = byte(m.Kind)
 	hdr[1] = byte(bits)
-	if adaptive {
-		hdr[2] = FlagAdaptive
-	}
 	binary.LittleEndian.PutUint32(hdr[4:], uint32(m.SrcPart))
 	binary.LittleEndian.PutUint32(hdr[8:], uint32(m.Target))
 	binary.LittleEndian.PutUint32(hdr[12:], uint32(len(m.Payload)))
-	dst = append(dst, hdr[:]...)
-
-	lo, hi := 0.0, 0.0
-	if len(m.Payload) > 0 {
-		lo, hi = m.Payload[0], m.Payload[0]
-		for _, v := range m.Payload {
-			lo = math.Min(lo, v)
-			hi = math.Max(hi, v)
-		}
-	}
-	levels := float64(int(1)<<uint(bits)) - 1
-	step := 0.0
-	if hi > lo {
-		step = (hi - lo) / levels
-	}
-	var meta [9]byte
-	binary.LittleEndian.PutUint32(meta[0:], math.Float32bits(float32(lo)))
-	binary.LittleEndian.PutUint32(meta[4:], math.Float32bits(float32(step)))
-	metaLen := 8
+	lo, step := grid.Meta()
+	binary.LittleEndian.PutUint32(hdr[HeaderBytes:], math.Float32bits(lo))
+	binary.LittleEndian.PutUint32(hdr[HeaderBytes+4:], math.Float32bits(step))
+	n := HeaderBytes + 8
 	if adaptive {
-		meta[8] = byte(bits)
-		metaLen = 9
+		hdr[2] = FlagAdaptive
+		hdr[n] = byte(bits)
+		n++
 	}
-	dst = append(dst, meta[:metaLen]...)
-	// The receiver reconstructs with the fp32-truncated metadata it reads off
-	// the wire, not the float64 values the quantization grid was built from.
-	rtLo := float64(float32(lo))
-	rtStep := float64(float32(step))
+	dst = append(dst, hdr[:n]...)
 
 	// Bit-pack the level indices little-endian.
 	var acc uint64
 	var accBits uint
 	for i, v := range m.Payload {
-		var q uint64
-		if step > 0 {
-			q = uint64(math.Round((v - lo) / step))
-			if q > uint64(levels) {
-				q = uint64(levels)
-			}
-		}
+		q := grid.Level(v)
 		if roundtrip != nil {
-			roundtrip[i] = rtLo + float64(q)*rtStep
+			roundtrip[i] = rx.Value(q)
 		}
 		acc |= q << accBits
 		accBits += uint(bits)
@@ -291,13 +243,19 @@ func encodeQuantized(dst []byte, m *Message, bits int, adaptive bool, roundtrip 
 	return dst
 }
 
+// readGrid parses the lo/step metadata pair at the front of b.
+func readGrid(b []byte) compress.WireGrid {
+	return compress.NewWireGrid(
+		math.Float32frombits(binary.LittleEndian.Uint32(b)),
+		math.Float32frombits(binary.LittleEndian.Uint32(b[4:])))
+}
+
 // decodeQuantized parses a quantized message body. The caller (Decode) has
 // already validated bits ∈ 1..16, the metadata size, and that b holds the
 // full declared payload.
 func decodeQuantized(b []byte, kind Kind, bits, meta int, src, target int32, n int) (*Message, []byte, error) {
 	total := HeaderBytes + meta + (n*bits+7)/8
-	lo := float64(math.Float32frombits(binary.LittleEndian.Uint32(b[HeaderBytes:])))
-	step := float64(math.Float32frombits(binary.LittleEndian.Uint32(b[HeaderBytes+4:])))
+	grid := readGrid(b[HeaderBytes:])
 	payload := make([]float64, n)
 	data := b[HeaderBytes+meta : total]
 	var acc uint64
@@ -313,33 +271,33 @@ func decodeQuantized(b []byte, kind Kind, bits, meta int, src, target int32, n i
 		q := acc & mask
 		acc >>= uint(bits)
 		accBits -= uint(bits)
-		payload[i] = lo + float64(q)*step
+		payload[i] = grid.Value(q)
 	}
 	return &Message{Kind: kind, SrcPart: src, Target: target, Payload: payload}, b[total:], nil
 }
 
 // AddQuantized encodes m into the batch with b-bit quantization.
 func (b *Batch) AddQuantized(m *Message, bits int) {
-	b.buf = EncodeQuantized(b.buf, m, bits)
+	b.buf = encodeQuantized(b.buf, m, bits, false, nil)
 	b.count++
 }
 
 // AddQuantizedRoundtrip encodes m with b-bit quantization and writes the
-// receiver-reconstructed values into roundtrip (see EncodeQuantizedRoundtrip).
+// receiver-reconstructed values into roundtrip.
 func (b *Batch) AddQuantizedRoundtrip(m *Message, bits int, roundtrip []float64) {
-	b.buf = EncodeQuantizedRoundtrip(b.buf, m, bits, roundtrip)
+	b.buf = encodeQuantized(b.buf, m, bits, false, roundtrip)
 	b.count++
 }
 
 // AddAdaptive encodes m into the batch at a per-message adaptive width.
 func (b *Batch) AddAdaptive(m *Message, bits int) {
-	b.buf = EncodeAdaptive(b.buf, m, bits)
+	b.buf = encodeQuantized(b.buf, m, bits, true, nil)
 	b.count++
 }
 
 // AddAdaptiveRoundtrip encodes m at a per-message adaptive width and writes
 // the receiver-reconstructed values into roundtrip.
 func (b *Batch) AddAdaptiveRoundtrip(m *Message, bits int, roundtrip []float64) {
-	b.buf = EncodeAdaptiveRoundtrip(b.buf, m, bits, roundtrip)
+	b.buf = encodeQuantized(b.buf, m, bits, true, roundtrip)
 	b.count++
 }

@@ -166,7 +166,7 @@ func BenchmarkDecode32(b *testing.B) {
 func TestQuantizedRoundTrip(t *testing.T) {
 	m := &Message{Kind: KindGroup, SrcPart: 2, Target: 9, Payload: []float64{-1, 0, 0.5, 1}}
 	for _, bits := range []int{2, 4, 8, 12} {
-		buf := EncodeQuantized(nil, m, bits)
+		buf := encodeQuantized(nil, m, bits, false, nil)
 		if len(buf) != EncodedSizeQuantized(4, bits) {
 			t.Fatalf("bits=%d: size %d, want %d", bits, len(buf), EncodedSizeQuantized(4, bits))
 		}
@@ -214,7 +214,7 @@ func TestQuantizedMixedBatch(t *testing.T) {
 
 func TestQuantizedConstantPayload(t *testing.T) {
 	m := &Message{Kind: KindNode, Payload: []float64{7, 7, 7}}
-	got, _, err := Decode(EncodeQuantized(nil, m, 4))
+	got, _, err := Decode(encodeQuantized(nil, m, 4, false, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +231,7 @@ func TestQuantizedBadBitsPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	EncodeQuantized(nil, &Message{Kind: KindNode}, 17)
+	encodeQuantized(nil, &Message{Kind: KindNode}, 17, false, nil)
 }
 
 // Property: DecodeAll never panics on arbitrary corrupted buffers — it must
@@ -320,13 +320,13 @@ func TestDecodeHostileLengths(t *testing.T) {
 	}
 	// Quantized body one byte short of its declared size.
 	msg := &Message{Kind: KindGroup, Target: 7, Payload: []float64{1, 2, 3, 4, 5}}
-	qbuf := EncodeQuantized(nil, msg, 3)
+	qbuf := encodeQuantized(nil, msg, 3, false, nil)
 	if _, _, err := Decode(qbuf[:len(qbuf)-1]); err == nil {
 		t.Fatal("truncated quantized payload accepted")
 	}
 	// Every in-range width on a valid buffer still decodes.
 	for bits := 1; bits <= 16; bits++ {
-		buf := EncodeQuantized(nil, msg, bits)
+		buf := encodeQuantized(nil, msg, bits, false, nil)
 		m, rest, err := Decode(buf)
 		if err != nil {
 			t.Fatalf("bits=%d: %v", bits, err)
@@ -344,7 +344,7 @@ func TestDecodeHostileLengths(t *testing.T) {
 func TestDecodeHostileAdaptive(t *testing.T) {
 	pay := []float64{1, 2, 3, 4, 5}
 	msg := &Message{Kind: KindNode, Target: 3, Payload: pay}
-	base := EncodeAdaptive(nil, msg, 6)
+	base := encodeQuantized(nil, msg, 6, true, nil)
 
 	check := func(name string, buf []byte, wantSub string) {
 		t.Helper()
@@ -383,7 +383,7 @@ func TestDecodeHostileAdaptive(t *testing.T) {
 	// values its fixed-width twin does — the equivalence-matrix tests lean on
 	// adaptive and fixed encodings agreeing at equal bits.
 	for bits := 1; bits <= 16; bits++ {
-		abuf := EncodeAdaptive(nil, msg, bits)
+		abuf := encodeQuantized(nil, msg, bits, true, nil)
 		if len(abuf) != EncodedSizeAdaptive(len(pay), bits) {
 			t.Fatalf("bits=%d: adaptive size %d, want %d", bits, len(abuf), EncodedSizeAdaptive(len(pay), bits))
 		}
@@ -394,7 +394,7 @@ func TestDecodeHostileAdaptive(t *testing.T) {
 		if err != nil || len(rest) != 0 {
 			t.Fatalf("bits=%d: adaptive decode err=%v rest=%d", bits, err, len(rest))
 		}
-		qm, _, err := Decode(EncodeQuantized(nil, msg, bits))
+		qm, _, err := Decode(encodeQuantized(nil, msg, bits, false, nil))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -410,7 +410,7 @@ func TestDecodeHostileAdaptive(t *testing.T) {
 // single-byte header fields (kind, bits) over a small valid body: Decode
 // must classify each as ok or error without panicking.
 func TestDecodeHeaderFieldSweep(t *testing.T) {
-	base := EncodeQuantized(nil, &Message{Kind: KindNode, Target: 1, Payload: []float64{1, 2}}, 4)
+	base := encodeQuantized(nil, &Message{Kind: KindNode, Target: 1, Payload: []float64{1, 2}}, 4, false, nil)
 	for kind := 0; kind < 256; kind++ {
 		for bits := 0; bits < 256; bits++ {
 			buf := append([]byte(nil), base...)

@@ -11,9 +11,8 @@
 // sampling, fixed and variance-adaptive wire quantization, quantized error
 // feedback, and delayed transmission — with actual concurrency, actual fp32
 // wire encoding, and bytes measured off the encoded buffers. Tests assert
-// that its aggregates match the sequential engine to fp32 precision and that
-// its measured bytes equal the engine's analytic accounting exactly, for
-// every method combination.
+// that its aggregates and its measured bytes equal the sequential engine's
+// exactly, for every method combination.
 //
 // # One exchange core, one configuration
 //

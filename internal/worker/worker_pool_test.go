@@ -198,10 +198,8 @@ func TestClusterCloseSemantics(t *testing.T) {
 }
 
 // TestClusterErrorFeedbackMatchesEngine: the worker runtime's quantized
-// error-feedback path must track the analytic engine at matching bits — same
-// residual keys, same unit enumeration, same round slots — up to the fp32
-// metadata truncation of the wire format (the engine reconstructs from
-// float64 lo/step, the wire from their fp32 truncations).
+// error-feedback path must equal the analytic engine's at matching bits —
+// same residual keys, same unit enumeration, same round slots, same grid.
 func TestClusterErrorFeedbackMatchesEngine(t *testing.T) {
 	const bits = 4
 	d, part := setup(t, 3)
@@ -225,8 +223,7 @@ func TestClusterErrorFeedbackMatchesEngine(t *testing.T) {
 				} else {
 					got, gotNoEF, want = c.Forward(h), noEF.Forward(h), eng.Forward(h)
 				}
-				tol := 1e-3 * (1 + want.MaxAbs())
-				if !got.Equal(want, tol) {
+				if !got.Equal(want, 0) {
 					t.Fatalf("semantic=%v epoch %d backward=%v: cluster EF != engine EF (maxdiff %v)",
 						semantic, epoch, backward, tensor.Sub(got, want).MaxAbs())
 				}

@@ -24,8 +24,8 @@ func movedPart(t *testing.T, n int, part []int, nparts int) []int {
 // TestClusterEngineRepartitionLockstep extends the cross-engine equivalence
 // matrix across a mid-training repartition: for every Fig. 12(b) method
 // combination, engine and cluster run two epochs, Repartition onto the same
-// perturbed partition (same dirty sets), and run two more — aggregates must
-// stay within fp32 wire tolerance and traffic must match exactly throughout.
+// perturbed partition (same dirty sets), and run two more — aggregates and
+// traffic must match exactly throughout.
 // This is the strongest check on the stateful methods (sampling, adaptive
 // quantization, error feedback): their per-pair streams must survive on
 // clean pairs and re-seed identically on dirty pairs in both runtimes.
@@ -72,10 +72,10 @@ func TestClusterEngineRepartitionLockstep(t *testing.T) {
 				eng.StartEpoch(epoch)
 				wantF := eng.Forward(h)
 				wantB := eng.Backward(g)
-				if tol := 1e-3 * (1 + wantF.MaxAbs()); !gotF.Equal(wantF, tol) {
+				if !gotF.Equal(wantF, 0) {
 					t.Fatalf("%s epoch %d: forward diverged from engine", stage, epoch)
 				}
-				if tol := 1e-3 * (1 + wantB.MaxAbs()); !gotB.Equal(wantB, tol) {
+				if !gotB.Equal(wantB, 0) {
 					t.Fatalf("%s epoch %d: backward diverged from engine", stage, epoch)
 				}
 				if es := eng.CaptureEpoch(); snap.TotalBytes != es.TotalBytes ||
