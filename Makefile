@@ -42,9 +42,14 @@ race:
 # detector (framing/control codecs, fault-injection matrix, cross-runtime
 # equivalence, subprocess kill/respawn/restore/repartition), then a 2-process
 # unix-socket training smoke through the real scgnn-node/scgnn-coord
-# binaries, checkpointing each boundary.
+# binaries, checkpointing each boundary. Every connection keeps its frame
+# buffers between frames, and a mesh link's are filled by its reader
+# goroutine while the round loop decodes what it queued: the tests that pin
+# who owns those bytes, and the allocation gate over them, run five times
+# over under the detector.
 test-net:
 	$(GO) test -race ./internal/net/...
+	$(GO) test -race -count=5 -run 'TestFleetSteadyStateAllocs|TestRetainedReader|TestMeshBatchOwnsData|TestAggregateIntoAndRoundAlternate' ./internal/net/
 	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT INT TERM && \
 	$(GO) build -o "$$dir/" ./cmd/scgnn-node ./cmd/scgnn-coord && \
 	"$$dir/scgnn-coord" -node-bin "$$dir/scgnn-node" \
@@ -90,6 +95,7 @@ fuzz:
 	$(GO) test ./internal/wire/ -run '^$$' -fuzz '^FuzzBatchRoundtrip$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/graph/ -run '^$$' -fuzz '^FuzzDiffDBGs$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/net/ -run '^$$' -fuzz '^FuzzFrameDecoder$$' -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/net/ -run '^$$' -fuzz '^FuzzFrameStream$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/net/ -run '^$$' -fuzz '^FuzzSchedUpdate$$' -fuzztime=$(FUZZTIME)
 
 # Short fuzz pass for the verify gate / CI.
@@ -127,10 +133,15 @@ bench:
 # one run (the reference rows are the retained pre-kernel phase
 # implementations, so every refresh carries its own before/after). Rows
 # merge into BENCH_worker.json under "round", preserving the other keys.
+# BenchmarkCoordinatorRound is the same round through a four-node unix-socket
+# fleet (semantic and vanilla, widths 32 and 16); the "hub-before" / "hub"
+# keys hold its rows either side of the retained framed connections.
 # The alloc ceiling itself is gated by tests that ride `make verify`
-# (TestKernelAllocs, TestClusterSteadyStateAllocs), not by this lane.
+# (TestKernelAllocs, TestClusterSteadyStateAllocs, TestFleetSteadyStateAllocs),
+# not by this lane.
 bench-round:
-	$(GO) test -run '^$$' -bench 'BenchmarkLocalPhase|BenchmarkRoundEndToEnd' -benchmem -cpu 1,2 ./internal/worker/ \
+	$(GO) test -run '^$$' -bench 'BenchmarkLocalPhase|BenchmarkRoundEndToEnd|BenchmarkCoordinatorRound' -benchmem -cpu 1,2 \
+		./internal/worker/ ./internal/net/ \
 		| $(GO) run ./cmd/scgnn-benchjson -o BENCH_worker.json -key round
 
 # The dense lane: the three products of a linear layer and a whole dense

@@ -5,10 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"scgnn/internal/core"
 	"scgnn/internal/dist"
 	"scgnn/internal/sched"
+	"scgnn/internal/tensor"
 )
 
 // Control-message codecs: hand-rolled little-endian encoders with fully
@@ -22,11 +24,17 @@ import (
 
 var errBadControl = errors.New("net: malformed control payload")
 
-// cwriter appends little-endian fields to a growing payload.
+// cwriter appends little-endian fields to a growing payload; the arrays,
+// where a frame's megabytes are, reserve their bytes once and store in bulk.
 type cwriter struct{ b []byte }
 
-func (w *cwriter) u8(v byte)     { w.b = append(w.b, v) }
-func (w *cwriter) bool(v bool)   { w.u8(map[bool]byte{false: 0, true: 1}[v]) }
+func (w *cwriter) u8(v byte) { w.b = append(w.b, v) }
+func (w *cwriter) bool(v bool) {
+	w.u8(0)
+	if v {
+		w.b[len(w.b)-1] = 1
+	}
+}
 func (w *cwriter) u32(v uint32)  { w.b = binary.LittleEndian.AppendUint32(w.b, v) }
 func (w *cwriter) i32(v int32)   { w.u32(uint32(v)) }
 func (w *cwriter) u64(v uint64)  { w.b = binary.LittleEndian.AppendUint64(w.b, v) }
@@ -40,22 +48,42 @@ func (w *cwriter) bytes(p []byte) {
 	w.u32(uint32(len(p)))
 	w.b = append(w.b, p...)
 }
+
+// grow extends the payload by n bytes in one step and returns them.
+func (w *cwriter) grow(n int) []byte {
+	w.b = slices.Grow(w.b, n)
+	w.b = w.b[:len(w.b)+n]
+	return w.b[len(w.b)-n:]
+}
 func (w *cwriter) i32s(v []int32) {
 	w.u32(uint32(len(v)))
-	for _, x := range v {
-		w.i32(x)
+	b := w.grow(4 * len(v))
+	for i, x := range v {
+		binary.LittleEndian.PutUint32(b[4*i:], uint32(x))
 	}
 }
 func (w *cwriter) i64s(v []int64) {
 	w.u32(uint32(len(v)))
-	for _, x := range v {
-		w.i64(x)
+	b := w.grow(8 * len(v))
+	for i, x := range v {
+		binary.LittleEndian.PutUint64(b[8*i:], uint64(x))
 	}
 }
-func (w *cwriter) f64s(v []float64) {
-	w.u32(uint32(len(v)))
-	for _, x := range v {
-		w.f64(x)
+
+// f64rows appends the listed rows of m as one float64 array (count, then
+// the values row after row). m may be nil when rows is empty.
+func (w *cwriter) f64rows(m *tensor.Matrix, rows []int32) {
+	if len(rows) == 0 {
+		w.u32(0)
+		return
+	}
+	w.u32(uint32(len(rows) * m.Cols))
+	b := w.grow(8 * len(rows) * m.Cols)
+	for _, u := range rows {
+		for i, x := range m.Row(int(u)) {
+			binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(x))
+		}
+		b = b[8*m.Cols:]
 	}
 }
 func (w *cwriter) strs(v []string) {
@@ -149,10 +177,8 @@ func (r *creader) str() string {
 	n := r.count(1)
 	return string(r.take(n))
 }
-func (r *creader) bytesField() []byte {
-	n := r.count(1)
-	return append([]byte(nil), r.take(n)...)
-}
+
+func (r *creader) bytesField() []byte { return append([]byte(nil), r.take(r.count(1))...) }
 func (r *creader) i32s() []int32 {
 	n := r.count(4)
 	if r.err != nil || n == 0 {
@@ -175,16 +201,17 @@ func (r *creader) i64s() []int64 {
 	}
 	return v
 }
-func (r *creader) f64s() []float64 {
-	n := r.count(8)
-	if r.err != nil || n == 0 {
-		return nil
+
+// loadRows stores a float64 array's values, still encoded, into m's listed
+// rows; p holds exactly len(rows)*m.Cols of them.
+func loadRows(p []byte, m *tensor.Matrix, rows []int32) {
+	for _, u := range rows {
+		row := m.Row(int(u))
+		for i := range row {
+			row[i] = math.Float64frombits(binary.LittleEndian.Uint64(p[8*i:]))
+		}
+		p = p[8*len(row):]
 	}
-	v := make([]float64, n)
-	for i := range v {
-		v[i] = r.f64()
-	}
-	return v
 }
 func (r *creader) strs() []string {
 	n := r.count(4) // each element costs at least its 4-byte length prefix
@@ -223,11 +250,9 @@ type Hello struct {
 	Gen    uint32
 }
 
-func (m Hello) encode() []byte {
-	var w cwriter
+func (m Hello) encodeInto(w *cwriter) {
 	w.i32(m.Sender)
 	w.u32(m.Gen)
-	return w.b
 }
 
 func decodeHello(p []byte) (Hello, error) {
@@ -385,20 +410,28 @@ type Setup struct {
 	EdgeV  []int32
 	Part   []int32
 	Cfg    WireConfig
+	shared []byte // when set, stands in for the fields after Gen: their encodeShared bytes
 }
 
-func (m Setup) encode() []byte {
-	var w cwriter
+func (m Setup) encodeInto(w *cwriter) {
 	w.i32(m.NParts)
 	w.i32(m.Me)
 	w.u32(m.Gen)
+	if m.shared != nil {
+		w.b = append(w.b, m.shared...)
+	} else {
+		m.encodeShared(w)
+	}
+}
+
+// encodeShared appends everything after Gen.
+func (m Setup) encodeShared(w *cwriter) {
 	w.strs(m.Addrs)
 	w.i32(m.Nodes)
 	w.i32s(m.EdgeU)
 	w.i32s(m.EdgeV)
 	w.i32s(m.Part)
-	m.Cfg.encodeInto(&w)
-	return w.b
+	m.Cfg.encodeInto(w)
 }
 
 func decodeSetup(p []byte) (Setup, error) {
@@ -451,11 +484,9 @@ type Ack struct {
 	Err string
 }
 
-func (m Ack) encode() []byte {
-	var w cwriter
+func (m Ack) encodeInto(w *cwriter) {
 	w.u64(m.Seq)
 	w.str(m.Err)
-	return w.b
 }
 
 func decodeAck(p []byte) (Ack, error) {
@@ -470,11 +501,9 @@ type Epoch struct {
 	Eval  bool
 }
 
-func (m Epoch) encode() []byte {
-	var w cwriter
+func (m Epoch) encodeInto(w *cwriter) {
 	w.i32(m.Epoch)
 	w.bool(m.Eval)
-	return w.b
 }
 
 func decodeEpoch(p []byte) (Epoch, error) {
@@ -483,95 +512,102 @@ func decodeEpoch(p []byte) (Epoch, error) {
 	return m, r.done()
 }
 
-// Round releases a node into one aggregate round: H carries the current
-// feature rows of the nodes it owns, flattened in ascending owned-node
-// order (the coordinator's scatter), in full float64 so the wire adds no
-// precision loss before the batch encoders do their fp32 conversion.
+// Round releases a node into one aggregate round. Its float section carries
+// the current feature rows of the nodes the receiver owns, flattened in
+// ascending owned-node order (the coordinator's scatter), in full float64 so
+// the wire adds no precision loss before the batch encoders do their fp32
+// conversion. Neither side flattens them in memory: rows Rows of H are encoded
+// straight into the frame, and decodeRound returns them encoded, for loadRows.
 type Round struct {
 	Seq      uint64
 	Backward bool
 	Cols     int32
-	H        []float64
+	H        *tensor.Matrix
+	Rows     []int32
 }
 
-func (m Round) encode() []byte {
-	var w cwriter
+func (m Round) encodeInto(w *cwriter) {
 	w.u64(m.Seq)
 	w.bool(m.Backward)
 	w.i32(m.Cols)
-	w.f64s(m.H)
-	return w.b
+	w.f64rows(m.H, m.Rows)
 }
 
-func decodeRound(p []byte) (Round, error) {
+func decodeRound(p []byte) (m Round, h []byte, err error) {
 	r := creader{b: p}
-	m := Round{Seq: r.u64(), Backward: r.bool(), Cols: r.i32(), H: r.f64s()}
+	m = Round{Seq: r.u64(), Backward: r.bool(), Cols: r.i32()}
+	h = r.take(8 * r.count(8))
 	if err := r.done(); err != nil {
-		return Round{}, err
+		return Round{}, nil, err
 	}
 	if m.Cols < 1 {
-		return Round{}, fmt.Errorf("%w: round cols %d", errBadControl, m.Cols)
+		return Round{}, nil, fmt.Errorf("%w: round cols %d", errBadControl, m.Cols)
 	}
-	if len(m.H)%int(m.Cols) != 0 {
-		return Round{}, fmt.Errorf("%w: %d h values not divisible by %d cols", errBadControl, len(m.H), m.Cols)
+	if len(h)/8%int(m.Cols) != 0 {
+		return Round{}, nil, fmt.Errorf("%w: %d h values not divisible by %d cols", errBadControl, len(h)/8, m.Cols)
 	}
-	return m, nil
+	return m, h, nil
 }
 
 // RoundDone reports a completed round: the aggregated rows this node owns
-// (same flattening as Round.H), the per-destination traffic delta, and the
+// (a float section like Round's), the per-destination traffic delta, and the
 // node-side error if the round failed.
 type RoundDone struct {
 	Seq   uint64
-	Out   []float64
+	Out   *tensor.Matrix
+	Rows  []int32
 	Bytes []int64
 	Msgs  []int64
 	Err   string
 }
 
-func (m RoundDone) encode() []byte {
-	var w cwriter
+func (m RoundDone) encodeInto(w *cwriter) {
 	w.u64(m.Seq)
-	w.f64s(m.Out)
+	w.f64rows(m.Out, m.Rows)
 	w.i64s(m.Bytes)
 	w.i64s(m.Msgs)
 	w.str(m.Err)
-	return w.b
 }
 
-func decodeRoundDone(p []byte) (RoundDone, error) {
+// decodeRoundDone stores the frame's nout out values into the listed rows of
+// out when they are exactly that many (a failed round ships none).
+func decodeRoundDone(p []byte, out *tensor.Matrix, rows []int32) (m RoundDone, nout int, err error) {
 	r := creader{b: p}
-	m := RoundDone{Seq: r.u64(), Out: r.f64s(), Bytes: r.i64s(), Msgs: r.i64s(), Err: r.str()}
+	m = RoundDone{Seq: r.u64()}
+	vals := r.take(8 * r.count(8))
+	m.Bytes, m.Msgs, m.Err = r.i64s(), r.i64s(), r.str()
 	if err := r.done(); err != nil {
-		return RoundDone{}, err
+		return RoundDone{}, 0, err
 	}
 	if len(m.Bytes) != len(m.Msgs) {
-		return RoundDone{}, fmt.Errorf("%w: traffic rows %d bytes vs %d msgs", errBadControl, len(m.Bytes), len(m.Msgs))
+		return RoundDone{}, 0, fmt.Errorf("%w: traffic rows %d bytes vs %d msgs", errBadControl, len(m.Bytes), len(m.Msgs))
 	}
-	return m, nil
+	if len(vals) == 8*len(rows)*out.Cols {
+		loadRows(vals, out, rows)
+	}
+	return m, len(vals) / 8, nil
 }
 
 // Batch is one node-to-node halo buffer. Seq tags the coordinator round it
 // belongs to: a receiver must never see a foreign sequence (the global round
 // barrier forbids cross-round mixing), so a mismatch is a protocol error —
 // the typed symptom of duplicated or stray frames under fault injection.
+// A decoded Data is a view into the frame's payload, not a copy.
 type Batch struct {
 	Seq  uint64
 	From int32
 	Data []byte
 }
 
-func (m Batch) encode() []byte {
-	var w cwriter
+func (m Batch) encodeInto(w *cwriter) {
 	w.u64(m.Seq)
 	w.i32(m.From)
 	w.bytes(m.Data)
-	return w.b
 }
 
 func decodeBatch(p []byte) (Batch, error) {
 	r := creader{b: p}
-	m := Batch{Seq: r.u64(), From: r.i32(), Data: r.bytesField()}
+	m := Batch{Seq: r.u64(), From: r.i32(), Data: r.take(r.count(1))}
 	return m, r.done()
 }
 
@@ -582,11 +618,9 @@ type Repart struct {
 	Part []int32
 }
 
-func (m Repart) encode() []byte {
-	var w cwriter
+func (m Repart) encodeInto(w *cwriter) {
 	w.u64(m.Seq)
 	w.i32s(m.Part)
-	return w.b
 }
 
 func decodeRepart(p []byte) (Repart, error) {
@@ -603,12 +637,10 @@ type RepartDone struct {
 	Err   string
 }
 
-func (m RepartDone) encode() []byte {
-	var w cwriter
+func (m RepartDone) encodeInto(w *cwriter) {
 	w.u64(m.Seq)
 	w.i32s(m.Dirty)
 	w.str(m.Err)
-	return w.b
 }
 
 func decodeRepartDone(p []byte) (RepartDone, error) {
@@ -626,12 +658,10 @@ type State struct {
 	Err  string
 }
 
-func (m State) encode() []byte {
-	var w cwriter
+func (m State) encodeInto(w *cwriter) {
 	w.u64(m.Seq)
 	w.bytes(m.Blob)
 	w.str(m.Err)
-	return w.b
 }
 
 func decodeState(p []byte) (State, error) {
@@ -648,11 +678,9 @@ type Remesh struct {
 	Gen uint32
 }
 
-func (m Remesh) encode() []byte {
-	var w cwriter
+func (m Remesh) encodeInto(w *cwriter) {
 	w.u64(m.Seq)
 	w.u32(m.Gen)
-	return w.b
 }
 
 func decodeRemesh(p []byte) (Remesh, error) {
@@ -677,8 +705,7 @@ type SchedSig struct {
 	Err         string
 }
 
-func (m SchedSig) encode() []byte {
-	var w cwriter
+func (m SchedSig) encodeInto(w *cwriter) {
 	w.u64(m.Seq)
 	w.i64s(m.Draws)
 	w.i64s(m.BitsSum)
@@ -686,7 +713,6 @@ func (m SchedSig) encode() []byte {
 	w.i64s(m.EFUnits)
 	w.i64s(m.EFCorrected)
 	w.str(m.Err)
-	return w.b
 }
 
 func decodeSchedSig(p []byte) (SchedSig, error) {
@@ -749,12 +775,10 @@ type SchedUpdate struct {
 	Levels []int32
 }
 
-func (m SchedUpdate) encode() []byte {
-	var w cwriter
+func (m SchedUpdate) encodeInto(w *cwriter) {
 	w.u64(m.Seq)
 	w.i32(m.Epoch)
 	w.i32s(m.Levels)
-	return w.b
 }
 
 func decodeSchedUpdate(p []byte) (SchedUpdate, error) {

@@ -2,13 +2,16 @@ package net
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
+	stdnet "net"
 	"testing"
 
 	"scgnn/internal/core"
 	"scgnn/internal/dist"
 	"scgnn/internal/sched"
+	"scgnn/internal/tensor"
 )
 
 // exampleConfig is a dist.Config exercising every flattened wire field.
@@ -48,7 +51,7 @@ func TestWireConfigRoundtrip(t *testing.T) {
 // TestControlRoundtrips: encode→decode is the identity on every message
 // type, including empty-slice and error-string fields.
 func TestControlRoundtrips(t *testing.T) {
-	hello, err := decodeHello(Hello{Sender: CoordID, Gen: 9}.encode())
+	hello, err := decodeHello(encode(Hello{Sender: CoordID, Gen: 9}))
 	if err != nil || hello.Sender != CoordID || hello.Gen != 9 {
 		t.Fatalf("hello: %+v, %v", hello, err)
 	}
@@ -61,7 +64,7 @@ func TestControlRoundtrips(t *testing.T) {
 		Part: []int32{0, 0, 1, 2, 2},
 		Cfg:  FlattenConfig(exampleConfig()),
 	}
-	gotSetup, err := decodeSetup(wantSetup.encode())
+	gotSetup, err := decodeSetup(encode(wantSetup))
 	if err != nil {
 		t.Fatalf("setup decode: %v", err)
 	}
@@ -71,47 +74,57 @@ func TestControlRoundtrips(t *testing.T) {
 		t.Fatalf("setup roundtrip: %+v", gotSetup)
 	}
 
-	ack, err := decodeAck(Ack{Seq: 4, Err: "boom"}.encode())
+	ack, err := decodeAck(encode(Ack{Seq: 4, Err: "boom"}))
 	if err != nil || ack.Seq != 4 || ack.Err != "boom" {
 		t.Fatalf("ack: %+v, %v", ack, err)
 	}
 
-	ep, err := decodeEpoch(Epoch{Epoch: 6, Eval: true}.encode())
+	ep, err := decodeEpoch(encode(Epoch{Epoch: 6, Eval: true}))
 	if err != nil || ep.Epoch != 6 || !ep.Eval {
 		t.Fatalf("epoch: %+v, %v", ep, err)
 	}
 
-	rd, err := decodeRound(Round{Seq: 2, Backward: true, Cols: 2, H: []float64{1, 2, 3, 4}}.encode())
-	if err != nil || !rd.Backward || rd.Cols != 2 || len(rd.H) != 4 || rd.H[3] != 4 {
+	rd, err := decodeRoundScratch(encode(Round{Seq: 2, Backward: true, Cols: 2,
+		H: tensor.FromRows([][]float64{{9, 9}, {1, 2}, {3, 4}}), Rows: []int32{1, 2}}))
+	if err != nil || !rd.Backward || rd.Cols != 2 || len(rd.H.Data) != 4 || rd.H.Data[3] != 4 {
 		t.Fatalf("round: %+v, %v", rd, err)
 	}
 
-	done, err := decodeRoundDone(RoundDone{Seq: 2, Out: []float64{5}, Bytes: []int64{0, 9}, Msgs: []int64{0, 1}, Err: ""}.encode())
-	if err != nil || done.Out[0] != 5 || done.Bytes[1] != 9 || done.Msgs[1] != 1 {
-		t.Fatalf("round-done: %+v, %v", done, err)
+	// A RoundDone lands in the rows the receiver names, and only there.
+	out := tensor.New(3, 1)
+	done, nout, err := decodeRoundDone(encode(RoundDone{Seq: 2, Out: tensor.FromRows([][]float64{{5}}), Rows: []int32{0},
+		Bytes: []int64{0, 9}, Msgs: []int64{0, 1}, Err: ""}), out, []int32{2})
+	if err != nil || nout != 1 || out.Data[2] != 5 || out.Data[0] != 0 || done.Bytes[1] != 9 || done.Msgs[1] != 1 {
+		t.Fatalf("round-done: %+v, %d, %v into %v", done, nout, err, out.Data)
+	}
+	// A float section of another size than the receiver expects is skipped,
+	// counted, and the destination left alone.
+	_, nout, err = decodeRoundDone(encode(RoundDone{Seq: 2, Err: "boom"}), out, []int32{1})
+	if err != nil || nout != 0 || out.Data[1] != 0 {
+		t.Fatalf("round-done without rows: %d, %v into %v", nout, err, out.Data)
 	}
 
-	b, err := decodeBatch(Batch{Seq: 3, From: 1, Data: []byte{7, 8}}.encode())
+	b, err := decodeBatch(encode(Batch{Seq: 3, From: 1, Data: []byte{7, 8}}))
 	if err != nil || b.From != 1 || !bytes.Equal(b.Data, []byte{7, 8}) {
 		t.Fatalf("batch: %+v, %v", b, err)
 	}
 
-	rp, err := decodeRepart(Repart{Seq: 5, Part: []int32{1, 0}}.encode())
+	rp, err := decodeRepart(encode(Repart{Seq: 5, Part: []int32{1, 0}}))
 	if err != nil || len(rp.Part) != 2 || rp.Part[0] != 1 {
 		t.Fatalf("repart: %+v, %v", rp, err)
 	}
 
-	rpd, err := decodeRepartDone(RepartDone{Seq: 5, Dirty: []int32{2}, Err: "x"}.encode())
+	rpd, err := decodeRepartDone(encode(RepartDone{Seq: 5, Dirty: []int32{2}, Err: "x"}))
 	if err != nil || rpd.Dirty[0] != 2 || rpd.Err != "x" {
 		t.Fatalf("repart-done: %+v, %v", rpd, err)
 	}
 
-	st, err := decodeState(State{Seq: 6, Blob: []byte{1}, Err: ""}.encode())
+	st, err := decodeState(encode(State{Seq: 6, Blob: []byte{1}, Err: ""}))
 	if err != nil || len(st.Blob) != 1 {
 		t.Fatalf("state: %+v, %v", st, err)
 	}
 
-	rm, err := decodeRemesh(Remesh{Seq: 7, Gen: 2}.encode())
+	rm, err := decodeRemesh(encode(Remesh{Seq: 7, Gen: 2}))
 	if err != nil || rm.Gen != 2 {
 		t.Fatalf("remesh: %+v, %v", rm, err)
 	}
@@ -120,7 +133,7 @@ func TestControlRoundtrips(t *testing.T) {
 		{Draws: 3, BitsSum: 12, BitsCalls: 2, EFUnits: 1, EFCorrected: 9},
 		{Draws: 4},
 	})
-	gotSig, err := decodeSchedSig(sig.encode())
+	gotSig, err := decodeSchedSig(encode(sig))
 	if err != nil || gotSig.Seq != 8 || len(gotSig.Draws) != 2 ||
 		gotSig.BitsSum[0] != 12 || gotSig.EFCorrected[0] != 9 || gotSig.Draws[1] != 4 {
 		t.Fatalf("sched-sig: %+v, %v", gotSig, err)
@@ -130,12 +143,12 @@ func TestControlRoundtrips(t *testing.T) {
 		t.Fatalf("sched-sig signals: %+v", back)
 	}
 	// The request shape (empty vectors, just a Seq) round-trips too.
-	req, err := decodeSchedSig(SchedSig{Seq: 9}.encode())
+	req, err := decodeSchedSig(encode(SchedSig{Seq: 9}))
 	if err != nil || req.Seq != 9 || req.Draws != nil {
 		t.Fatalf("sched-sig request: %+v, %v", req, err)
 	}
 
-	su, err := decodeSchedUpdate(SchedUpdate{Seq: 10, Epoch: 4, Levels: []int32{0, 2, 1, 3}}.encode())
+	su, err := decodeSchedUpdate(encode(SchedUpdate{Seq: 10, Epoch: 4, Levels: []int32{0, 2, 1, 3}}))
 	if err != nil || su.Epoch != 4 || len(su.Levels) != 4 || su.Levels[1] != 2 {
 		t.Fatalf("sched-update: %+v, %v", su, err)
 	}
@@ -163,40 +176,40 @@ func TestControlValidation(t *testing.T) {
 		"negative-nodes":  func(s Setup) Setup { s.Nodes = -1; s.Part = nil; s.EdgeU = nil; s.EdgeV = nil; return s },
 	}
 	for name, mutate := range cases {
-		if _, err := decodeSetup(mutate(base).encode()); !errors.Is(err, errBadControl) {
+		if _, err := decodeSetup(encode(mutate(base))); !errors.Is(err, errBadControl) {
 			t.Errorf("%s: err = %v, want errBadControl", name, err)
 		}
 	}
 
-	if _, err := decodeRound(Round{Cols: 0}.encode()); !errors.Is(err, errBadControl) {
+	if _, _, err := decodeRound(encode(Round{Cols: 0})); !errors.Is(err, errBadControl) {
 		t.Errorf("round cols=0: %v", err)
 	}
-	if _, err := decodeRound(Round{Cols: 3, H: []float64{1, 2}}.encode()); !errors.Is(err, errBadControl) {
+	if _, _, err := decodeRound(encode(Round{Cols: 3, H: tensor.New(1, 2), Rows: []int32{0}})); !errors.Is(err, errBadControl) {
 		t.Errorf("round ragged h: %v", err)
 	}
-	if _, err := decodeRoundDone(RoundDone{Bytes: []int64{1}, Msgs: nil}.encode()); !errors.Is(err, errBadControl) {
+	if _, err := decodeRoundDoneScratch(encode(RoundDone{Bytes: []int64{1}, Msgs: nil})); !errors.Is(err, errBadControl) {
 		t.Errorf("round-done ragged traffic: %v", err)
 	}
 	// Trailing garbage after a complete message.
-	if _, err := decodeHello(append(Hello{}.encode(), 0)); !errors.Is(err, errBadControl) {
+	if _, err := decodeHello(append(encode(Hello{}), 0)); !errors.Is(err, errBadControl) {
 		t.Errorf("trailing bytes: %v", err)
 	}
 	// Truncated field.
-	if _, err := decodeAck(Ack{Err: "hello"}.encode()[:9]); !errors.Is(err, errBadControl) {
+	if _, err := decodeAck(encode(Ack{Err: "hello"})[:9]); !errors.Is(err, errBadControl) {
 		t.Errorf("truncated ack: %v", err)
 	}
 	// Non-canonical bool.
-	raw := Epoch{Epoch: 1}.encode()
+	raw := encode(Epoch{Epoch: 1})
 	raw[len(raw)-1] = 2
 	if _, err := decodeEpoch(raw); !errors.Is(err, errBadControl) {
 		t.Errorf("bad bool: %v", err)
 	}
 	// Sched signal vectors of unequal length.
-	if _, err := decodeSchedSig(SchedSig{Draws: []int64{1, 2}, BitsSum: []int64{1}}.encode()); !errors.Is(err, errBadControl) {
+	if _, err := decodeSchedSig(encode(SchedSig{Draws: []int64{1, 2}, BitsSum: []int64{1}})); !errors.Is(err, errBadControl) {
 		t.Errorf("ragged sched-sig: %v", err)
 	}
 	// Negative schedule level.
-	if _, err := decodeSchedUpdate(SchedUpdate{Levels: []int32{0, -1}}.encode()); !errors.Is(err, errBadControl) {
+	if _, err := decodeSchedUpdate(encode(SchedUpdate{Levels: []int32{0, -1}})); !errors.Is(err, errBadControl) {
 		t.Errorf("negative sched level: %v", err)
 	}
 }
@@ -205,39 +218,32 @@ func TestControlValidation(t *testing.T) {
 // frames, torn reads mid-frame, the length bound, and multi-chunk payloads
 // larger than one read quantum.
 func TestFrameReadWrite(t *testing.T) {
-	var buf bytes.Buffer
 	big := make([]byte, readChunkLen*2+17) // forces the chunked-growth path
 	for i := range big {
 		big[i] = byte(i)
 	}
-	if err := writeFrame(&buf, frameBatch, big); err != nil {
-		t.Fatal(err)
-	}
-	if err := writeFrame(&buf, frameShutdown, nil); err != nil {
-		t.Fatal(err)
-	}
-	stream := buf.Bytes()
+	stream := append(frame(frameBatch, big), frame(frameShutdown, nil)...)
 
-	r := bytes.NewReader(stream)
-	ft, payload, err := readFrame(r)
+	fc := framedOver(append([]byte(nil), stream...))
+	ft, payload, err := fc.read()
 	if err != nil || ft != frameBatch || !bytes.Equal(payload, big) {
 		t.Fatalf("big frame: type %d, %d bytes, err %v", ft, len(payload), err)
 	}
-	ft, payload, err = readFrame(r)
+	ft, payload, err = fc.read()
 	if err != nil || ft != frameShutdown || len(payload) != 0 {
 		t.Fatalf("empty frame: type %d, %d bytes, err %v", ft, len(payload), err)
 	}
-	if _, _, err = readFrame(r); err != io.EOF {
+	if _, _, err = fc.read(); err != io.EOF {
 		t.Fatalf("clean close: err = %v, want io.EOF", err)
 	}
 
 	// Every strict prefix that cuts inside a frame is a torn read: draining
 	// the prefix must end in io.ErrUnexpectedEOF, never a clean io.EOF.
 	for _, cut := range []int{2, 4, 5, 100, len(stream) - 1} {
-		cr := bytes.NewReader(stream[:cut])
+		cr := framedOver(append([]byte(nil), stream[:cut]...))
 		var err error
 		for err == nil {
-			_, _, err = readFrame(cr)
+			_, _, err = cr.read()
 		}
 		if !errors.Is(err, io.ErrUnexpectedEOF) {
 			t.Fatalf("cut %d: err = %v, want io.ErrUnexpectedEOF", cut, err)
@@ -245,14 +251,98 @@ func TestFrameReadWrite(t *testing.T) {
 	}
 
 	// Hostile length prefix: rejected before any payload allocation.
-	huge := []byte{0xff, 0xff, 0xff, 0xff, 1}
-	if _, _, err := readFrame(bytes.NewReader(huge)); !errors.Is(err, errFrameTooLarge) {
-		t.Fatalf("huge length: err = %v", err)
+	huge := framedOver([]byte{0xff, 0xff, 0xff, 0xff, 1})
+	if _, _, err := huge.read(); !errors.Is(err, errFrameTooLarge) || huge.rbuf != nil {
+		t.Fatalf("huge length: err = %v, %d bytes committed", err, cap(huge.rbuf))
 	}
-	if _, _, err := readFrame(bytes.NewReader([]byte{0, 0, 0, 0})); !errors.Is(err, errZeroFrame) {
+	if _, _, err := framedOver([]byte{0, 0, 0, 0}).read(); !errors.Is(err, errZeroFrame) {
 		t.Fatalf("zero length: err = %v", err)
 	}
-	if err := writeFrame(io.Discard, frameBatch, make([]byte, maxFrameLen)); !errors.Is(err, errFrameTooLarge) {
+	if err := framedOver(nil).write(frameBatch, raw(make([]byte, maxFrameLen))); !errors.Is(err, errFrameTooLarge) {
 		t.Fatalf("oversized write: err = %v", err)
+	}
+}
+
+// TestRetainedReader: the read buffer a connection keeps between frames
+// gives up none of the guarantees a fresh buffer per frame had.
+func TestRetainedReader(t *testing.T) {
+	// (a) A prefix declaring 200 MiB, then 10 bytes and EOF: a fresh
+	// connection commits one read chunk, not the declared length.
+	torn := binary.LittleEndian.AppendUint32(nil, 200<<20)
+	torn = append(torn, byte(frameBatch), 0, 1, 2, 3, 4, 5, 6, 7, 8, 9)
+	fc := framedOver(torn)
+	if _, _, err := fc.read(); !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("overdeclared frame: err = %v, want io.ErrUnexpectedEOF", err)
+	}
+	if cap(fc.rbuf) > readChunkLen {
+		t.Fatalf("overdeclared frame committed %d bytes, more than one %d-byte chunk", cap(fc.rbuf), readChunkLen)
+	}
+
+	// (b) A long frame then a short one: the short one decodes exactly, with
+	// no stale tail of the long one behind it, and trailing bytes are still
+	// trailing bytes.
+	long := State{Seq: 1, Blob: bytes.Repeat([]byte{0xee}, 3*readChunkLen)}
+	short := RepartDone{Seq: 2, Dirty: []int32{4, 7}}
+	fc = framedOver(bytes.Join([][]byte{
+		frame(frameState, encode(long)),
+		frame(frameRepartDone, encode(short)),
+		frame(frameHello, append(encode(Hello{Sender: 1, Gen: 2}), 0xee)),
+	}, nil))
+	_, payload, err := fc.read()
+	st, derr := decodeState(payload)
+	if err != nil || derr != nil || !bytes.Equal(st.Blob, long.Blob) {
+		t.Fatalf("long frame: %v / %v", err, derr)
+	}
+	ft, payload, err := fc.read()
+	if err != nil || ft != frameRepartDone || !bytes.Equal(payload, encode(short)) {
+		t.Fatalf("short frame after long: type %d, payload %x, err %v", ft, payload, err)
+	}
+	rd, derr := decodeRepartDone(payload)
+	if derr != nil || rd.Seq != 2 || len(rd.Dirty) != 2 || rd.Dirty[1] != 7 {
+		t.Fatalf("short frame after long: %+v, %v", rd, derr)
+	}
+	// (c) What the decoders returned from earlier frames is theirs: reading
+	// on overwrites the buffer, not the blob or the dirty set.
+	_, payload, err = fc.read()
+	if _, derr := decodeHello(payload); err != nil || !errors.Is(derr, errBadControl) {
+		t.Fatalf("trailing byte after a long frame: read %v, decode %v", err, derr)
+	}
+	if !bytes.Equal(st.Blob, long.Blob) || rd.Dirty[0] != 4 || rd.Dirty[1] != 7 {
+		t.Fatal("decoded state blob or dirty set changed when later frames were read")
+	}
+}
+
+// TestMeshBatchOwnsData: a batch the mesh reader queued keeps its bytes while
+// the reader moves on to later frames — until the round loop dequeues the next.
+func TestMeshBatchOwnsData(t *testing.T) {
+	a, b := stdnet.Pipe()
+	defer a.Close()
+	pc := newPeerConn(&framed{conn: b})
+	defer b.Close()
+	first := bytes.Repeat([]byte{1}, 64)
+	second := bytes.Repeat([]byte{2}, 64)
+	recycled := make(chan struct{})
+	go func() {
+		w := &framed{conn: a}
+		w.write(frameBatch, Batch{Seq: 1, From: 0, Data: first})
+		w.write(frameBatch, Batch{Seq: 2, From: 0, Data: second})
+		<-recycled
+		w.write(frameBatch, Batch{Seq: 3, From: 0, Data: first})
+	}()
+	q1, q2 := <-pc.queue, <-pc.queue
+	if q1.err != nil || q2.err != nil || !bytes.Equal(q1.data, first) || !bytes.Equal(q2.data, second) {
+		t.Fatalf("queued batches: %+v, %+v", q1, q2)
+	}
+	// Lent and lent over, the first batch's buffer is the one the third
+	// arrives in.
+	pc.lend(q1.data)
+	pc.lend(q2.data)
+	close(recycled)
+	q3 := <-pc.queue
+	if q3.err != nil || !bytes.Equal(q3.data, first) || !bytes.Equal(q2.data, second) {
+		t.Fatalf("after recycling: %+v, second %x", q3, q2.data)
+	}
+	if &q3.data[0] != &q1.data[0] {
+		t.Fatal("the recycled buffer was not reused")
 	}
 }

@@ -4,7 +4,7 @@ import (
 	"errors"
 	"fmt"
 	stdnet "net"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -62,7 +62,7 @@ func (o CoordOptions) withDefaults() CoordOptions {
 type Coordinator struct {
 	opts  CoordOptions
 	addrs []string
-	conns []stdnet.Conn
+	conns []*framed
 
 	g      *graph.Graph
 	part   []int
@@ -75,6 +75,7 @@ type Coordinator struct {
 
 	fabric *simnet.Fabric
 	shard  *simnet.ShardCounter
+	dones  []RoundDone // the replies of the round in flight, by node
 
 	mu sync.Mutex // guards conns for Close from other goroutines
 }
@@ -85,10 +86,11 @@ func NewCoordinator(addrs []string, opts CoordOptions) *Coordinator {
 	return &Coordinator{
 		opts:   opts.withDefaults(),
 		addrs:  addrs,
-		conns:  make([]stdnet.Conn, len(addrs)),
+		conns:  make([]*framed, len(addrs)),
 		nparts: len(addrs),
 		fabric: simnet.NewFabric(len(addrs)),
 		shard:  simnet.NewShardCounter(len(addrs)),
+		dones:  make([]RoundDone, len(addrs)),
 	}
 }
 
@@ -107,7 +109,7 @@ func (c *Coordinator) Connect() error {
 func (c *Coordinator) connectNode(i int) error {
 	c.mu.Lock()
 	if old := c.conns[i]; old != nil {
-		old.Close()
+		old.conn.Close()
 		c.conns[i] = nil
 	}
 	c.mu.Unlock()
@@ -115,12 +117,13 @@ func (c *Coordinator) connectNode(i int) error {
 	if err != nil {
 		return fmt.Errorf("net: coordinator dial node %d: %w", i, err)
 	}
-	if err := writeFrame(conn, frameHello, Hello{Sender: CoordID}.encode()); err != nil {
+	fc := &framed{conn: conn}
+	if err := fc.write(frameHello, Hello{Sender: CoordID}); err != nil {
 		conn.Close()
 		return fmt.Errorf("net: coordinator hello to node %d: %w", i, err)
 	}
 	c.mu.Lock()
-	c.conns[i] = conn
+	c.conns[i] = fc
 	c.mu.Unlock()
 	return nil
 }
@@ -129,42 +132,43 @@ func (c *Coordinator) connectNode(i int) error {
 func (c *Coordinator) Close() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for i, conn := range c.conns {
-		if conn != nil {
-			conn.Close()
+	for i, fc := range c.conns {
+		if fc != nil {
+			fc.conn.Close()
 			c.conns[i] = nil
 		}
 	}
 }
 
-// request performs one synchronous control round-trip with node i.
-func (c *Coordinator) request(i int, ft frameType, payload []byte, timeout time.Duration) (frameType, []byte, error) {
+// request performs one synchronous control round-trip with node i, whose
+// response must be a want frame; its payload is valid until the next one.
+func (c *Coordinator) request(i int, ft frameType, m encoder, want frameType, timeout time.Duration) ([]byte, error) {
 	c.mu.Lock()
-	conn := c.conns[i]
+	fc := c.conns[i]
 	c.mu.Unlock()
-	if conn == nil {
-		return 0, nil, fmt.Errorf("node %d: not connected: %w", i, ErrPeerDown)
+	if fc == nil {
+		return nil, fmt.Errorf("node %d: not connected: %w", i, ErrPeerDown)
 	}
-	conn.SetDeadline(time.Now().Add(timeout))
-	defer conn.SetDeadline(time.Time{})
-	if err := writeFrame(conn, ft, payload); err != nil {
-		return 0, nil, fmt.Errorf("node %d: %w: %v", i, ErrPeerDown, err)
+	fc.conn.SetDeadline(time.Now().Add(timeout))
+	defer fc.conn.SetDeadline(time.Time{})
+	if err := fc.write(ft, m); err != nil {
+		return nil, fmt.Errorf("node %d: %w: %v", i, ErrPeerDown, err)
 	}
-	rft, resp, err := readFrame(conn)
+	rft, resp, err := fc.read()
 	if err != nil {
-		return 0, nil, fmt.Errorf("node %d: %w: %v", i, ErrPeerDown, err)
+		return nil, fmt.Errorf("node %d: %w: %v", i, ErrPeerDown, err)
 	}
-	return rft, resp, nil
+	if rft != want {
+		return nil, fmt.Errorf("node %d: %w: response type %d, want %d", i, ErrProtocol, rft, want)
+	}
+	return resp, nil
 }
 
 // requestAck performs a round-trip whose response must be a clean Ack.
-func (c *Coordinator) requestAck(i int, ft frameType, payload []byte, timeout time.Duration) error {
-	rft, resp, err := c.request(i, ft, payload, timeout)
+func (c *Coordinator) requestAck(i int, ft frameType, m encoder, timeout time.Duration) error {
+	resp, err := c.request(i, ft, m, frameAck, timeout)
 	if err != nil {
 		return err
-	}
-	if rft != frameAck {
-		return fmt.Errorf("node %d: %w: response type %d, want ack", i, ErrProtocol, rft)
 	}
 	ack, err := decodeAck(resp)
 	if err != nil {
@@ -209,28 +213,34 @@ func (c *Coordinator) Setup(g *graph.Graph, part []int, cfg dist.Config) error {
 		c.sched = sched.New(cfg.Sched, cfg.BaseSetting(), cfg.Seed, c.nparts*c.nparts)
 	}
 	c.rebuildOwn()
-	return c.broadcast(func(i int) error { return c.setupNode(i) })
+	shared := c.setupShared()
+	return c.broadcast(func(i int) error { return c.setupNode(i, shared) })
 }
 
-// setupNode ships the current topology to one node (used by Setup for all,
-// and by recovery for the respawned node alone).
-func (c *Coordinator) setupNode(i int) error {
+// setupShared encodes the node-independent part of the Setup frame, once.
+func (c *Coordinator) setupShared() []byte {
 	edges := c.g.Edges()
 	m := Setup{
-		NParts: int32(c.nparts),
-		Me:     int32(i),
-		Gen:    c.gen,
-		Addrs:  c.addrs,
-		Nodes:  int32(c.g.NumNodes()),
-		EdgeU:  make([]int32, len(edges)),
-		EdgeV:  make([]int32, len(edges)),
-		Part:   toInt32s(c.part),
-		Cfg:    FlattenConfig(c.cfg),
+		Addrs: c.addrs,
+		Nodes: int32(c.g.NumNodes()),
+		EdgeU: make([]int32, len(edges)),
+		EdgeV: make([]int32, len(edges)),
+		Part:  toInt32s(c.part),
+		Cfg:   FlattenConfig(c.cfg),
 	}
 	for k, e := range edges {
 		m.EdgeU[k], m.EdgeV[k] = e.U, e.V
 	}
-	return c.requestAck(i, frameSetup, m.encode(), 2*c.opts.RoundTimeout)
+	var w cwriter
+	m.encodeShared(&w)
+	return w.b
+}
+
+// setupNode ships the current topology to one node (used by Setup for all,
+// and by recovery for the respawned node alone).
+func (c *Coordinator) setupNode(i int, shared []byte) error {
+	m := Setup{NParts: int32(c.nparts), Me: int32(i), Gen: c.gen, shared: shared}
+	return c.requestAck(i, frameSetup, m, 2*c.opts.RoundTimeout)
 }
 
 func (c *Coordinator) rebuildOwn() {
@@ -273,12 +283,9 @@ func (c *Coordinator) mustSchedule(epoch int) {
 	seq := c.seq
 	perNode := make([][]sched.Signals, c.nparts)
 	err := c.broadcast(func(i int) error {
-		rft, resp, err := c.request(i, frameSchedSig, SchedSig{Seq: seq}.encode(), c.opts.RoundTimeout)
+		resp, err := c.request(i, frameSchedSig, SchedSig{Seq: seq}, frameSchedSig, c.opts.RoundTimeout)
 		if err != nil {
 			return err
-		}
-		if rft != frameSchedSig {
-			return fmt.Errorf("node %d: %w: response type %d, want sched-sig", i, ErrProtocol, rft)
 		}
 		sig, err := decodeSchedSig(resp)
 		if err != nil {
@@ -301,7 +308,7 @@ func (c *Coordinator) mustSchedule(epoch int) {
 	c.seq++
 	m := SchedUpdate{Seq: c.seq, Epoch: int32(epoch), Levels: toInt32s(c.sched.Levels())}
 	err = c.broadcast(func(i int) error {
-		return c.requestAck(i, frameSchedUpdate, m.encode(), c.opts.RoundTimeout)
+		return c.requestAck(i, frameSchedUpdate, m, c.opts.RoundTimeout)
 	})
 	if err != nil {
 		panic(fmt.Errorf("net: schedule update: %w", err))
@@ -319,7 +326,7 @@ func (c *Coordinator) ScheduleLevels() []int {
 
 func (c *Coordinator) mustBroadcastEpoch(m Epoch) {
 	err := c.broadcast(func(i int) error {
-		return c.requestAck(i, frameEpoch, m.encode(), c.opts.RoundTimeout)
+		return c.requestAck(i, frameEpoch, m, c.opts.RoundTimeout)
 	})
 	if err != nil {
 		panic(fmt.Errorf("net: epoch marker: %w", err))
@@ -339,54 +346,54 @@ func (c *Coordinator) Part() []int { return append([]int(nil), c.part...) }
 
 // Forward implements gnn.Aggregator over the node fleet. Failures panic with
 // a typed error; gnn.Trainer's recovery turns that into an error return.
-func (c *Coordinator) Forward(h *tensor.Matrix) *tensor.Matrix {
-	out, err := c.Round(h, false)
-	if err != nil {
-		panic(err)
-	}
-	return out
-}
+func (c *Coordinator) Forward(h *tensor.Matrix) *tensor.Matrix { return c.mustRound(h, false) }
 
 // Backward implements gnn.Aggregator (the transposed flow runs node-side).
-func (c *Coordinator) Backward(g *tensor.Matrix) *tensor.Matrix {
-	out, err := c.Round(g, true)
+func (c *Coordinator) Backward(g *tensor.Matrix) *tensor.Matrix { return c.mustRound(g, true) }
+
+func (c *Coordinator) mustRound(h *tensor.Matrix, backward bool) *tensor.Matrix {
+	out, err := c.Round(h, backward)
 	if err != nil {
 		panic(err)
 	}
 	return out
 }
 
-// Round scatters h's owned rows to every node, runs one lockstep aggregate
-// round over the mesh, gathers the owned out rows, and folds the per-node
-// traffic deltas into the fabric. The error (if any) is typed: ErrPeerDown
-// for a vanished node, ErrRemote wrapping the node-side failure (itself a
-// round timeout or peer-down symptom) otherwise.
+// Round is AggregateInto into a fresh matrix.
 func (c *Coordinator) Round(h *tensor.Matrix, backward bool) (*tensor.Matrix, error) {
-	if c.g == nil {
-		return nil, errors.New("net: coordinator round before setup")
+	out := tensor.New(h.Rows, h.Cols)
+	if err := c.AggregateInto(out, h, backward); err != nil {
+		return nil, err
 	}
-	if h.Rows != c.g.NumNodes() {
-		return nil, fmt.Errorf("net: round rows %d, graph has %d nodes", h.Rows, c.g.NumNodes())
+	return out, nil
+}
+
+// AggregateInto scatters h's owned rows to every node, runs one lockstep
+// aggregate round over the mesh, gathers the owned out rows into dst (which
+// it overwrites: every row has one owner), and folds the per-node traffic
+// deltas into the fabric — the allocation-free form gnn's models probe for.
+// A mis-shaped h or dst is an error before any frame is written. An error
+// from the round leaves dst unusable and is typed: ErrPeerDown for a vanished
+// node, ErrRemote wrapping the node-side failure (itself a round timeout or
+// peer-down symptom) otherwise.
+func (c *Coordinator) AggregateInto(dst, h *tensor.Matrix, backward bool) error {
+	if c.g == nil {
+		return errors.New("net: coordinator round before setup")
+	}
+	if n := c.g.NumNodes(); h.Rows != n || dst.Rows != n || dst.Cols != h.Cols || h.Cols < 1 {
+		return fmt.Errorf("net: round shapes h (%d,%d) out (%d,%d), want %d rows each and equal cols, at least one",
+			h.Rows, h.Cols, dst.Rows, dst.Cols, n)
 	}
 	c.seq++
 	seq := c.seq
-	cols := h.Cols
-	out := tensor.New(h.Rows, cols)
-	dones := make([]RoundDone, c.nparts)
 	err := c.broadcast(func(i int) error {
-		rows := make([]float64, 0, len(c.own[i])*cols)
-		for _, u := range c.own[i] {
-			rows = append(rows, h.Row(int(u))...)
-		}
-		m := Round{Seq: seq, Backward: backward, Cols: int32(cols), H: rows}
-		rft, resp, err := c.request(i, frameRound, m.encode(), 2*c.opts.RoundTimeout)
+		own := c.own[i]
+		m := Round{Seq: seq, Backward: backward, Cols: int32(h.Cols), H: h, Rows: own}
+		resp, err := c.request(i, frameRound, m, frameRoundDone, 2*c.opts.RoundTimeout)
 		if err != nil {
 			return err
 		}
-		if rft != frameRoundDone {
-			return fmt.Errorf("node %d: %w: response type %d, want round-done", i, ErrProtocol, rft)
-		}
-		done, err := decodeRoundDone(resp)
+		done, nout, err := decodeRoundDone(resp, dst, own)
 		if err != nil {
 			return fmt.Errorf("node %d: %w", i, err)
 		}
@@ -396,24 +403,21 @@ func (c *Coordinator) Round(h *tensor.Matrix, backward bool) (*tensor.Matrix, er
 		if done.Err != "" {
 			return fmt.Errorf("node %d: %w: %s", i, ErrRemote, done.Err)
 		}
-		if len(done.Out) != len(c.own[i])*cols {
+		if nout != len(own)*h.Cols {
 			return fmt.Errorf("node %d: %w: %d out values, want %d rows x %d cols",
-				i, ErrProtocol, len(done.Out), len(c.own[i]), cols)
+				i, ErrProtocol, nout, len(own), h.Cols)
 		}
 		if len(done.Bytes) != c.nparts {
 			return fmt.Errorf("node %d: %w: traffic row length %d, want %d",
 				i, ErrProtocol, len(done.Bytes), c.nparts)
 		}
-		dones[i] = done
+		c.dones[i] = done
 		return nil
 	})
 	if err != nil {
-		return nil, fmt.Errorf("net: round %d: %w", seq, err)
+		return fmt.Errorf("net: round %d: %w", seq, err)
 	}
-	for i, done := range dones {
-		for k, u := range c.own[i] {
-			copy(out.Row(int(u)), done.Out[k*cols:(k+1)*cols])
-		}
+	for i, done := range c.dones {
 		for d := 0; d < c.nparts; d++ {
 			if done.Bytes[d] != 0 || done.Msgs[d] != 0 {
 				c.shard.Add(i, d, done.Bytes[d], done.Msgs[d])
@@ -421,7 +425,7 @@ func (c *Coordinator) Round(h *tensor.Matrix, backward bool) (*tensor.Matrix, er
 		}
 	}
 	c.fabric.Drain(c.shard)
-	return out, nil
+	return nil
 }
 
 // Repartition swaps in a new partition vector on every node. All nodes must
@@ -439,12 +443,9 @@ func (c *Coordinator) Repartition(part []int) ([]int, error) {
 	m := Repart{Seq: seq, Part: toInt32s(part)}
 	dirties := make([][]int32, c.nparts)
 	err := c.broadcast(func(i int) error {
-		rft, resp, err := c.request(i, frameRepart, m.encode(), c.opts.RoundTimeout)
+		resp, err := c.request(i, frameRepart, m, frameRepartDone, c.opts.RoundTimeout)
 		if err != nil {
 			return err
-		}
-		if rft != frameRepartDone {
-			return fmt.Errorf("node %d: %w: response type %d", i, ErrProtocol, rft)
 		}
 		done, err := decodeRepartDone(resp)
 		if err != nil {
@@ -460,7 +461,7 @@ func (c *Coordinator) Repartition(part []int) ([]int, error) {
 		return nil, fmt.Errorf("net: repartition: %w", err)
 	}
 	for i := 1; i < c.nparts; i++ {
-		if !equalInt32s(dirties[i], dirties[0]) {
+		if !slices.Equal(dirties[i], dirties[0]) {
 			return nil, fmt.Errorf("net: %w: node %d dirty set %v, node 0 %v",
 				ErrProtocol, i, dirties[i], dirties[0])
 		}
@@ -468,7 +469,7 @@ func (c *Coordinator) Repartition(part []int) ([]int, error) {
 	c.part = append(c.part[:0], part...)
 	c.rebuildOwn()
 	dirty := toInts(dirties[0])
-	sort.Ints(dirty)
+	slices.Sort(dirty)
 	return dirty, nil
 }
 
@@ -480,12 +481,9 @@ func (c *Coordinator) CollectStates() ([][]byte, error) {
 	seq := c.seq
 	blobs := make([][]byte, c.nparts)
 	err := c.broadcast(func(i int) error {
-		rft, resp, err := c.request(i, frameState, State{Seq: seq}.encode(), c.opts.RoundTimeout)
+		resp, err := c.request(i, frameState, State{Seq: seq}, frameState, c.opts.RoundTimeout)
 		if err != nil {
 			return err
-		}
-		if rft != frameState {
-			return fmt.Errorf("node %d: %w: response type %d", i, ErrProtocol, rft)
 		}
 		st, err := decodeState(resp)
 		if err != nil {
@@ -528,7 +526,7 @@ func (c *Coordinator) RestoreStates(blobs [][]byte) error {
 	c.seq++
 	seq := c.seq
 	err := c.broadcast(func(i int) error {
-		return c.requestAck(i, frameRestore, State{Seq: seq, Blob: blobs[i]}.encode(), c.opts.RoundTimeout)
+		return c.requestAck(i, frameRestore, State{Seq: seq, Blob: blobs[i]}, c.opts.RoundTimeout)
 	})
 	if err != nil {
 		return fmt.Errorf("net: restore states: %w", err)
@@ -544,7 +542,7 @@ func (c *Coordinator) Remesh() error {
 	c.gen++
 	m := Remesh{Seq: c.seq, Gen: c.gen}
 	err := c.broadcast(func(i int) error {
-		return c.requestAck(i, frameRemesh, m.encode(), 2*c.opts.RoundTimeout)
+		return c.requestAck(i, frameRemesh, m, 2*c.opts.RoundTimeout)
 	})
 	if err != nil {
 		return fmt.Errorf("net: remesh: %w", err)
@@ -566,11 +564,12 @@ func (c *Coordinator) RecoverNode(dead int) error {
 	}
 	c.gen++
 	remesh := Remesh{Seq: c.seq, Gen: c.gen}
+	shared := c.setupShared()
 	err := c.broadcast(func(i int) error {
 		if i == dead {
-			return c.setupNode(i)
+			return c.setupNode(i, shared)
 		}
-		return c.requestAck(i, frameRemesh, remesh.encode(), 2*c.opts.RoundTimeout)
+		return c.requestAck(i, frameRemesh, remesh, 2*c.opts.RoundTimeout)
 	})
 	if err != nil {
 		return fmt.Errorf("net: recover node %d: %w", dead, err)
@@ -587,16 +586,4 @@ func (c *Coordinator) Shutdown() {
 		return nil
 	})
 	c.Close()
-}
-
-func equalInt32s(a, b []int32) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

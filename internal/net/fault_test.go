@@ -14,7 +14,7 @@ import (
 )
 
 // ---------------------------------------------------------------------------
-// Fault injector. writeFrame's contract is a single Write call per frame, so
+// Fault injector. framed.write's contract is a single Write call per frame, so
 // wrapping Conn.Write faults whole frames — the protocol's atomic unit. A
 // faultPlan is shared by every connection one node dials; it counts frames
 // across them and arms the fault after a configured number pass untouched.

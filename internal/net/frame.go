@@ -17,11 +17,12 @@
 //	u8  type    (frameType)
 //	payload     (length-1 bytes, per-type codec in control.go)
 //
-// A frame is written with a single Write call, so fault injection (and TCP
-// segmentation analysis) can treat frame boundaries as the atomic unit.
-// Lengths above maxFrameLen are rejected before any allocation, and reads
-// grow their buffer chunk-by-chunk, so a hostile length prefix can never
-// inflate memory beyond the bytes actually delivered.
+// A frame is built in its connection's retained write buffer and written
+// with a single Write call, so fault injection (and TCP segmentation
+// analysis) can treat frame boundaries as the atomic unit. Lengths above
+// maxFrameLen are rejected before any allocation, and a read grows the
+// connection's retained buffer only chunk-by-chunk as bytes arrive, so a
+// hostile length prefix can never inflate memory beyond the bytes delivered.
 package net
 
 import (
@@ -29,6 +30,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	stdnet "net"
+	"slices"
 )
 
 // maxFrameLen bounds a frame's declared length (type byte + payload). Large
@@ -62,58 +65,82 @@ var (
 	errZeroFrame     = errors.New("net: zero-length frame")
 )
 
-// writeFrame emits one frame with a single Write call.
-func writeFrame(w io.Writer, ft frameType, payload []byte) error {
-	n := 1 + len(payload)
+// framed is any connection of the package (control channel, mesh link, an
+// in-memory stream in tests) with the one write buffer and the one read
+// buffer it keeps between frames, so steady traffic allocates nothing.
+//
+// Ownership: write references nothing of the message once it returns. read
+// returns a payload that aliases the read buffer and is valid only until the
+// next read on the connection: control.go's decoders copy every slice and
+// string they return, except Batch.Data, a view the mesh reader copies into
+// a buffer of its own before queueing it (peerConn). One writer and one
+// reader at a time; they may be different goroutines (write and read share
+// no state).
+type framed struct {
+	conn stdnet.Conn
+	w    cwriter
+	hdr  [5]byte
+	rbuf []byte
+}
+
+// encoder is a message that appends its payload to a frame being built.
+type encoder interface{ encodeInto(w *cwriter) }
+
+// write emits one frame, m's payload encoded straight into the write buffer
+// behind the header (a nil m is the empty payload), with a single Write call.
+func (f *framed) write(ft frameType, m encoder) error {
+	f.w.b = append(f.w.b[:0], 0, 0, 0, 0, byte(ft))
+	if m != nil {
+		m.encodeInto(&f.w)
+	}
+	n := len(f.w.b) - 4
 	if n > maxFrameLen {
 		return fmt.Errorf("%w: %d > %d", errFrameTooLarge, n, maxFrameLen)
 	}
-	buf := make([]byte, 4+n)
-	binary.LittleEndian.PutUint32(buf, uint32(n))
-	buf[4] = byte(ft)
-	copy(buf[5:], payload)
-	if _, err := w.Write(buf); err != nil {
+	binary.LittleEndian.PutUint32(f.w.b, uint32(n))
+	if _, err := f.conn.Write(f.w.b); err != nil {
 		return fmt.Errorf("net: write frame: %w", err)
 	}
 	return nil
 }
 
-// readChunkLen is the growth quantum of readFrame's payload buffer: memory
-// is committed only as bytes arrive, never from the length prefix alone.
+// readChunkLen is the growth quantum of the read buffer: memory is committed
+// only as bytes arrive, never from the length prefix alone.
 const readChunkLen = 64 << 10
 
-// readFrame reads one frame. io.EOF is returned verbatim when the stream
-// ends cleanly between frames; any mid-frame truncation surfaces as
-// io.ErrUnexpectedEOF wrapped with context.
-func readFrame(r io.Reader) (frameType, []byte, error) {
-	var hdr [5]byte
-	if _, err := io.ReadFull(r, hdr[:4]); err != nil {
+// read reads one frame; the payload is valid until the next read. io.EOF is
+// returned verbatim when the stream ends cleanly between frames; any
+// mid-frame truncation surfaces as io.ErrUnexpectedEOF wrapped with context.
+func (f *framed) read() (frameType, []byte, error) {
+	if _, err := io.ReadFull(f.conn, f.hdr[:4]); err != nil {
 		if err == io.EOF {
 			return 0, nil, io.EOF
 		}
 		return 0, nil, fmt.Errorf("net: read frame header: %w", err)
 	}
-	n := int(binary.LittleEndian.Uint32(hdr[:4]))
+	n := int(binary.LittleEndian.Uint32(f.hdr[:4]))
 	if n < 1 {
 		return 0, nil, errZeroFrame
 	}
 	if n > maxFrameLen {
 		return 0, nil, fmt.Errorf("%w: %d > %d", errFrameTooLarge, n, maxFrameLen)
 	}
-	if _, err := io.ReadFull(r, hdr[4:5]); err != nil {
+	if _, err := io.ReadFull(f.conn, f.hdr[4:5]); err != nil {
 		return 0, nil, fmt.Errorf("net: read frame type: %w", unexpectedEOF(err))
 	}
 	remaining := n - 1
-	payload := make([]byte, 0, min(remaining, readChunkLen))
-	for len(payload) < remaining {
-		k := min(remaining-len(payload), readChunkLen)
-		start := len(payload)
-		payload = append(payload, make([]byte, k)...)
-		if _, err := io.ReadFull(r, payload[start:]); err != nil {
+	f.rbuf = f.rbuf[:0]
+	for len(f.rbuf) < remaining {
+		if len(f.rbuf) == cap(f.rbuf) {
+			f.rbuf = slices.Grow(f.rbuf, min(remaining-len(f.rbuf), readChunkLen))
+		}
+		start := len(f.rbuf)
+		f.rbuf = f.rbuf[:min(remaining, cap(f.rbuf))]
+		if _, err := io.ReadFull(f.conn, f.rbuf[start:]); err != nil {
 			return 0, nil, fmt.Errorf("net: read frame payload: %w", unexpectedEOF(err))
 		}
 	}
-	return frameType(hdr[4]), payload, nil
+	return frameType(f.hdr[4]), f.rbuf, nil
 }
 
 // unexpectedEOF normalizes a torn read: an EOF in the middle of a frame is

@@ -103,18 +103,23 @@ type qframe struct {
 	err  error
 }
 
-// peerConn is one established data-mesh connection: a socket plus the reader
-// goroutine that routes its batch frames into a queue the round loop drains.
+// peerConn is one established data-mesh connection: a framed socket plus the
+// reader goroutine that routes its batch frames into a queue the round loop
+// drains. A queued batch owns its data, copied out of the read buffer. A
+// round decodes the one batch it accepts per link before it returns, so the
+// dequeue of the link's next batch hands the last one's buffer back (free).
 type peerConn struct {
-	conn  stdnet.Conn
+	fc    *framed
 	queue chan qframe
+	free  chan []byte
+	lent  []byte // the data dequeued last, round loop only
 }
 
-func newPeerConn(conn stdnet.Conn) *peerConn {
-	pc := &peerConn{conn: conn, queue: make(chan qframe, 16)}
+func newPeerConn(fc *framed) *peerConn {
+	pc := &peerConn{fc: fc, queue: make(chan qframe, 16), free: make(chan []byte, 1)}
 	go func() {
 		for {
-			ft, payload, err := readFrame(conn)
+			ft, payload, err := fc.read()
 			if err != nil {
 				pc.queue <- qframe{err: err}
 				return
@@ -128,17 +133,34 @@ func newPeerConn(conn stdnet.Conn) *peerConn {
 				pc.queue <- qframe{err: err}
 				return
 			}
-			pc.queue <- qframe{seq: b.Seq, from: b.From, data: b.Data}
+			var data []byte
+			select {
+			case data = <-pc.free:
+			default:
+			}
+			pc.queue <- qframe{seq: b.Seq, from: b.From, data: append(data[:0], b.Data...)}
 		}
 	}()
 	return pc
+}
+
+// lend notes data as out with the round loop and hands the previous batch's
+// back to the reader (to the collector, if the reader has a spare).
+func (pc *peerConn) lend(data []byte) {
+	if pc.lent != nil {
+		select {
+		case pc.free <- pc.lent:
+		default:
+		}
+	}
+	pc.lent = data
 }
 
 // inConn is an accepted data-mesh connection waiting for mesh assembly.
 type inConn struct {
 	sender int32
 	gen    uint32
-	conn   stdnet.Conn
+	fc     *framed
 }
 
 // roundBufs are the retained full-size matrices for one column width.
@@ -249,8 +271,9 @@ func (n *Node) Serve(lis stdnet.Listener) error {
 
 // handshake reads the Hello and routes the connection.
 func (n *Node) handshake(conn stdnet.Conn) {
+	fc := &framed{conn: conn}
 	conn.SetReadDeadline(time.Now().Add(n.opts.RoundTimeout))
-	ft, payload, err := readFrame(conn)
+	ft, payload, err := fc.read()
 	conn.SetReadDeadline(time.Time{})
 	if err != nil || ft != frameHello {
 		n.untrack(conn)
@@ -264,11 +287,11 @@ func (n *Node) handshake(conn stdnet.Conn) {
 		return
 	}
 	if hello.Sender == CoordID {
-		n.serveControl(conn)
+		n.serveControl(fc)
 		return
 	}
 	select {
-	case n.incoming <- inConn{sender: hello.Sender, gen: hello.Gen, conn: conn}:
+	case n.incoming <- inConn{sender: hello.Sender, gen: hello.Gen, fc: fc}:
 	case <-n.done:
 		n.untrack(conn)
 		conn.Close()
@@ -278,18 +301,18 @@ func (n *Node) handshake(conn stdnet.Conn) {
 // serveControl answers coordinator requests until the connection drops or a
 // Shutdown arrives. Requests are strictly request/response and serialized
 // across connections.
-func (n *Node) serveControl(conn stdnet.Conn) {
+func (n *Node) serveControl(fc *framed) {
 	defer func() {
-		n.untrack(conn)
-		conn.Close()
+		n.untrack(fc.conn)
+		fc.conn.Close()
 	}()
 	for {
-		ft, payload, err := readFrame(conn)
+		ft, payload, err := fc.read()
 		if err != nil {
 			return
 		}
 		n.ctlMu.Lock()
-		shutdown, err := n.handleControl(conn, ft, payload)
+		shutdown, err := n.handleControl(fc, ft, payload)
 		n.ctlMu.Unlock()
 		if err != nil {
 			n.opts.Logf("node %d: control: %v", n.me, err)
@@ -303,43 +326,43 @@ func (n *Node) serveControl(conn stdnet.Conn) {
 }
 
 // reply sends one response frame on the control connection.
-func (n *Node) reply(conn stdnet.Conn, ft frameType, payload []byte) error {
-	conn.SetWriteDeadline(time.Now().Add(n.opts.RoundTimeout))
-	defer conn.SetWriteDeadline(time.Time{})
-	return writeFrame(conn, ft, payload)
+func (n *Node) reply(fc *framed, ft frameType, m encoder) error {
+	fc.conn.SetWriteDeadline(time.Now().Add(n.opts.RoundTimeout))
+	defer fc.conn.SetWriteDeadline(time.Time{})
+	return fc.write(ft, m)
 }
 
 // handleControl executes one coordinator request. The returned error is
 // transport-level (tear the control conn down); request-level failures ride
 // back inside the response instead.
-func (n *Node) handleControl(conn stdnet.Conn, ft frameType, payload []byte) (shutdown bool, err error) {
+func (n *Node) handleControl(fc *framed, ft frameType, payload []byte) (shutdown bool, err error) {
 	switch ft {
 	case frameSetup:
 		m, err := decodeSetup(payload)
 		if err != nil {
 			return false, err
 		}
-		return false, n.reply(conn, frameAck, Ack{Err: errString(n.setup(m))}.encode())
+		return false, n.reply(fc, frameAck, Ack{Err: errString(n.setup(m))})
 	case frameEpoch:
 		m, err := decodeEpoch(payload)
 		if err != nil {
 			return false, err
 		}
 		if n.peer == nil {
-			return false, n.reply(conn, frameAck, Ack{Err: "node has no setup"}.encode())
+			return false, n.reply(fc, frameAck, Ack{Err: "node has no setup"})
 		}
 		if m.Eval {
 			n.peer.StartEvalEpoch(int(m.Epoch))
 		} else {
 			n.peer.StartEpoch(int(m.Epoch))
 		}
-		return false, n.reply(conn, frameAck, Ack{}.encode())
+		return false, n.reply(fc, frameAck, Ack{})
 	case frameRound:
-		m, err := decodeRound(payload)
+		m, h, err := decodeRound(payload)
 		if err != nil {
 			return false, err
 		}
-		return false, n.reply(conn, frameRoundDone, n.runRound(m).encode())
+		return false, n.reply(fc, frameRoundDone, n.runRound(m, h))
 	case frameRepart:
 		m, err := decodeRepart(payload)
 		if err != nil {
@@ -353,7 +376,7 @@ func (n *Node) handleControl(conn stdnet.Conn, ft frameType, payload []byte) (sh
 		} else {
 			resp.Dirty = toInt32s(dirty)
 		}
-		return false, n.reply(conn, frameRepartDone, resp.encode())
+		return false, n.reply(fc, frameRepartDone, resp)
 	case frameState:
 		m, err := decodeState(payload)
 		if err != nil {
@@ -367,7 +390,7 @@ func (n *Node) handleControl(conn stdnet.Conn, ft frameType, payload []byte) (sh
 		} else {
 			resp.Blob = blob
 		}
-		return false, n.reply(conn, frameState, resp.encode())
+		return false, n.reply(fc, frameState, resp)
 	case frameRestore:
 		m, err := decodeState(payload)
 		if err != nil {
@@ -382,13 +405,13 @@ func (n *Node) handleControl(conn stdnet.Conn, ft frameType, payload []byte) (sh
 		} else if rerr := n.peer.Restore(st); rerr != nil {
 			resp.Err = rerr.Error()
 		}
-		return false, n.reply(conn, frameAck, resp.encode())
+		return false, n.reply(fc, frameAck, resp)
 	case frameRemesh:
 		m, err := decodeRemesh(payload)
 		if err != nil {
 			return false, err
 		}
-		return false, n.reply(conn, frameAck, Ack{Seq: m.Seq, Err: errString(n.buildMesh(m.Gen))}.encode())
+		return false, n.reply(fc, frameAck, Ack{Seq: m.Seq, Err: errString(n.buildMesh(m.Gen))})
 	case frameSchedSig:
 		m, err := decodeSchedSig(payload)
 		if err != nil {
@@ -402,7 +425,7 @@ func (n *Node) handleControl(conn stdnet.Conn, ft frameType, payload []byte) (sh
 		} else {
 			resp = schedSigFrom(m.Seq, sigs)
 		}
-		return false, n.reply(conn, frameSchedSig, resp.encode())
+		return false, n.reply(fc, frameSchedSig, resp)
 	case frameSchedUpdate:
 		m, err := decodeSchedUpdate(payload)
 		if err != nil {
@@ -414,9 +437,9 @@ func (n *Node) handleControl(conn stdnet.Conn, ft frameType, payload []byte) (sh
 		} else if aerr := n.peer.ApplySchedule(toInts(m.Levels)); aerr != nil {
 			resp.Err = aerr.Error()
 		}
-		return false, n.reply(conn, frameAck, resp.encode())
+		return false, n.reply(fc, frameAck, resp)
 	case frameShutdown:
-		n.reply(conn, frameAck, Ack{}.encode())
+		n.reply(fc, frameAck, Ack{})
 		return true, nil
 	default:
 		return false, fmt.Errorf("%w: control frame type %d", ErrProtocol, ft)
@@ -461,21 +484,21 @@ func (n *Node) buildMesh(gen uint32) error {
 	// Dial every lower-numbered peer (they accept from higher ids).
 	type dialRes struct {
 		peer int
-		conn stdnet.Conn
+		fc   *framed
 		err  error
 	}
 	ch := make(chan dialRes, n.me)
 	for j := 0; j < n.me; j++ {
 		go func(j int) {
+			var fc *framed
 			conn, err := dialRetry(n.opts.Dial, n.addrs[j], n.opts.DialRetries, n.opts.DialBackoff)
 			if err == nil {
-				err = writeFrame(conn, frameHello, Hello{Sender: int32(n.me), Gen: gen}.encode())
-				if err != nil {
+				fc = &framed{conn: conn}
+				if err = fc.write(frameHello, Hello{Sender: int32(n.me), Gen: gen}); err != nil {
 					conn.Close()
-					conn = nil
 				}
 			}
-			ch <- dialRes{peer: j, conn: conn, err: err}
+			ch <- dialRes{peer: j, fc: fc, err: err}
 		}(j)
 	}
 	var firstErr error
@@ -487,10 +510,10 @@ func (n *Node) buildMesh(gen uint32) error {
 			}
 			continue
 		}
-		if !n.track(res.conn) {
+		if !n.track(res.fc.conn) {
 			return errors.New("net: node is closed")
 		}
-		n.mesh[res.peer] = newPeerConn(res.conn)
+		n.mesh[res.peer] = newPeerConn(res.fc)
 	}
 	if firstErr != nil {
 		n.teardownMesh()
@@ -508,11 +531,11 @@ func (n *Node) buildMesh(gen uint32) error {
 		case in := <-n.incoming:
 			if in.gen != gen || int(in.sender) <= n.me || int(in.sender) >= n.nparts ||
 				n.mesh[in.sender] != nil {
-				n.untrack(in.conn)
-				in.conn.Close() // stale generation or bogus sender
+				n.untrack(in.fc.conn)
+				in.fc.conn.Close() // stale generation or bogus sender
 				continue
 			}
-			n.mesh[in.sender] = newPeerConn(in.conn)
+			n.mesh[in.sender] = newPeerConn(in.fc)
 			need--
 		case <-time.After(wait):
 		case <-n.done:
@@ -527,17 +550,17 @@ func (n *Node) buildMesh(gen uint32) error {
 func (n *Node) teardownMesh() {
 	for _, pc := range n.mesh {
 		if pc != nil {
-			n.untrack(pc.conn)
-			pc.conn.Close()
+			n.untrack(pc.fc.conn)
+			pc.fc.conn.Close()
 		}
 	}
 	n.mesh = nil
 }
 
-// runRound executes one aggregate round against the mesh and reports the
-// owned out rows plus the traffic delta. A round failure rides back in
-// RoundDone.Err (the peer stays poisoned until the coordinator restores it).
-func (n *Node) runRound(m Round) RoundDone {
+// runRound executes one aggregate round (h: the scattered rows, still encoded)
+// and reports the owned out rows plus the traffic delta. A round failure rides
+// back in RoundDone.Err (the peer stays poisoned until restored).
+func (n *Node) runRound(m Round, h []byte) RoundDone {
 	resp := RoundDone{Seq: m.Seq}
 	if n.peer == nil {
 		resp.Err = "node has no setup"
@@ -545,9 +568,9 @@ func (n *Node) runRound(m Round) RoundDone {
 	}
 	own := n.peer.Own()
 	cols := int(m.Cols)
-	if len(m.H) != len(own)*cols {
+	if len(h) != 8*len(own)*cols {
 		resp.Err = fmt.Sprintf("round %d: %d h values, want %d own rows x %d cols",
-			m.Seq, len(m.H), len(own), cols)
+			m.Seq, len(h)/8, len(own), cols)
 		return resp
 	}
 	bufs := n.bufs[cols]
@@ -556,19 +579,19 @@ func (n *Node) runRound(m Round) RoundDone {
 		bufs = &roundBufs{h: tensor.New(nn, cols), out: tensor.New(nn, cols)}
 		n.bufs[cols] = bufs
 	}
-	for k, u := range own {
-		copy(bufs.h.Row(int(u)), m.H[k*cols:(k+1)*cols])
-	}
+	loadRows(h, bufs.h, own)
 
 	deadline := time.Now().Add(n.opts.RoundTimeout)
+	timeout := time.NewTimer(n.opts.RoundTimeout)
+	defer timeout.Stop()
 	send := func(peer int, frame []byte) error {
 		pc := n.mesh[peer]
 		if pc == nil {
 			return fmt.Errorf("%w: no mesh connection to %d", ErrPeerDown, peer)
 		}
-		pc.conn.SetWriteDeadline(deadline)
-		defer pc.conn.SetWriteDeadline(time.Time{})
-		return writeFrame(pc.conn, frameBatch, Batch{Seq: m.Seq, From: int32(n.me), Data: frame}.encode())
+		pc.fc.conn.SetWriteDeadline(deadline)
+		defer pc.fc.conn.SetWriteDeadline(time.Time{})
+		return pc.fc.write(frameBatch, Batch{Seq: m.Seq, From: int32(n.me), Data: frame})
 	}
 	next := 0
 	recv := func() ([]byte, error) {
@@ -588,6 +611,7 @@ func (n *Node) runRound(m Round) RoundDone {
 				if qf.err != nil {
 					return nil, fmt.Errorf("from peer %d: %w", next, qf.err)
 				}
+				pc.lend(qf.data)
 				if qf.seq < m.Seq {
 					continue // stale duplicate from a previous round: drop
 				}
@@ -597,7 +621,7 @@ func (n *Node) runRound(m Round) RoundDone {
 				}
 				next++
 				return qf.data, nil
-			case <-time.After(time.Until(deadline)):
+			case <-timeout.C:
 				return nil, fmt.Errorf("waiting for peer %d batch: %w", next, ErrRoundTimeout)
 			case <-n.done:
 				return nil, errors.New("net: node is closed")
@@ -608,10 +632,7 @@ func (n *Node) runRound(m Round) RoundDone {
 		resp.Err = err.Error()
 		return resp
 	}
-	resp.Out = make([]float64, 0, len(own)*cols)
-	for _, u := range own {
-		resp.Out = append(resp.Out, bufs.out.Row(int(u))...)
-	}
+	resp.Out, resp.Rows = bufs.out, own
 	resp.Bytes, resp.Msgs = n.peer.TrafficDelta()
 	return resp
 }

@@ -2,10 +2,14 @@ package net
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	stdnet "net"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -31,7 +35,7 @@ type testCluster struct {
 
 // shortTempDir returns a temp dir short enough for unix socket paths (the
 // sockaddr_un limit is ~108 bytes; t.TempDir can exceed it).
-func shortTempDir(t *testing.T) string {
+func shortTempDir(t testing.TB) string {
 	t.Helper()
 	dir, err := os.MkdirTemp("", "scgnn")
 	if err != nil {
@@ -42,7 +46,7 @@ func shortTempDir(t *testing.T) string {
 }
 
 // startNode launches one node serving on addr and returns it.
-func startNode(t *testing.T, addr string, opts NodeOptions) *Node {
+func startNode(t testing.TB, addr string, opts NodeOptions) *Node {
 	t.Helper()
 	lis, err := stdnet.Listen("unix", addr)
 	if err != nil {
@@ -55,7 +59,7 @@ func startNode(t *testing.T, addr string, opts NodeOptions) *Node {
 }
 
 // startCluster spins up nparts nodes and a connected coordinator.
-func startCluster(t *testing.T, nparts int, nodeOpts NodeOptions, coordOpts CoordOptions) *testCluster {
+func startCluster(t testing.TB, nparts int, nodeOpts NodeOptions, coordOpts CoordOptions) *testCluster {
 	t.Helper()
 	tc := &testCluster{dir: shortTempDir(t)}
 	for p := 0; p < nparts; p++ {
@@ -232,4 +236,176 @@ func graphFromEdges(n int, pairs [][2]int32) *graph.Graph {
 		edges[i] = graph.Edge{U: p[0], V: p[1]}
 	}
 	return graph.NewUndirected(n, edges)
+}
+
+// countConn counts the bytes a connection moves in either direction.
+type countConn struct {
+	stdnet.Conn
+	n *atomic.Int64
+}
+
+func (c countConn) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	c.n.Add(int64(n))
+	return n, err
+}
+
+func (c countConn) Write(p []byte) (int, error) {
+	n, err := c.Conn.Write(p)
+	c.n.Add(int64(n))
+	return n, err
+}
+
+// TestFleetSteadyStateAllocs is the hub's allocation gate: once every
+// connection's buffers have seen a round of each width, an AggregateInto
+// round — coordinator and all four nodes, which share this process — may
+// allocate less than a tenth of the bytes it moves over the control
+// connections. (Before the connections retained their buffers a round
+// allocated about thirteen times what it moved.)
+func TestFleetSteadyStateAllocs(t *testing.T) {
+	const (
+		nparts = 4
+		cols   = 32
+		rounds = 20
+	)
+	d, part, _ := testGraph(t, nparts)
+	h := randMat(d.NumNodes(), cols, 61)
+	dst := tensor.New(d.NumNodes(), cols)
+	for name, cfg := range map[string]dist.Config{
+		"vanilla":  {Seed: 3},
+		"semantic": {Semantic: true, Seed: 3},
+	} {
+		t.Run(name, func(t *testing.T) {
+			var hub atomic.Int64
+			coordOpts := quickCoordOpts()
+			coordOpts.Dial = func(network, addr string) (stdnet.Conn, error) {
+				conn, err := stdnet.Dial(network, addr)
+				return countConn{conn, &hub}, err
+			}
+			tc := startCluster(t, nparts, quickNodeOpts(), coordOpts)
+			if err := tc.coord.Setup(d.Graph, part, cfg); err != nil {
+				t.Fatalf("setup: %v", err)
+			}
+			round := func(backward bool) {
+				if err := tc.coord.AggregateInto(dst, h, backward); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for epoch := 0; epoch < 2; epoch++ {
+				tc.coord.StartEpoch(epoch)
+				round(false)
+				round(true)
+			}
+			var before, after runtime.MemStats
+			moved := hub.Load()
+			runtime.ReadMemStats(&before)
+			for i := 0; i < rounds; i++ {
+				round(i%2 == 1)
+			}
+			runtime.ReadMemStats(&after)
+			moved = (hub.Load() - moved) / rounds
+			alloc := int64(after.TotalAlloc-before.TotalAlloc) / rounds
+			t.Logf("%d B allocated per round, %d B moved over the hub", alloc, moved)
+			if alloc*10 >= moved {
+				t.Fatalf("a steady round allocates %d B, not under a tenth of the %d B it moves", alloc, moved)
+			}
+			tc.coord.Shutdown()
+		})
+	}
+}
+
+// TestAggregateIntoAndRoundAlternate drives one fleet through both forms of
+// the round — AggregateInto into a retained matrix full of stale values, and
+// Round into a fresh one — in turn, forward and backward through each, and
+// holds every result to the in-process cluster bit for bit.
+func TestAggregateIntoAndRoundAlternate(t *testing.T) {
+	const nparts = 4
+	d, part, _ := testGraph(t, nparts)
+	h := randMat(d.NumNodes(), 6, 71)
+	g := randMat(d.NumNodes(), 6, 72)
+	for name, cfg := range map[string]dist.Config{
+		"quant8+ef": {QuantBits: 8, ErrorFeedback: true, Seed: 9},
+		"semantic":  {Semantic: true, Seed: 9},
+	} {
+		t.Run(name, func(t *testing.T) {
+			cl := worker.NewClusterFromConfig(d.Graph, part, nparts, cfg)
+			defer cl.Close()
+			tc := startCluster(t, nparts, quickNodeOpts(), quickCoordOpts())
+			if err := tc.coord.Setup(d.Graph, part, cfg); err != nil {
+				t.Fatalf("setup: %v", err)
+			}
+			dst := tensor.New(d.NumNodes(), 6)
+			for round := 0; round < 8; round++ {
+				bwd := round%2 == 1
+				in, want := h, cl.Forward
+				if bwd {
+					in, want = g, cl.Backward
+				} else {
+					cl.StartEpoch(round / 2)
+					tc.coord.StartEpoch(round / 2)
+				}
+				got := dst
+				var err error
+				// Rounds 0, 3, 4, 7 go through AggregateInto: each form
+				// runs both directions and follows the other.
+				if round%4 == 0 || round%4 == 3 {
+					dst.Fill(math.NaN())
+					err = tc.coord.AggregateInto(dst, in, bwd)
+				} else {
+					got, err = tc.coord.Round(in, bwd)
+				}
+				if err != nil {
+					t.Fatalf("round %d: %v", round, err)
+				}
+				if !got.Equal(want(in), 0) {
+					t.Fatalf("round %d (backward=%v): fleet diverged from cluster", round, bwd)
+				}
+			}
+			tc.coord.Shutdown()
+		})
+	}
+}
+
+// TestRoundRejectsMisshapedMatrices: a matrix the fleet cannot aggregate —
+// no columns, the wrong row count, a destination of another shape — is the
+// caller's error, returned before any frame is written. (A zero-column Round
+// used to reach the nodes, whose decoders dropped the control connection over
+// it: ErrPeerDown from every node and a dead fleet.) The same fleet then runs
+// a good round.
+func TestRoundRejectsMisshapedMatrices(t *testing.T) {
+	const nparts = 3
+	d, part, _ := testGraph(t, nparts)
+	n := d.NumNodes()
+	cfg := dist.Config{QuantBits: 8, ErrorFeedback: true, Seed: 5}
+	cl := worker.NewClusterFromConfig(d.Graph, part, nparts, cfg)
+	defer cl.Close()
+	tc := startCluster(t, nparts, quickNodeOpts(), quickCoordOpts())
+	if err := tc.coord.Setup(d.Graph, part, cfg); err != nil {
+		t.Fatalf("setup: %v", err)
+	}
+	cl.StartEpoch(0)
+	tc.coord.StartEpoch(0)
+	for name, shape := range map[string]struct{ dst, h *tensor.Matrix }{
+		"no columns":     {tensor.New(n, 0), tensor.New(n, 0)},
+		"short h":        {tensor.New(n-1, 4), tensor.New(n-1, 4)},
+		"short dst":      {tensor.New(n-1, 4), tensor.New(n, 4)},
+		"dst other cols": {tensor.New(n, 3), tensor.New(n, 4)},
+	} {
+		err := tc.coord.AggregateInto(shape.dst, shape.h, false)
+		if err == nil || !strings.Contains(err.Error(), "round shapes") || isTypedNetErr(err) {
+			t.Fatalf("%s: AggregateInto err = %v, want the shape error", name, err)
+		}
+	}
+	if _, err := tc.coord.Round(tensor.New(n, 0), true); err == nil || isTypedNetErr(err) {
+		t.Fatalf("Round of a zero-column matrix: err = %v, want the shape error", err)
+	}
+	h := randMat(n, 4, 81)
+	got, err := tc.coord.Round(h, false)
+	if err != nil {
+		t.Fatalf("good round after the rejected ones: %v", err)
+	}
+	if !got.Equal(cl.Forward(h), 0) {
+		t.Fatal("good round after the rejected ones diverged from cluster")
+	}
+	tc.coord.Shutdown()
 }
