@@ -6,13 +6,14 @@ GO ?= go
 
 all: build vet test race
 
-# The arm64 cross-build keeps the no-assembly path (kernels_noasm.go, the
-# only path off amd64) compiling; vet there checks the stubs against the
-# declarations the amd64 .s files are checked against.
+# The arm64 cross-build keeps the no-assembly path (kernels_noasm.go in
+# tensor, grid_noasm.go in compress: the only path off amd64) compiling; vet
+# there checks the stubs against the declarations the amd64 .s files are
+# checked against, in every package that has a .s file.
 build:
 	$(GO) build ./...
 	GOARCH=arm64 $(GO) build ./...
-	GOARCH=arm64 $(GO) vet ./internal/tensor/
+	GOARCH=arm64 $(GO) vet ./internal/tensor/ ./internal/compress/
 
 vet:
 	$(GO) vet ./...
@@ -31,11 +32,15 @@ test:
 # The dense side (tensor, nn, gnn) starts goroutines too since the row split:
 # its packages ride the lane, and the kernel path test — every product and
 # row-wise pass at 1/2/3/8 workers — runs ten times over under the detector.
+# So do the codec kernel matrices (compress's slice operations and the wire
+# messages built on them, vector path against Go path against the per-value
+# reference): they flip a package-level gate, which the detector should see.
 race:
 	$(GO) test -race ./internal/dist/... ./internal/worker/... ./internal/exchange/... \
 		./internal/cluster/... ./internal/core/... ./internal/graph/... \
 		./internal/sched/... ./internal/tensor/... ./internal/nn/... ./internal/gnn/...
 	$(GO) test -race -count=10 -run 'TestKernelSIMDMatchesGeneric|TestRowwisePasses|TestParallelRows' ./internal/tensor/
+	$(GO) test -race -count=10 -run 'TestGridKernelsMatchPerValue|TestCodecKernelsMatchReference' ./internal/compress/ ./internal/wire/
 	$(GO) test -race -count=10 -run 'TestClusterArrivalOrderInvariant' ./internal/worker/
 
 # The multi-process lane: the whole socket transport package under the race
@@ -85,7 +90,8 @@ cover:
 loc:
 	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' -print0 | xargs -0 cat | wc -l
 
-# Coverage-guided fuzzing of the wire decoders and the arc-bucket differ
+# Coverage-guided fuzzing of the wire decoders, the codec kernels (vector and
+# Go paths against the per-value reference) and the arc-bucket differ
 # (go test -fuzz accepts one target per invocation). FUZZTIME=10m for a soak;
 # the checked-in seed corpora under */testdata/fuzz/ are the starting point
 # either way.
@@ -93,6 +99,7 @@ FUZZTIME ?= 2m
 fuzz:
 	$(GO) test ./internal/wire/ -run '^$$' -fuzz '^FuzzDecoder$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/wire/ -run '^$$' -fuzz '^FuzzBatchRoundtrip$$' -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/wire/ -run '^$$' -fuzz '^FuzzGridKernels$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/graph/ -run '^$$' -fuzz '^FuzzDiffDBGs$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/net/ -run '^$$' -fuzz '^FuzzFrameDecoder$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/net/ -run '^$$' -fuzz '^FuzzFrameStream$$' -fuzztime=$(FUZZTIME)
@@ -115,13 +122,18 @@ verify: build vet test race test-net cover fuzz-smoke
 # "exchange-core" keys hold this lane's and bench-round's rows from one run
 # each side of the exchange-core extraction (DESIGN.md §15); "one-grid-before" /
 # "one-grid" hold the same rows either side of the move onto one quantisation
-# grid, which put every quantised encode and decode through compress.Grid.
+# grid, which put every quantised encode and decode through compress.Grid;
+# "codec-before" / "codec" hold the quantised rounds (BenchmarkClusterRoundQuant*,
+# …AdaptiveInto) and the wire-level codec rows (a batch encoded per codec,
+# streamed back through Decoder.AXPY; ns/val beside ns/op), which ride this
+# lane too, either side of the grid's move from per-value loops to slice kernels.
 # The planning-pipeline benchmarks (one-sweep DBG extraction + concurrent plan
 # builds + EEP sweep, plus the 100k-preset dirty-fraction replan sweep
 # BenchmarkReplan100K*) refresh BENCH_plan.json the same way. The scheduler-overhead rows (per-boundary merge+decide cost
 # across pair counts) land in BENCH_plan.json under "sched".
 bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkClusterRound|BenchmarkEngineExchange' -benchmem -cpu 1,2 . ./internal/worker/ \
+	$(GO) test -run '^$$' -bench 'BenchmarkClusterRound|BenchmarkEngineExchange|BenchmarkEncodeQuantized|BenchmarkDecoderAXPY' \
+		-benchmem -cpu 1,2 . ./internal/worker/ ./internal/wire/ \
 		| $(GO) run ./cmd/scgnn-benchjson -o BENCH_worker.json -key after
 	$(GO) test -run '^$$' -bench 'BenchmarkAllDBGs|BenchmarkPlanPipeline|BenchmarkReplan' -benchmem . \
 		| $(GO) run ./cmd/scgnn-benchjson -o BENCH_plan.json -key after

@@ -51,10 +51,19 @@ func NewAdaptiveQuantizer(minBits, maxBits int, errorBudget float64) *AdaptiveQu
 // encoder; the analytic engine's Roundtrip makes the identical choice on the
 // identical payload.
 func (q *AdaptiveQuantizer) ChooseBits(v []float64) int {
-	bits := q.MinBits
+	bits, _, _ := q.choose(v)
+	return bits
+}
+
+// choose is ChooseBits, also returning the payload's range: the rule reads it
+// off the grid's own range scan, and Roundtrip builds its grid on it without
+// ranging the payload again. (The wire encoder cannot be handed it: a message
+// is encoded from its payload and a width alone.)
+func (q *AdaptiveQuantizer) choose(v []float64) (bits int, lo, hi float64) {
+	bits = q.MinBits
+	lo, hi = payloadRange(v)
 	if len(v) > 0 {
-		lo, hi, std := rangeAndStd(v)
-		if std > 0 && hi > lo {
+		if std := stddev(v); std > 0 && hi > lo {
 			// Clamped as a float: an overflowed range or variance makes need
 			// NaN or ±Inf, which must not reach an integer conversion.
 			need := math.Ceil(math.Log2((hi - lo) / (2 * q.ErrorBudget * std)))
@@ -68,24 +77,22 @@ func (q *AdaptiveQuantizer) ChooseBits(v []float64) int {
 	q.LastBits = bits
 	q.BitsSum += int64(bits)
 	q.Calls++
-	return bits
+	return bits, lo, hi
 }
 
 // Roundtrip quantizes v in place at an adaptively chosen bit width (see
 // Quantizer.Roundtrip) and returns the wire size (payload bits + 8 bytes
 // lo/step + 1 byte width).
 func (q *AdaptiveQuantizer) Roundtrip(v []float64) int {
-	bits := q.ChooseBits(v)
-	NewGrid(v, bits).Roundtrip(v)
+	bits, lo, hi := q.choose(v)
+	gridOver(lo, hi, bits).Roundtrip(v)
 	return (len(v)*bits+7)/8 + 9
 }
 
-func rangeAndStd(v []float64) (lo, hi, std float64) {
-	lo, hi = v[0], v[0]
+// stddev is the population standard deviation of v, summed in index order.
+func stddev(v []float64) float64 {
 	var sum float64
 	for _, x := range v {
-		lo = math.Min(lo, x)
-		hi = math.Max(hi, x)
 		sum += x
 	}
 	mean := sum / float64(len(v))
@@ -94,8 +101,7 @@ func rangeAndStd(v []float64) (lo, hi, std float64) {
 		d := x - mean
 		ss += d * d
 	}
-	std = math.Sqrt(ss / float64(len(v)))
-	return lo, hi, std
+	return math.Sqrt(ss / float64(len(v)))
 }
 
 // NodeSampler implements BNS-GCN-style *boundary node* sampling: the

@@ -37,7 +37,7 @@ func TestAdaptiveQuantizerErrorBound(t *testing.T) {
 		v[i] = rng.NormFloat64()
 		orig[i] = v[i]
 	}
-	_, _, std := rangeAndStd(v)
+	std := stddev(v)
 	q.Roundtrip(v)
 	if q.LastBits >= 16 {
 		t.Fatalf("normal payload should not need max bits, got %d", q.LastBits)

@@ -25,6 +25,12 @@ package tensor
 
 import "fmt"
 
+// SIMD reports whether the AVX2 bodies run on this host: CPU capability alone
+// decides. A package that carries vector kernels under this file's contract
+// (compress, for the quantisation grid) reads the gate here instead of asking
+// the CPU a second time.
+func SIMD() bool { return useSIMD }
+
 // kernelTile is the column-tile width (elements) of the fused kernels:
 // 512 float64s = 4 KiB per row segment, so the 5 live segments of an
 // unrolled iteration (~20 KiB) fit in L1 even while the row list

@@ -25,10 +25,10 @@ type Header struct {
 // worker runtime's receive phase) or by Read (into a caller-owned scratch
 // slice, for group messages that fan out to several rows).
 //
-// Decoder performs the same validation as Decode — declared lengths are
-// checked against the remaining buffer in int64 arithmetic, bit widths
-// outside 1..16 are rejected — so a corrupt or truncated buffer yields an
-// error, never a panic or an attacker-sized allocation.
+// Decoder trusts nothing it reads: declared lengths are checked against the
+// remaining buffer in int64 arithmetic and bit widths outside 1..16 are
+// rejected, so a corrupt or truncated buffer yields an error, never a panic or
+// an attacker-sized allocation.
 //
 // The decoder borrows the buffer; decoded values must be copied (AXPY/Read do
 // exactly that) and callers must not retain sub-slices of buf.
@@ -111,29 +111,13 @@ func (d *Decoder) AXPY(alpha float64, dst []float64) error {
 	if len(dst) != d.n {
 		return fmt.Errorf("wire: AXPY dst holds %d values, payload has %d", len(dst), d.n)
 	}
-	if d.bits == 0 {
-		p := d.payload
-		for i := range dst {
-			dst[i] += alpha * float64(math.Float32frombits(binary.LittleEndian.Uint32(p[4*i:])))
-		}
+	if d.bits > 0 {
+		d.reconstruct(dst, alpha, true)
 		return nil
 	}
-	data := d.payload
-	var acc uint64
-	var accBits uint
-	di := 0
-	bits := uint(d.bits)
-	mask := uint64(1)<<bits - 1
-	for i := 0; i < d.n; i++ {
-		for accBits < bits {
-			acc |= uint64(data[di]) << accBits
-			di++
-			accBits += 8
-		}
-		q := acc & mask
-		acc >>= bits
-		accBits -= bits
-		dst[i] += alpha * d.grid.Value(q)
+	p := d.payload[:ValueBytes*len(dst)]
+	for i := range dst {
+		dst[i] += alpha * float64(fp32At(p, i))
 	}
 	return nil
 }
@@ -144,29 +128,35 @@ func (d *Decoder) Read(dst []float64) error {
 	if len(dst) != d.n {
 		return fmt.Errorf("wire: Read dst holds %d values, payload has %d", len(dst), d.n)
 	}
-	if d.bits == 0 {
-		p := d.payload
-		for i := range dst {
-			dst[i] = float64(math.Float32frombits(binary.LittleEndian.Uint32(p[4*i:])))
-		}
+	if d.bits > 0 {
+		d.reconstruct(dst, 0, false)
 		return nil
 	}
-	data := d.payload
-	var acc uint64
-	var accBits uint
-	di := 0
-	bits := uint(d.bits)
-	mask := uint64(1)<<bits - 1
-	for i := 0; i < d.n; i++ {
-		for accBits < bits {
-			acc |= uint64(data[di]) << accBits
-			di++
-			accBits += 8
-		}
-		q := acc & mask
-		acc >>= bits
-		accBits -= bits
-		dst[i] = d.grid.Value(q)
+	p := d.payload[:ValueBytes*len(dst)]
+	for i := range dst {
+		dst[i] = float64(fp32At(p, i))
 	}
 	return nil
+}
+
+// fp32At reads value i of an fp32 payload. The full slice expression lets the
+// compiler drop the bounds arithmetic a plain p[4i:] carries per value.
+func fp32At(p []byte, i int) float32 {
+	return math.Float32frombits(binary.LittleEndian.Uint32(p[ValueBytes*i : ValueBytes*i+ValueBytes : ValueBytes*i+ValueBytes]))
+}
+
+// reconstruct walks the pending quantized payload a chunk of levels at a
+// time: unpacked onto the stack, then stored to dst or accumulated into it by
+// the grid.
+func (d *Decoder) reconstruct(dst []float64, alpha float64, accumulate bool) {
+	var levels [levelChunk]uint16
+	for off := 0; off < len(dst); off += levelChunk {
+		c := min(len(dst)-off, levelChunk)
+		unpackLevels(levels[:c], d.payload[off*d.bits/8:], d.bits)
+		if accumulate {
+			d.grid.AXPY(alpha, levels[:c], dst[off:off+c])
+		} else {
+			d.grid.Values(dst[off:off+c], levels[:c])
+		}
+	}
 }

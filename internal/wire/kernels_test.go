@@ -1,0 +1,322 @@
+package wire
+
+import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
+	"hash/fnv"
+	"math"
+	"math/rand"
+	"testing"
+	_ "unsafe" // go:linkname
+
+	"scgnn/internal/compress"
+)
+
+// gridSIMD is compress's gate for the grid's AVX2 bodies. Production code has
+// no switch — CPU capability alone picks the path — so the tests here reach
+// the variable by name, to pin the vector path and the Go path to the same
+// bytes on one host the way tensor's tests flip tensor's gate.
+//
+//go:linkname gridSIMD scgnn/internal/compress.useSIMD
+var gridSIMD bool
+
+// codecCase is one payload shape of the kernel matrix, after compress's own
+// (kernels_test.go there): the clamp at hi, exact ties and the largest
+// fraction below one, denormal ranges, ±0 at either end of the range, and
+// each way a payload poisons its unit.
+type codecCase struct {
+	name string
+	fill func(rng *rand.Rand, v []float64, bits int)
+}
+
+func codecCases() []codecCase {
+	negZero := math.Copysign(0, -1)
+	normal := func(rng *rand.Rand, v []float64) {
+		for i := range v {
+			v[i] = rng.NormFloat64() * 3
+		}
+	}
+	// pinned puts lo = 0 and hi = top·step, step a power of two, in v's first
+	// two slots: the grid's step is then exactly step.
+	pinned := func(v []float64, bits int, step float64) (top int) {
+		top = 1<<uint(bits) - 1
+		if len(v) > 1 {
+			v[0], v[1] = 0, float64(top)*step
+		}
+		return top
+	}
+	zeros := func(rng *rand.Rand, v []float64, sign float64) {
+		for i := range v {
+			switch rng.Intn(3) {
+			case 0:
+				v[i] = 0
+			case 1:
+				v[i] = negZero
+			default:
+				v[i] = sign * rng.Float64()
+			}
+		}
+	}
+	one := func(rng *rand.Rand, v []float64, x float64) {
+		normal(rng, v)
+		if len(v) > 0 {
+			v[rng.Intn(len(v))] = x
+		}
+	}
+	return []codecCase{
+		{"random", func(rng *rand.Rand, v []float64, _ int) { normal(rng, v) }},
+		{"constant", func(_ *rand.Rand, v []float64, _ int) {
+			for i := range v {
+				v[i] = 1.37
+			}
+		}},
+		{"clamp", func(rng *rand.Rand, v []float64, _ int) {
+			lo, hi := -1.0/3, 7.0/3 // (hi − lo)/step lands a rounding error either side of top
+			for i := range v {
+				switch rng.Intn(3) {
+				case 0:
+					v[i] = hi
+				case 1:
+					v[i] = lo
+				default:
+					v[i] = lo + (hi-lo)*rng.Float64()
+				}
+			}
+		}},
+		{"ties", func(rng *rand.Rand, v []float64, bits int) {
+			top := pinned(v, bits, 0.25)
+			for i := 2; i < len(v); i++ {
+				v[i] = (float64(rng.Intn(top)) + 0.5) * 0.25
+			}
+		}},
+		{"below-tie", func(rng *rand.Rand, v []float64, bits int) {
+			step := math.Ldexp(1, rng.Intn(9)-4)
+			pinned(v, bits, step)
+			for i := 2; i < len(v); i++ {
+				v[i] = 0.49999999999999994 * step
+			}
+		}},
+		{"denormals", func(rng *rand.Rand, v []float64, _ int) {
+			for i := range v {
+				v[i] = math.Float64frombits(uint64(rng.Intn(1 << 20)))
+			}
+		}},
+		{"zeros-at-min", func(rng *rand.Rand, v []float64, _ int) { zeros(rng, v, 1) }},
+		{"zeros-at-max", func(rng *rand.Rand, v []float64, _ int) { zeros(rng, v, -1) }},
+		{"nan", func(rng *rand.Rand, v []float64, _ int) { one(rng, v, math.NaN()) }},
+		{"+inf", func(rng *rand.Rand, v []float64, _ int) { one(rng, v, math.Inf(1)) }},
+		{"-inf", func(rng *rand.Rand, v []float64, _ int) { one(rng, v, math.Inf(-1)) }},
+		{"beyond-float32", func(rng *rand.Rand, v []float64, _ int) {
+			for i := range v {
+				v[i] = 1e39 * (1 + rng.Float64())
+			}
+		}},
+	}
+}
+
+// checkCodec encodes payload at the given width on the current path and
+// requires the message — header, metadata and packed levels — to equal the
+// per-value reference's byte for byte, the sender's roundtrip slice to equal
+// the reference's bit for bit, and Read and AXPY over the message to equal
+// the reference decoder's values bit for bit.
+func checkCodec(payload []float64, bits int, adaptive bool, alpha float64) error {
+	n := len(payload)
+	m := &Message{Kind: KindGroup, SrcPart: 3, Target: 41, Payload: payload}
+	wantRT := make([]float64, n)
+	want := referenceEncodeQuantized(nil, m, bits, adaptive, wantRT)
+	ref, rest, err := Decode(want)
+	if err != nil || len(rest) != 0 {
+		return fmt.Errorf("reference decode: %v (%d bytes left)", err, len(rest))
+	}
+
+	gotRT := make([]float64, n)
+	got := encodeQuantized(nil, m, bits, adaptive, gotRT)
+	if !bytes.Equal(got, want) {
+		return fmt.Errorf("encoded message\n got  %x\n want %x", got, want)
+	}
+	if plain := encodeQuantized(nil, m, bits, adaptive, nil); !bytes.Equal(plain, want) {
+		return fmt.Errorf("message encoded without a roundtrip slice\n got  %x\n want %x", plain, want)
+	}
+	base, read, acc := make([]float64, n), make([]float64, n), make([]float64, n)
+	for i := range base {
+		base[i] = float64(i%7) - 2.5
+	}
+	copy(acc, base)
+	for _, consume := range []func(*Decoder) error{
+		func(d *Decoder) error { return d.Read(read) },
+		func(d *Decoder) error { return d.AXPY(alpha, acc) },
+	} {
+		dec := NewDecoder(got)
+		if _, err := dec.Next(); err != nil {
+			return err
+		}
+		if err := consume(&dec); err != nil {
+			return err
+		}
+	}
+	for i, v := range ref.Payload {
+		// A NaN alpha meeting a poisoned unit's NaN may keep either payload.
+		axpy := base[i] + alpha*v
+		axpyOK := sameF64(acc[i], axpy) || math.IsNaN(alpha) && math.IsNaN(acc[i]) && math.IsNaN(axpy)
+		if !sameF64(gotRT[i], wantRT[i]) || !sameF64(gotRT[i], v) || !sameF64(read[i], v) || !axpyOK {
+			return fmt.Errorf("value %d: roundtrip %v (reference %v), Read %v, AXPY %v; reference decodes %v, accumulates %v",
+				i, gotRT[i], wantRT[i], read[i], acc[i], v, axpy)
+		}
+	}
+	return nil
+}
+
+// TestCodecKernelsMatchReference: widths 1..16 × lengths 0..67 (every tail
+// around the vector width) × every payload shape, on the vector path and on
+// the Go path: both must produce the per-value reference's bytes and bits.
+func TestCodecKernelsMatchReference(t *testing.T) {
+	defer func(prev bool) { gridSIMD = prev }(gridSIMD)
+	available := gridSIMD
+	for _, c := range codecCases() {
+		rng := rand.New(rand.NewSource(23))
+		for bits := 1; bits <= 16; bits++ {
+			for n := 0; n <= 67; n++ {
+				payload := make([]float64, n)
+				c.fill(rng, payload, bits)
+				for _, simd := range []bool{false, true} {
+					if simd && !available {
+						continue
+					}
+					gridSIMD = simd
+					if err := checkCodec(payload, bits, (n+bits)%2 == 1, -0.75); err != nil {
+						t.Fatalf("%s bits=%d n=%d simd=%v: %v\npayload %v", c.name, bits, n, simd, err, payload)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestCodecLongPayload crosses the levels chunk at widths that do and do not
+// divide a byte.
+func TestCodecLongPayload(t *testing.T) {
+	defer func(prev bool) { gridSIMD = prev }(gridSIMD)
+	available := gridSIMD
+	rng := rand.New(rand.NewSource(29))
+	for _, n := range []int{levelChunk - 1, levelChunk, levelChunk + 1, 3*levelChunk + 5} {
+		payload := make([]float64, n)
+		for i := range payload {
+			payload[i] = rng.NormFloat64()
+		}
+		for _, bits := range []int{1, 3, 4, 7, 8, 11, 16} {
+			for _, simd := range []bool{false, true} {
+				gridSIMD = simd && available
+				if err := checkCodec(payload, bits, bits%2 == 1, 0.5); err != nil {
+					t.Fatalf("n=%d bits=%d simd=%v: %v", n, bits, simd, err)
+				}
+			}
+		}
+	}
+}
+
+// float64Bytes is the little-endian image of v, FuzzGridKernels' payload
+// encoding.
+func float64Bytes(v []float64) []byte {
+	b := make([]byte, 8*len(v))
+	for i, x := range v {
+		binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(x))
+	}
+	return b
+}
+
+// FuzzGridKernels is the differential target for the grid's slice kernels as
+// the wire uses them: any eight-byte pattern is a payload value, any width
+// and any alpha go, and the vector and Go paths must both reproduce the
+// per-value reference (see checkCodec). Seeds: every shape of the kernel
+// matrix, at a length with a vector body and a tail.
+func FuzzGridKernels(f *testing.F) {
+	for i, c := range codecCases() {
+		payload := make([]float64, 11)
+		bits := 1 + (5*i+7)%16
+		c.fill(rand.New(rand.NewSource(int64(i))), payload, bits)
+		f.Add(float64Bytes(payload), uint8(bits-1), 0.5)
+	}
+	f.Add([]byte{}, uint8(0), math.NaN())
+	available := gridSIMD
+	f.Fuzz(func(t *testing.T, data []byte, width uint8, alpha float64) {
+		defer func(prev bool) { gridSIMD = prev }(gridSIMD)
+		payload := make([]float64, min(len(data)/8, 4*levelChunk))
+		for i := range payload {
+			payload[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[8*i:]))
+		}
+		bits := 1 + int(width)%16
+		for _, simd := range []bool{false, true} {
+			gridSIMD = simd && available
+			if err := checkCodec(payload, bits, width&16 != 0, alpha); err != nil {
+				t.Fatalf("bits=%d alpha=%v simd=%v: %v\npayload %v", bits, alpha, simd, err, payload)
+			}
+		}
+	})
+}
+
+// TestCodecDigests records what each codec put on the wire for a fixed batch
+// before the quantisation arithmetic moved from a value at a time to a payload
+// at a time: the digests were taken at that commit, so a changed byte — in a
+// header, a metadata pair, a packed level or, through the error-feedback
+// residuals, a reconstructed value — fails here by name.
+func TestCodecDigests(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	var msgs []*Message
+	for k, n := range []int{32, 32, 7, 33, 1, 130, 32, 0, 64, 5} {
+		payload := make([]float64, n)
+		scale := math.Ldexp(1, k-4)
+		for i := range payload {
+			payload[i] = rng.NormFloat64() * scale
+		}
+		msgs = append(msgs, &Message{Kind: Kind(1 + k%2), SrcPart: int32(k % 4), Target: int32(100 + k), Payload: payload})
+	}
+	digest := func(b *Batch) string {
+		h := fnv.New64a()
+		h.Write(b.Bytes())
+		return fmt.Sprintf("%016x", h.Sum64())
+	}
+	aq := compress.NewAdaptiveQuantizer(2, 8, 0)
+	ef := compress.NewErrorFeedback()
+	efRound := func(b *Batch) {
+		for k, m := range msgs {
+			payload := append([]float64(nil), m.Payload...)
+			ef.PreCompress(int64(k), payload)
+			sent := make([]float64, len(payload))
+			b.AddQuantizedRoundtrip(&Message{Kind: m.Kind, SrcPart: m.SrcPart, Target: m.Target, Payload: payload}, 8, sent)
+			ef.PostCompress(int64(k), payload, sent)
+		}
+	}
+	for _, codec := range []struct {
+		name, want string
+		fill       func(b *Batch)
+	}{
+		{"fp32", "a0b1f6bbe2a11a7a", func(b *Batch) {
+			for _, m := range msgs {
+				b.Add(m)
+			}
+		}},
+		{"q8", "3fb06d75f251a613", func(b *Batch) {
+			for _, m := range msgs {
+				b.AddQuantized(m, 8)
+			}
+		}},
+		{"q4", "3341707856df6fe0", func(b *Batch) {
+			for _, m := range msgs {
+				b.AddQuantized(m, 4)
+			}
+		}},
+		{"adaptive", "4ba561c3efffcbdd", func(b *Batch) {
+			for _, m := range msgs {
+				b.AddAdaptive(m, aq.ChooseBits(m.Payload))
+			}
+		}},
+		{"q8+EF, rounds 1 and 2", "0237b8d8f47f78a9", func(b *Batch) { efRound(b); efRound(b) }},
+	} {
+		var b Batch
+		codec.fill(&b)
+		if got := digest(&b); got != codec.want {
+			t.Errorf("%s: batch digest %s, recorded %s", codec.name, got, codec.want)
+		}
+	}
+}

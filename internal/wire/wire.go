@@ -7,12 +7,20 @@
 // package makes them real — every cross-partition value is serialized into a
 // byte slice and parsed again on the receiving worker, and the byte sizes
 // are asserted equal to the analytic accounting in tests.
+//
+// This package frames and packs; it holds no quantisation arithmetic. A
+// quantized payload is ranged, levelled and reconstructed a chunk of levels at
+// a time by the slice operations of compress.Grid and compress.WireGrid
+// (NewGrid, Levels, Values, AXPY); what is here moves those levels in and out
+// of a message's bytes. The per-value decoder the streaming Decoder is checked
+// against lives with the tests (reference_test.go).
 package wire
 
 import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 
 	"scgnn/internal/compress"
 )
@@ -61,76 +69,32 @@ func EncodedSize(n int) int { return HeaderBytes + ValueBytes*n }
 // extended slice. Payload values are truncated to fp32 — the same precision
 // the paper's training exchanges.
 func Encode(dst []byte, m *Message) []byte {
-	var hdr [HeaderBytes]byte
-	hdr[0] = byte(m.Kind)
-	binary.LittleEndian.PutUint32(hdr[4:], uint32(m.SrcPart))
-	binary.LittleEndian.PutUint32(hdr[8:], uint32(m.Target))
-	binary.LittleEndian.PutUint32(hdr[12:], uint32(len(m.Payload)))
-	dst = append(dst, hdr[:]...)
-	var buf [4]byte
+	dst, b := reserve(dst, EncodedSize(len(m.Payload)))
+	putHeader(b, m, 0, 0)
+	b = b[HeaderBytes:]
 	for _, v := range m.Payload {
-		binary.LittleEndian.PutUint32(buf[:], math.Float32bits(float32(v)))
-		dst = append(dst, buf[:]...)
+		binary.LittleEndian.PutUint32(b, math.Float32bits(float32(v)))
+		b = b[ValueBytes:]
 	}
 	return dst
 }
 
-// Decode parses one message from the front of b, returning the message and
-// the remaining bytes. The payload slice is freshly allocated.
-//
-// Decode never trusts the length or bit-width fields: the declared payload
-// size is validated against the remaining buffer (with the arithmetic done
-// in int64, so a hostile length cannot overflow the check) before any
-// allocation, and bit widths outside the encoder's 1..16 range are rejected
-// — so a corrupt or truncated buffer yields an error, never a panic or an
-// attacker-sized allocation.
-func Decode(b []byte) (*Message, []byte, error) {
-	if len(b) < HeaderBytes {
-		return nil, b, fmt.Errorf("wire: short header (%d bytes)", len(b))
-	}
-	kind := Kind(b[0])
-	if kind != KindNode && kind != KindGroup {
-		return nil, b, fmt.Errorf("wire: unknown kind %d", b[0])
-	}
-	if b[2]&^FlagAdaptive != 0 {
-		return nil, b, fmt.Errorf("wire: unknown flags %#x", b[2])
-	}
-	adaptive := b[2]&FlagAdaptive != 0
-	src := int32(binary.LittleEndian.Uint32(b[4:]))
-	target := int32(binary.LittleEndian.Uint32(b[8:]))
-	n := int(binary.LittleEndian.Uint32(b[12:]))
-	if bits := int(b[1]); bits > 0 {
-		if bits > 16 {
-			return nil, b, fmt.Errorf("wire: quantized bits %d out of 1..16", bits)
-		}
-		meta := 8
-		if adaptive {
-			meta = 9
-		}
-		need := int64(HeaderBytes) + int64(meta) + (int64(n)*int64(bits)+7)/8
-		if int64(len(b)) < need {
-			return nil, b, fmt.Errorf("wire: truncated quantized payload: have %d bytes, need %d", len(b), need)
-		}
-		if adaptive && int(b[HeaderBytes+8]) != bits {
-			return nil, b, fmt.Errorf("wire: adaptive width byte %d disagrees with header bits %d", b[HeaderBytes+8], bits)
-		}
-		return decodeQuantized(b, kind, bits, meta, src, target, n)
-	}
-	if adaptive {
-		return nil, b, fmt.Errorf("wire: adaptive flag on fp32 payload")
-	}
-	if need := int64(HeaderBytes) + 4*int64(n); int64(len(b)) < need {
-		return nil, b, fmt.Errorf("wire: truncated payload: have %d bytes, need %d", len(b), need)
-	}
-	total := EncodedSize(n)
-	payload := make([]float64, n)
-	off := HeaderBytes
-	for i := range payload {
-		bits := binary.LittleEndian.Uint32(b[off:])
-		payload[i] = float64(math.Float32frombits(bits))
-		off += 4
-	}
-	return &Message{Kind: kind, SrcPart: src, Target: target, Payload: payload}, b[total:], nil
+// reserve extends dst by n bytes, growing it at most once, and returns it
+// along with the new bytes (not zeroed: callers write every one).
+func reserve(dst []byte, n int) (all, added []byte) {
+	start := len(dst)
+	all = slices.Grow(dst, n)[:start+n]
+	return all, all[start:]
+}
+
+// putHeader writes m's header to the front of b, with the given bit-width and
+// flags bytes.
+func putHeader(b []byte, m *Message, bits, flags byte) {
+	_ = b[HeaderBytes-1]
+	b[0], b[1], b[2], b[3] = byte(m.Kind), bits, flags, 0
+	binary.LittleEndian.PutUint32(b[4:], uint32(m.SrcPart))
+	binary.LittleEndian.PutUint32(b[8:], uint32(m.Target))
+	binary.LittleEndian.PutUint32(b[12:], uint32(len(m.Payload)))
 }
 
 // Batch accumulates encoded messages bound for one destination worker so a
@@ -160,20 +124,6 @@ func (b *Batch) Reset() {
 	b.count = 0
 }
 
-// DecodeAll parses every message in an encoded batch buffer.
-func DecodeAll(buf []byte) ([]*Message, error) {
-	var out []*Message
-	for len(buf) > 0 {
-		m, rest, err := Decode(buf)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, m)
-		buf = rest
-	}
-	return out, nil
-}
-
 // Quantized payload support: header byte 1 carries the bit width (0 means
 // fp32). A quantized message stores its compress.Grid metadata as two fp32s
 // (lo, step) followed by the bit-packed little-endian levels. The grid owns
@@ -193,54 +143,123 @@ func EncodedSizeAdaptive(n, bits int) int {
 	return HeaderBytes + 9 + (n*bits+7)/8
 }
 
+// levelChunk is how many levels the encoder and the decoder stage on their
+// stacks between the grid's slice operations and a message's bytes. It is a
+// multiple of 8, so a chunk starts on a byte boundary at every width, and
+// small, because the stack array is zeroed once per message.
+const levelChunk = 64
+
 // encodeQuantized serializes m with bits-wide affine quantization of the
 // payload (1 ≤ bits ≤ 16), which is not modified. adaptive marks the width as
 // a per-message choice (FlagAdaptive set, width repeated in the metadata). A
 // non-nil roundtrip (len(m.Payload) values) receives what the receiver will
 // reconstruct, which senders running residual error feedback need exactly.
 func encodeQuantized(dst []byte, m *Message, bits int, adaptive bool, roundtrip []float64) []byte {
-	if roundtrip != nil && len(roundtrip) != len(m.Payload) {
-		panic(fmt.Sprintf("wire: roundtrip len %d, payload len %d", len(roundtrip), len(m.Payload)))
+	payload := m.Payload
+	if roundtrip != nil && len(roundtrip) != len(payload) {
+		panic(fmt.Sprintf("wire: roundtrip len %d, payload len %d", len(roundtrip), len(payload)))
 	}
-	grid := compress.NewGrid(m.Payload, bits)
-	rx := compress.NewWireGrid(grid.Meta()) // what the receiver will hold
-	var hdr [HeaderBytes + 9]byte
-	hdr[0] = byte(m.Kind)
-	hdr[1] = byte(bits)
-	binary.LittleEndian.PutUint32(hdr[4:], uint32(m.SrcPart))
-	binary.LittleEndian.PutUint32(hdr[8:], uint32(m.Target))
-	binary.LittleEndian.PutUint32(hdr[12:], uint32(len(m.Payload)))
-	lo, step := grid.Meta()
-	binary.LittleEndian.PutUint32(hdr[HeaderBytes:], math.Float32bits(lo))
-	binary.LittleEndian.PutUint32(hdr[HeaderBytes+4:], math.Float32bits(step))
-	n := HeaderBytes + 8
+	grid := compress.NewGrid(payload, bits) // panics on a width outside 1..16
+	size, flags := EncodedSizeQuantized(len(payload), bits), byte(0)
 	if adaptive {
-		hdr[2] = FlagAdaptive
-		hdr[n] = byte(bits)
-		n++
+		size, flags = EncodedSizeAdaptive(len(payload), bits), FlagAdaptive
 	}
-	dst = append(dst, hdr[:n]...)
-
-	// Bit-pack the level indices little-endian.
-	var acc uint64
-	var accBits uint
-	for i, v := range m.Payload {
-		q := grid.Level(v)
+	dst, b := reserve(dst, size)
+	putHeader(b, m, byte(bits), flags)
+	lo, step := grid.Meta()
+	binary.LittleEndian.PutUint32(b[HeaderBytes:], math.Float32bits(lo))
+	binary.LittleEndian.PutUint32(b[HeaderBytes+4:], math.Float32bits(step))
+	b = b[HeaderBytes+8:]
+	if adaptive {
+		b[0] = byte(bits)
+		b = b[1:]
+	}
+	var levels [levelChunk]uint16
+	for off := 0; off < len(payload); off += levelChunk {
+		c := min(len(payload)-off, levelChunk)
+		var rt []float64
 		if roundtrip != nil {
-			roundtrip[i] = rx.Value(q)
+			rt = roundtrip[off : off+c]
 		}
-		acc |= q << accBits
-		accBits += uint(bits)
-		for accBits >= 8 {
-			dst = append(dst, byte(acc))
-			acc >>= 8
-			accBits -= 8
-		}
-	}
-	if accBits > 0 {
-		dst = append(dst, byte(acc))
+		grid.Levels(levels[:c], payload[off:off+c], rt)
+		packLevels(b[off*bits/8:], levels[:c], bits)
 	}
 	return dst
+}
+
+// packLevels bit-packs levels, bits wide each, little-endian from the front of
+// b, which holds at least ceil(len(levels)·bits/8) bytes. The spare high bits
+// of a last partial byte are zero.
+func packLevels(b []byte, levels []uint16, bits int) {
+	switch bits {
+	case 8:
+		b = b[:len(levels)]
+		for i, q := range levels {
+			b[i] = byte(q)
+		}
+	case 4:
+		pairs := len(levels) / 2
+		b = b[:(len(levels)+1)/2]
+		for i := 0; i < pairs; i++ {
+			b[i] = byte(levels[2*i] | levels[2*i+1]<<4)
+		}
+		if len(levels)&1 != 0 {
+			b[pairs] = byte(levels[len(levels)-1])
+		}
+	default:
+		var acc uint64
+		var accBits uint
+		di := 0
+		for _, q := range levels {
+			acc |= uint64(q) << accBits
+			accBits += uint(bits)
+			for accBits >= 8 {
+				b[di] = byte(acc)
+				di++
+				acc >>= 8
+				accBits -= 8
+			}
+		}
+		if accBits > 0 {
+			b[di] = byte(acc)
+		}
+	}
+}
+
+// unpackLevels is packLevels' inverse: it reads len(levels) levels, bits wide
+// each, off the front of b. Every quantized decode goes through it.
+func unpackLevels(levels []uint16, b []byte, bits int) {
+	switch bits {
+	case 8:
+		b = b[:len(levels)]
+		for i, q := range b {
+			levels[i] = uint16(q)
+		}
+	case 4:
+		pairs := len(levels) / 2
+		b = b[:(len(levels)+1)/2]
+		for i := 0; i < pairs; i++ {
+			levels[2*i], levels[2*i+1] = uint16(b[i]&0xf), uint16(b[i]>>4)
+		}
+		if len(levels)&1 != 0 {
+			levels[len(levels)-1] = uint16(b[pairs] & 0xf)
+		}
+	default:
+		var acc uint64
+		var accBits uint
+		di := 0
+		mask := uint64(1)<<uint(bits) - 1
+		for i := range levels {
+			for accBits < uint(bits) {
+				acc |= uint64(b[di]) << accBits
+				di++
+				accBits += 8
+			}
+			levels[i] = uint16(acc & mask)
+			acc >>= uint(bits)
+			accBits -= uint(bits)
+		}
+	}
 }
 
 // readGrid parses the lo/step metadata pair at the front of b.
@@ -248,32 +267,6 @@ func readGrid(b []byte) compress.WireGrid {
 	return compress.NewWireGrid(
 		math.Float32frombits(binary.LittleEndian.Uint32(b)),
 		math.Float32frombits(binary.LittleEndian.Uint32(b[4:])))
-}
-
-// decodeQuantized parses a quantized message body. The caller (Decode) has
-// already validated bits ∈ 1..16, the metadata size, and that b holds the
-// full declared payload.
-func decodeQuantized(b []byte, kind Kind, bits, meta int, src, target int32, n int) (*Message, []byte, error) {
-	total := HeaderBytes + meta + (n*bits+7)/8
-	grid := readGrid(b[HeaderBytes:])
-	payload := make([]float64, n)
-	data := b[HeaderBytes+meta : total]
-	var acc uint64
-	var accBits uint
-	di := 0
-	mask := uint64(1)<<uint(bits) - 1
-	for i := 0; i < n; i++ {
-		for accBits < uint(bits) {
-			acc |= uint64(data[di]) << accBits
-			di++
-			accBits += 8
-		}
-		q := acc & mask
-		acc >>= uint(bits)
-		accBits -= uint(bits)
-		payload[i] = grid.Value(q)
-	}
-	return &Message{Kind: kind, SrcPart: src, Target: target, Payload: payload}, b[total:], nil
 }
 
 // AddQuantized encodes m into the batch with b-bit quantization.

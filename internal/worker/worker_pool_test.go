@@ -1,6 +1,7 @@
 package worker
 
 import (
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -33,6 +34,7 @@ func TestClusterSteadyStateAllocs(t *testing.T) {
 		{"vanilla", dist.Config{}},
 		{"semantic", dist.Config{Semantic: true, Plan: plan}},
 		{"quant8", dist.Config{QuantBits: 8}},
+		{"quant4", dist.Config{QuantBits: 4}},
 		{"quant8+ef", dist.Config{QuantBits: 8, ErrorFeedback: true}},
 		{"sampling", dist.Config{SampleRate: 0.5, Seed: 7}},
 		{"nsampling", dist.Config{SampleRate: 0.5, SampleNodes: true, Seed: 7}},
@@ -255,6 +257,19 @@ func BenchmarkClusterRoundSampledInto(b *testing.B) {
 
 func BenchmarkClusterRoundAdaptiveInto(b *testing.B) {
 	benchInto(b, dist.Config{QuantBits: 8, AdaptiveQuant: true})
+}
+
+func BenchmarkClusterRoundQuantInto(b *testing.B) {
+	for _, bits := range []int{8, 4} {
+		b.Run(strconv.Itoa(bits), func(b *testing.B) { benchInto(b, dist.Quant(bits)) })
+	}
+}
+
+// The error-feedback row leans on benchInto calling StartEpoch every
+// iteration: the round slot keys the residual store, so rounds that never
+// returned to slot 0 would measure a map growing without bound.
+func BenchmarkClusterRoundQuantEFInto(b *testing.B) {
+	benchInto(b, dist.Config{QuantBits: 8, ErrorFeedback: true})
 }
 
 func BenchmarkClusterRoundDelayInto(b *testing.B) {
