@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race test-net verify cover loc fuzz fuzz-smoke bench bench-round bench-dense bench-all bench-scale profile experiments quick-experiments clean
+.PHONY: all build vet test race test-net one-sink verify cover loc fuzz fuzz-smoke bench bench-round bench-dense bench-all bench-scale profile experiments quick-experiments clean
 
 all: build vet test race
 
@@ -21,9 +21,9 @@ vet:
 test:
 	$(GO) test ./...
 
-# The concurrent surfaces: the worker runtime (including the cross-engine
-# equivalence matrix over all Fig. 12(b) method combinations), the
-# receiver-sharded parallel engine, the exchange core both of them walk (one
+# The concurrent surfaces: the worker runtime (including the oracle
+# equivalence matrix over all Fig. 12(b) method combinations), the engine that
+# fans the same round body over a fork-join, the exchange core they walk (one
 # goroutine per pair, per-pair streams), the planning pipeline (single-sweep
 # DBG extraction fanned into concurrent per-pair plan builds and the sharded
 # k-means sweep), and the communication scheduler whose decisions every
@@ -35,6 +35,8 @@ test:
 # So do the codec kernel matrices (compress's slice operations and the wire
 # messages built on them, vector path against Go path against the per-value
 # reference): they flip a package-level gate, which the detector should see.
+# And so does engine == cluster: the engine's in-memory frame slots are written
+# in one fork-join and read in the next, with only the join between them.
 race:
 	$(GO) test -race ./internal/dist/... ./internal/worker/... ./internal/exchange/... \
 		./internal/cluster/... ./internal/core/... ./internal/graph/... \
@@ -42,6 +44,7 @@ race:
 	$(GO) test -race -count=10 -run 'TestKernelSIMDMatchesGeneric|TestRowwisePasses|TestParallelRows' ./internal/tensor/
 	$(GO) test -race -count=10 -run 'TestGridKernelsMatchPerValue|TestCodecKernelsMatchReference' ./internal/compress/ ./internal/wire/
 	$(GO) test -race -count=10 -run 'TestClusterArrivalOrderInvariant' ./internal/worker/
+	$(GO) test -race -count=10 -run 'TestEngineEqualsCluster' ./internal/dist/
 
 # The multi-process lane: the whole socket transport package under the race
 # detector (framing/control codecs, fault-injection matrix, cross-runtime
@@ -109,12 +112,18 @@ fuzz:
 fuzz-smoke:
 	$(MAKE) fuzz FUZZTIME=10s
 
+# One sink in production: the retired second implementations (the kernels'
+# per-member twins, the engine's private delay cache and staging arena) may
+# only ever reappear in test code.
+one-sink:
+	@! grep -rn 'useReference\|DelayCache\|pairBuf' --include='*.go' . | grep -v _test.go
+
 # Tier-1 verification gate (ROADMAP.md): everything must build, pass tests,
 # survive the race detector on the concurrent packages (the multi-process
 # transport lane included), hold the coverage floors, and hold up under a
 # short coverage-guided fuzz of the trust boundaries (wire decoders,
 # arc-bucket differ, transport framing + control codecs).
-verify: build vet test race test-net cover fuzz-smoke
+verify: build vet one-sink test race test-net cover fuzz-smoke
 
 # Cluster-round + halo-exchange benchmarks with allocation counts, on one core
 # and on two; the JSON lands in BENCH_worker.json under "after" (the committed
@@ -126,7 +135,11 @@ verify: build vet test race test-net cover fuzz-smoke
 # "codec-before" / "codec" hold the quantised rounds (BenchmarkClusterRoundQuant*,
 # …AdaptiveInto) and the wire-level codec rows (a batch encoded per codec,
 # streamed back through Decoder.AXPY; ns/val beside ns/op), which ride this
-# lane too, either side of the grid's move from per-value loops to slice kernels.
+# lane too, either side of the grid's move from per-value loops to slice kernels;
+# "engine-driver-before" / "engine-driver" hold BenchmarkEngineExchange8P* and
+# BenchmarkEpoch* either side of the engine becoming a driver of the round body
+# (the RowSharded lanes went with the schedule they measured; their rows stay
+# under the older keys).
 # The planning-pipeline benchmarks (one-sweep DBG extraction + concurrent plan
 # builds + EEP sweep, plus the 100k-preset dirty-fraction replan sweep
 # BenchmarkReplan100K*) refresh BENCH_plan.json the same way. The scheduler-overhead rows (per-boundary merge+decide cost
@@ -141,10 +154,10 @@ bench:
 		| $(GO) run ./cmd/scgnn-benchjson -o BENCH_plan.json -key sched
 
 # The round hot-path lane: per-worker local aggregation and full semantic
-# rounds at the 10k/100k scale presets, kernel and reference variants in
-# one run (the reference rows are the retained pre-kernel phase
-# implementations, so every refresh carries its own before/after). Rows
-# merge into BENCH_worker.json under "round", preserving the other keys.
+# rounds at the 10k/100k scale presets on the compiled gather plans (the
+# "/reference" rows under the older keys are the pre-kernel per-member loops,
+# which now live only in the test oracle). Rows merge into BENCH_worker.json
+# under "round", preserving the other keys.
 # BenchmarkCoordinatorRound is the same round through a four-node unix-socket
 # fleet (semantic and vanilla, widths 32 and 16); the "hub-before" / "hub"
 # keys hold its rows either side of the retained framed connections.

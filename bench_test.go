@@ -114,9 +114,9 @@ func benchEpoch(b *testing.B, cfg dist.Config) {
 	}
 }
 
-// BenchmarkEngineExchange8P* isolates the receiver-sharded halo exchange at
-// 8 partitions: one epoch of aggregate Forward+Backward (no model compute)
-// on the dense Reddit-like graph, sequential schedule vs the full 8-way
+// BenchmarkEngineExchange8P* isolates the engine's aggregate round at 8
+// partitions: one epoch of aggregate Forward+Backward (no model compute)
+// on the dense Reddit-like graph, on the caller's goroutine vs the full 8-way
 // fan-out (pinned to Workers:8 rather than the GOMAXPROCS default so the
 // goroutine machinery is exercised even on small hosts). The two schedules
 // are bit-identical (see dist.TestSequentialParallelEquivalence); on a
@@ -130,15 +130,6 @@ func BenchmarkEngineExchange8PSemanticSequential(b *testing.B) {
 }
 func BenchmarkEngineExchange8PSemanticParallel(b *testing.B) {
 	benchExchange8PSemantic(b, 8)
-}
-
-// The RowSharded lanes pin Workers:32 > nparts, engaging the two-stage
-// intra-partition row sharding (per-pair encode, per-row-chunk delivery) —
-// still bit-identical to the sequential schedule, with a speedup ceiling of
-// min(cores, rows) instead of min(cores, 8).
-func BenchmarkEngineExchange8PRowSharded(b *testing.B) { benchExchange8P(b, 32) }
-func BenchmarkEngineExchange8PSemanticRowSharded(b *testing.B) {
-	benchExchange8PSemantic(b, 32)
 }
 
 func exchangeSetup(b *testing.B, cfg dist.Config) (*dist.Engine, *tensor.Matrix) {

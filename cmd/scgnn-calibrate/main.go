@@ -1,6 +1,6 @@
 // Command scgnn-calibrate measures the per-unit costs of the hot operations
 // the epoch-time model charges — quantization round-trips, semantic
-// fuse/deliver, delay-cache churn, sampling scans — on the local machine,
+// fuse/deliver, delay-slot adds, sampling scans — on the local machine,
 // and prints them next to the shipped CostModel constants. Use it to re-base
 // simnet.DefaultCostModel on different hardware.
 //
@@ -48,12 +48,14 @@ func main() {
 		}
 	})
 
+	// What a delayed round pays per cached value: the slot's rows added into
+	// the output (the round body's addOwnRows), fresh round and replay alike.
 	cache := testing.Benchmark(func(b *testing.B) {
-		d := compress.NewDelayCache(2)
-		m := tensor.New(64, dim)
+		slot, out := tensor.New(64, dim), tensor.New(64, dim)
 		for i := 0; i < b.N; i++ {
-			d.Store(i%4, m)
-			d.Load(i % 4)
+			for r := 0; r < slot.Rows; r++ {
+				tensor.AXPY(1, slot.Row(r), out.Row(r))
+			}
 		}
 	})
 
@@ -72,7 +74,7 @@ func main() {
 	}
 	row("quant/value", perValue(quant, dim), def.QuantPerValue)
 	row("fuse/value", perValue(fuse, dim), def.FusePerValue)
-	row("cache/value", perValue(cache, 2*64*dim), def.CachePerValue)
+	row("cache/value", perValue(cache, 64*dim), def.CachePerValue)
 	row("sample/edge", perValue(sample, 1), def.SamplePerEdge)
 
 	mq := perValue(quant, dim)

@@ -48,8 +48,7 @@ func NewAdaptiveQuantizer(minBits, maxBits int, errorBudget float64) *AdaptiveQu
 // returning the width the next Roundtrip of the same payload would use (and
 // recording it in LastBits). The worker runtime calls this to pick a
 // per-message width before handing the untouched payload to the wire
-// encoder; the analytic engine's Roundtrip makes the identical choice on the
-// identical payload.
+// encoder; Roundtrip makes the identical choice on the identical payload.
 func (q *AdaptiveQuantizer) ChooseBits(v []float64) int {
 	bits, _, _ := q.choose(v)
 	return bits

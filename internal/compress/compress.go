@@ -6,7 +6,9 @@
 //   - sampling (BNS-GCN-style): Bernoulli edge sampling at a configured
 //     rate, with 1/rate rescaling to keep the aggregate unbiased;
 //   - delayed transmission (Dorylus-style): stale remote contributions are
-//     cached and reused for period−1 epochs out of every period.
+//     cached and reused for period−1 epochs out of every period. That one is
+//     whole-round state, not a per-payload transform, so it lives with the
+//     round body (internal/worker's delay slots), not here.
 //
 // Each baseline exposes both the value transformation (so accuracy effects
 // are real, not modeled) and its wire cost (so volume accounting is exact).
@@ -15,8 +17,6 @@ package compress
 import (
 	"fmt"
 	"math/rand"
-
-	"scgnn/internal/tensor"
 )
 
 // Quantizer performs affine fixed-point quantization of float64 vectors.
@@ -97,56 +97,3 @@ func (s *Sampler) Skip(n int64) {
 
 // Scale is the rescale factor applied to kept units (1/rate).
 func (s *Sampler) Scale() float64 { return 1 / s.Rate }
-
-// DelayCache stores the remote-contribution matrix of each aggregate round
-// so stale values can be replayed on non-transmitting epochs. Keys are the
-// round index within an epoch (layer × direction), which is stable across
-// epochs in full-batch training.
-type DelayCache struct {
-	Period int // transmit on epochs where epoch % Period == 0
-	slots  map[int]*tensor.Matrix
-	// Touched counts values read or written since the last ResetCounters —
-	// the memory-wall traffic the cost model charges.
-	Touched int64
-}
-
-// NewDelayCache validates the period and returns a cache.
-func NewDelayCache(period int) *DelayCache {
-	if period < 1 {
-		panic(fmt.Sprintf("compress: delay period %d < 1", period))
-	}
-	return &DelayCache{Period: period, slots: make(map[int]*tensor.Matrix)}
-}
-
-// ShouldTransmit reports whether the given epoch transmits fresh values.
-// Epoch 0 always transmits (there is nothing to replay yet).
-func (d *DelayCache) ShouldTransmit(epoch int) bool {
-	return d.Period <= 1 || epoch%d.Period == 0
-}
-
-// Store saves a fresh remote-contribution matrix for a round slot.
-func (d *DelayCache) Store(round int, m *tensor.Matrix) {
-	d.slots[round] = m.Clone()
-	d.Touched += int64(len(m.Data))
-}
-
-// Load returns the stale matrix for a round slot, or nil when the slot has
-// never been filled (callers must then transmit fresh values).
-func (d *DelayCache) Load(round int) *tensor.Matrix {
-	m, ok := d.slots[round]
-	if !ok {
-		return nil
-	}
-	d.Touched += int64(len(m.Data))
-	return m
-}
-
-// ResetCounters zeroes the touched-value counter (per epoch).
-func (d *DelayCache) ResetCounters() { d.Touched = 0 }
-
-// Invalidate drops every stored round slot. Slots hold whole-round aggregate
-// matrices — the sum over all pairs — so when a repartition dirties any
-// pair's plan the replays are stale and the next delayed rounds must
-// transmit fresh values; a repartition that leaves every boundary set intact
-// keeps its slots (callers skip the call).
-func (d *DelayCache) Invalidate() { clear(d.slots) }

@@ -5,8 +5,6 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
-
-	"scgnn/internal/tensor"
 )
 
 // gridBound is the worst-case absolute round-trip error of a bits-wide grid
@@ -149,52 +147,4 @@ func TestSamplerInvalidRate(t *testing.T) {
 			NewSampler(r, 1)
 		}()
 	}
-}
-
-func TestDelayCache(t *testing.T) {
-	d := NewDelayCache(3)
-	// Transmit epochs: 0, 3, 6, ...
-	for _, c := range []struct {
-		epoch int
-		want  bool
-	}{{0, true}, {1, false}, {2, false}, {3, true}, {4, false}} {
-		if got := d.ShouldTransmit(c.epoch); got != c.want {
-			t.Fatalf("ShouldTransmit(%d) = %v", c.epoch, got)
-		}
-	}
-	if d.Load(0) != nil {
-		t.Fatal("empty cache returned a matrix")
-	}
-	m := tensor.FromRows([][]float64{{1, 2}})
-	d.Store(0, m)
-	m.Set(0, 0, 99) // cache must have copied
-	got := d.Load(0)
-	if got == nil || got.At(0, 0) != 1 {
-		t.Fatalf("Load = %v", got)
-	}
-	// Touched: Store(2 values) + Load(2 values); the earlier nil Load adds 0.
-	if d.Touched != 4 {
-		t.Fatalf("Touched = %d, want 4", d.Touched)
-	}
-	d.ResetCounters()
-	if d.Touched != 0 {
-		t.Fatal("ResetCounters failed")
-	}
-}
-
-func TestDelayCachePeriodOne(t *testing.T) {
-	d := NewDelayCache(1)
-	for e := 0; e < 5; e++ {
-		if !d.ShouldTransmit(e) {
-			t.Fatal("period 1 must always transmit")
-		}
-	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("period 0 should panic")
-			}
-		}()
-		NewDelayCache(0)
-	}()
 }

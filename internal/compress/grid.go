@@ -10,7 +10,7 @@ import (
 // Grid is the affine quantisation grid of one payload as its sender holds it.
 // With WireGrid, the receiver's half, it is the only place the min/max → step
 // → round → reconstruct arithmetic exists: the wire encoder and decoder, the
-// analytic engine and both Quantizers go through the pair, so every runtime
+// test oracle and both Quantizers go through the pair, so every runtime
 // delivers the same float64 for the same payload.
 //
 // A sender builds the grid from its payload with NewGrid and picks levels on

@@ -5,6 +5,7 @@ import (
 
 	"scgnn/internal/core"
 	"scgnn/internal/datasets"
+	"scgnn/internal/exchange"
 	"scgnn/internal/graph"
 	"scgnn/internal/partition"
 	"scgnn/internal/tensor"
@@ -13,11 +14,11 @@ import (
 // equivalenceConfigs covers all five exchange methods plus the Fig. 12(b)
 // composition cells, so the sequential/parallel bit-equality guarantee is
 // exercised through every stateful compression path (per-pair RNG streams,
-// adaptive bit choice, delay cache, error-feedback residuals). It is the
+// adaptive bit choice, delay slots, error-feedback residuals). It is the
 // exported MethodMatrix fixture — the same 13 combinations the worker
-// runtime's cross-engine equivalence matrix and the ablation harness run.
+// runtime's oracle equivalence matrix and the ablation harness run.
 func equivalenceConfigs(seed int64) map[string]Config {
-	return MethodMatrix(seed)
+	return exchange.MethodMatrix(seed)
 }
 
 func bitEqual(t *testing.T, name string, epoch int, phase string, a, b *tensor.Matrix) {
@@ -33,11 +34,11 @@ func bitEqual(t *testing.T, name string, epoch int, phase string, a, b *tensor.M
 	}
 }
 
-// TestSequentialParallelEquivalence is the tentpole guarantee: for a fixed
-// seed, the parallel receiver-sharded exchange produces bit-identical
-// outputs, bytes, and message counts to the sequential schedule, for every
-// method and composition, across epochs (so delay replays and error-feedback
-// residual state line up too).
+// TestSequentialParallelEquivalence is the Workers-invariance guarantee: for a
+// fixed seed, a round fanned over goroutines produces bit-identical outputs,
+// bytes, message counts and processing counters to the same round run on the
+// caller's goroutine, for every method and composition, across epochs (so
+// delay replays and error-feedback residual state line up too).
 func TestSequentialParallelEquivalence(t *testing.T) {
 	d, part := smallSetup(t)
 	const nparts = 3
@@ -45,73 +46,31 @@ func TestSequentialParallelEquivalence(t *testing.T) {
 	g := randMat(d.NumNodes(), 5, 78)
 
 	for name, cfg := range equivalenceConfigs(9) {
-		// Workers=4 exercises the coarse per-receiver schedule; Workers=16 >
-		// nparts engages the two-stage row-sharded schedule (6 chunks per
-		// partition here).
-		seqCfg, parCfg, rowCfg := cfg, cfg, cfg
+		// Workers=2 leaves two goroutines sharing three tasks, Workers=16 is
+		// capped to one goroutine per partition.
+		seqCfg, parCfg, capCfg := cfg, cfg, cfg
 		seqCfg.Workers = 1
-		parCfg.Workers = 4
-		rowCfg.Workers = 16
+		parCfg.Workers = 2
+		capCfg.Workers = 16
 		seq := NewEngine(d.Graph, part, nparts, seqCfg)
 		par := NewEngine(d.Graph, part, nparts, parCfg)
-		row := NewEngine(d.Graph, part, nparts, rowCfg)
+		capped := NewEngine(d.Graph, part, nparts, capCfg)
 		for epoch := 0; epoch < 5; epoch++ {
 			seq.StartEpoch(epoch)
 			par.StartEpoch(epoch)
-			row.StartEpoch(epoch)
+			capped.StartEpoch(epoch)
 			fSeq := seq.Forward(h)
-			bitEqual(t, name, epoch, "forward", fSeq, par.Forward(h))
-			bitEqual(t, name, epoch, "forward/row-sharded", fSeq, row.Forward(h))
+			bitEqual(t, name, epoch, "forward/2", fSeq, par.Forward(h))
+			bitEqual(t, name, epoch, "forward/16", fSeq, capped.Forward(h))
 			bSeq := seq.Backward(g)
-			bitEqual(t, name, epoch, "backward", bSeq, par.Backward(g))
-			bitEqual(t, name, epoch, "backward/row-sharded", bSeq, row.Backward(g))
-			ss, ps, rs := seq.CaptureEpoch(), par.CaptureEpoch(), row.CaptureEpoch()
+			bitEqual(t, name, epoch, "backward/2", bSeq, par.Backward(g))
+			bitEqual(t, name, epoch, "backward/16", bSeq, capped.Backward(g))
+			ss, ps, cs := seq.CaptureEpoch(), par.CaptureEpoch(), capped.CaptureEpoch()
 			if ss != ps {
 				t.Fatalf("%s epoch %d: snapshots differ:\nseq %+v\npar %+v", name, epoch, ss, ps)
 			}
-			if ss != rs {
-				t.Fatalf("%s epoch %d: row-sharded snapshot differs:\nseq %+v\nrow %+v", name, epoch, ss, rs)
-			}
-		}
-	}
-}
-
-// TestRowShardedEquivalence sweeps Workers values around and past the
-// partition count — including extreme over-sharding where chunks hold a
-// handful of rows — and requires bit-identical outputs and snapshots against
-// the sequential schedule for every method composition.
-func TestRowShardedEquivalence(t *testing.T) {
-	d, part := smallSetup(t)
-	const nparts = 3
-	h := randMat(d.NumNodes(), 5, 83)
-	g := randMat(d.NumNodes(), 5, 84)
-
-	for name, cfg := range equivalenceConfigs(31) {
-		seqCfg := cfg
-		seqCfg.Workers = 1
-		seq := NewEngine(d.Graph, part, nparts, seqCfg)
-		shCfgs := []int{5, 8, 64}
-		sharded := make([]*Engine, len(shCfgs))
-		for i, w := range shCfgs {
-			c := cfg
-			c.Workers = w
-			sharded[i] = NewEngine(d.Graph, part, nparts, c)
-		}
-		for epoch := 0; epoch < 3; epoch++ {
-			seq.StartEpoch(epoch)
-			for _, e := range sharded {
-				e.StartEpoch(epoch)
-			}
-			fSeq := seq.Forward(h)
-			bSeq := seq.Backward(g)
-			ss := seq.CaptureEpoch()
-			for i, e := range sharded {
-				bitEqual(t, name, epoch, "forward", fSeq, e.Forward(h))
-				bitEqual(t, name, epoch, "backward", bSeq, e.Backward(g))
-				if es := e.CaptureEpoch(); es != ss {
-					t.Fatalf("%s epoch %d workers=%d: snapshot differs:\nseq %+v\ngot %+v",
-						name, epoch, shCfgs[i], ss, es)
-				}
+			if ss != cs {
+				t.Fatalf("%s epoch %d: snapshots differ:\nseq %+v\nworkers 16 %+v", name, epoch, ss, cs)
 			}
 		}
 	}
@@ -228,7 +187,7 @@ func TestGroupCoinKeySeparation(t *testing.T) {
 // fix: an eval epoch under delayed transmission must compute fresh remote
 // contributions (matching a vanilla engine on the same input), not replay
 // the cached matrix from the last training epoch, and must not pollute the
-// cache for anyone who keeps training.
+// slots for anyone who keeps training.
 func TestStartEvalEpochBypassesDelay(t *testing.T) {
 	d, part := smallSetup(t)
 	h0 := randMat(d.NumNodes(), 4, 21)
@@ -248,22 +207,21 @@ func TestStartEvalEpochBypassesDelay(t *testing.T) {
 	want := vanilla.Forward(h1)
 	bitEqual(t, "eval-under-delay", 1, "forward", want, got)
 
-	// Resumed training at epoch 1 still replays the *h0* cache — the eval
-	// pass neither consumed nor overwrote it. Replay epochs add the cached
-	// remote delta (vanilla(h0) − local(h0)) on top of h1's local aggregate.
+	// Resumed training at epoch 1 still replays the *h0* slot — the eval pass
+	// neither consumed nor overwrote it. The control engine runs the same
+	// schedule without the interleaved eval.
+	control := NewEngine(d.Graph, part, 3, Config{DelayPeriod: 2, Seed: 1})
+	control.StartEpoch(0)
+	control.Forward(h0)
+	control.StartEpoch(1)
+	wantReplay := control.Forward(h1)
+
 	delayed.StartEpoch(1)
 	replay := delayed.Forward(h1)
-	vanilla.StartEpoch(0)
-	fullH0 := vanilla.Forward(h0)
-	local0 := delayed.localAggregate(h0)
-	local1 := delayed.localAggregate(h1)
-	for i := range replay.Data {
-		expected := local1.Data[i] + fullH0.Data[i] - local0.Data[i]
-		diff := replay.Data[i] - expected
-		if diff > 1e-9 || diff < -1e-9 {
-			t.Fatalf("post-eval replay drifted at %d: got %v want %v", i, replay.Data[i], expected)
-		}
+	if got := delayed.CaptureEpoch().TotalBytes; got != 0 {
+		t.Fatalf("replay epoch transmitted %d bytes", got)
 	}
+	bitEqual(t, "post-eval-replay", 1, "forward", wantReplay, replay)
 }
 
 // TestFinalEvalUsesActualNextEpoch checks the runner half of the fix: with

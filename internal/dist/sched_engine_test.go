@@ -35,14 +35,14 @@ func TestScheduledWorkersInvariance(t *testing.T) {
 	g := randMat(d.NumNodes(), 5, 42)
 
 	for name, cfg := range schedBases(7) {
-		seqCfg, parCfg, rowCfg := cfg, cfg, cfg
+		seqCfg, parCfg, capCfg := cfg, cfg, cfg
 		seqCfg.Workers = 1
-		parCfg.Workers = 4
-		rowCfg.Workers = 64
+		parCfg.Workers = 2
+		capCfg.Workers = 64
 		seq := NewEngine(d.Graph, part, nparts, seqCfg)
 		par := NewEngine(d.Graph, part, nparts, parCfg)
-		row := NewEngine(d.Graph, part, nparts, rowCfg)
-		engines := []*Engine{seq, par, row}
+		capped := NewEngine(d.Graph, part, nparts, capCfg)
+		engines := []*Engine{seq, par, capped}
 		for epoch := 0; epoch < 10; epoch++ {
 			for _, e := range engines {
 				e.StartEpoch(epoch)
@@ -58,17 +58,17 @@ func TestScheduledWorkersInvariance(t *testing.T) {
 				}
 			}
 			fSeq := seq.Forward(h)
-			bitEqual(t, name, epoch, "forward/par", fSeq, par.Forward(h))
-			bitEqual(t, name, epoch, "forward/row", fSeq, row.Forward(h))
+			bitEqual(t, name, epoch, "forward/2", fSeq, par.Forward(h))
+			bitEqual(t, name, epoch, "forward/64", fSeq, capped.Forward(h))
 			bSeq := seq.Backward(g)
-			bitEqual(t, name, epoch, "backward/par", bSeq, par.Backward(g))
-			bitEqual(t, name, epoch, "backward/row", bSeq, row.Backward(g))
+			bitEqual(t, name, epoch, "backward/2", bSeq, par.Backward(g))
+			bitEqual(t, name, epoch, "backward/64", bSeq, capped.Backward(g))
 			ss := seq.CaptureEpoch()
 			if ps := par.CaptureEpoch(); ss != ps {
 				t.Fatalf("%s epoch %d: snapshots differ:\nseq %+v\npar %+v", name, epoch, ss, ps)
 			}
-			if rs := row.CaptureEpoch(); ss != rs {
-				t.Fatalf("%s epoch %d: row snapshot differs:\nseq %+v\nrow %+v", name, epoch, ss, rs)
+			if cs := capped.CaptureEpoch(); ss != cs {
+				t.Fatalf("%s epoch %d: snapshots differ:\nseq %+v\nworkers 64 %+v", name, epoch, ss, cs)
 			}
 		}
 	}
@@ -178,11 +178,11 @@ func TestScheduledRepartition(t *testing.T) {
 		Plan:      core.PlanConfig{Grouping: core.GroupingConfig{Seed: 5}},
 		QuantBits: 8, ErrorFeedback: true, Seed: 5,
 		Sched: sched.Policy{Enabled: true}}
-	seqCfg, rowCfg := cfg, cfg
+	seqCfg, parCfg := cfg, cfg
 	seqCfg.Workers = 1
-	rowCfg.Workers = 16
+	parCfg.Workers = 16
 	seq := NewEngine(d.Graph, part, nparts, seqCfg)
-	row := NewEngine(d.Graph, part, nparts, rowCfg)
+	par := NewEngine(d.Graph, part, nparts, parCfg)
 
 	part2 := append([]int(nil), part...)
 	moved := 0
@@ -198,7 +198,7 @@ func TestScheduledRepartition(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			d2, err := row.Repartition(part2)
+			d2, err := par.Repartition(part2)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -213,11 +213,11 @@ func TestScheduledRepartition(t *testing.T) {
 			}
 		}
 		seq.StartEpoch(epoch)
-		row.StartEpoch(epoch)
-		bitEqual(t, "sched-repart", epoch, "forward", seq.Forward(h), row.Forward(h))
-		bitEqual(t, "sched-repart", epoch, "backward", seq.Backward(g), row.Backward(g))
-		if ss, rs := seq.CaptureEpoch(), row.CaptureEpoch(); ss != rs {
-			t.Fatalf("epoch %d: snapshots differ:\nseq %+v\nrow %+v", epoch, ss, rs)
+		par.StartEpoch(epoch)
+		bitEqual(t, "sched-repart", epoch, "forward", seq.Forward(h), par.Forward(h))
+		bitEqual(t, "sched-repart", epoch, "backward", seq.Backward(g), par.Backward(g))
+		if ss, ps := seq.CaptureEpoch(), par.CaptureEpoch(); ss != ps {
+			t.Fatalf("epoch %d: snapshots differ:\nseq %+v\npar %+v", epoch, ss, ps)
 		}
 	}
 }

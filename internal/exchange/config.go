@@ -1,0 +1,144 @@
+package exchange
+
+import (
+	"strings"
+
+	"scgnn/internal/core"
+	"scgnn/internal/sched"
+)
+
+// Config selects the halo-exchange method(s) for a training run — the one
+// configuration every runtime builds its core from (internal/dist re-exports
+// it as dist.Config beside the per-method constructors).
+//
+// Feature flags compose: zero-value Config is the vanilla exchange;
+// {Semantic: true} is SC-GNN; {Semantic: true, QuantBits: 8} is the
+// "ours+quant" cell of Fig. 12(b), and so on.
+type Config struct {
+	// Semantic enables SC-GNN grouping + up-sampling compression.
+	Semantic bool
+	// Plan configures semantic grouping (group count, similarity, drop mask).
+	// Its Workers cap defaults to the Config's (plans are identical for any
+	// worker count).
+	Plan core.PlanConfig
+	// SampleRate in (0,1) enables Bernoulli edge/unit sampling at that rate.
+	// 0 or 1 disables sampling.
+	SampleRate float64
+	// SampleNodes switches sampling from per-edge coins to per-boundary-node
+	// coins (BNS-GCN's granularity): all of a node's cross edges toward one
+	// partition share one decision per round. Coins are drawn from a
+	// per-ordered-pair stream, so a node with cross edges into several
+	// partitions flips one coin per (node, destination) pair.
+	SampleNodes bool
+	// QuantBits in 1..16 enables affine quantization of payloads.
+	// 0 (or 32) disables quantization.
+	QuantBits int
+	// AdaptiveQuant switches to variance-adaptive bit allocation (AdaQP's
+	// adaptive idea): each message picks its width in [2, QuantBits].
+	AdaptiveQuant bool
+	// ErrorFeedback adds residual error feedback on top of quantization:
+	// each transfer unit's quantization error is carried into its next
+	// round, so the lossy exchange becomes unbiased over time. Only
+	// meaningful when QuantBits is set.
+	ErrorFeedback bool
+	// DelayPeriod > 1 enables delayed transmission: fresh values every
+	// DelayPeriod epochs, stale replays in between.
+	DelayPeriod int
+	// Seed drives sampling. Every ordered partition pair derives its own
+	// decorrelated child stream from this seed.
+	Seed int64
+	// Sched enables variable-rate communication scheduling: every ordered
+	// pair starts on the most aggressive rung of sched.Ladder(base) — where
+	// base is this Config's own sampling/quantization/EF gates — and anneals
+	// toward the base as epochs pass and signals fire. Decisions are pure
+	// functions of (epoch, per-pair signals, Seed), so every runtime and
+	// every replica picks the identical schedule. Semantic grouping and
+	// delayed transmission stay global (plans and whole-round delay slots
+	// cannot vary per pair).
+	Sched sched.Policy
+	// Workers caps the goroutines dist.Engine fans a round over, and offline
+	// planning when Plan leaves its own cap unset. 0 uses GOMAXPROCS; 1 runs
+	// on the caller's goroutine alone; a round has one task per partition, so
+	// values above the partition count add nothing. Results are bit-identical
+	// for every value: each task owns disjoint output rows, RNG streams,
+	// compression state, and traffic counters, and every row accumulates its
+	// contributions in one fixed order.
+	Workers int
+}
+
+// MethodName renders the enabled features, e.g. "vanilla", "semantic",
+// "sampling+quant".
+func (c Config) MethodName() string {
+	var parts []string
+	if c.Semantic {
+		parts = append(parts, "semantic")
+	}
+	if c.SampleRate > 0 && c.SampleRate < 1 {
+		if c.SampleNodes {
+			parts = append(parts, "nsampling")
+		} else {
+			parts = append(parts, "sampling")
+		}
+	}
+	if c.QuantBits > 0 && c.QuantBits < 32 {
+		if c.AdaptiveQuant {
+			parts = append(parts, "aquant")
+		} else {
+			parts = append(parts, "quant")
+		}
+	}
+	if c.DelayPeriod > 1 {
+		parts = append(parts, "delay")
+	}
+	if c.ErrorFeedback && c.QuantBits > 0 && c.QuantBits < 32 {
+		parts = append(parts, "ef")
+	}
+	name := "vanilla"
+	if len(parts) > 0 {
+		name = strings.Join(parts, "+")
+	}
+	if c.Sched.Enabled {
+		return "sched(" + name + ")"
+	}
+	return name
+}
+
+// BaseSetting projects the config's per-pair compression gates onto the
+// scheduler's Setting — the static setting, or the final rung of the
+// annealing ladder when Sched is enabled.
+func (c Config) BaseSetting() sched.Setting {
+	return sched.Setting{
+		SampleRate:  c.SampleRate,
+		SampleNodes: c.SampleNodes,
+		QuantBits:   c.QuantBits,
+		Adaptive:    c.AdaptiveQuant,
+		EF:          c.ErrorFeedback,
+	}
+}
+
+// MethodMatrix returns the 13 method combinations of the paper's
+// compatibility study (Fig. 12(b)): every baseline alone, SC-GNN alone, and
+// SC-GNN composed with each baseline. It is the shared fixture behind every
+// runtime's equivalence matrix and the ablation harness — one map, so the
+// layers provably exercise the same configurations.
+//
+// All entries share the given seed (sampling streams, semantic grouping),
+// making any two runs of the same entry reproducible.
+func MethodMatrix(seed int64) map[string]Config {
+	plan := core.PlanConfig{Grouping: core.GroupingConfig{Seed: seed}}
+	return map[string]Config{
+		"vanilla":            {Seed: seed},
+		"sampling":           {SampleRate: 0.5, Seed: seed},
+		"nsampling":          {SampleRate: 0.5, SampleNodes: true, Seed: seed},
+		"quant8":             {QuantBits: 8, Seed: seed},
+		"aquant":             {QuantBits: 8, AdaptiveQuant: true, Seed: seed},
+		"delay3":             {DelayPeriod: 3, Seed: seed},
+		"quant4+ef":          {QuantBits: 4, ErrorFeedback: true, Seed: seed},
+		"semantic":           {Semantic: true, Plan: plan, Seed: seed},
+		"semantic+quant":     {Semantic: true, Plan: plan, QuantBits: 8, Seed: seed},
+		"semantic+sampling":  {Semantic: true, Plan: plan, SampleRate: 0.5, Seed: seed},
+		"semantic+nsampling": {Semantic: true, Plan: plan, SampleRate: 0.5, SampleNodes: true, Seed: seed},
+		"semantic+delay":     {Semantic: true, Plan: plan, DelayPeriod: 2, Seed: seed},
+		"semantic+quant+ef":  {Semantic: true, Plan: plan, QuantBits: 4, ErrorFeedback: true, Seed: seed},
+	}
+}

@@ -2,10 +2,11 @@
 // exchange semantic — the rule of PAPER.md §1: per ordered partition pair,
 // one fused h_g = Σ w(u)·h_u per group plus raw O2O residuals (or one payload
 // per cross arc in the baseline), composable with sampling, quantisation and
-// error feedback. The three runtimes are drivers over it: the analytic
-// dist.Engine, the in-process worker.Cluster and the multi-process worker.Peer
-// each hold one Core and supply only what genuinely differs — where a
-// surviving unit's payload goes (see Walk's sink).
+// error feedback. Every runtime holds one Core — the fork-join dist.Engine,
+// the in-process worker.Cluster and the multi-process worker.Peer, through the
+// one round body they share (internal/worker), and the test oracle they are
+// checked against — and supplies only where a surviving unit's payload goes
+// (see Walk's sink).
 //
 // The package owns three things (DESIGN.md §15):
 //
@@ -23,24 +24,8 @@ package exchange
 import (
 	"fmt"
 
-	"scgnn/internal/core"
 	"scgnn/internal/graph"
-	"scgnn/internal/sched"
 )
-
-// Options is the slice of a dist.Config the exchange core runs on
-// (dist.Config.Exchange builds it; the package cannot import dist).
-type Options struct {
-	// Semantic enables SC-GNN grouping; Plan configures it.
-	Semantic bool
-	Plan     core.PlanConfig
-	// Base holds the per-pair compression gates — the static setting, or the
-	// final rung of the annealing ladder when Sched is enabled.
-	Base sched.Setting
-	// Seed drives every pair's sampler stream and the schedule's stagger.
-	Seed  int64
-	Sched sched.Policy
-}
 
 // Core is one runtime's exchange state: the partition-derived structure and
 // the per-pair streams walking it.
@@ -49,13 +34,17 @@ type Core struct {
 	Streams
 }
 
-// New builds the core for one (graph, partition, options). An invalid
+// New builds the core for one (graph, partition, configuration). An invalid
 // partition or plan configuration panics; callers wanting an error validate
 // with graph.ValidatePartition first.
-func New(g *graph.Graph, part []int, nparts int, o Options) *Core {
+func New(g *graph.Graph, part []int, nparts int, cfg Config) *Core {
+	plan := cfg.Plan
+	if plan.Workers == 0 {
+		plan.Workers = cfg.Workers
+	}
 	c := &Core{}
-	c.Topology.init(g, part, nparts, o.Semantic, o.Plan)
-	c.Streams.init(nparts, o.Base, o.Seed, o.Sched)
+	c.Topology.init(g, part, nparts, cfg.Semantic, plan)
+	c.Streams.init(nparts, cfg.BaseSetting(), cfg.Seed, cfg.Sched)
 	return c
 }
 

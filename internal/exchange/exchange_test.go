@@ -2,6 +2,7 @@ package exchange
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"scgnn/internal/core"
@@ -21,8 +22,16 @@ func setup(t *testing.T) (*graph.Graph, []int) {
 	return d.Graph, partition.Partition(d.Graph, nparts, partition.NodeCut, partition.Config{Seed: 2})
 }
 
-func semantic() Options {
-	return Options{Semantic: true, Plan: core.PlanConfig{Grouping: core.GroupingConfig{Seed: 3}}, Seed: 7}
+func semantic() Config {
+	return Config{Semantic: true, Plan: core.PlanConfig{Grouping: core.GroupingConfig{Seed: 3}}, Seed: 7}
+}
+
+// withBase returns cfg with its per-pair gates set from a scheduler setting
+// (the inverse of Config.BaseSetting).
+func withBase(cfg Config, b sched.Setting) Config {
+	cfg.SampleRate, cfg.SampleNodes = b.SampleRate, b.SampleNodes
+	cfg.QuantBits, cfg.AdaptiveQuant, cfg.ErrorFeedback = b.QuantBits, b.Adaptive, b.EF
+	return cfg
 }
 
 func nonNil(plans []*core.PairPlan) []*core.PairPlan {
@@ -48,7 +57,7 @@ func collect(c *Core, idx int, backward bool) []Unit {
 // and sender/receiver swapped on backward walks.
 func TestWalkOrderContract(t *testing.T) {
 	g, part := setup(t)
-	for _, o := range []Options{{}, semantic()} {
+	for _, o := range []Config{{}, semantic()} {
 		c := New(g, part, nparts, o)
 		if c.Semantic() != o.Semantic {
 			t.Fatalf("Semantic() = %v", c.Semantic())
@@ -109,11 +118,11 @@ func TestWalkOrderContract(t *testing.T) {
 func TestWalkSamplingAndGhostAdvance(t *testing.T) {
 	g, part := setup(t)
 	for _, nodes := range []bool{false, true} {
-		for _, o := range []Options{{}, semantic()} {
-			o.Base = sched.Setting{SampleRate: 0.5, SampleNodes: nodes}
+		for _, o := range []Config{{}, semantic()} {
+			o.SampleRate, o.SampleNodes = 0.5, nodes
 			o.Seed = 11
 			enc := New(g, part, nparts, o)
-			full := New(g, part, nparts, Options{Semantic: o.Semantic, Plan: o.Plan})
+			full := New(g, part, nparts, Config{Semantic: o.Semantic, Plan: o.Plan})
 			for round := 0; round < 3; round++ {
 				backward := round%2 == 1
 				for idx := range enc.Pairs {
@@ -179,7 +188,7 @@ func TestReseedGates(t *testing.T) {
 		{name: "aquant+ef", base: sched.Setting{QuantBits: 6, Adaptive: true, EF: true}, adaptive: true, ef: true, bits: 6},
 		{name: "1-bit adaptive", base: sched.Setting{QuantBits: 1, Adaptive: true}, adaptive: true, bits: 1},
 	} {
-		c := New(g, part, nparts, Options{Base: tc.base})
+		c := New(g, part, nparts, withBase(Config{}, tc.base))
 		for idx := range c.Pairs {
 			ps := c.Pairs[idx]
 			if idx/nparts == idx%nparts {
@@ -202,7 +211,7 @@ func TestReseedGates(t *testing.T) {
 			t.Fatal("20-bit quantization did not panic")
 		}
 	}()
-	New(g, part, nparts, Options{Base: sched.Setting{QuantBits: 20}})
+	New(g, part, nparts, Config{QuantBits: 20})
 }
 
 // TestScheduleAndSignals: without a schedule the schedule surface is inert;
@@ -211,7 +220,7 @@ func TestReseedGates(t *testing.T) {
 // counters the streams accumulated.
 func TestScheduleAndSignals(t *testing.T) {
 	g, part := setup(t)
-	off := New(g, part, nparts, Options{Base: sched.Setting{QuantBits: 8}})
+	off := New(g, part, nparts, Config{QuantBits: 8})
 	if off.Signals() != nil || off.Levels() != nil {
 		t.Fatal("schedule surface live without a schedule")
 	}
@@ -221,7 +230,7 @@ func TestScheduleAndSignals(t *testing.T) {
 	}
 
 	base := sched.Setting{QuantBits: 8, Adaptive: true, EF: true}
-	c := New(g, part, nparts, Options{Base: base, Seed: 5, Sched: sched.Policy{Enabled: true, EpochsPerLevel: 1}})
+	c := New(g, part, nparts, withBase(Config{Seed: 5, Sched: sched.Policy{Enabled: true, EpochsPerLevel: 1}}, base))
 	last := len(sched.Ladder(base)) - 1
 	if lv := c.Levels(); len(lv) != nparts*nparts || lv[1] != 0 {
 		t.Fatalf("initial levels %v", lv)
@@ -275,11 +284,11 @@ func TestScheduleAndSignals(t *testing.T) {
 func TestStateRestore(t *testing.T) {
 	g, part := setup(t)
 	pol := sched.Policy{Enabled: true, EpochsPerLevel: 1}
-	for name, o := range map[string]Options{
-		"sampling":        {Base: sched.Setting{SampleRate: 0.5}, Seed: 3},
-		"nsampling":       {Base: sched.Setting{SampleRate: 0.5, SampleNodes: true}, Seed: 3},
-		"aquant+ef":       {Base: sched.Setting{QuantBits: 8, Adaptive: true, EF: true}},
-		"sched(quant+ef)": {Base: sched.Setting{QuantBits: 8, EF: true}, Seed: 3, Sched: pol},
+	for name, o := range map[string]Config{
+		"sampling":        {SampleRate: 0.5, Seed: 3},
+		"nsampling":       {SampleRate: 0.5, SampleNodes: true, Seed: 3},
+		"aquant+ef":       {QuantBits: 8, AdaptiveQuant: true, ErrorFeedback: true},
+		"sched(quant+ef)": {QuantBits: 8, ErrorFeedback: true, Seed: 3, Sched: pol},
 	} {
 		a := New(g, part, nparts, o)
 		drive := func(c *Core, rounds int) {
@@ -325,7 +334,7 @@ func TestStateRestore(t *testing.T) {
 			t.Fatalf("%s: levels accepted without a schedule", name)
 		}
 	}
-	plain := New(g, part, nparts, Options{Base: sched.Setting{QuantBits: 8}})
+	plain := New(g, part, nparts, Config{QuantBits: 8})
 	if pairs, levels := plain.State(); pairs != nil || levels != nil {
 		t.Fatal("stateless core captured state")
 	}
@@ -355,10 +364,10 @@ func TestRepartition(t *testing.T) {
 			next[u] = 1
 		}
 	}
-	for _, o := range []Options{
-		{Base: sched.Setting{SampleRate: 0.5}, Seed: 4},
-		func() Options { o := semantic(); o.Base = sched.Setting{SampleRate: 0.5}; return o }(),
-		{Base: sched.Setting{QuantBits: 8}, Seed: 4, Sched: sched.Policy{Enabled: true}},
+	for _, o := range []Config{
+		{SampleRate: 0.5, Seed: 4},
+		func() Config { o := semantic(); o.SampleRate = 0.5; return o }(),
+		{QuantBits: 8, Seed: 4, Sched: sched.Policy{Enabled: true}},
 	} {
 		c := New(g, part, nparts, o)
 		for idx := range c.Pairs {
@@ -417,7 +426,7 @@ func TestRepartition(t *testing.T) {
 func TestBadInputsPanic(t *testing.T) {
 	g, part := setup(t)
 	for name, fn := range map[string]func(){
-		"short partition": func() { New(g, part[:5], nparts, Options{}) },
+		"short partition": func() { New(g, part[:5], nparts, Config{}) },
 		"bad plan config": func() {
 			bad := append([]int(nil), part...)
 			bad[0] = nparts + 3
@@ -432,5 +441,33 @@ func TestBadInputsPanic(t *testing.T) {
 			}()
 			fn()
 		}()
+	}
+}
+
+// TestMethodMatrixNames: every lane of the shared fixture is named after what
+// it enables — its key, parameters stripped, is its MethodName — with and
+// without a schedule wrapped around it, and all lanes carry the given seed.
+func TestMethodMatrixNames(t *testing.T) {
+	matrix := MethodMatrix(5)
+	if len(matrix) != 13 {
+		t.Fatalf("%d lanes, want the 13 combinations of Fig. 12(b)", len(matrix))
+	}
+	for key, cfg := range matrix {
+		want := strings.Map(func(r rune) rune {
+			if r >= '0' && r <= '9' {
+				return -1
+			}
+			return r
+		}, key)
+		if got := cfg.MethodName(); got != want {
+			t.Fatalf("lane %q: MethodName %q", key, got)
+		}
+		if cfg.Seed != 5 {
+			t.Fatalf("lane %q: seed %d", key, cfg.Seed)
+		}
+		cfg.Sched.Enabled = true
+		if got := cfg.MethodName(); got != "sched("+want+")" {
+			t.Fatalf("lane %q scheduled: MethodName %q", key, got)
+		}
 	}
 }

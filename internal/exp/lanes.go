@@ -6,17 +6,18 @@ import (
 
 	"scgnn/internal/core"
 	"scgnn/internal/dist"
+	"scgnn/internal/exchange"
 )
 
 // Lanes is the named method-combination registry the sweep experiments draw
-// their configuration lists from. It carries every dist.MethodMatrix
+// their configuration lists from. It carries every exchange.MethodMatrix
 // combination under its matrix name (the coverage is locked by
 // TestLanesCoverMethodMatrix) plus the figure-specific compositions the
 // matrix does not, so AblCodec, Fig12b, and AblSched assemble their sweeps
 // from one table instead of repeating dist.Config literals.
 func Lanes(seed int64) map[string]dist.Config {
 	plan := core.PlanConfig{Grouping: core.GroupingConfig{Seed: seed}}
-	lanes := dist.MethodMatrix(seed)
+	lanes := exchange.MethodMatrix(seed)
 	for name, cfg := range map[string]dist.Config{
 		"quant4":          {QuantBits: 4, Seed: seed},
 		"quant4+adaptive": {QuantBits: 4, AdaptiveQuant: true, Seed: seed},
@@ -48,10 +49,10 @@ func laneList(seed int64, names ...string) []dist.Config {
 	return out
 }
 
-// matrixLaneNames returns the dist.MethodMatrix combination names in sorted
+// matrixLaneNames returns the exchange.MethodMatrix combination names in sorted
 // order — the canonical iteration order for full-matrix sweeps.
 func matrixLaneNames(seed int64) []string {
-	matrix := dist.MethodMatrix(seed)
+	matrix := exchange.MethodMatrix(seed)
 	names := make([]string, 0, len(matrix))
 	for name := range matrix {
 		names = append(names, name)

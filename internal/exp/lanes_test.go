@@ -4,17 +4,17 @@ import (
 	"reflect"
 	"testing"
 
-	"scgnn/internal/dist"
+	"scgnn/internal/exchange"
 )
 
-// TestLanesCoverMethodMatrix locks the lane registry to dist.MethodMatrix:
+// TestLanesCoverMethodMatrix locks the lane registry to exchange.MethodMatrix:
 // every matrix combination must be present under its matrix name with an
 // identical configuration, so a combo added to the matrix without a lane (or
 // a lane that silently drifts from the matrix) fails here.
 func TestLanesCoverMethodMatrix(t *testing.T) {
 	const seed = 7
 	lanes := Lanes(seed)
-	matrix := dist.MethodMatrix(seed)
+	matrix := exchange.MethodMatrix(seed)
 	for name, want := range matrix {
 		got, ok := lanes[name]
 		if !ok {

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"scgnn/internal/dist"
+	"scgnn/internal/exchange"
 	"scgnn/internal/gnn"
 	"scgnn/internal/persist"
 	"scgnn/internal/sched"
@@ -16,7 +17,7 @@ import (
 // the whole ladder inside the test's epochs).
 func schedMatrix(seed int64) map[string]dist.Config {
 	out := make(map[string]dist.Config)
-	for name, cfg := range dist.MethodMatrix(seed) {
+	for name, cfg := range exchange.MethodMatrix(seed) {
 		cfg.Sched = sched.Policy{Enabled: true, EpochsPerLevel: 1}
 		out["sched("+name+")"] = cfg
 	}

@@ -15,6 +15,7 @@ import (
 
 	"scgnn/internal/datasets"
 	"scgnn/internal/dist"
+	"scgnn/internal/exchange"
 	"scgnn/internal/graph"
 	"scgnn/internal/partition"
 	"scgnn/internal/tensor"
@@ -129,7 +130,7 @@ func TestCoordClusterEquivalenceMatrix(t *testing.T) {
 	h := randMat(d.NumNodes(), 5, 77)
 	g := randMat(d.NumNodes(), 5, 78)
 
-	for name, cfg := range dist.MethodMatrix(9) {
+	for name, cfg := range exchange.MethodMatrix(9) {
 		cfg := cfg
 		t.Run(name, func(t *testing.T) {
 			cl := worker.NewClusterFromConfig(d.Graph, part, nparts, cfg)

@@ -3,10 +3,11 @@
 // header followed by an fp32 payload vector, mirroring the fp32 tensors a
 // gloo/NCCL transport would carry.
 //
-// The sequential engine in internal/dist *accounts* bytes analytically; this
-// package makes them real — every cross-partition value is serialized into a
-// byte slice and parsed again on the receiving worker, and the byte sizes
-// are asserted equal to the analytic accounting in tests.
+// Every cross-partition value of every runtime is serialized into a byte
+// slice here and parsed again on the receiving worker; the bytes the traffic
+// accounting reports are the lengths of those slices, asserted equal in tests
+// to the format's arithmetic (16-byte header, 4 bytes a value, or
+// ceil(n·bits/8) + 8).
 //
 // This package frames and packs; it holds no quantisation arithmetic. A
 // quantized payload is ranged, levelled and reconstructed a chunk of levels at
@@ -45,8 +46,8 @@ const HeaderBytes = 16
 // per-message adaptive width. Adaptive messages carry one extra metadata
 // byte — the chosen width — after the lo/step pair: a fixed-width receiver
 // knows its width from configuration, but an adaptive width is genuinely
-// per-message state, the same extra byte AdaQP-style schemes ship and the
-// analytic engine charges ((n·bits+7)/8 + 9 vs + 8). Decoders reject any
+// per-message state, the same extra byte AdaQP-style schemes ship
+// ((n·bits+7)/8 + 9 vs + 8). Decoders reject any
 // other flag bit, and reject adaptive messages whose metadata width byte
 // disagrees with the header's bits field.
 const FlagAdaptive = 0x01

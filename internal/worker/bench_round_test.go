@@ -5,16 +5,15 @@ import (
 
 	"scgnn/internal/core"
 	"scgnn/internal/datasets"
-	"scgnn/internal/dist"
+	"scgnn/internal/exchange"
 	"scgnn/internal/partition"
 	"scgnn/internal/tensor"
 )
 
 // roundBenchEnv memoizes one scale preset's dataset, partition, and a
 // semantic cluster across the round benchmarks: the 100k preset costs
-// seconds to generate and plan, and every kernel/reference sub-benchmark
-// wants the identical instance anyway so the before/after rows differ only
-// in the code path under test.
+// seconds to generate and plan. (Sub-benchmarks keep the "/kernel" suffix the
+// recorded BENCH_worker.json rows carry.)
 type roundBenchEnv struct {
 	d       *datasets.Dataset
 	part    []int
@@ -43,7 +42,7 @@ func roundBench(b *testing.B, preset string) *roundBenchEnv {
 	env := &roundBenchEnv{
 		d:       d,
 		part:    part,
-		cluster: NewClusterFromConfig(d.Graph, part, roundBenchNParts, dist.Semantic(cfg)),
+		cluster: NewClusterFromConfig(d.Graph, part, roundBenchNParts, exchange.Config{Semantic: true, Plan: cfg}),
 		h:       d.Features,
 		out:     tensor.New(d.NumNodes(), d.FeatureDim()),
 	}
@@ -53,52 +52,42 @@ func roundBench(b *testing.B, preset string) *roundBenchEnv {
 
 // BenchmarkLocalPhase measures the within-partition aggregation — the
 // dominant slice of a round's profile — for every worker, on the compiled
-// gather plans (kernel) and the retained pre-kernel loop (reference). The
-// reference rows keep the before/after comparison inside a single bench
-// run instead of across commits.
+// gather plans.
 func BenchmarkLocalPhase(b *testing.B) {
 	for _, preset := range []string{"reddit-sim-10k", "reddit-sim-100k"} {
-		for _, mode := range []string{"kernel", "reference"} {
-			b.Run(preset+"/"+mode, func(b *testing.B) {
-				env := roundBench(b, preset)
-				c := env.cluster
-				c.useReference = mode == "reference"
-				defer func() { c.useReference = false }()
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					for me := 0; me < roundBenchNParts; me++ {
-						c.localPhase(me, env.h, env.out)
-					}
+		b.Run(preset+"/kernel", func(b *testing.B) {
+			env := roundBench(b, preset)
+			c := env.cluster
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for me := 0; me < roundBenchNParts; me++ {
+					c.localPhase(me, env.h, env.out)
 				}
-			})
-		}
+			}
+		})
 	}
 }
 
 // BenchmarkRoundEndToEnd measures a full semantic aggregate round —
 // local aggregation, encode, wire, decode — in the allocation-free
-// AggregateInto steady state, kernel vs reference paths.
+// AggregateInto steady state.
 func BenchmarkRoundEndToEnd(b *testing.B) {
 	for _, preset := range []string{"reddit-sim-10k", "reddit-sim-100k"} {
-		for _, mode := range []string{"kernel", "reference"} {
-			b.Run(preset+"/"+mode, func(b *testing.B) {
-				env := roundBench(b, preset)
-				c := env.cluster
-				c.useReference = mode == "reference"
-				defer func() { c.useReference = false }()
-				c.StartEpoch(0)
+		b.Run(preset+"/kernel", func(b *testing.B) {
+			env := roundBench(b, preset)
+			c := env.cluster
+			c.StartEpoch(0)
+			if err := c.AggregateInto(env.out, env.h, false); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
 				if err := c.AggregateInto(env.out, env.h, false); err != nil {
 					b.Fatal(err)
 				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if err := c.AggregateInto(env.out, env.h, false); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
+			}
+		})
 	}
 }

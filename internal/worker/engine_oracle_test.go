@@ -1,0 +1,88 @@
+package worker_test
+
+// The analytic engine against the definitional oracle. This file is an
+// external test of the worker directory because that is the one place both
+// are in reach: the oracle lives in this directory's oracle_test.go, and
+// internal/dist — which imports internal/worker — cannot be imported by the
+// package's own tests.
+
+import (
+	"testing"
+
+	"scgnn/internal/datasets"
+	"scgnn/internal/dist"
+	"scgnn/internal/exchange"
+	"scgnn/internal/partition"
+	"scgnn/internal/simnet"
+	"scgnn/internal/tensor"
+	"scgnn/internal/worker"
+)
+
+// TestEngineSnapshotCounters keeps results/ honest: everything dist.Run's
+// modeled epoch time is computed from — the five processing counters, the
+// byte and message totals, both bottlenecks, and every individual link — is
+// what the oracle's definitional loops count, on every lane of the method
+// matrix plus a period-2 delay, over transmit and replay epochs and a closing
+// StartEvalEpoch pass, forward and backward, on the caller's goroutine and
+// fanned out. The engine takes these as sums over compiled plan sizes; the
+// oracle counts them a term at a time.
+func TestEngineSnapshotCounters(t *testing.T) {
+	d := datasets.Generate(datasets.Spec{
+		Name: "w", Nodes: 150, AvgDegree: 10, Classes: 3, FeatureDim: 5, Seed: 1,
+	})
+	const nparts = 3
+	part := partition.Partition(d.Graph, nparts, partition.NodeCut, partition.Config{Seed: 2})
+	h := tensor.New(d.NumNodes(), 6)
+	g := tensor.New(d.NumNodes(), 6)
+	for i := range h.Data {
+		h.Data[i] = float64(i%17) - 8
+		g.Data[i] = float64(i%13) / 4
+	}
+
+	lanes := exchange.MethodMatrix(9)
+	lanes["delay2"] = exchange.Config{DelayPeriod: 2, Seed: 9}
+	for name, cfg := range lanes {
+		t.Run(name, func(t *testing.T) {
+			for _, workers := range []int{1, 64} {
+				cfg.Workers = workers
+				eng := dist.NewEngine(d.Graph, part, nparts, cfg)
+				ref := worker.NewOracle(d.Graph, part, nparts, cfg)
+				check := func(epoch int, stage string) {
+					t.Helper()
+					got, want := eng.CaptureEpoch(), ref.CaptureEpoch()
+					if got != want {
+						t.Fatalf("workers %d epoch %d after %s:\nengine %+v\noracle %+v", workers, epoch, stage, got, want)
+					}
+					sameLinks(t, eng.Fabric(), ref.Fabric())
+				}
+				for epoch := 0; epoch < 5; epoch++ {
+					if epoch == 4 {
+						eng.StartEvalEpoch(epoch)
+						ref.StartEvalEpoch(epoch)
+					} else {
+						eng.StartEpoch(epoch)
+						ref.StartEpoch(epoch)
+					}
+					eng.Forward(h)
+					ref.Forward(h)
+					check(epoch, "forward")
+					eng.Backward(g)
+					ref.Backward(g)
+					check(epoch, "backward")
+				}
+			}
+		})
+	}
+}
+
+func sameLinks(t *testing.T, got, want *simnet.Fabric) {
+	t.Helper()
+	for s := 0; s < want.NumParts(); s++ {
+		for r := 0; r < want.NumParts(); r++ {
+			if got.LinkBytes(s, r) != want.LinkBytes(s, r) || got.LinkMessages(s, r) != want.LinkMessages(s, r) {
+				t.Fatalf("link %d→%d: engine %d B / %d msgs, oracle %d B / %d msgs", s, r,
+					got.LinkBytes(s, r), got.LinkMessages(s, r), want.LinkBytes(s, r), want.LinkMessages(s, r))
+			}
+		}
+	}
+}

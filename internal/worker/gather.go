@@ -42,13 +42,27 @@ type pairKernels struct {
 // Row i's terms span nbr[off[i]:off[i+1]]: the self-loop first
 // (weight coeff[u]²), then the same-partition neighbors in adjacency
 // order (weight coeff[u]·coeff[v]) — exactly the term order of the
-// reference row body (localRows), so outputs are bit-identical.
+// definitional arc-by-arc loop (the test oracle's localAggregate), so
+// outputs are bit-identical to it.
 type localPlan struct {
 	rows      []int32
 	nBoundary int
 	off       []int32
 	nbr       []int32
 	w         []float64
+}
+
+// groupPlans returns pair idx's compiled group lists for the direction: nil
+// when the pair has no plan, and then the unit walk yields no group either.
+func (x *exchanger) groupPlans(idx int, backward bool) (*core.EncodePlan, *core.DeliverPlan) {
+	if x.kernels == nil {
+		return nil, nil
+	}
+	k := &x.kernels[idx]
+	if backward {
+		return k.encB, k.delB
+	}
+	return k.encF, k.delF
 }
 
 // compilePairKernels refreshes pair idx's compiled encode/deliver plans

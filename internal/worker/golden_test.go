@@ -8,7 +8,7 @@ import (
 	"testing"
 
 	"scgnn/internal/core"
-	"scgnn/internal/dist"
+	"scgnn/internal/exchange"
 	"scgnn/internal/gnn"
 	"scgnn/internal/nn"
 )
@@ -22,13 +22,13 @@ func TestClusterGoldenBits(t *testing.T) {
 	plan := core.PlanConfig{Grouping: core.GroupingConfig{Seed: 3}}
 	cases := []struct {
 		name, want string
-		cfg        dist.Config
+		cfg        exchange.Config
 	}{
-		{"vanilla", "3ff38cd2dc9a6931 3ff2603cf6a3b9ca 3ff183ea3856313e 3ff0d7ac595c1054 385728", dist.Config{Seed: 3}},
+		{"vanilla", "3ff38cd2dc9a6931 3ff2603cf6a3b9ca 3ff183ea3856313e 3ff0d7ac595c1054 385728", exchange.Config{Seed: 3}},
 		{"semantic+sampling+q8ef", "3ff2c68b718bec3e 3ff26118161ed24c 3ff1b5d6b8ff1de7 3ff0e386b153ad1e 2957",
-			dist.Config{Semantic: true, Plan: plan, SampleRate: 0.5, QuantBits: 8, ErrorFeedback: true, Seed: 3}},
+			exchange.Config{Semantic: true, Plan: plan, SampleRate: 0.5, QuantBits: 8, ErrorFeedback: true, Seed: 3}},
 		{"nsampling+aquant+delay", "3ff3eed781ab2dc0 3ff2d6b64ace82e7 3ff1dae02c593b3c 3ff13822301902c3 71013",
-			dist.Config{SampleRate: 0.5, SampleNodes: true, QuantBits: 8, AdaptiveQuant: true, DelayPeriod: 2, Seed: 3}},
+			exchange.Config{SampleRate: 0.5, SampleNodes: true, QuantBits: 8, AdaptiveQuant: true, DelayPeriod: 2, Seed: 3}},
 	}
 	d, part := setup(t, 2)
 	for _, tc := range cases {

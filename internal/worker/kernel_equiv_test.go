@@ -6,123 +6,63 @@ import (
 	"testing"
 
 	"scgnn/internal/core"
-	"scgnn/internal/datasets"
-	"scgnn/internal/dist"
+	"scgnn/internal/exchange"
 	"scgnn/internal/tensor"
 )
 
-// TestKernelReferenceLockstep pins the compiled hot path bit-identical to
-// the retained reference implementations: for every Fig. 12(b) method
-// combination, a kernelized cluster and a useReference cluster run two
-// epochs, Repartition onto the same perturbed partition, and run two more
-// — outputs must match byte-for-byte (Equal with tolerance 0) and traffic
-// exactly, throughout, at nparts 2 and 4 (receivers sum their inbound
-// batches in sender order, so any width is deterministic).
+// TestKernelReferenceLockstep pins the compiled hot path bit-identical to the
+// definitional oracle at the widths the 3-partition matrices do not reach:
+// for every Fig. 12(b) method combination, at nparts 2 and 4, a cluster and
+// the oracle run two epochs, Repartition onto the same perturbed partition,
+// and run two more — outputs must match byte-for-byte (Equal with tolerance
+// 0) and traffic exactly, throughout (receivers sum their inbound batches in
+// sender order, so any width is deterministic).
 func TestKernelReferenceLockstep(t *testing.T) {
 	for _, nparts := range []int{2, 4} {
 		d, part := setup(t, nparts)
 		next := movedPart(t, d.NumNodes(), part, nparts)
-		for name, cfg := range dist.MethodMatrix(11) {
+		for name, cfg := range exchange.MethodMatrix(11) {
 			t.Run(fmt.Sprintf("%dp/%s", nparts, name), func(t *testing.T) {
-				kernelReferenceLockstep(t, d, part, next, nparts, cfg)
+				oracleLockstep(t, d, part, next, nparts, cfg, 91)
 			})
 		}
 	}
 }
 
-func kernelReferenceLockstep(t *testing.T, d *datasets.Dataset, part, next []int, nparts int, cfg dist.Config) {
-	h := randMat(d.NumNodes(), 5, 91)
-	g := randMat(d.NumNodes(), 5, 92)
-	kern := NewClusterFromConfig(d.Graph, part, nparts, cfg)
-	defer kern.Close()
-	ref := NewClusterFromConfig(d.Graph, part, nparts, cfg)
-	defer ref.Close()
-	ref.useReference = true
-
-	compare := func(epoch int, stage string) {
-		t.Helper()
-		kern.ResetTraffic()
-		kern.StartEpoch(epoch)
-		gotF := kern.Forward(h).Clone()
-		gotB := kern.Backward(g).Clone()
-		snap := kern.Snapshot()
-		ref.ResetTraffic()
-		ref.StartEpoch(epoch)
-		wantF := ref.Forward(h)
-		wantB := ref.Backward(g)
-		want := ref.Snapshot()
-		if !gotF.Equal(wantF, 0) {
-			t.Fatalf("%s epoch %d: kernel forward not byte-identical to reference", stage, epoch)
-		}
-		if !gotB.Equal(wantB, 0) {
-			t.Fatalf("%s epoch %d: kernel backward not byte-identical to reference", stage, epoch)
-		}
-		if snap != want {
-			t.Fatalf("%s epoch %d: traffic %+v vs reference %+v", stage, epoch, snap, want)
-		}
-	}
-
-	for epoch := 0; epoch < 2; epoch++ {
-		compare(epoch, "pre-repartition")
-	}
-	dKern, err := kern.Repartition(next)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dRef, err := ref.Repartition(next)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(dKern) != len(dRef) {
-		t.Fatalf("dirty sets differ: kernel %v vs reference %v", dKern, dRef)
-	}
-	for i := range dKern {
-		if dKern[i] != dRef[i] {
-			t.Fatalf("dirty sets differ: kernel %v vs reference %v", dKern, dRef)
-		}
-	}
-	if len(dKern) == 0 {
-		t.Fatal("a real perturbation must dirty at least one pair")
-	}
-	for epoch := 2; epoch < 4; epoch++ {
-		compare(epoch, "post-repartition")
-	}
-}
-
-// TestKernelLocalPhaseBitIdentical compares each worker's compiled local
-// aggregation against the reference loop directly — no wire in between,
-// so this holds at any nparts, before and after a Repartition.
+// TestKernelLocalPhaseBitIdentical compares the workers' compiled local
+// aggregation against the oracle's arc-by-arc loop directly — no wire in
+// between, so this holds at any nparts, before and after a Repartition.
 func TestKernelLocalPhaseBitIdentical(t *testing.T) {
 	d, part := setup(t, 3)
 	const nparts = 3
 	h := randMat(d.NumNodes(), 7, 93)
 
 	for _, semantic := range []bool{false, true} {
-		cfg := dist.Vanilla()
+		cfg := exchange.Config{}
 		if semantic {
-			cfg = dist.Semantic(core.PlanConfig{Grouping: core.GroupingConfig{Seed: 7}})
+			cfg = exchange.Config{Semantic: true, Plan: core.PlanConfig{Grouping: core.GroupingConfig{Seed: 7}}}
 		}
 		c := NewClusterFromConfig(d.Graph, part, nparts, cfg)
 		defer c.Close()
+		ref := NewOracle(d.Graph, part, nparts, cfg)
 
 		check := func(stage string) {
 			t.Helper()
+			// Workers own disjoint rows, so their phases fill one matrix.
+			got := tensor.New(d.NumNodes(), h.Cols)
 			for me := 0; me < nparts; me++ {
-				got := tensor.New(d.NumNodes(), h.Cols)
-				want := tensor.New(d.NumNodes(), h.Cols)
-				c.useReference = false
 				c.localPhase(me, h, got)
-				c.useReference = true
-				c.localPhase(me, h, want)
-				c.useReference = false
-				if !got.Equal(want, 0) {
-					t.Fatalf("semantic=%v %s: worker %d localPhase not byte-identical", semantic, stage, me)
-				}
+			}
+			if !got.Equal(ref.localAggregate(h), 0) {
+				t.Fatalf("semantic=%v %s: localPhase not byte-identical to the oracle", semantic, stage)
 			}
 		}
 		check("pre-repartition")
 		next := movedPart(t, d.NumNodes(), part, nparts)
 		if _, err := c.Repartition(next); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ref.Repartition(next); err != nil {
 			t.Fatal(err)
 		}
 		check("post-repartition")
@@ -137,9 +77,9 @@ func TestKernelLocalPlanBoundarySplit(t *testing.T) {
 	d, part := setup(t, 3)
 	const nparts = 3
 	for _, semantic := range []bool{false, true} {
-		cfg := dist.Vanilla()
+		cfg := exchange.Config{}
 		if semantic {
-			cfg = dist.Semantic(core.PlanConfig{Grouping: core.GroupingConfig{Seed: 7}})
+			cfg = exchange.Config{Semantic: true, Plan: core.PlanConfig{Grouping: core.GroupingConfig{Seed: 7}}}
 		}
 		c := NewClusterFromConfig(d.Graph, part, nparts, cfg)
 		defer c.Close()
@@ -187,7 +127,7 @@ func TestKernelLocalPlanBoundarySplit(t *testing.T) {
 func TestBoundaryFirstSchedule(t *testing.T) {
 	d, part := setup(t, 3)
 	const nparts = 3
-	c := NewClusterFromConfig(d.Graph, part, nparts, dist.Semantic(core.PlanConfig{Grouping: core.GroupingConfig{Seed: 7}}))
+	c := NewClusterFromConfig(d.Graph, part, nparts, exchange.Config{Semantic: true, Plan: core.PlanConfig{Grouping: core.GroupingConfig{Seed: 7}}})
 	defer c.Close()
 
 	var mu sync.Mutex

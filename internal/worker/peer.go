@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"scgnn/internal/dist"
 	"scgnn/internal/exchange"
 	"scgnn/internal/graph"
 	"scgnn/internal/tensor"
@@ -36,14 +35,13 @@ type Peer struct {
 	me int
 }
 
-// NewPeer builds partition me's driven runtime for the same method
-// combination a dist.Config engine or NewClusterFromConfig cluster would
-// run. The whole exchange core is constructed (every node needs every plan
+// NewPeer builds partition me's driven runtime for the method combination
+// cfg selects — the one a NewClusterFromConfig cluster would run. The whole exchange core is constructed (every node needs every plan
 // and stream to encode, decode, and ghost-advance), but only what worker me
 // runs is compiled — its local plan, the kernels of the pairs it touches, its
 // scratch — and no goroutines are spawned; rounds are executed by Round on
 // the caller's goroutine.
-func NewPeer(g *graph.Graph, part []int, nparts, me int, cfg dist.Config) (*Peer, error) {
+func NewPeer(g *graph.Graph, part []int, nparts, me int, cfg exchange.Config) (*Peer, error) {
 	if me < 0 || me >= nparts {
 		return nil, fmt.Errorf("worker: peer id %d out of range [0,%d)", me, nparts)
 	}

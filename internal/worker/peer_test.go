@@ -6,7 +6,7 @@ import (
 	"sync"
 	"testing"
 
-	"scgnn/internal/dist"
+	"scgnn/internal/exchange"
 	"scgnn/internal/partition"
 	"scgnn/internal/persist"
 	"scgnn/internal/simnet"
@@ -130,7 +130,7 @@ func TestPeerClusterEquivalenceMatrix(t *testing.T) {
 	g := randMat(d.NumNodes(), 5, 78)
 	want := tensor.New(d.NumNodes(), 5)
 
-	for name, cfg := range dist.MethodMatrix(9) {
+	for name, cfg := range exchange.MethodMatrix(9) {
 		cfg := cfg
 		t.Run(name, func(t *testing.T) {
 			cl := NewClusterFromConfig(d.Graph, part, nparts, cfg)
@@ -214,7 +214,7 @@ func TestPeerStateRestoreRoundtrip(t *testing.T) {
 	h := randMat(d.NumNodes(), dim, 81)
 	g := randMat(d.NumNodes(), dim, 82)
 
-	for name, cfg := range map[string]dist.Config{
+	for name, cfg := range map[string]exchange.Config{
 		"sampling":  {SampleRate: 0.5, Seed: 9},
 		"nsampling": {SampleRate: 0.5, SampleNodes: true, Seed: 9},
 		"quant4+ef": {QuantBits: 4, ErrorFeedback: true, Seed: 9},
@@ -294,7 +294,7 @@ func TestPeerStateRestoreRoundtrip(t *testing.T) {
 // TestPeerRestoreRejectsMismatch covers the validation errors.
 func TestPeerRestoreRejectsMismatch(t *testing.T) {
 	d, part := setup(t, 3)
-	peer, err := NewPeer(d.Graph, part, 3, 0, dist.Config{SampleRate: 0.5, Seed: 1})
+	peer, err := NewPeer(d.Graph, part, 3, 0, exchange.Config{SampleRate: 0.5, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +307,7 @@ func TestPeerRestoreRejectsMismatch(t *testing.T) {
 	if err := peer.Restore(&PeerState{NParts: 3}); err == nil {
 		t.Fatal("missing pair streams accepted (config mismatch)")
 	}
-	if _, err := NewPeer(d.Graph, part, 3, 7, dist.Config{}); err == nil {
+	if _, err := NewPeer(d.Graph, part, 3, 7, exchange.Config{}); err == nil {
 		t.Fatal("out-of-range peer id accepted")
 	}
 }
@@ -319,12 +319,12 @@ func TestPeerRestoreRejectsMismatch(t *testing.T) {
 func TestPeerStateEncodedForm(t *testing.T) {
 	d, part := setup(t, 3)
 	for _, tc := range []struct {
-		cfg  dist.Config
+		cfg  exchange.Config
 		size int
 		sum  string
 	}{
-		{dist.Config{Semantic: true}, 430, "3d64912d485ffe44192df34ed1a00b3e887b1073484518d856caa356a8bdbb3b"},
-		{dist.Config{SampleRate: 0.5, SampleNodes: true, QuantBits: 4, ErrorFeedback: true, DelayPeriod: 2, Seed: 3},
+		{exchange.Config{Semantic: true}, 430, "3d64912d485ffe44192df34ed1a00b3e887b1073484518d856caa356a8bdbb3b"},
+		{exchange.Config{SampleRate: 0.5, SampleNodes: true, QuantBits: 4, ErrorFeedback: true, DelayPeriod: 2, Seed: 3},
 			513, "133239bed85e417f02d98e3c0967c59825a0b5db2634a7f323038b9d27879e8e"},
 	} {
 		peer, err := NewPeer(d.Graph, part, 3, 1, tc.cfg)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"scgnn/internal/compress"
-	"scgnn/internal/dist"
 	"scgnn/internal/exchange"
 	"scgnn/internal/graph"
 	"scgnn/internal/sched"
@@ -13,11 +12,12 @@ import (
 	"scgnn/internal/wire"
 )
 
-// exchanger is the wire runtime one process holds, shared by both drivers:
-// Cluster runs every partition's worker over an in-process transport, Peer
-// runs one over sockets. It owns the exchange core, the gather plans compiled
-// from it, the delay slots, and the retained scratch of the workers this
-// process runs — and the one round body both drivers execute (runRound).
+// exchanger is the wire runtime one process holds, shared by all three
+// drivers: Cluster runs every partition's worker over in-process channels,
+// Rounds hands them to a caller's schedule over in-memory slots, Peer runs one
+// over sockets. It owns the exchange core, the gather plans compiled from it,
+// the delay slots, and the retained scratch of the workers this process runs
+// — and the one round body every driver executes (runRound and its halves).
 type exchanger struct {
 	core *exchange.Core
 
@@ -30,11 +30,10 @@ type exchanger struct {
 	local    []*localPlan
 	ws       []*workerScratch
 	counters []*simnet.ShardCounter
-	// useReference swaps the fused kernel bodies (local row, group fuse,
-	// group deliver) for the retained per-member loops — the bit-identity
-	// oracle the equivalence tests compare the kernels against. Set before
-	// any round; must not race a round in flight.
-	useReference bool
+	// work[p] is worker p's share of the analytic cost model's processing
+	// counters (see work). A driver that reports them drains them after the
+	// round barrier; the others leave them to accumulate.
+	work []work
 	// phaseHook, when non-nil, observes each worker's round phases in
 	// execution order ("local-boundary", "send", "local-interior",
 	// "receive") — test instrumentation for the boundary-first schedule.
@@ -55,6 +54,19 @@ type exchanger struct {
 	freshEval    bool
 	// err poisons the runtime after the first failed round.
 	err error
+}
+
+// work is the processing half of a simnet.Snapshot as one worker accumulates
+// it: exact integer sums taken where the sizes already are — the compiled
+// local plan's arc count, the walk's sink, the compiled group sizes, the delay
+// slot's rows — so they depend on what was exchanged and never on how the
+// round was scheduled.
+type work struct {
+	flops    int64 // 2·cols per aggregated term: local arcs, delivered units, fused and fanned-out group members
+	quant    int64 // values pushed through a quantised encode
+	sample   int64 // cross arcs scanned by a sampling baseline pair
+	cache    int64 // delay-slot values added into the output
+	semantic int64 // values fused into and fanned out of group payloads
 }
 
 // workerScratch is one worker's buffer set retained across rounds. Slices
@@ -78,17 +90,17 @@ func (ws *workerScratch) ensure(dim int) {
 	}
 }
 
-// newExchanger builds the runtime for the method combination a dist.Engine
-// configured with cfg would run: the exchange core reads cfg exactly as the
-// engine does, and delay is active for DelayPeriod > 1. me selects the one
+// newExchanger builds the runtime for the method combination cfg selects;
+// delay is active for DelayPeriod > 1. me selects the one
 // worker this process runs, or -1 for all of them; kernels and local plans
 // are compiled only for what those workers encode, decode and aggregate.
-func newExchanger(g *graph.Graph, part []int, nparts, me int, cfg dist.Config) *exchanger {
+func newExchanger(g *graph.Graph, part []int, nparts, me int, cfg exchange.Config) *exchanger {
 	x := &exchanger{
-		core:     exchange.New(g, part, nparts, cfg.Exchange()),
+		core:     exchange.New(g, part, nparts, cfg),
 		local:    make([]*localPlan, nparts),
 		ws:       make([]*workerScratch, nparts),
 		counters: make([]*simnet.ShardCounter, nparts),
+		work:     make([]work, nparts),
 	}
 	if cfg.DelayPeriod > 1 {
 		x.delayPeriod = cfg.DelayPeriod
@@ -136,8 +148,8 @@ func (x *exchanger) ScheduleLevels() []int { return x.core.Levels() }
 func (x *exchanger) ApplySchedule(levels []int) error { return x.core.SetLevels(levels) }
 
 // Repartition moves the runtime to a new partition of the same graph under
-// the exchange core's incremental contract — the mirror of
-// dist.Engine.Repartition: clean pairs keep plan, arcs and streams verbatim,
+// the exchange core's incremental contract: clean pairs keep plan, arcs and
+// streams verbatim,
 // dirty pairs are rebuilt and re-seeded; their gather kernels and the local
 // plans the move invalidates are recompiled; delay slots (whole-round
 // aggregates) are invalidated iff any pair is dirty. Must not race a round in
@@ -227,7 +239,7 @@ func (x *exchanger) endRound(target, out *tensor.Matrix, replay bool, err error)
 }
 
 // runRound is worker me's share of one aggregate round — the one round body
-// of both drivers, scheduled boundary-first: the rows peers are waiting on
+// of every driver, scheduled boundary-first: the rows peers are waiting on
 // (the worker's outgoing boundary) aggregate first so the sends launch as
 // early as possible, and the interior aggregation — which no peer depends on
 // — runs between send and receive, overlapping the peers' decode work. Every
@@ -244,15 +256,34 @@ func (x *exchanger) endRound(target, out *tensor.Matrix, replay bool, err error)
 // the transport stays balanced.
 func (x *exchanger) runRound(me int, h, out, target *tensor.Matrix, backward, replay, ghost bool,
 	send func(peer int, frame []byte) error, recv func() ([]byte, error)) error {
-	x.ws[me].ensure(h.Cols)
-	lp := x.local[me]
 	if replay {
-		// No exchange anywhere this round, so no coins are consumed.
-		x.localRows(me, h, out, 0, len(lp.rows))
-		x.addOwnRows(me, target, out)
+		x.replayRound(me, h, out, target)
 		return nil
 	}
-	x.localRows(me, h, out, 0, lp.nBoundary)
+	if err := x.sendHalf(me, h, out, backward, send); err != nil {
+		return err
+	}
+	if ghost {
+		x.core.GhostAdvance(me, backward)
+	}
+	return x.recvHalf(me, h, out, target, backward, recv)
+}
+
+// replayRound is a replay round's whole body: no exchange anywhere, so no
+// coins are consumed — the local aggregate plus the cached slot.
+func (x *exchanger) replayRound(me int, h, out, slot *tensor.Matrix) {
+	x.localRows(me, h, out, 0, len(x.local[me].rows))
+	x.addOwnRows(me, slot, out)
+}
+
+// sendHalf is the first half of an exchanging round — everything worker me
+// does before it needs a peer's bytes: the boundary rows, then one encoded
+// frame per peer, ascending. It reads h and writes only me's rows of out and
+// me's pair streams, so a driver may run every worker's sendHalf in any order
+// or at once; every frame of the round exists once they have all returned.
+func (x *exchanger) sendHalf(me int, h, out *tensor.Matrix, backward bool, send func(peer int, frame []byte) error) error {
+	x.ws[me].ensure(h.Cols)
+	x.localRows(me, h, out, 0, x.local[me].nBoundary)
 	x.hook(me, "local-boundary")
 	for peer := 0; peer < x.core.NParts; peer++ {
 		if peer == me {
@@ -263,9 +294,14 @@ func (x *exchanger) runRound(me int, h, out, target *tensor.Matrix, backward, re
 		}
 	}
 	x.hook(me, "send")
-	if ghost {
-		x.core.GhostAdvance(me, backward)
-	}
+	return nil
+}
+
+// recvHalf is the second half: the interior rows — which no peer depends on,
+// so they overlap the peers' work — then the nparts-1 inbound frames, decoded
+// in the order recv yields them (ascending sender) into me's rows of target.
+func (x *exchanger) recvHalf(me int, h, out, target *tensor.Matrix, backward bool, recv func() ([]byte, error)) error {
+	lp := x.local[me]
 	if target != out {
 		// Fresh delayed round: the slot holds last period's delta; clear this
 		// worker's rows before accumulating the new one. Every row is owned
@@ -298,9 +334,11 @@ func (x *exchanger) runRound(me int, h, out, target *tensor.Matrix, backward, re
 
 // addOwnRows adds the delay slot's rows worker me owns into out.
 func (x *exchanger) addOwnRows(me int, slot, out *tensor.Matrix) {
-	for _, u := range x.core.Own[me] {
+	own := x.core.Own[me]
+	for _, u := range own {
 		tensor.AXPY(1, slot.Row(int(u)), out.Row(int(u)))
 	}
+	x.work[me].cache += int64(len(own) * out.Cols)
 }
 
 // hook reports a completed phase to the test instrumentation, if any.
@@ -313,25 +351,17 @@ func (x *exchanger) hook(me int, phase string) {
 // localRows computes rows [from, to) of worker me's local plan — the
 // within-partition part of Â·h for those rows. The compiled CSR bakes the
 // self-loop and same-partition neighbor terms (coefficients included) per
-// row; the reference body walks the same rows arc by arc.
+// row.
 func (x *exchanger) localRows(me int, h, out *tensor.Matrix, from, to int) {
 	lp := x.local[me]
 	for i := from; i < to; i++ {
-		u := lp.rows[i]
-		orow := out.Row(int(u))
-		if !x.useReference {
-			lo, hi := lp.off[i], lp.off[i+1]
-			tensor.GatherAXPY(orow, h, lp.nbr[lo:hi], lp.w[lo:hi], 1)
-			continue
-		}
-		fu := x.core.Coeff[u]
-		tensor.AXPY(fu*fu, h.Row(int(u)), orow)
-		for _, v := range x.core.G.Neighbors(u) {
-			if x.core.Part[v] == me {
-				tensor.AXPY(fu*x.core.Coeff[v], h.Row(int(v)), orow)
-			}
-		}
+		lo, hi := lp.off[i], lp.off[i+1]
+		tensor.GatherAXPY(out.Row(int(lp.rows[i])), h, lp.nbr[lo:hi], lp.w[lo:hi], 1)
 	}
+	// The cost model charges the neighbor terms, not the self loop each row
+	// opens with.
+	arcs := int(lp.off[to]-lp.off[from]) - (to - from)
+	x.work[me].flops += int64(2 * h.Cols * arcs)
 }
 
 // localPhase computes the within-partition part of Â·h for all rows worker
@@ -361,6 +391,11 @@ func (x *exchanger) encodePeer(me, peer int, h *tensor.Matrix, backward bool) []
 	payload := ws.payload[:h.Cols]
 	msg := &ws.msg
 	msg.SrcPart, msg.Payload = int32(me), payload
+	ps := &x.core.Pairs[idx]
+	enc, del := x.groupPlans(idx, backward)
+	// Group messages sent, and the members they stand for: senders fused in
+	// plus receivers fanned out to.
+	groupMsgs, members := 0, 0
 	x.core.Walk(idx, backward, func(u exchange.Unit) {
 		if u.Group < 0 {
 			scale := x.core.Coeff[u.Sender] * u.Scale
@@ -369,43 +404,41 @@ func (x *exchanger) encodePeer(me, peer int, h *tensor.Matrix, backward bool) []
 			}
 			msg.Kind, msg.Target = wire.KindNode, u.Receiver
 		} else {
+			// h_g = scale·Σ w(u)·f[u]·h_u in one fused pass over the members.
 			clear(payload)
-			x.fuseGroup(idx, int(u.Group), backward, u.Scale, h, payload)
+			rows, w := enc.Group(int(u.Group))
+			tensor.GatherAXPY(payload, h, rows, w, u.Scale)
 			msg.Kind, msg.Target = wire.KindGroup, u.Group
+			receivers, _ := del.Group(int(u.Group))
+			groupMsgs++
+			members += len(rows) + len(receivers)
 		}
-		x.addMsg(ws, batch, &x.core.Pairs[idx], u.Index)
+		x.addMsg(ws, batch, ps, u.Index)
 	})
 	buf := batch.Bytes()
 	// Wire framing is already inside buf (each message carries its own
 	// header), so record pre-framed bytes rather than ShardCounter.Send.
 	x.counters[me].Add(me, peer, int64(len(buf)), int64(batch.Len()))
+	// The processing the batch stands for, on both of its ends: a per-node
+	// message is one delivered term, a group message one term per member.
+	w, dim := &x.work[me], h.Cols
+	w.flops += int64(2 * dim * (batch.Len() - groupMsgs + members))
+	w.semantic += int64(dim * members)
+	if ps.Bits > 0 {
+		w.quant += int64(dim * batch.Len())
+	}
+	if !x.core.Semantic() && (ps.Sampler != nil || ps.NodeSampler != nil) {
+		w.sample += int64(len(x.core.CrossOut[idx]))
+	}
 	return buf
-}
-
-// fuseGroup accumulates h_g = scale·Σ w(u)·f[u]·h_u for group gi of pair idx
-// into payload: one fused GatherAXPY over the compiled member list, or — the
-// reference body — one AXPY per member off the plan itself.
-func (x *exchanger) fuseGroup(idx, gi int, backward bool, scale float64, h *tensor.Matrix, payload []float64) {
-	if x.useReference {
-		grp := x.core.Groups(idx, backward)[gi]
-		for k, u := range grp.SrcNodes {
-			tensor.AXPY(grp.WOut[k]*x.core.Coeff[u]*scale, h.Row(int(u)), payload)
-		}
-		return
-	}
-	ep := x.kernels[idx].encF
-	if backward {
-		ep = x.kernels[idx].encB
-	}
-	rows, w := ep.Group(gi)
-	tensor.GatherAXPY(payload, h, rows, w, scale)
 }
 
 // addMsg appends the staged message ws.msg to the batch — quantized at the
 // pair's width when it has one, with residual error feedback layered on top
 // when enabled. unit is the message's candidate index within (pair, round);
-// with the round slot it keys the residual store exactly like the analytic
-// engine's RoundUnitKey scheme. Bytes reflect the reduced wire size:
+// with the round slot it keys the residual store (compress.RoundUnitKey), so
+// a unit meets its own residual again next epoch. Bytes reflect the reduced
+// wire size:
 // ceil(n·bits/8) + 8 metadata in place of 4n (+1 width byte when adaptive).
 func (x *exchanger) addMsg(ws *workerScratch, batch *wire.Batch, ps *exchange.PairState, unit int64) {
 	m := &ws.msg
@@ -423,8 +456,8 @@ func (x *exchanger) addMsg(ws *workerScratch, batch *wire.Batch, ps *exchange.Pa
 		ws.efTrue = trueVals
 		sent := ws.efSent[:len(m.Payload)]
 		if ps.Adaptive != nil {
-			// Width is chosen on the residual-corrected payload — the values
-			// the engine's Roundtrip sees after its own PreCompress.
+			// Width is chosen on the residual-corrected payload, the values
+			// that are actually quantised.
 			batch.AddAdaptiveRoundtrip(m, ps.Adaptive.ChooseBits(m.Payload), sent)
 		} else {
 			batch.AddQuantizedRoundtrip(m, ps.Bits, sent)
@@ -481,17 +514,8 @@ func (x *exchanger) decodeBatch(me int, backward bool, out *tensor.Matrix, buf [
 			if err := dec.Read(scratch); err != nil {
 				return fmt.Errorf("worker %d: %w", me, err)
 			}
-			if x.useReference {
-				for k, v := range groups[gi].DstNodes {
-					tensor.AXPY(groups[gi].DDst[k]*coeff[v], scratch, out.Row(int(v)))
-				}
-				continue
-			}
-			dp := x.kernels[idx].delF
-			if backward {
-				dp = x.kernels[idx].delB
-			}
-			rows, w := dp.Group(gi)
+			_, del := x.groupPlans(idx, backward)
+			rows, w := del.Group(gi)
 			tensor.ScatterAXPY(out, rows, w, scratch, 1)
 		}
 	}

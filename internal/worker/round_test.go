@@ -6,7 +6,7 @@ import (
 	"time"
 
 	"scgnn/internal/core"
-	"scgnn/internal/dist"
+	"scgnn/internal/exchange"
 	"scgnn/internal/tensor"
 )
 
@@ -23,7 +23,7 @@ func TestClusterArrivalOrderInvariant(t *testing.T) {
 	d, part := setup(t, nparts)
 	h := randMat(d.NumNodes(), 6, 31)
 	g := randMat(d.NumNodes(), 6, 32)
-	run := func(cfg dist.Config, stalled int) []*tensor.Matrix {
+	run := func(cfg exchange.Config, stalled int) []*tensor.Matrix {
 		c := NewClusterFromConfig(d.Graph, part, nparts, cfg)
 		defer c.Close()
 		if stalled >= 0 {
@@ -40,9 +40,9 @@ func TestClusterArrivalOrderInvariant(t *testing.T) {
 		}
 		return outs
 	}
-	for name, cfg := range map[string]dist.Config{
-		"vanilla":   dist.Vanilla(),
-		"semantic":  dist.Semantic(core.PlanConfig{Grouping: core.GroupingConfig{Seed: 5}}),
+	for name, cfg := range map[string]exchange.Config{
+		"vanilla":   {},
+		"semantic":  {Semantic: true, Plan: core.PlanConfig{Grouping: core.GroupingConfig{Seed: 5}}},
 		"quant8+ef": {QuantBits: 8, ErrorFeedback: true},
 	} {
 		t.Run(name, func(t *testing.T) {
@@ -68,9 +68,9 @@ func TestClusterArrivalOrderInvariant(t *testing.T) {
 func TestRoundRejectsMisshapedMatrices(t *testing.T) {
 	d, part := setup(t, 3)
 	n := d.NumNodes()
-	c := NewClusterFromConfig(d.Graph, part, 3, dist.Vanilla())
+	c := NewClusterFromConfig(d.Graph, part, 3, exchange.Config{})
 	defer c.Close()
-	peer, err := NewPeer(d.Graph, part, 3, 0, dist.Vanilla())
+	peer, err := NewPeer(d.Graph, part, 3, 0, exchange.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,9 +1,10 @@
 package worker
 
 import (
+	"slices"
 	"testing"
 
-	"scgnn/internal/dist"
+	"scgnn/internal/exchange"
 	"scgnn/internal/partition"
 	"scgnn/internal/sched"
 	"scgnn/internal/tensor"
@@ -14,22 +15,21 @@ import (
 // exact 13-combo coverage the fixed-rate equivalence matrix does, plus the
 // rung transitions. EpochsPerLevel 1 makes a 6-epoch run traverse the whole
 // ladder.
-func schedMatrix(seed int64) map[string]dist.Config {
-	out := make(map[string]dist.Config)
-	for name, cfg := range dist.MethodMatrix(seed) {
+func schedMatrix(seed int64) map[string]exchange.Config {
+	out := make(map[string]exchange.Config)
+	for name, cfg := range exchange.MethodMatrix(seed) {
 		cfg.Sched = sched.Policy{Enabled: true, EpochsPerLevel: 1}
 		out["sched("+name+")"] = cfg
 	}
 	return out
 }
 
-// TestScheduledClusterEngineEquivalenceMatrix extends the cross-engine
-// lockdown to scheduled runs: for every method combination under an active
-// anneal, the worker cluster and the analytic engine (Workers 1 and 16) must
-// pick bit-identical per-epoch schedules from their independently collected
-// signals, and match aggregates and per-epoch traffic snapshots exactly —
-// including through a mid-training Repartition,
-// which reseeds dirty pairs without disturbing the schedule.
+// TestScheduledClusterEngineEquivalenceMatrix extends the oracle lockdown to
+// scheduled runs: for every method combination under an active anneal, the
+// worker cluster and the oracle must pick bit-identical per-epoch schedules
+// from their independently collected signals, and match aggregates and
+// per-epoch traffic snapshots exactly — including through a mid-training
+// Repartition, which reseeds dirty pairs without disturbing the schedule.
 func TestScheduledClusterEngineEquivalenceMatrix(t *testing.T) {
 	d, part := setup(t, 3)
 	const nparts = 3
@@ -42,33 +42,23 @@ func TestScheduledClusterEngineEquivalenceMatrix(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			cl := NewClusterFromConfig(d.Graph, part, nparts, cfg)
 			defer cl.Close()
-			workerCounts := []int{1, 16}
-			engs := make([]*dist.Engine, len(workerCounts))
-			for i, w := range workerCounts {
-				ec := cfg
-				ec.Workers = w
-				engs[i] = dist.NewEngine(d.Graph, part, nparts, ec)
-			}
+			ref := NewOracle(d.Graph, part, nparts, cfg)
 			for epoch := 0; epoch < 6; epoch++ {
 				if epoch == 3 {
+					before := cl.ScheduleLevels()
 					wantDirty, err := cl.Repartition(part2)
 					if err != nil {
 						t.Fatalf("cluster Repartition: %v", err)
 					}
-					before := cl.ScheduleLevels()
-					for _, eng := range engs {
-						gotDirty, err := eng.Repartition(part2)
-						if err != nil {
-							t.Fatalf("engine Repartition: %v", err)
-						}
-						if len(gotDirty) != len(wantDirty) {
-							t.Fatalf("dirty sets differ: engine %v, cluster %v", gotDirty, wantDirty)
-						}
+					gotDirty, err := ref.Repartition(part2)
+					if err != nil {
+						t.Fatalf("oracle Repartition: %v", err)
 					}
-					for i, lv := range cl.ScheduleLevels() {
-						if lv != before[i] {
-							t.Fatalf("Repartition changed pair %d rung %d→%d", i, before[i], lv)
-						}
+					if !slices.Equal(gotDirty, wantDirty) {
+						t.Fatalf("dirty sets differ: oracle %v, cluster %v", gotDirty, wantDirty)
+					}
+					if after := cl.ScheduleLevels(); !slices.Equal(after, before) {
+						t.Fatalf("Repartition changed the rungs %v→%v", before, after)
 					}
 				}
 				cl.ResetTraffic()
@@ -76,33 +66,22 @@ func TestScheduledClusterEngineEquivalenceMatrix(t *testing.T) {
 				gotF := cl.Forward(h)
 				gotB := cl.Backward(g)
 				snap := cl.Snapshot()
-				clLv := cl.ScheduleLevels()
-				for i, eng := range engs {
-					w := workerCounts[i]
-					eng.StartEpoch(epoch)
-					// Decisions exact: both runtimes ran the pure decision
-					// function on their own signal snapshots.
-					engLv := eng.ScheduleLevels()
-					for pi := range clLv {
-						if clLv[pi] != engLv[pi] {
-							t.Fatalf("epoch %d workers %d: pair %d rung %d (cluster) vs %d (engine)",
-								epoch, w, pi, clLv[pi], engLv[pi])
-						}
-					}
-					wantF := eng.Forward(h)
-					wantB := eng.Backward(g)
-					if !gotF.Equal(wantF, 0) {
-						t.Fatalf("epoch %d workers %d: forward diverged from engine", epoch, w)
-					}
-					if !gotB.Equal(wantB, 0) {
-						t.Fatalf("epoch %d workers %d: backward diverged from engine", epoch, w)
-					}
-					es := eng.CaptureEpoch()
-					if snap.TotalBytes != es.TotalBytes || snap.TotalMessages != es.TotalMessages ||
-						snap.MaxInboundBytes != es.MaxInboundBytes || snap.MaxInboundMessages != es.MaxInboundMessages ||
-						snap.MaxOutboundBytes != es.MaxOutboundBytes || snap.MaxOutboundMessages != es.MaxOutboundMessages {
-						t.Fatalf("epoch %d workers %d: wire traffic %+v vs engine %+v", epoch, w, snap, es)
-					}
+				ref.StartEpoch(epoch)
+				// Decisions exact: both ran the pure decision function on
+				// their own signal snapshots.
+				if clLv, refLv := cl.ScheduleLevels(), ref.ScheduleLevels(); !slices.Equal(clLv, refLv) {
+					t.Fatalf("epoch %d: rungs %v (cluster) vs %v (oracle)", epoch, clLv, refLv)
+				}
+				wantF := ref.Forward(h)
+				wantB := ref.Backward(g)
+				if !gotF.Equal(wantF, 0) {
+					t.Fatalf("epoch %d: forward diverged from the oracle", epoch)
+				}
+				if !gotB.Equal(wantB, 0) {
+					t.Fatalf("epoch %d: backward diverged from the oracle", epoch)
+				}
+				if os := ref.CaptureEpoch(); !sameTraffic(snap, os) {
+					t.Fatalf("epoch %d: wire traffic %+v vs oracle %+v", epoch, snap, os)
 				}
 			}
 		})
@@ -119,7 +98,7 @@ type schedCoordinator struct {
 	nparts int
 }
 
-func newSchedCoordinator(cfg dist.Config, nparts int) *schedCoordinator {
+func newSchedCoordinator(cfg exchange.Config, nparts int) *schedCoordinator {
 	return &schedCoordinator{
 		s:      sched.New(cfg.Sched, cfg.BaseSetting(), cfg.Seed, nparts*nparts),
 		nparts: nparts,
@@ -238,7 +217,7 @@ func TestScheduledPeerStateRestoreRoundtrip(t *testing.T) {
 	h := randMat(d.NumNodes(), dim, 81)
 	g := randMat(d.NumNodes(), dim, 82)
 
-	for name, cfg := range map[string]dist.Config{
+	for name, cfg := range map[string]exchange.Config{
 		"sched(quant4+ef)": {QuantBits: 4, ErrorFeedback: true, Seed: 9,
 			Sched: sched.Policy{Enabled: true, EpochsPerLevel: 2}},
 		"sched(semantic+nsampling)": {Semantic: true, SampleRate: 0.5, SampleNodes: true, Seed: 9,
@@ -343,12 +322,12 @@ func TestScheduledPeerStateRestoreRoundtrip(t *testing.T) {
 // TestApplyScheduleValidation covers the external-path error cases.
 func TestApplyScheduleValidation(t *testing.T) {
 	d, part := setup(t, 3)
-	cl := NewClusterFromConfig(d.Graph, part, 3, dist.Config{QuantBits: 8, Seed: 1})
+	cl := NewClusterFromConfig(d.Graph, part, 3, exchange.Config{QuantBits: 8, Seed: 1})
 	defer cl.Close()
 	if err := cl.ApplySchedule([]int{0}); err == nil {
 		t.Fatal("ApplySchedule accepted without a schedule")
 	}
-	sc := NewClusterFromConfig(d.Graph, part, 3, dist.Config{QuantBits: 8, Seed: 1,
+	sc := NewClusterFromConfig(d.Graph, part, 3, exchange.Config{QuantBits: 8, Seed: 1,
 		Sched: sched.Policy{Enabled: true}})
 	defer sc.Close()
 	if err := sc.ApplySchedule([]int{0}); err == nil {

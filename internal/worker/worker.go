@@ -1,27 +1,31 @@
-// Package worker is the concurrent distributed runtime of the reproduction:
-// P workers, one per partition, that exchange *real* serialized messages
-// (internal/wire) during every aggregate round — the closest laptop-scale
-// analogue of the paper's multi-GPU deployment. Cluster runs all P workers as
-// goroutines over an in-process transport; Peer runs one of them in its own
-// OS process, with internal/net carrying the frames over sockets.
+// Package worker is the distributed runtime of the reproduction: P workers,
+// one per partition, that exchange *real* serialized messages (internal/wire)
+// during every aggregate round — the closest laptop-scale analogue of the
+// paper's multi-GPU deployment. It holds the one round body (runRound) and the
+// three ways to drive it: Cluster runs all P workers as parked goroutines over
+// in-process channels; Peer runs one of them in its own OS process, with
+// internal/net carrying the frames over sockets; Rounds runs none — it hands
+// the two halves of a round to a caller's schedule over in-memory slots, which
+// is how dist.Engine, the runtime behind every modeled figure, executes it.
 //
-// It complements internal/dist: the analytic engine accounts traffic
-// symbolically; this runtime executes the full Fig. 12(b) method matrix —
-// vanilla per-edge exchange, SC-GNN semantic compression, Bernoulli edge/node
-// sampling, fixed and variance-adaptive wire quantization, quantized error
-// feedback, and delayed transmission — with actual concurrency, actual fp32
-// wire encoding, and bytes measured off the encoded buffers. Tests assert
-// that its aggregates and its measured bytes equal the sequential engine's
-// exactly, for every method combination.
+// The runtime executes the full Fig. 12(b) method matrix — vanilla per-edge
+// exchange, SC-GNN semantic compression, Bernoulli edge/node sampling, fixed
+// and variance-adaptive wire quantization, quantized error feedback, and
+// delayed transmission — with actual fp32 wire encoding and bytes measured
+// off the encoded buffers. Tests assert that its aggregates and its measured
+// bytes equal, exactly and for every method combination, those of a
+// definitional oracle that shares none of its plans, kernels or wire code
+// (oracle_test.go).
 //
 // # One exchange core, one configuration
 //
 // What is exchanged — which units exist, which survive sampling, at which
 // width they ship, which residuals they carry — is decided by the
-// internal/exchange core the engine also runs, configured by the same
-// dist.Config (NewClusterFromConfig, NewPeer; there is no other knob). This
-// package adds the wire: a sink that turns each surviving unit into a framed
-// message, the streaming decode on the other side, and the round schedule.
+// internal/exchange core, configured by one exchange.Config (dist.Config is
+// the same type; NewClusterFromConfig, NewPeer, NewRounds take nothing else).
+// This package adds the wire: a sink that turns each surviving unit into a
+// framed message, the streaming decode on the other side, and the round
+// schedule.
 //
 // # Delayed transmission
 //
@@ -30,9 +34,8 @@
 // decode the remote contributions into the slot and add it to the output;
 // replay rounds add the cached slot with zero traffic. StartEvalEpoch forces
 // a fresh pass that neither reads nor writes the cache, so a final evaluation
-// never scores the model against stale replays (the engine's StartEvalEpoch
-// contract). The decision is made once per round before any worker runs, so
-// every worker agrees on it.
+// never scores the model against stale replays. The decision is made once per
+// round before any worker runs, so every worker agrees on it.
 //
 // # Round protocol
 //
@@ -82,7 +85,7 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"scgnn/internal/dist"
+	"scgnn/internal/exchange"
 	"scgnn/internal/graph"
 	"scgnn/internal/simnet"
 	"scgnn/internal/tensor"
@@ -95,11 +98,11 @@ import (
 type Cluster struct {
 	exchanger
 
-	// Traffic accounting mirrors the engine's shard-and-merge scheme instead
-	// of hot-loop atomics: each worker records its sends on its own
-	// ShardCounter (no cross-core contention during the round) and the
-	// counters are drained into the fabric after the round barrier, in worker
-	// order, so per-link totals are exact and schedule-free.
+	// Traffic accounting is shard-and-merge instead of hot-loop atomics: each
+	// worker records its sends on its own ShardCounter (no cross-core
+	// contention during the round) and the counters are drained into the
+	// fabric after the round barrier, in worker order, so per-link totals are
+	// exact and schedule-free.
 	trafficMu sync.Mutex
 	fabric    *simnet.Fabric
 
@@ -123,12 +126,10 @@ type Cluster struct {
 	roundErrs []error
 }
 
-// NewClusterFromConfig builds a cluster running the same method combination
-// as a dist.Engine configured with cfg — both read cfg through the same
-// exchange core, so gates cannot drift — and spawns its nparts persistent
-// workers. An invalid partition or configuration panics. Call Close when done
+// NewClusterFromConfig builds a cluster running the method combination cfg
+// selects and spawns its nparts persistent workers. An invalid partition or configuration panics. Call Close when done
 // with the cluster to release the worker goroutines.
-func NewClusterFromConfig(g *graph.Graph, part []int, nparts int, cfg dist.Config) *Cluster {
+func NewClusterFromConfig(g *graph.Graph, part []int, nparts int, cfg exchange.Config) *Cluster {
 	c := &Cluster{
 		exchanger: *newExchanger(g, part, nparts, -1, cfg),
 		fabric:    simnet.NewFabric(nparts),
@@ -194,7 +195,8 @@ func (c *Cluster) Traffic() (bytes, msgs int64) {
 }
 
 // Snapshot freezes the per-link traffic accumulated since the last reset
-// (same shape the analytic engine reports), for cost-model consumers.
+// (the fabric half of what dist.Engine.CaptureEpoch reports), for cost-model
+// consumers.
 func (c *Cluster) Snapshot() simnet.Snapshot {
 	c.trafficMu.Lock()
 	defer c.trafficMu.Unlock()

@@ -7,89 +7,66 @@ import (
 
 	"scgnn/internal/core"
 	"scgnn/internal/datasets"
-	"scgnn/internal/dist"
+	"scgnn/internal/exchange"
 	"scgnn/internal/gnn"
 	"scgnn/internal/partition"
+	"scgnn/internal/simnet"
 	"scgnn/internal/tensor"
 )
 
-// TestClusterEngineEquivalenceMatrix is the cross-engine lockdown of the
-// full Fig. 12(b) method coverage: for every one of the 13 method
-// combinations, the concurrent worker cluster must match the analytic engine
-// at each of its schedules (Workers 1 sequential, 4 receiver-sharded, 64
-// row-sharded) — aggregates and per-epoch traffic snapshots exactly (every
-// runtime computes its payloads on the one compress.Grid and sums them in the
-// same order) — across five epochs of forward+backward rounds, so
-// per-pair RNG streams, adaptive width choices, delay replays, and
-// error-feedback residuals all stay in lockstep.
+// TestClusterEngineEquivalenceMatrix is the lockdown of the full Fig. 12(b)
+// method coverage against the definitional oracle (oracle_test.go — the
+// analytic engine's former sink): for every one of the 13 method combinations
+// the concurrent worker cluster, on its compiled gather plans, fused kernels
+// and real wire frames, must match the oracle's per-member loops and per-unit
+// grid round trips — aggregates and per-epoch traffic snapshots exactly —
+// across five epochs of forward+backward rounds, so per-pair RNG streams,
+// adaptive width choices, delay replays, and error-feedback residuals all
+// stay in lockstep. (dist.Engine is held to the cluster, exactly, in
+// internal/dist.)
 func TestClusterEngineEquivalenceMatrix(t *testing.T) {
 	d, part := setup(t, 3)
 	const nparts = 3
 	h := randMat(d.NumNodes(), 5, 77)
 	g := randMat(d.NumNodes(), 5, 78)
 
-	for name, cfg := range dist.MethodMatrix(9) {
+	for name, cfg := range exchange.MethodMatrix(9) {
 		cfg := cfg
 		t.Run(name, func(t *testing.T) {
 			cl := NewClusterFromConfig(d.Graph, part, nparts, cfg)
 			defer cl.Close()
-			// A second cluster pinned to the retained per-member reference
-			// bodies: the compiled hot path must not drift from them by a bit
-			// under any method combination (lockstep across a Repartition
-			// lives in TestKernelReferenceLockstep).
-			ref := NewClusterFromConfig(d.Graph, part, nparts, cfg)
-			defer ref.Close()
-			ref.useReference = true
-			workerCounts := []int{1, 4, 64}
-			engs := make([]*dist.Engine, len(workerCounts))
-			for i, w := range workerCounts {
-				ec := cfg
-				ec.Workers = w
-				engs[i] = dist.NewEngine(d.Graph, part, nparts, ec)
-			}
+			ref := NewOracle(d.Graph, part, nparts, cfg)
 			for epoch := 0; epoch < 5; epoch++ {
 				cl.ResetTraffic()
 				cl.StartEpoch(epoch)
 				gotF := cl.Forward(h)
 				gotB := cl.Backward(g)
 				snap := cl.Snapshot()
-				ref.ResetTraffic()
 				ref.StartEpoch(epoch)
-				refF := ref.Forward(h)
-				refB := ref.Backward(g)
-				if !gotF.Equal(refF, 0) {
-					t.Fatalf("epoch %d: kernel forward diverged from reference bodies", epoch)
+				wantF := ref.Forward(h)
+				wantB := ref.Backward(g)
+				if !gotF.Equal(wantF, 0) {
+					t.Fatalf("epoch %d: forward diverged from the oracle", epoch)
 				}
-				if !gotB.Equal(refB, 0) {
-					t.Fatalf("epoch %d: kernel backward diverged from reference bodies", epoch)
+				if !gotB.Equal(wantB, 0) {
+					t.Fatalf("epoch %d: backward diverged from the oracle", epoch)
 				}
-				if rs := ref.Snapshot(); snap != rs {
-					t.Fatalf("epoch %d: kernel traffic %+v vs reference %+v", epoch, snap, rs)
-				}
-				for i, eng := range engs {
-					w := workerCounts[i]
-					eng.StartEpoch(epoch)
-					wantF := eng.Forward(h)
-					wantB := eng.Backward(g)
-					if !gotF.Equal(wantF, 0) {
-						t.Fatalf("epoch %d workers %d: forward diverged from engine", epoch, w)
-					}
-					if !gotB.Equal(wantB, 0) {
-						t.Fatalf("epoch %d workers %d: backward diverged from engine", epoch, w)
-					}
-					// Traffic exactly: measured wire bytes = analytic bytes,
-					// per epoch, including zero-byte delay replays.
-					es := eng.CaptureEpoch()
-					if snap.TotalBytes != es.TotalBytes || snap.TotalMessages != es.TotalMessages ||
-						snap.MaxInboundBytes != es.MaxInboundBytes || snap.MaxInboundMessages != es.MaxInboundMessages ||
-						snap.MaxOutboundBytes != es.MaxOutboundBytes || snap.MaxOutboundMessages != es.MaxOutboundMessages {
-						t.Fatalf("epoch %d workers %d: wire traffic %+v vs engine %+v",
-							epoch, w, snap, es)
-					}
+				// Traffic exactly: measured wire bytes = the oracle's
+				// arithmetic, per epoch, including zero-byte delay replays.
+				if os := ref.CaptureEpoch(); !sameTraffic(snap, os) {
+					t.Fatalf("epoch %d: wire traffic %+v vs oracle %+v", epoch, snap, os)
 				}
 			}
 		})
 	}
+}
+
+// sameTraffic compares the fabric half of two snapshots (totals and both
+// bottlenecks); the processing counters are the analytic engine's alone.
+func sameTraffic(a, b simnet.Snapshot) bool {
+	return a.TotalBytes == b.TotalBytes && a.TotalMessages == b.TotalMessages &&
+		a.MaxInboundBytes == b.MaxInboundBytes && a.MaxInboundMessages == b.MaxInboundMessages &&
+		a.MaxOutboundBytes == b.MaxOutboundBytes && a.MaxOutboundMessages == b.MaxOutboundMessages
 }
 
 // sameBits reports bit-for-bit equality with any NaN matching any NaN (which
@@ -111,7 +88,7 @@ func sameBits(a, b *tensor.Matrix) bool {
 // TestNonFinitePayloadsAgree pins the non-finite policy across runtimes: a
 // NaN or ±Inf in a boundary row crosses the wire as a poisoned unit (plain
 // payloads carry it as the fp32 it is), the streaming decoder accepts the
-// frames, and the cluster's aggregate equals the engine's bit for bit — in
+// frames, and the cluster's aggregate equals the oracle's bit for bit — in
 // the poisoned round and in the clean round after it, where error feedback
 // replays the poisoned residual.
 func TestNonFinitePayloadsAgree(t *testing.T) {
@@ -136,9 +113,9 @@ func TestNonFinitePayloadsAgree(t *testing.T) {
 		"nan": {nan}, "+inf": {inf}, "-inf": {-inf}, "mixed": {inf, nan, -inf},
 	}
 	plan := core.PlanConfig{Grouping: core.GroupingConfig{K: 2, Seed: 7}}
-	cfgs := map[string]dist.Config{
-		"plain":             dist.Vanilla(),
-		"fixed":             dist.Quant(8),
+	cfgs := map[string]exchange.Config{
+		"plain":             {},
+		"fixed":             {QuantBits: 8},
 		"adaptive":          {QuantBits: 8, AdaptiveQuant: true},
 		"fixed+ef":          {QuantBits: 8, ErrorFeedback: true},
 		"adaptive+ef":       {QuantBits: 8, AdaptiveQuant: true, ErrorFeedback: true},
@@ -152,17 +129,10 @@ func TestNonFinitePayloadsAgree(t *testing.T) {
 			t.Run(pname+"/"+cname, func(t *testing.T) {
 				cl := NewClusterFromConfig(d.Graph, part, nparts, cfg)
 				defer cl.Close()
-				var engs []*dist.Engine
-				for _, w := range []int{1, 64} {
-					ec := cfg
-					ec.Workers = w
-					engs = append(engs, dist.NewEngine(d.Graph, part, nparts, ec))
-				}
+				ref := NewOracle(d.Graph, part, nparts, cfg)
 				for epoch, h := range []*tensor.Matrix{dirty, clean} {
 					cl.StartEpoch(epoch)
-					for _, eng := range engs {
-						eng.StartEpoch(epoch)
-					}
+					ref.StartEpoch(epoch)
 					for _, backward := range []bool{false, true} {
 						got := tensor.New(h.Rows, h.Cols)
 						if err := cl.AggregateInto(got, h, backward); err != nil {
@@ -171,17 +141,12 @@ func TestNonFinitePayloadsAgree(t *testing.T) {
 						if epoch == 0 && !math.IsNaN(got.Row(receiver)[0]) && !math.IsInf(got.Row(receiver)[0], 0) {
 							t.Fatalf("backward=%v: the poison never reached node %d", backward, receiver)
 						}
-						for _, eng := range engs {
-							var want *tensor.Matrix
-							if backward {
-								want = eng.Backward(h)
-							} else {
-								want = eng.Forward(h)
-							}
-							if !sameBits(got, want) {
-								t.Fatalf("epoch %d backward=%v workers %d: cluster and engine disagree",
-									epoch, backward, eng.Config().Workers)
-							}
+						want := ref.Forward
+						if backward {
+							want = ref.Backward
+						}
+						if !sameBits(got, want(h)) {
+							t.Fatalf("epoch %d backward=%v: cluster and oracle disagree", epoch, backward)
 						}
 					}
 				}
@@ -200,9 +165,9 @@ func TestClusterStartEvalEpochBypassesDelay(t *testing.T) {
 	h0 := randMat(d.NumNodes(), 4, 21)
 	h1 := randMat(d.NumNodes(), 4, 22)
 
-	delayed := NewClusterFromConfig(d.Graph, part, 3, dist.Delay(2))
+	delayed := NewClusterFromConfig(d.Graph, part, 3, exchange.Config{DelayPeriod: 2})
 	defer delayed.Close()
-	vanilla := NewClusterFromConfig(d.Graph, part, 3, dist.Vanilla())
+	vanilla := NewClusterFromConfig(d.Graph, part, 3, exchange.Config{})
 	defer vanilla.Close()
 
 	delayed.StartEpoch(0) // fresh epoch: caches h0's remote contribution
@@ -226,7 +191,7 @@ func TestClusterStartEvalEpochBypassesDelay(t *testing.T) {
 	// Resumed training at epoch 1 still replays the *h0* cache with zero
 	// traffic — the eval pass neither consumed nor overwrote it. The control
 	// cluster runs the same schedule without the interleaved eval.
-	control := NewClusterFromConfig(d.Graph, part, 3, dist.Delay(2))
+	control := NewClusterFromConfig(d.Graph, part, 3, exchange.Config{DelayPeriod: 2})
 	defer control.Close()
 	control.StartEpoch(0)
 	control.Forward(h0)
@@ -258,7 +223,7 @@ func TestClusterFinalEvalUsesActualNextEpoch(t *testing.T) {
 	var stop, epochs0 int
 	var acc0 float64
 	for i, budget := range []int{100, 101, 102, 103} {
-		c := NewClusterFromConfig(d.Graph, part, 2, dist.Delay(3))
+		c := NewClusterFromConfig(d.Graph, part, 2, exchange.Config{DelayPeriod: 3})
 		rng := rand.New(rand.NewSource(2))
 		model := gnn.NewGCN(c, []int{d.FeatureDim(), 32, d.NumClasses}, rng)
 		r := gnn.Train(model, d.Features, d.Labels, d.TrainMask, d.ValMask, d.TestMask,

@@ -8,7 +8,7 @@ import (
 
 	"scgnn/internal/core"
 	"scgnn/internal/datasets"
-	"scgnn/internal/dist"
+	"scgnn/internal/exchange"
 	"scgnn/internal/partition"
 	"scgnn/internal/tensor"
 )
@@ -29,19 +29,19 @@ func TestClusterSteadyStateAllocs(t *testing.T) {
 	plan := core.PlanConfig{Grouping: core.GroupingConfig{Seed: 5}}
 	cases := []struct {
 		name string
-		cfg  dist.Config
+		cfg  exchange.Config
 	}{
-		{"vanilla", dist.Config{}},
-		{"semantic", dist.Config{Semantic: true, Plan: plan}},
-		{"quant8", dist.Config{QuantBits: 8}},
-		{"quant4", dist.Config{QuantBits: 4}},
-		{"quant8+ef", dist.Config{QuantBits: 8, ErrorFeedback: true}},
-		{"sampling", dist.Config{SampleRate: 0.5, Seed: 7}},
-		{"nsampling", dist.Config{SampleRate: 0.5, SampleNodes: true, Seed: 7}},
-		{"aquant", dist.Config{QuantBits: 8, AdaptiveQuant: true}},
-		{"delay3", dist.Config{DelayPeriod: 3}},
-		{"semantic+nsampling", dist.Config{Semantic: true, Plan: plan, SampleRate: 0.5, SampleNodes: true, Seed: 7}},
-		{"semantic+delay", dist.Config{Semantic: true, Plan: plan, DelayPeriod: 2}},
+		{"vanilla", exchange.Config{}},
+		{"semantic", exchange.Config{Semantic: true, Plan: plan}},
+		{"quant8", exchange.Config{QuantBits: 8}},
+		{"quant4", exchange.Config{QuantBits: 4}},
+		{"quant8+ef", exchange.Config{QuantBits: 8, ErrorFeedback: true}},
+		{"sampling", exchange.Config{SampleRate: 0.5, Seed: 7}},
+		{"nsampling", exchange.Config{SampleRate: 0.5, SampleNodes: true, Seed: 7}},
+		{"aquant", exchange.Config{QuantBits: 8, AdaptiveQuant: true}},
+		{"delay3", exchange.Config{DelayPeriod: 3}},
+		{"semantic+nsampling", exchange.Config{Semantic: true, Plan: plan, SampleRate: 0.5, SampleNodes: true, Seed: 7}},
+		{"semantic+delay", exchange.Config{Semantic: true, Plan: plan, DelayPeriod: 2}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -84,7 +84,7 @@ func TestClusterSteadyStateAllocs(t *testing.T) {
 // first round's, and under -race this doubles as the pool's data-race proof.
 func TestClusterPersistentManyRounds(t *testing.T) {
 	d, part := setup(t, 3)
-	c := NewClusterFromConfig(d.Graph, part, 3, dist.Semantic(core.PlanConfig{Grouping: core.GroupingConfig{K: 2, Seed: 6}}))
+	c := NewClusterFromConfig(d.Graph, part, 3, exchange.Config{Semantic: true, Plan: core.PlanConfig{Grouping: core.GroupingConfig{K: 2, Seed: 6}}})
 	defer c.Close()
 	h := randMat(d.NumNodes(), 6, 22)
 	refF := c.Forward(h)
@@ -148,7 +148,7 @@ func TestClusterCorruptBatchError(t *testing.T) {
 	for i := range part {
 		part[i] = i % 2
 	}
-	c := NewClusterFromConfig(d.Graph, part, 2, dist.Vanilla())
+	c := NewClusterFromConfig(d.Graph, part, 2, exchange.Config{})
 	defer c.Close()
 	h := randMat(d.NumNodes(), 4, 23)
 	out := tensor.New(d.NumNodes(), 4)
@@ -185,7 +185,7 @@ func TestClusterCorruptBatchError(t *testing.T) {
 // cleanly.
 func TestClusterCloseSemantics(t *testing.T) {
 	d, part := setup(t, 3)
-	c := NewClusterFromConfig(d.Graph, part, 3, dist.Vanilla())
+	c := NewClusterFromConfig(d.Graph, part, 3, exchange.Config{})
 	h := randMat(d.NumNodes(), 4, 24)
 	c.Forward(h)
 	bytes, _ := c.Traffic()
@@ -200,7 +200,7 @@ func TestClusterCloseSemantics(t *testing.T) {
 }
 
 // TestClusterErrorFeedbackMatchesEngine: the worker runtime's quantized
-// error-feedback path must equal the analytic engine's at matching bits —
+// error-feedback path must equal the oracle's at matching bits —
 // same residual keys, same unit enumeration, same round slots, same grid.
 func TestClusterErrorFeedbackMatchesEngine(t *testing.T) {
 	const bits = 4
@@ -208,25 +208,25 @@ func TestClusterErrorFeedbackMatchesEngine(t *testing.T) {
 	h := randMat(d.NumNodes(), 8, 25)
 	plan := core.PlanConfig{Grouping: core.GroupingConfig{K: 2, Seed: 8}}
 	for _, semantic := range []bool{false, true} {
-		engCfg := dist.Config{Semantic: semantic, Plan: plan, QuantBits: bits, ErrorFeedback: true}
-		c := NewClusterFromConfig(d.Graph, part, 3, engCfg)
-		noEF := NewClusterFromConfig(d.Graph, part, 3, dist.Config{Semantic: semantic, Plan: plan, QuantBits: bits})
-		eng := dist.NewEngine(d.Graph, part, 3, engCfg)
+		cfg := exchange.Config{Semantic: semantic, Plan: plan, QuantBits: bits, ErrorFeedback: true}
+		c := NewClusterFromConfig(d.Graph, part, 3, cfg)
+		noEF := NewClusterFromConfig(d.Graph, part, 3, exchange.Config{Semantic: semantic, Plan: plan, QuantBits: bits})
+		ref := NewOracle(d.Graph, part, 3, cfg)
 
 		var efDiverged bool
 		for epoch := 0; epoch < 4; epoch++ {
 			c.StartEpoch(epoch)
 			noEF.StartEpoch(epoch)
-			eng.StartEpoch(epoch)
+			ref.StartEpoch(epoch)
 			for _, backward := range []bool{false, true} {
 				var got, gotNoEF, want *tensor.Matrix
 				if backward {
-					got, gotNoEF, want = c.Backward(h), noEF.Backward(h), eng.Backward(h)
+					got, gotNoEF, want = c.Backward(h), noEF.Backward(h), ref.Backward(h)
 				} else {
-					got, gotNoEF, want = c.Forward(h), noEF.Forward(h), eng.Forward(h)
+					got, gotNoEF, want = c.Forward(h), noEF.Forward(h), ref.Forward(h)
 				}
 				if !got.Equal(want, 0) {
-					t.Fatalf("semantic=%v epoch %d backward=%v: cluster EF != engine EF (maxdiff %v)",
+					t.Fatalf("semantic=%v epoch %d backward=%v: cluster EF != oracle EF (maxdiff %v)",
 						semantic, epoch, backward, tensor.Sub(got, want).MaxAbs())
 				}
 				if epoch > 0 && tensor.Sub(got, gotNoEF).MaxAbs() > 0 {
@@ -245,23 +245,23 @@ func TestClusterErrorFeedbackMatchesEngine(t *testing.T) {
 // BenchmarkClusterRound*Into measure the allocation-free steady state of
 // each wire path: a preallocated output and AggregateInto, the loop a
 // training run's inner rounds actually execute.
-func BenchmarkClusterRoundVanillaInto(b *testing.B) { benchInto(b, dist.Vanilla()) }
+func BenchmarkClusterRoundVanillaInto(b *testing.B) { benchInto(b, exchange.Config{}) }
 
 func BenchmarkClusterRoundSemanticInto(b *testing.B) {
-	benchInto(b, dist.Semantic(core.PlanConfig{Grouping: core.GroupingConfig{Seed: 1}}))
+	benchInto(b, exchange.Config{Semantic: true, Plan: core.PlanConfig{Grouping: core.GroupingConfig{Seed: 1}}})
 }
 
 func BenchmarkClusterRoundSampledInto(b *testing.B) {
-	benchInto(b, dist.Config{SampleRate: 0.5, SampleNodes: true, Seed: 7})
+	benchInto(b, exchange.Config{SampleRate: 0.5, SampleNodes: true, Seed: 7})
 }
 
 func BenchmarkClusterRoundAdaptiveInto(b *testing.B) {
-	benchInto(b, dist.Config{QuantBits: 8, AdaptiveQuant: true})
+	benchInto(b, exchange.Config{QuantBits: 8, AdaptiveQuant: true})
 }
 
 func BenchmarkClusterRoundQuantInto(b *testing.B) {
 	for _, bits := range []int{8, 4} {
-		b.Run(strconv.Itoa(bits), func(b *testing.B) { benchInto(b, dist.Quant(bits)) })
+		b.Run(strconv.Itoa(bits), func(b *testing.B) { benchInto(b, exchange.Config{QuantBits: bits}) })
 	}
 }
 
@@ -269,16 +269,16 @@ func BenchmarkClusterRoundQuantInto(b *testing.B) {
 // iteration: the round slot keys the residual store, so rounds that never
 // returned to slot 0 would measure a map growing without bound.
 func BenchmarkClusterRoundQuantEFInto(b *testing.B) {
-	benchInto(b, dist.Config{QuantBits: 8, ErrorFeedback: true})
+	benchInto(b, exchange.Config{QuantBits: 8, ErrorFeedback: true})
 }
 
 func BenchmarkClusterRoundDelayInto(b *testing.B) {
 	// Period 2 with a fixed epoch alternates fresh and replay rounds —
 	// the steady-state mix of a delayed-transmission training run.
-	benchInto(b, dist.Delay(2))
+	benchInto(b, exchange.Config{DelayPeriod: 2})
 }
 
-func benchInto(b *testing.B, cfg dist.Config) {
+func benchInto(b *testing.B, cfg exchange.Config) {
 	d, part := benchSetup()
 	c := NewClusterFromConfig(d.Graph, part, 4, cfg)
 	defer c.Close()

@@ -1,9 +1,11 @@
 package worker
 
 import (
+	"slices"
 	"testing"
 
-	"scgnn/internal/dist"
+	"scgnn/internal/datasets"
+	"scgnn/internal/exchange"
 	"scgnn/internal/graph"
 )
 
@@ -21,98 +23,75 @@ func movedPart(t *testing.T, n int, part []int, nparts int) []int {
 	return next
 }
 
-// TestClusterEngineRepartitionLockstep extends the cross-engine equivalence
-// matrix across a mid-training repartition: for every Fig. 12(b) method
-// combination, engine and cluster run two epochs, Repartition onto the same
-// perturbed partition (same dirty sets), and run two more — aggregates and
-// traffic must match exactly throughout.
+// TestClusterEngineRepartitionLockstep extends the oracle equivalence matrix
+// across a mid-training repartition: for every Fig. 12(b) method combination,
+// oracle and cluster run two epochs, Repartition onto the same perturbed
+// partition (same dirty sets), and run two more — aggregates and traffic must
+// match exactly throughout, so the recompiled gather plans deliver what the
+// per-member loops do off the new plans.
 // This is the strongest check on the stateful methods (sampling, adaptive
 // quantization, error feedback): their per-pair streams must survive on
-// clean pairs and re-seed identically on dirty pairs in both runtimes.
+// clean pairs and re-seed identically on dirty pairs in both.
 func TestClusterEngineRepartitionLockstep(t *testing.T) {
 	d, part := setup(t, 3)
 	const nparts = 3
 	next := movedPart(t, d.NumNodes(), part, nparts)
-	h := randMat(d.NumNodes(), 5, 81)
-	g := randMat(d.NumNodes(), 5, 82)
-
-	for name, cfg := range dist.MethodMatrix(9) {
-		cfg := cfg
+	for name, cfg := range exchange.MethodMatrix(9) {
 		t.Run(name, func(t *testing.T) {
-			cl := NewClusterFromConfig(d.Graph, part, nparts, cfg)
-			defer cl.Close()
-			// Reference-body cluster rides the same schedule: compiled plans
-			// must survive the repartition bit for bit like the retained
-			// per-member loops.
-			ref := NewClusterFromConfig(d.Graph, part, nparts, cfg)
-			defer ref.Close()
-			ref.useReference = true
-			eng := dist.NewEngine(d.Graph, part, nparts, cfg)
-
-			compare := func(epoch int, stage string) {
-				t.Helper()
-				cl.ResetTraffic()
-				cl.StartEpoch(epoch)
-				gotF := cl.Forward(h)
-				gotB := cl.Backward(g)
-				snap := cl.Snapshot()
-				ref.ResetTraffic()
-				ref.StartEpoch(epoch)
-				refF := ref.Forward(h)
-				refB := ref.Backward(g)
-				if !gotF.Equal(refF, 0) {
-					t.Fatalf("%s epoch %d: kernel forward diverged from reference bodies", stage, epoch)
-				}
-				if !gotB.Equal(refB, 0) {
-					t.Fatalf("%s epoch %d: kernel backward diverged from reference bodies", stage, epoch)
-				}
-				if rs := ref.Snapshot(); snap != rs {
-					t.Fatalf("%s epoch %d: kernel traffic %+v vs reference %+v", stage, epoch, snap, rs)
-				}
-				eng.StartEpoch(epoch)
-				wantF := eng.Forward(h)
-				wantB := eng.Backward(g)
-				if !gotF.Equal(wantF, 0) {
-					t.Fatalf("%s epoch %d: forward diverged from engine", stage, epoch)
-				}
-				if !gotB.Equal(wantB, 0) {
-					t.Fatalf("%s epoch %d: backward diverged from engine", stage, epoch)
-				}
-				if es := eng.CaptureEpoch(); snap.TotalBytes != es.TotalBytes ||
-					snap.TotalMessages != es.TotalMessages {
-					t.Fatalf("%s epoch %d: wire traffic %+v vs engine %+v", stage, epoch, snap, es)
-				}
-			}
-
-			for epoch := 0; epoch < 2; epoch++ {
-				compare(epoch, "pre-repartition")
-			}
-			dEng, err := eng.Repartition(next)
-			if err != nil {
-				t.Fatal(err)
-			}
-			dCl, err := cl.Repartition(next)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := ref.Repartition(next); err != nil {
-				t.Fatal(err)
-			}
-			if len(dEng) != len(dCl) {
-				t.Fatalf("dirty sets differ: engine %v vs cluster %v", dEng, dCl)
-			}
-			for i := range dEng {
-				if dEng[i] != dCl[i] {
-					t.Fatalf("dirty sets differ: engine %v vs cluster %v", dEng, dCl)
-				}
-			}
-			if len(dEng) == 0 {
-				t.Fatal("a real perturbation must dirty at least one pair")
-			}
-			for epoch := 2; epoch < 4; epoch++ {
-				compare(epoch, "post-repartition")
-			}
+			oracleLockstep(t, d, part, next, nparts, cfg, 81)
 		})
+	}
+}
+
+// oracleLockstep runs a cluster and the oracle through two epochs, the same
+// Repartition, and two more epochs, requiring exact agreement throughout.
+func oracleLockstep(t *testing.T, d *datasets.Dataset, part, next []int, nparts int, cfg exchange.Config, seed int64) {
+	h := randMat(d.NumNodes(), 5, seed)
+	g := randMat(d.NumNodes(), 5, seed+1)
+	cl := NewClusterFromConfig(d.Graph, part, nparts, cfg)
+	defer cl.Close()
+	ref := NewOracle(d.Graph, part, nparts, cfg)
+
+	compare := func(epoch int, stage string) {
+		t.Helper()
+		cl.ResetTraffic()
+		cl.StartEpoch(epoch)
+		gotF := cl.Forward(h)
+		gotB := cl.Backward(g)
+		snap := cl.Snapshot()
+		ref.StartEpoch(epoch)
+		wantF := ref.Forward(h)
+		wantB := ref.Backward(g)
+		if !gotF.Equal(wantF, 0) {
+			t.Fatalf("%s epoch %d: forward diverged from the oracle", stage, epoch)
+		}
+		if !gotB.Equal(wantB, 0) {
+			t.Fatalf("%s epoch %d: backward diverged from the oracle", stage, epoch)
+		}
+		if os := ref.CaptureEpoch(); !sameTraffic(snap, os) {
+			t.Fatalf("%s epoch %d: wire traffic %+v vs oracle %+v", stage, epoch, snap, os)
+		}
+	}
+
+	for epoch := 0; epoch < 2; epoch++ {
+		compare(epoch, "pre-repartition")
+	}
+	dRef, err := ref.Repartition(next)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dCl, err := cl.Repartition(next)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(dRef, dCl) {
+		t.Fatalf("dirty sets differ: oracle %v vs cluster %v", dRef, dCl)
+	}
+	if len(dRef) == 0 {
+		t.Fatal("a real perturbation must dirty at least one pair")
+	}
+	for epoch := 2; epoch < 4; epoch++ {
+		compare(epoch, "post-repartition")
 	}
 }
 
@@ -121,7 +100,7 @@ func TestClusterEngineRepartitionLockstep(t *testing.T) {
 func TestClusterRepartitionHostileInput(t *testing.T) {
 	d, part := setup(t, 3)
 	const nparts = 3
-	cl := NewClusterFromConfig(d.Graph, part, nparts, dist.Vanilla())
+	cl := NewClusterFromConfig(d.Graph, part, nparts, exchange.Config{})
 	defer cl.Close()
 	h := randMat(d.NumNodes(), 5, 83)
 	cl.StartEpoch(0)

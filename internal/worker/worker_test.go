@@ -7,7 +7,7 @@ import (
 
 	"scgnn/internal/core"
 	"scgnn/internal/datasets"
-	"scgnn/internal/dist"
+	"scgnn/internal/exchange"
 	"scgnn/internal/gnn"
 	"scgnn/internal/partition"
 	"scgnn/internal/tensor"
@@ -36,7 +36,7 @@ func randMat(r, c int, seed int64) *tensor.Matrix {
 // reproduce Â·h up to fp32 wire precision.
 func TestVanillaClusterMatchesExact(t *testing.T) {
 	d, part := setup(t, 3)
-	c := NewClusterFromConfig(d.Graph, part, 3, dist.Vanilla())
+	c := NewClusterFromConfig(d.Graph, part, 3, exchange.Config{})
 	local := gnn.NewLocalAggregator(d.Graph)
 	h := randMat(d.NumNodes(), 5, 3)
 	got := c.Forward(h)
@@ -52,55 +52,49 @@ func TestVanillaClusterMatchesExact(t *testing.T) {
 }
 
 // TestClusterBytesMatchEngineAccounting: the real encoded bytes must equal
-// the sequential engine's analytic accounting exactly (same 16-byte header,
-// same 4-byte values).
+// the oracle's arithmetic exactly (same 16-byte header, same 4-byte values).
 func TestClusterBytesMatchEngineAccounting(t *testing.T) {
 	d, part := setup(t, 3)
 	h := randMat(d.NumNodes(), 5, 4)
 	for _, semantic := range []bool{false, true} {
 		plan := core.PlanConfig{Grouping: core.GroupingConfig{K: 2, Seed: 7}}
-		c := NewClusterFromConfig(d.Graph, part, 3, dist.Config{Semantic: semantic, Plan: plan})
+		cfg := exchange.Config{Semantic: semantic, Plan: plan}
+		c := NewClusterFromConfig(d.Graph, part, 3, cfg)
 		c.ResetTraffic()
 		c.Forward(h)
 		cb, cm := c.Traffic()
 
-		var engCfg dist.Config
-		if semantic {
-			engCfg = dist.Semantic(plan)
-		} else {
-			engCfg = dist.Vanilla()
-		}
-		eng := dist.NewEngine(d.Graph, part, 3, engCfg)
-		eng.StartEpoch(0)
-		eng.Forward(h)
-		snap := eng.CaptureEpoch()
+		ref := NewOracle(d.Graph, part, 3, cfg)
+		ref.StartEpoch(0)
+		ref.Forward(h)
+		snap := ref.CaptureEpoch()
 		if cb != snap.TotalBytes || cm != snap.TotalMessages {
-			t.Fatalf("semantic=%v: cluster %d B/%d msgs vs engine %d B/%d msgs",
+			t.Fatalf("semantic=%v: cluster %d B/%d msgs vs oracle %d B/%d msgs",
 				semantic, cb, cm, snap.TotalBytes, snap.TotalMessages)
 		}
 	}
 }
 
 // TestSemanticClusterMatchesEngine: the concurrent semantic aggregate must
-// match the sequential engine's semantic aggregate exactly.
+// match the oracle's member-by-member semantic aggregate exactly.
 func TestSemanticClusterMatchesEngine(t *testing.T) {
 	d, part := setup(t, 4)
 	plan := core.PlanConfig{Grouping: core.GroupingConfig{K: 3, Seed: 9}}
-	c := NewClusterFromConfig(d.Graph, part, 4, dist.Semantic(plan))
-	eng := dist.NewEngine(d.Graph, part, 4, dist.Semantic(plan))
+	c := NewClusterFromConfig(d.Graph, part, 4, exchange.Config{Semantic: true, Plan: plan})
+	ref := NewOracle(d.Graph, part, 4, exchange.Config{Semantic: true, Plan: plan})
 	h := randMat(d.NumNodes(), 6, 5)
 
 	got := c.Forward(h)
-	eng.StartEpoch(0)
-	want := eng.Forward(h)
+	ref.StartEpoch(0)
+	want := ref.Forward(h)
 	if !got.Equal(want, 0) {
-		t.Fatal("cluster semantic forward != engine semantic forward")
+		t.Fatal("cluster semantic forward != oracle semantic forward")
 	}
 
 	gotB := c.Backward(h)
-	wantB := eng.Backward(h)
+	wantB := ref.Backward(h)
 	if !gotB.Equal(wantB, 0) {
-		t.Fatal("cluster semantic backward != engine semantic backward")
+		t.Fatal("cluster semantic backward != oracle semantic backward")
 	}
 }
 
@@ -110,7 +104,7 @@ func TestSemanticClusterMatchesEngine(t *testing.T) {
 // ascending sender order whatever order they arrive in).
 func TestClusterDeterministicUnderConcurrency(t *testing.T) {
 	d, part := setup(t, 4)
-	c := NewClusterFromConfig(d.Graph, part, 4, dist.Vanilla())
+	c := NewClusterFromConfig(d.Graph, part, 4, exchange.Config{})
 	h := randMat(d.NumNodes(), 4, 6)
 	ref := c.Forward(h)
 	for trial := 0; trial < 10; trial++ {
@@ -126,7 +120,7 @@ func TestClusterTrainsGCN(t *testing.T) {
 	d := datasets.PubMedSim(5)
 	part := partition.Partition(d.Graph, 4, partition.NodeCut, partition.Config{Seed: 3})
 	plan := core.PlanConfig{Grouping: core.GroupingConfig{Seed: 4}}
-	c := NewClusterFromConfig(d.Graph, part, 4, dist.Semantic(plan))
+	c := NewClusterFromConfig(d.Graph, part, 4, exchange.Config{Semantic: true, Plan: plan})
 	rng := rand.New(rand.NewSource(8))
 	model := gnn.NewGCN(c, []int{d.FeatureDim(), 32, d.NumClasses}, rng)
 	res := gnn.Train(model, d.Features, d.Labels, d.TrainMask, d.ValMask, d.TestMask,
@@ -145,8 +139,8 @@ func TestClusterTrainsGCN(t *testing.T) {
 func TestSemanticClusterCompresses(t *testing.T) {
 	d, part := setup(t, 3)
 	h := randMat(d.NumNodes(), 8, 7)
-	van := NewClusterFromConfig(d.Graph, part, 3, dist.Vanilla())
-	sem := NewClusterFromConfig(d.Graph, part, 3, dist.Semantic(core.PlanConfig{Grouping: core.GroupingConfig{Seed: 1}}))
+	van := NewClusterFromConfig(d.Graph, part, 3, exchange.Config{})
+	sem := NewClusterFromConfig(d.Graph, part, 3, exchange.Config{Semantic: true, Plan: core.PlanConfig{Grouping: core.GroupingConfig{Seed: 1}}})
 	van.Forward(h)
 	sem.Forward(h)
 	vb, _ := van.Traffic()
@@ -163,14 +157,14 @@ func TestBadPartitionPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	NewClusterFromConfig(d.Graph, []int{0, 1}, 2, dist.Vanilla())
+	NewClusterFromConfig(d.Graph, []int{0, 1}, 2, exchange.Config{})
 }
 
 // TestSelfAdjointSemantic: ⟨A x, y⟩ == ⟨x, Aᵀ y⟩ through real message
 // passing, fp32 tolerance.
 func TestSelfAdjointSemantic(t *testing.T) {
 	d, part := setup(t, 3)
-	c := NewClusterFromConfig(d.Graph, part, 3, dist.Semantic(core.PlanConfig{Grouping: core.GroupingConfig{K: 2, Seed: 11}}))
+	c := NewClusterFromConfig(d.Graph, part, 3, exchange.Config{Semantic: true, Plan: core.PlanConfig{Grouping: core.GroupingConfig{K: 2, Seed: 11}}})
 	n := d.NumNodes()
 	x, y := randMat(n, 3, 12), randMat(n, 3, 13)
 	ax := c.Forward(x)
@@ -188,7 +182,7 @@ func TestSelfAdjointSemantic(t *testing.T) {
 func BenchmarkClusterRoundVanilla(b *testing.B) {
 	d := datasets.PubMedSim(1)
 	part := partition.Partition(d.Graph, 4, partition.NodeCut, partition.Config{Seed: 1})
-	c := NewClusterFromConfig(d.Graph, part, 4, dist.Vanilla())
+	c := NewClusterFromConfig(d.Graph, part, 4, exchange.Config{})
 	h := randMat(d.NumNodes(), 16, 1)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -200,7 +194,7 @@ func BenchmarkClusterRoundVanilla(b *testing.B) {
 func BenchmarkClusterRoundSemantic(b *testing.B) {
 	d := datasets.PubMedSim(1)
 	part := partition.Partition(d.Graph, 4, partition.NodeCut, partition.Config{Seed: 1})
-	c := NewClusterFromConfig(d.Graph, part, 4, dist.Semantic(core.PlanConfig{Grouping: core.GroupingConfig{Seed: 1}}))
+	c := NewClusterFromConfig(d.Graph, part, 4, exchange.Config{Semantic: true, Plan: core.PlanConfig{Grouping: core.GroupingConfig{Seed: 1}}})
 	h := randMat(d.NumNodes(), 16, 1)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -216,7 +210,7 @@ func TestQuantizedClusterWire(t *testing.T) {
 	// Realistic hidden width: headers amortize, so 4-bit packing shows its
 	// ~3.5x savings (16B header + 8B meta + dim/2 vs 16B header + 4·dim).
 	h := randMat(d.NumNodes(), 32, 40)
-	cfg := dist.Semantic(core.PlanConfig{Grouping: core.GroupingConfig{Seed: 2}})
+	cfg := exchange.Config{Semantic: true, Plan: core.PlanConfig{Grouping: core.GroupingConfig{Seed: 2}}}
 	fp := NewClusterFromConfig(d.Graph, part, 3, cfg)
 	cfg.QuantBits = 4
 	q := NewClusterFromConfig(d.Graph, part, 3, cfg)
@@ -232,7 +226,7 @@ func TestQuantizedClusterWire(t *testing.T) {
 		t.Fatalf("quantized aggregate error too large: %v", diff)
 	}
 	// A width the quantizers cannot represent must panic via the validator
-	// (32 and above mean "unquantized", as on the engine).
+	// (32 and above mean "unquantized").
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic for bits=20")
@@ -243,26 +237,26 @@ func TestQuantizedClusterWire(t *testing.T) {
 }
 
 // TestClusterPerLinkAccounting: the shard-and-merge plumbing must agree with
-// the engine's analytic fabric on every individual link, not just the
+// the oracle's fabric on the totals and both bottlenecks, not just the
 // totals, and the Snapshot view must stay consistent with Traffic across
 // rounds and resets.
 func TestClusterPerLinkAccounting(t *testing.T) {
 	d, part := setup(t, 3)
 	h := randMat(d.NumNodes(), 5, 9)
-	c := NewClusterFromConfig(d.Graph, part, 3, dist.Vanilla())
-	eng := dist.NewEngine(d.Graph, part, 3, dist.Vanilla())
+	c := NewClusterFromConfig(d.Graph, part, 3, exchange.Config{})
+	ref := NewOracle(d.Graph, part, 3, exchange.Config{})
 
 	c.Forward(h)
 	c.Backward(h)
-	eng.StartEpoch(0)
-	eng.Forward(h)
-	eng.Backward(h)
+	ref.StartEpoch(0)
+	ref.Forward(h)
+	ref.Backward(h)
 
 	snap := c.Snapshot()
-	engSnap := eng.CaptureEpoch()
-	if snap.TotalBytes != engSnap.TotalBytes || snap.TotalMessages != engSnap.TotalMessages ||
-		snap.MaxInboundBytes != engSnap.MaxInboundBytes || snap.MaxOutboundBytes != engSnap.MaxOutboundBytes {
-		t.Fatalf("cluster snapshot %+v vs engine %+v", snap, engSnap)
+	refSnap := ref.CaptureEpoch()
+	if snap.TotalBytes != refSnap.TotalBytes || snap.TotalMessages != refSnap.TotalMessages ||
+		snap.MaxInboundBytes != refSnap.MaxInboundBytes || snap.MaxOutboundBytes != refSnap.MaxOutboundBytes {
+		t.Fatalf("cluster snapshot %+v vs oracle %+v", snap, refSnap)
 	}
 	cb, cm := c.Traffic()
 	if cb != snap.TotalBytes || cm != snap.TotalMessages {
@@ -276,10 +270,10 @@ func TestClusterPerLinkAccounting(t *testing.T) {
 	// Counters accumulate again after a reset (shards were drained, not
 	// carried over).
 	c.Forward(h)
-	eng.StartEpoch(1)
-	eng.Forward(h)
+	ref.StartEpoch(1)
+	ref.Forward(h)
 	cb, _ = c.Traffic()
-	if cb != eng.CaptureEpoch().TotalBytes {
-		t.Fatalf("post-reset round: cluster %d B vs engine %d B", cb, eng.CaptureEpoch().TotalBytes)
+	if cb != ref.CaptureEpoch().TotalBytes {
+		t.Fatalf("post-reset round: cluster %d B vs oracle %d B", cb, ref.CaptureEpoch().TotalBytes)
 	}
 }

@@ -223,9 +223,9 @@ type ConcurrentResult struct {
 // feedback, delayed transmission, and their Fig. 12(b) combinations — with
 // the same flags Train accepts.
 //
-// Use Train for analytic traffic accounting and the modeled epoch-time cost;
-// use TrainConcurrent when you want actual concurrency and measured wire
-// bytes.
+// Both runtimes execute the same round body and measure the same wire bytes;
+// use Train for the modeled epoch-time cost, TrainConcurrent for a pool of
+// parked per-partition goroutines exchanging over channels.
 func TrainConcurrent(ds *Dataset, part []int, nparts int, m Method, train TrainOptions) *ConcurrentResult {
 	cluster := worker.NewClusterFromConfig(ds.Graph, part, nparts, m)
 	defer cluster.Close()
