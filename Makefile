@@ -22,8 +22,8 @@ test:
 	$(GO) test ./...
 
 # The concurrent surfaces: the worker runtime (including the oracle
-# equivalence matrix over all Fig. 12(b) method combinations), the engine that
-# fans the same round body over a fork-join, the exchange core they walk (one
+# equivalence matrix over all Fig. 12(b) method combinations at every
+# fork-join width), the engine that wraps it, the exchange core they walk (one
 # goroutine per pair, per-pair streams), the planning pipeline (single-sweep
 # DBG extraction fanned into concurrent per-pair plan builds and the sharded
 # k-means sweep), and the communication scheduler whose decisions every
@@ -35,8 +35,12 @@ test:
 # So do the codec kernel matrices (compress's slice operations and the wire
 # messages built on them, vector path against Go path against the per-value
 # reference): they flip a package-level gate, which the detector should see.
-# And so does engine == cluster: the engine's in-memory frame slots are written
-# in one fork-join and read in the next, with only the join between them.
+# And so does the in-process driver's one piece of shared state: a round's
+# frame slots are written in one fork-join and read in the next, by goroutines
+# started afresh each time, with only the join between them —
+# once with a worker stalled in each position (TestClusterArrivalOrderInvariant)
+# and once across every lane, Workers value, a repartition and an eval pass
+# (TestEngineEqualsCluster).
 race:
 	$(GO) test -race ./internal/dist/... ./internal/worker/... ./internal/exchange/... \
 		./internal/cluster/... ./internal/core/... ./internal/graph/... \
@@ -112,11 +116,12 @@ fuzz:
 fuzz-smoke:
 	$(MAKE) fuzz FUZZTIME=10s
 
-# One sink in production: the retired second implementations (the kernels'
-# per-member twins, the engine's private delay cache and staging arena) may
-# only ever reappear in test code.
+# One sink and one in-process driver in production: the retired second
+# implementations (the kernels' per-member twins, the engine's private delay
+# cache and staging arena, the schedule-free round runtime and the engine's own
+# fork-join) may only ever reappear in test code.
 one-sink:
-	@! grep -rn 'useReference\|DelayCache\|pairBuf' --include='*.go' . | grep -v _test.go
+	@! grep -rn 'useReference\|DelayCache\|pairBuf\|NewRounds\|worker\.Rounds\|forEachTask' --include='*.go' . | grep -v _test.go
 
 # Tier-1 verification gate (ROADMAP.md): everything must build, pass tests,
 # survive the race detector on the concurrent packages (the multi-process
@@ -139,7 +144,10 @@ verify: build vet one-sink test race test-net cover fuzz-smoke
 # "engine-driver-before" / "engine-driver" hold BenchmarkEngineExchange8P* and
 # BenchmarkEpoch* either side of the engine becoming a driver of the round body
 # (the RowSharded lanes went with the schedule they measured; their rows stay
-# under the older keys).
+# under the older keys); "one-driver-before" / "one-driver" hold this lane's
+# cluster and engine rows and bench-round's BenchmarkRoundEndToEnd either side
+# of the cluster becoming the one in-process driver (alternating prebuilt test
+# binaries, every line kept).
 # The planning-pipeline benchmarks (one-sweep DBG extraction + concurrent plan
 # builds + EEP sweep, plus the 100k-preset dirty-fraction replan sweep
 # BenchmarkReplan100K*) refresh BENCH_plan.json the same way. The scheduler-overhead rows (per-boundary merge+decide cost

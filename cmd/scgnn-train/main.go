@@ -38,7 +38,7 @@ func main() {
 		lr      = flag.Float64("lr", 0.02, "learning rate")
 		seed    = flag.Int64("seed", 1, "random seed")
 		verbose = flag.Bool("v", false, "print per-epoch progress")
-		runtime = flag.String("runtime", "engine", "engine (fork-join rounds, modeled epoch time) or workers (parked goroutines over channels); both run every method on the same wire frames")
+		runtime = flag.String("runtime", "engine", "what to report — both run every method on the same in-process driver and wire frames: engine (per-epoch volume, modeled epoch time) or workers (measured wire traffic of the whole run)")
 
 		schedOn      = flag.Bool("sched", false, "variable-rate scheduling: anneal every partition pair from sampling+quant4 up to the chosen method")
 		schedPace    = flag.Int("sched-epochs-per-level", 0, "scheduler: epochs per annealing rung (0 = default 2)")

@@ -8,7 +8,6 @@ import (
 
 	"scgnn/internal/exchange"
 	"scgnn/internal/sched"
-	"scgnn/internal/simnet"
 	"scgnn/internal/tensor"
 	"scgnn/internal/worker"
 )
@@ -24,23 +23,17 @@ func driverLanes(seed int64) map[string]Config {
 	return lanes
 }
 
-// sameTraffic compares the fabric half of two snapshots; the processing
-// counters are the engine's alone (the cluster does not report them).
-func sameTraffic(a, b simnet.Snapshot) bool {
-	return a.TotalBytes == b.TotalBytes && a.TotalMessages == b.TotalMessages &&
-		a.MaxInboundBytes == b.MaxInboundBytes && a.MaxInboundMessages == b.MaxInboundMessages &&
-		a.MaxOutboundBytes == b.MaxOutboundBytes && a.MaxOutboundMessages == b.MaxOutboundMessages
-}
-
-// TestEngineEqualsCluster: the engine and the cluster drive one round body,
-// so for every lane, at Workers 1 (caller's goroutine), nparts (one task per
-// goroutine) and 64 (capped to nparts), the engine's aggregates, schedules,
-// dirty sets and traffic equal the cluster's exactly — through six epochs, a
-// mid-run Repartition and a closing StartEvalEpoch pass, which between them
-// cross fresh, replayed and bypassed delay slots. The cluster is held to the
-// definitional oracle in internal/worker; this test carries that to the
-// engine. It rides `make race` ten times over: the in-memory slots are
-// written in one fork-join and read in the next.
+// TestEngineEqualsCluster: the engine is a cluster, so what is left to pin is
+// its wrapper and the Workers cap. For every lane, at Workers 1 (caller's
+// goroutine), nparts (one task per goroutine) and 64 (capped to nparts), the
+// engine's aggregates, schedules, dirty sets and per-epoch snapshot —
+// traffic and processing counters — equal those of a default-width cluster
+// reset by hand, exactly — through six epochs, a mid-run Repartition and a
+// closing StartEvalEpoch pass, which between them cross fresh, replayed and
+// bypassed delay slots. The cluster is held to the definitional oracle in
+// internal/worker. It rides `make race` ten times over: the frame slots are
+// written in one fork-join and read in the next, with only the join between
+// them.
 func TestEngineEqualsCluster(t *testing.T) {
 	d, part := smallSetup(t)
 	const nparts = 3
@@ -83,7 +76,7 @@ func TestEngineEqualsCluster(t *testing.T) {
 					cl.StartEpoch(epoch)
 				}
 				wantF, wantB := cl.Forward(h), cl.Backward(g)
-				wantSnap, wantLv := cl.Snapshot(), cl.ScheduleLevels()
+				wantSnap, wantLv := cl.CaptureEpoch(), cl.ScheduleLevels()
 				for i, eng := range engs {
 					if eval {
 						eng.StartEvalEpoch(epoch)
@@ -95,8 +88,8 @@ func TestEngineEqualsCluster(t *testing.T) {
 					}
 					bitEqual(t, name, epoch, "forward", wantF, eng.Forward(h))
 					bitEqual(t, name, epoch, "backward", wantB, eng.Backward(g))
-					if snap := eng.CaptureEpoch(); !sameTraffic(snap, wantSnap) {
-						t.Fatalf("epoch %d workers %d: traffic %+v, cluster %+v", epoch, workers[i], snap, wantSnap)
+					if snap := eng.CaptureEpoch(); snap != wantSnap {
+						t.Fatalf("epoch %d workers %d: snapshot %+v, cluster %+v", epoch, workers[i], snap, wantSnap)
 					}
 				}
 			}
@@ -105,10 +98,10 @@ func TestEngineEqualsCluster(t *testing.T) {
 }
 
 // TestEngineAggregateIntoErrors: a mis-shaped h or dst is an error before
-// anything runs — not the panic the engine's own aggregate used to raise —
-// and leaves the engine healthy; Forward and Backward, which have no error
-// result, panic on the caller's goroutine; and an engine whose round failed
-// keeps returning that first error.
+// anything runs and leaves the engine healthy; Forward and Backward, which
+// have no error result, panic on the caller's goroutine. (An engine whose
+// round failed keeps returning that first error: internal/worker's
+// TestEnginePoisonedByCorruptFrame, where the frame can be corrupted.)
 func TestEngineAggregateIntoErrors(t *testing.T) {
 	d, part := smallSetup(t)
 	n := d.NumNodes()
@@ -145,29 +138,37 @@ func TestEngineAggregateIntoErrors(t *testing.T) {
 		if err := eng.AggregateInto(out5, h5, false); err != nil {
 			t.Fatalf("workers %d: engine poisoned by a rejected round: %v", workers, err)
 		}
+	}
+}
 
-		// Fail a round the only way an in-memory transport can: break the
-		// halves' contract, so worker 1's peers decode its frames of the
-		// previous, wider round.
-		h3, out3 := randMat(n, 3, 64), tensor.New(n, 3)
-		if _, err := eng.rt.Begin(out3, h3, false); err != nil {
-			t.Fatal(err)
-		}
-		eng.rt.SendHalf(0)
-		eng.rt.SendHalf(2)
-		for p := 0; p < 3; p++ {
-			eng.rt.RecvHalf(p)
-		}
-		first := eng.rt.End()
-		if first == nil {
-			t.Fatalf("workers %d: stale frames of another width decoded cleanly", workers)
-		}
-		for i := 0; i < 2; i++ {
-			if err := eng.AggregateInto(out3, h3, false); err != first {
-				t.Fatalf("workers %d: poisoned engine returned %v, want the first error %v", workers, err, first)
+// TestEngineSteadyStateAllocs puts the engine's epoch — the per-epoch reset and
+// a forward and a backward round — behind the gate the cluster's round is
+// behind (worker.TestClusterSteadyStateAllocs): after warm-up it allocates
+// nothing, on the caller's goroutine and fanned out, where every round starts
+// its goroutines afresh; a delay lane covers fresh and replay rounds.
+func TestEngineSteadyStateAllocs(t *testing.T) {
+	d, part := smallSetup(t)
+	h, out := randMat(d.NumNodes(), 8, 66), tensor.New(d.NumNodes(), 8)
+	for _, cfg := range []Config{{}, {QuantBits: 8, ErrorFeedback: true}, {DelayPeriod: 2}} {
+		for _, workers := range []int{1, 3} {
+			cfg.Workers = workers
+			eng := NewEngine(d.Graph, part, 3, cfg)
+			epoch := 0
+			run := func() {
+				eng.StartEpoch(epoch)
+				epoch++
+				for _, backward := range []bool{false, true} {
+					if err := eng.AggregateInto(out, h, backward); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			run()
+			run()
+			if allocs := testing.AllocsPerRun(10, run); allocs != 0 {
+				t.Fatalf("%s workers %d: steady-state epoch allocates %v times", cfg.MethodName(), workers, allocs)
 			}
 		}
-		mustPanic("Forward on a poisoned engine", func() { eng.Forward(h3) })
 	}
 }
 

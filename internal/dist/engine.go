@@ -6,32 +6,29 @@
 // (the compatibility study of Fig. 12(b) composes them).
 //
 // The engine performs the real computation (training accuracy is measured,
-// not modeled) by driving the one round body every runtime executes
-// (internal/worker): each partition's worker aggregates its rows, encodes its
-// halo into wire frames and decodes its peers', and the bytes and messages of
-// those frames land per link in a simnet.Fabric. An analytic cost model
-// converts each epoch's traffic and per-method processing counters — integer
-// sums over what was exchanged — into a modeled epoch time (see
+// not modeled) on the one in-process driver of the round body every runtime
+// executes (worker.Cluster): each partition's worker aggregates its rows,
+// encodes its halo into wire frames and decodes its peers', and the bytes and
+// messages of those frames land per link in a simnet.Fabric. An analytic cost
+// model converts each epoch's traffic and per-method processing counters —
+// integer sums over what was exchanged — into a modeled epoch time (see
 // internal/simnet and DESIGN.md §5).
 //
-// What the engine adds is the schedule. A round is two fork-joins over one
-// task per partition, capped by Config.Workers: every worker's boundary rows
-// and encodes, then — the join is the barrier — every worker's interior rows
-// and decodes, the frames handed over through in-memory slots. Workers = 1
-// runs both on the caller's goroutine; no goroutine outlives a round, so
-// there is nothing to Close. Each task owns disjoint output rows, pair
-// streams and counters, and every row sums its remote contributions in
-// ascending sender order, so results, bytes, messages and counters are
-// bit-identical for every Config.Workers value (see
-// TestSequentialParallelEquivalence) and to worker.Cluster's
-// (TestEngineEqualsCluster).
+// What the engine adds is the epoch: StartEpoch resets the cluster's traffic
+// and processing counters, CaptureEpoch freezes them as the simnet.Snapshot
+// the cost model reads. The schedule is the cluster's — a round is two
+// fork-joins over one task per partition, on min(Config.Workers, nparts)
+// goroutines (one per partition when Workers ≤ 0, the caller's own when it is
+// 1); no goroutine outlives a round, so there is nothing to Close. Each task
+// owns disjoint output rows, pair streams and counters, and every row sums its
+// remote contributions in ascending sender order, so results, bytes, messages
+// and counters are bit-identical for every Config.Workers value (see
+// TestSequentialParallelEquivalence) and, the engine being a cluster, to
+// worker.Cluster's (TestEngineEqualsCluster pins the wrapper).
 package dist
 
 import (
 	"math/rand"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"scgnn/internal/core"
 	"scgnn/internal/exchange"
@@ -63,18 +60,14 @@ func Semantic(plan core.PlanConfig) Config { return Config{Semantic: true, Plan:
 
 // Engine orchestrates partitioned aggregation for one (graph, partition)
 // pair under one Config. It implements gnn.Aggregator, so any model from
-// internal/gnn trains on it unchanged. Rounds must be driven by one goroutine
-// at a time; the engine keeps no goroutines between rounds and needs no Close.
+// internal/gnn trains on it unchanged. It is the in-process driver
+// (worker.Cluster) reported per epoch: StartEpoch resets the cluster's
+// counters and CaptureEpoch freezes them, where the cluster's own callers let
+// them run. Rounds must be driven by one goroutine at a time; no goroutine
+// outlives a round, so there is nothing to Close.
 type Engine struct {
-	// rt is the round body (internal/worker) every runtime executes; the
-	// engine supplies its schedule and reads its counters.
-	rt     *worker.Rounds
-	nparts int
-	cfg    Config
-
-	fabric *simnet.Fabric
-	// work holds the epoch's processing counters (see simnet.Snapshot).
-	work simnet.Snapshot
+	c   *worker.Cluster
+	cfg Config
 }
 
 // NewEngine validates the partition vector and precomputes the cross-edge
@@ -82,12 +75,7 @@ type Engine struct {
 // partitions panic here; callers wanting an error instead go through the
 // public scgnn API, which validates first.
 func NewEngine(g *graph.Graph, part []int, nparts int, cfg Config) *Engine {
-	return &Engine{
-		rt:     worker.NewRounds(g, part, nparts, cfg),
-		nparts: nparts,
-		cfg:    cfg,
-		fabric: simnet.NewFabric(nparts),
-	}
+	return &Engine{c: worker.NewClusterFromConfig(g, part, nparts, cfg), cfg: cfg}
 }
 
 // Repartition moves the engine to a new partition of the same graph under the
@@ -96,15 +84,15 @@ func NewEngine(g *graph.Graph, part []int, nparts int, cfg Config) *Engine {
 // re-seeded. Delay slots hold whole-round aggregates, so they are invalidated
 // iff any pair is dirty; a boundary-preserving repartition keeps its replays.
 // Returns the ascending dirty pair indices; on error the engine is unchanged.
-func (e *Engine) Repartition(part []int) ([]int, error) { return e.rt.Repartition(part) }
+func (e *Engine) Repartition(part []int) ([]int, error) { return e.c.Repartition(part) }
 
 // Fabric exposes the traffic accounting (read-only use intended).
-func (e *Engine) Fabric() *simnet.Fabric { return e.fabric }
+func (e *Engine) Fabric() *simnet.Fabric { return e.c.Fabric() }
 
 // Plans exposes the semantic pair plans (nil when Semantic is off).
 func (e *Engine) Plans() []*core.PairPlan {
 	var out []*core.PairPlan
-	for _, p := range e.rt.Core().PairPlans {
+	for _, p := range e.c.Core().PairPlans {
 		if p != nil {
 			out = append(out, p)
 		}
@@ -118,114 +106,50 @@ func (e *Engine) Plans() []*core.PairPlan {
 // changed are re-seeded from scratch — the same reconfiguration contract
 // Repartition applies to dirty pairs. Rung changes never touch the delay
 // slots (they hold whole-round aggregates, which scheduling does not vary).
-func (e *Engine) StartEpoch(epoch int) { e.startEpoch(epoch, false) }
+func (e *Engine) StartEpoch(epoch int) {
+	e.c.StartEpoch(epoch)
+	e.c.ResetTraffic()
+}
 
 // StartEvalEpoch prepares a measurement-only forward pass: counters reset as
 // in StartEpoch, and delayed transmission is bypassed — the pass computes
 // fresh remote contributions without reading or writing the delay slots, so
 // a final evaluation never scores the model against stale replays.
-func (e *Engine) StartEvalEpoch(epoch int) { e.startEpoch(epoch, true) }
-
-func (e *Engine) startEpoch(epoch int, eval bool) {
-	e.rt.StartEpoch(epoch, eval)
-	e.fabric.Reset()
-	e.work = simnet.Snapshot{}
+func (e *Engine) StartEvalEpoch(epoch int) {
+	e.c.StartEvalEpoch(epoch)
+	e.c.ResetTraffic()
 }
 
 // ScheduleLevels returns a copy of the current per-pair rung levels, or nil
 // when variable-rate scheduling is disabled.
-func (e *Engine) ScheduleLevels() []int { return e.rt.ScheduleLevels() }
+func (e *Engine) ScheduleLevels() []int { return e.c.ScheduleLevels() }
 
 // CaptureEpoch freezes this epoch's traffic and processing counters.
-func (e *Engine) CaptureEpoch() simnet.Snapshot {
-	s := e.fabric.Capture()
-	s.ComputeFlops = e.work.ComputeFlops
-	s.QuantValues = e.work.QuantValues
-	s.SampleEdges = e.work.SampleEdges
-	s.CacheValues = e.work.CacheValues
-	s.SemanticValues = e.work.SemanticValues
-	return s
-}
+func (e *Engine) CaptureEpoch() simnet.Snapshot { return e.c.CaptureEpoch() }
 
 // Forward implements gnn.Aggregator: out = Â·h with the cross-partition part
 // of Â carried by the configured exchange method. It panics (recoverably, on
 // the caller's goroutine) if the round fails; use AggregateInto to receive
 // the error instead.
-func (e *Engine) Forward(h *tensor.Matrix) *tensor.Matrix { return e.mustAggregate(h, false) }
+func (e *Engine) Forward(h *tensor.Matrix) *tensor.Matrix { return e.c.Forward(h) }
 
 // Backward implements gnn.Aggregator: gradients flow along the transposed
 // edges, dst partition → src partition, through the reversed semantics. It
 // panics like Forward.
-func (e *Engine) Backward(g *tensor.Matrix) *tensor.Matrix { return e.mustAggregate(g, true) }
+func (e *Engine) Backward(g *tensor.Matrix) *tensor.Matrix { return e.c.Backward(g) }
 
-func (e *Engine) mustAggregate(h *tensor.Matrix, backward bool) *tensor.Matrix {
-	out := tensor.New(h.Rows, h.Cols)
-	if err := e.AggregateInto(out, h, backward); err != nil {
-		panic(err)
-	}
-	return out
-}
-
-// AggregateInto runs one round into dst (which it zeroes first): the two
-// halves of the round body — every worker's boundary rows and encoded
-// frames, then every worker's interior rows and the decode of its peers'
-// frames in ascending sender order — each fanned over the task pool, with the
-// join between them as the only barrier. A mis-shaped h or dst is an error
-// before anything runs; an error from the round itself means the output is
-// unusable and the engine is poisoned: every later round returns the same
-// error.
+// AggregateInto runs one round into dst (which it zeroes first); see
+// worker.Cluster.AggregateInto. A mis-shaped h or dst is an error before
+// anything runs; an error from the round itself means the output is unusable
+// and the engine is poisoned: every later round returns the same error.
 func (e *Engine) AggregateInto(dst, h *tensor.Matrix, backward bool) error {
-	exchanging, err := e.rt.Begin(dst, h, backward)
-	if err != nil {
-		return err
-	}
-	e.forEachTask(e.rt.SendHalf)
-	if exchanging {
-		e.forEachTask(e.rt.RecvHalf)
-	}
-	e.rt.Drain(e.fabric, &e.work)
-	return e.rt.End()
-}
-
-// forEachTask executes fn(p) for every partition p — on the caller's
-// goroutine when one worker is configured, else fanned out across at most
-// min(Workers, nparts) goroutines that exit before it returns.
-func (e *Engine) forEachTask(fn func(p int)) {
-	workers := e.cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > e.nparts {
-		workers = e.nparts
-	}
-	if workers <= 1 {
-		for p := 0; p < e.nparts; p++ {
-			fn(p)
-		}
-		return
-	}
-	var next atomic.Int32
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				p := int(next.Add(1)) - 1
-				if p >= e.nparts {
-					return
-				}
-				fn(p)
-			}
-		}()
-	}
-	wg.Wait()
+	return e.c.AggregateInto(dst, h, backward)
 }
 
 // CrossEdgeCount returns the total number of cross-partition arcs.
 func (e *Engine) CrossEdgeCount() int {
 	n := 0
-	for _, edges := range e.rt.Core().CrossOut {
+	for _, edges := range e.c.Core().CrossOut {
 		n += len(edges)
 	}
 	return n

@@ -56,13 +56,15 @@ type Config struct {
 	// delayed transmission stay global (plans and whole-round delay slots
 	// cannot vary per pair).
 	Sched sched.Policy
-	// Workers caps the goroutines dist.Engine fans a round over, and offline
-	// planning when Plan leaves its own cap unset. 0 uses GOMAXPROCS; 1 runs
-	// on the caller's goroutine alone; a round has one task per partition, so
-	// values above the partition count add nothing. Results are bit-identical
-	// for every value: each task owns disjoint output rows, RNG streams,
-	// compression state, and traffic counters, and every row accumulates its
-	// contributions in one fixed order.
+	// Workers caps the goroutines a round of the in-process driver
+	// (worker.Cluster, and dist.Engine on top of it) is fanned over, and
+	// offline planning when Plan leaves its own cap unset. A round has one
+	// task per partition: ≤ 0 runs one goroutine per partition (planning's own
+	// default, GOMAXPROCS, is unchanged); 1 runs on the caller's goroutine
+	// alone; values above the partition count add nothing. Results are
+	// bit-identical for every value: each task owns disjoint output rows, RNG
+	// streams, compression state, and traffic counters, and every row
+	// accumulates its contributions in one fixed order.
 	Workers int
 }
 

@@ -263,14 +263,14 @@ func AblCodec(o Options) *Report {
 	return r
 }
 
-// AblRuntime cross-validates the two in-process runtimes — dist.Engine (the
-// runtime behind every modeled figure) against the goroutine worker cluster —
-// across the full 13-combination method matrix of Fig. 12(b): every baseline,
-// SC-GNN, and their compositions, including two epochs so
-// delayed-transmission replays are exercised. Both drive the same round body
-// and count the bytes of the same wire frames, so the counts agree exactly;
-// this experiment prints that as a table (the title predates the engine
-// becoming a driver and is kept so regenerated results diff clean).
+// AblRuntime cross-validates the two in-process reports — dist.Engine's
+// per-epoch snapshots (behind every modeled figure) against a worker
+// cluster's run totals — across the full 13-combination method matrix of
+// Fig. 12(b): every baseline, SC-GNN, and their compositions, including two
+// epochs so delayed-transmission replays are exercised. The engine is a
+// cluster, so the counts agree exactly; this experiment prints that as a
+// table (the title predates that and is kept so regenerated results diff
+// clean).
 func AblRuntime(o Options) *Report {
 	o = o.withDefaults()
 	r := &Report{ID: "abl-runtime"}

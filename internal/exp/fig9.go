@@ -1,6 +1,8 @@
 package exp
 
 import (
+	"sort"
+
 	"scgnn/internal/core"
 	"scgnn/internal/dist"
 	"scgnn/internal/trace"
@@ -75,7 +77,7 @@ func Fig10(o Options) *Report {
 		if len(sizes) == 0 {
 			continue
 		}
-		sortIntsAsc(sizes)
+		sort.Ints(sizes)
 		mean := float64(edges) / float64(len(sizes))
 		tb.AddRow(ds.Name, len(sizes), mean, sizes[len(sizes)-1],
 			sizes[len(sizes)/2], sizes[len(sizes)*9/10], o2o)
@@ -83,12 +85,4 @@ func Fig10(o Options) *Report {
 	}
 	r.Tables = append(r.Tables, tb)
 	return r
-}
-
-func sortIntsAsc(s []int) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }

@@ -140,8 +140,8 @@ func (f *Fabric) MaxOutbound() (int64, int64) {
 // ShardCounter accumulates link traffic privately on one goroutine so a
 // parallel halo exchange never contends on the shared fabric: each shard
 // records its own sends and the coordinator folds every shard into the
-// fabric with Merge after the round's barrier. Counters are plain int64
-// sums, so the merge order cannot change any total — parallel accounting
+// fabric with Drain after the round's barrier. Counters are plain int64
+// sums, so the drain order cannot change any total — parallel accounting
 // stays bit-identical to sequential accounting.
 type ShardCounter struct {
 	nparts int
@@ -159,16 +159,6 @@ func NewShardCounter(nparts int) *ShardCounter {
 		bytes:  make([]int64, nparts*nparts),
 		msgs:   make([]int64, nparts*nparts),
 	}
-}
-
-// Send records one message of payloadBytes from src to dst on the shard,
-// with the same header framing as Fabric.Send.
-func (s *ShardCounter) Send(src, dst int, payloadBytes int) {
-	if src == dst {
-		panic("simnet: self-send")
-	}
-	s.bytes[src*s.nparts+dst] += int64(payloadBytes) + MsgHeaderBytes
-	s.msgs[src*s.nparts+dst]++
 }
 
 // Add records pre-framed traffic (bytes already include any headers) — the
@@ -206,33 +196,10 @@ func (s *ShardCounter) DrainRow(src int) (bytes, msgs []int64) {
 	return bytes, msgs
 }
 
-// Reset zeroes the shard so it can be reused next round.
-func (s *ShardCounter) Reset() {
-	for i := range s.bytes {
-		s.bytes[i] = 0
-		s.msgs[i] = 0
-	}
-}
-
-// Merge folds a shard's counters into the fabric. Call only after the
-// barrier that ends the parallel phase which filled the shard.
-func (f *Fabric) Merge(s *ShardCounter) {
-	if s.nparts != f.nparts {
-		panic(fmt.Sprintf("simnet: merge shard for %d parts into %d-part fabric", s.nparts, f.nparts))
-	}
-	for src := 0; src < f.nparts; src++ {
-		for dst := 0; dst < f.nparts; dst++ {
-			f.bytes[src][dst] += s.bytes[src*s.nparts+dst]
-			f.msgs[src][dst] += s.msgs[src*s.nparts+dst]
-		}
-	}
-}
-
 // Drain folds a shard's counters into the fabric and zeroes the shard in the
-// same pass — the per-round merge step of persistent runtimes, where the same
-// ShardCounter instances outlive every round and must come back empty. Like
-// Merge, call it only after the barrier that ends the parallel phase which
-// filled the shard.
+// same pass — the per-round merge step of the runtimes, whose ShardCounter
+// instances outlive every round and must come back empty. Call it only after
+// the barrier that ends the parallel phase which filled the shard.
 func (f *Fabric) Drain(s *ShardCounter) {
 	if s.nparts != f.nparts {
 		panic(fmt.Sprintf("simnet: drain shard for %d parts into %d-part fabric", s.nparts, f.nparts))

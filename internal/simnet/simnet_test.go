@@ -184,8 +184,8 @@ func TestFabricProfiles(t *testing.T) {
 
 // TestShardCounterMergeMatchesDirectSends is the accounting half of the
 // deterministic-parallelism contract: routing traffic through per-receiver
-// shards and merging after the barrier must reproduce the exact per-link
-// counters of sending on the fabric directly, in any merge order.
+// shards and draining them after the barrier must reproduce the exact
+// per-link counters of sending on the fabric directly, in any drain order.
 func TestShardCounterMergeMatchesDirectSends(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -204,13 +204,13 @@ func TestShardCounterMergeMatchesDirectSends(t *testing.T) {
 			}
 			payload := rng.Intn(4096)
 			direct.Send(src, dst, payload)
-			// The receiver's goroutine records the send on its own shard.
-			shards[dst].Send(src, dst, payload)
+			// The receiver's goroutine records the send on its own shard,
+			// framed as Fabric.Send frames it.
+			shards[dst].Add(src, dst, int64(payload)+MsgHeaderBytes, 1)
 		}
-		// Merge in a random order: totals are plain sums, order-free.
+		// Drain in a random order: totals are plain sums, order-free.
 		for _, i := range rng.Perm(nparts) {
-			sharded.Merge(shards[i])
-			shards[i].Reset()
+			sharded.Drain(shards[i])
 		}
 		if direct.Capture() != sharded.Capture() {
 			return false
@@ -223,9 +223,9 @@ func TestShardCounterMergeMatchesDirectSends(t *testing.T) {
 				}
 			}
 		}
-		// Reset emptied the shards: a second merge adds nothing.
+		// Drain emptied the shards: a second one adds nothing.
 		for _, sc := range shards {
-			sharded.Merge(sc)
+			sharded.Drain(sc)
 		}
 		return direct.Capture() == sharded.Capture()
 	}
@@ -237,17 +237,17 @@ func TestShardCounterMergeMatchesDirectSends(t *testing.T) {
 func TestShardCounterAddPreFramed(t *testing.T) {
 	sc := NewShardCounter(2)
 	// Add records bytes as-is (the caller already measured framed buffers),
-	// unlike Send which applies the per-message header.
+	// unlike Fabric.Send, which applies the per-message header.
 	sc.Add(0, 1, 100, 3)
 	if got := sc.TotalBytes(); got != 100 {
 		t.Fatalf("pre-framed bytes = %d, want 100", got)
 	}
-	sc.Send(0, 1, 100)
-	if got := sc.TotalBytes(); got != 200+MsgHeaderBytes {
+	f := NewFabric(2)
+	f.Send(0, 1, 100)
+	f.Drain(sc)
+	if got := f.TotalBytes(); got != 200+MsgHeaderBytes {
 		t.Fatalf("mixed bytes = %d, want %d", got, 200+MsgHeaderBytes)
 	}
-	f := NewFabric(2)
-	f.Merge(sc)
 	if f.TotalMessages() != 4 {
 		t.Fatalf("messages = %d, want 4", f.TotalMessages())
 	}
@@ -255,9 +255,8 @@ func TestShardCounterAddPreFramed(t *testing.T) {
 
 func TestShardCounterPanics(t *testing.T) {
 	for name, fn := range map[string]func(){
-		"self-send":      func() { NewShardCounter(2).Send(1, 1, 10) },
 		"self-add":       func() { NewShardCounter(2).Add(0, 0, 10, 1) },
-		"merge-mismatch": func() { NewFabric(3).Merge(NewShardCounter(2)) },
+		"drain-mismatch": func() { NewFabric(3).Drain(NewShardCounter(2)) },
 		"zero-parts":     func() { NewShardCounter(0) },
 	} {
 		func() {

@@ -7,13 +7,14 @@ package worker_test
 // package's own tests.
 
 import (
+	"reflect"
+	"strings"
 	"testing"
 
 	"scgnn/internal/datasets"
 	"scgnn/internal/dist"
 	"scgnn/internal/exchange"
 	"scgnn/internal/partition"
-	"scgnn/internal/simnet"
 	"scgnn/internal/tensor"
 	"scgnn/internal/worker"
 )
@@ -53,7 +54,7 @@ func TestEngineSnapshotCounters(t *testing.T) {
 					if got != want {
 						t.Fatalf("workers %d epoch %d after %s:\nengine %+v\noracle %+v", workers, epoch, stage, got, want)
 					}
-					sameLinks(t, eng.Fabric(), ref.Fabric())
+					worker.SameLinks(t, eng.Fabric(), ref.Fabric())
 				}
 				for epoch := 0; epoch < 5; epoch++ {
 					if epoch == 4 {
@@ -75,14 +76,45 @@ func TestEngineSnapshotCounters(t *testing.T) {
 	}
 }
 
-func sameLinks(t *testing.T, got, want *simnet.Fabric) {
-	t.Helper()
-	for s := 0; s < want.NumParts(); s++ {
-		for r := 0; r < want.NumParts(); r++ {
-			if got.LinkBytes(s, r) != want.LinkBytes(s, r) || got.LinkMessages(s, r) != want.LinkMessages(s, r) {
-				t.Fatalf("link %d→%d: engine %d B / %d msgs, oracle %d B / %d msgs", s, r,
-					got.LinkBytes(s, r), got.LinkMessages(s, r), want.LinkBytes(s, r), want.LinkMessages(s, r))
+// TestEnginePoisonedByCorruptFrame: an engine round that decodes garbage —
+// the same corrupt slot TestClusterCorruptBatchError plants — returns the
+// decode error instead of panicking in a task goroutine, on the caller's
+// goroutine and fanned out; the engine is poisoned from then on: every later
+// round returns that first error, and Forward, which has no error result,
+// panics with it on the caller's goroutine.
+func TestEnginePoisonedByCorruptFrame(t *testing.T) {
+	d := datasets.Generate(datasets.Spec{
+		Name: "w", Nodes: 150, AvgDegree: 10, Classes: 3, FeatureDim: 5, Seed: 1,
+	})
+	const nparts = 3
+	part := partition.Partition(d.Graph, nparts, partition.NodeCut, partition.Config{Seed: 2})
+	h, out := tensor.New(d.NumNodes(), 4), tensor.New(d.NumNodes(), 4)
+	for _, workers := range []int{1, nparts} {
+		eng := dist.NewEngine(d.Graph, part, nparts, exchange.Config{Workers: workers})
+		eng.StartEpoch(0)
+		if err := eng.AggregateInto(out, h, false); err != nil {
+			t.Fatal(err)
+		}
+		// The engine's cluster is its one unexported pointer field; the hook
+		// that plants the frame is the cluster's.
+		cl := reflect.ValueOf(eng).Elem().FieldByName("c").Addr().UnsafePointer()
+		worker.CorruptFrame(*(**worker.Cluster)(cl), 0, 1)
+		first := eng.AggregateInto(out, h, false)
+		if first == nil || !strings.Contains(first.Error(), "corrupt") {
+			t.Fatalf("workers %d: corrupt frame gave %v", workers, first)
+		}
+		for i := 0; i < 2; i++ {
+			if err := eng.AggregateInto(out, h, true); err != first {
+				t.Fatalf("workers %d: poisoned engine returned %v, want the first error %v", workers, err, first)
 			}
 		}
+		func() {
+			defer func() {
+				if recover() != first {
+					t.Fatalf("workers %d: Forward on a poisoned engine did not panic with the first error", workers)
+				}
+			}()
+			eng.Forward(h)
+		}()
 	}
 }

@@ -16,6 +16,7 @@ package worker
 
 import (
 	"fmt"
+	"testing"
 
 	"scgnn/internal/compress"
 	"scgnn/internal/exchange"
@@ -73,8 +74,7 @@ type Oracle struct {
 	nparts int
 	cfg    exchange.Config
 
-	fabric  *simnet.Fabric
-	traffic *simnet.ShardCounter
+	fabric *simnet.Fabric
 
 	delay *oracleDelayCache
 	// freshEval forces the next rounds to bypass delayed transmission —
@@ -99,11 +99,10 @@ type Oracle struct {
 // NewOracle mirrors dist.NewEngine.
 func NewOracle(g *graph.Graph, part []int, nparts int, cfg exchange.Config) *Oracle {
 	e := &Oracle{
-		core:    exchange.New(g, part, nparts, cfg),
-		nparts:  nparts,
-		cfg:     cfg,
-		fabric:  simnet.NewFabric(nparts),
-		traffic: simnet.NewShardCounter(nparts),
+		core:   exchange.New(g, part, nparts, cfg),
+		nparts: nparts,
+		cfg:    cfg,
+		fabric: simnet.NewFabric(nparts),
 	}
 	if cfg.DelayPeriod > 1 {
 		e.delay = newOracleDelayCache(cfg.DelayPeriod)
@@ -126,6 +125,20 @@ func (e *Oracle) Repartition(part []int) ([]int, error) {
 
 // Fabric exposes the per-link traffic accounting.
 func (e *Oracle) Fabric() *simnet.Fabric { return e.fabric }
+
+// SameLinks fails the test unless every link of got carries the bytes and
+// messages it carries in want.
+func SameLinks(t *testing.T, got, want *simnet.Fabric) {
+	t.Helper()
+	for s := 0; s < want.NumParts(); s++ {
+		for r := 0; r < want.NumParts(); r++ {
+			if got.LinkBytes(s, r) != want.LinkBytes(s, r) || got.LinkMessages(s, r) != want.LinkMessages(s, r) {
+				t.Fatalf("link %d→%d: %d B / %d msgs, oracle %d B / %d msgs", s, r,
+					got.LinkBytes(s, r), got.LinkMessages(s, r), want.LinkBytes(s, r), want.LinkMessages(s, r))
+			}
+		}
+	}
+}
 
 // StartEpoch resets the per-epoch counters and, when variable-rate scheduling
 // is on, runs the epoch-boundary decision.
@@ -235,7 +248,6 @@ func (e *Oracle) remote(h, out *tensor.Matrix, backward bool) {
 			}
 		}
 	}
-	e.fabric.Drain(e.traffic)
 	if target != out {
 		e.delay.Store(round, target)
 		tensor.AddInPlace(out, target)
@@ -341,5 +353,5 @@ func (e *Oracle) sendPayload(ps *exchange.PairState, from, to, round int, unit i
 	if ps.EF != nil {
 		ps.EF.PostCompress(efKey, trueVals, payload)
 	}
-	e.traffic.Send(from, to, bytes)
+	e.fabric.Send(from, to, bytes)
 }

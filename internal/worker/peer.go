@@ -10,7 +10,7 @@ import (
 )
 
 // Peer is one partition's share of the cluster runtime, driven externally by
-// a transport instead of the in-process goroutine pool: internal/net runs one
+// a transport instead of the in-process fork-join: internal/net runs one
 // Peer per OS process and carries the framed batches over sockets. The peer
 // holds the complete exchange core — plans, cross-arc buckets, per-pair
 // compression streams — rebuilt deterministically from the same (graph,
@@ -36,11 +36,11 @@ type Peer struct {
 }
 
 // NewPeer builds partition me's driven runtime for the method combination
-// cfg selects — the one a NewClusterFromConfig cluster would run. The whole exchange core is constructed (every node needs every plan
-// and stream to encode, decode, and ghost-advance), but only what worker me
-// runs is compiled — its local plan, the kernels of the pairs it touches, its
-// scratch — and no goroutines are spawned; rounds are executed by Round on
-// the caller's goroutine.
+// cfg selects — the one a NewClusterFromConfig cluster would run. The whole
+// exchange core is constructed (every node needs every plan and stream to
+// encode, decode, and ghost-advance), but only what worker me runs is
+// compiled: its local plan, the kernels of the pairs it touches, its scratch.
+// Rounds are executed by Round on the caller's goroutine.
 func NewPeer(g *graph.Graph, part []int, nparts, me int, cfg exchange.Config) (*Peer, error) {
 	if me < 0 || me >= nparts {
 		return nil, fmt.Errorf("worker: peer id %d out of range [0,%d)", me, nparts)
@@ -78,11 +78,11 @@ func (p *Peer) StartEvalEpoch(epoch int) {
 	p.freshEval = true
 }
 
-// Round executes one aggregate round for this peer — the round body a
-// Cluster worker runs (runRound), plus ghost-advance of the pairs other nodes
-// encoded: one encoded frame handed to send per peer (ascending, skipping
-// self), then nparts-1 recv calls, which must yield the peers' frames in
-// ascending sender order. h and out are full-size n×d matrices of which only
+// Round executes one aggregate round for this peer — the two halves a Cluster
+// worker runs, back to back, with the ghost-advance of the pairs other nodes
+// encoded between them: one encoded frame handed to send per peer (ascending,
+// skipping self), then nparts-1 recv calls, which must yield the peers' frames
+// in ascending sender order. h and out are full-size n×d matrices of which only
 // this peer's rows are meaningful: h must carry valid rows for every node
 // this peer owns (local aggregation and encoding read nothing else), and out
 // receives the aggregate on owned rows. Delayed-transmission replay/fresh
@@ -96,7 +96,14 @@ func (p *Peer) Round(h, out *tensor.Matrix, backward bool, send func(peer int, f
 	if err != nil {
 		return err
 	}
-	err = p.runRound(p.me, h, out, target, backward, replay, true, send, recv)
+	if replay {
+		p.replayRound(p.me, h, out, target)
+	} else if err = p.sendHalf(p.me, h, out, backward, send); err == nil {
+		// This peer's pairs were encoded above; the others' coins were drawn
+		// in other processes.
+		p.core.GhostAdvance(p.me, backward)
+		err = p.recvHalf(p.me, h, out, target, backward, recv)
+	}
 	return p.endRound(target, out, replay, err)
 }
 

@@ -12,12 +12,12 @@ import (
 	"scgnn/internal/wire"
 )
 
-// exchanger is the wire runtime one process holds, shared by all three
-// drivers: Cluster runs every partition's worker over in-process channels,
-// Rounds hands them to a caller's schedule over in-memory slots, Peer runs one
+// exchanger is the wire runtime one process holds, shared by both drivers:
+// Cluster runs every partition's worker over in-memory slots, Peer runs one
 // over sockets. It owns the exchange core, the gather plans compiled from it,
 // the delay slots, and the retained scratch of the workers this process runs
-// — and the one round body every driver executes (runRound and its halves).
+// — and the one round body both drivers execute (sendHalf, recvHalf, and
+// replayRound in place of both on a delayed-transmission replay).
 type exchanger struct {
 	core *exchange.Core
 
@@ -238,37 +238,6 @@ func (x *exchanger) endRound(target, out *tensor.Matrix, replay bool, err error)
 	return nil
 }
 
-// runRound is worker me's share of one aggregate round — the one round body
-// of every driver, scheduled boundary-first: the rows peers are waiting on
-// (the worker's outgoing boundary) aggregate first so the sends launch as
-// early as possible, and the interior aggregation — which no peer depends on
-// — runs between send and receive, overlapping the peers' decode work. Every
-// row's accumulation is self-contained and encoding reads only h, so the
-// order is output-invariant.
-//
-// send gets one framed batch (possibly empty) per peer, ascending; recv is
-// called nparts-1 times and must yield the peers' batches in ascending sender
-// order — every row then sums its remote contributions in one fixed order,
-// which is what makes the result independent of arrival order and equal on
-// every transport. ghost is set by a driver whose peers' pairs are encoded in
-// other processes. A send error aborts the round, a recv error stops
-// receiving; after a decode error the remaining batches are still drained so
-// the transport stays balanced.
-func (x *exchanger) runRound(me int, h, out, target *tensor.Matrix, backward, replay, ghost bool,
-	send func(peer int, frame []byte) error, recv func() ([]byte, error)) error {
-	if replay {
-		x.replayRound(me, h, out, target)
-		return nil
-	}
-	if err := x.sendHalf(me, h, out, backward, send); err != nil {
-		return err
-	}
-	if ghost {
-		x.core.GhostAdvance(me, backward)
-	}
-	return x.recvHalf(me, h, out, target, backward, recv)
-}
-
 // replayRound is a replay round's whole body: no exchange anywhere, so no
 // coins are consumed — the local aggregate plus the cached slot.
 func (x *exchanger) replayRound(me int, h, out, slot *tensor.Matrix) {
@@ -277,10 +246,12 @@ func (x *exchanger) replayRound(me int, h, out, slot *tensor.Matrix) {
 }
 
 // sendHalf is the first half of an exchanging round — everything worker me
-// does before it needs a peer's bytes: the boundary rows, then one encoded
-// frame per peer, ascending. It reads h and writes only me's rows of out and
-// me's pair streams, so a driver may run every worker's sendHalf in any order
-// or at once; every frame of the round exists once they have all returned.
+// does before it needs a peer's bytes, scheduled boundary-first: the rows its
+// outgoing halo reads, then one encoded frame (possibly empty) per peer,
+// ascending, so the sends launch as early as possible. It reads h and writes
+// only me's rows of out and me's pair streams, so a driver may run every
+// worker's sendHalf in any order or at once; every frame of the round exists
+// once they have all returned. A send error aborts the half.
 func (x *exchanger) sendHalf(me int, h, out *tensor.Matrix, backward bool, send func(peer int, frame []byte) error) error {
 	x.ws[me].ensure(h.Cols)
 	x.localRows(me, h, out, 0, x.local[me].nBoundary)
@@ -298,8 +269,14 @@ func (x *exchanger) sendHalf(me int, h, out *tensor.Matrix, backward bool, send 
 }
 
 // recvHalf is the second half: the interior rows — which no peer depends on,
-// so they overlap the peers' work — then the nparts-1 inbound frames, decoded
-// in the order recv yields them (ascending sender) into me's rows of target.
+// so over a socket they overlap the frames in flight — then the nparts-1
+// inbound frames, decoded into me's rows of target in the order recv yields
+// them, which must be ascending sender order: every row then sums its remote
+// contributions in one fixed order, which is what makes the result independent
+// of arrival order and equal on every transport. Every row's accumulation is
+// self-contained and encoding reads only h, so the boundary-first order is
+// output-invariant. A recv error stops receiving; after a decode error the
+// remaining batches are still drained so the transport stays balanced.
 func (x *exchanger) recvHalf(me int, h, out, target *tensor.Matrix, backward bool, recv func() ([]byte, error)) error {
 	lp := x.local[me]
 	if target != out {

@@ -11,13 +11,17 @@ import (
 )
 
 // TestClusterArrivalOrderInvariant: a cluster's output must not depend on the
-// order inbound batches arrive in. A phaseHook stalls one worker just before
-// its sends, so at every receiver that worker's batch lands last instead of
-// wherever the scheduler would have put it; across every choice of the
-// stalled worker, forward and backward outputs of a four-worker cluster must
-// be Float64bits-equal to an undisturbed run — for the plain, the semantic
-// and a stateful (quant8 + error feedback) exchange, over two epochs so the
-// residual stores are exercised.
+// order its workers' frames come into being. A phaseHook stalls one worker
+// just before its sends, so its frames are the round's last and every other
+// worker is through its send half before they exist; across every choice of
+// the stalled worker, forward and
+// backward outputs of a four-worker cluster must be Float64bits-equal to an
+// undisturbed run — for the plain, the semantic and a stateful (quant8 +
+// error feedback) exchange, over two epochs so the residual stores are
+// exercised. (Over sockets, where frames do arrive in any order, the
+// ascending drain is pinned by internal/net's TestCoordClusterEquivalenceMatrix:
+// a fleet whose nodes summed in arrival order would not be Float64bits-equal
+// to this cluster.)
 func TestClusterArrivalOrderInvariant(t *testing.T) {
 	const nparts = 4
 	d, part := setup(t, nparts)

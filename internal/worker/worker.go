@@ -1,12 +1,12 @@
 // Package worker is the distributed runtime of the reproduction: P workers,
 // one per partition, that exchange *real* serialized messages (internal/wire)
 // during every aggregate round — the closest laptop-scale analogue of the
-// paper's multi-GPU deployment. It holds the one round body (runRound) and the
-// three ways to drive it: Cluster runs all P workers as parked goroutines over
-// in-process channels; Peer runs one of them in its own OS process, with
-// internal/net carrying the frames over sockets; Rounds runs none — it hands
-// the two halves of a round to a caller's schedule over in-memory slots, which
-// is how dist.Engine, the runtime behind every modeled figure, executes it.
+// paper's multi-GPU deployment. It holds the one round body (sendHalf,
+// recvHalf) and the two ways to drive it: Cluster runs all P workers in one
+// process, handing the frames over through in-memory slots — it is the runtime
+// behind every modeled figure too, dist.Engine being a Cluster reported per
+// epoch; Peer runs one worker in its own OS process, with internal/net
+// carrying the frames over sockets.
 //
 // The runtime executes the full Fig. 12(b) method matrix — vanilla per-edge
 // exchange, SC-GNN semantic compression, Bernoulli edge/node sampling, fixed
@@ -22,7 +22,7 @@
 // What is exchanged — which units exist, which survive sampling, at which
 // width they ship, which residuals they carry — is decided by the
 // internal/exchange core, configured by one exchange.Config (dist.Config is
-// the same type; NewClusterFromConfig, NewPeer, NewRounds take nothing else).
+// the same type; NewClusterFromConfig and NewPeer take nothing else).
 // This package adds the wire: a sink that turns each surviving unit into a
 // framed message, the streaming decode on the other side, and the round
 // schedule.
@@ -39,45 +39,55 @@
 //
 // # Round protocol
 //
-// NewClusterFromConfig spawns the nparts workers once; they stay parked
-// between rounds. Each aggregate round the coordinator (the goroutine calling
-// Forward, Backward, or AggregateInto — there must be exactly one at a time)
-// publishes the round inputs, releases every worker through its start
-// channel, and blocks on a barrier. Each worker runs the one round body
-// (runRound) a Peer also runs:
+// A Cluster keeps no goroutine between rounds. Each aggregate round the
+// coordinator (the goroutine calling Forward, Backward, or AggregateInto —
+// there must be exactly one at a time) publishes the round inputs and runs two
+// fork-joins over the partitions, each on min(Config.Workers, nparts)
+// goroutines that exit at the join — one per partition when Workers ≤ 0, the
+// coordinator's own when Workers is 1; otherwise goroutine k takes partitions
+// k, k+Workers, …, the same ones every round.
+// The first runs every worker's send half:
 //
 //	local-boundary — the rows its outgoing halo reads
 //	send           — encode the halo into retained wire.Batch buffers, one
-//	                 framed buffer per peer, into the peer's per-sender inbox
-//	local-interior — the remaining owned rows, overlapping the peers' work
+//	                 framed buffer per peer, into the peer's per-sender slot
+//
+// and, every frame of the round now existing, the second its receive half:
+//
+//	local-interior — the remaining owned rows
 //	receive        — stream-decode the nparts−1 inbound buffers, in ascending
 //	                 sender order, straight into the output rows it owns
 //
-// and signals the barrier. Because every row sums its remote contributions
-// in sender order, not arrival order, a cluster's output is bit-identical
-// from run to run at any nparts — and bit-identical to the same round run by
-// Peers over any transport. After the barrier the coordinator drains each
-// worker's traffic shard into the fabric in worker order, so per-link totals
-// are exact and schedule-free. Inboxes, encode buffers, and payload scratch
-// are retained across rounds: a steady-state round performs no allocations.
+// A Peer runs the same two halves back to back, over its transport. The join
+// between the fork-joins is the round's only synchronisation: every slot is
+// written in the first and read in the second. Because every row sums its
+// remote contributions in sender order, a cluster's output is bit-identical
+// from run to run at any nparts and any Workers — and bit-identical to the
+// same round run by Peers over any transport, where frames arrive in any
+// order. After the second join the coordinator drains each worker's traffic
+// shard and processing counters in worker order, so the totals are exact and
+// schedule-free. Slots, encode buffers, payload scratch and the goroutines'
+// entry points are retained across rounds: a steady-state round performs no
+// allocations.
 //
 // # Buffer-reuse contract
 //
 // Encoded buffers are owned by their sending worker and reused the very next
 // round; receivers must fully consume a buffer during the round it was
 // delivered (the streaming decoder copies values out as it accumulates) and
-// must not retain it or any decoded payload view past the round barrier.
+// must not retain it or any decoded payload view past the end of the round.
 //
 // # Errors and shutdown
 //
-// A mis-shaped input or a corrupt inbound batch never panics inside a worker
+// A mis-shaped input or a corrupt inbound batch never panics inside a task
 // goroutine (which would kill the process): AggregateInto returns the error,
 // and after a failed exchange the cluster is permanently poisoned — every
 // later round returns the same error, since workers may have dropped
 // contributions mid-round. Forward/Backward, whose gnn.Aggregator signatures
 // have no error result, panic with that error on the *caller's* goroutine,
-// where it is recoverable. Close releases the worker goroutines; it is
-// idempotent and must not race a round in flight.
+// where it is recoverable. Close only marks the cluster closed — later rounds
+// return an error; there is nothing to release, so a cluster may as well be
+// dropped. It is idempotent and must not race a round in flight.
 package worker
 
 import (
@@ -91,62 +101,84 @@ import (
 	"scgnn/internal/tensor"
 )
 
-// Cluster is a persistent pool of goroutine workers jointly computing the
-// partitioned GCN aggregate Â·h. It implements gnn.Aggregator, so models
-// train on it unchanged. Rounds must be driven by one goroutine at a time;
-// Traffic, Snapshot, and ResetTraffic may be called concurrently with rounds.
+// Cluster runs the workers of every partition in one process, jointly
+// computing the partitioned GCN aggregate Â·h. It implements gnn.Aggregator, so
+// models train on it unchanged. Rounds must be driven by one goroutine at a
+// time; Traffic, Snapshot, and ResetTraffic may be called concurrently with
+// rounds.
 type Cluster struct {
 	exchanger
 
-	// Traffic accounting is shard-and-merge instead of hot-loop atomics: each
-	// worker records its sends on its own ShardCounter (no cross-core
-	// contention during the round) and the counters are drained into the
-	// fabric after the round barrier, in worker order, so per-link totals are
+	// Accounting is shard-and-merge instead of hot-loop atomics: each worker
+	// records its sends on its own ShardCounter and its processing on its own
+	// work entry (no cross-core contention during the round), and both are
+	// drained after the round's last join, in worker order, so every total is
 	// exact and schedule-free.
 	trafficMu sync.Mutex
 	fabric    *simnet.Fabric
+	// done is the processing half of CaptureEpoch: the workers' work counters
+	// drained since the last reset.
+	done work
 
-	// inbox[t*nparts+s] is the one-slot mailbox for sender s's batch to
-	// receiver t: exactly one buffer per round, drained by t in ascending s.
-	inbox []chan []byte
-	// start[p] releases worker p into the next round.
-	start   []chan struct{}
-	quit    chan struct{}
-	barrier sync.WaitGroup
-	closed  atomic.Bool
-	once    sync.Once
+	// slots[t*nparts+s] is sender s's frame for receiver t this round: written
+	// by s in the first fork-join, read by t in the second. The bytes stay
+	// owned by s's retained encode batch, which is not reset before s's next
+	// send half.
+	slots  [][]byte
+	closed atomic.Bool
 
-	// Round inputs: written by the coordinator before the start signals,
-	// read by workers after — the channel send orders the accesses.
-	// roundTarget and roundReplay are beginRound's resolution.
-	roundH, roundOut, roundTarget *tensor.Matrix
-	roundBackward, roundReplay    bool
+	// The fork-join: goroutine k of len(tasks) is started on tasks[k], which
+	// runs the round's current half for partitions k, k+len(tasks), … — a
+	// closure bound once, so the go statement allocates nothing, and the same
+	// partitions every round, so a worker's retained state meets the same
+	// goroutine slot (and, as far as the scheduler repeats itself, the same
+	// core) it met last round. Empty when Workers is 1: the caller runs them.
+	tasks []func()
+	join  sync.WaitGroup
+
+	// Round inputs: written by the coordinator before each fork, read by the
+	// tasks after — the go statement orders the accesses. roundTarget and
+	// roundReplay are beginRound's resolution, roundRecv selects the half.
+	roundH, roundOut, roundTarget         *tensor.Matrix
+	roundBackward, roundReplay, roundRecv bool
 	// roundErrs[p] is worker p's error for the round (nil if clean); each
-	// entry is written only by its owner during the round.
+	// entry is written only by the task that ran p's receive half.
 	roundErrs []error
 }
 
 // NewClusterFromConfig builds a cluster running the method combination cfg
-// selects and spawns its nparts persistent workers. An invalid partition or configuration panics. Call Close when done
-// with the cluster to release the worker goroutines.
+// selects. A round fans over min(cfg.Workers, nparts) goroutines, one per
+// partition when cfg.Workers ≤ 0. An invalid partition or configuration
+// panics.
 func NewClusterFromConfig(g *graph.Graph, part []int, nparts int, cfg exchange.Config) *Cluster {
 	c := &Cluster{
 		exchanger: *newExchanger(g, part, nparts, -1, cfg),
 		fabric:    simnet.NewFabric(nparts),
-		inbox:     make([]chan []byte, nparts*nparts),
-		start:     make([]chan struct{}, nparts),
-		quit:      make(chan struct{}),
+		slots:     make([][]byte, nparts*nparts),
 		roundErrs: make([]error, nparts),
 	}
-	for i := range c.inbox {
-		c.inbox[i] = make(chan []byte, 1)
+	tasks := cfg.Workers
+	if tasks <= 0 || tasks > nparts {
+		tasks = nparts
 	}
-	for p := range c.start {
-		c.start[p] = make(chan struct{})
-		go c.run(p)
+	for k := 0; k < tasks && tasks > 1; k++ {
+		c.tasks = append(c.tasks, func() {
+			defer c.join.Done()
+			for p := k; p < nparts; p += tasks {
+				c.runHalf(p)
+			}
+		})
 	}
 	return c
 }
+
+// Core exposes the exchange core the cluster runs on (read-only use
+// intended).
+func (c *Cluster) Core() *exchange.Core { return c.core }
+
+// Fabric exposes the per-link traffic accounting (read-only use intended, and
+// not while a round or a ResetTraffic is in flight).
+func (c *Cluster) Fabric() *simnet.Fabric { return c.fabric }
 
 // StartEpoch marks an epoch boundary: it resets the aggregate-round slot
 // that keys error-feedback residuals and the delay cache, and advances the
@@ -170,20 +202,18 @@ func (c *Cluster) StartEvalEpoch(epoch int) {
 	c.freshEval = true
 }
 
-// Close releases the persistent worker goroutines. It is idempotent, must
-// not race a round in flight, and leaves traffic counters readable.
-func (c *Cluster) Close() {
-	c.once.Do(func() {
-		c.closed.Store(true)
-		close(c.quit)
-	})
-}
+// Close marks the cluster closed: later rounds return an error. There is
+// nothing to release — no goroutine outlives a round — so a cluster that is
+// simply dropped leaks nothing. It is idempotent, must not race a round in
+// flight, and leaves traffic counters readable.
+func (c *Cluster) Close() { c.closed.Store(true) }
 
-// ResetTraffic clears the byte/message counters.
+// ResetTraffic clears the traffic and processing counters.
 func (c *Cluster) ResetTraffic() {
 	c.trafficMu.Lock()
 	defer c.trafficMu.Unlock()
 	c.fabric.Reset()
+	c.done = work{}
 }
 
 // Traffic returns the real encoded bytes and message count since the last
@@ -194,13 +224,27 @@ func (c *Cluster) Traffic() (bytes, msgs int64) {
 	return c.fabric.TotalBytes(), c.fabric.TotalMessages()
 }
 
-// Snapshot freezes the per-link traffic accumulated since the last reset
-// (the fabric half of what dist.Engine.CaptureEpoch reports), for cost-model
-// consumers.
+// Snapshot freezes the per-link traffic accumulated since the last reset —
+// the half of CaptureEpoch a transport-driven fleet reports too.
 func (c *Cluster) Snapshot() simnet.Snapshot {
 	c.trafficMu.Lock()
 	defer c.trafficMu.Unlock()
 	return c.fabric.Capture()
+}
+
+// CaptureEpoch freezes everything the cost model reads, accumulated since the
+// last reset: Snapshot's traffic plus the processing counters of the rounds
+// that produced it.
+func (c *Cluster) CaptureEpoch() simnet.Snapshot {
+	c.trafficMu.Lock()
+	defer c.trafficMu.Unlock()
+	s := c.fabric.Capture()
+	s.ComputeFlops = c.done.flops
+	s.QuantValues = c.done.quant
+	s.SampleEdges = c.done.sample
+	s.CacheValues = c.done.cache
+	s.SemanticValues = c.done.semantic
+	return s
 }
 
 // Forward implements gnn.Aggregator with a concurrent halo exchange. It
@@ -221,13 +265,16 @@ func (c *Cluster) mustAggregate(h *tensor.Matrix, backward bool) *tensor.Matrix 
 	return out
 }
 
-// AggregateInto runs one concurrent round into dst (which it zeroes first):
-// every worker computes its local aggregate, encodes its outgoing halo as
-// wire batches, exchanges them over channels, and accumulates the decoded
-// remote contributions into the rows it owns. Reusing one dst across rounds
-// makes the steady state allocation-free. A mis-shaped h or dst is an error
-// before anything runs; an error from the round itself means the output is
-// unusable and the cluster is poisoned (see the package comment).
+// AggregateInto runs one round into dst (which it zeroes first) as two
+// fork-joins over the partitions: every worker's send half — its boundary
+// rows and one encoded frame into each peer's slot — then, the join between
+// them being the round's only barrier, every worker's receive half — its
+// interior rows and its peers' frames decoded in ascending sender order into
+// the rows it owns. A delayed-transmission replay has no second half. Reusing
+// one dst across rounds makes the steady state allocation-free. A mis-shaped
+// h or dst is an error before anything runs; an error from the round itself
+// means the output is unusable and the cluster is poisoned (see the package
+// comment).
 func (c *Cluster) AggregateInto(dst, h *tensor.Matrix, backward bool) error {
 	if c.closed.Load() {
 		return errors.New("worker: cluster is closed")
@@ -237,53 +284,72 @@ func (c *Cluster) AggregateInto(dst, h *tensor.Matrix, backward bool) error {
 		return err
 	}
 	c.roundH, c.roundOut, c.roundTarget = h, dst, target
-	c.roundBackward, c.roundReplay = backward, replay
-	c.barrier.Add(len(c.start))
-	for _, ch := range c.start {
-		ch <- struct{}{}
+	c.roundBackward, c.roundReplay, c.roundRecv = backward, replay, false
+	c.forkJoin()
+	if !replay {
+		c.roundRecv = true
+		c.forkJoin()
 	}
-	c.barrier.Wait()
 	c.roundH, c.roundOut, c.roundTarget = nil, nil, nil
-	// Drain each worker's round traffic into the fabric after the barrier,
-	// in worker order — totals are independent of goroutine scheduling.
+	// Drain each worker's round into the totals after the join, in worker
+	// order — they are independent of goroutine scheduling.
 	c.trafficMu.Lock()
-	for _, sc := range c.counters {
+	for p, sc := range c.counters {
 		c.fabric.Drain(sc)
+		w := &c.work[p]
+		c.done.flops += w.flops
+		c.done.quant += w.quant
+		c.done.sample += w.sample
+		c.done.cache += w.cache
+		c.done.semantic += w.semantic
+		*w = work{}
 	}
 	c.trafficMu.Unlock()
 	return c.endRound(target, dst, replay, errors.Join(c.roundErrs...))
 }
 
-// run is the persistent worker loop: park until released, execute the round
-// body over the in-process transport, hit the barrier, repeat. The transport
-// is one one-slot channel per (receiver, sender): send never fails or blocks
-// (one buffer per slot per round), and recv drains the senders in ascending
-// order — a late sender stalls the receiver behind it (head-of-line), which
-// is the price of an arrival-order-free sum.
-func (c *Cluster) run(me int) {
+// forkJoin runs the round's current half for every partition and returns
+// when all have: on the caller's goroutine when the cluster has no tasks, else
+// on one goroutine per task, which are past their last access to the cluster
+// when it returns.
+func (c *Cluster) forkJoin() {
+	if len(c.tasks) == 0 {
+		for p := 0; p < c.core.NParts; p++ {
+			c.runHalf(p)
+		}
+		return
+	}
+	c.join.Add(len(c.tasks))
+	for _, task := range c.tasks {
+		go task()
+	}
+	c.join.Wait()
+}
+
+// runHalf is worker me's share of the current fork-join, over the in-process
+// transport: send stores a slot, which cannot fail — so neither can the send
+// half; recv reads the slots me's peers filled, in ascending sender order. A
+// decode error is kept for the round's end. A replay round's whole body is its
+// first half.
+func (c *Cluster) runHalf(me int) {
 	np := c.core.NParts
-	send := func(peer int, frame []byte) error {
-		c.inbox[peer*np+me] <- frame
-		return nil
-	}
-	from := 0
-	recv := func() ([]byte, error) {
-		if from == me {
+	switch {
+	case c.roundReplay:
+		c.replayRound(me, c.roundH, c.roundOut, c.roundTarget)
+	case !c.roundRecv:
+		_ = c.sendHalf(me, c.roundH, c.roundOut, c.roundBackward, func(peer int, frame []byte) error {
+			c.slots[peer*np+me] = frame
+			return nil
+		})
+	default:
+		from := 0
+		c.roundErrs[me] = c.recvHalf(me, c.roundH, c.roundOut, c.roundTarget, c.roundBackward, func() ([]byte, error) {
+			if from == me {
+				from++
+			}
+			frame := c.slots[me*np+from]
 			from++
-		}
-		frame := <-c.inbox[me*np+from]
-		from++
-		return frame, nil
-	}
-	for {
-		select {
-		case <-c.quit:
-			return
-		case <-c.start[me]:
-		}
-		from = 0
-		c.roundErrs[me] = c.runRound(me, c.roundH, c.roundOut, c.roundTarget,
-			c.roundBackward, c.roundReplay, false, send, recv)
-		c.barrier.Done()
+			return frame, nil
+		})
 	}
 }

@@ -19,11 +19,14 @@ import (
 // analytic engine's former sink): for every one of the 13 method combinations
 // the concurrent worker cluster, on its compiled gather plans, fused kernels
 // and real wire frames, must match the oracle's per-member loops and per-unit
-// grid round trips — aggregates and per-epoch traffic snapshots exactly —
-// across five epochs of forward+backward rounds, so per-pair RNG streams,
-// adaptive width choices, delay replays, and error-feedback residuals all
-// stay in lockstep. (dist.Engine is held to the cluster, exactly, in
-// internal/dist.)
+// grid round trips — aggregates, per-epoch traffic snapshots and every single
+// link's bytes and messages exactly — across five epochs of forward+backward
+// rounds, so per-pair RNG streams, adaptive width choices, delay replays, and
+// error-feedback residuals all stay in lockstep; and at every fork-join width:
+// Workers 1 (the caller's goroutine), 2 (tasks that take several partitions),
+// nparts (the default's one per partition) and 64 (capped to nparts).
+// (dist.Engine is this cluster plus an epoch reset; internal/dist holds it to
+// the default-width cluster through a repartition.)
 func TestClusterEngineEquivalenceMatrix(t *testing.T) {
 	d, part := setup(t, 3)
 	const nparts = 3
@@ -33,28 +36,31 @@ func TestClusterEngineEquivalenceMatrix(t *testing.T) {
 	for name, cfg := range exchange.MethodMatrix(9) {
 		cfg := cfg
 		t.Run(name, func(t *testing.T) {
-			cl := NewClusterFromConfig(d.Graph, part, nparts, cfg)
-			defer cl.Close()
-			ref := NewOracle(d.Graph, part, nparts, cfg)
-			for epoch := 0; epoch < 5; epoch++ {
-				cl.ResetTraffic()
-				cl.StartEpoch(epoch)
-				gotF := cl.Forward(h)
-				gotB := cl.Backward(g)
-				snap := cl.Snapshot()
-				ref.StartEpoch(epoch)
-				wantF := ref.Forward(h)
-				wantB := ref.Backward(g)
-				if !gotF.Equal(wantF, 0) {
-					t.Fatalf("epoch %d: forward diverged from the oracle", epoch)
-				}
-				if !gotB.Equal(wantB, 0) {
-					t.Fatalf("epoch %d: backward diverged from the oracle", epoch)
-				}
-				// Traffic exactly: measured wire bytes = the oracle's
-				// arithmetic, per epoch, including zero-byte delay replays.
-				if os := ref.CaptureEpoch(); !sameTraffic(snap, os) {
-					t.Fatalf("epoch %d: wire traffic %+v vs oracle %+v", epoch, snap, os)
+			for _, workers := range []int{1, 2, nparts, 64} {
+				cfg.Workers = workers
+				cl := NewClusterFromConfig(d.Graph, part, nparts, cfg)
+				ref := NewOracle(d.Graph, part, nparts, cfg)
+				for epoch := 0; epoch < 5; epoch++ {
+					cl.ResetTraffic()
+					cl.StartEpoch(epoch)
+					gotF := cl.Forward(h)
+					gotB := cl.Backward(g)
+					snap := cl.Snapshot()
+					ref.StartEpoch(epoch)
+					wantF := ref.Forward(h)
+					wantB := ref.Backward(g)
+					if !gotF.Equal(wantF, 0) {
+						t.Fatalf("workers %d epoch %d: forward diverged from the oracle", workers, epoch)
+					}
+					if !gotB.Equal(wantB, 0) {
+						t.Fatalf("workers %d epoch %d: backward diverged from the oracle", workers, epoch)
+					}
+					// Traffic exactly: measured wire bytes = the oracle's
+					// arithmetic, per epoch, including zero-byte delay replays.
+					if os := ref.CaptureEpoch(); !sameTraffic(snap, os) {
+						t.Fatalf("workers %d epoch %d: wire traffic %+v vs oracle %+v", workers, epoch, snap, os)
+					}
+					SameLinks(t, cl.fabric, ref.Fabric())
 				}
 			}
 		})

@@ -1,10 +1,12 @@
 package worker
 
 import (
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"scgnn/internal/core"
 	"scgnn/internal/datasets"
@@ -19,9 +21,10 @@ func benchSetup() (*datasets.Dataset, []int) {
 	return d, part
 }
 
-// TestClusterSteadyStateAllocs: after warm-up, a full aggregate round over
-// the persistent pool must not allocate — encode buffers, inboxes, payload
-// scratch, and traffic shards are all retained across rounds.
+// TestClusterSteadyStateAllocs: after warm-up, a full aggregate round must not
+// allocate — encode buffers, frame slots, payload scratch, and traffic shards
+// are all retained across rounds, and the fork-join's goroutines start on
+// func values bound at construction.
 func TestClusterSteadyStateAllocs(t *testing.T) {
 	d, part := setup(t, 3)
 	h := randMat(d.NumNodes(), 8, 21)
@@ -138,6 +141,18 @@ func TestClusterPersistentManyRounds(t *testing.T) {
 	}
 }
 
+// CorruptFrame makes every later round of c deliver garbage to receiver in
+// place of sender's frame: the phase hook overwrites the slot once sender's
+// send half has filled it, on the goroutine that owns the slot until the join.
+// (Exported for the engine's test in engine_oracle_test.go.)
+func CorruptFrame(c *Cluster, receiver, sender int) {
+	c.phaseHook = func(worker int, phase string) {
+		if worker == sender && phase == "send" {
+			c.slots[receiver*c.core.NParts+sender] = []byte{0xff, 0xee, 0xdd}
+		}
+	}
+}
+
 // TestClusterCorruptBatchError: a corrupt inbound buffer must surface as an
 // error from AggregateInto (not a process-killing panic in a worker
 // goroutine), permanently poison the cluster, and panic recoverably from the
@@ -156,10 +171,7 @@ func TestClusterCorruptBatchError(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Worker 0 drains exactly one buffer from its sender-1 slot per round;
-	// pre-stuffing the slot makes the garbage arrive in place of worker 1's
-	// real batch (which lands in the slot once the garbage is taken).
-	c.inbox[0*2+1] <- []byte{0xff, 0xee, 0xdd}
+	CorruptFrame(c, 0, 1)
 	err := c.AggregateInto(out, h, false)
 	if err == nil {
 		t.Fatal("corrupt batch did not error")
@@ -196,6 +208,40 @@ func TestClusterCloseSemantics(t *testing.T) {
 	}
 	if err := c.AggregateInto(tensor.New(d.NumNodes(), 4), h, false); err == nil {
 		t.Fatal("AggregateInto after Close did not error")
+	}
+}
+
+// TestClusterNoGoroutineLeak: a cluster owns no goroutine between rounds, so
+// one that is dropped without Close leaks nothing — after plain rounds, delayed
+// rounds (fresh and replay), a rejected round and a round that failed
+// mid-exchange, the process has the goroutines it had before construction.
+func TestClusterNoGoroutineLeak(t *testing.T) {
+	d, part := setup(t, 3)
+	h := randMat(d.NumNodes(), 4, 26)
+	before := runtime.NumGoroutine()
+	for _, cfg := range []exchange.Config{{}, {Workers: 2}, {DelayPeriod: 2}} {
+		c := NewClusterFromConfig(d.Graph, part, 3, cfg)
+		for epoch := 0; epoch < 4; epoch++ {
+			c.StartEpoch(epoch)
+			c.Forward(h)
+			c.Backward(h)
+		}
+		if err := c.AggregateInto(tensor.New(1, 1), h, false); err == nil {
+			t.Fatal("mis-shaped round accepted")
+		}
+		CorruptFrame(c, 0, 1)
+		if err := c.AggregateInto(tensor.New(h.Rows, h.Cols), h, false); err == nil {
+			t.Fatal("corrupt frame decoded cleanly")
+		}
+	}
+	// A goroutine that has passed its WaitGroup.Done may not have been reaped
+	// yet; wait for the count, bounded.
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		runtime.Gosched()
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("%d goroutines before the clusters, %d after", before, after)
 	}
 }
 

@@ -206,8 +206,8 @@ func NewPlanCache(ds *Dataset, part []int, nparts int, opt SemanticOptions) (*Pl
 	return core.NewPlanCache(ds.Graph, part, nparts, opt.planConfig())
 }
 
-// ConcurrentResult reports a goroutine-runtime training run: accuracy plus
-// the *real* encoded bytes that crossed worker boundaries.
+// ConcurrentResult reports a TrainConcurrent run: accuracy plus the *real*
+// encoded bytes that crossed worker boundaries.
 type ConcurrentResult struct {
 	TestAcc    float64
 	BestValAcc float64
@@ -216,16 +216,17 @@ type ConcurrentResult struct {
 	Bytes, Messages int64
 }
 
-// TrainConcurrent trains a GCN on the goroutine-based distributed runtime
-// (internal/worker): one goroutine per partition, real serialized message
+// TrainConcurrent trains a GCN on the in-process distributed runtime
+// (internal/worker): one worker per partition, real serialized message
 // passing for every halo exchange. The full Method matrix runs concurrently
 // — vanilla, semantic, sampling, fixed/adaptive quantization, error
 // feedback, delayed transmission, and their Fig. 12(b) combinations — with
 // the same flags Train accepts.
 //
-// Both runtimes execute the same round body and measure the same wire bytes;
-// use Train for the modeled epoch-time cost, TrainConcurrent for a pool of
-// parked per-partition goroutines exchanging over channels.
+// Train runs on the same driver (its engine is a worker cluster) and the same
+// wire frames; the two differ in what they report: Train the per-epoch
+// traffic and the modeled epoch time, TrainConcurrent the measured traffic of
+// the whole run.
 func TrainConcurrent(ds *Dataset, part []int, nparts int, m Method, train TrainOptions) *ConcurrentResult {
 	cluster := worker.NewClusterFromConfig(ds.Graph, part, nparts, m)
 	defer cluster.Close()
