@@ -147,13 +147,17 @@ verify: build vet one-sink test race test-net cover fuzz-smoke
 # under the older keys); "one-driver-before" / "one-driver" hold this lane's
 # cluster and engine rows and bench-round's BenchmarkRoundEndToEnd either side
 # of the cluster becoming the one in-process driver (alternating prebuilt test
-# binaries, every line kept).
+# binaries, every line kept); "dead-round-before" / "dead-round" hold
+# BenchmarkEpoch* either side of the models dropping layer 0's backward round
+# (same method; BENCH_dense.json carries BenchmarkDenseEpoch under the same
+# two keys). BenchmarkEpoch* — one dist.Run epoch per exchange, construction
+# included — ride this lane.
 # The planning-pipeline benchmarks (one-sweep DBG extraction + concurrent plan
 # builds + EEP sweep, plus the 100k-preset dirty-fraction replan sweep
 # BenchmarkReplan100K*) refresh BENCH_plan.json the same way. The scheduler-overhead rows (per-boundary merge+decide cost
 # across pair counts) land in BENCH_plan.json under "sched".
 bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkClusterRound|BenchmarkEngineExchange|BenchmarkEncodeQuantized|BenchmarkDecoderAXPY' \
+	$(GO) test -run '^$$' -bench 'BenchmarkClusterRound|BenchmarkEngineExchange|BenchmarkEncodeQuantized|BenchmarkDecoderAXPY|BenchmarkEpoch' \
 		-benchmem -cpu 1,2 . ./internal/worker/ ./internal/wire/ \
 		| $(GO) run ./cmd/scgnn-benchjson -o BENCH_worker.json -key after
 	$(GO) test -run '^$$' -bench 'BenchmarkAllDBGs|BenchmarkPlanPipeline|BenchmarkReplan' -benchmem . \
@@ -181,7 +185,9 @@ bench-round:
 # epoch (everything but the aggregate) at 10k×32 and 100k×32, vector and Go
 # kernels in one run, on one core and on two. Rows land in BENCH_dense.json
 # under "after"; its "before" holds the same benchmarks at the commit before
-# the AVX2 products (where the simd and generic rows ran the same Go loops).
+# the AVX2 products (where the simd and generic rows ran the same Go loops),
+# and "dead-round-before" / "dead-round" BenchmarkDenseEpoch either side of
+# the first layer dropping its dX product.
 bench-dense:
 	$(GO) test -run '^$$' -bench 'BenchmarkMatMulInto|BenchmarkATBInto|BenchmarkABTInto|BenchmarkDenseEpoch' \
 		-benchmem -cpu 1,2 ./internal/tensor/ \

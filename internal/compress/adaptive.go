@@ -20,8 +20,6 @@ type AdaptiveQuantizer struct {
 	// ErrorBudget is the tolerated error as a fraction of the payload's
 	// standard deviation (default 0.05).
 	ErrorBudget float64
-	// LastBits records the width chosen by the most recent Roundtrip.
-	LastBits int
 	// BitsSum and Calls accumulate every ChooseBits outcome since the
 	// quantizer was created: Calls counts allocation decisions, BitsSum their
 	// chosen widths. The variable-rate scheduler reads the pair (BitsSum ≥
@@ -45,10 +43,10 @@ func NewAdaptiveQuantizer(minBits, maxBits int, errorBudget float64) *AdaptiveQu
 }
 
 // ChooseBits applies the allocation rule to v without quantizing it,
-// returning the width the next Roundtrip of the same payload would use (and
-// recording it in LastBits). The worker runtime calls this to pick a
-// per-message width before handing the untouched payload to the wire
-// encoder; Roundtrip makes the identical choice on the identical payload.
+// returning the width the next Roundtrip of the same payload would use. The
+// worker runtime calls this to pick a per-message width before handing the
+// untouched payload to the wire encoder; Roundtrip makes the identical choice
+// on the identical payload.
 func (q *AdaptiveQuantizer) ChooseBits(v []float64) int {
 	bits, _, _ := q.choose(v)
 	return bits
@@ -73,7 +71,6 @@ func (q *AdaptiveQuantizer) choose(v []float64) (bits int, lo, hi float64) {
 			}
 		}
 	}
-	q.LastBits = bits
 	q.BitsSum += int64(bits)
 	q.Calls++
 	return bits, lo, hi

@@ -13,18 +13,21 @@ func TestAdaptiveQuantizerPicksFewBitsForSmooth(t *testing.T) {
 	for i := range smooth {
 		smooth[i] = math.Sin(float64(i) / 10)
 	}
-	q.Roundtrip(smooth)
-	smoothBits := q.LastBits
+	smoothBits := q.ChooseBits(smooth)
 	// A payload with one extreme outlier: huge range vs std → more bits.
 	spiky := make([]float64, 64)
 	for i := range spiky {
 		spiky[i] = 0.01 * math.Sin(float64(i))
 	}
 	spiky[0] = 100
-	q.Roundtrip(spiky)
-	spikyBits := q.LastBits
+	spikyBits := q.ChooseBits(spiky)
 	if spikyBits <= smoothBits {
 		t.Fatalf("spiky payload got %d bits, smooth got %d; want spiky > smooth", spikyBits, smoothBits)
+	}
+	// Roundtrip makes the identical choice, and every choice is counted.
+	q.Roundtrip(spiky)
+	if q.Calls != 3 || q.BitsSum != int64(smoothBits+2*spikyBits) {
+		t.Fatalf("BitsSum/Calls = %d/%d, want %d/3", q.BitsSum, q.Calls, smoothBits+2*spikyBits)
 	}
 }
 
@@ -38,10 +41,10 @@ func TestAdaptiveQuantizerErrorBound(t *testing.T) {
 		orig[i] = v[i]
 	}
 	std := stddev(v)
-	q.Roundtrip(v)
-	if q.LastBits >= 16 {
-		t.Fatalf("normal payload should not need max bits, got %d", q.LastBits)
+	if bits := q.ChooseBits(v); bits >= 16 {
+		t.Fatalf("normal payload should not need max bits, got %d", bits)
 	}
+	q.Roundtrip(v)
 	// Error within the budget (half-step ≤ ErrorBudget·std by construction,
 	// up to the ceil's slack factor of 2).
 	for i := range v {
@@ -60,14 +63,14 @@ func TestAdaptiveQuantizerEdgeCases(t *testing.T) {
 		t.Fatalf("empty payload size = %d", got)
 	}
 	constant := []float64{3, 3, 3}
+	if bits := q.ChooseBits(constant); bits != 2 {
+		t.Fatalf("constant payload bits = %d, want min", bits)
+	}
 	q.Roundtrip(constant)
 	for _, x := range constant {
 		if x != 3 {
 			t.Fatal("constant payload changed")
 		}
-	}
-	if q.LastBits != 2 {
-		t.Fatalf("constant payload bits = %d, want min", q.LastBits)
 	}
 	func() {
 		defer func() {

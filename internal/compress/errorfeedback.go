@@ -2,8 +2,6 @@ package compress
 
 import (
 	"fmt"
-	"math"
-	"sort"
 
 	"scgnn/internal/tensor"
 )
@@ -101,24 +99,3 @@ func (ef *ErrorFeedback) Reset() {
 
 // Units returns the number of tracked transfer units.
 func (ef *ErrorFeedback) Units() int { return len(ef.residual) }
-
-// ResidualNorm returns the L2 norm over every stored residual, accumulated
-// in ascending key order so the float summation order is identical on every
-// replica. It is a diagnostic for the variable-rate scheduler's reporting.
-func (ef *ErrorFeedback) ResidualNorm() float64 {
-	if len(ef.residual) == 0 {
-		return 0
-	}
-	keys := make([]int64, 0, len(ef.residual))
-	for k := range ef.residual {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	var ss float64
-	for _, k := range keys {
-		for _, x := range ef.residual[k] {
-			ss += x * x
-		}
-	}
-	return math.Sqrt(ss)
-}

@@ -131,8 +131,10 @@ func Run(ds *datasets.Dataset, part []int, nparts int, engCfg Config, runCfg Run
 	default:
 		panic(fmt.Sprintf("dist: unknown model %q", runCfg.Model))
 	}
-	// Analytic model compute per epoch: fwd + bwd matmuls (≈3× fwd cost).
-	modelFlops := int64(0)
+	// Analytic model compute per epoch: 2·N·in·out flops for each of a
+	// layer's products — XW forward, XᵀdY and dY·Wᵀ backward — less layer
+	// 0's dY·Wᵀ, which the models never form.
+	modelFlops := int64(-2 * ds.NumNodes() * dims[0] * dims[1])
 	for i := 0; i+1 < len(dims); i++ {
 		modelFlops += int64(6 * ds.NumNodes() * dims[i] * dims[i+1])
 	}

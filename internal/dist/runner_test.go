@@ -1,11 +1,13 @@
 package dist
 
 import (
+	"math"
 	"testing"
 
 	"scgnn/internal/core"
 	"scgnn/internal/datasets"
 	"scgnn/internal/partition"
+	"scgnn/internal/wire"
 )
 
 func pubmedSetup() (*datasets.Dataset, []int) {
@@ -125,14 +127,30 @@ func TestRunEarlyStopping(t *testing.T) {
 
 func TestRunDeeperModel(t *testing.T) {
 	d, part := pubmedSetup()
-	two := Run(d, part, 2, Vanilla(), RunConfig{Epochs: 4, Layers: 2, Seed: 1})
-	three := Run(d, part, 2, Vanilla(), RunConfig{Epochs: 4, Layers: 3, Seed: 1})
-	// One extra layer = one extra forward + backward halo round per epoch.
-	// Rounds carry different payload widths (feature dim 16 on the outer
-	// rounds, hidden 32 in the middle), so 2 layers ≈ 16+32+32+16 = 96
-	// units/epoch and 3 layers ≈ 16+32+32+32+32+16 = 160 → ratio ≈ 1.67.
-	ratio := three.BytesPerEpoch / two.BytesPerEpoch
-	if ratio < 1.55 || ratio > 1.75 {
-		t.Fatalf("3-layer/2-layer volume ratio = %v, want ≈1.67", ratio)
+	const hidden = 32
+	two := Run(d, part, 2, Vanilla(), RunConfig{Epochs: 4, Layers: 2, Hidden: hidden, Seed: 1})
+	three := Run(d, part, 2, Vanilla(), RunConfig{Epochs: 4, Layers: 3, Hidden: hidden, Seed: 1})
+	// An L-layer epoch runs L forward rounds (the features, then hidden
+	// widths) and L−1 backward ones (hidden widths: layer 0's input gradient
+	// is never formed), so one extra layer adds one forward and one backward
+	// round: at pubmed-sim's 16 features, 16+32+32 values a message →
+	// 16+32+32+32+32, a ratio of 1.8. Vanilla ships one message per cross arc
+	// in every round, so messages go 3 → 5 rounds exactly, and each message
+	// also carries a fixed header: the byte ratio sits between 5/3 and 1.8,
+	// exactly where the widths put it.
+	f := d.FeatureDim()
+	perMessage := func(widths ...int) float64 {
+		var b int
+		for _, w := range widths {
+			b += wire.HeaderBytes + wire.ValueBytes*w
+		}
+		return float64(b)
+	}
+	if got := three.MsgsPerEpoch / two.MsgsPerEpoch; math.Abs(got-5.0/3) > 1e-12 {
+		t.Errorf("3-layer/2-layer message ratio = %v, want 5/3 (5 rounds against 3)", got)
+	}
+	want := perMessage(f, hidden, hidden, hidden, hidden) / perMessage(f, hidden, hidden)
+	if ratio := three.BytesPerEpoch / two.BytesPerEpoch; math.Abs(ratio-want) > 1e-12 {
+		t.Fatalf("3-layer/2-layer volume ratio = %v, want %v", ratio, want)
 	}
 }

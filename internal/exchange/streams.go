@@ -106,12 +106,11 @@ func (s *Streams) Signals() []sched.Signals {
 			sg.Draws = ps.Sampler.Draws()
 		}
 		if ps.Adaptive != nil {
-			sg.BitsSum, sg.BitsCalls, sg.LastBits = ps.Adaptive.BitsSum, ps.Adaptive.Calls, ps.Adaptive.LastBits
+			sg.BitsSum, sg.BitsCalls = ps.Adaptive.BitsSum, ps.Adaptive.Calls
 		}
 		if ps.EF != nil {
 			sg.EFUnits = int64(ps.EF.Units())
 			sg.EFCorrected = ps.EF.Corrected
-			sg.ResidualNorm = ps.EF.ResidualNorm()
 		}
 	}
 	return sigs

@@ -96,7 +96,7 @@ func (m *GAT) Backward(dlogits *tensor.Matrix) {
 		if li+1 < len(m.layers) {
 			d = eluBackward(d, m.raw[li])
 		}
-		d = m.layers[li].backward(m.g, d)
+		d = m.layers[li].backward(m.g, d, li > 0)
 	}
 }
 
@@ -174,7 +174,10 @@ func (l *gatLayer) forward(g *graph.Graph, x *tensor.Matrix) *tensor.Matrix {
 	return out
 }
 
-func (l *gatLayer) backward(g *graph.Graph, dout *tensor.Matrix) *tensor.Matrix {
+// backward accumulates the layer's parameter gradients and, when inputGrad
+// is set, returns ∂L/∂x (nil otherwise: a first layer's input is the
+// features, which need none).
+func (l *gatLayer) backward(g *graph.Graph, dout *tensor.Matrix, inputGrad bool) *tensor.Matrix {
 	n := dout.Rows
 	dim := dout.Cols
 	dz := tensor.New(n, dim)
@@ -225,6 +228,10 @@ func (l *gatLayer) backward(g *graph.Graph, dout *tensor.Matrix) *tensor.Matrix 
 	}
 
 	// Through the linear map z = x·W.
+	if !inputGrad {
+		l.w.BackwardWeights(dz)
+		return nil
+	}
 	return l.w.Backward(dz)
 }
 

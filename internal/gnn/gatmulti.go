@@ -97,11 +97,13 @@ func (m *MultiHeadGAT) Backward(dlogits *tensor.Matrix) {
 		if li+1 < len(m.layers) {
 			d = eluBackward(d, m.raw[li])
 		}
-		d = m.layers[li].backward(m.g, d)
+		d = m.layers[li].backward(m.g, d, li > 0)
 	}
 }
 
-func (l *multiHeadLayer) backward(g *graph.Graph, dy *tensor.Matrix) *tensor.Matrix {
+// backward is gatLayer.backward over every head: without inputGrad the heads
+// stop at their parameter gradients and no per-head ∂L/∂x is summed.
+func (l *multiHeadLayer) backward(g *graph.Graph, dy *tensor.Matrix, inputGrad bool) *tensor.Matrix {
 	var dx *tensor.Matrix
 	for hi, head := range l.heads {
 		var dHead *tensor.Matrix
@@ -113,7 +115,10 @@ func (l *multiHeadLayer) backward(g *graph.Graph, dy *tensor.Matrix) *tensor.Mat
 		} else {
 			dHead = dy.Clone().Scale(1 / float64(len(l.heads)))
 		}
-		dIn := head.backward(g, dHead)
+		dIn := head.backward(g, dHead, inputGrad)
+		if !inputGrad {
+			continue
+		}
 		if dx == nil {
 			dx = dIn
 		} else {

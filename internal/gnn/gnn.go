@@ -135,6 +135,9 @@ type Model interface {
 	// caller that holds logits across a second Forward must Clone them.
 	Forward(x *tensor.Matrix) *tensor.Matrix
 	// Backward propagates ∂L/∂logits, accumulating parameter gradients.
+	// Input features are not parameters, so ∂L/∂X is never formed: the
+	// first layer's backward stops at its weight gradients, and a model on
+	// a distributed aggregator runs L−1 backward rounds to L forward ones.
 	Backward(dlogits *tensor.Matrix)
 	// Params exposes parameters for the optimizer.
 	Params() []nn.Param
@@ -152,7 +155,7 @@ type GCN struct {
 	// to each layer's input during training.
 	drops []*nn.Dropout
 	// aggOut and aggGrad are the retained per-layer aggregate outputs of
-	// the forward and backward pass (see aggregate).
+	// the forward and backward pass (see aggregate); aggGrad[0] stays nil.
 	aggOut, aggGrad []*tensor.Matrix
 }
 
@@ -192,12 +195,17 @@ func (m *GCN) Forward(x *tensor.Matrix) *tensor.Matrix {
 	return h
 }
 
-// Backward implements Model.
+// Backward implements Model: L−1 backward aggregate rounds, layer 0
+// stopping at its weight gradients.
 func (m *GCN) Backward(dlogits *tensor.Matrix) {
 	d := dlogits
 	for i := len(m.layers) - 1; i >= 0; i-- {
 		if i < len(m.acts) {
 			d = m.acts[i].Backward(d)
+		}
+		if i == 0 {
+			m.layers[0].BackwardWeights(d)
+			return
 		}
 		d = m.layers[i].Backward(d)
 		d = aggregate(m.Agg, &m.aggGrad[i], d, true)
@@ -286,12 +294,18 @@ func (m *SAGE) Forward(x *tensor.Matrix) *tensor.Matrix {
 	return h
 }
 
-// Backward implements Model.
+// Backward implements Model: as GCN's, layer 0 stops at its weight
+// gradients.
 func (m *SAGE) Backward(dlogits *tensor.Matrix) {
 	d := dlogits
 	for i := len(m.self) - 1; i >= 0; i-- {
 		if i < len(m.acts) {
 			d = m.acts[i].Backward(d)
+		}
+		if i == 0 {
+			m.self[0].BackwardWeights(d)
+			m.neigh[0].BackwardWeights(d)
+			return
 		}
 		dSelf := m.self[i].Backward(d)
 		dAgg := m.neigh[i].Backward(d)

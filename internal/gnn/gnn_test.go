@@ -3,6 +3,7 @@ package gnn
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"scgnn/internal/datasets"
@@ -86,6 +87,70 @@ func TestSAGEGradientCheck(t *testing.T) {
 	gradCheckModel(t, func(agg Aggregator, rng *rand.Rand) Model {
 		return NewSAGE(agg, []int{3, 5, 2}, rng)
 	})
+}
+
+// countingAgg is the exact aggregator with a tally of the rounds a model
+// asks it for, taken on the allocation-free path every runtime implements.
+type countingAgg struct {
+	*LocalAggregator
+	fwd, bwd int
+}
+
+func (a *countingAgg) AggregateInto(dst, h *tensor.Matrix, backward bool) error {
+	if backward {
+		a.bwd++
+	} else {
+		a.fwd++
+	}
+	return a.LocalAggregator.AggregateInto(dst, h, backward)
+}
+
+// TestEpochRounds: a training epoch of an L-layer model makes L forward and
+// L−1 backward aggregate rounds — the input features take no gradient, so
+// layer 0's backward ends at its weight gradients, and its Linear never
+// forms (or allocates) a dX.
+func TestEpochRounds(t *testing.T) {
+	d := datasets.PubMedSim(1)
+	for _, layers := range []int{2, 3} {
+		dims := []int{d.FeatureDim()}
+		for i := 1; i < layers; i++ {
+			dims = append(dims, 8)
+		}
+		dims = append(dims, d.NumClasses)
+		for name, build := range map[string]func(Aggregator) (Model, []*nn.Linear){
+			"gcn": func(a Aggregator) (Model, []*nn.Linear) {
+				m := NewGCN(a, dims, rand.New(rand.NewSource(1)))
+				return m, m.layers[:1]
+			},
+			"gcn+dropout": func(a Aggregator) (Model, []*nn.Linear) {
+				m := NewGCNWithDropout(a, dims, 0.3, 2, rand.New(rand.NewSource(1)))
+				return m, m.layers[:1]
+			},
+			"sage": func(a Aggregator) (Model, []*nn.Linear) {
+				m := NewSAGE(a, dims, rand.New(rand.NewSource(1)))
+				return m, []*nn.Linear{m.self[0], m.neigh[0]}
+			},
+		} {
+			agg := &countingAgg{LocalAggregator: NewLocalAggregator(d.Graph)}
+			m, first := build(agg)
+			trn := NewTrainer(m, d.Features, d.Labels, d.TrainMask, d.ValMask, d.TestMask, TrainConfig{Epochs: 3})
+			for epoch := 0; epoch < 3; epoch++ {
+				agg.fwd, agg.bwd = 0, 0
+				if _, err := trn.RunEpoch(); err != nil {
+					t.Fatal(err)
+				}
+				if agg.fwd != layers || agg.bwd != layers-1 {
+					t.Errorf("%s, %d layers, epoch %d: %d forward and %d backward rounds, want %d and %d",
+						name, layers, epoch, agg.fwd, agg.bwd, layers, layers-1)
+				}
+			}
+			for _, l := range first {
+				if !reflect.ValueOf(l).Elem().FieldByName("dx").IsNil() {
+					t.Errorf("%s, %d layers: a layer-0 Linear allocated its dX buffer", name, layers)
+				}
+			}
+		}
+	}
 }
 
 func gradCheckModel(t *testing.T, build func(Aggregator, *rand.Rand) Model) {

@@ -46,6 +46,20 @@ func TestNewFlatMatchesReference(t *testing.T) {
 	}
 }
 
+// TestNewMatchesReferenceAtScale: the same equality at the 100k scale
+// preset's size and mean degree, the graph core's TestPlanPipelineAtScale
+// plans on.
+func TestNewMatchesReferenceAtScale(t *testing.T) {
+	if testing.Short() {
+		t.Skip("100k-node constructors in -short mode")
+	}
+	const n = 100_000
+	edges := benchEdges(n, 32)
+	if !graphsEqual(NewUndirected(n, edges), NewUndirectedReference(n, edges)) {
+		t.Fatal("NewUndirected differs from NewUndirectedReference at 100k nodes")
+	}
+}
+
 // TestMakeOffsetsOverflowGuard: the int64 accumulation panics with a graph:
 // message at the int32 boundary — exercised with mocked per-node counts, not
 // a 2-billion-arc allocation. The reference constructor's int32 accumulation

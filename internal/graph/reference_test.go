@@ -2,12 +2,12 @@ package graph
 
 import "sort"
 
-// NewReference is the original per-node-slice CSR constructor, retained as
-// the behavioral reference for the flat count→prefix→fill path: it allocates
-// one adjacency slice per node and sorts each with a comparator closure,
-// which is O(N) slice headers of avoidable garbage and the dominant
+// NewReference is the original per-node-slice CSR constructor, kept in
+// test code as the behavioral reference for the flat count→prefix→fill path:
+// it allocates one adjacency slice per node and sorts each with a comparator
+// closure, which is O(N) slice headers of avoidable garbage and the dominant
 // constructor cost at scale. TestNewFlatMatchesReference and
-// TestPlanPipelineAtScale pin New to this output bit for bit, and the
+// TestNewMatchesReferenceAtScale pin New to this output bit for bit, and the
 // BenchmarkCSRConstruct pair quantifies the before/after B/op gap in
 // BENCH_scale.json. Note its offset accumulation is int32 and would wrap
 // silently past 2³¹ arcs — the bug the flat constructor guards against — so

@@ -90,12 +90,18 @@ func (m *SAGE) aggregateMean(l int, h *tensor.Matrix, upperN int) *tensor.Matrix
 	return out
 }
 
-// Backward propagates ∂L/∂logits, accumulating parameter gradients.
+// Backward propagates ∂L/∂logits, accumulating parameter gradients. Layer 0
+// stops at its weight gradients: the gathered features need none.
 func (m *SAGE) Backward(dlogits *tensor.Matrix) {
 	d := dlogits
 	for l := m.Layers() - 1; l >= 0; l-- {
 		if l < len(m.acts) {
 			d = m.acts[l].Backward(d)
+		}
+		if l == 0 {
+			m.self[0].BackwardWeights(d)
+			m.neigh[0].BackwardWeights(d)
+			return
 		}
 		dSelf := m.self[l].Backward(d)  // w.r.t. gathered self rows
 		dMean := m.neigh[l].Backward(d) // w.r.t. mean-aggregated rows

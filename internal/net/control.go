@@ -692,9 +692,7 @@ func decodeRemesh(p []byte) (Remesh, error) {
 // SchedSig carries one node's per-pair scheduler signals (the integer-exact
 // counters of the sched package's signal contract, flattened into parallel
 // nparts² vectors in pair-index order). The coordinator's request ships empty
-// vectors; the node's response fills them. Diagnostics-only floats are
-// deliberately not on the wire: the decision function may not read them, so
-// the protocol cannot carry them into a decision by accident.
+// vectors; the node's response fills them.
 type SchedSig struct {
 	Seq         uint64
 	Draws       []int64

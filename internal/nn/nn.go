@@ -60,22 +60,29 @@ func (l *Linear) Forward(x *tensor.Matrix) *tensor.Matrix {
 	return l.y
 }
 
-// Backward accumulates dW += Xᵀ·dY and db += Σ dY rows, and returns
-// dX = dY·Wᵀ. Must be called after Forward.
+// Backward accumulates the parameter gradients (BackwardWeights) and
+// returns dX = dY·Wᵀ. Must be called after Forward.
 //
-// The gradients accumulate straight into GW/GB and dX lands in a buffer
-// the layer retains, so the steady-state backward pass is allocation-free.
-// The returned matrix is valid until this layer's next Backward call;
-// callers that need it longer must copy it.
+// dX lands in a buffer the layer retains, so the steady-state backward pass
+// is allocation-free. The returned matrix is valid until this layer's next
+// Backward call; callers that need it longer must copy it.
 func (l *Linear) Backward(dy *tensor.Matrix) *tensor.Matrix {
+	l.BackwardWeights(dy)
+	l.dx = tensor.Retained(l.dx, dy.Rows, l.W.Rows)
+	tensor.MatMulABTInto(l.dx, dy, l.W)
+	return l.dx
+}
+
+// BackwardWeights is the backward step of a layer whose input needs no
+// gradient (a model's first layer: input features are not parameters). It
+// accumulates dW += Xᵀ·dY and db += Σ dY rows straight into GW/GB and
+// forms no dX. Must be called after Forward.
+func (l *Linear) BackwardWeights(dy *tensor.Matrix) {
 	if l.x == nil {
 		panic("nn: Linear.Backward before Forward")
 	}
 	tensor.MatMulATBInto(l.GW, l.x, dy)
 	dy.ColSumsInto(l.GB.Row(0))
-	l.dx = tensor.Retained(l.dx, dy.Rows, l.W.Rows)
-	tensor.MatMulABTInto(l.dx, dy, l.W)
-	return l.dx
 }
 
 // Params exposes the layer's parameters for the optimizer.

@@ -27,8 +27,7 @@
 //     forward and backward directions of a pair live on different nodes but
 //     use disjoint round-keyed units, so these also merge by summation.
 //
-// Float-valued diagnostics (EF residual norms, last adaptive width) ride
-// along in Signals for reporting; Decide ignores them.
+// Signals holds these counters and nothing else.
 package sched
 
 import (
@@ -129,9 +128,8 @@ func (p Policy) WithDefaults() Policy {
 }
 
 // Signals is one ordered pair's scheduler-visible state, captured at an
-// epoch boundary. The integer counters are the decision inputs (see the
-// package comment for the exactness contract); the trailing fields are
-// reporting-only diagnostics.
+// epoch boundary: integer counters, the decision inputs (see the package
+// comment for the exactness contract).
 type Signals struct {
 	// Draws counts sampler coins consumed since the pair's stream was last
 	// (re)seeded.
@@ -143,27 +141,16 @@ type Signals struct {
 	// values corrected.
 	EFUnits     int64
 	EFCorrected int64
-
-	// ResidualNorm and LastBits are diagnostics; Decide ignores them.
-	ResidualNorm float64
-	LastBits     int
 }
 
-// Merge folds o's counters into s: integers sum (each replica holds its
-// disjoint share or an exact replica-reported zero), diagnostics take the
-// maximum so a fleet report surfaces the hottest replica.
+// Merge folds o's counters into s: they sum (each replica holds its
+// disjoint share or an exact replica-reported zero).
 func (s Signals) Merge(o Signals) Signals {
 	s.Draws += o.Draws
 	s.BitsSum += o.BitsSum
 	s.BitsCalls += o.BitsCalls
 	s.EFUnits += o.EFUnits
 	s.EFCorrected += o.EFCorrected
-	if o.ResidualNorm > s.ResidualNorm {
-		s.ResidualNorm = o.ResidualNorm
-	}
-	if o.LastBits > s.LastBits {
-		s.LastBits = o.LastBits
-	}
 	return s
 }
 
@@ -174,8 +161,7 @@ func (s Signals) Merge(o Signals) Signals {
 // by exactly one node and non-encoders hold zeros. Draws is the exception —
 // every replica ghost-advances every pair's sampler, so all nodes report the
 // identical total and summing would multiply it by nparts; the merge takes
-// pair (s,t)'s Draws from node s, its forward encoder. Diagnostics keep
-// Merge's max semantics.
+// pair (s,t)'s Draws from node s, its forward encoder.
 func MergeNodeSignals(nparts int, perNode [][]Signals) []Signals {
 	if len(perNode) != nparts {
 		panic(fmt.Sprintf("sched: %d node snapshots for %d parts", len(perNode), nparts))

@@ -292,10 +292,10 @@ func TestDecideMismatchedSignalsPanics(t *testing.T) {
 }
 
 func TestSignalsMerge(t *testing.T) {
-	a := Signals{Draws: 1, BitsSum: 2, BitsCalls: 3, EFUnits: 4, EFCorrected: 5, ResidualNorm: 0.5, LastBits: 4}
-	b := Signals{Draws: 10, BitsSum: 20, BitsCalls: 30, EFUnits: 40, EFCorrected: 50, ResidualNorm: 0.25, LastBits: 8}
+	a := Signals{Draws: 1, BitsSum: 2, BitsCalls: 3, EFUnits: 4, EFCorrected: 5}
+	b := Signals{Draws: 10, BitsSum: 20, BitsCalls: 30, EFUnits: 40, EFCorrected: 50}
 	m := a.Merge(b)
-	want := Signals{Draws: 11, BitsSum: 22, BitsCalls: 33, EFUnits: 44, EFCorrected: 55, ResidualNorm: 0.5, LastBits: 8}
+	want := Signals{Draws: 11, BitsSum: 22, BitsCalls: 33, EFUnits: 44, EFCorrected: 55}
 	if m != want {
 		t.Fatalf("merge %+v, want %+v", m, want)
 	}
@@ -304,29 +304,29 @@ func TestSignalsMerge(t *testing.T) {
 // TestMergeNodeSignals pins the fleet-merge semantics: Draws comes from the
 // forward-encoder node only (ghost-advance replicates it everywhere, so
 // summing would multiply by nparts), while the encoder counters sum across
-// nodes and the diagnostics take the hottest replica.
+// nodes.
 func TestMergeNodeSignals(t *testing.T) {
 	const nparts = 2
 	// Every node reports the same Draws per pair (the ghost-advance
 	// invariant); the other counters are disjoint per node.
 	node0 := []Signals{
-		{Draws: 100, BitsSum: 6, BitsCalls: 1, ResidualNorm: 0.5},
+		{Draws: 100, BitsSum: 6, BitsCalls: 1},
 		{Draws: 200, EFUnits: 4, EFCorrected: 8},
 		{Draws: 300},
-		{Draws: 400, LastBits: 4},
+		{Draws: 400, BitsSum: 4, BitsCalls: 1},
 	}
 	node1 := []Signals{
 		{Draws: 100},
-		{Draws: 200, ResidualNorm: 0.75},
+		{Draws: 200, EFUnits: 1, EFCorrected: 2},
 		{Draws: 300, BitsSum: 16, BitsCalls: 2},
-		{Draws: 400, EFUnits: 3, EFCorrected: 9, LastBits: 8},
+		{Draws: 400, EFUnits: 3, EFCorrected: 9, BitsSum: 8, BitsCalls: 1},
 	}
 	got := MergeNodeSignals(nparts, [][]Signals{node0, node1})
 	want := []Signals{
-		{Draws: 100, BitsSum: 6, BitsCalls: 1, ResidualNorm: 0.5},
-		{Draws: 200, EFUnits: 4, EFCorrected: 8, ResidualNorm: 0.75},
+		{Draws: 100, BitsSum: 6, BitsCalls: 1},
+		{Draws: 200, EFUnits: 5, EFCorrected: 10},
 		{Draws: 300, BitsSum: 16, BitsCalls: 2},
-		{Draws: 400, EFUnits: 3, EFCorrected: 9, LastBits: 8},
+		{Draws: 400, EFUnits: 3, EFCorrected: 9, BitsSum: 12, BitsCalls: 2},
 	}
 	for i := range want {
 		if got[i] != want[i] {
