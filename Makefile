@@ -98,7 +98,8 @@ loc:
 	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' -print0 | xargs -0 cat | wc -l
 
 # Coverage-guided fuzzing of the wire decoders, the codec kernels (vector and
-# Go paths against the per-value reference) and the arc-bucket differ
+# Go paths against the per-value reference), the error-feedback store (flat
+# slabs against the map oracle) and the arc-bucket differ
 # (go test -fuzz accepts one target per invocation). FUZZTIME=10m for a soak;
 # the checked-in seed corpora under */testdata/fuzz/ are the starting point
 # either way.
@@ -107,6 +108,7 @@ fuzz:
 	$(GO) test ./internal/wire/ -run '^$$' -fuzz '^FuzzDecoder$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/wire/ -run '^$$' -fuzz '^FuzzBatchRoundtrip$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/wire/ -run '^$$' -fuzz '^FuzzGridKernels$$' -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/compress/ -run '^$$' -fuzz '^FuzzErrorFeedback$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/graph/ -run '^$$' -fuzz '^FuzzDiffDBGs$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/net/ -run '^$$' -fuzz '^FuzzFrameDecoder$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/net/ -run '^$$' -fuzz '^FuzzFrameStream$$' -fuzztime=$(FUZZTIME)
@@ -151,14 +153,18 @@ verify: build vet one-sink test race test-net cover fuzz-smoke
 # BenchmarkEpoch* either side of the models dropping layer 0's backward round
 # (same method; BENCH_dense.json carries BenchmarkDenseEpoch under the same
 # two keys). BenchmarkEpoch* — one dist.Run epoch per exchange, construction
-# included — ride this lane.
+# included — ride this lane, and so does BenchmarkErrorFeedback (the residual
+# store's Pre+PostCompress over 70k units, ns/val): "ef-flat-before" /
+# "ef-flat" hold it, BenchmarkClusterRoundQuantEFInto and BenchmarkEpoch*
+# either side of the residual map becoming one flat slab per (pair, round
+# slot) (alternating prebuilt test binaries, every line kept).
 # The planning-pipeline benchmarks (one-sweep DBG extraction + concurrent plan
 # builds + EEP sweep, plus the 100k-preset dirty-fraction replan sweep
 # BenchmarkReplan100K*) refresh BENCH_plan.json the same way. The scheduler-overhead rows (per-boundary merge+decide cost
 # across pair counts) land in BENCH_plan.json under "sched".
 bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkClusterRound|BenchmarkEngineExchange|BenchmarkEncodeQuantized|BenchmarkDecoderAXPY|BenchmarkEpoch' \
-		-benchmem -cpu 1,2 . ./internal/worker/ ./internal/wire/ \
+	$(GO) test -run '^$$' -bench 'BenchmarkClusterRound|BenchmarkEngineExchange|BenchmarkEncodeQuantized|BenchmarkDecoderAXPY|BenchmarkEpoch|BenchmarkErrorFeedback' \
+		-benchmem -cpu 1,2 . ./internal/worker/ ./internal/wire/ ./internal/compress/ \
 		| $(GO) run ./cmd/scgnn-benchjson -o BENCH_worker.json -key after
 	$(GO) test -run '^$$' -bench 'BenchmarkAllDBGs|BenchmarkPlanPipeline|BenchmarkReplan' -benchmem . \
 		| $(GO) run ./cmd/scgnn-benchjson -o BENCH_plan.json -key after

@@ -1,6 +1,7 @@
 package compress
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -56,6 +57,43 @@ func TestErrorFeedbackReset(t *testing.T) {
 	}
 }
 
+// TestErrorFeedbackSlabs: with a declared unit count a slot's slab is sized
+// for every unit at its first residual, whichever unit that is, and Reset
+// keeps it — a round after a Reset, at the same width or a narrower one,
+// allocates nothing. Without a declared count the slab grows by doubling.
+func TestErrorFeedbackSlabs(t *testing.T) {
+	const units = 300
+	ef := NewErrorFeedback()
+	ef.SetUnits(units)
+	payload := make([]float64, 16)
+	ef.PostCompress(RoundUnitKey(0, 7), payload, payload)
+	if s := ef.slots[0]; len(s.res) != units*16 || len(s.has) != (units+63)/64 {
+		t.Fatalf("first residual sized the slab at %d values, %d bitset words", len(s.res), len(s.has))
+	}
+	round := func(width int) {
+		for r := 0; r < 3; r++ {
+			for u := int64(units - 1); u >= 0; u-- {
+				k := RoundUnitKey(r, u)
+				ef.PreCompress(k, payload[:width])
+				ef.PostCompress(k, payload[:width], payload[:width])
+			}
+		}
+	}
+	round(16)
+	for _, width := range []int{16, 8, 16} {
+		if allocs := testing.AllocsPerRun(3, func() { ef.Reset(); round(width) }); allocs != 0 {
+			t.Fatalf("a round at width %d after a Reset allocates %v times", width, allocs)
+		}
+	}
+	grown := NewErrorFeedback()
+	for u, want := range []int{1, 5, 10, 20, 20} {
+		grown.PostCompress(RoundUnitKey(0, int64(4*u)), payload[:4], payload[:4])
+		if got := len(grown.slots[0].res); got != want*4 {
+			t.Fatalf("after unit %d the undeclared slab holds %d values, want %d", 4*u, got, want*4)
+		}
+	}
+}
+
 // TestErrorFeedbackUnbiasedOverTime: quantize a constant payload at very low
 // precision with EF; the *time average* of what was sent must converge to
 // the true value even though each round's message is coarsely quantized.
@@ -84,5 +122,40 @@ func TestErrorFeedbackUnbiasedOverTime(t *testing.T) {
 		if d := mean - truth[i]; d > 0.02 || d < -0.02 {
 			t.Fatalf("time-averaged value %v drifted from truth %v", mean, truth[i])
 		}
+	}
+}
+
+// BenchmarkErrorFeedback is the residual store's steady-state cost per value:
+// PreCompress then PostCompress for every unit of a 70k-unit round slot (the
+// candidate count of sched-q8ef-10k's pairs, summed), once each unit holds a
+// residual. Row of `make bench`, beside the QuantEF round it sits inside.
+func BenchmarkErrorFeedback(b *testing.B) {
+	const units = 70000
+	for _, width := range []int{16, 32} {
+		b.Run(fmt.Sprintf("width%d", width), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			payloads := make([]float64, units*width)
+			for i := range payloads {
+				payloads[i] = rng.NormFloat64()
+			}
+			scratch := make([]float64, width)
+			ef := NewErrorFeedback()
+			pass := func() {
+				for u := 0; u < units; u++ {
+					k, p := RoundUnitKey(0, int64(u)), payloads[u*width:(u+1)*width]
+					copy(scratch, p)
+					ef.PreCompress(k, scratch)
+					// Residual against the raw payload: it stays bounded.
+					ef.PostCompress(k, scratch, p)
+				}
+			}
+			pass()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				pass()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(units*width), "ns/val")
+		})
 	}
 }

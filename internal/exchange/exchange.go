@@ -44,7 +44,7 @@ func New(g *graph.Graph, part []int, nparts int, cfg Config) *Core {
 	}
 	c := &Core{}
 	c.Topology.init(g, part, nparts, cfg.Semantic, plan)
-	c.Streams.init(nparts, cfg.BaseSetting(), cfg.Seed, cfg.Sched)
+	c.Streams.init(nparts, cfg.BaseSetting(), cfg.Seed, cfg.Sched, c.Candidates)
 	return c
 }
 

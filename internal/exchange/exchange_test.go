@@ -2,9 +2,11 @@ package exchange
 
 import (
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
+	"scgnn/internal/compress"
 	"scgnn/internal/core"
 	"scgnn/internal/datasets"
 	"scgnn/internal/graph"
@@ -85,8 +87,9 @@ func TestWalkOrderContract(t *testing.T) {
 					want = append(want, Unit{Group: -1, Sender: e.U, Receiver: e.V})
 				}
 			}
-			if len(fwd) != len(want) || len(bwd) != len(want) {
-				t.Fatalf("pair %d: %d forward / %d backward units, want %d", idx, len(fwd), len(bwd), len(want))
+			if len(fwd) != len(want) || len(bwd) != len(want) || c.Candidates(idx) != len(want) {
+				t.Fatalf("pair %d: %d forward / %d backward units, %d candidates, want %d",
+					idx, len(fwd), len(bwd), c.Candidates(idx), len(want))
 			}
 			for i, w := range want {
 				w.Index, w.Scale = int64(i), 1
@@ -344,6 +347,87 @@ func TestStateRestore(t *testing.T) {
 	if err := plain.Restore(make([]PairStreamState, nparts*nparts), nil); err == nil {
 		t.Fatal("pair streams accepted by a stateless core")
 	}
+}
+
+// TestReseedKeepsResidualSlabs: a pair moving between the q4+EF and q8+EF
+// rungs keeps its error-feedback store, which comes back empty, and once its
+// slabs are warm the move allocates nothing — the re-seed nor the round after
+// it. The rung is installed on the scheduler and the pairs re-seeded, which
+// is SetLevels without the changed-pair list it returns.
+func TestReseedKeepsResidualSlabs(t *testing.T) {
+	g, part := setup(t)
+	c := New(g, part, nparts, Config{QuantBits: 8, ErrorFeedback: true, Seed: 3, Sched: sched.Policy{Enabled: true}})
+	const q4ef, q8ef = 2, 3
+	if l := c.sched.Ladder(); l[q4ef] != (sched.Setting{QuantBits: 4, EF: true}) || l[q8ef] != (sched.Setting{QuantBits: 8, EF: true}) {
+		t.Fatalf("ladder %+v", l)
+	}
+	rung := func(lv int) []int {
+		levels := make([]int, nparts*nparts)
+		for i := range levels {
+			levels[i] = lv
+		}
+		return levels
+	}
+	payload, sent := make([]float64, 8), make([]float64, 8)
+	sent[0] = 1
+	encode := func() {
+		for idx := range c.Pairs {
+			ef := c.Pairs[idx].EF
+			for r := 0; ef != nil && r < 3; r++ {
+				c.Walk(idx, r == 2, func(u Unit) {
+					k := compress.RoundUnitKey(r, u.Index)
+					ef.PreCompress(k, payload)
+					ef.PostCompress(k, payload, sent)
+				})
+			}
+		}
+	}
+	if err := c.SetLevels(rung(q4ef)); err != nil {
+		t.Fatal(err)
+	}
+	encode()
+	stores := make([]*compress.ErrorFeedback, len(c.Pairs))
+	for idx := range c.Pairs {
+		stores[idx] = c.Pairs[idx].EF
+	}
+	for _, lv := range []int{q8ef, q4ef, q8ef} {
+		if _, err := c.sched.SetLevels(rung(lv)); err != nil {
+			t.Fatal(err)
+		}
+		if n := mallocs(func() {
+			for idx := range c.Pairs {
+				c.Reseed(idx)
+			}
+			encode()
+			encode()
+		}); n != 0 {
+			t.Fatalf("re-seeding warm pairs to rung %d and encoding two epochs allocates %d times", lv, n)
+		}
+		for idx := range c.Pairs {
+			ef := c.Pairs[idx].EF
+			if ef != stores[idx] {
+				t.Fatalf("pair %d at rung %d: store %p, was %p", idx, lv, ef, stores[idx])
+			}
+			// Three slots of every candidate; the second epoch corrects each.
+			if units := 3 * c.Candidates(idx); ef != nil && (ef.Units() != units || ef.Corrected != int64(units*len(payload))) {
+				t.Fatalf("pair %d: %d units, %d corrected, want %d units", idx, ef.Units(), ef.Corrected, units)
+			}
+		}
+	}
+	c.Reseed(1)
+	if ef := c.Pairs[1].EF; ef.Units() != 0 || ef.Corrected != 0 {
+		t.Fatalf("re-seeded store keeps %d units, %d corrected", ef.Units(), ef.Corrected)
+	}
+}
+
+// mallocs counts the heap allocations f makes on one P.
+func mallocs(f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
 }
 
 // TestRepartition: a perturbed partition dirties some pairs and not others;

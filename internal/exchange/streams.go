@@ -34,10 +34,15 @@ type Streams struct {
 	base   sched.Setting
 	seed   int64
 	sched  *sched.Scheduler
+	// efs[idx] is pair idx's error-feedback store, kept across Reseed once
+	// created; units is Core.Candidates, which sizes and bounds it.
+	efs   []*compress.ErrorFeedback
+	units func(idx int) int
 }
 
-func (s *Streams) init(nparts int, base sched.Setting, seed int64, policy sched.Policy) {
-	*s = Streams{Pairs: make([]PairState, nparts*nparts), nparts: nparts, base: base, seed: seed}
+func (s *Streams) init(nparts int, base sched.Setting, seed int64, policy sched.Policy, units func(idx int) int) {
+	*s = Streams{Pairs: make([]PairState, nparts*nparts), nparts: nparts, base: base, seed: seed,
+		efs: make([]*compress.ErrorFeedback, nparts*nparts), units: units}
 	if policy.Enabled {
 		s.sched = sched.New(policy, base, seed, nparts*nparts)
 	}
@@ -57,7 +62,8 @@ func (s *Streams) Setting(idx int) sched.Setting {
 
 // Reseed (re)creates pair idx's state from scratch under its current setting:
 // the sampler restarts its DeriveSeed(seed, idx) stream at the beginning, the
-// adaptive quantizer and error-feedback store drop their history. Used at
+// adaptive quantizer and error-feedback store drop their history (the store
+// keeps its slabs, re-bounded by the pair's candidate count). Used at
 // construction, for the dirty pairs of a Repartition, and whenever a pair
 // changes rung — a re-seeded pair behaves exactly like the same pair in a
 // freshly built runtime, which is what keeps reconfigured runtimes equal.
@@ -85,7 +91,12 @@ func (s *Streams) Reseed(idx int) {
 			ps.Adaptive = compress.NewAdaptiveQuantizer(min(2, st.QuantBits), st.QuantBits, 0)
 		}
 		if st.EF {
-			ps.EF = compress.NewErrorFeedback()
+			if s.efs[idx] == nil {
+				s.efs[idx] = compress.NewErrorFeedback()
+			}
+			ps.EF = s.efs[idx]
+			ps.EF.Reset()
+			ps.EF.SetUnits(s.units(idx))
 		}
 	}
 }
@@ -211,7 +222,8 @@ func (s *Streams) State() (pairs []PairStreamState, levels []int32) {
 // first (each pair's gates derive from its rung), then every pair is re-seeded
 // and fast-forwarded to its saved position. The streams must have been built
 // under the configuration the state was captured under; a shape mismatch is
-// an error.
+// an error, as is a residual map the pair's store cannot hold
+// (compress.ErrBadResiduals). On error nothing changes.
 func (s *Streams) Restore(pairs []PairStreamState, levels []int32) error {
 	want := 0
 	if s.stateful() {
@@ -219,6 +231,11 @@ func (s *Streams) Restore(pairs []PairStreamState, levels []int32) error {
 	}
 	if len(pairs) != want {
 		return fmt.Errorf("exchange: state has %d pair streams, runtime has %d (method config mismatch)", len(pairs), want)
+	}
+	for i := range pairs {
+		if err := compress.CheckResiduals(pairs[i].EF, s.units(i)); err != nil {
+			return fmt.Errorf("exchange: state pair %d: %w", i, err)
+		}
 	}
 	if s.sched != nil {
 		lv := make([]int, len(levels))

@@ -95,6 +95,18 @@ func (c *Core) Walk(idx int, backward bool, sink func(Unit)) {
 	}
 }
 
+// Candidates returns how many candidate units Walk enumerates for pair idx
+// per round, the bound of Unit.Index: its cross arcs, or its plan's vectors.
+func (c *Core) Candidates(idx int) int {
+	if !c.Semantic() {
+		return len(c.CrossOut[idx])
+	}
+	if plan := c.PairPlans[idx]; plan != nil {
+		return plan.VectorsPerRound()
+	}
+	return 0
+}
+
 // GhostAdvance replays the coin consumption of every pair some other replica
 // encoded this round — pair (s,t) is encoded by s forward and by t backward —
 // so this replica's streams end the round where the encoder's did.

@@ -279,12 +279,14 @@ func TestCodecDigests(t *testing.T) {
 	aq := compress.NewAdaptiveQuantizer(2, 8, 0)
 	ef := compress.NewErrorFeedback()
 	efRound := func(b *Batch) {
+		// The payloads differ in width, so each gets its own round slot.
 		for k, m := range msgs {
+			key := compress.RoundUnitKey(k, 0)
 			payload := append([]float64(nil), m.Payload...)
-			ef.PreCompress(int64(k), payload)
+			ef.PreCompress(key, payload)
 			sent := make([]float64, len(payload))
 			b.AddQuantizedRoundtrip(&Message{Kind: m.Kind, SrcPart: m.SrcPart, Target: m.Target, Payload: payload}, 8, sent)
-			ef.PostCompress(int64(k), payload, sent)
+			ef.PostCompress(key, payload, sent)
 		}
 	}
 	for _, codec := range []struct {

@@ -2,10 +2,14 @@ package worker
 
 import (
 	"crypto/sha256"
+	"errors"
 	"fmt"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
+	"scgnn/internal/compress"
 	"scgnn/internal/exchange"
 	"scgnn/internal/partition"
 	"scgnn/internal/persist"
@@ -309,6 +313,47 @@ func TestPeerRestoreRejectsMismatch(t *testing.T) {
 	}
 	if _, err := NewPeer(d.Graph, part, 3, 7, exchange.Config{}); err == nil {
 		t.Fatal("out-of-range peer id accepted")
+	}
+
+	// Residuals a pair's store cannot hold are refused, typed, and change
+	// nothing. Pair 1 (0→1) is the one peer 0 encodes first.
+	ef, err := NewPeer(d.Graph, part, 3, 0, exchange.Config{QuantBits: 4, ErrorFeedback: true, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := int64(ef.core.Candidates(1))
+	for name, res := range map[string]map[int64][]float64{
+		"negative unit":      {compress.RoundUnitKey(0, -1): make([]float64, 5)},
+		"unit past the pair": {compress.RoundUnitKey(0, n-1): make([]float64, 5), compress.RoundUnitKey(0, n): make([]float64, 5)},
+		"mixed widths":       {compress.RoundUnitKey(0, 0): make([]float64, 5), compress.RoundUnitKey(0, 1): make([]float64, 4)},
+	} {
+		st := ef.State()
+		st.Pairs[1].EF = res
+		if err := ef.Restore(st); !errors.Is(err, compress.ErrBadResiduals) {
+			t.Fatalf("%s: Restore returned %v, want compress.ErrBadResiduals", name, err)
+		}
+		if got := ef.State(); !reflect.DeepEqual(got.Pairs[1], PairStreamState{EF: map[int64][]float64{}}) {
+			t.Fatalf("%s: refused restore left pair 1 at %+v", name, got.Pairs[1])
+		}
+	}
+	// Residuals of one width that is not the round's restore, then poison the
+	// peer at the first round that meets them instead of panicking in it.
+	st := ef.State()
+	st.Pairs[1].EF = map[int64][]float64{compress.RoundUnitKey(0, 0): make([]float64, 4)}
+	if err := ef.Restore(st); err != nil {
+		t.Fatal(err)
+	}
+	h, out := randMat(d.NumNodes(), 5, 1), tensor.New(d.NumNodes(), 5)
+	send := func(int, []byte) error { return errors.New("frame sent past the width check") }
+	recv := func() ([]byte, error) { return nil, errors.New("receive past the width check") }
+	ef.StartEpoch(0)
+	first := ef.Round(h, out, false, send, recv)
+	if first == nil || !strings.Contains(first.Error(), "4 wide, the round is 5") {
+		t.Fatalf("round over 4-wide residuals at width 5: %v", first)
+	}
+	ef.StartEpoch(1)
+	if err := ef.Round(h, out, false, send, recv); err != first {
+		t.Fatalf("poisoned peer's next round returned %v, want %v", err, first)
 	}
 }
 

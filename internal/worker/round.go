@@ -77,7 +77,6 @@ type workerScratch struct {
 	msg     wire.Message // reused header struct for encoding
 	payload []float64    // outgoing payload / group-fuse accumulator
 	dec     []float64    // inbound group payload staging
-	efTrue  []float64    // error feedback: residual-corrected true values
 	efSent  []float64    // error feedback: receiver-reconstructed values
 }
 
@@ -85,7 +84,6 @@ func (ws *workerScratch) ensure(dim int) {
 	if cap(ws.payload) < dim {
 		ws.payload = make([]float64, dim)
 		ws.dec = make([]float64, dim)
-		ws.efTrue = make([]float64, dim)
 		ws.efSent = make([]float64, dim)
 	}
 }
@@ -184,12 +182,13 @@ func (x *exchanger) Repartition(part []int) ([]int, error) {
 	return dirty, nil
 }
 
-// beginRound validates the round's matrices, zeroes out, and resolves where
-// remote contributions accumulate: out itself normally; under delayed
-// transmission the round slot's retained matrix — replayed as cached when the
-// epoch does not transmit and the slot is filled (replay: no exchange, zero
-// traffic), else rewritten by a fresh exchange; a forced-fresh eval pass
-// bypasses the slots in both directions. The decision is a pure function of
+// beginRound validates the round's matrices (error-feedback residuals
+// restored at another width than the round's poison the runtime), zeroes
+// out, and resolves where remote contributions accumulate: out itself
+// normally; under delayed transmission the round slot's retained matrix —
+// replayed as cached when the epoch does not transmit and the slot is filled
+// (replay: no exchange, zero traffic), else rewritten by a fresh exchange; a
+// forced-fresh eval pass bypasses the slots in both directions. The decision is a pure function of
 // (epoch, round, slot marks), so every worker and every replica agrees on
 // the round shape.
 func (x *exchanger) beginRound(out, h *tensor.Matrix) (target *tensor.Matrix, replay bool, err error) {
@@ -199,6 +198,14 @@ func (x *exchanger) beginRound(out, h *tensor.Matrix) (target *tensor.Matrix, re
 	if n := x.core.G.NumNodes(); h.Rows != n || out.Rows != n || out.Cols != h.Cols {
 		return nil, false, fmt.Errorf("worker: round shapes h (%d,%d) out (%d,%d), want %d rows each and equal cols",
 			h.Rows, h.Cols, out.Rows, out.Cols, n)
+	}
+	for idx := range x.core.Pairs {
+		if ef := x.core.Pairs[idx].EF; ef != nil {
+			if w, ok := ef.Width(x.round); ok && w != h.Cols {
+				x.err = fmt.Errorf("worker: pair %d round %d: error-feedback residuals are %d wide, the round is %d", idx, x.round, w, h.Cols)
+				return nil, false, x.err
+			}
+		}
 	}
 	out.Zero()
 	delayOn := x.delayPeriod > 1 && !x.freshEval
@@ -429,8 +436,6 @@ func (x *exchanger) addMsg(ws *workerScratch, batch *wire.Batch, ps *exchange.Pa
 	default:
 		key := compress.RoundUnitKey(x.round, unit)
 		ps.EF.PreCompress(key, m.Payload)
-		trueVals := append(ws.efTrue[:0], m.Payload...)
-		ws.efTrue = trueVals
 		sent := ws.efSent[:len(m.Payload)]
 		if ps.Adaptive != nil {
 			// Width is chosen on the residual-corrected payload, the values
@@ -439,7 +444,9 @@ func (x *exchanger) addMsg(ws *workerScratch, batch *wire.Batch, ps *exchange.Pa
 		} else {
 			batch.AddQuantizedRoundtrip(m, ps.Bits, sent)
 		}
-		ps.EF.PostCompress(key, trueVals, sent)
+		// The encode leaves the payload as it was: the residual-corrected
+		// values, which is what the residual is taken against.
+		ps.EF.PostCompress(key, m.Payload, sent)
 	}
 }
 

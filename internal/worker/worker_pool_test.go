@@ -39,6 +39,8 @@ func TestClusterSteadyStateAllocs(t *testing.T) {
 		{"quant8", exchange.Config{QuantBits: 8}},
 		{"quant4", exchange.Config{QuantBits: 4}},
 		{"quant8+ef", exchange.Config{QuantBits: 8, ErrorFeedback: true}},
+		{"quant4+ef", exchange.Config{QuantBits: 4, ErrorFeedback: true}},
+		{"semantic+quant+ef", exchange.Config{Semantic: true, Plan: plan, QuantBits: 4, ErrorFeedback: true}},
 		{"sampling", exchange.Config{SampleRate: 0.5, Seed: 7}},
 		{"nsampling", exchange.Config{SampleRate: 0.5, SampleNodes: true, Seed: 7}},
 		{"aquant", exchange.Config{QuantBits: 8, AdaptiveQuant: true}},
