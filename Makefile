@@ -57,11 +57,13 @@ race:
 # binaries, checkpointing each boundary. Every connection keeps its frame
 # buffers between frames, and a mesh link's are filled by its reader
 # goroutine while the round loop decodes what it queued: the tests that pin
-# who owns those bytes, and the allocation gate over them, run five times
-# over under the detector.
+# who owns those bytes, the allocation gate over them, and the footprint test
+# that holds a node to its shard (shard-row round matrices, plans without
+# their DBGs, no Setup-sized connection buffer) run five times over under the
+# detector.
 test-net:
 	$(GO) test -race ./internal/net/...
-	$(GO) test -race -count=5 -run 'TestFleetSteadyStateAllocs|TestRetainedReader|TestMeshBatchOwnsData|TestAggregateIntoAndRoundAlternate' ./internal/net/
+	$(GO) test -race -count=5 -run 'TestFleetSteadyStateAllocs|TestRetainedReader|TestMeshBatchOwnsData|TestAggregateIntoAndRoundAlternate|TestFleetHoldsShards' ./internal/net/
 	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT INT TERM && \
 	$(GO) build -o "$$dir/" ./cmd/scgnn-node ./cmd/scgnn-coord && \
 	"$$dir/scgnn-coord" -node-bin "$$dir/scgnn-node" \
@@ -178,7 +180,10 @@ bench:
 # under "round", preserving the other keys.
 # BenchmarkCoordinatorRound is the same round through a four-node unix-socket
 # fleet (semantic and vanilla, widths 32 and 16); the "hub-before" / "hub"
-# keys hold its rows either side of the retained framed connections.
+# keys hold its rows either side of the retained framed connections, and
+# "shard-rows-before" / "shard-rows" this lane's rows either side of the
+# fleet node moving onto its shard's rows (alternating prebuilt test
+# binaries, every line kept).
 # The alloc ceiling itself is gated by tests that ride `make verify`
 # (TestKernelAllocs, TestClusterSteadyStateAllocs, TestFleetSteadyStateAllocs),
 # not by this lane.

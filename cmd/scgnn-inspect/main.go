@@ -73,10 +73,10 @@ func main() {
 	var totVec, totEdge int
 	for _, p := range plans {
 		pt.AddRow(fmt.Sprintf("%d→%d", p.SrcPart, p.DstPart),
-			len(p.Groups), len(p.O2O), p.Grouping.DBG.NumEdges(),
+			len(p.Groups), len(p.O2O), p.Grouping.NumEdges,
 			p.VectorsPerRound(), p.CompressionRatio())
 		totVec += p.VectorsPerRound()
-		totEdge += p.Grouping.DBG.NumEdges()
+		totEdge += p.Grouping.NumEdges
 	}
 	pt.Render(os.Stdout)
 	if totVec > 0 {
@@ -87,7 +87,7 @@ func main() {
 	// Grouping detail of the busiest pair.
 	var busiest *core.PairPlan
 	for _, p := range plans {
-		if busiest == nil || p.Grouping.DBG.NumEdges() > busiest.Grouping.DBG.NumEdges() {
+		if busiest == nil || p.Grouping.NumEdges > busiest.Grouping.NumEdges {
 			busiest = p
 		}
 	}

@@ -60,7 +60,7 @@ func main() {
 		var edges, vectors, dropped int
 		for _, p := range plans {
 			fmt.Println(" ", p)
-			edges += p.Grouping.DBG.NumEdges()
+			edges += p.Grouping.NumEdges
 			vectors += p.VectorsPerRound()
 			dropped += p.DroppedEdges
 		}

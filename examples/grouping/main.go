@@ -39,7 +39,7 @@ func main() {
 
 	report := func(label string, plans []*scgnn.Plan) (edges, vectors int) {
 		for _, p := range plans {
-			edges += p.Grouping.DBG.NumEdges()
+			edges += p.Grouping.NumEdges
 			vectors += p.VectorsPerRound()
 		}
 		fmt.Printf("%-9s grouping: %5d cross edges → %4d messages/round (%.1fx)\n",
@@ -52,7 +52,7 @@ func main() {
 	// Inspect the busiest pair's grouping in detail.
 	var busiest *scgnn.Plan
 	for _, p := range semPlans {
-		if busiest == nil || p.Grouping.DBG.NumEdges() > busiest.Grouping.DBG.NumEdges() {
+		if busiest == nil || p.Grouping.NumEdges > busiest.Grouping.NumEdges {
 			busiest = p
 		}
 	}

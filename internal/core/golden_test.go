@@ -40,7 +40,7 @@ func goldenSnapshot(t *testing.T) string {
 		h.Write(MarshalPlans([]*PairPlan{p}))
 		fmt.Fprintf(&b, "pair %d->%d k=%d groups=%d o2o=%d edges=%d dropped=%d inertia=%s fnv=%016x\n",
 			p.SrcPart, p.DstPart, p.Grouping.K, len(p.Groups), len(p.O2O),
-			p.Grouping.DBG.NumEdges(), p.DroppedEdges, hexFloat(p.Grouping.Inertia), h.Sum64())
+			p.Grouping.NumEdges, p.DroppedEdges, hexFloat(p.Grouping.Inertia), h.Sum64())
 	}
 	h := fnv.New64a()
 	h.Write(MarshalPlans(plans))

@@ -67,9 +67,13 @@ type O2OEdge struct {
 
 // Grouping is the static compression structure computed for one DBG before
 // training starts: the semantic groups (from M2M clustering plus the natural
-// O2M/M2O full maps) and the residual O2O edges.
+// O2M/M2O full maps) and the residual O2O edges. It keeps the DBG's three
+// counts, not the DBG: once the groups exist nothing reads the adjacency, and
+// every replica of a fleet holds every pair's plan.
 type Grouping struct {
-	DBG *graph.DBG
+	// NumSrc, NumDst and NumEdges are the DBG's source nodes, sink nodes and
+	// cross edges.
+	NumSrc, NumDst, NumEdges int
 	// Groups lists every compression unit, natural full maps first.
 	Groups []*Group
 	// NaturalGroups counts how many leading entries of Groups came from
@@ -105,7 +109,7 @@ type Grouping struct {
 //     by k-means (K from cfg or from the EEP of the inertia curve).
 func BuildGrouping(d *graph.DBG, cfg GroupingConfig) *Grouping {
 	cfg = cfg.withDefaults()
-	gr := &Grouping{DBG: d}
+	gr := &Grouping{NumSrc: d.NumSrc(), NumDst: d.NumDst(), NumEdges: d.NumEdges()}
 
 	var poolSrc []int // DBG source indices participating in M2M pooling
 	for _, conn := range d.Connections() {
@@ -332,8 +336,8 @@ func (g *Grouping) Validate() error {
 		}
 	}
 	covered := g.Stats().EdgesCompressed + len(g.O2O)
-	if covered != g.DBG.NumEdges() {
-		return fmt.Errorf("core: grouping covers %d edges, DBG has %d", covered, g.DBG.NumEdges())
+	if covered != g.NumEdges {
+		return fmt.Errorf("core: grouping covers %d edges, DBG has %d", covered, g.NumEdges)
 	}
 	return nil
 }

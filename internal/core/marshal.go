@@ -31,7 +31,7 @@ func marshalPlan(buf *bytes.Buffer, p *PairPlan) {
 	gr := p.Grouping
 	fmt.Fprintf(buf, " grouping k=%d natural=%d inertia=%s dbg=%dx%d/%d\n",
 		gr.K, gr.NaturalGroups, hexFloat(gr.Inertia),
-		gr.DBG.NumSrc(), gr.DBG.NumDst(), gr.DBG.NumEdges())
+		gr.NumSrc, gr.NumDst, gr.NumEdges)
 	writeFloats(buf, " curve", gr.InertiaCurve)
 	writeInts(buf, " pool", gr.PoolSrc)
 	writeInts(buf, " assign", gr.Assign)

@@ -257,7 +257,7 @@ func (p *PairPlan) VectorsPerRound() int { return len(p.Groups) + len(p.O2O) }
 
 // VanillaVectorsPerRound returns the per-edge message count the uncompressed
 // aggregate of Fig. 7(a) would need for this pair.
-func (p *PairPlan) VanillaVectorsPerRound() int { return p.Grouping.DBG.NumEdges() }
+func (p *PairPlan) VanillaVectorsPerRound() int { return p.Grouping.NumEdges }
 
 // CompressionRatio returns vanilla message count over compressed message
 // count (∞-safe: returns vanilla count when the plan transmits nothing but

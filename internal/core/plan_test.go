@@ -162,7 +162,7 @@ func TestPlanAccountingProperty(t *testing.T) {
 				live += grp.NumEdges
 			}
 			live += len(p.O2O)
-			if live+p.DroppedEdges != p.Grouping.DBG.NumEdges() {
+			if live+p.DroppedEdges != p.Grouping.NumEdges {
 				return false
 			}
 			if p.VectorsPerRound() > p.VanillaVectorsPerRound() {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"unsafe"
 
 	"scgnn/internal/core"
 	"scgnn/internal/dist"
@@ -70,20 +71,60 @@ func (w *cwriter) i64s(v []int64) {
 	}
 }
 
-// f64rows appends the listed rows of m as one float64 array (count, then
-// the values row after row). m may be nil when rows is empty.
+// f64rows appends rows of m as one float64 array (count, then the values row
+// after row): the listed rows, or all of m when rows is nil. A nil m is an
+// empty array.
 func (w *cwriter) f64rows(m *tensor.Matrix, rows []int32) {
-	if len(rows) == 0 {
+	if m == nil {
 		w.u32(0)
 		return
 	}
-	w.u32(uint32(len(rows) * m.Cols))
-	b := w.grow(8 * len(rows) * m.Cols)
+	n := len(rows)
+	if rows == nil {
+		n = m.Rows
+	}
+	w.u32(uint32(n * m.Cols))
+	b := w.grow(8 * n * m.Cols)
+	if rows == nil {
+		putFloats(b, m.Data)
+		return
+	}
 	for _, u := range rows {
-		for i, x := range m.Row(int(u)) {
-			binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(x))
-		}
+		putFloats(b, m.Row(int(u)))
 		b = b[8*m.Cols:]
+	}
+}
+
+// hostLE reports a little-endian host, where a float64's bytes in memory are
+// its bytes on the wire.
+var hostLE = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// floatBytes is xs's memory as bytes.
+func floatBytes(xs []float64) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(xs))), 8*len(xs))
+}
+
+// putFloats stores xs little-endian into the first 8·len(xs) bytes of b: one
+// copy of their memory on a little-endian host, value by value elsewhere.
+func putFloats(b []byte, xs []float64) {
+	if hostLE {
+		copy(b, floatBytes(xs))
+		return
+	}
+	for i, x := range xs {
+		binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(x))
+	}
+}
+
+// getFloats is putFloats' inverse: it fills xs from the first 8·len(xs)
+// bytes of b.
+func getFloats(xs []float64, b []byte) {
+	if hostLE {
+		copy(floatBytes(xs), b)
+		return
+	}
+	for i := range xs {
+		xs[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
 	}
 }
 func (w *cwriter) strs(v []string) {
@@ -203,13 +244,15 @@ func (r *creader) i64s() []int64 {
 }
 
 // loadRows stores a float64 array's values, still encoded, into m's listed
-// rows; p holds exactly len(rows)*m.Cols of them.
+// rows, or into all of m when rows is nil; p holds exactly that many values.
 func loadRows(p []byte, m *tensor.Matrix, rows []int32) {
+	if rows == nil {
+		getFloats(m.Data, p)
+		return
+	}
 	for _, u := range rows {
 		row := m.Row(int(u))
-		for i := range row {
-			row[i] = math.Float64frombits(binary.LittleEndian.Uint64(p[8*i:]))
-		}
+		getFloats(row, p)
 		p = p[8*len(row):]
 	}
 }
@@ -517,7 +560,8 @@ func decodeEpoch(p []byte) (Epoch, error) {
 // ascending owned-node order (the coordinator's scatter), in full float64 so
 // the wire adds no precision loss before the batch encoders do their fp32
 // conversion. Neither side flattens them in memory: rows Rows of H are encoded
-// straight into the frame, and decodeRound returns them encoded, for loadRows.
+// straight into the frame, and decodeRound returns them encoded, for loadRows
+// into the node's shard matrix, whose rows are in that order.
 type Round struct {
 	Seq      uint64
 	Backward bool
@@ -550,12 +594,12 @@ func decodeRound(p []byte) (m Round, h []byte, err error) {
 }
 
 // RoundDone reports a completed round: the aggregated rows this node owns
-// (a float section like Round's), the per-destination traffic delta, and the
+// (a float section like Round's, encoded from the node's shard matrix Out,
+// whose rows are in that order), the per-destination traffic delta, and the
 // node-side error if the round failed.
 type RoundDone struct {
 	Seq   uint64
 	Out   *tensor.Matrix
-	Rows  []int32
 	Bytes []int64
 	Msgs  []int64
 	Err   string
@@ -563,7 +607,7 @@ type RoundDone struct {
 
 func (m RoundDone) encodeInto(w *cwriter) {
 	w.u64(m.Seq)
-	w.f64rows(m.Out, m.Rows)
+	w.f64rows(m.Out, nil)
 	w.i64s(m.Bytes)
 	w.i64s(m.Msgs)
 	w.str(m.Err)

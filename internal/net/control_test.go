@@ -92,7 +92,7 @@ func TestControlRoundtrips(t *testing.T) {
 
 	// A RoundDone lands in the rows the receiver names, and only there.
 	out := tensor.New(3, 1)
-	done, nout, err := decodeRoundDone(encode(RoundDone{Seq: 2, Out: tensor.FromRows([][]float64{{5}}), Rows: []int32{0},
+	done, nout, err := decodeRoundDone(encode(RoundDone{Seq: 2, Out: tensor.FromRows([][]float64{{5}}),
 		Bytes: []int64{0, 9}, Msgs: []int64{0, 1}, Err: ""}), out, []int32{2})
 	if err != nil || nout != 1 || out.Data[2] != 5 || out.Data[0] != 0 || done.Bytes[1] != 9 || done.Msgs[1] != 1 {
 		t.Fatalf("round-done: %+v, %d, %v into %v", done, nout, err, out.Data)

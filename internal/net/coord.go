@@ -154,6 +154,9 @@ func (c *Coordinator) request(i int, ft frameType, m encoder, want frameType, ti
 	if err := fc.write(ft, m); err != nil {
 		return nil, fmt.Errorf("node %d: %w: %v", i, ErrPeerDown, err)
 	}
+	if ft == frameSetup {
+		fc.release()
+	}
 	rft, resp, err := fc.read()
 	if err != nil {
 		return nil, fmt.Errorf("node %d: %w: %v", i, ErrPeerDown, err)

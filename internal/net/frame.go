@@ -143,6 +143,12 @@ func (f *framed) read() (frameType, []byte, error) {
 	return frameType(f.hdr[4]), f.rbuf, nil
 }
 
+// release drops both retained buffers. A connection calls it after the Setup
+// frame, which carries the whole job's edge list: its steady frames carry one
+// shard's rows and regrow the buffers to their own size, so keeping Setup's
+// would pin megabytes for the life of the connection.
+func (f *framed) release() { f.w.b, f.rbuf = nil, nil }
+
 // unexpectedEOF normalizes a torn read: an EOF in the middle of a frame is
 // a protocol violation, not a clean close.
 func unexpectedEOF(err error) error {

@@ -163,7 +163,8 @@ type inConn struct {
 	fc     *framed
 }
 
-// roundBufs are the retained full-size matrices for one column width.
+// roundBufs are the retained shard matrices (len(Own()) rows) for one column
+// width.
 type roundBufs struct{ h, out *tensor.Matrix }
 
 // Node is one partition's server process: it accepts a coordinator control
@@ -175,7 +176,7 @@ type Node struct {
 
 	mu       sync.Mutex
 	lis      stdnet.Listener
-	conns    map[stdnet.Conn]struct{} // every accepted/dialed conn, for Close
+	conns    map[*framed]struct{} // every accepted/dialed conn, for Close
 	closed   bool
 	incoming chan inConn
 
@@ -195,7 +196,7 @@ type Node struct {
 func NewNode(opts NodeOptions) *Node {
 	return &Node{
 		opts:     opts.withDefaults(),
-		conns:    make(map[stdnet.Conn]struct{}),
+		conns:    make(map[*framed]struct{}),
 		incoming: make(chan inConn, 64),
 		bufs:     make(map[int]*roundBufs),
 		done:     make(chan struct{}),
@@ -204,20 +205,20 @@ func NewNode(opts NodeOptions) *Node {
 
 // track registers a conn for Close teardown; returns false if the node is
 // already closed (the conn is closed on the spot).
-func (n *Node) track(conn stdnet.Conn) bool {
+func (n *Node) track(fc *framed) bool {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if n.closed {
-		conn.Close()
+		fc.conn.Close()
 		return false
 	}
-	n.conns[conn] = struct{}{}
+	n.conns[fc] = struct{}{}
 	return true
 }
 
-func (n *Node) untrack(conn stdnet.Conn) {
+func (n *Node) untrack(fc *framed) {
 	n.mu.Lock()
-	delete(n.conns, conn)
+	delete(n.conns, fc)
 	n.mu.Unlock()
 }
 
@@ -233,8 +234,8 @@ func (n *Node) Close() {
 	if n.lis != nil {
 		n.lis.Close()
 	}
-	for conn := range n.conns {
-		conn.Close()
+	for fc := range n.conns {
+		fc.conn.Close()
 	}
 	n.mu.Unlock()
 	close(n.done)
@@ -262,27 +263,28 @@ func (n *Node) Serve(lis stdnet.Listener) error {
 				return fmt.Errorf("net: accept: %w", err)
 			}
 		}
-		if !n.track(conn) {
+		fc := &framed{conn: conn}
+		if !n.track(fc) {
 			return nil
 		}
-		go n.handshake(conn)
+		go n.handshake(fc)
 	}
 }
 
 // handshake reads the Hello and routes the connection.
-func (n *Node) handshake(conn stdnet.Conn) {
-	fc := &framed{conn: conn}
+func (n *Node) handshake(fc *framed) {
+	conn := fc.conn
 	conn.SetReadDeadline(time.Now().Add(n.opts.RoundTimeout))
 	ft, payload, err := fc.read()
 	conn.SetReadDeadline(time.Time{})
 	if err != nil || ft != frameHello {
-		n.untrack(conn)
+		n.untrack(fc)
 		conn.Close()
 		return
 	}
 	hello, err := decodeHello(payload)
 	if err != nil {
-		n.untrack(conn)
+		n.untrack(fc)
 		conn.Close()
 		return
 	}
@@ -293,7 +295,7 @@ func (n *Node) handshake(conn stdnet.Conn) {
 	select {
 	case n.incoming <- inConn{sender: hello.Sender, gen: hello.Gen, fc: fc}:
 	case <-n.done:
-		n.untrack(conn)
+		n.untrack(fc)
 		conn.Close()
 	}
 }
@@ -303,7 +305,7 @@ func (n *Node) handshake(conn stdnet.Conn) {
 // across connections.
 func (n *Node) serveControl(fc *framed) {
 	defer func() {
-		n.untrack(fc.conn)
+		n.untrack(fc)
 		fc.conn.Close()
 	}()
 	for {
@@ -342,6 +344,7 @@ func (n *Node) handleControl(fc *framed, ft frameType, payload []byte) (shutdown
 		if err != nil {
 			return false, err
 		}
+		fc.release() // m holds copies; the payload was the job's edge list
 		return false, n.reply(fc, frameAck, Ack{Err: errString(n.setup(m))})
 	case frameEpoch:
 		m, err := decodeEpoch(payload)
@@ -510,7 +513,7 @@ func (n *Node) buildMesh(gen uint32) error {
 			}
 			continue
 		}
-		if !n.track(res.fc.conn) {
+		if !n.track(res.fc) {
 			return errors.New("net: node is closed")
 		}
 		n.mesh[res.peer] = newPeerConn(res.fc)
@@ -531,7 +534,7 @@ func (n *Node) buildMesh(gen uint32) error {
 		case in := <-n.incoming:
 			if in.gen != gen || int(in.sender) <= n.me || int(in.sender) >= n.nparts ||
 				n.mesh[in.sender] != nil {
-				n.untrack(in.fc.conn)
+				n.untrack(in.fc)
 				in.fc.conn.Close() // stale generation or bogus sender
 				continue
 			}
@@ -550,7 +553,7 @@ func (n *Node) buildMesh(gen uint32) error {
 func (n *Node) teardownMesh() {
 	for _, pc := range n.mesh {
 		if pc != nil {
-			n.untrack(pc.fc.conn)
+			n.untrack(pc.fc)
 			pc.fc.conn.Close()
 		}
 	}
@@ -574,12 +577,11 @@ func (n *Node) runRound(m Round, h []byte) RoundDone {
 		return resp
 	}
 	bufs := n.bufs[cols]
-	if bufs == nil {
-		nn := n.peer.NumNodes()
-		bufs = &roundBufs{h: tensor.New(nn, cols), out: tensor.New(nn, cols)}
+	if bufs == nil || bufs.h.Rows != len(own) {
+		bufs = &roundBufs{h: tensor.New(len(own), cols), out: tensor.New(len(own), cols)}
 		n.bufs[cols] = bufs
 	}
-	loadRows(h, bufs.h, own)
+	loadRows(h, bufs.h, nil)
 
 	deadline := time.Now().Add(n.opts.RoundTimeout)
 	timeout := time.NewTimer(n.opts.RoundTimeout)
@@ -632,7 +634,7 @@ func (n *Node) runRound(m Round, h []byte) RoundDone {
 		resp.Err = err.Error()
 		return resp
 	}
-	resp.Out, resp.Rows = bufs.out, own
+	resp.Out = bufs.out
 	resp.Bytes, resp.Msgs = n.peer.TrafficDelta()
 	return resp
 }

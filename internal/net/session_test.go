@@ -7,6 +7,7 @@ import (
 	stdnet "net"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync/atomic"
@@ -409,4 +410,100 @@ func TestRoundRejectsMisshapedMatrices(t *testing.T) {
 		t.Fatal("good round after the rejected ones diverged from cluster")
 	}
 	tc.coord.Shutdown()
+}
+
+// TestFleetHoldsShards: after Setup and one epoch, a node holds its shard and
+// not the job. Its round matrices have one row per owned node; nothing
+// reachable from its peer is a DBG (plans keep the counts, not the
+// adjacency); and no connection on either end keeps a buffer the size of the
+// Setup frame, which carried the whole edge list.
+func TestFleetHoldsShards(t *testing.T) {
+	const nparts, cols = 3, 5
+	d, part, _ := testGraph(t, nparts)
+	tc := startCluster(t, nparts, quickNodeOpts(), quickCoordOpts())
+	if err := tc.coord.Setup(d.Graph, part, dist.Config{Semantic: true, Seed: 3}); err != nil {
+		t.Fatalf("setup: %v", err)
+	}
+	tc.coord.StartEpoch(0)
+	dst := tensor.New(d.NumNodes(), cols)
+	for _, bwd := range []bool{false, true} {
+		if err := tc.coord.AggregateInto(dst, randMat(d.NumNodes(), cols, 5), bwd); err != nil {
+			t.Fatal(err)
+		}
+	}
+	setupLen := len(tc.coord.setupShared())
+	small := func(who string, fc *framed) {
+		if cap(fc.w.b) >= setupLen || cap(fc.rbuf) >= setupLen {
+			t.Errorf("%s keeps %d B written, %d B read; the Setup frame was %d B", who, cap(fc.w.b), cap(fc.rbuf), setupLen)
+		}
+	}
+	for i, fc := range tc.coord.conns {
+		small(fmt.Sprintf("coordinator's connection to node %d", i), fc)
+	}
+	dbg := reflect.TypeOf(graph.DBG{})
+	for p, n := range tc.nodes {
+		// The node's goroutines hand everything they wrote to the round loop,
+		// which runs under ctlMu.
+		n.ctlMu.Lock()
+		n.mu.Lock()
+		own := len(n.peer.Own())
+		for width, bufs := range n.bufs {
+			if bufs.h.Rows != own || bufs.out.Rows != own {
+				t.Errorf("node %d: width-%d round matrices have %d and %d rows, it owns %d", p, width, bufs.h.Rows, bufs.out.Rows, own)
+			}
+		}
+		if len(n.bufs) == 0 {
+			t.Errorf("node %d holds no round matrices after an epoch", p)
+		}
+		if reaches(reflect.ValueOf(n.peer), dbg, map[uintptr]bool{}) {
+			t.Errorf("node %d: a graph.DBG is reachable from its peer", p)
+		}
+		for fc := range n.conns {
+			small(fmt.Sprintf("node %d's connection", p), fc)
+		}
+		n.mu.Unlock()
+		n.ctlMu.Unlock()
+	}
+	tc.coord.Shutdown()
+}
+
+// reaches reports whether a value of type target is reachable from v through
+// pointers, interfaces, fields, elements and map entries.
+func reaches(v reflect.Value, target reflect.Type, seen map[uintptr]bool) bool {
+	if v.Type() == target {
+		return true
+	}
+	switch v.Kind() {
+	case reflect.Pointer, reflect.Map:
+		if v.IsNil() || seen[v.Pointer()] {
+			return false
+		}
+		seen[v.Pointer()] = true
+		if v.Kind() == reflect.Pointer {
+			return reaches(v.Elem(), target, seen)
+		}
+		for it := v.MapRange(); it.Next(); {
+			if reaches(it.Key(), target, seen) || reaches(it.Value(), target, seen) {
+				return true
+			}
+		}
+	case reflect.Interface:
+		return !v.IsNil() && reaches(v.Elem(), target, seen)
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			if reaches(v.Field(i), target, seen) {
+				return true
+			}
+		}
+	case reflect.Slice, reflect.Array:
+		switch v.Type().Elem().Kind() {
+		case reflect.Pointer, reflect.Map, reflect.Interface, reflect.Struct, reflect.Slice, reflect.Array:
+			for i := 0; i < v.Len(); i++ {
+				if reaches(v.Index(i), target, seen) {
+					return true
+				}
+			}
+		}
+	}
+	return false
 }

@@ -11,10 +11,12 @@ package worker
 // fused tensor.GatherAXPY / tensor.ScatterAXPY kernels over them.
 //
 // Invalidation contract (DESIGN.md §11): compiled state is a pure
-// function of (graph, part, plans/CrossOut, coeff) in the exchange core.
+// function of (graph, part, plans/CrossOut, coeff) in the exchange core,
+// and of the process's row map: every row id the lists hold went through
+// rowOf.
 //   - kernels[idx] ← PairPlans[idx]: compiled at construction and for
 //     every dirty pair of a Repartition, for pairs with an endpoint this
-//     process runs.
+//     process runs — every such pair when a peer's row map changed.
 //   - local[p] ← (part, Own[p], plans/CrossOut touching p): compiled at
 //     construction and, on Repartition, for the partitions a moved
 //     node left or joined plus both endpoints of every dirty pair
@@ -24,12 +26,16 @@ package worker
 // filled-mark invalidation already handles staleness of cached values.
 
 import (
+	"fmt"
+
 	"scgnn/internal/core"
 )
 
 // pairKernels is one ordered pair's compiled encode/deliver plans for
-// both directions (F = forward groups, B = reversed groups). Zero value
-// means "no plan" (vanilla mode or no cross edges).
+// both directions (F = forward groups, B = reversed groups). The source
+// worker runs encF and delB, the sink worker encB and delF; a half no worker
+// of this process runs stays nil. Zero value means "no plan" (vanilla mode or
+// no cross edges).
 type pairKernels struct {
 	encF, encB *core.EncodePlan
 	delF, delB *core.DeliverPlan
@@ -66,20 +72,38 @@ func (x *exchanger) groupPlans(idx int, backward bool) (*core.EncodePlan, *core.
 }
 
 // compilePairKernels refreshes pair idx's compiled encode/deliver plans
-// from the core's current plan. A pair neither of whose endpoints this
-// process runs is never encoded or decoded here and compiles to nothing.
+// from the core's current plan: each endpoint's half when this process runs
+// that endpoint, since the rows it lists are that worker's own.
 func (x *exchanger) compilePairKernels(idx int) {
+	k := &x.kernels[idx]
+	*k = pairKernels{}
 	p := x.core.PairPlans[idx]
-	if p == nil || (x.ws[idx/x.core.NParts] == nil && x.ws[idx%x.core.NParts] == nil) {
-		x.kernels[idx] = pairKernels{}
+	if p == nil {
 		return
 	}
 	rev, coeff := x.core.RevGroups[idx], x.core.Coeff
-	x.kernels[idx] = pairKernels{
-		encF: core.CompileEncode(p.Groups, coeff),
-		encB: core.CompileEncode(rev, coeff),
-		delF: core.CompileDeliver(p.Groups, coeff),
-		delB: core.CompileDeliver(rev, coeff),
+	if x.ws[idx/x.core.NParts] != nil {
+		k.encF = core.CompileEncode(p.Groups, coeff)
+		k.delB = core.CompileDeliver(rev, coeff)
+		x.toRows(k.encF.GroupRows)
+		x.toRows(k.delB.Rows)
+	}
+	if x.ws[idx%x.core.NParts] != nil {
+		k.encB = core.CompileEncode(rev, coeff)
+		k.delF = core.CompileDeliver(p.Groups, coeff)
+		x.toRows(k.encB.GroupRows)
+		x.toRows(k.delF.Rows)
+	}
+}
+
+// toRows rewrites compiled node ids as rows of this process's matrices. The
+// kernels trust their row indices, so an id off the rows — which only a bug
+// can list — panics here instead of reading past a shard.
+func (x *exchanger) toRows(ids []int32) {
+	for i, u := range ids {
+		if ids[i] = x.rowOf[u]; ids[i] < 0 {
+			panic(fmt.Sprintf("worker: node %d is not on this process's rows", u))
+		}
 	}
 }
 
@@ -177,6 +201,8 @@ func (x *exchanger) compileLocal(p int, mark []bool) *localPlan {
 		}
 		lp.off = append(lp.off, int32(len(lp.nbr)))
 	}
+	x.toRows(lp.rows)
+	x.toRows(lp.nbr)
 	return lp
 }
 

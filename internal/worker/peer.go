@@ -30,9 +30,15 @@ import (
 // stay position-identical across all replicas, which is what makes a later
 // backward round, checkpoint, or repartition agree bit-for-bit with the
 // in-process oracle.
+//
+// # Shard rows
+//
+// The matrices a Peer rounds over hold only its shard: row k is the node
+// Own()[k]. Every compiled list and every node message is mapped onto those
+// rows (see exchanger.rowOf), and no round reads or writes another row, so
+// there are no halo rows to keep.
 type Peer struct {
 	exchanger
-	me int
 }
 
 // NewPeer builds partition me's driven runtime for the method combination
@@ -48,7 +54,7 @@ func NewPeer(g *graph.Graph, part []int, nparts, me int, cfg exchange.Config) (*
 	if err := graph.ValidatePartition(g.NumNodes(), part, nparts); err != nil {
 		return nil, fmt.Errorf("worker: NewPeer: %w", err)
 	}
-	return &Peer{exchanger: *newExchanger(g, part, nparts, me, cfg), me: me}, nil
+	return &Peer{exchanger: *newExchanger(g, part, nparts, me, cfg)}, nil
 }
 
 // ID returns the partition this peer runs.
@@ -57,12 +63,10 @@ func (p *Peer) ID() int { return p.me }
 // NumParts returns the cluster width.
 func (p *Peer) NumParts() int { return p.core.NParts }
 
-// NumNodes returns the graph's node count (the row dimension Round expects).
-func (p *Peer) NumNodes() int { return p.core.G.NumNodes() }
-
 // Own returns the ascending node ids this peer owns under the current
-// partition. The slice is live runtime state; callers must not mutate it and
-// must re-fetch it after Repartition.
+// partition — row k of the matrices Round takes is node Own()[k]. The slice is
+// live runtime state; callers must not mutate it and must re-fetch it after
+// Repartition.
 func (p *Peer) Own() []int32 { return p.core.Own[p.me] }
 
 // StartEpoch marks an epoch boundary (see Cluster.StartEpoch). A
@@ -82,15 +86,15 @@ func (p *Peer) StartEvalEpoch(epoch int) {
 // worker runs, back to back, with the ghost-advance of the pairs other nodes
 // encoded between them: one encoded frame handed to send per peer (ascending,
 // skipping self), then nparts-1 recv calls, which must yield the peers' frames
-// in ascending sender order. h and out are full-size n×d matrices of which only
-// this peer's rows are meaningful: h must carry valid rows for every node
-// this peer owns (local aggregation and encoding read nothing else), and out
-// receives the aggregate on owned rows. Delayed-transmission replay/fresh
-// decisions are computed locally from the epoch schedule — deterministic, so
-// every node independently agrees on the round shape. A mis-shaped matrix is
-// an error before anything runs; an error from the round itself (transport or
-// decode) poisons the peer: contributions may have been dropped mid-round, so
-// every later Round returns the same error until Restore rewinds the state.
+// in ascending sender order. h and out are len(Own())×d: h carries the owned
+// nodes' rows in Own() order (local aggregation and encoding read nothing
+// else), and out receives their aggregate in the same order. Delayed-transmission
+// replay/fresh decisions are computed locally from the epoch schedule —
+// deterministic, so every node independently agrees on the round shape. A
+// mis-shaped matrix is an ErrRoundShape error before anything runs; an error
+// from the round itself (transport or decode) poisons the peer: contributions
+// may have been dropped mid-round, so every later Round returns the same error
+// until Restore rewinds the state.
 func (p *Peer) Round(h, out *tensor.Matrix, backward bool, send func(peer int, frame []byte) error, recv func() ([]byte, error)) error {
 	target, replay, err := p.beginRound(out, h)
 	if err != nil {
@@ -149,7 +153,6 @@ type PeerState struct {
 // State captures the peer's stream and delay-cache state at an epoch
 // boundary, deep-copied so later rounds leave the checkpoint untouched.
 func (p *Peer) State() *PeerState {
-	own := p.Own()
 	st := &PeerState{NParts: p.core.NParts}
 	pairs, levels := p.core.State()
 	st.Levels = levels
@@ -168,29 +171,48 @@ func (p *Peer) State() *PeerState {
 				continue
 			}
 			st.DelayCols[r] = slot.Cols
-			rows := make([]float64, 0, len(own)*slot.Cols)
-			for _, u := range own {
-				rows = append(rows, slot.Row(int(u))...)
-			}
-			st.DelayRows[r] = rows
+			st.DelayRows[r] = append([]float64(nil), slot.Data...)
 		}
 	}
 	return st
 }
+
+// ErrBadState marks a PeerState that Restore refused because it does not fit
+// the peer: another cluster width, or a delay slot of another shape.
+var ErrBadState = errors.New("worker: peer state does not fit the peer")
 
 // Restore rewinds the peer to a captured state: dirty streams are re-derived
 // from the configured seed and fast-forwarded to the saved position, the
 // delay cache is rebuilt for the rows this peer owns, and any poisoning is
 // cleared. The peer must have been built with the same (graph, partition,
 // config) the state was captured under; the coordinator guarantees this by
-// re-running Setup from its own checkpoint before restoring nodes.
+// re-running Setup from its own checkpoint before restoring nodes. A state
+// that does not fit is refused whole — ErrBadState, or the stream restore's
+// own typed error — and changes nothing.
 func (p *Peer) Restore(st *PeerState) error {
-	own := p.Own()
 	if st == nil {
-		return errors.New("worker: nil peer state")
+		return fmt.Errorf("%w: nil state", ErrBadState)
 	}
 	if st.NParts != p.core.NParts {
-		return fmt.Errorf("worker: peer state for %d parts, cluster has %d", st.NParts, p.core.NParts)
+		return fmt.Errorf("%w: state for %d parts, cluster has %d", ErrBadState, st.NParts, p.core.NParts)
+	}
+	slots := make([]*tensor.Matrix, len(st.DelayFilled))
+	for r, filled := range st.DelayFilled {
+		if !filled {
+			continue
+		}
+		var vals []float64
+		cols := 0
+		if r < len(st.DelayRows) {
+			vals = st.DelayRows[r]
+		}
+		if r < len(st.DelayCols) {
+			cols = st.DelayCols[r]
+		}
+		if cols < 1 || len(vals) != p.rows*cols {
+			return fmt.Errorf("%w: slot %d has %d row values, want %d×%d", ErrBadState, r, len(vals), p.rows, cols)
+		}
+		slots[r] = &tensor.Matrix{Rows: p.rows, Cols: cols, Data: append([]float64(nil), vals...)}
 	}
 	var pairs []exchange.PairStreamState
 	for _, ps := range st.Pairs {
@@ -200,27 +222,7 @@ func (p *Peer) Restore(st *PeerState) error {
 		return fmt.Errorf("worker: peer state: %w", err)
 	}
 	p.delayFilled = append([]bool(nil), st.DelayFilled...)
-	p.delaySlots = make([]*tensor.Matrix, len(st.DelayFilled))
-	for r := range st.DelayFilled {
-		if !st.DelayFilled[r] {
-			continue
-		}
-		rows, cols := 0, 0
-		if r < len(st.DelayRows) {
-			rows = len(st.DelayRows[r])
-		}
-		if r < len(st.DelayCols) {
-			cols = st.DelayCols[r]
-		}
-		if cols < 1 || rows != len(own)*cols {
-			return fmt.Errorf("worker: peer state slot %d has %d row values, want %d×%d", r, rows, len(own), cols)
-		}
-		slot := tensor.New(p.core.G.NumNodes(), cols)
-		for k, u := range own {
-			copy(slot.Row(int(u)), st.DelayRows[r][k*cols:(k+1)*cols])
-		}
-		p.delaySlots[r] = slot
-	}
+	p.delaySlots = slots
 	p.err = nil
 	return nil
 }

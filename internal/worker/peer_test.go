@@ -11,6 +11,7 @@ import (
 
 	"scgnn/internal/compress"
 	"scgnn/internal/exchange"
+	"scgnn/internal/graph"
 	"scgnn/internal/partition"
 	"scgnn/internal/persist"
 	"scgnn/internal/simnet"
@@ -24,19 +25,21 @@ import (
 // is reproducible run over run.
 type peerMesh struct {
 	peers []*Peer
-	// h and out are each peer's full-size retained matrices; h carries only
-	// the rows that peer owns (the coordinator's scatter).
+	dim   int
+	// h and out are each peer's retained shard matrices: row k is the peer's
+	// Own()[k] (the coordinator's scatter and gather).
 	h, out []*tensor.Matrix
 	chans  [][]chan []byte // chans[s][t]: frames from s to t
 	fabric *simnet.Fabric
 	shard  *simnet.ShardCounter
 }
 
-func newPeerMesh(t *testing.T, peers []*Peer, n, dim int) *peerMesh {
+func newPeerMesh(t *testing.T, peers []*Peer, dim int) *peerMesh {
 	t.Helper()
 	np := len(peers)
 	m := &peerMesh{
 		peers:  peers,
+		dim:    dim,
 		fabric: simnet.NewFabric(np),
 		shard:  simnet.NewShardCounter(np),
 	}
@@ -47,20 +50,22 @@ func newPeerMesh(t *testing.T, peers []*Peer, n, dim int) *peerMesh {
 			m.chans[s][d] = make(chan []byte, np)
 		}
 	}
-	for range peers {
-		m.h = append(m.h, tensor.New(n, dim))
-		m.out = append(m.out, tensor.New(n, dim))
-	}
+	m.h = make([]*tensor.Matrix, np)
+	m.out = make([]*tensor.Matrix, np)
 	return m
 }
 
-// scatter copies each peer's owned rows of h into its local h matrix (the
-// coordinator's per-node scatter; other rows stay stale on purpose — peers
-// must never read them).
+// scatter copies each peer's owned rows of h into its shard matrix (the
+// coordinator's per-node scatter), sizing the shard matrices to the current
+// partition.
 func (m *peerMesh) scatter(h *tensor.Matrix) {
 	for p, peer := range m.peers {
-		for _, u := range peer.Own() {
-			copy(m.h[p].Row(int(u)), h.Row(int(u)))
+		own := peer.Own()
+		if m.h[p] == nil || m.h[p].Rows != len(own) {
+			m.h[p], m.out[p] = tensor.New(len(own), m.dim), tensor.New(len(own), m.dim)
+		}
+		for k, u := range own {
+			copy(m.h[p].Row(k), h.Row(int(u)))
 		}
 	}
 }
@@ -113,8 +118,8 @@ func (m *peerMesh) round(t *testing.T, backward bool) error {
 // gather assembles the global aggregate from each peer's owned out rows.
 func (m *peerMesh) gather(dst *tensor.Matrix) {
 	for p, peer := range m.peers {
-		for _, u := range peer.Own() {
-			copy(dst.Row(int(u)), m.out[p].Row(int(u)))
+		for k, u := range peer.Own() {
+			copy(dst.Row(int(u)), m.out[p].Row(k))
 		}
 	}
 }
@@ -147,7 +152,7 @@ func TestPeerClusterEquivalenceMatrix(t *testing.T) {
 				}
 				peers[p] = peer
 			}
-			mesh := newPeerMesh(t, peers, d.NumNodes(), 5)
+			mesh := newPeerMesh(t, peers, 5)
 
 			for epoch := 0; epoch < 5; epoch++ {
 				if epoch == 3 {
@@ -261,7 +266,7 @@ func TestPeerStateRestoreRoundtrip(t *testing.T) {
 			}
 
 			peersA := build()
-			meshA := newPeerMesh(t, peersA, d.NumNodes(), dim)
+			meshA := newPeerMesh(t, peersA, dim)
 			var states []*PeerState
 			var want [][]*tensor.Matrix
 			for e := 0; e < epochs; e++ {
@@ -277,7 +282,7 @@ func TestPeerStateRestoreRoundtrip(t *testing.T) {
 			}
 
 			peersB := build()
-			meshB := newPeerMesh(t, peersB, d.NumNodes(), dim)
+			meshB := newPeerMesh(t, peersB, dim)
 			for p, peer := range peersB {
 				if err := peer.Restore(states[p]); err != nil {
 					t.Fatalf("Restore(%d): %v", p, err)
@@ -343,7 +348,7 @@ func TestPeerRestoreRejectsMismatch(t *testing.T) {
 	if err := ef.Restore(st); err != nil {
 		t.Fatal(err)
 	}
-	h, out := randMat(d.NumNodes(), 5, 1), tensor.New(d.NumNodes(), 5)
+	h, out := randMat(len(ef.Own()), 5, 1), tensor.New(len(ef.Own()), 5)
 	send := func(int, []byte) error { return errors.New("frame sent past the width check") }
 	recv := func() ([]byte, error) { return nil, errors.New("receive past the width check") }
 	ef.StartEpoch(0)
@@ -382,6 +387,162 @@ func TestPeerStateEncodedForm(t *testing.T) {
 		}
 		if got := fmt.Sprintf("%x", sha256.Sum256(blob)); len(blob) != tc.size || got != tc.sum {
 			t.Errorf("%s: %d bytes, sha256 %s; recorded %d, %s", tc.cfg.MethodName(), len(blob), got, tc.size, tc.sum)
+		}
+	}
+}
+
+// newPeers builds one Peer per partition.
+func newPeers(t *testing.T, g *graph.Graph, part []int, nparts int, cfg exchange.Config) []*Peer {
+	t.Helper()
+	peers := make([]*Peer, nparts)
+	for p := range peers {
+		peer, err := NewPeer(g, part, nparts, p, cfg)
+		if err != nil {
+			t.Fatalf("NewPeer(%d): %v", p, err)
+		}
+		peers[p] = peer
+	}
+	return peers
+}
+
+// TestPeerRoundRejectsGraphRows: a peer's matrices are its shard, one row per
+// owned node. Matrices of the whole graph's rows are refused with
+// ErrRoundShape before a frame is encoded or awaited, and do not poison the
+// peer: a shard-shaped round then gets as far as its first send.
+func TestPeerRoundRejectsGraphRows(t *testing.T) {
+	d, part := setup(t, 3)
+	peer, err := NewPeer(d.Graph, part, 3, 1, exchange.Config{Semantic: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, own := d.NumNodes(), len(peer.Own())
+	sent := false
+	stop := errors.New("stop at the first send")
+	send := func(int, []byte) error { sent = true; return stop }
+	recv := func() ([]byte, error) { t.Fatal("receive in a refused round"); return nil, nil }
+	peer.StartEpoch(0)
+	for name, m := range map[string][2]*tensor.Matrix{
+		"graph rows": {randMat(n, 4, 1), tensor.New(n, 4)},
+		"h of graph": {randMat(n, 4, 1), tensor.New(own, 4)},
+		"out wider":  {randMat(own, 4, 1), tensor.New(own, 5)},
+	} {
+		if err := peer.Round(m[0], m[1], false, send, recv); !errors.Is(err, ErrRoundShape) || sent {
+			t.Fatalf("%s: Round = %v (sent %v), want ErrRoundShape before any send", name, err, sent)
+		}
+	}
+	if err := peer.Round(randMat(own, 4, 1), tensor.New(own, 4), false, send, recv); !errors.Is(err, stop) {
+		t.Fatalf("shard round after the refused ones: %v, want the send's error", err)
+	}
+}
+
+// TestPeerRestoreIsAtomic: a checkpoint whose second delay slot has the wrong
+// row count is refused whole, typed. The streams and the first slot it also
+// carried are not applied, so State is unchanged and the next epoch's replay
+// rounds read the slots the peer already had. (Restore used to apply the
+// streams and the first slot, mark both filled and return with the second
+// nil, for the replay round to dereference.)
+func TestPeerRestoreIsAtomic(t *testing.T) {
+	d, part := setup(t, 3)
+	const nparts, dim = 3, 5
+	peers := newPeers(t, d.Graph, part, nparts, exchange.Config{SampleRate: 0.5, DelayPeriod: 2, Seed: 4})
+	mesh := newPeerMesh(t, peers, dim)
+	ins := []*tensor.Matrix{randMat(d.NumNodes(), dim, 91), randMat(d.NumNodes(), dim, 92)}
+	for _, peer := range peers {
+		peer.StartEpoch(0)
+	}
+	for r, in := range ins {
+		mesh.scatter(in)
+		if err := mesh.round(t, r == 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	peer := peers[0]
+	before := peer.State()
+	if !reflect.DeepEqual(before.DelayFilled, []bool{true, true}) {
+		t.Fatalf("delay slots after a fresh epoch: %v, want two filled", before.DelayFilled)
+	}
+	bad := peer.State()
+	bad.Pairs[1].SamplerDraws += 3
+	for i := range bad.DelayRows[0] {
+		bad.DelayRows[0][i]++
+	}
+	bad.DelayRows[1] = bad.DelayRows[1][:len(bad.DelayRows[1])-1]
+	if err := peer.Restore(bad); !errors.Is(err, ErrBadState) {
+		t.Fatalf("Restore of a malformed slot 1: %v, want ErrBadState", err)
+	}
+	if got := peer.State(); !reflect.DeepEqual(got, before) {
+		t.Fatal("a refused Restore changed the peer's state")
+	}
+	send := func(int, []byte) error { t.Fatal("send in a replay round"); return nil }
+	recv := func() ([]byte, error) { t.Fatal("receive in a replay round"); return nil, nil }
+	replay := func() []*tensor.Matrix {
+		peer.StartEpoch(1)
+		var outs []*tensor.Matrix
+		for r := range ins {
+			out := tensor.New(len(peer.Own()), dim)
+			if err := peer.Round(mesh.h[0], out, r == 1, send, recv); err != nil {
+				t.Fatal(err)
+			}
+			outs = append(outs, out)
+		}
+		return outs
+	}
+	got := replay()
+	if err := peer.Restore(before); err != nil {
+		t.Fatal(err)
+	}
+	for r, want := range replay() {
+		if !got[r].Equal(want, 0) {
+			t.Fatalf("replay round %d after the refused Restore differs from the state the peer had", r)
+		}
+	}
+}
+
+// TestPeerRepartitionMovesIsolatedNode: a repartition that moves only an
+// isolated node dirties no pair, so the delay slots stay filled — and a
+// peer's shard rows shift under them. Peer 0 loses node 0 and peer 1 gains it,
+// the lowest id, so every row of both shards moves; the replay epoch after it
+// must still equal the cluster's, bit for bit.
+func TestPeerRepartitionMovesIsolatedNode(t *testing.T) {
+	d, part := setup(t, 3)
+	const nparts, dim, isolated = 3, 5, 3
+	var arcs []graph.Edge
+	for _, e := range d.Graph.Edges() {
+		arcs = append(arcs, graph.Edge{U: e.U + isolated, V: e.V + isolated})
+	}
+	g := graph.New(d.NumNodes()+isolated, arcs)
+	part = append([]int{0, 1, 2}, part...)
+	moved := append([]int{1}, part[1:]...)
+	cfg := exchange.Config{Semantic: true, DelayPeriod: 2, Seed: 4}
+	cl := NewClusterFromConfig(g, part, nparts, cfg)
+	defer cl.Close()
+	peers := newPeers(t, g, part, nparts, cfg)
+	mesh := newPeerMesh(t, peers, dim)
+	h := randMat(g.NumNodes(), dim, 93)
+	got := tensor.New(g.NumNodes(), dim)
+	for epoch := 0; epoch < 3; epoch++ {
+		if epoch == 1 {
+			if dirty, err := cl.Repartition(moved); err != nil || len(dirty) != 0 {
+				t.Fatalf("cluster Repartition: dirty %v, %v; want no dirty pair", dirty, err)
+			}
+			for p, peer := range peers {
+				if dirty, err := peer.Repartition(moved); err != nil || len(dirty) != 0 {
+					t.Fatalf("peer %d Repartition: dirty %v, %v; want no dirty pair", p, dirty, err)
+				}
+			}
+		}
+		cl.StartEpoch(epoch)
+		for _, peer := range peers {
+			peer.StartEpoch(epoch)
+		}
+		want := cl.Forward(h)
+		mesh.scatter(h)
+		if err := mesh.round(t, false); err != nil {
+			t.Fatalf("epoch %d: %v", epoch, err)
+		}
+		mesh.gather(got)
+		if !got.Equal(want, 0) {
+			t.Fatalf("epoch %d: peers diverged from the cluster", epoch)
 		}
 	}
 }

@@ -1,7 +1,9 @@
 package worker
 
 import (
+	"errors"
 	"fmt"
+	"slices"
 
 	"scgnn/internal/compress"
 	"scgnn/internal/exchange"
@@ -20,6 +22,18 @@ import (
 // replayRound in place of both on a delayed-transmission replay).
 type exchanger struct {
 	core *exchange.Core
+
+	// me is the one worker this process runs, or -1 for all of them. rowOf maps
+	// a global node id to its row in the matrices a round reads and writes, and
+	// rows is their row count. With every worker in the process the map is the
+	// identity. With one it is the node's rank in Own(me), -1 off the shard: a
+	// round reads h and writes out only on rows its worker owns (encode reads
+	// its sources, decode and delivery write its sinks, delay slots cache owned
+	// rows), so a peer holds no halo rows. The compiled lists carry mapped rows;
+	// node messages are mapped as they are encoded and decoded.
+	me    int
+	rowOf []int32
+	rows  int
 
 	// Compiled gather plans (see gather.go for the invalidation contract):
 	// kernels[idx] is pair idx's flattened encode/deliver lists (semantic
@@ -95,6 +109,7 @@ func (ws *workerScratch) ensure(dim int) {
 func newExchanger(g *graph.Graph, part []int, nparts, me int, cfg exchange.Config) *exchanger {
 	x := &exchanger{
 		core:     exchange.New(g, part, nparts, cfg),
+		me:       me,
 		local:    make([]*localPlan, nparts),
 		ws:       make([]*workerScratch, nparts),
 		counters: make([]*simnet.ShardCounter, nparts),
@@ -109,6 +124,7 @@ func newExchanger(g *graph.Graph, part []int, nparts, me int, cfg exchange.Confi
 			x.counters[p] = simnet.NewShardCounter(nparts)
 		}
 	}
+	x.mapRows()
 	if cfg.Semantic {
 		x.kernels = make([]pairKernels, nparts*nparts)
 		for idx := range x.kernels {
@@ -122,6 +138,30 @@ func newExchanger(g *graph.Graph, part []int, nparts, me int, cfg exchange.Confi
 		}
 	}
 	return x
+}
+
+// ErrRoundShape marks a round whose matrices are not the runtime's rows × one
+// shared width: a Cluster's are N×F, a Peer's len(Own())×F.
+var ErrRoundShape = errors.New("worker: round shapes")
+
+// mapRows derives rowOf and rows from the current ownership.
+func (x *exchanger) mapRows() {
+	x.rowOf = make([]int32, x.core.G.NumNodes())
+	if x.me < 0 {
+		for u := range x.rowOf {
+			x.rowOf[u] = int32(u)
+		}
+		x.rows = len(x.rowOf)
+		return
+	}
+	for u := range x.rowOf {
+		x.rowOf[u] = -1
+	}
+	own := x.core.Own[x.me]
+	for k, u := range own {
+		x.rowOf[u] = int32(k)
+	}
+	x.rows = len(own)
 }
 
 // startEpoch marks an epoch boundary: it resets the aggregate-round slot and
@@ -150,16 +190,22 @@ func (x *exchanger) ApplySchedule(levels []int) error { return x.core.SetLevels(
 // streams verbatim,
 // dirty pairs are rebuilt and re-seeded; their gather kernels and the local
 // plans the move invalidates are recompiled; delay slots (whole-round
-// aggregates) are invalidated iff any pair is dirty. Must not race a round in
-// flight. Returns the ascending dirty pair indices; on error nothing changes.
+// aggregates) are invalidated iff any pair is dirty. A peer whose shard
+// changed maps its rows afresh and recompiles every list it holds. Must not
+// race a round in flight. Returns the ascending dirty pair indices; on error
+// nothing changes.
 func (x *exchanger) Repartition(part []int) ([]int, error) {
-	old := x.core.Part
+	old, oldOwn := x.core.Part, x.core.Own
 	dirty, err := x.core.Repartition(part)
 	if err != nil {
 		return nil, fmt.Errorf("worker: %w", err)
 	}
-	if x.kernels != nil {
-		for _, idx := range dirty {
+	remapped := x.me >= 0 && !slices.Equal(oldOwn[x.me], x.core.Own[x.me])
+	if remapped {
+		x.mapRows()
+	}
+	for idx := range x.kernels {
+		if _, ok := slices.BinarySearch(dirty, idx); ok || remapped {
 			x.compilePairKernels(idx)
 		}
 	}
@@ -175,11 +221,33 @@ func (x *exchanger) Repartition(part []int) ([]int, error) {
 		}
 	}
 	if len(dirty) > 0 {
-		// Matrices are retained (fresh rounds fully rewrite them), only the
-		// filled marks drop.
+		// Matrices are retained (fresh rounds fully rewrite them, and
+		// beginRound resizes them to a changed shard), only the filled marks
+		// drop.
 		clear(x.delayFilled)
+	} else if remapped {
+		x.relayoutSlots(oldOwn[x.me])
 	}
 	return dirty, nil
+}
+
+// relayoutSlots moves every filled delay slot from the rows of the old shard
+// to those of the current one. It runs when a peer's shard changed but no pair
+// is dirty: a node with an arc dirties a pair when it moves, so only isolated
+// nodes moved, whose cached remote deltas are zero and stay valid.
+func (x *exchanger) relayoutSlots(old []int32) {
+	for r, slot := range x.delaySlots {
+		if slot == nil || !x.delayFilled[r] {
+			continue
+		}
+		next := tensor.New(x.rows, slot.Cols)
+		for k, u := range x.core.Own[x.me] {
+			if j, ok := slices.BinarySearch(old, u); ok {
+				copy(next.Row(k), slot.Row(j))
+			}
+		}
+		x.delaySlots[r] = next
+	}
 }
 
 // beginRound validates the round's matrices (error-feedback residuals
@@ -195,9 +263,9 @@ func (x *exchanger) beginRound(out, h *tensor.Matrix) (target *tensor.Matrix, re
 	if x.err != nil {
 		return nil, false, x.err
 	}
-	if n := x.core.G.NumNodes(); h.Rows != n || out.Rows != n || out.Cols != h.Cols {
-		return nil, false, fmt.Errorf("worker: round shapes h (%d,%d) out (%d,%d), want %d rows each and equal cols",
-			h.Rows, h.Cols, out.Rows, out.Cols, n)
+	if h.Rows != x.rows || out.Rows != x.rows || out.Cols != h.Cols {
+		return nil, false, fmt.Errorf("%w: h (%d,%d) out (%d,%d), want %d rows each and equal cols",
+			ErrRoundShape, h.Rows, h.Cols, out.Rows, out.Cols, x.rows)
 	}
 	for idx := range x.core.Pairs {
 		if ef := x.core.Pairs[idx].EF; ef != nil {
@@ -291,7 +359,7 @@ func (x *exchanger) recvHalf(me int, h, out, target *tensor.Matrix, backward boo
 		// worker's rows before accumulating the new one. Every row is owned
 		// by exactly one worker, so the slot is fully rewritten.
 		for _, u := range x.core.Own[me] {
-			clear(target.Row(int(u)))
+			clear(target.Row(int(x.rowOf[u])))
 		}
 	}
 	x.localRows(me, h, out, lp.nBoundary, len(lp.rows))
@@ -320,7 +388,8 @@ func (x *exchanger) recvHalf(me int, h, out, target *tensor.Matrix, backward boo
 func (x *exchanger) addOwnRows(me int, slot, out *tensor.Matrix) {
 	own := x.core.Own[me]
 	for _, u := range own {
-		tensor.AXPY(1, slot.Row(int(u)), out.Row(int(u)))
+		r := int(x.rowOf[u])
+		tensor.AXPY(1, slot.Row(r), out.Row(r))
 	}
 	x.work[me].cache += int64(len(own) * out.Cols)
 }
@@ -376,14 +445,15 @@ func (x *exchanger) encodePeer(me, peer int, h *tensor.Matrix, backward bool) []
 	msg := &ws.msg
 	msg.SrcPart, msg.Payload = int32(me), payload
 	ps := &x.core.Pairs[idx]
-	enc, del := x.groupPlans(idx, backward)
+	enc, _ := x.groupPlans(idx, backward)
+	groups, rowOf := x.core.Groups(idx, backward), x.rowOf
 	// Group messages sent, and the members they stand for: senders fused in
 	// plus receivers fanned out to.
 	groupMsgs, members := 0, 0
 	x.core.Walk(idx, backward, func(u exchange.Unit) {
 		if u.Group < 0 {
 			scale := x.core.Coeff[u.Sender] * u.Scale
-			for i, v := range h.Row(int(u.Sender)) {
+			for i, v := range h.Row(int(rowOf[u.Sender])) {
 				payload[i] = scale * v
 			}
 			msg.Kind, msg.Target = wire.KindNode, u.Receiver
@@ -393,9 +463,8 @@ func (x *exchanger) encodePeer(me, peer int, h *tensor.Matrix, backward bool) []
 			rows, w := enc.Group(int(u.Group))
 			tensor.GatherAXPY(payload, h, rows, w, u.Scale)
 			msg.Kind, msg.Target = wire.KindGroup, u.Group
-			receivers, _ := del.Group(int(u.Group))
 			groupMsgs++
-			members += len(rows) + len(receivers)
+			members += len(rows) + len(groups[u.Group].DstNodes)
 		}
 		x.addMsg(ws, batch, ps, u.Index)
 	})
@@ -459,7 +528,7 @@ func (x *exchanger) decodeBatch(me int, backward bool, out *tensor.Matrix, buf [
 	dim := out.Cols
 	dec := wire.NewDecoder(buf)
 	scratch := x.ws[me].dec[:dim]
-	part, coeff := x.core.Part, x.core.Coeff
+	part, coeff, rowOf := x.core.Part, x.core.Coeff, x.rowOf
 	for dec.More() {
 		hd, err := dec.Next()
 		if err != nil {
@@ -477,7 +546,7 @@ func (x *exchanger) decodeBatch(me int, backward bool, out *tensor.Matrix, buf [
 			if part[v] != me {
 				return fmt.Errorf("worker %d: received node %d owned by %d", me, v, part[v])
 			}
-			if err := dec.AXPY(coeff[v], out.Row(int(v))); err != nil {
+			if err := dec.AXPY(coeff[v], out.Row(int(rowOf[v]))); err != nil {
 				return fmt.Errorf("worker %d: %w", me, err)
 			}
 		case wire.KindGroup:

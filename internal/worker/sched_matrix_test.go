@@ -146,7 +146,7 @@ func TestScheduledPeerClusterEquivalence(t *testing.T) {
 				}
 				peers[p] = peer
 			}
-			mesh := newPeerMesh(t, peers, d.NumNodes(), 5)
+			mesh := newPeerMesh(t, peers, 5)
 			coord := newSchedCoordinator(cfg, nparts)
 
 			for epoch := 0; epoch < 6; epoch++ {
@@ -262,7 +262,7 @@ func TestScheduledPeerStateRestoreRoundtrip(t *testing.T) {
 			}
 
 			peersA := build()
-			meshA := newPeerMesh(t, peersA, d.NumNodes(), dim)
+			meshA := newPeerMesh(t, peersA, dim)
 			coordA := newSchedCoordinator(cfg, nparts)
 			var states []*PeerState
 			var want [][]*tensor.Matrix
@@ -291,7 +291,7 @@ func TestScheduledPeerStateRestoreRoundtrip(t *testing.T) {
 			}
 
 			peersB := build()
-			meshB := newPeerMesh(t, peersB, d.NumNodes(), dim)
+			meshB := newPeerMesh(t, peersB, dim)
 			for p, peer := range peersB {
 				if err := peer.Restore(states[p]); err != nil {
 					t.Fatalf("Restore(%d): %v", p, err)

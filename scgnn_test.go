@@ -60,7 +60,7 @@ func TestBuildPlansAndCensus(t *testing.T) {
 	}
 	var edges int
 	for _, p := range plans {
-		edges += p.Grouping.DBG.NumEdges()
+		edges += p.Grouping.NumEdges
 		if p.CompressionRatio() < 1 {
 			t.Fatalf("plan %v expands traffic", p)
 		}
