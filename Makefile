@@ -99,7 +99,8 @@ cover:
 loc:
 	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' -print0 | xargs -0 cat | wc -l
 
-# Coverage-guided fuzzing of the wire decoders, the codec kernels (vector and
+# Coverage-guided fuzzing of the wire decoders, the round's decode seam (any
+# bytes as one peer's frame in a 4-part cluster), the codec kernels (vector and
 # Go paths against the per-value reference), the error-feedback store (flat
 # slabs against the map oracle) and the arc-bucket differ
 # (go test -fuzz accepts one target per invocation). FUZZTIME=10m for a soak;
@@ -110,6 +111,7 @@ fuzz:
 	$(GO) test ./internal/wire/ -run '^$$' -fuzz '^FuzzDecoder$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/wire/ -run '^$$' -fuzz '^FuzzBatchRoundtrip$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/wire/ -run '^$$' -fuzz '^FuzzGridKernels$$' -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/worker/ -run '^$$' -fuzz '^FuzzDecodeBatch$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/compress/ -run '^$$' -fuzz '^FuzzErrorFeedback$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/graph/ -run '^$$' -fuzz '^FuzzDiffDBGs$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/net/ -run '^$$' -fuzz '^FuzzFrameDecoder$$' -fuzztime=$(FUZZTIME)
@@ -123,9 +125,10 @@ fuzz-smoke:
 # One sink and one in-process driver in production: the retired second
 # implementations (the kernels' per-member twins, the engine's private delay
 # cache and staging arena, the schedule-free round runtime and the engine's own
-# fork-join) may only ever reappear in test code.
+# fork-join) may only ever reappear in test code — and so may the retired
+# per-message wire header and the fabric's per-message header billing.
 one-sink:
-	@! grep -rn 'useReference\|DelayCache\|pairBuf\|NewRounds\|worker\.Rounds\|forEachTask' --include='*.go' . | grep -v _test.go
+	@! grep -rn 'useReference\|DelayCache\|pairBuf\|NewRounds\|worker\.Rounds\|forEachTask\|putHeader\|MsgHeaderBytes\|Fabric) Send(' --include='*.go' . | grep -v _test.go
 
 # Tier-1 verification gate (ROADMAP.md): everything must build, pass tests,
 # survive the race detector on the concurrent packages (the multi-process
@@ -182,8 +185,10 @@ bench:
 # fleet (semantic and vanilla, widths 32 and 16); the "hub-before" / "hub"
 # keys hold its rows either side of the retained framed connections, and
 # "shard-rows-before" / "shard-rows" this lane's rows either side of the
-# fleet node moving onto its shard's rows (alternating prebuilt test
-# binaries, every line kept).
+# fleet node moving onto its shard's rows, and "header-free-before" /
+# "header-free" BenchmarkCoordinatorRound with `make bench`'s
+# BenchmarkClusterRound* either side of messages losing their per-message
+# headers (alternating prebuilt test binaries, every line kept).
 # The alloc ceiling itself is gated by tests that ride `make verify`
 # (TestKernelAllocs, TestClusterSteadyStateAllocs, TestFleetSteadyStateAllocs),
 # not by this lane.

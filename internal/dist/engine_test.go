@@ -11,6 +11,7 @@ import (
 	"scgnn/internal/graph"
 	"scgnn/internal/partition"
 	"scgnn/internal/tensor"
+	"scgnn/internal/wire"
 )
 
 func smallSetup(t *testing.T) (*datasets.Dataset, []int) {
@@ -69,9 +70,19 @@ func TestVanillaTrafficAccounting(t *testing.T) {
 	if snap.TotalMessages != cross {
 		t.Fatalf("messages = %d, want one per cross edge (%d)", snap.TotalMessages, cross)
 	}
-	wantBytes := cross * (5*4 + 16)
-	if snap.TotalBytes != wantBytes {
-		t.Fatalf("bytes = %d, want %d", snap.TotalBytes, wantBytes)
+	// Each link's one frame: a batch header, then 5 fp32 values a message.
+	fab := eng.Fabric()
+	for s := 0; s < 3; s++ {
+		for r := 0; r < 3; r++ {
+			msgs := fab.LinkMessages(s, r)
+			want := msgs * 5 * wire.ValueBytes
+			if msgs > 0 {
+				want += wire.FrameHeaderBytes
+			}
+			if got := fab.LinkBytes(s, r); got != want {
+				t.Fatalf("link %d→%d: %d bytes for %d messages, want %d", s, r, got, msgs, want)
+			}
+		}
 	}
 }
 

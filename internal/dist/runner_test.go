@@ -135,21 +135,23 @@ func TestRunDeeperModel(t *testing.T) {
 	// is never formed), so one extra layer adds one forward and one backward
 	// round: at pubmed-sim's 16 features, 16+32+32 values a message →
 	// 16+32+32+32+32, a ratio of 1.8. Vanilla ships one message per cross arc
-	// in every round, so messages go 3 → 5 rounds exactly, and each message
-	// also carries a fixed header: the byte ratio sits between 5/3 and 1.8,
-	// exactly where the widths put it.
+	// in every round, so messages go 3 → 5 rounds exactly, and each round's
+	// two frames (both directions of the cut carry arcs) also carry a batch
+	// header: the byte ratio sits just under 1.8, exactly where the widths put
+	// it.
 	f := d.FeatureDim()
-	perMessage := func(widths ...int) float64 {
-		var b int
+	msgs := two.MsgsPerEpoch / 3 // a round's messages
+	perRound := func(widths ...int) float64 {
+		var b float64
 		for _, w := range widths {
-			b += wire.HeaderBytes + wire.ValueBytes*w
+			b += 2*wire.FrameHeaderBytes + msgs*float64(wire.ValueBytes*w)
 		}
-		return float64(b)
+		return b
 	}
 	if got := three.MsgsPerEpoch / two.MsgsPerEpoch; math.Abs(got-5.0/3) > 1e-12 {
 		t.Errorf("3-layer/2-layer message ratio = %v, want 5/3 (5 rounds against 3)", got)
 	}
-	want := perMessage(f, hidden, hidden, hidden, hidden) / perMessage(f, hidden, hidden)
+	want := perRound(f, hidden, hidden, hidden, hidden) / perRound(f, hidden, hidden)
 	if ratio := three.BytesPerEpoch / two.BytesPerEpoch; math.Abs(ratio-want) > 1e-12 {
 		t.Fatalf("3-layer/2-layer volume ratio = %v, want %v", ratio, want)
 	}

@@ -12,6 +12,7 @@ import (
 	"scgnn/internal/graph"
 	"scgnn/internal/partition"
 	"scgnn/internal/sched"
+	"scgnn/internal/wire"
 )
 
 const nparts = 3
@@ -552,6 +553,76 @@ func TestMethodMatrixNames(t *testing.T) {
 		cfg.Sched.Enabled = true
 		if got := cfg.MethodName(); got != "sched("+want+")" {
 			t.Fatalf("lane %q scheduled: MethodName %q", key, got)
+		}
+	}
+}
+
+// TestTargetInvertsWalk holds Target to Walk on every lane of the method
+// matrix, each also with edge and with node sampling forced on, in both
+// directions, on the partition the core was built for and after a
+// repartition: every unit Walk yields is what Target names at its index, and
+// a frame whose presence bitmap marks Walk's survivors decodes to exactly
+// those units, in order.
+func TestTargetInvertsWalk(t *testing.T) {
+	g, part := setup(t)
+	moved := append([]int(nil), part...)
+	for u := 0; u < len(moved); u += 7 {
+		moved[u] = (moved[u] + 1) % nparts
+	}
+	for name, base := range MethodMatrix(5) {
+		for _, force := range []struct{ on, nodes bool }{{false, false}, {true, false}, {true, true}} {
+			cfg := base
+			if force.on {
+				cfg.SampleRate, cfg.SampleNodes = 0.5, force.nodes
+			}
+			c := New(g, part, nparts, cfg)
+			for step, p := range [][]int{part, moved} {
+				if _, err := c.Repartition(p); err != nil {
+					t.Fatal(err)
+				}
+				for idx := range c.Pairs {
+					for _, backward := range []bool{false, true} {
+						units := collect(c, idx, backward)
+						for _, u := range units {
+							group, receiver := c.Target(idx, backward, int(u.Index))
+							if group != u.Group || group < 0 && receiver != u.Receiver {
+								t.Fatalf("%s step %d pair %d backward=%v: Target(%d) = (%d, %d), Walk's unit %+v",
+									name, step, idx, backward, u.Index, group, receiver, u)
+							}
+						}
+						checkSurvivorFrame(t, c, idx, backward, units)
+					}
+				}
+			}
+		}
+	}
+}
+
+// checkSurvivorFrame encodes one message per unit, its index as the value,
+// into a frame whose bitmap marks the units' candidates, and requires the
+// decode — each message resolved through Target — to deliver exactly them.
+func checkSurvivorFrame(t *testing.T, c *Core, idx int, backward bool, units []Unit) {
+	t.Helper()
+	if len(units) == 0 {
+		return
+	}
+	var b wire.Batch
+	b.Begin(wire.Frame{Width: 1, Count: c.Candidates(idx), Sampled: true})
+	for _, u := range units {
+		b.Present(int(u.Index))
+		b.Add(&wire.Message{Payload: []float64{float64(u.Index)}})
+	}
+	dec := wire.NewDecoder(b.Bytes())
+	val := make([]float64, 1)
+	for k := 0; dec.More(); k++ {
+		hd, err := dec.Next()
+		if err != nil || k >= len(units) || dec.Read(val) != nil {
+			t.Fatalf("pair %d: message %d of %d: %v", idx, k, len(units), err)
+		}
+		u := units[k]
+		group, receiver := c.Target(idx, backward, hd.Index)
+		if int64(hd.Index) != u.Index || val[0] != float64(u.Index) || group != u.Group || group < 0 && receiver != u.Receiver {
+			t.Fatalf("pair %d: message %d decodes as candidate %d → (%d, %d), Walk's unit %+v", idx, k, hd.Index, group, receiver, u)
 		}
 	}
 }

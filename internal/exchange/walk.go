@@ -107,6 +107,29 @@ func (c *Core) Candidates(idx int) int {
 	return 0
 }
 
+// Target is Walk's inverse on the receiving side: what candidate i <
+// Candidates(idx) of pair idx's round delivers to — the plan group (≥ 0) of a
+// fused unit, else (-1) the per-node unit's receiver — as Walk sets it on the
+// unit with Index i. Kept small enough to inline into a per-message loop.
+func (c *Core) Target(idx int, backward bool, i int) (group, receiver int32) {
+	if c.Semantic() {
+		plan := c.PairPlans[idx]
+		if i < len(plan.Groups) {
+			return int32(i), -1
+		}
+		e := plan.O2O[i-len(plan.Groups)]
+		if backward {
+			return -1, e.Src
+		}
+		return -1, e.Dst
+	}
+	e := c.CrossOut[idx][i]
+	if backward {
+		return -1, e.U
+	}
+	return -1, e.V
+}
+
 // GhostAdvance replays the coin consumption of every pair some other replica
 // encoded this round — pair (s,t) is encoded by s forward and by t backward —
 // so this replica's streams end the round where the encoder's did.

@@ -596,37 +596,37 @@ func (n *Node) runRound(m Round, h []byte) RoundDone {
 		return pc.fc.write(frameBatch, Batch{Seq: m.Seq, From: int32(n.me), Data: frame})
 	}
 	next := 0
-	recv := func() ([]byte, error) {
+	recv := func() (int, []byte, error) {
 		for {
 			if next == n.me {
 				next++
 			}
 			if next >= n.nparts {
-				return nil, fmt.Errorf("%w: round %d over-received", ErrProtocol, m.Seq)
+				return 0, nil, fmt.Errorf("%w: round %d over-received", ErrProtocol, m.Seq)
 			}
 			pc := n.mesh[next]
 			if pc == nil {
-				return nil, fmt.Errorf("%w: no mesh connection to %d", ErrPeerDown, next)
+				return 0, nil, fmt.Errorf("%w: no mesh connection to %d", ErrPeerDown, next)
 			}
 			select {
 			case qf := <-pc.queue:
 				if qf.err != nil {
-					return nil, fmt.Errorf("from peer %d: %w", next, qf.err)
+					return 0, nil, fmt.Errorf("from peer %d: %w", next, qf.err)
 				}
 				pc.lend(qf.data)
 				if qf.seq < m.Seq {
 					continue // stale duplicate from a previous round: drop
 				}
 				if qf.seq != m.Seq || int(qf.from) != next {
-					return nil, fmt.Errorf("%w: batch seq %d from %d, want seq %d from %d",
+					return 0, nil, fmt.Errorf("%w: batch seq %d from %d, want seq %d from %d",
 						ErrProtocol, qf.seq, qf.from, m.Seq, next)
 				}
 				next++
-				return qf.data, nil
+				return int(qf.from), qf.data, nil
 			case <-timeout.C:
-				return nil, fmt.Errorf("waiting for peer %d batch: %w", next, ErrRoundTimeout)
+				return 0, nil, fmt.Errorf("waiting for peer %d batch: %w", next, ErrRoundTimeout)
 			case <-n.done:
-				return nil, errors.New("net: node is closed")
+				return 0, nil, errors.New("net: node is closed")
 			}
 		}
 	}

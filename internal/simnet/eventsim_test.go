@@ -18,7 +18,7 @@ func TestEventSimSingleTransfer(t *testing.T) {
 	c := CostModel{LatencyPerMsg: 1, Bandwidth: 100}
 	es := NewEventSim(c)
 	f := NewFabric(2)
-	f.Send(0, 1, 184) // 184+16 = 200 bytes, 1 msg → 1 + 2 = 3s
+	send(f, 0, 1, 200) // 200 bytes, 1 msg → 1 + 2 = 3s
 	if got := es.CommTime(f); math.Abs(got-3) > 1e-12 {
 		t.Fatalf("single transfer = %v, want 3", got)
 	}
@@ -32,8 +32,8 @@ func TestEventSimParallelLinks(t *testing.T) {
 	c := CostModel{LatencyPerMsg: 0, Bandwidth: 100}
 	es := NewEventSim(c)
 	f := NewFabric(4)
-	f.Send(0, 1, 984) // 1000 B → 10s
-	f.Send(2, 3, 984) // disjoint endpoints
+	send(f, 0, 1, 1000) // 1000 B → 10s
+	send(f, 2, 3, 1000) // disjoint endpoints
 	if got := es.CommTime(f); math.Abs(got-10) > 1e-9 {
 		t.Fatalf("disjoint transfers = %v, want 10 (parallel)", got)
 	}
@@ -44,8 +44,8 @@ func TestEventSimSharedReceiver(t *testing.T) {
 	c := CostModel{LatencyPerMsg: 0, Bandwidth: 100}
 	es := NewEventSim(c)
 	f := NewFabric(3)
-	f.Send(0, 2, 984)
-	f.Send(1, 2, 984)
+	send(f, 0, 2, 1000)
+	send(f, 1, 2, 1000)
 	if got := es.CommTime(f); math.Abs(got-20) > 1e-9 {
 		t.Fatalf("shared receiver = %v, want 20 (serialized)", got)
 	}
@@ -64,7 +64,7 @@ func TestEventSimEnvelopeProperty(t *testing.T) {
 			if s == t {
 				continue
 			}
-			fab.Send(s, t, rng.Intn(1<<16))
+			send(fab, s, t, rng.Intn(1<<16))
 		}
 		ms := es.CommTime(fab)
 		lo, hi := es.LowerBound(fab), es.SerialBound(fab)
@@ -81,8 +81,8 @@ func TestEventSimChain(t *testing.T) {
 	c := CostModel{LatencyPerMsg: 0, Bandwidth: 100}
 	es := NewEventSim(c)
 	f := NewFabric(3)
-	f.Send(0, 1, 984) // 10s
-	f.Send(1, 2, 984) // 10s — worker 1's send channel is free during its receive
+	send(f, 0, 1, 1000) // 10s
+	send(f, 1, 2, 1000) // 10s — worker 1's send channel is free during its receive
 	got := es.CommTime(f)
 	if math.Abs(got-10) > 1e-9 {
 		t.Fatalf("chain = %v, want 10 (full duplex)", got)

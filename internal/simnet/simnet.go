@@ -13,14 +13,7 @@
 // absolute milliseconds of the authors' machines (see DESIGN.md §2).
 package simnet
 
-import (
-	"fmt"
-	"sort"
-)
-
-// MsgHeaderBytes is charged per message, mirroring a transport header plus
-// routing metadata.
-const MsgHeaderBytes = 16
+import "fmt"
 
 // Fabric records traffic between nparts workers.
 type Fabric struct {
@@ -45,17 +38,6 @@ func NewFabric(nparts int) *Fabric {
 
 // NumParts returns the worker count.
 func (f *Fabric) NumParts() int { return f.nparts }
-
-// Send records one message of payloadBytes from src to dst. The header is
-// added automatically. Self-sends are rejected: local data never crosses the
-// fabric.
-func (f *Fabric) Send(src, dst int, payloadBytes int) {
-	if src == dst {
-		panic("simnet: self-send")
-	}
-	f.bytes[src][dst] += int64(payloadBytes) + MsgHeaderBytes
-	f.msgs[src][dst]++
-}
 
 // Reset clears all counters (called at epoch boundaries).
 func (f *Fabric) Reset() {
@@ -161,24 +143,15 @@ func NewShardCounter(nparts int) *ShardCounter {
 	}
 }
 
-// Add records pre-framed traffic (bytes already include any headers) — the
-// accounting mode used by runtimes that measure encoded wire buffers
-// directly.
+// Add records traffic on the link src→dst: bytes as measured off the encoded
+// frames, framing included, and the messages they carry. Self-sends are
+// rejected: local data never crosses the fabric.
 func (s *ShardCounter) Add(src, dst int, bytes, msgs int64) {
 	if src == dst {
 		panic("simnet: self-send")
 	}
 	s.bytes[src*s.nparts+dst] += bytes
 	s.msgs[src*s.nparts+dst] += msgs
-}
-
-// TotalBytes returns the sum of the shard's link bytes.
-func (s *ShardCounter) TotalBytes() int64 {
-	var t int64
-	for _, b := range s.bytes {
-		t += b
-	}
-	return t
 }
 
 // DrainRow copies out and zeroes the counters of every link src→dst — the
@@ -301,31 +274,6 @@ func (s Snapshot) String() string {
 	return fmt.Sprintf("bytes=%d msgs=%d maxIn=%d/%d flops=%d quant=%d sample=%d cache=%d fuse=%d",
 		s.TotalBytes, s.TotalMessages, s.MaxInboundBytes, s.MaxInboundMessages,
 		s.ComputeFlops, s.QuantValues, s.SampleEdges, s.CacheValues, s.SemanticValues)
-}
-
-// TopLinks returns the k busiest ordered links by bytes, for diagnostics.
-func (f *Fabric) TopLinks(k int) []string {
-	type link struct {
-		s, t int
-		b    int64
-	}
-	var links []link
-	for s := 0; s < f.nparts; s++ {
-		for t := 0; t < f.nparts; t++ {
-			if f.bytes[s][t] > 0 {
-				links = append(links, link{s, t, f.bytes[s][t]})
-			}
-		}
-	}
-	sort.Slice(links, func(i, j int) bool { return links[i].b > links[j].b })
-	if k > len(links) {
-		k = len(links)
-	}
-	out := make([]string, k)
-	for i := 0; i < k; i++ {
-		out[i] = fmt.Sprintf("%d→%d: %d B (%d msgs)", links[i].s, links[i].t, links[i].b, f.msgs[links[i].s][links[i].t])
-	}
-	return out
 }
 
 // Named fabric profiles for the epoch-time sensitivity study (abl-fabric):

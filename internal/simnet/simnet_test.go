@@ -7,18 +7,26 @@ import (
 	"testing/quick"
 )
 
+// send records one message of the given wire bytes on src→dst the way the
+// runtimes do: on a shard counter, drained into the fabric.
+func send(f *Fabric, src, dst, bytes int) {
+	sc := NewShardCounter(f.NumParts())
+	sc.Add(src, dst, int64(bytes), 1)
+	f.Drain(sc)
+}
+
 func TestSendAccounting(t *testing.T) {
 	f := NewFabric(3)
-	f.Send(0, 1, 100)
-	f.Send(0, 1, 50)
-	f.Send(2, 1, 10)
-	if got := f.LinkBytes(0, 1); got != 150+2*MsgHeaderBytes {
+	send(f, 0, 1, 100)
+	send(f, 0, 1, 50)
+	send(f, 2, 1, 10)
+	if got := f.LinkBytes(0, 1); got != 150 {
 		t.Fatalf("LinkBytes(0,1) = %d", got)
 	}
 	if got := f.LinkMessages(0, 1); got != 2 {
 		t.Fatalf("LinkMessages(0,1) = %d", got)
 	}
-	if got := f.TotalBytes(); got != 160+3*MsgHeaderBytes {
+	if got := f.TotalBytes(); got != 160 {
 		t.Fatalf("TotalBytes = %d", got)
 	}
 	if got := f.TotalMessages(); got != 3 {
@@ -32,12 +40,12 @@ func TestSelfSendPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	NewFabric(2).Send(1, 1, 10)
+	send(NewFabric(2), 1, 1, 10)
 }
 
 func TestReset(t *testing.T) {
 	f := NewFabric(2)
-	f.Send(0, 1, 10)
+	send(f, 0, 1, 10)
 	f.Reset()
 	if f.TotalBytes() != 0 || f.TotalMessages() != 0 {
 		t.Fatal("Reset did not clear counters")
@@ -46,11 +54,11 @@ func TestReset(t *testing.T) {
 
 func TestMaxInbound(t *testing.T) {
 	f := NewFabric(3)
-	f.Send(0, 2, 100)
-	f.Send(1, 2, 100)
-	f.Send(0, 1, 50)
+	send(f, 0, 2, 100)
+	send(f, 1, 2, 100)
+	send(f, 0, 1, 50)
 	mb, mm := f.MaxInbound()
-	if mb != 200+2*MsgHeaderBytes {
+	if mb != 200 {
 		t.Fatalf("MaxInboundBytes = %d", mb)
 	}
 	if mm != 2 {
@@ -60,7 +68,7 @@ func TestMaxInbound(t *testing.T) {
 
 func TestCaptureSnapshot(t *testing.T) {
 	f := NewFabric(2)
-	f.Send(0, 1, 84) // 84+16 = 100 bytes
+	send(f, 0, 1, 100)
 	s := f.Capture()
 	if s.TotalBytes != 100 || s.TotalMessages != 1 || s.MaxInboundBytes != 100 {
 		t.Fatalf("snapshot = %+v", s)
@@ -95,11 +103,11 @@ func TestEpochTimeComponents(t *testing.T) {
 
 func TestMaxOutbound(t *testing.T) {
 	f := NewFabric(3)
-	f.Send(0, 1, 100)
-	f.Send(0, 2, 100)
-	f.Send(1, 2, 50)
+	send(f, 0, 1, 100)
+	send(f, 0, 2, 100)
+	send(f, 1, 2, 50)
 	ob, om := f.MaxOutbound()
-	if ob != 200+2*MsgHeaderBytes || om != 2 {
+	if ob != 200 || om != 2 {
 		t.Fatalf("MaxOutbound = %d/%d", ob, om)
 	}
 }
@@ -119,19 +127,6 @@ func TestDefaultCostModelOrdering(t *testing.T) {
 	}
 }
 
-func TestTopLinks(t *testing.T) {
-	f := NewFabric(3)
-	f.Send(0, 1, 10)
-	f.Send(1, 2, 1000)
-	links := f.TopLinks(5)
-	if len(links) != 2 {
-		t.Fatalf("TopLinks = %v", links)
-	}
-	if !strings.HasPrefix(links[0], "1→2") {
-		t.Fatalf("busiest link = %q", links[0])
-	}
-}
-
 // Property: total bytes always equals the sum over links, and MaxInbound is
 // bounded by the total.
 func TestFabricInvariants(t *testing.T) {
@@ -145,7 +140,7 @@ func TestFabricInvariants(t *testing.T) {
 			if s == t {
 				continue
 			}
-			fab.Send(s, t, rng.Intn(1000))
+			send(fab, s, t, rng.Intn(1000))
 		}
 		var sum int64
 		for s := 0; s < np; s++ {
@@ -185,7 +180,8 @@ func TestFabricProfiles(t *testing.T) {
 // TestShardCounterMergeMatchesDirectSends is the accounting half of the
 // deterministic-parallelism contract: routing traffic through per-receiver
 // shards and draining them after the barrier must reproduce the exact
-// per-link counters of sending on the fabric directly, in any drain order.
+// per-link counters of recording every message on the fabric as it is sent,
+// in any drain order.
 func TestShardCounterMergeMatchesDirectSends(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -202,11 +198,10 @@ func TestShardCounterMergeMatchesDirectSends(t *testing.T) {
 			if src == dst {
 				continue
 			}
-			payload := rng.Intn(4096)
-			direct.Send(src, dst, payload)
-			// The receiver's goroutine records the send on its own shard,
-			// framed as Fabric.Send frames it.
-			shards[dst].Add(src, dst, int64(payload)+MsgHeaderBytes, 1)
+			bytes := rng.Intn(4096)
+			send(direct, src, dst, bytes)
+			// The receiver's goroutine records the send on its own shard.
+			shards[dst].Add(src, dst, int64(bytes), 1)
 		}
 		// Drain in a random order: totals are plain sums, order-free.
 		for _, i := range rng.Perm(nparts) {
@@ -236,17 +231,14 @@ func TestShardCounterMergeMatchesDirectSends(t *testing.T) {
 
 func TestShardCounterAddPreFramed(t *testing.T) {
 	sc := NewShardCounter(2)
-	// Add records bytes as-is (the caller already measured framed buffers),
-	// unlike Fabric.Send, which applies the per-message header.
+	// Add records bytes as-is: the caller measured the framed buffers, so
+	// nothing is added per message.
 	sc.Add(0, 1, 100, 3)
-	if got := sc.TotalBytes(); got != 100 {
-		t.Fatalf("pre-framed bytes = %d, want 100", got)
-	}
 	f := NewFabric(2)
-	f.Send(0, 1, 100)
+	send(f, 0, 1, 100)
 	f.Drain(sc)
-	if got := f.TotalBytes(); got != 200+MsgHeaderBytes {
-		t.Fatalf("mixed bytes = %d, want %d", got, 200+MsgHeaderBytes)
+	if got := f.TotalBytes(); got != 200 {
+		t.Fatalf("merged bytes = %d, want 200", got)
 	}
 	if f.TotalMessages() != 4 {
 		t.Fatalf("messages = %d, want 4", f.TotalMessages())

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"encoding/binary"
+	"errors"
 	"flag"
 	"math"
 	"os"
@@ -12,20 +13,21 @@ import (
 )
 
 // The wire format sits on the trust boundary of the worker runtime: every
-// byte a worker receives was produced by a peer, and a corrupt batch must
+// byte a worker receives was produced by a peer, and a corrupt frame must
 // surface as an error from the round — never a panic in a pool goroutine or
 // an attacker-sized allocation. Two native fuzz targets lock that down:
 //
 //   - FuzzDecoder feeds arbitrary bytes to both decode paths (allocating
 //     DecodeAll and the zero-alloc streaming Decoder) and requires them to
-//     agree exactly — same messages, or the same error.
+//     agree exactly — same header and messages, or the same error.
 //   - FuzzBatchRoundtrip drives the encoder from a fuzzed construction
-//     script across every message variant (fp32, fixed quantized, adaptive,
-//     roundtrip) and checks size accounting, decode fidelity, and the
-//     error-feedback contract (roundtrip values bit-equal the decode).
+//     script across every frame variant (fp32, fixed quantized, adaptive,
+//     roundtrip; declared or implicit, sampled or not) and checks size
+//     accounting, decode fidelity, candidate indices, and the error-feedback
+//     contract (roundtrip values bit-equal the decode).
 //
 // The seed corpus under testdata/fuzz/ is generated from real encoded
-// batches by TestFuzzSeedCorpus (run with -update-corpus to regenerate) so
+// frames by TestFuzzSeedCorpus (run with -update-corpus to regenerate) so
 // `go test` always exercises the seeds and `go test -fuzz` starts from
 // representative valid and hostile inputs.
 
@@ -40,14 +42,14 @@ func sameF64(a, b float64) bool {
 // payload consumers: Read fills the returned payload, and AXPY with alpha=1
 // into a zeroed slice must reproduce it bit-for-bit (the fused
 // decode-and-accumulate the worker receive phase runs).
-func streamDecode(t *testing.T, buf []byte) ([]*Message, error) {
+func streamDecode(t *testing.T, buf []byte) (Frame, []refMessage, error) {
 	t.Helper()
-	var out []*Message
+	var out []refMessage
 	dec := NewDecoder(buf)
 	for dec.More() {
 		hd, err := dec.Next()
 		if err != nil {
-			return out, err
+			return Frame{}, out, err
 		}
 		vals := make([]float64, hd.N)
 		if err := dec.Read(vals); err != nil {
@@ -64,23 +66,51 @@ func streamDecode(t *testing.T, buf []byte) ([]*Message, error) {
 				t.Fatalf("AXPY(1) payload[%d] = %v, Read = %v", i, acc[i], vals[i])
 			}
 		}
-		out = append(out, &Message{Kind: hd.Kind, SrcPart: hd.SrcPart, Target: hd.Target, Payload: vals})
+		out = append(out, refMessage{Index: hd.Index, Payload: vals})
 	}
-	return out, nil
+	if len(out) == 0 {
+		return Frame{}, nil, nil
+	}
+	f, err := dec.Frame()
+	if err != nil {
+		t.Fatalf("Frame after decoded messages: %v", err)
+	}
+	return f, out, nil
+}
+
+// sameMessages fails unless two decodes yielded the same candidates with
+// bit-identical payloads.
+func sameMessages(t *testing.T, got, want []refMessage) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("decoded %d messages, want %d", len(got), len(want))
+	}
+	for i, m := range want {
+		g := got[i]
+		if g.Index != m.Index || len(g.Payload) != len(m.Payload) {
+			t.Fatalf("message %d: candidate %d with %d values, want candidate %d with %d", i, g.Index, len(g.Payload), m.Index, len(m.Payload))
+		}
+		for j := range m.Payload {
+			if !sameF64(g.Payload[j], m.Payload[j]) {
+				t.Fatalf("message %d payload[%d]: %v vs %v", i, j, g.Payload[j], m.Payload[j])
+			}
+		}
+	}
 }
 
 // FuzzDecoder is the differential robustness target: on arbitrary bytes the
 // allocating decoder and the streaming decoder must both finish without
-// panicking and agree — identical message sequences on success, identical
-// errors on failure. A success additionally bounds the total decoded value
-// count by the input size, proving no length field inflated an allocation.
+// panicking and agree — identical headers and message sequences on success,
+// identical errors on failure. A success additionally bounds the total
+// decoded value count by the input size, proving no field inflated an
+// allocation.
 func FuzzDecoder(f *testing.F) {
 	for _, seed := range decoderSeeds() {
 		f.Add(seed.data)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		full, fullErr := DecodeAll(data)
-		stream, streamErr := streamDecode(t, data)
+		fullFrame, full, fullErr := DecodeAll(data)
+		streamFrame, stream, streamErr := streamDecode(t, data)
 		if (fullErr == nil) != (streamErr == nil) {
 			t.Fatalf("decode paths disagree: DecodeAll err=%v, Decoder err=%v", fullErr, streamErr)
 		}
@@ -90,28 +120,20 @@ func FuzzDecoder(f *testing.F) {
 			if fullErr.Error() != streamErr.Error() {
 				t.Fatalf("decode errors disagree: %q vs %q", fullErr, streamErr)
 			}
+			if !errors.Is(streamErr, ErrMalformed) {
+				t.Fatalf("decoder error %v is not ErrMalformed", streamErr)
+			}
 			return
 		}
-		if len(full) != len(stream) {
-			t.Fatalf("DecodeAll got %d messages, Decoder got %d", len(full), len(stream))
+		if fullFrame != streamFrame {
+			t.Fatalf("frame header: DecodeAll %+v, Decoder %+v", fullFrame, streamFrame)
 		}
+		sameMessages(t, stream, full)
 		total := 0
-		for i, m := range full {
-			s := stream[i]
-			if m.Kind != s.Kind || m.SrcPart != s.SrcPart || m.Target != s.Target {
-				t.Fatalf("message %d header: DecodeAll %+v, Decoder %+v", i, m, s)
-			}
-			if len(m.Payload) != len(s.Payload) {
-				t.Fatalf("message %d payload length: %d vs %d", i, len(m.Payload), len(s.Payload))
-			}
-			for j := range m.Payload {
-				if !sameF64(m.Payload[j], s.Payload[j]) {
-					t.Fatalf("message %d payload[%d]: %v vs %v", i, j, m.Payload[j], s.Payload[j])
-				}
-			}
+		for _, m := range full {
 			total += len(m.Payload)
 		}
-		// Every accepted value occupies ≥1 bit on the wire, so a valid batch
+		// Every accepted value occupies ≥1 bit on the wire, so a valid frame
 		// can never decode more than 8·len(data) values.
 		if total > 8*len(data) {
 			t.Fatalf("decoded %d values from %d input bytes", total, len(data))
@@ -120,41 +142,43 @@ func FuzzDecoder(f *testing.F) {
 }
 
 // FuzzBatchRoundtrip drives the encoder from a fuzzed construction script
-// and checks the full wire contract on the result: batch size equals the
-// EncodedSize* accounting (what the traffic parity tests rely on), decode
-// recovers headers exactly and payloads within the quantization error bound,
-// and the Roundtrip variants report bit-exactly what the receiver decodes —
-// the invariant error feedback depends on.
+// and checks the full wire contract on the result: frame size equals the
+// FrameBytes + EncodedSize* accounting (what the traffic parity tests rely
+// on), decode recovers the header and every message's candidate exactly and
+// its payload within the quantization error bound, and the Roundtrip variants
+// report bit-exactly what the receiver decodes — the invariant error feedback
+// depends on.
 func FuzzBatchRoundtrip(f *testing.F) {
 	for _, seed := range roundtripSeeds() {
 		f.Add(seed.data)
 	}
 	f.Fuzz(func(t *testing.T, script []byte) {
-		msgs, batch, wantSize := buildScripted(script)
+		frame, msgs, batch, wantSize := buildScripted(script)
 		if got := len(batch.Bytes()); got != wantSize {
-			t.Fatalf("batch holds %d bytes, size accounting says %d", got, wantSize)
+			t.Fatalf("frame holds %d bytes, size accounting says %d", got, wantSize)
 		}
 		if batch.Len() != len(msgs) {
 			t.Fatalf("batch counts %d messages, script built %d", batch.Len(), len(msgs))
 		}
-		decoded, err := DecodeAll(batch.Bytes())
+		gotFrame, decoded, err := DecodeAll(batch.Bytes())
 		if err != nil {
-			t.Fatalf("valid batch failed to decode: %v", err)
+			t.Fatalf("valid frame failed to decode: %v", err)
 		}
-		stream, serr := streamDecode(t, batch.Bytes())
+		streamFrame, stream, serr := streamDecode(t, batch.Bytes())
 		if serr != nil {
-			t.Fatalf("valid batch failed streaming decode: %v", serr)
+			t.Fatalf("valid frame failed streaming decode: %v", serr)
 		}
-		if len(decoded) != len(msgs) || len(stream) != len(msgs) {
-			t.Fatalf("decoded %d/%d messages, want %d", len(decoded), len(stream), len(msgs))
+		if len(msgs) > 0 && (gotFrame != frame || streamFrame != frame) {
+			t.Fatalf("frame decodes as %+v / %+v, want %+v", gotFrame, streamFrame, frame)
+		}
+		sameMessages(t, stream, decoded)
+		if len(decoded) != len(msgs) {
+			t.Fatalf("decoded %d messages, want %d", len(decoded), len(msgs))
 		}
 		for i, sm := range msgs {
 			got := decoded[i]
-			if got.Kind != sm.m.Kind || got.SrcPart != sm.m.SrcPart || got.Target != sm.m.Target {
-				t.Fatalf("message %d header %+v, want %+v", i, got, sm.m)
-			}
-			if len(got.Payload) != len(sm.m.Payload) {
-				t.Fatalf("message %d payload length %d, want %d", i, len(got.Payload), len(sm.m.Payload))
+			if got.Index != sm.index {
+				t.Fatalf("message %d decodes as candidate %d, want %d", i, got.Index, sm.index)
 			}
 			bound, poisoned := sm.errorBound()
 			for j, want := range sm.m.Payload {
@@ -173,11 +197,6 @@ func FuzzBatchRoundtrip(f *testing.F) {
 					if d := g - want; d > bound || d < -bound {
 						t.Fatalf("message %d (bits=%d) payload[%d] error %v > %v", i, sm.bits, j, d, bound)
 					}
-				}
-				// Streaming decode of the same bytes is bit-identical.
-				if !sameF64(stream[i].Payload[j], got.Payload[j]) {
-					t.Fatalf("message %d payload[%d]: streaming %v, DecodeAll %v",
-						i, j, stream[i].Payload[j], got.Payload[j])
 				}
 				// The sender-side roundtrip is exactly the receiver's view.
 				if sm.rt != nil && !sameF64(sm.rt[j], got.Payload[j]) {
@@ -199,10 +218,10 @@ const (
 
 // scripted is one message built by buildScripted plus how it was encoded.
 type scripted struct {
-	m        *Message
-	bits     int // 0 = fp32
-	adaptive bool
-	rt       []float64 // roundtrip output, nil unless a Roundtrip variant
+	m     *Message
+	index int       // its candidate
+	bits  int       // 0 = fp32
+	rt    []float64 // roundtrip output, nil unless a Roundtrip variant
 }
 
 // errorBound returns the maximum absolute reconstruction error a quantized
@@ -225,30 +244,44 @@ func (s *scripted) errorBound() (bound float64, poisoned bool) {
 	return (hi-lo)/levels/2 + 1e-4, false
 }
 
-// buildScripted interprets script as a message construction program: each
-// message consumes a 4-byte opcode (variant/kind/src, bits, payload length,
-// target) followed by its payload bytes, decoded as sixteenths so every
-// value is exactly representable in fp32 — except the three bytes scriptNaN,
+// buildScripted interprets script as a frame construction program. A 4-byte
+// preamble declares the frame — op (bits 1–2 the codec: fp32, fixed,
+// adaptive, roundtrip with op bit 3 picking adaptive; bit 0 leaves the frame
+// implicit, opened by the first Add; bit 4 samples; bits 5–7 the sender), the
+// width bound, the width and spare candidates — then each message consumes a
+// control byte (under sampling, its low two bits are candidates skipped
+// before it; under adaptive, the high nibble picks its width below the bound)
+// followed by width payload bytes, decoded as sixteenths so every value is
+// exactly representable in fp32 — except the three bytes scriptNaN,
 // scriptPosInf and scriptNegInf, which stand for the non-finite values.
-func buildScripted(script []byte) ([]scripted, *Batch, int) {
-	var out []scripted
+func buildScripted(script []byte) (Frame, []scripted, *Batch, int) {
 	var b Batch
-	size := 0
-	for len(script) >= 4 {
-		op, bb, nn, tt := script[0], script[1], script[2], script[3]
-		script = script[4:]
-		kind := KindNode
-		if op&1 != 0 {
-			kind = KindGroup
+	if len(script) < 4 {
+		return Frame{}, nil, &b, 0
+	}
+	op, bb, nn, spare := script[0], script[1], script[2], script[3]
+	script = script[4:]
+	codec := (op >> 1) & 3
+	f := Frame{Sender: int32(op >> 5), Width: 1 + int(nn)%32, Bits: 1 + int(bb)%16,
+		Adaptive: codec == 2 || codec == 3 && op&8 != 0}
+	implicit := op&1 != 0
+	f.Sampled = op&0x10 != 0 && !implicit
+	if codec == 0 {
+		f.Bits = 0
+	}
+	if implicit {
+		f.Sender = 0
+		if f.Adaptive {
+			f.Bits = 16
 		}
-		bits := 1 + int(bb)%16
-		n := int(nn) % 33
-		if n > len(script) {
-			n = len(script)
-		}
-		payload := make([]float64, n)
+	}
+	var out []scripted
+	next := 0
+	for len(script) >= 1+f.Width {
+		ctl := script[0]
+		payload := make([]float64, f.Width)
 		for i := range payload {
-			switch script[i] {
+			switch script[1+i] {
 			case scriptNaN:
 				payload[i] = math.NaN()
 			case scriptPosInf:
@@ -256,40 +289,57 @@ func buildScripted(script []byte) ([]scripted, *Batch, int) {
 			case scriptNegInf:
 				payload[i] = math.Inf(-1)
 			default:
-				payload[i] = float64(int8(script[i])) / 16
+				payload[i] = float64(int8(script[1+i])) / 16
 			}
 		}
-		script = script[n:]
-		s := scripted{
-			m:    &Message{Kind: kind, SrcPart: int32(op >> 4), Target: int32(tt), Payload: payload},
-			bits: bits,
+		script = script[1+f.Width:]
+		if f.Sampled {
+			next += int(ctl & 3)
 		}
-		switch (op >> 1) & 3 {
-		case 0: // fp32
-			s.bits = 0
-			b.Add(s.m)
-			size += EncodedSize(n)
-		case 1: // fixed-width quantized
-			b.AddQuantized(s.m, s.bits)
-			size += EncodedSizeQuantized(n, s.bits)
-		case 2: // adaptive width
-			s.adaptive = true
-			b.AddAdaptive(s.m, s.bits)
-			size += EncodedSizeAdaptive(n, s.bits)
-		default: // roundtrip variants (op bit 3 picks adaptive)
-			s.rt = make([]float64, n)
-			if op&8 != 0 {
-				s.adaptive = true
-				b.AddAdaptiveRoundtrip(s.m, s.bits, s.rt)
-				size += EncodedSizeAdaptive(n, s.bits)
-			} else {
-				b.AddQuantizedRoundtrip(s.m, s.bits, s.rt)
-				size += EncodedSizeQuantized(n, s.bits)
-			}
+		s := scripted{m: &Message{Kind: KindNode, Target: int32(next), Payload: payload}, index: next, bits: f.Bits}
+		if f.Adaptive {
+			s.bits = 1 + int(ctl>>4)%f.Bits
+		}
+		if codec == 3 {
+			s.rt = make([]float64, f.Width)
 		}
 		out = append(out, s)
+		next++
 	}
-	return out, &b, size
+	f.Count = next
+	if f.Sampled {
+		f.Count += int(spare) % 8
+	}
+	if !implicit {
+		b.Begin(f)
+	}
+	size := 0
+	for _, s := range out {
+		if f.Sampled {
+			b.Present(s.index)
+		}
+		switch {
+		case codec == 0:
+			b.Add(s.m)
+			size += EncodedSize(f.Width)
+		case codec == 1:
+			b.AddQuantized(s.m, s.bits)
+			size += EncodedSizeQuantized(f.Width, s.bits)
+		case codec == 2:
+			b.AddAdaptive(s.m, s.bits)
+			size += EncodedSizeAdaptive(f.Width, s.bits)
+		case f.Adaptive:
+			b.AddQuantizedRoundtrip(s.m, s.bits, true, s.rt)
+			size += EncodedSizeAdaptive(f.Width, s.bits)
+		default:
+			b.AddQuantizedRoundtrip(s.m, s.bits, false, s.rt)
+			size += EncodedSizeQuantized(f.Width, s.bits)
+		}
+	}
+	if len(out) > 0 {
+		size += FrameBytes(f.Count, f.Sampled)
+	}
+	return f, out, &b, size
 }
 
 // corpusSeed is one named seed-corpus entry.
@@ -298,90 +348,99 @@ type corpusSeed struct {
 	data []byte
 }
 
-// decoderSeeds returns the FuzzDecoder seed corpus: real encoded batches of
-// every message variant the worker runtime ships (the traffic of vanilla,
-// semantic, quantized, adaptive, and error-feedback rounds all reduces to
+// decoderSeeds returns the FuzzDecoder seed corpus: real encoded frames of
+// every variant the worker runtime ships (the traffic of vanilla, semantic,
+// quantized, adaptive, sampled and error-feedback rounds all reduces to
 // these encodings), plus the hostile shapes the hand-written tests pin down.
 func decoderSeeds() []corpusSeed {
 	clone := func(b []byte) []byte { return append([]byte(nil), b...) }
 	pay := []float64{-1, -0.5, 0, 0.5, 1, 2}
 
 	var mixed Batch
-	mixed.Add(&Message{Kind: KindNode, SrcPart: 0, Target: 7, Payload: []float64{1, -2.5, 0.25}})
-	mixed.Add(&Message{Kind: KindNode, SrcPart: 1, Target: 8,
-		Payload: []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1)}})
-	mixed.Add(&Message{Kind: KindGroup, SrcPart: 1, Target: 3, Payload: []float64{0.5}})
-	mixed.Add(&Message{Kind: KindNode, SrcPart: 2, Target: 9, Payload: nil})
+	mixed.Begin(Frame{Sender: 1, Width: 4, Count: 3})
+	mixed.Add(&Message{Payload: []float64{1, -2.5, 0.25, 3}})
+	mixed.Add(&Message{Payload: []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1)}})
+	mixed.Add(&Message{Payload: []float64{0.5, 0, 0, 0}})
 
-	var quant Batch
+	// Adaptive messages at every width class under the 16-bit bound.
+	var widths Batch
+	widths.Begin(Frame{Sender: 2, Width: 6, Bits: 16, Adaptive: true, Count: 4})
 	for _, bits := range []int{1, 4, 8, 16} {
-		quant.AddQuantized(&Message{Kind: KindNode, SrcPart: 0, Target: int32(bits), Payload: pay}, bits)
+		widths.AddAdaptive(&Message{Payload: pay}, bits)
 	}
 
+	// A sampled adaptive frame: candidates 1 and 4 of 6 present.
 	var adaptive Batch
-	adaptive.AddAdaptive(&Message{Kind: KindGroup, SrcPart: 1, Target: 4, Payload: pay}, 2)
+	adaptive.Begin(Frame{Sender: 3, Width: 6, Bits: 8, Adaptive: true, Count: 6, Sampled: true})
+	adaptive.Present(1)
+	adaptive.AddAdaptive(&Message{Payload: pay}, 2)
+	adaptive.Present(4)
 	rt := make([]float64, len(pay))
-	adaptive.AddAdaptiveRoundtrip(&Message{Kind: KindNode, SrcPart: 2, Target: 5, Payload: pay}, 8, rt)
-	adaptive.AddQuantizedRoundtrip(&Message{Kind: KindGroup, SrcPart: 0, Target: 6, Payload: pay}, 4, rt)
+	adaptive.AddQuantizedRoundtrip(&Message{Payload: pay}, 8, true, rt)
+
+	var q8 Batch
+	q8.Begin(Frame{Width: 6, Bits: 8, Count: 1})
+	q8.AddQuantized(&Message{Payload: pay}, 8)
 
 	truncated := clone(mixed.Bytes())
 	truncated = truncated[:len(truncated)-3]
-	badKind := clone(mixed.Bytes())
-	badKind[0] = 99
+	badCodec := clone(mixed.Bytes())
+	badCodec[0] = 99
 	badFlags := clone(adaptive.Bytes())
-	badFlags[2] = 0x80
-	fp32Adaptive := Encode(nil, &Message{Kind: KindNode, Target: 1, Payload: pay})
-	fp32Adaptive[2] = FlagAdaptive
-	widthMismatch := encodeQuantized(nil, &Message{Kind: KindNode, Target: 2, Payload: pay}, 6, true, nil)
-	widthMismatch[HeaderBytes+8] = 7
+	badFlags[1] = 0x80
+	fp32Adaptive := clone(mixed.Bytes())
+	fp32Adaptive[1] = FlagAdaptive
+	widthMismatch := clone(adaptive.Bytes())
+	widthMismatch[FrameHeaderBytes+1+8] = 9 // the first message's width byte, past the bound
 	// Two different NaNs as lo and step: which one an addition propagates is
 	// the compiler's choice per call site, so only a canonical poisoned grid
 	// keeps the two decoders bit-equal.
-	nanMeta := encodeQuantized(nil, &Message{Kind: KindNode, Target: 3, Payload: pay}, 8, false, nil)
-	binary.LittleEndian.PutUint32(nanMeta[HeaderBytes:], 0x7fc12345)
-	binary.LittleEndian.PutUint32(nanMeta[HeaderBytes+4:], 0xffc00001)
-	hugeLen := make([]byte, HeaderBytes)
-	hugeLen[0] = byte(KindNode)
-	for i := 12; i < 16; i++ {
-		hugeLen[i] = 0xff
-	}
+	nanMeta := clone(q8.Bytes())
+	binary.LittleEndian.PutUint32(nanMeta[FrameHeaderBytes:], 0x7fc12345)
+	binary.LittleEndian.PutUint32(nanMeta[FrameHeaderBytes+4:], 0xffc00001)
+	hugeCount := clone(mixed.Bytes())
+	binary.LittleEndian.PutUint32(hugeCount[10:], math.MaxUint32)
+	pastCount := clone(adaptive.Bytes())
+	pastCount[FrameHeaderBytes] |= 0x80 // candidate 7 of 6
+	trailing := append(clone(q8.Bytes()), 0)
 
 	return []corpusSeed{
 		{"empty", []byte{}},
 		{"mixed-fp32", clone(mixed.Bytes())},
-		{"quantized-widths", clone(quant.Bytes())},
+		{"quantized-widths", clone(widths.Bytes())},
 		{"adaptive", clone(adaptive.Bytes())},
 		{"hostile-truncated", truncated},
-		{"hostile-kind", badKind},
+		{"hostile-kind", badCodec},
 		{"hostile-flags", badFlags},
 		{"hostile-fp32-adaptive", fp32Adaptive},
 		{"hostile-width-mismatch", widthMismatch},
-		{"hostile-huge-length", hugeLen},
+		{"hostile-huge-length", hugeCount},
 		{"hostile-nan-metadata", nanMeta},
+		{"hostile-bits-past-count", pastCount},
+		{"hostile-trailing", trailing},
 	}
 }
 
 // roundtripSeeds returns the FuzzBatchRoundtrip seed corpus: construction
-// scripts covering each encoder variant (see buildScripted's opcode layout).
+// scripts covering each encoder variant (see buildScripted's layout).
 func roundtripSeeds() []corpusSeed {
 	return []corpusSeed{
-		{"fp32-node", []byte{0x00, 0, 3, 1, 16, 240, 32}},
-		{"quant-group", []byte{0x03, 7, 4, 2, 1, 2, 3, 4}},
-		{"adaptive-node", []byte{0x14, 1, 5, 3, 255, 128, 0, 64, 192}},
-		{"roundtrip-quant", []byte{0x06, 3, 4, 4, 10, 20, 30, 40}},
-		{"roundtrip-adaptive", []byte{0x0e, 11, 6, 5, 5, 15, 25, 35, 45, 55}},
+		{"fp32-node", []byte{0x00, 0, 2, 0, 0, 16, 240, 0, 32, 48}},
+		{"quant-group", []byte{0x22, 7, 3, 0, 0, 1, 2, 3, 0, 4, 5, 6}},
+		{"adaptive-node", []byte{0x14, 7, 4, 3, 0x31, 255, 128, 0, 64, 0x72, 192, 1, 2, 3}},
+		{"roundtrip-quant", []byte{0x06, 3, 3, 0, 0, 10, 20, 30, 0, 40, 50, 60}},
+		{"roundtrip-adaptive", []byte{0x1e, 11, 2, 5, 0x52, 5, 15, 0x13, 25, 35, 0xf0, 45, 55}},
 		{"multi-message", []byte{
-			0x00, 0, 2, 1, 16, 32,
-			0x02, 7, 3, 2, 1, 2, 3,
-			0x0e, 3, 2, 3, 100, 200,
+			0x03, 7, 1, 0,
+			0, 16, 0, 32, 0, 48, 0, 64,
 		}},
 		// Non-finite payloads through every variant: fp32 carries them, the
 		// quantized encodings poison the unit (compress.Grid's policy).
-		{"nonfinite-fp32", []byte{0x00, 0, 4, 1, scriptNaN, scriptPosInf, scriptNegInf, 16}},
-		{"nonfinite-quant-nan", []byte{0x02, 7, 4, 2, 16, scriptNaN, 32, 48}},
-		{"nonfinite-adaptive-posinf", []byte{0x04, 3, 3, 3, scriptPosInf, 16, 240}},
-		{"nonfinite-roundtrip-neginf", []byte{0x06, 7, 3, 4, 16, 32, scriptNegInf}},
-		{"nonfinite-roundtrip-adaptive-mixed", []byte{0x0e, 15, 4, 5, scriptPosInf, scriptNaN, scriptNegInf, 0}},
+		{"nonfinite-fp32", []byte{0x01, 0, 3, 0, 0, scriptNaN, scriptPosInf, scriptNegInf, 0, 16, 32, 48}},
+		{"nonfinite-quant-nan", []byte{0x12, 7, 3, 2, 1, 16, scriptNaN, 32, 2, 48, 64, 80}},
+		{"nonfinite-adaptive-posinf", []byte{0x05, 3, 2, 0, 0x10, scriptPosInf, 16, 0x20, 240, 1}},
+		{"nonfinite-roundtrip-neginf", []byte{0x06, 7, 2, 0, 0, 16, scriptNegInf}},
+		{"nonfinite-roundtrip-adaptive-mixed", []byte{0x0e, 15, 3, 0, 0xa0, scriptPosInf, scriptNaN, scriptNegInf, 0x30, 0, 1, 2}},
 	}
 }
 

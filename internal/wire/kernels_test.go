@@ -116,20 +116,15 @@ func codecCases() []codecCase {
 }
 
 // checkCodec encodes payload at the given width on the current path and
-// requires the message — header, metadata and packed levels — to equal the
-// per-value reference's byte for byte, the sender's roundtrip slice to equal
-// the reference's bit for bit, and Read and AXPY over the message to equal
-// the reference decoder's values bit for bit.
+// requires the message — metadata and packed levels — to equal the per-value
+// reference's byte for byte, the sender's roundtrip slice to equal the
+// reference's bit for bit, and Read and AXPY over the message in a frame to
+// equal the reference decoder's values bit for bit.
 func checkCodec(payload []float64, bits int, adaptive bool, alpha float64) error {
 	n := len(payload)
-	m := &Message{Kind: KindGroup, SrcPart: 3, Target: 41, Payload: payload}
+	m := &Message{Payload: payload}
 	wantRT := make([]float64, n)
 	want := referenceEncodeQuantized(nil, m, bits, adaptive, wantRT)
-	ref, rest, err := Decode(want)
-	if err != nil || len(rest) != 0 {
-		return fmt.Errorf("reference decode: %v (%d bytes left)", err, len(rest))
-	}
-
 	gotRT := make([]float64, n)
 	got := encodeQuantized(nil, m, bits, adaptive, gotRT)
 	if !bytes.Equal(got, want) {
@@ -138,6 +133,15 @@ func checkCodec(payload []float64, bits int, adaptive bool, alpha float64) error
 	if plain := encodeQuantized(nil, m, bits, adaptive, nil); !bytes.Equal(plain, want) {
 		return fmt.Errorf("message encoded without a roundtrip slice\n got  %x\n want %x", plain, want)
 	}
+	if n == 0 {
+		return nil // a frame's messages hold at least one value
+	}
+	frame := referenceFrame(Frame{Width: n, Bits: bits, Adaptive: adaptive, Count: 1}, nil, got)
+	_, refs, err := DecodeAll(frame)
+	if err != nil {
+		return fmt.Errorf("reference decode: %v", err)
+	}
+	ref := refs[0]
 	base, read, acc := make([]float64, n), make([]float64, n), make([]float64, n)
 	for i := range base {
 		base[i] = float64(i%7) - 2.5
@@ -147,7 +151,7 @@ func checkCodec(payload []float64, bits int, adaptive bool, alpha float64) error
 		func(d *Decoder) error { return d.Read(read) },
 		func(d *Decoder) error { return d.AXPY(alpha, acc) },
 	} {
-		dec := NewDecoder(got)
+		dec := NewDecoder(frame)
 		if _, err := dec.Next(); err != nil {
 			return err
 		}
@@ -255,11 +259,14 @@ func FuzzGridKernels(f *testing.F) {
 	})
 }
 
-// TestCodecDigests records what each codec put on the wire for a fixed batch
-// before the quantisation arithmetic moved from a value at a time to a payload
-// at a time: the digests were taken at that commit, so a changed byte — in a
-// header, a metadata pair, a packed level or, through the error-feedback
-// residuals, a reconstructed value — fails here by name.
+// TestCodecDigests records what each codec put on the wire for a fixed set of
+// payloads: the digests were first taken before the quantisation arithmetic
+// moved from a value at a time to a payload at a time, and re-recorded once
+// when messages lost their headers — each frame then being its batch header
+// (plus bitmap) followed by the earlier bytes with every 16-byte message
+// header cut out. A changed byte — in a header, a bitmap, a metadata pair, a
+// packed level or, through the error-feedback residuals, a reconstructed
+// value — fails here by name.
 func TestCodecDigests(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	var msgs []*Message
@@ -269,56 +276,92 @@ func TestCodecDigests(t *testing.T) {
 		for i := range payload {
 			payload[i] = rng.NormFloat64() * scale
 		}
-		msgs = append(msgs, &Message{Kind: Kind(1 + k%2), SrcPart: int32(k % 4), Target: int32(100 + k), Payload: payload})
+		msgs = append(msgs, &Message{Kind: KindNode, Target: int32(100 + k), Payload: payload})
 	}
-	digest := func(b *Batch) string {
+	frames := codecDigestFrames(msgs)
+	// encode is one round: every frame at the codec, concatenated.
+	encode := func(bits int, adaptive bool, add func(b *Batch, k int)) []byte {
+		var out []byte
+		for _, fr := range frames {
+			f := fr.f
+			f.Bits, f.Adaptive = bits, adaptive
+			var b Batch
+			b.Begin(f)
+			for j, k := range fr.ks {
+				if f.Sampled {
+					b.Present(fr.present[j])
+				}
+				add(&b, k)
+			}
+			out = append(out, b.Bytes()...)
+		}
+		return out
+	}
+	digest := func(b []byte) string {
 		h := fnv.New64a()
-		h.Write(b.Bytes())
+		h.Write(b)
 		return fmt.Sprintf("%016x", h.Sum64())
 	}
 	aq := compress.NewAdaptiveQuantizer(2, 8, 0)
 	ef := compress.NewErrorFeedback()
-	efRound := func(b *Batch) {
+	efRound := func() []byte {
 		// The payloads differ in width, so each gets its own round slot.
-		for k, m := range msgs {
+		return encode(8, false, func(b *Batch, k int) {
 			key := compress.RoundUnitKey(k, 0)
-			payload := append([]float64(nil), m.Payload...)
+			payload := append([]float64(nil), msgs[k].Payload...)
 			ef.PreCompress(key, payload)
 			sent := make([]float64, len(payload))
-			b.AddQuantizedRoundtrip(&Message{Kind: m.Kind, SrcPart: m.SrcPart, Target: m.Target, Payload: payload}, 8, sent)
+			b.AddQuantizedRoundtrip(&Message{Payload: payload}, 8, false, sent)
 			ef.PostCompress(key, payload, sent)
-		}
+		})
 	}
 	for _, codec := range []struct {
 		name, want string
-		fill       func(b *Batch)
+		wire       func() []byte
 	}{
-		{"fp32", "a0b1f6bbe2a11a7a", func(b *Batch) {
-			for _, m := range msgs {
-				b.Add(m)
-			}
+		{"fp32", "2769deab760814fc", func() []byte { return encode(0, false, func(b *Batch, k int) { b.Add(msgs[k]) }) }},
+		{"q8", "c34d9087815fb135", func() []byte { return encode(8, false, func(b *Batch, k int) { b.AddQuantized(msgs[k], 8) }) }},
+		{"q4", "3d274d334e340632", func() []byte { return encode(4, false, func(b *Batch, k int) { b.AddQuantized(msgs[k], 4) }) }},
+		{"adaptive", "68b97b12c1f3145a", func() []byte {
+			return encode(8, true, func(b *Batch, k int) { b.AddAdaptive(msgs[k], aq.ChooseBits(msgs[k].Payload)) })
 		}},
-		{"q8", "3fb06d75f251a613", func(b *Batch) {
-			for _, m := range msgs {
-				b.AddQuantized(m, 8)
-			}
-		}},
-		{"q4", "3341707856df6fe0", func(b *Batch) {
-			for _, m := range msgs {
-				b.AddQuantized(m, 4)
-			}
-		}},
-		{"adaptive", "4ba561c3efffcbdd", func(b *Batch) {
-			for _, m := range msgs {
-				b.AddAdaptive(m, aq.ChooseBits(m.Payload))
-			}
-		}},
-		{"q8+EF, rounds 1 and 2", "0237b8d8f47f78a9", func(b *Batch) { efRound(b); efRound(b) }},
+		{"q8+EF, rounds 1 and 2", "ab07d28cde900a2f", func() []byte { return append(efRound(), efRound()...) }},
 	} {
-		var b Batch
-		codec.fill(&b)
-		if got := digest(&b); got != codec.want {
-			t.Errorf("%s: batch digest %s, recorded %s", codec.name, got, codec.want)
+		if got := digest(codec.wire()); got != codec.want {
+			t.Errorf("%s: frames digest %s, recorded %s", codec.name, got, codec.want)
 		}
 	}
+}
+
+// codecFrame is one frame of TestCodecDigests: its header (codec left to
+// the caller), the messages it carries and, when sampled, their candidates.
+type codecFrame struct {
+	f       Frame
+	ks      []int
+	present []int
+}
+
+// codecDigestFrames groups the digest payloads into one frame per width, in
+// order of first appearance, sent by the first member's k%4: the three
+// 32-wide ones share a sampled frame as candidates 0, 2 and 3 of 5. The
+// zero-width payload, which no frame can hold, is left out.
+func codecDigestFrames(msgs []*Message) []codecFrame {
+	var frames []codecFrame
+	at := map[int]int{}
+	for k, m := range msgs {
+		n := len(m.Payload)
+		if n == 0 {
+			continue
+		}
+		i, ok := at[n]
+		if !ok {
+			i = len(frames)
+			at[n] = i
+			frames = append(frames, codecFrame{f: Frame{Sender: int32(k % 4), Width: n}})
+		}
+		frames[i].ks = append(frames[i].ks, k)
+		frames[i].f.Count++
+	}
+	frames[0].f.Count, frames[0].f.Sampled, frames[0].present = 5, true, []int{0, 2, 3}
+	return frames
 }

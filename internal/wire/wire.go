@@ -1,13 +1,17 @@
-// Package wire defines the binary message format the goroutine-based
-// distributed runtime (internal/worker) exchanges between workers: a fixed
-// header followed by an fp32 payload vector, mirroring the fp32 tensors a
-// gloo/NCCL transport would carry.
+// Package wire defines the binary frame format the goroutine-based
+// distributed runtime (internal/worker) exchanges between workers: per sender,
+// receiver and round one frame — a batch header, then each message's payload
+// alone: fp32 values, mirroring the fp32 tensors a gloo/NCCL transport would
+// carry, or quantized levels. A message's unit is implied by its position: both
+// ends walk the pair's candidates in one order (exchange.Walk), so the k-th
+// message of a frame is candidate k, or under sampling the k-th one its
+// presence bitmap marks.
 //
 // Every cross-partition value of every runtime is serialized into a byte
 // slice here and parsed again on the receiving worker; the bytes the traffic
 // accounting reports are the lengths of those slices, asserted equal in tests
-// to the format's arithmetic (16-byte header, 4 bytes a value, or
-// ceil(n·bits/8) + 8).
+// to the format's arithmetic (a 14-byte header plus the bitmap per non-empty
+// frame, then 4 bytes a value, or ceil(n·bits/8) + 8 a message).
 //
 // This package frames and packs; it holds no quantisation arithmetic. A
 // quantized payload is ranged, levelled and reconstructed a chunk of levels at
@@ -26,59 +30,46 @@ import (
 	"scgnn/internal/compress"
 )
 
-// Kind discriminates message semantics at the receiver.
+// Kind is a caller's label for a message; it is not encoded.
 type Kind uint8
 
-const (
-	// KindNode carries one node's payload (vanilla / O2O traffic).
-	// Target is the global destination node id.
-	KindNode Kind = iota + 1
-	// KindGroup carries one fused semantic message. Target is the group's
-	// index within the (src→dst) plan.
-	KindGroup
-)
+// KindNode labels one node's payload (vanilla / O2O traffic).
+const KindNode Kind = 1
 
-// HeaderBytes is the encoded header size: kind(1) + bits(1) + flags(1) +
-// pad(1) + src(4) + target(4) + length(4).
-const HeaderBytes = 16
-
-// FlagAdaptive (header flags byte, bit 0) marks a payload quantized at a
-// per-message adaptive width. Adaptive messages carry one extra metadata
-// byte — the chosen width — after the lo/step pair: a fixed-width receiver
-// knows its width from configuration, but an adaptive width is genuinely
-// per-message state, the same extra byte AdaQP-style schemes ship
-// ((n·bits+7)/8 + 9 vs + 8). Decoders reject any
-// other flag bit, and reject adaptive messages whose metadata width byte
-// disagrees with the header's bits field.
-const FlagAdaptive = 0x01
-
-// Message is one unit of cross-partition traffic.
+// Message is one unit of cross-partition traffic. Only Payload is encoded:
+// Kind and Target (a node or plan-group index) are the caller's bookkeeping.
 type Message struct {
 	Kind    Kind
-	SrcPart int32 // sending worker
-	Target  int32 // node id (KindNode) or plan-group index (KindGroup)
+	Target  int32
 	Payload []float64
+}
+
+// FrameHeaderBytes is the batch header size: bits(1) + flags(1) + sender(4) +
+// width(4) + count(4).
+const FrameHeaderBytes = 14
+
+// Header flag bits; decoders reject any other. FlagAdaptive: each message
+// carries its own width in one extra metadata byte after lo/step (the extra
+// byte AdaQP-style schemes ship), bounded by the header's bits. FlagSampled:
+// a presence bitmap of ceil(count/8) bytes follows the header, bit i
+// (little-endian within a byte) set iff candidate i has a message.
+const (
+	FlagAdaptive = 0x01
+	FlagSampled  = 0x02
+)
+
+// Frame is a frame's batch header. Width is every message's value count;
+// Bits the quantization width (0: fp32), under Adaptive the messages' bound;
+// Count the candidate units of the pair's round, each with a message in
+// candidate order unless Sampled.
+type Frame struct {
+	Sender             int32
+	Width, Bits, Count int
+	Adaptive, Sampled  bool
 }
 
 // ValueBytes is the wire size of one unquantized payload value (fp32).
 const ValueBytes = 4
-
-// EncodedSize returns the wire size of a message with n payload values.
-func EncodedSize(n int) int { return HeaderBytes + ValueBytes*n }
-
-// Encode serializes m, appending to dst (which may be nil) and returning the
-// extended slice. Payload values are truncated to fp32 — the same precision
-// the paper's training exchanges.
-func Encode(dst []byte, m *Message) []byte {
-	dst, b := reserve(dst, EncodedSize(len(m.Payload)))
-	putHeader(b, m, 0, 0)
-	b = b[HeaderBytes:]
-	for _, v := range m.Payload {
-		binary.LittleEndian.PutUint32(b, math.Float32bits(float32(v)))
-		b = b[ValueBytes:]
-	}
-	return dst
-}
 
 // reserve extends dst by n bytes, growing it at most once, and returns it
 // along with the new bytes (not zeroed: callers write every one).
@@ -88,61 +79,111 @@ func reserve(dst []byte, n int) (all, added []byte) {
 	return all, all[start:]
 }
 
-// putHeader writes m's header to the front of b, with the given bit-width and
-// flags bytes.
-func putHeader(b []byte, m *Message, bits, flags byte) {
-	_ = b[HeaderBytes-1]
-	b[0], b[1], b[2], b[3] = byte(m.Kind), bits, flags, 0
-	binary.LittleEndian.PutUint32(b[4:], uint32(m.SrcPart))
-	binary.LittleEndian.PutUint32(b[8:], uint32(m.Target))
-	binary.LittleEndian.PutUint32(b[12:], uint32(len(m.Payload)))
-}
-
-// Batch accumulates encoded messages bound for one destination worker so a
-// round's traffic ships as a single framed buffer (the transport-level
-// batching gloo performs).
+// Batch accumulates the messages bound for one destination worker in one
+// round as a single framed buffer (the transport-level batching gloo
+// performs). Begin declares the frame; the first Add into a batch without one
+// opens an unsampled frame from sender 0 whose candidates are its messages.
+// A frame holds one width and one codec: an Add of another panics.
 type Batch struct {
-	buf   []byte
-	count int
+	buf               []byte
+	frame             Frame
+	implicit          bool // opened by an Add: Count follows the messages
+	count, room, last int  // messages, messages the frame admits next, the last Present
 }
 
-// Add encodes m into the batch.
-func (b *Batch) Add(m *Message) {
-	b.buf = Encode(b.buf, m)
+// Begin empties the batch, retaining its buffer, and opens a frame with
+// header f. An f no decoder accepts panics.
+func (b *Batch) Begin(f Frame) {
+	if f.Width < 1 || f.Count < 0 || f.Bits < 0 || f.Bits > 16 || f.Adaptive && f.Bits == 0 {
+		panic(fmt.Sprintf("wire: invalid frame %+v", f))
+	}
+	*b = Batch{buf: b.buf[:0], frame: f, room: f.Count, last: -1}
+	bitmap := 0
+	if f.Sampled {
+		bitmap, b.room = (f.Count+7)/8, 0
+	}
+	var h []byte
+	b.buf, h = reserve(b.buf, FrameHeaderBytes+bitmap)
+	h[0], h[1] = byte(f.Bits), 0
+	if f.Adaptive {
+		h[1] |= FlagAdaptive
+	}
+	if f.Sampled {
+		h[1] |= FlagSampled
+	}
+	binary.LittleEndian.PutUint32(h[2:], uint32(f.Sender))
+	binary.LittleEndian.PutUint32(h[6:], uint32(f.Width))
+	binary.LittleEndian.PutUint32(h[10:], uint32(f.Count))
+	clear(h[FrameHeaderBytes:])
+}
+
+// Present marks candidate i as the next message's unit. A sampled frame
+// needs one per message, at ascending i below its count; anything else
+// panics.
+func (b *Batch) Present(i int) {
+	if !b.frame.Sampled || b.room != 0 || i <= b.last || i >= b.frame.Count {
+		panic(fmt.Sprintf("wire: Present(%d) after %d on frame %+v", i, b.last, b.frame))
+	}
+	b.buf[FrameHeaderBytes+i>>3] |= 1 << (i & 7)
+	b.room, b.last = 1, i
+}
+
+// admit checks one message of width values at a codec against the open frame
+// — opening an implicit one if none is, and extending it — and counts it.
+func (b *Batch) admit(width, bits int, adaptive bool) {
+	if len(b.buf) == 0 {
+		f := Frame{Width: width, Bits: bits, Adaptive: adaptive}
+		if adaptive {
+			f.Bits = 16
+		}
+		b.Begin(f)
+		b.implicit = true
+	}
+	f := &b.frame
+	if b.implicit {
+		f.Count++
+		binary.LittleEndian.PutUint32(b.buf[10:], uint32(f.Count))
+		b.room++
+	}
+	if b.room == 0 || width != f.Width || adaptive != f.Adaptive || bits != f.Bits && !(adaptive && bits <= f.Bits) {
+		panic(fmt.Sprintf("wire: message %d (%d values, bits=%d adaptive=%v) does not fit frame %+v", b.count, width, bits, adaptive, *f))
+	}
+	b.room--
 	b.count++
+}
+
+// Add encodes m's payload as fp32 values.
+func (b *Batch) Add(m *Message) {
+	b.admit(len(m.Payload), 0, false)
+	var p []byte
+	b.buf, p = reserve(b.buf, ValueBytes*len(m.Payload))
+	for _, v := range m.Payload {
+		binary.LittleEndian.PutUint32(p, math.Float32bits(float32(v)))
+		p = p[ValueBytes:]
+	}
 }
 
 // Len returns the number of messages in the batch.
 func (b *Batch) Len() int { return b.count }
 
-// Bytes returns the encoded buffer (nil when empty).
-func (b *Batch) Bytes() []byte { return b.buf }
+// Bytes returns the encoded frame, nil when it holds no message: a pair with
+// nothing to send ships a zero-length frame.
+func (b *Batch) Bytes() []byte {
+	if b.count == 0 {
+		return nil
+	}
+	return b.buf
+}
 
 // Reset empties the batch while retaining its encode buffer, so a persistent
 // worker can reuse one Batch per peer across rounds without reallocating.
-func (b *Batch) Reset() {
-	b.buf = b.buf[:0]
-	b.count = 0
-}
+func (b *Batch) Reset() { *b = Batch{buf: b.buf[:0]} }
 
-// Quantized payload support: header byte 1 carries the bit width (0 means
-// fp32). A quantized message stores its compress.Grid metadata as two fp32s
-// (lo, step) followed by the bit-packed little-endian levels. The grid owns
-// the arithmetic in both directions (which level a value takes, what a level
-// or a non-finite payload reconstructs to); this package frames and packs.
-
-// EncodedSizeQuantized returns the wire size of an n-value payload at the
-// given bit width.
-func EncodedSizeQuantized(n, bits int) int {
-	return HeaderBytes + 8 + (n*bits+7)/8
-}
-
-// EncodedSizeAdaptive returns the wire size of an n-value adaptively
-// quantized payload at the given bit width (one extra metadata byte carries
-// the per-message width).
-func EncodedSizeAdaptive(n, bits int) int {
-	return HeaderBytes + 9 + (n*bits+7)/8
-}
+// Quantized payload support: a quantized message stores its compress.Grid
+// metadata as two fp32s (lo, step), under FlagAdaptive its width byte, then
+// the bit-packed little-endian levels. The grid owns the arithmetic in both
+// directions (which level a value takes, what a level or a non-finite payload
+// reconstructs to); this package frames and packs.
 
 // levelChunk is how many levels the encoder and the decoder stage on their
 // stacks between the grid's slice operations and a message's bytes. It is a
@@ -150,27 +191,26 @@ func EncodedSizeAdaptive(n, bits int) int {
 // small, because the stack array is zeroed once per message.
 const levelChunk = 64
 
-// encodeQuantized serializes m with bits-wide affine quantization of the
-// payload (1 ≤ bits ≤ 16), which is not modified. adaptive marks the width as
-// a per-message choice (FlagAdaptive set, width repeated in the metadata). A
-// non-nil roundtrip (len(m.Payload) values) receives what the receiver will
-// reconstruct, which senders running residual error feedback need exactly.
+// encodeQuantized appends m's payload with bits-wide affine quantization
+// (1 ≤ bits ≤ 16) to dst: ceil(n·bits/8) + 8 bytes, + 1 for the width byte
+// when adaptive. The payload is not modified. A non-nil roundtrip (len(m.Payload) values)
+// receives what the receiver will reconstruct, which senders running residual
+// error feedback need exactly.
 func encodeQuantized(dst []byte, m *Message, bits int, adaptive bool, roundtrip []float64) []byte {
 	payload := m.Payload
 	if roundtrip != nil && len(roundtrip) != len(payload) {
 		panic(fmt.Sprintf("wire: roundtrip len %d, payload len %d", len(roundtrip), len(payload)))
 	}
 	grid := compress.NewGrid(payload, bits) // panics on a width outside 1..16
-	size, flags := EncodedSizeQuantized(len(payload), bits), byte(0)
+	meta := 8
 	if adaptive {
-		size, flags = EncodedSizeAdaptive(len(payload), bits), FlagAdaptive
+		meta = 9
 	}
-	dst, b := reserve(dst, size)
-	putHeader(b, m, byte(bits), flags)
+	dst, b := reserve(dst, meta+(len(payload)*bits+7)/8)
 	lo, step := grid.Meta()
-	binary.LittleEndian.PutUint32(b[HeaderBytes:], math.Float32bits(lo))
-	binary.LittleEndian.PutUint32(b[HeaderBytes+4:], math.Float32bits(step))
-	b = b[HeaderBytes+8:]
+	binary.LittleEndian.PutUint32(b, math.Float32bits(lo))
+	binary.LittleEndian.PutUint32(b[4:], math.Float32bits(step))
+	b = b[8:]
 	if adaptive {
 		b[0] = byte(bits)
 		b = b[1:]
@@ -270,28 +310,16 @@ func readGrid(b []byte) compress.WireGrid {
 		math.Float32frombits(binary.LittleEndian.Uint32(b[4:])))
 }
 
-// AddQuantized encodes m into the batch with b-bit quantization.
-func (b *Batch) AddQuantized(m *Message, bits int) {
-	b.buf = encodeQuantized(b.buf, m, bits, false, nil)
-	b.count++
+// AddQuantizedRoundtrip encodes m with bits-wide quantization — at a
+// per-message width when adaptive — and, when roundtrip is non-nil, writes
+// the receiver-reconstructed values into it.
+func (b *Batch) AddQuantizedRoundtrip(m *Message, bits int, adaptive bool, roundtrip []float64) {
+	b.admit(len(m.Payload), bits, adaptive)
+	b.buf = encodeQuantized(b.buf, m, bits, adaptive, roundtrip)
 }
 
-// AddQuantizedRoundtrip encodes m with b-bit quantization and writes the
-// receiver-reconstructed values into roundtrip.
-func (b *Batch) AddQuantizedRoundtrip(m *Message, bits int, roundtrip []float64) {
-	b.buf = encodeQuantized(b.buf, m, bits, false, roundtrip)
-	b.count++
-}
+// AddQuantized encodes m into the batch with b-bit quantization.
+func (b *Batch) AddQuantized(m *Message, bits int) { b.AddQuantizedRoundtrip(m, bits, false, nil) }
 
 // AddAdaptive encodes m into the batch at a per-message adaptive width.
-func (b *Batch) AddAdaptive(m *Message, bits int) {
-	b.buf = encodeQuantized(b.buf, m, bits, true, nil)
-	b.count++
-}
-
-// AddAdaptiveRoundtrip encodes m at a per-message adaptive width and writes
-// the receiver-reconstructed values into roundtrip.
-func (b *Batch) AddAdaptiveRoundtrip(m *Message, bits int, roundtrip []float64) {
-	b.buf = encodeQuantized(b.buf, m, bits, true, roundtrip)
-	b.count++
-}
+func (b *Batch) AddAdaptive(m *Message, bits int) { b.AddQuantizedRoundtrip(m, bits, true, nil) }

@@ -158,3 +158,10 @@ func TestBoundaryFirstSchedule(t *testing.T) {
 		}
 	}
 }
+
+// localPhase computes the within-partition part of Â·h for all rows worker
+// me owns (benchmark and test entry point; rounds call localRows in the
+// boundary-first split).
+func (x *exchanger) localPhase(me int, h, out *tensor.Matrix) {
+	x.localRows(me, h, out, 0, len(x.local[me].rows))
+}

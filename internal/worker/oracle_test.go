@@ -8,7 +8,9 @@ package worker
 // everything after the walk the slow, obvious way: float64 payloads built
 // member by member off the plan, a compress.Grid round trip per unit standing
 // in for the codec, one tensor.AXPY per delivered term, bytes billed from the
-// wire format's arithmetic. It shares no gather plan, fused kernel, wire.Batch
+// wire format's closed form: per message its codec bytes only, per non-empty
+// frame one batch header plus, on a sampled pair, a presence bit per
+// candidate. It shares no gather plan, fused kernel, wire.Batch
 // or decoder with production, which is what makes agreement with it evidence.
 //
 // The names are exported so the external tests of this directory (which may
@@ -75,6 +77,7 @@ type Oracle struct {
 	cfg    exchange.Config
 
 	fabric *simnet.Fabric
+	shard  *simnet.ShardCounter // a round's traffic, drained into fabric at its end
 
 	delay *oracleDelayCache
 	// freshEval forces the next rounds to bypass delayed transmission —
@@ -103,6 +106,7 @@ func NewOracle(g *graph.Graph, part []int, nparts int, cfg exchange.Config) *Ora
 		nparts: nparts,
 		cfg:    cfg,
 		fabric: simnet.NewFabric(nparts),
+		shard:  simnet.NewShardCounter(nparts),
 	}
 	if cfg.DelayPeriod > 1 {
 		e.delay = newOracleDelayCache(cfg.DelayPeriod)
@@ -248,6 +252,7 @@ func (e *Oracle) remote(h, out *tensor.Matrix, backward bool) {
 			}
 		}
 	}
+	e.fabric.Drain(e.shard)
 	if target != out {
 		e.delay.Store(round, target)
 		tensor.AddInPlace(out, target)
@@ -271,8 +276,9 @@ func (e *Oracle) pairFor(r, peer int, backward bool) (idx, from, to int) {
 // — build the payload in float64 (Fig. 7(b) line 2 for a group:
 // h_g = Σ w(u)·f[u]·h_u, the GCN normalization folded in so delivery only
 // needs the receiver factor; f[u]·h_u for a per-node unit; rounded to the
-// fp32 the wire ships when the pair sends plain payloads), account it through
-// sendPayload, and deliver it straight into delta.
+// fp32 the wire ships when the pair sends plain payloads), bill it through
+// sendPayload, and deliver it straight into delta. The pair's frame is billed
+// once the walk is done.
 func (e *Oracle) exchangePair(r, peer int, h, delta *tensor.Matrix, backward bool, round int) {
 	dim := h.Cols
 	idx, from, to := e.pairFor(r, peer, backward)
@@ -287,7 +293,9 @@ func (e *Oracle) exchangePair(r, peer int, h, delta *tensor.Matrix, backward boo
 	}
 	payload := e.payload[:dim]
 	plain := ps.Bits == 0 // nothing quantises: deliver the fp32 the wire ships
+	var bytes, msgs int64
 	e.core.Walk(idx, backward, func(u exchange.Unit) {
+		msgs++
 		if u.Group < 0 {
 			scale := coeff[u.Sender] * u.Scale
 			if plain {
@@ -299,7 +307,7 @@ func (e *Oracle) exchangePair(r, peer int, h, delta *tensor.Matrix, backward boo
 					payload[i] = scale * v
 				}
 			}
-			e.sendPayload(ps, from, to, round, u.Index, payload)
+			bytes += e.sendPayload(ps, round, u.Index, payload)
 			tensor.AXPY(coeff[u.Receiver], payload, delta.Row(int(u.Receiver)))
 			e.aggFlops += int64(2 * dim)
 			return
@@ -315,22 +323,29 @@ func (e *Oracle) exchangePair(r, peer int, h, delta *tensor.Matrix, backward boo
 			}
 		}
 		e.semanticValues += int64(len(grp.SrcNodes) * dim)
-		e.sendPayload(ps, from, to, round, u.Index, payload)
+		bytes += e.sendPayload(ps, round, u.Index, payload)
 		for k, v := range grp.DstNodes {
 			tensor.AXPY(grp.DDst[k]*coeff[v], payload, delta.Row(int(v)))
 		}
 		e.semanticValues += int64(len(grp.DstNodes) * dim)
 		e.aggFlops += int64(2 * dim * (len(grp.SrcNodes) + len(grp.DstNodes)))
 	})
+	if msgs > 0 {
+		bytes += wire.FrameHeaderBytes
+		if ps.Sampler != nil || ps.NodeSampler != nil {
+			bytes += int64(e.core.Candidates(idx)+7) / 8
+		}
+		e.shard.Add(from, to, bytes, msgs)
+	}
 }
 
 // sendPayload replaces a quantized pair's payload in place by what the
 // receiver reconstructs from the bytes the wire runtimes ship for it (a plain
-// payload arrives already rounded to fp32) and records the message on the
-// traffic counter. unit is the candidate-unit index within (pair, round);
+// payload arrives already rounded to fp32) and returns the message's codec
+// bytes. unit is the candidate-unit index within (pair, round);
 // dropped candidates consume an index too, so error-feedback keys stay
 // aligned across epochs.
-func (e *Oracle) sendPayload(ps *exchange.PairState, from, to, round int, unit int64, payload []float64) {
+func (e *Oracle) sendPayload(ps *exchange.PairState, round int, unit int64, payload []float64) int64 {
 	// Residual error feedback: correct the payload by last round's
 	// quantization error for this transfer unit, then record the new error.
 	var trueVals []float64
@@ -353,5 +368,5 @@ func (e *Oracle) sendPayload(ps *exchange.PairState, from, to, round int, unit i
 	if ps.EF != nil {
 		ps.EF.PostCompress(efKey, trueVals, payload)
 	}
-	e.fabric.Send(from, to, bytes)
+	return int64(bytes)
 }

@@ -86,7 +86,8 @@ func (p *Peer) StartEvalEpoch(epoch int) {
 // worker runs, back to back, with the ghost-advance of the pairs other nodes
 // encoded between them: one encoded frame handed to send per peer (ascending,
 // skipping self), then nparts-1 recv calls, which must yield the peers' frames
-// in ascending sender order. h and out are len(Own())×d: h carries the owned
+// in ascending sender order, each with the sender the transport names (a frame
+// whose batch header names another is refused). h and out are len(Own())×d: h carries the owned
 // nodes' rows in Own() order (local aggregation and encoding read nothing
 // else), and out receives their aggregate in the same order. Delayed-transmission
 // replay/fresh decisions are computed locally from the epoch schedule —
@@ -95,7 +96,7 @@ func (p *Peer) StartEvalEpoch(epoch int) {
 // from the round itself (transport or decode) poisons the peer: contributions
 // may have been dropped mid-round, so every later Round returns the same error
 // until Restore rewinds the state.
-func (p *Peer) Round(h, out *tensor.Matrix, backward bool, send func(peer int, frame []byte) error, recv func() ([]byte, error)) error {
+func (p *Peer) Round(h, out *tensor.Matrix, backward bool, send func(peer int, frame []byte) error, recv func() (from int, frame []byte, err error)) error {
 	target, replay, err := p.beginRound(out, h)
 	if err != nil {
 		return err

@@ -82,13 +82,13 @@ func (m *peerMesh) round(t *testing.T, backward bool) error {
 		go func(p int) {
 			defer wg.Done()
 			next := 0
-			recv := func() ([]byte, error) {
+			recv := func() (int, []byte, error) {
 				if next == p {
 					next++
 				}
 				buf := <-m.chans[next][p]
 				next++
-				return buf, nil
+				return next - 1, buf, nil
 			}
 			send := func(peer int, frame []byte) error {
 				m.chans[p][peer] <- append([]byte(nil), frame...)
@@ -350,7 +350,7 @@ func TestPeerRestoreRejectsMismatch(t *testing.T) {
 	}
 	h, out := randMat(len(ef.Own()), 5, 1), tensor.New(len(ef.Own()), 5)
 	send := func(int, []byte) error { return errors.New("frame sent past the width check") }
-	recv := func() ([]byte, error) { return nil, errors.New("receive past the width check") }
+	recv := func() (int, []byte, error) { return 0, nil, errors.New("receive past the width check") }
 	ef.StartEpoch(0)
 	first := ef.Round(h, out, false, send, recv)
 	if first == nil || !strings.Contains(first.Error(), "4 wide, the round is 5") {
@@ -419,7 +419,7 @@ func TestPeerRoundRejectsGraphRows(t *testing.T) {
 	sent := false
 	stop := errors.New("stop at the first send")
 	send := func(int, []byte) error { sent = true; return stop }
-	recv := func() ([]byte, error) { t.Fatal("receive in a refused round"); return nil, nil }
+	recv := func() (int, []byte, error) { t.Fatal("receive in a refused round"); return 0, nil, nil }
 	peer.StartEpoch(0)
 	for name, m := range map[string][2]*tensor.Matrix{
 		"graph rows": {randMat(n, 4, 1), tensor.New(n, 4)},
@@ -474,7 +474,7 @@ func TestPeerRestoreIsAtomic(t *testing.T) {
 		t.Fatal("a refused Restore changed the peer's state")
 	}
 	send := func(int, []byte) error { t.Fatal("send in a replay round"); return nil }
-	recv := func() ([]byte, error) { t.Fatal("receive in a replay round"); return nil, nil }
+	recv := func() (int, []byte, error) { t.Fatal("receive in a replay round"); return 0, nil, nil }
 	replay := func() []*tensor.Matrix {
 		peer.StartEpoch(1)
 		var outs []*tensor.Matrix

@@ -88,7 +88,7 @@ type work struct {
 // warm-up a round allocates nothing.
 type workerScratch struct {
 	batches []wire.Batch // one encode buffer per peer (self entry unused)
-	msg     wire.Message // reused header struct for encoding
+	msg     wire.Message // reused message struct for encoding
 	payload []float64    // outgoing payload / group-fuse accumulator
 	dec     []float64    // inbound group payload staging
 	efSent  []float64    // error feedback: receiver-reconstructed values
@@ -263,8 +263,8 @@ func (x *exchanger) beginRound(out, h *tensor.Matrix) (target *tensor.Matrix, re
 	if x.err != nil {
 		return nil, false, x.err
 	}
-	if h.Rows != x.rows || out.Rows != x.rows || out.Cols != h.Cols {
-		return nil, false, fmt.Errorf("%w: h (%d,%d) out (%d,%d), want %d rows each and equal cols",
+	if h.Rows != x.rows || out.Rows != x.rows || out.Cols != h.Cols || h.Cols < 1 {
+		return nil, false, fmt.Errorf("%w: h (%d,%d) out (%d,%d), want %d rows each and equal, positive cols",
 			ErrRoundShape, h.Rows, h.Cols, out.Rows, out.Cols, x.rows)
 	}
 	for idx := range x.core.Pairs {
@@ -345,14 +345,15 @@ func (x *exchanger) sendHalf(me int, h, out *tensor.Matrix, backward bool, send 
 
 // recvHalf is the second half: the interior rows — which no peer depends on,
 // so over a socket they overlap the frames in flight — then the nparts-1
-// inbound frames, decoded into me's rows of target in the order recv yields
-// them, which must be ascending sender order: every row then sums its remote
+// inbound frames, each with the sender the transport names, decoded into me's
+// rows of target in the order recv yields them, which must be ascending
+// sender order: every row then sums its remote
 // contributions in one fixed order, which is what makes the result independent
 // of arrival order and equal on every transport. Every row's accumulation is
 // self-contained and encoding reads only h, so the boundary-first order is
 // output-invariant. A recv error stops receiving; after a decode error the
 // remaining batches are still drained so the transport stays balanced.
-func (x *exchanger) recvHalf(me int, h, out, target *tensor.Matrix, backward bool, recv func() ([]byte, error)) error {
+func (x *exchanger) recvHalf(me int, h, out, target *tensor.Matrix, backward bool, recv func() (from int, frame []byte, err error)) error {
 	lp := x.local[me]
 	if target != out {
 		// Fresh delayed round: the slot holds last period's delta; clear this
@@ -366,7 +367,7 @@ func (x *exchanger) recvHalf(me int, h, out, target *tensor.Matrix, backward boo
 	x.hook(me, "local-interior")
 	var firstErr error
 	for k := 0; k < x.core.NParts-1; k++ {
-		buf, err := recv()
+		from, buf, err := recv()
 		if err != nil {
 			if firstErr == nil {
 				firstErr = fmt.Errorf("worker: peer %d: recv: %w", me, err)
@@ -374,7 +375,7 @@ func (x *exchanger) recvHalf(me int, h, out, target *tensor.Matrix, backward boo
 			break // transport failure: the remaining batches are not coming
 		}
 		if firstErr == nil {
-			firstErr = x.decodeBatch(me, backward, target, buf)
+			firstErr = x.decodeBatch(me, from, backward, target, buf)
 		}
 	}
 	x.hook(me, "receive")
@@ -417,33 +418,27 @@ func (x *exchanger) localRows(me int, h, out *tensor.Matrix, from, to int) {
 	x.work[me].flops += int64(2 * h.Cols * arcs)
 }
 
-// localPhase computes the within-partition part of Â·h for all rows worker
-// me owns (benchmark and test entry point; rounds call localRows in the
-// boundary-first split).
-func (x *exchanger) localPhase(me int, h, out *tensor.Matrix) {
-	x.localRows(me, h, out, 0, len(x.local[me].rows))
-}
-
 // encodePeer encodes worker me's outgoing halo for one peer into the retained
 // batch buffer, records the traffic on me's shard counter, and returns the
 // framed bytes. It is the wire runtime's sink of the shared unit walk: one
-// KindGroup message per surviving group (Fig. 7(b)), one KindNode message per
-// surviving O2O residual or cross arc (Fig. 7(a)). Forward it walks pair
-// (me→peer); backward pair (peer→me) reversed — me owns its sinks. The
-// buffer is reused next round: receivers must fully consume it before then
-// (in-process the round barrier guarantees this; the socket transport copies
-// it out immediately).
+// message per surviving group (Fig. 7(b)), one per surviving O2O residual or
+// cross arc (Fig. 7(a)), in walk order behind the frame's batch header.
+// Forward it walks pair (me→peer); backward pair (peer→me) reversed — me owns
+// its sinks. The buffer is reused next round: receivers must fully consume it
+// before then (in-process the round barrier guarantees this; the socket
+// transport copies it out immediately).
 func (x *exchanger) encodePeer(me, peer int, h *tensor.Matrix, backward bool) []byte {
 	ws := x.ws[me]
 	batch := &ws.batches[peer]
-	batch.Reset()
 	idx := me*x.core.NParts + peer
 	if backward {
 		idx = peer*x.core.NParts + me
 	}
+	frame := x.frame(idx, me, h.Cols)
+	batch.Begin(frame)
 	payload := ws.payload[:h.Cols]
 	msg := &ws.msg
-	msg.SrcPart, msg.Payload = int32(me), payload
+	msg.Payload = payload
 	ps := &x.core.Pairs[idx]
 	enc, _ := x.groupPlans(idx, backward)
 	groups, rowOf := x.core.Groups(idx, backward), x.rowOf
@@ -456,21 +451,21 @@ func (x *exchanger) encodePeer(me, peer int, h *tensor.Matrix, backward bool) []
 			for i, v := range h.Row(int(rowOf[u.Sender])) {
 				payload[i] = scale * v
 			}
-			msg.Kind, msg.Target = wire.KindNode, u.Receiver
 		} else {
 			// h_g = scale·Σ w(u)·f[u]·h_u in one fused pass over the members.
 			clear(payload)
 			rows, w := enc.Group(int(u.Group))
 			tensor.GatherAXPY(payload, h, rows, w, u.Scale)
-			msg.Kind, msg.Target = wire.KindGroup, u.Group
 			groupMsgs++
 			members += len(rows) + len(groups[u.Group].DstNodes)
+		}
+		if frame.Sampled {
+			batch.Present(int(u.Index))
 		}
 		x.addMsg(ws, batch, ps, u.Index)
 	})
 	buf := batch.Bytes()
-	// Wire framing is already inside buf (each message carries its own
-	// header), so record pre-framed bytes rather than ShardCounter.Send.
+	// The frame is the traffic: its batch header, then the messages' payloads.
 	x.counters[me].Add(me, peer, int64(len(buf)), int64(batch.Len()))
 	// The processing the batch stands for, on both of its ends: a per-node
 	// message is one delivered term, a group message one term per member.
@@ -480,10 +475,20 @@ func (x *exchanger) encodePeer(me, peer int, h *tensor.Matrix, backward bool) []
 	if ps.Bits > 0 {
 		w.quant += int64(dim * batch.Len())
 	}
-	if !x.core.Semantic() && (ps.Sampler != nil || ps.NodeSampler != nil) {
+	if !x.core.Semantic() && frame.Sampled {
 		w.sample += int64(len(x.core.CrossOut[idx]))
 	}
 	return buf
+}
+
+// frame derives pair idx's batch header for a round of the given width sent
+// by sender, from state every replica shares: the pair's codec and sampling
+// gates and its candidate count. The encoder writes it; the decoder holds the
+// bytes to it.
+func (x *exchanger) frame(idx, sender, width int) wire.Frame {
+	ps := &x.core.Pairs[idx]
+	return wire.Frame{Sender: int32(sender), Width: width, Bits: ps.Bits, Count: x.core.Candidates(idx),
+		Adaptive: ps.Adaptive != nil, Sampled: ps.Sampler != nil || ps.NodeSampler != nil}
 }
 
 // addMsg appends the staged message ws.msg to the batch — quantized at the
@@ -491,84 +496,86 @@ func (x *exchanger) encodePeer(me, peer int, h *tensor.Matrix, backward bool) []
 // when enabled. unit is the message's candidate index within (pair, round);
 // with the round slot it keys the residual store (compress.RoundUnitKey), so
 // a unit meets its own residual again next epoch. Bytes reflect the reduced
-// wire size:
-// ceil(n·bits/8) + 8 metadata in place of 4n (+1 width byte when adaptive).
+// wire size: ceil(n·bits/8) + 8 metadata in place of 4n (+1 when adaptive).
 func (x *exchanger) addMsg(ws *workerScratch, batch *wire.Batch, ps *exchange.PairState, unit int64) {
 	m := &ws.msg
-	switch {
-	case ps.Bits <= 0:
+	if ps.Bits <= 0 {
 		batch.Add(m)
-	case ps.EF == nil && ps.Adaptive != nil:
-		batch.AddAdaptive(m, ps.Adaptive.ChooseBits(m.Payload))
-	case ps.EF == nil:
-		batch.AddQuantized(m, ps.Bits)
-	default:
-		key := compress.RoundUnitKey(x.round, unit)
+		return
+	}
+	key, sent := compress.RoundUnitKey(x.round, unit), []float64(nil)
+	if ps.EF != nil {
 		ps.EF.PreCompress(key, m.Payload)
-		sent := ws.efSent[:len(m.Payload)]
-		if ps.Adaptive != nil {
-			// Width is chosen on the residual-corrected payload, the values
-			// that are actually quantised.
-			batch.AddAdaptiveRoundtrip(m, ps.Adaptive.ChooseBits(m.Payload), sent)
-		} else {
-			batch.AddQuantizedRoundtrip(m, ps.Bits, sent)
-		}
+		sent = ws.efSent[:len(m.Payload)]
+	}
+	bits := ps.Bits
+	if ps.Adaptive != nil {
+		// Width is chosen on the residual-corrected payload, the values that
+		// are actually quantised.
+		bits = ps.Adaptive.ChooseBits(m.Payload)
+	}
+	batch.AddQuantizedRoundtrip(m, bits, ps.Adaptive != nil, sent)
+	if ps.EF != nil {
 		// The encode leaves the payload as it was: the residual-corrected
 		// values, which is what the residual is taken against.
 		ps.EF.PostCompress(key, m.Payload, sent)
 	}
 }
 
-// decodeBatch walks one inbound buffer with the streaming decoder: node
-// payloads are decoded directly into an AXPY against the destination row;
-// group payloads are staged once in the retained scratch and fanned out.
-// Every reference the bytes make (row, part, group) is validated — corrupt
-// wire data is an error, never a panic.
-func (x *exchanger) decodeBatch(me int, backward bool, out *tensor.Matrix, buf []byte) error {
-	dim := out.Cols
+// ErrCorruptFrame marks an inbound frame a round refused: bytes the wire
+// decoder rejects (wire.ErrMalformed), or a batch header other than the one the
+// receiver derives for the pair (sender, width, codec, candidates, sampling).
+var ErrCorruptFrame = errors.New("worker: corrupt frame")
+
+// decodeBatch walks sender from's inbound frame with the streaming decoder.
+// The sender is the transport's word, never the bytes': it picks the pair,
+// whose derived header the frame's must equal. Each message is then resolved
+// from its candidate index through the pair's structure (exchange's Target):
+// a per-node payload is decoded directly into an AXPY against its receiver's
+// row; a group payload is staged once in the retained scratch and fanned out
+// through the compiled deliver plan. Corrupt wire data is an ErrCorruptFrame
+// error, never a panic.
+func (x *exchanger) decodeBatch(me, from int, backward bool, out *tensor.Matrix, buf []byte) error {
+	np := x.core.NParts
+	corrupt := func(format string, args ...any) error {
+		return fmt.Errorf("%w: worker %d, frame from %d: "+format, append([]any{ErrCorruptFrame, me, from}, args...)...)
+	}
+	if from < 0 || from >= np || from == me {
+		return corrupt("no such sender")
+	}
+	// Forward frames ride the (from→me) pair; backward ones the reversed
+	// (me→from) pair's.
+	idx := from*np + me
+	if backward {
+		idx = me*np + from
+	}
+	want := x.frame(idx, from, out.Cols)
+	if len(buf) == 0 {
+		if want.Count > 0 && !want.Sampled {
+			return corrupt("empty, want %d messages", want.Count)
+		}
+		return nil
+	}
 	dec := wire.NewDecoder(buf)
-	scratch := x.ws[me].dec[:dim]
-	part, coeff, rowOf := x.core.Part, x.core.Coeff, x.rowOf
+	if got, err := dec.Frame(); err != nil {
+		return corrupt("%w", err)
+	} else if got != want {
+		return corrupt("header %+v, want %+v", got, want)
+	}
+	scratch := x.ws[me].dec[:out.Cols]
+	coeff, rowOf := x.core.Coeff, x.rowOf
+	_, del := x.groupPlans(idx, backward)
 	for dec.More() {
 		hd, err := dec.Next()
 		if err != nil {
-			return fmt.Errorf("worker %d: corrupt batch: %w", me, err)
+			return corrupt("%w", err)
 		}
-		if hd.N != dim {
-			return fmt.Errorf("worker %d: corrupt batch: payload %d values, want %d", me, hd.N, dim)
-		}
-		switch hd.Kind {
-		case wire.KindNode:
-			v := hd.Target
-			if v < 0 || int(v) >= len(part) {
-				return fmt.Errorf("worker %d: corrupt batch: node %d out of range", me, v)
-			}
-			if part[v] != me {
-				return fmt.Errorf("worker %d: received node %d owned by %d", me, v, part[v])
-			}
-			if err := dec.AXPY(coeff[v], out.Row(int(rowOf[v]))); err != nil {
-				return fmt.Errorf("worker %d: %w", me, err)
-			}
-		case wire.KindGroup:
-			from, gi := int(hd.SrcPart), int(hd.Target)
-			if from < 0 || from >= x.core.NParts || from == me {
-				return fmt.Errorf("worker %d: corrupt batch: group message from invalid part %d", me, from)
-			}
-			// Forward groups ride the (from→me) pair; backward groups are the
-			// reversed (me→from) pair's.
-			idx := from*x.core.NParts + me
-			if backward {
-				idx = me*x.core.NParts + from
-			}
-			groups := x.core.Groups(idx, backward)
-			if gi < 0 || gi >= len(groups) {
-				return fmt.Errorf("worker %d: corrupt batch: group index %d out of range (pair has %d groups)", me, gi, len(groups))
-			}
-			if err := dec.Read(scratch); err != nil {
-				return fmt.Errorf("worker %d: %w", me, err)
-			}
-			_, del := x.groupPlans(idx, backward)
-			rows, w := del.Group(gi)
+		// The frame's width is the round's, so neither consumer can fail.
+		if gi, v := x.core.Target(idx, backward, hd.Index); gi < 0 {
+			_ = dec.AXPY(coeff[v], out.Row(int(rowOf[v])))
+		} else {
+			_ = dec.Read(scratch)
+			rows, w := del.Group(int(gi))
 			tensor.ScatterAXPY(out, rows, w, scratch, 1)
 		}
 	}

@@ -79,7 +79,7 @@ func TestRoundRejectsMisshapedMatrices(t *testing.T) {
 		t.Fatal(err)
 	}
 	noSend := func(int, []byte) error { t.Error("send reached on a mis-shaped round"); return nil }
-	noRecv := func() ([]byte, error) { t.Error("recv reached on a mis-shaped round"); return nil, nil }
+	noRecv := func() (int, []byte, error) { t.Error("recv reached on a mis-shaped round"); return 0, nil, nil }
 	for _, tc := range []struct {
 		name   string
 		h, out *tensor.Matrix

@@ -343,13 +343,12 @@ func (c *Cluster) runHalf(me int) {
 		})
 	default:
 		from := 0
-		c.roundErrs[me] = c.recvHalf(me, c.roundH, c.roundOut, c.roundTarget, c.roundBackward, func() ([]byte, error) {
+		c.roundErrs[me] = c.recvHalf(me, c.roundH, c.roundOut, c.roundTarget, c.roundBackward, func() (int, []byte, error) {
 			if from == me {
 				from++
 			}
-			frame := c.slots[me*np+from]
 			from++
-			return frame, nil
+			return from - 1, c.slots[me*np+from-1], nil
 		})
 	}
 }

@@ -144,15 +144,10 @@ func TestClusterPersistentManyRounds(t *testing.T) {
 }
 
 // CorruptFrame makes every later round of c deliver garbage to receiver in
-// place of sender's frame: the phase hook overwrites the slot once sender's
-// send half has filled it, on the goroutine that owns the slot until the join.
-// (Exported for the engine's test in engine_oracle_test.go.)
+// place of sender's frame (see tamperFrame). (Exported for the engine's test
+// in engine_oracle_test.go.)
 func CorruptFrame(c *Cluster, receiver, sender int) {
-	c.phaseHook = func(worker int, phase string) {
-		if worker == sender && phase == "send" {
-			c.slots[receiver*c.core.NParts+sender] = []byte{0xff, 0xee, 0xdd}
-		}
-	}
+	tamperFrame(c, receiver, sender, func([]byte) []byte { return []byte{0xff, 0xee, 0xdd} })
 }
 
 // TestClusterCorruptBatchError: a corrupt inbound buffer must surface as an
