@@ -206,8 +206,11 @@ bench-round:
 # kernels in one run, on one core and on two. Rows land in BENCH_dense.json
 # under "after"; its "before" holds the same benchmarks at the commit before
 # the AVX2 products (where the simd and generic rows ran the same Go loops),
-# and "dead-round-before" / "dead-round" BenchmarkDenseEpoch either side of
-# the first layer dropping its dX product.
+# "dead-round-before" / "dead-round" BenchmarkDenseEpoch either side of
+# the first layer dropping its dX product, and "one-exp-before" / "one-exp"
+# its simd rows either side of the loss taking one exp a logit and writing
+# its gradient over the logits, and the layers reusing their forward buffers
+# (DESIGN.md §16; alternating prebuilt test binaries, every line kept).
 bench-dense:
 	$(GO) test -run '^$$' -bench 'BenchmarkMatMulInto|BenchmarkATBInto|BenchmarkABTInto|BenchmarkDenseEpoch' \
 		-benchmem -cpu 1,2 ./internal/tensor/ \

@@ -2,6 +2,7 @@ package compress
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -72,6 +73,41 @@ func TestGridNonFinitePoisons(t *testing.T) {
 			for i, x := range v {
 				if !math.IsNaN(x) {
 					t.Fatalf("%s bits=%d: value %d reconstructs as %v, want NaN", name, bits, i, x)
+				}
+			}
+		}
+	}
+}
+
+// TestGridFloat32Edges: a payload of float32 values whose span overflows a
+// float32, and one of float32 subnormals, are each poisoned or finite on both
+// paths — never a level past the top or a non-finite value from finite
+// metadata. The span poisons exactly where its step does not fit a float32.
+func TestGridFloat32Edges(t *testing.T) {
+	defer func(prev bool) { useSIMD = prev }(useSIMD)
+	available := useSIMD
+	for _, c := range []struct {
+		name string
+		fill func(*rand.Rand, []float64)
+	}{{"span", float32Span}, {"subnormals", float32Subnormals}} {
+		name, payload := c.name, make([]float64, 37)
+		c.fill(rand.New(rand.NewSource(4)), payload)
+		for bits := 1; bits <= 16; bits++ {
+			for _, simd := range []bool{false, true} {
+				useSIMD = simd && available
+				g := NewGrid(payload, bits)
+				levels, values := make([]uint16, len(payload)), make([]float64, len(payload))
+				g.Levels(levels, payload, values)
+				lo, step := g.Meta()
+				poisoned := math.IsNaN(float64(lo)) || math.IsNaN(float64(step))
+				if want := name == "span" && bits == 1; poisoned != want {
+					t.Fatalf("%s bits=%d simd=%v: metadata (%v, %v), poisoned %v, want %v", name, bits, simd, lo, step, poisoned, want)
+				}
+				for i, q := range levels {
+					finite := !math.IsNaN(values[i]) && !math.IsInf(values[i], 0)
+					if finite == poisoned || uint64(q) >= 1<<bits || poisoned && q != 0 {
+						t.Fatalf("%s bits=%d simd=%v: value %d is level %d → %v (poisoned %v)", name, bits, simd, i, q, values[i], poisoned)
+					}
 				}
 			}
 		}

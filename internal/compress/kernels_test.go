@@ -139,6 +139,26 @@ func kernelCases() []kernelCase {
 				v[i] = 1.7e308 * (2*rng.Float64() - 1)
 			}
 		}},
+		{"float32-span", func(rng *rand.Rand, v []float64, _ int) { float32Span(rng, v) }},
+		{"float32-subnormals", func(rng *rand.Rand, v []float64, _ int) { float32Subnormals(rng, v) }},
+	}
+}
+
+// float32Span fills v with float32 values whose span, up to 6e38, does not
+// fit a float32: a step of one level overflows, a step of three does not.
+func float32Span(rng *rand.Rand, v []float64) {
+	for i := range v {
+		v[i] = float64(float32(3e38 * (2*rng.Float64() - 1)))
+	}
+	if len(v) > 1 {
+		v[0], v[len(v)-1] = -3e38, 3e38
+	}
+}
+
+// float32Subnormals fills v with float32 subnormals of either sign.
+func float32Subnormals(rng *rand.Rand, v []float64) {
+	for i := range v {
+		v[i] = float64(math.Float32frombits(uint32(rng.Intn(1<<23)) | uint32(rng.Intn(2))<<31))
 	}
 }
 

@@ -106,6 +106,8 @@ type Model interface {
 	// caller that holds logits across a second Forward must Clone them.
 	Forward(x *tensor.Matrix) *tensor.Matrix
 	// Backward propagates ∂L/∂logits, accumulating parameter gradients.
+	// It never reads the logits Forward returned, so a caller may write
+	// the gradient over them (Trainer does).
 	// Input features are not parameters, so ∂L/∂X is never formed: the
 	// first layer's backward stops at its weight gradients, and a model on
 	// a distributed aggregator runs L−1 backward rounds to L forward ones

@@ -20,11 +20,14 @@ import (
 // at the output layer (10 → 5, 32 → 8), so they were re-recorded once when
 // that layer began multiplying by W before its aggregate (MultipliesFirst):
 // the same function in another rounding order, every loss within 4e-16
-// relative of the aggregate-first one.
+// relative of the aggregate-first one. They were re-recorded once more when
+// the loss gradient took one exp a logit (exp(l − max)/sum in place of the
+// exponentiated log-softmax, a few ulps apart): two losses moved, by 1 and 2
+// ulps.
 var goldenLosses = map[string][]uint64{
 	"gcn/small":  {0x3ffc3f718e88201d, 0x3ffa34a889ff44d3, 0x3ff89161b8752751, 0x3ff73542a3e71f6c, 0x3ff605dada4f2d14, 0x3ff4e282ef7f5278},
-	"gcn/large":  {0x4000bf8768ebef4c, 0x3ffbdcd835af8ec5, 0x3ff718fd2435af6a, 0x3ff2f7c3c6b28358, 0x3fee9ea93705aee7, 0x3fe82a3bc250909e},
-	"sage/small": {0x3ffcad7a904bcdac, 0x3ff5ed46f2db0fb1, 0x3ff0e8ff966cc5bf, 0x3fea2d57edc0b6d4, 0x3fe40799c5cc0bce, 0x3fdde04b245991bc},
+	"gcn/large":  {0x4000bf8768ebef4c, 0x3ffbdcd835af8ec5, 0x3ff718fd2435af6a, 0x3ff2f7c3c6b28358, 0x3fee9ea93705aee8, 0x3fe82a3bc250909e},
+	"sage/small": {0x3ffcad7a904bcdac, 0x3ff5ed46f2db0fb1, 0x3ff0e8ff966cc5bf, 0x3fea2d57edc0b6d4, 0x3fe40799c5cc0bcc, 0x3fdde04b245991bc},
 	"sage/large": {0x4005aee025ef9266, 0x3ff9031c30f99297, 0x3fed8aaed0b946c9, 0x3fe19784b2164a01, 0x3fd4274590ffe1e6, 0x3fc67c9b2f502c02},
 }
 

@@ -57,9 +57,16 @@ func MultipliesFirst(layer, in, out int) bool {
 // MultipliesFirst picks. Aggregating first is Linear(Agg(H)); multiplying
 // first is Agg(H·W) + b, with the bias added after the aggregate because
 // Â's rows do not sum to one. Agg is linear, so the two are one function.
+//
+// A layer holds two node-sized matrices, its product and its aggregate.
+// Past the first it writes ∂L/∂h over its input h (the models' own, dead
+// once W's gradient is in; an activation keeps a mask, not its output), and
+// its backward aggregate lands in the dead forward buffer of that shape:
+// Agg(h) when it aggregates first, h·W when it multiplies first.
 type aggLinear struct {
 	lin            *nn.Linear
 	first, project bool           // layer 0 (its input takes no gradient); multiplies first
+	in             *tensor.Matrix // the last forward's input
 	fwd, bwd       *tensor.Matrix // retained aggregate outputs of each pass (see aggregate)
 }
 
@@ -70,24 +77,30 @@ func newAggLinear(layer, in, out int, rng *rand.Rand) *aggLinear {
 // forward returns Agg(h)·W + b in a buffer the layer retains until its next
 // forward (the caller may rectify it in place).
 func (l *aggLinear) forward(agg Aggregator, h *tensor.Matrix) *tensor.Matrix {
+	l.in = h
 	if !l.project {
 		return l.lin.Forward(aggregate(agg, &l.fwd, h, false))
 	}
-	y := aggregate(agg, &l.fwd, l.lin.Product(h), false)
+	z := l.lin.Product(h)
+	l.bwd = z // the backward aggregate's buffer: z is dead once aggregated
+	y := aggregate(agg, &l.fwd, z, false)
 	y.AddRowVector(l.lin.B.Row(0))
 	return y
 }
 
 // backward accumulates W's and b's gradients from dy = ∂L/∂(forward's
-// result) and returns ∂L/∂h in a retained buffer, or nil at layer 0.
+// result) and returns ∂L/∂h, written over h, or nil at layer 0.
 func (l *aggLinear) backward(agg Aggregator, dy *tensor.Matrix) *tensor.Matrix {
-	if !l.project {
-		if l.first {
-			l.lin.BackwardWeights(dy)
-			return nil
-		}
-		return aggregate(agg, &l.bwd, l.lin.Backward(dy), true)
-	}
 	dy.ColSumsInto(l.lin.GB.Row(0))
-	return l.lin.BackwardProduct(aggregate(agg, &l.bwd, dy, true), !l.first)
+	var dh *tensor.Matrix
+	if !l.first {
+		dh = l.in
+	}
+	if l.project {
+		return l.lin.BackwardProduct(aggregate(agg, &l.bwd, dy, true), dh)
+	}
+	if dh = l.lin.BackwardProduct(dy, dh); dh == nil {
+		return nil
+	}
+	return aggregate(agg, &l.fwd, dh, true)
 }

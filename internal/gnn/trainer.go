@@ -94,10 +94,10 @@ func (t *Trainer) RunEpoch() (st EpochStats, err error) {
 		em.StartEpoch(e)
 	}
 	logits := t.Model.Forward(t.X)
-	loss, grad := t.loss.Loss(logits, t.Labels, t.TrainMask)
 	t.pred = tensor.ArgmaxRowsInto(t.pred, logits)
+	loss := t.loss.LossInPlace(logits, t.Labels, t.TrainMask) // logits → ∂L/∂logits
 	t.Model.ZeroGrad()
-	t.Model.Backward(grad)
+	t.Model.Backward(logits)
 	t.Opt.Step(t.Model.Params())
 
 	st = EpochStats{

@@ -74,9 +74,10 @@ func (l *Linear) forward(x *tensor.Matrix, bias []float64) *tensor.Matrix {
 // is allocation-free. The returned matrix is valid until this layer's next
 // Backward call; callers that need it longer must copy it.
 func (l *Linear) Backward(dy *tensor.Matrix) *tensor.Matrix {
-	dx := l.BackwardProduct(dy, true)
+	l.dx = tensor.Retained(l.dx, dy.Rows, l.W.Rows)
+	l.BackwardProduct(dy, l.dx)
 	dy.ColSumsInto(l.GB.Row(0))
-	return dx
+	return l.dx
 }
 
 // BackwardWeights is the backward step of a layer whose input needs no
@@ -84,25 +85,23 @@ func (l *Linear) Backward(dy *tensor.Matrix) *tensor.Matrix {
 // accumulates dW += Xᵀ·dY and db += Σ dY rows straight into GW/GB and
 // forms no dX. Must be called after Forward.
 func (l *Linear) BackwardWeights(dy *tensor.Matrix) {
-	l.BackwardProduct(dy, false)
+	l.BackwardProduct(dy, nil)
 	dy.ColSumsInto(l.GB.Row(0))
 }
 
 // BackwardProduct is Product's backward: it accumulates dW += Xᵀ·dZ and,
-// when wantDX, returns dX = dZ·Wᵀ in Backward's retained buffer (nil
-// otherwise). The bias gradient is left to the caller. Must be called after
-// Forward or Product.
-func (l *Linear) BackwardProduct(dz *tensor.Matrix, wantDX bool) *tensor.Matrix {
+// when dx is non-nil, overwrites dx with dX = dZ·Wᵀ and returns it. dx may
+// be the cached input X, which is read only before dX is written. The bias
+// gradient is left to the caller. Must be called after Forward or Product.
+func (l *Linear) BackwardProduct(dz, dx *tensor.Matrix) *tensor.Matrix {
 	if l.x == nil {
 		panic("nn: Linear.Backward before Forward")
 	}
 	tensor.MatMulATBInto(l.GW, l.x, dz)
-	if !wantDX {
-		return nil
+	if dx != nil {
+		tensor.MatMulABTInto(dx, dz, l.W)
 	}
-	l.dx = tensor.Retained(l.dx, dz.Rows, l.W.Rows)
-	tensor.MatMulABTInto(l.dx, dz, l.W)
-	return l.dx
+	return dx
 }
 
 // Params exposes the layer's parameters for the optimizer.
@@ -121,45 +120,52 @@ func (l *Linear) ZeroGrad() {
 
 // ReLU is the elementwise rectifier, applied in place.
 type ReLU struct {
-	out *tensor.Matrix // the rectified matrix Forward returned
+	positive []uint64 // one bit an element: the last Forward's output is > 0
+	n        int      // elements of that output
 }
 
 // Forward rectifies x in place — max(x, 0), with −0 and NaN going to +0 —
-// and returns it. The layer keeps a reference to it for Backward.
+// and returns it. The layer keeps one bit an element for Backward, not x,
+// so x may be overwritten between the passes.
 func (r *ReLU) Forward(x *tensor.Matrix) *tensor.Matrix {
-	x.ReLUInPlace()
-	r.out = x
+	r.n = len(x.Data)
+	if words := (r.n + 63) / 64; cap(r.positive) < words {
+		r.positive = make([]uint64, words)
+	} else {
+		r.positive = r.positive[:words]
+	}
+	x.ReLUInPlace(r.positive)
 	return x
 }
 
-// Backward gates the incoming gradient in place by out > 0, which holds
-// exactly where the forward input was > 0, and returns it.
+// Backward gates the incoming gradient in place by where the forward
+// output was > 0, which holds exactly where its input was > 0, and returns
+// it.
 func (r *ReLU) Backward(dy *tensor.Matrix) *tensor.Matrix {
-	if r.out == nil || len(r.out.Data) != len(dy.Data) {
+	if r.positive == nil || r.n != len(dy.Data) {
 		panic("nn: ReLU.Backward shape mismatch or called before Forward")
 	}
-	tensor.GatePositiveInPlace(dy, r.out)
+	tensor.GatePositiveInPlace(dy, r.positive)
 	return dy
 }
 
-// CrossEntropy is the reusable form of MaskedCrossEntropy: it keeps the
-// gradient matrix and its per-row scratch between calls, so a training
-// loop that owns one computes its loss without allocating.
+// CrossEntropy is the reusable form of MaskedCrossEntropy: it keeps its
+// per-row scratch between calls and writes the gradient over the logits, so
+// a training loop that owns one computes its loss without allocating and
+// without a gradient matrix (a model's Backward does not read the logits
+// its Forward returned).
 type CrossEntropy struct {
-	grad   *tensor.Matrix
 	picked []float64 // log-softmax at the label, per masked row
 }
 
-// Loss computes mean softmax cross-entropy over the rows where mask is
-// true, plus the gradient w.r.t. the logits (zero on unmasked rows).
-// labels[i] is the target class of row i. The gradient is valid until the
-// next Loss call on c.
-func (c *CrossEntropy) Loss(logits *tensor.Matrix, labels []int, mask []bool) (float64, *tensor.Matrix) {
+// LossInPlace computes mean softmax cross-entropy over the rows where mask
+// is true and overwrites logits with the gradient w.r.t. them (zero on
+// unmasked rows). labels[i] is the target class of row i.
+func (c *CrossEntropy) LossInPlace(logits *tensor.Matrix, labels []int, mask []bool) float64 {
 	if len(labels) != logits.Rows || len(mask) != logits.Rows {
 		panic(fmt.Sprintf("nn: MaskedCrossEntropy rows %d, labels %d, mask %d",
 			logits.Rows, len(labels), len(mask)))
 	}
-	c.grad = tensor.Retained(c.grad, logits.Rows, logits.Cols)
 	var count int
 	for i, m := range mask {
 		if !m {
@@ -173,15 +179,15 @@ func (c *CrossEntropy) Loss(logits *tensor.Matrix, labels []int, mask []bool) (f
 		}
 	}
 	if count == 0 {
-		c.grad.Zero()
-		return 0, c.grad
+		logits.Zero()
+		return 0
 	}
 	if cap(c.picked) < logits.Rows {
 		c.picked = make([]float64, logits.Rows)
 	}
 	c.picked = c.picked[:logits.Rows]
 	inv := 1.0 / float64(count)
-	tensor.SoftmaxCrossEntropyRows(c.grad, logits, labels, mask, inv, c.picked)
+	tensor.SoftmaxCrossEntropyRows(logits, labels, mask, inv, c.picked)
 	// The sum runs serially in row order: its rounding is observable.
 	var loss float64
 	for i, m := range mask {
@@ -189,15 +195,16 @@ func (c *CrossEntropy) Loss(logits *tensor.Matrix, labels []int, mask []bool) (f
 			loss -= c.picked[i]
 		}
 	}
-	return loss * inv, c.grad
+	return loss * inv
 }
 
 // MaskedCrossEntropy computes mean softmax cross-entropy over the rows where
-// mask is true, plus the gradient w.r.t. the logits (zero on unmasked rows).
-// labels[i] is the target class of row i. It allocates the gradient; loops
+// mask is true, plus the gradient w.r.t. the logits (zero on unmasked rows)
+// in a matrix of its own. labels[i] is the target class of row i. Loops
 // that call it every epoch keep a CrossEntropy instead.
 func MaskedCrossEntropy(logits *tensor.Matrix, labels []int, mask []bool) (float64, *tensor.Matrix) {
-	return new(CrossEntropy).Loss(logits, labels, mask)
+	grad := logits.Clone()
+	return new(CrossEntropy).LossInPlace(grad, labels, mask), grad
 }
 
 // Accuracy returns the fraction of masked rows whose argmax matches labels.

@@ -174,6 +174,7 @@ func TestKernelShapePanics(t *testing.T) {
 		"atb-into-shape": func() { MatMulATBInto(New(3, 3), m, New(4, 4)) },
 		"abt-into-shape": func() { MatMulABTInto(New(4, 4), m, New(3, 8)) },
 		"colsums-into":   func() { m.ColSumsInto(make([]float64, 7)) },
+		"relu-mask":      func() { m.ReLUInPlace(make([]uint64, 2)) },
 		"atb-into-inner": func() { MatMulATBInto(New(8, 4), m, New(5, 4)) },
 	}
 	for name, f := range cases {
@@ -551,9 +552,12 @@ func TestRowwisePasses(t *testing.T) {
 				wantGate.Data[i] = dy.Data[i]
 			}
 		}
+		// The gradient's definition is softmax·scale from one exp a logit; it
+		// must also stay within a few ulps of scale of the log-softmax
+		// exponentiated, which is another formulation of the same function.
 		wantArg := make([]int, rows)
 		wantGrad, wantPicked := New(rows, 5), make([]float64, rows)
-		ls := LogSoftmaxRows(x)
+		ls := logSoftmaxRows(x)
 		for i := 0; i < rows; i++ {
 			best := math.Inf(-1)
 			for j, v := range x.Row(i) {
@@ -565,18 +569,32 @@ func TestRowwisePasses(t *testing.T) {
 				continue
 			}
 			wantPicked[i] = ls.At(i, labels[i])
-			for j, l := range ls.Row(i) {
-				wantGrad.Set(i, j, math.Exp(l)*0.25)
+			var sum float64
+			for _, v := range x.Row(i) {
+				sum += math.Exp(v - best)
+			}
+			for j, v := range x.Row(i) {
+				wantGrad.Set(i, j, math.Exp(v-best)*(0.25/sum))
+				if d := math.Abs(wantGrad.At(i, j) - math.Exp(ls.At(i, j))*0.25); d > 1e-15*0.25 {
+					t.Fatalf("rows=%d: softmax(%d,%d) is %g from the exponentiated log-softmax", rows, i, j, d)
+				}
 			}
 			wantGrad.Row(i)[labels[i]] -= 0.25
 		}
 
+		var firstGrad *Matrix
 		for _, procs := range []int{1, 2, 3, 8} {
 			runtime.GOMAXPROCS(procs)
 			relu, gate := x.Clone(), dy.Clone()
-			relu.ReLUInPlace()
-			GatePositiveInPlace(gate, relu)
-			if !bitsEqual(relu.Data, wantRelu.Data) || !bitsEqual(gate.Data, wantGate.Data) {
+			positive := make([]uint64, (len(x.Data)+63)/64)
+			for i := range positive {
+				positive[i] = 0xdead // recording sets every element's bit
+			}
+			relu.ReLUInPlace(positive)
+			rectified := relu.Clone()
+			relu.Fill(-1) // the gate reads the mask, not the rectified matrix
+			GatePositiveInPlace(gate, positive)
+			if !bitsEqual(rectified.Data, wantRelu.Data) || !bitsEqual(gate.Data, wantGate.Data) {
 				t.Fatalf("rows=%d procs=%d: ReLU passes differ from max(x,0) and its gate", rows, procs)
 			}
 			arg := ArgmaxRowsInto(make([]int, 0, rows), x)
@@ -585,11 +603,17 @@ func TestRowwisePasses(t *testing.T) {
 					t.Fatalf("rows=%d procs=%d: argmax row %d = %d, want %d", rows, procs, i, arg[i], wantArg[i])
 				}
 			}
-			grad, picked := New(rows, 5), make([]float64, rows)
-			grad.Fill(999)
-			SoftmaxCrossEntropyRows(grad, x, labels, mask, 0.25, picked)
-			if !bitsEqual(grad.Data, wantGrad.Data) || !bitsEqual(picked, wantPicked) {
-				t.Fatalf("rows=%d procs=%d: SoftmaxCrossEntropyRows differs from LogSoftmaxRows-then-exp", rows, procs)
+			grad, picked := x.Clone(), make([]float64, rows)
+			SoftmaxCrossEntropyRows(grad, labels, mask, 0.25, picked)
+			// Which NaN a product of two NaNs keeps is the compiler's operand
+			// order; across worker counts every bit must hold.
+			if !bitsEqualOrNaN(grad.Data, wantGrad.Data) || !bitsEqual(picked, wantPicked) {
+				t.Fatalf("rows=%d procs=%d: SoftmaxCrossEntropyRows differs from its definition", rows, procs)
+			}
+			if procs == 1 {
+				firstGrad = grad
+			} else if !bitsEqual(grad.Data, firstGrad.Data) {
+				t.Fatalf("rows=%d procs=%d: SoftmaxCrossEntropyRows differs from one worker's", rows, procs)
 			}
 		}
 	}

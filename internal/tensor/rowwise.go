@@ -49,72 +49,88 @@ func positiveMask(b uint64) uint64 {
 }
 
 // ReLUInPlace replaces every element that is not greater than zero
-// (negatives, −0, NaN) with +0.
-func (m *Matrix) ReLUInPlace() {
-	parallelRows(len(m.Data), len(m.Data), m.Data, func(d []float64, lo, hi int) {
-		d = d[lo:hi]
-		for i, v := range d {
-			b := math.Float64bits(v)
-			d[i] = math.Float64frombits(b & positiveMask(b))
-		}
-	})
-}
+// (negatives, −0, NaN) with +0, and records in positive, one bit an element
+// (bit i%64 of word i/64, ⌈len/64⌉ words), which elements stayed.
+func (m *Matrix) ReLUInPlace(positive []uint64) { maskPass(m, positive, true) }
 
-// GatePositiveInPlace zeroes (to +0) every element of d whose counterpart
-// in ref is not greater than zero and leaves the others untouched — the
-// ReLU backward pass, gated by the rectified output itself.
-func GatePositiveInPlace(d, ref *Matrix) {
-	shapeCheck(d.Rows == ref.Rows && d.Cols == ref.Cols, "GatePositiveInPlace", d, ref)
-	type args struct{ d, ref []float64 }
-	parallelRows(len(d.Data), len(d.Data), args{d.Data, ref.Data}, func(g args, lo, hi int) {
-		d := g.d[lo:hi]
-		for i, r := range g.ref[lo:hi] {
-			d[i] = math.Float64frombits(math.Float64bits(d[i]) & positiveMask(math.Float64bits(r)))
+// GatePositiveInPlace zeroes (to +0) every element of d whose bit in
+// positive is clear and leaves the others untouched — the ReLU backward
+// pass, gated by the mask ReLUInPlace recorded.
+func GatePositiveInPlace(d *Matrix, positive []uint64) { maskPass(d, positive, false) }
+
+// maskPass is both ReLU passes, split by mask word so that workers write
+// disjoint words: record sets the bits from the elements, else the bits
+// gate them.
+func maskPass(m *Matrix, positive []uint64, record bool) {
+	if len(positive) != (len(m.Data)+63)/64 {
+		panic(fmt.Sprintf("tensor: ReLU mask of %d words over %d elements", len(positive), len(m.Data)))
+	}
+	type args struct {
+		d      []float64
+		p      []uint64
+		record bool
+	}
+	parallelRows(len(positive), len(m.Data), args{m.Data, positive, record}, func(g args, lo, hi int) {
+		for w := lo; w < hi; w++ {
+			d, bits := g.d[64*w:min(64*w+64, len(g.d))], g.p[w]
+			for i, v := range d {
+				b := math.Float64bits(v)
+				keep := -(bits >> i & 1)
+				if g.record {
+					keep = positiveMask(b)
+					bits = bits&^(1<<i) | keep&1<<i
+				}
+				d[i] = math.Float64frombits(b & keep)
+			}
+			g.p[w] = bits
 		}
 	})
 }
 
 // xentExpCost weighs one logit of SoftmaxCrossEntropyRows for the
-// parallelRows threshold: two math.Exp calls dwarf a multiply-add.
-const xentExpCost = 32
+// parallelRows threshold: its math.Exp call dwarfs a multiply-add.
+const xentExpCost = 16
 
 // SoftmaxCrossEntropyRows is the per-row half of a masked mean softmax
-// cross-entropy. For every row i with mask[i] set it stores the row's
-// log-softmax at column labels[i] in picked[i] and writes the loss
-// gradient exp(log-softmax)·scale − scale·onehot(labels[i]) to grad's row;
-// rows with mask[i] clear get a zero gradient row and picked[i] is left
-// alone. The caller sums picked serially (the order of that sum is
-// observable) and passes scale = 1/count. labels of masked rows must be
-// valid columns.
-func SoftmaxCrossEntropyRows(grad, logits *Matrix, labels []int, mask []bool, scale float64, picked []float64) {
-	shapeCheck(grad.Rows == logits.Rows && grad.Cols == logits.Cols, "SoftmaxCrossEntropyRows", grad, logits)
+// cross-entropy, written over the logits. For every row i with mask[i] set
+// it stores the row's log-softmax at column labels[i], l − max − log(sum),
+// in picked[i] and overwrites the row with the loss gradient
+// softmax·scale − scale·onehot(labels[i]), the softmax being exp(l − max)/sum
+// from the one exp a logit takes; rows with mask[i] clear become zero and
+// picked[i] is left alone. The caller sums picked serially (the order of
+// that sum is observable) and passes scale = 1/count. labels of masked rows
+// must be valid columns.
+func SoftmaxCrossEntropyRows(logits *Matrix, labels []int, mask []bool, scale float64, picked []float64) {
 	if len(labels) != logits.Rows || len(mask) != logits.Rows || len(picked) != logits.Rows {
 		panic(fmt.Sprintf("tensor: SoftmaxCrossEntropyRows rows %d, labels %d, mask %d, picked %d",
 			logits.Rows, len(labels), len(mask), len(picked)))
 	}
 	type args struct {
-		grad, logits *Matrix
-		labels       []int
-		mask         []bool
-		scale        float64
-		picked       []float64
+		logits *Matrix
+		labels []int
+		mask   []bool
+		scale  float64
+		picked []float64
 	}
-	g := args{grad, logits, labels, mask, scale, picked}
+	g := args{logits, labels, mask, scale, picked}
 	parallelRows(logits.Rows, len(logits.Data)*xentExpCost, g, func(g args, lo, hi int) {
 		for i := lo; i < hi; i++ {
-			grow := g.grad.Row(i)
+			row := g.logits.Row(i)
 			if !g.mask[i] {
-				for j := range grow {
-					grow[j] = 0
+				for j := range row {
+					row[j] = 0
 				}
 				continue
 			}
-			logSoftmaxRow(grow, g.logits.Row(i))
-			g.picked[i] = grow[g.labels[i]]
-			for j, l := range grow {
-				grow[j] = math.Exp(l) * g.scale
+			label := g.labels[i]
+			at := row[label]
+			mx, sum := expRow(row, row)
+			g.picked[i] = at - mx - math.Log(sum)
+			inv := g.scale / sum
+			for j := range row {
+				row[j] *= inv
 			}
-			grow[g.labels[i]] -= g.scale
+			row[label] -= g.scale
 		}
 	})
 }

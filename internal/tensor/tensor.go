@@ -324,39 +324,21 @@ func SquaredDistanceBounded(a, b []float64, bound float64) float64 {
 	return s
 }
 
-// LogSoftmaxRows computes the row-wise log-softmax of m into a new matrix,
-// using the max-subtraction trick for numerical stability.
-func LogSoftmaxRows(m *Matrix) *Matrix {
-	out := New(m.Rows, m.Cols)
-	for i := 0; i < m.Rows; i++ {
-		logSoftmaxRow(out.Row(i), m.Row(i))
-	}
-	return out
-}
-
-// logSoftmaxRow writes the log-softmax of row into dst (same length).
-func logSoftmaxRow(dst, row []float64) {
-	mx := math.Inf(-1)
+// expRow writes exp(v − max) of row into dst (same length, which may be row
+// itself) and returns the max and the sum of dst, taken in column order.
+func expRow(dst, row []float64) (mx, sum float64) {
+	mx = math.Inf(-1)
 	for _, v := range row {
 		if v > mx {
 			mx = v
 		}
 	}
-	var sum float64
-	for _, v := range row {
-		sum += math.Exp(v - mx)
-	}
-	ls := math.Log(sum)
 	for j, v := range row {
-		dst[j] = v - mx - ls
+		e := math.Exp(v - mx)
+		dst[j] = e
+		sum += e
 	}
-}
-
-// SoftmaxRows computes the row-wise softmax of m into a new matrix.
-func SoftmaxRows(m *Matrix) *Matrix {
-	out := LogSoftmaxRows(m)
-	out.Apply(math.Exp)
-	return out
+	return mx, sum
 }
 
 // ArgmaxRows returns the column index of the max element of each row.

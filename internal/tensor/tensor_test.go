@@ -150,28 +150,45 @@ func TestRowAndColumnHelpers(t *testing.T) {
 	}
 }
 
+// logSoftmaxRows is the row-wise log-softmax of m, the formulation the
+// loss pass is checked against.
+func logSoftmaxRows(m *Matrix) *Matrix {
+	out := New(m.Rows, m.Cols)
+	for i := 0; i < m.Rows; i++ {
+		mx, sum := expRow(out.Row(i), m.Row(i))
+		ls := math.Log(sum)
+		for j, v := range m.Row(i) {
+			out.Set(i, j, v-mx-ls)
+		}
+	}
+	return out
+}
+
+// TestLogSoftmaxRows: the loss pass's log-softmax (picked at the label) and
+// softmax (its gradient plus the one-hot, at scale 1) hold on huge inputs,
+// and uniform logits give log(1/n).
 func TestLogSoftmaxRows(t *testing.T) {
 	m := FromRows([][]float64{{1, 2, 3}, {1000, 1000, 1000}})
-	ls := LogSoftmaxRows(m)
-	// Each row of exp(logsoftmax) must sum to 1, even with huge inputs.
-	for i := 0; i < ls.Rows; i++ {
+	labels, picked := []int{2, 0}, make([]float64, 2)
+	SoftmaxCrossEntropyRows(m, labels, []bool{true, true}, 1, picked)
+	for i := 0; i < m.Rows; i++ {
+		m.Row(i)[labels[i]]++
 		var sum float64
-		for _, v := range ls.Row(i) {
-			sum += math.Exp(v)
+		for _, v := range m.Row(i) {
+			sum += v
 		}
 		if math.Abs(sum-1) > 1e-9 {
 			t.Fatalf("row %d softmax sums to %v", i, sum)
 		}
 	}
-	// Uniform logits give log(1/n).
-	if got, want := ls.At(1, 0), math.Log(1.0/3.0); math.Abs(got-want) > 1e-9 {
-		t.Fatalf("uniform log-softmax = %v, want %v", got, want)
+	if want := math.Log(1.0 / 3.0); math.Abs(picked[1]-want) > 1e-9 {
+		t.Fatalf("uniform log-softmax = %v, want %v", picked[1], want)
 	}
 }
 
 func TestSoftmaxAndArgmax(t *testing.T) {
 	m := FromRows([][]float64{{0, 1, 5}, {2, -1, -1}})
-	sm := SoftmaxRows(m)
+	sm := logSoftmaxRows(m).Apply(math.Exp)
 	if ArgmaxRows(sm)[0] != 2 || ArgmaxRows(sm)[1] != 0 {
 		t.Fatalf("ArgmaxRows = %v", ArgmaxRows(sm))
 	}
@@ -286,10 +303,16 @@ func BenchmarkLogSoftmax(b *testing.B) {
 	for i := range m.Data {
 		m.Data[i] = rng.NormFloat64()
 	}
+	labels, mask, picked := make([]int, m.Rows), make([]bool, m.Rows), make([]float64, m.Rows)
+	for i := range mask {
+		mask[i] = true
+	}
+	grad := New(m.Rows, m.Cols)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		LogSoftmaxRows(m)
+		copy(grad.Data, m.Data)
+		SoftmaxCrossEntropyRows(grad, labels, mask, 1, picked)
 	}
 }
 

@@ -112,6 +112,19 @@ func codecCases() []codecCase {
 				v[i] = 1e39 * (1 + rng.Float64())
 			}
 		}},
+		{"float32-span", func(rng *rand.Rand, v []float64, _ int) {
+			for i := range v { // a float32 payload whose span is not one
+				v[i] = float64(float32(3e38 * (2*rng.Float64() - 1)))
+			}
+			if len(v) > 1 {
+				v[0], v[len(v)-1] = -3e38, 3e38
+			}
+		}},
+		{"float32-subnormals", func(rng *rand.Rand, v []float64, _ int) {
+			for i := range v {
+				v[i] = float64(math.Float32frombits(uint32(rng.Intn(1<<23)) | uint32(rng.Intn(2))<<31))
+			}
+		}},
 	}
 }
 

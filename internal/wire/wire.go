@@ -1,8 +1,9 @@
 // Package wire defines the binary frame format the goroutine-based
 // distributed runtime (internal/worker) exchanges between workers: per sender,
 // receiver and round one frame — a batch header, then each message's payload
-// alone: fp32 values, mirroring the fp32 tensors a gloo/NCCL transport would
-// carry, or quantized levels. A message's unit is implied by its position: both
+// alone: fp32 values, the precision of the fp32 tensors a gloo/NCCL transport
+// carries in the paper's substrate (ours are float64, narrowed here once), or
+// quantized levels. A message's unit is implied by its position: both
 // ends walk the pair's candidates in one order (exchange.Walk), so the k-th
 // message of a frame is candidate k, or under sampling the k-th one its
 // presence bitmap marks.
