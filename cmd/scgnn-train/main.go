@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"os"
 
-	"scgnn"
 	"scgnn/internal/core"
 	"scgnn/internal/datasets"
 	"scgnn/internal/dist"
@@ -38,7 +37,6 @@ func main() {
 		lr      = flag.Float64("lr", 0.02, "learning rate")
 		seed    = flag.Int64("seed", 1, "random seed")
 		verbose = flag.Bool("v", false, "print per-epoch progress")
-		runtime = flag.String("runtime", "engine", "what to report — both run every method on the same in-process driver and wire frames: engine (per-epoch volume, modeled epoch time) or workers (measured wire traffic of the whole run)")
 
 		schedOn      = flag.Bool("sched", false, "variable-rate scheduling: anneal every partition pair from sampling+quant4 up to the chosen method")
 		schedPace    = flag.Int("sched-epochs-per-level", 0, "scheduler: epochs per annealing rung (0 = default 2)")
@@ -92,16 +90,7 @@ func main() {
 	fmt.Printf("dataset   %s: %d nodes, %d arcs, avg degree %.1f, %d classes\n",
 		ds.Name, ds.NumNodes(), ds.Graph.NumEdges(), ds.Graph.AvgDegree(), ds.NumClasses)
 	fmt.Printf("partition %s×%d: %s\n", cutMethod, *parts, pstats)
-	fmt.Printf("method    %s (runtime %s)\n", cfg.MethodName(), *runtime)
-
-	if *runtime == "workers" {
-		res := scgnn.TrainConcurrent(ds, part, *parts, cfg,
-			scgnn.TrainOptions{Model: *model, Hidden: *hidden, Epochs: *epochs, LR: *lr, Seed: *seed})
-		fmt.Printf("\ntest accuracy   %.4f (best val %.4f)\n", res.TestAcc, res.BestValAcc)
-		fmt.Printf("wire traffic    %.3f MB total over %d epochs (%d messages, real encoded bytes)\n",
-			float64(res.Bytes)/1e6, *epochs, res.Messages)
-		return
-	}
+	fmt.Printf("method    %s\n", cfg.MethodName())
 
 	res := dist.Run(ds, part, *parts, cfg, dist.RunConfig{
 		Model: *model, Hidden: *hidden, Epochs: *epochs, LR: *lr, Seed: *seed,

@@ -1,7 +1,7 @@
 // Models: train the three GNN architectures of the stack — GCN, GraphSAGE,
-// and GAT — on the same dataset, single-machine, and then re-run GCN and
-// SAGE on the goroutine-based distributed runtime with SC-GNN compression,
-// reporting the *real* wire bytes exchanged between workers.
+// and GAT — on the same dataset, single-machine, and then re-run GCN on the
+// in-process distributed runtime, vanilla and with SC-GNN compression,
+// reporting the wire bytes its workers exchanged over the whole run.
 //
 //	go run ./examples/models
 package main
@@ -40,7 +40,7 @@ func main() {
 		fmt.Printf("  %-10s test acc %.4f (best val %.4f)\n", a.name, res.TestAcc, res.BestValAcc)
 	}
 
-	// Concurrent distributed runtime: goroutine workers, real wire bytes.
+	// Distributed runtime: one worker per partition, real wire frames.
 	part := scgnn.PartitionGraph(ds, 4, scgnn.NodeCut, 1)
 	fmt.Println("\ngoroutine workers × 4, real message passing:")
 	for _, m := range []scgnn.Method{

@@ -12,7 +12,9 @@
 // messages of those frames land per link in a simnet.Fabric. An analytic cost
 // model converts each epoch's traffic and per-method processing counters —
 // integer sums over what was exchanged — into a modeled epoch time (see
-// internal/simnet and DESIGN.md §5).
+// internal/simnet and DESIGN.md §5). Run trains on it through gnn.Trainer,
+// the one full-batch loop, and adds what is dist's own: the model and its
+// init stream, the analytic model flops, and the cost model.
 //
 // What the engine adds is the epoch: StartEpoch resets the cluster's traffic
 // and processing counters, CaptureEpoch freezes them as the simnet.Snapshot

@@ -6,7 +6,6 @@ import (
 
 	"scgnn/internal/datasets"
 	"scgnn/internal/gnn"
-	"scgnn/internal/nn"
 	"scgnn/internal/simnet"
 )
 
@@ -104,7 +103,8 @@ func (r *Result) String() string {
 }
 
 // Run trains a model on the partitioned dataset with the engine's exchange
-// method, measuring accuracy, exact traffic, and modeled epoch time.
+// method, stepping gnn.Trainer and capturing each epoch's exact traffic and
+// modeled epoch time; accuracy is measured, not modeled.
 func Run(ds *datasets.Dataset, part []int, nparts int, engCfg Config, runCfg RunConfig) *Result {
 	runCfg = runCfg.withDefaults()
 	eng := NewEngine(ds.Graph, part, nparts, engCfg)
@@ -142,65 +142,36 @@ func Run(ds *datasets.Dataset, part []int, nparts int, engCfg Config, runCfg Run
 		modelFlops *= 2
 	}
 
-	opt := nn.NewAdam(runCfg.LR)
+	t := gnn.NewTrainer(model, ds.Features, ds.Labels, ds.TrainMask, ds.ValMask, ds.TestMask,
+		gnn.TrainConfig{Epochs: runCfg.Epochs, LR: runCfg.LR, Patience: runCfg.Patience})
 	res := &Result{Method: engCfg.MethodName(), NumParts: nparts}
 	start := time.Now()
 
 	var totalBytes, totalMsgs int64
 	var totalTime float64
-	sinceBest := 0
-	nextEpoch := 0
-	for e := 0; e < runCfg.Epochs; e++ {
-		nextEpoch = e + 1
-		eng.StartEpoch(e)
-		logits := model.Forward(ds.Features)
-		loss, grad := nn.MaskedCrossEntropy(logits, ds.Labels, ds.TrainMask)
-		model.ZeroGrad()
-		model.Backward(grad)
-		opt.Step(model.Params())
-
+	for !t.Done() {
+		st, err := t.RunEpoch()
+		if err != nil {
+			panic(err)
+		}
 		snap := eng.CaptureEpoch()
 		snap.ComputeFlops += modelFlops
 		et := runCfg.Cost.EpochTime(snap)
-
-		rec := EpochRecord{
-			Epoch:     e,
-			Loss:      loss,
-			TrainAcc:  nn.Accuracy(logits, ds.Labels, ds.TrainMask),
-			ValAcc:    nn.Accuracy(logits, ds.Labels, ds.ValMask),
-			Bytes:     snap.TotalBytes,
-			Messages:  snap.TotalMessages,
-			ModelTime: et,
-		}
-		res.Epochs = append(res.Epochs, rec)
-		if rec.ValAcc > res.BestValAcc {
-			res.BestValAcc = rec.ValAcc
-			sinceBest = 0
-		} else {
-			sinceBest++
-		}
+		res.Epochs = append(res.Epochs, EpochRecord{Epoch: st.Epoch, Loss: st.Loss, TrainAcc: st.TrainAcc,
+			ValAcc: st.ValAcc, Bytes: snap.TotalBytes, Messages: snap.TotalMessages, ModelTime: et})
 		totalBytes += snap.TotalBytes
 		totalMsgs += snap.TotalMessages
 		totalTime += et
-		if snap.TotalBytes > res.PeakBytesPerEpoch {
-			res.PeakBytesPerEpoch = snap.TotalBytes
-		}
-		if runCfg.Patience > 0 && sinceBest >= runCfg.Patience {
-			break
-		}
+		res.PeakBytesPerEpoch = max(res.PeakBytesPerEpoch, snap.TotalBytes)
 	}
+	// Finish's forward-only evaluation pass is not counted in the traffic.
+	final, err := t.Finish()
+	if err != nil {
+		panic(err)
+	}
+	res.TestAcc, res.BestValAcc = final.TestAcc, final.BestValAcc
 
-	// Final evaluation epoch (forward only, not counted in traffic means).
-	// Use the epoch index that actually follows training — early stopping
-	// can exit well before runCfg.Epochs — and force a fresh exchange: under
-	// delayed transmission, StartEpoch at an arbitrary index would replay
-	// stale cached contributions into the accuracy measurement.
-	eng.StartEvalEpoch(nextEpoch)
-	final := model.Forward(ds.Features)
-	res.TestAcc = nn.Accuracy(final, ds.Labels, ds.TestMask)
-
-	n := float64(len(res.Epochs))
-	if n > 0 {
+	if n := float64(len(res.Epochs)); n > 0 {
 		res.BytesPerEpoch = float64(totalBytes) / n
 		res.MsgsPerEpoch = float64(totalMsgs) / n
 		res.EpochTimeModeled = totalTime / n

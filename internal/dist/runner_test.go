@@ -2,6 +2,7 @@ package dist
 
 import (
 	"math"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -79,6 +80,29 @@ func TestRunUnknownModelPanics(t *testing.T) {
 		}
 	}()
 	Run(d, part, 2, Vanilla(), RunConfig{Model: "transformer"})
+}
+
+// TestRunSteadyEpochAllocs: a steady Run epoch allocates no node-sized
+// buffer. The loop is gnn.Trainer's, which keeps its loss gradient and
+// predictions between epochs; a long run minus a short one leaves the steady
+// epochs, and their mean must stay below one N×C logits matrix.
+func TestRunSteadyEpochAllocs(t *testing.T) {
+	d := datasets.PubMedSim(1)
+	part := partition.Partition(d.Graph, 4, partition.NodeCut, partition.Config{Seed: 1})
+	total := func(epochs int) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		Run(d, part, 4, Quant(8), RunConfig{Epochs: epochs, Seed: 1})
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	total(4) // warm-up
+	perEpoch := (total(24) - total(4)) / 20
+	logits := uint64(d.NumNodes() * d.NumClasses * 8)
+	t.Logf("%d B per steady epoch; one logits matrix is %d B", perEpoch, logits)
+	if perEpoch >= logits {
+		t.Fatalf("%d B allocated per steady Run epoch, at least one %d B logits matrix", perEpoch, logits)
+	}
 }
 
 func TestMatchedBaselines(t *testing.T) {

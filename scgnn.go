@@ -31,18 +31,13 @@
 package scgnn
 
 import (
-	"fmt"
-	"math/rand"
-
 	"scgnn/internal/core"
 	"scgnn/internal/datasets"
 	"scgnn/internal/dist"
 	"scgnn/internal/exp"
-	"scgnn/internal/gnn"
 	"scgnn/internal/graph"
 	"scgnn/internal/minibatch"
 	"scgnn/internal/partition"
-	"scgnn/internal/worker"
 )
 
 // Dataset is a full-batch node-classification dataset: graph, features,
@@ -206,59 +201,29 @@ func NewPlanCache(ds *Dataset, part []int, nparts int, opt SemanticOptions) (*Pl
 	return core.NewPlanCache(ds.Graph, part, nparts, opt.planConfig())
 }
 
-// ConcurrentResult reports a TrainConcurrent run: accuracy plus the *real*
-// encoded bytes that crossed worker boundaries.
+// ConcurrentResult reports a TrainConcurrent run: accuracy plus the traffic
+// of the whole run.
 type ConcurrentResult struct {
 	TestAcc    float64
 	BestValAcc float64
-	// Bytes and Messages are measured off the actual wire-encoded buffers
-	// exchanged between worker goroutines (fp32 payloads + 16-byte headers).
+	// Bytes and Messages sum the training epochs' wire frames as encoded
+	// between the partitions' workers; the final evaluation pass is not
+	// counted.
 	Bytes, Messages int64
 }
 
-// TrainConcurrent trains a GCN on the in-process distributed runtime
-// (internal/worker): one worker per partition, real serialized message
-// passing for every halo exchange. The full Method matrix runs concurrently
-// — vanilla, semantic, sampling, fixed/adaptive quantization, error
-// feedback, delayed transmission, and their Fig. 12(b) combinations — with
-// the same flags Train accepts.
-//
-// Train runs on the same driver (its engine is a worker cluster) and the same
-// wire frames; the two differ in what they report: Train the per-epoch
-// traffic and the modeled epoch time, TrainConcurrent the measured traffic of
-// the whole run.
+// TrainConcurrent is Train reported for the whole run: the same run on the
+// same in-process driver (internal/worker: one worker per partition, real
+// wire frames for every halo exchange), with the per-epoch traffic summed
+// instead of averaged. Every Method and every TrainOptions field applies.
 func TrainConcurrent(ds *Dataset, part []int, nparts int, m Method, train TrainOptions) *ConcurrentResult {
-	cluster := worker.NewClusterFromConfig(ds.Graph, part, nparts, m)
-	defer cluster.Close()
-
-	if train.Hidden == 0 {
-		train.Hidden = 32
+	res := dist.Run(ds, part, nparts, m, train)
+	out := &ConcurrentResult{TestAcc: res.TestAcc, BestValAcc: res.BestValAcc}
+	for _, e := range res.Epochs {
+		out.Bytes += e.Bytes
+		out.Messages += e.Messages
 	}
-	if train.Epochs == 0 {
-		train.Epochs = 60
-	}
-	if train.LR == 0 {
-		train.LR = 0.02
-	}
-	rng := rand.New(rand.NewSource(train.Seed*7919 + 17))
-	var model gnn.Model
-	switch train.Model {
-	case "", "gcn":
-		model = gnn.NewGCN(cluster, []int{ds.FeatureDim(), train.Hidden, ds.NumClasses}, rng)
-	case "sage":
-		model = gnn.NewSAGE(cluster, []int{ds.FeatureDim(), train.Hidden, ds.NumClasses}, rng)
-	default:
-		panic(fmt.Sprintf("scgnn: TrainConcurrent supports gcn/sage, got %q", train.Model))
-	}
-	res := gnn.Train(model, ds.Features, ds.Labels, ds.TrainMask, ds.ValMask, ds.TestMask,
-		gnn.TrainConfig{Epochs: train.Epochs, LR: train.LR})
-	bytes, msgs := cluster.Traffic()
-	return &ConcurrentResult{
-		TestAcc:    res.TestAcc,
-		BestValAcc: res.BestValAcc,
-		Bytes:      bytes,
-		Messages:   msgs,
-	}
+	return out
 }
 
 // ExperimentIDs lists the reproduction experiments (one per paper table or

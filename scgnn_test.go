@@ -1,6 +1,7 @@
 package scgnn_test
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -139,6 +140,36 @@ func TestTrainConcurrentFacade(t *testing.T) {
 	}
 	if sem.TestAcc < 0.6 {
 		t.Fatalf("concurrent semantic accuracy = %v", sem.TestAcc)
+	}
+}
+
+// TestTrainConcurrentIsTrain: TrainConcurrent is Train's run reported for
+// the whole run, so every TrainOptions field reaches it — depth and patience
+// included — and its traffic is the sum of Train's training epochs.
+func TestTrainConcurrentIsTrain(t *testing.T) {
+	ds, _ := scgnn.LoadDataset("pubmed-sim", 1)
+	part := scgnn.PartitionGraph(ds, 4, scgnn.NodeCut, 1)
+	opt := scgnn.TrainOptions{Layers: 3, Epochs: 40, Patience: 4, Seed: 3}
+	for _, m := range []scgnn.Method{scgnn.Quant(8), scgnn.Semantic(1)} {
+		want := scgnn.Train(ds, part, 4, m, opt)
+		if len(want.Epochs) == opt.Epochs {
+			t.Fatalf("%s: patience never tripped; the test does not cover it", m.MethodName())
+		}
+		var bytes, msgs int64
+		for _, e := range want.Epochs {
+			bytes += e.Bytes
+			msgs += e.Messages
+		}
+		got := scgnn.TrainConcurrent(ds, part, 4, m, opt)
+		if math.Float64bits(got.TestAcc) != math.Float64bits(want.TestAcc) ||
+			math.Float64bits(got.BestValAcc) != math.Float64bits(want.BestValAcc) {
+			t.Errorf("%s: TrainConcurrent acc %v (best val %v), Train %v (best val %v)",
+				m.MethodName(), got.TestAcc, got.BestValAcc, want.TestAcc, want.BestValAcc)
+		}
+		if got.Bytes != bytes || got.Messages != msgs {
+			t.Errorf("%s: TrainConcurrent %d B / %d msgs, Train's epochs sum to %d B / %d msgs",
+				m.MethodName(), got.Bytes, got.Messages, bytes, msgs)
+		}
 	}
 }
 
