@@ -130,13 +130,13 @@ fuzz-smoke:
 # one side decision: in internal/gnn only the shared layer helper (layer.go's
 # aggLinear, which picks the side of W by MultipliesFirst) calls aggregate(,
 # so GCN and SAGE cannot grow a second copy of the rule. And one full-batch
-# training loop: only gnn.Trainer builds an optimizer (internal/minibatch's
-# neighbour-sampled loop is a different regime), so dist.Run and the facade
-# cannot grow their own loop back; bench/'s traced loop is outside the count.
+# training loop: only gnn.Trainer builds an optimizer, so dist.Run and the
+# facade cannot grow their own loop back; bench/'s traced loop is outside the
+# count.
 one-sink:
 	@! grep -rn 'useReference\|DelayCache\|pairBuf\|NewRounds\|worker\.Rounds\|forEachTask\|putHeader\|MsgHeaderBytes\|Fabric) Send(' --include='*.go' . | grep -v _test.go
 	@! grep -n 'aggregate(' internal/gnn/*.go | grep -v '_test\.go:\|^internal/gnn/layer\.go:'
-	@! grep -rn 'nn\.NewAdam(' --include='*.go' . | grep -v '_test\.go:\|^\./internal/nn/\|^\./internal/gnn/trainer\.go:\|^\./internal/minibatch/train\.go:\|^\./bench/'
+	@! grep -rn 'nn\.NewAdam(' --include='*.go' . | grep -v '_test\.go:\|^\./internal/nn/\|^\./internal/gnn/trainer\.go:\|^\./bench/'
 
 # Tier-1 verification gate (ROADMAP.md): everything must build, pass tests,
 # survive the race detector on the concurrent packages (the multi-process

@@ -1,7 +1,7 @@
 // Models: train the three GNN architectures of the stack — GCN, GraphSAGE,
 // and GAT — on the same dataset, single-machine, and then re-run GCN on the
 // in-process distributed runtime, vanilla and with SC-GNN compression,
-// reporting the wire bytes its workers exchanged over the whole run.
+// reporting the wire bytes and messages its workers exchanged per epoch.
 //
 //	go run ./examples/models
 package main
@@ -48,9 +48,8 @@ func main() {
 		scgnn.SemanticWith(scgnn.SemanticOptions{Seed: 1}),
 	} {
 		name := m.MethodName()
-		res := scgnn.TrainConcurrent(ds, part, 4, m,
-			scgnn.TrainOptions{Epochs: 60, Seed: 1})
-		fmt.Printf("  %-10s test acc %.4f, %8.3f MB on the wire (%d messages)\n",
-			name, res.TestAcc, float64(res.Bytes)/1e6, res.Messages)
+		res := scgnn.Train(ds, part, 4, m, scgnn.TrainOptions{Epochs: 60, Seed: 1})
+		fmt.Printf("  %-10s test acc %.4f, %8.3f MB/epoch on the wire (%.0f messages/epoch)\n",
+			name, res.TestAcc, res.MBPerEpoch(), res.MsgsPerEpoch)
 	}
 }

@@ -30,8 +30,9 @@ type Config struct {
 	// per-ordered-pair stream, so a node with cross edges into several
 	// partitions flips one coin per (node, destination) pair.
 	SampleNodes bool
-	// QuantBits in 1..16 enables affine quantization of payloads.
-	// 0 (or 32) disables quantization.
+	// QuantBits in 1..16 is the width of affine payload quantization;
+	// 0 or >= 32 disables it. 17..31 is neither: the quantizer panics on it
+	// and worker.NewPeer rejects it.
 	QuantBits int
 	// AdaptiveQuant switches to variance-adaptive bit allocation (AdaQP's
 	// adaptive idea): each message picks its width in [2, QuantBits].

@@ -5,7 +5,6 @@ import (
 
 	"scgnn/internal/core"
 	"scgnn/internal/dist"
-	"scgnn/internal/minibatch"
 	"scgnn/internal/simnet"
 	"scgnn/internal/stats"
 	"scgnn/internal/tensor"
@@ -26,7 +25,6 @@ func init() {
 	Registry["abl-fabric"] = AblFabric
 	Registry["abl-codec"] = AblCodec
 	Registry["abl-runtime"] = AblRuntime
-	Registry["abl-minibatch"] = AblMinibatch
 	Registry["abl-curves"] = AblCurves
 }
 
@@ -307,37 +305,6 @@ func AblRuntime(o Options) *Report {
 				r.AddNote("%s/%s: MISMATCH engine %d vs wire %d", ds.Name, name, engBytes, wireBytes)
 			}
 		}
-	}
-	r.Tables = append(r.Tables, tb)
-	return r
-}
-
-// AblMinibatch contrasts the two training regimes the GNN literature splits
-// into: the paper's full-batch partition-parallel training (communication =
-// cross-partition halo bytes) vs inductive neighbor-sampled minibatch
-// training (cost = gathered input nodes per epoch). They optimize different
-// resources; the table shows both reach comparable accuracy at wildly
-// different cost structures.
-func AblMinibatch(o Options) *Report {
-	o = o.withDefaults()
-	r := &Report{ID: "abl-minibatch"}
-	tb := trace.NewTable("ablation: full-batch vs neighbor-sampled minibatch",
-		"dataset", "regime", "test acc", "cost metric", "cost")
-
-	epochs := 5
-	if o.Quick {
-		epochs = 3
-	}
-	for _, ds := range benchDatasets(o) {
-		part := partitionFor(ds, o.Partitions, o.Seed)
-		fb := dist.Run(ds, part, o.Partitions, semanticCfg(o.Seed), runCfg(o))
-		tb.AddRow(ds.Name, "full-batch+semantic", fb.TestAcc, "MB/epoch", fb.MBPerEpoch())
-
-		mb := minibatch.Train(ds, minibatch.TrainConfig{
-			Epochs: epochs, Fanouts: []int{8, 8}, Seed: o.Seed,
-		})
-		perEpoch := float64(mb.InputNodes) / float64(epochs)
-		tb.AddRow(ds.Name, "minibatch SAGE", mb.TestAcc, "gathered nodes/epoch", perEpoch)
 	}
 	r.Tables = append(r.Tables, tb)
 	return r

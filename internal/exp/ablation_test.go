@@ -129,22 +129,6 @@ func TestAblRuntimeShape(t *testing.T) {
 	}
 }
 
-func TestAblMinibatchShape(t *testing.T) {
-	r := AblMinibatch(quickOpts())
-	tb := r.Tables[0]
-	if len(tb.Rows)%2 != 0 || len(tb.Rows) == 0 {
-		t.Fatalf("rows = %d", len(tb.Rows))
-	}
-	for _, row := range tb.Rows {
-		if acc := cell(t, row[2]); acc < 0.4 {
-			t.Fatalf("%s/%s accuracy %v", row[0], row[1], acc)
-		}
-		if c := cell(t, row[4]); c <= 0 {
-			t.Fatalf("%s/%s zero cost", row[0], row[1])
-		}
-	}
-}
-
 func TestAblCurvesShape(t *testing.T) {
 	r := AblCurves(quickOpts())
 	fig := r.Figures[0]

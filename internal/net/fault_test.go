@@ -416,6 +416,22 @@ func TestDeadNodeStaysTyped(t *testing.T) {
 	}
 }
 
+// TestSetupBadQuantBits: a Setup whose QuantBits is no width (17..31) is
+// answered with an error ack, not a node panic, and the node still takes a
+// good Setup afterwards.
+func TestSetupBadQuantBits(t *testing.T) {
+	const nparts = 2
+	d, part, _ := testGraph(t, nparts)
+	tc := startCluster(t, nparts, faultNodeOpts(), faultCoordOpts())
+	if err := tc.coord.Setup(d.Graph, part, dist.Config{QuantBits: 20}); !errors.Is(err, ErrRemote) {
+		t.Fatalf("QuantBits 20 setup: got %v, want ErrRemote", err)
+	}
+	if err := tc.coord.Setup(d.Graph, part, dist.Config{QuantBits: 8}); err != nil {
+		t.Fatalf("good setup after a rejected one: %v", err)
+	}
+	tc.coord.Shutdown()
+}
+
 // TestCorruptStateBlob ensures a damaged checkpoint blob is rejected by the
 // node with a typed ErrRemote (the persist container CRC catches it) instead
 // of poisoning the peer silently.

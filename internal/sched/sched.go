@@ -46,7 +46,8 @@ type Setting struct {
 	SampleRate float64
 	// SampleNodes switches the sampler from per-edge to per-node coins.
 	SampleNodes bool
-	// QuantBits in (0,32) quantizes payloads (0 disables).
+	// QuantBits in 1..16 is the payload quantization width; 0 or >= 32
+	// disables it (see exchange.Config.QuantBits).
 	QuantBits int
 	// Adaptive picks the quantization width per message (needs QuantBits).
 	Adaptive bool

@@ -300,6 +300,23 @@ func TestPeerStateRestoreRoundtrip(t *testing.T) {
 	}
 }
 
+// TestNewPeerQuantBits: a fleet node builds its peer from a Setup frame, so a
+// width the quantizer has no grid for is an error, not a panic; 0 and 32 are
+// off and 1..16 are widths.
+func TestNewPeerQuantBits(t *testing.T) {
+	d, part := setup(t, 3)
+	for _, bits := range []int{17, 20, 31} {
+		if _, err := NewPeer(d.Graph, part, 3, 0, exchange.Config{QuantBits: bits}); err == nil {
+			t.Errorf("QuantBits %d accepted", bits)
+		}
+	}
+	for _, bits := range []int{0, 1, 16, 32} {
+		if _, err := NewPeer(d.Graph, part, 3, 0, exchange.Config{QuantBits: bits}); err != nil {
+			t.Errorf("QuantBits %d: %v", bits, err)
+		}
+	}
+}
+
 // TestPeerRestoreRejectsMismatch covers the validation errors.
 func TestPeerRestoreRejectsMismatch(t *testing.T) {
 	d, part := setup(t, 3)

@@ -36,7 +36,6 @@ import (
 	"scgnn/internal/dist"
 	"scgnn/internal/exp"
 	"scgnn/internal/graph"
-	"scgnn/internal/minibatch"
 	"scgnn/internal/partition"
 )
 
@@ -201,31 +200,6 @@ func NewPlanCache(ds *Dataset, part []int, nparts int, opt SemanticOptions) (*Pl
 	return core.NewPlanCache(ds.Graph, part, nparts, opt.planConfig())
 }
 
-// ConcurrentResult reports a TrainConcurrent run: accuracy plus the traffic
-// of the whole run.
-type ConcurrentResult struct {
-	TestAcc    float64
-	BestValAcc float64
-	// Bytes and Messages sum the training epochs' wire frames as encoded
-	// between the partitions' workers; the final evaluation pass is not
-	// counted.
-	Bytes, Messages int64
-}
-
-// TrainConcurrent is Train reported for the whole run: the same run on the
-// same in-process driver (internal/worker: one worker per partition, real
-// wire frames for every halo exchange), with the per-epoch traffic summed
-// instead of averaged. Every Method and every TrainOptions field applies.
-func TrainConcurrent(ds *Dataset, part []int, nparts int, m Method, train TrainOptions) *ConcurrentResult {
-	res := dist.Run(ds, part, nparts, m, train)
-	out := &ConcurrentResult{TestAcc: res.TestAcc, BestValAcc: res.BestValAcc}
-	for _, e := range res.Epochs {
-		out.Bytes += e.Bytes
-		out.Messages += e.Messages
-	}
-	return out
-}
-
 // ExperimentIDs lists the reproduction experiments (one per paper table or
 // figure; see DESIGN.md §4).
 func ExperimentIDs() []string { return exp.IDs() }
@@ -238,29 +212,4 @@ func RunExperiment(id string, seed int64, epochs int) string {
 		return ""
 	}
 	return b(exp.Options{Seed: seed, Epochs: epochs}).String()
-}
-
-// TuneResult reports a budget-constrained method selection.
-type TuneResult = dist.TuneResult
-
-// AutoTune picks the least-lossy exchange whose per-epoch traffic fits the
-// byte budget — vanilla when it fits, escalating through quantization and
-// semantic compression when it does not (the paper's resource-constrained
-// deployment scenario).
-func AutoTune(ds *Dataset, part []int, nparts int, budgetBytes float64, seed int64) *TuneResult {
-	return dist.AutoTune(ds, part, nparts, budgetBytes, seed)
-}
-
-// MinibatchConfig controls neighbor-sampled (GraphSAGE-style) minibatch
-// training — the inductive alternative to the paper's full-batch
-// partition-parallel regime.
-type MinibatchConfig = minibatch.TrainConfig
-
-// MinibatchResult reports a minibatch run.
-type MinibatchResult = minibatch.Result
-
-// TrainMinibatch runs neighbor-sampled SAGE training (bounded-fanout
-// computation blocks per step) and evaluates on exact blocks.
-func TrainMinibatch(ds *Dataset, cfg MinibatchConfig) *MinibatchResult {
-	return minibatch.Train(ds, cfg)
 }

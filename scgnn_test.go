@@ -1,7 +1,6 @@
 package scgnn_test
 
 import (
-	"math"
 	"strings"
 	"testing"
 
@@ -101,8 +100,8 @@ func TestPlanCacheFacade(t *testing.T) {
 
 func TestExperimentFacade(t *testing.T) {
 	ids := scgnn.ExperimentIDs()
-	if len(ids) != 25 { // 12 paper experiments + 12 ablations + the scale study
-		t.Fatalf("experiment count = %d, want 25", len(ids))
+	if len(ids) != 24 { // 12 paper experiments + 11 ablations + the scale study
+		t.Fatalf("experiment count = %d, want 24", len(ids))
 	}
 	out := scgnn.RunExperiment("fig4a", 1, 5)
 	if !strings.Contains(out, "fig4a") {
@@ -122,70 +121,5 @@ func TestGenerateDatasetFacade(t *testing.T) {
 	}
 	if len(scgnn.DatasetNames()) != 4 {
 		t.Fatal("dataset registry wrong")
-	}
-}
-
-func TestTrainConcurrentFacade(t *testing.T) {
-	ds, _ := scgnn.LoadDataset("pubmed-sim", 1)
-	part := scgnn.PartitionGraph(ds, 2, scgnn.NodeCut, 1)
-	van := scgnn.TrainConcurrent(ds, part, 2, scgnn.Vanilla(),
-		scgnn.TrainOptions{Epochs: 20, Seed: 1})
-	sem := scgnn.TrainConcurrent(ds, part, 2, scgnn.SemanticWith(scgnn.SemanticOptions{Seed: 1}),
-		scgnn.TrainOptions{Epochs: 20, Seed: 1})
-	if van.Bytes == 0 || sem.Bytes == 0 {
-		t.Fatal("no wire traffic measured")
-	}
-	if sem.Bytes >= van.Bytes {
-		t.Fatalf("semantic wire bytes %d not below vanilla %d", sem.Bytes, van.Bytes)
-	}
-	if sem.TestAcc < 0.6 {
-		t.Fatalf("concurrent semantic accuracy = %v", sem.TestAcc)
-	}
-}
-
-// TestTrainConcurrentIsTrain: TrainConcurrent is Train's run reported for
-// the whole run, so every TrainOptions field reaches it — depth and patience
-// included — and its traffic is the sum of Train's training epochs.
-func TestTrainConcurrentIsTrain(t *testing.T) {
-	ds, _ := scgnn.LoadDataset("pubmed-sim", 1)
-	part := scgnn.PartitionGraph(ds, 4, scgnn.NodeCut, 1)
-	opt := scgnn.TrainOptions{Layers: 3, Epochs: 40, Patience: 4, Seed: 3}
-	for _, m := range []scgnn.Method{scgnn.Quant(8), scgnn.Semantic(1)} {
-		want := scgnn.Train(ds, part, 4, m, opt)
-		if len(want.Epochs) == opt.Epochs {
-			t.Fatalf("%s: patience never tripped; the test does not cover it", m.MethodName())
-		}
-		var bytes, msgs int64
-		for _, e := range want.Epochs {
-			bytes += e.Bytes
-			msgs += e.Messages
-		}
-		got := scgnn.TrainConcurrent(ds, part, 4, m, opt)
-		if math.Float64bits(got.TestAcc) != math.Float64bits(want.TestAcc) ||
-			math.Float64bits(got.BestValAcc) != math.Float64bits(want.BestValAcc) {
-			t.Errorf("%s: TrainConcurrent acc %v (best val %v), Train %v (best val %v)",
-				m.MethodName(), got.TestAcc, got.BestValAcc, want.TestAcc, want.BestValAcc)
-		}
-		if got.Bytes != bytes || got.Messages != msgs {
-			t.Errorf("%s: TrainConcurrent %d B / %d msgs, Train's epochs sum to %d B / %d msgs",
-				m.MethodName(), got.Bytes, got.Messages, bytes, msgs)
-		}
-	}
-}
-
-func TestAutoTuneFacade(t *testing.T) {
-	ds, _ := scgnn.LoadDataset("pubmed-sim", 1)
-	part := scgnn.PartitionGraph(ds, 2, scgnn.NodeCut, 1)
-	res := scgnn.AutoTune(ds, part, 2, 1e12, 1)
-	if res.Config.MethodName() != "vanilla" {
-		t.Fatalf("AutoTune = %s", res.Config.MethodName())
-	}
-}
-
-func TestTrainMinibatchFacade(t *testing.T) {
-	ds, _ := scgnn.LoadDataset("pubmed-sim", 1)
-	res := scgnn.TrainMinibatch(ds, scgnn.MinibatchConfig{Epochs: 4, Fanouts: []int{6, 6}, Seed: 1})
-	if res.TestAcc < 0.55 {
-		t.Fatalf("minibatch accuracy = %v", res.TestAcc)
 	}
 }
