@@ -132,11 +132,15 @@ fuzz-smoke:
 # so GCN and SAGE cannot grow a second copy of the rule. And one full-batch
 # training loop: only gnn.Trainer builds an optimizer, so dist.Run and the
 # facade cannot grow their own loop back; bench/'s traced loop is outside the
-# count.
+# count. And one consumer of gnn.RoundReuser: only layer.go's aggLinear asks
+# an aggregator whether a round may be reused, so no other code can skip a
+# round behind the round-ordinal contract (an implementation may forward the
+# question on its own declaration line, as dist.Engine does to its cluster).
 one-sink:
 	@! grep -rn 'useReference\|DelayCache\|pairBuf\|NewRounds\|worker\.Rounds\|forEachTask\|putHeader\|MsgHeaderBytes\|Fabric) Send(' --include='*.go' . | grep -v _test.go
 	@! grep -n 'aggregate(' internal/gnn/*.go | grep -v '_test\.go:\|^internal/gnn/layer\.go:'
 	@! grep -rn 'nn\.NewAdam(' --include='*.go' . | grep -v '_test\.go:\|^\./internal/nn/\|^\./internal/gnn/trainer\.go:\|^\./bench/'
+	@! grep -rn '\.ReuseRound(' --include='*.go' . | grep -v '_test\.go:\|^\./internal/gnn/layer\.go:\|^[^:]*:[0-9]*:func ('
 
 # Tier-1 verification gate (ROADMAP.md): everything must build, pass tests,
 # survive the race detector on the concurrent packages (the multi-process

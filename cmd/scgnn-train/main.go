@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"os"
 
-	"scgnn/internal/core"
 	"scgnn/internal/datasets"
 	"scgnn/internal/dist"
 	"scgnn/internal/partition"
@@ -77,45 +76,11 @@ func (o options) configs() (dist.Config, dist.RunConfig, error) {
 		return dist.Config{}, run, fmt.Errorf("-lr %v: want a positive rate", o.lr)
 	}
 
-	var cfg dist.Config
-	switch o.method {
-	case "vanilla":
-		cfg = dist.Vanilla()
-	case "sampling":
-		if !(o.rate > 0 && o.rate < 1) {
-			return cfg, run, fmt.Errorf("-rate %v: want a sampling rate in (0,1)", o.rate)
-		}
-		cfg = dist.Sampling(o.rate, o.seed)
-	case "quant":
-		if o.bits < 1 || o.bits > 16 {
-			return cfg, run, fmt.Errorf("-bits %d: want a width in 1..16", o.bits)
-		}
-		cfg = dist.Quant(o.bits)
-	case "delay":
-		if o.period < 2 {
-			return cfg, run, fmt.Errorf("-period %d: want at least 2", o.period)
-		}
-		cfg = dist.Delay(o.period)
-	case "semantic":
-		if o.groups < 0 {
-			return cfg, run, fmt.Errorf("-groups %d: want 0 (auto) or more", o.groups)
-		}
-		plan := core.PlanConfig{Grouping: core.GroupingConfig{K: o.groups, Seed: o.seed}}
-		if o.dropO2O {
-			plan.Drop = core.DropO2O
-		}
-		cfg = dist.Semantic(plan)
-	default:
-		return cfg, run, fmt.Errorf("unknown method %q", o.method)
-	}
-	if o.sched {
-		// The per-pair stagger offsets derive from the config seed, so pin it:
-		// same seed → same schedule on any runtime.
-		cfg.Seed = o.seed
-		cfg.Sched = sched.Policy{Enabled: true, EpochsPerLevel: o.schedPace,
-			Stagger: o.schedStagger, BitsTrigger: o.schedBits, EFTrigger: o.schedEF}
-	}
-	return cfg, run, nil
+	cfg, err := dist.MethodFlags{Method: o.method, Rate: o.rate, Bits: o.bits, Period: o.period,
+		Groups: o.groups, DropO2O: o.dropO2O, Seed: o.seed,
+		Sched: sched.Policy{Enabled: o.sched, EpochsPerLevel: o.schedPace, Stagger: o.schedStagger,
+			BitsTrigger: o.schedBits, EFTrigger: o.schedEF}}.Config()
+	return cfg, run, err
 }
 
 func main() {

@@ -30,11 +30,13 @@
 package dist
 
 import (
+	"fmt"
 	"math/rand"
 
 	"scgnn/internal/core"
 	"scgnn/internal/exchange"
 	"scgnn/internal/graph"
+	"scgnn/internal/sched"
 	"scgnn/internal/simnet"
 	"scgnn/internal/tensor"
 	"scgnn/internal/worker"
@@ -59,6 +61,63 @@ func Delay(period int) Config { return Config{DelayPeriod: period} }
 
 // Semantic returns the SC-GNN configuration with the given plan.
 func Semantic(plan core.PlanConfig) Config { return Config{Semantic: true, Plan: plan} }
+
+// MethodFlags is a command line's choice of exchange — the method name and
+// the knobs the methods read — as scgnn-train and scgnn-coord take it.
+type MethodFlags struct {
+	Method               string // vanilla, sampling, quant, delay or semantic
+	Rate                 float64
+	Bits, Period, Groups int
+	DropO2O              bool
+	Seed                 int64
+	// Sched, when Enabled, anneals every pair up to the method (Config.Sched).
+	Sched sched.Policy
+}
+
+// Config maps the flags onto the exchange they select. A value the run would
+// panic on, or would quietly run as the vanilla exchange, is an error naming
+// the flag: -rate outside (0,1), -bits outside 1..16, -period below 2,
+// negative -groups, an unknown method.
+func (f MethodFlags) Config() (Config, error) {
+	var cfg Config
+	switch f.Method {
+	case "vanilla":
+		cfg = Vanilla()
+	case "sampling":
+		if !(f.Rate > 0 && f.Rate < 1) {
+			return cfg, fmt.Errorf("-rate %v: want a sampling rate in (0,1)", f.Rate)
+		}
+		cfg = Sampling(f.Rate, f.Seed)
+	case "quant":
+		if f.Bits < 1 || f.Bits > 16 {
+			return cfg, fmt.Errorf("-bits %d: want a width in 1..16", f.Bits)
+		}
+		cfg = Quant(f.Bits)
+	case "delay":
+		if f.Period < 2 {
+			return cfg, fmt.Errorf("-period %d: want at least 2", f.Period)
+		}
+		cfg = Delay(f.Period)
+	case "semantic":
+		if f.Groups < 0 {
+			return cfg, fmt.Errorf("-groups %d: want 0 (auto) or more", f.Groups)
+		}
+		plan := core.PlanConfig{Grouping: core.GroupingConfig{K: f.Groups, Seed: f.Seed}}
+		if f.DropO2O {
+			plan.Drop = core.DropO2O
+		}
+		cfg = Semantic(plan)
+	default:
+		return cfg, fmt.Errorf("unknown method %q", f.Method)
+	}
+	if f.Sched.Enabled {
+		// The per-pair stagger offsets derive from the config seed, so pin it:
+		// same seed → same schedule on any runtime.
+		cfg.Seed = f.Seed
+		cfg.Sched = f.Sched
+	}
+	return cfg, nil
+}
 
 // Engine orchestrates partitioned aggregation for one (graph, partition)
 // pair under one Config. It implements gnn.Aggregator, so any model from
@@ -121,6 +180,9 @@ func (e *Engine) StartEvalEpoch(epoch int) {
 	e.c.StartEvalEpoch(epoch)
 	e.c.ResetTraffic()
 }
+
+// ReuseRound implements gnn.RoundReuser (see worker.Cluster.ReuseRound).
+func (e *Engine) ReuseRound(gen uint64) (uint64, bool) { return e.c.ReuseRound(gen) }
 
 // ScheduleLevels returns a copy of the current per-pair rung levels, or nil
 // when variable-rate scheduling is disabled.

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"scgnn/internal/core"
+	"scgnn/internal/datasets"
 )
 
 // goldenLine renders per-epoch losses as exact bit patterns plus total bytes.
@@ -17,6 +18,15 @@ func goldenLine(losses []float64, bytes int64) string {
 	}
 	fmt.Fprintf(&sb, "%d", bytes)
 	return sb.String()
+}
+
+// layer0Bytes is the traffic of one forward round over d's features on a
+// fresh engine: layer 0's forward round when it aggregates first.
+func layer0Bytes(d *datasets.Dataset, part []int, nparts int, cfg Config) int64 {
+	e := NewEngine(d.Graph, part, nparts, cfg)
+	e.StartEpoch(0)
+	e.Forward(d.Features)
+	return e.CaptureEpoch().TotalBytes
 }
 
 // TestEngineGoldenBits: a 4-epoch dist.Run must reproduce, bit for bit, the
@@ -37,6 +47,11 @@ func goldenLine(losses []float64, bytes int64) string {
 // 3e-16 relative). The losses were re-recorded once more when the loss took
 // one exp a logit (softmax as exp(l − max)/sum, not the exponentiated
 // log-softmax): only the sampled semantic stack's last epoch moved, by 2 ulps.
+// The byte totals alone moved once more, losses unchanged, when layer 0 began
+// keeping its Agg(X) on a reproducible exchange: vanilla ships layer 0's
+// forward round in epoch 0 only, 84336 → 52836, three rounds of layer0Bytes
+// fewer than uncached, the total of a run that ships it every epoch; the
+// sampled stacks are not reproducible and did not move.
 // Between them the three method stacks drive every
 // stateful stream (edge coins, node coins, fixed and adaptive widths, error
 // feedback, delay slots); internal/worker pins the same three.
@@ -45,14 +60,19 @@ func TestEngineGoldenBits(t *testing.T) {
 	d, part := smallSetup(t)
 	for _, tc := range []struct {
 		name, want string
+		uncached   int64
 		cfg        Config
 	}{
-		{"vanilla", "3fee229af1c25da5 3fecb46fcaaef361 3feb38bd50296ce0 3fe9b15b8bd5815d 84336", Config{Seed: 3}},
-		{"semantic+sampling+q8ef", "3ff0023d3699f41a 3fee41695e108bca 3fed69aeb6f9cfaa 3febf8ef5adb8813 5644",
+		{"vanilla", "3fee229af1c25da5 3fecb46fcaaef361 3feb38bd50296ce0 3fe9b15b8bd5815d 52836", 84336, Config{Seed: 3}},
+		{"semantic+sampling+q8ef", "3ff0023d3699f41a 3fee41695e108bca 3fed69aeb6f9cfaa 3febf8ef5adb8813 5644", 5644,
 			Config{Semantic: true, Plan: plan, SampleRate: 0.5, QuantBits: 8, ErrorFeedback: true, Seed: 3}},
-		{"nsampling+aquant+delay", "3feda522c8e06625 3fecbb7d585f9923 3febeeeb55b9b538 3feae76ca3c763be 16744",
+		{"nsampling+aquant+delay", "3feda522c8e06625 3fecbb7d585f9923 3febeeeb55b9b538 3feae76ca3c763be 16744", 16744,
 			Config{SampleRate: 0.5, SampleNodes: true, QuantBits: 8, AdaptiveQuant: true, DelayPeriod: 2, Seed: 3}},
 	} {
+		var layer0 int64
+		if tc.name == "vanilla" {
+			layer0 = layer0Bytes(d, part, 3, tc.cfg)
+		}
 		for _, workers := range []int{1, 8} {
 			tc.cfg.Workers = workers
 			res := Run(d, part, 3, tc.cfg, RunConfig{Epochs: 4, Hidden: 8, Seed: 1})
@@ -64,6 +84,10 @@ func TestEngineGoldenBits(t *testing.T) {
 			}
 			if got := goldenLine(losses, bytes); got != tc.want {
 				t.Errorf("%s workers=%d:\n got  %s\n want %s", tc.name, workers, got, tc.want)
+			}
+			if tc.uncached-bytes != 3*layer0 {
+				t.Errorf("%s workers=%d: %d B, the uncached run's %d B less three layer-0 rounds of %d B",
+					tc.name, workers, bytes, tc.uncached, layer0)
 			}
 		}
 	}

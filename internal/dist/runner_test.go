@@ -1,7 +1,6 @@
 package dist
 
 import (
-	"math"
 	"runtime"
 	"slices"
 	"testing"
@@ -54,13 +53,28 @@ func TestRunSemanticAccuracyAndVolume(t *testing.T) {
 	}
 }
 
+// TestRunDelayAveragesTraffic: under Delay(4) only epochs 0, 4, 8 and 12
+// transmit. Epoch 0 is the peak; the later fresh epochs ship one round
+// fewer, layer 0's over the features, which the model keeps from epoch 0 (a
+// delay lane is reproducible). So the mean is (peak + 3·(peak − layer 0))/16.
 func TestRunDelayAveragesTraffic(t *testing.T) {
 	d, part := pubmedSetup()
 	res := Run(d, part, 2, Delay(4), RunConfig{Epochs: 16, Seed: 1})
-	// Mean traffic ≈ peak/4 (one fresh epoch in four).
-	ratio := res.BytesPerEpoch / float64(res.PeakBytesPerEpoch)
-	if ratio < 0.2 || ratio > 0.35 {
-		t.Fatalf("delay mean/peak traffic ratio = %v, want ≈0.25", ratio)
+	peak, layer0 := res.PeakBytesPerEpoch, layer0Bytes(d, part, 2, Delay(4))
+	for _, ep := range res.Epochs {
+		want := int64(0)
+		switch {
+		case ep.Epoch == 0:
+			want = peak
+		case ep.Epoch%4 == 0:
+			want = peak - layer0
+		}
+		if ep.Bytes != want {
+			t.Errorf("epoch %d: %d B, want %d (peak %d, layer 0 %d)", ep.Epoch, ep.Bytes, want, peak, layer0)
+		}
+	}
+	if want := float64(peak+3*(peak-layer0)) / 16; res.BytesPerEpoch != want {
+		t.Fatalf("delay mean traffic %v B, want %v", res.BytesPerEpoch, want)
 	}
 }
 
@@ -160,10 +174,12 @@ func TestRunDeeperModel(t *testing.T) {
 	// the first backward (layer 0's input gradient is never formed), each
 	// at the width of the side of W it aggregates on (gnn.MultipliesFirst).
 	// At pubmed-sim's 16 features and 3 classes, [16, 32, 3] ships 16, 3, 3
-	// values a message and [16, 32, 32, 3] ships 16, 32, 3, 3, 32. Vanilla
-	// ships one message per cross arc in every round, so messages go 3 → 5
-	// rounds exactly, and each round's two frames (both directions of the cut
-	// carry arcs) also carry a batch header.
+	// values a message and [16, 32, 32, 3] ships 16, 32, 3, 3, 32. Layer 0
+	// aggregates X first, and vanilla is reproducible, so from epoch 1 on the
+	// model keeps Agg(X) and the 16-wide round is not shipped. Vanilla ships
+	// one message per cross arc in every round, so messages go 3 → 5 rounds
+	// in epoch 0 and 2 → 4 after it, and each round's two frames (both
+	// directions of the cut carry arcs) also carry a batch header.
 	widths := func(dims ...int) []int {
 		var fwd, bwd []int
 		for i := 0; i+1 < len(dims); i++ {
@@ -183,7 +199,7 @@ func TestRunDeeperModel(t *testing.T) {
 	if !slices.Equal(w2, []int{16, 3, 3}) || !slices.Equal(w3, []int{16, 32, 3, 3, 32}) {
 		t.Fatalf("round widths %v and %v, want [16 3 3] and [16 32 3 3 32]", w2, w3)
 	}
-	msgs := two.MsgsPerEpoch / 3 // a round's messages
+	msgs := float64(two.Epochs[0].Messages) / 3 // a round's messages
 	perRound := func(widths []int) float64 {
 		var b float64
 		for _, w := range widths {
@@ -191,11 +207,18 @@ func TestRunDeeperModel(t *testing.T) {
 		}
 		return b
 	}
-	if got := three.MsgsPerEpoch / two.MsgsPerEpoch; math.Abs(got-5.0/3) > 1e-12 {
-		t.Errorf("3-layer/2-layer message ratio = %v, want 5/3 (5 rounds against 3)", got)
-	}
-	want := perRound(w3) / perRound(w2)
-	if ratio := three.BytesPerEpoch / two.BytesPerEpoch; math.Abs(ratio-want) > 1e-12 {
-		t.Fatalf("3-layer/2-layer volume ratio = %v, want %v", ratio, want)
+	for e := range two.Epochs {
+		rounds2, rounds3, v2, v3 := 3.0, 5.0, w2, w3
+		if e > 0 {
+			rounds2, rounds3, v2, v3 = 2, 4, w2[1:], w3[1:]
+		}
+		m2, m3 := two.Epochs[e].Messages, three.Epochs[e].Messages
+		if float64(m2) != rounds2*msgs || float64(m3) != rounds3*msgs {
+			t.Errorf("epoch %d: %d and %d messages, want %v and %v rounds of %v", e, m2, m3, rounds2, rounds3, msgs)
+		}
+		b2, b3 := float64(two.Epochs[e].Bytes), float64(three.Epochs[e].Bytes)
+		if b2 != perRound(v2) || b3 != perRound(v3) {
+			t.Errorf("epoch %d: %v and %v B, want %v and %v (widths %v and %v)", e, b2, b3, perRound(v2), perRound(v3), v2, v3)
+		}
 	}
 }

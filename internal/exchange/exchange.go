@@ -53,7 +53,8 @@ func New(g *graph.Graph, part []int, nparts int, cfg Config) *Core {
 // their plan, arc list, sampler stream, adaptive history and residuals
 // verbatim; dirty pairs get a rebuilt plan (bit-identical to a from-scratch
 // build) and freshly re-seeded streams. Rung levels never change. Returns the
-// ascending dirty pair indices; on error the core is unchanged. Callers own
+// ascending dirty pair indices; on error the core is unchanged, on success
+// its Generation has moved even when no pair is dirty. Callers own
 // the post-steps for state they derived themselves (delay caches, compiled
 // kernels).
 func (c *Core) Repartition(part []int) ([]int, error) {
@@ -61,6 +62,7 @@ func (c *Core) Repartition(part []int) ([]int, error) {
 	if err != nil {
 		return nil, fmt.Errorf("Repartition: %w", err)
 	}
+	c.gen++
 	for _, idx := range dirty {
 		c.Reseed(idx)
 	}

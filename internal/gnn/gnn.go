@@ -111,7 +111,9 @@ type Model interface {
 	// Input features are not parameters, so ∂L/∂X is never formed: the
 	// first layer's backward stops at its weight gradients, and a model on
 	// a distributed aggregator runs L−1 backward rounds to L forward ones
-	// (one more when its first layer multiplies first, see MultipliesFirst).
+	// (one more when its first layer multiplies first, see MultipliesFirst;
+	// one forward fewer after the first epoch when it aggregates first on a
+	// RoundReuser that keeps its Agg(X)).
 	Backward(dlogits *tensor.Matrix)
 	// Params exposes parameters for the optimizer.
 	Params() []nn.Param
@@ -157,7 +159,7 @@ func (m *GCN) Forward(x *tensor.Matrix) *tensor.Matrix {
 		if i < len(m.drops) {
 			h = m.drops[i].Forward(h)
 		}
-		h = l.forward(m.Agg, h)
+		h = l.forward(m.Agg, h, i == 0 && h == x)
 		if i < len(m.acts) {
 			h = m.acts[i].Forward(h)
 		}
@@ -245,7 +247,7 @@ func (m *SAGE) Forward(x *tensor.Matrix) *tensor.Matrix {
 	h := x
 	for i := range m.self {
 		y := m.self[i].Forward(h)
-		tensor.AddInPlace(y, m.neigh[i].forward(m.Agg, h))
+		tensor.AddInPlace(y, m.neigh[i].forward(m.Agg, h, i == 0))
 		if i < len(m.acts) {
 			y = m.acts[i].Forward(y)
 		}

@@ -7,9 +7,11 @@ import (
 	"testing"
 
 	"scgnn/internal/datasets"
+	"scgnn/internal/exchange"
 	"scgnn/internal/graph"
 	"scgnn/internal/nn"
 	"scgnn/internal/tensor"
+	"scgnn/internal/worker"
 )
 
 func lineGraph() *graph.Graph {
@@ -213,10 +215,17 @@ func closeRel(t *testing.T, what string, a, b []float64) {
 	}
 }
 
-// countingAgg is the exact aggregator with a tally of the rounds a model
-// asks it for, taken on the allocation-free path every runtime implements.
+// reuser is an allocation-free aggregator that answers RoundReuser.
+type reuser interface {
+	Aggregator
+	RoundReuser
+}
+
+// countingAgg wraps an aggregator with a tally of the rounds a model asks it
+// for, taken on the allocation-free path every runtime implements; rounds
+// the aggregator lets a layer reuse are not run, so not counted.
 type countingAgg struct {
-	*LocalAggregator
+	reuser
 	fwd, bwd int
 }
 
@@ -226,17 +235,30 @@ func (a *countingAgg) AggregateInto(dst, h *tensor.Matrix, backward bool) error 
 	} else {
 		a.fwd++
 	}
-	return a.LocalAggregator.AggregateInto(dst, h, backward)
+	return a.reuser.AggregateInto(dst, h, backward)
+}
+
+func (a *countingAgg) StartEpoch(epoch int) {
+	if em, ok := a.reuser.(EpochMarker); ok {
+		em.StartEpoch(epoch)
+	}
 }
 
 // TestEpochRounds: a training epoch of an L-layer model makes L forward and
 // L−1 backward aggregate rounds, plus one backward round when layer 0
 // multiplies first — the input features take no gradient, so layer 0's
 // backward ends at its weight gradients, and its Linear never forms (or
-// allocates) a dX.
+// allocates) a dX. From epoch 1 on, a layer 0 that aggregates first keeps
+// its Agg(X) on a reproducible aggregator (the exact one), so the epoch
+// makes one forward round fewer — except under input dropout, whose input
+// changes every epoch, and on a sampling aggregator, whose coins do.
 func TestEpochRounds(t *testing.T) {
 	d := datasets.PubMedSim(1)
 	f, c := d.FeatureDim(), d.NumClasses
+	part := make([]int, d.NumNodes())
+	for u := range part {
+		part[u] = u % 2
+	}
 	// Hidden 8 aggregates layer 0 first (2·8 = 16 features), hidden 4 does
 	// not; the output layer multiplies first in all four.
 	for _, dims := range [][]int{{f, 8, c}, {f, 8, 8, c}, {f, 4, c}, {f, 4, 4, c}} {
@@ -259,22 +281,32 @@ func TestEpochRounds(t *testing.T) {
 				return m, []*nn.Linear{m.self[0], m.neigh[0].lin}
 			},
 		} {
-			agg := &countingAgg{LocalAggregator: NewLocalAggregator(d.Graph)}
-			m, first := build(agg)
-			trn := NewTrainer(m, d.Features, d.Labels, d.TrainMask, d.ValMask, d.TestMask, TrainConfig{Epochs: 3})
-			for epoch := 0; epoch < 3; epoch++ {
-				agg.fwd, agg.bwd = 0, 0
-				if _, err := trn.RunEpoch(); err != nil {
-					t.Fatal(err)
+			for _, sampling := range []bool{false, true} {
+				var inner reuser = NewLocalAggregator(d.Graph)
+				if sampling {
+					inner = worker.NewClusterFromConfig(d.Graph, part, 2, exchange.Config{SampleRate: 0.5, Seed: 1})
 				}
-				if agg.fwd != layers || agg.bwd != wantBwd {
-					t.Errorf("%s, dims %v, epoch %d: %d forward and %d backward rounds, want %d and %d",
-						name, dims, epoch, agg.fwd, agg.bwd, layers, wantBwd)
+				agg := &countingAgg{reuser: inner}
+				m, first := build(agg)
+				trn := NewTrainer(m, d.Features, d.Labels, d.TrainMask, d.ValMask, d.TestMask, TrainConfig{Epochs: 3})
+				for epoch := 0; epoch < 3; epoch++ {
+					agg.fwd, agg.bwd = 0, 0
+					if _, err := trn.RunEpoch(); err != nil {
+						t.Fatal(err)
+					}
+					wantFwd := layers
+					if epoch > 0 && !sampling && name != "gcn+dropout" && !MultipliesFirst(0, dims[0], dims[1]) {
+						wantFwd--
+					}
+					if agg.fwd != wantFwd || agg.bwd != wantBwd {
+						t.Errorf("%s, sampling %v, dims %v, epoch %d: %d forward and %d backward rounds, want %d and %d",
+							name, sampling, dims, epoch, agg.fwd, agg.bwd, wantFwd, wantBwd)
+					}
 				}
-			}
-			for _, l := range first {
-				if !reflect.ValueOf(l).Elem().FieldByName("dx").IsNil() {
-					t.Errorf("%s, dims %v: a layer-0 Linear allocated its dX buffer", name, dims)
+				for _, l := range first {
+					if !reflect.ValueOf(l).Elem().FieldByName("dx").IsNil() {
+						t.Errorf("%s, dims %v: a layer-0 Linear allocated its dX buffer", name, dims)
+					}
 				}
 			}
 		}

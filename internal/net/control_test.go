@@ -86,8 +86,14 @@ func TestControlRoundtrips(t *testing.T) {
 
 	rd, err := decodeRoundScratch(encode(Round{Seq: 2, Backward: true, Cols: 2,
 		H: tensor.FromRows([][]float64{{9, 9}, {1, 2}, {3, 4}}), Rows: []int32{1, 2}}))
-	if err != nil || !rd.Backward || rd.Cols != 2 || len(rd.H.Data) != 4 || rd.H.Data[3] != 4 {
+	if err != nil || !rd.Backward || rd.Cols != 2 || len(rd.H.Data) != 4 || rd.H.Data[3] != 4 || rd.Ordinal != 0 {
 		t.Fatalf("round: %+v, %v", rd, err)
+	}
+	// A positive ordinal rides after the rows; ordinal 0 adds no bytes.
+	plain := encode(Round{Seq: 2, Cols: 1, H: tensor.New(1, 1), Rows: []int32{0}})
+	skipped := encode(Round{Seq: 2, Cols: 1, H: tensor.New(1, 1), Rows: []int32{0}, Ordinal: 3})
+	if rd, err := decodeRoundScratch(skipped); err != nil || rd.Ordinal != 3 || len(skipped) != len(plain)+4 {
+		t.Fatalf("round with ordinal: %+v, %v, %d bytes against %d", rd, err, len(skipped), len(plain))
 	}
 
 	// A RoundDone lands in the rows the receiver names, and only there.
@@ -186,6 +192,16 @@ func TestControlValidation(t *testing.T) {
 	}
 	if _, _, err := decodeRound(encode(Round{Cols: 3, H: tensor.New(1, 2), Rows: []int32{0}})); !errors.Is(err, errBadControl) {
 		t.Errorf("round ragged h: %v", err)
+	}
+	// An ordinal written out as zero or negative is not the canonical form.
+	for _, ord := range []int32{0, -2} {
+		p := binary.LittleEndian.AppendUint32(encode(Round{Cols: 1}), uint32(ord))
+		if _, _, err := decodeRound(p); !errors.Is(err, errBadControl) {
+			t.Errorf("round ordinal %d written out: %v", ord, err)
+		}
+	}
+	if _, _, err := decodeRound(append(encode(Round{Cols: 1}), 1, 0)); !errors.Is(err, errBadControl) {
+		t.Errorf("round with a torn ordinal: %v", err)
 	}
 	if _, err := decodeRoundDoneScratch(encode(RoundDone{Bytes: []int64{1}, Msgs: nil})); !errors.Is(err, errBadControl) {
 		t.Errorf("round-done ragged traffic: %v", err)

@@ -86,6 +86,24 @@ func (p *Peer) StartEvalEpoch(epoch int) {
 	p.freshEval = true
 }
 
+// ErrRoundOrdinal marks a round asked for at an ordinal behind the peer's
+// own: a replica that has run a round its coordinator has not counted.
+var ErrRoundOrdinal = errors.New("worker: round ordinal behind the peer's")
+
+// AlignRound moves the peer to round ordinal of the current epoch before its
+// next Round. The rounds between were served by the coordinator's model from
+// its own buffers (gnn.RoundReuser) and still take their ordinals, which key
+// the delay slots and error-feedback residuals, so the peer's rounds stay
+// where a Cluster's are. An ordinal behind the peer's is an ErrRoundOrdinal
+// error and changes nothing.
+func (p *Peer) AlignRound(ordinal int) error {
+	if ordinal < p.round {
+		return fmt.Errorf("%w: round %d, the peer is at %d", ErrRoundOrdinal, ordinal, p.round)
+	}
+	p.round = ordinal
+	return nil
+}
+
 // Round executes one aggregate round for this peer — the two halves a Cluster
 // worker runs, back to back, with the ghost-advance of the pairs other nodes
 // encoded between them: one encoded frame handed to send per peer (ascending,

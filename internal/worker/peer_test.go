@@ -317,6 +317,32 @@ func TestNewPeerQuantBits(t *testing.T) {
 	}
 }
 
+// TestPeerAlignRound: a peer moves forward to the ordinal its coordinator
+// names — the rounds between were served from the model's buffers — and
+// refuses one behind its own with ErrRoundOrdinal, changing nothing; an
+// epoch boundary starts the count again.
+func TestPeerAlignRound(t *testing.T) {
+	d, part := setup(t, 3)
+	p, err := NewPeer(d.Graph, part, 3, 1, exchange.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.StartEpoch(0)
+	if err := p.AlignRound(2); err != nil || p.round != 2 {
+		t.Fatalf("align to 2: %v, at %d", err, p.round)
+	}
+	if err := p.AlignRound(1); !errors.Is(err, ErrRoundOrdinal) || p.round != 2 {
+		t.Fatalf("align back to 1: %v, at %d", err, p.round)
+	}
+	if err := p.AlignRound(2); err != nil {
+		t.Fatalf("align to its own ordinal: %v", err)
+	}
+	p.StartEpoch(1)
+	if err := p.AlignRound(0); err != nil || p.round != 0 {
+		t.Fatalf("align to 0 in a new epoch: %v, at %d", err, p.round)
+	}
+}
+
 // TestPeerRestoreRejectsMismatch covers the validation errors.
 func TestPeerRestoreRejectsMismatch(t *testing.T) {
 	d, part := setup(t, 3)
