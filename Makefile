@@ -53,23 +53,28 @@ race:
 # The multi-process lane: the whole socket transport package under the race
 # detector (framing/control codecs, fault-injection matrix, cross-runtime
 # equivalence, subprocess kill/respawn/restore/repartition), then a 2-process
-# unix-socket training smoke through the real scgnn-node/scgnn-coord
-# binaries, checkpointing each boundary. Every connection keeps its frame
-# buffers between frames, and a mesh link's are filled by its reader
-# goroutine while the round loop decodes what it queued: the tests that pin
-# who owns those bytes, the allocation gate over them, and the footprint test
-# that holds a node to its shard (shard-row round matrices, plans without
-# their DBGs, no Setup-sized connection buffer) run five times over under the
-# detector.
+# unix-socket training smoke through the real scgnn-node and scgnn-train
+# -nodes binaries, checkpointing each boundary, then the same command again,
+# which must resume from the last boundary and print the same test accuracy.
+# Every connection keeps its frame buffers between frames, and a mesh link's
+# are filled by its reader goroutine while the round loop decodes what it
+# queued: the tests that pin who owns those bytes, the allocation gate over
+# them, and the footprint test that holds a node to its shard (shard-row round
+# matrices, plans without their DBGs, no Setup-sized connection buffer) run
+# five times over under the detector.
 test-net:
 	$(GO) test -race ./internal/net/...
 	$(GO) test -race -count=5 -run 'TestFleetSteadyStateAllocs|TestRetainedReader|TestMeshBatchOwnsData|TestAggregateIntoAndRoundAlternate|TestFleetHoldsShards' ./internal/net/
 	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT INT TERM && \
-	$(GO) build -o "$$dir/" ./cmd/scgnn-node ./cmd/scgnn-coord && \
-	"$$dir/scgnn-coord" -node-bin "$$dir/scgnn-node" \
+	$(GO) build -o "$$dir/" ./cmd/scgnn-node ./cmd/scgnn-train && \
+	run() { "$$dir/scgnn-train" -node-bin "$$dir/scgnn-node" \
 		-nodes "$$dir/n0.sock,$$dir/n1.sock" \
-		-method quant -bits 8 -epochs 3 -checkpoint "$$dir/job.ck" && \
-	echo "test-net: 2-process smoke ok"
+		-method quant -bits 8 -epochs 3 -checkpoint "$$dir/job.ck"; } && \
+	first=$$(run) && echo "$$first" && second=$$(run) && echo "$$second" && \
+	acc=$$(echo "$$first" | grep '^test accuracy') && \
+	echo "$$second" | grep -q '^resumed   epoch 2 ' && \
+	[ "$$acc" = "$$(echo "$$second" | grep '^test accuracy')" ] && \
+	echo "test-net: 2-process smoke ok (resumed run: $$acc)"
 
 # Coverage floors on the packages the incremental replanning subsystem lives
 # in — new code there must arrive tested. Floors sit a few points under the
@@ -131,8 +136,9 @@ fuzz-smoke:
 # aggLinear, which picks the side of W by MultipliesFirst) calls aggregate(,
 # so GCN and SAGE cannot grow a second copy of the rule. And one full-batch
 # training loop: only gnn.Trainer builds an optimizer, so dist.Run and the
-# facade cannot grow their own loop back; bench/'s traced loop is outside the
-# count. And one consumer of gnn.RoundReuser: only layer.go's aggLinear asks
+# facade cannot grow their own loop back, and only dist's run loop
+# (dist.Train) builds a gnn.Trainer, so no command can grow a second run
+# driver; bench/'s traced loop is outside the count. And one consumer of gnn.RoundReuser: only layer.go's aggLinear asks
 # an aggregator whether a round may be reused, so no other code can skip a
 # round behind the round-ordinal contract (an implementation may forward the
 # question on its own declaration line, as dist.Engine does to its cluster).
@@ -140,6 +146,7 @@ one-sink:
 	@! grep -rn 'useReference\|DelayCache\|pairBuf\|NewRounds\|worker\.Rounds\|forEachTask\|putHeader\|MsgHeaderBytes\|Fabric) Send(' --include='*.go' . | grep -v _test.go
 	@! grep -n 'aggregate(' internal/gnn/*.go | grep -v '_test\.go:\|^internal/gnn/layer\.go:'
 	@! grep -rn 'nn\.NewAdam(' --include='*.go' . | grep -v '_test\.go:\|^\./internal/nn/\|^\./internal/gnn/trainer\.go:\|^\./bench/'
+	@! grep -rn 'gnn\.NewTrainer(' --include='*.go' . | grep -v '_test\.go:\|^\./internal/gnn/\|^\./internal/dist/runner\.go:\|^\./bench/'
 	@! grep -rn '\.ReuseRound(' --include='*.go' . | grep -v '_test\.go:\|^\./internal/gnn/layer\.go:\|^[^:]*:[0-9]*:func ('
 
 # Tier-1 verification gate (ROADMAP.md): everything must build, pass tests,

@@ -9,6 +9,7 @@
 package scgnn_test
 
 import (
+	"math/rand"
 	"testing"
 
 	"scgnn"
@@ -138,7 +139,7 @@ func exchangeSetup(b *testing.B, cfg dist.Config) (*dist.Engine, *tensor.Matrix)
 	part := partition.Partition(ds.Graph, 8, partition.NodeCut, partition.Config{Seed: 1})
 	eng := dist.NewEngine(ds.Graph, part, 8, cfg)
 	h := tensor.New(ds.NumNodes(), 32)
-	rng := eng.RandSource()
+	rng := rand.New(rand.NewSource(1))
 	for i := range h.Data {
 		h.Data[i] = rng.NormFloat64()
 	}

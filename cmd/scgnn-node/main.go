@@ -2,7 +2,7 @@
 // fleet. It is deliberately thin: listen on a socket, serve the wire
 // protocol, exit when the coordinator shuts the fleet down. Everything about
 // the job — graph shard, partition vector, compression config — arrives over
-// the control channel from scgnn-coord.
+// the control channel from the coordinator, scgnn-train -nodes.
 //
 // Usage:
 //

@@ -12,9 +12,12 @@
 // messages of those frames land per link in a simnet.Fabric. An analytic cost
 // model converts each epoch's traffic and per-method processing counters —
 // integer sums over what was exchanged — into a modeled epoch time (see
-// internal/simnet and DESIGN.md §5). Run trains on it through gnn.Trainer,
-// the one full-batch loop, and adds what is dist's own: the model and its
-// init stream, the analytic model flops, and the cost model.
+// internal/simnet and DESIGN.md §5). Train is the one training driver: it
+// steps gnn.Trainer, the one full-batch loop, on any Runtime — the engine, a
+// worker.Cluster, or a connected net.Coordinator — and adds what is dist's
+// own: the model and its init stream, the analytic model flops, the cost
+// model, and (on a fleet) the checkpoint at every epoch boundary. Run is
+// Train on an engine.
 //
 // What the engine adds is the epoch: StartEpoch resets the cluster's traffic
 // and processing counters, CaptureEpoch freezes them as the simnet.Snapshot
@@ -31,7 +34,6 @@ package dist
 
 import (
 	"fmt"
-	"math/rand"
 
 	"scgnn/internal/core"
 	"scgnn/internal/exchange"
@@ -63,7 +65,7 @@ func Delay(period int) Config { return Config{DelayPeriod: period} }
 func Semantic(plan core.PlanConfig) Config { return Config{Semantic: true, Plan: plan} }
 
 // MethodFlags is a command line's choice of exchange — the method name and
-// the knobs the methods read — as scgnn-train and scgnn-coord take it.
+// the knobs the methods read — as scgnn-train takes it.
 type MethodFlags struct {
 	Method               string // vanilla, sampling, quant, delay or semantic
 	Rate                 float64
@@ -217,10 +219,4 @@ func (e *Engine) CrossEdgeCount() int {
 		n += len(edges)
 	}
 	return n
-}
-
-// RandSource returns a child RNG for callers needing engine-correlated
-// randomness (model init in the runner).
-func (e *Engine) RandSource() *rand.Rand {
-	return rand.New(rand.NewSource(e.cfg.Seed*7919 + 17))
 }

@@ -2,8 +2,10 @@ package dist
 
 import (
 	"fmt"
+	"math/rand"
 	"time"
 
+	"scgnn/internal/compress"
 	"scgnn/internal/datasets"
 	"scgnn/internal/gnn"
 	"scgnn/internal/simnet"
@@ -25,8 +27,12 @@ type RunConfig struct {
 	// Patience stops training early when validation accuracy has not
 	// improved for this many epochs (0 disables early stopping).
 	Patience int
-	// Seed initializes model weights.
+	// Seed initializes model weights (with the exchange's Config.Seed).
 	Seed int64
+	// Checkpoint, when set, names the file the run saves at every epoch
+	// boundary and resumes from when it exists; the runtime must be a
+	// Checkpointer.
+	Checkpoint string
 	// Cost converts traffic into modeled epoch time (default
 	// simnet.DefaultCostModel).
 	Cost *simnet.CostModel
@@ -86,6 +92,9 @@ type Result struct {
 	EpochTimeModeled float64
 	// WallTime is the real time the simulation took (for benchmarks).
 	WallTime time.Duration
+	// StartEpoch is the first epoch the run trained: 0, or the boundary it
+	// resumed at from RunConfig.Checkpoint. Epochs starts there.
+	StartEpoch int
 
 	Epochs []EpochRecord
 }
@@ -102,18 +111,49 @@ func (r *Result) String() string {
 		r.Method, r.NumParts, r.TestAcc, r.MBPerEpoch(), r.EpochTimeMs())
 }
 
-// Run trains a model on the partitioned dataset with the engine's exchange
-// method, stepping gnn.Trainer and capturing each epoch's exact traffic and
-// modeled epoch time; accuracy is measured, not modeled.
-func Run(ds *datasets.Dataset, part []int, nparts int, engCfg Config, runCfg RunConfig) *Result {
-	runCfg = runCfg.withDefaults()
-	eng := NewEngine(ds.Graph, part, nparts, engCfg)
+// Runtime is what a run trains on: an aggregator — an Engine, a
+// worker.Cluster or a connected net.Coordinator — that reports each epoch's
+// traffic and processing counters.
+type Runtime interface {
+	gnn.Aggregator
+	// CaptureEpoch freezes the counters of the epoch since its StartEpoch.
+	CaptureEpoch() simnet.Snapshot
+}
 
-	rng := eng.RandSource()
-	// Mix the run seed in so different RunConfig seeds change init.
-	rng.Int63()
-	for i := int64(0); i < runCfg.Seed%97; i++ {
-		rng.Int63()
+// Checkpointer is a runtime that keeps a run's checkpoint file (a
+// net.Coordinator, whose nodes hold state the model and trainer do not).
+// Train saves before every epoch and resumes from the file when it exists.
+type Checkpointer interface {
+	SaveCheckpoint(path string, model gnn.Model, t *gnn.Trainer) error
+	// ResumeCheckpoint rewinds model, trainer and runtime to the file at
+	// path; with no file there it changes nothing.
+	ResumeCheckpoint(path string, model gnn.Model, t *gnn.Trainer) error
+}
+
+// Run trains on an Engine built for the partitioned dataset; see Train. An
+// error (an unknown model) panics.
+func Run(ds *datasets.Dataset, part []int, nparts int, engCfg Config, runCfg RunConfig) *Result {
+	res, err := Train(NewEngine(ds.Graph, part, nparts, engCfg), ds, engCfg, nparts, runCfg)
+	if err != nil {
+		panic(err)
+	}
+	return res
+}
+
+// Train trains a model on rt, which runs engCfg's exchange over nparts
+// partitions of ds, stepping gnn.Trainer and capturing each epoch's exact
+// traffic and modeled epoch time; accuracy is measured, not modeled. The
+// model's weights are drawn from initRand(engCfg.Seed, runCfg.Seed), so one
+// configuration trains the same model on every runtime. With
+// runCfg.Checkpoint set, rt must be a Checkpointer.
+func Train(rt Runtime, ds *datasets.Dataset, engCfg Config, nparts int, runCfg RunConfig) (*Result, error) {
+	runCfg = runCfg.withDefaults()
+	var ck Checkpointer
+	if runCfg.Checkpoint != "" {
+		var ok bool
+		if ck, ok = rt.(Checkpointer); !ok {
+			return nil, fmt.Errorf("dist: checkpoint %s: %T keeps no checkpoint", runCfg.Checkpoint, rt)
+		}
 	}
 
 	dims := make([]int, 0, runCfg.Layers+1)
@@ -123,13 +163,13 @@ func Run(ds *datasets.Dataset, part []int, nparts int, engCfg Config, runCfg Run
 	}
 	dims = append(dims, ds.NumClasses)
 	var model gnn.Model
-	switch runCfg.Model {
+	switch rng := initRand(engCfg.Seed, runCfg.Seed); runCfg.Model {
 	case "gcn":
-		model = gnn.NewGCN(eng, dims, rng)
+		model = gnn.NewGCN(rt, dims, rng)
 	case "sage":
-		model = gnn.NewSAGE(eng, dims, rng)
+		model = gnn.NewSAGE(rt, dims, rng)
 	default:
-		panic(fmt.Sprintf("dist: unknown model %q", runCfg.Model))
+		return nil, fmt.Errorf("dist: unknown model %q", runCfg.Model)
 	}
 	// Analytic model compute per epoch: 2·N·in·out flops for each of a
 	// layer's products — XW forward, XᵀdY and dY·Wᵀ backward — less layer
@@ -145,16 +185,32 @@ func Run(ds *datasets.Dataset, part []int, nparts int, engCfg Config, runCfg Run
 	t := gnn.NewTrainer(model, ds.Features, ds.Labels, ds.TrainMask, ds.ValMask, ds.TestMask,
 		gnn.TrainConfig{Epochs: runCfg.Epochs, LR: runCfg.LR, Patience: runCfg.Patience})
 	res := &Result{Method: engCfg.MethodName(), NumParts: nparts}
+	if ck != nil {
+		if err := ck.ResumeCheckpoint(runCfg.Checkpoint, model, t); err != nil {
+			return nil, err
+		}
+		res.StartEpoch = t.NextEpoch()
+	}
+	// A cluster's counters run on across epochs; the loop reads one epoch.
+	resetter, _ := rt.(interface{ ResetTraffic() })
 	start := time.Now()
 
 	var totalBytes, totalMsgs int64
 	var totalTime float64
 	for !t.Done() {
+		if ck != nil {
+			if err := ck.SaveCheckpoint(runCfg.Checkpoint, model, t); err != nil {
+				return nil, fmt.Errorf("dist: checkpoint before epoch %d: %w", t.NextEpoch(), err)
+			}
+		}
+		if resetter != nil {
+			resetter.ResetTraffic()
+		}
 		st, err := t.RunEpoch()
 		if err != nil {
-			panic(err)
+			return nil, err
 		}
-		snap := eng.CaptureEpoch()
+		snap := rt.CaptureEpoch()
 		snap.ComputeFlops += modelFlops
 		et := runCfg.Cost.EpochTime(snap)
 		res.Epochs = append(res.Epochs, EpochRecord{Epoch: st.Epoch, Loss: st.Loss, TrainAcc: st.TrainAcc,
@@ -167,7 +223,7 @@ func Run(ds *datasets.Dataset, part []int, nparts int, engCfg Config, runCfg Run
 	// Finish's forward-only evaluation pass is not counted in the traffic.
 	final, err := t.Finish()
 	if err != nil {
-		panic(err)
+		return nil, err
 	}
 	res.TestAcc, res.BestValAcc = final.TestAcc, final.BestValAcc
 
@@ -177,7 +233,23 @@ func Run(ds *datasets.Dataset, part []int, nparts int, engCfg Config, runCfg Run
 		res.EpochTimeModeled = totalTime / n
 	}
 	res.WallTime = time.Since(start)
-	return res
+	return res, nil
+}
+
+// initRand is the model's init stream, a function of the exchange seed and
+// the run seed alone. Run seeds 0..96 skip 1+seed draws of the exchange
+// seed's stream, as they always have; every other run seed gets a source
+// seed of its own, where seeds congruent mod 97 once shared a stream.
+func initRand(cfgSeed, runSeed int64) *rand.Rand {
+	base := cfgSeed*7919 + 17
+	if runSeed < 0 || runSeed >= 97 {
+		return rand.New(rand.NewSource(compress.DeriveSeed(base, int(runSeed))))
+	}
+	rng := rand.New(rand.NewSource(base))
+	for i := int64(0); i <= runSeed; i++ {
+		rng.Int63()
+	}
+	return rng
 }
 
 // MatchedBaselines derives baseline configurations whose traffic

@@ -1,8 +1,10 @@
 package dist
 
 import (
+	"math/rand"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 
 	"scgnn/internal/core"
@@ -94,6 +96,51 @@ func TestRunUnknownModelPanics(t *testing.T) {
 		}
 	}()
 	Run(d, part, 2, Vanilla(), RunConfig{Model: "transformer"})
+}
+
+// TestTrainErrors: Train reports what Run panics on, before anything trains
+// — an unknown model, and a checkpoint asked of a runtime that keeps none.
+func TestTrainErrors(t *testing.T) {
+	d, part := pubmedSetup()
+	for _, tc := range []struct {
+		run  RunConfig
+		want string
+	}{
+		{RunConfig{Model: "transformer"}, `unknown model "transformer"`},
+		{RunConfig{Epochs: 1, Checkpoint: "run.ck"}, "keeps no checkpoint"},
+	} {
+		res, err := Train(NewEngine(d.Graph, part, 2, Vanilla()), d, Vanilla(), 2, tc.run)
+		if err == nil || !strings.Contains(err.Error(), tc.want) || res != nil {
+			t.Errorf("%+v: result %v, error %v; want an error naming %q", tc.run, res, err, tc.want)
+		}
+	}
+}
+
+// TestInitRandSeeds: the model's init stream is one function of the exchange
+// and run seeds. Run seeds 0..96 keep the stream every recorded result was
+// trained from, bit for bit; no two run seeds share layer-0 weights — 1 and
+// 98 once did (congruent mod 97), and so did every negative seed and 0.
+func TestInitRandSeeds(t *testing.T) {
+	dims := []int{6, 4, 3}
+	w0 := func(cfgSeed, runSeed int64) []float64 {
+		return gnn.NewGCN(nil, dims, initRand(cfgSeed, runSeed)).Params()[0].Value.Data
+	}
+	for _, cfgSeed := range []int64{0, 1, 6} {
+		for s := int64(0); s < 97; s++ {
+			legacy := rand.New(rand.NewSource(cfgSeed*7919 + 17))
+			for i := int64(0); i <= s; i++ {
+				legacy.Int63()
+			}
+			if !slices.Equal(w0(cfgSeed, s), gnn.NewGCN(nil, dims, legacy).Params()[0].Value.Data) {
+				t.Fatalf("config seed %d, run seed %d: init stream moved", cfgSeed, s)
+			}
+		}
+	}
+	for _, pair := range [][2]int64{{1, 98}, {0, 97}, {-1, -2}, {0, -1}, {-1, -98}, {96, 193}} {
+		if slices.Equal(w0(0, pair[0]), w0(0, pair[1])) {
+			t.Errorf("run seeds %d and %d: same layer-0 weights", pair[0], pair[1])
+		}
+	}
 }
 
 // TestRunSteadyEpochAllocs: a steady Run epoch allocates no node-sized

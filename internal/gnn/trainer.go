@@ -141,9 +141,9 @@ func (t *Trainer) Finish() (res *TrainResult, err error) {
 func (t *Trainer) Result() *TrainResult { return t.res }
 
 // TrainerState is the serializable loop bookkeeping: everything Trainer
-// holds besides the model parameters (checkpointed separately via
-// persist.SaveParams) and the aggregator's stream state (owned by the
-// runtime that built the aggregator).
+// holds besides the model parameters (checkpointed beside it, as
+// net.TrainingCheckpoint does) and the aggregator's stream state (owned by
+// the runtime that built the aggregator).
 type TrainerState struct {
 	NextEpoch  int
 	SinceBest  int

@@ -1,7 +1,10 @@
 package net
 
 import (
+	"errors"
 	"fmt"
+	"os"
+	"slices"
 
 	"scgnn/internal/gnn"
 	"scgnn/internal/nn"
@@ -30,6 +33,46 @@ type ParamState struct {
 	Data       []float64
 }
 
+// SaveCheckpoint writes the fleet's run at the trainer's next epoch boundary
+// to path: model and trainer from this process, every node's peer state
+// collected over the control channel. It is the one writer of the file
+// (dist.Checkpointer; dist.Train calls it before every epoch).
+func (c *Coordinator) SaveCheckpoint(path string, model gnn.Model, t *gnn.Trainer) error {
+	blobs, err := c.CollectStates()
+	if err != nil {
+		return err
+	}
+	ck := &TrainingCheckpoint{
+		Epoch: t.NextEpoch(), Part: c.Part(),
+		Params: CaptureParams(model.Params()), Trainer: t.State(), Nodes: blobs,
+	}
+	return ck.Save(path)
+}
+
+// ResumeCheckpoint rewinds model, trainer and every node to the checkpoint
+// at path; with no file there it changes nothing. It is the one reader of
+// the file (dist.Checkpointer). The checkpoint must have been taken on the
+// partition now in force.
+func (c *Coordinator) ResumeCheckpoint(path string, model gnn.Model, t *gnn.Trainer) error {
+	ck, err := LoadTrainingCheckpoint(path)
+	if errors.Is(err, os.ErrNotExist) {
+		return nil
+	}
+	if err != nil {
+		return fmt.Errorf("net: checkpoint %s: %w", path, err)
+	}
+	if !slices.Equal(ck.Part, c.part) {
+		return fmt.Errorf("net: checkpoint %s was taken on another partition", path)
+	}
+	if err := restoreParams(ck.Params, model.Params()); err != nil {
+		return err
+	}
+	if err := t.Restore(ck.Trainer); err != nil {
+		return err
+	}
+	return c.RestoreStates(ck.Nodes)
+}
+
 // CaptureParams deep-copies a model's parameters (gradients excluded).
 func CaptureParams(params []nn.Param) []ParamState {
 	out := make([]ParamState, len(params))
@@ -42,9 +85,9 @@ func CaptureParams(params []nn.Param) []ParamState {
 	return out
 }
 
-// RestoreParams writes checkpointed values back into a model's parameters,
+// restoreParams writes checkpointed values back into a model's parameters,
 // validating names and shapes positionally (Model.Params order is stable).
-func RestoreParams(st []ParamState, params []nn.Param) error {
+func restoreParams(st []ParamState, params []nn.Param) error {
 	if len(st) != len(params) {
 		return fmt.Errorf("net: checkpoint has %d tensors, model has %d", len(st), len(params))
 	}

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"scgnn/internal/dist"
@@ -32,34 +33,22 @@ func newTrainRun(t *testing.T, nparts int, cfg dist.Config, tcfg gnn.TrainConfig
 	return &trainRun{tc: tc, model: model, trainer: trainer}
 }
 
-// checkpoint captures the whole fleet at the current epoch boundary.
-func (r *trainRun) checkpoint(t *testing.T) *TrainingCheckpoint {
+// save checkpoints the whole fleet at the current epoch boundary into path,
+// through the coordinator's product path.
+func (r *trainRun) save(t *testing.T, path string) {
 	t.Helper()
-	blobs, err := r.tc.coord.CollectStates()
-	if err != nil {
-		t.Fatalf("collect states: %v", err)
-	}
-	return &TrainingCheckpoint{
-		Epoch:   r.trainer.NextEpoch(),
-		Part:    r.tc.coord.Part(),
-		Params:  CaptureParams(r.model.Params()),
-		Trainer: r.trainer.State(),
-		Nodes:   blobs,
+	if err := r.tc.coord.SaveCheckpoint(path, r.model, r.trainer); err != nil {
+		t.Fatalf("save checkpoint: %v", err)
 	}
 }
 
-// restore rewinds the run to a checkpoint: model parameters, trainer
-// bookkeeping, and every node's stream state.
-func (r *trainRun) restore(t *testing.T, ck *TrainingCheckpoint) {
+// restore rewinds the run to the checkpoint at path — model parameters,
+// trainer bookkeeping, and every node's stream state — through the
+// coordinator's product path.
+func (r *trainRun) restore(t *testing.T, path string) {
 	t.Helper()
-	if err := RestoreParams(ck.Params, r.model.Params()); err != nil {
-		t.Fatalf("restore params: %v", err)
-	}
-	if err := r.trainer.Restore(ck.Trainer); err != nil {
-		t.Fatalf("restore trainer: %v", err)
-	}
-	if err := r.tc.coord.RestoreStates(ck.Nodes); err != nil {
-		t.Fatalf("restore states: %v", err)
+	if err := r.tc.coord.ResumeCheckpoint(path, r.model, r.trainer); err != nil {
+		t.Fatalf("resume checkpoint: %v", err)
 	}
 }
 
@@ -92,9 +81,7 @@ func TestCheckpointResumeLossForLoss(t *testing.T) {
 			ref := newTrainRun(t, nparts, tt.cfg, tcfg)
 			for !ref.trainer.Done() {
 				if ref.trainer.NextEpoch() == ckAt {
-					if err := ref.checkpoint(t).Save(path); err != nil {
-						t.Fatalf("save checkpoint: %v", err)
-					}
+					ref.save(t, path)
 				}
 				if _, err := ref.trainer.RunEpoch(); err != nil {
 					t.Fatalf("epoch %d: %v", ref.trainer.NextEpoch(), err)
@@ -116,7 +103,7 @@ func TestCheckpointResumeLossForLoss(t *testing.T) {
 				t.Fatalf("checkpoint at epoch %d, want %d", ck.Epoch, ckAt)
 			}
 			res := newTrainRun(t, nparts, tt.cfg, tcfg)
-			res.restore(t, ck)
+			res.restore(t, path)
 			if res.trainer.NextEpoch() != ckAt {
 				t.Fatalf("resumed trainer at epoch %d, want %d", res.trainer.NextEpoch(), ckAt)
 			}
@@ -148,8 +135,10 @@ func TestCheckpointResumeLossForLoss(t *testing.T) {
 }
 
 // TestCheckpointFileDamage locks in the failure modes of the checkpoint
-// file itself: corruption and truncation wrap persist.ErrCorruptCheckpoint,
-// a missing file wraps os.ErrNotExist — never a silent bad restore.
+// file itself, through the one reader a run resumes by: corruption and
+// truncation wrap persist.ErrCorruptCheckpoint, a file taken on another
+// partition is refused, and a missing file (os.ErrNotExist to the loader) is
+// a fresh start that changes nothing — never a silent bad restore.
 func TestCheckpointFileDamage(t *testing.T) {
 	const nparts = 3
 	dir := shortTempDir(t)
@@ -160,11 +149,10 @@ func TestCheckpointFileDamage(t *testing.T) {
 	if _, err := run.trainer.RunEpoch(); err != nil {
 		t.Fatal(err)
 	}
-	if err := run.checkpoint(t).Save(path); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadTrainingCheckpoint(path); err != nil {
-		t.Fatalf("pristine checkpoint rejected: %v", err)
+	run.save(t, path)
+	run.restore(t, path)
+	resume := func(path string) error {
+		return run.tc.coord.ResumeCheckpoint(path, run.model, run.trainer)
 	}
 
 	buf, err := os.ReadFile(path)
@@ -178,7 +166,7 @@ func TestCheckpointFileDamage(t *testing.T) {
 	if err := os.WriteFile(corrupt, flipped, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadTrainingCheckpoint(corrupt); !errors.Is(err, persist.ErrCorruptCheckpoint) {
+	if err := resume(corrupt); !errors.Is(err, persist.ErrCorruptCheckpoint) {
 		t.Fatalf("bit flip: got %v, want ErrCorruptCheckpoint", err)
 	}
 	// Truncation: body shorter than the header promises.
@@ -186,10 +174,21 @@ func TestCheckpointFileDamage(t *testing.T) {
 	if err := os.WriteFile(short, buf[:len(buf)/2], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadTrainingCheckpoint(short); !errors.Is(err, persist.ErrCorruptCheckpoint) {
+	if err := resume(short); !errors.Is(err, persist.ErrCorruptCheckpoint) {
 		t.Fatalf("truncation: got %v, want ErrCorruptCheckpoint", err)
 	}
-	if _, err := LoadTrainingCheckpoint(filepath.Join(dir, "absent.ck")); !errors.Is(err, os.ErrNotExist) {
+	absent := filepath.Join(dir, "absent.ck")
+	if _, err := LoadTrainingCheckpoint(absent); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("missing file: got %v, want os.ErrNotExist", err)
+	}
+	if err := resume(absent); err != nil || run.trainer.NextEpoch() != 1 {
+		t.Fatalf("missing file: resumed to epoch %d, error %v; want epoch 1 untouched", run.trainer.NextEpoch(), err)
+	}
+	_, _, part2 := testGraph(t, nparts)
+	if _, err := run.tc.coord.Repartition(part2); err != nil {
+		t.Fatal(err)
+	}
+	if err := resume(path); err == nil || !strings.Contains(err.Error(), "another partition") {
+		t.Fatalf("checkpoint from another partition: got %v, want a refusal", err)
 	}
 }

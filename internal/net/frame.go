@@ -1,9 +1,10 @@
 // Package net is the multi-process transport of the distributed runtime:
 // each partition runs as its own OS process (cmd/scgnn-node) holding a
 // worker.Peer, exchanging length-prefixed wire.Batch frames over TCP or
-// unix sockets, while a coordinator (cmd/scgnn-coord) owns the training
-// loop and drives the round barrier, epoch markers, Repartition plan swaps,
-// and checkpoint/restore over a control channel.
+// unix sockets, while a coordinator (cmd/scgnn-train -nodes, which trains
+// through dist.Train) owns the model and drives the round barrier, epoch
+// markers, Repartition plan swaps, and checkpoint/restore over a control
+// channel.
 //
 // The in-process runtimes (dist.Engine, worker.Cluster) stay untouched as
 // the correctness oracle: the equivalence tests in this package lock the

@@ -123,15 +123,7 @@ func runProcTraining(t *testing.T, d *datasets.Dataset, part, part2 []int, repar
 		if e == repartAt {
 			// Boundary checkpoint taken before anything else: the recovery
 			// path below rewinds to exactly this state.
-			blobs, err := coord.CollectStates()
-			if err != nil {
-				t.Fatalf("collect states: %v", err)
-			}
-			ck := &TrainingCheckpoint{
-				Epoch: e, Part: coord.Part(),
-				Params: CaptureParams(model.Params()), Trainer: trainer.State(), Nodes: blobs,
-			}
-			if err := ck.Save(ckPath); err != nil {
+			if err := coord.SaveCheckpoint(ckPath, model, trainer); err != nil {
 				t.Fatalf("save checkpoint: %v", err)
 			}
 
@@ -152,18 +144,8 @@ func runProcTraining(t *testing.T, d *datasets.Dataset, part, part2 []int, repar
 				if err := coord.RecoverNode(dead); err != nil {
 					t.Fatalf("recover node: %v", err)
 				}
-				ck, err := LoadTrainingCheckpoint(ckPath)
-				if err != nil {
-					t.Fatalf("load checkpoint: %v", err)
-				}
-				if err := RestoreParams(ck.Params, model.Params()); err != nil {
-					t.Fatalf("restore params: %v", err)
-				}
-				if err := trainer.Restore(ck.Trainer); err != nil {
-					t.Fatalf("restore trainer: %v", err)
-				}
-				if err := coord.RestoreStates(ck.Nodes); err != nil {
-					t.Fatalf("restore states: %v", err)
+				if err := coord.ResumeCheckpoint(ckPath, model, trainer); err != nil {
+					t.Fatalf("resume checkpoint: %v", err)
 				}
 			}
 

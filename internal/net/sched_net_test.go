@@ -1,6 +1,7 @@
 package net
 
 import (
+	"path/filepath"
 	"testing"
 
 	"scgnn/internal/dist"
@@ -182,11 +183,11 @@ func TestScheduledCheckpointResume(t *testing.T) {
 	cfg := dist.Config{QuantBits: 8, ErrorFeedback: true, Seed: 6,
 		Sched: sched.Policy{Enabled: true}}
 
+	path := filepath.Join(shortTempDir(t), "train.ck")
 	ref := newTrainRun(t, nparts, cfg, tcfg)
-	var ck *TrainingCheckpoint
 	for !ref.trainer.Done() {
 		if ref.trainer.NextEpoch() == ckAt {
-			ck = ref.checkpoint(t)
+			ref.save(t, path)
 		}
 		if _, err := ref.trainer.RunEpoch(); err != nil {
 			t.Fatalf("epoch %d: %v", ref.trainer.NextEpoch(), err)
@@ -199,6 +200,10 @@ func TestScheduledCheckpointResume(t *testing.T) {
 	ref.tc.coord.Shutdown()
 
 	// The checkpointed node state must carry a mid-anneal level vector.
+	ck, err := LoadTrainingCheckpoint(path)
+	if err != nil {
+		t.Fatalf("load checkpoint: %v", err)
+	}
 	st := new(worker.PeerState)
 	if err := persist.DecodeCheckpoint(ck.Nodes[0], st); err != nil {
 		t.Fatalf("decode node 0 blob: %v", err)
@@ -217,7 +222,7 @@ func TestScheduledCheckpointResume(t *testing.T) {
 	}
 
 	res := newTrainRun(t, nparts, cfg, tcfg)
-	res.restore(t, ck)
+	res.restore(t, path)
 	for !res.trainer.Done() {
 		if _, err := res.trainer.RunEpoch(); err != nil {
 			t.Fatalf("resumed epoch %d: %v", res.trainer.NextEpoch(), err)
