@@ -31,7 +31,9 @@ test:
 # build the 100k streaming preset under the race detector on every verify.
 # The dense side (tensor, nn, gnn) starts goroutines too since the row split:
 # its packages ride the lane, and the kernel path test — every product and
-# row-wise pass at 1/2/3/8 workers — runs ten times over under the detector.
+# row-wise pass at 1/2/3/8 workers, the CSR gather, and the fuzz target's seed
+# corpus (vector bodies against Go loops) — runs ten times over under the
+# detector.
 # So do the codec kernel matrices (compress's slice operations and the wire
 # messages built on them, vector path against Go path against the per-value
 # reference): they flip a package-level gate, which the detector should see.
@@ -45,7 +47,7 @@ race:
 	$(GO) test -race ./internal/dist/... ./internal/worker/... ./internal/exchange/... \
 		./internal/cluster/... ./internal/core/... ./internal/graph/... \
 		./internal/sched/... ./internal/tensor/... ./internal/nn/... ./internal/gnn/...
-	$(GO) test -race -count=10 -run 'TestKernelSIMDMatchesGeneric|TestRowwisePasses|TestParallelRows' ./internal/tensor/
+	$(GO) test -race -count=10 -run 'TestKernelSIMDMatchesGeneric|TestRowwisePasses|TestParallelRows|FuzzTensorKernels' ./internal/tensor/
 	$(GO) test -race -count=10 -run 'TestGridKernelsMatchPerValue|TestCodecKernelsMatchReference' ./internal/compress/ ./internal/wire/
 	$(GO) test -race -count=10 -run 'TestClusterArrivalOrderInvariant' ./internal/worker/
 	$(GO) test -race -count=10 -run 'TestEngineEqualsCluster' ./internal/dist/
@@ -106,8 +108,10 @@ loc:
 
 # Coverage-guided fuzzing of the wire decoders, the round's decode seam (any
 # bytes as one peer's frame in a 4-part cluster), the codec kernels (vector and
-# Go paths against the per-value reference), the error-feedback store (flat
-# slabs against the map oracle) and the arc-bucket differ
+# Go paths against the per-value reference), the tensor kernels (the CSR
+# gather, the ReLU mask passes and the column sum: vector bodies against Go
+# loops), the error-feedback store (flat slabs against the map oracle) and the
+# arc-bucket differ
 # (go test -fuzz accepts one target per invocation). FUZZTIME=10m for a soak;
 # the checked-in seed corpora under */testdata/fuzz/ are the starting point
 # either way.
@@ -116,6 +120,7 @@ fuzz:
 	$(GO) test ./internal/wire/ -run '^$$' -fuzz '^FuzzDecoder$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/wire/ -run '^$$' -fuzz '^FuzzBatchRoundtrip$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/wire/ -run '^$$' -fuzz '^FuzzGridKernels$$' -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/tensor/ -run '^$$' -fuzz '^FuzzTensorKernels$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/worker/ -run '^$$' -fuzz '^FuzzDecodeBatch$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/compress/ -run '^$$' -fuzz '^FuzzErrorFeedback$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/graph/ -run '^$$' -fuzz '^FuzzDiffDBGs$$' -fuzztime=$(FUZZTIME)
@@ -208,6 +213,10 @@ bench:
 # "header-free" BenchmarkCoordinatorRound with `make bench`'s
 # BenchmarkClusterRound* either side of messages losing their per-message
 # headers (alternating prebuilt test binaries, every line kept).
+# "prefetch-before" / "prefetch" hold this lane's rows either side of the
+# local phase becoming one register-resident, prefetching CSR gather
+# (tensor.GatherCSR); BenchmarkLocalPhase's "/parallel" rows run the
+# partitions' local phases at once, one goroutine each, as a round does.
 # The alloc ceiling itself is gated by tests that ride `make verify`
 # (TestKernelAllocs, TestClusterSteadyStateAllocs, TestFleetSteadyStateAllocs),
 # not by this lane.
@@ -216,18 +225,22 @@ bench-round:
 		./internal/worker/ ./internal/net/ \
 		| $(GO) run ./cmd/scgnn-benchjson -o BENCH_worker.json -key round
 
-# The dense lane: the three products of a linear layer and a whole dense
-# epoch (everything but the aggregate) at 10k×32 and 100k×32, vector and Go
-# kernels in one run, on one core and on two. Rows land in BENCH_dense.json
+# The dense lane: the three products of a linear layer, the row-wise passes
+# beside them (BenchmarkRowwise: ReLU record, its gate and ColSumsInto) and a
+# whole dense epoch (everything but the aggregate) at 10k×32 and 100k×32,
+# vector and Go kernels in one run, on one core and on two. Rows land in BENCH_dense.json
 # under "after"; its "before" holds the same benchmarks at the commit before
 # the AVX2 products (where the simd and generic rows ran the same Go loops),
 # "dead-round-before" / "dead-round" BenchmarkDenseEpoch either side of
 # the first layer dropping its dX product, and "one-exp-before" / "one-exp"
 # its simd rows either side of the loss taking one exp a logit and writing
 # its gradient over the logits, and the layers reusing their forward buffers
-# (DESIGN.md §16; alternating prebuilt test binaries, every line kept).
+# (DESIGN.md §16; alternating prebuilt test binaries, every line kept), and
+# "prefetch-before" / "prefetch" this lane's rows either side of the AVX2
+# mask and column-sum bodies (before, BenchmarkRowwise's simd rows run the Go
+# loops).
 bench-dense:
-	$(GO) test -run '^$$' -bench 'BenchmarkMatMulInto|BenchmarkATBInto|BenchmarkABTInto|BenchmarkDenseEpoch' \
+	$(GO) test -run '^$$' -bench 'BenchmarkMatMulInto|BenchmarkATBInto|BenchmarkABTInto|BenchmarkRowwise|BenchmarkDenseEpoch' \
 		-benchmem -cpu 1,2 ./internal/tensor/ \
 		| $(GO) run ./cmd/scgnn-benchjson -o BENCH_dense.json -key after
 

@@ -9,7 +9,11 @@
 // memory every term. GatherAXPY and ScatterAXPY fuse those runs:
 // unroll-by-4 across the indexed rows with the accumulator kept in
 // registers across the unroll, column-tiled so wide feature matrices
-// stay inside L1 while the row list streams.
+// stay inside L1 while the row list streams. GatherCSR takes a whole
+// compiled neighbour-list CSR (a worker's local plan) in one call, so that
+// at the feature widths of the presets its vector body keeps each output
+// row in registers across the row's terms and prefetches rows ahead across
+// row boundaries.
 //
 // Bit-identity contract (load-bearing — the worker/dist equivalence
 // tests compare outputs byte for byte): for every output element the
@@ -39,6 +43,17 @@ func SIMD() bool { return useSIMD }
 // at embedding widths in the hundreds.
 const kernelTile = 512
 
+// gatherPrefetch is how many terms ahead in the neighbour list the vector
+// gather prefetches a row: far enough that a row which misses every cache
+// has arrived by the time its term runs, near enough that it is still in L1.
+// Chosen by BenchmarkLocalPhase at the 100k preset (DESIGN.md §11).
+const gatherPrefetch = 16
+
+// registerRows reports whether rows c wide take the register-resident vector
+// gather: a whole output row (at most eight 4-wide accumulators) stays in
+// registers across its term list.
+func registerRows(c int) bool { return useSIMD && c > 0 && c <= maxTileCols && c%4 == 0 }
+
 // GatherAXPY accumulates y += Σ_k (w[k]·scale)·m.Row(rows[k]), visiting
 // rows in ascending k — bit-identical to the equivalent sequence of
 // AXPY(w[k]*scale, m.Row(rows[k]), y) calls. len(y) must equal m.Cols.
@@ -49,6 +64,15 @@ func GatherAXPY(y []float64, m *Matrix, rows []int32, w []float64, scale float64
 	c := m.Cols
 	if len(y) != c {
 		panic(fmt.Sprintf("tensor: GatherAXPY len(y) %d, m.Cols %d", len(y), c))
+	}
+	if registerRows(c) {
+		if len(rows) > 0 {
+			// One output row: y itself, its terms the whole list.
+			var dst int32
+			off := [2]int32{0, int32(len(rows))}
+			gatherRows(&y[0], &dst, &off[0], 1, &m.Data[0], &rows[0], len(rows), &w[0], c, gatherPrefetch, scale)
+		}
+		return
 	}
 	data := m.Data
 	for lo := 0; lo < c; lo += kernelTile {
@@ -94,6 +118,38 @@ func GatherAXPY(y []float64, m *Matrix, rows []int32, w []float64, scale float64
 				yt[j] += a * x[j]
 			}
 		}
+	}
+}
+
+// GatherCSR accumulates, for every i in ascending order,
+//
+//	dst.Row(rows[i]) += Σ_{t ∈ [off[i], off[i+1])} w[t]·m.Row(nbr[t])
+//
+// with t ascending — bit-identical to GatherAXPY(dst.Row(rows[i]), m,
+// nbr[off[i]:off[i+1]], w[off[i]:off[i+1]], 1) row by row, repeated output
+// rows included. off holds len(rows)+1 non-decreasing offsets into nbr and
+// w, which may run on past off[len(rows)]: the vector body prefetches the
+// row of term t+gatherPrefetch while term t runs, walking nbr as one array
+// across row boundaries, and stops prefetching gatherPrefetch terms before
+// len(nbr). Row indices are trusted exactly as GatherAXPY's are.
+func GatherCSR(dst, m *Matrix, rows, off, nbr []int32, w []float64) {
+	if dst.Cols != m.Cols || len(off) != len(rows)+1 || len(w) != len(nbr) {
+		panic(fmt.Sprintf("tensor: GatherCSR dst cols %d, m cols %d, rows %d, off %d, nbr %d, weights %d",
+			dst.Cols, m.Cols, len(rows), len(off), len(nbr), len(w)))
+	}
+	if len(rows) == 0 {
+		return
+	}
+	if off[0] < 0 || int(off[len(rows)]) > len(nbr) {
+		panic(fmt.Sprintf("tensor: GatherCSR offsets [%d, %d] outside %d terms", off[0], off[len(rows)], len(nbr)))
+	}
+	if c := m.Cols; registerRows(c) && off[0] < off[len(rows)] {
+		gatherRows(&dst.Data[0], &rows[0], &off[0], len(rows), &m.Data[0], &nbr[0], len(nbr), &w[0], c, gatherPrefetch, 1)
+		return
+	}
+	for i, r := range rows {
+		lo, hi := off[i], off[i+1]
+		GatherAXPY(dst.Row(int(r)), m, nbr[lo:hi], w[lo:hi], 1)
 	}
 }
 
@@ -162,10 +218,24 @@ func (m *Matrix) ColSumsInto(dst []float64) {
 	if len(dst) != m.Cols {
 		panic(fmt.Sprintf("tensor: ColSumsInto len %d want %d", len(dst), m.Cols))
 	}
+	c := m.Cols
+	vec := 0
+	if useSIMD && m.Rows > 0 {
+		vec = c &^ 3
+	}
+	// The vector body is a product tile: one output row, dst, held in
+	// registers while the rows stream past in ascending order, each
+	// multiplied by an exact 1 — so every column is still one serial chain
+	// of dst[j] += v.
+	one := 1.0
+	for j0 := 0; j0 < vec; {
+		w := tileCols(vec - j0)
+		mulTile(&dst[j0], &one, &m.Data[j0], nil, 1, m.Rows, 0, 0, c, c, w/4, true, false)
+		j0 += w
+	}
 	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		for j, v := range row {
-			dst[j] += v
+		for j, v := range m.Row(i)[vec:] {
+			dst[vec+j] += v
 		}
 	}
 }

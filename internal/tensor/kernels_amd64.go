@@ -2,10 +2,10 @@
 
 package tensor
 
-// useSIMD gates the AVX2 bodies: the quad kernels in GatherAXPY/ScatterAXPY
-// and the product tiles in matmul.go. It is a variable (not a constant) so
-// tests can flip it and pin the vector and generic paths bit-identical on
-// the same host.
+// useSIMD gates the AVX2 bodies: the gathers and quad kernels in kernels.go,
+// the ReLU mask passes in rowwise.go and the product tiles in matmul.go (and
+// ColSumsInto). It is a variable (not a constant) so tests can flip it and
+// pin the vector and generic paths bit-identical on the same host.
 //
 // The vector kernels are exact replacements, not approximations: VMULPD +
 // VADDPD round each element exactly like the scalar mul-then-add they
@@ -32,6 +32,24 @@ func gatherAXPYQuads(y *float64, n int, data *float64, rows *int32, w *float64, 
 //
 //go:noescape
 func scatterAXPYQuads(x *float64, n int, data *float64, rows *int32, w *float64, quads, c int, scale float64)
+
+// gatherRows is the register-resident CSR gather: for each of nrows output
+// rows i, dst[rows[i]·c : +c] += Σ (w[t]·scale)·data[nbr[t]·c : +c] over t in
+// [off[i], off[i+1]) ascending, the output row held in c/4 YMM accumulators
+// across its terms (c a multiple of 4, at most 32). While term t runs it
+// prefetches the row of term t+pf, for t+pf < nnz = len(nbr). Indices are
+// trusted.
+//
+//go:noescape
+func gatherRows(dst *float64, rows, off *int32, nrows int, data *float64, nbr *int32, nnz int, w *float64, c, pf int, scale float64)
+
+// maskWords is the AVX2 body of both ReLU passes over whole 64-element mask
+// words: with record set, d[i] keeps its bits where d[i] > 0 (ordered) and
+// becomes +0 elsewhere, and bit i%64 of p[i/64] records which; otherwise the
+// bits of p gate d the same way. words must be positive.
+//
+//go:noescape
+func maskWords(d *float64, p *uint64, words int, record bool)
 
 // mulTile is the AVX2 body of the dense products in matmul.go: for each of
 // rows output rows it holds one tile of 4·nvec columns (nvec 8, 4, 2 or 1)

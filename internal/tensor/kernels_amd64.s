@@ -1,7 +1,7 @@
-// AVX2 bodies of the fused gather/scatter quad loops. See kernels.go for
-// the bit-identity contract: VMULPD/VADDPD (never FMA) so every element
-// rounds exactly like the generic scalar chain, vectorized only across the
-// independent column index.
+// AVX2 bodies of the fused gather/scatter loops, the dense product tiles
+// and the ReLU mask passes. See kernels.go for the bit-identity contract:
+// VMULPD/VADDPD (never FMA) so every element rounds exactly like the
+// generic scalar chain, vectorized only across the independent column index.
 
 #include "textflag.h"
 
@@ -333,3 +333,294 @@ TEXT ·mulTile(SB), NOSPLIT, $0-90
 	TILE(row4, init4, k4, mul4, next4, out4, LOAD4, STEPS4, BIAS4, STORE4)
 	TILE(row2, init2, k2, mul2, next2, out2, LOAD2, STEPS2, BIAS2, STORE2)
 	TILE(row1, init1, k1, mul1, next1, out1, LOAD1, STEPS1, BIAS1, STORE1)
+
+// The register-resident CSR gather. For each output row i (CX counts from
+// −nrows up to 0 over the rows and off arrays, both addressed from their
+// ends):
+//
+//	acc = dst[rows[i]]                       (Y0 … Y(n−1), n = c/4)
+//	for t in off[i] .. off[i+1]:
+//		prefetch data[nbr[t+pf]]             (only while t+pf < nnz)
+//		acc += (w[t]·scale) · data[nbr[t]]   (VMULPD then VADDPD, x first)
+//	dst[rows[i]] = acc
+//
+// An output row with no terms is neither loaded nor stored. The prefetch
+// index walks nbr as one array, so it crosses row boundaries; nbr is never
+// read at or past nnz.
+//
+// Registers: DI dst · R8 rows end · R9 off end · CX row index (negative) ·
+// SI data · DX nbr · AX &nbr[pf] · BX w · R12 nnz−pf · R13 row bytes ·
+// R10 t · R11 end of the row's terms · R14 dst row · R15 term row ·
+// Y15 broadcast scale · Y8 broadcast w[t]·scale · Y9 product.
+
+#define GLOAD1 VMOVUPD (R14), Y0
+#define GLOAD2 GLOAD1; VMOVUPD 32(R14), Y1
+#define GLOAD3 GLOAD2; VMOVUPD 64(R14), Y2
+#define GLOAD4 GLOAD3; VMOVUPD 96(R14), Y3
+#define GLOAD5 GLOAD4; VMOVUPD 128(R14), Y4
+#define GLOAD6 GLOAD5; VMOVUPD 160(R14), Y5
+#define GLOAD7 GLOAD6; VMOVUPD 192(R14), Y6
+#define GLOAD8 GLOAD7; VMOVUPD 224(R14), Y7
+
+#define GSTORE1 VMOVUPD Y0, (R14)
+#define GSTORE2 GSTORE1; VMOVUPD Y1, 32(R14)
+#define GSTORE3 GSTORE2; VMOVUPD Y2, 64(R14)
+#define GSTORE4 GSTORE3; VMOVUPD Y3, 96(R14)
+#define GSTORE5 GSTORE4; VMOVUPD Y4, 128(R14)
+#define GSTORE6 GSTORE5; VMOVUPD Y5, 160(R14)
+#define GSTORE7 GSTORE6; VMOVUPD Y6, 192(R14)
+#define GSTORE8 GSTORE7; VMOVUPD Y7, 224(R14)
+
+#define GSTEP(off, acc) VMOVUPD off(R15), Y9; VMULPD Y8, Y9, Y9; VADDPD Y9, acc, acc
+#define GSTEPS1 GSTEP(0, Y0)
+#define GSTEPS2 GSTEPS1; GSTEP(32, Y1)
+#define GSTEPS3 GSTEPS2; GSTEP(64, Y2)
+#define GSTEPS4 GSTEPS3; GSTEP(96, Y3)
+#define GSTEPS5 GSTEPS4; GSTEP(128, Y4)
+#define GSTEPS6 GSTEPS5; GSTEP(160, Y5)
+#define GSTEPS7 GSTEPS6; GSTEP(192, Y6)
+#define GSTEPS8 GSTEPS7; GSTEP(224, Y7)
+
+// One prefetch per 64-byte line of a row (rows of Go's large allocations
+// start on a line, so a width that is a multiple of 8 is covered exactly).
+#define GPF1 PREFETCHT0 (SI)(R15*1)
+#define GPF2 GPF1
+#define GPF3 GPF2; PREFETCHT0 64(SI)(R15*1)
+#define GPF4 GPF3
+#define GPF5 GPF4; PREFETCHT0 128(SI)(R15*1)
+#define GPF6 GPF5
+#define GPF7 GPF6; PREFETCHT0 192(SI)(R15*1)
+#define GPF8 GPF7
+
+#define GROWS(ROW, TERM, NOPF, DONE, LOADN, STEPSN, STOREN, PFN) \
+ROW: \
+	MOVLQSX	(R9)(CX*4), R10; \
+	MOVLQSX	4(R9)(CX*4), R11; \
+	CMPQ	R10, R11; \
+	JGE	DONE; \
+	MOVLQSX	(R8)(CX*4), R14; \
+	IMULQ	R13, R14; \
+	ADDQ	DI, R14; \
+	LOADN; \
+TERM: \
+	CMPQ	R10, R12; \
+	JGE	NOPF; \
+	MOVLQSX	(AX)(R10*4), R15; \
+	IMULQ	R13, R15; \
+	PFN; \
+NOPF: \
+	MOVLQSX	(DX)(R10*4), R15; \
+	IMULQ	R13, R15; \
+	ADDQ	SI, R15; \
+	VBROADCASTSD	(BX)(R10*8), Y8; \
+	VMULPD	Y15, Y8, Y8; \
+	STEPSN; \
+	INCQ	R10; \
+	CMPQ	R10, R11; \
+	JLT	TERM; \
+	STOREN; \
+DONE: \
+	INCQ	CX; \
+	JNZ	ROW; \
+	VZEROUPPER; \
+	RET
+
+// func gatherRows(dst *float64, rows, off *int32, nrows int, data *float64, nbr *int32, nnz int, w *float64, c, pf int, scale float64)
+TEXT ·gatherRows(SB), NOSPLIT, $0-88
+	MOVQ	dst+0(FP), DI
+	MOVQ	nrows+24(FP), CX
+	MOVQ	rows+8(FP), R8
+	LEAQ	(R8)(CX*4), R8
+	MOVQ	off+16(FP), R9
+	LEAQ	(R9)(CX*4), R9
+	NEGQ	CX
+	MOVQ	data+32(FP), SI
+	MOVQ	nbr+40(FP), DX
+	MOVQ	pf+72(FP), R12
+	LEAQ	(DX)(R12*4), AX
+	NEGQ	R12
+	ADDQ	nnz+48(FP), R12
+	MOVQ	w+56(FP), BX
+	VBROADCASTSD	scale+80(FP), Y15
+	MOVQ	c+64(FP), R13
+	MOVQ	R13, R15
+	SHLQ	$3, R13
+	SHRQ	$2, R15
+	CMPQ	R15, $8
+	JEQ	grows8
+	CMPQ	R15, $7
+	JEQ	grows7
+	CMPQ	R15, $6
+	JEQ	grows6
+	CMPQ	R15, $5
+	JEQ	grows5
+	CMPQ	R15, $4
+	JEQ	grows4
+	CMPQ	R15, $3
+	JEQ	grows3
+	CMPQ	R15, $2
+	JEQ	grows2
+	JMP	grows1
+	GROWS(grows8, gterm8, gnopf8, gdone8, GLOAD8, GSTEPS8, GSTORE8, GPF8)
+	GROWS(grows7, gterm7, gnopf7, gdone7, GLOAD7, GSTEPS7, GSTORE7, GPF7)
+	GROWS(grows6, gterm6, gnopf6, gdone6, GLOAD6, GSTEPS6, GSTORE6, GPF6)
+	GROWS(grows5, gterm5, gnopf5, gdone5, GLOAD5, GSTEPS5, GSTORE5, GPF5)
+	GROWS(grows4, gterm4, gnopf4, gdone4, GLOAD4, GSTEPS4, GSTORE4, GPF4)
+	GROWS(grows3, gterm3, gnopf3, gdone3, GLOAD3, GSTEPS3, GSTORE3, GPF3)
+	GROWS(grows2, gterm2, gnopf2, gdone2, GLOAD2, GSTEPS2, GSTORE2, GPF2)
+	GROWS(grows1, gterm1, gnopf1, gdone1, GLOAD1, GSTEPS1, GSTORE1, GPF1)
+
+// The ReLU mask passes over whole 64-element words (512 bytes of d, one
+// uint64 of p). Record: per 4 elements, VCMPPD GT_OQ against +0 is all ones
+// exactly where positiveMask is (greater than zero and not NaN), VANDPD
+// keeps those elements and clears the rest to +0, and VMOVMSKPD hands the
+// four bits to the word. Gate: the word's bits, four at a time, index
+// laneMask, whose entry e is all ones in lane l exactly when bit l of e is
+// set, and VANDPD applies it.
+
+#define REC(off, sh) \
+	VMOVUPD	off(DI), Y0; \
+	VCMPPD	$0x1e, Y15, Y0, Y1; \
+	VANDPD	Y0, Y1, Y0; \
+	VMOVUPD	Y0, off(DI); \
+	VMOVMSKPD	Y1, AX; \
+	SHLQ	$sh, AX; \
+	ORQ	AX, BX
+
+#define GATE(off) \
+	MOVQ	BX, AX; \
+	ANDQ	$15, AX; \
+	SHLQ	$5, AX; \
+	VMOVUPD	off(DI), Y1; \
+	VANDPD	(R8)(AX*1), Y1, Y1; \
+	VMOVUPD	Y1, off(DI); \
+	SHRQ	$4, BX
+
+// func maskWords(d *float64, p *uint64, words int, record bool)
+TEXT ·maskWords(SB), NOSPLIT, $0-25
+	MOVQ	d+0(FP), DI
+	MOVQ	p+8(FP), SI
+	MOVQ	words+16(FP), CX
+	MOVBQZX	record+24(FP), AX
+	TESTQ	AX, AX
+	JZ	gateword
+	VXORPD	Y15, Y15, Y15
+
+recword:
+	XORQ	BX, BX
+	REC(0, 0)
+	REC(32, 4)
+	REC(64, 8)
+	REC(96, 12)
+	REC(128, 16)
+	REC(160, 20)
+	REC(192, 24)
+	REC(224, 28)
+	REC(256, 32)
+	REC(288, 36)
+	REC(320, 40)
+	REC(352, 44)
+	REC(384, 48)
+	REC(416, 52)
+	REC(448, 56)
+	REC(480, 60)
+	MOVQ	BX, (SI)
+	ADDQ	$512, DI
+	ADDQ	$8, SI
+	DECQ	CX
+	JNZ	recword
+	VZEROUPPER
+	RET
+
+gateword:
+	LEAQ	laneMask<>(SB), R8
+gateloop:
+	MOVQ	(SI), BX
+	GATE(0)
+	GATE(32)
+	GATE(64)
+	GATE(96)
+	GATE(128)
+	GATE(160)
+	GATE(192)
+	GATE(224)
+	GATE(256)
+	GATE(288)
+	GATE(320)
+	GATE(352)
+	GATE(384)
+	GATE(416)
+	GATE(448)
+	GATE(480)
+	ADDQ	$512, DI
+	ADDQ	$8, SI
+	DECQ	CX
+	JNZ	gateloop
+	VZEROUPPER
+	RET
+
+DATA	laneMask<>+0(SB)/8, $0
+DATA	laneMask<>+8(SB)/8, $0
+DATA	laneMask<>+16(SB)/8, $0
+DATA	laneMask<>+24(SB)/8, $0
+DATA	laneMask<>+32(SB)/8, $0xffffffffffffffff
+DATA	laneMask<>+40(SB)/8, $0
+DATA	laneMask<>+48(SB)/8, $0
+DATA	laneMask<>+56(SB)/8, $0
+DATA	laneMask<>+64(SB)/8, $0
+DATA	laneMask<>+72(SB)/8, $0xffffffffffffffff
+DATA	laneMask<>+80(SB)/8, $0
+DATA	laneMask<>+88(SB)/8, $0
+DATA	laneMask<>+96(SB)/8, $0xffffffffffffffff
+DATA	laneMask<>+104(SB)/8, $0xffffffffffffffff
+DATA	laneMask<>+112(SB)/8, $0
+DATA	laneMask<>+120(SB)/8, $0
+DATA	laneMask<>+128(SB)/8, $0
+DATA	laneMask<>+136(SB)/8, $0
+DATA	laneMask<>+144(SB)/8, $0xffffffffffffffff
+DATA	laneMask<>+152(SB)/8, $0
+DATA	laneMask<>+160(SB)/8, $0xffffffffffffffff
+DATA	laneMask<>+168(SB)/8, $0
+DATA	laneMask<>+176(SB)/8, $0xffffffffffffffff
+DATA	laneMask<>+184(SB)/8, $0
+DATA	laneMask<>+192(SB)/8, $0
+DATA	laneMask<>+200(SB)/8, $0xffffffffffffffff
+DATA	laneMask<>+208(SB)/8, $0xffffffffffffffff
+DATA	laneMask<>+216(SB)/8, $0
+DATA	laneMask<>+224(SB)/8, $0xffffffffffffffff
+DATA	laneMask<>+232(SB)/8, $0xffffffffffffffff
+DATA	laneMask<>+240(SB)/8, $0xffffffffffffffff
+DATA	laneMask<>+248(SB)/8, $0
+DATA	laneMask<>+256(SB)/8, $0
+DATA	laneMask<>+264(SB)/8, $0
+DATA	laneMask<>+272(SB)/8, $0
+DATA	laneMask<>+280(SB)/8, $0xffffffffffffffff
+DATA	laneMask<>+288(SB)/8, $0xffffffffffffffff
+DATA	laneMask<>+296(SB)/8, $0
+DATA	laneMask<>+304(SB)/8, $0
+DATA	laneMask<>+312(SB)/8, $0xffffffffffffffff
+DATA	laneMask<>+320(SB)/8, $0
+DATA	laneMask<>+328(SB)/8, $0xffffffffffffffff
+DATA	laneMask<>+336(SB)/8, $0
+DATA	laneMask<>+344(SB)/8, $0xffffffffffffffff
+DATA	laneMask<>+352(SB)/8, $0xffffffffffffffff
+DATA	laneMask<>+360(SB)/8, $0xffffffffffffffff
+DATA	laneMask<>+368(SB)/8, $0
+DATA	laneMask<>+376(SB)/8, $0xffffffffffffffff
+DATA	laneMask<>+384(SB)/8, $0
+DATA	laneMask<>+392(SB)/8, $0
+DATA	laneMask<>+400(SB)/8, $0xffffffffffffffff
+DATA	laneMask<>+408(SB)/8, $0xffffffffffffffff
+DATA	laneMask<>+416(SB)/8, $0xffffffffffffffff
+DATA	laneMask<>+424(SB)/8, $0
+DATA	laneMask<>+432(SB)/8, $0xffffffffffffffff
+DATA	laneMask<>+440(SB)/8, $0xffffffffffffffff
+DATA	laneMask<>+448(SB)/8, $0
+DATA	laneMask<>+456(SB)/8, $0xffffffffffffffff
+DATA	laneMask<>+464(SB)/8, $0xffffffffffffffff
+DATA	laneMask<>+472(SB)/8, $0xffffffffffffffff
+DATA	laneMask<>+480(SB)/8, $0xffffffffffffffff
+DATA	laneMask<>+488(SB)/8, $0xffffffffffffffff
+DATA	laneMask<>+496(SB)/8, $0xffffffffffffffff
+DATA	laneMask<>+504(SB)/8, $0xffffffffffffffff
+GLOBL	laneMask<>(SB), RODATA|NOPTR, $512

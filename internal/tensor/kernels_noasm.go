@@ -15,6 +15,14 @@ func scatterAXPYQuads(x *float64, n int, data *float64, rows *int32, w *float64,
 	panic("tensor: vector kernel called without SIMD support")
 }
 
+func gatherRows(dst *float64, rows, off *int32, nrows int, data *float64, nbr *int32, nnz int, w *float64, c, pf int, scale float64) {
+	panic("tensor: vector kernel called without SIMD support")
+}
+
+func maskWords(d *float64, p *uint64, words int, record bool) {
+	panic("tensor: vector kernel called without SIMD support")
+}
+
 func mulTile(dst, a, b, bias *float64, rows, kdim, aRow, aK, ldb, ldd, nvec int, accumulate, skipZero bool) {
 	panic("tensor: vector kernel called without SIMD support")
 }

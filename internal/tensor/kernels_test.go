@@ -169,6 +169,10 @@ func TestKernelShapePanics(t *testing.T) {
 	cases := map[string]func(){
 		"gather-rows-w":  func() { GatherAXPY(make([]float64, 8), m, []int32{0, 1}, []float64{1}, 1) },
 		"gather-dim":     func() { GatherAXPY(make([]float64, 7), m, nil, nil, 1) },
+		"csr-cols":       func() { GatherCSR(New(4, 7), m, nil, []int32{0}, nil, nil) },
+		"csr-off-len":    func() { GatherCSR(m, m, []int32{0}, []int32{0}, []int32{1}, []float64{1}) },
+		"csr-w-len":      func() { GatherCSR(m, m, []int32{0}, []int32{0, 1}, []int32{1}, nil) },
+		"csr-off-range":  func() { GatherCSR(m, m, []int32{0}, []int32{0, 2}, []int32{1}, []float64{1}) },
 		"scatter-rows-w": func() { ScatterAXPY(m, []int32{0}, nil, make([]float64, 8), 1) },
 		"scatter-dim":    func() { ScatterAXPY(m, nil, nil, make([]float64, 9), 1) },
 		"atb-into-shape": func() { MatMulATBInto(New(3, 3), m, New(4, 4)) },
@@ -205,12 +209,18 @@ func TestKernelAllocs(t *testing.T) {
 	a, b := New(16, 8), New(16, 12)
 	atb, abt := New(8, 12), New(16, 8)
 	cols := make([]float64, 12)
+	out := New(64, 32)
+	dstRows, off := []int32{3, 9, 3}, []int32{0, 7, 7, 21}
+	positive := make([]uint64, (len(atb.Data)+63)/64)
 	cases := map[string]func(){
-		"GatherAXPY":    func() { GatherAXPY(y, m, rows, w, 1) },
-		"ScatterAXPY":   func() { ScatterAXPY(m, rows, w, y, 1) },
-		"MatMulATBInto": func() { MatMulATBInto(atb, a, b) },
-		"MatMulABTInto": func() { MatMulABTInto(abt, b, atb) },
-		"ColSumsInto":   func() { b.ColSumsInto(cols) },
+		"GatherAXPY":          func() { GatherAXPY(y, m, rows, w, 1) },
+		"GatherCSR":           func() { GatherCSR(out, m, dstRows, off, rows, w) },
+		"ReLUInPlace":         func() { atb.ReLUInPlace(positive) },
+		"GatePositiveInPlace": func() { GatePositiveInPlace(atb, positive) },
+		"ScatterAXPY":         func() { ScatterAXPY(m, rows, w, y, 1) },
+		"MatMulATBInto":       func() { MatMulATBInto(atb, a, b) },
+		"MatMulABTInto":       func() { MatMulABTInto(abt, b, atb) },
+		"ColSumsInto":         func() { b.ColSumsInto(cols) },
 	}
 	for name, f := range cases {
 		if n := testing.AllocsPerRun(100, f); n != 0 {
@@ -247,8 +257,8 @@ func BenchmarkGatherAXPY(b *testing.B) {
 // TestKernelSIMDMatchesGeneric pins the amd64 vector bodies bit-identical
 // to the generic Go loops by running both paths on identical inputs. Off
 // amd64, or on amd64 hosts without AVX2, the SIMD path does not exist: the
-// gather/scatter half skips and the matmul half still pins the Go loops to
-// the reference and to themselves across worker counts.
+// gather/scatter and CSR parts skip and the matmul part still pins the Go
+// loops to the reference and to themselves across worker counts.
 func TestKernelSIMDMatchesGeneric(t *testing.T) {
 	simd := useSIMD
 	defer func() { useSIMD = simd }()
@@ -258,7 +268,82 @@ func TestKernelSIMDMatchesGeneric(t *testing.T) {
 		}
 		testGatherScatterSIMD(t)
 	})
+	t.Run("csr", func(t *testing.T) {
+		if !simd {
+			t.Skip("no SIMD kernels on this host")
+		}
+		testGatherCSRSIMD(t)
+	})
 	t.Run("matmul", func(t *testing.T) { testMatMulPaths(t, simd) })
+}
+
+// testGatherCSRSIMD pins the register-resident gather — GatherCSR over a
+// whole term list, and GatherAXPY, whose vector body it is at widths up to
+// 32 — to the Go loops: every width 4…32 that the body takes and 3 and 33,
+// which keep the old path; repeated and empty output rows; term lists that
+// end inside the prefetch distance of len(nbr), a list longer than the rows
+// use, and one shorter than the distance altogether; zeros, denormals, both
+// infinities and NaNs in the rows, the weights and the accumulators.
+func testGatherCSRSIMD(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	specials := []float64{0, math.Copysign(0, -1), 5e-324, -2.3e-308, math.Inf(1), math.Inf(-1), math.NaN()}
+	widths := []int{3, 33}
+	for c := 4; c <= maxTileCols; c += 4 {
+		widths = append(widths, c)
+	}
+	for _, c := range widths {
+		m := New(23, c)
+		fillSpecial(m, rng)
+		for _, nnz := range []int{1, gatherPrefetch - 1, gatherPrefetch, gatherPrefetch + 1, 3*gatherPrefetch + 5} {
+			nbr := make([]int32, nnz)
+			w := make([]float64, nnz)
+			for i := range nbr {
+				nbr[i] = int32(rng.Intn(m.Rows))
+				w[i] = rng.NormFloat64()
+				if rng.Intn(6) == 0 {
+					w[i] = specials[rng.Intn(len(specials))]
+				}
+			}
+			// Row lists over a few output rows, so rows repeat, with cuts
+			// that leave some rows empty; the last variant stops short of
+			// the list's end, so the prefetch runs on past its rows.
+			for _, used := range []int{nnz, nnz - nnz/3} {
+				var rows, off []int32
+				off = append(off, 0)
+				for at := 0; at < used || len(rows) < 2; {
+					n := rng.Intn(4) // 0: an empty row
+					if at+n > used {
+						n = used - at
+					}
+					at += n
+					rows = append(rows, int32(rng.Intn(5)))
+					off = append(off, int32(at))
+				}
+				base := New(5, c)
+				fillSpecial(base, rng)
+				gotG, gotS := base.Clone(), base.Clone()
+				useSIMD = false
+				GatherCSR(gotG, m, rows, off, nbr, w)
+				useSIMD = true
+				GatherCSR(gotS, m, rows, off, nbr, w)
+				if !bitsEqualOrNaN(gotS.Data, gotG.Data) {
+					t.Fatalf("GatherCSR c=%d nnz=%d used=%d rows=%v off=%v: SIMD differs from generic", c, nnz, used, rows, off)
+				}
+			}
+			y := make([]float64, c)
+			for i := range y {
+				y[i] = specials[rng.Intn(len(specials))] + rng.NormFloat64()
+			}
+			yG, yS := append([]float64(nil), y...), append([]float64(nil), y...)
+			useSIMD = false
+			GatherAXPY(yG, m, nbr, w, -0.625)
+			useSIMD = true
+			GatherAXPY(yS, m, nbr, w, -0.625)
+			if !bitsEqualOrNaN(yS, yG) {
+				t.Fatalf("GatherAXPY c=%d n=%d: SIMD differs from generic", c, nnz)
+			}
+		}
+	}
 }
 
 func testGatherScatterSIMD(t *testing.T) {
@@ -517,6 +602,54 @@ func benchDense(b *testing.B, run func(x, w, dy, y, gw, dx *Matrix)) {
 	}
 }
 
+// BenchmarkRowwise times the node-sized passes of a dense epoch beside the
+// products — the ReLU pass that records its mask, the backward pass the mask
+// gates, and the bias gradient's column sum — at the 10k and 100k presets'
+// hidden width, vector and Go bodies in one run; `make bench-dense` runs it
+// at -cpu 1,2. The passes run in place, so from the second call on half the
+// elements are +0: the bodies are branch-free, and cost the same either way.
+func BenchmarkRowwise(b *testing.B) {
+	simd := useSIMD
+	defer func() { useSIMD = simd }()
+	rng := rand.New(rand.NewSource(18))
+	for _, n := range []int{10_000, 100_000} {
+		x, dy := New(n, 32), New(n, 32)
+		for _, m := range []*Matrix{x, dy} {
+			for i := range m.Data {
+				m.Data[i] = rng.NormFloat64()
+			}
+		}
+		positive := make([]uint64, (len(x.Data)+63)/64)
+		sums := make([]float64, 32)
+		passes := []struct {
+			name string
+			run  func()
+		}{
+			{"relu", func() { x.ReLUInPlace(positive) }},
+			{"gate", func() { GatePositiveInPlace(dy, positive) }},
+			{"colsums", func() { dy.ColSumsInto(sums) }},
+		}
+		for _, p := range passes {
+			for _, vec := range []bool{true, false} {
+				name := "generic"
+				if vec {
+					if !simd {
+						continue
+					}
+					name = "simd"
+				}
+				b.Run(fmt.Sprintf("%dk/%s/%s", n/1000, p.name, name), func(b *testing.B) {
+					useSIMD = vec
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						p.run()
+					}
+				})
+			}
+		}
+	}
+}
+
 func BenchmarkMatMulInto(b *testing.B) {
 	benchDense(b, func(x, w, dy, y, gw, dx *Matrix) { MatMulInto(y, x, w) })
 }
@@ -529,34 +662,58 @@ func BenchmarkABTInto(b *testing.B) {
 	benchDense(b, func(x, w, dy, y, gw, dx *Matrix) { MatMulABTInto(dx, dy, w) })
 }
 
-// TestRowwisePasses pins the row-parallel passes to their plain
-// definitions, bit for bit, on special values and for 1/2/3/8 workers.
+// TestRowwisePasses pins the row-parallel passes, and the serial column sum,
+// to their plain definitions, bit for bit, on special values, for 1/2/3/8
+// workers and on the vector bodies and the Go loops alike. The mask passes
+// split their elements into 64-element words; most shapes here leave a
+// partial last word, which the Go loop takes on either path.
 func TestRowwisePasses(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	simd := useSIMD
+	defer func() { useSIMD = simd }()
+	paths := []bool{false}
+	if simd {
+		paths = append(paths, true)
+	}
 	rng := rand.New(rand.NewSource(16))
-	for _, rows := range []int{0, 1, 37, parallelMinWork/5 + 3} {
-		x, dy := New(rows, 5), New(rows, 5)
+	type shape struct{ rows, cols int }
+	for _, sh := range []shape{{0, 5}, {1, 5}, {37, 5}, {parallelMinWork/5 + 3, 5}, {29, 37}, {50, 32}} {
+		rows, cols := sh.rows, sh.cols
+		x, dy := New(rows, cols), New(rows, cols)
 		fillSpecial(x, rng)
 		fillSpecial(dy, rng)
 		labels := make([]int, rows)
 		mask := make([]bool, rows)
 		for i := range labels {
-			labels[i], mask[i] = rng.Intn(5), rng.Intn(3) > 0
+			labels[i], mask[i] = rng.Intn(cols), rng.Intn(3) > 0
 		}
 
 		// The definitions the passes replace.
-		wantRelu, wantGate := New(rows, 5), New(rows, 5)
+		wantRelu, wantGate := New(rows, cols), New(rows, cols)
 		for i, v := range x.Data {
 			if v > 0 {
 				wantRelu.Data[i] = v
 				wantGate.Data[i] = dy.Data[i]
 			}
 		}
+		prefill := make([]float64, cols)
+		for j := range prefill {
+			prefill[j] = rng.NormFloat64()
+			if j%3 == 0 {
+				prefill[j] = math.Copysign(0, -1)
+			}
+		}
+		wantSums := append([]float64(nil), prefill...)
+		for i := 0; i < rows; i++ {
+			for j, v := range x.Row(i) {
+				wantSums[j] += v
+			}
+		}
 		// The gradient's definition is softmax·scale from one exp a logit; it
 		// must also stay within a few ulps of scale of the log-softmax
 		// exponentiated, which is another formulation of the same function.
 		wantArg := make([]int, rows)
-		wantGrad, wantPicked := New(rows, 5), make([]float64, rows)
+		wantGrad, wantPicked := New(rows, cols), make([]float64, rows)
 		ls := logSoftmaxRows(x)
 		for i := 0; i < rows; i++ {
 			best := math.Inf(-1)
@@ -576,44 +733,54 @@ func TestRowwisePasses(t *testing.T) {
 			for j, v := range x.Row(i) {
 				wantGrad.Set(i, j, math.Exp(v-best)*(0.25/sum))
 				if d := math.Abs(wantGrad.At(i, j) - math.Exp(ls.At(i, j))*0.25); d > 1e-15*0.25 {
-					t.Fatalf("rows=%d: softmax(%d,%d) is %g from the exponentiated log-softmax", rows, i, j, d)
+					t.Fatalf("%+v: softmax(%d,%d) is %g from the exponentiated log-softmax", sh, i, j, d)
 				}
 			}
 			wantGrad.Row(i)[labels[i]] -= 0.25
 		}
 
 		var firstGrad *Matrix
-		for _, procs := range []int{1, 2, 3, 8} {
-			runtime.GOMAXPROCS(procs)
-			relu, gate := x.Clone(), dy.Clone()
-			positive := make([]uint64, (len(x.Data)+63)/64)
-			for i := range positive {
-				positive[i] = 0xdead // recording sets every element's bit
-			}
-			relu.ReLUInPlace(positive)
-			rectified := relu.Clone()
-			relu.Fill(-1) // the gate reads the mask, not the rectified matrix
-			GatePositiveInPlace(gate, positive)
-			if !bitsEqual(rectified.Data, wantRelu.Data) || !bitsEqual(gate.Data, wantGate.Data) {
-				t.Fatalf("rows=%d procs=%d: ReLU passes differ from max(x,0) and its gate", rows, procs)
-			}
-			arg := ArgmaxRowsInto(make([]int, 0, rows), x)
-			for i := range arg {
-				if arg[i] != wantArg[i] {
-					t.Fatalf("rows=%d procs=%d: argmax row %d = %d, want %d", rows, procs, i, arg[i], wantArg[i])
+		for _, vec := range paths {
+			useSIMD = vec
+			for _, procs := range []int{1, 2, 3, 8} {
+				runtime.GOMAXPROCS(procs)
+				relu, gate := x.Clone(), dy.Clone()
+				positive := make([]uint64, (len(x.Data)+63)/64)
+				for i := range positive {
+					positive[i] = 0xdead // recording sets every element's bit
 				}
-			}
-			grad, picked := x.Clone(), make([]float64, rows)
-			SoftmaxCrossEntropyRows(grad, labels, mask, 0.25, picked)
-			// Which NaN a product of two NaNs keeps is the compiler's operand
-			// order; across worker counts every bit must hold.
-			if !bitsEqualOrNaN(grad.Data, wantGrad.Data) || !bitsEqual(picked, wantPicked) {
-				t.Fatalf("rows=%d procs=%d: SoftmaxCrossEntropyRows differs from its definition", rows, procs)
-			}
-			if procs == 1 {
-				firstGrad = grad
-			} else if !bitsEqual(grad.Data, firstGrad.Data) {
-				t.Fatalf("rows=%d procs=%d: SoftmaxCrossEntropyRows differs from one worker's", rows, procs)
+				relu.ReLUInPlace(positive)
+				rectified := relu.Clone()
+				relu.Fill(-1) // the gate reads the mask, not the rectified matrix
+				GatePositiveInPlace(gate, positive)
+				if !bitsEqual(rectified.Data, wantRelu.Data) || !bitsEqual(gate.Data, wantGate.Data) {
+					t.Fatalf("%+v simd=%v procs=%d: ReLU passes differ from max(x,0) and its gate", sh, vec, procs)
+				}
+				// The column sum is serial, one chain a column: the
+				// definition's, up to the NaN payload (see matmul.go).
+				sums := append([]float64(nil), prefill...)
+				x.ColSumsInto(sums)
+				if !bitsEqualOrNaN(sums, wantSums) {
+					t.Fatalf("%+v simd=%v procs=%d: ColSumsInto differs from the row-by-row sum", sh, vec, procs)
+				}
+				arg := ArgmaxRowsInto(make([]int, 0, rows), x)
+				for i := range arg {
+					if arg[i] != wantArg[i] {
+						t.Fatalf("%+v procs=%d: argmax row %d = %d, want %d", sh, procs, i, arg[i], wantArg[i])
+					}
+				}
+				grad, picked := x.Clone(), make([]float64, rows)
+				SoftmaxCrossEntropyRows(grad, labels, mask, 0.25, picked)
+				// Which NaN a product of two NaNs keeps is the compiler's operand
+				// order; across worker counts every bit must hold.
+				if !bitsEqualOrNaN(grad.Data, wantGrad.Data) || !bitsEqual(picked, wantPicked) {
+					t.Fatalf("%+v procs=%d: SoftmaxCrossEntropyRows differs from its definition", sh, procs)
+				}
+				if firstGrad == nil {
+					firstGrad = grad
+				} else if !bitsEqual(grad.Data, firstGrad.Data) {
+					t.Fatalf("%+v simd=%v procs=%d: SoftmaxCrossEntropyRows differs from one worker's", sh, vec, procs)
+				}
 			}
 		}
 	}

@@ -60,7 +60,8 @@ func GatePositiveInPlace(d *Matrix, positive []uint64) { maskPass(d, positive, f
 
 // maskPass is both ReLU passes, split by mask word so that workers write
 // disjoint words: record sets the bits from the elements, else the bits
-// gate them.
+// gate them. Whole 64-element words take the vector body, where there is
+// one; a last, partial word always runs the Go loop.
 func maskPass(m *Matrix, positive []uint64, record bool) {
 	if len(positive) != (len(m.Data)+63)/64 {
 		panic(fmt.Sprintf("tensor: ReLU mask of %d words over %d elements", len(positive), len(m.Data)))
@@ -71,6 +72,10 @@ func maskPass(m *Matrix, positive []uint64, record bool) {
 		record bool
 	}
 	parallelRows(len(positive), len(m.Data), args{m.Data, positive, record}, func(g args, lo, hi int) {
+		if full := min(hi, len(g.d)/64); useSIMD && full > lo {
+			maskWords(&g.d[64*lo], &g.p[lo], full-lo, g.record)
+			lo = full
+		}
 		for w := lo; w < hi; w++ {
 			d, bits := g.d[64*w:min(64*w+64, len(g.d))], g.p[w]
 			for i, v := range d {

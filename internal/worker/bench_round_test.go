@@ -1,6 +1,7 @@
 package worker
 
 import (
+	"sync"
 	"testing"
 
 	"scgnn/internal/core"
@@ -52,7 +53,10 @@ func roundBench(b *testing.B, preset string) *roundBenchEnv {
 
 // BenchmarkLocalPhase measures the within-partition aggregation — the
 // dominant slice of a round's profile — for every worker, on the compiled
-// gather plans.
+// gather plans: one after another ("/kernel"), and one goroutine per
+// partition at once ("/parallel"), as a round runs them. The gather is bound
+// by the memory system, so the concurrent row also pays the contention for
+// it that the serial row hides.
 func BenchmarkLocalPhase(b *testing.B) {
 	for _, preset := range []string{"reddit-sim-10k", "reddit-sim-100k"} {
 		b.Run(preset+"/kernel", func(b *testing.B) {
@@ -64,6 +68,22 @@ func BenchmarkLocalPhase(b *testing.B) {
 				for me := 0; me < roundBenchNParts; me++ {
 					c.localPhase(me, env.h, env.out)
 				}
+			}
+		})
+		b.Run(preset+"/parallel", func(b *testing.B) {
+			env := roundBench(b, preset)
+			c := env.cluster
+			var wg sync.WaitGroup
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				wg.Add(roundBenchNParts)
+				for me := 0; me < roundBenchNParts; me++ {
+					go func(me int) {
+						defer wg.Done()
+						c.localPhase(me, env.h, env.out)
+					}(me)
+				}
+				wg.Wait()
 			}
 		})
 	}

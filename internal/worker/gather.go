@@ -8,7 +8,8 @@ package worker
 // is fixed between plan changes. The runtime compiles it once — at
 // construction and on Repartition (dirty state only) — into flat int32
 // row lists with the coefficient products baked in, and the round runs
-// fused tensor.GatherAXPY / tensor.ScatterAXPY kernels over them.
+// fused kernels over them: tensor.GatherCSR over a worker's whole local
+// plan, tensor.GatherAXPY / tensor.ScatterAXPY per group.
 //
 // Invalidation contract (DESIGN.md §11): compiled state is a pure
 // function of (graph, part, plans/CrossOut, coeff) in the exchange core,

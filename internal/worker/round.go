@@ -427,13 +427,11 @@ func (x *exchanger) hook(me int, phase string) {
 // localRows computes rows [from, to) of worker me's local plan — the
 // within-partition part of Â·h for those rows. The compiled CSR bakes the
 // self-loop and same-partition neighbor terms (coefficients included) per
-// row.
+// row. The kernel gets the whole term list, not just these rows', so its
+// prefetch runs on into the rows that follow.
 func (x *exchanger) localRows(me int, h, out *tensor.Matrix, from, to int) {
 	lp := x.local[me]
-	for i := from; i < to; i++ {
-		lo, hi := lp.off[i], lp.off[i+1]
-		tensor.GatherAXPY(out.Row(int(lp.rows[i])), h, lp.nbr[lo:hi], lp.w[lo:hi], 1)
-	}
+	tensor.GatherCSR(out, h, lp.rows[from:to], lp.off[from:to+1], lp.nbr, lp.w)
 	// The cost model charges the neighbor terms, not the self loop each row
 	// opens with.
 	arcs := int(lp.off[to]-lp.off[from]) - (to - from)
