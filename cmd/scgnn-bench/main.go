@@ -62,7 +62,9 @@ func main() {
 		}
 		defer func() {
 			pprof.StopCPUProfile()
-			f.Close()
+			if err := f.Close(); err != nil {
+				fmt.Fprintf(os.Stderr, "scgnn-bench: %v\n", err)
+			}
 		}()
 	}
 	defer writeMemProfile(*memPro)
@@ -135,9 +137,12 @@ func writeMemProfile(path string) {
 		fmt.Fprintf(os.Stderr, "scgnn-bench: %v\n", err)
 		return
 	}
-	defer f.Close()
 	runtime.GC()
-	if err := pprof.WriteHeapProfile(f); err != nil {
+	err = pprof.WriteHeapProfile(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "scgnn-bench: %v\n", err)
 	}
 }
@@ -156,7 +161,10 @@ func writeFigures(dir, id string, report *exp.Report, logY bool) {
 			os.Exit(1)
 		}
 		err = fig.WriteSVG(f, 640, 400, logY)
-		f.Close()
+		if cerr := f.Close(); cerr != nil {
+			fmt.Fprintf(os.Stderr, "scgnn-bench: %v\n", cerr)
+			os.Exit(1)
+		}
 		if err != nil {
 			// Empty figures are not fatal for a batch run.
 			fmt.Fprintf(os.Stderr, "scgnn-bench: %s figure %d: %v\n", id, i, err)
@@ -183,7 +191,9 @@ func writeTables(dir, id string, report *exp.Report, format string) {
 		case "md":
 			err = tb.WriteMarkdown(f)
 		}
-		f.Close()
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "scgnn-bench: %v\n", err)
 			os.Exit(1)

@@ -77,13 +77,15 @@ func main() {
 			if err != nil {
 				fatal(err)
 			}
-			defer f.Close()
 			w = f
 		}
 		if err := persist.ExportPlansJSON(w, plans); err != nil {
 			fatal(err)
 		}
 		if *out != "-" {
+			if err := w.Close(); err != nil {
+				fatal(err)
+			}
 			fmt.Printf("wrote %d plans to %s\n", len(plans), *out)
 		}
 	}

@@ -51,12 +51,6 @@ func (v *Vector) Set(i int) {
 	v.words[i/wordBits] |= 1 << uint(i%wordBits)
 }
 
-// Clear turns bit i off.
-func (v *Vector) Clear(i int) {
-	v.check(i)
-	v.words[i/wordBits] &^= 1 << uint(i%wordBits)
-}
-
 // Get reports whether bit i is set.
 func (v *Vector) Get(i int) bool {
 	v.check(i)
@@ -103,30 +97,6 @@ func OrCount(v, o *Vector) int {
 	return c
 }
 
-// And returns a new vector v ∩ o.
-func And(v, o *Vector) *Vector {
-	if v.n != o.n {
-		panic(fmt.Sprintf("bitvec: length mismatch %d vs %d", v.n, o.n))
-	}
-	out := New(v.n)
-	for i, w := range v.words {
-		out.words[i] = w & o.words[i]
-	}
-	return out
-}
-
-// Or returns a new vector v ∪ o.
-func Or(v, o *Vector) *Vector {
-	if v.n != o.n {
-		panic(fmt.Sprintf("bitvec: length mismatch %d vs %d", v.n, o.n))
-	}
-	out := New(v.n)
-	for i, w := range v.words {
-		out.words[i] = w | o.words[i]
-	}
-	return out
-}
-
 // OrWith sets v ← v ∪ o in place, without allocating.
 func (v *Vector) OrWith(o *Vector) {
 	if v.n != o.n {
@@ -135,13 +105,6 @@ func (v *Vector) OrWith(o *Vector) {
 	for i, w := range o.words {
 		v.words[i] |= w
 	}
-}
-
-// Clone returns a deep copy of v.
-func (v *Vector) Clone() *Vector {
-	out := New(v.n)
-	copy(out.words, v.words)
-	return out
 }
 
 // Indices returns the positions of all set bits in ascending order.
@@ -231,15 +194,4 @@ func (m *Matrix) TotalCount() int {
 		t += c
 	}
 	return t
-}
-
-// ColCounts returns the per-column popcounts (sink-node degrees).
-func (m *Matrix) ColCounts() []int {
-	out := make([]int, m.cols)
-	for _, r := range m.rows {
-		for _, j := range r.Indices() {
-			out[j]++
-		}
-	}
-	return out
 }

@@ -346,15 +346,6 @@ func seedPlusPlusInto(points *tensor.Matrix, k int, rng *rand.Rand, cents *tenso
 	}
 }
 
-// ClusterSizes returns the member count of each cluster.
-func (r *KMeansResult) ClusterSizes() []int {
-	sizes := make([]int, r.K)
-	for _, c := range r.Assign {
-		sizes[c]++
-	}
-	return sizes
-}
-
 // Members returns, per cluster, the indices of its member points.
 func (r *KMeansResult) Members() [][]int {
 	out := make([][]int, r.K)

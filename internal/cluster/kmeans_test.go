@@ -384,3 +384,12 @@ func TestSweepSourceSeedReplays(t *testing.T) {
 		}
 	}
 }
+
+// ClusterSizes returns the member count of each cluster.
+func (r *KMeansResult) ClusterSizes() []int {
+	sizes := make([]int, r.K)
+	for _, c := range r.Assign {
+		sizes[c]++
+	}
+	return sizes
+}

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"fmt"
-
-	"scgnn/internal/tensor"
-)
+import "fmt"
 
 // Group is one semantic compression unit g_i = (U_i, V_i, E_{U_i→V_i})
 // (paper Sec. 3.2/3.3). During the aggregate all of the group's
@@ -67,27 +63,6 @@ func (g *Group) Validate() error {
 		return fmt.Errorf("core: delivery degrees sum to %v, want %d", dsum, g.NumEdges)
 	}
 	return nil
-}
-
-// Fuse computes the semantic message h_g = Σ w(u)·h(u) where h maps a global
-// source node id to its payload vector of length dim. This is the
-// ultra-lightweight in-partition compression step (Fig. 7(b) lines 1-3).
-func (g *Group) Fuse(h func(int32) []float64, dim int) []float64 {
-	out := make([]float64, dim)
-	for k, u := range g.SrcNodes {
-		tensor.AXPY(g.WOut[k], h(u), out)
-	}
-	return out
-}
-
-// Deliver disassembles the received semantic message into per-sink
-// contributions: add D(v)·hg into acc(v) for every sink v of the group
-// (Fig. 7(b) lines 5-7). acc must return the accumulator slice for a global
-// sink node id.
-func (g *Group) Deliver(hg []float64, acc func(int32) []float64) {
-	for k, v := range g.DstNodes {
-		tensor.AXPY(g.DDst[k], hg, acc(v))
-	}
 }
 
 // CompressionRatio returns the group's message-count compression: the number

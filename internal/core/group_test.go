@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"scgnn/internal/graph"
+	"scgnn/internal/tensor"
 )
 
 // testGroup builds the Fig. 5 style group: sources {10,11}, sinks {20,21,22},
@@ -196,5 +197,27 @@ func TestGroupInvariantsProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// Fuse computes the semantic message h_g = Σ w(u)·h(u) where h maps a global
+// source node id to its payload vector of length dim: the per-group
+// definition of the in-partition compression step (Fig. 7(b) lines 1-3) that
+// the compiled gather plans run in production.
+func (g *Group) Fuse(h func(int32) []float64, dim int) []float64 {
+	out := make([]float64, dim)
+	for k, u := range g.SrcNodes {
+		tensor.AXPY(g.WOut[k], h(u), out)
+	}
+	return out
+}
+
+// Deliver disassembles the received semantic message into per-sink
+// contributions: add D(v)·hg into acc(v) for every sink v of the group
+// (Fig. 7(b) lines 5-7). acc must return the accumulator slice for a global
+// sink node id.
+func (g *Group) Deliver(hg []float64, acc func(int32) []float64) {
+	for k, v := range g.DstNodes {
+		tensor.AXPY(g.DDst[k], hg, acc(v))
 	}
 }

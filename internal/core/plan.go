@@ -98,17 +98,6 @@ type PairPlan struct {
 	DroppedEdges int
 }
 
-// BuildPairPlan extracts the (src→dst) DBG, builds the grouping, applies the
-// differential drop mask, and returns the plan. Returns nil when the pair
-// has no cross edges.
-func BuildPairPlan(g *graph.Graph, part []int, src, dst int, cfg PlanConfig) *PairPlan {
-	d := graph.ExtractDBG(g, part, src, dst)
-	if d == nil {
-		return nil
-	}
-	return planFromDBG(d, cfg)
-}
-
 func planFromDBG(d *graph.DBG, cfg PlanConfig) *PairPlan {
 	gr := BuildGrouping(d, cfg.Grouping)
 	if cfg.UniformWeights {

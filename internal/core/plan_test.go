@@ -345,3 +345,13 @@ func TestBuildGroupingWorkerInvariance(t *testing.T) {
 		}
 	}
 }
+
+// BuildPairPlan builds one pair's plan from the per-pair DBG extraction
+// oracle, or nil when the pair has no cross edges.
+func BuildPairPlan(g *graph.Graph, part []int, src, dst int, cfg PlanConfig) *PairPlan {
+	d := graph.ExtractDBG(g, part, src, dst)
+	if d == nil {
+		return nil
+	}
+	return planFromDBG(d, cfg)
+}

@@ -17,10 +17,7 @@
 //     backward (gradient) halo exchange.
 package core
 
-import (
-	"scgnn/internal/bitvec"
-	"scgnn/internal/graph"
-)
+import "scgnn/internal/bitvec"
 
 // Similarity is a pairwise cohesion measure over the source side of a DBG.
 // Implementations must be symmetric and non-negative.
@@ -81,42 +78,6 @@ func (JaccardSimilarity) Score(adj bitvec.Bits, ui, uj int) float64 {
 
 // Name implements Similarity.
 func (JaccardSimilarity) Name() string { return "jaccard" }
-
-// SemanticScoreSets computes Eq. 1 directly from neighbor sets. It exists to
-// cross-check the vectorized form (Eq. 2) in tests and to document the set
-// semantics; production code paths use SemanticSimilarity.Score.
-func SemanticScoreSets(n1, n2 map[int]bool) float64 {
-	var inter int
-	for v := range n1 {
-		if n2[v] {
-			inter++
-		}
-	}
-	den := len(n1) + len(n2)
-	if den == 0 {
-		return 0
-	}
-	return float64(inter*inter) / float64(den)
-}
-
-// SimilarityMatrix computes the full |U|×|U| pairwise similarity of a DBG's
-// source side. Used by the window-sliding study (Fig. 4(a)) and by tests;
-// the grouping pipeline uses the cheaper pivot embedding instead.
-func SimilarityMatrix(d *graph.DBG, s Similarity) [][]float64 {
-	n := d.NumSrc()
-	out := make([][]float64, n)
-	for i := range out {
-		out[i] = make([]float64, n)
-	}
-	for i := 0; i < n; i++ {
-		for j := i; j < n; j++ {
-			v := s.Score(d.Adj, i, j)
-			out[i][j] = v
-			out[j][i] = v
-		}
-	}
-	return out
-}
 
 // SlidingCohesion reproduces the window-sliding experiment of Fig. 4(a): two
 // rows of width bits, each with a window of `valid` consecutive set bits; the

@@ -7,7 +7,6 @@ import (
 	"testing/quick"
 
 	"scgnn/internal/bitvec"
-	"scgnn/internal/graph"
 )
 
 // adjFromRows builds a bit matrix from explicit neighbor lists.
@@ -164,27 +163,6 @@ func TestSlidingCohesion(t *testing.T) {
 	}
 }
 
-func TestSimilarityMatrix(t *testing.T) {
-	// DBG: partition 0 = {0,1}, partition 1 = {2,3}; both sources hit both sinks.
-	g := graph.New(4, []graph.Edge{{U: 0, V: 2}, {U: 0, V: 3}, {U: 1, V: 2}, {U: 1, V: 3}})
-	part := []int{0, 0, 1, 1}
-	d := graph.ExtractDBG(g, part, 0, 1)
-	m := SimilarityMatrix(d, SemanticSimilarity{})
-	if len(m) != 2 {
-		t.Fatalf("matrix size %d", len(m))
-	}
-	if m[0][1] != m[1][0] {
-		t.Fatal("matrix not symmetric")
-	}
-	if m[0][1] != 1 { // 2²/4
-		t.Fatalf("S(0,1) = %v, want 1", m[0][1])
-	}
-	// Diagonal: S(u,u) = d²/2d = d/2 = 1.
-	if m[0][0] != 1 {
-		t.Fatalf("S(0,0) = %v", m[0][0])
-	}
-}
-
 func TestSimilarityNames(t *testing.T) {
 	if (SemanticSimilarity{}).Name() != "semantic" || (JaccardSimilarity{}).Name() != "jaccard" {
 		t.Fatal("names wrong")
@@ -208,4 +186,20 @@ func BenchmarkSemanticScore(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s.Score(adj, 0, 1)
 	}
+}
+
+// SemanticScoreSets computes Eq. 1 directly from neighbor sets: the oracle
+// the vectorized form (Eq. 2, SemanticSimilarity.Score) is checked against.
+func SemanticScoreSets(n1, n2 map[int]bool) float64 {
+	var inter int
+	for v := range n1 {
+		if n2[v] {
+			inter++
+		}
+	}
+	den := len(n1) + len(n2)
+	if den == 0 {
+		return 0
+	}
+	return float64(inter*inter) / float64(den)
 }

@@ -150,14 +150,10 @@ func redditSim100KSpec(seed int64) Spec {
 	}
 }
 
-// RedditSim1M is the million-node member of the scale family: 8M undirected
-// edges / 16M directed arcs. Homophily is raised so the cross-partition
-// boundary (and with it the dense per-pair DBG bit matrices) stays within a
-// single host's memory at 8 partitions.
-func RedditSim1M(seed int64) *Dataset {
-	return Generate(redditSim1MSpec(seed))
-}
-
+// redditSim1MSpec is the million-node member of the scale family: 8M
+// undirected edges / 16M directed arcs. Homophily is raised so the
+// cross-partition boundary (and with it the dense per-pair DBG bit matrices)
+// stays within a single host's memory at 8 partitions.
 func redditSim1MSpec(seed int64) Spec {
 	return Spec{
 		Name:       "reddit-sim-1m",

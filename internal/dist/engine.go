@@ -211,12 +211,3 @@ func (e *Engine) Backward(g *tensor.Matrix) *tensor.Matrix { return e.c.Backward
 func (e *Engine) AggregateInto(dst, h *tensor.Matrix, backward bool) error {
 	return e.c.AggregateInto(dst, h, backward)
 }
-
-// CrossEdgeCount returns the total number of cross-partition arcs.
-func (e *Engine) CrossEdgeCount() int {
-	n := 0
-	for _, edges := range e.c.Core().CrossOut {
-		n += len(edges)
-	}
-	return n
-}

@@ -149,87 +149,3 @@ func TestLeakyHelpers(t *testing.T) {
 		t.Fatal("leakyDeriv wrong")
 	}
 }
-
-func TestMultiHeadGATShapes(t *testing.T) {
-	g := lineGraph()
-	rng := rand.New(rand.NewSource(10))
-	m := NewMultiHeadGAT(g, []int{4, 6, 3}, 2, rng)
-	x := tensor.New(3, 4)
-	logits := m.Forward(x)
-	if logits.Rows != 3 || logits.Cols != 3 {
-		t.Fatalf("logits %dx%d, want 3x3 (final layer averages heads)", logits.Rows, logits.Cols)
-	}
-	// Per head per layer: W, b, aSrc, aDst = 4 params; 2 layers × 2 heads.
-	if len(m.Params()) != 16 {
-		t.Fatalf("params = %d, want 16", len(m.Params()))
-	}
-}
-
-func TestMultiHeadGATGradientCheck(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	g := graph.NewUndirected(5, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 3}, {U: 3, V: 4}, {U: 0, V: 4}})
-	model := NewMultiHeadGAT(g, []int{3, 3, 2}, 2, rng)
-	x := tensor.New(5, 3)
-	for i := range x.Data {
-		x.Data[i] = rng.NormFloat64()
-	}
-	labels := []int{0, 1, 0, 1, 0}
-	mask := []bool{true, true, false, true, true}
-
-	loss := func() float64 {
-		l, _ := nn.MaskedCrossEntropy(model.Forward(x), labels, mask)
-		return l
-	}
-	logits := model.Forward(x)
-	_, dlogits := nn.MaskedCrossEntropy(logits, labels, mask)
-	model.ZeroGrad()
-	model.Backward(dlogits)
-
-	const eps = 1e-6
-	for _, p := range model.Params() {
-		for i := range p.Value.Data {
-			orig := p.Value.Data[i]
-			p.Value.Data[i] = orig + eps
-			fp := loss()
-			p.Value.Data[i] = orig - eps
-			fm := loss()
-			p.Value.Data[i] = orig
-			num := (fp - fm) / (2 * eps)
-			if math.Abs(num-p.Grad.Data[i]) > 2e-4*(1+math.Abs(num)) {
-				t.Fatalf("%s[%d]: analytic %v vs numeric %v", p.Name, i, p.Grad.Data[i], num)
-			}
-		}
-	}
-}
-
-func TestMultiHeadGATLearns(t *testing.T) {
-	d := datasets.Generate(datasets.Spec{
-		Name: "mhgat", Nodes: 250, AvgDegree: 8, Classes: 3, FeatureDim: 8,
-		FeatureNoise: 0.8, Seed: 12,
-	})
-	rng := rand.New(rand.NewSource(13))
-	model := NewMultiHeadGAT(d.Graph, []int{d.FeatureDim(), 8, d.NumClasses}, 3, rng)
-	res := Train(model, d.Features, d.Labels, d.TrainMask, d.ValMask, d.TestMask,
-		TrainConfig{Epochs: 120, LR: 0.01})
-	if res.TestAcc < 0.8 {
-		t.Fatalf("multi-head GAT accuracy = %v", res.TestAcc)
-	}
-}
-
-func TestMultiHeadGATBadArgs(t *testing.T) {
-	g := lineGraph()
-	rng := rand.New(rand.NewSource(14))
-	for name, f := range map[string]func(){
-		"heads<1":    func() { NewMultiHeadGAT(g, []int{2, 2}, 0, rng) },
-		"dims short": func() { NewMultiHeadGAT(g, []int{2}, 2, rng) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("%s accepted", name)
-				}
-			}()
-			f()
-		}()
-	}
-}

@@ -128,9 +128,6 @@ type GCN struct {
 	Agg    Aggregator
 	layers []*aggLinear
 	acts   []*nn.ReLU
-	// drops, when non-empty (NewGCNWithDropout), applies inverted dropout
-	// to each layer's input during training.
-	drops []*nn.Dropout
 }
 
 // NewGCN builds a GCN with the given layer widths (dims[0] = input feature
@@ -149,17 +146,11 @@ func NewGCN(agg Aggregator, dims []int, rng *rand.Rand) *GCN {
 	return m
 }
 
-// NumLayers returns the number of graph-convolution layers.
-func (m *GCN) NumLayers() int { return len(m.layers) }
-
 // Forward implements Model.
 func (m *GCN) Forward(x *tensor.Matrix) *tensor.Matrix {
 	h := x
 	for i, l := range m.layers {
-		if i < len(m.drops) {
-			h = m.drops[i].Forward(h)
-		}
-		h = l.forward(m.Agg, h, i == 0 && h == x)
+		h = l.forward(m.Agg, h)
 		if i < len(m.acts) {
 			h = m.acts[i].Forward(h)
 		}
@@ -175,9 +166,6 @@ func (m *GCN) Backward(dlogits *tensor.Matrix) {
 			d = m.acts[i].Backward(d)
 		}
 		d = m.layers[i].backward(m.Agg, d)
-		if i > 0 && i < len(m.drops) {
-			d = m.drops[i].Backward(d)
-		}
 	}
 }
 
@@ -247,7 +235,7 @@ func (m *SAGE) Forward(x *tensor.Matrix) *tensor.Matrix {
 	h := x
 	for i := range m.self {
 		y := m.self[i].Forward(h)
-		tensor.AddInPlace(y, m.neigh[i].forward(m.Agg, h, i == 0))
+		tensor.AddInPlace(y, m.neigh[i].forward(m.Agg, h))
 		if i < len(m.acts) {
 			y = m.acts[i].Forward(y)
 		}
@@ -313,31 +301,5 @@ func (m *SAGE) StartEpoch(epoch int) {
 func (m *SAGE) StartEvalEpoch(epoch int) {
 	if em, ok := m.Agg.(EvalMarker); ok {
 		em.StartEvalEpoch(epoch)
-	}
-}
-
-// TrainableMode is implemented by models whose behaviour differs between
-// training and evaluation (dropout); gnn.Train toggles it around the final
-// evaluation pass.
-type TrainableMode interface {
-	SetTraining(bool)
-}
-
-// NewGCNWithDropout builds a GCN whose aggregate inputs pass through
-// inverted dropout during training — the regularization the paper's
-// BNS-GCN-derived settings use. Dropout is disabled automatically for
-// evaluation via SetTraining(false).
-func NewGCNWithDropout(agg Aggregator, dims []int, p float64, seed int64, rng *rand.Rand) *GCN {
-	m := NewGCN(agg, dims, rng)
-	for i := 0; i+1 < len(dims); i++ {
-		m.drops = append(m.drops, nn.NewDropout(p, seed+int64(i)))
-	}
-	return m
-}
-
-// SetTraining implements TrainableMode.
-func (m *GCN) SetTraining(training bool) {
-	for _, d := range m.drops {
-		d.Train = training
 	}
 }

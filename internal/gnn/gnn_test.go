@@ -63,8 +63,8 @@ func TestGCNShapes(t *testing.T) {
 	g := lineGraph()
 	rng := rand.New(rand.NewSource(2))
 	m := NewGCN(NewLocalAggregator(g), []int{4, 8, 3}, rng)
-	if m.NumLayers() != 2 {
-		t.Fatalf("NumLayers = %d", m.NumLayers())
+	if len(m.layers) != 2 {
+		t.Fatalf("layers = %d", len(m.layers))
 	}
 	x := tensor.New(3, 4)
 	logits := m.Forward(x)
@@ -82,16 +82,11 @@ func TestGCNShapes(t *testing.T) {
 var gradCheckShapes = [][]int{{3, 5, 2}, {40, 8, 4}, {32, 32, 16}}
 
 // TestGCNGradientCheck verifies the full model backward pass against finite
-// differences of the masked cross-entropy loss, on either side of each W and
-// with dropout on (its masks re-drawn from the same seeds before every
-// forward, so each difference sees the masks the backward did).
+// differences of the masked cross-entropy loss, on either side of each W.
 func TestGCNGradientCheck(t *testing.T) {
 	for _, dims := range gradCheckShapes {
 		gradCheckModel(t, dims, func(agg Aggregator, rng *rand.Rand) Model {
 			return NewGCN(agg, dims, rng)
-		})
-		gradCheckModel(t, dims, func(agg Aggregator, rng *rand.Rand) Model {
-			return frozenDropout{NewGCNWithDropout(agg, dims, 0.3, 5, rng)}
 		})
 	}
 }
@@ -103,17 +98,6 @@ func TestSAGEGradientCheck(t *testing.T) {
 			return NewSAGE(agg, dims, rng)
 		})
 	}
-}
-
-// frozenDropout is a dropout GCN whose masks are re-drawn from the same
-// seeds before every forward.
-type frozenDropout struct{ *GCN }
-
-func (m frozenDropout) Forward(x *tensor.Matrix) *tensor.Matrix {
-	for i, d := range m.drops {
-		m.drops[i] = nn.NewDropout(d.P, int64(i))
-	}
-	return m.GCN.Forward(x)
 }
 
 // TestMultipliesFirst pins the side rule: past layer 0 a layer multiplies
@@ -250,8 +234,8 @@ func (a *countingAgg) StartEpoch(epoch int) {
 // backward ends at its weight gradients, and its Linear never forms (or
 // allocates) a dX. From epoch 1 on, a layer 0 that aggregates first keeps
 // its Agg(X) on a reproducible aggregator (the exact one), so the epoch
-// makes one forward round fewer — except under input dropout, whose input
-// changes every epoch, and on a sampling aggregator, whose coins do.
+// makes one forward round fewer — except on a sampling aggregator, whose
+// coins change every epoch.
 func TestEpochRounds(t *testing.T) {
 	d := datasets.PubMedSim(1)
 	f, c := d.FeatureDim(), d.NumClasses
@@ -270,10 +254,6 @@ func TestEpochRounds(t *testing.T) {
 		for name, build := range map[string]func(Aggregator) (Model, []*nn.Linear){
 			"gcn": func(a Aggregator) (Model, []*nn.Linear) {
 				m := NewGCN(a, dims, rand.New(rand.NewSource(1)))
-				return m, []*nn.Linear{m.layers[0].lin}
-			},
-			"gcn+dropout": func(a Aggregator) (Model, []*nn.Linear) {
-				m := NewGCNWithDropout(a, dims, 0.3, 2, rand.New(rand.NewSource(1)))
 				return m, []*nn.Linear{m.layers[0].lin}
 			},
 			"sage": func(a Aggregator) (Model, []*nn.Linear) {
@@ -295,7 +275,7 @@ func TestEpochRounds(t *testing.T) {
 						t.Fatal(err)
 					}
 					wantFwd := layers
-					if epoch > 0 && !sampling && name != "gcn+dropout" && !MultipliesFirst(0, dims[0], dims[1]) {
+					if epoch > 0 && !sampling && !MultipliesFirst(0, dims[0], dims[1]) {
 						wantFwd--
 					}
 					if agg.fwd != wantFwd || agg.bwd != wantBwd {
@@ -414,51 +394,5 @@ func BenchmarkGCNEpochPubMed(b *testing.B) {
 		_, grad := nn.MaskedCrossEntropy(logits, d.Labels, d.TrainMask)
 		model.ZeroGrad()
 		model.Backward(grad)
-	}
-}
-
-func TestGCNWithDropout(t *testing.T) {
-	d := datasets.PubMedSim(20)
-	rng := rand.New(rand.NewSource(21))
-	model := NewGCNWithDropout(NewLocalAggregator(d.Graph),
-		[]int{d.FeatureDim(), 32, d.NumClasses}, 0.3, 22, rng)
-	res := Train(model, d.Features, d.Labels, d.TrainMask, d.ValMask, d.TestMask,
-		TrainConfig{Epochs: 80, LR: 0.02})
-	if res.TestAcc < 0.6 {
-		t.Fatalf("dropout GCN accuracy = %v", res.TestAcc)
-	}
-	// Evaluation mode must be deterministic (dropout disabled).
-	// (Forward returns a buffer the model retains: Clone to hold one result
-	// across the next call.)
-	model.SetTraining(false)
-	a := model.Forward(d.Features).Clone()
-	b := model.Forward(d.Features)
-	if !a.Equal(b, 0) {
-		t.Fatal("eval-mode forward is stochastic")
-	}
-	// Training mode is stochastic.
-	model.SetTraining(true)
-	c := model.Forward(d.Features).Clone()
-	e := model.Forward(d.Features)
-	if c.Equal(e, 1e-12) {
-		t.Fatal("train-mode forward suspiciously deterministic under dropout")
-	}
-}
-
-// TestGCNDropoutGradientCheck verifies the dropout path's backward against
-// finite differences with the mask frozen (eval of the loss re-runs Forward,
-// so we check in eval mode where the network is deterministic... instead we
-// check p=0 dropout equals plain GCN exactly).
-func TestGCNDropoutZeroPEqualsPlain(t *testing.T) {
-	g := lineGraph()
-	plain := NewGCN(NewLocalAggregator(g), []int{4, 8, 3}, rand.New(rand.NewSource(2)))
-	drop := NewGCNWithDropout(NewLocalAggregator(g), []int{4, 8, 3}, 0, 3, rand.New(rand.NewSource(2)))
-	x := tensor.New(3, 4)
-	rng := rand.New(rand.NewSource(4))
-	for i := range x.Data {
-		x.Data[i] = rng.NormFloat64()
-	}
-	if !plain.Forward(x).Equal(drop.Forward(x), 0) {
-		t.Fatal("p=0 dropout changed the forward pass")
 	}
 }

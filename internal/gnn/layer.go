@@ -114,13 +114,12 @@ func newAggLinear(layer, in, out int, rng *rand.Rand) *aggLinear {
 }
 
 // forward returns Agg(h)·W + b in a buffer the layer retains until its next
-// forward (the caller may rectify it in place). fixed says h is the model's
-// own input matrix, whose contents the caller never changes (the models pass
-// it at layer 0 only, and GCN not while input dropout is on).
-func (l *aggLinear) forward(agg Aggregator, h *tensor.Matrix, fixed bool) *tensor.Matrix {
+// forward (the caller may rectify it in place). At layer 0, h is the model's
+// own input matrix, whose contents the caller never changes.
+func (l *aggLinear) forward(agg Aggregator, h *tensor.Matrix) *tensor.Matrix {
 	l.in = h
 	if !l.project {
-		return l.lin.Forward(l.aggregateFixed(agg, h, fixed))
+		return l.lin.Forward(l.aggregateFixed(agg, h))
 	}
 	z := l.lin.Product(h)
 	l.bwd = z // the backward aggregate's buffer: z is dead once aggregated
@@ -130,12 +129,12 @@ func (l *aggLinear) forward(agg Aggregator, h *tensor.Matrix, fixed bool) *tenso
 }
 
 // aggregateFixed is the aggregate-first forward aggregate, kept from the last
-// forward when h is fixed and agg, a RoundReuser, says the round that filled
-// fwd would give the same bits again (layer 0 only: a later layer's backward
-// overwrites fwd).
-func (l *aggLinear) aggregateFixed(agg Aggregator, h *tensor.Matrix, fixed bool) *tensor.Matrix {
+// forward at layer 0, whose input is fixed, when agg, a RoundReuser, says the
+// round that filled fwd would give the same bits again (a later layer's
+// backward overwrites fwd).
+func (l *aggLinear) aggregateFixed(agg Aggregator, h *tensor.Matrix) *tensor.Matrix {
 	r, ok := agg.(RoundReuser)
-	if !ok || !fixed || !l.first {
+	if !ok || !l.first {
 		l.kept = roundKey{}
 		return aggregate(agg, &l.fwd, h, false)
 	}

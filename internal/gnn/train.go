@@ -8,8 +8,6 @@ import (
 type TrainConfig struct {
 	Epochs int
 	LR     float64 // default 0.01
-	// WeightDecay applies L2 regularization through the optimizer.
-	WeightDecay float64
 	// Patience stops early when validation accuracy hasn't improved for
 	// this many epochs (0 disables early stopping).
 	Patience int

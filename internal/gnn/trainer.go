@@ -43,12 +43,10 @@ func NewTrainer(model Model, x *tensor.Matrix, labels []int, trainMask, valMask,
 	if cfg.LR == 0 {
 		cfg.LR = 0.01
 	}
-	opt := nn.NewAdam(cfg.LR)
-	opt.WeightDecay = cfg.WeightDecay
 	return &Trainer{
 		Model: model, X: x, Labels: labels,
 		TrainMask: trainMask, ValMask: valMask, TestMask: testMask,
-		Cfg: cfg, Opt: opt,
+		Cfg: cfg, Opt: nn.NewAdam(cfg.LR),
 		res: &TrainResult{},
 	}
 }
@@ -125,10 +123,6 @@ func (t *Trainer) RunEpoch() (st EpochStats, err error) {
 // replaying stale caches.
 func (t *Trainer) Finish() (res *TrainResult, err error) {
 	defer recoverToError("final eval at epoch", len(t.res.Epochs), &err)
-	if tm, ok := t.Model.(TrainableMode); ok {
-		tm.SetTraining(false)
-		defer tm.SetTraining(true)
-	}
 	if em, ok := t.Model.(EvalMarker); ok {
 		em.StartEvalEpoch(len(t.res.Epochs))
 	}
@@ -136,9 +130,6 @@ func (t *Trainer) Finish() (res *TrainResult, err error) {
 	t.res.TestAcc = nn.Accuracy(final, t.Labels, t.TestMask)
 	return t.res, nil
 }
-
-// Result exposes the accumulated (possibly unfinished) result.
-func (t *Trainer) Result() *TrainResult { return t.res }
 
 // TrainerState is the serializable loop bookkeeping: everything Trainer
 // holds besides the model parameters (checkpointed beside it, as

@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 )
 
 // Graph is an immutable directed graph in CSR form. For GNN workloads the
@@ -186,13 +185,6 @@ func (g *Graph) Neighbors(u int32) []int32 { return g.Adj[g.Off[u]:g.Off[u+1]] }
 // Degree returns the out-degree of u.
 func (g *Graph) Degree(u int32) int { return int(g.Off[u+1] - g.Off[u]) }
 
-// HasEdge reports whether arc u→v exists (binary search).
-func (g *Graph) HasEdge(u, v int32) bool {
-	nbrs := g.Neighbors(u)
-	i := sort.Search(len(nbrs), func(i int) bool { return nbrs[i] >= v })
-	return i < len(nbrs) && nbrs[i] == v
-}
-
 // Edges returns all directed arcs. The slice is freshly allocated.
 func (g *Graph) Edges() []Edge {
 	out := make([]Edge, 0, len(g.Adj))
@@ -242,31 +234,4 @@ func (g *Graph) SymNormCoeffs() []float64 {
 		f[u] = 1.0 / math.Sqrt(float64(g.Degree(int32(u))+1))
 	}
 	return f
-}
-
-// Subgraph returns the induced subgraph on the given nodes plus the mapping
-// from new local ids to the original global ids (in input order, after
-// dedup). Edges whose endpoints both lie in the set are kept.
-func (g *Graph) Subgraph(nodes []int32) (*Graph, []int32) {
-	idx := make(map[int32]int32, len(nodes))
-	var keep []int32
-	for _, u := range nodes {
-		if u < 0 || int(u) >= g.n {
-			panic(fmt.Sprintf("graph: subgraph node %d out of range [0,%d)", u, g.n))
-		}
-		if _, ok := idx[u]; ok {
-			continue
-		}
-		idx[u] = int32(len(keep))
-		keep = append(keep, u)
-	}
-	var edges []Edge
-	for _, u := range keep {
-		for _, v := range g.Neighbors(u) {
-			if j, ok := idx[v]; ok {
-				edges = append(edges, Edge{U: idx[u], V: j})
-			}
-		}
-	}
-	return New(len(keep), edges), keep
 }

@@ -121,25 +121,3 @@ func TestSymNormCoeffs(t *testing.T) {
 		t.Fatalf("f[1] = %v", f[1])
 	}
 }
-
-func TestSubgraph(t *testing.T) {
-	g := New(6, []Edge{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}, {0, 5}})
-	sub, ids := g.Subgraph([]int32{1, 2, 3, 1 /* dup */})
-	if sub.NumNodes() != 3 || len(ids) != 3 {
-		t.Fatalf("subgraph size %d/%d", sub.NumNodes(), len(ids))
-	}
-	if ids[0] != 1 || ids[1] != 2 || ids[2] != 3 {
-		t.Fatalf("id map = %v", ids)
-	}
-	// Kept edges: 1→2 and 2→3 (local 0→1, 1→2); crossing edges dropped.
-	if sub.NumEdges() != 2 || !sub.HasEdge(0, 1) || !sub.HasEdge(1, 2) {
-		t.Fatalf("subgraph edges wrong: %v", sub.Edges())
-	}
-	// Out-of-range node panics.
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	g.Subgraph([]int32{99})
-}

@@ -2,6 +2,14 @@ package graph
 
 import "sort"
 
+// HasEdge reports whether arc u→v exists (binary search): the membership
+// oracle the constructor tests check edge sets with.
+func (g *Graph) HasEdge(u, v int32) bool {
+	nbrs := g.Neighbors(u)
+	i := sort.Search(len(nbrs), func(i int) bool { return nbrs[i] >= v })
+	return i < len(nbrs) && nbrs[i] == v
+}
+
 // NewReference is the original per-node-slice CSR constructor, kept in
 // test code as the behavioral reference for the flat count→prefix→fill path:
 // it allocates one adjacency slice per node and sorts each with a comparator

@@ -1,7 +1,7 @@
 // Package nn provides the minimal neural-network toolkit the GNN models
 // need: linear layers and ReLU with hand-derived backward passes, a masked
 // softmax cross-entropy loss for full-batch node classification, Glorot
-// initialization, and SGD/Adam optimizers. No autograd — every backward is
+// initialization, and the Adam optimizer. No autograd — every backward is
 // explicit and verified against finite differences in the tests.
 package nn
 
@@ -231,33 +231,9 @@ func AccuracyOf(pred, labels []int, mask []bool) float64 {
 	return float64(hit) / float64(count)
 }
 
-// Optimizer updates parameters from their gradients.
-type Optimizer interface {
-	// Step applies one update and leaves gradients untouched (callers zero
-	// them explicitly so accumulation patterns stay possible).
-	Step(params []Param)
-}
-
-// SGD is plain gradient descent with optional L2 weight decay.
-type SGD struct {
-	LR          float64
-	WeightDecay float64
-}
-
-// Step implements Optimizer.
-func (s *SGD) Step(params []Param) {
-	for _, p := range params {
-		for i := range p.Value.Data {
-			g := p.Grad.Data[i] + s.WeightDecay*p.Value.Data[i]
-			p.Value.Data[i] -= s.LR * g
-		}
-	}
-}
-
 // Adam is the Adam optimizer (Kingma & Ba) with bias correction.
 type Adam struct {
 	LR, Beta1, Beta2, Eps float64
-	WeightDecay           float64
 
 	t int
 	m map[*tensor.Matrix][]float64
@@ -323,7 +299,8 @@ func (a *Adam) SetState(params []Param, st *AdamState) error {
 	return nil
 }
 
-// Step implements Optimizer.
+// Step applies one update and leaves gradients untouched (callers zero them
+// explicitly so accumulation patterns stay possible).
 func (a *Adam) Step(params []Param) {
 	a.t++
 	bc1 := 1 - math.Pow(a.Beta1, float64(a.t))
@@ -340,7 +317,7 @@ func (a *Adam) Step(params []Param) {
 			a.v[p.Value] = v
 		}
 		for i := range p.Value.Data {
-			g := p.Grad.Data[i] + a.WeightDecay*p.Value.Data[i]
+			g := p.Grad.Data[i]
 			m[i] = a.Beta1*m[i] + (1-a.Beta1)*g
 			v[i] = a.Beta2*v[i] + (1-a.Beta2)*g*g
 			mhat := m[i] / bc1

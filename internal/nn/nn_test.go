@@ -283,22 +283,8 @@ func TestAccuracy(t *testing.T) {
 	}
 }
 
-// TestSGDQuadratic: SGD converges on a strongly convex quadratic.
-func TestSGDQuadratic(t *testing.T) {
-	w := tensor.FromRows([][]float64{{5, -3}})
-	g := tensor.New(1, 2)
-	opt := &SGD{LR: 0.1}
-	for i := 0; i < 200; i++ {
-		copy(g.Data, w.Data) // ∇(0.5‖w‖²) = w
-		opt.Step([]Param{{Value: w, Grad: g}})
-	}
-	if w.MaxAbs() > 1e-6 {
-		t.Fatalf("SGD did not converge: %v", w)
-	}
-}
-
 // TestAdamQuadratic: Adam converges on a badly conditioned quadratic where
-// naive SGD at the same LR is slow.
+// plain gradient descent at the same LR is slow.
 func TestAdamQuadratic(t *testing.T) {
 	w := tensor.FromRows([][]float64{{5, -3}})
 	g := tensor.New(1, 2)
@@ -312,16 +298,6 @@ func TestAdamQuadratic(t *testing.T) {
 	}
 	if w.MaxAbs() > 1e-2 {
 		t.Fatalf("Adam did not converge: %v", w)
-	}
-}
-
-func TestWeightDecay(t *testing.T) {
-	w := tensor.FromRows([][]float64{{1}})
-	g := tensor.New(1, 1) // zero task gradient
-	opt := &SGD{LR: 0.1, WeightDecay: 1}
-	opt.Step([]Param{{Value: w, Grad: g}})
-	if math.Abs(w.Data[0]-0.9) > 1e-12 {
-		t.Fatalf("decay step = %v, want 0.9", w.Data[0])
 	}
 }
 

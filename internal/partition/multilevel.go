@@ -2,7 +2,6 @@ package partition
 
 import (
 	"math/rand"
-	"sort"
 
 	"scgnn/internal/graph"
 )
@@ -322,40 +321,4 @@ func refineWeighted(cg *coarseGraph, assign []int, nparts int, cfg Config) {
 			break
 		}
 	}
-}
-
-// levels reports the coarsening depth Multilevel would use on g — exposed
-// for diagnostics and tests.
-func levels(g *graph.Graph, nparts int, rng *rand.Rand) int {
-	level := &coarseGraph{n: g.NumNodes(), adj: make([]map[int32]float64, g.NumNodes()), weight: make([]float64, g.NumNodes())}
-	for u := 0; u < g.NumNodes(); u++ {
-		level.adj[u] = make(map[int32]float64)
-		level.weight[u] = 1
-	}
-	for u := int32(0); int(u) < g.NumNodes(); u++ {
-		for _, v := range g.Neighbors(u) {
-			level.adj[u][v] += 1
-		}
-	}
-	depth := 1
-	for level.n > 4*nparts && level.n > 32 {
-		next := coarsen(level, rng)
-		if next.n >= level.n*9/10 {
-			break
-		}
-		level = next
-		depth++
-	}
-	return depth
-}
-
-// sortedNeighbors returns u's weighted neighbors heaviest-first (testing
-// helper kept close to the implementation).
-func (cg *coarseGraph) sortedNeighbors(u int32) []int32 {
-	out := make([]int32, 0, len(cg.adj[u]))
-	for v := range cg.adj[u] {
-		out = append(out, v)
-	}
-	sort.Slice(out, func(i, j int) bool { return cg.adj[u][out[i]] > cg.adj[u][out[j]] })
-	return out
 }

@@ -113,18 +113,6 @@ func TestLevelsDiagnostic(t *testing.T) {
 	}
 }
 
-func TestSortedNeighbors(t *testing.T) {
-	cg := &coarseGraph{n: 3, adj: []map[int32]float64{
-		{1: 5, 2: 9},
-		{0: 5},
-		{0: 9},
-	}, weight: []float64{1, 1, 1}}
-	nb := cg.sortedNeighbors(0)
-	if len(nb) != 2 || nb[0] != 2 || nb[1] != 1 {
-		t.Fatalf("sortedNeighbors = %v", nb)
-	}
-}
-
 func TestMultilevelByName(t *testing.T) {
 	m, err := ByName("metis")
 	if err != nil || m != Multilevel {
@@ -142,4 +130,28 @@ func BenchmarkMultilevelYelp(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		Partition(d.Graph, 4, Multilevel, Config{Seed: int64(i)})
 	}
+}
+
+// levels reports the coarsening depth Multilevel would use on g.
+func levels(g *graph.Graph, nparts int, rng *rand.Rand) int {
+	level := &coarseGraph{n: g.NumNodes(), adj: make([]map[int32]float64, g.NumNodes()), weight: make([]float64, g.NumNodes())}
+	for u := 0; u < g.NumNodes(); u++ {
+		level.adj[u] = make(map[int32]float64)
+		level.weight[u] = 1
+	}
+	for u := int32(0); int(u) < g.NumNodes(); u++ {
+		for _, v := range g.Neighbors(u) {
+			level.adj[u][v] += 1
+		}
+	}
+	depth := 1
+	for level.n > 4*nparts && level.n > 32 {
+		next := coarsen(level, rng)
+		if next.n >= level.n*9/10 {
+			break
+		}
+		level = next
+		depth++
+	}
+	return depth
 }

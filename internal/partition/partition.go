@@ -55,11 +55,8 @@ func (m Method) String() string {
 }
 
 // Methods lists the paper's three partitioners in its display order
-// (Multilevel is an extension and is opt-in; see AllMethods).
+// (Multilevel is an extension and is opt-in).
 var Methods = []Method{NodeCut, EdgeCut, RandomCut}
-
-// AllMethods additionally includes the METIS-style multilevel partitioner.
-var AllMethods = []Method{NodeCut, EdgeCut, RandomCut, Multilevel}
 
 // ByName parses a method name.
 func ByName(name string) (Method, error) {

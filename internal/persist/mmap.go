@@ -18,7 +18,7 @@ import (
 // without mmap the same type degrades to an in-heap buffer flushed to the
 // file on Flush/Close, so callers never branch on OS.
 //
-// The tensor.Matrix view returned by Matrix/RowChunk is plain float64
+// The tensor.Matrix view returned by Matrix is plain float64
 // storage: every consumer (datasets generation, gnn training, the worker
 // halo exchange) reads and writes it exactly as an in-heap matrix, and the
 // values are bit-identical either way — the mapping chooses where the bytes
@@ -50,31 +50,8 @@ func CreateMappedMatrix(path string, rows, cols int) (*MappedMatrix, error) {
 	return wrapMapped(f, path, rows, cols)
 }
 
-// OpenMappedMatrix maps an existing matrix file written by a prior
-// CreateMappedMatrix(rows, cols) + Flush/Close.
-func OpenMappedMatrix(path string, rows, cols int) (*MappedMatrix, error) {
-	if rows < 0 || cols < 0 {
-		return nil, fmt.Errorf("persist: negative mapped-matrix dimensions %dx%d", rows, cols)
-	}
-	f, err := os.OpenFile(path, os.O_RDWR, 0)
-	if err != nil {
-		return nil, fmt.Errorf("persist: open mapped matrix: %w", err)
-	}
-	st, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	if st.Size() != int64(rows*cols*8) {
-		f.Close()
-		return nil, fmt.Errorf("persist: mapped matrix %s is %d bytes, want %d for %dx%d",
-			path, st.Size(), rows*cols*8, rows, cols)
-	}
-	return wrapMapped(f, path, rows, cols)
-}
-
 // wrapMapped builds the matrix view over f: an mmap when the platform
-// provides one, the in-heap fallback (loading existing contents) otherwise.
+// provides one, the in-heap fallback (loading the file's contents) otherwise.
 func wrapMapped(f *os.File, path string, rows, cols int) (*MappedMatrix, error) {
 	m := &MappedMatrix{f: f, path: path}
 	n := rows * cols
@@ -109,24 +86,6 @@ func (m *MappedMatrix) Matrix() *tensor.Matrix { return m.mat }
 // Path returns the backing file's path.
 func (m *MappedMatrix) Path() string { return m.path }
 
-// Mapped reports whether a live mmap backs the matrix (false in the
-// portable in-heap fallback).
-func (m *MappedMatrix) Mapped() bool { return m.raw != nil }
-
-// RowChunk returns rows [lo, hi) as a standalone matrix header sharing the
-// mapped storage — the chunked access pattern for streaming over a matrix
-// larger than memory without ever holding more than one chunk's pages hot.
-func (m *MappedMatrix) RowChunk(lo, hi int) *tensor.Matrix {
-	if lo < 0 || hi < lo || hi > m.mat.Rows {
-		panic(fmt.Sprintf("persist: row chunk [%d,%d) of %d rows", lo, hi, m.mat.Rows))
-	}
-	return &tensor.Matrix{
-		Rows: hi - lo,
-		Cols: m.mat.Cols,
-		Data: m.mat.Data[lo*m.mat.Cols : hi*m.mat.Cols],
-	}
-}
-
 // Flush forces written rows to the backing file (msync-equivalent on mapped
 // builds, a full rewrite in the fallback).
 func (m *MappedMatrix) Flush() error {
@@ -143,9 +102,9 @@ func (m *MappedMatrix) Flush() error {
 	return m.f.Sync()
 }
 
-// Close flushes, unmaps, and closes the backing file. The matrix view (and
-// every RowChunk header) must not be touched afterwards — on mapped builds
-// the pages are gone. Close is idempotent.
+// Close flushes, unmaps, and closes the backing file. The matrix view must
+// not be touched afterwards — on mapped builds the pages are gone. Close is
+// idempotent.
 func (m *MappedMatrix) Close() error {
 	if m.f == nil {
 		return nil

@@ -1,7 +1,10 @@
 package persist
 
 import (
+	"encoding/binary"
+	"math"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -33,66 +36,24 @@ func TestMappedMatrixRoundtrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	re, err := OpenMappedMatrix(path, 7, 5)
+	// The file holds the rows as native-endian float64s.
+	b, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer re.Close()
-	for i, v := range re.Matrix().Data {
-		if v != float64(i)*1.5 {
-			t.Fatalf("reopened[%d] = %v, want %v", i, v, float64(i)*1.5)
+	if len(b) != 35*8 {
+		t.Fatalf("file is %d bytes, want %d", len(b), 35*8)
+	}
+	for i := 0; i < 35; i++ {
+		if v := math.Float64frombits(binary.NativeEndian.Uint64(b[8*i:])); v != float64(i)*1.5 {
+			t.Fatalf("file[%d] = %v, want %v", i, v, float64(i)*1.5)
 		}
 	}
 }
 
-func TestMappedMatrixRowChunk(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "m.f64")
-	m, err := CreateMappedMatrix(path, 10, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
-	for i := range m.Matrix().Data {
-		m.Matrix().Data[i] = float64(i)
-	}
-	ch := m.RowChunk(4, 7)
-	if ch.Rows != 3 || ch.Cols != 3 {
-		t.Fatalf("chunk shape %dx%d", ch.Rows, ch.Cols)
-	}
-	if ch.Data[0] != 12 || ch.Data[8] != 20 {
-		t.Fatalf("chunk data [%v..%v]", ch.Data[0], ch.Data[8])
-	}
-	ch.Data[0] = -1 // chunks share storage with the full view
-	if m.Matrix().Data[12] != -1 {
-		t.Fatal("chunk write not visible through full view")
-	}
-	for _, bad := range [][2]int{{-1, 2}, {3, 2}, {0, 11}} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("RowChunk(%d,%d): no panic", bad[0], bad[1])
-				}
-			}()
-			m.RowChunk(bad[0], bad[1])
-		}()
-	}
-}
-
 func TestMappedMatrixShapeErrors(t *testing.T) {
-	dir := t.TempDir()
-	if _, err := CreateMappedMatrix(filepath.Join(dir, "a"), -1, 3); err == nil {
+	if _, err := CreateMappedMatrix(filepath.Join(t.TempDir(), "a"), -1, 3); err == nil {
 		t.Fatal("negative rows accepted")
-	}
-	m, err := CreateMappedMatrix(filepath.Join(dir, "b"), 4, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.Close()
-	if _, err := OpenMappedMatrix(filepath.Join(dir, "b"), 5, 5); err == nil {
-		t.Fatal("size-mismatched open accepted")
-	}
-	if _, err := OpenMappedMatrix(filepath.Join(dir, "missing"), 2, 2); err == nil {
-		t.Fatal("missing file accepted")
 	}
 }
 

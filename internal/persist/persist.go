@@ -82,14 +82,18 @@ func LoadDataset(r io.Reader) (*datasets.Dataset, error) {
 	return ds, nil
 }
 
-// SaveDatasetFile writes the dataset to path.
+// SaveDatasetFile writes the dataset to path. A failed Close fails the save:
+// the file's last write may be what failed.
 func SaveDatasetFile(path string, ds *datasets.Dataset) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	return SaveDataset(f, ds)
+	err = SaveDataset(f, ds)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // LoadDatasetFile reads a dataset from path.
@@ -100,34 +104,6 @@ func LoadDatasetFile(path string) (*datasets.Dataset, error) {
 	}
 	defer f.Close()
 	return LoadDataset(f)
-}
-
-// partitionWire serializes a partitioning.
-type partitionWire struct {
-	NumParts int
-	Assign   []int
-}
-
-// SavePartition writes a partition vector.
-func SavePartition(w io.Writer, part []int, nparts int) error {
-	if err := gob.NewEncoder(w).Encode(&partitionWire{NumParts: nparts, Assign: part}); err != nil {
-		return fmt.Errorf("persist: encode partition: %w", err)
-	}
-	return nil
-}
-
-// LoadPartition reads a partition vector and its part count.
-func LoadPartition(r io.Reader) ([]int, int, error) {
-	var pw partitionWire
-	if err := gob.NewDecoder(r).Decode(&pw); err != nil {
-		return nil, 0, fmt.Errorf("persist: decode partition: %w", err)
-	}
-	for i, p := range pw.Assign {
-		if p < 0 || p >= pw.NumParts {
-			return nil, 0, fmt.Errorf("persist: node %d assigned to %d of %d parts", i, p, pw.NumParts)
-		}
-	}
-	return pw.Assign, pw.NumParts, nil
 }
 
 // PlanJSON is the JSON-facing shape of one semantic pair plan.

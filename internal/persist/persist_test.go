@@ -69,37 +69,6 @@ func TestLoadDatasetCorrupt(t *testing.T) {
 	}
 }
 
-func TestPartitionRoundTrip(t *testing.T) {
-	ds := testDataset()
-	part := partition.Partition(ds.Graph, 3, partition.NodeCut, partition.Config{Seed: 2})
-	var buf bytes.Buffer
-	if err := SavePartition(&buf, part, 3); err != nil {
-		t.Fatal(err)
-	}
-	got, nparts, err := LoadPartition(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if nparts != 3 || len(got) != len(part) {
-		t.Fatalf("shape mismatch: %d parts, %d nodes", nparts, len(got))
-	}
-	for i := range part {
-		if got[i] != part[i] {
-			t.Fatal("assignments differ")
-		}
-	}
-}
-
-func TestLoadPartitionValidates(t *testing.T) {
-	var buf bytes.Buffer
-	if err := SavePartition(&buf, []int{0, 5, 1}, 2); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := LoadPartition(&buf); err == nil {
-		t.Fatal("out-of-range assignment accepted")
-	}
-}
-
 func TestExportPlansJSON(t *testing.T) {
 	ds := testDataset()
 	part := partition.Partition(ds.Graph, 2, partition.NodeCut, partition.Config{Seed: 3})

@@ -79,25 +79,3 @@ func Percentile(sorted []float64, p float64) float64 {
 func (s Summary) String() string {
 	return fmt.Sprintf("%.4g ± %.2g [%.4g, %.4g] (n=%d)", s.Mean, s.Std, s.Min, s.Max, s.N)
 }
-
-// WelchT returns Welch's t statistic for two samples — a quick effect-size
-// check when comparing method accuracies across seeds. Positive means a's
-// mean is higher.
-func WelchT(a, b []float64) float64 {
-	sa, sb := Summarize(a), Summarize(b)
-	den := math.Sqrt(sa.Std*sa.Std/float64(sa.N) + sb.Std*sb.Std/float64(sb.N))
-	if den == 0 {
-		if sa.Mean == sb.Mean {
-			return 0
-		}
-		return math.Inf(sign(sa.Mean - sb.Mean))
-	}
-	return (sa.Mean - sb.Mean) / den
-}
-
-func sign(x float64) int {
-	if x < 0 {
-		return -1
-	}
-	return 1
-}

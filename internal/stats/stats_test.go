@@ -71,25 +71,6 @@ func TestCI(t *testing.T) {
 	}
 }
 
-func TestWelchT(t *testing.T) {
-	a := []float64{10, 10.1, 9.9, 10.2, 9.8}
-	b := []float64{8, 8.1, 7.9, 8.2, 7.8}
-	if got := WelchT(a, b); got < 10 {
-		t.Fatalf("clearly separated samples: t = %v", got)
-	}
-	if got := WelchT(b, a); got > -10 {
-		t.Fatalf("sign wrong: %v", got)
-	}
-	same := []float64{5, 5, 5}
-	if WelchT(same, same) != 0 {
-		t.Fatal("identical zero-variance samples should give t=0")
-	}
-	higher := []float64{6, 6, 6}
-	if !math.IsInf(WelchT(higher, same), 1) {
-		t.Fatal("zero-variance separated samples should give +Inf")
-	}
-}
-
 // Property: mean lies within [min, max]; percentiles are monotone.
 func TestSummaryProperties(t *testing.T) {
 	f := func(seed int64) bool {

