@@ -147,12 +147,17 @@ fuzz-smoke:
 # an aggregator whether a round may be reused, so no other code can skip a
 # round behind the round-ordinal contract (an implementation may forward the
 # question on its own declaration line, as dist.Engine does to its cluster).
+# And one in-process training entry point: dist.Run (a worker.Cluster behind a
+# validation) is what the facade, the commands and the experiments train on;
+# dist.NewEngine is left to dist itself, tests, bench/ and abl-runtime's
+# engine-vs-cluster column.
 one-sink:
 	@! grep -rn 'useReference\|DelayCache\|pairBuf\|NewRounds\|worker\.Rounds\|forEachTask\|putHeader\|MsgHeaderBytes\|Fabric) Send(' --include='*.go' . | grep -v _test.go
 	@! grep -n 'aggregate(' internal/gnn/*.go | grep -v '_test\.go:\|^internal/gnn/layer\.go:'
 	@! grep -rn 'nn\.NewAdam(' --include='*.go' . | grep -v '_test\.go:\|^\./internal/nn/\|^\./internal/gnn/trainer\.go:\|^\./bench/'
 	@! grep -rn 'gnn\.NewTrainer(' --include='*.go' . | grep -v '_test\.go:\|^\./internal/gnn/\|^\./internal/dist/runner\.go:\|^\./bench/'
 	@! grep -rn '\.ReuseRound(' --include='*.go' . | grep -v '_test\.go:\|^\./internal/gnn/layer\.go:\|^[^:]*:[0-9]*:func ('
+	@! grep -rn 'dist\.NewEngine(' --include='*.go' . | grep -v '_test\.go:\|^\./internal/dist/\|^\./bench/\|^\./internal/exp/ablation\.go:'
 
 # Tier-1 verification gate (ROADMAP.md): everything must build, pass tests,
 # survive the race detector on the concurrent packages (the multi-process

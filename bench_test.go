@@ -27,7 +27,10 @@ func benchExperiment(b *testing.B, id string) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r := exp.Registry[id](opts)
+		r, err := exp.Run(id, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
 		if len(r.Tables) == 0 && len(r.Figures) == 0 {
 			b.Fatalf("%s produced an empty report", id)
 		}
@@ -108,9 +111,8 @@ func benchEpoch(b *testing.B, cfg dist.Config) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := dist.Run(ds, part, 4, cfg, dist.RunConfig{Epochs: 1, Seed: 1})
-		if res.TestAcc < 0 {
-			b.Fatal("impossible")
+		if _, err := dist.Run(ds, part, 4, cfg, dist.RunConfig{Epochs: 1, Seed: 1}); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

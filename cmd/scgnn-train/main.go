@@ -166,21 +166,17 @@ func run(args []string) int {
 	fmt.Printf("partition %s×%d: %s\n", cutMethod, j.parts, pstats)
 	fmt.Printf("method    %s\n", j.cfg.MethodName())
 
-	var rt dist.Runtime
-	var f *fleet
+	var res *dist.Result
 	if j.nodes == nil {
-		rt = dist.NewEngine(ds.Graph, part, j.parts, j.cfg)
+		res, err = dist.Run(ds, part, j.parts, j.cfg, j.run)
 	} else {
+		var f *fleet
 		if f, err = connect(j.nodes, o.nodeBin, ds.Graph, part, j.cfg); err != nil {
 			fmt.Fprintln(os.Stderr, "scgnn-train:", err)
 			return 1
 		}
 		fmt.Printf("fleet     %d nodes over %s\n", len(j.nodes), strings.Join(j.nodes, ", "))
-		rt = f.coord
-	}
-
-	res, err := dist.Train(rt, ds, j.cfg, j.parts, j.run)
-	if f != nil {
+		res, err = dist.Train(f.coord, ds, j.cfg, j.parts, j.run)
 		f.close(err == nil)
 	}
 	if err != nil {

@@ -2,6 +2,7 @@ package scgnn_test
 
 import (
 	"fmt"
+	"log"
 
 	"scgnn"
 )
@@ -51,8 +52,14 @@ func ExampleTrain() {
 	})
 	part := scgnn.PartitionGraph(ds, 2, scgnn.NodeCut, 7)
 	opt := scgnn.TrainOptions{Epochs: 30, Seed: 7}
-	vanilla := scgnn.Train(ds, part, 2, scgnn.Vanilla(), opt)
-	semantic := scgnn.Train(ds, part, 2, scgnn.Semantic(7), opt)
+	vanilla, err := scgnn.Train(ds, part, 2, scgnn.Vanilla(), opt)
+	if err != nil {
+		log.Fatal(err)
+	}
+	semantic, err := scgnn.Train(ds, part, 2, scgnn.Semantic(7), opt)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Println("compressed:", semantic.BytesPerEpoch < vanilla.BytesPerEpoch/2)
 	fmt.Println("learned:", semantic.TestAcc > 0.7)
 	// Output:

@@ -52,7 +52,10 @@ func main() {
 	fmt.Printf("%-14s  %9s  %10s  %9s\n", "method", "test acc", "MB/epoch", "ms/epoch")
 	var vanillaBytes float64
 	for _, mm := range methods {
-		res := scgnn.Train(ds, part, parts, mm.m, scgnn.TrainOptions{Epochs: 60, Seed: 1})
+		res, err := scgnn.Train(ds, part, parts, mm.m, scgnn.TrainOptions{Epochs: 60, Seed: 1})
+		if err != nil {
+			log.Fatal(err)
+		}
 		if mm.label == "vanilla" {
 			vanillaBytes = res.BytesPerEpoch
 		}

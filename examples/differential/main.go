@@ -43,7 +43,10 @@ func main() {
 			Grouping: core.GroupingConfig{Seed: 1},
 			Drop:     v.drop,
 		})
-		res := scgnn.Train(ds, part, 4, cfg, opt)
+		res, err := scgnn.Train(ds, part, 4, cfg, opt)
+		if err != nil {
+			log.Fatal(err)
+		}
 		if fullBytes == 0 {
 			fullBytes = res.BytesPerEpoch
 		}

@@ -48,7 +48,10 @@ func main() {
 		scgnn.SemanticWith(scgnn.SemanticOptions{Seed: 1}),
 	} {
 		name := m.MethodName()
-		res := scgnn.Train(ds, part, 4, m, scgnn.TrainOptions{Epochs: 60, Seed: 1})
+		res, err := scgnn.Train(ds, part, 4, m, scgnn.TrainOptions{Epochs: 60, Seed: 1})
+		if err != nil {
+			log.Fatal(err)
+		}
 		fmt.Printf("  %-10s test acc %.4f, %8.3f MB/epoch on the wire (%.0f messages/epoch)\n",
 			name, res.TestAcc, res.MBPerEpoch(), res.MsgsPerEpoch)
 	}

@@ -29,24 +29,28 @@ func main() {
 	fmt.Printf("%s × 4 partitions — volume/accuracy frontier\n\n", ds.Name)
 	fmt.Printf("%-22s %12s %10s\n", "point", "norm volume", "test acc")
 
-	van := scgnn.Train(ds, part, 4, scgnn.Vanilla(), opt)
-	show := func(label string, res *scgnn.Result) {
+	train := func(m scgnn.Method) *scgnn.Result {
+		res, err := scgnn.Train(ds, part, 4, m, opt)
+		if err != nil {
+			log.Fatal(err)
+		}
+		return res
+	}
+	van := train(scgnn.Vanilla())
+	show := func(label string, m scgnn.Method) {
+		res := train(m)
 		fmt.Printf("%-22s %12.5f %10.4f\n", label, res.BytesPerEpoch/van.BytesPerEpoch, res.TestAcc)
 	}
-	show("vanilla", van)
+	show("vanilla", scgnn.Vanilla())
 	for _, rate := range []float64{0.1, 0.25, 0.5} {
-		show(fmt.Sprintf("sampling rate=%.2f", rate),
-			scgnn.Train(ds, part, 4, scgnn.Sampling(rate, 1), opt))
+		show(fmt.Sprintf("sampling rate=%.2f", rate), scgnn.Sampling(rate, 1))
 	}
 	for _, bits := range []int{2, 4, 8} {
-		show(fmt.Sprintf("quant bits=%d", bits),
-			scgnn.Train(ds, part, 4, scgnn.Quant(bits), opt))
+		show(fmt.Sprintf("quant bits=%d", bits), scgnn.Quant(bits))
 	}
 	for _, period := range []int{2, 4, 8} {
-		show(fmt.Sprintf("delay period=%d", period),
-			scgnn.Train(ds, part, 4, scgnn.Delay(period), opt))
+		show(fmt.Sprintf("delay period=%d", period), scgnn.Delay(period))
 	}
-	show("semantic (EEP)", scgnn.Train(ds, part, 4, scgnn.Semantic(1), opt))
-	show("semantic w/o O2O",
-		scgnn.Train(ds, part, 4, scgnn.SemanticWith(scgnn.SemanticOptions{DropO2O: true, Seed: 1}), opt))
+	show("semantic (EEP)", scgnn.Semantic(1))
+	show("semantic w/o O2O", scgnn.SemanticWith(scgnn.SemanticOptions{DropO2O: true, Seed: 1}))
 }

@@ -27,8 +27,14 @@ func main() {
 
 	// 3. Train with the vanilla exchange, then with semantic compression.
 	opt := scgnn.TrainOptions{Epochs: 60, Seed: 1}
-	vanilla := scgnn.Train(ds, part, 4, scgnn.Vanilla(), opt)
-	semantic := scgnn.Train(ds, part, 4, scgnn.Semantic(1), opt)
+	vanilla, err := scgnn.Train(ds, part, 4, scgnn.Vanilla(), opt)
+	if err != nil {
+		log.Fatal(err)
+	}
+	semantic, err := scgnn.Train(ds, part, 4, scgnn.Semantic(1), opt)
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	fmt.Printf("vanilla : acc %.4f, %8.3f MB/epoch, %7.2f ms/epoch\n",
 		vanilla.TestAcc, vanilla.MBPerEpoch(), vanilla.EpochTimeMs())

@@ -59,7 +59,7 @@ func TestEngineEqualsCluster(t *testing.T) {
 						t.Fatal(err)
 					}
 					for i, eng := range engs {
-						got, err := eng.Repartition(next)
+						got, err := eng.c.Repartition(next)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -83,7 +83,7 @@ func TestEngineEqualsCluster(t *testing.T) {
 					} else {
 						eng.StartEpoch(epoch)
 					}
-					if lv := eng.ScheduleLevels(); !slices.Equal(lv, wantLv) {
+					if lv := eng.c.ScheduleLevels(); !slices.Equal(lv, wantLv) {
 						t.Fatalf("epoch %d workers %d: rungs %v, cluster %v", epoch, workers[i], lv, wantLv)
 					}
 					bitEqual(t, name, epoch, "forward", wantF, eng.Forward(h))

@@ -17,7 +17,8 @@
 // worker.Cluster, or a connected net.Coordinator — and adds what is dist's
 // own: the model and its init stream, the analytic model flops, the cost
 // model, and (on a fleet) the checkpoint at every epoch boundary. Run is
-// Train on an engine.
+// Train on a worker.Cluster, with the partition and configuration checked
+// first.
 //
 // What the engine adds is the epoch: StartEpoch resets the cluster's traffic
 // and processing counters, CaptureEpoch freezes them as the simnet.Snapshot
@@ -133,41 +134,18 @@ type Engine struct {
 	cfg Config
 }
 
-// NewEngine validates the partition vector and precomputes the cross-edge
-// structures, the gather plans and (when enabled) the semantic plans. Invalid
-// partitions panic here; callers wanting an error instead go through the
-// public scgnn API, which validates first.
+// NewEngine precomputes the cross-edge structures, the gather plans and (when
+// enabled) the semantic plans. A partition or configuration worker.Validate
+// refuses panics here; Run checks it first and returns the error.
 func NewEngine(g *graph.Graph, part []int, nparts int, cfg Config) *Engine {
 	return &Engine{c: worker.NewClusterFromConfig(g, part, nparts, cfg), cfg: cfg}
-}
-
-// Repartition moves the engine to a new partition of the same graph under the
-// exchange core's incremental contract (exchange.Core.Repartition): clean
-// pairs keep plan, arcs and streams verbatim, dirty pairs are rebuilt and
-// re-seeded. Delay slots hold whole-round aggregates, so they are invalidated
-// iff any pair is dirty; a boundary-preserving repartition keeps its replays.
-// Returns the ascending dirty pair indices; on error the engine is unchanged.
-func (e *Engine) Repartition(part []int) ([]int, error) { return e.c.Repartition(part) }
-
-// Fabric exposes the traffic accounting (read-only use intended).
-func (e *Engine) Fabric() *simnet.Fabric { return e.c.Fabric() }
-
-// Plans exposes the semantic pair plans (nil when Semantic is off).
-func (e *Engine) Plans() []*core.PairPlan {
-	var out []*core.PairPlan
-	for _, p := range e.c.Core().PairPlans {
-		if p != nil {
-			out = append(out, p)
-		}
-	}
-	return out
 }
 
 // StartEpoch resets the per-epoch counters; must be called before each
 // training epoch. When variable-rate scheduling is on, the epoch boundary is
 // also the decision point (exchange.Streams.Advance): pairs whose rung
-// changed are re-seeded from scratch — the same reconfiguration contract
-// Repartition applies to dirty pairs. Rung changes never touch the delay
+// changed are re-seeded from scratch — the same reconfiguration contract a
+// repartition applies to dirty pairs. Rung changes never touch the delay
 // slots (they hold whole-round aggregates, which scheduling does not vary).
 func (e *Engine) StartEpoch(epoch int) {
 	e.c.StartEpoch(epoch)
@@ -185,10 +163,6 @@ func (e *Engine) StartEvalEpoch(epoch int) {
 
 // ReuseRound implements gnn.RoundReuser (see worker.Cluster.ReuseRound).
 func (e *Engine) ReuseRound(gen uint64) (uint64, bool) { return e.c.ReuseRound(gen) }
-
-// ScheduleLevels returns a copy of the current per-pair rung levels, or nil
-// when variable-rate scheduling is disabled.
-func (e *Engine) ScheduleLevels() []int { return e.c.ScheduleLevels() }
 
 // CaptureEpoch freezes this epoch's traffic and processing counters.
 func (e *Engine) CaptureEpoch() simnet.Snapshot { return e.c.CaptureEpoch() }

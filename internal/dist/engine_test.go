@@ -76,7 +76,7 @@ func TestVanillaTrafficAccounting(t *testing.T) {
 		t.Fatalf("messages = %d, want one per cross edge (%d)", snap.TotalMessages, cross)
 	}
 	// Each link's one frame: a batch header, then 5 fp32 values a message.
-	fab := eng.Fabric()
+	fab := eng.c.Fabric()
 	for s := 0; s < 3; s++ {
 		for r := 0; r < 3; r++ {
 			msgs := fab.LinkMessages(s, r)

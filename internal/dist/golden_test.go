@@ -75,7 +75,7 @@ func TestEngineGoldenBits(t *testing.T) {
 		}
 		for _, workers := range []int{1, 8} {
 			tc.cfg.Workers = workers
-			res := Run(d, part, 3, tc.cfg, RunConfig{Epochs: 4, Hidden: 8, Seed: 1})
+			res := mustRun(t, d, part, 3, tc.cfg, RunConfig{Epochs: 4, Hidden: 8, Seed: 1})
 			var losses []float64
 			var bytes int64
 			for _, ep := range res.Epochs {

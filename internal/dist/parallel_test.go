@@ -88,8 +88,8 @@ func TestRunParallelEquivalence(t *testing.T) {
 	seqCfg, parCfg := cfg, cfg
 	seqCfg.Workers = 1
 	parCfg.Workers = 4
-	a := Run(d, part, 3, seqCfg, run)
-	b := Run(d, part, 3, parCfg, run)
+	a := mustRun(t, d, part, 3, seqCfg, run)
+	b := mustRun(t, d, part, 3, parCfg, run)
 	if a.TestAcc != b.TestAcc {
 		t.Fatalf("test accuracy differs: %v vs %v", a.TestAcc, b.TestAcc)
 	}
@@ -155,7 +155,10 @@ func TestGroupCoinKeySeparation(t *testing.T) {
 	}
 	eng := NewEngine(g, part, 2, cfg)
 
-	plans := eng.Plans()
+	plans, err := core.BuildAllPlans(g, part, 2, cfg.Plan)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var fwd *core.PairPlan
 	for _, p := range plans {
 		if p.SrcPart == 0 && p.DstPart == 1 {
@@ -174,7 +177,7 @@ func TestGroupCoinKeySeparation(t *testing.T) {
 	for epoch := 0; epoch < 400 && !sawSplit; epoch++ {
 		eng.StartEpoch(epoch)
 		eng.Forward(h)
-		if n := eng.Fabric().LinkMessages(0, 1); n == 1 {
+		if n := eng.c.Fabric().LinkMessages(0, 1); n == 1 {
 			sawSplit = true
 		}
 	}
@@ -247,7 +250,7 @@ func TestFinalEvalUsesActualNextEpoch(t *testing.T) {
 	for i, budget := range []int{100, 101, 102, 103} {
 		run := base
 		run.Epochs = budget
-		r := Run(d, part, 2, cfg, run)
+		r := mustRun(t, d, part, 2, cfg, run)
 		if len(r.Epochs) >= budget {
 			t.Fatalf("early stopping did not trigger within budget %d", budget)
 		}

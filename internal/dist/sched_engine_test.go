@@ -47,9 +47,9 @@ func TestScheduledWorkersInvariance(t *testing.T) {
 			for _, e := range engines {
 				e.StartEpoch(epoch)
 			}
-			want := seq.ScheduleLevels()
+			want := seq.c.ScheduleLevels()
 			for _, e := range engines[1:] {
-				got := e.ScheduleLevels()
+				got := e.c.ScheduleLevels()
 				for i := range want {
 					if got[i] != want[i] {
 						t.Fatalf("%s epoch %d workers=%d: pair %d level %d, want %d",
@@ -89,11 +89,11 @@ func TestScheduledAnnealsToBase(t *testing.T) {
 	eng := NewEngine(d.Graph, part, nparts, cfg)
 	maxLevel := len(sched.Ladder(cfg.BaseSetting())) - 1
 
-	prev := eng.ScheduleLevels()
+	prev := eng.c.ScheduleLevels()
 	converged := -1
 	for epoch := 0; epoch < 8; epoch++ {
 		eng.StartEpoch(epoch)
-		lv := eng.ScheduleLevels()
+		lv := eng.c.ScheduleLevels()
 		all := true
 		for i := range lv {
 			if lv[i] < prev[i] {
@@ -193,19 +193,19 @@ func TestScheduledRepartition(t *testing.T) {
 
 	for epoch := 0; epoch < 8; epoch++ {
 		if epoch == 3 {
-			before := seq.ScheduleLevels()
-			d1, err := seq.Repartition(part2)
+			before := seq.c.ScheduleLevels()
+			d1, err := seq.c.Repartition(part2)
 			if err != nil {
 				t.Fatal(err)
 			}
-			d2, err := par.Repartition(part2)
+			d2, err := par.c.Repartition(part2)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if len(d1) != len(d2) {
 				t.Fatalf("dirty sets differ: %v vs %v", d1, d2)
 			}
-			after := seq.ScheduleLevels()
+			after := seq.c.ScheduleLevels()
 			for i := range before {
 				if before[i] != after[i] {
 					t.Fatalf("repartition changed pair %d level %d→%d", i, before[i], after[i])

@@ -3,7 +3,7 @@ package exp
 import "testing"
 
 func TestAblSimilarityShape(t *testing.T) {
-	r := AblSimilarity(quickOpts())
+	r := quick(t, "abl-sim")
 	tb := r.Tables[0]
 	if len(tb.Rows) == 0 || len(tb.Rows)%2 != 0 {
 		t.Fatalf("rows = %d", len(tb.Rows))
@@ -17,7 +17,7 @@ func TestAblSimilarityShape(t *testing.T) {
 }
 
 func TestAblGroupCountShape(t *testing.T) {
-	r := AblGroupCount(quickOpts())
+	r := quick(t, "abl-groups")
 	s := r.Figures[0].Series[0]
 	if len(s.Y) < 3 {
 		t.Fatal("too few sweep points")
@@ -30,7 +30,7 @@ func TestAblGroupCountShape(t *testing.T) {
 }
 
 func TestAblWeightsShape(t *testing.T) {
-	r := AblWeights(quickOpts())
+	r := quick(t, "abl-weights")
 	tb := r.Tables[0]
 	// Per dataset: l-salsa row then uniform row; uniform must not be wildly
 	// better (the weighting should help or tie).
@@ -44,7 +44,7 @@ func TestAblWeightsShape(t *testing.T) {
 }
 
 func TestAblSeedsShape(t *testing.T) {
-	r := AblSeeds(quickOpts())
+	r := quick(t, "abl-seeds")
 	tb := r.Tables[0]
 	for _, row := range tb.Rows {
 		mean := cell(t, row[2])
@@ -59,7 +59,7 @@ func TestAblSeedsShape(t *testing.T) {
 }
 
 func TestAblDepthShape(t *testing.T) {
-	r := AblDepth(quickOpts())
+	r := quick(t, "abl-depth")
 	sv := r.Figures[0].Series[0]
 	ss := r.Figures[0].Series[1]
 	// Vanilla volume must grow with depth; semantic must stay far below it.
@@ -74,7 +74,7 @@ func TestAblDepthShape(t *testing.T) {
 }
 
 func TestAblFabricShape(t *testing.T) {
-	r := AblFabric(quickOpts())
+	r := quick(t, "abl-fabric")
 	tb := r.Tables[0]
 	if len(tb.Rows) != 3 {
 		t.Fatalf("rows = %d", len(tb.Rows))
@@ -95,7 +95,7 @@ func TestAblFabricShape(t *testing.T) {
 }
 
 func TestAblCodecShape(t *testing.T) {
-	r := AblCodec(quickOpts())
+	r := quick(t, "abl-codec")
 	tb := r.Tables[0]
 	accs := map[string]float64{}
 	vols := map[string]float64{}
@@ -117,7 +117,7 @@ func TestAblCodecShape(t *testing.T) {
 }
 
 func TestAblRuntimeShape(t *testing.T) {
-	r := AblRuntime(quickOpts())
+	r := quick(t, "abl-runtime")
 	for _, row := range r.Tables[0].Rows {
 		if row[4] != "true" {
 			t.Fatalf("%s/%s: engine and wire bytes disagree (%s vs %s)",
@@ -130,7 +130,7 @@ func TestAblRuntimeShape(t *testing.T) {
 }
 
 func TestAblCurvesShape(t *testing.T) {
-	r := AblCurves(quickOpts())
+	r := quick(t, "abl-curves")
 	fig := r.Figures[0]
 	if len(fig.Series) != 4 {
 		t.Fatalf("series = %d", len(fig.Series))

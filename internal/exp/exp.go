@@ -1,13 +1,14 @@
 // Package exp contains one builder per table and figure of the paper's
-// evaluation (Sec. 5). Each builder wires datasets → partitioner → semantic
-// plans → distributed training runs and emits text tables/figures via
+// evaluation (Sec. 5), plus ablations, in one ordered suite that Run runs by
+// id. Each builder wires datasets → partitioner → semantic plans →
+// distributed training runs and emits text tables/figures via
 // internal/trace. The experiment ↔ module map lives in DESIGN.md §4;
 // paper-vs-measured outcomes are recorded in EXPERIMENTS.md.
 package exp
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"scgnn/internal/core"
@@ -83,52 +84,104 @@ func (r *Report) String() string {
 	return b.String()
 }
 
-// Builder runs one experiment.
-type Builder func(Options) *Report
-
-// Registry maps experiment ids to builders, in the paper's order.
-var Registry = map[string]Builder{
-	"fig2b":  Fig2b,
-	"fig2d":  Fig2d,
-	"fig4a":  Fig4a,
-	"fig4b":  Fig4b,
-	"fig6":   Fig6,
-	"fig9":   Fig9,
-	"fig10":  Fig10,
-	"table1": Table1,
-	"fig11":  Fig11,
-	"fig12a": Fig12a,
-	"fig12b": Fig12b,
-	"table2": Table2,
+// suite is the experiment suite in display order: the paper's tables and
+// figures in paper order, then the ablations and the scale study.
+var suite = []struct {
+	id    string
+	build func(*job)
+}{
+	{"fig2b", fig2b}, {"fig2d", fig2d}, {"fig4a", fig4a}, {"fig4b", fig4b},
+	{"fig6", fig6}, {"fig9", fig9}, {"fig10", fig10}, {"table1", table1},
+	{"fig11", fig11}, {"fig12a", fig12a}, {"fig12b", fig12b}, {"table2", table2},
+	{"abl-codec", ablCodec}, {"abl-curves", ablCurves}, {"abl-depth", ablDepth},
+	{"abl-fabric", ablFabric}, {"abl-groups", ablGroupCount}, {"abl-replan", ablReplan},
+	{"abl-runtime", ablRuntime}, {"abl-sched", ablSched}, {"abl-seeds", ablSeeds},
+	{"abl-sim", ablSimilarity}, {"abl-weights", ablWeights}, {"scale", scale},
 }
 
-// IDs returns the registered experiment ids in display order.
+// IDs returns the experiment ids in display order.
 func IDs() []string {
-	ids := make([]string, 0, len(Registry))
-	for id := range Registry {
-		ids = append(ids, id)
+	ids := make([]string, len(suite))
+	for i, e := range suite {
+		ids[i] = e.id
 	}
-	sort.Strings(ids)
-	// Paper order beats alphabetical for readability.
-	order := []string{"fig2b", "fig2d", "fig4a", "fig4b", "fig6", "fig9", "fig10", "table1", "fig11", "fig12a", "fig12b", "table2"}
-	out := make([]string, 0, len(order))
-	for _, id := range order {
-		if _, ok := Registry[id]; ok {
-			out = append(out, id)
-		}
+	return ids
+}
+
+// job is one experiment's run: its options with the defaults applied, the
+// report its builder fills, and the steps every builder shares. A step that
+// fails bails out of the builder; Run returns the error.
+type job struct {
+	Options
+	*Report
+	asked Options // as the caller gave them: the scale study has its own defaults
+}
+
+// bailout carries a failed step out of a builder to Run.
+type bailout struct{ err error }
+
+// Run regenerates experiment id under o and returns its report. An unknown
+// id, or a step that fails — a partition with an empty part, a training run
+// dist.Run refuses — is an error.
+func Run(id string, o Options) (rep *Report, err error) {
+	i := slices.Index(IDs(), id)
+	if i < 0 {
+		return nil, fmt.Errorf("exp: unknown experiment %q", id)
 	}
-	for _, id := range ids {
-		found := false
-		for _, o := range out {
-			if o == id {
-				found = true
+	defer func() {
+		if p := recover(); p != nil {
+			b, ok := p.(bailout)
+			if !ok {
+				panic(p)
 			}
+			rep, err = nil, fmt.Errorf("exp %s: %w", id, b.err)
 		}
-		if !found {
-			out = append(out, id)
-		}
+	}()
+	j := &job{Options: o.withDefaults(), Report: &Report{ID: id}, asked: o}
+	suite[i].build(j)
+	return j.Report, nil
+}
+
+// check bails out of the builder when err is not nil.
+func (j *job) check(err error) {
+	if err != nil {
+		panic(bailout{err})
 	}
-	return out
+}
+
+// cut splits d into nparts parts with method m; a vector
+// graph.ValidatePartition refuses fails the experiment.
+func (j *job) cut(d *datasets.Dataset, nparts int, m partition.Method) []int {
+	part := partition.Partition(d.Graph, nparts, m, partition.Config{Seed: j.Seed})
+	j.check(graph.ValidatePartition(d.NumNodes(), part, nparts))
+	return part
+}
+
+// part is the default partition: node-cut into Options.Partitions parts.
+func (j *job) part(d *datasets.Dataset) []int { return j.cut(d, j.Partitions, partition.NodeCut) }
+
+// train is dist.Run, failing the experiment on an error.
+func (j *job) train(d *datasets.Dataset, part []int, nparts int, cfg dist.Config, rc dist.RunConfig) *dist.Result {
+	res, err := dist.Run(d, part, nparts, cfg, rc)
+	j.check(err)
+	return res
+}
+
+// runCfg is the shared training configuration.
+func (j *job) runCfg() dist.RunConfig { return dist.RunConfig{Epochs: j.Epochs, Seed: j.Seed} }
+
+// table adds a table to the report.
+func (j *job) table(title string, columns ...string) *trace.Table {
+	t := trace.NewTable(title, columns...)
+	j.Tables = append(j.Tables, t)
+	return t
+}
+
+// figure adds a figure to the report.
+func (j *job) figure(title, xLabel, yLabel string) *trace.Figure {
+	f := trace.NewFigure(title, xLabel, yLabel)
+	j.Figures = append(j.Figures, f)
+	return f
 }
 
 // benchDatasets returns the experiment's dataset list (all four, or a dense
@@ -153,11 +206,6 @@ func quickReddit(seed int64) *datasets.Dataset {
 	})
 }
 
-// partitionFor runs the default node-cut partitioner.
-func partitionFor(d *datasets.Dataset, nparts int, seed int64) []int {
-	return partition.Partition(d.Graph, nparts, partition.NodeCut, partition.Config{Seed: seed})
-}
-
 // semanticCfg is the default SC-GNN configuration (auto-EEP grouping).
 func semanticCfg(seed int64) dist.Config {
 	return dist.Semantic(core.PlanConfig{Grouping: core.GroupingConfig{Seed: seed}})
@@ -173,9 +221,4 @@ func largestDBG(d *datasets.Dataset, part []int, nparts int) *graph.DBG {
 		}
 	}
 	return best
-}
-
-// runCfg builds the shared training configuration.
-func runCfg(o Options) dist.RunConfig {
-	return dist.RunConfig{Epochs: o.Epochs, Seed: o.Seed}
 }

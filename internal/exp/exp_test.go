@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -8,6 +9,16 @@ import (
 
 func quickOpts() Options {
 	return Options{Seed: 1, Quick: true, Partitions: 2}
+}
+
+// quick runs experiment id through Run on the Quick options.
+func quick(t *testing.T, id string) *Report {
+	t.Helper()
+	r, err := Run(id, quickOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
 }
 
 // cell parses a float from a table cell.
@@ -20,33 +31,60 @@ func cell(t *testing.T, s string) float64 {
 	return v
 }
 
+// TestRegistryAndIDs: the suite's ids are unique and in display order — the
+// paper's tables and figures in paper order, then the ablations and the
+// scale study — and Run refuses an id outside it.
 func TestRegistryAndIDs(t *testing.T) {
-	ids := IDs()
-	if len(ids) != len(Registry) {
-		t.Fatalf("IDs %d vs Registry %d", len(ids), len(Registry))
+	want := []string{"fig2b", "fig2d", "fig4a", "fig4b", "fig6", "fig9", "fig10", "table1",
+		"fig11", "fig12a", "fig12b", "table2",
+		"abl-codec", "abl-curves", "abl-depth", "abl-fabric", "abl-groups", "abl-replan",
+		"abl-runtime", "abl-sched", "abl-seeds", "abl-sim", "abl-weights", "scale"}
+	if ids := IDs(); !slices.Equal(ids, want) {
+		t.Fatalf("IDs() = %v\nwant %v", ids, want)
 	}
-	if ids[0] != "fig2b" {
-		t.Fatalf("ordering wrong: %v", ids)
-	}
-	// Paper experiments come first, ablations after table2.
-	seenTable2 := false
-	for _, id := range ids {
-		if id == "table2" {
-			seenTable2 = true
+	seen := map[string]bool{}
+	for _, e := range suite {
+		if seen[e.id] || e.build == nil {
+			t.Fatalf("suite entry %q duplicated or without a builder", e.id)
 		}
-		if len(id) > 4 && id[:4] == "abl-" && !seenTable2 {
-			t.Fatalf("ablation %s ordered before paper experiments: %v", id, ids)
-		}
+		seen[e.id] = true
 	}
-	for _, id := range ids {
-		if Registry[id] == nil {
-			t.Fatalf("nil builder for %s", id)
+	if r, err := Run("nope", quickOpts()); err == nil || r != nil {
+		t.Fatalf("Run(nope) = %v, %v; want an error", r, err)
+	}
+}
+
+// TestRunRefusesEmptyParts: more partitions than the Quick datasets have
+// nodes leaves parts empty, which a training experiment (fig9) and a
+// plan-only one (fig2d) each return as an error instead of panicking.
+func TestRunRefusesEmptyParts(t *testing.T) {
+	for _, id := range []string{"fig9", "fig2d"} {
+		r, err := Run(id, Options{Seed: 1, Quick: true, Partitions: 1000})
+		if err == nil || r != nil || !strings.Contains(err.Error(), "is empty") {
+			t.Errorf("Run(%s, 1000 parts) = %v, %v; want an empty-partition error", id, r, err)
 		}
 	}
 }
 
+// TestRunRepanicsForeignPanics: Run turns only a failed step into an error;
+// any other panic in a builder is a bug and propagates.
+func TestRunRepanicsForeignPanics(t *testing.T) {
+	defer func() {
+		if p := recover(); p != "boom" {
+			t.Fatalf("recovered %v, want the builder's own panic", p)
+		}
+	}()
+	suite = append(suite, struct {
+		id    string
+		build func(*job)
+	}{"boom", func(*job) { panic("boom") }})
+	defer func() { suite = suite[:len(suite)-1] }()
+	Run("boom", quickOpts())
+	t.Fatal("Run returned")
+}
+
 func TestFig2bShape(t *testing.T) {
-	r := Fig2b(quickOpts())
+	r := quick(t, "fig2b")
 	if len(r.Tables) == 0 || len(r.Figures) == 0 {
 		t.Fatal("empty report")
 	}
@@ -76,7 +114,7 @@ func TestFig2bShape(t *testing.T) {
 }
 
 func TestFig2dShape(t *testing.T) {
-	r := Fig2d(quickOpts())
+	r := quick(t, "fig2d")
 	tb := r.Tables[0]
 	if len(tb.Rows) == 0 {
 		t.Fatal("no rows")
@@ -94,7 +132,7 @@ func TestFig2dShape(t *testing.T) {
 }
 
 func TestFig4aShape(t *testing.T) {
-	r := Fig4a(quickOpts())
+	r := quick(t, "fig4a")
 	fig := r.Figures[0]
 	sem := fig.Series[0]
 	jac := fig.Series[1]
@@ -108,7 +146,7 @@ func TestFig4aShape(t *testing.T) {
 }
 
 func TestFig4bShape(t *testing.T) {
-	r := Fig4b(quickOpts())
+	r := quick(t, "fig4b")
 	if len(r.Figures[0].Series) == 0 {
 		t.Fatal("no inertia curves")
 	}
@@ -128,7 +166,7 @@ func TestFig4bShape(t *testing.T) {
 }
 
 func TestFig6Shape(t *testing.T) {
-	r := Fig6(quickOpts())
+	r := quick(t, "fig6")
 	if len(r.Tables[0].Rows) == 0 {
 		t.Fatal("no silhouette rows")
 	}
@@ -146,7 +184,7 @@ func TestFig6Shape(t *testing.T) {
 }
 
 func TestFig9Shape(t *testing.T) {
-	r := Fig9(quickOpts())
+	r := quick(t, "fig9")
 	tb := r.Tables[0]
 	if len(tb.Rows) < 2 {
 		t.Fatal("need dense + sparse rows")
@@ -166,7 +204,7 @@ func TestFig9Shape(t *testing.T) {
 }
 
 func TestFig10Shape(t *testing.T) {
-	r := Fig10(quickOpts())
+	r := quick(t, "fig10")
 	tb := r.Tables[0]
 	dense := cell(t, tb.Rows[0][2])
 	sparse := cell(t, tb.Rows[len(tb.Rows)-1][2])
@@ -176,7 +214,7 @@ func TestFig10Shape(t *testing.T) {
 }
 
 func TestTable1Shape(t *testing.T) {
-	r := Table1(quickOpts())
+	r := quick(t, "table1")
 	tb := r.Tables[0]
 	// Group rows by dataset+parts and check semantic epoch time is minimal
 	// in the majority of cells (paper: all cells).
@@ -216,7 +254,7 @@ func TestTable1Shape(t *testing.T) {
 }
 
 func TestFig11Shape(t *testing.T) {
-	r := Fig11(quickOpts())
+	r := quick(t, "fig11")
 	tb := r.Tables[0]
 	// For each dataset, without-O2O must never increase volume, must strictly
 	// reduce it somewhere (graphs with O2O residuals), and must keep accuracy
@@ -248,7 +286,7 @@ func TestFig11Shape(t *testing.T) {
 }
 
 func TestFig12aShape(t *testing.T) {
-	r := Fig12a(quickOpts())
+	r := quick(t, "fig12a")
 	s := r.Figures[0].Series[0]
 	if len(s.Y) < 3 {
 		t.Fatal("too few sweep points")
@@ -260,7 +298,7 @@ func TestFig12aShape(t *testing.T) {
 }
 
 func TestFig12bShape(t *testing.T) {
-	r := Fig12b(quickOpts())
+	r := quick(t, "fig12b")
 	tb := r.Tables[0]
 	vols := map[string]float64{}
 	accs := map[string]float64{}
@@ -277,7 +315,7 @@ func TestFig12bShape(t *testing.T) {
 }
 
 func TestTable2Shape(t *testing.T) {
-	r := Table2(quickOpts())
+	r := quick(t, "table2")
 	tb := r.Tables[0]
 	// Per dataset: random vanilla CV ≥ node-cut vanilla CV.
 	byDS := map[string]map[string][]float64{}
@@ -295,7 +333,7 @@ func TestTable2Shape(t *testing.T) {
 }
 
 func TestReportString(t *testing.T) {
-	r := Fig4a(quickOpts())
+	r := quick(t, "fig4a")
 	out := r.String()
 	if !strings.Contains(out, "experiment fig4a") || !strings.Contains(out, "note:") {
 		t.Fatalf("report rendering incomplete:\n%s", out)

@@ -3,19 +3,16 @@ package exp
 import (
 	"scgnn/internal/core"
 	"scgnn/internal/dist"
-	"scgnn/internal/trace"
 )
 
-// Fig11 reproduces the differential optimization study of Fig. 11: under
+// fig11 reproduces the differential optimization study of Fig. 11: under
 // semantic compression, each connection type is removed in turn and the
 // resulting traffic and accuracy are measured. The paper's discovery:
 // removing any single type costs little accuracy, and "without-O2O" is the
 // only variant that also slashes the residual traffic (to 24–45%), since
 // after compression the raw O2O messages dominate the volume.
-func Fig11(o Options) *Report {
-	o = o.withDefaults()
-	r := &Report{ID: "fig11"}
-	tb := trace.NewTable("Fig. 11: differential optimization under semantic compression",
+func fig11(j *job) {
+	tb := j.table("Fig. 11: differential optimization under semantic compression",
 		"dataset", "variant", "comm MB/epoch", "norm volume", "test acc", "acc delta")
 
 	variants := []struct {
@@ -29,15 +26,15 @@ func Fig11(o Options) *Report {
 		{"without-M2M", core.DropMask{M2M: true}},
 	}
 
-	for _, ds := range benchDatasets(o) {
-		part := partitionFor(ds, o.Partitions, o.Seed)
+	for _, ds := range benchDatasets(j.Options) {
+		part := j.part(ds)
 		var full *dist.Result
 		for _, v := range variants {
 			cfg := dist.Semantic(core.PlanConfig{
-				Grouping: core.GroupingConfig{Seed: o.Seed},
+				Grouping: core.GroupingConfig{Seed: j.Seed},
 				Drop:     v.mask,
 			})
-			res := dist.Run(ds, part, o.Partitions, cfg, runCfg(o))
+			res := j.train(ds, part, j.Partitions, cfg, j.runCfg())
 			if v.name == "full" {
 				full = res
 			}
@@ -49,11 +46,9 @@ func Fig11(o Options) *Report {
 			}
 			tb.AddRow(ds.Name, v.name, res.MBPerEpoch(), norm, res.TestAcc, delta)
 			if v.name == "without-O2O" {
-				r.AddNote("%s: without-O2O keeps %.0f%% of compressed traffic at %+.3f accuracy",
+				j.AddNote("%s: without-O2O keeps %.0f%% of compressed traffic at %+.3f accuracy",
 					ds.Name, 100*norm, delta)
 			}
 		}
 	}
-	r.Tables = append(r.Tables, tb)
-	return r
 }

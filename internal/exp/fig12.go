@@ -3,55 +3,47 @@ package exp
 import (
 	"scgnn/internal/datasets"
 	"scgnn/internal/dist"
-	"scgnn/internal/trace"
 )
 
-// Fig12a reproduces the graph-connectivity study of Fig. 12(a): the
+// fig12a reproduces the graph-connectivity study of Fig. 12(a): the
 // compression ratio of semantic compression as a function of the graph's
 // average degree, on otherwise-identical synthetic graphs. Denser graphs
 // form larger full-map groups, so the ratio improves monotonically with
 // degree (Reddit compresses below 0.5% in the paper because d̄ = 489).
-func Fig12a(o Options) *Report {
-	o = o.withDefaults()
-	r := &Report{ID: "fig12a"}
+func fig12a(j *job) {
 	degrees := []float64{3, 6, 12, 24, 48, 96}
-	if o.Quick {
+	if j.Quick {
 		degrees = []float64{4, 16, 48}
 	}
-	fig := trace.NewFigure("Fig. 12(a): compression vs average degree", "avg degree", "semantic/vanilla volume")
+	fig := j.figure("Fig. 12(a): compression vs average degree", "avg degree", "semantic/vanilla volume")
 	s := fig.AddSeries("semantic")
-	tb := trace.NewTable("Fig. 12(a) points", "avg degree", "vanilla MB", "semantic MB", "ratio")
+	tb := j.table("Fig. 12(a) points", "avg degree", "vanilla MB", "semantic MB", "ratio")
 
-	cfg := runCfg(o)
+	cfg := j.runCfg()
 	cfg.Epochs = 4 // volume is static; a few epochs measure it exactly
-	for i, ds := range datasets.DegreeSweep(degrees, o.Seed) {
-		part := partitionFor(ds, o.Partitions, o.Seed)
-		van := dist.Run(ds, part, o.Partitions, dist.Vanilla(), cfg)
-		sem := dist.Run(ds, part, o.Partitions, semanticCfg(o.Seed), cfg)
+	for i, ds := range datasets.DegreeSweep(degrees, j.Seed) {
+		part := j.part(ds)
+		van := j.train(ds, part, j.Partitions, dist.Vanilla(), cfg)
+		sem := j.train(ds, part, j.Partitions, semanticCfg(j.Seed), cfg)
 		ratio := sem.BytesPerEpoch / van.BytesPerEpoch
 		s.Add(ds.Graph.AvgDegree(), ratio)
 		tb.AddRow(degrees[i], van.MBPerEpoch(), sem.MBPerEpoch(), ratio)
 	}
-	r.Figures = append(r.Figures, fig)
-	r.Tables = append(r.Tables, tb)
-	r.AddNote("volume ratio at d=%.0f is %.4f vs %.4f at d=%.0f",
+	j.AddNote("volume ratio at d=%.0f is %.4f vs %.4f at d=%.0f",
 		degrees[len(degrees)-1], s.Y[len(s.Y)-1], s.Y[0], degrees[0])
-	return r
 }
 
-// Fig12b reproduces the cross-compatibility study of Fig. 12(b): every
+// fig12b reproduces the cross-compatibility study of Fig. 12(b): every
 // pairing of the four traffic reducers is run jointly; the paper concludes
 // semantic compression composes best with the others, while sampling is the
 // most exclusive partner.
-func Fig12b(o Options) *Report {
-	o = o.withDefaults()
-	r := &Report{ID: "fig12b"}
-	ds := benchDatasets(o)[0]
-	part := partitionFor(ds, o.Partitions, o.Seed)
-	tb := trace.NewTable("Fig. 12(b): method compatibility",
+func fig12b(j *job) {
+	ds := benchDatasets(j.Options)[0]
+	part := j.part(ds)
+	tb := j.table("Fig. 12(b): method compatibility",
 		"combo", "comm MB/epoch", "norm volume", "test acc")
 
-	combos := laneList(o.Seed,
+	combos := laneList(j.Seed,
 		"vanilla",
 		"semantic", // ours
 		"semantic+quant",
@@ -63,16 +55,14 @@ func Fig12b(o Options) *Report {
 
 	var vanBytes float64
 	for i, cfg := range combos {
-		res := dist.Run(ds, part, o.Partitions, cfg, runCfg(o))
+		res := j.train(ds, part, j.Partitions, cfg, j.runCfg())
 		if i == 0 {
 			vanBytes = res.BytesPerEpoch
 		}
 		tb.AddRow(res.Method, res.MBPerEpoch(), res.BytesPerEpoch/vanBytes, res.TestAcc)
 		if cfg.Semantic && cfg.QuantBits > 0 {
-			r.AddNote("semantic+quant reaches %.5f of vanilla volume at %.4f accuracy",
+			j.AddNote("semantic+quant reaches %.5f of vanilla volume at %.4f accuracy",
 				res.BytesPerEpoch/vanBytes, res.TestAcc)
 		}
 	}
-	r.Tables = append(r.Tables, tb)
-	return r
 }

@@ -8,31 +8,28 @@ import (
 	"scgnn/internal/trace"
 )
 
-// Fig2b reproduces the volume/accuracy Pareto study of Fig. 2(b): the three
+// fig2b reproduces the volume/accuracy Pareto study of Fig. 2(b): the three
 // decaying baselines are swept over their knobs (sample rate, bit width,
 // delay period) on the dense dataset, and SC-GNN is placed as a single point.
 // The paper's claim: the baselines share a common frontier; semantic
 // compression breaks through it (far less volume at equal-or-better
 // accuracy).
-func Fig2b(o Options) *Report {
-	o = o.withDefaults()
-	r := &Report{ID: "fig2b"}
-
-	ds := benchDatasets(o)[0] // the dense (reddit-like) dataset
-	part := partitionFor(ds, o.Partitions, o.Seed)
+func fig2b(j *job) {
+	ds := benchDatasets(j.Options)[0] // the dense (reddit-like) dataset
+	part := j.part(ds)
 
 	rates := []float64{0.1, 0.25, 0.5, 0.75}
 	bits := []int{2, 4, 8, 16}
 	delays := []int{2, 4, 8}
-	if o.Quick {
+	if j.Quick {
 		rates = []float64{0.25, 0.75}
 		bits = []int{4, 8}
 		delays = []int{2, 4}
 	}
 
-	van := dist.Run(ds, part, o.Partitions, dist.Vanilla(), runCfg(o))
-	fig := trace.NewFigure("Fig. 2(b): volume vs accuracy Pareto", "norm volume", "test accuracy")
-	tb := trace.NewTable("Fig. 2(b) points", "method", "knob", "norm volume", "test acc")
+	van := j.train(ds, part, j.Partitions, dist.Vanilla(), j.runCfg())
+	fig := j.figure("Fig. 2(b): volume vs accuracy Pareto", "norm volume", "test accuracy")
+	tb := j.table("Fig. 2(b) points", "method", "knob", "norm volume", "test acc")
 
 	record := func(s *trace.Series, name, knob string, res *dist.Result) {
 		nv := res.BytesPerEpoch / van.BytesPerEpoch
@@ -44,53 +41,44 @@ func Fig2b(o Options) *Report {
 	record(sv, "vanilla", "-", van)
 	ss := fig.AddSeries("sampling")
 	for i, rate := range rates {
-		res := dist.Run(ds, part, o.Partitions, dist.Sampling(rate, o.Seed+int64(i)), runCfg(o))
+		res := j.train(ds, part, j.Partitions, dist.Sampling(rate, j.Seed+int64(i)), j.runCfg())
 		record(ss, "sampling", fmtF(rate), res)
 	}
 	sq := fig.AddSeries("quant")
 	for _, b := range bits {
-		res := dist.Run(ds, part, o.Partitions, dist.Quant(b), runCfg(o))
+		res := j.train(ds, part, j.Partitions, dist.Quant(b), j.runCfg())
 		record(sq, "quant", fmtI(b), res)
 	}
 	sd := fig.AddSeries("delay")
 	for _, p := range delays {
-		res := dist.Run(ds, part, o.Partitions, dist.Delay(p), runCfg(o))
+		res := j.train(ds, part, j.Partitions, dist.Delay(p), j.runCfg())
 		record(sd, "delay", fmtI(p), res)
 	}
 	so := fig.AddSeries("semantic")
-	sem := dist.Run(ds, part, o.Partitions, semanticCfg(o.Seed), runCfg(o))
+	sem := j.train(ds, part, j.Partitions, semanticCfg(j.Seed), j.runCfg())
 	record(so, "semantic", "EEP", sem)
 
-	r.Figures = append(r.Figures, fig)
-	r.Tables = append(r.Tables, tb)
-	r.AddNote("semantic point: %.4f of vanilla volume at %.4f accuracy (vanilla %.4f)",
+	j.AddNote("semantic point: %.4f of vanilla volume at %.4f accuracy (vanilla %.4f)",
 		sem.BytesPerEpoch/van.BytesPerEpoch, sem.TestAcc, van.TestAcc)
-	return r
 }
 
-// Fig2d reproduces the connection-type census of Fig. 2(d): across the
+// fig2d reproduces the connection-type census of Fig. 2(d): across the
 // datasets, M2M connections carry the overwhelming share of cross-partition
 // edges (up to 99.98% in the paper), while pure O2O is rare.
-func Fig2d(o Options) *Report {
-	o = o.withDefaults()
-	r := &Report{ID: "fig2d"}
-	tb := trace.NewTable("Fig. 2(d): connection-type census",
+func fig2d(j *job) {
+	tb := j.table("Fig. 2(d): connection-type census",
 		"dataset", "parts", "O2O conns", "O2M conns", "M2O conns", "M2M conns",
 		"O2O edge%", "O2M edge%", "M2O edge%", "M2M edge%")
 
-	for _, ds := range benchDatasets(o) {
-		part := partitionFor(ds, o.Partitions, o.Seed)
-		dbgs := graph.AllDBGs(ds.Graph, part, o.Partitions)
-		c := graph.Census(dbgs)
-		tb.AddRow(ds.Name, o.Partitions,
+	for _, ds := range benchDatasets(j.Options) {
+		c := graph.Census(graph.AllDBGs(ds.Graph, j.part(ds), j.Partitions))
+		tb.AddRow(ds.Name, j.Partitions,
 			c.Connections[graph.O2O], c.Connections[graph.O2M],
 			c.Connections[graph.M2O], c.Connections[graph.M2M],
 			100*c.EdgeShare(graph.O2O), 100*c.EdgeShare(graph.O2M),
 			100*c.EdgeShare(graph.M2O), 100*c.EdgeShare(graph.M2M))
-		r.AddNote("%s: M2M carries %.2f%% of cross-partition edges", ds.Name, 100*c.EdgeShare(graph.M2M))
+		j.AddNote("%s: M2M carries %.2f%% of cross-partition edges", ds.Name, 100*c.EdgeShare(graph.M2M))
 	}
-	r.Tables = append(r.Tables, tb)
-	return r
 }
 
 func fmtF(f float64) string { return fmt.Sprintf("%.2g", f) }

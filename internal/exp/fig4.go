@@ -3,24 +3,21 @@ package exp
 import (
 	"scgnn/internal/cluster"
 	"scgnn/internal/core"
-	"scgnn/internal/trace"
 )
 
-// Fig4a reproduces the window-sliding cohesion study of Fig. 4(a): two
+// fig4a reproduces the window-sliding cohesion study of Fig. 4(a): two
 // adjacency rows with a fixed number of valid bits; one window slides across
 // the other. The semantic similarity amplifies the high-overlap middle
 // super-linearly; Jaccard grows only linearly.
-func Fig4a(o Options) *Report {
-	o = o.withDefaults()
-	r := &Report{ID: "fig4a"}
+func fig4a(j *job) {
 	width, valid := 64, 16
-	if o.Quick {
+	if j.Quick {
 		width, valid = 32, 8
 	}
 	sem := core.SlidingCohesion(width, valid, core.SemanticSimilarity{})
 	jac := core.SlidingCohesion(width, valid, core.JaccardSimilarity{})
 
-	fig := trace.NewFigure("Fig. 4(a): window-sliding cohesion", "offset", "similarity")
+	fig := j.figure("Fig. 4(a): window-sliding cohesion", "offset", "similarity")
 	ss := fig.AddSeries("semantic")
 	sj := fig.AddSeries("jaccard")
 	sr := fig.AddSeries("amplification (sem/jac)")
@@ -33,36 +30,32 @@ func Fig4a(o Options) *Report {
 			sr.Add(float64(i), 0)
 		}
 	}
-	r.Figures = append(r.Figures, fig)
-	r.AddNote("peak amplification %.1fx at full overlap (semantic %.2f vs jaccard %.2f)",
+	j.AddNote("peak amplification %.1fx at full overlap (semantic %.2f vs jaccard %.2f)",
 		sem[0]/jac[0], sem[0], jac[0])
-	return r
 }
 
-// Fig4b reproduces the group-number traversal of Fig. 4(b): the k-means
+// fig4b reproduces the group-number traversal of Fig. 4(b): the k-means
 // inertia curve of the M2M source pool per dataset, with the elbow
 // equilibrium point (EEP) marked. Small k → high inertia (miss-
 // classification risk); large k → many costly compression units.
-func Fig4b(o Options) *Report {
-	o = o.withDefaults()
-	r := &Report{ID: "fig4b"}
-	fig := trace.NewFigure("Fig. 4(b): inertia vs group number", "k", "normalized inertia")
-	tb := trace.NewTable("Fig. 4(b) EEP picks", "dataset", "pool size", "EEP k", "inertia@EEP")
+func fig4b(j *job) {
+	fig := j.figure("Fig. 4(b): inertia vs group number", "k", "normalized inertia")
+	tb := j.table("Fig. 4(b) EEP picks", "dataset", "pool size", "EEP k", "inertia@EEP")
 
 	kmax := 20
-	if o.Quick {
+	if j.Quick {
 		kmax = 10
 	}
-	for _, ds := range benchDatasets(o) {
-		part := partitionFor(ds, o.Partitions, o.Seed)
-		dbg := largestDBG(ds, part, o.Partitions)
+	for _, ds := range benchDatasets(j.Options) {
+		part := j.part(ds)
+		dbg := largestDBG(ds, part, j.Partitions)
 		if dbg == nil {
-			r.AddNote("%s: no cross-partition edges", ds.Name)
+			j.AddNote("%s: no cross-partition edges", ds.Name)
 			continue
 		}
-		gr := core.BuildGrouping(dbg, core.GroupingConfig{KMax: kmax, Seed: o.Seed})
+		gr := core.BuildGrouping(dbg, core.GroupingConfig{KMax: kmax, Seed: j.Seed})
 		if len(gr.InertiaCurve) == 0 {
-			r.AddNote("%s: M2M pool too small for a traversal (k=%d)", ds.Name, gr.K)
+			j.AddNote("%s: M2M pool too small for a traversal (k=%d)", ds.Name, gr.K)
 			continue
 		}
 		s := fig.AddSeries(ds.Name)
@@ -75,9 +68,6 @@ func Fig4b(o Options) *Report {
 		}
 		eepIdx := cluster.ElbowEEP(gr.InertiaCurve)
 		tb.AddRow(ds.Name, len(gr.PoolSrc), gr.K, gr.InertiaCurve[eepIdx])
-		r.AddNote("%s: EEP picks k=%d over a pool of %d M2M sources", ds.Name, gr.K, len(gr.PoolSrc))
+		j.AddNote("%s: EEP picks k=%d over a pool of %d M2M sources", ds.Name, gr.K, len(gr.PoolSrc))
 	}
-	r.Figures = append(r.Figures, fig)
-	r.Tables = append(r.Tables, tb)
-	return r
 }

@@ -8,7 +8,7 @@ import (
 	"scgnn/internal/trace"
 )
 
-// Fig6 reproduces the drop-dimensional grouping visualization of Fig. 6:
+// fig6 reproduces the drop-dimensional grouping visualization of Fig. 6:
 // the M2M source pool of each dataset is embedded under Jaccard and under
 // semantic similarity, grouped by k-means, and projected to 2-D by PCA.
 // The paper's claim — Jaccard creates "misclassified points and mixed
@@ -16,15 +16,13 @@ import (
 // quantified here by the silhouette coefficient of each clustering in its
 // own embedding space (higher = crisper groups), alongside the PCA
 // coordinates for the first few points of each cluster.
-func Fig6(o Options) *Report {
-	o = o.withDefaults()
-	r := &Report{ID: "fig6"}
-	tb := trace.NewTable("Fig. 6: grouping crispness (silhouette, higher is better)",
+func fig6(j *job) {
+	tb := j.table("Fig. 6: grouping crispness (silhouette, higher is better)",
 		"dataset", "pool", "k", "jaccard silhouette", "semantic silhouette")
 
-	for _, ds := range benchDatasets(o) {
-		part := partitionFor(ds, o.Partitions, o.Seed)
-		dbg := largestDBG(ds, part, o.Partitions)
+	for _, ds := range benchDatasets(j.Options) {
+		part := j.part(ds)
+		dbg := largestDBG(ds, part, j.Partitions)
 		if dbg == nil {
 			continue
 		}
@@ -32,7 +30,7 @@ func Fig6(o Options) *Report {
 		var k int
 		var pool int
 		for i, sim := range []core.Similarity{core.JaccardSimilarity{}, core.SemanticSimilarity{}} {
-			gr := core.BuildGrouping(dbg, core.GroupingConfig{Sim: sim, Seed: o.Seed})
+			gr := core.BuildGrouping(dbg, core.GroupingConfig{Sim: sim, Seed: j.Seed})
 			if gr.Embedding == nil || len(gr.PoolSrc) < 4 {
 				break
 			}
@@ -42,8 +40,8 @@ func Fig6(o Options) *Report {
 
 			// Record the 2-D PCA projection of the semantic embedding.
 			if sim.Name() == "semantic" {
-				coords, eig := cluster.PCA(gr.Embedding, 2, rand.New(rand.NewSource(o.Seed)))
-				fig := trace.NewFigure("Fig. 6 PCA coords: "+ds.Name, "PC1", "PC2")
+				coords, eig := cluster.PCA(gr.Embedding, 2, rand.New(rand.NewSource(j.Seed)))
+				fig := j.figure("Fig. 6 PCA coords: "+ds.Name, "PC1", "PC2")
 				// One series per cluster, limited to keep text output sane.
 				maxPts := 12
 				members := map[int]int{}
@@ -64,18 +62,15 @@ func Fig6(o Options) *Report {
 						s.Add(coords.At(i, 0), coords.At(i, 1))
 					}
 				}
-				r.Figures = append(r.Figures, fig)
 				if len(eig) > 1 && eig[0] > 0 {
-					r.AddNote("%s: PC1/PC2 explain %.2f/%.2f of embedding variance",
+					j.AddNote("%s: PC1/PC2 explain %.2f/%.2f of embedding variance",
 						ds.Name, eig[0], eig[1])
 				}
 			}
 		}
 		if pool >= 4 {
 			tb.AddRow(ds.Name, pool, k, sil[0], sil[1])
-			r.AddNote("%s: semantic silhouette %.3f vs jaccard %.3f", ds.Name, sil[1], sil[0])
+			j.AddNote("%s: semantic silhouette %.3f vs jaccard %.3f", ds.Name, sil[1], sil[0])
 		}
 	}
-	r.Tables = append(r.Tables, tb)
-	return r
 }

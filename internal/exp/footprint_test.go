@@ -28,7 +28,10 @@ func TestScale100KFootprintGate(t *testing.T) {
 	if testing.Short() {
 		t.Skip("100k preset pipeline in -short mode")
 	}
-	res := scaleOne("reddit-sim-100k", Options{Seed: 1, Partitions: 8})
+	res, err := scaleOne("reddit-sim-100k", Options{Seed: 1, Partitions: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
 	const budget = 320 << 20
 	t.Logf("100k heap high-water: %.1f MB (gen %.1f, plan %.1f, replan %.1f; total footprint %.1f MB)",
 		float64(res.PeakHeapBytes)/(1<<20),

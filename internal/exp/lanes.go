@@ -13,7 +13,7 @@ import (
 // their configuration lists from. It carries every exchange.MethodMatrix
 // combination under its matrix name (the coverage is locked by
 // TestLanesCoverMethodMatrix) plus the figure-specific compositions the
-// matrix does not, so AblCodec, Fig12b, and AblSched assemble their sweeps
+// matrix does not, so abl-codec, fig12b and abl-sched assemble their sweeps
 // from one table instead of repeating dist.Config literals.
 func Lanes(seed int64) map[string]dist.Config {
 	plan := core.PlanConfig{Grouping: core.GroupingConfig{Seed: seed}}

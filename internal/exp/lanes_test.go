@@ -52,7 +52,7 @@ func TestLaneListOrderAndUnknown(t *testing.T) {
 // recorded acceptance evidence: the scheduled run's accuracy holds up against
 // the best fixed combination while total bytes drop by at least a quarter.
 func TestAblSchedShape(t *testing.T) {
-	r := AblSched(quickOpts())
+	r := quick(t, "abl-sched")
 	tb := r.Tables[0]
 	// One row per matrix combo plus the sched row.
 	if want := len(matrixLaneNames(1)) + 1; len(tb.Rows) != want {

@@ -2,19 +2,15 @@ package exp
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 
 	"scgnn/internal/core"
 	"scgnn/internal/graph"
-	"scgnn/internal/trace"
 )
 
-func init() {
-	Registry["abl-replan"] = AblReplan
-}
-
-// AblReplan quantifies the incremental replanning subsystem: starting from
+// ablReplan quantifies the incremental replanning subsystem: starting from
 // the node-cut partition, it applies perturbations of growing strength (move
 // a fraction of nodes to random partitions) and reports how many ordered
 // pairs the PlanCache actually rebuilt versus reused — alongside a
@@ -23,37 +19,30 @@ func init() {
 // planning wall is proportional to dirty pairs, so a repartition that moves
 // 1% of nodes between two partitions pays a fraction of the from-scratch
 // wall, while a no-op pays nothing.
-func AblReplan(o Options) *Report {
-	o = o.withDefaults()
-	r := &Report{ID: "abl-replan"}
-	tb := trace.NewTable("ablation: incremental replanning vs from-scratch",
+func ablReplan(j *job) {
+	tb := j.table("ablation: incremental replanning vs from-scratch",
 		"dataset", "perturbation", "dirty pairs", "reused pairs", "plans", "identical")
 
 	fracs := []float64{0, 0.01, 0.05, 0.25}
-	if o.Quick {
+	if j.Quick {
 		fracs = []float64{0, 0.05, 0.25}
 	}
-	npairs := o.Partitions * o.Partitions
-	for _, ds := range benchDatasets(o) {
-		part := partitionFor(ds, o.Partitions, o.Seed)
-		cfg := core.PlanConfig{Grouping: core.GroupingConfig{Seed: o.Seed}}
-		pc, err := core.NewPlanCache(ds.Graph, part, o.Partitions, cfg)
-		if err != nil {
-			panic(err) // benchmark partitioners never produce invalid partitions
-		}
-		rng := rand.New(rand.NewSource(o.Seed))
+	npairs := j.Partitions * j.Partitions
+	for _, ds := range benchDatasets(j.Options) {
+		part := j.part(ds)
+		cfg := core.PlanConfig{Grouping: core.GroupingConfig{Seed: j.Seed}}
+		pc, err := core.NewPlanCache(ds.Graph, part, j.Partitions, cfg)
+		j.check(err)
+		rng := rand.New(rand.NewSource(j.Seed))
 		cur := part
 		var rebuilt, steps int
 		for _, f := range fracs {
-			next := perturbFraction(rng, cur, o.Partitions, f, ds.NumNodes())
+			next, err := perturbFraction(rng, cur, j.Partitions, f, ds.NumNodes())
+			j.check(err)
 			dirty, err := pc.Repartition(next)
-			if err != nil {
-				panic(err)
-			}
-			scratch, err := core.BuildAllPlans(ds.Graph, next, o.Partitions, cfg)
-			if err != nil {
-				panic(err)
-			}
+			j.check(err)
+			scratch, err := core.BuildAllPlans(ds.Graph, next, j.Partitions, cfg)
+			j.check(err)
 			identical := bytes.Equal(core.MarshalPlans(pc.Plans()), core.MarshalPlans(scratch))
 			tb.AddRow(ds.Name, fmt.Sprintf("move %g%%", f*100),
 				len(dirty), npairs-len(dirty), len(scratch), identical)
@@ -61,16 +50,15 @@ func AblReplan(o Options) *Report {
 			steps++
 			cur = next
 		}
-		r.AddNote("%s: %d of %d pair builds avoided across %d repartitions",
+		j.AddNote("%s: %d of %d pair builds avoided across %d repartitions",
 			ds.Name, steps*npairs-rebuilt, steps*npairs, steps)
 	}
-	r.Tables = append(r.Tables, tb)
-	return r
 }
 
 // perturbFraction moves ⌈f·n⌉ random nodes to random partitions (f=0 is a
-// no-op), retrying the rare draw that empties a partition.
-func perturbFraction(rng *rand.Rand, part []int, nparts int, f float64, n int) []int {
+// no-op), retrying the rare draw that empties a partition; a hundred such
+// draws in a row are an error.
+func perturbFraction(rng *rand.Rand, part []int, nparts int, f float64, n int) ([]int, error) {
 	next := append([]int(nil), part...)
 	moves := int(f * float64(n))
 	if f > 0 && moves == 0 {
@@ -81,8 +69,8 @@ func perturbFraction(rng *rand.Rand, part []int, nparts int, f float64, n int) [
 			next[rng.Intn(n)] = rng.Intn(nparts)
 		}
 		if graph.ValidatePartition(n, next, nparts) == nil {
-			return next
+			return next, nil
 		}
 	}
-	panic("exp: could not perturb partition without emptying one")
+	return nil, errors.New("exp: could not perturb partition without emptying one")
 }

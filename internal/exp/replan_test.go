@@ -3,7 +3,7 @@ package exp
 import "testing"
 
 func TestAblReplanShape(t *testing.T) {
-	r := AblReplan(quickOpts())
+	r := quick(t, "abl-replan")
 	tb := r.Tables[0]
 	if len(tb.Rows) == 0 || len(tb.Rows)%3 != 0 { // 3 perturbations per dataset in quick mode
 		t.Fatalf("rows = %d", len(tb.Rows))

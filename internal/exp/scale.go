@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 	"os"
@@ -12,13 +13,8 @@ import (
 	"scgnn/internal/partition"
 	"scgnn/internal/persist"
 	"scgnn/internal/tensor"
-	"scgnn/internal/trace"
 	"scgnn/internal/worker"
 )
-
-func init() {
-	Registry["scale"] = Scale
-}
 
 // ScaleResult is one row of the million-node scale study: the full pipeline —
 // streaming generation, edge-cut partitioning, plan-cache construction,
@@ -78,8 +74,9 @@ func scalePlanConfig(seed int64) core.PlanConfig {
 // ScaleBench runs the scale study over the named presets (datasets.ScaleNames
 // order when names is nil). Partitions defaults to 8 — the acceptance
 // configuration of the million-node ROADMAP item — rather than the 4 the
-// table experiments use.
-func ScaleBench(o Options, names []string) []ScaleResult {
+// table experiments use. The first preset that fails ends the study with its
+// error.
+func ScaleBench(o Options, names []string) ([]ScaleResult, error) {
 	if o.Seed == 0 {
 		o.Seed = 1
 	}
@@ -91,12 +88,16 @@ func ScaleBench(o Options, names []string) []ScaleResult {
 	}
 	out := make([]ScaleResult, 0, len(names))
 	for _, name := range names {
-		out = append(out, scaleOne(name, o))
+		r, err := scaleOne(name, o)
+		if err != nil {
+			return nil, fmt.Errorf("exp: scale %s: %w", name, err)
+		}
+		out = append(out, r)
 	}
-	return out
+	return out, nil
 }
 
-func scaleOne(name string, o Options) ScaleResult {
+func scaleOne(name string, o Options) (ScaleResult, error) {
 	nparts := o.Partitions
 	res := ScaleResult{Dataset: name, Rounds: 3, MmapFeatures: o.MmapFeatures}
 	w := newMemWatch(5 * time.Millisecond)
@@ -122,7 +123,7 @@ func scaleOne(name string, o Options) ScaleResult {
 	start := time.Now()
 	d, err := datasets.ByNameWith(name, o.Seed, allocFeatures)
 	if err != nil {
-		panic("exp: " + err.Error())
+		return res, err
 	}
 	res.GenSeconds = time.Since(start).Seconds()
 	res.Nodes = d.NumNodes()
@@ -136,18 +137,21 @@ func scaleOne(name string, o Options) ScaleResult {
 	start = time.Now()
 	pc, err := core.NewPlanCache(d.Graph, part, nparts, cfg)
 	if err != nil {
-		panic("exp: " + err.Error())
+		return res, err
 	}
 	res.PlanSeconds = time.Since(start).Seconds()
 	res.CrossArcs = pc.Buckets().NumArcs()
 
 	w.SetPhase("replan")
 	rng := rand.New(rand.NewSource(o.Seed))
-	next := perturbFraction(rng, part, nparts, 0.01, d.NumNodes())
+	next, err := perturbFraction(rng, part, nparts, 0.01, d.NumNodes())
+	if err != nil {
+		return res, err
+	}
 	start = time.Now()
 	dirty, err := pc.Repartition(next)
 	if err != nil {
-		panic("exp: " + err.Error())
+		return res, err
 	}
 	res.ReplanSeconds = time.Since(start).Seconds()
 	res.DirtyPairs = len(dirty)
@@ -158,18 +162,20 @@ func scaleOne(name string, o Options) ScaleResult {
 	// buffers are ever live and the peak stays bounded.
 	w.SetPhase("rounds")
 	dst := tensor.New(d.NumNodes(), d.FeatureDim())
-	timeRounds := func(wcfg dist.Config) float64 {
+	timeRounds := func(wcfg dist.Config) (float64, error) {
 		c := worker.NewClusterFromConfig(d.Graph, part, nparts, wcfg)
 		defer c.Close()
 		start := time.Now()
 		for r := 0; r < res.Rounds; r++ {
 			if err := c.AggregateInto(dst, d.Features, false); err != nil {
-				panic("exp: " + err.Error())
+				return 0, err
 			}
 		}
-		return float64(res.Rounds) / time.Since(start).Seconds()
+		return float64(res.Rounds) / time.Since(start).Seconds(), nil
 	}
-	res.RoundsPerSec = timeRounds(dist.Semantic(cfg))
+	if res.RoundsPerSec, err = timeRounds(dist.Semantic(cfg)); err != nil {
+		return res, err
+	}
 
 	w.Stop()
 	res.PeakRSSBytes = w.PeakTotal()
@@ -183,24 +189,29 @@ func scaleOne(name string, o Options) ScaleResult {
 	// pipeline, while the uncompressed wire's inherently larger batch
 	// buffers are exactly the overhead the semantic lane exists to avoid —
 	// budgeting them would gate the study on its own control group.
-	res.RoundsPerSecVanilla = timeRounds(dist.Vanilla())
-	res.RoundsPerSecQuant8 = timeRounds(dist.Quant(8))
-	return res
+	if res.RoundsPerSecVanilla, err = timeRounds(dist.Vanilla()); err != nil {
+		return res, err
+	}
+	res.RoundsPerSecQuant8, err = timeRounds(dist.Quant(8))
+	return res, err
 }
 
-// Scale is the registry wrapper: Quick mode trims to the 10k preset so the
-// experiment-suite tests stay fast; the bench lane runs all three sizes.
-func Scale(o Options) *Report {
+// scale is the suite's entry for the study: Quick mode trims to the 10k
+// preset so the experiment-suite tests stay fast; the bench lane runs all
+// three sizes. It runs on the options as given, so Partitions keeps
+// ScaleBench's default.
+func scale(j *job) {
 	names := datasets.ScaleNames()
-	if o.Quick {
+	if j.Quick {
 		names = names[:1]
 	}
-	r := &Report{ID: "scale"}
 	mb := func(b uint64) string { return fmt.Sprintf("%.0f", float64(b)/(1<<20)) }
-	tb := trace.NewTable("scale: pipeline wall and footprint vs N",
+	tb := j.table("scale: pipeline wall and footprint vs N",
 		"dataset", "nodes", "arcs", "cross", "gen s", "plan s", "replan s", "dirty", "rounds/s",
 		"van r/s", "q8 r/s", "peak MB", "heap MB", "gen pk", "plan pk", "replan pk")
-	for _, sr := range ScaleBench(o, names) {
+	rows, err := ScaleBench(j.asked, names)
+	j.check(err)
+	for _, sr := range rows {
 		tb.AddRow(sr.Dataset, sr.Nodes, sr.Arcs, sr.CrossArcs,
 			fmt.Sprintf("%.2f", sr.GenSeconds),
 			fmt.Sprintf("%.2f", sr.PlanSeconds),
@@ -212,16 +223,10 @@ func Scale(o Options) *Report {
 			mb(sr.PeakRSSBytes), mb(sr.PeakHeapBytes),
 			mb(sr.GenPeakBytes), mb(sr.PlanPeakBytes), mb(sr.ReplanPeakBytes))
 	}
-	r.Tables = append(r.Tables, tb)
-	nparts := o.Partitions
-	if nparts == 0 {
-		nparts = 8
-	}
-	r.AddNote("plan config: fixed K=8, MaxPivots=8 (no EEP sweep); partitions=%d edge-cut", nparts)
-	r.AddNote("pk columns are per-phase heap-object high-waters (MB); mmap features: %v", o.MmapFeatures)
-	r.AddNote("round-kernel delta (BENCH_scale.json \"scale-before-round-kernels\" vs \"scale\"): " +
+	j.AddNote("plan config: fixed K=8, MaxPivots=8 (no EEP sweep); partitions=%d edge-cut", cmp.Or(j.asked.Partitions, 8))
+	j.AddNote("pk columns are per-phase heap-object high-waters (MB); mmap features: %v", j.MmapFeatures)
+	j.AddNote("round-kernel delta (BENCH_scale.json \"scale-before-round-kernels\" vs \"scale\"): " +
 		"gather plans + fused AVX2 kernels + boundary-first overlap lifted semantic rounds/sec " +
 		"67.4→152.3 at 10k, 6.59→14.35 at 100k, 0.69→0.83 at 1M; van/q8 columns are the " +
 		"uncompressed and 8-bit-quantized round lanes over the same cluster path")
-	return r
 }

@@ -1,6 +1,9 @@
 package exp
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 // TestScaleQuickShape runs the scale study's Quick slice (the 10k preset
 // only) and sanity-checks the row the bench lane would emit: every stage
@@ -10,13 +13,16 @@ func TestScaleQuickShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("10k preset in -short mode")
 	}
-	r := Scale(Options{Seed: 1, Quick: true})
-	if len(r.Tables) != 1 || len(r.Tables[0].Rows) != 1 {
-		t.Fatalf("quick scale report shape: %d tables", len(r.Tables))
+	r, err := Run("scale", Options{Seed: 1, Quick: true})
+	if err != nil || len(r.Tables) != 1 || len(r.Tables[0].Rows) != 1 {
+		t.Fatalf("quick scale report: %v", err)
 	}
-	rows := ScaleBench(Options{Seed: 1}, []string{"reddit-sim-10k"})
-	if len(rows) != 1 {
-		t.Fatalf("rows = %d", len(rows))
+	if !strings.Contains(r.String(), "partitions=8 edge-cut") {
+		t.Fatalf("scale ran off its own 8-partition default:\n%s", r)
+	}
+	rows, err := ScaleBench(Options{Seed: 1}, []string{"reddit-sim-10k"})
+	if err != nil || len(rows) != 1 {
+		t.Fatalf("rows = %d: %v", len(rows), err)
 	}
 	sr := rows[0]
 	if sr.Nodes != 10_000 || sr.Arcs == 0 || sr.CrossArcs == 0 {
@@ -53,8 +59,15 @@ func TestScaleMmapMatchesHeap(t *testing.T) {
 	if testing.Short() {
 		t.Skip("10k preset in -short mode")
 	}
-	heap := ScaleBench(Options{Seed: 1}, []string{"reddit-sim-10k"})[0]
-	mapped := ScaleBench(Options{Seed: 1, MmapFeatures: true}, []string{"reddit-sim-10k"})[0]
+	rows, err := ScaleBench(Options{Seed: 1}, []string{"reddit-sim-10k"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mappedRows, err := ScaleBench(Options{Seed: 1, MmapFeatures: true}, []string{"reddit-sim-10k"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	heap, mapped := rows[0], mappedRows[0]
 	if !mapped.MmapFeatures || heap.MmapFeatures {
 		t.Fatalf("MmapFeatures flags: heap %v mapped %v", heap.MmapFeatures, mapped.MmapFeatures)
 	}

@@ -4,12 +4,7 @@ import (
 	"scgnn/internal/datasets"
 	"scgnn/internal/dist"
 	"scgnn/internal/sched"
-	"scgnn/internal/trace"
 )
-
-func init() {
-	Registry["abl-sched"] = AblSched
-}
 
 // schedPolicy paces the annealing ladder to the run length: the rung floor
 // spans the whole run, so half of training happens on the two sampled rungs
@@ -26,7 +21,7 @@ func schedPolicy(epochs int) sched.Policy {
 // isoTol is the accuracy band within which two runs count as "iso accuracy".
 func isoTol(acc float64) float64 { return 1e-3 * (1 + acc) }
 
-// AblSched measures variable-rate communication scheduling (internal/sched)
+// ablSched measures variable-rate communication scheduling (internal/sched)
 // end to end. Per dataset it runs the full fixed-rate method matrix and
 // picks the best fixed combination: among the combos within isoTol of the
 // top test accuracy, the one with the fewest
@@ -35,19 +30,17 @@ func isoTol(acc float64) float64 { return 1e-3 * (1 + acc) }
 // from 0.25-sampling+4-bit up to the base rate. The acceptance evidence
 // recorded here: the scheduled run stays iso-accurate with the best fixed
 // combo while communicating at least 25% fewer total bytes.
-func AblSched(o Options) *Report {
-	o = o.withDefaults()
-	r := &Report{ID: "abl-sched"}
-	tb := trace.NewTable("ablation: variable-rate scheduling",
+func ablSched(j *job) {
+	tb := j.table("ablation: variable-rate scheduling",
 		"dataset", "method", "total MB", "test acc")
 
-	dss := []*datasets.Dataset{datasets.RedditSim10K(o.Seed), datasets.RedditSim100K(o.Seed)}
-	if o.Quick {
-		dss = []*datasets.Dataset{quickReddit(o.Seed)}
+	dss := []*datasets.Dataset{datasets.RedditSim10K(j.Seed), datasets.RedditSim100K(j.Seed)}
+	if j.Quick {
+		dss = []*datasets.Dataset{quickReddit(j.Seed)}
 	}
-	lanes := Lanes(o.Seed)
+	lanes := Lanes(j.Seed)
 	for _, ds := range dss {
-		part := partitionFor(ds, o.Partitions, o.Seed)
+		part := j.part(ds)
 
 		type fixedRun struct {
 			cfg dist.Config
@@ -56,9 +49,9 @@ func AblSched(o Options) *Report {
 		}
 		var fixed []fixedRun
 		maxAcc := 0.0
-		for _, name := range matrixLaneNames(o.Seed) {
+		for _, name := range matrixLaneNames(j.Seed) {
 			cfg := lanes[name]
-			res := dist.Run(ds, part, o.Partitions, cfg, runCfg(o))
+			res := j.train(ds, part, j.Partitions, cfg, j.runCfg())
 			mb := totalMB(res)
 			tb.AddRow(ds.Name, res.Method, mb, res.TestAcc)
 			fixed = append(fixed, fixedRun{cfg, res, mb})
@@ -77,17 +70,15 @@ func AblSched(o Options) *Report {
 		}
 
 		schedCfg := best.cfg
-		schedCfg.Sched = schedPolicy(o.Epochs)
-		res := dist.Run(ds, part, o.Partitions, schedCfg, runCfg(o))
+		schedCfg.Sched = schedPolicy(j.Epochs)
+		res := j.train(ds, part, j.Partitions, schedCfg, j.runCfg())
 		mb := totalMB(res)
 		tb.AddRow(ds.Name, res.Method, mb, res.TestAcc)
-		r.AddNote("%s: best fixed %s: %.3f MB total at acc %.4f (top fixed acc %.4f)",
+		j.AddNote("%s: best fixed %s: %.3f MB total at acc %.4f (top fixed acc %.4f)",
 			ds.Name, best.res.Method, best.mb, best.res.TestAcc, maxAcc)
-		r.AddNote("%s: %s: %.3f MB total (%.1f%% fewer bytes) at acc %.4f (Δ%+.4f vs best fixed)",
+		j.AddNote("%s: %s: %.3f MB total (%.1f%% fewer bytes) at acc %.4f (Δ%+.4f vs best fixed)",
 			ds.Name, res.Method, mb, 100*(1-mb/best.mb), res.TestAcc, res.TestAcc-best.res.TestAcc)
 	}
-	r.Tables = append(r.Tables, tb)
-	return r
 }
 
 // totalMB is a run's total communicated volume in megabytes (the per-epoch

@@ -2,37 +2,34 @@ package exp
 
 import (
 	"scgnn/internal/dist"
-	"scgnn/internal/trace"
+	"scgnn/internal/partition"
 )
 
-// Table1 reproduces the paper's Table 1: communication volume, modeled epoch
+// table1 reproduces the paper's Table 1: communication volume, modeled epoch
 // time, and test accuracy for every dataset × method × partition count.
 // Per the Sec. 5.2 protocol, the three baselines are traffic-matched to the
 // semantic run (rates/bits/periods derived from the measured volume ratio,
 // saturating at their physical limits), so the epoch-time column isolates
 // per-method processing efficiency.
-func Table1(o Options) *Report {
-	o = o.withDefaults()
-	r := &Report{ID: "table1"}
-
+func table1(j *job) {
 	parts := []int{2, 4, 8}
-	if o.Quick {
+	if j.Quick {
 		parts = []int{2, 4}
 	}
-	tb := trace.NewTable("Table 1: comm volume / epoch time / accuracy",
+	tb := j.table("Table 1: comm volume / epoch time / accuracy",
 		"dataset", "method", "parts", "comm MB/epoch", "epoch ms", "test acc")
 
-	for _, ds := range benchDatasets(o) {
+	for _, ds := range benchDatasets(j.Options) {
 		for _, np := range parts {
-			part := partitionFor(ds, np, o.Seed)
+			part := j.cut(ds, np, partition.NodeCut)
 
-			van := dist.Run(ds, part, np, dist.Vanilla(), runCfg(o))
-			sem := dist.Run(ds, part, np, semanticCfg(o.Seed), runCfg(o))
+			van := j.train(ds, part, np, dist.Vanilla(), j.runCfg())
+			sem := j.train(ds, part, np, semanticCfg(j.Seed), j.runCfg())
 			ratio := sem.BytesPerEpoch / van.BytesPerEpoch
-			sampCfg, quantCfg, delayCfg := dist.MatchedBaselines(ratio, o.Seed)
-			samp := dist.Run(ds, part, np, sampCfg, runCfg(o))
-			quant := dist.Run(ds, part, np, quantCfg, runCfg(o))
-			delay := dist.Run(ds, part, np, delayCfg, runCfg(o))
+			sampCfg, quantCfg, delayCfg := dist.MatchedBaselines(ratio, j.Seed)
+			samp := j.train(ds, part, np, sampCfg, j.runCfg())
+			quant := j.train(ds, part, np, quantCfg, j.runCfg())
+			delay := j.train(ds, part, np, delayCfg, j.runCfg())
 
 			for _, res := range []*dist.Result{van, delay, quant, samp, sem} {
 				tb.AddRow(ds.Name, res.Method, np, res.MBPerEpoch(), res.EpochTimeMs(), res.TestAcc)
@@ -40,15 +37,13 @@ func Table1(o Options) *Report {
 			if sem.EpochTimeModeled < van.EpochTimeModeled &&
 				sem.EpochTimeModeled < quant.EpochTimeModeled &&
 				sem.EpochTimeModeled < delay.EpochTimeModeled {
-				r.AddNote("%s/%dp: semantic has the lowest epoch time (%.2fms)",
+				j.AddNote("%s/%dp: semantic has the lowest epoch time (%.2fms)",
 					ds.Name, np, sem.EpochTimeMs())
 			} else {
-				r.AddNote("%s/%dp: semantic epoch time %.2fms (vanilla %.2f, samp %.2f, quant %.2f, delay %.2f)",
+				j.AddNote("%s/%dp: semantic epoch time %.2fms (vanilla %.2f, samp %.2f, quant %.2f, delay %.2f)",
 					ds.Name, np, sem.EpochTimeMs(), van.EpochTimeMs(), samp.EpochTimeMs(),
 					quant.EpochTimeMs(), delay.EpochTimeMs())
 			}
 		}
 	}
-	r.Tables = append(r.Tables, tb)
-	return r
 }

@@ -3,51 +3,38 @@ package exp
 import (
 	"scgnn/internal/dist"
 	"scgnn/internal/partition"
-	"scgnn/internal/trace"
 )
 
-// Table2 reproduces the paper's Table 2: how the three partition families
+// table2 reproduces the paper's Table 2: how the three partition families
 // interact with semantic compression. For each dataset and partitioner the
 // harness reports the vanilla communication volume, the SC-GNN volume, and
 // the SC-GNN training accuracy. The paper's conclusion: node-cut composes
 // best (it is "algorithmically isomorphic" to the approximating
 // compression); random-cut inflates vanilla volume severely.
-func Table2(o Options) *Report {
-	o = o.withDefaults()
-	r := &Report{ID: "table2"}
-	tb := trace.NewTable("Table 2: partitioner compatibility",
+func table2(j *job) {
+	tb := j.table("Table 2: partitioner compatibility",
 		"dataset", "partitioner", "vanilla MB", "scgnn MB", "scgnn acc", "cut edges", "replication")
 
-	volCfg := runCfg(o)
+	volCfg := j.runCfg()
 	volCfg.Epochs = 4
 
-	for _, ds := range benchDatasets(o) {
-		type row struct {
-			method partition.Method
-			van    float64
-			sem    float64
-			acc    float64
-			cut    int
-			repl   int
-		}
-		var rows []row
+	for _, ds := range benchDatasets(j.Options) {
+		var vanMB, semMB []float64 // per partition.Methods entry
 		for _, m := range partition.Methods {
-			part := partition.Partition(ds.Graph, o.Partitions, m, partition.Config{Seed: o.Seed})
-			st := partition.Evaluate(ds.Graph, part, o.Partitions)
-			van := dist.Run(ds, part, o.Partitions, dist.Vanilla(), volCfg)
-			sem := dist.Run(ds, part, o.Partitions, semanticCfg(o.Seed), runCfg(o))
-			rows = append(rows, row{m, van.MBPerEpoch(), sem.MBPerEpoch(), sem.TestAcc, st.CutEdges, st.Replication})
+			part := j.cut(ds, j.Partitions, m)
+			st := partition.Evaluate(ds.Graph, part, j.Partitions)
+			van := j.train(ds, part, j.Partitions, dist.Vanilla(), volCfg)
+			sem := j.train(ds, part, j.Partitions, semanticCfg(j.Seed), j.runCfg())
+			vanMB, semMB = append(vanMB, van.MBPerEpoch()), append(semMB, sem.MBPerEpoch())
 			tb.AddRow(ds.Name, m.String(), van.MBPerEpoch(), sem.MBPerEpoch(), sem.TestAcc, st.CutEdges, st.Replication)
 		}
 		// Shape note: random should have the largest vanilla CV.
-		if rows[2].van > rows[0].van && rows[2].van > rows[1].van {
-			r.AddNote("%s: random-cut inflates vanilla CV %.1fx over node-cut",
-				ds.Name, rows[2].van/rows[0].van)
+		if vanMB[2] > vanMB[0] && vanMB[2] > vanMB[1] {
+			j.AddNote("%s: random-cut inflates vanilla CV %.1fx over node-cut",
+				ds.Name, vanMB[2]/vanMB[0])
 		}
-		if rows[0].sem <= rows[1].sem && rows[0].sem <= rows[2].sem {
-			r.AddNote("%s: node-cut yields the smallest SC-GNN CV", ds.Name)
+		if semMB[0] <= semMB[1] && semMB[0] <= semMB[2] {
+			j.AddNote("%s: node-cut yields the smallest SC-GNN CV", ds.Name)
 		}
 	}
-	r.Tables = append(r.Tables, tb)
-	return r
 }

@@ -60,8 +60,8 @@ var reproducibleLanes = map[string]bool{
 	"sched(delay3)": true,
 }
 
-// TestReuseMatchesUncached: a GCN and a SAGE model trained on a cluster, an
-// engine and a socket fleet, each letting layer 0 keep its Agg(X), reproduce
+// TestReuseMatchesUncached: a GCN and a SAGE model trained on a cluster and a
+// socket fleet, each letting layer 0 keep its Agg(X), reproduce
 // the run that ships the round every epoch (an uncached cluster) on every
 // lane of the 13-combo matrix and on a scheduled delay lane — every loss and
 // the final eval pass's logits bit for bit, through a Repartition at an epoch
@@ -108,7 +108,6 @@ func TestReuseMatchesUncached(t *testing.T) {
 			t.Run(name+"/"+model, func(t *testing.T) {
 				ref := worker.NewClusterFromConfig(d.Graph, part, nparts, cfg)
 				cl := worker.NewClusterFromConfig(d.Graph, part, nparts, cfg)
-				eng := dist.NewEngine(d.Graph, part, nparts, cfg)
 				tc := startCluster(t, nparts, quickNodeOpts(), quickCoordOpts())
 				defer tc.coord.Shutdown()
 				if err := tc.coord.Setup(d.Graph, part, cfg); err != nil {
@@ -118,7 +117,6 @@ func TestReuseMatchesUncached(t *testing.T) {
 				runtimes := []runtime{
 					{"uncached", un, ref.Repartition, clusterBytes(ref)},
 					{"cluster", cl, cl.Repartition, clusterBytes(cl)},
-					{"engine", eng, eng.Repartition, func() int64 { return eng.CaptureEpoch().TotalBytes }},
 					{"fleet", tc.coord, tc.coord.Repartition, func() int64 { return tc.coord.CaptureEpoch().TotalBytes }},
 				}
 				var losses [][]uint64

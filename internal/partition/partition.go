@@ -153,9 +153,10 @@ func growBFS(g *graph.Graph, nparts int, rng *rand.Rand, cfg Config) []int {
 	queues := make([][]int32, nparts)
 	heads := make([]int, nparts)
 
-	// Seeds: distinct random nodes.
+	// Seeds: distinct random nodes. With more parts than nodes the parts past
+	// n get none and stay empty, as graph.ValidatePartition then reports.
 	seedPerm := rng.Perm(n)
-	for p := 0; p < nparts; p++ {
+	for p := 0; p < min(nparts, n); p++ {
 		s := int32(seedPerm[p])
 		part[s] = p
 		sizes[p]++

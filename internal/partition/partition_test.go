@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -43,6 +44,26 @@ func TestMethodsProduceValidPartitions(t *testing.T) {
 				if sz == 0 {
 					t.Fatalf("%v/%d: partition %d empty", m, nparts, p)
 				}
+			}
+		}
+	}
+}
+
+// TestMorePartsThanNodes: every method returns a full-length vector for more
+// parts than nodes, with the parts it could not fill left empty for
+// graph.ValidatePartition to refuse, where the BFS growers once indexed past
+// their seed permutation.
+func TestMorePartsThanNodes(t *testing.T) {
+	g := testGraph()
+	for _, m := range Methods {
+		for _, nparts := range []int{g.NumNodes() + 1, 3 * g.NumNodes()} {
+			part := Partition(g, nparts, m, Config{Seed: 3})
+			if err := Validate(part, g.NumNodes(), nparts); err != nil {
+				t.Fatalf("%v/%d: %v", m, nparts, err)
+			}
+			err := graph.ValidatePartition(g.NumNodes(), part, nparts)
+			if err == nil || !strings.Contains(err.Error(), "is empty") {
+				t.Fatalf("%v/%d: ValidatePartition = %v, want an empty partition", m, nparts, err)
 			}
 		}
 	}

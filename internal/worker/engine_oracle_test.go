@@ -25,7 +25,8 @@ import (
 // what the oracle's definitional loops count, on every lane of the method
 // matrix plus a period-2 delay, over transmit and replay epochs and a closing
 // StartEvalEpoch pass, forward and backward, on the caller's goroutine and
-// fanned out. The engine takes these as sums over compiled plan sizes; the
+// fanned out. The cluster dist.Run trains on — reset before each epoch, as
+// dist.Train resets it — takes these as sums over compiled plan sizes; the
 // oracle counts them a term at a time.
 func TestEngineSnapshotCounters(t *testing.T) {
 	d := datasets.Generate(datasets.Spec{
@@ -46,28 +47,29 @@ func TestEngineSnapshotCounters(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			for _, workers := range []int{1, 64} {
 				cfg.Workers = workers
-				eng := dist.NewEngine(d.Graph, part, nparts, cfg)
+				cl := worker.NewClusterFromConfig(d.Graph, part, nparts, cfg)
 				ref := worker.NewOracle(d.Graph, part, nparts, cfg)
 				check := func(epoch int, stage string) {
 					t.Helper()
-					got, want := eng.CaptureEpoch(), ref.CaptureEpoch()
+					got, want := cl.CaptureEpoch(), ref.CaptureEpoch()
 					if got != want {
-						t.Fatalf("workers %d epoch %d after %s:\nengine %+v\noracle %+v", workers, epoch, stage, got, want)
+						t.Fatalf("workers %d epoch %d after %s:\ncluster %+v\noracle %+v", workers, epoch, stage, got, want)
 					}
-					worker.SameLinks(t, eng.Fabric(), ref.Fabric())
+					worker.SameLinks(t, cl.Fabric(), ref.Fabric())
 				}
 				for epoch := 0; epoch < 5; epoch++ {
 					if epoch == 4 {
-						eng.StartEvalEpoch(epoch)
+						cl.StartEvalEpoch(epoch)
 						ref.StartEvalEpoch(epoch)
 					} else {
-						eng.StartEpoch(epoch)
+						cl.StartEpoch(epoch)
 						ref.StartEpoch(epoch)
 					}
-					eng.Forward(h)
+					cl.ResetTraffic()
+					cl.Forward(h)
 					ref.Forward(h)
 					check(epoch, "forward")
-					eng.Backward(g)
+					cl.Backward(g)
 					ref.Backward(g)
 					check(epoch, "backward")
 				}

@@ -46,19 +46,26 @@ type Peer struct {
 // exchange core is constructed (every node needs every plan and stream to
 // encode, decode, and ghost-advance), but only what worker me runs is
 // compiled: its local plan, the kernels of the pairs it touches, its scratch.
-// Rounds are executed by Round on the caller's goroutine. A bad peer id,
-// partition or QuantBits (17..31: no width, and not off) is an error.
+// Rounds are executed by Round on the caller's goroutine. A bad peer id, or
+// a partition or configuration Validate refuses, is an error.
 func NewPeer(g *graph.Graph, part []int, nparts, me int, cfg exchange.Config) (*Peer, error) {
 	if me < 0 || me >= nparts {
 		return nil, fmt.Errorf("worker: peer id %d out of range [0,%d)", me, nparts)
 	}
-	if cfg.QuantBits > 16 && cfg.QuantBits < 32 {
-		return nil, fmt.Errorf("worker: NewPeer: QuantBits %d is not a width (want 1..16, or 0 or >= 32 for off)", cfg.QuantBits)
-	}
-	if err := graph.ValidatePartition(g.NumNodes(), part, nparts); err != nil {
+	if err := Validate(g, part, nparts, cfg); err != nil {
 		return nil, fmt.Errorf("worker: NewPeer: %w", err)
 	}
 	return &Peer{exchanger: *newExchanger(g, part, nparts, me, cfg)}, nil
+}
+
+// Validate checks what building a runtime for (g, part, nparts, cfg) would
+// panic on: a partition graph.ValidatePartition refuses, or a QuantBits that
+// is no width (17..31; 0 and 32 or more are off).
+func Validate(g *graph.Graph, part []int, nparts int, cfg exchange.Config) error {
+	if cfg.QuantBits > 16 && cfg.QuantBits < 32 {
+		return fmt.Errorf("QuantBits %d is not a width (want 1..16, or 0 or >= 32 for off)", cfg.QuantBits)
+	}
+	return graph.ValidatePartition(g.NumNodes(), part, nparts)
 }
 
 // ID returns the partition this peer runs.

@@ -172,10 +172,6 @@ func NewClusterFromConfig(g *graph.Graph, part []int, nparts int, cfg exchange.C
 	return c
 }
 
-// Core exposes the exchange core the cluster runs on (read-only use
-// intended).
-func (c *Cluster) Core() *exchange.Core { return c.core }
-
 // Fabric exposes the per-link traffic accounting (read-only use intended, and
 // not while a round or a ResetTraffic is in flight).
 func (c *Cluster) Fabric() *simnet.Fabric { return c.fabric }

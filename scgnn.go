@@ -24,7 +24,10 @@
 //
 //	ds, _ := scgnn.LoadDataset("reddit-sim", 1)
 //	part := scgnn.PartitionGraph(ds, 4, scgnn.NodeCut, 1)
-//	res := scgnn.Train(ds, part, 4, scgnn.Semantic(1), scgnn.TrainOptions{Epochs: 60})
+//	res, err := scgnn.Train(ds, part, 4, scgnn.Semantic(1), scgnn.TrainOptions{Epochs: 60})
+//	if err != nil {
+//		log.Fatal(err)
+//	}
 //	fmt.Printf("accuracy %.4f, %.3f MB/epoch\n", res.TestAcc, res.MBPerEpoch())
 //
 // See examples/ for complete programs and DESIGN.md for the architecture.
@@ -162,8 +165,10 @@ type Result = dist.Result
 // Train runs distributed full-batch training of a GCN (or GraphSAGE via
 // TrainOptions.Model) over the partitioned dataset, with the cross-partition
 // halo carried by the given Method. Traffic is byte-exact; accuracy is
-// measured, not modeled.
-func Train(ds *Dataset, part []int, nparts int, m Method, opt TrainOptions) *Result {
+// measured, not modeled. A partition that does not cover the graph with
+// nparts non-empty parts, a quantisation width of 17 to 31 bits, an unknown
+// model, or a failed run is an error.
+func Train(ds *Dataset, part []int, nparts int, m Method, opt TrainOptions) (*Result, error) {
 	return dist.Run(ds, part, nparts, m, opt)
 }
 
@@ -205,11 +210,11 @@ func NewPlanCache(ds *Dataset, part []int, nparts int, opt SemanticOptions) (*Pl
 func ExperimentIDs() []string { return exp.IDs() }
 
 // RunExperiment regenerates one paper table/figure and returns its rendered
-// report. Unknown ids return "".
-func RunExperiment(id string, seed int64, epochs int) string {
-	b, ok := exp.Registry[id]
-	if !ok {
-		return ""
+// report. An unknown id, or an experiment that fails, is an error.
+func RunExperiment(id string, seed int64, epochs int) (string, error) {
+	r, err := exp.Run(id, exp.Options{Seed: seed, Epochs: epochs})
+	if err != nil {
+		return "", err
 	}
-	return b(exp.Options{Seed: seed, Epochs: epochs}).String()
+	return r.String(), nil
 }

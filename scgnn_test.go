@@ -18,13 +18,61 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 		t.Fatal("no cut edges")
 	}
 
-	van := scgnn.Train(ds, part, 2, scgnn.Vanilla(), scgnn.TrainOptions{Epochs: 30, Seed: 1})
-	sem := scgnn.Train(ds, part, 2, scgnn.Semantic(1), scgnn.TrainOptions{Epochs: 30, Seed: 1})
+	van := mustTrain(t, ds, part, 2, scgnn.Vanilla(), scgnn.TrainOptions{Epochs: 30, Seed: 1})
+	sem := mustTrain(t, ds, part, 2, scgnn.Semantic(1), scgnn.TrainOptions{Epochs: 30, Seed: 1})
 	if sem.BytesPerEpoch >= van.BytesPerEpoch {
 		t.Fatalf("semantic %v not below vanilla %v", sem.BytesPerEpoch, van.BytesPerEpoch)
 	}
 	if sem.TestAcc < 0.6 {
 		t.Fatalf("semantic accuracy %v", sem.TestAcc)
+	}
+}
+
+// mustTrain is scgnn.Train, failing the test on an error.
+func mustTrain(t testing.TB, ds *scgnn.Dataset, part []int, nparts int, m scgnn.Method, opt scgnn.TrainOptions) *scgnn.Result {
+	t.Helper()
+	res, err := scgnn.Train(ds, part, nparts, m, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// TestTrainRefusesBadInput: input Train cannot train on is an error, not a
+// panic — each of these once panicked, the partition rows with an index out
+// of range.
+func TestTrainRefusesBadInput(t *testing.T) {
+	ds, err := scgnn.LoadDataset("pubmed-sim", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	part := scgnn.PartitionGraph(ds, 2, scgnn.NodeCut, 1)
+	outOfRange := append([]int(nil), part...)
+	outOfRange[3] = 5
+	opt := scgnn.TrainOptions{Epochs: 1, Seed: 1}
+	for _, tc := range []struct {
+		name   string
+		part   []int
+		nparts int
+		m      scgnn.Method
+		opt    scgnn.TrainOptions
+	}{
+		{"short partition vector", part[:len(part)-1], 2, scgnn.Vanilla(), opt},
+		{"id >= nparts", outOfRange, 2, scgnn.Vanilla(), opt},
+		{"nparts not the vector's", part, 1, scgnn.Vanilla(), opt},
+		{"Quant(17)", part, 2, scgnn.Quant(17), opt},
+		{"model gat", part, 2, scgnn.Vanilla(), scgnn.TrainOptions{Model: "gat", Epochs: 1}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				if p := recover(); p != nil {
+					t.Fatalf("panicked: %v", p)
+				}
+			}()
+			if res, err := scgnn.Train(ds, tc.part, tc.nparts, tc.m, tc.opt); err == nil || res != nil {
+				t.Fatalf("Train = %v, %v; want an error", res, err)
+			}
+		})
 	}
 }
 
@@ -103,12 +151,12 @@ func TestExperimentFacade(t *testing.T) {
 	if len(ids) != 24 { // 12 paper experiments + 11 ablations + the scale study
 		t.Fatalf("experiment count = %d, want 24", len(ids))
 	}
-	out := scgnn.RunExperiment("fig4a", 1, 5)
-	if !strings.Contains(out, "fig4a") {
-		t.Fatalf("report missing id:\n%s", out)
+	out, err := scgnn.RunExperiment("fig4a", 1, 5)
+	if err != nil || !strings.Contains(out, "fig4a") {
+		t.Fatalf("report missing id (%v):\n%s", err, out)
 	}
-	if scgnn.RunExperiment("nope", 1, 5) != "" {
-		t.Fatal("unknown experiment should return empty")
+	if out, err := scgnn.RunExperiment("nope", 1, 5); err == nil || out != "" {
+		t.Fatalf("unknown experiment: %q, %v; want an error", out, err)
 	}
 }
 
