@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race test-net one-sink verify cover loc fuzz fuzz-smoke bench bench-round bench-dense bench-all bench-scale profile experiments quick-experiments clean
+.PHONY: all build vet test race test-net one-sink examples verify cover loc fuzz fuzz-smoke bench bench-round bench-dense bench-all bench-scale profile experiments quick-experiments clean
 
 all: build vet test race
 
@@ -159,12 +159,25 @@ one-sink:
 	@! grep -rn '\.ReuseRound(' --include='*.go' . | grep -v '_test\.go:\|^\./internal/gnn/layer\.go:\|^[^:]*:[0-9]*:func ('
 	@! grep -rn 'dist\.NewEngine(' --include='*.go' . | grep -v '_test\.go:\|^\./internal/dist/\|^\./bench/\|^\./internal/exp/ablation\.go:'
 
+# Every program under examples/, built into a temporary directory and run to
+# the end: go build compiles them, but only running them shows a facade call
+# that fails at run time. Any non-zero exit fails the target.
+examples:
+	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT INT TERM && \
+	$(GO) build -o "$$dir/" ./examples/... && \
+	for ex in examples/*/; do \
+		name=$$(basename "$$ex"); \
+		"$$dir/$$name" > "$$dir/$$name.out" 2>&1 || { cat "$$dir/$$name.out"; echo "examples: $$name failed"; exit 1; }; \
+		echo "examples: $$name ok"; \
+	done
+
 # Tier-1 verification gate (ROADMAP.md): everything must build, pass tests,
 # survive the race detector on the concurrent packages (the multi-process
 # transport lane included), hold the coverage floors, and hold up under a
 # short coverage-guided fuzz of the trust boundaries (wire decoders,
-# arc-bucket differ, transport framing + control codecs).
-verify: build vet one-sink test race test-net cover fuzz-smoke
+# arc-bucket differ, transport framing + control codecs), and run every
+# example to the end.
+verify: build vet one-sink test examples race test-net cover fuzz-smoke
 
 # Cluster-round + halo-exchange benchmarks with allocation counts, on one core
 # and on two; the JSON lands in BENCH_worker.json under "after" (the committed

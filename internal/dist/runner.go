@@ -2,6 +2,7 @@ package dist
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"time"
 
@@ -60,6 +61,23 @@ func (c RunConfig) withDefaults() RunConfig {
 		c.Cost = &m
 	}
 	return c
+}
+
+// check refuses, after withDefaults, what no run can train on.
+func (c RunConfig) check() error {
+	switch {
+	case c.Hidden < 0:
+		return fmt.Errorf("dist: hidden width %d is negative", c.Hidden)
+	case c.Layers < 0:
+		return fmt.Errorf("dist: layer count %d is negative", c.Layers)
+	case c.Epochs < 0:
+		return fmt.Errorf("dist: epoch count %d is negative", c.Epochs)
+	case c.Patience < 0:
+		return fmt.Errorf("dist: patience %d is negative", c.Patience)
+	case !(c.LR > 0) || math.IsInf(c.LR, 1):
+		return fmt.Errorf("dist: learning rate %v is not a positive finite number", c.LR)
+	}
+	return nil
 }
 
 // EpochRecord captures one epoch's measurements.
@@ -146,9 +164,14 @@ func Run(ds *datasets.Dataset, part []int, nparts int, engCfg Config, runCfg Run
 // traffic and modeled epoch time; accuracy is measured, not modeled. The
 // model's weights are drawn from initRand(engCfg.Seed, runCfg.Seed), so one
 // configuration trains the same model on every runtime. With
-// runCfg.Checkpoint set, rt must be a Checkpointer.
+// runCfg.Checkpoint set, rt must be a Checkpointer. A negative width, depth,
+// epoch count or patience, a negative or non-finite learning rate, or an
+// unknown model is an error.
 func Train(rt Runtime, ds *datasets.Dataset, engCfg Config, nparts int, runCfg RunConfig) (*Result, error) {
 	runCfg = runCfg.withDefaults()
+	if err := runCfg.check(); err != nil {
+		return nil, err
+	}
 	var ck Checkpointer
 	if runCfg.Checkpoint != "" {
 		var ok bool

@@ -4,11 +4,12 @@
 //
 // The Aggregator abstraction is what lets the distributed runtime swap the
 // exact neighborhood aggregate for a compressed one: the single-machine
-// LocalAggregator computes Â·H exactly; internal/dist provides partitioned
-// aggregators whose cross-partition halo is carried by vanilla, sampled,
-// quantized, delayed, or SC-GNN semantic exchange. The models are oblivious
-// to which one they run on — exactly the framing of paper Fig. 8, where the
-// semantic-grouping step slots between graph partition and node update.
+// LocalAggregator computes Â·H exactly; the partitioned aggregators —
+// worker.Cluster in process, net.Coordinator over a fleet — carry the
+// cross-partition halo by vanilla, sampled, quantized, delayed, or SC-GNN
+// semantic exchange. The models are oblivious to which one they run on —
+// exactly the framing of paper Fig. 8, where the semantic-grouping step slots
+// between graph partition and node update.
 package gnn
 
 import (
@@ -31,9 +32,9 @@ type Aggregator interface {
 
 // EpochMarker is an optional interface for aggregators (or models) whose
 // per-round state is keyed by epoch — e.g. the worker cluster's
-// error-feedback residual slots. gnn.Train calls StartEpoch on the model at
-// the top of every epoch; GCN and SAGE forward the call to their Agg when it
-// implements the interface.
+// error-feedback residual slots. Trainer.RunEpoch calls StartEpoch on the
+// model at the top of every epoch; GCN and SAGE forward the call to their Agg
+// when it implements the interface.
 type EpochMarker interface {
 	StartEpoch(epoch int)
 }
@@ -41,8 +42,8 @@ type EpochMarker interface {
 // EvalMarker is an optional interface for aggregators (or models) that must
 // distinguish a measurement-only pass from a training epoch — e.g. a
 // delayed-transmission runtime, whose final accuracy pass must compute fresh
-// remote contributions instead of replaying stale caches. gnn.Train calls
-// StartEvalEpoch with the actual next epoch index before the final
+// remote contributions instead of replaying stale caches. Trainer.Finish
+// calls StartEvalEpoch with the actual next epoch index before the final
 // evaluation forward; GCN and SAGE forward the call to their Agg when it
 // implements the interface.
 type EvalMarker interface {

@@ -268,7 +268,7 @@ func TestEpochRounds(t *testing.T) {
 				}
 				agg := &countingAgg{reuser: inner}
 				m, first := build(agg)
-				trn := NewTrainer(m, d.Features, d.Labels, d.TrainMask, d.ValMask, d.TestMask, TrainConfig{Epochs: 3})
+				trn := NewTrainer(m, d.Features, d.Labels, d.TrainMask, d.ValMask, d.TestMask, TrainConfig{Epochs: 3, LR: 0.01})
 				for epoch := 0; epoch < 3; epoch++ {
 					agg.fwd, agg.bwd = 0, 0
 					if _, err := trn.RunEpoch(); err != nil {
@@ -337,7 +337,7 @@ func TestGCNLearnsPubMedSim(t *testing.T) {
 	d := datasets.PubMedSim(7)
 	rng := rand.New(rand.NewSource(4))
 	model := NewGCN(NewLocalAggregator(d.Graph), []int{d.FeatureDim(), 32, d.NumClasses}, rng)
-	res := Train(model, d.Features, d.Labels, d.TrainMask, d.ValMask, d.TestMask, TrainConfig{Epochs: 80, LR: 0.02})
+	res := runTrainer(t, NewTrainer(model, d.Features, d.Labels, d.TrainMask, d.ValMask, d.TestMask, TrainConfig{Epochs: 80, LR: 0.02}))
 	if res.TestAcc < 0.65 {
 		t.Fatalf("GCN test accuracy = %v, want ≥0.65 (majority ≈0.4 under label noise)", res.TestAcc)
 	}
@@ -352,7 +352,7 @@ func TestSAGELearns(t *testing.T) {
 	d := datasets.PubMedSim(8)
 	rng := rand.New(rand.NewSource(5))
 	model := NewSAGE(NewLocalAggregator(d.Graph), []int{d.FeatureDim(), 32, d.NumClasses}, rng)
-	res := Train(model, d.Features, d.Labels, d.TrainMask, d.ValMask, d.TestMask, TrainConfig{Epochs: 80, LR: 0.02})
+	res := runTrainer(t, NewTrainer(model, d.Features, d.Labels, d.TrainMask, d.ValMask, d.TestMask, TrainConfig{Epochs: 80, LR: 0.02}))
 	if res.TestAcc < 0.62 {
 		t.Fatalf("SAGE test accuracy = %v, want ≥0.62", res.TestAcc)
 	}
@@ -362,7 +362,7 @@ func TestEarlyStopping(t *testing.T) {
 	d := datasets.PubMedSim(9)
 	rng := rand.New(rand.NewSource(6))
 	model := NewGCN(NewLocalAggregator(d.Graph), []int{d.FeatureDim(), 16, d.NumClasses}, rng)
-	res := Train(model, d.Features, d.Labels, d.TrainMask, d.ValMask, d.TestMask, TrainConfig{Epochs: 500, LR: 0.02, Patience: 10})
+	res := runTrainer(t, NewTrainer(model, d.Features, d.Labels, d.TrainMask, d.ValMask, d.TestMask, TrainConfig{Epochs: 500, LR: 0.02, Patience: 10}))
 	if len(res.Epochs) >= 500 {
 		t.Fatal("early stopping never triggered")
 	}
@@ -376,7 +376,7 @@ func TestDeterministicTraining(t *testing.T) {
 	run := func() float64 {
 		rng := rand.New(rand.NewSource(11))
 		model := NewGCN(NewLocalAggregator(d.Graph), []int{d.FeatureDim(), 16, d.NumClasses}, rng)
-		return Train(model, d.Features, d.Labels, d.TrainMask, d.ValMask, d.TestMask, TrainConfig{Epochs: 20}).TestAcc
+		return runTrainer(t, NewTrainer(model, d.Features, d.Labels, d.TrainMask, d.ValMask, d.TestMask, TrainConfig{Epochs: 20, LR: 0.01})).TestAcc
 	}
 	if run() != run() {
 		t.Fatal("training not deterministic for fixed seed")

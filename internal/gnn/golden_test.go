@@ -31,7 +31,7 @@ var goldenLosses = map[string][]uint64{
 	"sage/large": {0x4005aee025ef9266, 0x3ff9031c30f99297, 0x3fed8aaed0b946c9, 0x3fe19784b2164a01, 0x3fd4274590ffe1e6, 0x3fc67c9b2f502c02},
 }
 
-func goldenRun(model string, large bool) []uint64 {
+func goldenRun(t *testing.T, model string, large bool) []uint64 {
 	spec := datasets.Spec{Name: "golden", Nodes: 300, AvgDegree: 8, Classes: 5, FeatureDim: 13, Homophily: 0.8, Seed: 3}
 	dims := []int{13, 10, 5}
 	if large {
@@ -47,7 +47,7 @@ func goldenRun(model string, large bool) []uint64 {
 	} else {
 		m = NewSAGE(agg, dims, rng)
 	}
-	res := Train(m, d.Features, d.Labels, d.TrainMask, d.ValMask, d.TestMask, TrainConfig{Epochs: 6, LR: 0.02})
+	res := runTrainer(t, NewTrainer(m, d.Features, d.Labels, d.TrainMask, d.ValMask, d.TestMask, TrainConfig{Epochs: 6, LR: 0.02}))
 	var bits []uint64
 	for _, e := range res.Epochs {
 		bits = append(bits, math.Float64bits(e.Loss))
@@ -68,7 +68,7 @@ func TestGoldenLossBits(t *testing.T) {
 				if large {
 					name = model + "/large"
 				}
-				got := goldenRun(model, large)
+				got := goldenRun(t, model, large)
 				if !slices.Equal(got, goldenLosses[name]) {
 					t.Errorf("%s at GOMAXPROCS=%d: loss bits\n got %#x\nwant %#x", name, procs, got, goldenLosses[name])
 				}

@@ -7,13 +7,39 @@ import (
 	"scgnn/internal/tensor"
 )
 
-// Trainer is the resumable form of Train: the same full-batch loop, but
+// TrainConfig controls a full-batch training run. NewTrainer uses it as
+// given: the defaults are dist.RunConfig's.
+type TrainConfig struct {
+	Epochs int
+	LR     float64
+	// Patience stops early when validation accuracy hasn't improved for
+	// this many epochs (0 disables early stopping).
+	Patience int
+}
+
+// EpochStats records one epoch of training.
+type EpochStats struct {
+	Epoch    int
+	Loss     float64
+	TrainAcc float64
+	ValAcc   float64
+}
+
+// TrainResult summarizes a run.
+type TrainResult struct {
+	Epochs  []EpochStats
+	TestAcc float64
+	// BestValAcc is the best validation accuracy observed.
+	BestValAcc float64
+}
+
+// Trainer runs full-batch supervised training of a model (paper Fig. 8,
+// right side): forward over all nodes, masked loss, backward, optimizer step,
 // stepped one epoch at a time by the caller, with the loop bookkeeping
 // (epoch counter, patience, per-epoch stats, optimizer moments) exported as
-// a serializable TrainerState. The multi-process coordinator uses this to
-// checkpoint a run at any epoch boundary and resume it loss-for-loss
-// identically after a crash; Train is a thin wrapper that preserves the
-// original single-shot semantics.
+// a serializable TrainerState. dist.Train drives it on every runtime; the
+// fleet coordinator checkpoints a run at any epoch boundary and resumes it
+// loss-for-loss identically after a crash.
 type Trainer struct {
 	Model  Model
 	X      *tensor.Matrix
@@ -34,15 +60,9 @@ type Trainer struct {
 	pred []int
 }
 
-// NewTrainer applies the TrainConfig defaults (100 epochs, LR 0.01) and
-// builds the optimizer, leaving the trainer positioned before epoch 0.
+// NewTrainer builds the optimizer, leaving the trainer positioned before
+// epoch 0.
 func NewTrainer(model Model, x *tensor.Matrix, labels []int, trainMask, valMask, testMask []bool, cfg TrainConfig) *Trainer {
-	if cfg.Epochs <= 0 {
-		cfg.Epochs = 100
-	}
-	if cfg.LR == 0 {
-		cfg.LR = 0.01
-	}
 	return &Trainer{
 		Model: model, X: x, Labels: labels,
 		TrainMask: trainMask, ValMask: valMask, TestMask: testMask,
@@ -116,8 +136,8 @@ func (t *Trainer) RunEpoch() (st EpochStats, err error) {
 }
 
 // Finish runs the final measurement pass and returns the completed result.
-// It may be called whether or not the epoch loop ran to completion (Train
-// calls it after Done; a coordinator shutting down early may call it
+// It may be called whether or not the epoch loop ran to completion
+// (dist.Train calls it after Done; a caller stopping early may call it
 // directly). The pass is marked with the actual next epoch index so
 // delayed-transmission aggregators compute fresh values instead of
 // replaying stale caches.

@@ -7,6 +7,7 @@ import (
 
 	"scgnn/internal/datasets"
 	"scgnn/internal/graph"
+	"scgnn/internal/nn"
 	"scgnn/internal/tensor"
 )
 
@@ -43,26 +44,54 @@ func trainerFixture(t *testing.T, seed int64) (Model, *tensor.Matrix, []int, []b
 	return model, x, labels, train, val, test
 }
 
-// TestTrainerMatchesTrain pins that the resumable loop reproduces the
-// single-shot Train bit for bit, including early stopping and the final
-// eval pass.
-func TestTrainerMatchesTrain(t *testing.T) {
-	cfg := TrainConfig{Epochs: 20, LR: 0.02, Patience: 5}
-
-	m1, x, labels, tr, va, te := trainerFixture(t, 11)
-	want := Train(m1, x, labels, tr, va, te, cfg)
-
-	m2, x2, labels2, tr2, va2, te2 := trainerFixture(t, 11)
-	trn := NewTrainer(m2, x2, labels2, tr2, va2, te2, cfg)
+// runTrainer steps trn until Done and returns Finish's result, failing t on
+// an error.
+func runTrainer(t testing.TB, trn *Trainer) *TrainResult {
+	t.Helper()
 	for !trn.Done() {
 		if _, err := trn.RunEpoch(); err != nil {
 			t.Fatalf("RunEpoch: %v", err)
 		}
 	}
-	got, err := trn.Finish()
+	res, err := trn.Finish()
 	if err != nil {
 		t.Fatalf("Finish: %v", err)
 	}
+	return res
+}
+
+// TestTrainerMatchesTrain pins the Trainer, with its retained buffers and
+// in-place loss, to the plain full-batch training loop — allocating loss,
+// backward, Adam step, patience counted on validation accuracy — bit for
+// bit, including early stopping and the final eval pass.
+func TestTrainerMatchesTrain(t *testing.T) {
+	cfg := TrainConfig{Epochs: 20, LR: 0.02, Patience: 5}
+
+	m1, x, labels, tr, va, te := trainerFixture(t, 11)
+	want := &TrainResult{}
+	opt := nn.NewAdam(cfg.LR)
+	for e, sinceBest := 0, 0; e < cfg.Epochs && sinceBest < cfg.Patience; e++ {
+		logits := m1.Forward(x)
+		st := EpochStats{Epoch: e, TrainAcc: nn.Accuracy(logits, labels, tr), ValAcc: nn.Accuracy(logits, labels, va)}
+		var grad *tensor.Matrix
+		st.Loss, grad = nn.MaskedCrossEntropy(logits, labels, tr)
+		m1.ZeroGrad()
+		m1.Backward(grad)
+		opt.Step(m1.Params())
+		want.Epochs = append(want.Epochs, st)
+		if st.ValAcc > want.BestValAcc {
+			want.BestValAcc, sinceBest = st.ValAcc, 0
+		} else {
+			sinceBest++
+		}
+	}
+	want.TestAcc = nn.Accuracy(m1.Forward(x), labels, te)
+	if len(want.Epochs) == cfg.Epochs {
+		t.Fatal("fixture never stops early; the test would not cover patience")
+	}
+
+	m2, x2, labels2, tr2, va2, te2 := trainerFixture(t, 11)
+	got := runTrainer(t, NewTrainer(m2, x2, labels2, tr2, va2, te2, cfg))
 
 	if len(got.Epochs) != len(want.Epochs) {
 		t.Fatalf("epochs: %d vs %d", len(got.Epochs), len(want.Epochs))
@@ -146,7 +175,7 @@ func TestTrainerStateResume(t *testing.T) {
 // TestTrainerRestoreRejectsBadState covers the validation paths.
 func TestTrainerRestoreRejectsBadState(t *testing.T) {
 	m, x, labels, tr, va, te := trainerFixture(t, 17)
-	trn := NewTrainer(m, x, labels, tr, va, te, TrainConfig{Epochs: 4})
+	trn := NewTrainer(m, x, labels, tr, va, te, TrainConfig{Epochs: 4, LR: 0.01})
 	if err := trn.Restore(nil); err == nil {
 		t.Fatal("nil state accepted")
 	}
@@ -161,7 +190,7 @@ func TestTrainerRunEpochRecoversPanic(t *testing.T) {
 	m, x, labels, tr, va, te := trainerFixture(t, 19)
 	gcn := m.(*GCN)
 	gcn.Agg = panicAgg{}
-	trn := NewTrainer(m, x, labels, tr, va, te, TrainConfig{Epochs: 4})
+	trn := NewTrainer(m, x, labels, tr, va, te, TrainConfig{Epochs: 4, LR: 0.01})
 	if _, err := trn.RunEpoch(); err == nil {
 		t.Fatal("panic not converted to error")
 	}
@@ -193,7 +222,7 @@ func TestDenseEpochAllocs(t *testing.T) {
 		"gcn":  NewGCN(NewLocalAggregator(d.Graph), []int{32, 32, 16}, rand.New(rand.NewSource(1))),
 		"sage": NewSAGE(NewLocalAggregator(d.Graph), []int{32, 32, 16}, rand.New(rand.NewSource(1))),
 	} {
-		trn := NewTrainer(model, d.Features, d.Labels, d.TrainMask, d.ValMask, d.TestMask, TrainConfig{Epochs: 100})
+		trn := NewTrainer(model, d.Features, d.Labels, d.TrainMask, d.ValMask, d.TestMask, TrainConfig{Epochs: 100, LR: 0.01})
 		trn.res.Epochs = make([]EpochStats, 0, 100) // keep the stats log's growth out of the count
 		epoch := func() {
 			if _, err := trn.RunEpoch(); err != nil {

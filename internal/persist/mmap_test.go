@@ -101,8 +101,18 @@ func TestMappedDatasetBitIdentical(t *testing.T) {
 	train := func(d *datasets.Dataset) *gnn.TrainResult {
 		rng := rand.New(rand.NewSource(3))
 		model := gnn.NewGCN(gnn.NewLocalAggregator(d.Graph), []int{d.FeatureDim(), 16, d.NumClasses}, rng)
-		return gnn.Train(model, d.Features, d.Labels, d.TrainMask, d.ValMask, d.TestMask,
+		trn := gnn.NewTrainer(model, d.Features, d.Labels, d.TrainMask, d.ValMask, d.TestMask,
 			gnn.TrainConfig{Epochs: 10, LR: 0.02})
+		for !trn.Done() {
+			if _, err := trn.RunEpoch(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		res, err := trn.Finish()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
 	}
 	rh, rm := train(heap), train(mapped)
 	if rh.TestAcc != rm.TestAcc {

@@ -178,8 +178,8 @@ func (c *Cluster) Fabric() *simnet.Fabric { return c.fabric }
 
 // StartEpoch marks an epoch boundary: it resets the aggregate-round slot
 // that keys error-feedback residuals and the delay cache, and advances the
-// delayed-transmission schedule to the given epoch (gnn.Train calls this
-// through the gnn.EpochMarker interface). With variable-rate scheduling the
+// delayed-transmission schedule to the given epoch (gnn.Trainer.RunEpoch
+// calls this through the gnn.EpochMarker interface). With variable-rate scheduling the
 // boundary is also the decision point: the scheduler reads every pair's
 // signal snapshot, runs the pure decision function, and pairs whose rung
 // changed are reseeded from scratch.
@@ -190,9 +190,9 @@ func (c *Cluster) StartEpoch(epoch int) {
 
 // StartEvalEpoch prepares a measurement-only pass: like StartEpoch, but
 // delayed transmission is bypassed — the pass computes fresh remote
-// contributions without reading or writing the delay cache. gnn.Train calls
-// this through the gnn.EvalMarker interface with the actual next epoch
-// before the final accuracy pass.
+// contributions without reading or writing the delay cache.
+// gnn.Trainer.Finish calls this through the gnn.EvalMarker interface with the
+// actual next epoch before the final accuracy pass.
 func (c *Cluster) StartEvalEpoch(epoch int) {
 	c.StartEpoch(epoch)
 	c.freshEval = true

@@ -218,9 +218,10 @@ func TestClusterStartEvalEpochBypassesDelay(t *testing.T) {
 // TestClusterFinalEvalUsesActualNextEpoch is the worker-runtime mirror of
 // the runner regression: with early stopping and delayed transmission, the
 // final test accuracy must not depend on whether the *configured* epoch
-// budget lands on a transmit epoch. gnn.Train marks the final pass through
-// the EvalMarker interface with the actual next epoch; before that hook, the
-// final forward silently reused the last training epoch's delay schedule.
+// budget lands on a transmit epoch. Trainer.Finish marks the final pass
+// through the EvalMarker interface with the actual next epoch; before that
+// hook, the final forward silently reused the last training epoch's delay
+// schedule.
 // The wire runtime is bit-deterministic, so exact equality is required.
 func TestClusterFinalEvalUsesActualNextEpoch(t *testing.T) {
 	d := datasets.PubMedSim(3)
@@ -232,8 +233,7 @@ func TestClusterFinalEvalUsesActualNextEpoch(t *testing.T) {
 		c := NewClusterFromConfig(d.Graph, part, 2, exchange.Config{DelayPeriod: 3})
 		rng := rand.New(rand.NewSource(2))
 		model := gnn.NewGCN(c, []int{d.FeatureDim(), 32, d.NumClasses}, rng)
-		r := gnn.Train(model, d.Features, d.Labels, d.TrainMask, d.ValMask, d.TestMask,
-			gnn.TrainConfig{Epochs: budget, LR: 0.02, Patience: 5})
+		r := trainModel(t, model, d, gnn.TrainConfig{Epochs: budget, LR: 0.02, Patience: 5})
 		c.Close()
 		if len(r.Epochs) >= budget {
 			t.Fatalf("early stopping did not trigger within budget %d", budget)

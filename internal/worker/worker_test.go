@@ -115,6 +115,22 @@ func TestClusterDeterministicUnderConcurrency(t *testing.T) {
 	}
 }
 
+// trainModel runs a gnn.Trainer over d to the end and returns its result.
+func trainModel(t testing.TB, model gnn.Model, d *datasets.Dataset, cfg gnn.TrainConfig) *gnn.TrainResult {
+	t.Helper()
+	trn := gnn.NewTrainer(model, d.Features, d.Labels, d.TrainMask, d.ValMask, d.TestMask, cfg)
+	for !trn.Done() {
+		if _, err := trn.RunEpoch(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res, err := trn.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 // TestClusterTrainsGCN: end-to-end training over the goroutine runtime.
 func TestClusterTrainsGCN(t *testing.T) {
 	d := datasets.PubMedSim(5)
@@ -123,8 +139,7 @@ func TestClusterTrainsGCN(t *testing.T) {
 	c := NewClusterFromConfig(d.Graph, part, 4, exchange.Config{Semantic: true, Plan: plan})
 	rng := rand.New(rand.NewSource(8))
 	model := gnn.NewGCN(c, []int{d.FeatureDim(), 32, d.NumClasses}, rng)
-	res := gnn.Train(model, d.Features, d.Labels, d.TrainMask, d.ValMask, d.TestMask,
-		gnn.TrainConfig{Epochs: 50, LR: 0.02})
+	res := trainModel(t, model, d, gnn.TrainConfig{Epochs: 50, LR: 0.02})
 	if res.TestAcc < 0.65 {
 		t.Fatalf("cluster-trained GCN accuracy = %v", res.TestAcc)
 	}

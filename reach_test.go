@@ -53,12 +53,18 @@ var stdInterfaceMethods = []string{"Error", "String", "Unwrap", "Len", "Less", "
 // main package (cmd/*, examples/*, bench/), every exported name of the
 // facade and every init function; from them the scan follows name references
 // through non-test files only, so code that only its own tests call shows up
-// here. A method counts as reached when its receiver type is reached and its
-// name is either selected in reached code of a package that can see the
-// type, or declared by an interface. Every declaration named Validate is
-// kept: it is the invariant check tests run on what the code builds.
+// here. An example may import nothing of the module but the facade, so what
+// only an example reaches is what the facade reaches: a file under examples/
+// that imports an internal package fails the test. A method counts as reached
+// when its receiver type is reached and its name is either selected in
+// reached code of a package that can see the type, or declared by an
+// interface. Every declaration named Validate is kept: it is the invariant
+// check tests run on what the code builds.
 func TestProductCodeIsReached(t *testing.T) {
 	s := scanModule(t)
+	for _, imp := range s.pastFacade {
+		t.Errorf("%s: an example imports only %q, never the packages behind it", imp, modPath)
+	}
 	s.run()
 	var unreached []string
 	for key, ds := range s.decls {
@@ -107,6 +113,9 @@ type scan struct {
 	reached  map[string]bool
 	selected map[string]map[string]bool // method name → packages whose reached code selects it
 	work     []string
+	// pastFacade lists the imports of module packages other than the facade
+	// in files under examples/, as "position: path".
+	pastFacade []string
 }
 
 // modPath is this module's path; bench/ is a module of its own that
@@ -180,6 +189,9 @@ func (s *scan) addFile(fset *token.FileSet, f *ast.File, pkg string, inBench boo
 		}
 		fi.imports[name] = ip
 		s.imports[pkg][ip] = true
+		if ip != modPath && strings.HasPrefix(pkg, modPath+"/examples/") {
+			s.pastFacade = append(s.pastFacade, fset.Position(spec.Pos()).String()+": "+ip)
+		}
 	}
 	isMain := f.Name.Name == "main" || inBench
 	isFacade := pkg == modPath && filepath.Base(fset.Position(f.Pos()).Filename) == "scgnn.go"

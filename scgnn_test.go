@@ -1,6 +1,7 @@
 package scgnn_test
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -39,8 +40,9 @@ func mustTrain(t testing.TB, ds *scgnn.Dataset, part []int, nparts int, m scgnn.
 }
 
 // TestTrainRefusesBadInput: input Train cannot train on is an error, not a
-// panic — each of these once panicked, the partition rows with an index out
-// of range.
+// panic. Each of these once panicked (the partition rows with an index out of
+// range) or trained on something else: a negative epoch count ran 100 epochs,
+// a NaN learning rate ran to chance accuracy.
 func TestTrainRefusesBadInput(t *testing.T) {
 	ds, err := scgnn.LoadDataset("pubmed-sim", 1)
 	if err != nil {
@@ -62,6 +64,13 @@ func TestTrainRefusesBadInput(t *testing.T) {
 		{"nparts not the vector's", part, 1, scgnn.Vanilla(), opt},
 		{"Quant(17)", part, 2, scgnn.Quant(17), opt},
 		{"model gat", part, 2, scgnn.Vanilla(), scgnn.TrainOptions{Model: "gat", Epochs: 1}},
+		{"Hidden -1", part, 2, scgnn.Vanilla(), scgnn.TrainOptions{Hidden: -1, Epochs: 1}},
+		{"Layers -5", part, 2, scgnn.Vanilla(), scgnn.TrainOptions{Layers: -5, Epochs: 1}},
+		{"Epochs -3", part, 2, scgnn.Vanilla(), scgnn.TrainOptions{Epochs: -3}},
+		{"Patience -1", part, 2, scgnn.Vanilla(), scgnn.TrainOptions{Patience: -1, Epochs: 1}},
+		{"LR -0.1", part, 2, scgnn.Vanilla(), scgnn.TrainOptions{LR: -0.1, Epochs: 1}},
+		{"LR NaN", part, 2, scgnn.Vanilla(), scgnn.TrainOptions{LR: math.NaN(), Epochs: 1}},
+		{"LR +Inf", part, 2, scgnn.Vanilla(), scgnn.TrainOptions{LR: math.Inf(1), Epochs: 1}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			defer func() {
