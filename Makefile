@@ -22,8 +22,8 @@ test:
 	$(GO) test ./...
 
 # The concurrent surfaces: the worker runtime (including the oracle
-# equivalence matrix over all Fig. 12(b) method combinations at every
-# fork-join width), the engine that wraps it, the exchange core they walk (one
+# equivalence matrix over all Fig. 12(b) method combinations at GOMAXPROCS
+# 1, 2 and 8), the engine that wraps it, the exchange core they walk (one
 # goroutine per pair, per-pair streams), the planning pipeline (single-sweep
 # DBG extraction fanned into concurrent per-pair plan builds and the sharded
 # k-means sweep), and the communication scheduler whose decisions every
@@ -41,8 +41,8 @@ test:
 # frame slots are written in one fork-join and read in the next, by goroutines
 # started afresh each time, with only the join between them —
 # once with a worker stalled in each position (TestClusterArrivalOrderInvariant)
-# and once across every lane, Workers value, a repartition and an eval pass
-# (TestEngineEqualsCluster).
+# and once across every lane, GOMAXPROCS 1, 2 and 8, a repartition and an
+# eval pass (TestEngineEqualsCluster).
 race:
 	$(GO) test -race ./internal/dist/... ./internal/worker/... ./internal/exchange/... \
 		./internal/cluster/... ./internal/core/... ./internal/graph/... \
@@ -150,7 +150,9 @@ fuzz-smoke:
 # And one in-process training entry point: dist.Run (a worker.Cluster behind a
 # validation) is what the facade, the commands and the experiments train on;
 # dist.NewEngine is left to dist itself, tests, bench/ and abl-runtime's
-# engine-vs-cluster column.
+# engine-vs-cluster column. And goroutine counts and feature storage stay the
+# code's call: no exported Workers field, and no mmap feature store (its
+# allocator, the dataset knob and the by-name constructor that took it).
 one-sink:
 	@! grep -rn 'useReference\|DelayCache\|pairBuf\|NewRounds\|worker\.Rounds\|forEachTask\|putHeader\|MsgHeaderBytes\|Fabric) Send(' --include='*.go' . | grep -v _test.go
 	@! grep -n 'aggregate(' internal/gnn/*.go | grep -v '_test\.go:\|^internal/gnn/layer\.go:'
@@ -158,6 +160,7 @@ one-sink:
 	@! grep -rn 'gnn\.NewTrainer(' --include='*.go' . | grep -v '_test\.go:\|^\./internal/gnn/\|^\./internal/dist/runner\.go:\|^\./bench/'
 	@! grep -rn '\.ReuseRound(' --include='*.go' . | grep -v '_test\.go:\|^\./internal/gnn/layer\.go:\|^[^:]*:[0-9]*:func ('
 	@! grep -rn 'dist\.NewEngine(' --include='*.go' . | grep -v '_test\.go:\|^\./internal/dist/\|^\./bench/\|^\./internal/exp/ablation\.go:'
+	@! grep -rnE 'MappedAlloc|AllocFeatures|ByNameWith|syscall\.Mmap|^\s+Workers\s+[a-z*[]' --include='*.go' . | grep -v '_test\.go:'
 
 # Every program under examples/, built into a temporary directory and run to
 # the end: go build compiles them, but only running them shows a facade call
@@ -213,7 +216,7 @@ bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkClusterRound|BenchmarkEngineExchange|BenchmarkEncodeQuantized|BenchmarkDecoderAXPY|BenchmarkEpoch|BenchmarkErrorFeedback' \
 		-benchmem -cpu 1,2 . ./internal/worker/ ./internal/wire/ ./internal/compress/ \
 		| $(GO) run ./cmd/scgnn-benchjson -o BENCH_worker.json -key after
-	$(GO) test -run '^$$' -bench 'BenchmarkAllDBGs|BenchmarkPlanPipeline|BenchmarkReplan' -benchmem . \
+	$(GO) test -run '^$$' -bench 'BenchmarkAllDBGs|BenchmarkPlanPipeline|BenchmarkReplan' -benchmem -cpu 1,2 . \
 		| $(GO) run ./cmd/scgnn-benchjson -o BENCH_plan.json -key after
 	$(GO) test -run '^$$' -bench 'BenchmarkSchedDecide' -benchmem ./internal/sched/ \
 		| $(GO) run ./cmd/scgnn-benchjson -o BENCH_plan.json -key sched
@@ -278,8 +281,8 @@ bench-scale:
 
 # CPU + heap profiles of the scale pipeline at the 100k preset, for digging
 # into what a BENCH_scale.json regression actually spends its time/bytes on.
-# PROFILE_PRESET=reddit-sim-1m for the full-size run; add PROFILE_FLAGS=-mmap
-# to profile the out-of-core mode. Inspect with `go tool pprof`.
+# PROFILE_PRESET=reddit-sim-1m for the full-size run; PROFILE_FLAGS passes
+# further scgnn-bench flags. Inspect with `go tool pprof`.
 PROFILE_PRESET ?= reddit-sim-100k
 PROFILE_FLAGS ?=
 profile:

@@ -42,13 +42,13 @@ func BenchmarkAllDBGs16P(b *testing.B) { benchAllDBGs(b, 16) }
 // BenchmarkPlanPipeline* runs the full offline planning pass with auto group
 // counts, so every pair pays the EEP inertia sweep over k ∈ [2,20] — the
 // dominant term of the planning wall.
-func benchPlanPipeline(b *testing.B, nparts, workers int) {
+func benchPlanPipeline(b *testing.B, nparts int) {
 	ds, part := planBenchSetup(b, nparts)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		plans, err := core.BuildAllPlans(ds.Graph, part, nparts,
-			core.PlanConfig{Grouping: core.GroupingConfig{Seed: 1}, Workers: workers})
+			core.PlanConfig{Grouping: core.GroupingConfig{Seed: 1}})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -58,16 +58,11 @@ func benchPlanPipeline(b *testing.B, nparts, workers int) {
 	}
 }
 
-func BenchmarkPlanPipeline8P(b *testing.B)  { benchPlanPipeline(b, 8, 0) }
-func BenchmarkPlanPipeline16P(b *testing.B) { benchPlanPipeline(b, 16, 0) }
-
-// The pinned lanes exercise the fan-out machinery explicitly: Sequential is
-// the one-goroutine schedule, Parallel pins one worker per DBG-heavy core
-// count. The two are plan-identical (core.TestBuildAllPlansWorkerInvariance);
-// on a multi-core host Parallel shows the ≈min(cores, nDBGs) speedup, on a
-// single-core host the scheduling-overhead floor.
-func BenchmarkPlanPipeline8PSequential(b *testing.B) { benchPlanPipeline(b, 8, 1) }
-func BenchmarkPlanPipeline8PParallel(b *testing.B)   { benchPlanPipeline(b, 8, 8) }
+// The pool runs min(GOMAXPROCS, pairs) plan builds at once, so -cpu is the
+// fan-out sweep (`make bench` runs 1 and 2); plans are identical for every
+// value (core.TestBuildAllPlansWorkerInvariance).
+func BenchmarkPlanPipeline8P(b *testing.B)  { benchPlanPipeline(b, 8) }
+func BenchmarkPlanPipeline16P(b *testing.B) { benchPlanPipeline(b, 16) }
 
 // BenchmarkReplan* measures the incremental replanning cost as a function of
 // the dirty-pair fraction. Each lane alternates the PlanCache between two
@@ -275,7 +270,7 @@ func BenchmarkReplan100KMoveOne(b *testing.B) {
 	ds, _ := replan100KSetup(b)
 	benchReplan100K(b, replanMoveOne(ds))
 }
-func BenchmarkReplan100KTwoParts(b *testing.B)  { benchReplan100K(b, replanDrain(50)) }
+func BenchmarkReplan100KTwoParts(b *testing.B)   { benchReplan100K(b, replanDrain(50)) }
 func BenchmarkReplan100KGlobal1Pct(b *testing.B) { benchReplan100K(b, replanGlobal(0.01)) }
 
 func BenchmarkReplan100KScratch(b *testing.B) {

@@ -118,21 +118,22 @@ func benchEpoch(b *testing.B, cfg dist.Config) {
 }
 
 // BenchmarkEngineExchange8P* isolates the engine's aggregate round at 8
-// partitions: one epoch of aggregate Forward+Backward (no model compute)
-// on the dense Reddit-like graph, on the caller's goroutine vs the full 8-way
-// fan-out (pinned to Workers:8 rather than the GOMAXPROCS default so the
-// goroutine machinery is exercised even on small hosts). The two schedules
-// are bit-identical (see dist.TestSequentialParallelEquivalence); on a
-// host with ≥8 cores the parallel lane shows the speedup, on a single-core
-// host it shows the scheduling overhead floor.
-func BenchmarkEngineExchange8PSequential(b *testing.B) { benchExchange8P(b, 1) }
-func BenchmarkEngineExchange8PParallel(b *testing.B)   { benchExchange8P(b, 8) }
-
-func BenchmarkEngineExchange8PSemanticSequential(b *testing.B) {
-	benchExchange8PSemantic(b, 1)
+// partitions: one epoch of aggregate Forward+Backward (no model compute) on
+// the dense Reddit-like graph, its 8 goroutines on as many processors as
+// -cpu gives (`make bench` runs 1 and 2). Results are bit-identical for every
+// GOMAXPROCS (see dist.TestSequentialParallelEquivalence).
+func BenchmarkEngineExchange8P(b *testing.B) {
+	eng, h := exchangeSetup(b, dist.Config{Seed: 1})
+	benchExchange(b, eng, h)
 }
-func BenchmarkEngineExchange8PSemanticParallel(b *testing.B) {
-	benchExchange8PSemantic(b, 8)
+
+func BenchmarkEngineExchange8PSemantic(b *testing.B) {
+	eng, h := exchangeSetup(b, dist.Config{
+		Semantic: true,
+		Plan:     core.PlanConfig{Grouping: core.GroupingConfig{K: 8, Seed: 1}},
+		Seed:     1,
+	})
+	benchExchange(b, eng, h)
 }
 
 func exchangeSetup(b *testing.B, cfg dist.Config) (*dist.Engine, *tensor.Matrix) {
@@ -148,24 +149,7 @@ func exchangeSetup(b *testing.B, cfg dist.Config) (*dist.Engine, *tensor.Matrix)
 	return eng, h
 }
 
-func benchExchange8P(b *testing.B, workers int) {
-	eng, h := exchangeSetup(b, dist.Config{Workers: workers, Seed: 1})
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		eng.StartEpoch(i)
-		eng.Forward(h)
-		eng.Backward(h)
-	}
-}
-
-func benchExchange8PSemantic(b *testing.B, workers int) {
-	eng, h := exchangeSetup(b, dist.Config{
-		Semantic: true,
-		Plan:     core.PlanConfig{Grouping: core.GroupingConfig{K: 8, Seed: 1}},
-		Workers:  workers,
-		Seed:     1,
-	})
+func benchExchange(b *testing.B, eng *dist.Engine, h *tensor.Matrix) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

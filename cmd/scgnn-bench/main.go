@@ -43,7 +43,6 @@ func run(args []string) int {
 		logY   = fs.Bool("svg-logy", false, "log-scale the y axis of SVG plots")
 		list   = fs.Bool("list", false, "list experiment ids and exit")
 		scale  = fs.String("scale", "", "run the scale study over comma-separated presets ('all' = reddit-sim-{10k,100k,1m}) and print benchmark-format rows for scgnn-benchjson")
-		mmap   = fs.Bool("mmap", false, "back scale-study feature matrices with mmap'd files (out-of-core mode; bit-identical results)")
 		cpuPro = fs.String("cpuprofile", "", "write a CPU profile to this file")
 		memPro = fs.String("memprofile", "", "write an end-of-run heap profile to this file")
 	)
@@ -89,7 +88,7 @@ func run(args []string) int {
 	}
 	defer writeMemProfile(*memPro)
 
-	opts := exp.Options{Seed: *seed, Epochs: *epochs, Partitions: *parts, Quick: *quick, MmapFeatures: *mmap}
+	opts := exp.Options{Seed: *seed, Epochs: *epochs, Partitions: *parts, Quick: *quick}
 
 	if *scale != "" {
 		return runScale(*scale, opts)

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"scgnn/internal/pool"
 	"scgnn/internal/tensor"
 )
 
@@ -91,24 +92,25 @@ func TestKMeansArenaPanics(t *testing.T) {
 
 // TestInertiaCurveArenaBitIdentical: the pooled sweep must match the
 // plain InertiaCurve (itself the nil-arena case) point for point, on both
-// the sequential schedule (arena engaged) and the parallel one (per-worker
-// scratch, arena ignored).
+// the inline schedule (arena engaged: one processor, or a nested arena) and
+// the fanned-out one (per-goroutine scratch, arena ignored).
 func TestInertiaCurveArenaBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	pts, _ := blobs(4, 25, 6, 9, rng)
-	for _, workers := range []int{1, 4} {
-		cfg := KMeansConfig{Workers: workers}
-		ref := InertiaCurve(pts, 2, 9, rand.New(rand.NewSource(5)), cfg)
-		a := &Arena{}
-		// Two sweeps through the same arena: the second reuses grown buffers.
-		for pass := 0; pass < 2; pass++ {
-			got := InertiaCurveArena(a, pts, 2, 9, rand.New(rand.NewSource(5)), cfg)
-			if len(got) != len(ref) {
-				t.Fatalf("workers=%d pass %d: curve has %d points, want %d", workers, pass, len(got), len(ref))
-			}
-			for i := range ref {
-				if math.Float64bits(got[i]) != math.Float64bits(ref[i]) {
-					t.Fatalf("workers=%d pass %d: curve[%d] = %v, want %v", workers, pass, i, got[i], ref[i])
+	for _, procs := range []int{1, 4} {
+		pool.SetProcs(t, procs)
+		ref := InertiaCurve(pts, 2, 9, rand.New(rand.NewSource(5)), KMeansConfig{})
+		for _, a := range []*Arena{NewArena(false), NewArena(true)} {
+			// Two sweeps through the same arena: the second reuses grown buffers.
+			for pass := 0; pass < 2; pass++ {
+				got := InertiaCurveArena(a, pts, 2, 9, rand.New(rand.NewSource(5)), KMeansConfig{})
+				if len(got) != len(ref) {
+					t.Fatalf("procs=%d nested=%v pass %d: curve has %d points, want %d", procs, a.Nested(), pass, len(got), len(ref))
+				}
+				for i := range ref {
+					if math.Float64bits(got[i]) != math.Float64bits(ref[i]) {
+						t.Fatalf("procs=%d nested=%v pass %d: curve[%d] = %v, want %v", procs, a.Nested(), pass, i, got[i], ref[i])
+					}
 				}
 			}
 		}

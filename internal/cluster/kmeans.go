@@ -9,10 +9,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
+	"scgnn/internal/pool"
 	"scgnn/internal/tensor"
 )
 
@@ -25,16 +23,14 @@ type KMeansResult struct {
 	Iterations int
 }
 
-// KMeansConfig tunes the Lloyd iteration.
+// KMeansConfig tunes the Lloyd iteration. The assignment step and the
+// InertiaCurve sweep run on pool.Width goroutines; results are bit-identical
+// for every GOMAXPROCS, since points are sharded into fixed-size chunks whose
+// partial inertia sums are combined in chunk order regardless of which
+// goroutine computed them.
 type KMeansConfig struct {
 	MaxIter int     // default 100
 	Tol     float64 // relative inertia improvement to continue; default 1e-6
-	// Workers caps the goroutines driving the assignment step and the
-	// InertiaCurve sweep. 0 uses GOMAXPROCS; 1 forces the sequential
-	// schedule. Results are bit-identical for every value: points are
-	// sharded into fixed-size chunks whose partial inertia sums are combined
-	// in chunk order regardless of which goroutine computed them.
-	Workers int
 }
 
 func (c KMeansConfig) withDefaults() KMeansConfig {
@@ -45,13 +41,6 @@ func (c KMeansConfig) withDefaults() KMeansConfig {
 		c.Tol = 1e-6
 	}
 	return c
-}
-
-func (c KMeansConfig) workerCount() int {
-	if c.Workers > 0 {
-		return c.Workers
-	}
-	return runtime.GOMAXPROCS(0)
 }
 
 // assignChunkRows is the fixed shard width of the parallel assignment step.
@@ -90,12 +79,22 @@ func (s *kmeansScratch) centroidView(k, d int) *tensor.Matrix {
 // runs — one arena per goroutine. The repartition pipeline threads one arena
 // through every dirty pair's grouping so the assignment/centroid/D² buffers
 // are sized once for the largest pair a worker sees instead of re-grown per
-// pair (the steady-state Repartition alloc guard pins this). A zero Arena is
-// ready to use; results never alias arena storage (retained outputs are
-// copied out), so recycling it is always safe.
+// pair (the steady-state Repartition alloc guard pins this). Results never
+// alias arena storage (retained outputs are copied out), so recycling it is
+// always safe.
 type Arena struct {
-	sc *kmeansScratch
+	sc     *kmeansScratch
+	nested bool
 }
+
+// NewArena returns an empty arena for one goroutine. nested says that
+// goroutine is one of a fan-out of several, so the loops of the runs on the
+// arena stay on it (pool.Width).
+func NewArena(nested bool) *Arena { return &Arena{nested: nested} }
+
+// Nested reports whether a's goroutine is one of a fan-out of several; a nil
+// arena is not.
+func (a *Arena) Nested() bool { return a != nil && a.nested }
 
 // scratch returns arena scratch with capacity for an (n, d, kmax) run,
 // growing the pooled buffers only when a dimension exceeds every prior run.
@@ -129,7 +128,7 @@ func (a *Arena) scratch(n, d, kmax int) *kmeansScratch {
 
 // KMeans clusters the rows of points into k clusters using k-means++ seeding
 // followed by Lloyd iterations. rng drives seeding; the iteration itself is
-// deterministic given the seeds (for any cfg.Workers value). Panics if k < 1
+// deterministic given the seeds (for any GOMAXPROCS). Panics if k < 1
 // or there are no points.
 func KMeans(points *tensor.Matrix, k int, rng *rand.Rand, cfg KMeansConfig) *KMeansResult {
 	n := points.Rows
@@ -144,7 +143,7 @@ func KMeans(points *tensor.Matrix, k int, rng *rand.Rand, cfg KMeansConfig) *KMe
 	}
 	cfg = cfg.withDefaults()
 	sc := newKMeansScratch(n, points.Cols, k)
-	inertia, iters := kmeansRun(points, k, rng, cfg, sc)
+	inertia, iters := kmeansRun(points, k, rng, cfg, sc, false)
 	return &KMeansResult{
 		K:          k,
 		Assign:     sc.assign,
@@ -172,7 +171,7 @@ func KMeansArena(a *Arena, points *tensor.Matrix, k int, rng *rand.Rand, cfg KMe
 	}
 	cfg = cfg.withDefaults()
 	sc := a.scratch(n, d, k)
-	inertia, iters := kmeansRun(points, k, rng, cfg, sc)
+	inertia, iters := kmeansRun(points, k, rng, cfg, sc, a.Nested())
 	assign := make([]int, n)
 	copy(assign, sc.assign[:n])
 	cents := tensor.New(k, d)
@@ -190,7 +189,8 @@ func KMeansArena(a *Arena, points *tensor.Matrix, k int, rng *rand.Rand, cfg KMe
 // returns the final inertia and iteration count. sc.assign and the centroid
 // prefix hold the final state; callers that retain them must not reuse sc.
 // k must already be clamped to [1, n], and sc sized for at least (n, d, k).
-func kmeansRun(points *tensor.Matrix, k int, rng *rand.Rand, cfg KMeansConfig, sc *kmeansScratch) (float64, int) {
+// nested runs the assignment step inline (pool.Width).
+func kmeansRun(points *tensor.Matrix, k int, rng *rand.Rand, cfg KMeansConfig, sc *kmeansScratch, nested bool) (float64, int) {
 	n, d := points.Rows, points.Cols
 	cents := sc.centroidView(k, d)
 	seedPlusPlusInto(points, k, rng, cents, sc.d2)
@@ -199,14 +199,11 @@ func kmeansRun(points *tensor.Matrix, k int, rng *rand.Rand, cfg KMeansConfig, s
 
 	nchunks := (n + assignChunkRows - 1) / assignChunkRows
 	partial := sc.partial[:nchunks]
-	workers := cfg.workerCount()
-	if workers > nchunks {
-		workers = nchunks
-	}
+	width := pool.Width(nchunks, nested)
 
 	// assignChunk reassigns every point of chunk ci to its nearest centroid
 	// and records the chunk's inertia partial.
-	assignChunk := func(ci int) {
+	assignChunk := func(ci int, _ struct{}) {
 		lo := ci * assignChunkRows
 		hi := lo + assignChunkRows
 		if hi > n {
@@ -227,33 +224,11 @@ func kmeansRun(points *tensor.Matrix, k int, rng *rand.Rand, cfg KMeansConfig, s
 		partial[ci] = sum
 	}
 
-	// assignStep runs every chunk (sharded across workers when it pays) and
-	// combines the partials in chunk order. The loop always *ends* right
-	// after an assignment step, so the assignment and inertia are consistent
-	// with the returned centroids.
+	// assignStep runs every chunk on the pool and combines the partials in
+	// chunk order. The loop always *ends* right after an assignment step, so
+	// the assignment and inertia are consistent with the returned centroids.
 	assignStep := func() float64 {
-		if workers <= 1 {
-			for ci := 0; ci < nchunks; ci++ {
-				assignChunk(ci)
-			}
-		} else {
-			var next int64
-			var wg sync.WaitGroup
-			for w := 0; w < workers; w++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for {
-						ci := int(atomic.AddInt64(&next, 1)) - 1
-						if ci >= nchunks {
-							return
-						}
-						assignChunk(ci)
-					}
-				}()
-			}
-			wg.Wait()
-		}
+		pool.Run(nchunks, width, nil, assignChunk)
 		var inertia float64
 		for _, p := range partial {
 			inertia += p
@@ -376,20 +351,20 @@ func (s *sweepSource) Seed(seed int64) { s.state = uint64(seed) }
 // InertiaCurve runs k-means for every k in [kmin, kmax] and returns the
 // inertia per k — the raw material for the elbow plots of Fig. 4(b). One
 // child seed per k is pre-drawn from rng in k order, which decouples the
-// runs: they execute concurrently across cfg.Workers goroutines (each worker
-// retaining one scratch allocation across its runs) and the curve is
-// identical for any worker count, because run i always starts from seed i.
+// runs: they execute concurrently on the pool (each goroutine retaining one
+// scratch allocation across its runs) and the curve is identical for any
+// GOMAXPROCS, because run i always starts from seed i.
 func InertiaCurve(points *tensor.Matrix, kmin, kmax int, rng *rand.Rand, cfg KMeansConfig) []float64 {
 	return InertiaCurveArena(nil, points, kmin, kmax, rng, cfg)
 }
 
-// InertiaCurveArena is InertiaCurve with pooled scratch: on the sequential
-// schedule (cfg.Workers == 1, or one effective worker) the sweep's single
-// scratch comes from the arena, so a caller sweeping many DBGs in a loop
-// re-grows nothing between them. The parallel schedule keeps its per-worker
-// scratch — an arena is single-goroutine — and the curve is bit-identical in
-// every case (per-k child seeds are pre-drawn either way). a == nil runs with
-// local scratch, which is exactly InertiaCurve.
+// InertiaCurveArena is InertiaCurve with pooled scratch: when the sweep runs
+// inline (a nested arena, or one goroutine) its single scratch comes from the
+// arena, so a caller sweeping many DBGs in a loop re-grows nothing between
+// them. A fanned-out sweep keeps per-goroutine scratch — an arena is
+// single-goroutine — and the curve is bit-identical in every case (per-k
+// child seeds are pre-drawn either way). a == nil runs with local scratch,
+// which is exactly InertiaCurve.
 func InertiaCurveArena(a *Arena, points *tensor.Matrix, kmin, kmax int, rng *rand.Rand, cfg KMeansConfig) []float64 {
 	if kmin < 1 || kmax < kmin {
 		panic(fmt.Sprintf("cluster: bad k range [%d,%d]", kmin, kmax))
@@ -406,50 +381,22 @@ func InertiaCurveArena(a *Arena, points *tensor.Matrix, kmin, kmax int, rng *ran
 	if kcap > n {
 		kcap = n
 	}
-	workers := cfg.workerCount()
-	if workers > nk {
-		workers = nk
-	}
-	runOne := func(i int, cfg KMeansConfig, sc *kmeansScratch) {
+	width := pool.Width(nk, a.Nested())
+	// A fanned-out sweep already has the processors, so each run's assignment
+	// step stays inline (same bits either way).
+	nested := a.Nested() || width > 1
+	pool.Run(nk, width, func() *kmeansScratch {
+		if width <= 1 && a != nil {
+			return a.scratch(n, d, kcap)
+		}
+		return newKMeansScratch(n, d, kcap)
+	}, func(i int, sc *kmeansScratch) {
 		k := kmin + i
 		if k > n {
 			k = n
 		}
-		out[i], _ = kmeansRun(points, k, rand.New(&sweepSource{state: uint64(seeds[i])}), cfg, sc)
-	}
-	if workers <= 1 {
-		var sc *kmeansScratch
-		if a != nil {
-			sc = a.scratch(n, d, kcap)
-		} else {
-			sc = newKMeansScratch(n, d, kcap)
-		}
-		for i := 0; i < nk; i++ {
-			runOne(i, cfg, sc)
-		}
-		return out
-	}
-	// The sweep itself saturates the workers, so each run's assignment step
-	// stays sequential (same bits either way — see KMeansConfig.Workers).
-	runCfg := cfg
-	runCfg.Workers = 1
-	var next int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sc := newKMeansScratch(n, d, kcap)
-			for {
-				i := int(atomic.AddInt64(&next, 1)) - 1
-				if i >= nk {
-					return
-				}
-				runOne(i, runCfg, sc)
-			}
-		}()
-	}
-	wg.Wait()
+		out[i], _ = kmeansRun(points, k, rand.New(&sweepSource{state: uint64(seeds[i])}), cfg, sc, nested)
+	})
 	return out
 }
 

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"scgnn/internal/pool"
 	"scgnn/internal/tensor"
 )
 
@@ -293,12 +294,14 @@ func TestInertiaCurvePanicsOnBadRange(t *testing.T) {
 
 // TestKMeansWorkerInvariance: the chunk-sharded assignment step combines
 // partial inertia sums in chunk order, so results are bit-identical for any
-// Workers value (n > assignChunkRows so several chunks exist).
+// GOMAXPROCS (n > assignChunkRows so several chunks exist).
 func TestKMeansWorkerInvariance(t *testing.T) {
 	pts, _ := blobs(5, 130, 6, 7, rand.New(rand.NewSource(21))) // 650 rows → 3 chunks
-	base := KMeans(pts, 5, rand.New(rand.NewSource(9)), KMeansConfig{Workers: 1})
-	for _, workers := range []int{2, 4, 16} {
-		got := KMeans(pts, 5, rand.New(rand.NewSource(9)), KMeansConfig{Workers: workers})
+	pool.SetProcs(t, 1)
+	base := KMeans(pts, 5, rand.New(rand.NewSource(9)), KMeansConfig{})
+	for _, workers := range []int{2, 8} {
+		pool.SetProcs(t, workers)
+		got := KMeans(pts, 5, rand.New(rand.NewSource(9)), KMeansConfig{})
 		if got.Inertia != base.Inertia || got.Iterations != base.Iterations {
 			t.Fatalf("workers=%d: inertia/iters %v/%d, want %v/%d",
 				workers, got.Inertia, got.Iterations, base.Inertia, base.Iterations)
@@ -320,9 +323,11 @@ func TestKMeansWorkerInvariance(t *testing.T) {
 // is identical whether the runs execute sequentially or concurrently.
 func TestInertiaCurveWorkerInvariance(t *testing.T) {
 	pts, _ := blobs(4, 30, 3, 6, rand.New(rand.NewSource(22)))
-	base := InertiaCurve(pts, 2, 12, rand.New(rand.NewSource(5)), KMeansConfig{Workers: 1})
-	for _, workers := range []int{3, 8, 32} {
-		got := InertiaCurve(pts, 2, 12, rand.New(rand.NewSource(5)), KMeansConfig{Workers: workers})
+	pool.SetProcs(t, 1)
+	base := InertiaCurve(pts, 2, 12, rand.New(rand.NewSource(5)), KMeansConfig{})
+	for _, workers := range []int{2, 8} {
+		pool.SetProcs(t, workers)
+		got := InertiaCurve(pts, 2, 12, rand.New(rand.NewSource(5)), KMeansConfig{})
 		for i := range base {
 			if got[i] != base[i] {
 				t.Fatalf("workers=%d: curve differs at %d: %v vs %v", workers, i, got[i], base[i])
@@ -336,7 +341,8 @@ func TestInertiaCurveWorkerInvariance(t *testing.T) {
 // the same pre-drawn per-k seed.
 func TestInertiaCurveMatchesIndependentRuns(t *testing.T) {
 	pts, _ := blobs(3, 25, 4, 8, rand.New(rand.NewSource(23)))
-	curve := InertiaCurve(pts, 2, 9, rand.New(rand.NewSource(6)), KMeansConfig{Workers: 1})
+	pool.SetProcs(t, 1)
+	curve := InertiaCurve(pts, 2, 9, rand.New(rand.NewSource(6)), KMeansConfig{})
 	seedRng := rand.New(rand.NewSource(6)) // replay the seed pre-draw
 	for i := range curve {
 		seed := seedRng.Int63()

@@ -2,6 +2,8 @@ package core
 
 import (
 	"testing"
+
+	"scgnn/internal/pool"
 )
 
 // TestRepartitionSteadyStateAllocs pins allocation ceilings on the
@@ -20,9 +22,11 @@ func TestRepartitionSteadyStateAllocs(t *testing.T) {
 	for u := nparts; u < len(partB); u += 7 {
 		partB[u] = (partB[u] + 1) % nparts
 	}
-	// Workers pinned to 1 at both levels so the count is schedule-independent
-	// (the parallel paths allocate per-goroutine scratch by design).
-	cfg := PlanConfig{Grouping: GroupingConfig{Seed: 11, Workers: 1}, Workers: 1}
+	// One processor, so every level runs inline and the count is
+	// schedule-independent (the fanned-out paths allocate per-goroutine
+	// scratch by design).
+	pool.SetProcs(t, 1)
+	cfg := PlanConfig{Grouping: GroupingConfig{Seed: 11}}
 	pc, err := NewPlanCache(g, partA, nparts, cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -3,14 +3,12 @@ package core
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
 	"slices"
-	"sync"
-	"sync/atomic"
 
 	"scgnn/internal/bitvec"
 	"scgnn/internal/cluster"
 	"scgnn/internal/graph"
+	"scgnn/internal/pool"
 	"scgnn/internal/tensor"
 )
 
@@ -30,16 +28,15 @@ type GroupingConfig struct {
 	// (default 32). When the source pool is smaller, every source is a
 	// pivot and the embedding is the exact similarity matrix row.
 	MaxPivots int
-	// Seed drives k-means seeding; grouping is deterministic given a seed.
+	// Seed drives k-means seeding; grouping is deterministic given a seed
+	// (the embedding fill and the EEP sweep run on the pool, and the grouping
+	// is identical for any GOMAXPROCS).
 	Seed int64
-	// Workers caps the goroutines filling the similarity embedding and
-	// running the EEP inertia sweep (0 uses GOMAXPROCS; 1 forces the
-	// sequential path). The grouping is identical for any value.
-	Workers int
 	// arena, when non-nil, supplies pooled k-means/EEP scratch reused across
-	// the groupings one goroutine builds (buildPairsInto hands each worker
-	// its own). Purely an allocation knob — groupings are bit-identical with
-	// or without it, and nothing in the result aliases arena storage.
+	// the groupings one goroutine builds (buildPairsInto hands each goroutine
+	// its own), and says whether that goroutine is one of a fan-out
+	// (cluster.Arena.Nested). Groupings are bit-identical with or without it,
+	// and nothing in the result aliases arena storage.
 	arena *cluster.Arena
 }
 
@@ -134,10 +131,10 @@ func BuildGrouping(d *graph.DBG, cfg GroupingConfig) *Grouping {
 	// Embed the pool in similarity space: x_u[j] = S(u, pivot_j).
 	pivots := pickPivots(poolSrc, cfg.MaxPivots)
 	emb := tensor.New(len(poolSrc), len(pivots))
-	fillEmbedding(d, cfg.Sim, poolSrc, pivots, emb, cfg.Workers)
+	fillEmbedding(d, cfg.Sim, poolSrc, pivots, emb, cfg.arena.Nested())
 	gr.Embedding = emb
 
-	kmCfg := cluster.KMeansConfig{Workers: cfg.Workers}
+	var kmCfg cluster.KMeansConfig
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	k := cfg.K
 	if k <= 0 {
@@ -200,13 +197,14 @@ func groupFromSources(d *graph.DBG, srcIdx []int) *Group {
 }
 
 // embedChunkRows is the fixed shard width of the parallel embedding fill;
-// rows are independent, so the result is identical for any worker count.
+// rows are independent, so the result is identical for any pool width.
 const embedChunkRows = 64
 
 // fillEmbedding computes emb[i][j] = sim(poolSrc[i], pivots[j]) with the
-// row chunks fanned out across a bounded worker pool.
-func fillEmbedding(d *graph.DBG, sim Similarity, poolSrc, pivots []int, emb *tensor.Matrix, workers int) {
-	fillChunk := func(ci int) {
+// row chunks fanned out over the pool (inline when nested).
+func fillEmbedding(d *graph.DBG, sim Similarity, poolSrc, pivots []int, emb *tensor.Matrix, nested bool) {
+	nchunks := (len(poolSrc) + embedChunkRows - 1) / embedChunkRows
+	pool.Run(nchunks, pool.Width(nchunks, nested), nil, func(ci int, _ struct{}) {
 		lo := ci * embedChunkRows
 		hi := lo + embedChunkRows
 		if hi > len(poolSrc) {
@@ -218,36 +216,7 @@ func fillEmbedding(d *graph.DBG, sim Similarity, poolSrc, pivots []int, emb *ten
 				row[j] = sim.Score(d.Adj, poolSrc[i], pj)
 			}
 		}
-	}
-	nchunks := (len(poolSrc) + embedChunkRows - 1) / embedChunkRows
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > nchunks {
-		workers = nchunks
-	}
-	if workers <= 1 {
-		for ci := 0; ci < nchunks; ci++ {
-			fillChunk(ci)
-		}
-		return
-	}
-	var next int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				ci := int(atomic.AddInt64(&next, 1)) - 1
-				if ci >= nchunks {
-					return
-				}
-				fillChunk(ci)
-			}
-		}()
-	}
-	wg.Wait()
+	})
 }
 
 func buildGroup(d *graph.DBG, srcIdx, dstIdx []int) *Group {

@@ -2,13 +2,11 @@ package core
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"scgnn/internal/cluster"
 	"scgnn/internal/compress"
 	"scgnn/internal/graph"
+	"scgnn/internal/pool"
 )
 
 // DropMask selects connection types to prune entirely — the differential
@@ -64,19 +62,6 @@ type PlanConfig struct {
 	// Sec. 3.3 weighting; mass conservation still holds but contribution is
 	// no longer redistributed by connection strength.
 	UniformWeights bool
-	// Workers caps the goroutines BuildAllPlans fans per-pair plan builds
-	// across (0 uses GOMAXPROCS; 1 forces the sequential schedule),
-	// following the dist.Config.Workers convention. The plans are identical
-	// for any value: every pair derives its own decorrelated k-means seed
-	// (compress.DeriveSeed) and writes a dedicated output slot.
-	Workers int
-}
-
-func (c PlanConfig) workerCount() int {
-	if c.Workers > 0 {
-		return c.Workers
-	}
-	return runtime.GOMAXPROCS(0)
 }
 
 // PairPlan is the complete static communication plan for one ordered
@@ -141,11 +126,10 @@ func planFromDBG(d *graph.DBG, cfg PlanConfig) *PairPlan {
 // return an error instead of panicking (or silently dropping arcs) deep in
 // the extraction sweep. All cross arcs are bucketed in one sweep of the graph
 // (graph.ExtractArcBuckets), then the per-pair plan builds — which are
-// independent — fan out over a bounded worker pool (cfg.Workers). Every pair
-// derives its k-means seed from the base seed with compress.DeriveSeed, so
-// seeding differs across DBGs while the result depends only on (seed, pair),
-// never on which goroutine built the plan: output is identical for any
-// worker count.
+// independent — fan out over the pool. Every pair derives its k-means seed
+// from the base seed with compress.DeriveSeed, so seeding differs across DBGs
+// while the result depends only on (seed, pair), never on which goroutine
+// built the plan: output is identical for any GOMAXPROCS.
 func BuildAllPlans(g *graph.Graph, part []int, nparts int, cfg PlanConfig) ([]*PairPlan, error) {
 	if err := graph.ValidatePartition(g.NumNodes(), part, nparts); err != nil {
 		return nil, fmt.Errorf("core: BuildAllPlans: %w", err)
@@ -181,22 +165,26 @@ func compactPlans(table []*PairPlan) []*PairPlan {
 
 // buildPairsInto materializes the plan for every listed pair index from its
 // arc bucket into the nparts²-slot table, fanning the independent builds over
-// the bounded pool (cfg.Workers). Every pair's k-means seed is
+// the pool. Every pair's k-means seed is
 // compress.DeriveSeed(base, src*nparts+dst) — a function of (seed, pair)
 // only, never of which goroutine built it or which other pairs are in the
 // batch. That is the property incremental replanning leans on: rebuilding one
 // dirty pair replays exactly the seed stream a from-scratch build would use,
 // so reused and rebuilt plans are both bit-identical to from-scratch output.
 func buildPairsInto(table []*PairPlan, b *graph.ArcBuckets, idxs []int, cfg PlanConfig) {
-	workers := cfg.workerCount()
-	if workers > len(idxs) {
-		workers = len(idxs)
-	}
 	// Each goroutine owns one k-means arena for the whole batch, so a 56-pair
-	// all-dirty replan grows the clustering scratch once per worker instead of
-	// once per pair (the steady-state Repartition alloc ceiling pins this).
-	// Arenas never leak into results, so bit-identity is unaffected.
-	build := func(i int, ar *cluster.Arena) {
+	// all-dirty replan grows the clustering scratch once per goroutine instead
+	// of once per pair (the steady-state Repartition alloc ceiling pins this).
+	// When the pairs fan out, the arena is nested: each build's embedding and
+	// sweep run inline (same output either way). Arenas never leak into
+	// results, so bit-identity is unaffected.
+	if len(idxs) == 0 {
+		return // a clean repartition builds nothing and allocates nothing here
+	}
+	width := pool.Width(len(idxs), false)
+	pool.Run(len(idxs), width, func() *cluster.Arena {
+		return cluster.NewArena(width > 1)
+	}, func(i int, ar *cluster.Arena) {
 		idx := idxs[i]
 		d := b.DBG(idx)
 		if d == nil {
@@ -206,37 +194,8 @@ func buildPairsInto(table []*PairPlan, b *graph.ArcBuckets, idxs []int, cfg Plan
 		pairCfg := cfg
 		pairCfg.Grouping.Seed = compress.DeriveSeed(cfg.Grouping.Seed, idx)
 		pairCfg.Grouping.arena = ar
-		if workers > 1 {
-			// The pair fan-out already saturates the pool; keep each build's
-			// inner embedding/sweep parallelism off (same output either way).
-			pairCfg.Grouping.Workers = 1
-		}
 		table[idx] = planFromDBG(d, pairCfg)
-	}
-	if workers <= 1 {
-		ar := &cluster.Arena{}
-		for i := range idxs {
-			build(i, ar)
-		}
-		return
-	}
-	var next int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			ar := &cluster.Arena{}
-			for {
-				i := int(atomic.AddInt64(&next, 1)) - 1
-				if i >= len(idxs) {
-					return
-				}
-				build(i, ar)
-			}
-		}()
-	}
-	wg.Wait()
+	})
 }
 
 // VectorsPerRound returns how many payload vectors this plan transmits per

@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"scgnn/internal/graph"
+	"scgnn/internal/pool"
 )
 
 // mixedGraph returns the graph behind mixedDBG plus its partition vector.
@@ -280,14 +281,13 @@ func denseMultiPartGraph(seed int64, n, nparts, degree int) (*graph.Graph, []int
 }
 
 // TestBuildAllPlansWorkerInvariance: the parallel planning pipeline returns
-// identical plans for any Workers value (per-pair DeriveSeed streams, slotted
+// identical plans for any GOMAXPROCS (per-pair DeriveSeed streams, slotted
 // output, chunk-sharded inner loops).
 func TestBuildAllPlansWorkerInvariance(t *testing.T) {
 	g, part := denseMultiPartGraph(11, 160, 4, 8)
-	base := mustBuildAllPlans(t, g, part, 4, PlanConfig{
-		Grouping: GroupingConfig{Seed: 5}, // auto-K: exercises the EEP sweep
-		Workers:  1,
-	})
+	cfg := PlanConfig{Grouping: GroupingConfig{Seed: 5}} // auto-K: exercises the EEP sweep
+	pool.SetProcs(t, 1)
+	base := mustBuildAllPlans(t, g, part, 4, cfg)
 	if len(base) == 0 {
 		t.Fatal("no plans")
 	}
@@ -296,12 +296,9 @@ func TestBuildAllPlansWorkerInvariance(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for _, workers := range []int{4, 64} {
-		got := mustBuildAllPlans(t, g, part, 4, PlanConfig{
-			Grouping: GroupingConfig{Seed: 5},
-			Workers:  workers,
-		})
-		plansIdentical(t, got, base)
+	for _, workers := range []int{2, 8} {
+		pool.SetProcs(t, workers)
+		plansIdentical(t, mustBuildAllPlans(t, g, part, 4, cfg), base)
 	}
 }
 
@@ -309,7 +306,8 @@ func TestBuildAllPlansWorkerInvariance(t *testing.T) {
 // order regardless of the fan-out schedule.
 func TestBuildAllPlansAscendingPairs(t *testing.T) {
 	g, part := denseMultiPartGraph(13, 120, 5, 6)
-	plans := mustBuildAllPlans(t, g, part, 5, PlanConfig{Grouping: GroupingConfig{K: 2, Seed: 1}, Workers: 8})
+	pool.SetProcs(t, 8)
+	plans := mustBuildAllPlans(t, g, part, 5, PlanConfig{Grouping: GroupingConfig{K: 2, Seed: 1}})
 	for i := 1; i < len(plans); i++ {
 		prev := plans[i-1].SrcPart*5 + plans[i-1].DstPart
 		cur := plans[i].SrcPart*5 + plans[i].DstPart
@@ -320,16 +318,18 @@ func TestBuildAllPlansAscendingPairs(t *testing.T) {
 }
 
 // TestBuildGroupingWorkerInvariance: the row-chunked embedding fill and
-// sharded k-means inside one grouping are worker-count independent too.
+// sharded k-means inside one grouping are GOMAXPROCS independent too.
 func TestBuildGroupingWorkerInvariance(t *testing.T) {
 	g, part := denseMultiPartGraph(17, 300, 2, 10)
 	d := graph.ExtractDBG(g, part, 0, 1)
 	if d == nil {
 		t.Fatal("nil DBG")
 	}
-	base := BuildGrouping(d, GroupingConfig{Seed: 3, Workers: 1})
-	for _, workers := range []int{4, 32} {
-		got := BuildGrouping(d, GroupingConfig{Seed: 3, Workers: workers})
+	pool.SetProcs(t, 1)
+	base := BuildGrouping(d, GroupingConfig{Seed: 3})
+	for _, workers := range []int{2, 8} {
+		pool.SetProcs(t, workers)
+		got := BuildGrouping(d, GroupingConfig{Seed: 3})
 		if got.K != base.K || got.Inertia != base.Inertia {
 			t.Fatalf("workers=%d: K/inertia %d/%v, want %d/%v", workers, got.K, got.Inertia, base.K, base.Inertia)
 		}

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"scgnn/internal/graph"
+	"scgnn/internal/pool"
 )
 
 // perturbPartition applies one random perturbation to part and returns the
@@ -47,15 +48,16 @@ func perturbPartition(rng *rand.Rand, part []int, nparts, k int) ([]int, string)
 // perturbations through a PlanCache and asserts that after every step the
 // incremental plan table is byte-identical (MarshalPlans, IEEE-754
 // bit-pattern floats) to a from-scratch BuildAllPlans on the same partition —
-// at Workers 1, 4, and 64. This is the tentpole's correctness contract: dirty
+// at GOMAXPROCS 1, 4, and 64. This is the tentpole's correctness contract: dirty
 // pairs rebuild on their original DeriveSeed streams, clean pairs are reused
 // verbatim, and neither path is observable in the output.
 func TestPlanCacheMetamorphic(t *testing.T) {
 	const nparts = 4
 	for _, workers := range []int{1, 4, 64} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			pool.SetProcs(t, workers)
 			g, part := denseMultiPartGraph(23, 130, nparts, 6)
-			cfg := PlanConfig{Grouping: GroupingConfig{Seed: 9}, Workers: workers}
+			cfg := PlanConfig{Grouping: GroupingConfig{Seed: 9}}
 			pc, err := NewPlanCache(g, part, nparts, cfg)
 			if err != nil {
 				t.Fatal(err)

@@ -89,13 +89,6 @@ type Spec struct {
 	TrainFrac, ValFrac float64
 	// Seed makes generation deterministic.
 	Seed int64
-	// AllocFeatures, when non-nil, supplies the backing storage for the N×F
-	// feature matrix (nil uses the in-heap tensor.New). The out-of-core path
-	// hands an mmap-backed allocator in here (persist.NewMappedAlloc), which
-	// moves the largest resident tensor of a million-node dataset onto a
-	// file; generation is bit-identical either way — the allocator only
-	// chooses where the float64s live, never what they are.
-	AllocFeatures func(rows, cols int) *tensor.Matrix
 }
 
 func (s Spec) withDefaults() Spec {
@@ -151,11 +144,7 @@ func Generate(spec Spec) *Dataset {
 			means.Data[i] = -1
 		}
 	}
-	alloc := spec.AllocFeatures
-	if alloc == nil {
-		alloc = tensor.New
-	}
-	feats := alloc(n, spec.FeatureDim)
+	feats := tensor.New(n, spec.FeatureDim)
 	for i := 0; i < n; i++ {
 		mu := means.Row(labels[i])
 		row := feats.Row(i)

@@ -1,10 +1,6 @@
 package datasets
 
-import (
-	"fmt"
-
-	"scgnn/internal/tensor"
-)
+import "fmt"
 
 // The four benchmark datasets of the paper, rebuilt as synthetic analogues at
 // laptop scale. The *relative* statistics follow the published shapes:
@@ -172,42 +168,27 @@ func ScaleNames() []string {
 	return []string{"reddit-sim-10k", "reddit-sim-100k", "reddit-sim-1m"}
 }
 
-// SpecByName returns the named benchmark preset's generator spec, so callers
-// can adjust storage knobs (Spec.AllocFeatures) before generating.
-func SpecByName(name string, seed int64) (Spec, error) {
-	switch name {
-	case "reddit-sim", "reddit":
-		return redditSimSpec(seed), nil
-	case "yelp-sim", "yelp":
-		return yelpSimSpec(seed), nil
-	case "ogbn-products-sim", "ogbn-products", "products":
-		return ogbnProductsSimSpec(seed), nil
-	case "pubmed-sim", "pubmed":
-		return pubMedSimSpec(seed), nil
-	case "reddit-sim-10k", "reddit-10k":
-		return redditSim10KSpec(seed), nil
-	case "reddit-sim-100k", "reddit-100k":
-		return redditSim100KSpec(seed), nil
-	case "reddit-sim-1m", "reddit-1m":
-		return redditSim1MSpec(seed), nil
-	}
-	return Spec{}, fmt.Errorf("datasets: unknown dataset %q (want reddit-sim, yelp-sim, ogbn-products-sim, pubmed-sim, or a scale preset reddit-sim-{10k,100k,1m})", name)
-}
-
 // ByName returns the named benchmark dataset generator output.
 func ByName(name string, seed int64) (*Dataset, error) {
-	return ByNameWith(name, seed, nil)
-}
-
-// ByNameWith is ByName with a feature-storage allocator (see
-// Spec.AllocFeatures; nil is the in-heap default). The dataset is
-// bit-identical to ByName's for every allocator.
-func ByNameWith(name string, seed int64, allocFeatures func(rows, cols int) *tensor.Matrix) (*Dataset, error) {
-	spec, err := SpecByName(name, seed)
-	if err != nil {
-		return nil, err
+	var spec Spec
+	switch name {
+	case "reddit-sim", "reddit":
+		spec = redditSimSpec(seed)
+	case "yelp-sim", "yelp":
+		spec = yelpSimSpec(seed)
+	case "ogbn-products-sim", "ogbn-products", "products":
+		spec = ogbnProductsSimSpec(seed)
+	case "pubmed-sim", "pubmed":
+		spec = pubMedSimSpec(seed)
+	case "reddit-sim-10k", "reddit-10k":
+		spec = redditSim10KSpec(seed)
+	case "reddit-sim-100k", "reddit-100k":
+		spec = redditSim100KSpec(seed)
+	case "reddit-sim-1m", "reddit-1m":
+		spec = redditSim1MSpec(seed)
+	default:
+		return nil, fmt.Errorf("datasets: unknown dataset %q (want reddit-sim, yelp-sim, ogbn-products-sim, pubmed-sim, or a scale preset reddit-sim-{10k,100k,1m})", name)
 	}
-	spec.AllocFeatures = allocFeatures
 	return Generate(spec), nil
 }
 

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"scgnn/internal/exchange"
+	"scgnn/internal/pool"
 	"scgnn/internal/sched"
 	"scgnn/internal/tensor"
 	"scgnn/internal/worker"
@@ -24,10 +25,9 @@ func driverLanes(seed int64) map[string]Config {
 }
 
 // TestEngineEqualsCluster: the engine is a cluster, so what is left to pin is
-// its wrapper and the Workers cap. For every lane, at Workers 1 (caller's
-// goroutine), nparts (one task per goroutine) and 64 (capped to nparts), the
-// engine's aggregates, schedules, dirty sets and per-epoch snapshot —
-// traffic and processing counters — equal those of a default-width cluster
+// its wrapper. For every lane, at GOMAXPROCS 1, 2 and 8, the engine's
+// aggregates, schedules, dirty sets and per-epoch snapshot — traffic and
+// processing counters — equal those of a cluster at the host's GOMAXPROCS
 // reset by hand, exactly — through six epochs, a mid-run Repartition and a
 // closing StartEvalEpoch pass, which between them cross fresh, replayed and
 // bypassed delay slots. The cluster is held to the definitional oracle in
@@ -41,34 +41,37 @@ func TestEngineEqualsCluster(t *testing.T) {
 	h := randMat(d.NumNodes(), 5, 61)
 	g := randMat(d.NumNodes(), 5, 62)
 
+	host := runtime.GOMAXPROCS(0)
 	for name, cfg := range driverLanes(9) {
 		t.Run(name, func(t *testing.T) {
 			cl := worker.NewClusterFromConfig(d.Graph, part, nparts, cfg)
 			defer cl.Close()
-			workers := []int{1, nparts, 64}
+			workers := []int{1, 2, 8}
 			engs := make([]*Engine, len(workers))
 			for i, w := range workers {
-				ec := cfg
-				ec.Workers = w
-				engs[i] = NewEngine(d.Graph, part, nparts, ec)
+				pool.SetProcs(t, w)
+				engs[i] = NewEngine(d.Graph, part, nparts, cfg)
 			}
 			for epoch := 0; epoch <= 6; epoch++ {
+				pool.SetProcs(t, host)
 				if epoch == 3 {
 					want, err := cl.Repartition(next)
 					if err != nil {
 						t.Fatal(err)
 					}
 					for i, eng := range engs {
+						pool.SetProcs(t, workers[i])
 						got, err := eng.c.Repartition(next)
 						if err != nil {
 							t.Fatal(err)
 						}
 						if !slices.Equal(got, want) {
-							t.Fatalf("workers %d: dirty pairs %v, cluster %v", workers[i], got, want)
+							t.Fatalf("procs %d: dirty pairs %v, cluster %v", workers[i], got, want)
 						}
 					}
 				}
 				eval := epoch == 6
+				pool.SetProcs(t, host)
 				cl.ResetTraffic()
 				if eval {
 					cl.StartEvalEpoch(epoch)
@@ -78,18 +81,19 @@ func TestEngineEqualsCluster(t *testing.T) {
 				wantF, wantB := cl.Forward(h), cl.Backward(g)
 				wantSnap, wantLv := cl.CaptureEpoch(), cl.ScheduleLevels()
 				for i, eng := range engs {
+					pool.SetProcs(t, workers[i])
 					if eval {
 						eng.StartEvalEpoch(epoch)
 					} else {
 						eng.StartEpoch(epoch)
 					}
 					if lv := eng.c.ScheduleLevels(); !slices.Equal(lv, wantLv) {
-						t.Fatalf("epoch %d workers %d: rungs %v, cluster %v", epoch, workers[i], lv, wantLv)
+						t.Fatalf("epoch %d procs %d: rungs %v, cluster %v", epoch, workers[i], lv, wantLv)
 					}
 					bitEqual(t, name, epoch, "forward", wantF, eng.Forward(h))
 					bitEqual(t, name, epoch, "backward", wantB, eng.Backward(g))
 					if snap := eng.CaptureEpoch(); snap != wantSnap {
-						t.Fatalf("epoch %d workers %d: snapshot %+v, cluster %+v", epoch, workers[i], snap, wantSnap)
+						t.Fatalf("epoch %d procs %d: snapshot %+v, cluster %+v", epoch, workers[i], snap, wantSnap)
 					}
 				}
 			}
@@ -98,15 +102,16 @@ func TestEngineEqualsCluster(t *testing.T) {
 }
 
 // TestEngineAggregateIntoErrors: a mis-shaped h or dst is an error before
-// anything runs and leaves the engine healthy; Forward and Backward, which
+// anything runs and leaves the engine healthy, on one partition (the caller's
+// goroutine) and on three (one goroutine each); Forward and Backward, which
 // have no error result, panic on the caller's goroutine. (An engine whose
 // round failed keeps returning that first error: internal/worker's
 // TestEnginePoisonedByCorruptFrame, where the frame can be corrupted.)
 func TestEngineAggregateIntoErrors(t *testing.T) {
 	d, part := smallSetup(t)
 	n := d.NumNodes()
-	for _, workers := range []int{1, 3} {
-		eng := NewEngine(d.Graph, part, 3, Config{Workers: workers})
+	for _, nparts := range []int{1, 3} {
+		eng := NewEngine(d.Graph, partsOf(part, nparts), nparts, Config{})
 		eng.StartEpoch(0)
 		for _, tc := range []struct {
 			name   string
@@ -118,14 +123,14 @@ func TestEngineAggregateIntoErrors(t *testing.T) {
 			{"cols differ", tensor.New(n, 4), tensor.New(n, 5)},
 		} {
 			if err := eng.AggregateInto(tc.dst, tc.h, false); err == nil {
-				t.Fatalf("workers %d, %s: AggregateInto accepted the shapes", workers, tc.name)
+				t.Fatalf("nparts %d, %s: AggregateInto accepted the shapes", nparts, tc.name)
 			}
 		}
 		mustPanic := func(what string, f func()) {
 			t.Helper()
 			defer func() {
 				if recover() == nil {
-					t.Fatalf("workers %d: %s did not panic", workers, what)
+					t.Fatalf("nparts %d: %s did not panic", nparts, what)
 				}
 			}()
 			f()
@@ -136,7 +141,7 @@ func TestEngineAggregateIntoErrors(t *testing.T) {
 		// Not poisoned by the rejections: a well-shaped round runs.
 		h5, out5 := randMat(n, 5, 63), tensor.New(n, 5)
 		if err := eng.AggregateInto(out5, h5, false); err != nil {
-			t.Fatalf("workers %d: engine poisoned by a rejected round: %v", workers, err)
+			t.Fatalf("nparts %d: engine poisoned by a rejected round: %v", nparts, err)
 		}
 	}
 }
@@ -150,9 +155,8 @@ func TestEngineSteadyStateAllocs(t *testing.T) {
 	d, part := smallSetup(t)
 	h, out := randMat(d.NumNodes(), 8, 66), tensor.New(d.NumNodes(), 8)
 	for _, cfg := range []Config{{}, {QuantBits: 8, ErrorFeedback: true}, {DelayPeriod: 2}} {
-		for _, workers := range []int{1, 3} {
-			cfg.Workers = workers
-			eng := NewEngine(d.Graph, part, 3, cfg)
+		for _, nparts := range []int{1, 3} {
+			eng := NewEngine(d.Graph, partsOf(part, nparts), nparts, cfg)
 			epoch := 0
 			run := func() {
 				eng.StartEpoch(epoch)
@@ -166,7 +170,7 @@ func TestEngineSteadyStateAllocs(t *testing.T) {
 			run()
 			run()
 			if allocs := testing.AllocsPerRun(10, run); allocs != 0 {
-				t.Fatalf("%s workers %d: steady-state epoch allocates %v times", cfg.MethodName(), workers, allocs)
+				t.Fatalf("%s nparts %d: steady-state epoch allocates %v times", cfg.MethodName(), nparts, allocs)
 			}
 		}
 	}
@@ -179,7 +183,7 @@ func TestEngineNoGoroutineLeak(t *testing.T) {
 	d, part := smallSetup(t)
 	h := randMat(d.NumNodes(), 4, 65)
 	before := runtime.NumGoroutine()
-	for _, cfg := range []Config{{Workers: 8}, {Workers: 8, DelayPeriod: 2}} {
+	for _, cfg := range []Config{{}, {DelayPeriod: 2}} {
 		eng := NewEngine(d.Graph, part, 3, cfg)
 		for epoch := 0; epoch < 4; epoch++ {
 			eng.StartEpoch(epoch)
@@ -199,4 +203,14 @@ func TestEngineNoGoroutineLeak(t *testing.T) {
 	if after := runtime.NumGoroutine(); after > before {
 		t.Fatalf("%d goroutines before the rounds, %d after", before, after)
 	}
+}
+
+// partsOf is part on nparts partitions: part itself, or every node on
+// partition 0 when nparts is 1 — a cluster whose round runs on the caller's
+// goroutine.
+func partsOf(part []int, nparts int) []int {
+	if nparts == 1 {
+		return make([]int, len(part))
+	}
+	return part
 }

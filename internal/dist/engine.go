@@ -23,14 +23,13 @@
 // What the engine adds is the epoch: StartEpoch resets the cluster's traffic
 // and processing counters, CaptureEpoch freezes them as the simnet.Snapshot
 // the cost model reads. The schedule is the cluster's — a round is two
-// fork-joins over one task per partition, on min(Config.Workers, nparts)
-// goroutines (one per partition when Workers ≤ 0, the caller's own when it is
-// 1); no goroutine outlives a round, so there is nothing to Close. Each task
-// owns disjoint output rows, pair streams and counters, and every row sums its
-// remote contributions in ascending sender order, so results, bytes, messages
-// and counters are bit-identical for every Config.Workers value (see
-// TestSequentialParallelEquivalence) and, the engine being a cluster, to
-// worker.Cluster's (TestEngineEqualsCluster pins the wrapper).
+// fork-joins over one goroutine per partition; no goroutine outlives a round,
+// so there is nothing to Close. Each partition owns disjoint output rows, pair
+// streams and counters, and every row sums its remote contributions in
+// ascending sender order, so results, bytes, messages and counters are
+// bit-identical for every GOMAXPROCS (see TestSequentialParallelEquivalence)
+// and, the engine being a cluster, to worker.Cluster's
+// (TestEngineEqualsCluster pins the wrapper).
 package dist
 
 import (

@@ -8,6 +8,7 @@ import (
 
 	"scgnn/internal/core"
 	"scgnn/internal/datasets"
+	"scgnn/internal/pool"
 )
 
 // goldenLine renders per-epoch losses as exact bit patterns plus total bytes.
@@ -30,7 +31,7 @@ func layer0Bytes(d *datasets.Dataset, part []int, nparts int, cfg Config) int64 
 }
 
 // TestEngineGoldenBits: a 4-epoch dist.Run must reproduce, bit for bit, the
-// recorded losses and byte totals at Workers 1 and 8. The losses were
+// recorded losses and byte totals at GOMAXPROCS 1 and 8. The losses were
 // re-recorded once, when the engine moved onto the wire's quantisation grid
 // and began rounding plain payloads to fp32 (they moved at ≈1e-8 relative).
 // Every byte total was re-recorded once more when the models stopped
@@ -73,8 +74,8 @@ func TestEngineGoldenBits(t *testing.T) {
 		if tc.name == "vanilla" {
 			layer0 = layer0Bytes(d, part, 3, tc.cfg)
 		}
-		for _, workers := range []int{1, 8} {
-			tc.cfg.Workers = workers
+		for _, procs := range []int{1, 8} {
+			pool.SetProcs(t, procs)
 			res := mustRun(t, d, part, 3, tc.cfg, RunConfig{Epochs: 4, Hidden: 8, Seed: 1})
 			var losses []float64
 			var bytes int64
@@ -83,11 +84,11 @@ func TestEngineGoldenBits(t *testing.T) {
 				bytes += ep.Bytes
 			}
 			if got := goldenLine(losses, bytes); got != tc.want {
-				t.Errorf("%s workers=%d:\n got  %s\n want %s", tc.name, workers, got, tc.want)
+				t.Errorf("%s procs=%d:\n got  %s\n want %s", tc.name, procs, got, tc.want)
 			}
 			if tc.uncached-bytes != 3*layer0 {
-				t.Errorf("%s workers=%d: %d B, the uncached run's %d B less three layer-0 rounds of %d B",
-					tc.name, workers, bytes, tc.uncached, layer0)
+				t.Errorf("%s procs=%d: %d B, the uncached run's %d B less three layer-0 rounds of %d B",
+					tc.name, procs, bytes, tc.uncached, layer0)
 			}
 		}
 	}

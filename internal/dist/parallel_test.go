@@ -1,6 +1,8 @@
 package dist
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"scgnn/internal/core"
@@ -8,6 +10,8 @@ import (
 	"scgnn/internal/exchange"
 	"scgnn/internal/graph"
 	"scgnn/internal/partition"
+	"scgnn/internal/pool"
+	"scgnn/internal/simnet"
 	"scgnn/internal/tensor"
 )
 
@@ -34,11 +38,11 @@ func bitEqual(t *testing.T, name string, epoch int, phase string, a, b *tensor.M
 	}
 }
 
-// TestSequentialParallelEquivalence is the Workers-invariance guarantee: for a
-// fixed seed, a round fanned over goroutines produces bit-identical outputs,
-// bytes, message counts and processing counters to the same round run on the
-// caller's goroutine, for every method and composition, across epochs (so
-// delay replays and error-feedback residual state line up too).
+// TestSequentialParallelEquivalence is the GOMAXPROCS-invariance guarantee:
+// for a fixed seed, a round whose goroutines share one processor produces
+// bit-identical outputs, bytes, message counts and processing counters to the
+// same round on two and on eight, for every method and composition, across
+// epochs (so delay replays and error-feedback residual state line up too).
 func TestSequentialParallelEquivalence(t *testing.T) {
 	d, part := smallSetup(t)
 	const nparts = 3
@@ -46,50 +50,57 @@ func TestSequentialParallelEquivalence(t *testing.T) {
 	g := randMat(d.NumNodes(), 5, 78)
 
 	for name, cfg := range equivalenceConfigs(9) {
-		// Workers=2 leaves two goroutines sharing three tasks, Workers=16 is
-		// capped to one goroutine per partition.
-		seqCfg, parCfg, capCfg := cfg, cfg, cfg
-		seqCfg.Workers = 1
-		parCfg.Workers = 2
-		capCfg.Workers = 16
-		seq := NewEngine(d.Graph, part, nparts, seqCfg)
-		par := NewEngine(d.Graph, part, nparts, parCfg)
-		capped := NewEngine(d.Graph, part, nparts, capCfg)
-		for epoch := 0; epoch < 5; epoch++ {
-			seq.StartEpoch(epoch)
-			par.StartEpoch(epoch)
-			capped.StartEpoch(epoch)
-			fSeq := seq.Forward(h)
-			bitEqual(t, name, epoch, "forward/2", fSeq, par.Forward(h))
-			bitEqual(t, name, epoch, "forward/16", fSeq, capped.Forward(h))
-			bSeq := seq.Backward(g)
-			bitEqual(t, name, epoch, "backward/2", bSeq, par.Backward(g))
-			bitEqual(t, name, epoch, "backward/16", bSeq, capped.Backward(g))
-			ss, ps, cs := seq.CaptureEpoch(), par.CaptureEpoch(), capped.CaptureEpoch()
-			if ss != ps {
-				t.Fatalf("%s epoch %d: snapshots differ:\nseq %+v\npar %+v", name, epoch, ss, ps)
-			}
-			if ss != cs {
-				t.Fatalf("%s epoch %d: snapshots differ:\nseq %+v\nworkers 16 %+v", name, epoch, ss, cs)
+		var want []epochRecord
+		for _, procs := range []int{1, 2, 8} {
+			pool.SetProcs(t, procs)
+			eng := NewEngine(d.Graph, part, nparts, cfg)
+			for epoch := 0; epoch < 5; epoch++ {
+				eng.StartEpoch(epoch)
+				got := epochRecord{eng.Forward(h), eng.Backward(g), eng.CaptureEpoch(), nil}
+				if procs == 1 {
+					want = append(want, got)
+					continue
+				}
+				want[epoch].equal(t, fmt.Sprintf("%s procs=%d", name, procs), epoch, got)
 			}
 		}
 	}
 }
 
+// epochRecord is what an engine did in one epoch: its forward and backward
+// aggregates, the epoch's snapshot and the pairs' schedule rungs.
+type epochRecord struct {
+	fwd, bwd *tensor.Matrix
+	snap     simnet.Snapshot
+	levels   []int
+}
+
+// equal fails the test unless got is bit-identical to r.
+func (r epochRecord) equal(t *testing.T, name string, epoch int, got epochRecord) {
+	t.Helper()
+	if !slices.Equal(got.levels, r.levels) {
+		t.Fatalf("%s epoch %d: rungs %v, want %v", name, epoch, got.levels, r.levels)
+	}
+	bitEqual(t, name, epoch, "forward", r.fwd, got.fwd)
+	bitEqual(t, name, epoch, "backward", r.bwd, got.bwd)
+	if got.snap != r.snap {
+		t.Fatalf("%s epoch %d: snapshots differ:\ngot  %+v\nwant %+v", name, epoch, got.snap, r.snap)
+	}
+}
+
 // TestRunParallelEquivalence checks the guarantee end to end: a full
 // training run (model init, Adam, early stopping, final eval) records
-// identical per-epoch measurements under both schedules.
+// identical per-epoch measurements on one processor and on four.
 func TestRunParallelEquivalence(t *testing.T) {
 	d, part := smallSetup(t)
 	cfg := Config{Semantic: true, Plan: core.PlanConfig{Grouping: core.GroupingConfig{Seed: 3}},
 		QuantBits: 8, ErrorFeedback: true, Seed: 3}
 	run := RunConfig{Epochs: 12, Seed: 5}
 
-	seqCfg, parCfg := cfg, cfg
-	seqCfg.Workers = 1
-	parCfg.Workers = 4
-	a := mustRun(t, d, part, 3, seqCfg, run)
-	b := mustRun(t, d, part, 3, parCfg, run)
+	pool.SetProcs(t, 1)
+	a := mustRun(t, d, part, 3, cfg, run)
+	pool.SetProcs(t, 4)
+	b := mustRun(t, d, part, 3, cfg, run)
 	if a.TestAcc != b.TestAcc {
 		t.Fatalf("test accuracy differs: %v vs %v", a.TestAcc, b.TestAcc)
 	}
@@ -104,19 +115,19 @@ func TestRunParallelEquivalence(t *testing.T) {
 	}
 }
 
-// TestWorkersDefaultMatchesSequential pins the Workers zero value (use
-// GOMAXPROCS) to the same results as the explicit schedules.
+// TestWorkersDefaultMatchesSequential pins the host's own GOMAXPROCS to the
+// same results as one processor.
 func TestWorkersDefaultMatchesSequential(t *testing.T) {
 	d, part := smallSetup(t)
 	h := randMat(d.NumNodes(), 4, 11)
 	cfg := Config{SampleRate: 0.5, SampleNodes: true, Seed: 6}
-	seqCfg := cfg
-	seqCfg.Workers = 1
 	def := NewEngine(d.Graph, part, 3, cfg)
-	seq := NewEngine(d.Graph, part, 3, seqCfg)
 	def.StartEpoch(0)
+	got := def.Forward(h)
+	pool.SetProcs(t, 1)
+	seq := NewEngine(d.Graph, part, 3, cfg)
 	seq.StartEpoch(0)
-	bitEqual(t, "default-workers", 0, "forward", seq.Forward(h), def.Forward(h))
+	bitEqual(t, "default-procs", 0, "forward", seq.Forward(h), got)
 }
 
 // collisionSetup builds the minimal topology on which the old group-coin key

@@ -1,9 +1,11 @@
 package dist
 
 import (
+	"fmt"
 	"testing"
 
 	"scgnn/internal/core"
+	"scgnn/internal/pool"
 	"scgnn/internal/sched"
 )
 
@@ -23,7 +25,7 @@ func schedBases(seed int64) map[string]Config {
 }
 
 // TestScheduledWorkersInvariance: variable-rate scheduling must preserve the
-// engine's Workers-invariance guarantee — for any Workers value the per-epoch
+// engine's GOMAXPROCS-invariance guarantee — at any GOMAXPROCS the per-epoch
 // schedule decisions, outputs, and traffic snapshots are bit-identical. The
 // per-pair signals feeding Decide (sampler draws, adaptive bit sums, EF
 // counters) are all accumulated on single-owner pair state, so the parallel
@@ -35,40 +37,19 @@ func TestScheduledWorkersInvariance(t *testing.T) {
 	g := randMat(d.NumNodes(), 5, 42)
 
 	for name, cfg := range schedBases(7) {
-		seqCfg, parCfg, capCfg := cfg, cfg, cfg
-		seqCfg.Workers = 1
-		parCfg.Workers = 2
-		capCfg.Workers = 64
-		seq := NewEngine(d.Graph, part, nparts, seqCfg)
-		par := NewEngine(d.Graph, part, nparts, parCfg)
-		capped := NewEngine(d.Graph, part, nparts, capCfg)
-		engines := []*Engine{seq, par, capped}
-		for epoch := 0; epoch < 10; epoch++ {
-			for _, e := range engines {
-				e.StartEpoch(epoch)
-			}
-			want := seq.c.ScheduleLevels()
-			for _, e := range engines[1:] {
-				got := e.c.ScheduleLevels()
-				for i := range want {
-					if got[i] != want[i] {
-						t.Fatalf("%s epoch %d workers=%d: pair %d level %d, want %d",
-							name, epoch, e.cfg.Workers, i, got[i], want[i])
-					}
+		var want []epochRecord
+		for _, procs := range []int{1, 2, 8} {
+			pool.SetProcs(t, procs)
+			eng := NewEngine(d.Graph, part, nparts, cfg)
+			for epoch := 0; epoch < 10; epoch++ {
+				eng.StartEpoch(epoch)
+				lv := eng.c.ScheduleLevels()
+				got := epochRecord{eng.Forward(h), eng.Backward(g), eng.CaptureEpoch(), lv}
+				if procs == 1 {
+					want = append(want, got)
+					continue
 				}
-			}
-			fSeq := seq.Forward(h)
-			bitEqual(t, name, epoch, "forward/2", fSeq, par.Forward(h))
-			bitEqual(t, name, epoch, "forward/64", fSeq, capped.Forward(h))
-			bSeq := seq.Backward(g)
-			bitEqual(t, name, epoch, "backward/2", bSeq, par.Backward(g))
-			bitEqual(t, name, epoch, "backward/64", bSeq, capped.Backward(g))
-			ss := seq.CaptureEpoch()
-			if ps := par.CaptureEpoch(); ss != ps {
-				t.Fatalf("%s epoch %d: snapshots differ:\nseq %+v\npar %+v", name, epoch, ss, ps)
-			}
-			if cs := capped.CaptureEpoch(); ss != cs {
-				t.Fatalf("%s epoch %d: snapshots differ:\nseq %+v\nworkers 64 %+v", name, epoch, ss, cs)
+				want[epoch].equal(t, fmt.Sprintf("%s procs=%d", name, procs), epoch, got)
 			}
 		}
 	}
@@ -166,7 +147,7 @@ func TestScheduledEarlyEpochsCheaper(t *testing.T) {
 
 // TestScheduledRepartition: a mid-anneal repartition reseeds dirty pairs'
 // compression but must not disturb the schedule itself, and the
-// Workers-invariance guarantee must hold straight through the boundary
+// GOMAXPROCS-invariance guarantee must hold straight through the boundary
 // change.
 func TestScheduledRepartition(t *testing.T) {
 	d, part := smallSetup(t)
@@ -178,12 +159,6 @@ func TestScheduledRepartition(t *testing.T) {
 		Plan:      core.PlanConfig{Grouping: core.GroupingConfig{Seed: 5}},
 		QuantBits: 8, ErrorFeedback: true, Seed: 5,
 		Sched: sched.Policy{Enabled: true}}
-	seqCfg, parCfg := cfg, cfg
-	seqCfg.Workers = 1
-	parCfg.Workers = 16
-	seq := NewEngine(d.Graph, part, nparts, seqCfg)
-	par := NewEngine(d.Graph, part, nparts, parCfg)
-
 	part2 := append([]int(nil), part...)
 	moved := 0
 	for u := 0; u < len(part2) && moved < 12; u += 10 {
@@ -191,33 +166,37 @@ func TestScheduledRepartition(t *testing.T) {
 		moved++
 	}
 
-	for epoch := 0; epoch < 8; epoch++ {
-		if epoch == 3 {
-			before := seq.c.ScheduleLevels()
-			d1, err := seq.c.Repartition(part2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			d2, err := par.c.Repartition(part2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(d1) != len(d2) {
-				t.Fatalf("dirty sets differ: %v vs %v", d1, d2)
-			}
-			after := seq.c.ScheduleLevels()
-			for i := range before {
-				if before[i] != after[i] {
-					t.Fatalf("repartition changed pair %d level %d→%d", i, before[i], after[i])
+	var want []epochRecord
+	var wantDirty []int
+	for _, procs := range []int{1, 8} {
+		pool.SetProcs(t, procs)
+		eng := NewEngine(d.Graph, part, nparts, cfg)
+		for epoch := 0; epoch < 8; epoch++ {
+			if epoch == 3 {
+				before := eng.c.ScheduleLevels()
+				dirty, err := eng.c.Repartition(part2)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if procs == 1 {
+					wantDirty = dirty
+				} else if len(dirty) != len(wantDirty) {
+					t.Fatalf("dirty sets differ: %v vs %v", wantDirty, dirty)
+				}
+				after := eng.c.ScheduleLevels()
+				for i := range before {
+					if before[i] != after[i] {
+						t.Fatalf("repartition changed pair %d level %d→%d", i, before[i], after[i])
+					}
 				}
 			}
-		}
-		seq.StartEpoch(epoch)
-		par.StartEpoch(epoch)
-		bitEqual(t, "sched-repart", epoch, "forward", seq.Forward(h), par.Forward(h))
-		bitEqual(t, "sched-repart", epoch, "backward", seq.Backward(g), par.Backward(g))
-		if ss, ps := seq.CaptureEpoch(), par.CaptureEpoch(); ss != ps {
-			t.Fatalf("epoch %d: snapshots differ:\nseq %+v\npar %+v", epoch, ss, ps)
+			eng.StartEpoch(epoch)
+			got := epochRecord{eng.Forward(h), eng.Backward(g), eng.CaptureEpoch(), nil}
+			if procs == 1 {
+				want = append(want, got)
+				continue
+			}
+			want[epoch].equal(t, "sched-repart", epoch, got)
 		}
 	}
 }

@@ -18,8 +18,6 @@ type Config struct {
 	// Semantic enables SC-GNN grouping + up-sampling compression.
 	Semantic bool
 	// Plan configures semantic grouping (group count, similarity, drop mask).
-	// Its Workers cap defaults to the Config's (plans are identical for any
-	// worker count).
 	Plan core.PlanConfig
 	// SampleRate in (0,1) enables Bernoulli edge/unit sampling at that rate.
 	// 0 or 1 disables sampling.
@@ -57,16 +55,6 @@ type Config struct {
 	// delayed transmission stay global (plans and whole-round delay slots
 	// cannot vary per pair).
 	Sched sched.Policy
-	// Workers caps the goroutines a round of the in-process driver
-	// (worker.Cluster, and dist.Engine on top of it) is fanned over, and
-	// offline planning when Plan leaves its own cap unset. A round has one
-	// task per partition: ≤ 0 runs one goroutine per partition (planning's own
-	// default, GOMAXPROCS, is unchanged); 1 runs on the caller's goroutine
-	// alone; values above the partition count add nothing. Results are
-	// bit-identical for every value: each task owns disjoint output rows, RNG
-	// streams, compression state, and traffic counters, and every row
-	// accumulates its contributions in one fixed order.
-	Workers int
 }
 
 // MethodName renders the enabled features, e.g. "vanilla", "semantic",

@@ -38,12 +38,8 @@ type Core struct {
 // partition or plan configuration panics; callers wanting an error validate
 // with graph.ValidatePartition first.
 func New(g *graph.Graph, part []int, nparts int, cfg Config) *Core {
-	plan := cfg.Plan
-	if plan.Workers == 0 {
-		plan.Workers = cfg.Workers
-	}
 	c := &Core{}
-	c.Topology.init(g, part, nparts, cfg.Semantic, plan)
+	c.Topology.init(g, part, nparts, cfg.Semantic, cfg.Plan)
 	c.Streams.init(nparts, cfg.BaseSetting(), cfg.Seed, cfg.Sched, c.Candidates)
 	return c
 }

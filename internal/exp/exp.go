@@ -30,10 +30,6 @@ type Options struct {
 	// Quick shrinks sweeps and epochs so the full suite runs in seconds —
 	// used by tests; the cmd harness uses full settings.
 	Quick bool
-	// MmapFeatures backs the scale-study feature matrices with mmap'd files
-	// (persist.MappedMatrix) instead of the Go heap — the out-of-core mode.
-	// Results are bit-identical either way; only the footprint moves.
-	MmapFeatures bool
 }
 
 func (o Options) withDefaults() Options {

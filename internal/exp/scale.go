@@ -4,14 +4,12 @@ import (
 	"cmp"
 	"fmt"
 	"math/rand"
-	"os"
 	"time"
 
 	"scgnn/internal/core"
 	"scgnn/internal/datasets"
 	"scgnn/internal/dist"
 	"scgnn/internal/partition"
-	"scgnn/internal/persist"
 	"scgnn/internal/tensor"
 	"scgnn/internal/worker"
 )
@@ -44,9 +42,10 @@ type ScaleResult struct {
 	RoundsPerSecVanilla float64
 	RoundsPerSecQuant8  float64
 
-	// PeakRSSBytes is the high-water of the Go runtime's total OS footprint
-	// (/memory/classes/total:bytes ≈ MemStats.Sys), sampled continuously —
-	// the closest in-process proxy for peak RSS.
+	// PeakRSSBytes is the high-water of the Go runtime's total footprint
+	// (/memory/classes/total:bytes ≈ MemStats.Sys), sampled continuously:
+	// what the runtime has mapped, not an RSS reading — pages a process maps
+	// from a file would not show in it.
 	PeakRSSBytes uint64
 	// PeakHeapBytes is the accounting-based heap high-water
 	// (/memory/classes/heap/objects:bytes): live + not-yet-swept object
@@ -57,10 +56,6 @@ type ScaleResult struct {
 	GenPeakBytes    uint64
 	PlanPeakBytes   uint64
 	ReplanPeakBytes uint64
-
-	// MmapFeatures records whether the feature matrix was file-backed
-	// (Options.MmapFeatures) for this row.
-	MmapFeatures bool
 }
 
 // scalePlanConfig bounds planning to what a single host affords at 10⁵–10⁶
@@ -99,29 +94,13 @@ func ScaleBench(o Options, names []string) ([]ScaleResult, error) {
 
 func scaleOne(name string, o Options) (ScaleResult, error) {
 	nparts := o.Partitions
-	res := ScaleResult{Dataset: name, Rounds: 3, MmapFeatures: o.MmapFeatures}
+	res := ScaleResult{Dataset: name, Rounds: 3}
 	w := newMemWatch(5 * time.Millisecond)
 	defer w.Stop()
 
-	// File-backed features: the matrix's float64s live in the page cache
-	// instead of the heap, so the planner's footprint no longer carries them.
-	// Allocation failure silently degrades to in-heap storage (MappedAlloc
-	// falls back); the row still runs, just without the footprint win.
-	var allocFeatures func(rows, cols int) *tensor.Matrix
-	if o.MmapFeatures {
-		if dir, err := os.MkdirTemp("", "scgnn-feat-"); err == nil {
-			ma := persist.NewMappedAlloc(dir)
-			defer func() {
-				ma.Close()
-				os.Remove(dir)
-			}()
-			allocFeatures = ma.Alloc
-		}
-	}
-
 	w.SetPhase("gen")
 	start := time.Now()
-	d, err := datasets.ByNameWith(name, o.Seed, allocFeatures)
+	d, err := datasets.ByName(name, o.Seed)
 	if err != nil {
 		return res, err
 	}
@@ -224,7 +203,7 @@ func scale(j *job) {
 			mb(sr.GenPeakBytes), mb(sr.PlanPeakBytes), mb(sr.ReplanPeakBytes))
 	}
 	j.AddNote("plan config: fixed K=8, MaxPivots=8 (no EEP sweep); partitions=%d edge-cut", cmp.Or(j.asked.Partitions, 8))
-	j.AddNote("pk columns are per-phase heap-object high-waters (MB); mmap features: %v", j.MmapFeatures)
+	j.AddNote("pk columns are per-phase heap-object high-waters (MB)")
 	j.AddNote("round-kernel delta (BENCH_scale.json \"scale-before-round-kernels\" vs \"scale\"): " +
 		"gather plans + fused AVX2 kernels + boundary-first overlap lifted semantic rounds/sec " +
 		"67.4→152.3 at 10k, 6.59→14.35 at 100k, 0.69→0.83 at 1M; van/q8 columns are the " +

@@ -50,29 +50,3 @@ func TestScaleQuickShape(t *testing.T) {
 		t.Fatalf("per-phase peaks missing: %+v", sr)
 	}
 }
-
-// TestScaleMmapMatchesHeap pins the out-of-core mode at the 10k preset: with
-// file-backed features the pipeline must produce the same graph shape and
-// the exact same dirty set — the mapping moves bytes off the heap, it never
-// changes them.
-func TestScaleMmapMatchesHeap(t *testing.T) {
-	if testing.Short() {
-		t.Skip("10k preset in -short mode")
-	}
-	rows, err := ScaleBench(Options{Seed: 1}, []string{"reddit-sim-10k"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mappedRows, err := ScaleBench(Options{Seed: 1, MmapFeatures: true}, []string{"reddit-sim-10k"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	heap, mapped := rows[0], mappedRows[0]
-	if !mapped.MmapFeatures || heap.MmapFeatures {
-		t.Fatalf("MmapFeatures flags: heap %v mapped %v", heap.MmapFeatures, mapped.MmapFeatures)
-	}
-	if mapped.Nodes != heap.Nodes || mapped.Arcs != heap.Arcs ||
-		mapped.CrossArcs != heap.CrossArcs || mapped.DirtyPairs != heap.DirtyPairs {
-		t.Fatalf("mmap run diverged: heap %+v mapped %+v", heap, mapped)
-	}
-}

@@ -304,144 +304,96 @@ func decodeHello(p []byte) (Hello, error) {
 	return m, r.done()
 }
 
-// WireConfig is the flattened, serializable subset of dist.Config a node
-// needs to rebuild its worker.Peer bit-identically. The grouping similarity
-// function stays the default (it is code, not data); the engine's Workers cap
-// is irrelevant to a peer and not shipped.
-type WireConfig struct {
-	Semantic      bool
-	SampleRate    float64
-	SampleNodes   bool
-	QuantBits     int32
-	AdaptiveQuant bool
-	ErrorFeedback bool
-	DelayPeriod   int32
-	Seed          int64
+// The similarity byte of the Setup frame. A grouping similarity is code, not
+// data, so the frame names it: nil and core.SemanticSimilarity are the
+// paper's measure (Eq. 1), core.JaccardSimilarity its Fig. 6 baseline.
+const (
+	simSemantic byte = iota
+	simJaccard
+)
 
-	PlanK, PlanKMin, PlanKMax, PlanMaxPivots int32
-	PlanSeed                                 int64
-	UniformWeights                           bool
-	DropO2O, DropO2M, DropM2O, DropM2M       bool
-
-	SchedEnabled        bool
-	SchedEpochsPerLevel int32
-	SchedStagger        int32
-	SchedBitsTrigger    float64
-	SchedEFTrigger      float64
-}
-
-// FlattenConfig projects a dist.Config onto the wire fields.
-func FlattenConfig(cfg dist.Config) WireConfig {
-	g := cfg.Plan.Grouping
-	d := cfg.Plan.Drop
-	return WireConfig{
-		Semantic:      cfg.Semantic,
-		SampleRate:    cfg.SampleRate,
-		SampleNodes:   cfg.SampleNodes,
-		QuantBits:     int32(cfg.QuantBits),
-		AdaptiveQuant: cfg.AdaptiveQuant,
-		ErrorFeedback: cfg.ErrorFeedback,
-		DelayPeriod:   int32(cfg.DelayPeriod),
-		Seed:          cfg.Seed,
-		PlanK:         int32(g.K), PlanKMin: int32(g.KMin), PlanKMax: int32(g.KMax),
-		PlanMaxPivots: int32(g.MaxPivots), PlanSeed: g.Seed,
-		UniformWeights: cfg.Plan.UniformWeights,
-		DropO2O:        d.O2O, DropO2M: d.O2M, DropM2O: d.M2O, DropM2M: d.M2M,
-		SchedEnabled:        cfg.Sched.Enabled,
-		SchedEpochsPerLevel: int32(cfg.Sched.EpochsPerLevel),
-		SchedStagger:        int32(cfg.Sched.Stagger),
-		SchedBitsTrigger:    cfg.Sched.BitsTrigger,
-		SchedEFTrigger:      cfg.Sched.EFTrigger,
+// simByte names a grouping similarity on the wire; a measure it cannot name
+// is an error, which Coordinator.Setup returns before anything is sent.
+func simByte(s core.Similarity) (byte, error) {
+	switch s.(type) {
+	case nil, core.SemanticSimilarity:
+		return simSemantic, nil
+	case core.JaccardSimilarity:
+		return simJaccard, nil
 	}
+	return 0, fmt.Errorf("net: cannot ship grouping similarity %q to a node (want semantic or jaccard)", s.Name())
 }
 
-// Config rebuilds the dist.Config every replica derives its state from.
-func (c WireConfig) Config() dist.Config {
-	return dist.Config{
-		Semantic: c.Semantic,
-		Plan: core.PlanConfig{
-			Grouping: core.GroupingConfig{
-				K: int(c.PlanK), KMin: int(c.PlanKMin), KMax: int(c.PlanKMax),
-				MaxPivots: int(c.PlanMaxPivots), Seed: c.PlanSeed,
-			},
-			Drop:           core.DropMask{O2O: c.DropO2O, O2M: c.DropO2M, M2O: c.DropM2O, M2M: c.DropM2M},
-			UniformWeights: c.UniformWeights,
-		},
-		SampleRate:    c.SampleRate,
-		SampleNodes:   c.SampleNodes,
-		QuantBits:     int(c.QuantBits),
-		AdaptiveQuant: c.AdaptiveQuant,
-		ErrorFeedback: c.ErrorFeedback,
-		DelayPeriod:   int(c.DelayPeriod),
-		Seed:          c.Seed,
-		Sched: sched.Policy{
-			Enabled:        c.SchedEnabled,
-			EpochsPerLevel: int(c.SchedEpochsPerLevel),
-			Stagger:        int(c.SchedStagger),
-			BitsTrigger:    c.SchedBitsTrigger,
-			EFTrigger:      c.SchedEFTrigger,
-		},
-	}
-}
-
-func (c WireConfig) encodeInto(w *cwriter) {
+// encodeConfig appends the dist.Config every replica derives its state from.
+// The similarity must be one simByte names (Coordinator.Setup checks).
+func encodeConfig(w *cwriter, c dist.Config) {
+	g, d, sc := c.Plan.Grouping, c.Plan.Drop, c.Sched
+	sim, _ := simByte(g.Sim)
 	w.bool(c.Semantic)
 	w.f64(c.SampleRate)
 	w.bool(c.SampleNodes)
-	w.i32(c.QuantBits)
+	w.i32(int32(c.QuantBits))
 	w.bool(c.AdaptiveQuant)
 	w.bool(c.ErrorFeedback)
-	w.i32(c.DelayPeriod)
+	w.i32(int32(c.DelayPeriod))
 	w.i64(c.Seed)
-	w.i32(c.PlanK)
-	w.i32(c.PlanKMin)
-	w.i32(c.PlanKMax)
-	w.i32(c.PlanMaxPivots)
-	w.i64(c.PlanSeed)
-	w.bool(c.UniformWeights)
-	w.bool(c.DropO2O)
-	w.bool(c.DropO2M)
-	w.bool(c.DropM2O)
-	w.bool(c.DropM2M)
-	w.bool(c.SchedEnabled)
-	w.i32(c.SchedEpochsPerLevel)
-	w.i32(c.SchedStagger)
-	w.f64(c.SchedBitsTrigger)
-	w.f64(c.SchedEFTrigger)
+	w.i32(int32(g.K))
+	w.i32(int32(g.KMin))
+	w.i32(int32(g.KMax))
+	w.i32(int32(g.MaxPivots))
+	w.i64(g.Seed)
+	w.u8(sim)
+	w.bool(c.Plan.UniformWeights)
+	w.bool(d.O2O)
+	w.bool(d.O2M)
+	w.bool(d.M2O)
+	w.bool(d.M2M)
+	w.bool(sc.Enabled)
+	w.i32(int32(sc.EpochsPerLevel))
+	w.i32(int32(sc.Stagger))
+	w.f64(sc.BitsTrigger)
+	w.f64(sc.EFTrigger)
 }
 
-func decodeWireConfig(r *creader) WireConfig {
-	return WireConfig{
-		Semantic:       r.bool(),
-		SampleRate:     r.f64(),
-		SampleNodes:    r.bool(),
-		QuantBits:      r.i32(),
-		AdaptiveQuant:  r.bool(),
-		ErrorFeedback:  r.bool(),
-		DelayPeriod:    r.i32(),
-		Seed:           r.i64(),
-		PlanK:          r.i32(),
-		PlanKMin:       r.i32(),
-		PlanKMax:       r.i32(),
-		PlanMaxPivots:  r.i32(),
-		PlanSeed:       r.i64(),
-		UniformWeights: r.bool(),
-		DropO2O:        r.bool(),
-		DropO2M:        r.bool(),
-		DropM2O:        r.bool(),
-		DropM2M:        r.bool(),
-
-		SchedEnabled:        r.bool(),
-		SchedEpochsPerLevel: r.i32(),
-		SchedStagger:        r.i32(),
-		SchedBitsTrigger:    r.f64(),
-		SchedEFTrigger:      r.f64(),
+func decodeConfig(r *creader) dist.Config {
+	var c dist.Config
+	g, d, sc := &c.Plan.Grouping, &c.Plan.Drop, &c.Sched
+	c.Semantic = r.bool()
+	c.SampleRate = r.f64()
+	c.SampleNodes = r.bool()
+	c.QuantBits = int(r.i32())
+	c.AdaptiveQuant = r.bool()
+	c.ErrorFeedback = r.bool()
+	c.DelayPeriod = int(r.i32())
+	c.Seed = r.i64()
+	g.K = int(r.i32())
+	g.KMin = int(r.i32())
+	g.KMax = int(r.i32())
+	g.MaxPivots = int(r.i32())
+	g.Seed = r.i64()
+	switch r.u8() {
+	case simSemantic: // the nil default
+	case simJaccard:
+		g.Sim = core.JaccardSimilarity{}
+	default:
+		r.fail("unknown similarity")
 	}
+	c.Plan.UniformWeights = r.bool()
+	d.O2O = r.bool()
+	d.O2M = r.bool()
+	d.M2O = r.bool()
+	d.M2M = r.bool()
+	sc.Enabled = r.bool()
+	sc.EpochsPerLevel = int(r.i32())
+	sc.Stagger = int(r.i32())
+	sc.BitsTrigger = r.f64()
+	sc.EFTrigger = r.f64()
+	return c
 }
 
 // Setup carries everything a node needs to rebuild the full cluster state:
-// the undirected edge list, the partition vector, the flattened method
-// config, and the data-mesh addresses of every node. Plans and kernels are
+// the undirected edge list, the partition vector, the method config, and the
+// data-mesh addresses of every node. Plans and kernels are
 // never serialized — each replica rebuilds them deterministically.
 type Setup struct {
 	NParts int32
@@ -452,7 +404,7 @@ type Setup struct {
 	EdgeU  []int32
 	EdgeV  []int32
 	Part   []int32
-	Cfg    WireConfig
+	Cfg    dist.Config
 	shared []byte // when set, stands in for the fields after Gen: their encodeShared bytes
 }
 
@@ -474,7 +426,7 @@ func (m Setup) encodeShared(w *cwriter) {
 	w.i32s(m.EdgeU)
 	w.i32s(m.EdgeV)
 	w.i32s(m.Part)
-	m.Cfg.encodeInto(w)
+	encodeConfig(w, m.Cfg)
 }
 
 func decodeSetup(p []byte) (Setup, error) {
@@ -489,7 +441,7 @@ func decodeSetup(p []byte) (Setup, error) {
 		EdgeV:  r.i32s(),
 		Part:   r.i32s(),
 	}
-	m.Cfg = decodeWireConfig(&r)
+	m.Cfg = decodeConfig(&r)
 	if err := r.done(); err != nil {
 		return Setup{}, err
 	}

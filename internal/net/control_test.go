@@ -14,12 +14,13 @@ import (
 	"scgnn/internal/tensor"
 )
 
-// exampleConfig is a dist.Config exercising every flattened wire field.
+// exampleConfig is a dist.Config exercising every field of the Setup frame.
 func exampleConfig() dist.Config {
 	return dist.Config{
 		Semantic: true,
 		Plan: core.PlanConfig{
-			Grouping:       core.GroupingConfig{K: 8, KMin: 2, KMax: 16, MaxPivots: 32, Seed: 11},
+			Grouping: core.GroupingConfig{K: 8, KMin: 2, KMax: 16, MaxPivots: 32, Seed: 11,
+				Sim: core.JaccardSimilarity{}},
 			Drop:           core.DropMask{O2O: true, M2M: true},
 			UniformWeights: true,
 		},
@@ -34,17 +35,39 @@ func exampleConfig() dist.Config {
 	}
 }
 
-// TestWireConfigRoundtrip: FlattenConfig then Config reproduces every field
-// a peer's state derivation depends on.
+// TestWireConfigRoundtrip: the config on the Setup frame decodes to every
+// field a peer's state derivation depends on, the grouping similarity
+// included; a similarity byte that names no measure is refused.
 func TestWireConfigRoundtrip(t *testing.T) {
-	want := exampleConfig()
-	got := FlattenConfig(want).Config()
-	if got != want {
-		t.Fatalf("config roundtrip:\n got %+v\nwant %+v", got, want)
+	roundtrip := func(c dist.Config) (dist.Config, error) {
+		var w cwriter
+		encodeConfig(&w, c)
+		r := creader{b: w.b}
+		got := decodeConfig(&r)
+		return got, r.done()
 	}
-	// The zero config survives too (vanilla baseline).
-	if got := FlattenConfig(dist.Config{}).Config(); got != (dist.Config{}) {
-		t.Fatalf("zero config roundtrip: %+v", got)
+	want := exampleConfig()
+	if got, err := roundtrip(want); err != nil || got != want {
+		t.Fatalf("config roundtrip:\n got %+v (%v)\nwant %+v", got, err, want)
+	}
+	// The zero config survives too (vanilla baseline), and so does the
+	// explicit paper measure, as the nil default it equals.
+	if got, err := roundtrip(dist.Config{}); err != nil || got != (dist.Config{}) {
+		t.Fatalf("zero config roundtrip: %+v, %v", got, err)
+	}
+	semantic := dist.Config{Plan: core.PlanConfig{Grouping: core.GroupingConfig{Sim: core.SemanticSimilarity{}}}}
+	if got, err := roundtrip(semantic); err != nil || got != (dist.Config{}) {
+		t.Fatalf("semantic config roundtrip: %+v, %v", got, err)
+	}
+	var w cwriter
+	encodeConfig(&w, want)
+	// The similarity byte follows four bools, two int32s, a float64, two
+	// int64s and the grouping's four int32s.
+	w.b[4*1+2*4+8+2*8+4*4] = 2
+	r := creader{b: w.b}
+	decodeConfig(&r)
+	if err := r.done(); !errors.Is(err, errBadControl) {
+		t.Fatalf("similarity byte 2: got %v, want errBadControl", err)
 	}
 }
 
@@ -62,7 +85,7 @@ func TestControlRoundtrips(t *testing.T) {
 		Nodes: 5,
 		EdgeU: []int32{0, 3}, EdgeV: []int32{1, 4},
 		Part: []int32{0, 0, 1, 2, 2},
-		Cfg:  FlattenConfig(exampleConfig()),
+		Cfg:  exampleConfig(),
 	}
 	gotSetup, err := decodeSetup(encode(wantSetup))
 	if err != nil {

@@ -213,13 +213,17 @@ func (c *Coordinator) broadcast(fn func(i int) error) error {
 }
 
 // Setup distributes the training topology: every node receives the graph,
-// the partition vector, the flattened method config, and the peer address
-// list, then assembles the data mesh at the current generation. Must run
-// concurrently across nodes (mesh assembly blocks until all peers dial in),
-// which broadcast provides.
+// the partition vector, the method config, and the peer address list, then
+// assembles the data mesh at the current generation. Must run concurrently
+// across nodes (mesh assembly blocks until all peers dial in), which
+// broadcast provides. A grouping similarity the Setup frame cannot name is an
+// error before anything is sent.
 func (c *Coordinator) Setup(g *graph.Graph, part []int, cfg dist.Config) error {
 	if len(part) != g.NumNodes() {
 		return fmt.Errorf("net: partition length %d, graph has %d nodes", len(part), g.NumNodes())
+	}
+	if _, err := simByte(cfg.Plan.Grouping.Sim); err != nil {
+		return err
 	}
 	c.g = g
 	c.part = append([]int(nil), part...)
@@ -243,7 +247,7 @@ func (c *Coordinator) setupShared() []byte {
 		EdgeU: make([]int32, len(edges)),
 		EdgeV: make([]int32, len(edges)),
 		Part:  toInt32s(c.part),
-		Cfg:   FlattenConfig(c.cfg),
+		Cfg:   c.cfg,
 	}
 	for k, e := range edges {
 		m.EdgeU[k], m.EdgeV[k] = e.U, e.V

@@ -5,10 +5,12 @@ import (
 	"fmt"
 	stdnet "net"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"scgnn/internal/core"
 	"scgnn/internal/dist"
 	"scgnn/internal/tensor"
 )
@@ -428,6 +430,29 @@ func TestSetupBadQuantBits(t *testing.T) {
 	}
 	if err := tc.coord.Setup(d.Graph, part, dist.Config{QuantBits: 8}); err != nil {
 		t.Fatalf("good setup after a rejected one: %v", err)
+	}
+	tc.coord.Shutdown()
+}
+
+// otherSimilarity is a grouping similarity the Setup frame has no byte for.
+type otherSimilarity struct{ core.SemanticSimilarity }
+
+func (otherSimilarity) Name() string { return "other" }
+
+// TestSetupRefusesUnnamedSimilarity: a similarity the Setup frame cannot name
+// is an error before anything is sent — never a fleet quietly planning with
+// another measure than the cluster — and the nodes still take a good Setup.
+func TestSetupRefusesUnnamedSimilarity(t *testing.T) {
+	const nparts = 2
+	d, part, _ := testGraph(t, nparts)
+	tc := startCluster(t, nparts, faultNodeOpts(), faultCoordOpts())
+	cfg := dist.Config{Semantic: true, Plan: core.PlanConfig{Grouping: core.GroupingConfig{Sim: otherSimilarity{}}}}
+	if err := tc.coord.Setup(d.Graph, part, cfg); err == nil || !strings.Contains(err.Error(), `"other"`) {
+		t.Fatalf("setup with an unnamed similarity: got %v", err)
+	}
+	cfg.Plan.Grouping.Sim = core.JaccardSimilarity{}
+	if err := tc.coord.Setup(d.Graph, part, cfg); err != nil {
+		t.Fatalf("good setup after a refused one: %v", err)
 	}
 	tc.coord.Shutdown()
 }

@@ -313,7 +313,7 @@ func frameSeeds() []corpusSeed {
 		Nodes: 4,
 		EdgeU: []int32{0, 1, 2}, EdgeV: []int32{1, 2, 3},
 		Part: []int32{0, 0, 1, 1},
-		Cfg:  FlattenConfig(exampleConfig()),
+		Cfg:  exampleConfig(),
 	}
 	round := Round{Seq: 9, Backward: true, Cols: 2,
 		H: tensor.FromRows([][]float64{{1, -2.5}, {0.25, 0}}), Rows: []int32{0, 1}}

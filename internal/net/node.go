@@ -459,7 +459,7 @@ func (n *Node) setup(m Setup) error {
 		edges[i] = graph.Edge{U: m.EdgeU[i], V: m.EdgeV[i]}
 	}
 	g := graph.New(int(m.Nodes), edges)
-	peer, err := worker.NewPeer(g, toInts(m.Part), int(m.NParts), int(m.Me), m.Cfg.Config())
+	peer, err := worker.NewPeer(g, toInts(m.Part), int(m.NParts), int(m.Me), m.Cfg)
 	if err != nil {
 		return err
 	}

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"scgnn/internal/core"
 	"scgnn/internal/datasets"
 	"scgnn/internal/dist"
 	"scgnn/internal/exchange"
@@ -121,7 +122,8 @@ func quickCoordOpts() CoordOptions {
 // worker.Cluster on every method combination, through a mid-training
 // Repartition — aggregate values bit for bit (nodes and cluster workers run
 // the one round body, summing inbound batches in sender order) and per-epoch
-// traffic snapshots exactly.
+// traffic snapshots exactly. A semantic lane grouped by Jaccard similarity
+// holds the fleet to the similarity it was given.
 func TestCoordClusterEquivalenceMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-node matrix is not short")
@@ -131,7 +133,10 @@ func TestCoordClusterEquivalenceMatrix(t *testing.T) {
 	h := randMat(d.NumNodes(), 5, 77)
 	g := randMat(d.NumNodes(), 5, 78)
 
-	for name, cfg := range exchange.MethodMatrix(9) {
+	lanes := exchange.MethodMatrix(9)
+	lanes["semantic+jaccard"] = dist.Config{Semantic: true, Seed: 9, Plan: core.PlanConfig{
+		Grouping: core.GroupingConfig{K: 3, Seed: 9, Sim: core.JaccardSimilarity{}}}}
+	for name, cfg := range lanes {
 		cfg := cfg
 		t.Run(name, func(t *testing.T) {
 			cl := worker.NewClusterFromConfig(d.Graph, part, nparts, cfg)

@@ -15,6 +15,7 @@ import (
 	"scgnn/internal/dist"
 	"scgnn/internal/exchange"
 	"scgnn/internal/partition"
+	"scgnn/internal/pool"
 	"scgnn/internal/tensor"
 	"scgnn/internal/worker"
 )
@@ -24,8 +25,8 @@ import (
 // byte and message totals, both bottlenecks, and every individual link — is
 // what the oracle's definitional loops count, on every lane of the method
 // matrix plus a period-2 delay, over transmit and replay epochs and a closing
-// StartEvalEpoch pass, forward and backward, on the caller's goroutine and
-// fanned out. The cluster dist.Run trains on — reset before each epoch, as
+// StartEvalEpoch pass, forward and backward, on one processor and on eight.
+// The cluster dist.Run trains on — reset before each epoch, as
 // dist.Train resets it — takes these as sums over compiled plan sizes; the
 // oracle counts them a term at a time.
 func TestEngineSnapshotCounters(t *testing.T) {
@@ -45,15 +46,15 @@ func TestEngineSnapshotCounters(t *testing.T) {
 	lanes["delay2"] = exchange.Config{DelayPeriod: 2, Seed: 9}
 	for name, cfg := range lanes {
 		t.Run(name, func(t *testing.T) {
-			for _, workers := range []int{1, 64} {
-				cfg.Workers = workers
+			for _, workers := range []int{1, 8} {
+				pool.SetProcs(t, workers)
 				cl := worker.NewClusterFromConfig(d.Graph, part, nparts, cfg)
 				ref := worker.NewOracle(d.Graph, part, nparts, cfg)
 				check := func(epoch int, stage string) {
 					t.Helper()
 					got, want := cl.CaptureEpoch(), ref.CaptureEpoch()
 					if got != want {
-						t.Fatalf("workers %d epoch %d after %s:\ncluster %+v\noracle %+v", workers, epoch, stage, got, want)
+						t.Fatalf("procs %d epoch %d after %s:\ncluster %+v\noracle %+v", workers, epoch, stage, got, want)
 					}
 					worker.SameLinks(t, cl.Fabric(), ref.Fabric())
 				}
@@ -80,8 +81,8 @@ func TestEngineSnapshotCounters(t *testing.T) {
 
 // TestEnginePoisonedByCorruptFrame: an engine round that decodes garbage —
 // the same corrupt slot TestClusterCorruptBatchError plants — returns the
-// decode error instead of panicking in a task goroutine, on the caller's
-// goroutine and fanned out; the engine is poisoned from then on: every later
+// decode error instead of panicking in a task goroutine, on one processor
+// and on several; the engine is poisoned from then on: every later
 // round returns that first error, and Forward, which has no error result,
 // panics with it on the caller's goroutine.
 func TestEnginePoisonedByCorruptFrame(t *testing.T) {
@@ -92,7 +93,8 @@ func TestEnginePoisonedByCorruptFrame(t *testing.T) {
 	part := partition.Partition(d.Graph, nparts, partition.NodeCut, partition.Config{Seed: 2})
 	h, out := tensor.New(d.NumNodes(), 4), tensor.New(d.NumNodes(), 4)
 	for _, workers := range []int{1, nparts} {
-		eng := dist.NewEngine(d.Graph, part, nparts, exchange.Config{Workers: workers})
+		pool.SetProcs(t, workers)
+		eng := dist.NewEngine(d.Graph, part, nparts, exchange.Config{})
 		eng.StartEpoch(0)
 		if err := eng.AggregateInto(out, h, false); err != nil {
 			t.Fatal(err)
@@ -103,17 +105,17 @@ func TestEnginePoisonedByCorruptFrame(t *testing.T) {
 		worker.CorruptFrame(*(**worker.Cluster)(cl), 0, 1)
 		first := eng.AggregateInto(out, h, false)
 		if first == nil || !strings.Contains(first.Error(), "corrupt") {
-			t.Fatalf("workers %d: corrupt frame gave %v", workers, first)
+			t.Fatalf("procs %d: corrupt frame gave %v", workers, first)
 		}
 		for i := 0; i < 2; i++ {
 			if err := eng.AggregateInto(out, h, true); err != first {
-				t.Fatalf("workers %d: poisoned engine returned %v, want the first error %v", workers, err, first)
+				t.Fatalf("procs %d: poisoned engine returned %v, want the first error %v", workers, err, first)
 			}
 		}
 		func() {
 			defer func() {
 				if recover() != first {
-					t.Fatalf("workers %d: Forward on a poisoned engine did not panic with the first error", workers)
+					t.Fatalf("procs %d: Forward on a poisoned engine did not panic with the first error", workers)
 				}
 			}()
 			eng.Forward(h)

@@ -31,17 +31,17 @@ func chainGraph() (*graph.Graph, []int) {
 	return graph.New(len(part), arcs), part
 }
 
-// frameLanes are the configurations the decode-seam tests run, one goroutine
-// each round, so a tampered slot is read after every sender has written its
-// own.
+// frameLanes are the configurations the decode-seam tests run. A tampered
+// slot is read in the round's second fork-join, after every sender has
+// written its own.
 func frameLanes() map[string]exchange.Config {
 	return map[string]exchange.Config{
-		"vanilla":   {Workers: 1},
-		"semantic":  {Semantic: true, Workers: 1},
-		"quant8":    {QuantBits: 8, Workers: 1},
-		"aquant":    {QuantBits: 8, AdaptiveQuant: true, Workers: 1},
-		"sampling":  {SampleRate: 0.5, Seed: 3, Workers: 1},
-		"nsampling": {Semantic: true, SampleRate: 0.5, SampleNodes: true, Seed: 3, Workers: 1},
+		"vanilla":   {},
+		"semantic":  {Semantic: true},
+		"quant8":    {QuantBits: 8},
+		"aquant":    {QuantBits: 8, AdaptiveQuant: true},
+		"sampling":  {SampleRate: 0.5, Seed: 3},
+		"nsampling": {Semantic: true, SampleRate: 0.5, SampleNodes: true, Seed: 3},
 	}
 }
 
@@ -66,13 +66,13 @@ func tamperFrame(c *Cluster, receiver, sender int, edit func(frame []byte) []byt
 func TestDecodeSeamRefusesHostileFrames(t *testing.T) {
 	g, part := chainGraph()
 	h := randMat(g.NumNodes(), 3, 31)
-	put := func(off int, v uint32) func(*Cluster, []byte) []byte {
-		return func(_ *Cluster, f []byte) []byte { binary.LittleEndian.PutUint32(f[off:], v); return f }
+	put := func(off int, v uint32) func(clean, f []byte) []byte {
+		return func(_, f []byte) []byte { binary.LittleEndian.PutUint32(f[off:], v); return f }
 	}
 	bitmap := func(f []byte) []byte { return f[wire.FrameHeaderBytes : wire.FrameHeaderBytes+2] }
 	// flip turns the first bitmap bit below the count that is (not) set.
-	flip := func(set bool) func(*Cluster, []byte) []byte {
-		return func(_ *Cluster, f []byte) []byte {
+	flip := func(set bool) func(clean, f []byte) []byte {
+		return func(_, f []byte) []byte {
 			for i := 0; i < 13; i++ {
 				if bm := bitmap(f); (bm[i/8]>>(i%8)&1 == 1) == set {
 					bm[i/8] ^= 1 << (i % 8)
@@ -86,29 +86,29 @@ func TestDecodeSeamRefusesHostileFrames(t *testing.T) {
 		name, lane string
 		sender     int
 		malformed  bool
-		edit       func(c *Cluster, f []byte) []byte
+		edit       func(clean, f []byte) []byte
 	}{
-		{"truncated batch header", "vanilla", 1, true, func(_ *Cluster, f []byte) []byte { return f[:5] }},
+		{"truncated batch header", "vanilla", 1, true, func(_, f []byte) []byte { return f[:5] }},
 		{"sender other than the slot's", "semantic", 1, false, put(2, 2)},
 		{"width other than the round's", "vanilla", 1, false, put(6, 4)},
 		{"count other than the pair's candidates", "vanilla", 1, false, put(10, 14)},
 		{"bitmap popcount over the messages", "sampling", 1, true, flip(false)},
 		{"bitmap popcount under the messages", "sampling", 1, true, flip(true)},
-		{"bitmap bit past the count", "sampling", 1, true, func(_ *Cluster, f []byte) []byte { bitmap(f)[1] |= 0x80; return f }},
-		{"trailing bytes", "vanilla", 1, true, func(_ *Cluster, f []byte) []byte { return append(f, 0) }},
-		{"bits 0 on a quantised frame", "quant8", 1, false, func(_ *Cluster, f []byte) []byte { f[0] = 0; return f }},
-		{"bits 17 on a quantised frame", "quant8", 1, true, func(_ *Cluster, f []byte) []byte { f[0] = 17; return f }},
-		{"adaptive width byte past the bound", "aquant", 1, true, func(_ *Cluster, f []byte) []byte {
+		{"bitmap bit past the count", "sampling", 1, true, func(_, f []byte) []byte { bitmap(f)[1] |= 0x80; return f }},
+		{"trailing bytes", "vanilla", 1, true, func(_, f []byte) []byte { return append(f, 0) }},
+		{"bits 0 on a quantised frame", "quant8", 1, false, func(_, f []byte) []byte { f[0] = 0; return f }},
+		{"bits 17 on a quantised frame", "quant8", 1, true, func(_, f []byte) []byte { f[0] = 17; return f }},
+		{"adaptive width byte past the bound", "aquant", 1, true, func(_, f []byte) []byte {
 			f[wire.FrameHeaderBytes+8] = 9
 			return f
 		}},
-		{"adaptive flag off an adaptive pair", "aquant", 1, false, func(_ *Cluster, f []byte) []byte {
+		{"adaptive flag off an adaptive pair", "aquant", 1, false, func(_, f []byte) []byte {
 			f[1] &^= wire.FlagAdaptive
 			return f
 		}},
-		{"empty frame for a pair with candidates", "vanilla", 1, false, func(*Cluster, []byte) []byte { return nil }},
-		{"frame for a pair with no candidates", "vanilla", 3, false, func(c *Cluster, _ []byte) []byte {
-			f := append([]byte(nil), c.slots[1]...) // worker 1's frame for worker 0
+		{"empty frame for a pair with candidates", "vanilla", 1, false, func(_, _ []byte) []byte { return nil }},
+		{"frame for a pair with no candidates", "vanilla", 3, false, func(clean, _ []byte) []byte {
+			f := append([]byte(nil), clean...)
 			binary.LittleEndian.PutUint32(f[2:], 3)
 			return f
 		}},
@@ -118,7 +118,10 @@ func TestDecodeSeamRefusesHostileFrames(t *testing.T) {
 		if err := c.AggregateInto(out, h, false); err != nil {
 			t.Fatalf("%s: clean round: %v", tc.name, err)
 		}
-		tamperFrame(c, 0, tc.sender, func(f []byte) []byte { return tc.edit(c, f) })
+		// Worker 1's frame for worker 0 in the clean round, copied before the
+		// next send half reuses its bytes.
+		clean := append([]byte(nil), c.slots[1]...)
+		tamperFrame(c, 0, tc.sender, func(f []byte) []byte { return tc.edit(clean, f) })
 		err := c.AggregateInto(out, h, false)
 		if !errors.Is(err, ErrCorruptFrame) || errors.Is(err, wire.ErrMalformed) != tc.malformed {
 			t.Fatalf("%s: round returned %v (malformed %v)", tc.name, err, tc.malformed)

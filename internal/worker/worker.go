@@ -42,10 +42,8 @@
 // A Cluster keeps no goroutine between rounds. Each aggregate round the
 // coordinator (the goroutine calling Forward, Backward, or AggregateInto —
 // there must be exactly one at a time) publishes the round inputs and runs two
-// fork-joins over the partitions, each on min(Config.Workers, nparts)
-// goroutines that exit at the join — one per partition when Workers ≤ 0, the
-// coordinator's own when Workers is 1; otherwise goroutine k takes partitions
-// k, k+Workers, …, the same ones every round.
+// fork-joins over the partitions, each on one goroutine per partition that
+// exits at the join (on the coordinator's own when there is one partition).
 // The first runs every worker's send half:
 //
 //	local-boundary — the rows its outgoing halo reads
@@ -62,7 +60,7 @@
 // between the fork-joins is the round's only synchronisation: every slot is
 // written in the first and read in the second. Because every row sums its
 // remote contributions in sender order, a cluster's output is bit-identical
-// from run to run at any nparts and any Workers — and bit-identical to the
+// from run to run at any nparts and any GOMAXPROCS — and bit-identical to the
 // same round run by Peers over any transport, where frames arrive in any
 // order. After the second join the coordinator drains each worker's traffic
 // shard and processing counters in worker order, so the totals are exact and
@@ -127,12 +125,10 @@ type Cluster struct {
 	slots  [][]byte
 	closed atomic.Bool
 
-	// The fork-join: goroutine k of len(tasks) is started on tasks[k], which
-	// runs the round's current half for partitions k, k+len(tasks), … — a
-	// closure bound once, so the go statement allocates nothing, and the same
-	// partitions every round, so a worker's retained state meets the same
-	// goroutine slot (and, as far as the scheduler repeats itself, the same
-	// core) it met last round. Empty when Workers is 1: the caller runs them.
+	// The fork-join: goroutine p is started on tasks[p], which runs the
+	// round's current half for partition p — a closure bound once, so the go
+	// statement allocates nothing. Empty when there is one partition: the
+	// caller runs it.
 	tasks []func()
 	join  sync.WaitGroup
 
@@ -147,9 +143,8 @@ type Cluster struct {
 }
 
 // NewClusterFromConfig builds a cluster running the method combination cfg
-// selects. A round fans over min(cfg.Workers, nparts) goroutines, one per
-// partition when cfg.Workers ≤ 0. An invalid partition or configuration
-// panics.
+// selects. A round fans over one goroutine per partition. An invalid
+// partition or configuration panics.
 func NewClusterFromConfig(g *graph.Graph, part []int, nparts int, cfg exchange.Config) *Cluster {
 	c := &Cluster{
 		exchanger: *newExchanger(g, part, nparts, -1, cfg),
@@ -157,16 +152,10 @@ func NewClusterFromConfig(g *graph.Graph, part []int, nparts int, cfg exchange.C
 		slots:     make([][]byte, nparts*nparts),
 		roundErrs: make([]error, nparts),
 	}
-	tasks := cfg.Workers
-	if tasks <= 0 || tasks > nparts {
-		tasks = nparts
-	}
-	for k := 0; k < tasks && tasks > 1; k++ {
+	for p := 0; p < nparts && nparts > 1; p++ {
 		c.tasks = append(c.tasks, func() {
 			defer c.join.Done()
-			for p := k; p < nparts; p += tasks {
-				c.runHalf(p)
-			}
+			c.runHalf(p)
 		})
 	}
 	return c
@@ -317,8 +306,8 @@ func (c *Cluster) AggregateInto(dst, h *tensor.Matrix, backward bool) error {
 
 // forkJoin runs the round's current half for every partition and returns
 // when all have: on the caller's goroutine when the cluster has no tasks, else
-// on one goroutine per task, which are past their last access to the cluster
-// when it returns.
+// on one goroutine per partition, which are past their last access to the
+// cluster when it returns.
 func (c *Cluster) forkJoin() {
 	if len(c.tasks) == 0 {
 		for p := 0; p < c.core.NParts; p++ {

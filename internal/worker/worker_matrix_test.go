@@ -10,6 +10,7 @@ import (
 	"scgnn/internal/exchange"
 	"scgnn/internal/gnn"
 	"scgnn/internal/partition"
+	"scgnn/internal/pool"
 	"scgnn/internal/simnet"
 	"scgnn/internal/tensor"
 )
@@ -22,11 +23,10 @@ import (
 // grid round trips — aggregates, per-epoch traffic snapshots and every single
 // link's bytes and messages exactly — across five epochs of forward+backward
 // rounds, so per-pair RNG streams, adaptive width choices, delay replays, and
-// error-feedback residuals all stay in lockstep; and at every fork-join width:
-// Workers 1 (the caller's goroutine), 2 (tasks that take several partitions),
-// nparts (the default's one per partition) and 64 (capped to nparts).
-// (dist.Engine is this cluster plus an epoch reset; internal/dist holds it to
-// the default-width cluster through a repartition.)
+// error-feedback residuals all stay in lockstep; and at GOMAXPROCS 1 (every
+// partition's goroutine on one processor), 2 and 8. (dist.Engine is this
+// cluster plus an epoch reset; internal/dist holds it to the cluster through
+// a repartition.)
 func TestClusterEngineEquivalenceMatrix(t *testing.T) {
 	d, part := setup(t, 3)
 	const nparts = 3
@@ -36,8 +36,8 @@ func TestClusterEngineEquivalenceMatrix(t *testing.T) {
 	for name, cfg := range exchange.MethodMatrix(9) {
 		cfg := cfg
 		t.Run(name, func(t *testing.T) {
-			for _, workers := range []int{1, 2, nparts, 64} {
-				cfg.Workers = workers
+			for _, workers := range []int{1, 2, 8} {
+				pool.SetProcs(t, workers)
 				cl := NewClusterFromConfig(d.Graph, part, nparts, cfg)
 				ref := NewOracle(d.Graph, part, nparts, cfg)
 				for epoch := 0; epoch < 5; epoch++ {
@@ -50,15 +50,15 @@ func TestClusterEngineEquivalenceMatrix(t *testing.T) {
 					wantF := ref.Forward(h)
 					wantB := ref.Backward(g)
 					if !gotF.Equal(wantF, 0) {
-						t.Fatalf("workers %d epoch %d: forward diverged from the oracle", workers, epoch)
+						t.Fatalf("procs %d epoch %d: forward diverged from the oracle", workers, epoch)
 					}
 					if !gotB.Equal(wantB, 0) {
-						t.Fatalf("workers %d epoch %d: backward diverged from the oracle", workers, epoch)
+						t.Fatalf("procs %d epoch %d: backward diverged from the oracle", workers, epoch)
 					}
 					// Traffic exactly: measured wire bytes = the oracle's
 					// arithmetic, per epoch, including zero-byte delay replays.
 					if os := ref.CaptureEpoch(); !sameTraffic(snap, os) {
-						t.Fatalf("workers %d epoch %d: wire traffic %+v vs oracle %+v", workers, epoch, snap, os)
+						t.Fatalf("procs %d epoch %d: wire traffic %+v vs oracle %+v", workers, epoch, snap, os)
 					}
 					SameLinks(t, cl.fabric, ref.Fabric())
 				}

@@ -222,7 +222,7 @@ func TestClusterNoGoroutineLeak(t *testing.T) {
 	d, part := setup(t, 3)
 	h := randMat(d.NumNodes(), 4, 26)
 	before := runtime.NumGoroutine()
-	for _, cfg := range []exchange.Config{{}, {Workers: 2}, {DelayPeriod: 2}} {
+	for _, cfg := range []exchange.Config{{}, {DelayPeriod: 2}} {
 		c := NewClusterFromConfig(d.Graph, part, 3, cfg)
 		for epoch := 0; epoch < 4; epoch++ {
 			c.StartEpoch(epoch)

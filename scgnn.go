@@ -132,18 +132,14 @@ type SemanticOptions struct {
 	Jaccard bool
 	// Seed drives grouping.
 	Seed int64
-	// Workers caps the goroutines used by the offline planning pipeline
-	// (per-pair plan builds, embedding fill, EEP sweep). 0 uses GOMAXPROCS;
-	// the resulting plans are identical for any value.
-	Workers int
 }
 
 func (opt SemanticOptions) planConfig() core.PlanConfig {
-	cfg := core.GroupingConfig{K: opt.Groups, Seed: opt.Seed, Workers: opt.Workers}
+	cfg := core.GroupingConfig{K: opt.Groups, Seed: opt.Seed}
 	if opt.Jaccard {
 		cfg.Sim = core.JaccardSimilarity{}
 	}
-	plan := core.PlanConfig{Grouping: cfg, Workers: opt.Workers}
+	plan := core.PlanConfig{Grouping: cfg}
 	if opt.DropO2O {
 		plan.Drop = core.DropO2O
 	}
