@@ -152,7 +152,9 @@ fuzz-smoke:
 # dist.NewEngine is left to dist itself, tests, bench/ and abl-runtime's
 # engine-vs-cluster column. And goroutine counts and feature storage stay the
 # code's call: no exported Workers field, and no mmap feature store (its
-# allocator, the dataset knob and the by-name constructor that took it).
+# allocator, the dataset knob and the by-name constructor that took it). And one
+# DBG adjacency: graph.DBG.Adj is a bitvec.CSR, with no dense bit matrix, no
+# interface over two representations and no switch that picks one.
 one-sink:
 	@! grep -rn 'useReference\|DelayCache\|pairBuf\|NewRounds\|worker\.Rounds\|forEachTask\|putHeader\|MsgHeaderBytes\|Fabric) Send(' --include='*.go' . | grep -v _test.go
 	@! grep -n 'aggregate(' internal/gnn/*.go | grep -v '_test\.go:\|^internal/gnn/layer\.go:'
@@ -161,6 +163,7 @@ one-sink:
 	@! grep -rn '\.ReuseRound(' --include='*.go' . | grep -v '_test\.go:\|^\./internal/gnn/layer\.go:\|^[^:]*:[0-9]*:func ('
 	@! grep -rn 'dist\.NewEngine(' --include='*.go' . | grep -v '_test\.go:\|^\./internal/dist/\|^\./bench/\|^\./internal/exp/ablation\.go:'
 	@! grep -rnE 'MappedAlloc|AllocFeatures|ByNameWith|syscall\.Mmap|^\s+Workers\s+[a-z*[]' --include='*.go' . | grep -v '_test\.go:'
+	@! grep -rnE 'SetDBGRepr|DBGRepr|bitvec\.Matrix|bitvec\.Bits|NewMatrix\(' --include='*.go' . | grep -v '_test\.go:'
 
 # Every program under examples/, built into a temporary directory and run to
 # the end: go build compiles them, but only running them shows a facade call
@@ -210,7 +213,10 @@ verify: build vet one-sink test examples race test-net cover fuzz-smoke
 # slot) (alternating prebuilt test binaries, every line kept).
 # The planning-pipeline benchmarks (one-sweep DBG extraction + concurrent plan
 # builds + EEP sweep, plus the 100k-preset dirty-fraction replan sweep
-# BenchmarkReplan100K*) refresh BENCH_plan.json the same way. The scheduler-overhead rows (per-boundary merge+decide cost
+# BenchmarkReplan100K*) refresh BENCH_plan.json the same way;
+# "csr-only-before" / "csr-only" hold this plan lane either side of every DBG
+# adjacency becoming a CSR (the dense bit matrix deleted; alternating prebuilt
+# test binaries, every line kept). The scheduler-overhead rows (per-boundary merge+decide cost
 # across pair counts) land in BENCH_plan.json under "sched".
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkClusterRound|BenchmarkEngineExchange|BenchmarkEncodeQuantized|BenchmarkDecoderAXPY|BenchmarkEpoch|BenchmarkErrorFeedback' \

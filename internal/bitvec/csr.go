@@ -1,39 +1,6 @@
 package bitvec
 
-import (
-	"fmt"
-	"math/bits"
-)
-
-// Bits is the read interface over a DBG adjacency bit matrix. Two
-// implementations exist: the dense word-packed Matrix (the original, retained
-// as the equality oracle) and the sparse CSR below. Every method is defined
-// in terms of set cardinalities and ascending index lists, so the two
-// representations are observationally identical — similarity scores, group
-// construction, and connection classification produce bit-identical results
-// on either (pinned by TestCSRMatchesDense and the forced-representation
-// plan-equality suite in core).
-type Bits interface {
-	// Rows and Cols are the matrix dimensions.
-	Rows() int
-	Cols() int
-	// RowCount returns the number of set bits in row i (C_A[i] of Eq. 2).
-	RowCount(i int) int
-	// TotalCount returns the total number of set bits.
-	TotalCount() int
-	// Get reports bit (i, j).
-	Get(i, j int) bool
-	// RowIndices returns the ascending set-column indices of row i. The
-	// slice may be a view into internal storage: callers must not mutate it
-	// and must not assume it survives the matrix.
-	RowIndices(i int) []int32
-	// RowAndCount returns |row i ∩ row j| — the inner product A_u1·A_u2ᵀ.
-	RowAndCount(i, j int) int
-	// RowOrCount returns |row i ∪ row j|.
-	RowOrCount(i, j int) int
-	// OrRowInto sets v ← v ∪ row i; v must have Cols() bits.
-	OrRowInto(v *Vector, i int)
-}
+import "fmt"
 
 // CSR is a sparse bit matrix: per row, the ascending column indices of its
 // set bits, packed into one shared index array (compressed sparse row). A
@@ -41,11 +8,11 @@ type Bits interface {
 // rows×cols/8 — the representation that keeps million-node boundary
 // structures in memory (a 40k×40k pair costs ~200 MB dense, ~250 KB sparse).
 //
-// Dense-row operations are replaced by sorted-list kernels: intersection is
-// a two-pointer merge that switches to binary-search galloping when the rows
-// are badly skewed, union cardinality is inclusion–exclusion, and the union
-// accumulation used by grouping densifies one small row block on demand into
-// the caller's cols-bit Vector (never a full dense matrix).
+// The row operations are sorted-list kernels: intersection is a two-pointer
+// merge that switches to binary-search galloping when the rows are badly
+// skewed, union cardinality is inclusion–exclusion, and the union
+// accumulation used by grouping scatters one row at a time into the caller's
+// cols-bit Vector.
 type CSR struct {
 	cols int
 	off  []int32 // len rows+1; row i owns idx[off[i]:off[i+1]]
@@ -74,65 +41,31 @@ func NewCSR(cols int, off, idx []int32) *CSR {
 	return &CSR{cols: cols, off: off, idx: idx}
 }
 
-// CSRFromMatrix converts a dense matrix to its sparse form (used by tests
-// and the on-demand densification oracle checks).
-func CSRFromMatrix(m *Matrix) *CSR {
-	off := make([]int32, m.Rows()+1)
-	idx := make([]int32, 0, m.TotalCount())
-	for i := 0; i < m.Rows(); i++ {
-		idx = append(idx, m.RowIndices(i)...)
-		off[i+1] = int32(len(idx))
-	}
-	return &CSR{cols: m.Cols(), off: off, idx: idx}
-}
-
-// Rows implements Bits.
-func (c *CSR) Rows() int { return len(c.off) - 1 }
-
-// Cols implements Bits.
-func (c *CSR) Cols() int { return c.cols }
-
-// RowCount implements Bits in O(1).
+// RowCount returns the number of set bits in row i — C_A[i] of Eq. 2 — in
+// O(1).
 func (c *CSR) RowCount(i int) int { return int(c.off[i+1] - c.off[i]) }
 
-// TotalCount implements Bits in O(1).
+// TotalCount returns the total number of set bits (the DBG's edge count)
+// in O(1).
 func (c *CSR) TotalCount() int { return len(c.idx) }
 
-// RowIndices implements Bits: a zero-copy view of row i.
+// RowIndices returns the ascending set-column indices of row i: a
+// zero-copy view, which callers must not mutate.
 func (c *CSR) RowIndices(i int) []int32 { return c.idx[c.off[i]:c.off[i+1]] }
 
-// Get implements Bits (binary search within the row).
-func (c *CSR) Get(i, j int) bool {
-	if j < 0 || j >= c.cols {
-		panic(fmt.Sprintf("bitvec: index %d out of range [0,%d)", j, c.cols))
-	}
-	row := c.RowIndices(i)
-	lo, hi := 0, len(row)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if row[mid] < int32(j) {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo < len(row) && row[lo] == int32(j)
-}
-
-// RowAndCount implements Bits: |row i ∩ row j| over the sorted index lists.
+// RowAndCount returns |row i ∩ row j| — the inner product A_u1·A_u2ᵀ of
+// Eq. 2 — over the sorted index lists.
 func (c *CSR) RowAndCount(i, j int) int {
 	return intersectCount(c.RowIndices(i), c.RowIndices(j))
 }
 
-// RowOrCount implements Bits by inclusion–exclusion (exact in integers, so
-// it matches the dense OrCount bit for bit).
+// RowOrCount returns |row i ∪ row j| by inclusion–exclusion.
 func (c *CSR) RowOrCount(i, j int) int {
 	return c.RowCount(i) + c.RowCount(j) - c.RowAndCount(i, j)
 }
 
-// OrRowInto implements Bits: the on-demand densification path — one row is
-// scattered into the caller's cols-bit accumulator without ever building a
-// dense matrix.
+// OrRowInto sets v ← v ∪ row i: the row's indices are scattered into the
+// caller's cols-bit accumulator.
 func (c *CSR) OrRowInto(v *Vector, i int) {
 	if v.n != c.cols {
 		panic(fmt.Sprintf("bitvec: length mismatch %d vs %d", v.n, c.cols))
@@ -195,34 +128,3 @@ func intersectCount(a, b []int32) int {
 	}
 	return n
 }
-
-// --- dense Matrix side of the Bits interface ---
-
-// RowIndices implements Bits: the ascending set-column indices of row i,
-// freshly allocated (the dense representation has no index list to share).
-func (m *Matrix) RowIndices(i int) []int32 {
-	r := m.rows[i]
-	out := make([]int32, 0, m.counts[i])
-	for wi, w := range r.words {
-		for w != 0 {
-			b := bits.TrailingZeros64(w)
-			out = append(out, int32(wi*wordBits+b))
-			w &= w - 1
-		}
-	}
-	return out
-}
-
-// RowAndCount implements Bits via the word-parallel AND+popcount kernel.
-func (m *Matrix) RowAndCount(i, j int) int { return AndCount(m.rows[i], m.rows[j]) }
-
-// RowOrCount implements Bits via the word-parallel OR+popcount kernel.
-func (m *Matrix) RowOrCount(i, j int) int { return OrCount(m.rows[i], m.rows[j]) }
-
-// OrRowInto implements Bits: v ← v ∪ row i, word-parallel.
-func (m *Matrix) OrRowInto(v *Vector, i int) { v.OrWith(m.rows[i]) }
-
-var (
-	_ Bits = (*Matrix)(nil)
-	_ Bits = (*CSR)(nil)
-)

@@ -2,26 +2,13 @@ package bitvec
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
-// randomMatrix fills an r×c dense matrix at the given bit density.
-func randomMatrix(rng *rand.Rand, r, c int, density float64) *Matrix {
-	m := NewMatrix(r, c)
-	for i := 0; i < r; i++ {
-		for j := 0; j < c; j++ {
-			if rng.Float64() < density {
-				m.SetBit(i, j)
-			}
-		}
-	}
-	return m
-}
-
-// TestCSRMatchesDense: every Bits method agrees between a dense matrix and
-// its CSR conversion, over random shapes and densities — including the
-// degenerate empty-row, full-row, and zero-matrix cases. This is the
-// representation-equality oracle the hybrid DBG adjacency rests on.
+// TestCSRMatchesDense: every CSR operation agrees with a brute-force reference
+// over a dense boolean grid, over random shapes and densities — including the
+// degenerate empty-row, full-row, and zero-matrix cases.
 func TestCSRMatchesDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	shapes := []struct {
@@ -34,51 +21,73 @@ func TestCSRMatchesDense(t *testing.T) {
 		{1, 1000, 0.005}, {200, 3, 0.3},
 	}
 	for _, sh := range shapes {
-		m := randomMatrix(rng, sh.r, sh.c, sh.density)
-		s := CSRFromMatrix(m)
-		if s.Rows() != m.Rows() || s.Cols() != m.Cols() {
-			t.Fatalf("%dx%d: shape mismatch %dx%d", sh.r, sh.c, s.Rows(), s.Cols())
-		}
-		if s.TotalCount() != m.TotalCount() {
-			t.Fatalf("%dx%d: TotalCount %d want %d", sh.r, sh.c, s.TotalCount(), m.TotalCount())
-		}
-		for i := 0; i < sh.r; i++ {
-			if s.RowCount(i) != m.RowCount(i) {
-				t.Fatalf("%dx%d row %d: RowCount %d want %d", sh.r, sh.c, i, s.RowCount(i), m.RowCount(i))
-			}
-			di, si := m.RowIndices(i), s.RowIndices(i)
-			if len(di) != len(si) {
-				t.Fatalf("%dx%d row %d: RowIndices len %d want %d", sh.r, sh.c, i, len(si), len(di))
-			}
-			for k := range di {
-				if di[k] != si[k] {
-					t.Fatalf("%dx%d row %d: RowIndices[%d] = %d want %d", sh.r, sh.c, i, k, si[k], di[k])
+		dense := make([][]bool, sh.r)
+		rows := make([][]int32, sh.r)
+		total := 0
+		for i := range dense {
+			dense[i] = make([]bool, sh.c)
+			for j := range dense[i] {
+				if rng.Float64() < sh.density {
+					dense[i][j] = true
+					rows[i] = append(rows[i], int32(j))
+					total++
 				}
 			}
-			for j := 0; j < sh.c; j++ {
-				if s.Get(i, j) != m.Get(i, j) {
-					t.Fatalf("%dx%d: Get(%d,%d) = %v want %v", sh.r, sh.c, i, j, s.Get(i, j), m.Get(i, j))
+		}
+		count := func(i, j int, op func(a, b bool) bool) int {
+			n := 0
+			for k := 0; k < sh.c; k++ {
+				if op(dense[i][k], dense[j][k]) {
+					n++
+				}
+			}
+			return n
+		}
+		s := csrFromRows(sh.c, rows)
+		if len(s.off)-1 != sh.r || s.cols != sh.c {
+			t.Fatalf("%dx%d: shape mismatch %dx%d", sh.r, sh.c, len(s.off)-1, s.cols)
+		}
+		if s.TotalCount() != total {
+			t.Fatalf("%dx%d: TotalCount %d want %d", sh.r, sh.c, s.TotalCount(), total)
+		}
+		for i := 0; i < sh.r; i++ {
+			want := count(i, i, func(a, _ bool) bool { return a })
+			if s.RowCount(i) != want {
+				t.Fatalf("%dx%d row %d: RowCount %d want %d", sh.r, sh.c, i, s.RowCount(i), want)
+			}
+			for _, j := range s.RowIndices(i) {
+				if !dense[i][j] {
+					t.Fatalf("%dx%d row %d: RowIndices holds unset column %d", sh.r, sh.c, i, j)
 				}
 			}
 		}
 		for trial := 0; trial < 4*sh.r; trial++ {
 			i, j := rng.Intn(sh.r), rng.Intn(sh.r)
-			if got, want := s.RowAndCount(i, j), m.RowAndCount(i, j); got != want {
+			if got, want := s.RowAndCount(i, j), count(i, j, func(a, b bool) bool { return a && b }); got != want {
 				t.Fatalf("%dx%d: RowAndCount(%d,%d) = %d want %d", sh.r, sh.c, i, j, got, want)
 			}
-			if got, want := s.RowOrCount(i, j), m.RowOrCount(i, j); got != want {
+			if got, want := s.RowOrCount(i, j), count(i, j, func(a, b bool) bool { return a || b }); got != want {
 				t.Fatalf("%dx%d: RowOrCount(%d,%d) = %d want %d", sh.r, sh.c, i, j, got, want)
 			}
 		}
-		// OrRowInto accumulation over every row must reproduce the dense
-		// column union.
-		vs, vm := New(sh.c), New(sh.c)
+		// OrRowInto over a random row subset must reproduce the column union.
+		var pick []int
 		for i := 0; i < sh.r; i++ {
-			s.OrRowInto(vs, i)
-			m.OrRowInto(vm, i)
+			if rng.Intn(2) == 0 {
+				pick = append(pick, i)
+			}
 		}
-		if !vs.Equal(vm) {
-			t.Fatalf("%dx%d: OrRowInto union differs", sh.r, sh.c)
+		var want []int
+		for j := 0; j < sh.c; j++ {
+			for _, i := range pick {
+				if dense[i][j] {
+					want = append(want, j)
+					break
+				}
+			}
+		}
+		if got := union(s, pick...); !slices.Equal(got, want) {
+			t.Fatalf("%dx%d: OrRowInto union over rows %v = %v want %v", sh.r, sh.c, pick, got, want)
 		}
 	}
 }
@@ -110,7 +119,7 @@ func TestIntersectCountGalloping(t *testing.T) {
 		for x := range seen {
 			out = append(out, x)
 		}
-		sortInt32s(out)
+		slices.Sort(out)
 		return out
 	}
 	cases := []struct{ na, nb, space int }{
@@ -125,14 +134,6 @@ func TestIntersectCountGalloping(t *testing.T) {
 		}
 		if got := intersectCount(b, a); got != want {
 			t.Fatalf("intersectCount(|b|=%d,|a|=%d) = %d want %d", c.nb, c.na, got, want)
-		}
-	}
-}
-
-func sortInt32s(s []int32) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j-1] > s[j]; j-- {
-			s[j-1], s[j] = s[j], s[j-1]
 		}
 	}
 }
@@ -164,30 +165,15 @@ func TestNewCSRValidates(t *testing.T) {
 		t.Fatalf("empty row count = %d", got)
 	}
 	c := NewCSR(4, []int32{0, 2, 3}, []int32{0, 3, 2})
-	if c.Rows() != 2 || c.Cols() != 4 || c.TotalCount() != 3 {
-		t.Fatalf("valid CSR misparsed: %dx%d total %d", c.Rows(), c.Cols(), c.TotalCount())
+	if len(c.off)-1 != 2 || c.cols != 4 || c.TotalCount() != 3 {
+		t.Fatalf("valid CSR misparsed: %dx%d total %d", len(c.off)-1, c.cols, c.TotalCount())
 	}
-	if !c.Get(0, 3) || c.Get(1, 3) {
-		t.Fatal("Get misreads valid CSR")
-	}
-}
-
-// TestCSRGetOutOfRange: column bounds are checked like the dense Get.
-func TestCSRGetOutOfRange(t *testing.T) {
-	c := NewCSR(4, []int32{0, 1}, []int32{2})
-	for _, j := range []int{-1, 4} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("Get(0,%d): no panic", j)
-				}
-			}()
-			c.Get(0, j)
-		}()
+	if got := c.RowIndices(0); !slices.Equal(got, []int32{0, 3}) {
+		t.Fatalf("row 0 = %v, want [0 3]", got)
 	}
 }
 
-// TestCSROrRowIntoLengthMismatch mirrors the dense vector-length contract.
+// TestCSROrRowIntoLengthMismatch: the accumulator must be exactly Cols() bits.
 func TestCSROrRowIntoLengthMismatch(t *testing.T) {
 	c := NewCSR(4, []int32{0, 1}, []int32{2})
 	defer func() {

@@ -29,19 +29,18 @@ type KMeansResult struct {
 // partial inertia sums are combined in chunk order regardless of which
 // goroutine computed them.
 type KMeansConfig struct {
-	MaxIter int     // default 100
-	Tol     float64 // relative inertia improvement to continue; default 1e-6
+	MaxIter int // default 100
 }
 
 func (c KMeansConfig) withDefaults() KMeansConfig {
 	if c.MaxIter <= 0 {
 		c.MaxIter = 100
 	}
-	if c.Tol <= 0 {
-		c.Tol = 1e-6
-	}
 	return c
 }
+
+// tol is the relative inertia improvement below which Lloyd iteration stops.
+const tol = 1e-6
 
 // assignChunkRows is the fixed shard width of the parallel assignment step.
 // The chunk grid depends only on n, never on the worker count, so per-chunk
@@ -271,7 +270,7 @@ func kmeansRun(points *tensor.Matrix, k int, rng *rand.Rand, cfg KMeansConfig, s
 	var inertia float64
 	for it := 0; it < cfg.MaxIter; it++ {
 		inertia = assignStep()
-		if prev-inertia <= cfg.Tol*math.Max(1, prev) {
+		if prev-inertia <= tol*math.Max(1, prev) {
 			return inertia, it + 1
 		}
 		prev = inertia

@@ -19,11 +19,11 @@ type GroupingConfig struct {
 	Sim Similarity
 	// K fixes the number of k-means groups for the M2M source pool.
 	// K == 0 selects the group count automatically at the elbow equilibrium
-	// point of the inertia curve over [KMin, KMax].
+	// point of the inertia curve over [kMin, KMax].
 	K int
-	// KMin/KMax bound the EEP search (defaults 2 and 20 — the paper's
-	// traversal range in Fig. 4(b)).
-	KMin, KMax int
+	// KMax bounds the EEP search from above (default 20; with kMin, the
+	// paper's traversal range in Fig. 4(b)).
+	KMax int
 	// MaxPivots bounds the dimensionality of the similarity embedding
 	// (default 32). When the source pool is smaller, every source is a
 	// pivot and the embedding is the exact similarity matrix row.
@@ -40,12 +40,13 @@ type GroupingConfig struct {
 	arena *cluster.Arena
 }
 
+// kMin is the low end of the EEP search: the paper's EEP traversal starts at
+// two groups.
+const kMin = 2
+
 func (c GroupingConfig) withDefaults() GroupingConfig {
 	if c.Sim == nil {
 		c.Sim = SemanticSimilarity{}
-	}
-	if c.KMin <= 0 {
-		c.KMin = 2
 	}
 	if c.KMax <= 0 {
 		c.KMax = 20
@@ -83,7 +84,7 @@ type Grouping struct {
 	// had no M2M connections).
 	K int
 	// Inertia is the k-means inertia at K; InertiaCurve holds the full
-	// traversal when EEP auto-selection ran (indexed from KMin).
+	// traversal when EEP auto-selection ran (indexed from min(kMin, KMax)).
 	Inertia      float64
 	InertiaCurve []float64
 	// Embedding is the similarity-space embedding of the M2M source pool
@@ -142,13 +143,7 @@ func BuildGrouping(d *graph.DBG, cfg GroupingConfig) *Grouping {
 		if kmax > len(poolSrc) {
 			kmax = len(poolSrc)
 		}
-		kmin := cfg.KMin
-		if kmin > kmax {
-			kmin = kmax
-		}
-		if kmin < 1 {
-			kmin = 1
-		}
+		kmin := min(kMin, kmax)
 		gr.InertiaCurve = cluster.InertiaCurveArena(cfg.arena, emb, kmin, kmax, rng, kmCfg)
 		k = kmin + cluster.ElbowEEP(gr.InertiaCurve)
 	}
@@ -186,8 +181,7 @@ func groupFromConnection(d *graph.DBG, conn graph.Connection) *Group {
 
 // groupFromSources materializes a group from a k-means cluster of source
 // indices; the sink side is the union of their DBG neighborhoods, accumulated
-// into one |V|-bit vector (word-parallel OR on the dense representation,
-// index scatter on the sparse one — never a dense matrix).
+// into one |V|-bit vector by scattering each source's row into it.
 func groupFromSources(d *graph.DBG, srcIdx []int) *Group {
 	union := bitvec.New(d.NumDst())
 	for _, ui := range srcIdx {

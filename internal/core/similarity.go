@@ -1,8 +1,8 @@
 // Package core implements SC-GNN's primary contribution (paper Sec. 3 and 4):
 //
 //   - the semantic similarity between boundary source nodes (Eq. 1) and its
-//     vectorized bit-parallel form (Eq. 2), together with the Jaccard
-//     baseline it improves on;
+//     vectorized form (Eq. 2), together with the Jaccard baseline it
+//     improves on;
 //   - cohesion-driven node grouping: k-means in the distance space expanded
 //     by the similarity, with the group count picked at the elbow
 //     equilibrium point (EEP);
@@ -24,9 +24,8 @@ import "scgnn/internal/bitvec"
 type Similarity interface {
 	// Score returns the cohesion of source rows ui and uj of the DBG
 	// adjacency matrix. Scores are functions of integer row/intersection
-	// cardinalities only, so they are bit-identical across the dense and
-	// sparse adjacency representations.
-	Score(adj bitvec.Bits, ui, uj int) float64
+	// cardinalities only.
+	Score(adj *bitvec.CSR, ui, uj int) float64
 	// Name identifies the measure in reports ("semantic", "jaccard").
 	Name() string
 }
@@ -41,13 +40,13 @@ type Similarity interface {
 // highlight of cohesion").
 //
 // Score computes the vectorized form of Eq. 2: the intersection cardinality
-// is the inner product A_u1·A_u2ᵀ (word-parallel AND+popcount on the dense
-// representation, sorted-index merge on the sparse one), and the denominator
-// reads the precomputed row-count vector C_A.
+// is the inner product A_u1·A_u2ᵀ (a merge of the two rows' sorted index
+// lists), and the denominator reads the row-count vector C_A (the CSR
+// offsets).
 type SemanticSimilarity struct{}
 
 // Score implements Similarity.
-func (SemanticSimilarity) Score(adj bitvec.Bits, ui, uj int) float64 {
+func (SemanticSimilarity) Score(adj *bitvec.CSR, ui, uj int) float64 {
 	den := adj.RowCount(ui) + adj.RowCount(uj)
 	if den == 0 {
 		return 0
@@ -68,7 +67,7 @@ func (SemanticSimilarity) Name() string { return "semantic" }
 type JaccardSimilarity struct{}
 
 // Score implements Similarity.
-func (JaccardSimilarity) Score(adj bitvec.Bits, ui, uj int) float64 {
+func (JaccardSimilarity) Score(adj *bitvec.CSR, ui, uj int) float64 {
 	union := adj.RowOrCount(ui, uj)
 	if union == 0 {
 		return 0
@@ -90,18 +89,18 @@ func SlidingCohesion(width, valid int, s Similarity) []float64 {
 	if valid > width {
 		valid = width
 	}
-	fixed := bitvec.NewMatrix(2, width)
+	// Row 0 is the sliding window, row 1 the fixed one.
+	idx := make([]int32, 2*valid)
 	for j := 0; j < valid; j++ {
-		fixed.SetBit(1, j)
+		idx[valid+j] = int32(j)
 	}
+	rows := []int32{0, int32(valid), int32(2 * valid)}
 	out := make([]float64, 0, width-valid+1)
 	for off := 0; off+valid <= width; off++ {
-		adj := bitvec.NewMatrix(2, width)
 		for j := 0; j < valid; j++ {
-			adj.SetBit(0, off+j)
-			adj.SetBit(1, j)
+			idx[j] = int32(off + j)
 		}
-		out = append(out, s.Score(adj, 0, 1))
+		out = append(out, s.Score(bitvec.NewCSR(width, rows, idx), 0, 1))
 	}
 	return out
 }

@@ -9,15 +9,18 @@ import (
 	"scgnn/internal/bitvec"
 )
 
-// adjFromRows builds a bit matrix from explicit neighbor lists.
-func adjFromRows(cols int, rows [][]int) *bitvec.Matrix {
-	m := bitvec.NewMatrix(len(rows), cols)
-	for i, r := range rows {
+// adjFromRows builds an adjacency matrix from explicit ascending neighbor
+// lists.
+func adjFromRows(cols int, rows [][]int) *bitvec.CSR {
+	off := []int32{0}
+	var idx []int32
+	for _, r := range rows {
 		for _, j := range r {
-			m.SetBit(i, j)
+			idx = append(idx, int32(j))
 		}
+		off = append(off, int32(len(idx)))
 	}
-	return m
+	return bitvec.NewCSR(cols, off, idx)
 }
 
 func TestSemanticSimilarityEq1(t *testing.T) {
@@ -85,19 +88,20 @@ func TestSimilarityProperties(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		cols := 1 + rng.Intn(120)
-		adj := bitvec.NewMatrix(2, cols)
+		rows := make([][]int, 2)
 		n1 := map[int]bool{}
 		n2 := map[int]bool{}
 		for j := 0; j < cols; j++ {
 			if rng.Intn(3) == 0 {
-				adj.SetBit(0, j)
+				rows[0] = append(rows[0], j)
 				n1[j] = true
 			}
 			if rng.Intn(3) == 0 {
-				adj.SetBit(1, j)
+				rows[1] = append(rows[1], j)
 				n2[j] = true
 			}
 		}
+		adj := adjFromRows(cols, rows)
 		s := SemanticSimilarity{}
 		v12, v21 := s.Score(adj, 0, 1), s.Score(adj, 1, 0)
 		if v12 != v21 || v12 < 0 {
@@ -125,11 +129,12 @@ func TestCohesionHighlight(t *testing.T) {
 	width, valid := 40, 20
 	var prevRatio float64
 	for inter := 1; inter <= valid; inter++ {
-		adj := bitvec.NewMatrix(2, width)
+		rows := make([][]int, 2)
 		for j := 0; j < valid; j++ {
-			adj.SetBit(0, j)
-			adj.SetBit(1, j+valid-inter)
+			rows[0] = append(rows[0], j)
+			rows[1] = append(rows[1], j+valid-inter)
 		}
+		adj := adjFromRows(width, rows)
 		s := SemanticSimilarity{}.Score(adj, 0, 1)
 		j := JaccardSimilarity{}.Score(adj, 0, 1)
 		ratio := s / j
@@ -171,15 +176,15 @@ func TestSimilarityNames(t *testing.T) {
 
 func BenchmarkSemanticScore(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
-	adj := bitvec.NewMatrix(2, 4096)
+	rows := make([][]int, 2)
 	for j := 0; j < 4096; j++ {
-		if rng.Intn(2) == 0 {
-			adj.SetBit(0, j)
-		}
-		if rng.Intn(2) == 0 {
-			adj.SetBit(1, j)
+		for r := range rows {
+			if rng.Intn(2) == 0 {
+				rows[r] = append(rows[r], j)
+			}
 		}
 	}
+	adj := adjFromRows(4096, rows)
 	s := SemanticSimilarity{}
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -64,7 +64,7 @@ func fig4b(j *job) {
 			mx = 1
 		}
 		for i, v := range gr.InertiaCurve {
-			s.Add(float64(i+2), v/mx) // curve starts at KMin=2
+			s.Add(float64(i+2), v/mx) // the EEP curve starts at k = 2
 		}
 		eepIdx := cluster.ElbowEEP(gr.InertiaCurve)
 		tb.AddRow(ds.Name, len(gr.PoolSrc), gr.K, gr.InertiaCurve[eepIdx])

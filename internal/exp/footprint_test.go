@@ -6,7 +6,7 @@ import (
 
 // TestScale100KFootprintGate is the memory-bounded-planning gate: the full
 // scale pipeline at the 100k preset (streaming generation, edge-cut
-// partitioning, hybrid-DBG plan build, 1% replan, worker rounds) must fit an
+// partitioning, CSR DBG plan build, 1% replan, worker rounds) must fit an
 // accounting-based heap budget. The measured number is the continuous
 // high-water of /memory/classes/heap/objects:bytes (live + not-yet-swept
 // object bytes — see memWatch), not RSS, so the gate is insensitive to how

@@ -47,16 +47,13 @@ var ConnTypes = []ConnType{O2O, O2M, M2O, M2M}
 // in partition dst (paper Sec. 3.1, Fig. 3(a)).
 //
 // SrcNodes/DstNodes map local DBG indices back to global node ids; Adj is the
-// |U|×|V| adjacency bit matrix used by the vectorized semantic similarity. The
-// representation behind Adj is hybrid (see DBGRepr): small or dense boundary
-// structures use the word-packed bitvec.Matrix, large sparse ones the CSR
-// index lists — observationally identical, so everything downstream (plans,
-// golden snapshots) is byte-identical under either.
+// |U|×|V| adjacency bit matrix, in CSR form, that the vectorized semantic
+// similarity reads.
 type DBG struct {
 	SrcPart, DstPart int
 	SrcNodes         []int32 // boundary source nodes (global ids), sorted
 	DstNodes         []int32 // boundary sink nodes (global ids), sorted
-	Adj              bitvec.Bits
+	Adj              *bitvec.CSR
 }
 
 // NumEdges returns the number of cross-partition edges in the DBG.
@@ -69,92 +66,15 @@ func (d *DBG) NumSrc() int { return len(d.SrcNodes) }
 func (d *DBG) NumDst() int { return len(d.DstNodes) }
 
 // Neighbors returns the local sink indices adjacent to local source index ui,
-// ascending. The slice may be a view into the adjacency representation:
-// callers must not mutate it.
+// ascending. The slice is a view into the adjacency: callers must not mutate
+// it.
 func (d *DBG) Neighbors(ui int) []int32 { return d.Adj.RowIndices(ui) }
-
-// AdjEqual reports whether the two DBGs' adjacency structures carry the same
-// bits, regardless of representation — the equality the dense-vs-sparse
-// oracle tests assert.
-func AdjEqual(a, b bitvec.Bits) bool {
-	if a.Rows() != b.Rows() || a.Cols() != b.Cols() {
-		return false
-	}
-	for i := 0; i < a.Rows(); i++ {
-		ra, rb := a.RowIndices(i), b.RowIndices(i)
-		if len(ra) != len(rb) {
-			return false
-		}
-		for k := range ra {
-			if ra[k] != rb[k] {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// DBGRepr selects the adjacency representation DBG construction uses.
-type DBGRepr int
-
-const (
-	// ReprHybrid picks per DBG: dense when the bit matrix is small or the
-	// boundary is dense enough that word-parallel kernels win, CSR otherwise.
-	ReprHybrid DBGRepr = iota
-	// ReprDense forces the word-packed bitvec.Matrix everywhere — the
-	// original representation, retained as the equality oracle.
-	ReprDense
-	// ReprSparse forces the CSR representation everywhere.
-	ReprSparse
-)
-
-// dbgRepr is the package-wide representation mode. It is a representation
-// choice, never a semantic one — plans are byte-identical under every
-// setting (core's forced-representation suite pins this) — so a package
-// variable with a test override is safe.
-var dbgRepr = ReprHybrid
-
-// SetDBGRepr overrides the DBG adjacency representation and returns the
-// previous mode; tests pin specific representations with it (defer restore).
-// Not safe to flip concurrently with DBG construction.
-func SetDBGRepr(r DBGRepr) DBGRepr {
-	prev := dbgRepr
-	dbgRepr = r
-	return prev
-}
-
-// Hybrid thresholds: a DBG stays dense when its full bit matrix is at most
-// denseMaxBits (small enough that O(rows·cols) bits is noise — the regime of
-// every laptop-scale dataset, keeping the historical fast path), or when its
-// edge density reaches one set bit per 64-bit word on average, the point
-// where word-parallel AND/popcount beats the sorted-list merge. Everything
-// else — the million-node regime, where a single pair's dense matrix runs to
-// hundreds of MB at densities below 10⁻³ — goes CSR.
-const (
-	denseMaxBits     = 1 << 22 // 512 KiB per DBG
-	denseBitsPerWord = 64
-)
-
-// useDense decides the hybrid representation for a rows×cols DBG with edges
-// set bits.
-func useDense(rows, cols, edges int) bool {
-	switch dbgRepr {
-	case ReprDense:
-		return true
-	case ReprSparse:
-		return false
-	}
-	bits := int64(rows) * int64(cols)
-	return bits <= denseMaxBits || int64(edges)*denseBitsPerWord >= bits
-}
 
 // ExtractDBG builds the directed bipartite boundary graph for the ordered
 // partition pair (src→dst): every arc u→v of g with part[u]==src and
 // part[v]==dst contributes a bipartite edge. Returns nil when there are no
-// such arcs. ExtractDBG always materializes the dense bit-matrix
-// representation — it is the per-pair reference implementation and the dense
-// half of the hybrid-representation equality oracle (the bucketed sweep in
-// dbgFromArcs makes the hybrid choice).
+// such arcs. It is the per-pair reference implementation the one-sweep
+// extraction (AllDBGs, ArcBuckets) is tested against.
 func ExtractDBG(g *Graph, part []int, src, dst int) *DBG {
 	if len(part) != g.NumNodes() {
 		panic(fmt.Sprintf("graph: partition vector len %d want %d", len(part), g.NumNodes()))
@@ -182,18 +102,20 @@ func ExtractDBG(g *Graph, part []int, src, dst int) *DBG {
 		SrcNodes: sortedKeys(srcSet),
 		DstNodes: sortedKeys(dstSet),
 	}
-	srcIdx := indexOf(d.SrcNodes)
 	dstIdx := indexOf(d.DstNodes)
-	adj := bitvec.NewMatrix(len(d.SrcNodes), len(d.DstNodes))
-	for u := range srcSet {
-		ui := srcIdx[u]
+	off := make([]int32, 1, len(d.SrcNodes)+1)
+	var idx []int32
+	for _, u := range d.SrcNodes {
+		row := len(idx)
 		for _, v := range g.Neighbors(u) {
 			if part[v] == dst {
-				adj.SetBit(ui, dstIdx[v])
+				idx = append(idx, int32(dstIdx[v]))
 			}
 		}
+		sortInt32(idx[row:])
+		off = append(off, int32(len(idx)))
 	}
-	d.Adj = adj
+	d.Adj = bitvec.NewCSR(len(d.DstNodes), off, idx)
 	return d
 }
 
@@ -245,22 +167,10 @@ func dbgFromArcs(src, dst int, us, vs []int32, scratch []int32) (*DBG, []int32) 
 	copy(dstNodes, sv[:w])
 
 	d := &DBG{SrcPart: src, DstPart: dst, SrcNodes: srcNodes, DstNodes: dstNodes}
-	if useDense(len(srcNodes), len(dstNodes), len(us)) {
-		adj := bitvec.NewMatrix(len(srcNodes), len(dstNodes))
-		ui := 0
-		for i, u := range us {
-			if i > 0 && u != us[i-1] {
-				ui++
-			}
-			adj.SetBit(ui, searchInt32(dstNodes, vs[i]))
-		}
-		d.Adj = adj
-		return d, sv
-	}
-	// Sparse path: the bucket arrives in (src asc, dst asc per src) order and
-	// the graph's arc set is deduplicated, so mapping each sink through the
-	// sorted dstNodes yields strictly ascending indices within every row —
-	// the CSR fills in one pass with no sorting or dedup.
+	// The bucket arrives in (src asc, dst asc per src) order and the graph's
+	// arc set is deduplicated, so mapping each sink through the sorted
+	// dstNodes yields strictly ascending indices within every row — the CSR
+	// fills in one pass with no sorting or dedup.
 	off := make([]int32, len(srcNodes)+1)
 	idx := make([]int32, len(us))
 	ui := 0

@@ -161,7 +161,7 @@ func dbgBytesEqual(a, b *DBG) bool {
 			return false
 		}
 	}
-	return AdjEqual(a.Adj, b.Adj)
+	return adjEqual(a, b)
 }
 
 // TestDiffDBGsExact: the diff is exact in both directions — clean pairs

@@ -338,7 +338,6 @@ func encodeConfig(w *cwriter, c dist.Config) {
 	w.i32(int32(c.DelayPeriod))
 	w.i64(c.Seed)
 	w.i32(int32(g.K))
-	w.i32(int32(g.KMin))
 	w.i32(int32(g.KMax))
 	w.i32(int32(g.MaxPivots))
 	w.i64(g.Seed)
@@ -367,7 +366,6 @@ func decodeConfig(r *creader) dist.Config {
 	c.DelayPeriod = int(r.i32())
 	c.Seed = r.i64()
 	g.K = int(r.i32())
-	g.KMin = int(r.i32())
 	g.KMax = int(r.i32())
 	g.MaxPivots = int(r.i32())
 	g.Seed = r.i64()

@@ -19,7 +19,7 @@ func exampleConfig() dist.Config {
 	return dist.Config{
 		Semantic: true,
 		Plan: core.PlanConfig{
-			Grouping: core.GroupingConfig{K: 8, KMin: 2, KMax: 16, MaxPivots: 32, Seed: 11,
+			Grouping: core.GroupingConfig{K: 8, KMax: 16, MaxPivots: 32, Seed: 11,
 				Sim: core.JaccardSimilarity{}},
 			Drop:           core.DropMask{O2O: true, M2M: true},
 			UniformWeights: true,

@@ -32,7 +32,7 @@ type coarseGraph struct {
 	parent []int32
 }
 
-func multilevelPartition(g *graph.Graph, nparts int, rng *rand.Rand, cfg Config) []int {
+func multilevelPartition(g *graph.Graph, nparts int, rng *rand.Rand) []int {
 	// Build the level-0 weighted graph.
 	level := &coarseGraph{n: g.NumNodes(), adj: make([]map[int32]float64, g.NumNodes()), weight: make([]float64, g.NumNodes())}
 	for u := 0; u < g.NumNodes(); u++ {
@@ -65,8 +65,8 @@ func multilevelPartition(g *graph.Graph, nparts int, rng *rand.Rand, cfg Config)
 	// Phase 3: uncoarsen with rebalancing + refinement at every level.
 	for li := len(hierarchy) - 1; li >= 0; li-- {
 		cg := hierarchy[li]
-		rebalanceWeighted(cg, assign, nparts, cfg)
-		refineWeighted(cg, assign, nparts, cfg)
+		rebalanceWeighted(cg, assign, nparts)
+		refineWeighted(cg, assign, nparts)
 		if li > 0 {
 			// cg.parent maps the finer level's nodes to cg's nodes.
 			finer := hierarchy[li-1]
@@ -224,12 +224,12 @@ func initialPartition(cg *coarseGraph, nparts int, rng *rand.Rand) []int {
 // while any partition exceeds the slack cap, the overloaded partition's
 // minimum-damage node (least internal connectivity) migrates to the lightest
 // partition. Refinement then repairs the cut without breaking balance.
-func rebalanceWeighted(cg *coarseGraph, assign []int, nparts int, cfg Config) {
+func rebalanceWeighted(cg *coarseGraph, assign []int, nparts int) {
 	var totalW float64
 	for _, w := range cg.weight {
 		totalW += w
 	}
-	maxLoad := totalW/float64(nparts)*(1+cfg.Slack) + 1
+	maxLoad := totalW/float64(nparts)*(1+slack) + 1
 	loads := make([]float64, nparts)
 	for u, p := range assign {
 		loads[p] += cg.weight[u]
@@ -274,23 +274,19 @@ func rebalanceWeighted(cg *coarseGraph, assign []int, nparts int, cfg Config) {
 }
 
 // refineWeighted runs boundary FM-style sweeps on a weighted coarse graph.
-func refineWeighted(cg *coarseGraph, assign []int, nparts int, cfg Config) {
+func refineWeighted(cg *coarseGraph, assign []int, nparts int) {
 	var totalW float64
 	for _, w := range cg.weight {
 		totalW += w
 	}
-	minLoad := totalW / float64(nparts) * (1 - cfg.Slack)
-	maxLoad := totalW/float64(nparts)*(1+cfg.Slack) + 1
+	minLoad := totalW / float64(nparts) * (1 - slack)
+	maxLoad := totalW/float64(nparts)*(1+slack) + 1
 	loads := make([]float64, nparts)
 	for u, p := range assign {
 		loads[p] += cg.weight[u]
 	}
 
-	rounds := cfg.RefineRounds
-	if rounds <= 0 {
-		rounds = 8
-	}
-	for round := 0; round < rounds; round++ {
+	for round := 0; round < refineRounds; round++ {
 		moved := 0
 		for u := 0; u < cg.n; u++ {
 			cur := assign[u]

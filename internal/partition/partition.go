@@ -75,24 +75,17 @@ func ByName(name string) (Method, error) {
 
 // Config tunes the partitioners.
 type Config struct {
-	// Slack is the allowed relative imbalance (default 0.1: partitions may
-	// hold up to 1.1× the ideal node count).
-	Slack float64
-	// RefineRounds caps the number of greedy refinement sweeps (default 8).
-	RefineRounds int
 	// Seed drives seeding and random-cut.
 	Seed int64
 }
 
-func (c Config) withDefaults() Config {
-	if c.Slack <= 0 {
-		c.Slack = 0.1
-	}
-	if c.RefineRounds <= 0 {
-		c.RefineRounds = 8
-	}
-	return c
-}
+const (
+	// slack is the allowed relative imbalance: partitions may hold up to
+	// 1.1× the ideal node count.
+	slack = 0.1
+	// refineRounds caps the number of greedy refinement sweeps.
+	refineRounds = 8
+)
 
 // Partition splits g into nparts parts with the chosen method and returns
 // the node→partition vector.
@@ -100,7 +93,6 @@ func Partition(g *graph.Graph, nparts int, m Method, cfg Config) []int {
 	if nparts < 1 {
 		panic(fmt.Sprintf("partition: nparts = %d", nparts))
 	}
-	cfg = cfg.withDefaults()
 	n := g.NumNodes()
 	if nparts == 1 || n == 0 {
 		return make([]int, n)
@@ -110,15 +102,15 @@ func Partition(g *graph.Graph, nparts int, m Method, cfg Config) []int {
 	case RandomCut:
 		return randomCut(n, nparts, rng)
 	case EdgeCut:
-		part := growBFS(g, nparts, rng, cfg)
-		refine(g, part, nparts, cfg, edgeCutGain)
+		part := growBFS(g, nparts, rng)
+		refine(g, part, nparts, edgeCutGain)
 		return part
 	case NodeCut:
-		part := growBFS(g, nparts, rng, cfg)
-		refine(g, part, nparts, cfg, nodeCutGain)
+		part := growBFS(g, nparts, rng)
+		refine(g, part, nparts, nodeCutGain)
 		return part
 	case Multilevel:
-		return multilevelPartition(g, nparts, rng, cfg)
+		return multilevelPartition(g, nparts, rng)
 	}
 	panic(fmt.Sprintf("partition: unknown method %v", m))
 }
@@ -137,13 +129,13 @@ func randomCut(n, nparts int, rng *rand.Rand) []int {
 // growBFS grows nparts regions from random seeds in lockstep breadth-first
 // order, respecting the capacity cap; stranded nodes (disconnected) are
 // assigned to the smallest partition.
-func growBFS(g *graph.Graph, nparts int, rng *rand.Rand, cfg Config) []int {
+func growBFS(g *graph.Graph, nparts int, rng *rand.Rand) []int {
 	n := g.NumNodes()
 	part := make([]int, n)
 	for i := range part {
 		part[i] = -1
 	}
-	capacity := int(float64(n)/float64(nparts)*(1+cfg.Slack)) + 1
+	capacity := int(float64(n)/float64(nparts)*(1+slack)) + 1
 	sizes := make([]int, nparts)
 	// Per-partition FIFO queues with explicit head cursors: popping advances
 	// heads[p] instead of re-slicing, so each queue's backing array is
@@ -269,14 +261,14 @@ func replication(g *graph.Graph, part []int, u int32) int {
 
 // refine sweeps boundary nodes, applying the best positive-gain move that
 // respects balance, until a sweep makes no move or rounds run out.
-func refine(g *graph.Graph, part []int, nparts int, cfg Config, gain gainFunc) {
+func refine(g *graph.Graph, part []int, nparts int, gain gainFunc) {
 	n := g.NumNodes()
 	sizes := make([]int, nparts)
 	for _, p := range part {
 		sizes[p]++
 	}
-	minSize := int(float64(n) / float64(nparts) * (1 - cfg.Slack))
-	maxSize := int(float64(n)/float64(nparts)*(1+cfg.Slack)) + 1
+	minSize := int(float64(n) / float64(nparts) * (1 - slack))
+	maxSize := int(float64(n)/float64(nparts)*(1+slack)) + 1
 
 	// Epoch-stamped candidate dedup: seen[p] == stamp means partition p was
 	// already considered for the current node. One flat array across the
@@ -286,7 +278,7 @@ func refine(g *graph.Graph, part []int, nparts int, cfg Config, gain gainFunc) {
 	seen := make([]int, nparts)
 	stamp := 0
 
-	for round := 0; round < cfg.RefineRounds; round++ {
+	for round := 0; round < refineRounds; round++ {
 		moved := 0
 		for u := int32(0); int(u) < n; u++ {
 			cur := part[u]

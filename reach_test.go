@@ -22,11 +22,7 @@ var unreachedAllowed = map[string]string{
 	"scgnn/internal/graph.ExtractDBG":            "oracle: the per-pair DBG extraction the one-sweep builders are tested against",
 	"scgnn/internal/graph.sortedKeys":            "oracle: ExtractDBG's helper",
 	"scgnn/internal/graph.indexOf":               "oracle: ExtractDBG's helper",
-	"scgnn/internal/graph.SetDBGRepr":            "test seam: pins the DBG representation in tests",
-	"scgnn/internal/graph.AdjEqual":              "oracle: adjacency equality the DBG tests compare with",
 	"scgnn/internal/graph.NewUndirected":         "test seam: builds graphs from edge lists in tests",
-	"scgnn/internal/bitvec.FromIndices":          "test seam: builds vectors from index lists in tests",
-	"scgnn/internal/bitvec.CSRFromMatrix":        "oracle: the dense-to-CSR conversion the CSR tests compare with",
 	"scgnn/internal/simnet.Fabric.LinkBytes":     "test seam: per-link byte counters the traffic tests read",
 	"scgnn/internal/simnet.Fabric.LinkMessages":  "test seam: per-link message counters the traffic tests read",
 	"scgnn/internal/sched.Scheduler.Ladder":      "test seam: the rung table the scheduler tests index",
