@@ -154,7 +154,12 @@ fuzz-smoke:
 # code's call: no exported Workers field, and no mmap feature store (its
 # allocator, the dataset knob and the by-name constructor that took it). And one
 # DBG adjacency: graph.DBG.Adj is a bitvec.CSR, with no dense bit matrix, no
-# interface over two representations and no switch that picks one.
+# interface over two representations and no switch that picks one. And every
+# entry point has a consumer: no multilevel partitioner (the paper's three
+# families are the partitioners), no dataset file format (the facade's
+# by-name LoadDataset lives outside internal/ and cmd/), no Markdown table
+# export, and no scgnn-plan beside scgnn-inspect, which builds and exports
+# the plans.
 one-sink:
 	@! grep -rn 'useReference\|DelayCache\|pairBuf\|NewRounds\|worker\.Rounds\|forEachTask\|putHeader\|MsgHeaderBytes\|Fabric) Send(' --include='*.go' . | grep -v _test.go
 	@! grep -n 'aggregate(' internal/gnn/*.go | grep -v '_test\.go:\|^internal/gnn/layer\.go:'
@@ -164,6 +169,9 @@ one-sink:
 	@! grep -rn 'dist\.NewEngine(' --include='*.go' . | grep -v '_test\.go:\|^\./internal/dist/\|^\./bench/\|^\./internal/exp/ablation\.go:'
 	@! grep -rnE 'MappedAlloc|AllocFeatures|ByNameWith|syscall\.Mmap|^\s+Workers\s+[a-z*[]' --include='*.go' . | grep -v '_test\.go:'
 	@! grep -rnE 'SetDBGRepr|DBGRepr|bitvec\.Matrix|bitvec\.Bits|NewMatrix\(' --include='*.go' . | grep -v '_test\.go:'
+	@! grep -rnE 'Multilevel|multilevelPartition|SaveDataset|persist\.LoadDataset|datasetWire|WriteMarkdown' --include='*.go' . | grep -v '_test\.go:'
+	@! grep -rn 'LoadDataset' --include='*.go' internal cmd | grep -v '_test\.go:'
+	@! test -e cmd/scgnn-plan
 
 # Every program under examples/, built into a temporary directory and run to
 # the end: go build compiles them, but only running them shows a facade call

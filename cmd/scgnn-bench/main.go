@@ -38,7 +38,6 @@ func run(args []string) int {
 		parts  = fs.Int("parts", 0, "partition count for single-count experiments (0 = default 4)")
 		quick  = fs.Bool("quick", false, "shrink sweeps/epochs for a fast smoke run")
 		csvDir = fs.String("csv", "", "directory to write per-table CSV files")
-		mdDir  = fs.String("markdown", "", "directory to write per-table Markdown files")
 		svgDir = fs.String("svg", "", "directory to write per-figure SVG plots")
 		logY   = fs.Bool("svg-logy", false, "log-scale the y axis of SVG plots")
 		list   = fs.Bool("list", false, "list experiment ids and exit")
@@ -105,10 +104,7 @@ func run(args []string) int {
 		fmt.Printf("(%s completed in %s)\n\n", id, time.Since(start).Round(time.Millisecond))
 
 		if *csvDir != "" {
-			writeTables(*csvDir, id, report, "csv")
-		}
-		if *mdDir != "" {
-			writeTables(*mdDir, id, report, "md")
+			writeTables(*csvDir, id, report)
 		}
 		if *svgDir != "" {
 			writeFigures(*svgDir, id, report, *logY)
@@ -188,25 +184,20 @@ func writeFigures(dir, id string, report *exp.Report, logY bool) {
 	}
 }
 
-// writeTables dumps every table of a report into dir as CSV or Markdown.
-func writeTables(dir, id string, report *exp.Report, format string) {
+// writeTables dumps every table of a report into dir as CSV.
+func writeTables(dir, id string, report *exp.Report) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		fmt.Fprintf(os.Stderr, "scgnn-bench: %v\n", err)
 		os.Exit(1)
 	}
 	for i, tb := range report.Tables {
-		path := filepath.Join(dir, fmt.Sprintf("%s_%d.%s", id, i, format))
+		path := filepath.Join(dir, fmt.Sprintf("%s_%d.csv", id, i))
 		f, err := os.Create(path)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "scgnn-bench: %v\n", err)
 			os.Exit(1)
 		}
-		switch format {
-		case "csv":
-			err = tb.WriteCSV(f)
-		case "md":
-			err = tb.WriteMarkdown(f)
-		}
+		err = tb.WriteCSV(f)
 		if cerr := f.Close(); err == nil {
 			err = cerr
 		}

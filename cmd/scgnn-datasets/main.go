@@ -1,13 +1,11 @@
-// Command scgnn-datasets generates, saves, loads, and summarizes the
-// synthetic benchmark datasets.
+// Command scgnn-datasets generates and describes the synthetic benchmark
+// datasets.
 //
 // Usage:
 //
 //	scgnn-datasets -list
-//	scgnn-datasets -dataset reddit-sim -stats
-//	scgnn-datasets -dataset yelp-sim -save /tmp/yelp.gob
-//	scgnn-datasets -load /tmp/yelp.gob -stats
-//	scgnn-datasets -custom -nodes 5000 -degree 20 -classes 12 -save /tmp/big.gob
+//	scgnn-datasets -dataset reddit-sim
+//	scgnn-datasets -custom -nodes 5000 -degree 20 -classes 12
 package main
 
 import (
@@ -17,26 +15,27 @@ import (
 	"sort"
 
 	"scgnn/internal/datasets"
-	"scgnn/internal/persist"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:])) }
+
+// run is the command; it returns the exit status: 2 for a bad command line,
+// which is refused before any dataset is generated.
+func run(args []string) int {
+	fs := flag.NewFlagSet("scgnn-datasets", flag.ExitOnError)
 	var (
-		list    = flag.Bool("list", false, "list benchmark datasets and exit")
-		name    = flag.String("dataset", "", "benchmark dataset to generate")
-		load    = flag.String("load", "", "load a dataset gob file instead of generating")
-		save    = flag.String("save", "", "save the dataset to this gob file")
-		stat    = flag.Bool("stats", true, "print dataset statistics")
-		seed    = flag.Int64("seed", 1, "generation seed")
-		custom  = flag.Bool("custom", false, "generate a custom dataset from the flags below")
-		nodes   = flag.Int("nodes", 1000, "custom: node count")
-		degree  = flag.Float64("degree", 10, "custom: average degree")
-		classes = flag.Int("classes", 5, "custom: class count")
-		dim     = flag.Int("dim", 32, "custom: feature dimension")
-		homo    = flag.Float64("homophily", 0.8, "custom: intra-class edge probability")
-		noise   = flag.Float64("noise", 1.0, "custom: feature noise sigma")
+		list    = fs.Bool("list", false, "list benchmark datasets and exit")
+		name    = fs.String("dataset", "", "benchmark dataset to generate")
+		seed    = fs.Int64("seed", 1, "generation seed")
+		custom  = fs.Bool("custom", false, "generate a custom dataset from the flags below")
+		nodes   = fs.Int("nodes", 1000, "custom: node count")
+		degree  = fs.Float64("degree", 10, "custom: average degree")
+		classes = fs.Int("classes", 5, "custom: class count")
+		dim     = fs.Int("dim", 32, "custom: feature dimension")
+		homo    = fs.Float64("homophily", 0.8, "custom: intra-class edge probability")
+		noise   = fs.Float64("noise", 1.0, "custom: feature noise sigma")
 	)
-	flag.Parse()
+	fs.Parse(args)
 
 	if *list {
 		for _, n := range datasets.Names() {
@@ -44,40 +43,33 @@ func main() {
 			fmt.Printf("%-20s %5d nodes  %7d arcs  avg degree %6.1f  %2d classes\n",
 				n, d.NumNodes(), d.Graph.NumEdges(), d.Graph.AvgDegree(), d.NumClasses)
 		}
-		return
+		return 0
 	}
 
 	var ds *datasets.Dataset
-	var err error
 	switch {
-	case *load != "":
-		ds, err = persist.LoadDatasetFile(*load)
 	case *custom:
-		ds = datasets.Generate(datasets.Spec{
+		spec := datasets.Spec{
 			Name: "custom", Nodes: *nodes, AvgDegree: *degree, Classes: *classes,
 			FeatureDim: *dim, Homophily: *homo, FeatureNoise: *noise, Seed: *seed,
-		})
-	case *name != "":
-		ds, err = datasets.ByName(*name, *seed)
-	default:
-		fmt.Fprintln(os.Stderr, "scgnn-datasets: need -dataset, -load, -custom, or -list")
-		os.Exit(2)
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "scgnn-datasets:", err)
-		os.Exit(1)
-	}
-
-	if *stat {
-		printStats(ds)
-	}
-	if *save != "" {
-		if err := persist.SaveDatasetFile(*save, ds); err != nil {
-			fmt.Fprintln(os.Stderr, "scgnn-datasets:", err)
-			os.Exit(1)
 		}
-		fmt.Printf("saved to %s\n", *save)
+		if err := spec.Validate(); err != nil {
+			fmt.Fprintf(os.Stderr, "scgnn-datasets: -custom: %v\n", err)
+			return 2
+		}
+		ds = datasets.Generate(spec)
+	case *name != "":
+		var err error
+		if ds, err = datasets.ByName(*name, *seed); err != nil {
+			fmt.Fprintln(os.Stderr, "scgnn-datasets:", err)
+			return 2
+		}
+	default:
+		fmt.Fprintln(os.Stderr, "scgnn-datasets: need -dataset, -custom, or -list")
+		return 2
 	}
+	printStats(ds)
+	return 0
 }
 
 func printStats(ds *datasets.Dataset) {

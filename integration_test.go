@@ -43,7 +43,7 @@ func TestIntegrationMatrix(t *testing.T) {
 		}
 		floor := float64(maxCount) / float64(ds.NumNodes())
 
-		for _, pm := range []scgnn.PartitionMethod{scgnn.NodeCut, scgnn.Multilevel} {
+		for _, pm := range []scgnn.PartitionMethod{scgnn.NodeCut, scgnn.EdgeCut} {
 			part := scgnn.PartitionGraph(ds, 4, pm, 1)
 			stats := scgnn.EvaluatePartition(ds, part, 4)
 			if stats.Imbalance > 0.4 {

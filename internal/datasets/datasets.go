@@ -110,11 +110,29 @@ func (s Spec) withDefaults() Spec {
 	return s
 }
 
-// Generate builds a dataset from the spec. Panics on invalid parameters.
+// Validate reports the first size Generate cannot build from: fewer than
+// two nodes or classes, no feature dimension, or an average degree that is
+// negative, not a number, or beyond the nodes − 1 a simple graph can reach.
+func (s Spec) Validate() error {
+	switch {
+	case s.Nodes < 2:
+		return fmt.Errorf("datasets: nodes %d, want 2 or more", s.Nodes)
+	case s.Classes < 2:
+		return fmt.Errorf("datasets: classes %d, want 2 or more", s.Classes)
+	case s.FeatureDim < 1:
+		return fmt.Errorf("datasets: dim %d, want 1 or more", s.FeatureDim)
+	case !(s.AvgDegree >= 0 && s.AvgDegree <= float64(s.Nodes-1)):
+		return fmt.Errorf("datasets: degree %v, want 0 to %d", s.AvgDegree, s.Nodes-1)
+	}
+	return nil
+}
+
+// Generate builds a dataset from the spec. It panics on a spec Validate
+// refuses.
 func Generate(spec Spec) *Dataset {
 	spec = spec.withDefaults()
-	if spec.Nodes < 2 || spec.Classes < 2 || spec.FeatureDim < 1 {
-		panic(fmt.Sprintf("datasets: invalid spec %+v", spec))
+	if err := spec.Validate(); err != nil {
+		panic(err)
 	}
 	rng := rand.New(rand.NewSource(spec.Seed))
 	n := spec.Nodes

@@ -48,14 +48,11 @@ func (m Method) String() string {
 		return "edge-cut"
 	case RandomCut:
 		return "random"
-	case Multilevel:
-		return "multilevel"
 	}
 	return fmt.Sprintf("Method(%d)", int(m))
 }
 
-// Methods lists the paper's three partitioners in its display order
-// (Multilevel is an extension and is opt-in).
+// Methods lists the paper's three partitioners in its display order.
 var Methods = []Method{NodeCut, EdgeCut, RandomCut}
 
 // ByName parses a method name.
@@ -67,8 +64,6 @@ func ByName(name string) (Method, error) {
 		return EdgeCut, nil
 	case "random", "random-cut":
 		return RandomCut, nil
-	case "multilevel", "metis":
-		return Multilevel, nil
 	}
 	return 0, fmt.Errorf("partition: unknown method %q", name)
 }
@@ -109,8 +104,6 @@ func Partition(g *graph.Graph, nparts int, m Method, cfg Config) []int {
 		part := growBFS(g, nparts, rng)
 		refine(g, part, nparts, nodeCutGain)
 		return part
-	case Multilevel:
-		return multilevelPartition(g, nparts, rng)
 	}
 	panic(fmt.Sprintf("partition: unknown method %v", m))
 }

@@ -207,32 +207,3 @@ func (f *Figure) String() string {
 	f.Render(&b)
 	return b.String()
 }
-
-// WriteMarkdown renders the table as a GitHub-flavored Markdown table.
-func (t *Table) WriteMarkdown(w io.Writer) error {
-	row := func(cells []string) error {
-		_, err := fmt.Fprintf(w, "| %s |\n", strings.Join(cells, " | "))
-		return err
-	}
-	if t.Title != "" {
-		if _, err := fmt.Fprintf(w, "**%s**\n\n", t.Title); err != nil {
-			return err
-		}
-	}
-	if err := row(t.Columns); err != nil {
-		return err
-	}
-	sep := make([]string, len(t.Columns))
-	for i := range sep {
-		sep[i] = "---"
-	}
-	if err := row(sep); err != nil {
-		return err
-	}
-	for _, r := range t.Rows {
-		if err := row(r); err != nil {
-			return err
-		}
-	}
-	return nil
-}

@@ -86,17 +86,3 @@ func TestFigure(t *testing.T) {
 		t.Fatalf("row count wrong:\n%s", out)
 	}
 }
-
-func TestWriteMarkdown(t *testing.T) {
-	tb := NewTable("md", "a", "b")
-	tb.AddRow("x", 1.0)
-	var buf strings.Builder
-	if err := tb.WriteMarkdown(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.Contains(out, "**md**") || !strings.Contains(out, "| a | b |") ||
-		!strings.Contains(out, "| --- | --- |") || !strings.Contains(out, "| x | 1.000 |") {
-		t.Fatalf("markdown output wrong:\n%s", out)
-	}
-}

@@ -72,10 +72,6 @@ const (
 	NodeCut   = partition.NodeCut
 	EdgeCut   = partition.EdgeCut
 	RandomCut = partition.RandomCut
-	// Multilevel is a METIS-style multilevel k-way partitioner — an
-	// extension beyond the paper's three families, usually the smallest cut
-	// on community-structured graphs.
-	Multilevel = partition.Multilevel
 )
 
 // PartitionGraph splits the dataset's graph into nparts partitions and
