@@ -42,7 +42,10 @@ test:
 # started afresh each time, with only the join between them —
 # once with a worker stalled in each position (TestClusterArrivalOrderInvariant)
 # and once across every lane, GOMAXPROCS 1, 2 and 8, a repartition and an
-# eval pass (TestEngineEqualsCluster).
+# eval pass (TestEngineEqualsCluster). The pruned k-means (seeding's
+# triangle-inequality skip, the seeded first assignment step, the sweep's
+# fan-out) runs ten times against its serial reference loops
+# (TestKMeansMatchesReference).
 race:
 	$(GO) test -race ./internal/dist/... ./internal/worker/... ./internal/exchange/... \
 		./internal/cluster/... ./internal/core/... ./internal/graph/... \
@@ -51,6 +54,7 @@ race:
 	$(GO) test -race -count=10 -run 'TestGridKernelsMatchPerValue|TestCodecKernelsMatchReference' ./internal/compress/ ./internal/wire/
 	$(GO) test -race -count=10 -run 'TestClusterArrivalOrderInvariant' ./internal/worker/
 	$(GO) test -race -count=10 -run 'TestEngineEqualsCluster' ./internal/dist/
+	$(GO) test -race -count=10 -run 'TestKMeansMatchesReference' ./internal/cluster/
 
 # The multi-process lane: the whole socket transport package under the race
 # detector (framing/control codecs, fault-injection matrix, cross-runtime
@@ -114,7 +118,8 @@ loc:
 # arc-bucket differ
 # (go test -fuzz accepts one target per invocation). FUZZTIME=10m for a soak;
 # the checked-in seed corpora under */testdata/fuzz/ are the starting point
-# either way.
+# either way. FuzzKMeansMatchesReference holds the pruned k-means to its
+# reference loops, bit for bit, on any point cloud the bytes describe.
 FUZZTIME ?= 2m
 fuzz:
 	$(GO) test ./internal/wire/ -run '^$$' -fuzz '^FuzzDecoder$$' -fuzztime=$(FUZZTIME)
@@ -124,6 +129,7 @@ fuzz:
 	$(GO) test ./internal/worker/ -run '^$$' -fuzz '^FuzzDecodeBatch$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/compress/ -run '^$$' -fuzz '^FuzzErrorFeedback$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/graph/ -run '^$$' -fuzz '^FuzzDiffDBGs$$' -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/cluster/ -run '^$$' -fuzz '^FuzzKMeansMatchesReference$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/net/ -run '^$$' -fuzz '^FuzzFrameDecoder$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/net/ -run '^$$' -fuzz '^FuzzFrameStream$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/net/ -run '^$$' -fuzz '^FuzzSchedUpdate$$' -fuzztime=$(FUZZTIME)
@@ -159,7 +165,8 @@ fuzz-smoke:
 # families are the partitioners), no dataset file format (the facade's
 # by-name LoadDataset lives outside internal/ and cmd/), no Markdown table
 # export, and no scgnn-plan beside scgnn-inspect, which builds and exports
-# the plans.
+# the plans. And one intersection count in the planner: the embedding fill's
+# pivot masks, with no per-pair sorted-list merge beside them.
 one-sink:
 	@! grep -rn 'useReference\|DelayCache\|pairBuf\|NewRounds\|worker\.Rounds\|forEachTask\|putHeader\|MsgHeaderBytes\|Fabric) Send(' --include='*.go' . | grep -v _test.go
 	@! grep -n 'aggregate(' internal/gnn/*.go | grep -v '_test\.go:\|^internal/gnn/layer\.go:'
@@ -172,6 +179,7 @@ one-sink:
 	@! grep -rnE 'Multilevel|multilevelPartition|SaveDataset|persist\.LoadDataset|datasetWire|WriteMarkdown' --include='*.go' . | grep -v '_test\.go:'
 	@! grep -rn 'LoadDataset' --include='*.go' internal cmd | grep -v '_test\.go:'
 	@! test -e cmd/scgnn-plan
+	@! grep -rnE 'RowAndCount|RowOrCount|intersectCount|gallopRatio' --include='*.go' . | grep -v '_test\.go:'
 
 # Every program under examples/, built into a temporary directory and run to
 # the end: go build compiles them, but only running them shows a facade call
@@ -224,7 +232,10 @@ verify: build vet one-sink test examples race test-net cover fuzz-smoke
 # BenchmarkReplan100K*) refresh BENCH_plan.json the same way;
 # "csr-only-before" / "csr-only" hold this plan lane either side of every DBG
 # adjacency becoming a CSR (the dense bit matrix deleted; alternating prebuilt
-# test binaries, every line kept). The scheduler-overhead rows (per-boundary merge+decide cost
+# test binaries, every line kept); "eep-prune-before" / "eep-prune" hold
+# BenchmarkPlanPipeline8P/16P and BenchmarkReplan* either side of the exact
+# pruning in the EEP planner (k-means++ triangle-inequality skip, seeded first
+# assignment, pivot-mask embedding fill; same method). The scheduler-overhead rows (per-boundary merge+decide cost
 # across pair counts) land in BENCH_plan.json under "sched".
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkClusterRound|BenchmarkEngineExchange|BenchmarkEncodeQuantized|BenchmarkDecoderAXPY|BenchmarkEpoch|BenchmarkErrorFeedback' \

@@ -30,20 +30,17 @@ func union(c *CSR, rows ...int) []int {
 
 func TestSetOps(t *testing.T) {
 	c := csrFromRows(70, [][]int32{{1, 2, 3, 65}, {2, 3, 4, 69}})
-	if got := c.RowAndCount(0, 1); got != 2 {
-		t.Fatalf("RowAndCount = %d, want 2", got)
-	}
-	if got := c.RowOrCount(0, 1); got != 6 {
-		t.Fatalf("RowOrCount = %d, want 6", got)
+	if got := c.RowCount(0) + c.RowCount(1); got != 8 {
+		t.Fatalf("RowCount sum = %d, want 8", got)
 	}
 	if got, want := union(c, 0, 1), []int{1, 2, 3, 4, 65, 69}; !slices.Equal(got, want) {
 		t.Fatalf("OrRowInto union = %v, want %v", got, want)
 	}
 }
 
-// Property: the merge kernel (RowAndCount) and the scatter kernel (OrRowInto)
-// agree through inclusion–exclusion |a|+|b| = |a∩b|+|a∪b|, and the
-// intersection is symmetric with |a∩a| = |a|.
+// Property: the scatter kernel (OrRowInto) accumulates exactly the set union
+// of the rows' index lists, in either order, and a row's union with itself
+// is the row.
 func TestSetOpProperties(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -57,11 +54,15 @@ func TestSetOpProperties(t *testing.T) {
 			}
 		}
 		c := csrFromRows(n, rows)
-		and, or := c.RowAndCount(0, 1), c.RowOrCount(0, 1)
-		if and != c.RowAndCount(1, 0) || c.RowAndCount(0, 0) != c.RowCount(0) {
-			return false
+		var want []int
+		for j := 0; j < n; j++ {
+			if slices.Contains(rows[0], int32(j)) || slices.Contains(rows[1], int32(j)) {
+				want = append(want, j)
+			}
 		}
-		return or == len(union(c, 0, 1)) && c.RowCount(0)+c.RowCount(1) == and+or
+		self := union(c, 0, 0)
+		return slices.Equal(union(c, 0, 1), want) && slices.Equal(union(c, 1, 0), want) &&
+			len(self) == c.RowCount(0)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)

@@ -8,11 +8,9 @@ import "fmt"
 // rows×cols/8 — the representation that keeps million-node boundary
 // structures in memory (a 40k×40k pair costs ~200 MB dense, ~250 KB sparse).
 //
-// The row operations are sorted-list kernels: intersection is a two-pointer
-// merge that switches to binary-search galloping when the rows are badly
-// skewed, union cardinality is inclusion–exclusion, and the union
-// accumulation used by grouping scatters one row at a time into the caller's
-// cols-bit Vector.
+// Rows are read as sorted index lists (RowIndices), counted in O(1)
+// (RowCount), or scattered into the caller's cols-bit Vector (OrRowInto: the
+// union accumulation grouping uses).
 type CSR struct {
 	cols int
 	off  []int32 // len rows+1; row i owns idx[off[i]:off[i+1]]
@@ -53,17 +51,6 @@ func (c *CSR) TotalCount() int { return len(c.idx) }
 // zero-copy view, which callers must not mutate.
 func (c *CSR) RowIndices(i int) []int32 { return c.idx[c.off[i]:c.off[i+1]] }
 
-// RowAndCount returns |row i ∩ row j| — the inner product A_u1·A_u2ᵀ of
-// Eq. 2 — over the sorted index lists.
-func (c *CSR) RowAndCount(i, j int) int {
-	return intersectCount(c.RowIndices(i), c.RowIndices(j))
-}
-
-// RowOrCount returns |row i ∪ row j| by inclusion–exclusion.
-func (c *CSR) RowOrCount(i, j int) int {
-	return c.RowCount(i) + c.RowCount(j) - c.RowAndCount(i, j)
-}
-
 // OrRowInto sets v ← v ∪ row i: the row's indices are scattered into the
 // caller's cols-bit accumulator.
 func (c *CSR) OrRowInto(v *Vector, i int) {
@@ -73,58 +60,4 @@ func (c *CSR) OrRowInto(v *Vector, i int) {
 	for _, j := range c.RowIndices(i) {
 		v.words[j/wordBits] |= 1 << uint(j%wordBits)
 	}
-}
-
-// gallopRatio is the size skew beyond which intersectCount abandons the
-// linear merge for per-element binary search in the longer list.
-const gallopRatio = 16
-
-// intersectCount returns the intersection cardinality of two strictly
-// ascending int32 lists: a two-pointer merge in the balanced case, binary
-// search of each short-list element in the long list when the sizes are
-// skewed by more than gallopRatio (the hub-row case of skewed boundary
-// degrees, where the merge would walk the hub row end to end).
-func intersectCount(a, b []int32) int {
-	if len(a) > len(b) {
-		a, b = b, a
-	}
-	if len(a) == 0 {
-		return 0
-	}
-	if len(b) > gallopRatio*len(a) {
-		n := 0
-		for _, x := range a {
-			lo, hi := 0, len(b)
-			for lo < hi {
-				mid := int(uint(lo+hi) >> 1)
-				if b[mid] < x {
-					lo = mid + 1
-				} else {
-					hi = mid
-				}
-			}
-			if lo < len(b) && b[lo] == x {
-				n++
-			}
-			b = b[lo:]
-			if len(b) == 0 {
-				break
-			}
-		}
-		return n
-	}
-	n, i, j := 0, 0, 0
-	for i < len(a) && j < len(b) {
-		ai, bj := a[i], b[j]
-		if ai == bj {
-			n++
-			i++
-			j++
-		} else if ai < bj {
-			i++
-		} else {
-			j++
-		}
-	}
-	return n
 }

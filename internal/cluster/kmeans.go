@@ -55,6 +55,7 @@ type kmeansScratch struct {
 	counts  []int
 	cents   *tensor.Matrix // kmax×d backing array; runs use a k-row prefix
 	d2      []float64      // k-means++ D² weights
+	cc      []float64      // a new seed's squared distances to the earlier ones
 	partial []float64      // per-chunk inertia partials
 }
 
@@ -64,6 +65,7 @@ func newKMeansScratch(n, d, kmax int) *kmeansScratch {
 		counts:  make([]int, kmax),
 		cents:   tensor.New(kmax, d),
 		d2:      make([]float64, n),
+		cc:      make([]float64, kmax),
 		partial: make([]float64, (n+assignChunkRows-1)/assignChunkRows),
 	}
 }
@@ -100,7 +102,7 @@ func (a *Arena) Nested() bool { return a != nil && a.nested }
 func (a *Arena) scratch(n, d, kmax int) *kmeansScratch {
 	nchunks := (n + assignChunkRows - 1) / assignChunkRows
 	sc := a.sc
-	if sc == nil || cap(sc.assign) < n || cap(sc.counts) < kmax ||
+	if sc == nil || cap(sc.assign) < n || cap(sc.counts) < kmax || cap(sc.cc) < kmax ||
 		cap(sc.cents.Data) < kmax*d || cap(sc.d2) < n || cap(sc.partial) < nchunks {
 		grow := func(have, want int) int {
 			if have > want {
@@ -118,6 +120,7 @@ func (a *Arena) scratch(n, d, kmax int) *kmeansScratch {
 			counts:  make([]int, grow(haveK, kmax)),
 			cents:   &tensor.Matrix{Rows: 1, Cols: grow(haveKD, kmax*d), Data: make([]float64, grow(haveKD, kmax*d))},
 			d2:      make([]float64, grow(haveN, n)),
+			cc:      make([]float64, grow(haveK, kmax)),
 			partial: make([]float64, grow(haveC, nchunks)),
 		}
 		a.sc = sc
@@ -192,8 +195,9 @@ func KMeansArena(a *Arena, points *tensor.Matrix, k int, rng *rand.Rand, cfg KMe
 func kmeansRun(points *tensor.Matrix, k int, rng *rand.Rand, cfg KMeansConfig, sc *kmeansScratch, nested bool) (float64, int) {
 	n, d := points.Rows, points.Cols
 	cents := sc.centroidView(k, d)
-	seedPlusPlusInto(points, k, rng, cents, sc.d2)
 	assign := sc.assign[:n]
+	d2 := sc.d2[:n]
+	seedPlusPlusInto(points, k, rng, cents, d2, assign, sc.cc[:k])
 	counts := sc.counts[:k]
 
 	nchunks := (n + assignChunkRows - 1) / assignChunkRows
@@ -204,10 +208,7 @@ func kmeansRun(points *tensor.Matrix, k int, rng *rand.Rand, cfg KMeansConfig, s
 	// and records the chunk's inertia partial.
 	assignChunk := func(ci int, _ struct{}) {
 		lo := ci * assignChunkRows
-		hi := lo + assignChunkRows
-		if hi > n {
-			hi = n
-		}
+		hi := min(lo+assignChunkRows, n)
 		var sum float64
 		for i := lo; i < hi; i++ {
 			row := points.Row(i)
@@ -266,10 +267,19 @@ func kmeansRun(points *tensor.Matrix, k int, rng *rand.Rand, cfg KMeansConfig, s
 		}
 	}
 
+	// prev starts at +Inf, so the test below is true on the first pass and
+	// Lloyd never iterates on finite input; fixing that moves bits (ROADMAP
+	// item 8).
 	prev := math.Inf(1)
 	var inertia float64
 	for it := 0; it < cfg.MaxIter; it++ {
-		inertia = assignStep()
+		if it > 0 {
+			inertia = assignStep()
+		} else if inertia = seededInertia(d2); math.IsNaN(inertia) {
+			// A point at NaN distance from seed 0 keeps a NaN weight where
+			// the scan passes on to a later seed: this first step scans.
+			inertia = assignStep()
+		}
 		if prev-inertia <= tol*math.Max(1, prev) {
 			return inertia, it + 1
 		}
@@ -281,15 +291,43 @@ func kmeansRun(points *tensor.Matrix, k int, rng *rand.Rand, cfg KMeansConfig, s
 	return assignStep(), cfg.MaxIter
 }
 
+// seededInertia is the inertia of Lloyd's first assignment step. Seeding
+// left each point's nearest seed and squared distance as the step's scan
+// would find them, so only its sum is left, formed in assignStep's order:
+// per assignChunkRows chunk, then across chunks.
+func seededInertia(d2 []float64) float64 {
+	var inertia float64
+	for lo := 0; lo < len(d2); lo += assignChunkRows {
+		var sum float64
+		for _, v := range d2[lo:min(lo+assignChunkRows, len(d2))] {
+			sum += v
+		}
+		inertia += sum
+	}
+	return inertia
+}
+
+// pruneSlack keeps seeding's skip exact in floating point: a computed squared
+// distance is within (d+1)·2⁻⁵³ of the true one, relatively, far inside 1e-6.
+const pruneSlack = 1e-6
+
 // seedPlusPlusInto picks k initial centroids with D² weighting (k-means++)
-// into the provided k×d centroid matrix, using d2 as the weight buffer.
-func seedPlusPlusInto(points *tensor.Matrix, k int, rng *rand.Rand, cents *tensor.Matrix, d2 []float64) {
+// into cents. On return d2[i] is point i's squared distance to its nearest
+// seed and near[i] that seed (the lowest index on ties): what a strict-<
+// scan of the seeds in order finds, so Lloyd's first step reads them.
+//
+// Seed c skips the points it provably cannot capture: with cc[j] = ‖c−c_j‖²
+// and c_j the point's nearest seed, cc[j] > 4·d2[i] gives ‖x−c‖ ≥
+// ‖c−c_j‖ − ‖x−c_j‖ > ‖x−c_j‖. Every distance computed is computed as
+// without the skip. (Exactness needs squared differences above the
+// subnormal range, ~1e-308.)
+func seedPlusPlusInto(points *tensor.Matrix, k int, rng *rand.Rand, cents *tensor.Matrix, d2 []float64, near []int, cc []float64) {
 	n := points.Rows
 	first := rng.Intn(n)
 	copy(cents.Row(0), points.Row(first))
-	d2 = d2[:n]
 	for i := 0; i < n; i++ {
 		d2[i] = tensor.SquaredDistance(points.Row(i), cents.Row(0))
+		near[i] = 0
 	}
 	for c := 1; c < k; c++ {
 		var total float64
@@ -311,10 +349,17 @@ func seedPlusPlusInto(points *tensor.Matrix, k int, rng *rand.Rand, cents *tenso
 				}
 			}
 		}
-		copy(cents.Row(c), points.Row(pick))
+		crow := cents.Row(c)
+		copy(crow, points.Row(pick))
+		for j := 0; j < c; j++ {
+			cc[j] = tensor.SquaredDistance(crow, cents.Row(j))
+		}
 		for i := 0; i < n; i++ {
-			if nd := tensor.SquaredDistanceBounded(points.Row(i), cents.Row(c), d2[i]); nd < d2[i] {
-				d2[i] = nd
+			if cc[near[i]] > 4*d2[i]*(1+pruneSlack) {
+				continue
+			}
+			if nd := tensor.SquaredDistanceBounded(points.Row(i), crow, d2[i]); nd < d2[i] {
+				d2[i], near[i] = nd, c
 			}
 		}
 	}

@@ -238,8 +238,12 @@ func TestKMeansCoincidentPoints(t *testing.T) {
 }
 
 func TestKMeansEmptyClusterReseed(t *testing.T) {
-	// Two tight far-apart blobs with k=3: one cluster will empty during
-	// Lloyd iterations and must be reseeded rather than lost.
+	// Two tight far-apart blobs with k=3: every point must stay assigned.
+	// The test is named for the empty-cluster reseed in updateStep, but it
+	// does not reach it: Lloyd never iterates past the first assignment
+	// (kmeansRun's convergence test is true on the first pass, since prev
+	// starts at +Inf; ROADMAP item 8), so no update step ever runs on
+	// finite input.
 	rng := rand.New(rand.NewSource(2))
 	pts := tensor.New(40, 2)
 	for i := 0; i < 40; i++ {
@@ -262,7 +266,10 @@ func TestKMeansEmptyClusterReseed(t *testing.T) {
 }
 
 func TestKMeansMaxIterResync(t *testing.T) {
-	// MaxIter=1 exercises the post-loop assignment resync path.
+	// With MaxIter=1 the inertia must agree with the returned assignment and
+	// centroids. The test is named for the post-loop resync, but it does not
+	// reach it: the first pass already returns (the convergence test is true
+	// while prev is +Inf; ROADMAP item 8), so the loop never runs out.
 	rng := rand.New(rand.NewSource(3))
 	pts, _ := blobs(3, 10, 2, 8, rng)
 	res := KMeans(pts, 3, rng, KMeansConfig{MaxIter: 1})

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"slices"
 
@@ -32,12 +33,19 @@ type GroupingConfig struct {
 	// (the embedding fill and the EEP sweep run on the pool, and the grouping
 	// is identical for any GOMAXPROCS).
 	Seed int64
-	// arena, when non-nil, supplies pooled k-means/EEP scratch reused across
-	// the groupings one goroutine builds (buildPairsInto hands each goroutine
-	// its own), and says whether that goroutine is one of a fan-out
-	// (cluster.Arena.Nested). Groupings are bit-identical with or without it,
-	// and nothing in the result aliases arena storage.
-	arena *cluster.Arena
+	// arena, when non-nil, supplies pooled embedding and k-means/EEP scratch
+	// reused across the groupings one goroutine builds (buildPairsInto hands
+	// each goroutine its own), and says whether that goroutine is one of a
+	// fan-out (cluster.Arena.Nested). Groupings are bit-identical with or
+	// without it, and nothing in the result aliases arena storage.
+	arena *planArena
+}
+
+// planArena is one goroutine's grow-only planning scratch: the pivot masks
+// of the embedding fill and the k-means arena.
+type planArena struct {
+	mask []uint64
+	km   *cluster.Arena
 }
 
 // kMin is the low end of the EEP search: the paper's EEP traversal starts at
@@ -132,7 +140,11 @@ func BuildGrouping(d *graph.DBG, cfg GroupingConfig) *Grouping {
 	// Embed the pool in similarity space: x_u[j] = S(u, pivot_j).
 	pivots := pickPivots(poolSrc, cfg.MaxPivots)
 	emb := tensor.New(len(poolSrc), len(pivots))
-	fillEmbedding(d, cfg.Sim, poolSrc, pivots, emb, cfg.arena.Nested())
+	ar := cfg.arena
+	if ar == nil {
+		ar = &planArena{} // no k-means arena: the runs below allocate their own
+	}
+	ar.fillEmbedding(d, cfg.Sim, poolSrc, pivots, emb)
 	gr.Embedding = emb
 
 	var kmCfg cluster.KMeansConfig
@@ -144,15 +156,15 @@ func BuildGrouping(d *graph.DBG, cfg GroupingConfig) *Grouping {
 			kmax = len(poolSrc)
 		}
 		kmin := min(kMin, kmax)
-		gr.InertiaCurve = cluster.InertiaCurveArena(cfg.arena, emb, kmin, kmax, rng, kmCfg)
+		gr.InertiaCurve = cluster.InertiaCurveArena(ar.km, emb, kmin, kmax, rng, kmCfg)
 		k = kmin + cluster.ElbowEEP(gr.InertiaCurve)
 	}
 	if k > len(poolSrc) {
 		k = len(poolSrc)
 	}
 	var res *cluster.KMeansResult
-	if cfg.arena != nil {
-		res = cluster.KMeansArena(cfg.arena, emb, k, rng, kmCfg)
+	if ar.km != nil {
+		res = cluster.KMeansArena(ar.km, emb, k, rng, kmCfg)
 	} else {
 		res = cluster.KMeans(emb, k, rng, kmCfg)
 	}
@@ -194,20 +206,39 @@ func groupFromSources(d *graph.DBG, srcIdx []int) *Group {
 // rows are independent, so the result is identical for any pool width.
 const embedChunkRows = 64
 
-// fillEmbedding computes emb[i][j] = sim(poolSrc[i], pivots[j]) with the
-// row chunks fanned out over the pool (inline when nested).
-func fillEmbedding(d *graph.DBG, sim Similarity, poolSrc, pivots []int, emb *tensor.Matrix, nested bool) {
-	nchunks := (len(poolSrc) + embedChunkRows - 1) / embedChunkRows
-	pool.Run(nchunks, pool.Width(nchunks, nested), nil, func(ci int, _ struct{}) {
-		lo := ci * embedChunkRows
-		hi := lo + embedChunkRows
-		if hi > len(poolSrc) {
-			hi = len(poolSrc)
+// fillEmbedding computes emb[i][j] = sim(poolSrc[i], pivots[j]) into the
+// zeroed emb. Pivot j's sink row sets bit j of the arena's mask (⌈P/64⌉
+// words per sink), so a pool row counts its P intersections in one walk of
+// its own sinks, in the row itself, then scores them. The row chunks fan out
+// over the pool (inline when nested).
+func (a *planArena) fillEmbedding(d *graph.DBG, sim Similarity, poolSrc, pivots []int, emb *tensor.Matrix) {
+	words := (len(pivots) + 63) / 64
+	n := d.NumDst() * words
+	a.mask = slices.Grow(a.mask[:0], n)[:n]
+	mask := a.mask
+	clear(mask)
+	for j, pj := range pivots {
+		w, bit := j/64, uint64(1)<<(j%64)
+		for _, v := range d.Adj.RowIndices(pj) {
+			mask[int(v)*words+w] |= bit
 		}
+	}
+	nchunks := (len(poolSrc) + embedChunkRows - 1) / embedChunkRows
+	pool.Run(nchunks, pool.Width(nchunks, a.km.Nested()), nil, func(ci int, _ struct{}) {
+		lo := ci * embedChunkRows
+		hi := min(lo+embedChunkRows, len(poolSrc))
 		for i := lo; i < hi; i++ {
 			row := emb.Row(i)
+			for _, v := range d.Adj.RowIndices(poolSrc[i]) {
+				for w, m := range mask[int(v)*words : (int(v)+1)*words] {
+					for ; m != 0; m &= m - 1 {
+						row[w*64+bits.TrailingZeros64(m)]++
+					}
+				}
+			}
+			ni := d.Adj.RowCount(poolSrc[i])
 			for j, pj := range pivots {
-				row[j] = sim.Score(d.Adj, poolSrc[i], pj)
+				row[j] = sim.Score(int(row[j]), ni, d.Adj.RowCount(pj))
 			}
 		}
 	})

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
+	"scgnn/internal/cluster"
 	"scgnn/internal/graph"
 )
 
@@ -232,5 +234,37 @@ func TestJaccardGroupingAlsoValid(t *testing.T) {
 	gr := BuildGrouping(d, GroupingConfig{Sim: JaccardSimilarity{}, K: 4, Seed: 5})
 	if err := gr.Validate(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestEmbeddingMatchesMergeCount: the pivot-mask fill gives every embedding
+// entry the bits of the score over a test-side merge of the two neighbour
+// lists, for both measures and at pivot counts that take one mask word per
+// sink (8, 32), two (65: one bit into the second) and three (130).
+// One arena serves every build, shrinking and regrowing its mask.
+func TestEmbeddingMatchesMergeCount(t *testing.T) {
+	g, part := denseMultiPartGraph(45, 600, 2, 6)
+	d := graph.ExtractDBG(g, part, 0, 1)
+	ar := &planArena{km: cluster.NewArena(false)}
+	for _, sim := range []Similarity{SemanticSimilarity{}, JaccardSimilarity{}} {
+		for _, maxPivots := range []int{8, 130, 32, 65} {
+			for _, arena := range []*planArena{nil, ar} {
+				gr := BuildGrouping(d, GroupingConfig{Sim: sim, K: 3, MaxPivots: maxPivots, Seed: 1, arena: arena})
+				pivots := pickPivots(gr.PoolSrc, maxPivots)
+				if len(pivots) != maxPivots || gr.Embedding.Cols != maxPivots {
+					t.Fatalf("pool of %d sources gives %d pivots, want %d", len(gr.PoolSrc), len(pivots), maxPivots)
+				}
+				for i, ui := range gr.PoolSrc {
+					for j, pj := range pivots {
+						inter := mergeCount(d.Adj.RowIndices(ui), d.Adj.RowIndices(pj))
+						want := sim.Score(inter, d.Adj.RowCount(ui), d.Adj.RowCount(pj))
+						if got := gr.Embedding.At(i, j); math.Float64bits(got) != math.Float64bits(want) {
+							t.Fatalf("%s, %d pivots, arena %v: emb[%d][%d] = %v, merge gives %v",
+								sim.Name(), maxPivots, arena != nil, i, j, got, want)
+						}
+					}
+				}
+			}
+		}
 	}
 }

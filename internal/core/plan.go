@@ -172,9 +172,9 @@ func compactPlans(table []*PairPlan) []*PairPlan {
 // dirty pair replays exactly the seed stream a from-scratch build would use,
 // so reused and rebuilt plans are both bit-identical to from-scratch output.
 func buildPairsInto(table []*PairPlan, b *graph.ArcBuckets, idxs []int, cfg PlanConfig) {
-	// Each goroutine owns one k-means arena for the whole batch, so a 56-pair
-	// all-dirty replan grows the clustering scratch once per goroutine instead
-	// of once per pair (the steady-state Repartition alloc ceiling pins this).
+	// Each goroutine owns one planning arena for the whole batch, so a 56-pair
+	// all-dirty replan grows the pivot masks and the clustering scratch once
+	// per goroutine instead of once per pair (the steady-state Repartition alloc ceiling pins this).
 	// When the pairs fan out, the arena is nested: each build's embedding and
 	// sweep run inline (same output either way). Arenas never leak into
 	// results, so bit-identity is unaffected.
@@ -182,9 +182,9 @@ func buildPairsInto(table []*PairPlan, b *graph.ArcBuckets, idxs []int, cfg Plan
 		return // a clean repartition builds nothing and allocates nothing here
 	}
 	width := pool.Width(len(idxs), false)
-	pool.Run(len(idxs), width, func() *cluster.Arena {
-		return cluster.NewArena(width > 1)
-	}, func(i int, ar *cluster.Arena) {
+	pool.Run(len(idxs), width, func() *planArena {
+		return &planArena{km: cluster.NewArena(width > 1)}
+	}, func(i int, ar *planArena) {
 		idx := idxs[i]
 		d := b.DBG(idx)
 		if d == nil {

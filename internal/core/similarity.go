@@ -17,15 +17,14 @@
 //     backward (gradient) halo exchange.
 package core
 
-import "scgnn/internal/bitvec"
-
 // Similarity is a pairwise cohesion measure over the source side of a DBG.
 // Implementations must be symmetric and non-negative.
 type Similarity interface {
-	// Score returns the cohesion of source rows ui and uj of the DBG
-	// adjacency matrix. Scores are functions of integer row/intersection
-	// cardinalities only.
-	Score(adj *bitvec.CSR, ui, uj int) float64
+	// Score returns the cohesion of two source nodes with ni and nj sink
+	// neighbours, inter of them shared. A score is a function of these three
+	// cardinalities only, so the embedding fill counts the intersections and
+	// no measure walks a neighbour list.
+	Score(inter, ni, nj int) float64
 	// Name identifies the measure in reports ("semantic", "jaccard").
 	Name() string
 }
@@ -39,20 +38,20 @@ type Similarity interface {
 // excluding non-cohesion exactly like Jaccard (Sec. 3.1, "selective
 // highlight of cohesion").
 //
-// Score computes the vectorized form of Eq. 2: the intersection cardinality
-// is the inner product A_u1·A_u2ᵀ (a merge of the two rows' sorted index
-// lists), and the denominator reads the row-count vector C_A (the CSR
+// This is the vectorized form of Eq. 2: the intersection cardinality is the
+// inner product A_u1·A_u2ᵀ, which the embedding fill counts for a whole pool
+// row at once, and the denominator reads the row-count vector C_A (the CSR
 // offsets).
 type SemanticSimilarity struct{}
 
 // Score implements Similarity.
-func (SemanticSimilarity) Score(adj *bitvec.CSR, ui, uj int) float64 {
-	den := adj.RowCount(ui) + adj.RowCount(uj)
+func (SemanticSimilarity) Score(inter, ni, nj int) float64 {
+	den := ni + nj
 	if den == 0 {
 		return 0
 	}
-	inter := float64(adj.RowAndCount(ui, uj))
-	return inter * inter / float64(den)
+	in := float64(inter)
+	return in * in / float64(den)
 }
 
 // Name implements Similarity.
@@ -63,16 +62,16 @@ func (SemanticSimilarity) Name() string { return "semantic" }
 //	J(u1,u2) = |N(u1) ∩ N(u2)| / |N(u1) ∪ N(u2)|
 //
 // It cannot discern fully connected DBGs of different sizes: a "2-to-2" and
-// a "2-to-3" full map both score 1 (Fig. 3(b)).
+// a "2-to-3" full map both score 1 (Fig. 3(b)). The union is ni + nj − inter.
 type JaccardSimilarity struct{}
 
 // Score implements Similarity.
-func (JaccardSimilarity) Score(adj *bitvec.CSR, ui, uj int) float64 {
-	union := adj.RowOrCount(ui, uj)
+func (JaccardSimilarity) Score(inter, ni, nj int) float64 {
+	union := ni + nj - inter
 	if union == 0 {
 		return 0
 	}
-	return float64(adj.RowAndCount(ui, uj)) / float64(union)
+	return float64(inter) / float64(union)
 }
 
 // Name implements Similarity.
@@ -81,7 +80,8 @@ func (JaccardSimilarity) Name() string { return "jaccard" }
 // SlidingCohesion reproduces the window-sliding experiment of Fig. 4(a): two
 // rows of width bits, each with a window of `valid` consecutive set bits; the
 // first row's window slides from offset 0 to width-valid while the second
-// stays fixed at the left edge. It returns the similarity at every offset.
+// stays fixed at the left edge. It returns the similarity at every offset:
+// at offset off the windows share valid−off bits.
 //
 // With the semantic measure the curve is super-linearly peaked where the
 // windows overlap most; with Jaccard the peak is linear.
@@ -89,18 +89,9 @@ func SlidingCohesion(width, valid int, s Similarity) []float64 {
 	if valid > width {
 		valid = width
 	}
-	// Row 0 is the sliding window, row 1 the fixed one.
-	idx := make([]int32, 2*valid)
-	for j := 0; j < valid; j++ {
-		idx[valid+j] = int32(j)
-	}
-	rows := []int32{0, int32(valid), int32(2 * valid)}
 	out := make([]float64, 0, width-valid+1)
 	for off := 0; off+valid <= width; off++ {
-		for j := 0; j < valid; j++ {
-			idx[j] = int32(off + j)
-		}
-		out = append(out, s.Score(bitvec.NewCSR(width, rows, idx), 0, 1))
+		out = append(out, s.Score(max(valid-off, 0), valid, valid))
 	}
 	return out
 }

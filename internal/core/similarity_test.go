@@ -5,36 +5,42 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
-
-	"scgnn/internal/bitvec"
 )
 
-// adjFromRows builds an adjacency matrix from explicit ascending neighbor
-// lists.
-func adjFromRows(cols int, rows [][]int) *bitvec.CSR {
-	off := []int32{0}
-	var idx []int32
-	for _, r := range rows {
-		for _, j := range r {
-			idx = append(idx, int32(j))
+// mergeCount is the test side's intersection count: a two-pointer merge of
+// two strictly ascending index lists.
+func mergeCount[T int | int32](a, b []T) int {
+	n, i, j := 0, 0, 0
+	for i < len(a) && j < len(b) {
+		switch {
+		case a[i] == b[j]:
+			n++
+			i++
+			j++
+		case a[i] < b[j]:
+			i++
+		default:
+			j++
 		}
-		off = append(off, int32(len(idx)))
 	}
-	return bitvec.NewCSR(cols, off, idx)
+	return n
+}
+
+// score rates two explicit ascending neighbour lists under s.
+func score(s Similarity, a, b []int) float64 {
+	return s.Score(mergeCount(a, b), len(a), len(b))
 }
 
 func TestSemanticSimilarityEq1(t *testing.T) {
 	// N(u1) = {0,1,2}, N(u2) = {1,2,3}: inter=2, den=6 → 4/6.
-	adj := adjFromRows(4, [][]int{{0, 1, 2}, {1, 2, 3}})
-	got := SemanticSimilarity{}.Score(adj, 0, 1)
+	got := score(SemanticSimilarity{}, []int{0, 1, 2}, []int{1, 2, 3})
 	if want := 4.0 / 6.0; math.Abs(got-want) > 1e-12 {
 		t.Fatalf("S = %v, want %v", got, want)
 	}
 }
 
 func TestJaccardSimilarity(t *testing.T) {
-	adj := adjFromRows(4, [][]int{{0, 1, 2}, {1, 2, 3}})
-	got := JaccardSimilarity{}.Score(adj, 0, 1)
+	got := score(JaccardSimilarity{}, []int{0, 1, 2}, []int{1, 2, 3})
 	if want := 2.0 / 4.0; math.Abs(got-want) > 1e-12 {
 		t.Fatalf("J = %v, want %v", got, want)
 	}
@@ -44,15 +50,14 @@ func TestJaccardSimilarity(t *testing.T) {
 // 2-to-2 and 2-to-3 full maps identically, the semantic measure ranks the
 // denser map strictly higher.
 func TestFullConnectedDiscrimination(t *testing.T) {
-	full22 := adjFromRows(2, [][]int{{0, 1}, {0, 1}})
-	full23 := adjFromRows(3, [][]int{{0, 1, 2}, {0, 1, 2}})
-	j22 := JaccardSimilarity{}.Score(full22, 0, 1)
-	j23 := JaccardSimilarity{}.Score(full23, 0, 1)
+	full22, full23 := []int{0, 1}, []int{0, 1, 2}
+	j22 := score(JaccardSimilarity{}, full22, full22)
+	j23 := score(JaccardSimilarity{}, full23, full23)
 	if j22 != j23 {
 		t.Fatalf("Jaccard should be indistinguishable: %v vs %v", j22, j23)
 	}
-	s22 := SemanticSimilarity{}.Score(full22, 0, 1)
-	s23 := SemanticSimilarity{}.Score(full23, 0, 1)
+	s22 := score(SemanticSimilarity{}, full22, full22)
+	s23 := score(SemanticSimilarity{}, full23, full23)
 	if s23 <= s22 {
 		t.Fatalf("semantic must rank 2-to-3 (%v) above 2-to-2 (%v)", s23, s22)
 	}
@@ -63,11 +68,10 @@ func TestFullConnectedDiscrimination(t *testing.T) {
 }
 
 func TestZeroNeighborEdgeCases(t *testing.T) {
-	adj := adjFromRows(3, [][]int{{}, {}})
-	if got := (SemanticSimilarity{}).Score(adj, 0, 1); got != 0 {
+	if got := (SemanticSimilarity{}).Score(0, 0, 0); got != 0 {
 		t.Fatalf("empty rows semantic = %v", got)
 	}
-	if got := (JaccardSimilarity{}).Score(adj, 0, 1); got != 0 {
+	if got := (JaccardSimilarity{}).Score(0, 0, 0); got != 0 {
 		t.Fatalf("empty rows jaccard = %v", got)
 	}
 }
@@ -75,15 +79,14 @@ func TestZeroNeighborEdgeCases(t *testing.T) {
 func TestDisjointNeighborhoodsExcluded(t *testing.T) {
 	// Non-cohesion must score 0 under both measures (paper: "non-cohesion is
 	// still excluded as the Jaccard method").
-	adj := adjFromRows(6, [][]int{{0, 1, 2}, {3, 4, 5}})
-	if (SemanticSimilarity{}).Score(adj, 0, 1) != 0 || (JaccardSimilarity{}).Score(adj, 0, 1) != 0 {
+	a, b := []int{0, 1, 2}, []int{3, 4, 5}
+	if score(SemanticSimilarity{}, a, b) != 0 || score(JaccardSimilarity{}, a, b) != 0 {
 		t.Fatal("disjoint neighborhoods must score 0")
 	}
 }
 
-// Property: the vectorized Eq. 2 equals the set form Eq. 1; both measures
-// are symmetric, non-negative, and self-similarity dominates for equal-size
-// neighborhoods.
+// Property: the cardinality form (Eq. 2) equals the set form Eq. 1, and
+// both measures are symmetric and non-negative.
 func TestSimilarityProperties(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -101,9 +104,8 @@ func TestSimilarityProperties(t *testing.T) {
 				n2[j] = true
 			}
 		}
-		adj := adjFromRows(cols, rows)
 		s := SemanticSimilarity{}
-		v12, v21 := s.Score(adj, 0, 1), s.Score(adj, 1, 0)
+		v12, v21 := score(s, rows[0], rows[1]), score(s, rows[1], rows[0])
 		if v12 != v21 || v12 < 0 {
 			return false
 		}
@@ -111,7 +113,7 @@ func TestSimilarityProperties(t *testing.T) {
 			return false
 		}
 		j := JaccardSimilarity{}
-		if j.Score(adj, 0, 1) != j.Score(adj, 1, 0) {
+		if j12 := score(j, rows[0], rows[1]); j12 != score(j, rows[1], rows[0]) || j12 < 0 {
 			return false
 		}
 		return true
@@ -126,7 +128,7 @@ func TestSimilarityProperties(t *testing.T) {
 // while Jaccard grows sub-quadratically, so the ratio semantic/jaccard is
 // increasing in overlap.
 func TestCohesionHighlight(t *testing.T) {
-	width, valid := 40, 20
+	valid := 20
 	var prevRatio float64
 	for inter := 1; inter <= valid; inter++ {
 		rows := make([][]int, 2)
@@ -134,9 +136,8 @@ func TestCohesionHighlight(t *testing.T) {
 			rows[0] = append(rows[0], j)
 			rows[1] = append(rows[1], j+valid-inter)
 		}
-		adj := adjFromRows(width, rows)
-		s := SemanticSimilarity{}.Score(adj, 0, 1)
-		j := JaccardSimilarity{}.Score(adj, 0, 1)
+		s := score(SemanticSimilarity{}, rows[0], rows[1])
+		j := score(JaccardSimilarity{}, rows[0], rows[1])
 		ratio := s / j
 		if inter > 1 && ratio <= prevRatio {
 			t.Fatalf("amplification not increasing at overlap %d: %v <= %v", inter, ratio, prevRatio)
@@ -166,30 +167,32 @@ func TestSlidingCohesion(t *testing.T) {
 	if mid <= tail {
 		t.Fatalf("mid amplification %v not above tail %v", mid, tail)
 	}
+	// The arithmetic overlap equals the count over the two explicit windows,
+	// bit for bit, including the clamped and empty windows.
+	for _, c := range []struct{ width, valid int }{{64, 16}, {10, 10}, {5, 9}, {7, 0}, {33, 1}} {
+		for _, sim := range []Similarity{SemanticSimilarity{}, JaccardSimilarity{}} {
+			got := SlidingCohesion(c.width, c.valid, sim)
+			valid := min(c.valid, c.width)
+			fixed := make([]int, valid)
+			for j := range fixed {
+				fixed[j] = j
+			}
+			for off, v := range got {
+				window := make([]int, valid)
+				for j := range window {
+					window[j] = off + j
+				}
+				if want := score(sim, window, fixed); math.Float64bits(v) != math.Float64bits(want) {
+					t.Fatalf("%s %d/%d offset %d: %v, windows give %v", sim.Name(), c.width, c.valid, off, v, want)
+				}
+			}
+		}
+	}
 }
 
 func TestSimilarityNames(t *testing.T) {
 	if (SemanticSimilarity{}).Name() != "semantic" || (JaccardSimilarity{}).Name() != "jaccard" {
 		t.Fatal("names wrong")
-	}
-}
-
-func BenchmarkSemanticScore(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	rows := make([][]int, 2)
-	for j := 0; j < 4096; j++ {
-		for r := range rows {
-			if rng.Intn(2) == 0 {
-				rows[r] = append(rows[r], j)
-			}
-		}
-	}
-	adj := adjFromRows(4096, rows)
-	s := SemanticSimilarity{}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Score(adj, 0, 1)
 	}
 }
 

@@ -32,7 +32,7 @@ func TestMethodsProduceValidPartitions(t *testing.T) {
 	for _, m := range Methods {
 		for _, nparts := range []int{1, 2, 4} {
 			part := Partition(g, nparts, m, Config{Seed: 3})
-			if err := Validate(part, g.NumNodes(), nparts); err != nil {
+			if err := graph.ValidatePartition(g.NumNodes(), part, nparts); err != nil {
 				t.Fatalf("%v/%d: %v", m, nparts, err)
 			}
 			s := Evaluate(g, part, nparts)
@@ -58,9 +58,6 @@ func TestMorePartsThanNodes(t *testing.T) {
 	for _, m := range Methods {
 		for _, nparts := range []int{g.NumNodes() + 1, 3 * g.NumNodes()} {
 			part := Partition(g, nparts, m, Config{Seed: 3})
-			if err := Validate(part, g.NumNodes(), nparts); err != nil {
-				t.Fatalf("%v/%d: %v", m, nparts, err)
-			}
 			err := graph.ValidatePartition(g.NumNodes(), part, nparts)
 			if err == nil || !strings.Contains(err.Error(), "is empty") {
 				t.Fatalf("%v/%d: ValidatePartition = %v, want an empty partition", m, nparts, err)
@@ -141,18 +138,6 @@ func TestMethodNames(t *testing.T) {
 	}
 }
 
-func TestValidate(t *testing.T) {
-	if err := Validate([]int{0, 1, 0}, 3, 2); err != nil {
-		t.Fatal(err)
-	}
-	if err := Validate([]int{0, 2}, 2, 2); err == nil {
-		t.Fatal("out-of-range partition not caught")
-	}
-	if err := Validate([]int{0}, 2, 2); err == nil {
-		t.Fatal("short vector not caught")
-	}
-}
-
 // Property: all methods always produce complete valid covers with bounded
 // imbalance on random connected-ish graphs.
 func TestPartitionProperty(t *testing.T) {
@@ -170,7 +155,7 @@ func TestPartitionProperty(t *testing.T) {
 		nparts := 2 + rng.Intn(3)
 		for _, m := range Methods {
 			part := Partition(g, nparts, m, Config{Seed: seed})
-			if Validate(part, n, nparts) != nil {
+			if graph.ValidatePartition(n, part, nparts) != nil {
 				return false
 			}
 			s := Evaluate(g, part, nparts)

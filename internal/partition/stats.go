@@ -70,16 +70,3 @@ func (s Stats) String() string {
 	return fmt.Sprintf("parts=%d cut=%d (%.1f%%) boundary=%d repl=%d imbalance=%.2f",
 		s.NumParts, s.CutEdges, 100*s.CutFraction, s.BoundaryNodes, s.Replication, s.Imbalance)
 }
-
-// Validate checks that part is a complete assignment into [0, nparts).
-func Validate(part []int, n, nparts int) error {
-	if len(part) != n {
-		return fmt.Errorf("partition: vector len %d, want %d", len(part), n)
-	}
-	for i, p := range part {
-		if p < 0 || p >= nparts {
-			return fmt.Errorf("partition: node %d assigned to %d (nparts=%d)", i, p, nparts)
-		}
-	}
-	return nil
-}
