@@ -119,7 +119,9 @@ loc:
 # (go test -fuzz accepts one target per invocation). FUZZTIME=10m for a soak;
 # the checked-in seed corpora under */testdata/fuzz/ are the starting point
 # either way. FuzzKMeansMatchesReference holds the pruned k-means to its
-# reference loops, bit for bit, on any point cloud the bytes describe.
+# reference loops, bit for bit, on any point cloud the bytes describe;
+# FuzzCheckpointDecoders holds the checkpoint and peer-state decoders to
+# typed errors and canonical bytes.
 FUZZTIME ?= 2m
 fuzz:
 	$(GO) test ./internal/wire/ -run '^$$' -fuzz '^FuzzDecoder$$' -fuzztime=$(FUZZTIME)
@@ -133,6 +135,7 @@ fuzz:
 	$(GO) test ./internal/net/ -run '^$$' -fuzz '^FuzzFrameDecoder$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/net/ -run '^$$' -fuzz '^FuzzFrameStream$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/net/ -run '^$$' -fuzz '^FuzzSchedUpdate$$' -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/net/ -run '^$$' -fuzz '^FuzzCheckpointDecoders$$' -fuzztime=$(FUZZTIME)
 
 # Short fuzz pass for the verify gate / CI.
 fuzz-smoke:
@@ -166,7 +169,9 @@ fuzz-smoke:
 # by-name LoadDataset lives outside internal/ and cmd/), no Markdown table
 # export, and no scgnn-plan beside scgnn-inspect, which builds and exports
 # the plans. And one intersection count in the planner: the embedding fill's
-# pivot masks, with no per-pair sorted-list merge beside them.
+# pivot masks, with no per-pair sorted-list merge beside them. And one binary
+# codec: checkpoints and node state ride net's control codec, so no encoding/gob
+# and no internal/persist.
 one-sink:
 	@! grep -rn 'useReference\|DelayCache\|pairBuf\|NewRounds\|worker\.Rounds\|forEachTask\|putHeader\|MsgHeaderBytes\|Fabric) Send(' --include='*.go' . | grep -v _test.go
 	@! grep -n 'aggregate(' internal/gnn/*.go | grep -v '_test\.go:\|^internal/gnn/layer\.go:'
@@ -180,6 +185,7 @@ one-sink:
 	@! grep -rn 'LoadDataset' --include='*.go' internal cmd | grep -v '_test\.go:'
 	@! test -e cmd/scgnn-plan
 	@! grep -rnE 'RowAndCount|RowOrCount|intersectCount|gallopRatio' --include='*.go' . | grep -v '_test\.go:'
+	@! grep -rnE '"encoding/gob"|"scgnn/internal/persist"' --include='*.go' . | grep -v '_test\.go:'
 
 # Every program under examples/, built into a temporary directory and run to
 # the end: go build compiles them, but only running them shows a facade call

@@ -13,6 +13,7 @@
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -21,7 +22,6 @@ import (
 	"scgnn/internal/datasets"
 	"scgnn/internal/graph"
 	"scgnn/internal/partition"
-	"scgnn/internal/persist"
 	"scgnn/internal/trace"
 )
 
@@ -132,14 +132,52 @@ func run(args []string) int {
 	return 0
 }
 
-// writePlans exports the plans to path as JSON. A failed Close fails the
-// write: the file's last write may be what failed.
+// planJSON is the JSON-facing shape of one semantic pair plan.
+type planJSON struct {
+	SrcPart          int         `json:"src_part"`
+	DstPart          int         `json:"dst_part"`
+	Groups           []groupJSON `json:"groups"`
+	O2O              [][2]int32  `json:"o2o,omitempty"`
+	DroppedEdges     int         `json:"dropped_edges,omitempty"`
+	CompressionRatio float64     `json:"compression_ratio"`
+}
+
+// groupJSON is the JSON-facing shape of one semantic group.
+type groupJSON struct {
+	SrcNodes []int32   `json:"src_nodes"`
+	DstNodes []int32   `json:"dst_nodes"`
+	WOut     []float64 `json:"w_out"`
+	DDst     []float64 `json:"d_dst"`
+	NumEdges int       `json:"num_edges"`
+}
+
+// writePlans exports the plans to path as pretty JSON for external tooling.
+// A failed Close fails the write: the file's last write may be what failed.
 func writePlans(path string, plans []*core.PairPlan) error {
+	out := make([]planJSON, 0, len(plans))
+	for _, p := range plans {
+		pj := planJSON{
+			SrcPart: p.SrcPart, DstPart: p.DstPart,
+			DroppedEdges: p.DroppedEdges, CompressionRatio: p.CompressionRatio(),
+		}
+		for _, g := range p.Groups {
+			pj.Groups = append(pj.Groups, groupJSON{
+				SrcNodes: g.SrcNodes, DstNodes: g.DstNodes,
+				WOut: g.WOut, DDst: g.DDst, NumEdges: g.NumEdges,
+			})
+		}
+		for _, o := range p.O2O {
+			pj.O2O = append(pj.O2O, [2]int32{o.Src, o.Dst})
+		}
+		out = append(out, pj)
+	}
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	err = persist.ExportPlansJSON(f, plans)
+	enc := json.NewEncoder(f)
+	enc.SetIndent("", "  ")
+	err = enc.Encode(out)
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}

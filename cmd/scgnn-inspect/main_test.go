@@ -7,9 +7,9 @@ import (
 	"path/filepath"
 	"testing"
 
+	"scgnn/internal/core"
 	"scgnn/internal/datasets"
 	"scgnn/internal/partition"
-	"scgnn/internal/persist"
 )
 
 // TestRunRefusesBadCommandLine: a partition count below 1 and an unknown
@@ -49,7 +49,7 @@ func TestRunWritesPlans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var plans []persist.PlanJSON
+	var plans []planJSON
 	if err := json.Unmarshal(b, &plans); err != nil {
 		t.Fatal(err)
 	}
@@ -94,4 +94,49 @@ func capture(t *testing.T, args []string) (int, string) {
 	os.Stdout = stdout
 	w.Close()
 	return code, string(<-done)
+}
+
+// TestExportPlansJSON: every plan's groups, compression ratio and group
+// payloads survive the JSON export.
+func TestExportPlansJSON(t *testing.T) {
+	ds := datasets.Generate(datasets.Spec{
+		Name: "persist-test", Nodes: 80, AvgDegree: 6, Classes: 3, FeatureDim: 4, Seed: 1,
+	})
+	part := partition.Partition(ds.Graph, 2, partition.NodeCut, partition.Config{Seed: 3})
+	plans, err := core.BuildAllPlans(ds.Graph, part, 2,
+		core.PlanConfig{Grouping: core.GroupingConfig{K: 2, Seed: 4}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(plans) == 0 {
+		t.Skip("no cross edges")
+	}
+	path := filepath.Join(t.TempDir(), "plans.json")
+	if err := writePlans(path, plans); err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var decoded []planJSON
+	if err := json.Unmarshal(b, &decoded); err != nil {
+		t.Fatal(err)
+	}
+	if len(decoded) != len(plans) {
+		t.Fatalf("decoded %d plans, want %d", len(decoded), len(plans))
+	}
+	for i, pj := range decoded {
+		if len(pj.Groups) != len(plans[i].Groups) {
+			t.Fatal("groups lost")
+		}
+		if pj.CompressionRatio != plans[i].CompressionRatio() {
+			t.Fatal("ratio mismatch")
+		}
+		for j, g := range pj.Groups {
+			if g.NumEdges != plans[i].Groups[j].NumEdges || len(g.WOut) != len(plans[i].Groups[j].WOut) {
+				t.Fatal("group payload mismatch")
+			}
+		}
+	}
 }

@@ -15,44 +15,27 @@ package core
 // future runtimes) must recompile exactly when it swaps a plan:
 // construction and the dirty pairs of a Repartition.
 
-// EncodePlan is the sender-side compilation of one direction of a
-// PairPlan: flattened group member lists for the semantic fuse
-// (payload += Σ GroupW·h_row per group). Row k of group g spans
-// GroupRows[GroupOff[g]:GroupOff[g+1]], with GroupW[k] = WOut[k]·coeff[row].
-// O2O residuals need no compilation: the exchange walk hands each one to
-// the sink as a (sender, receiver) pair straight off the plan.
-type EncodePlan struct {
-	GroupOff  []int32
-	GroupRows []int32
-	GroupW    []float64
-}
-
-// NumGroups returns the number of groups the plan encodes.
-func (ep *EncodePlan) NumGroups() int { return len(ep.GroupOff) - 1 }
-
-// Group returns group g's member rows and baked weights.
-func (ep *EncodePlan) Group(g int) (rows []int32, w []float64) {
-	lo, hi := ep.GroupOff[g], ep.GroupOff[g+1]
-	return ep.GroupRows[lo:hi], ep.GroupW[lo:hi]
-}
-
-// DeliverPlan is the receiver-side compilation of the same direction:
-// per-group destination rows with the delivery coefficient
-// DDst[k]·coeff[row] baked in, ready for one ScatterAXPY per received
-// group payload.
-type DeliverPlan struct {
+// GroupList is one side of one direction of a PairPlan, compiled: group g's
+// member rows span Rows[Off[g]:Off[g+1]], each with its coefficient product
+// baked into W. CompileEncode builds the sender side (the semantic fuse:
+// payload += Σ W·h_row, W[k] = WOut[k]·coeff[row]), CompileDeliver the
+// receiver side (one ScatterAXPY per received group payload, W[k] =
+// DDst[k]·coeff[row]). O2O residuals need no compilation: the exchange walk
+// hands each one to the sink as a (sender, receiver) pair straight off the
+// plan.
+type GroupList struct {
 	Off  []int32
 	Rows []int32
 	W    []float64
 }
 
-// NumGroups returns the number of groups the plan delivers.
-func (dp *DeliverPlan) NumGroups() int { return len(dp.Off) - 1 }
+// NumGroups returns the number of groups in the list.
+func (l *GroupList) NumGroups() int { return len(l.Off) - 1 }
 
-// Group returns group g's destination rows and baked weights.
-func (dp *DeliverPlan) Group(g int) (rows []int32, w []float64) {
-	lo, hi := dp.Off[g], dp.Off[g+1]
-	return dp.Rows[lo:hi], dp.W[lo:hi]
+// Group returns group g's member rows and baked weights.
+func (l *GroupList) Group(g int) (rows []int32, w []float64) {
+	lo, hi := l.Off[g], l.Off[g+1]
+	return l.Rows[lo:hi], l.W[lo:hi]
 }
 
 // ReverseGroups returns the Reverse() of every group in p — the group
@@ -70,44 +53,36 @@ func ReverseGroups(p *PairPlan) []*Group {
 // groups must already be oriented for the direction (p.Groups forward,
 // ReverseGroups(p) backward). coeff is the full symmetric-normalization
 // coefficient vector.
-func CompileEncode(groups []*Group, coeff []float64) *EncodePlan {
-	var members int
-	for _, grp := range groups {
-		members += len(grp.SrcNodes)
-	}
-	ep := &EncodePlan{
-		GroupOff:  make([]int32, 1, len(groups)+1),
-		GroupRows: make([]int32, 0, members),
-		GroupW:    make([]float64, 0, members),
-	}
-	for _, grp := range groups {
-		for k, u := range grp.SrcNodes {
-			ep.GroupRows = append(ep.GroupRows, u)
-			ep.GroupW = append(ep.GroupW, grp.WOut[k]*coeff[u])
-		}
-		ep.GroupOff = append(ep.GroupOff, int32(len(ep.GroupRows)))
-	}
-	return ep
+func CompileEncode(groups []*Group, coeff []float64) *GroupList {
+	return compileGroups(groups, coeff, func(g *Group) ([]int32, []float64) { return g.SrcNodes, g.WOut })
 }
 
 // CompileDeliver flattens the receiver side of the same direction
 // (same group orientation as the matching CompileEncode call).
-func CompileDeliver(groups []*Group, coeff []float64) *DeliverPlan {
+func CompileDeliver(groups []*Group, coeff []float64) *GroupList {
+	return compileGroups(groups, coeff, func(g *Group) ([]int32, []float64) { return g.DstNodes, g.DDst })
+}
+
+// compileGroups flattens the side of each group that side picks, baking
+// w[k]·coeff[row] into every member.
+func compileGroups(groups []*Group, coeff []float64, side func(*Group) ([]int32, []float64)) *GroupList {
 	var members int
 	for _, grp := range groups {
-		members += len(grp.DstNodes)
+		rows, _ := side(grp)
+		members += len(rows)
 	}
-	dp := &DeliverPlan{
+	l := &GroupList{
 		Off:  make([]int32, 1, len(groups)+1),
 		Rows: make([]int32, 0, members),
 		W:    make([]float64, 0, members),
 	}
 	for _, grp := range groups {
-		for k, v := range grp.DstNodes {
-			dp.Rows = append(dp.Rows, v)
-			dp.W = append(dp.W, grp.DDst[k]*coeff[v])
+		rows, w := side(grp)
+		for k, u := range rows {
+			l.Rows = append(l.Rows, u)
+			l.W = append(l.W, w[k]*coeff[u])
 		}
-		dp.Off = append(dp.Off, int32(len(dp.Rows)))
+		l.Off = append(l.Off, int32(len(l.Rows)))
 	}
-	return dp
+	return l
 }

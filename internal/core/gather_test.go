@@ -119,7 +119,7 @@ func TestReverseGroupsMatchesPerGroupReverse(t *testing.T) {
 func TestCompileEncodeEmpty(t *testing.T) {
 	coeff := []float64{1, 1}
 	ep := CompileEncode(nil, coeff)
-	if ep.NumGroups() != 0 || len(ep.GroupRows) != 0 {
+	if ep.NumGroups() != 0 || len(ep.Rows) != 0 {
 		t.Fatal("empty encode plan not empty")
 	}
 	dp := CompileDeliver(nil, coeff)

@@ -182,6 +182,9 @@ func TestTrainerRestoreRejectsBadState(t *testing.T) {
 	if err := trn.Restore(&TrainerState{NextEpoch: 3}); err == nil {
 		t.Fatal("inconsistent epoch record accepted")
 	}
+	if err := trn.Restore(&TrainerState{}); err == nil {
+		t.Fatal("state without optimizer moments accepted")
+	}
 }
 
 // TestTrainerRunEpochRecoversPanic: a panicking aggregator surfaces as an

@@ -1,16 +1,23 @@
 package net
 
 import (
+	"crypto/sha256"
 	"errors"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
+	"scgnn/internal/compress"
 	"scgnn/internal/dist"
+	"scgnn/internal/exchange"
 	"scgnn/internal/gnn"
-	"scgnn/internal/persist"
+	"scgnn/internal/nn"
+	"scgnn/internal/tensor"
+	"scgnn/internal/worker"
 )
 
 // trainRun is one socket-backed training run: cluster, GCN over the
@@ -136,7 +143,7 @@ func TestCheckpointResumeLossForLoss(t *testing.T) {
 
 // TestCheckpointFileDamage locks in the failure modes of the checkpoint
 // file itself, through the one reader a run resumes by: corruption and
-// truncation wrap persist.ErrCorruptCheckpoint, a file taken on another
+// truncation wrap ErrCorruptCheckpoint, a file taken on another
 // partition is refused, and a missing file (os.ErrNotExist to the loader) is
 // a fresh start that changes nothing — never a silent bad restore.
 func TestCheckpointFileDamage(t *testing.T) {
@@ -166,7 +173,7 @@ func TestCheckpointFileDamage(t *testing.T) {
 	if err := os.WriteFile(corrupt, flipped, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := resume(corrupt); !errors.Is(err, persist.ErrCorruptCheckpoint) {
+	if err := resume(corrupt); !errors.Is(err, ErrCorruptCheckpoint) {
 		t.Fatalf("bit flip: got %v, want ErrCorruptCheckpoint", err)
 	}
 	// Truncation: body shorter than the header promises.
@@ -174,7 +181,7 @@ func TestCheckpointFileDamage(t *testing.T) {
 	if err := os.WriteFile(short, buf[:len(buf)/2], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := resume(short); !errors.Is(err, persist.ErrCorruptCheckpoint) {
+	if err := resume(short); !errors.Is(err, ErrCorruptCheckpoint) {
 		t.Fatalf("truncation: got %v, want ErrCorruptCheckpoint", err)
 	}
 	absent := filepath.Join(dir, "absent.ck")
@@ -190,5 +197,171 @@ func TestCheckpointFileDamage(t *testing.T) {
 	}
 	if err := resume(path); err == nil || !strings.Contains(err.Error(), "another partition") {
 		t.Fatalf("checkpoint from another partition: got %v, want a refusal", err)
+	}
+}
+
+// TestRestoreParamsRefusesShortData: a 2×3 parameter given 2 values is
+// refused, not restored over 2 of its 6 values.
+func TestRestoreParamsRefusesShortData(t *testing.T) {
+	params := []nn.Param{{Name: "W", Value: tensor.New(2, 3)}}
+	st := []ParamState{{Name: "W", Rows: 2, Cols: 3, Data: []float64{1, 2}}}
+	if err := restoreParams(st, params); err == nil {
+		t.Fatal("short parameter data restored")
+	}
+	st[0].Data = []float64{1, 2, 3, 4, 5, 6}
+	if err := restoreParams(st, params); err != nil || params[0].Value.Data[5] != 6 {
+		t.Fatalf("full parameter data: %v, values %v", err, params[0].Value.Data)
+	}
+}
+
+// demoPeerState is a peer state with every field set: a stateless and a
+// stateful pair, two error-feedback residuals (keys out of order in the
+// map's literal), rung levels, and an unfilled and a filled delay slot.
+func demoPeerState() *worker.PeerState {
+	return &worker.PeerState{
+		NParts: 2,
+		Pairs: []exchange.PairStreamState{{}, {
+			SamplerDraws: 7, NodeState: 0x9e3779b97f4a7c15,
+			EF: map[int64][]float64{
+				compress.RoundUnitKey(1, 3): {0.5, -1},
+				compress.RoundUnitKey(0, 2): {0.25, 2},
+			},
+			AdaptiveBitsSum: 24, AdaptiveCalls: 3, EFCorrected: 5,
+		}, {}, {}},
+		Levels: []int32{0, 1, 2, 0},
+		Delay:  []*tensor.Matrix{nil, tensor.FromRows([][]float64{{1, 2}, {3, 4}})},
+	}
+}
+
+// demoCheckpoint is a training checkpoint with every field set.
+func demoCheckpoint() *TrainingCheckpoint {
+	return &TrainingCheckpoint{
+		Epoch: 1, Part: []int{0, 1, 1, 0},
+		Params: []ParamState{{Name: "W0", Rows: 2, Cols: 1, Data: []float64{0.5, -0.5}}},
+		Trainer: &gnn.TrainerState{
+			NextEpoch: 1, BestValAcc: 0.75,
+			Epochs: []gnn.EpochStats{{Epoch: 0, Loss: 1.5, TrainAcc: 0.5, ValAcc: 0.75}},
+			Opt:    &nn.AdamState{T: 1, M: [][]float64{{0.1, 0.2}}, V: [][]float64{{0.01, 0.04}}},
+		},
+		Nodes: [][]byte{encodePeerState(demoPeerState()), {0xde, 0xad}},
+	}
+}
+
+// TestCheckpointRoundtrip: a checkpoint file and a peer-state blob decode to
+// the state they were encoded from.
+func TestCheckpointRoundtrip(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "ck")
+	if err := demoCheckpoint().Save(path); err != nil {
+		t.Fatal(err)
+	}
+	got, err := LoadTrainingCheckpoint(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, demoCheckpoint()) {
+		t.Fatalf("checkpoint roundtrip: %+v", got)
+	}
+	st, err := decodePeerState(got.Nodes[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(st, demoPeerState()) {
+		t.Fatalf("peer state roundtrip: %+v", st)
+	}
+}
+
+// TestCheckpointOverwriteAtomic: a second Save replaces the file and leaves
+// no temp file behind.
+func TestCheckpointOverwriteAtomic(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "ck")
+	next := demoCheckpoint()
+	next.Epoch = 2
+	for _, ck := range []*TrainingCheckpoint{demoCheckpoint(), next} {
+		if err := ck.Save(path); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, err := LoadTrainingCheckpoint(path)
+	if err != nil || got.Epoch != 2 {
+		t.Fatalf("after overwrite: %v, err %v; want epoch 2", got, err)
+	}
+	entries, err := os.ReadDir(filepath.Dir(path))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 {
+		t.Fatalf("directory has %d entries after save, want 1", len(entries))
+	}
+}
+
+// TestCheckpointCorruption: every damage mode of the envelope or body —
+// truncated header, truncated body, flipped payload bit, bad magic, unknown
+// version, the gob-bodied version 1, a length field that disagrees, a bad
+// CRC, a body of the other state type — surfaces as a wrapped
+// ErrCorruptCheckpoint from both decoders, never a clean load or a panic.
+func TestCheckpointCorruption(t *testing.T) {
+	buf := seal(demoCheckpoint().encodeInto)
+	edit := func(f func(c []byte)) []byte {
+		c := append([]byte(nil), buf...)
+		f(c)
+		return c
+	}
+	for name, b := range map[string][]byte{
+		"truncated-header": buf[:10],
+		"truncated-body":   buf[:len(buf)-5],
+		"flipped-bit":      edit(func(c []byte) { c[len(c)-1] ^= 0x40 }),
+		"bad-magic":        edit(func(c []byte) { c[0] = 'X' }),
+		"bad-version":      edit(func(c []byte) { c[4] = 99 }),
+		"version-1":        edit(func(c []byte) { c[4] = 1 }),
+		"wrong-length":     edit(func(c []byte) { c[5]++ }),
+		"bad-crc":          edit(func(c []byte) { c[13] ^= 1 }),
+		"empty":            nil,
+		"wrong-body-type":  encodePeerState(demoPeerState()),
+	} {
+		t.Run(name, func(t *testing.T) {
+			if _, err := decodeTrainingCheckpoint(b); !errors.Is(err, ErrCorruptCheckpoint) {
+				t.Fatalf("checkpoint: err = %v, want ErrCorruptCheckpoint", err)
+			}
+			if name == "wrong-body-type" {
+				b = buf
+			}
+			if _, err := decodePeerState(b); !errors.Is(err, ErrCorruptCheckpoint) {
+				t.Fatalf("peer state: err = %v, want ErrCorruptCheckpoint", err)
+			}
+		})
+	}
+}
+
+// TestCheckpointMissingFile: a missing file is os.ErrNotExist, not
+// corruption.
+func TestCheckpointMissingFile(t *testing.T) {
+	_, err := LoadTrainingCheckpoint(filepath.Join(t.TempDir(), "absent"))
+	if !errors.Is(err, os.ErrNotExist) || errors.Is(err, ErrCorruptCheckpoint) {
+		t.Fatalf("err = %v, want os.ErrNotExist", err)
+	}
+}
+
+// TestPeerStateEncodedForm pins a fresh peer's state blob — what a State
+// frame carries — to its recorded bytes: a stateless and a fully stateful
+// configuration.
+func TestPeerStateEncodedForm(t *testing.T) {
+	d, part, _ := testGraph(t, 3)
+	for _, tc := range []struct {
+		cfg  exchange.Config
+		size int
+		sum  string
+	}{
+		{exchange.Config{Semantic: true}, 37, "0edae8687bad57e14bc670fb70b3eaae318104ee94b36a6206ff3c819e7d7751"},
+		{exchange.Config{SampleRate: 0.5, SampleNodes: true, QuantBits: 4, ErrorFeedback: true, DelayPeriod: 2, Seed: 3},
+			433, "bc056089621fbe458b3e3dff06c6a1dbe02ec6e92ea6da24f53d2204ae1fc6e2"},
+	} {
+		peer, err := worker.NewPeer(d.Graph, part, 3, 1, tc.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		blob := encodePeerState(peer.State())
+		if got := fmt.Sprintf("%x", sha256.Sum256(blob)); len(blob) != tc.size || got != tc.sum {
+			t.Errorf("%s: %d bytes, sha256 %s; recorded %d, %s", tc.cfg.MethodName(), len(blob), got, tc.size, tc.sum)
+		}
 	}
 }

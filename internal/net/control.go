@@ -14,14 +14,14 @@ import (
 	"scgnn/internal/tensor"
 )
 
-// Control-message codecs: hand-rolled little-endian encoders with fully
-// validated decoders. Control frames cross the same trust boundary as data
-// batches (any process that can reach a node's socket can send them), so no
-// reflective decoder (gob/json) touches the payload: every length is checked
-// against the bytes actually present before a single element is allocated,
-// and a malformed payload is an error, never a panic or an attacker-sized
-// allocation. The encoding is canonical — decode(encode(m)) == m — which is
-// what the frame fuzz target's re-encode differential check pins.
+// Control-message codecs, the module's one binary codec: little-endian
+// encoders with fully validated decoders. Control frames, and the checkpoint
+// and peer-state bodies they carry (checkpoint.go), cross the trust boundary
+// data batches do (any process that can reach a node's socket can send
+// them), so no reflective decoder touches them: every length is checked
+// against the bytes present before an element is allocated, and a malformed
+// payload is an error, never a panic or an attacker-sized allocation. The
+// encoding is canonical — decode(encode(m)) == m — as the fuzz targets pin.
 
 var errBadControl = errors.New("net: malformed control payload")
 
@@ -127,6 +127,10 @@ func getFloats(xs []float64, b []byte) {
 		xs[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
 	}
 }
+func (w *cwriter) f64s(v []float64) {
+	w.u32(uint32(len(v)))
+	putFloats(w.grow(8*len(v)), v)
+}
 func (w *cwriter) strs(v []string) {
 	w.u32(uint32(len(v)))
 	for _, s := range v {
@@ -214,6 +218,15 @@ func (r *creader) count(elemSize int) int {
 	return n
 }
 
+// list reads an element count, bounded by the bytes left at elem bytes
+// each, and returns a slice of that length (nil for none).
+func list[T any](r *creader, elem int) []T {
+	if n := r.count(elem); n > 0 {
+		return make([]T, n)
+	}
+	return nil
+}
+
 func (r *creader) str() string {
 	n := r.count(1)
 	return string(r.take(n))
@@ -255,6 +268,11 @@ func loadRows(p []byte, m *tensor.Matrix, rows []int32) {
 		getFloats(row, p)
 		p = p[8*len(row):]
 	}
+}
+func (r *creader) f64s() []float64 {
+	v := list[float64](r, 8)
+	getFloats(v, r.take(8*len(v)))
+	return v
 }
 func (r *creader) strs() []string {
 	n := r.count(4) // each element costs at least its 4-byte length prefix
@@ -661,8 +679,8 @@ func decodeRepartDone(p []byte) (RepartDone, error) {
 	return m, r.done()
 }
 
-// State carries a node's checkpointed runtime state (a persist checkpoint
-// container, CRC-validated by the opener) to the coordinator, or — as a
+// State carries a node's checkpointed runtime state (a peer-state blob,
+// CRC-validated by the opener) to the coordinator, or — as a
 // frameRestore payload — back to a node.
 type State struct {
 	Seq  uint64

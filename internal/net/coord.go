@@ -11,11 +11,9 @@ import (
 	"scgnn/internal/dist"
 	"scgnn/internal/exchange"
 	"scgnn/internal/graph"
-	"scgnn/internal/persist"
 	"scgnn/internal/sched"
 	"scgnn/internal/simnet"
 	"scgnn/internal/tensor"
-	"scgnn/internal/worker"
 )
 
 // CoordOptions tunes the coordinator's transport behavior.
@@ -571,8 +569,8 @@ func (c *Coordinator) RestoreStates(blobs [][]byte) error {
 	}
 	c.aggGen++
 	if c.sched != nil {
-		st := new(worker.PeerState)
-		if err := persist.DecodeCheckpoint(blobs[0], st); err != nil {
+		st, err := decodePeerState(blobs[0])
+		if err != nil {
 			return fmt.Errorf("net: restore states: decode node 0 blob: %w", err)
 		}
 		if st.Levels == nil {

@@ -458,7 +458,7 @@ func TestSetupRefusesUnnamedSimilarity(t *testing.T) {
 }
 
 // TestCorruptStateBlob ensures a damaged checkpoint blob is rejected by the
-// node with a typed ErrRemote (the persist container CRC catches it) instead
+// node with a typed ErrRemote (the peer-state envelope CRC catches it) instead
 // of poisoning the peer silently.
 func TestCorruptStateBlob(t *testing.T) {
 	const nparts = 3

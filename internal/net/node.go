@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"scgnn/internal/graph"
-	"scgnn/internal/persist"
 	"scgnn/internal/tensor"
 	"scgnn/internal/worker"
 )
@@ -388,10 +387,8 @@ func (n *Node) handleControl(fc *framed, ft frameType, payload []byte) (shutdown
 		resp := State{Seq: m.Seq}
 		if n.peer == nil {
 			resp.Err = "node has no setup"
-		} else if blob, berr := persist.EncodeCheckpoint(n.peer.State()); berr != nil {
-			resp.Err = berr.Error()
 		} else {
-			resp.Blob = blob
+			resp.Blob = encodePeerState(n.peer.State())
 		}
 		return false, n.reply(fc, frameState, resp)
 	case frameRestore:
@@ -400,10 +397,9 @@ func (n *Node) handleControl(fc *framed, ft frameType, payload []byte) (shutdown
 			return false, err
 		}
 		resp := Ack{Seq: m.Seq}
-		st := new(worker.PeerState)
 		if n.peer == nil {
 			resp.Err = "node has no setup"
-		} else if derr := persist.DecodeCheckpoint(m.Blob, st); derr != nil {
+		} else if st, derr := decodePeerState(m.Blob); derr != nil {
 			resp.Err = derr.Error()
 		} else if rerr := n.peer.Restore(st); rerr != nil {
 			resp.Err = rerr.Error()

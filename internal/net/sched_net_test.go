@@ -7,7 +7,6 @@ import (
 	"scgnn/internal/dist"
 	"scgnn/internal/exchange"
 	"scgnn/internal/gnn"
-	"scgnn/internal/persist"
 	"scgnn/internal/sched"
 	"scgnn/internal/worker"
 )
@@ -204,8 +203,8 @@ func TestScheduledCheckpointResume(t *testing.T) {
 	if err != nil {
 		t.Fatalf("load checkpoint: %v", err)
 	}
-	st := new(worker.PeerState)
-	if err := persist.DecodeCheckpoint(ck.Nodes[0], st); err != nil {
+	st, err := decodePeerState(ck.Nodes[0])
+	if err != nil {
 		t.Fatalf("decode node 0 blob: %v", err)
 	}
 	if st.Levels == nil {

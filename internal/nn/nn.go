@@ -278,9 +278,12 @@ func (a *Adam) State(params []Param) *AdamState {
 
 // SetState restores moments exported by State against the same parameter
 // list; a resumed run then steps bit-identically to the uninterrupted one.
-// Length mismatches mean the checkpoint was taken on a different
-// architecture and are reported as errors.
+// A nil state, or length mismatches (a checkpoint taken on a different
+// architecture), are reported as errors.
 func (a *Adam) SetState(params []Param, st *AdamState) error {
+	if st == nil {
+		return fmt.Errorf("nn: nil adam state")
+	}
 	if len(st.M) != len(params) || len(st.V) != len(params) {
 		return fmt.Errorf("nn: adam state covers %d/%d moment vectors, model has %d params",
 			len(st.M), len(st.V), len(params))

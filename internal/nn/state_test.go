@@ -115,12 +115,16 @@ func TestAdamStateUnstepped(t *testing.T) {
 	}
 }
 
-// TestAdamSetStateRejectsMismatch covers the architecture-mismatch errors.
+// TestAdamSetStateRejectsMismatch covers the architecture-mismatch errors
+// and a nil state.
 func TestAdamSetStateRejectsMismatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	params := randParams(rng)
 	opt := NewAdam(0.01)
 
+	if err := opt.SetState(params, nil); err == nil {
+		t.Fatal("nil state accepted")
+	}
 	if err := opt.SetState(params, &AdamState{T: 1, M: [][]float64{{0}}, V: [][]float64{{0}}}); err == nil {
 		t.Fatal("param-count mismatch accepted")
 	}

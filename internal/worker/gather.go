@@ -38,8 +38,7 @@ import (
 // of this process runs stays nil. Zero value means "no plan" (vanilla mode or
 // no cross edges).
 type pairKernels struct {
-	encF, encB *core.EncodePlan
-	delF, delB *core.DeliverPlan
+	encF, encB, delF, delB *core.GroupList
 }
 
 // localPlan is one worker's compiled local-aggregation CSR. rows holds
@@ -61,7 +60,7 @@ type localPlan struct {
 
 // groupPlans returns pair idx's compiled group lists for the direction: nil
 // when the pair has no plan, and then the unit walk yields no group either.
-func (x *exchanger) groupPlans(idx int, backward bool) (*core.EncodePlan, *core.DeliverPlan) {
+func (x *exchanger) groupPlans(idx int, backward bool) (enc, del *core.GroupList) {
 	if x.kernels == nil {
 		return nil, nil
 	}
@@ -86,13 +85,13 @@ func (x *exchanger) compilePairKernels(idx int) {
 	if x.ws[idx/x.core.NParts] != nil {
 		k.encF = core.CompileEncode(p.Groups, coeff)
 		k.delB = core.CompileDeliver(rev, coeff)
-		x.toRows(k.encF.GroupRows)
+		x.toRows(k.encF.Rows)
 		x.toRows(k.delB.Rows)
 	}
 	if x.ws[idx%x.core.NParts] != nil {
 		k.encB = core.CompileEncode(rev, coeff)
 		k.delF = core.CompileDeliver(p.Groups, coeff)
-		x.toRows(k.encB.GroupRows)
+		x.toRows(k.encB.Rows)
 		x.toRows(k.delF.Rows)
 	}
 }

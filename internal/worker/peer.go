@@ -149,12 +149,6 @@ func (p *Peer) TrafficDelta() (bytes, msgs []int64) {
 	return p.counters[p.me].DrainRow(p.me)
 }
 
-// PairStreamState is one ordered pair's serializable compression-stream
-// position (see exchange.PairStreamState, whose fields it shares). It is
-// declared here because gob writes the defining package into the encoded type
-// name, and PeerState's encoded form is a compatibility contract.
-type PairStreamState exchange.PairStreamState
-
 // PeerState is the peer's checkpointable runtime state: every pair's stream
 // position plus the delayed-transmission cache restricted to the rows this
 // peer owns. Model parameters and the training-loop bookkeeping live in the
@@ -165,43 +159,29 @@ type PairStreamState exchange.PairStreamState
 type PeerState struct {
 	NParts int
 	// Pairs has nparts² entries (nil when no stateful method is configured).
-	Pairs []PairStreamState
+	Pairs []exchange.PairStreamState
 	// Levels is the variable-rate schedule's per-pair rung vector (nil when
 	// scheduling is off). Restore applies it before reseeding pair streams,
 	// so each stream is rebuilt under the rung it was captured on.
 	Levels []int32
-	// DelayFilled[r] marks aggregate-round slot r as holding a usable cached
-	// delta; DelayRows[r] is then the flattened own-row data
-	// (len(own)×DelayCols[r]), in ascending owned-node order. Columns are
-	// per-slot: a multi-layer model aggregates at a different width every
-	// round. Unfilled slots carry no rows.
-	DelayFilled []bool
-	DelayRows   [][]float64
-	DelayCols   []int
+	// Delay[r] is aggregate-round slot r's cached delta over the own rows,
+	// in ascending owned-node order, or nil when the slot is unfilled.
+	// Columns are per-slot: a multi-layer model aggregates at a different
+	// width every round.
+	Delay []*tensor.Matrix
 }
 
 // State captures the peer's stream and delay-cache state at an epoch
 // boundary, deep-copied so later rounds leave the checkpoint untouched.
 func (p *Peer) State() *PeerState {
 	st := &PeerState{NParts: p.core.NParts}
-	pairs, levels := p.core.State()
-	st.Levels = levels
-	if pairs != nil {
-		st.Pairs = make([]PairStreamState, len(pairs))
-		for i, ps := range pairs {
-			st.Pairs[i] = PairStreamState(ps)
-		}
-	}
+	st.Pairs, st.Levels = p.core.State()
 	if len(p.delayFilled) > 0 {
-		st.DelayFilled = append([]bool(nil), p.delayFilled...)
-		st.DelayRows = make([][]float64, len(p.delaySlots))
-		st.DelayCols = make([]int, len(p.delaySlots))
-		for r, slot := range p.delaySlots {
-			if !p.delayFilled[r] || slot == nil {
-				continue
+		st.Delay = make([]*tensor.Matrix, len(p.delayFilled))
+		for r, filled := range p.delayFilled {
+			if filled {
+				st.Delay[r] = p.delaySlots[r].Clone()
 			}
-			st.DelayCols[r] = slot.Cols
-			st.DelayRows[r] = append([]float64(nil), slot.Data...)
 		}
 	}
 	return st
@@ -228,32 +208,21 @@ func (p *Peer) Restore(st *PeerState) error {
 	if st.NParts != p.core.NParts {
 		return fmt.Errorf("%w: state for %d parts, cluster has %d", ErrBadState, st.NParts, p.core.NParts)
 	}
-	slots := make([]*tensor.Matrix, len(st.DelayFilled))
-	for r, filled := range st.DelayFilled {
-		if !filled {
+	filled := make([]bool, len(st.Delay))
+	slots := make([]*tensor.Matrix, len(st.Delay))
+	for r, m := range st.Delay {
+		if m == nil {
 			continue
 		}
-		var vals []float64
-		cols := 0
-		if r < len(st.DelayRows) {
-			vals = st.DelayRows[r]
+		if m.Rows != p.rows || m.Cols < 1 || len(m.Data) != m.Rows*m.Cols {
+			return fmt.Errorf("%w: slot %d is %d×%d with %d values, want %d rows", ErrBadState, r, m.Rows, m.Cols, len(m.Data), p.rows)
 		}
-		if r < len(st.DelayCols) {
-			cols = st.DelayCols[r]
-		}
-		if cols < 1 || len(vals) != p.rows*cols {
-			return fmt.Errorf("%w: slot %d has %d row values, want %d×%d", ErrBadState, r, len(vals), p.rows, cols)
-		}
-		slots[r] = &tensor.Matrix{Rows: p.rows, Cols: cols, Data: append([]float64(nil), vals...)}
+		filled[r], slots[r] = true, m.Clone()
 	}
-	var pairs []exchange.PairStreamState
-	for _, ps := range st.Pairs {
-		pairs = append(pairs, exchange.PairStreamState(ps))
-	}
-	if err := p.core.Restore(pairs, st.Levels); err != nil {
+	if err := p.core.Restore(st.Pairs, st.Levels); err != nil {
 		return fmt.Errorf("worker: peer state: %w", err)
 	}
-	p.delayFilled = append([]bool(nil), st.DelayFilled...)
+	p.delayFilled = filled
 	p.delaySlots = slots
 	p.err = nil
 	return nil

