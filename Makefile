@@ -134,7 +134,7 @@ fuzz:
 	$(GO) test ./internal/cluster/ -run '^$$' -fuzz '^FuzzKMeansMatchesReference$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/net/ -run '^$$' -fuzz '^FuzzFrameDecoder$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/net/ -run '^$$' -fuzz '^FuzzFrameStream$$' -fuzztime=$(FUZZTIME)
-	$(GO) test ./internal/net/ -run '^$$' -fuzz '^FuzzSchedUpdate$$' -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/net/ -run '^$$' -fuzz '^FuzzEpoch$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/net/ -run '^$$' -fuzz '^FuzzCheckpointDecoders$$' -fuzztime=$(FUZZTIME)
 
 # Short fuzz pass for the verify gate / CI.
@@ -171,7 +171,10 @@ fuzz-smoke:
 # the plans. And one intersection count in the planner: the embedding fill's
 # pivot masks, with no per-pair sorted-list merge beside them. And one binary
 # codec: checkpoints and node state ride net's control codec, so no encoding/gob
-# and no internal/persist.
+# and no internal/persist. And one recovery path on the fleet: Connect, Setup on
+# the partition in force and a checkpoint restore, with no mesh rebuild or node
+# replacement beside it; and a two-frame scheduled epoch boundary, whose levels
+# ride the Epoch frame, with no schedule-update frame beside it.
 one-sink:
 	@! grep -rn 'useReference\|DelayCache\|pairBuf\|NewRounds\|worker\.Rounds\|forEachTask\|putHeader\|MsgHeaderBytes\|Fabric) Send(' --include='*.go' . | grep -v _test.go
 	@! grep -n 'aggregate(' internal/gnn/*.go | grep -v '_test\.go:\|^internal/gnn/layer\.go:'
@@ -186,6 +189,7 @@ one-sink:
 	@! test -e cmd/scgnn-plan
 	@! grep -rnE 'RowAndCount|RowOrCount|intersectCount|gallopRatio' --include='*.go' . | grep -v '_test\.go:'
 	@! grep -rnE '"encoding/gob"|"scgnn/internal/persist"' --include='*.go' . | grep -v '_test\.go:'
+	@! grep -rnE 'Remesh|RecoverNode|SchedUpdate|frameRemesh|frameSchedUpdate' --include='*.go' . | grep -v '_test\.go:'
 
 # Every program under examples/, built into a temporary directory and run to
 # the end: go build compiles them, but only running them shows a facade call

@@ -13,7 +13,6 @@ import (
 	"scgnn/internal/exchange"
 	"scgnn/internal/gnn"
 	"scgnn/internal/nn"
-	"scgnn/internal/tensor"
 	"scgnn/internal/worker"
 )
 
@@ -147,7 +146,8 @@ func LoadTrainingCheckpoint(path string) (*TrainingCheckpoint, error) {
 // peer-state blob alike:
 //
 //	4 bytes  magic "SCCK"
-//	1 byte   format version (2; version 1 held a gob body and is refused)
+//	1 byte   format version (3; older versions are refused: 1 held a gob
+//	         body, 2 wrote every delay-slot value, zero rows included)
 //	8 bytes  body length  (little-endian u64)
 //	4 bytes  CRC32 (IEEE) of the body
 //	N bytes  body, in the control codec (control.go)
@@ -160,7 +160,7 @@ func LoadTrainingCheckpoint(path string) (*TrainingCheckpoint, error) {
 var ckMagic = [4]byte{'S', 'C', 'C', 'K'}
 
 const (
-	ckVersion   = 2
+	ckVersion   = 3
 	ckHeaderLen = 4 + 1 + 8 + 4
 )
 
@@ -284,7 +284,9 @@ func decodeTrainingCheckpoint(buf []byte) (*TrainingCheckpoint, error) {
 
 // encodePeerState seals a node's peer state as the blob its State frame
 // carries. Error-feedback residuals go in ascending key order, the one
-// canonical order of a map.
+// canonical order of a map. A delay slot is written as the peer keeps it,
+// row-sparse (worker.DelaySlot): its row and column counts, then the index
+// and the values of every listed row.
 func encodePeerState(st *worker.PeerState) []byte {
 	return seal(func(w *cwriter) {
 		w.i64(int64(st.NParts))
@@ -308,19 +310,47 @@ func encodePeerState(st *worker.PeerState) []byte {
 		}
 		w.i32s(st.Levels)
 		w.u32(uint32(len(st.Delay)))
-		for _, m := range st.Delay {
-			w.bool(m != nil)
-			if m != nil {
-				w.i32(int32(m.Rows))
-				w.i32(int32(m.Cols))
-				w.f64s(m.Data)
+		for _, s := range st.Delay {
+			w.bool(s != nil)
+			if s == nil {
+				continue
+			}
+			w.i32(int32(s.Rows))
+			w.i32(int32(s.Cols))
+			w.u32(uint32(len(s.Index)))
+			for k, r := range s.Index {
+				w.i32(r)
+				putFloats(w.grow(8*s.Cols), s.Data[k*s.Cols:(k+1)*s.Cols])
 			}
 		}
 	})
 }
 
+// maxDelayValues bounds a peer state's delay slots together, counted dense
+// (rows × cols), by the most a State frame could carry written dense. Restore
+// rebuilds the slots dense, and a row-sparse slot's size is declared, not
+// paid for in bytes, so a node refuses to checkpoint more (the error shows
+// when the state is saved, not when it is restored) and the decoder refuses a
+// blob that declares more. A variable so a test can lower it.
+var maxDelayValues = maxFrameLen / 8
+
+// delayValues counts st's delay values dense, the measure maxDelayValues
+// bounds.
+func delayValues(st *worker.PeerState) int {
+	n := 0
+	for _, s := range st.Delay {
+		if s != nil {
+			n += s.Rows * s.Cols
+		}
+	}
+	return n
+}
+
 // decodePeerState opens a peer-state blob; residual keys must ascend
-// strictly. Shapes are the peer's to check (worker.Peer.Restore).
+// strictly, and so must a delay slot's rows, each below its row count. The
+// slots stay row-sparse, so what decoding allocates is bounded by the bytes
+// received; whether their shapes fit the peer is the peer's to check
+// (worker.Peer.Restore).
 func decodePeerState(blob []byte) (*worker.PeerState, error) {
 	st := new(worker.PeerState)
 	if err := unseal(blob, func(r *creader) {
@@ -342,11 +372,35 @@ func decodePeerState(blob []byte) (*worker.PeerState, error) {
 			ps.AdaptiveBitsSum, ps.AdaptiveCalls, ps.EFCorrected = r.i64(), r.i64(), r.i64()
 		}
 		st.Levels = r.i32s()
-		st.Delay = list[*tensor.Matrix](r, 1)
+		st.Delay = list[*worker.DelaySlot](r, 1)
+		budget := maxDelayValues
 		for i := range st.Delay {
-			if r.bool() {
-				st.Delay[i] = &tensor.Matrix{Rows: int(r.i32()), Cols: int(r.i32()), Data: r.f64s()}
+			if !r.bool() {
+				continue
 			}
+			s := &worker.DelaySlot{Rows: int(r.i32()), Cols: int(r.i32())}
+			if r.err == nil && (s.Rows < 0 || s.Cols < 1 || s.Rows > budget/s.Cols) {
+				r.fail("delay slot shape")
+			}
+			if r.err != nil {
+				break
+			}
+			budget -= s.Rows * s.Cols
+			if n := r.count(4 + 8*s.Cols); n > 0 {
+				s.Index, s.Data = make([]int32, n), make([]float64, n*s.Cols)
+			}
+			for k := range s.Index {
+				row := r.i32()
+				if r.err == nil && (row < 0 || int(row) >= s.Rows || k > 0 && row <= s.Index[k-1]) {
+					r.fail("delay rows not ascending below the row count")
+				}
+				if r.err != nil {
+					break
+				}
+				s.Index[k] = row
+				getFloats(s.Data[k*s.Cols:(k+1)*s.Cols], r.take(8*s.Cols))
+			}
+			st.Delay[i] = s
 		}
 	}); err != nil {
 		return nil, err

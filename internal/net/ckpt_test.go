@@ -4,10 +4,12 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -216,7 +218,9 @@ func TestRestoreParamsRefusesShortData(t *testing.T) {
 
 // demoPeerState is a peer state with every field set: a stateless and a
 // stateful pair, two error-feedback residuals (keys out of order in the
-// map's literal), rung levels, and an unfilled and a filled delay slot.
+// map's literal), rung levels, and an unfilled and a filled delay slot of
+// four rows that lists a row of values, a −0.0 one and another (row 1, +0,
+// is left out).
 func demoPeerState() *worker.PeerState {
 	return &worker.PeerState{
 		NParts: 2,
@@ -229,7 +233,8 @@ func demoPeerState() *worker.PeerState {
 			AdaptiveBitsSum: 24, AdaptiveCalls: 3, EFCorrected: 5,
 		}, {}, {}},
 		Levels: []int32{0, 1, 2, 0},
-		Delay:  []*tensor.Matrix{nil, tensor.FromRows([][]float64{{1, 2}, {3, 4}})},
+		Delay: []*worker.DelaySlot{nil, {Rows: 4, Cols: 2, Index: []int32{0, 2, 3},
+			Data: []float64{1, 2, 0, math.Copysign(0, -1), 3, 4}}},
 	}
 }
 
@@ -268,6 +273,10 @@ func TestCheckpointRoundtrip(t *testing.T) {
 	if !reflect.DeepEqual(st, demoPeerState()) {
 		t.Fatalf("peer state roundtrip: %+v", st)
 	}
+	// DeepEqual takes −0.0 for +0; the written row keeps its sign bit.
+	if !math.Signbit(st.Delay[1].Data[3]) {
+		t.Fatal("peer state roundtrip lost the −0.0 of a delay row")
+	}
 }
 
 // TestCheckpointOverwriteAtomic: a second Save replaces the file and leaves
@@ -296,9 +305,10 @@ func TestCheckpointOverwriteAtomic(t *testing.T) {
 
 // TestCheckpointCorruption: every damage mode of the envelope or body —
 // truncated header, truncated body, flipped payload bit, bad magic, unknown
-// version, the gob-bodied version 1, a length field that disagrees, a bad
-// CRC, a body of the other state type — surfaces as a wrapped
-// ErrCorruptCheckpoint from both decoders, never a clean load or a panic.
+// version, the gob-bodied version 1, the dense-delay version 2, a length
+// field that disagrees, a bad CRC, a body of the other state type — surfaces
+// as a wrapped ErrCorruptCheckpoint from both decoders, never a clean load or
+// a panic.
 func TestCheckpointCorruption(t *testing.T) {
 	buf := seal(demoCheckpoint().encodeInto)
 	edit := func(f func(c []byte)) []byte {
@@ -313,6 +323,7 @@ func TestCheckpointCorruption(t *testing.T) {
 		"bad-magic":        edit(func(c []byte) { c[0] = 'X' }),
 		"bad-version":      edit(func(c []byte) { c[4] = 99 }),
 		"version-1":        edit(func(c []byte) { c[4] = 1 }),
+		"version-2":        edit(func(c []byte) { c[4] = 2 }),
 		"wrong-length":     edit(func(c []byte) { c[5]++ }),
 		"bad-crc":          edit(func(c []byte) { c[13] ^= 1 }),
 		"empty":            nil,
@@ -341,27 +352,105 @@ func TestCheckpointMissingFile(t *testing.T) {
 	}
 }
 
-// TestPeerStateEncodedForm pins a fresh peer's state blob — what a State
-// frame carries — to its recorded bytes: a stateless and a fully stateful
-// configuration.
+// TestPeerStateEncodedForm pins peer state blobs — what a State frame
+// carries — to their recorded bytes: a fresh peer of a stateless and of a
+// fully stateful configuration, and node 1 of a delay-lane fleet after one
+// epoch, whose filled slots are written row-sparse.
 func TestPeerStateEncodedForm(t *testing.T) {
 	d, part, _ := testGraph(t, 3)
-	for _, tc := range []struct {
-		cfg  exchange.Config
-		size int
-		sum  string
-	}{
-		{exchange.Config{Semantic: true}, 37, "0edae8687bad57e14bc670fb70b3eaae318104ee94b36a6206ff3c819e7d7751"},
-		{exchange.Config{SampleRate: 0.5, SampleNodes: true, QuantBits: 4, ErrorFeedback: true, DelayPeriod: 2, Seed: 3},
-			433, "bc056089621fbe458b3e3dff06c6a1dbe02ec6e92ea6da24f53d2204ae1fc6e2"},
-	} {
-		peer, err := worker.NewPeer(d.Graph, part, 3, 1, tc.cfg)
+	fresh := func(cfg exchange.Config) []byte {
+		peer, err := worker.NewPeer(d.Graph, part, 3, 1, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		blob := encodePeerState(peer.State())
-		if got := fmt.Sprintf("%x", sha256.Sum256(blob)); len(blob) != tc.size || got != tc.sum {
-			t.Errorf("%s: %d bytes, sha256 %s; recorded %d, %s", tc.cfg.MethodName(), len(blob), got, tc.size, tc.sum)
+		return encodePeerState(peer.State())
+	}
+	afterEpoch := func(cfg exchange.Config) []byte {
+		tc := startCluster(t, 3, quickNodeOpts(), quickCoordOpts())
+		defer tc.coord.Shutdown()
+		if err := tc.coord.Setup(d.Graph, part, cfg); err != nil {
+			t.Fatal(err)
 		}
+		if _, err := runEpoch(tc, 0, randMat(d.NumNodes(), 4, 91), randMat(d.NumNodes(), 3, 92)); err != nil {
+			t.Fatal(err)
+		}
+		blobs, err := tc.coord.CollectStates()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return blobs[1]
+	}
+	stateful := exchange.Config{SampleRate: 0.5, SampleNodes: true, QuantBits: 4, ErrorFeedback: true, DelayPeriod: 2, Seed: 3}
+	for _, tc := range []struct {
+		name string
+		blob []byte
+		size int
+		sum  string
+	}{
+		{"fresh semantic", fresh(exchange.Config{Semantic: true}), 37, "73dcc14d872965ad6c5290133b256c47ff76486d5f57be6411990460fcf342f2"},
+		{"fresh " + stateful.MethodName(), fresh(stateful), 433, "5c2cd25677426099a88f0a7cd4f00c23638cd7f3881acfaa88b71b357d1974b1"},
+		{"delay2 after an epoch", afterEpoch(exchange.Config{DelayPeriod: 2, Seed: 3}), 2879, "c5031cb811b621ddee3d11c3ff210485f06023e118269d3c9a1f70d71fc601f8"},
+	} {
+		if got := fmt.Sprintf("%x", sha256.Sum256(tc.blob)); len(tc.blob) != tc.size || got != tc.sum {
+			t.Errorf("%s: %d bytes, sha256 %s; recorded %d, %s", tc.name, len(tc.blob), got, tc.size, tc.sum)
+		}
+	}
+}
+
+// TestOversizedDelayStateFailsAtCollect: a node whose delay slots hold more
+// values than a restore accepts refuses its State request, so the checkpoint
+// fails when it is saved, not when it is resumed; and the decoder refuses the
+// state under the same bound. The bound is lowered to fit a test fleet.
+func TestOversizedDelayStateFailsAtCollect(t *testing.T) {
+	d, part, _ := testGraph(t, 3)
+	tc := startCluster(t, 3, quickNodeOpts(), quickCoordOpts())
+	defer tc.coord.Shutdown()
+	if err := tc.coord.Setup(d.Graph, part, exchange.Config{DelayPeriod: 2, Seed: 3}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := runEpoch(tc, 0, randMat(d.NumNodes(), 4, 91), randMat(d.NumNodes(), 3, 92)); err != nil {
+		t.Fatal(err)
+	}
+	blobs, err := tc.coord.CollectStates()
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := decodePeerState(blobs[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func(limit int) { maxDelayValues = limit }(maxDelayValues)
+	maxDelayValues = delayValues(st) - 1
+	if _, err := tc.coord.CollectStates(); !errors.Is(err, ErrRemote) {
+		t.Fatalf("collect over the delay bound: %v, want ErrRemote", err)
+	}
+	if _, err := decodePeerState(blobs[1]); !errors.Is(err, ErrCorruptCheckpoint) {
+		t.Fatalf("decode over the delay bound: %v, want ErrCorruptCheckpoint", err)
+	}
+}
+
+// TestPeerStateDecodeAllocatesByBytes: a short blob declaring a delay slot
+// as large as the bound allows decodes without committing the slot's dense
+// size; Restore, which knows the shard's rows, refuses it before building it.
+func TestPeerStateDecodeAllocatesByBytes(t *testing.T) {
+	blob := encodePeerState(&worker.PeerState{NParts: 3,
+		Delay: []*worker.DelaySlot{{Rows: maxDelayValues, Cols: 1}}})
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	st, err := decodePeerState(blob)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Fatalf("decoding a %d-byte blob allocated %d bytes", len(blob), grew)
+	}
+	d, part, _ := testGraph(t, 3)
+	peer, err := worker.NewPeer(d.Graph, part, 3, 1, exchange.Config{DelayPeriod: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := peer.Restore(st); !errors.Is(err, worker.ErrBadState) {
+		t.Fatalf("restore of a slot of another row count: %v, want ErrBadState", err)
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"scgnn/internal/core"
 	"scgnn/internal/dist"
 	"scgnn/internal/sched"
+	"scgnn/internal/simnet"
 	"scgnn/internal/tensor"
 )
 
@@ -303,9 +304,10 @@ func (r *creader) done() error {
 const CoordID int32 = -1
 
 // Hello is the first frame on every connection: who is dialing, and at
-// which mesh generation. A node accepts data-mesh connections only at its
-// current generation — stale dials from before a Remesh are refused, so
-// in-flight frames of a torn-down mesh can never leak into a rebuilt one.
+// which mesh generation. A node accepts data-mesh connections only at the
+// generation of the Setup it is assembling — every Setup moves it, so a late
+// dial from an earlier assembly is refused and in-flight frames of a
+// torn-down mesh can never leak into a rebuilt one.
 type Hello struct {
 	Sender int32
 	Gen    uint32
@@ -506,21 +508,35 @@ func decodeAck(p []byte) (Ack, error) {
 	return m, r.done()
 }
 
-// Epoch marks an epoch boundary (Eval marks a measurement-only pass).
+// Epoch marks an epoch boundary (Eval marks a measurement-only pass). Under
+// variable-rate scheduling it carries the coordinator's decided per-pair
+// rung levels for the epoch, which every node applies before it starts the
+// epoch, so the fleet reconfigures on the same boundary the self-advancing
+// runtimes do; without scheduling it carries none.
 type Epoch struct {
-	Epoch int32
-	Eval  bool
+	Epoch  int32
+	Eval   bool
+	Levels []int32
 }
 
 func (m Epoch) encodeInto(w *cwriter) {
 	w.i32(m.Epoch)
 	w.bool(m.Eval)
+	w.i32s(m.Levels)
 }
 
 func decodeEpoch(p []byte) (Epoch, error) {
 	r := creader{b: p}
-	m := Epoch{Epoch: r.i32(), Eval: r.bool()}
-	return m, r.done()
+	m := Epoch{Epoch: r.i32(), Eval: r.bool(), Levels: r.i32s()}
+	if err := r.done(); err != nil {
+		return Epoch{}, err
+	}
+	for i, lv := range m.Levels {
+		if lv < 0 {
+			return Epoch{}, fmt.Errorf("%w: pair %d schedule level %d", errBadControl, i, lv)
+		}
+	}
+	return m, nil
 }
 
 // Round releases a node into one aggregate round. Its float section carries
@@ -581,13 +597,15 @@ func decodeRound(p []byte) (m Round, h []byte, err error) {
 
 // RoundDone reports a completed round: the aggregated rows this node owns
 // (a float section like Round's, encoded from the node's shard matrix Out,
-// whose rows are in that order), the per-destination traffic delta, and the
-// node-side error if the round failed.
+// whose rows are in that order), the per-destination traffic delta, the
+// processing counters the round added, and the node-side error if the round
+// failed.
 type RoundDone struct {
 	Seq   uint64
 	Out   *tensor.Matrix
 	Bytes []int64
 	Msgs  []int64
+	Work  simnet.Work
 	Err   string
 }
 
@@ -596,6 +614,11 @@ func (m RoundDone) encodeInto(w *cwriter) {
 	w.f64rows(m.Out, nil)
 	w.i64s(m.Bytes)
 	w.i64s(m.Msgs)
+	w.i64(m.Work.ComputeFlops)
+	w.i64(m.Work.QuantValues)
+	w.i64(m.Work.SampleEdges)
+	w.i64(m.Work.CacheValues)
+	w.i64(m.Work.SemanticValues)
 	w.str(m.Err)
 }
 
@@ -605,7 +628,9 @@ func decodeRoundDone(p []byte, out *tensor.Matrix, rows []int32) (m RoundDone, n
 	r := creader{b: p}
 	m = RoundDone{Seq: r.u64()}
 	vals := r.take(8 * r.count(8))
-	m.Bytes, m.Msgs, m.Err = r.i64s(), r.i64s(), r.str()
+	m.Bytes, m.Msgs = r.i64s(), r.i64s()
+	m.Work = simnet.Work{ComputeFlops: r.i64(), QuantValues: r.i64(), SampleEdges: r.i64(), CacheValues: r.i64(), SemanticValues: r.i64()}
+	m.Err = r.str()
 	if err := r.done(); err != nil {
 		return RoundDone{}, 0, err
 	}
@@ -700,125 +725,35 @@ func decodeState(p []byte) (State, error) {
 	return m, r.done()
 }
 
-// Remesh tells a node to tear down its data mesh and rebuild it at Gen —
-// the uniform recovery step after a peer is respawned: connections of any
-// older generation are closed, so stale in-flight frames die with them.
-type Remesh struct {
-	Seq uint64
-	Gen uint32
-}
-
-func (m Remesh) encodeInto(w *cwriter) {
-	w.u64(m.Seq)
-	w.u32(m.Gen)
-}
-
-func decodeRemesh(p []byte) (Remesh, error) {
-	r := creader{b: p}
-	m := Remesh{Seq: r.u64(), Gen: r.u32()}
-	return m, r.done()
-}
-
 // SchedSig carries one node's per-pair scheduler signals (the integer-exact
-// counters of the sched package's signal contract, flattened into parallel
-// nparts² vectors in pair-index order). The coordinator's request ships empty
-// vectors; the node's response fills them.
+// counters of the sched package's signal contract, one 5×i64 record per pair
+// in pair-index order). The coordinator's request ships none; the node's
+// response fills them.
 type SchedSig struct {
-	Seq         uint64
-	Draws       []int64
-	BitsSum     []int64
-	BitsCalls   []int64
-	EFUnits     []int64
-	EFCorrected []int64
-	Err         string
+	Seq     uint64
+	Signals []sched.Signals
+	Err     string
 }
 
 func (m SchedSig) encodeInto(w *cwriter) {
 	w.u64(m.Seq)
-	w.i64s(m.Draws)
-	w.i64s(m.BitsSum)
-	w.i64s(m.BitsCalls)
-	w.i64s(m.EFUnits)
-	w.i64s(m.EFCorrected)
+	w.u32(uint32(len(m.Signals)))
+	for _, s := range m.Signals {
+		w.i64(s.Draws)
+		w.i64(s.BitsSum)
+		w.i64(s.BitsCalls)
+		w.i64(s.EFUnits)
+		w.i64(s.EFCorrected)
+	}
 	w.str(m.Err)
 }
 
 func decodeSchedSig(p []byte) (SchedSig, error) {
 	r := creader{b: p}
-	m := SchedSig{
-		Seq:         r.u64(),
-		Draws:       r.i64s(),
-		BitsSum:     r.i64s(),
-		BitsCalls:   r.i64s(),
-		EFUnits:     r.i64s(),
-		EFCorrected: r.i64s(),
-		Err:         r.str(),
+	m := SchedSig{Seq: r.u64(), Signals: list[sched.Signals](&r, 40)}
+	for i := range m.Signals {
+		m.Signals[i] = sched.Signals{Draws: r.i64(), BitsSum: r.i64(), BitsCalls: r.i64(), EFUnits: r.i64(), EFCorrected: r.i64()}
 	}
-	if err := r.done(); err != nil {
-		return SchedSig{}, err
-	}
-	n := len(m.Draws)
-	if len(m.BitsSum) != n || len(m.BitsCalls) != n || len(m.EFUnits) != n || len(m.EFCorrected) != n {
-		return SchedSig{}, fmt.Errorf("%w: sched signal vectors %d/%d/%d/%d/%d must agree",
-			errBadControl, n, len(m.BitsSum), len(m.BitsCalls), len(m.EFUnits), len(m.EFCorrected))
-	}
-	return m, nil
-}
-
-// signals converts the wire vectors to the sched package's per-pair view.
-func (m SchedSig) signals() []sched.Signals {
-	out := make([]sched.Signals, len(m.Draws))
-	for i := range out {
-		out[i] = sched.Signals{
-			Draws: m.Draws[i], BitsSum: m.BitsSum[i], BitsCalls: m.BitsCalls[i],
-			EFUnits: m.EFUnits[i], EFCorrected: m.EFCorrected[i],
-		}
-	}
-	return out
-}
-
-// schedSigFrom flattens a node's signal snapshot onto the wire vectors.
-func schedSigFrom(seq uint64, sigs []sched.Signals) SchedSig {
-	m := SchedSig{
-		Seq:         seq,
-		Draws:       make([]int64, len(sigs)),
-		BitsSum:     make([]int64, len(sigs)),
-		BitsCalls:   make([]int64, len(sigs)),
-		EFUnits:     make([]int64, len(sigs)),
-		EFCorrected: make([]int64, len(sigs)),
-	}
-	for i, s := range sigs {
-		m.Draws[i], m.BitsSum[i], m.BitsCalls[i] = s.Draws, s.BitsSum, s.BitsCalls
-		m.EFUnits[i], m.EFCorrected[i] = s.EFUnits, s.EFCorrected
-	}
-	return m
-}
-
-// SchedUpdate broadcasts the coordinator's decided per-pair rung levels for
-// epoch Epoch. Every node applies them before processing the epoch frame, so
-// the fleet reconfigures on the same boundary the self-advancing runtimes do.
-type SchedUpdate struct {
-	Seq    uint64
-	Epoch  int32
-	Levels []int32
-}
-
-func (m SchedUpdate) encodeInto(w *cwriter) {
-	w.u64(m.Seq)
-	w.i32(m.Epoch)
-	w.i32s(m.Levels)
-}
-
-func decodeSchedUpdate(p []byte) (SchedUpdate, error) {
-	r := creader{b: p}
-	m := SchedUpdate{Seq: r.u64(), Epoch: r.i32(), Levels: r.i32s()}
-	if err := r.done(); err != nil {
-		return SchedUpdate{}, err
-	}
-	for i, lv := range m.Levels {
-		if lv < 0 {
-			return SchedUpdate{}, fmt.Errorf("%w: pair %d schedule level %d", errBadControl, i, lv)
-		}
-	}
-	return m, nil
+	m.Err = r.str()
+	return m, r.done()
 }

@@ -6,11 +6,13 @@ import (
 	"errors"
 	"io"
 	stdnet "net"
+	"slices"
 	"testing"
 
 	"scgnn/internal/core"
 	"scgnn/internal/dist"
 	"scgnn/internal/sched"
+	"scgnn/internal/simnet"
 	"scgnn/internal/tensor"
 )
 
@@ -103,8 +105,12 @@ func TestControlRoundtrips(t *testing.T) {
 	}
 
 	ep, err := decodeEpoch(encode(Epoch{Epoch: 6, Eval: true}))
-	if err != nil || ep.Epoch != 6 || !ep.Eval {
+	if err != nil || ep.Epoch != 6 || !ep.Eval || ep.Levels != nil {
 		t.Fatalf("epoch: %+v, %v", ep, err)
+	}
+	ep, err = decodeEpoch(encode(Epoch{Epoch: 4, Levels: []int32{0, 2, 1, 3}}))
+	if err != nil || ep.Epoch != 4 || ep.Eval || len(ep.Levels) != 4 || ep.Levels[1] != 2 {
+		t.Fatalf("epoch with levels: %+v, %v", ep, err)
 	}
 
 	rd, err := decodeRoundScratch(encode(Round{Seq: 2, Backward: true, Cols: 2,
@@ -121,9 +127,11 @@ func TestControlRoundtrips(t *testing.T) {
 
 	// A RoundDone lands in the rows the receiver names, and only there.
 	out := tensor.New(3, 1)
+	work := simnet.Work{ComputeFlops: 40, QuantValues: 3, SampleEdges: 5, CacheValues: 7, SemanticValues: 11}
 	done, nout, err := decodeRoundDone(encode(RoundDone{Seq: 2, Out: tensor.FromRows([][]float64{{5}}),
-		Bytes: []int64{0, 9}, Msgs: []int64{0, 1}, Err: ""}), out, []int32{2})
-	if err != nil || nout != 1 || out.Data[2] != 5 || out.Data[0] != 0 || done.Bytes[1] != 9 || done.Msgs[1] != 1 {
+		Bytes: []int64{0, 9}, Msgs: []int64{0, 1}, Work: work, Err: ""}), out, []int32{2})
+	if err != nil || nout != 1 || out.Data[2] != 5 || out.Data[0] != 0 || done.Bytes[1] != 9 || done.Msgs[1] != 1 ||
+		done.Work != work {
 		t.Fatalf("round-done: %+v, %d, %v into %v", done, nout, err, out.Data)
 	}
 	// A float section of another size than the receiver expects is skipped,
@@ -153,33 +161,18 @@ func TestControlRoundtrips(t *testing.T) {
 		t.Fatalf("state: %+v, %v", st, err)
 	}
 
-	rm, err := decodeRemesh(encode(Remesh{Seq: 7, Gen: 2}))
-	if err != nil || rm.Gen != 2 {
-		t.Fatalf("remesh: %+v, %v", rm, err)
-	}
-
-	sig := schedSigFrom(8, []sched.Signals{
+	sigs := []sched.Signals{
 		{Draws: 3, BitsSum: 12, BitsCalls: 2, EFUnits: 1, EFCorrected: 9},
 		{Draws: 4},
-	})
-	gotSig, err := decodeSchedSig(encode(sig))
-	if err != nil || gotSig.Seq != 8 || len(gotSig.Draws) != 2 ||
-		gotSig.BitsSum[0] != 12 || gotSig.EFCorrected[0] != 9 || gotSig.Draws[1] != 4 {
+	}
+	gotSig, err := decodeSchedSig(encode(SchedSig{Seq: 8, Signals: sigs}))
+	if err != nil || gotSig.Seq != 8 || !slices.Equal(gotSig.Signals, sigs) {
 		t.Fatalf("sched-sig: %+v, %v", gotSig, err)
 	}
-	back := gotSig.signals()
-	if back[0].BitsCalls != 2 || back[1].Draws != 4 {
-		t.Fatalf("sched-sig signals: %+v", back)
-	}
-	// The request shape (empty vectors, just a Seq) round-trips too.
+	// The request shape (no records, just a Seq) round-trips too.
 	req, err := decodeSchedSig(encode(SchedSig{Seq: 9}))
-	if err != nil || req.Seq != 9 || req.Draws != nil {
+	if err != nil || req.Seq != 9 || req.Signals != nil {
 		t.Fatalf("sched-sig request: %+v, %v", req, err)
-	}
-
-	su, err := decodeSchedUpdate(encode(SchedUpdate{Seq: 10, Epoch: 4, Levels: []int32{0, 2, 1, 3}}))
-	if err != nil || su.Epoch != 4 || len(su.Levels) != 4 || su.Levels[1] != 2 {
-		t.Fatalf("sched-update: %+v, %v", su, err)
 	}
 }
 
@@ -239,16 +232,18 @@ func TestControlValidation(t *testing.T) {
 	}
 	// Non-canonical bool.
 	raw := encode(Epoch{Epoch: 1})
-	raw[len(raw)-1] = 2
+	raw[4] = 2
 	if _, err := decodeEpoch(raw); !errors.Is(err, errBadControl) {
 		t.Errorf("bad bool: %v", err)
 	}
-	// Sched signal vectors of unequal length.
-	if _, err := decodeSchedSig(encode(SchedSig{Draws: []int64{1, 2}, BitsSum: []int64{1}})); !errors.Is(err, errBadControl) {
-		t.Errorf("ragged sched-sig: %v", err)
+	// A sched signal record cut short: two records declared, one and a
+	// half present.
+	sig := encode(SchedSig{Signals: []sched.Signals{{Draws: 1}, {Draws: 2}}})
+	if _, err := decodeSchedSig(append(sig[:8+4+40+8], sig[len(sig)-4:]...)); !errors.Is(err, errBadControl) {
+		t.Errorf("torn sched-sig record: %v", err)
 	}
 	// Negative schedule level.
-	if _, err := decodeSchedUpdate(encode(SchedUpdate{Levels: []int32{0, -1}})); !errors.Is(err, errBadControl) {
+	if _, err := decodeEpoch(encode(Epoch{Levels: []int32{0, -1}})); !errors.Is(err, errBadControl) {
 		t.Errorf("negative sched level: %v", err)
 	}
 }

@@ -25,7 +25,7 @@ type CoordOptions struct {
 	DialRetries int
 	DialBackoff time.Duration
 	// RoundTimeout bounds each control request round-trip. Default 30s.
-	// Setup and Remesh wait for full mesh assembly and get 2x.
+	// Setup waits for full mesh assembly and gets 2x, and so do rounds.
 	RoundTimeout time.Duration
 	// Logf receives progress lines (default: discarded).
 	Logf func(format string, args ...any)
@@ -74,10 +74,10 @@ type Coordinator struct {
 
 	// The gnn.RoundReuser state: aggGen moves on every event that can change
 	// what a round computes on a fixed input (Setup, a rung change,
-	// Repartition, RestoreStates, Remesh, RecoverNode); epoch is the pass's
-	// epoch and eval marks a measurement-only pass; round is the next round's
-	// ordinal in the pass, and skipped says a round has been served from the
-	// model's buffer since the last Round frame, which must then carry it.
+	// Repartition, RestoreStates); epoch is the pass's epoch and eval marks a
+	// measurement-only pass; round is the next round's ordinal in the pass,
+	// and skipped says a round has been served from the model's buffer since
+	// the last Round frame, which must then carry it.
 	aggGen  uint64
 	epoch   int
 	eval    bool
@@ -86,6 +86,7 @@ type Coordinator struct {
 
 	fabric *simnet.Fabric
 	shard  *simnet.ShardCounter
+	work   simnet.Work // the nodes' processing counters since the epoch began
 	dones  []RoundDone // the replies of the round in flight, by node
 
 	mu sync.Mutex // guards conns for Close from other goroutines
@@ -105,37 +106,27 @@ func NewCoordinator(addrs []string, opts CoordOptions) *Coordinator {
 	}
 }
 
-// Connect dials every node's control channel with retry/backoff.
+// Connect dials every node's control channel with retry/backoff, closing
+// any it held first. It starts a run, and it starts the one recovery path:
+// after a failure (a node killed and respawned on its address, a torn mesh),
+// Connect, Setup on the partition in force (Part) and ResumeCheckpoint (or
+// RestoreStates) rewind the whole fleet to the checkpoint.
 func (c *Coordinator) Connect() error {
-	for i := range c.addrs {
-		if err := c.connectNode(i); err != nil {
-			return err
+	c.Close()
+	for i, addr := range c.addrs {
+		conn, err := dialRetry(c.opts.Dial, addr, c.opts.DialRetries, c.opts.DialBackoff)
+		if err != nil {
+			return fmt.Errorf("net: coordinator dial node %d: %w", i, err)
 		}
+		fc := &framed{conn: conn}
+		if err := fc.write(frameHello, Hello{Sender: CoordID}); err != nil {
+			conn.Close()
+			return fmt.Errorf("net: coordinator hello to node %d: %w", i, err)
+		}
+		c.mu.Lock()
+		c.conns[i] = fc
+		c.mu.Unlock()
 	}
-	return nil
-}
-
-// connectNode (re)dials one node — also the first step of recovering a
-// respawned node, whose old connection is gone.
-func (c *Coordinator) connectNode(i int) error {
-	c.mu.Lock()
-	if old := c.conns[i]; old != nil {
-		old.conn.Close()
-		c.conns[i] = nil
-	}
-	c.mu.Unlock()
-	conn, err := dialRetry(c.opts.Dial, c.addrs[i], c.opts.DialRetries, c.opts.DialBackoff)
-	if err != nil {
-		return fmt.Errorf("net: coordinator dial node %d: %w", i, err)
-	}
-	fc := &framed{conn: conn}
-	if err := fc.write(frameHello, Hello{Sender: CoordID}); err != nil {
-		conn.Close()
-		return fmt.Errorf("net: coordinator hello to node %d: %w", i, err)
-	}
-	c.mu.Lock()
-	c.conns[i] = fc
-	c.mu.Unlock()
 	return nil
 }
 
@@ -211,11 +202,12 @@ func (c *Coordinator) broadcast(fn func(i int) error) error {
 }
 
 // Setup distributes the training topology: every node receives the graph,
-// the partition vector, the method config, and the peer address list, then
-// assembles the data mesh at the current generation. Must run concurrently
-// across nodes (mesh assembly blocks until all peers dial in), which
-// broadcast provides. A grouping similarity the Setup frame cannot name is an
-// error before anything is sent.
+// the partition vector, the method config, and the peer address list,
+// rebuilds its peer from them, and assembles the data mesh at a new
+// generation, so a late dial from an earlier assembly is refused. Must run
+// concurrently across nodes (mesh assembly blocks until all peers dial in),
+// which broadcast provides. A grouping similarity the Setup frame cannot name
+// is an error before anything is sent.
 func (c *Coordinator) Setup(g *graph.Graph, part []int, cfg dist.Config) error {
 	if len(part) != g.NumNodes() {
 		return fmt.Errorf("net: partition length %d, graph has %d nodes", len(part), g.NumNodes())
@@ -226,6 +218,7 @@ func (c *Coordinator) Setup(g *graph.Graph, part []int, cfg dist.Config) error {
 	c.g = g
 	c.part = append([]int(nil), part...)
 	c.cfg = cfg
+	c.gen++
 	c.aggGen++
 	c.sched = nil
 	if cfg.Sched.Enabled {
@@ -233,7 +226,10 @@ func (c *Coordinator) Setup(g *graph.Graph, part []int, cfg dist.Config) error {
 	}
 	c.rebuildOwn()
 	shared := c.setupShared()
-	return c.broadcast(func(i int) error { return c.setupNode(i, shared) })
+	return c.broadcast(func(i int) error {
+		m := Setup{NParts: int32(c.nparts), Me: int32(i), Gen: c.gen, shared: shared}
+		return c.requestAck(i, frameSetup, m, 2*c.opts.RoundTimeout)
+	})
 }
 
 // setupShared encodes the node-independent part of the Setup frame, once.
@@ -255,13 +251,6 @@ func (c *Coordinator) setupShared() []byte {
 	return w.b
 }
 
-// setupNode ships the current topology to one node (used by Setup for all,
-// and by recovery for the respawned node alone).
-func (c *Coordinator) setupNode(i int, shared []byte) error {
-	m := Setup{NParts: int32(c.nparts), Me: int32(i), Gen: c.gen, shared: shared}
-	return c.requestAck(i, frameSetup, m, 2*c.opts.RoundTimeout)
-}
-
 func (c *Coordinator) rebuildOwn() {
 	c.own = make([][]int32, c.nparts)
 	for u, p := range c.part {
@@ -271,35 +260,39 @@ func (c *Coordinator) rebuildOwn() {
 
 // StartEpoch resets the per-epoch traffic capture, runs the schedule step
 // (when variable-rate scheduling is on), and marks the epoch boundary on
-// every node. The schedule step must precede the epoch frame so nodes
-// reconfigure their pair streams on the same boundary the self-advancing
-// runtimes do.
-func (c *Coordinator) StartEpoch(epoch int) {
-	c.fabric.Reset()
-	c.epoch, c.eval, c.round, c.skipped = epoch, false, 0, false
-	c.mustSchedule(epoch)
-	c.mustBroadcastEpoch(Epoch{Epoch: int32(epoch)})
-}
+// every node with an Epoch frame carrying the decided levels, which each node
+// applies before it starts the epoch — the same boundary the self-advancing
+// runtimes reconfigure their pair streams on.
+func (c *Coordinator) StartEpoch(epoch int) { c.startEpoch(epoch, false) }
 
 // StartEvalEpoch marks a measurement-only pass on every node. The schedule
 // still advances: the in-process runtimes run their epoch prologue on eval
 // passes too, and equivalence demands identical decision sequences.
-func (c *Coordinator) StartEvalEpoch(epoch int) {
+func (c *Coordinator) StartEvalEpoch(epoch int) { c.startEpoch(epoch, true) }
+
+func (c *Coordinator) startEpoch(epoch int, eval bool) {
 	c.fabric.Reset()
-	c.epoch, c.eval, c.round, c.skipped = epoch, true, 0, false
-	c.mustSchedule(epoch)
-	c.mustBroadcastEpoch(Epoch{Epoch: int32(epoch), Eval: true})
+	c.work = simnet.Work{}
+	c.epoch, c.eval, c.round, c.skipped = epoch, eval, 0, false
+	m := Epoch{Epoch: int32(epoch), Eval: eval}
+	if c.sched != nil {
+		c.mustSchedule(epoch)
+		m.Levels = toInt32s(c.sched.Levels())
+	}
+	err := c.broadcast(func(i int) error {
+		return c.requestAck(i, frameEpoch, m, c.opts.RoundTimeout)
+	})
+	if err != nil {
+		panic(fmt.Errorf("net: epoch marker: %w", err))
+	}
 }
 
 // mustSchedule performs one epoch-boundary schedule step: gather every
-// node's signal snapshot, merge them under the sched exactness contract, run
-// the pure decision function, and broadcast the decided levels. The gather
-// and the broadcast both fan out concurrently; the decision itself happens
-// once, on the coordinator, so the fleet cannot split-brain a schedule.
+// node's signal snapshot, merge them under the sched exactness contract, and
+// run the pure decision function. The gather fans out concurrently; the
+// decision itself happens once, on the coordinator, so the fleet cannot
+// split-brain a schedule.
 func (c *Coordinator) mustSchedule(epoch int) {
-	if c.sched == nil {
-		return
-	}
 	c.seq++
 	seq := c.seq
 	perNode := make([][]sched.Signals, c.nparts)
@@ -315,11 +308,11 @@ func (c *Coordinator) mustSchedule(epoch int) {
 		if sig.Err != "" {
 			return fmt.Errorf("node %d: %w: %s", i, ErrRemote, sig.Err)
 		}
-		if len(sig.Draws) != c.nparts*c.nparts {
+		if len(sig.Signals) != c.nparts*c.nparts {
 			return fmt.Errorf("node %d: %w: %d pair signals, want %d",
-				i, ErrProtocol, len(sig.Draws), c.nparts*c.nparts)
+				i, ErrProtocol, len(sig.Signals), c.nparts*c.nparts)
 		}
-		perNode[i] = sig.signals()
+		perNode[i] = sig.Signals
 		return nil
 	})
 	if err != nil {
@@ -327,14 +320,6 @@ func (c *Coordinator) mustSchedule(epoch int) {
 	}
 	if len(c.sched.Advance(epoch, sched.MergeNodeSignals(c.nparts, perNode))) > 0 {
 		c.aggGen++
-	}
-	c.seq++
-	m := SchedUpdate{Seq: c.seq, Epoch: int32(epoch), Levels: toInt32s(c.sched.Levels())}
-	err = c.broadcast(func(i int) error {
-		return c.requestAck(i, frameSchedUpdate, m, c.opts.RoundTimeout)
-	})
-	if err != nil {
-		panic(fmt.Errorf("net: schedule update: %w", err))
 	}
 }
 
@@ -345,15 +330,6 @@ func (c *Coordinator) ScheduleLevels() []int {
 		return nil
 	}
 	return c.sched.Levels()
-}
-
-func (c *Coordinator) mustBroadcastEpoch(m Epoch) {
-	err := c.broadcast(func(i int) error {
-		return c.requestAck(i, frameEpoch, m, c.opts.RoundTimeout)
-	})
-	if err != nil {
-		panic(fmt.Errorf("net: epoch marker: %w", err))
-	}
 }
 
 // ReuseRound implements gnn.RoundReuser for the model the coordinator
@@ -384,9 +360,14 @@ func (c *Coordinator) setting(idx int) sched.Setting {
 	return c.cfg.BaseSetting()
 }
 
-// CaptureEpoch freezes this epoch's traffic counters (per-link byte and
-// message totals identical to the in-process cluster's accounting).
-func (c *Coordinator) CaptureEpoch() simnet.Snapshot { return c.fabric.Capture() }
+// CaptureEpoch freezes this epoch's traffic and processing counters: per-link
+// byte and message totals and the nodes' processing counters, summed in node
+// order, identical to the in-process cluster's accounting.
+func (c *Coordinator) CaptureEpoch() simnet.Snapshot {
+	s := c.fabric.Capture()
+	s.Work = c.work
+	return s
+}
 
 // Fabric exposes the coordinator's traffic fabric.
 func (c *Coordinator) Fabric() *simnet.Fabric { return c.fabric }
@@ -422,7 +403,8 @@ func (c *Coordinator) Round(h *tensor.Matrix, backward bool) (*tensor.Matrix, er
 // AggregateInto scatters h's owned rows to every node, runs one lockstep
 // aggregate round over the mesh, gathers the owned out rows into dst (which
 // it overwrites: every row has one owner), and folds the per-node traffic
-// deltas into the fabric — the allocation-free form gnn's models probe for.
+// deltas into the fabric and the processing counters into the epoch's — the
+// allocation-free form gnn's models probe for.
 // A mis-shaped h or dst is an error before any frame is written. An error
 // from the round leaves dst unusable and is typed: ErrPeerDown for a vanished
 // node, ErrRemote wrapping the node-side failure (itself a round timeout or
@@ -478,6 +460,7 @@ func (c *Coordinator) AggregateInto(dst, h *tensor.Matrix, backward bool) error 
 				c.shard.Add(i, d, done.Bytes[d], done.Msgs[d])
 			}
 		}
+		c.work.Add(done.Work)
 	}
 	c.fabric.Drain(c.shard)
 	return nil
@@ -588,52 +571,6 @@ func (c *Coordinator) RestoreStates(blobs [][]byte) error {
 	if err != nil {
 		return fmt.Errorf("net: restore states: %w", err)
 	}
-	return nil
-}
-
-// Remesh rebuilds the data mesh of every node at a new generation without
-// re-running Setup — the recovery step when connections are torn (a fault
-// injector closed a socket) but every process is still alive. Must run
-// concurrently across nodes, which broadcast provides.
-func (c *Coordinator) Remesh() error {
-	c.gen++
-	c.aggGen++
-	m := Remesh{Seq: c.seq, Gen: c.gen}
-	err := c.broadcast(func(i int) error {
-		return c.requestAck(i, frameRemesh, m, 2*c.opts.RoundTimeout)
-	})
-	if err != nil {
-		return fmt.Errorf("net: remesh: %w", err)
-	}
-	return nil
-}
-
-// RecoverNode brings a respawned node back into the fleet: redial its
-// control channel, bump the mesh generation, then concurrently ship the full
-// Setup to the new node while every survivor remeshes — the uniform recovery
-// step, after which RestoreStates rewinds the whole fleet to the checkpoint.
-// The respawned process must already be listening on its original address.
-func (c *Coordinator) RecoverNode(dead int) error {
-	if dead < 0 || dead >= c.nparts {
-		return fmt.Errorf("net: recover node %d out of range", dead)
-	}
-	if err := c.connectNode(dead); err != nil {
-		return err
-	}
-	c.gen++
-	c.aggGen++
-	remesh := Remesh{Seq: c.seq, Gen: c.gen}
-	shared := c.setupShared()
-	err := c.broadcast(func(i int) error {
-		if i == dead {
-			return c.setupNode(i, shared)
-		}
-		return c.requestAck(i, frameRemesh, remesh, 2*c.opts.RoundTimeout)
-	})
-	if err != nil {
-		return fmt.Errorf("net: recover node %d: %w", dead, err)
-	}
-	c.opts.Logf("coordinator: node %d recovered at gen %d", dead, c.gen)
 	return nil
 }
 

@@ -3,6 +3,7 @@ package net
 import (
 	"errors"
 	"fmt"
+	"io"
 	stdnet "net"
 	"path/filepath"
 	"strings"
@@ -12,7 +13,9 @@ import (
 
 	"scgnn/internal/core"
 	"scgnn/internal/dist"
+	"scgnn/internal/graph"
 	"scgnn/internal/tensor"
+	"scgnn/internal/worker"
 )
 
 // ---------------------------------------------------------------------------
@@ -187,11 +190,24 @@ func isTypedNetErr(err error) bool {
 		errors.Is(err, ErrPeerDown) || errors.Is(err, ErrProtocol)
 }
 
+// recoverFleet is the fleet's one recovery path: redial every node, Setup
+// the partition in force (every node rebuilds its peer and the mesh comes up
+// at a new generation), and rewind every node to the boundary blobs.
+func recoverFleet(tc *testCluster, g *graph.Graph, cfg dist.Config, blobs [][]byte) error {
+	if err := tc.coord.Connect(); err != nil {
+		return err
+	}
+	if err := tc.coord.Setup(g, tc.coord.Part(), cfg); err != nil {
+		return err
+	}
+	return tc.coord.RestoreStates(blobs)
+}
+
 // TestFaultInjection is the fault matrix on frame boundaries. Node 2's
 // outgoing mesh connections run through a faultPlan; each scenario must end
 // in either full transparency (delay, duplicate — the stale-sequence drop
 // rule absorbs them) or a typed error followed by bit-correct recovery via
-// Remesh + RestoreStates (drop, truncate). The epoch outputs of every run
+// recoverFleet (drop, truncate). The epoch outputs of every run
 // must match a clean reference bit for bit. Nothing may hang: every wait in
 // the transport is deadline-bounded, and the test itself would time out.
 func TestFaultInjection(t *testing.T) {
@@ -252,13 +268,11 @@ func TestFaultInjection(t *testing.T) {
 					if !isTypedNetErr(err) {
 						t.Fatalf("epoch %d failed with untyped error: %v", epoch, err)
 					}
-					// Recover: rebuild the data mesh at a new generation,
-					// rewind every node to the epoch boundary, redo the epoch.
-					if err := tc.coord.Remesh(); err != nil {
-						t.Fatalf("epoch %d: remesh: %v", epoch, err)
-					}
-					if err := tc.coord.RestoreStates(blobs); err != nil {
-						t.Fatalf("epoch %d: restore: %v", epoch, err)
+					// Recover: reconnect, Setup again (the data mesh comes up
+					// at a new generation), rewind every node to the epoch
+					// boundary, redo the epoch.
+					if err := recoverFleet(tc, d.Graph, cfg, blobs); err != nil {
+						t.Fatalf("epoch %d: recover: %v", epoch, err)
 					}
 					if eo, err = runEpoch(tc, epoch, h, g); err != nil {
 						t.Fatalf("epoch %d retry after recovery: %v", epoch, err)
@@ -280,7 +294,7 @@ func TestFaultInjection(t *testing.T) {
 // scenario: a node is killed mid-training (Close drops its listener and
 // every connection, exactly what a dead process looks like to its peers),
 // the round fails with a typed error, the node is respawned on the same
-// address, and the fleet recovers via RecoverNode + RestoreStates. Training
+// address, and the fleet recovers via recoverFleet. Training
 // then continues through a Repartition that reassigns most of the dead
 // node's shard to the survivors — and every epoch aggregate matches a clean
 // run that never died, bit for bit. The forward round is 4 wide and the
@@ -345,11 +359,8 @@ func killRespawnRecover(t *testing.T, cfg dist.Config) {
 				t.Fatalf("CollectStates surfaced untyped error: %v", err)
 			}
 			tc.respawnNode(t, dead, faultNodeOpts())
-			if err := tc.coord.RecoverNode(dead); err != nil {
-				t.Fatalf("recover node: %v", err)
-			}
-			if err := tc.coord.RestoreStates(blobs); err != nil {
-				t.Fatalf("restore states: %v", err)
+			if err := recoverFleet(tc, d.Graph, cfg, blobs); err != nil {
+				t.Fatalf("recover: %v", err)
 			}
 		}
 		eo, err := runEpoch(tc, epoch, h, g)
@@ -389,8 +400,8 @@ func recoveryPartition(part []int, dead, nparts int) []int {
 
 // TestDeadNodeStaysTyped locks in the "never a hang" guarantee when a peer
 // stays dead: every coordinator operation against it fails with ErrPeerDown
-// through the full retry schedule, including a RecoverNode attempt when
-// nothing was respawned on the address.
+// through the full retry schedule, including the reconnect that starts
+// recovery when nothing was respawned on the address.
 func TestDeadNodeStaysTyped(t *testing.T) {
 	const nparts = 3
 	cfg := dist.Config{Seed: 3}
@@ -411,10 +422,10 @@ func TestDeadNodeStaysTyped(t *testing.T) {
 	if _, err := tc.coord.CollectStates(); !isTypedNetErr(err) {
 		t.Fatalf("collect: got %v, want typed transport error", err)
 	}
-	// Nobody listening on the address at all: RecoverNode must exhaust the
-	// dial schedule and report ErrPeerDown.
-	if err := tc.coord.RecoverNode(0); !errors.Is(err, ErrPeerDown) {
-		t.Fatalf("recover: got %v, want ErrPeerDown", err)
+	// Nobody listening on the address at all: the reconnect must exhaust
+	// the dial schedule and report ErrPeerDown.
+	if err := tc.coord.Connect(); !errors.Is(err, ErrPeerDown) {
+		t.Fatalf("reconnect: got %v, want ErrPeerDown", err)
 	}
 }
 
@@ -430,6 +441,55 @@ func TestSetupBadQuantBits(t *testing.T) {
 	}
 	if err := tc.coord.Setup(d.Graph, part, dist.Config{QuantBits: 8}); err != nil {
 		t.Fatalf("good setup after a rejected one: %v", err)
+	}
+	tc.coord.Shutdown()
+}
+
+// TestSetupRefusesEarlierGeneration: every Setup assembles its data mesh at
+// a new generation, so a mesh dial from an earlier assembly that reaches a
+// node late is closed, not admitted in place of the peer's real link — and
+// the fleet built by the second Setup still agrees with the cluster.
+func TestSetupRefusesEarlierGeneration(t *testing.T) {
+	const nparts = 2
+	d, part, _ := testGraph(t, nparts)
+	cfg := dist.Config{QuantBits: 8, Seed: 4}
+	tc := startCluster(t, nparts, faultNodeOpts(), faultCoordOpts())
+	if err := tc.coord.Setup(d.Graph, part, cfg); err != nil {
+		t.Fatalf("first setup: %v", err)
+	}
+	// Node 1's dial of the first assembly, arriving after it: parked on
+	// node 0 until the next assembly looks at it.
+	conn, err := stdnet.Dial("unix", tc.addrs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if err := (&framed{conn: conn}).write(frameHello, Hello{Sender: 1, Gen: tc.coord.gen}); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(2 * time.Second); len(tc.nodes[0].incoming) == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the late dial never reached node 0's assembly queue")
+		}
+	}
+	if err := tc.coord.Setup(d.Graph, part, cfg); err != nil {
+		t.Fatalf("second setup: %v", err)
+	}
+	conn.SetReadDeadline(time.Now().Add(time.Second))
+	if _, err := conn.Read(make([]byte, 1)); err != io.EOF {
+		t.Fatalf("late dial from the first Setup, after the second: read %v, want io.EOF (closed)", err)
+	}
+	cl := worker.NewClusterFromConfig(d.Graph, part, nparts, cfg)
+	defer cl.Close()
+	h := randMat(d.NumNodes(), 4, 57)
+	cl.StartEpoch(0)
+	tc.coord.StartEpoch(0)
+	got, err := tc.coord.Round(h, false)
+	if err != nil {
+		t.Fatalf("round after the second setup: %v", err)
+	}
+	if !got.Equal(cl.Forward(h), 0) {
+		t.Fatal("round after the second setup diverged from cluster")
 	}
 	tc.coord.Shutdown()
 }

@@ -3,8 +3,8 @@
 // worker.Peer, exchanging length-prefixed wire.Batch frames over TCP or
 // unix sockets, while a coordinator (cmd/scgnn-train -nodes, which trains
 // through dist.Train) owns the model and drives the round barrier, epoch
-// markers, Repartition plan swaps, and checkpoint/restore over a control
-// channel.
+// markers (which carry the schedule's decisions), Repartition plan swaps, and
+// checkpoint/restore over a control channel.
 //
 // The in-process runtimes (dist.Engine, worker.Cluster) stay untouched as
 // the correctness oracle: the equivalence tests in this package lock the
@@ -44,21 +44,19 @@ const maxFrameLen = 256 << 20
 type frameType uint8
 
 const (
-	frameHello       frameType = 1 + iota // identity + mesh generation, first frame on every conn
-	frameSetup                            // coordinator → node: graph, partition, config, peer addresses
-	frameAck                              // generic completion (+ optional error) for control requests
-	frameEpoch                            // coordinator → node: epoch boundary / eval marker
-	frameRound                            // coordinator → node: run one aggregate round (scattered h rows)
-	frameRoundDone                        // node → coordinator: owned out rows + traffic delta (+ error)
-	frameBatch                            // node → node: one wire.Batch buffer, sequence-tagged
-	frameRepart                           // coordinator → node: repartition plan swap
-	frameRepartDone                       // node → coordinator: dirty pair set (+ error)
-	frameState                            // node → coordinator: checkpointed peer state blob
-	frameRestore                          // coordinator → node: peer state blob to restore
-	frameRemesh                           // coordinator → node: rebuild the data mesh at a new generation
-	frameShutdown                         // coordinator → node: exit the serve loop
-	frameSchedSig                         // coordinator → node: request per-pair scheduler signals; node replies in kind
-	frameSchedUpdate                      // coordinator → node: decided per-pair schedule levels for the coming epoch
+	frameHello      frameType = 1 + iota // identity + mesh generation, first frame on every conn
+	frameSetup                           // coordinator → node: graph, partition, config, peer addresses
+	frameAck                             // generic completion (+ optional error) for control requests
+	frameEpoch                           // coordinator → node: epoch boundary / eval marker (+ the decided schedule levels)
+	frameRound                           // coordinator → node: run one aggregate round (scattered h rows)
+	frameRoundDone                       // node → coordinator: owned out rows + traffic and processing deltas (+ error)
+	frameBatch                           // node → node: one wire.Batch buffer, sequence-tagged
+	frameRepart                          // coordinator → node: repartition plan swap
+	frameRepartDone                      // node → coordinator: dirty pair set (+ error)
+	frameState                           // node → coordinator: checkpointed peer state blob
+	frameRestore                         // coordinator → node: peer state blob to restore
+	frameShutdown                        // coordinator → node: exit the serve loop
+	frameSchedSig                        // coordinator → node: request per-pair scheduler signals; node replies in kind
 )
 
 var (

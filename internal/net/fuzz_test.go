@@ -15,6 +15,7 @@ import (
 
 	"scgnn/internal/exchange"
 	"scgnn/internal/sched"
+	"scgnn/internal/simnet"
 	"scgnn/internal/tensor"
 	"scgnn/internal/worker"
 )
@@ -98,20 +99,8 @@ func reencode(ft frameType, payload []byte) (enc []byte, known bool, err error) 
 			return nil, true, err
 		}
 		return encode(m), true, nil
-	case frameRemesh:
-		m, err := decodeRemesh(payload)
-		if err != nil {
-			return nil, true, err
-		}
-		return encode(m), true, nil
 	case frameSchedSig:
 		m, err := decodeSchedSig(payload)
-		if err != nil {
-			return nil, true, err
-		}
-		return encode(m), true, nil
-	case frameSchedUpdate:
-		m, err := decodeSchedUpdate(payload)
 		if err != nil {
 			return nil, true, err
 		}
@@ -321,7 +310,8 @@ func frameSeeds() []corpusSeed {
 	round := Round{Seq: 9, Backward: true, Cols: 2,
 		H: tensor.FromRows([][]float64{{1, -2.5}, {0.25, 0}}), Rows: []int32{0, 1}}
 	done := RoundDone{Seq: 9, Out: tensor.FromRows([][]float64{{0.5, 1.5}}),
-		Bytes: []int64{0, 64}, Msgs: []int64{0, 3}}
+		Bytes: []int64{0, 64}, Msgs: []int64{0, 3},
+		Work: simnet.Work{ComputeFlops: 96, QuantValues: 12, SemanticValues: 4}}
 
 	truncated := frame(frameSetup, encode(setup))
 	truncated = truncated[:len(truncated)-7]
@@ -345,6 +335,7 @@ func frameSeeds() []corpusSeed {
 		{"setup", frame(frameSetup, encode(setup))},
 		{"ack", frame(frameAck, encode(Ack{Seq: 5, Err: "peer 2 unreachable"}))},
 		{"epoch", frame(frameEpoch, encode(Epoch{Epoch: 12}))},
+		{"epoch-levels", frame(frameEpoch, encode(Epoch{Epoch: 3, Eval: true, Levels: []int32{0, 1, 2, 3}}))},
 		{"round", frame(frameRound, encode(round))},
 		{"round-ordinal", frame(frameRound, encode(Round{Seq: 10, Cols: 2,
 			H: tensor.FromRows([][]float64{{0.5, -1}}), Rows: []int32{0}, Ordinal: 2}))},
@@ -353,13 +344,11 @@ func frameSeeds() []corpusSeed {
 		{"repart", frame(frameRepart, encode(Repart{Seq: 10, Part: []int32{1, 1, 0, 0}}))},
 		{"repart-done", frame(frameRepartDone, encode(RepartDone{Seq: 10, Dirty: []int32{1, 2}}))},
 		{"state", frame(frameState, encode(State{Seq: 11, Blob: []byte{0xde, 0xad}}))},
-		{"remesh", frame(frameRemesh, encode(Remesh{Seq: 12, Gen: 4}))},
-		{"sched-sig", frame(frameSchedSig, encode(schedSigFrom(13, []sched.Signals{
+		{"sched-sig", frame(frameSchedSig, encode(SchedSig{Seq: 13, Signals: []sched.Signals{
 			{Draws: 5, BitsSum: 24, BitsCalls: 4}, {EFUnits: 2, EFCorrected: 17},
 			{}, {Draws: 1},
-		})))},
+		}}))},
 		{"sched-sig-request", frame(frameSchedSig, encode(SchedSig{Seq: 13}))},
-		{"sched-update", frame(frameSchedUpdate, encode(SchedUpdate{Seq: 14, Epoch: 3, Levels: []int32{0, 1, 2, 3}}))},
 		{"shutdown", frame(frameShutdown, nil)},
 		{"multi-frame", multi},
 		{"hostile-huge-length", hugeLen},
@@ -369,20 +358,22 @@ func frameSeeds() []corpusSeed {
 		{"hostile-count-inflation", inflated},
 		{"hostile-trailing", trailing},
 		{"hostile-bad-bool", badBool},
+		{"hostile-negative-level", frame(frameEpoch, encode(Epoch{Epoch: 3, Levels: []int32{0, -1}}))},
 	}
 }
 
-// FuzzSchedUpdate targets the schedule-broadcast codec alone: the frame a
-// coordinator pushes before every scheduled epoch. Invariants mirror the
-// global decoder fuzz — no panic, typed errors only, and any accepted payload
-// is canonical — with the generator focused on this one grammar so mutation
-// explores level vectors instead of wasting cycles on unrelated frame types.
-func FuzzSchedUpdate(f *testing.F) {
-	for _, seed := range schedUpdateSeeds() {
+// FuzzEpoch targets the epoch-boundary codec alone: the frame a coordinator
+// sends every node before every epoch, carrying the schedule's decided levels
+// on a scheduled run. Invariants mirror the global decoder fuzz — no panic,
+// typed errors only, and any accepted payload is canonical — with the
+// generator focused on this one grammar so mutation explores level vectors
+// instead of wasting cycles on unrelated frame types.
+func FuzzEpoch(f *testing.F) {
+	for _, seed := range epochSeeds() {
 		f.Add(seed.data)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		m, err := decodeSchedUpdate(data)
+		m, err := decodeEpoch(data)
 		if err != nil {
 			if !errors.Is(err, errBadControl) {
 				t.Fatalf("decode error outside the typed set: %v", err)
@@ -400,19 +391,19 @@ func FuzzSchedUpdate(f *testing.F) {
 	})
 }
 
-// schedUpdateSeeds returns the FuzzSchedUpdate seed corpus: valid payloads
-// across the level-vector shapes plus the hostile framings the hand-written
-// tests pin down.
-func schedUpdateSeeds() []corpusSeed {
-	valid := encode(SchedUpdate{Seq: 3, Epoch: 7, Levels: []int32{0, 1, 2, 3, 3, 2, 1, 0, 0}})
-	negative := encode(SchedUpdate{Seq: 3, Epoch: 7, Levels: []int32{0, -1}})
+// epochSeeds returns the FuzzEpoch seed corpus: valid payloads across the
+// level-vector shapes plus the hostile framings the hand-written tests pin
+// down.
+func epochSeeds() []corpusSeed {
+	valid := encode(Epoch{Epoch: 7, Levels: []int32{0, 1, 2, 3, 3, 2, 1, 0, 0}})
+	negative := encode(Epoch{Epoch: 7, Levels: []int32{0, -1}})
 	truncated := append([]byte(nil), valid[:len(valid)-3]...)
 	inflated := append([]byte(nil), valid...)
-	inflated[8+4+3] = 0xff // high byte of the Levels count
+	inflated[4+1+3] = 0xff // high byte of the Levels count
 	return []corpusSeed{
 		{"empty", []byte{}},
 		{"valid", valid},
-		{"no-pairs", encode(SchedUpdate{Seq: 1, Epoch: 0})},
+		{"no-pairs", encode(Epoch{Epoch: 0, Eval: true})},
 		{"hostile-negative-level", negative},
 		{"hostile-truncated", truncated},
 		{"hostile-count-inflation", inflated},
@@ -468,8 +459,17 @@ func checkpointSeeds() []corpusSeed {
 	bare := seal((&TrainingCheckpoint{Epoch: 1}).encodeInto)[ckHeaderLen:]
 	badBool := append([]byte(nil), bare...)
 	badBool[len(badBool)-5] = 2 // the trainer's presence flag
+	// One two-row delay slot, its two 12-byte row records (index, one value)
+	// swapped after the 33 bytes of NParts, the empty pair and level lists,
+	// the slot count and flag, rows, cols and the row count: rows that do not
+	// ascend.
+	delay := encodePeerState(&worker.PeerState{NParts: 1,
+		Delay: []*worker.DelaySlot{{Rows: 2, Cols: 1, Index: []int32{0, 1}, Data: []float64{1, 2}}}})[ckHeaderLen:]
+	unsortedRows := slices.Concat(delay[:33], delay[45:57], delay[33:45])
 	v1 := append([]byte(nil), peer...)
 	v1[4] = 1
+	v2 := append([]byte(nil), peer...)
+	v2[4] = 2
 	return []corpusSeed{
 		{"empty", []byte{}},
 		{"checkpoint", ck},
@@ -482,6 +482,8 @@ func checkpointSeeds() []corpusSeed {
 		{"hostile-bad-bool", badBool},
 		{"hostile-trailing", append(append([]byte(nil), ck...), 0xaa)},
 		{"hostile-version-1", v1},
+		{"hostile-version-2", v2},
+		{"hostile-unsorted-delay-rows", unsortedRows},
 	}
 }
 
@@ -497,7 +499,7 @@ func TestFuzzSeedCorpus(t *testing.T) {
 	corpora := map[string][]corpusSeed{
 		"FuzzFrameDecoder":       frameSeeds(),
 		"FuzzFrameStream":        frameStreamSeeds(),
-		"FuzzSchedUpdate":        schedUpdateSeeds(),
+		"FuzzEpoch":              epochSeeds(),
 		"FuzzCheckpointDecoders": checkpointSeeds(),
 	}
 	for target, seeds := range corpora {

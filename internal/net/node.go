@@ -183,7 +183,6 @@ type Node struct {
 	peer   *worker.Peer
 	nparts int
 	me     int
-	gen    uint32
 	addrs  []string
 	mesh   []*peerConn
 	bufs   map[int]*roundBufs
@@ -350,15 +349,7 @@ func (n *Node) handleControl(fc *framed, ft frameType, payload []byte) (shutdown
 		if err != nil {
 			return false, err
 		}
-		if n.peer == nil {
-			return false, n.reply(fc, frameAck, Ack{Err: "node has no setup"})
-		}
-		if m.Eval {
-			n.peer.StartEvalEpoch(int(m.Epoch))
-		} else {
-			n.peer.StartEpoch(int(m.Epoch))
-		}
-		return false, n.reply(fc, frameAck, Ack{})
+		return false, n.reply(fc, frameAck, Ack{Err: errString(n.startEpoch(m))})
 	case frameRound:
 		m, h, err := decodeRound(payload)
 		if err != nil {
@@ -387,8 +378,10 @@ func (n *Node) handleControl(fc *framed, ft frameType, payload []byte) (shutdown
 		resp := State{Seq: m.Seq}
 		if n.peer == nil {
 			resp.Err = "node has no setup"
+		} else if st := n.peer.State(); delayValues(st) > maxDelayValues {
+			resp.Err = fmt.Sprintf("delay slots hold %d values, over the %d a checkpoint can restore", delayValues(st), maxDelayValues)
 		} else {
-			resp.Blob = encodePeerState(n.peer.State())
+			resp.Blob = encodePeerState(st)
 		}
 		return false, n.reply(fc, frameState, resp)
 	case frameRestore:
@@ -405,12 +398,6 @@ func (n *Node) handleControl(fc *framed, ft frameType, payload []byte) (shutdown
 			resp.Err = rerr.Error()
 		}
 		return false, n.reply(fc, frameAck, resp)
-	case frameRemesh:
-		m, err := decodeRemesh(payload)
-		if err != nil {
-			return false, err
-		}
-		return false, n.reply(fc, frameAck, Ack{Seq: m.Seq, Err: errString(n.buildMesh(m.Gen))})
 	case frameSchedSig:
 		m, err := decodeSchedSig(payload)
 		if err != nil {
@@ -419,30 +406,36 @@ func (n *Node) handleControl(fc *framed, ft frameType, payload []byte) (shutdown
 		resp := SchedSig{Seq: m.Seq}
 		if n.peer == nil {
 			resp.Err = "node has no setup"
-		} else if sigs := n.peer.SchedSignals(); sigs == nil {
+		} else if resp.Signals = n.peer.SchedSignals(); resp.Signals == nil {
 			resp.Err = "scheduling is off"
-		} else {
-			resp = schedSigFrom(m.Seq, sigs)
 		}
 		return false, n.reply(fc, frameSchedSig, resp)
-	case frameSchedUpdate:
-		m, err := decodeSchedUpdate(payload)
-		if err != nil {
-			return false, err
-		}
-		resp := Ack{Seq: m.Seq}
-		if n.peer == nil {
-			resp.Err = "node has no setup"
-		} else if aerr := n.peer.ApplySchedule(toInts(m.Levels)); aerr != nil {
-			resp.Err = aerr.Error()
-		}
-		return false, n.reply(fc, frameAck, resp)
 	case frameShutdown:
 		n.reply(fc, frameAck, Ack{})
 		return true, nil
 	default:
 		return false, fmt.Errorf("%w: control frame type %d", ErrProtocol, ft)
 	}
+}
+
+// startEpoch marks the boundary on the peer, applying the epoch's schedule
+// levels first. A scheduled peer needs a full level vector and an unscheduled
+// one takes none: ApplySchedule refuses both mismatches and changes nothing.
+func (n *Node) startEpoch(m Epoch) error {
+	if n.peer == nil {
+		return errors.New("node has no setup")
+	}
+	if len(m.Levels) > 0 || n.peer.ScheduleLevels() != nil {
+		if err := n.peer.ApplySchedule(toInts(m.Levels)); err != nil {
+			return err
+		}
+	}
+	if m.Eval {
+		n.peer.StartEvalEpoch(int(m.Epoch))
+	} else {
+		n.peer.StartEpoch(int(m.Epoch))
+	}
+	return nil
 }
 
 // setup rebuilds the peer from the Setup inputs and assembles the data mesh
@@ -467,16 +460,12 @@ func (n *Node) setup(m Setup) error {
 	return n.buildMesh(m.Gen)
 }
 
-// buildMesh (re)builds the data mesh at generation gen: existing connections
-// are torn down, lower-numbered peers are dialed, higher-numbered peers are
-// awaited from the accept loop. Stale-generation arrivals are discarded; the
-// whole assembly is bounded by RoundTimeout.
+// buildMesh builds the data mesh at generation gen: existing connections are
+// torn down, lower-numbered peers are dialed, higher-numbered peers are
+// awaited from the accept loop. Arrivals of another generation are closed;
+// the whole assembly is bounded by RoundTimeout.
 func (n *Node) buildMesh(gen uint32) error {
-	if n.peer == nil {
-		return errors.New("net: remesh before setup")
-	}
 	n.teardownMesh()
-	n.gen = gen
 	n.mesh = make([]*peerConn, n.nparts)
 	deadline := time.Now().Add(n.opts.RoundTimeout)
 
@@ -637,7 +626,7 @@ func (n *Node) runRound(m Round, h []byte) RoundDone {
 		return resp
 	}
 	resp.Out = bufs.out
-	resp.Bytes, resp.Msgs = n.peer.TrafficDelta()
+	resp.Bytes, resp.Msgs, resp.Work = n.peer.TrafficDelta()
 	return resp
 }
 

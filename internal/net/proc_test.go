@@ -85,8 +85,9 @@ type procTrainResult struct {
 // kill=false it is the undisturbed oracle (repartitioning at repartAt like
 // every other run). With kill=true it SIGKILLs node dead at the repartAt
 // boundary, verifies the epoch fails with a typed transport error, then
-// respawns the process, recovers the fleet (RecoverNode + checkpoint
-// restore), applies the recovery repartition, and resumes to completion.
+// respawns the process, recovers the fleet (reconnect, Setup on the
+// partition in force, checkpoint resume), applies the recovery repartition,
+// and resumes to completion.
 func runProcTraining(t *testing.T, d *datasets.Dataset, part, part2 []int, repartAt, dead int,
 	cfg dist.Config, tcfg gnn.TrainConfig, kill bool) procTrainResult {
 	t.Helper()
@@ -138,11 +139,14 @@ func runProcTraining(t *testing.T, d *datasets.Dataset, part, part2 []int, repar
 				} else if !isTypedNetErr(err) {
 					t.Fatalf("killed process surfaced untyped error: %v", err)
 				}
-				// Recovery: respawn on the same address, reattach and re-setup
-				// the node, rewind the whole fleet to the boundary checkpoint.
+				// Recovery: respawn on the same address, reconnect and re-setup
+				// every node, rewind the whole fleet to the boundary checkpoint.
 				cmds[dead] = spawnNodeProc(t, addrs[dead])
-				if err := coord.RecoverNode(dead); err != nil {
-					t.Fatalf("recover node: %v", err)
+				if err := coord.Connect(); err != nil {
+					t.Fatalf("reconnect: %v", err)
+				}
+				if err := coord.Setup(d.Graph, coord.Part(), cfg); err != nil {
+					t.Fatalf("re-setup: %v", err)
 				}
 				if err := coord.ResumeCheckpoint(ckPath, model, trainer); err != nil {
 					t.Fatalf("resume checkpoint: %v", err)

@@ -1,7 +1,10 @@
 package net
 
 import (
+	stdnet "net"
 	"path/filepath"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"scgnn/internal/dist"
@@ -26,10 +29,10 @@ func schedMatrix(seed int64) map[string]dist.Config {
 
 // TestScheduledCoordClusterEquivalenceMatrix extends the socket-vs-cluster
 // lock to scheduled runs: the coordinator gathers per-node signals over
-// SchedSig frames, decides centrally, and broadcasts SchedUpdate — and the
-// resulting per-epoch schedules, aggregates and traffic snapshots must equal
-// the self-advancing in-process cluster's exactly, through a mid-training
-// Repartition.
+// SchedSig frames, decides centrally, and sends the levels in the Epoch frame
+// — and the resulting per-epoch schedules, aggregates and epoch snapshots
+// (traffic and processing counters) must equal the self-advancing in-process
+// cluster's exactly, through a mid-training Repartition.
 func TestScheduledCoordClusterEquivalenceMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-node matrix is not short")
@@ -92,8 +95,8 @@ func TestScheduledCoordClusterEquivalenceMatrix(t *testing.T) {
 						t.Fatalf("epoch %d bwd=%v: socket aggregate diverged from cluster", epoch, bwd)
 					}
 				}
-				if cs, ns := cl.Snapshot(), tc.coord.CaptureEpoch(); cs != ns {
-					t.Fatalf("epoch %d: socket traffic %+v vs cluster %+v", epoch, ns, cs)
+				if cs, ns := cl.CaptureEpoch(), tc.coord.CaptureEpoch(); cs != ns {
+					t.Fatalf("epoch %d: socket snapshot %+v vs cluster %+v", epoch, ns, cs)
 				}
 			}
 			tc.coord.Shutdown()
@@ -102,11 +105,11 @@ func TestScheduledCoordClusterEquivalenceMatrix(t *testing.T) {
 }
 
 // TestScheduledKillRespawnRecover is the schedule-in-flight crash drill: a
-// node dies mid-anneal (pairs sitting on different rungs), is respawned (its
-// fresh peer starts at rung 0), and RecoverNode + RestoreStates must rewind
-// the fleet — node stream state, node schedule levels, AND the coordinator's
-// decision-side levels — so every remaining epoch matches an undisturbed run
-// bit for bit.
+// node dies mid-anneal (pairs sitting on different rungs), is respawned, and
+// recoverFleet must rewind the fleet: every fresh peer, and the coordinator's
+// fresh scheduler, starts at rung 0, so node stream state, node schedule
+// levels AND the coordinator's decision-side levels all come from the blobs,
+// and every remaining epoch matches an undisturbed run bit for bit.
 func TestScheduledKillRespawnRecover(t *testing.T) {
 	const (
 		nparts = 3
@@ -150,11 +153,8 @@ func TestScheduledKillRespawnRecover(t *testing.T) {
 				t.Fatalf("dead node surfaced untyped error: %v", err)
 			}
 			tc.respawnNode(t, dead, faultNodeOpts())
-			if err := tc.coord.RecoverNode(dead); err != nil {
-				t.Fatalf("recover node: %v", err)
-			}
-			if err := tc.coord.RestoreStates(blobs); err != nil {
-				t.Fatalf("restore states: %v", err)
+			if err := recoverFleet(tc, d.Graph, cfg, blobs); err != nil {
+				t.Fatalf("recover: %v", err)
 			}
 		}
 		eo, err := runEpoch(tc, epoch, h, g)
@@ -240,4 +240,73 @@ func TestScheduledCheckpointResume(t *testing.T) {
 		t.Fatalf("resumed TestAcc %v, uninterrupted %v", got.TestAcc, want.TestAcc)
 	}
 	res.tc.coord.Shutdown()
+}
+
+// frameCountConn counts the frames written on a connection: framed.write
+// makes one Write call per frame.
+type frameCountConn struct {
+	stdnet.Conn
+	n *atomic.Int64
+}
+
+func (c frameCountConn) Write(p []byte) (int, error) {
+	c.n.Add(1)
+	return c.Conn.Write(p)
+}
+
+// TestScheduledBoundaryFrames: a scheduled epoch boundary, training or eval,
+// is two control round trips per node — the SchedSig gather and the Epoch
+// frame carrying the decided levels — and an unscheduled one is the Epoch
+// frame alone.
+func TestScheduledBoundaryFrames(t *testing.T) {
+	const nparts = 3
+	d, part, _ := testGraph(t, nparts)
+	for name, tt := range map[string]struct {
+		cfg  dist.Config
+		want int64
+	}{
+		"scheduled":   {dist.Config{QuantBits: 8, ErrorFeedback: true, Seed: 2, Sched: sched.Policy{Enabled: true, EpochsPerLevel: 1}}, 2},
+		"unscheduled": {dist.Config{QuantBits: 8, ErrorFeedback: true, Seed: 2}, 1},
+	} {
+		t.Run(name, func(t *testing.T) {
+			var mu sync.Mutex
+			written := map[string]*atomic.Int64{}
+			opts := quickCoordOpts()
+			opts.Dial = func(network, addr string) (stdnet.Conn, error) {
+				conn, err := stdnet.Dial(network, addr)
+				if err != nil {
+					return nil, err
+				}
+				mu.Lock()
+				defer mu.Unlock()
+				written[addr] = new(atomic.Int64)
+				return frameCountConn{conn, written[addr]}, nil
+			}
+			tc := startCluster(t, nparts, quickNodeOpts(), opts)
+			if err := tc.coord.Setup(d.Graph, part, tt.cfg); err != nil {
+				t.Fatalf("setup: %v", err)
+			}
+			h := randMat(d.NumNodes(), 4, 7)
+			for epoch := 0; epoch < 4; epoch++ {
+				before := make([]int64, nparts)
+				for i, addr := range tc.addrs {
+					before[i] = written[addr].Load()
+				}
+				if epoch == 3 {
+					tc.coord.StartEvalEpoch(epoch)
+				} else {
+					tc.coord.StartEpoch(epoch)
+				}
+				for i, addr := range tc.addrs {
+					if n := written[addr].Load() - before[i]; n != tt.want {
+						t.Fatalf("epoch %d: the boundary wrote %d control frames to node %d, want %d", epoch, n, i, tt.want)
+					}
+				}
+				if _, err := tc.coord.Round(h, false); err != nil {
+					t.Fatalf("epoch %d: %v", epoch, err)
+				}
+			}
+			tc.coord.Shutdown()
+		})
+	}
 }

@@ -121,8 +121,8 @@ func quickCoordOpts() CoordOptions {
 // the multi-node socket deployment must agree with the in-process
 // worker.Cluster on every method combination, through a mid-training
 // Repartition — aggregate values bit for bit (nodes and cluster workers run
-// the one round body, summing inbound batches in sender order) and per-epoch
-// traffic snapshots exactly. A semantic lane grouped by Jaccard similarity
+// the one round body, summing inbound batches in sender order) and the whole
+// per-epoch CaptureEpoch snapshot, traffic and processing counters, exactly. A semantic lane grouped by Jaccard similarity
 // holds the fleet to the similarity it was given.
 func TestCoordClusterEquivalenceMatrix(t *testing.T) {
 	if testing.Short() {
@@ -187,8 +187,8 @@ func TestCoordClusterEquivalenceMatrix(t *testing.T) {
 						t.Fatalf("epoch %d bwd=%v: socket aggregate diverged from cluster", epoch, bwd)
 					}
 				}
-				if cs, ns := cl.Snapshot(), tc.coord.CaptureEpoch(); cs != ns {
-					t.Fatalf("epoch %d: socket traffic %+v vs cluster %+v", epoch, ns, cs)
+				if cs, ns := cl.CaptureEpoch(), tc.coord.CaptureEpoch(); cs != ns {
+					t.Fatalf("epoch %d: socket snapshot %+v vs cluster %+v", epoch, ns, cs)
 				}
 			}
 			tc.coord.Shutdown()

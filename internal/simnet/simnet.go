@@ -196,12 +196,28 @@ type Snapshot struct {
 	MaxInboundMessages        int64
 	MaxOutboundBytes          int64
 	MaxOutboundMessages       int64
-	// Processing counters, filled in by the training engine:
+	Work
+}
+
+// Work is a snapshot's processing counters, filled in by the runtime that
+// ran the rounds (and the model's dense flops by the run loop). Each is an
+// exact integer sum, so per-worker shares add up to the same totals in any
+// order.
+type Work struct {
 	ComputeFlops   int64 // dense model compute (matmuls + aggregates)
 	QuantValues    int64 // values pushed through the quantize/dequantize pair
 	SampleEdges    int64 // cross edges scanned while rebuilding the sampled adjacency
 	CacheValues    int64 // stale values read+written by delayed transmission
 	SemanticValues int64 // values fused/delivered by semantic compression
+}
+
+// Add adds o's counters into w.
+func (w *Work) Add(o Work) {
+	w.ComputeFlops += o.ComputeFlops
+	w.QuantValues += o.QuantValues
+	w.SampleEdges += o.SampleEdges
+	w.CacheValues += o.CacheValues
+	w.SemanticValues += o.SemanticValues
 }
 
 // Capture freezes the fabric counters into a snapshot.

@@ -86,7 +86,7 @@ func TestEpochTimeComponents(t *testing.T) {
 	s := Snapshot{
 		MaxInboundBytes: 200, MaxInboundMessages: 3,
 		MaxOutboundBytes: 100, MaxOutboundMessages: 1,
-		ComputeFlops: 10, QuantValues: 1, SampleEdges: 1, CacheValues: 1, SemanticValues: 1,
+		Work: Work{ComputeFlops: 10, QuantValues: 1, SampleEdges: 1, CacheValues: 1, SemanticValues: 1},
 	}
 	// comm = max(3*1 + 200/100, 1*1 + 100/100) = 5; compute = 5;
 	// overhead = 2+3+4+5 = 14.

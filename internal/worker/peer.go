@@ -3,9 +3,12 @@ package worker
 import (
 	"errors"
 	"fmt"
+	"math"
+	"slices"
 
 	"scgnn/internal/exchange"
 	"scgnn/internal/graph"
+	"scgnn/internal/simnet"
 	"scgnn/internal/tensor"
 )
 
@@ -82,8 +85,8 @@ func (p *Peer) Own() []int32 { return p.core.Own[p.me] }
 
 // StartEpoch marks an epoch boundary (see Cluster.StartEpoch). A
 // transport-driven replica never advances its own schedule: the coordinator
-// runs the decision function on merged signals and pushes levels through
-// ApplySchedule before each epoch frame.
+// runs the decision function on merged signals and sends the levels in the
+// epoch frame, which the node applies with ApplySchedule first.
 func (p *Peer) StartEpoch(epoch int) { p.startEpoch(epoch) }
 
 // StartEvalEpoch prepares a measurement-only pass (see
@@ -141,12 +144,15 @@ func (p *Peer) Round(h, out *tensor.Matrix, backward bool, send func(peer int, f
 	return p.endRound(target, out, replay, err)
 }
 
-// TrafficDelta exports and clears the peer's per-destination traffic counted
-// since the last call: bytes[d], msgs[d] for every destination partition d.
-// The coordinator merges the rows of all nodes into its fabric, reproducing
-// the in-process cluster's exact per-link accounting.
-func (p *Peer) TrafficDelta() (bytes, msgs []int64) {
-	return p.counters[p.me].DrainRow(p.me)
+// TrafficDelta exports and clears what the peer counted since the last call:
+// its per-destination traffic, bytes[d] and msgs[d] for every destination
+// partition d, and its processing counters. The coordinator merges the rows
+// and sums the counters of all nodes, reproducing the in-process cluster's
+// exact accounting.
+func (p *Peer) TrafficDelta() (bytes, msgs []int64, work simnet.Work) {
+	bytes, msgs = p.counters[p.me].DrainRow(p.me)
+	work, p.work[p.me] = p.work[p.me], simnet.Work{}
+	return bytes, msgs, work
 }
 
 // PeerState is the peer's checkpointable runtime state: every pair's stream
@@ -168,7 +174,46 @@ type PeerState struct {
 	// in ascending owned-node order, or nil when the slot is unfilled.
 	// Columns are per-slot: a multi-layer model aggregates at a different
 	// width every round.
-	Delay []*tensor.Matrix
+	Delay []*DelaySlot
+}
+
+// DelaySlot is one filled delay slot, kept row-sparse: an own node with no
+// inbound cross arc has a zero row in every slot, and a shard has many.
+// Index lists, ascending, the rows holding a value whose bits are not +0 (a
+// row of −0.0 is listed); Data holds their values, Cols a row. Rows is the
+// slot's row count, the peer's own rows.
+type DelaySlot struct {
+	Rows, Cols int
+	Index      []int32
+	Data       []float64
+}
+
+// sparseSlot captures m row-sparse.
+func sparseSlot(m *tensor.Matrix) *DelaySlot {
+	s := &DelaySlot{Rows: m.Rows, Cols: m.Cols}
+	for r := 0; r < m.Rows; r++ {
+		row := m.Row(r)
+		if slices.ContainsFunc(row, func(v float64) bool { return math.Float64bits(v) != 0 }) {
+			s.Index = append(s.Index, int32(r))
+			s.Data = append(s.Data, row...)
+		}
+	}
+	return s
+}
+
+// dense rebuilds the slot's matrix for a peer owning rows rows.
+func (s *DelaySlot) dense(rows int) (*tensor.Matrix, error) {
+	if s.Rows != rows || s.Cols < 1 || len(s.Data) != len(s.Index)*s.Cols {
+		return nil, fmt.Errorf("%d×%d with %d values in %d rows, want %d rows", s.Rows, s.Cols, len(s.Data), len(s.Index), rows)
+	}
+	m := tensor.New(rows, s.Cols)
+	for k, r := range s.Index {
+		if r < 0 || int(r) >= rows || k > 0 && r <= s.Index[k-1] {
+			return nil, fmt.Errorf("row %d out of order or past %d rows", r, rows)
+		}
+		copy(m.Row(int(r)), s.Data[k*s.Cols:])
+	}
+	return m, nil
 }
 
 // State captures the peer's stream and delay-cache state at an epoch
@@ -177,10 +222,10 @@ func (p *Peer) State() *PeerState {
 	st := &PeerState{NParts: p.core.NParts}
 	st.Pairs, st.Levels = p.core.State()
 	if len(p.delayFilled) > 0 {
-		st.Delay = make([]*tensor.Matrix, len(p.delayFilled))
+		st.Delay = make([]*DelaySlot, len(p.delayFilled))
 		for r, filled := range p.delayFilled {
 			if filled {
-				st.Delay[r] = p.delaySlots[r].Clone()
+				st.Delay[r] = sparseSlot(p.delaySlots[r])
 			}
 		}
 	}
@@ -210,14 +255,15 @@ func (p *Peer) Restore(st *PeerState) error {
 	}
 	filled := make([]bool, len(st.Delay))
 	slots := make([]*tensor.Matrix, len(st.Delay))
-	for r, m := range st.Delay {
-		if m == nil {
+	for r, s := range st.Delay {
+		if s == nil {
 			continue
 		}
-		if m.Rows != p.rows || m.Cols < 1 || len(m.Data) != m.Rows*m.Cols {
-			return fmt.Errorf("%w: slot %d is %d×%d with %d values, want %d rows", ErrBadState, r, m.Rows, m.Cols, len(m.Data), p.rows)
+		m, err := s.dense(p.rows)
+		if err != nil {
+			return fmt.Errorf("%w: delay slot %d: %v", ErrBadState, r, err)
 		}
-		filled[r], slots[r] = true, m.Clone()
+		filled[r], slots[r] = true, m
 	}
 	if err := p.core.Restore(st.Pairs, st.Levels); err != nil {
 		return fmt.Errorf("worker: peer state: %w", err)

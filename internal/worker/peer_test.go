@@ -101,7 +101,7 @@ func (m *peerMesh) round(t *testing.T, backward bool) error {
 		}
 	}
 	for p, peer := range m.peers {
-		bytes, msgs := peer.TrafficDelta()
+		bytes, msgs, _ := peer.TrafficDelta()
 		for d := 0; d < np; d++ {
 			if bytes[d] != 0 || msgs[d] != 0 {
 				m.shard.Add(p, d, bytes[d], msgs[d])
@@ -477,8 +477,9 @@ func TestPeerRestoreIsAtomic(t *testing.T) {
 	for i := range bad.Delay[0].Data {
 		bad.Delay[0].Data[i]++
 	}
-	bad.Delay[1].Rows--
-	bad.Delay[1].Data = bad.Delay[1].Data[:len(bad.Delay[1].Data)-bad.Delay[1].Cols]
+	short := bad.Delay[1]
+	short.Rows--
+	short.Index, short.Data = short.Index[:len(short.Index)-1], short.Data[:len(short.Data)-short.Cols]
 	if err := peer.Restore(bad); !errors.Is(err, ErrBadState) {
 		t.Fatalf("Restore of a malformed slot 1: %v, want ErrBadState", err)
 	}
@@ -534,7 +535,7 @@ func TestDelaySlotOfAnotherWidth(t *testing.T) {
 		peer := peers[0]
 		rows := len(peer.Own())
 		st := peer.State()
-		st.Delay[1] = tensor.New(rows, dim-1)
+		st.Delay[1] = &DelaySlot{Rows: rows, Cols: dim - 1}
 		if err := peer.Restore(st); err != nil {
 			t.Fatal(err)
 		}

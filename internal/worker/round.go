@@ -45,9 +45,12 @@ type exchanger struct {
 	ws       []*workerScratch
 	counters []*simnet.ShardCounter
 	// work[p] is worker p's share of the analytic cost model's processing
-	// counters (see work). A driver that reports them drains them after the
-	// round barrier; the others leave them to accumulate.
-	work []work
+	// counters: exact integer sums taken where the sizes already are — the
+	// compiled local plan's arc count, the walk's sink, the compiled group
+	// sizes, the delay slot's rows — so they depend on what was exchanged and
+	// never on how the round was scheduled. A driver drains them after the
+	// round barrier.
+	work []simnet.Work
 	// phaseHook, when non-nil, observes each worker's round phases in
 	// execution order ("local-boundary", "send", "local-interior",
 	// "receive") — test instrumentation for the boundary-first schedule.
@@ -68,19 +71,6 @@ type exchanger struct {
 	freshEval    bool
 	// err poisons the runtime after the first failed round.
 	err error
-}
-
-// work is the processing half of a simnet.Snapshot as one worker accumulates
-// it: exact integer sums taken where the sizes already are — the compiled
-// local plan's arc count, the walk's sink, the compiled group sizes, the delay
-// slot's rows — so they depend on what was exchanged and never on how the
-// round was scheduled.
-type work struct {
-	flops    int64 // 2·cols per aggregated term: local arcs, delivered units, fused and fanned-out group members
-	quant    int64 // values pushed through a quantised encode
-	sample   int64 // cross arcs scanned by a sampling baseline pair
-	cache    int64 // delay-slot values added into the output
-	semantic int64 // values fused into and fanned out of group payloads
 }
 
 // workerScratch is one worker's buffer set retained across rounds. Slices
@@ -113,7 +103,7 @@ func newExchanger(g *graph.Graph, part []int, nparts, me int, cfg exchange.Confi
 		local:    make([]*localPlan, nparts),
 		ws:       make([]*workerScratch, nparts),
 		counters: make([]*simnet.ShardCounter, nparts),
-		work:     make([]work, nparts),
+		work:     make([]simnet.Work, nparts),
 	}
 	if cfg.DelayPeriod > 1 {
 		x.delayPeriod = cfg.DelayPeriod
@@ -414,7 +404,7 @@ func (x *exchanger) addOwnRows(me int, slot, out *tensor.Matrix) {
 		r := int(x.rowOf[u])
 		tensor.AXPY(1, slot.Row(r), out.Row(r))
 	}
-	x.work[me].cache += int64(len(own) * out.Cols)
+	x.work[me].CacheValues += int64(len(own) * out.Cols)
 }
 
 // hook reports a completed phase to the test instrumentation, if any.
@@ -435,7 +425,7 @@ func (x *exchanger) localRows(me int, h, out *tensor.Matrix, from, to int) {
 	// The cost model charges the neighbor terms, not the self loop each row
 	// opens with.
 	arcs := int(lp.off[to]-lp.off[from]) - (to - from)
-	x.work[me].flops += int64(2 * h.Cols * arcs)
+	x.work[me].ComputeFlops += int64(2 * h.Cols * arcs)
 }
 
 // encodePeer encodes worker me's outgoing halo for one peer into the retained
@@ -490,13 +480,13 @@ func (x *exchanger) encodePeer(me, peer int, h *tensor.Matrix, backward bool) []
 	// The processing the batch stands for, on both of its ends: a per-node
 	// message is one delivered term, a group message one term per member.
 	w, dim := &x.work[me], h.Cols
-	w.flops += int64(2 * dim * (batch.Len() - groupMsgs + members))
-	w.semantic += int64(dim * members)
+	w.ComputeFlops += int64(2 * dim * (batch.Len() - groupMsgs + members))
+	w.SemanticValues += int64(dim * members)
 	if ps.Bits > 0 {
-		w.quant += int64(dim * batch.Len())
+		w.QuantValues += int64(dim * batch.Len())
 	}
 	if !x.core.Semantic() && frame.Sampled {
-		w.sample += int64(len(x.core.CrossOut[idx]))
+		w.SampleEdges += int64(len(x.core.CrossOut[idx]))
 	}
 	return buf
 }

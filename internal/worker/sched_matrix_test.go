@@ -91,8 +91,8 @@ func TestScheduledClusterEngineEquivalenceMatrix(t *testing.T) {
 // schedCoordinator is the test stand-in for the multi-process coordinator's
 // schedule driver: it owns the decision-side scheduler, merges the replicas'
 // signal snapshots per the exactness contract, and pushes the decided levels
-// to every peer — the protocol internal/net speaks over SchedSig/SchedUpdate
-// frames.
+// to every peer — the protocol internal/net speaks over its SchedSig and
+// Epoch frames.
 type schedCoordinator struct {
 	s      *sched.Scheduler
 	nparts int

@@ -116,7 +116,7 @@ type Cluster struct {
 	fabric    *simnet.Fabric
 	// done is the processing half of CaptureEpoch: the workers' work counters
 	// drained since the last reset.
-	done work
+	done simnet.Work
 
 	// slots[t*nparts+s] is sender s's frame for receiver t this round: written
 	// by s in the first fork-join, read by t in the second. The bytes stay
@@ -209,7 +209,7 @@ func (c *Cluster) ResetTraffic() {
 	c.trafficMu.Lock()
 	defer c.trafficMu.Unlock()
 	c.fabric.Reset()
-	c.done = work{}
+	c.done = simnet.Work{}
 }
 
 // Traffic returns the real encoded bytes and message count since the last
@@ -235,11 +235,7 @@ func (c *Cluster) CaptureEpoch() simnet.Snapshot {
 	c.trafficMu.Lock()
 	defer c.trafficMu.Unlock()
 	s := c.fabric.Capture()
-	s.ComputeFlops = c.done.flops
-	s.QuantValues = c.done.quant
-	s.SampleEdges = c.done.sample
-	s.CacheValues = c.done.cache
-	s.SemanticValues = c.done.semantic
+	s.Work = c.done
 	return s
 }
 
@@ -292,13 +288,8 @@ func (c *Cluster) AggregateInto(dst, h *tensor.Matrix, backward bool) error {
 	c.trafficMu.Lock()
 	for p, sc := range c.counters {
 		c.fabric.Drain(sc)
-		w := &c.work[p]
-		c.done.flops += w.flops
-		c.done.quant += w.quant
-		c.done.sample += w.sample
-		c.done.cache += w.cache
-		c.done.semantic += w.semantic
-		*w = work{}
+		c.done.Add(c.work[p])
+		c.work[p] = simnet.Work{}
 	}
 	c.trafficMu.Unlock()
 	return c.endRound(target, dst, replay, errors.Join(c.roundErrs...))

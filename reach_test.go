@@ -36,8 +36,6 @@ var unreachedAllowed = map[string]string{
 	"scgnn/internal/tensor.MatMul":               "oracle: allocating product the kernel tests compare with",
 	"scgnn/internal/tensor.Matrix.ColSums":       "oracle: allocating column sum the kernel tests compare with",
 	"scgnn/internal/pool.SetProcs":               "test seam: sets GOMAXPROCS for one test, which sweeps every pool's width and the cluster's fan-out",
-	"scgnn/internal/net.Coordinator.RecoverNode": "recovery: replaces a dead node by hand between epochs",
-	"scgnn/internal/net.Coordinator.Remesh":      "recovery: rebuilds a torn mesh while every node is alive",
 }
 
 // stdInterfaceMethods are the method names of standard-library interfaces a
