@@ -174,7 +174,11 @@ fuzz-smoke:
 # and no internal/persist. And one recovery path on the fleet: Connect, Setup on
 # the partition in force and a checkpoint restore, with no mesh rebuild or node
 # replacement beside it; and a two-frame scheduled epoch boundary, whose levels
-# ride the Epoch frame, with no schedule-update frame beside it.
+# ride the Epoch frame, with no schedule-update frame beside it. And coins
+# without streams: a sampling coin is a function of (pair, epoch, round, unit),
+# so there is no second sampler, no replay of other replicas' coins, no
+# sampler position in a checkpoint and no fast-forward, and neither the codecs
+# nor the exchange core draw from math/rand.
 one-sink:
 	@! grep -rn 'useReference\|DelayCache\|pairBuf\|NewRounds\|worker\.Rounds\|forEachTask\|putHeader\|MsgHeaderBytes\|Fabric) Send(' --include='*.go' . | grep -v _test.go
 	@! grep -n 'aggregate(' internal/gnn/*.go | grep -v '_test\.go:\|^internal/gnn/layer\.go:'
@@ -190,6 +194,8 @@ one-sink:
 	@! grep -rnE 'RowAndCount|RowOrCount|intersectCount|gallopRatio' --include='*.go' . | grep -v '_test\.go:'
 	@! grep -rnE '"encoding/gob"|"scgnn/internal/persist"' --include='*.go' . | grep -v '_test\.go:'
 	@! grep -rnE 'Remesh|RecoverNode|SchedUpdate|frameRemesh|frameSchedUpdate' --include='*.go' . | grep -v '_test\.go:'
+	@! grep -rnE 'GhostAdvance|NodeSampler|SamplerDraws|NodeState|randSource|\.Skip\(' --include='*.go' . | grep -v '_test\.go:'
+	@! grep -rn '"math/rand"' --include='*.go' internal/compress internal/exchange | grep -v '_test\.go:'
 
 # Every program under examples/, built into a temporary directory and run to
 # the end: go build compiles them, but only running them shows a facade call

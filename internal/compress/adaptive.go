@@ -99,84 +99,3 @@ func stddev(v []float64) float64 {
 	}
 	return math.Sqrt(ss / float64(len(v)))
 }
-
-// NodeSampler implements BNS-GCN-style *boundary node* sampling: the
-// decision to transmit is made once per boundary node per round, not per
-// edge, so all of a kept node's cross edges ride one coin flip. Kept nodes
-// rescale by 1/rate to keep the aggregate unbiased.
-//
-// Compared to the per-edge Sampler, node sampling concentrates variance on
-// "the lucky few" high-degree boundary nodes — the behaviour the paper
-// blames for sampling's poor compatibility with quantization (Sec. 2.1).
-//
-// Keys are an opaque int32 namespace: callers pass boundary-node ids
-// (always ≥ 0) for per-node coins, and may carve out the negative range for
-// other transfer-unit kinds (the semantic engine keys group coins as
-// -1-groupIndex) — the two key spaces are disjoint by construction, so a
-// group's drop decision can never be accidentally memo-shared with a node's.
-type NodeSampler struct {
-	Rate float64
-	rng  *randSource
-	// decisions memoizes the per-(round, node) coin within one round.
-	round     int
-	decisions map[int32]bool
-}
-
-// randSource is a minimal deterministic PRNG (xorshift64*) so NodeSampler
-// stays allocation-light inside the aggregate hot loop.
-type randSource struct{ state uint64 }
-
-func newRandSource(seed int64) *randSource {
-	s := uint64(seed)*2685821657736338717 + 1442695040888963407
-	return &randSource{state: s}
-}
-
-func (r *randSource) float64() float64 {
-	r.state ^= r.state >> 12
-	r.state ^= r.state << 25
-	r.state ^= r.state >> 27
-	return float64(r.state*2685821657736338717>>11) / float64(1<<53)
-}
-
-// NewNodeSampler validates the rate and returns a sampler.
-func NewNodeSampler(rate float64, seed int64) *NodeSampler {
-	if rate <= 0 || rate > 1 {
-		panic("compress: node sample rate out of (0,1]")
-	}
-	return &NodeSampler{Rate: rate, rng: newRandSource(seed), decisions: make(map[int32]bool)}
-}
-
-// StartRound clears the per-round memo; call once per aggregate round. The
-// memo map is cleared in place, not reallocated, so steady-state rounds in
-// the worker runtime stay allocation-free.
-func (s *NodeSampler) StartRound() {
-	s.round++
-	clear(s.decisions)
-}
-
-// Keep reports whether boundary node u transmits this round. All queries
-// for the same node within a round agree.
-func (s *NodeSampler) Keep(u int32) bool {
-	if s.Rate >= 1 {
-		return true
-	}
-	if d, ok := s.decisions[u]; ok {
-		return d
-	}
-	d := s.rng.float64() < s.Rate
-	s.decisions[u] = d
-	return d
-}
-
-// Scale is the unbiasing rescale factor for kept nodes.
-func (s *NodeSampler) Scale() float64 { return 1 / s.Rate }
-
-// State returns the generator's internal state word — the sampler's exact
-// stream position. Unlike math/rand, xorshift64* state is one uint64, so
-// checkpoints store it directly and SetState restores it bit-exactly. The
-// per-round memo is deliberately not part of the state: StartRound clears it
-// before any post-restore coin is flipped.
-func (s *NodeSampler) State() uint64 { return s.rng.state }
-
-// SetState restores a stream position captured by State.
-func (s *NodeSampler) SetState(state uint64) { s.rng.state = state }

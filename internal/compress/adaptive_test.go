@@ -81,79 +81,3 @@ func TestAdaptiveQuantizerEdgeCases(t *testing.T) {
 		NewAdaptiveQuantizer(8, 4, 0.1)
 	}()
 }
-
-func TestNodeSamplerConsistencyWithinRound(t *testing.T) {
-	s := NewNodeSampler(0.5, 1)
-	s.StartRound()
-	for u := int32(0); u < 100; u++ {
-		first := s.Keep(u)
-		for k := 0; k < 5; k++ {
-			if s.Keep(u) != first {
-				t.Fatalf("node %d decision flipped within a round", u)
-			}
-		}
-	}
-}
-
-func TestNodeSamplerRate(t *testing.T) {
-	s := NewNodeSampler(0.3, 2)
-	kept := 0
-	const rounds, nodes = 200, 50
-	for r := 0; r < rounds; r++ {
-		s.StartRound()
-		for u := int32(0); u < nodes; u++ {
-			if s.Keep(u) {
-				kept++
-			}
-		}
-	}
-	frac := float64(kept) / (rounds * nodes)
-	if math.Abs(frac-0.3) > 0.03 {
-		t.Fatalf("keep fraction = %v, want ≈0.3", frac)
-	}
-	if s.Scale() != 1/0.3 {
-		t.Fatalf("Scale = %v", s.Scale())
-	}
-}
-
-func TestNodeSamplerRateOne(t *testing.T) {
-	s := NewNodeSampler(1, 3)
-	s.StartRound()
-	for u := int32(0); u < 50; u++ {
-		if !s.Keep(u) {
-			t.Fatal("rate 1 dropped a node")
-		}
-	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("bad rate accepted")
-			}
-		}()
-		NewNodeSampler(0, 1)
-	}()
-}
-
-func TestNodeSamplerDecisionsChangeAcrossRounds(t *testing.T) {
-	s := NewNodeSampler(0.5, 4)
-	changed := false
-	var prev []bool
-	for r := 0; r < 20 && !changed; r++ {
-		s.StartRound()
-		cur := make([]bool, 30)
-		for u := int32(0); u < 30; u++ {
-			cur[u] = s.Keep(u)
-		}
-		if prev != nil {
-			for i := range cur {
-				if cur[i] != prev[i] {
-					changed = true
-				}
-			}
-		}
-		prev = cur
-	}
-	if !changed {
-		t.Fatal("decisions identical across all rounds")
-	}
-}

@@ -3,8 +3,9 @@
 //
 //   - quantization (AdaQP-style): per-message affine b-bit quantization of
 //     the payload vector, trading bit-width for traffic;
-//   - sampling (BNS-GCN-style): Bernoulli edge sampling at a configured
-//     rate, with 1/rate rescaling to keep the aggregate unbiased;
+//   - sampling (BNS-GCN-style): Bernoulli edge or boundary-node sampling at
+//     a configured rate, with 1/rate rescaling to keep the aggregate
+//     unbiased;
 //   - delayed transmission (Dorylus-style): stale remote contributions are
 //     cached and reused for period−1 epochs out of every period. That one is
 //     whole-round state, not a per-payload transform, so it lives with the
@@ -14,10 +15,7 @@
 // are real, not modeled) and its wire cost (so volume accounting is exact).
 package compress
 
-import (
-	"fmt"
-	"math/rand"
-)
+import "fmt"
 
 // Quantizer performs affine fixed-point quantization of float64 vectors.
 type Quantizer struct {
@@ -42,57 +40,62 @@ func (q *Quantizer) Roundtrip(v []float64) int {
 
 // DeriveSeed maps a base seed and a stream index to a decorrelated child
 // seed. The distributed engine gives every ordered partition pair its own
-// sampler stream seeded this way, so the drop decisions of a pair depend
-// only on (base seed, pair) — not on which goroutine processed the pair or
-// in what order, which is what makes the parallel exchange deterministic.
-// The mixer is splitmix64, whose avalanche keeps adjacent stream indices
-// uncorrelated.
-func DeriveSeed(base int64, stream int) int64 {
-	z := uint64(base) + 0x9e3779b97f4a7c15*uint64(stream+1)
+// sampler seeded this way, so the drop decisions of a pair depend only on
+// (base seed, pair) — not on which goroutine processed the pair or in what
+// order, which is what makes the parallel exchange deterministic. The mixer
+// is splitmix64, whose avalanche keeps adjacent stream indices uncorrelated.
+func DeriveSeed(base int64, stream int) int64 { return int64(mix(uint64(base), int64(stream))) }
+
+// mix is one splitmix64 output: the state base advanced by key+1 golden-ratio
+// steps, then finalised.
+func mix(base uint64, key int64) uint64 {
+	z := base + 0x9e3779b97f4a7c15*uint64(key+1)
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return int64(z ^ (z >> 31))
+	return z ^ (z >> 31)
 }
 
-// Sampler decides, per transfer unit and per round, whether the unit is
-// transmitted, and rescales kept units to keep the aggregate unbiased in
-// expectation.
+// Sampler is the sampling baseline's coin (per edge, or BNS-GCN per boundary
+// node: the caller picks what a key names). A coin is a pure function of
+// (seed, epoch, round, key): Start positions the sampler on a round, and
+// Coin(key) is the same bit for the same key however often, in whatever order
+// and on whichever replica it is asked — so the sampler keeps no stream, and
+// nothing about it needs replaying, checkpointing or restoring. Kept units
+// rescale by 1/Rate to keep the aggregate unbiased in expectation.
 type Sampler struct {
-	Rate  float64 // keep probability in (0, 1]
-	rng   *rand.Rand
-	draws int64
+	Rate float64 // keep probability in (0, 1]
+	seed uint64
+	// round is the mixed (seed, epoch, round) position Start set; next is the
+	// key Keep flips next.
+	round uint64
+	next  int64
 }
 
-// NewSampler validates the rate and returns a sampler.
+// NewSampler validates the rate and returns a sampler positioned on epoch 0,
+// round 0.
 func NewSampler(rate float64, seed int64) *Sampler {
 	if rate <= 0 || rate > 1 {
 		panic(fmt.Sprintf("compress: sample rate %v out of (0,1]", rate))
 	}
-	return &Sampler{Rate: rate, rng: rand.New(rand.NewSource(seed))}
+	s := &Sampler{Rate: rate, seed: uint64(seed)}
+	s.Start(0, 0)
+	return s
 }
 
-// Keep reports whether the next unit is transmitted.
+// Start positions the sampler on round ordinal round of epoch epoch.
+func (s *Sampler) Start(epoch, round int) {
+	s.round, s.next = mix(mix(s.seed, int64(epoch)), int64(round)), 0
+}
+
+// Coin reports whether the unit keyed key is transmitted this round.
+func (s *Sampler) Coin(key int64) bool {
+	return s.Rate >= 1 || float64(mix(s.round, key)>>11)*0x1p-53 < s.Rate
+}
+
+// Keep flips the coin of the next key since Start: 0, 1, 2, …
 func (s *Sampler) Keep() bool {
-	if s.Rate >= 1 {
-		return true
-	}
-	s.draws++
-	return s.rng.Float64() < s.Rate
-}
-
-// Draws returns the number of coins consumed so far — the sampler's stream
-// position. A checkpoint saves this count; restore recreates the sampler from
-// its seed and fast-forwards with Skip, which reproduces the stream exactly
-// (math/rand's internal state is not otherwise serializable).
-func (s *Sampler) Draws() int64 { return s.draws }
-
-// Skip discards n coins, fast-forwarding the stream to the position a
-// same-seeded sampler reached after n Keep calls.
-func (s *Sampler) Skip(n int64) {
-	for i := int64(0); i < n; i++ {
-		s.rng.Float64()
-	}
-	s.draws += n
+	s.next++
+	return s.Coin(s.next - 1)
 }
 
 // Scale is the rescale factor applied to kept units (1/rate).

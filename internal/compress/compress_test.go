@@ -1,6 +1,7 @@
 package compress
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -147,4 +148,154 @@ func TestSamplerInvalidRate(t *testing.T) {
 			NewSampler(r, 1)
 		}()
 	}
+}
+
+// The node-sampling tests key the coin by boundary node, as a pair under
+// per-node sampling does (a round is one Start).
+
+func TestNodeSamplerConsistencyWithinRound(t *testing.T) {
+	s := NewSampler(0.5, 1)
+	s.Start(0, 1)
+	for u := int64(0); u < 100; u++ {
+		first := s.Coin(u)
+		for k := 0; k < 5; k++ {
+			if s.Coin(u) != first {
+				t.Fatalf("node %d decision flipped within a round", u)
+			}
+		}
+	}
+}
+
+func TestNodeSamplerRate(t *testing.T) {
+	s := NewSampler(0.3, 2)
+	kept := 0
+	const rounds, nodes = 200, 50
+	for r := 0; r < rounds; r++ {
+		s.Start(0, r)
+		for u := int64(0); u < nodes; u++ {
+			if s.Coin(u) {
+				kept++
+			}
+		}
+	}
+	frac := float64(kept) / (rounds * nodes)
+	if math.Abs(frac-0.3) > 0.03 {
+		t.Fatalf("keep fraction = %v, want ≈0.3", frac)
+	}
+	if s.Scale() != 1/0.3 {
+		t.Fatalf("Scale = %v", s.Scale())
+	}
+}
+
+func TestNodeSamplerRateOne(t *testing.T) {
+	s := NewSampler(1, 3)
+	s.Start(0, 1)
+	for u := int64(0); u < 50; u++ {
+		if !s.Coin(u) {
+			t.Fatal("rate 1 dropped a node")
+		}
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("bad rate accepted")
+			}
+		}()
+		NewSampler(0, 1)
+	}()
+}
+
+func TestNodeSamplerDecisionsChangeAcrossRounds(t *testing.T) {
+	s := NewSampler(0.5, 4)
+	changed := false
+	var prev []bool
+	for r := 0; r < 20 && !changed; r++ {
+		s.Start(0, r)
+		cur := make([]bool, 30)
+		for u := int64(0); u < 30; u++ {
+			cur[u] = s.Coin(u)
+		}
+		if prev != nil {
+			for i := range cur {
+				if cur[i] != prev[i] {
+					changed = true
+				}
+			}
+		}
+		prev = cur
+	}
+	if !changed {
+		t.Fatal("decisions identical across all rounds")
+	}
+}
+
+// TestCoinStatistics holds the coin to what the sampling baseline assumes of
+// it: at rates 0.25, 0.5 and 0.9 the kept share is within 4σ of the rate;
+// the coins of adjacent keys, adjacent rounds and adjacent epochs are kept
+// together at the rate squared (they are independent, though their inputs
+// differ in one step); and one key in one round always gets the same coin —
+// asked again, after the sampler was positioned elsewhere and back, by another
+// sampler of the same seed, and as the key's Keep since Start.
+func TestCoinStatistics(t *testing.T) {
+	const epochs, rounds, keys = 4, 50, 500
+	within := func(what string, rate float64, hits, n int) {
+		t.Helper()
+		if sigma := math.Sqrt(rate * (1 - rate) / float64(n)); math.Abs(float64(hits)/float64(n)-rate) > 4*sigma {
+			t.Errorf("%s: share %v over %d, want %v ± %v", what, float64(hits)/float64(n), n, rate, 4*sigma)
+		}
+	}
+	for _, rate := range []float64{0.25, 0.5, 0.9} {
+		s := NewSampler(rate, 17)
+		// coin[e][r][k] for every position in the grid.
+		coin := make([][][]bool, epochs+1)
+		for e := range coin {
+			coin[e] = make([][]bool, rounds+1)
+			for r := range coin[e] {
+				s.Start(e, r)
+				coin[e][r] = make([]bool, keys+1)
+				for k := range coin[e][r] {
+					coin[e][r][k] = s.Coin(int64(k))
+				}
+			}
+		}
+		var kept, keyPairs, roundPairs, epochPairs, n int
+		for e := 0; e < epochs; e++ {
+			for r := 0; r < rounds; r++ {
+				for k := 0; k < keys; k++ {
+					c := coin[e][r][k]
+					n++
+					kept += b2i(c)
+					keyPairs += b2i(c && coin[e][r][k+1])
+					roundPairs += b2i(c && coin[e][r+1][k])
+					epochPairs += b2i(c && coin[e+1][r][k])
+				}
+			}
+		}
+		name := fmt.Sprintf("rate %v", rate)
+		within(name+" kept", rate, kept, n)
+		within(name+" adjacent keys", rate*rate, keyPairs, n)
+		within(name+" adjacent rounds", rate*rate, roundPairs, n)
+		within(name+" adjacent epochs", rate*rate, epochPairs, n)
+
+		twin := NewSampler(rate, 17)
+		for _, pos := range [][2]int{{0, 0}, {3, 7}, {1, 49}} {
+			e, r := pos[0], pos[1]
+			s.Start(e+1, r+2) // anywhere else first
+			s.Start(e, r)
+			twin.Start(e, r)
+			for k := 0; k < keys; k++ {
+				want := coin[e][r][k]
+				if s.Coin(int64(k)) != want || s.Coin(int64(k)) != want || twin.Keep() != want {
+					t.Fatalf("%s: epoch %d round %d key %d changed its coin", name, e, r, k)
+				}
+			}
+		}
+	}
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }

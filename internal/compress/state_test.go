@@ -8,65 +8,16 @@ import (
 	"testing"
 )
 
-// TestSamplerSkipReproducesStream pins the checkpoint fast-forward contract:
-// a fresh sampler Skip(n) lands on exactly the stream position a same-seeded
-// sampler reached after n Keep calls, so the coins after restore match the
-// coins an uninterrupted run would have drawn.
-func TestSamplerSkipReproducesStream(t *testing.T) {
-	const n = 137
-	a := NewSampler(0.4, 99)
-	for i := 0; i < n; i++ {
-		a.Keep()
-	}
-	if a.Draws() != n {
-		t.Fatalf("Draws = %d, want %d", a.Draws(), n)
-	}
-
-	b := NewSampler(0.4, 99)
-	b.Skip(a.Draws())
-	if b.Draws() != a.Draws() {
-		t.Fatalf("after Skip: Draws = %d, want %d", b.Draws(), a.Draws())
-	}
-	for i := 0; i < 64; i++ {
-		if a.Keep() != b.Keep() {
-			t.Fatalf("streams diverge at post-skip coin %d", i)
-		}
-	}
-}
-
-// TestSamplerRateOneDrawsNothing: at Rate >= 1 Keep short-circuits without
-// consuming the generator, and the draw counter must agree so fast-forward
-// stays aligned.
+// TestSamplerRateOneDrawsNothing: at Rate >= 1 every key of every round is
+// kept, by Keep and by Coin alike.
 func TestSamplerRateOneDrawsNothing(t *testing.T) {
 	s := NewSampler(1.0, 7)
-	for i := 0; i < 10; i++ {
-		if !s.Keep() {
-			t.Fatal("rate-1 sampler dropped a unit")
-		}
-	}
-	if s.Draws() != 0 {
-		t.Fatalf("rate-1 sampler counted %d draws, want 0", s.Draws())
-	}
-}
-
-// TestNodeSamplerStateRoundtrip: SetState(State()) resumes the xorshift
-// stream bit-exactly.
-func TestNodeSamplerStateRoundtrip(t *testing.T) {
-	a := NewNodeSampler(0.5, 42)
-	a.StartRound()
-	for u := int32(0); u < 50; u++ {
-		a.Keep(u)
-	}
-	st := a.State()
-
-	b := NewNodeSampler(0.5, 1) // different seed: state must fully override it
-	b.SetState(st)
-
-	a.StartRound()
-	b.StartRound()
-	for u := int32(0); u < 50; u++ {
-		if a.Keep(u) != b.Keep(u) {
-			t.Fatalf("restored node sampler diverges at node %d", u)
+	for round := 0; round < 3; round++ {
+		s.Start(1, round)
+		for i := int64(0); i < 10; i++ {
+			if !s.Keep() || !s.Coin(-i) {
+				t.Fatal("rate-1 sampler dropped a unit")
+			}
 		}
 	}
 }

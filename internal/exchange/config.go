@@ -24,9 +24,9 @@ type Config struct {
 	SampleRate float64
 	// SampleNodes switches sampling from per-edge coins to per-boundary-node
 	// coins (BNS-GCN's granularity): all of a node's cross edges toward one
-	// partition share one decision per round. Coins are drawn from a
-	// per-ordered-pair stream, so a node with cross edges into several
-	// partitions flips one coin per (node, destination) pair.
+	// partition share one decision per round. Coins are seeded per ordered
+	// pair, so a node with cross edges into several partitions flips one
+	// coin per (node, destination) pair.
 	SampleNodes bool
 	// QuantBits in 1..16 is the width of affine payload quantization;
 	// 0 or >= 32 disables it. 17..31 is neither: the quantizer panics on it
@@ -44,7 +44,7 @@ type Config struct {
 	// DelayPeriod epochs, stale replays in between.
 	DelayPeriod int
 	// Seed drives sampling. Every ordered partition pair derives its own
-	// decorrelated child stream from this seed.
+	// decorrelated coin seed from this seed.
 	Seed int64
 	// Sched enables variable-rate communication scheduling: every ordered
 	// pair starts on the most aggressive rung of sched.Ladder(base) — where

@@ -13,10 +13,10 @@
 //   - Topology: everything derived from (graph, partition) — ownership, the
 //     cross-arc buckets, the semantic plans — and the one incremental
 //     Repartition.
-//   - Streams: the per-ordered-pair compression state (sampler coins,
+//   - Streams: the per-ordered-pair compression state (sampler seeds,
 //     adaptive widths, error-feedback residuals, rung width), its
 //     variable-rate schedule, and its checkpoint form.
-//   - Walk: the only code that consumes sampler coins. Every runtime
+//   - Walk: the only code that flips sampler coins. Every runtime
 //     enumerates a pair's candidate units through it, so drop decisions,
 //     unit indices and therefore bytes agree by construction.
 package exchange
@@ -46,7 +46,7 @@ func New(g *graph.Graph, part []int, nparts int, cfg Config) *Core {
 
 // Repartition moves the core to a new partition of the same graph, rebuilding
 // only what the change touched: pairs whose boundary sets are unchanged keep
-// their plan, arc list, sampler stream, adaptive history and residuals
+// their plan, arc list, sampler, adaptive history and residuals
 // verbatim; dirty pairs get a rebuilt plan (bit-identical to a from-scratch
 // build) and freshly re-seeded streams. Rung levels never change. Returns the
 // ascending dirty pair indices; on error the core is unchanged, on success

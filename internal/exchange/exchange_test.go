@@ -1,6 +1,7 @@
 package exchange
 
 import (
+	"fmt"
 	"reflect"
 	"runtime"
 	"strings"
@@ -47,11 +48,25 @@ func nonNil(plans []*core.PairPlan) []*core.PairPlan {
 	return out
 }
 
-// collect runs one Walk and returns the surviving units.
-func collect(c *Core, idx int, backward bool) []Unit {
+// collect runs one Walk at round ordinal round of epoch epoch and returns the
+// surviving units.
+func collect(c *Core, idx int, backward bool, epoch, round int) []Unit {
 	var out []Unit
-	c.Walk(idx, backward, func(u Unit) { out = append(out, u) })
+	c.Walk(idx, backward, epoch, round, func(u Unit) { out = append(out, u) })
 	return out
+}
+
+// feed walks pair idx at (epoch 0, round) and runs every surviving unit's
+// residual through the pair's error-feedback store, as an encode would.
+func feed(c *Core, idx int, backward bool, round int) {
+	ef := c.Pairs[idx].EF
+	c.Walk(idx, backward, 0, round, func(u Unit) {
+		if ef != nil {
+			k := compress.RoundUnitKey(round, u.Index)
+			ef.PreCompress(k, []float64{1, 2})
+			ef.PostCompress(k, []float64{1, 2}, []float64{0.5, float64(idx)})
+		}
+	})
 }
 
 // TestWalkOrderContract: without sampling every candidate survives, in the
@@ -67,7 +82,7 @@ func TestWalkOrderContract(t *testing.T) {
 		}
 		units := 0
 		for idx := range c.Pairs {
-			fwd, bwd := collect(c, idx, false), collect(c, idx, true)
+			fwd, bwd := collect(c, idx, false, 0, 0), collect(c, idx, true, 0, 0)
 			var want []Unit
 			if o.Semantic {
 				if plan := c.PairPlans[idx]; plan != nil {
@@ -114,60 +129,67 @@ func TestWalkOrderContract(t *testing.T) {
 	}
 }
 
-// TestWalkSamplingAndGhostAdvance: under both coin kinds a walk drops some
-// candidates, survivors carry scale 1/rate and the candidate's index, and a
-// sink-less walk leaves the streams exactly where a sinking walk does — so a
-// replica ghost-advancing the pairs it did not encode tracks the encoders
-// round after round.
-func TestWalkSamplingAndGhostAdvance(t *testing.T) {
+// TestWalkCoinsAreDeterministic: under both coin kinds a walk drops some
+// candidates, and survivors carry scale 1/rate and the candidate's index.
+// What survives is a function of (pair, epoch, round) alone: a fresh core
+// that walks the positions in reverse order yields the same units at each,
+// while the survivors move from round to round and from epoch to epoch. Under node coins a sender's units of one round share
+// one decision.
+func TestWalkCoinsAreDeterministic(t *testing.T) {
 	g, part := setup(t)
+	type pos struct{ epoch, round int }
+	var order []pos
+	for epoch := 0; epoch < 2; epoch++ {
+		for round := 0; round < 3; round++ {
+			order = append(order, pos{epoch, round})
+		}
+	}
 	for _, nodes := range []bool{false, true} {
 		for _, o := range []Config{{}, semantic()} {
 			o.SampleRate, o.SampleNodes = 0.5, nodes
 			o.Seed = 11
+			name := fmt.Sprintf("nodes=%v semantic=%v", nodes, o.Semantic)
 			enc := New(g, part, nparts, o)
 			full := New(g, part, nparts, Config{Semantic: o.Semantic, Plan: o.Plan})
-			for round := 0; round < 3; round++ {
-				backward := round%2 == 1
+			walked := map[pos][][]Unit{}
+			for _, p := range order {
+				backward := p.round%2 == 1
 				for idx := range enc.Pairs {
-					all := collect(full, idx, backward)
-					kept := collect(enc, idx, backward)
+					all := collect(full, idx, backward, p.epoch, p.round)
+					kept := collect(enc, idx, backward, p.epoch, p.round)
+					walked[p] = append(walked[p], kept)
 					if len(all) > 8 && (len(kept) == 0 || len(kept) == len(all)) {
-						t.Fatalf("nodes=%v pair %d: kept %d of %d at rate 0.5", nodes, idx, len(kept), len(all))
+						t.Fatalf("%s pair %d: kept %d of %d at rate 0.5", name, idx, len(kept), len(all))
 					}
+					survived := make([]bool, len(all))
 					for _, u := range kept {
 						w := all[u.Index]
 						w.Scale = 2
 						if u != w {
-							t.Fatalf("nodes=%v pair %d: kept %+v, candidate %+v", nodes, idx, u, w)
+							t.Fatalf("%s pair %d: kept %+v, candidate %+v", name, idx, u, w)
 						}
+						survived[u.Index] = true
+					}
+					decision := map[int32]bool{}
+					for i, w := range all {
+						if d, seen := decision[w.Sender]; nodes && w.Group < 0 && seen && d != survived[i] {
+							t.Fatalf("%s pair %d: sender %d kept and dropped in one round", name, idx, w.Sender)
+						}
+						decision[w.Sender] = survived[i]
 					}
 				}
 			}
-			// A replica that took the same walks without a sink.
-			once := New(g, part, nparts, o)
-			for round := 0; round < 3; round++ {
-				for idx := range once.Pairs {
-					once.Walk(idx, round%2 == 1, nil)
+			again := New(g, part, nparts, o)
+			for k := len(order) - 1; k >= 0; k-- {
+				p := order[k]
+				for idx := range again.Pairs {
+					if got := collect(again, idx, p.round%2 == 1, p.epoch, p.round); !reflect.DeepEqual(got, walked[p][idx]) {
+						t.Fatalf("%s pair %d at %+v: walked out of order, %d survivors, want %d", name, idx, p, len(got), len(walked[p][idx]))
+					}
 				}
 			}
-			encPairs, _ := enc.State()
-			oncePairs, _ := once.State()
-			if !reflect.DeepEqual(encPairs, oncePairs) {
-				t.Fatalf("nodes=%v semantic=%v: sink-less walk left the streams elsewhere", nodes, o.Semantic)
-			}
-			// GhostAdvance(me) skips exactly the pairs me encodes.
-			a, b := New(g, part, nparts, o), New(g, part, nparts, o)
-			a.GhostAdvance(0, false)
-			for idx := range b.Pairs {
-				if s, t := idx/nparts, idx%nparts; s != t && s != 0 {
-					b.Walk(idx, false, nil)
-				}
-			}
-			ap, _ := a.State()
-			bp, _ := b.State()
-			if !reflect.DeepEqual(ap, bp) {
-				t.Fatalf("nodes=%v: GhostAdvance walked the wrong pairs", nodes)
+			if reflect.DeepEqual(walked[pos{0, 0}], walked[pos{0, 2}]) || reflect.DeepEqual(walked[pos{0, 0}], walked[pos{1, 0}]) {
+				t.Fatalf("%s: another round or epoch kept the same units", name)
 			}
 		}
 	}
@@ -179,15 +201,15 @@ func TestWalkSamplingAndGhostAdvance(t *testing.T) {
 func TestReseedGates(t *testing.T) {
 	g, part := setup(t)
 	for _, tc := range []struct {
-		name                               string
-		base                               sched.Setting
-		sampler, nodeSampler, adaptive, ef bool
-		bits                               int
+		name                             string
+		base                             sched.Setting
+		sampler, nodeCoins, adaptive, ef bool
+		bits                             int
 	}{
 		{name: "vanilla"},
 		{name: "rate 1 and bits 32 are off", base: sched.Setting{SampleRate: 1, QuantBits: 32, Adaptive: true, EF: true}},
 		{name: "sampling", base: sched.Setting{SampleRate: 0.3}, sampler: true},
-		{name: "nsampling", base: sched.Setting{SampleRate: 0.3, SampleNodes: true}, nodeSampler: true},
+		{name: "nsampling", base: sched.Setting{SampleRate: 0.3, SampleNodes: true}, sampler: true, nodeCoins: true},
 		{name: "quant", base: sched.Setting{QuantBits: 8}, bits: 8},
 		{name: "aquant+ef", base: sched.Setting{QuantBits: 6, Adaptive: true, EF: true}, adaptive: true, ef: true, bits: 6},
 		{name: "1-bit adaptive", base: sched.Setting{QuantBits: 1, Adaptive: true}, adaptive: true, bits: 1},
@@ -201,7 +223,7 @@ func TestReseedGates(t *testing.T) {
 				}
 				continue
 			}
-			if (ps.Sampler != nil) != tc.sampler || (ps.NodeSampler != nil) != tc.nodeSampler ||
+			if (ps.Sampler != nil) != tc.sampler || ps.NodeCoins != tc.nodeCoins ||
 				(ps.Adaptive != nil) != tc.adaptive || (ps.EF != nil) != tc.ef || ps.Bits != tc.bits {
 				t.Fatalf("%s: pair %d state %+v", tc.name, idx, ps)
 			}
@@ -247,7 +269,6 @@ func TestScheduleAndSignals(t *testing.T) {
 	if ps.Sampler == nil {
 		t.Fatalf("rung 0 does not sample: %+v", c.Setting(1))
 	}
-	c.Walk(1, false, nil)
 	if ps.Adaptive != nil {
 		ps.Adaptive.ChooseBits([]float64{0, 1, 2, 3})
 	}
@@ -256,9 +277,6 @@ func TestScheduleAndSignals(t *testing.T) {
 		ps.EF.PostCompress(1, []float64{1, 2}, []float64{1, 1})
 	}
 	sg := c.Signals()[1]
-	if sg.Draws != int64(len(c.CrossOut[1])) {
-		t.Fatalf("signals report %d draws, walked %d arcs", sg.Draws, len(c.CrossOut[1]))
-	}
 	if (ps.Adaptive != nil && sg.BitsCalls != 1) || (ps.EF != nil && sg.EFUnits != 1) {
 		t.Fatalf("signals %+v miss the adaptive/EF counters", sg)
 	}
@@ -283,14 +301,15 @@ func TestScheduleAndSignals(t *testing.T) {
 }
 
 // TestStateRestore: a captured state restores bit-exactly into a fresh core
-// (streams continue with identical coins and residuals), a stateless core
-// captures nothing, and shape mismatches are errors.
+// (streams continue with identical residuals and counters), a stateless core
+// — sampling alone included — captures nothing, and shape mismatches are
+// errors.
 func TestStateRestore(t *testing.T) {
 	g, part := setup(t)
 	pol := sched.Policy{Enabled: true, EpochsPerLevel: 1}
 	for name, o := range map[string]Config{
-		"sampling":        {SampleRate: 0.5, Seed: 3},
-		"nsampling":       {SampleRate: 0.5, SampleNodes: true, Seed: 3},
+		"sampling+ef":     {SampleRate: 0.5, QuantBits: 8, ErrorFeedback: true, Seed: 3},
+		"nsampling+aq":    {SampleRate: 0.5, SampleNodes: true, QuantBits: 8, AdaptiveQuant: true, Seed: 3},
 		"aquant+ef":       {QuantBits: 8, AdaptiveQuant: true, ErrorFeedback: true},
 		"sched(quant+ef)": {QuantBits: 8, ErrorFeedback: true, Seed: 3, Sched: pol},
 	} {
@@ -299,15 +318,10 @@ func TestStateRestore(t *testing.T) {
 			for r := 0; r < rounds; r++ {
 				c.Advance(r)
 				for idx := range c.Pairs {
-					ps := &c.Pairs[idx]
-					c.Walk(idx, r%2 == 1, nil)
-					if ps.Adaptive != nil {
+					if ps := &c.Pairs[idx]; ps.Adaptive != nil {
 						ps.Adaptive.ChooseBits([]float64{0, float64(idx), 2, 9})
 					}
-					if ps.EF != nil {
-						ps.EF.PreCompress(int64(r), []float64{1, 2})
-						ps.EF.PostCompress(int64(r), []float64{1, 2}, []float64{0.5, float64(idx)})
-					}
+					feed(c, idx, r%2 == 1, r)
 				}
 			}
 		}
@@ -338,15 +352,17 @@ func TestStateRestore(t *testing.T) {
 			t.Fatalf("%s: levels accepted without a schedule", name)
 		}
 	}
-	plain := New(g, part, nparts, Config{QuantBits: 8})
-	if pairs, levels := plain.State(); pairs != nil || levels != nil {
-		t.Fatal("stateless core captured state")
-	}
-	if err := plain.Restore(nil, nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := plain.Restore(make([]PairStreamState, nparts*nparts), nil); err == nil {
-		t.Fatal("pair streams accepted by a stateless core")
+	for _, o := range []Config{{QuantBits: 8}, {SampleRate: 0.5, Seed: 3}, {SampleRate: 0.5, SampleNodes: true, Semantic: true}} {
+		plain := New(g, part, nparts, o)
+		if pairs, levels := plain.State(); pairs != nil || levels != nil {
+			t.Fatalf("%+v: stateless core captured state", o)
+		}
+		if err := plain.Restore(nil, nil); err != nil {
+			t.Fatal(err)
+		}
+		if err := plain.Restore(make([]PairStreamState, nparts*nparts), nil); err == nil {
+			t.Fatalf("%+v: pair streams accepted by a stateless core", o)
+		}
 	}
 }
 
@@ -375,7 +391,7 @@ func TestReseedKeepsResidualSlabs(t *testing.T) {
 		for idx := range c.Pairs {
 			ef := c.Pairs[idx].EF
 			for r := 0; ef != nil && r < 3; r++ {
-				c.Walk(idx, r == 2, func(u Unit) {
+				c.Walk(idx, r == 2, 0, r, func(u Unit) {
 					k := compress.RoundUnitKey(r, u.Index)
 					ef.PreCompress(k, payload)
 					ef.PostCompress(k, payload, sent)
@@ -450,13 +466,13 @@ func TestRepartition(t *testing.T) {
 		}
 	}
 	for _, o := range []Config{
-		{SampleRate: 0.5, Seed: 4},
-		func() Config { o := semantic(); o.SampleRate = 0.5; return o }(),
+		{SampleRate: 0.5, QuantBits: 8, ErrorFeedback: true, Seed: 4},
+		func() Config { o := semantic(); o.SampleRate, o.QuantBits, o.ErrorFeedback = 0.5, 8, true; return o }(),
 		{QuantBits: 8, Seed: 4, Sched: sched.Policy{Enabled: true}},
 	} {
 		c := New(g, part, nparts, o)
 		for idx := range c.Pairs {
-			c.Walk(idx, false, nil)
+			feed(c, idx, false, 0)
 		}
 		before, levels := c.State()
 		if _, err := c.Repartition(part[:10]); err == nil {
@@ -582,7 +598,7 @@ func TestTargetInvertsWalk(t *testing.T) {
 				}
 				for idx := range c.Pairs {
 					for _, backward := range []bool{false, true} {
-						units := collect(c, idx, backward)
+						units := collect(c, idx, backward, step, 1)
 						for _, u := range units {
 							group, receiver := c.Target(idx, backward, int(u.Index))
 							if group != u.Group || group < 0 && receiver != u.Receiver {
@@ -659,7 +675,7 @@ func TestReproducibleAndGeneration(t *testing.T) {
 	}
 
 	gen := c.Generation()
-	c.Walk(1, false, nil)
+	feed(c, 1, false, 0)
 	c.Advance(2*last + 1) // every pair already on the last rung: nothing changes
 	if c.Generation() != gen {
 		t.Fatalf("a walk and a no-op advance moved the generation %d → %d", gen, c.Generation())

@@ -8,17 +8,18 @@ import (
 	"scgnn/internal/sched"
 )
 
-// PairState is one ordered partition pair's stateful compression. A pair is
-// touched by exactly one goroutine per round (its source partition forward,
-// its destination backward) with a barrier between rounds, so none of it
-// needs locking; and because every pair consumes its own RNG stream and
-// residual store, drop decisions and error feedback are independent of any
-// parallel schedule.
+// PairState is one ordered partition pair's compression. A pair is touched by
+// exactly one goroutine per round (its source partition forward, its
+// destination backward) with a barrier between rounds, so none of it needs
+// locking; and because every pair has its own coin seed and residual store,
+// drop decisions and error feedback are independent of any parallel schedule.
 type PairState struct {
-	Sampler     *compress.Sampler
-	NodeSampler *compress.NodeSampler
-	Adaptive    *compress.AdaptiveQuantizer
-	EF          *compress.ErrorFeedback
+	// Sampler is the pair's coin (nil when it does not sample), keyed by
+	// candidate index, or by sending node when NodeCoins is set (see Walk).
+	Sampler   *compress.Sampler
+	NodeCoins bool
+	Adaptive  *compress.AdaptiveQuantizer
+	EF        *compress.ErrorFeedback
 	// Bits is the pair's quantization width (0 = payloads ship raw). Under
 	// Adaptive it is the upper bound of the per-message choice.
 	Bits int
@@ -64,9 +65,9 @@ func (s *Streams) Setting(idx int) sched.Setting {
 }
 
 // Reseed (re)creates pair idx's state from scratch under its current setting:
-// the sampler restarts its DeriveSeed(seed, idx) stream at the beginning, the
-// adaptive quantizer and error-feedback store drop their history (the store
-// keeps its slabs, re-bounded by the pair's candidate count). Used at
+// the sampler is seeded DeriveSeed(seed, idx), the adaptive quantizer and
+// error-feedback store drop their history (the store keeps its slabs,
+// re-bounded by the pair's candidate count). Used at
 // construction, for the dirty pairs of a Repartition, and whenever a pair
 // changes rung — a re-seeded pair behaves exactly like the same pair in a
 // freshly built runtime, which is what keeps reconfigured runtimes equal.
@@ -82,12 +83,8 @@ func (s *Streams) Reseed(idx int) {
 	}
 	st := s.Setting(idx)
 	if samples(st) {
-		pairSeed := compress.DeriveSeed(s.seed, idx)
-		if st.SampleNodes {
-			ps.NodeSampler = compress.NewNodeSampler(st.SampleRate, pairSeed)
-		} else {
-			ps.Sampler = compress.NewSampler(st.SampleRate, pairSeed)
-		}
+		ps.Sampler = compress.NewSampler(st.SampleRate, compress.DeriveSeed(s.seed, idx))
+		ps.NodeCoins = st.SampleNodes
 	}
 	if quantizes(st) {
 		ps.Bits = compress.NewQuantizer(st.QuantBits).Bits // validates the width
@@ -117,9 +114,6 @@ func (s *Streams) Signals() []sched.Signals {
 	sigs := make([]sched.Signals, len(s.Pairs))
 	for idx := range s.Pairs {
 		ps, sg := &s.Pairs[idx], &sigs[idx]
-		if ps.Sampler != nil {
-			sg.Draws = ps.Sampler.Draws()
-		}
 		if ps.Adaptive != nil {
 			sg.BitsSum, sg.BitsCalls = ps.Adaptive.BitsSum, ps.Adaptive.Calls
 		}
@@ -170,14 +164,11 @@ func (s *Streams) SetLevels(levels []int) error {
 	return nil
 }
 
-// PairStreamState is one pair's serializable stream position. Sampler streams
-// are stored as draw counts (restore re-derives the seed and fast-forwards);
-// the node sampler's xorshift state word is stored directly; error-feedback
-// residuals are stored in full.
+// PairStreamState is one pair's serializable stream state: its error-feedback
+// residuals, in full. (A sampler has no state to save: its coins are a
+// function of the round.)
 type PairStreamState struct {
-	SamplerDraws int64
-	NodeState    uint64
-	EF           map[int64][]float64
+	EF map[int64][]float64
 	// Scheduler-visible cumulative counters (zero when the pair runs no
 	// adaptive quantizer / error feedback): restoring them keeps a resumed
 	// run's schedule decisions bit-equal to an undisturbed one.
@@ -186,10 +177,11 @@ type PairStreamState struct {
 	EFCorrected     int64
 }
 
-// coined reports whether a pair running setting st draws sampler coins or
+// coined reports whether a pair running setting st flips sampler coins or
 // carries error-feedback residuals — the two gates under which what a pair
-// ships depends on more than the round's input (Reseed applies the same
-// ones).
+// ships depends on more than the round's input: coins on the round's
+// (epoch, ordinal), residuals on earlier rounds (Reseed applies the same
+// gates).
 func coined(st sched.Setting) bool {
 	return samples(st) || (quantizes(st) && st.EF)
 }
@@ -200,10 +192,11 @@ func samples(st sched.Setting) bool   { return st.SampleRate > 0 && st.SampleRat
 func quantizes(st sched.Setting) bool { return st.QuantBits > 0 && st.QuantBits < 32 }
 
 // stateful reports whether any pair can carry stream state worth saving:
-// always under a schedule (rungs below the base sample and quantize), else
-// iff the base setting is coined or adapts.
+// always under a schedule (rungs below the base feed back and adapt), else
+// iff the base setting quantizes with error feedback or an adaptive width.
+// Sampling alone keeps none.
 func (s *Streams) stateful() bool {
-	return s.sched != nil || coined(s.base) || (quantizes(s.base) && s.base.Adaptive)
+	return s.sched != nil || (quantizes(s.base) && (s.base.EF || s.base.Adaptive))
 }
 
 // reproducible reports whether a round run now, with pair idx on
@@ -270,19 +263,13 @@ func (p ReusePolicy) Decide(gen, cur uint64) (uint64, bool) {
 // reproducible core give the same bits (see ReusePolicy).
 func (s *Streams) Generation() uint64 { return s.gen }
 
-// State captures every pair's stream position and the rung vector, deep-copied
+// State captures every pair's stream state and the rung vector, deep-copied
 // (pairs is nil for a stateless configuration, levels when scheduling is off).
 func (s *Streams) State() (pairs []PairStreamState, levels []int32) {
 	if s.stateful() {
 		pairs = make([]PairStreamState, len(s.Pairs))
 		for i := range s.Pairs {
 			ps, st := &s.Pairs[i], &pairs[i]
-			if ps.Sampler != nil {
-				st.SamplerDraws = ps.Sampler.Draws()
-			}
-			if ps.NodeSampler != nil {
-				st.NodeState = ps.NodeSampler.State()
-			}
 			if ps.EF != nil {
 				st.EF, st.EFCorrected = ps.EF.Snapshot(), ps.EF.Corrected
 			}
@@ -299,9 +286,9 @@ func (s *Streams) State() (pairs []PairStreamState, levels []int32) {
 
 // Restore rewinds the streams to a captured State: the rung vector lands
 // first (each pair's gates derive from its rung), then every pair is re-seeded
-// and fast-forwarded to its saved position. The streams must have been built
-// under the configuration the state was captured under; a shape mismatch is
-// an error, as is a residual map the pair's store cannot hold
+// and given back its saved residuals and counters. The streams must have been
+// built under the configuration the state was captured under; a shape
+// mismatch is an error, as is a residual map the pair's store cannot hold
 // (compress.ErrBadResiduals). On error nothing changes; on success Generation
 // moves, whether or not any pair is stateful.
 func (s *Streams) Restore(pairs []PairStreamState, levels []int32) error {
@@ -332,12 +319,6 @@ func (s *Streams) Restore(pairs []PairStreamState, levels []int32) error {
 	for i := range pairs {
 		s.Reseed(i)
 		ps, st := &s.Pairs[i], &pairs[i]
-		if ps.Sampler != nil {
-			ps.Sampler.Skip(st.SamplerDraws)
-		}
-		if ps.NodeSampler != nil {
-			ps.NodeSampler.SetState(st.NodeState)
-		}
 		if ps.EF != nil {
 			ps.EF.Restore(st.EF)
 			ps.EF.Corrected = st.EFCorrected

@@ -17,56 +17,53 @@ type Unit struct {
 	Scale float64
 }
 
-// groupCoinKey maps a plan-group index into the dedicated negative key space
-// of the per-pair node sampler. Boundary-node ids are always ≥ 0, so a group
-// coin can never share a memo entry with an O2O unit's per-node coin.
-func groupCoinKey(gi int) int32 { return int32(-1 - gi) }
-
-// keep flips the pair's coin for one candidate unit: the next coin of the
-// per-edge stream, or the memoized per-(round, key) coin of the node stream.
-func (ps *PairState) keep(key int32) bool {
-	switch {
-	case ps.Sampler != nil:
-		return ps.Sampler.Keep()
-	case ps.NodeSampler != nil:
-		return ps.NodeSampler.Keep(key)
-	}
-	return true
-}
+// groupCoinKey maps a plan-group index into the negative key space of a
+// pair's per-node coins. Boundary-node ids are always ≥ 0, so a group coin can
+// never be an O2O unit's per-node coin.
+func groupCoinKey(gi int) int64 { return int64(-1 - gi) }
 
 // Walk enumerates pair idx's candidate transfer units for one round of one
-// direction and calls sink for each unit that survives sampling. It is the
-// only code that consumes coins. The contract every runtime relies on:
+// direction — round ordinal round of epoch epoch — and calls sink for each
+// unit that survives sampling. It is the only code that flips coins. The
+// contract every runtime relies on:
 //
 //   - order: semantic pairs yield groups by index, then O2O residuals in plan
 //     order; baseline pairs yield cross arcs in bucket order. Backward rounds
 //     walk the same pair's structure with sender and receiver swapped;
-//   - coins: one per candidate from the per-edge sampler; or one per distinct
-//     key per round from the node sampler, keyed by the sending node (groups
-//     by groupCoinKey) — under node sampling a group is the transfer unit;
+//   - coins: the pair's sampler positioned on (epoch, round), keyed by the
+//     candidate's Index per edge, or by the sending node (groups by
+//     groupCoinKey) per node — under node sampling a group is the transfer
+//     unit. A coin is a function of its position and key alone, so any
+//     replica walking the pair gets the same survivors, and one that does not
+//     walk it has nothing to catch up on;
 //   - Index counts candidates, surviving or not.
 //
-// A nil sink advances the streams without producing units: a replica that
-// did not encode the pair this round stays position-identical to the one
-// that did (ghost-advance). Walk does not allocate, and a sink must not
-// retain the Unit's meaning past its call. One goroutine per pair at a time.
-func (c *Core) Walk(idx int, backward bool, sink func(Unit)) {
+// Walk does not allocate, and a sink must not retain the Unit's meaning past
+// its call. One goroutine per pair at a time.
+func (c *Core) Walk(idx int, backward bool, epoch, round int, sink func(Unit)) {
 	ps := &c.Pairs[idx]
 	u := Unit{Group: -1, Scale: 1}
-	switch {
-	case ps.Sampler != nil:
-		u.Scale = ps.Sampler.Scale()
-	case ps.NodeSampler != nil:
-		u.Scale = ps.NodeSampler.Scale()
-		ps.NodeSampler.StartRound()
-	case sink == nil:
-		return // nothing to advance
+	s := ps.Sampler
+	if s != nil {
+		s.Start(epoch, round)
+		u.Scale = s.Scale()
+	}
+	// coin flips the current candidate's coin; nodeKey is its key under
+	// per-node sampling.
+	coin := func(nodeKey int64) bool {
+		if s == nil {
+			return true
+		}
+		if !ps.NodeCoins {
+			nodeKey = u.Index
+		}
+		return s.Coin(nodeKey)
 	}
 	node := func(sender, receiver int32) {
 		if backward {
 			sender, receiver = receiver, sender
 		}
-		if ps.keep(sender) && sink != nil {
+		if coin(int64(sender)) {
 			u.Sender, u.Receiver = sender, receiver
 			sink(u)
 		}
@@ -83,7 +80,7 @@ func (c *Core) Walk(idx int, backward bool, sink func(Unit)) {
 		return
 	}
 	for gi := range plan.Groups {
-		if ps.keep(groupCoinKey(gi)) && sink != nil {
+		if coin(groupCoinKey(gi)) {
 			u.Group = int32(gi)
 			sink(u)
 		}
@@ -128,20 +125,4 @@ func (c *Core) Target(idx int, backward bool, i int) (group, receiver int32) {
 		return -1, e.U
 	}
 	return -1, e.V
-}
-
-// GhostAdvance replays the coin consumption of every pair some other replica
-// encoded this round — pair (s,t) is encoded by s forward and by t backward —
-// so this replica's streams end the round where the encoder's did.
-func (c *Core) GhostAdvance(me int, backward bool) {
-	for idx := range c.Pairs {
-		s, t := idx/c.NParts, idx%c.NParts
-		encoder := s
-		if backward {
-			encoder = t
-		}
-		if s != t && encoder != me {
-			c.Walk(idx, backward, nil)
-		}
-	}
 }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math/bits"
 	"os"
 	"path/filepath"
 	"slices"
@@ -146,8 +147,10 @@ func LoadTrainingCheckpoint(path string) (*TrainingCheckpoint, error) {
 // peer-state blob alike:
 //
 //	4 bytes  magic "SCCK"
-//	1 byte   format version (3; older versions are refused: 1 held a gob
-//	         body, 2 wrote every delay-slot value, zero rows included)
+//	1 byte   format version (4; older versions are refused: 1 held a gob
+//	         body, 2 wrote every delay-slot value, zero rows included, 3
+//	         carried sampler stream positions and listed a delay slot's
+//	         rows by 4-byte index)
 //	8 bytes  body length  (little-endian u64)
 //	4 bytes  CRC32 (IEEE) of the body
 //	N bytes  body, in the control codec (control.go)
@@ -160,7 +163,7 @@ func LoadTrainingCheckpoint(path string) (*TrainingCheckpoint, error) {
 var ckMagic = [4]byte{'S', 'C', 'C', 'K'}
 
 const (
-	ckVersion   = 3
+	ckVersion   = 4
 	ckHeaderLen = 4 + 1 + 8 + 4
 )
 
@@ -285,15 +288,15 @@ func decodeTrainingCheckpoint(buf []byte) (*TrainingCheckpoint, error) {
 // encodePeerState seals a node's peer state as the blob its State frame
 // carries. Error-feedback residuals go in ascending key order, the one
 // canonical order of a map. A delay slot is written as the peer keeps it,
-// row-sparse (worker.DelaySlot): its row and column counts, then the index
-// and the values of every listed row.
+// row-sparse (worker.DelaySlot, whose Index ascends): its row and column
+// counts, a ⌈Rows/8⌉-byte bitmap of the listed rows (row r is bit r%8 of byte
+// r/8), then the listed rows' values in row order — never more than the dense
+// slot plus Rows/8 bytes.
 func encodePeerState(st *worker.PeerState) []byte {
 	return seal(func(w *cwriter) {
 		w.i64(int64(st.NParts))
 		w.u32(uint32(len(st.Pairs)))
 		for _, ps := range st.Pairs {
-			w.i64(ps.SamplerDraws)
-			w.u64(ps.NodeState)
 			keys := make([]int64, 0, len(ps.EF))
 			for k := range ps.EF {
 				keys = append(keys, k)
@@ -317,11 +320,12 @@ func encodePeerState(st *worker.PeerState) []byte {
 			}
 			w.i32(int32(s.Rows))
 			w.i32(int32(s.Cols))
-			w.u32(uint32(len(s.Index)))
-			for k, r := range s.Index {
-				w.i32(r)
-				putFloats(w.grow(8*s.Cols), s.Data[k*s.Cols:(k+1)*s.Cols])
+			listed := w.grow((s.Rows + 7) / 8)
+			clear(listed)
+			for _, r := range s.Index {
+				listed[r/8] |= 1 << (r % 8)
 			}
+			putFloats(w.grow(8*len(s.Data)), s.Data)
 		}
 	})
 }
@@ -347,18 +351,17 @@ func delayValues(st *worker.PeerState) int {
 }
 
 // decodePeerState opens a peer-state blob; residual keys must ascend
-// strictly, and so must a delay slot's rows, each below its row count. The
-// slots stay row-sparse, so what decoding allocates is bounded by the bytes
-// received; whether their shapes fit the peer is the peer's to check
-// (worker.Peer.Restore).
+// strictly, and a delay slot's bitmap may list no row at or past its row
+// count. The slots stay row-sparse, so what decoding allocates is bounded by
+// the bytes received; whether their shapes fit the peer is the peer's to
+// check (worker.Peer.Restore).
 func decodePeerState(blob []byte) (*worker.PeerState, error) {
 	st := new(worker.PeerState)
 	if err := unseal(blob, func(r *creader) {
 		st.NParts = int(r.i64())
-		st.Pairs = list[exchange.PairStreamState](r, 44)
+		st.Pairs = list[exchange.PairStreamState](r, 28)
 		for i := range st.Pairs {
 			ps := &st.Pairs[i]
-			ps.SamplerDraws, ps.NodeState = r.i64(), r.u64()
 			if n := r.count(12); n > 0 {
 				ps.EF = make(map[int64][]float64, n)
 				for j, prev := 0, int64(0); j < n && r.err == nil; j++ {
@@ -386,19 +389,22 @@ func decodePeerState(blob []byte) (*worker.PeerState, error) {
 				break
 			}
 			budget -= s.Rows * s.Cols
-			if n := r.count(4 + 8*s.Cols); n > 0 {
-				s.Index, s.Data = make([]int32, n), make([]float64, n*s.Cols)
+			listed := r.take((s.Rows + 7) / 8)
+			if s.Rows%8 != 0 && r.err == nil && listed[len(listed)-1]>>(s.Rows%8) != 0 {
+				r.fail("delay bitmap lists a row past the row count")
 			}
-			for k := range s.Index {
-				row := r.i32()
-				if r.err == nil && (row < 0 || int(row) >= s.Rows || k > 0 && row <= s.Index[k-1]) {
-					r.fail("delay rows not ascending below the row count")
+			n := 0
+			for _, b := range listed {
+				n += bits.OnesCount8(b)
+			}
+			if values := r.take(8 * n * s.Cols); n > 0 && values != nil {
+				s.Index, s.Data = make([]int32, 0, n), make([]float64, n*s.Cols)
+				for row := range s.Rows {
+					if listed[row/8]>>(row%8)&1 != 0 {
+						s.Index = append(s.Index, int32(row))
+					}
 				}
-				if r.err != nil {
-					break
-				}
-				s.Index[k] = row
-				getFloats(s.Data[k*s.Cols:(k+1)*s.Cols], r.take(8*s.Cols))
+				getFloats(s.Data, values)
 			}
 			st.Delay[i] = s
 		}

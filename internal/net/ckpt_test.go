@@ -225,7 +225,6 @@ func demoPeerState() *worker.PeerState {
 	return &worker.PeerState{
 		NParts: 2,
 		Pairs: []exchange.PairStreamState{{}, {
-			SamplerDraws: 7, NodeState: 0x9e3779b97f4a7c15,
 			EF: map[int64][]float64{
 				compress.RoundUnitKey(1, 3): {0.5, -1},
 				compress.RoundUnitKey(0, 2): {0.25, 2},
@@ -305,7 +304,8 @@ func TestCheckpointOverwriteAtomic(t *testing.T) {
 
 // TestCheckpointCorruption: every damage mode of the envelope or body —
 // truncated header, truncated body, flipped payload bit, bad magic, unknown
-// version, the gob-bodied version 1, the dense-delay version 2, a length
+// version, the gob-bodied version 1, the dense-delay version 2, version 3
+// with sampler stream positions and indexed delay rows, a length
 // field that disagrees, a bad CRC, a body of the other state type — surfaces
 // as a wrapped ErrCorruptCheckpoint from both decoders, never a clean load or
 // a panic.
@@ -324,6 +324,7 @@ func TestCheckpointCorruption(t *testing.T) {
 		"bad-version":      edit(func(c []byte) { c[4] = 99 }),
 		"version-1":        edit(func(c []byte) { c[4] = 1 }),
 		"version-2":        edit(func(c []byte) { c[4] = 2 }),
+		"version-3":        edit(func(c []byte) { c[4] = 3 }),
 		"wrong-length":     edit(func(c []byte) { c[5]++ }),
 		"bad-crc":          edit(func(c []byte) { c[13] ^= 1 }),
 		"empty":            nil,
@@ -355,7 +356,8 @@ func TestCheckpointMissingFile(t *testing.T) {
 // TestPeerStateEncodedForm pins peer state blobs — what a State frame
 // carries — to their recorded bytes: a fresh peer of a stateless and of a
 // fully stateful configuration, and node 1 of a delay-lane fleet after one
-// epoch, whose filled slots are written row-sparse.
+// epoch, whose filled slots list their rows by bitmap. Recorded again at
+// format version 4 (no sampler stream positions; the delay rows' bitmap).
 func TestPeerStateEncodedForm(t *testing.T) {
 	d, part, _ := testGraph(t, 3)
 	fresh := func(cfg exchange.Config) []byte {
@@ -387,12 +389,73 @@ func TestPeerStateEncodedForm(t *testing.T) {
 		size int
 		sum  string
 	}{
-		{"fresh semantic", fresh(exchange.Config{Semantic: true}), 37, "73dcc14d872965ad6c5290133b256c47ff76486d5f57be6411990460fcf342f2"},
-		{"fresh " + stateful.MethodName(), fresh(stateful), 433, "5c2cd25677426099a88f0a7cd4f00c23638cd7f3881acfaa88b71b357d1974b1"},
-		{"delay2 after an epoch", afterEpoch(exchange.Config{DelayPeriod: 2, Seed: 3}), 2879, "c5031cb811b621ddee3d11c3ff210485f06023e118269d3c9a1f70d71fc601f8"},
+		{"fresh semantic", fresh(exchange.Config{Semantic: true}), 37, "c232ac6db91cde72dac7d17397f3db322539d5a5456343c005370392312ca4ec"},
+		{"fresh " + stateful.MethodName(), fresh(stateful), 289, "fb44f2db8a16b8a15f7937beb46de5622d946f2a4186d96004d733bf006dcd0a"},
+		{"delay2 after an epoch", afterEpoch(exchange.Config{DelayPeriod: 2, Seed: 3}), 2531, "57958b242eec1015c9e91699915f572b200cc2fca3ebe9baff4e2548b69ac6cb"},
 	} {
 		if got := fmt.Sprintf("%x", sha256.Sum256(tc.blob)); len(tc.blob) != tc.size || got != tc.sum {
 			t.Errorf("%s: %d bytes, sha256 %s; recorded %d, %s", tc.name, len(tc.blob), got, tc.size, tc.sum)
+		}
+	}
+}
+
+// TestDelayBitmap: a delay slot's listed rows ride a bitmap, so a slot costs
+// at most its dense values plus Rows/8 bytes. On a shard where nearly every
+// own node has an inbound cross arc (testGraph at 3 parts, delay 2, one epoch
+// in) every node's blob is no larger than with its slots written dense, where
+// indexing each listed row by 4 bytes wrote more (2 751 / 2 879 / 3 327 B
+// against 2 695 / 2 695 / 3 199 B). A bitmap listing a row at or past the row
+// count, or cut short, is refused typed.
+func TestDelayBitmap(t *testing.T) {
+	d, part, _ := testGraph(t, 3)
+	tc := startCluster(t, 3, quickNodeOpts(), quickCoordOpts())
+	defer tc.coord.Shutdown()
+	if err := tc.coord.Setup(d.Graph, part, exchange.Config{DelayPeriod: 2, Seed: 3}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := runEpoch(tc, 0, randMat(d.NumNodes(), 4, 91), randMat(d.NumNodes(), 3, 92)); err != nil {
+		t.Fatal(err)
+	}
+	blobs, err := tc.coord.CollectStates()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for node, blob := range blobs {
+		st, err := decodePeerState(blob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The dense recount: each filled slot's bitmap and listed values
+		// replaced by all Rows × Cols values.
+		dense := len(blob)
+		for _, s := range st.Delay {
+			if s != nil {
+				dense += 8*s.Rows*s.Cols - (s.Rows+7)/8 - 8*len(s.Data)
+			}
+		}
+		if len(blob) > dense {
+			t.Errorf("node %d: %d-byte blob, %d B with its delay slots dense", node, len(blob), dense)
+		}
+		t.Logf("node %d: %d B, %d B dense", node, len(blob), dense)
+	}
+
+	slot := func(rows int, index []int32) []byte {
+		return encodePeerState(&worker.PeerState{NParts: 1, Delay: []*worker.DelaySlot{{
+			Rows: rows, Cols: 1, Index: index, Data: make([]float64, len(index))}}})
+	}
+	// The bitmap is the byte after the 29 of NParts, the empty pair and level
+	// lists, the slot count and flag, rows and cols.
+	past := append(slot(3, []int32{0, 2}), make([]byte, 8)...)
+	past[ckHeaderLen+29] |= 1 << 3
+	for name, tc := range map[string]struct {
+		body []byte
+		want string
+	}{
+		"bit past the rows": {past[ckHeaderLen:], "past the row count"},
+		"truncated bitmap":  {slot(20, []int32{19})[ckHeaderLen : ckHeaderLen+31], "truncated"},
+	} {
+		if _, err := decodePeerState(seal(func(w *cwriter) { w.b = append(w.b, tc.body...) })); !errors.Is(err, ErrCorruptCheckpoint) || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: %v, want ErrCorruptCheckpoint naming %q", name, err, tc.want)
 		}
 	}
 }

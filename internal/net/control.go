@@ -726,8 +726,8 @@ func decodeState(p []byte) (State, error) {
 }
 
 // SchedSig carries one node's per-pair scheduler signals (the integer-exact
-// counters of the sched package's signal contract, one 5×i64 record per pair
-// in pair-index order). The coordinator's request ships none; the node's
+// counters of the sched package's signal contract, one 4×i64 record per pair
+// in pair-index order: BitsSum, BitsCalls, EFUnits, EFCorrected). The coordinator's request ships none; the node's
 // response fills them.
 type SchedSig struct {
 	Seq     uint64
@@ -739,7 +739,6 @@ func (m SchedSig) encodeInto(w *cwriter) {
 	w.u64(m.Seq)
 	w.u32(uint32(len(m.Signals)))
 	for _, s := range m.Signals {
-		w.i64(s.Draws)
 		w.i64(s.BitsSum)
 		w.i64(s.BitsCalls)
 		w.i64(s.EFUnits)
@@ -750,9 +749,9 @@ func (m SchedSig) encodeInto(w *cwriter) {
 
 func decodeSchedSig(p []byte) (SchedSig, error) {
 	r := creader{b: p}
-	m := SchedSig{Seq: r.u64(), Signals: list[sched.Signals](&r, 40)}
+	m := SchedSig{Seq: r.u64(), Signals: list[sched.Signals](&r, 32)}
 	for i := range m.Signals {
-		m.Signals[i] = sched.Signals{Draws: r.i64(), BitsSum: r.i64(), BitsCalls: r.i64(), EFUnits: r.i64(), EFCorrected: r.i64()}
+		m.Signals[i] = sched.Signals{BitsSum: r.i64(), BitsCalls: r.i64(), EFUnits: r.i64(), EFCorrected: r.i64()}
 	}
 	m.Err = r.str()
 	return m, r.done()

@@ -162,8 +162,8 @@ func TestControlRoundtrips(t *testing.T) {
 	}
 
 	sigs := []sched.Signals{
-		{Draws: 3, BitsSum: 12, BitsCalls: 2, EFUnits: 1, EFCorrected: 9},
-		{Draws: 4},
+		{BitsSum: 12, BitsCalls: 2, EFUnits: 1, EFCorrected: 9},
+		{EFUnits: 4},
 	}
 	gotSig, err := decodeSchedSig(encode(SchedSig{Seq: 8, Signals: sigs}))
 	if err != nil || gotSig.Seq != 8 || !slices.Equal(gotSig.Signals, sigs) {
@@ -238,8 +238,8 @@ func TestControlValidation(t *testing.T) {
 	}
 	// A sched signal record cut short: two records declared, one and a
 	// half present.
-	sig := encode(SchedSig{Signals: []sched.Signals{{Draws: 1}, {Draws: 2}}})
-	if _, err := decodeSchedSig(append(sig[:8+4+40+8], sig[len(sig)-4:]...)); !errors.Is(err, errBadControl) {
+	sig := encode(SchedSig{Signals: []sched.Signals{{BitsSum: 1}, {BitsSum: 2}}})
+	if _, err := decodeSchedSig(append(sig[:8+4+32+8], sig[len(sig)-4:]...)); !errors.Is(err, errBadControl) {
 		t.Errorf("torn sched-sig record: %v", err)
 	}
 	// Negative schedule level.

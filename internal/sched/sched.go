@@ -18,8 +18,6 @@
 // Decide may only gate on signals that are integer-exact across runtimes
 // and restorable from a checkpoint:
 //
-//   - Draws: sampler coins consumed — replicated bit-identically on every
-//     node (the worker runtime ghost-advances non-encoding replicas).
 //   - BitsSum/BitsCalls: cumulative adaptive bit-width choices. Replicas
 //     that never encode a pair hold zeros, so per-node snapshots merge by
 //     summation.
@@ -27,7 +25,9 @@
 //     forward and backward directions of a pair live on different nodes but
 //     use disjoint round-keyed units, so these also merge by summation.
 //
-// Signals holds these counters and nothing else.
+// Signals holds these counters and nothing else but Draws, which no runtime
+// fills and Decide does not read (a sampling coin is a function of its round,
+// so there is no count of coins to signal).
 package sched
 
 import (
@@ -132,8 +132,8 @@ func (p Policy) WithDefaults() Policy {
 // epoch boundary: integer counters, the decision inputs (see the package
 // comment for the exactness contract).
 type Signals struct {
-	// Draws counts sampler coins consumed since the pair's stream was last
-	// (re)seeded.
+	// Draws is unfilled and unread: no runtime reports it and no decision
+	// gates on it (see the package comment).
 	Draws int64
 	// BitsSum and BitsCalls accumulate adaptive bit-width choices.
 	BitsSum   int64
@@ -147,7 +147,6 @@ type Signals struct {
 // Merge folds o's counters into s: they sum (each replica holds its
 // disjoint share or an exact replica-reported zero).
 func (s Signals) Merge(o Signals) Signals {
-	s.Draws += o.Draws
 	s.BitsSum += o.BitsSum
 	s.BitsCalls += o.BitsCalls
 	s.EFUnits += o.EFUnits
@@ -157,12 +156,9 @@ func (s Signals) Merge(o Signals) Signals {
 
 // MergeNodeSignals folds per-node signal snapshots into the cluster-wide
 // per-pair view the decision function needs. perNode[n] is node n's full
-// nparts² snapshot. Cumulative encoder counters (BitsSum/BitsCalls,
-// EFUnits/EFCorrected) sum across nodes: each direction of a pair is encoded
-// by exactly one node and non-encoders hold zeros. Draws is the exception —
-// every replica ghost-advances every pair's sampler, so all nodes report the
-// identical total and summing would multiply it by nparts; the merge takes
-// pair (s,t)'s Draws from node s, its forward encoder.
+// nparts² snapshot. Every counter is an encoder's, so they sum across nodes:
+// each direction of a pair is encoded by exactly one node and non-encoders
+// hold zeros.
 func MergeNodeSignals(nparts int, perNode [][]Signals) []Signals {
 	if len(perNode) != nparts {
 		panic(fmt.Sprintf("sched: %d node snapshots for %d parts", len(perNode), nparts))
@@ -174,9 +170,6 @@ func MergeNodeSignals(nparts int, perNode [][]Signals) []Signals {
 			panic(fmt.Sprintf("sched: node %d reports %d pair signals, want %d", node, len(sigs), npairs))
 		}
 		for i, s := range sigs {
-			if node != i/nparts {
-				s.Draws = 0
-			}
 			merged[i] = merged[i].Merge(s)
 		}
 	}

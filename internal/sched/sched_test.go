@@ -166,7 +166,6 @@ func TestDecideMonotone(t *testing.T) {
 		sigs := make([]Signals, npairs)
 		for epoch := 0; epoch < 12; epoch++ {
 			for i := range sigs {
-				sigs[i].Draws += rng.Int63n(100)
 				sigs[i].BitsSum += rng.Int63n(64)
 				sigs[i].BitsCalls += rng.Int63n(8)
 				sigs[i].EFUnits = rng.Int63n(8)
@@ -203,7 +202,6 @@ func TestDecideReplay(t *testing.T) {
 	sigs := make([]Signals, npairs)
 	for epoch := 0; epoch < epochs; epoch++ {
 		for i := range sigs {
-			sigs[i].Draws += rng.Int63n(50)
 			sigs[i].BitsSum += rng.Int63n(40)
 			sigs[i].BitsCalls += rng.Int63n(6)
 		}
@@ -292,41 +290,38 @@ func TestDecideMismatchedSignalsPanics(t *testing.T) {
 }
 
 func TestSignalsMerge(t *testing.T) {
-	a := Signals{Draws: 1, BitsSum: 2, BitsCalls: 3, EFUnits: 4, EFCorrected: 5}
-	b := Signals{Draws: 10, BitsSum: 20, BitsCalls: 30, EFUnits: 40, EFCorrected: 50}
+	a := Signals{BitsSum: 2, BitsCalls: 3, EFUnits: 4, EFCorrected: 5}
+	b := Signals{BitsSum: 20, BitsCalls: 30, EFUnits: 40, EFCorrected: 50}
 	m := a.Merge(b)
-	want := Signals{Draws: 11, BitsSum: 22, BitsCalls: 33, EFUnits: 44, EFCorrected: 55}
+	want := Signals{BitsSum: 22, BitsCalls: 33, EFUnits: 44, EFCorrected: 55}
 	if m != want {
 		t.Fatalf("merge %+v, want %+v", m, want)
 	}
 }
 
-// TestMergeNodeSignals pins the fleet-merge semantics: Draws comes from the
-// forward-encoder node only (ghost-advance replicates it everywhere, so
-// summing would multiply by nparts), while the encoder counters sum across
-// nodes.
+// TestMergeNodeSignals pins the fleet-merge semantics: every counter is an
+// encoder's, held by the node that encodes the direction (zeros elsewhere),
+// so the merge is a plain sum across nodes.
 func TestMergeNodeSignals(t *testing.T) {
 	const nparts = 2
-	// Every node reports the same Draws per pair (the ghost-advance
-	// invariant); the other counters are disjoint per node.
 	node0 := []Signals{
-		{Draws: 100, BitsSum: 6, BitsCalls: 1},
-		{Draws: 200, EFUnits: 4, EFCorrected: 8},
-		{Draws: 300},
-		{Draws: 400, BitsSum: 4, BitsCalls: 1},
+		{BitsSum: 6, BitsCalls: 1},
+		{EFUnits: 4, EFCorrected: 8},
+		{},
+		{BitsSum: 4, BitsCalls: 1},
 	}
 	node1 := []Signals{
-		{Draws: 100},
-		{Draws: 200, EFUnits: 1, EFCorrected: 2},
-		{Draws: 300, BitsSum: 16, BitsCalls: 2},
-		{Draws: 400, EFUnits: 3, EFCorrected: 9, BitsSum: 8, BitsCalls: 1},
+		{},
+		{EFUnits: 1, EFCorrected: 2},
+		{BitsSum: 16, BitsCalls: 2},
+		{EFUnits: 3, EFCorrected: 9, BitsSum: 8, BitsCalls: 1},
 	}
 	got := MergeNodeSignals(nparts, [][]Signals{node0, node1})
 	want := []Signals{
-		{Draws: 100, BitsSum: 6, BitsCalls: 1},
-		{Draws: 200, EFUnits: 5, EFCorrected: 10},
-		{Draws: 300, BitsSum: 16, BitsCalls: 2},
-		{Draws: 400, EFUnits: 3, EFCorrected: 9, BitsSum: 12, BitsCalls: 2},
+		{BitsSum: 6, BitsCalls: 1},
+		{EFUnits: 5, EFCorrected: 10},
+		{BitsSum: 16, BitsCalls: 2},
+		{EFUnits: 3, EFCorrected: 9, BitsSum: 12, BitsCalls: 2},
 	}
 	for i := range want {
 		if got[i] != want[i] {
@@ -361,7 +356,7 @@ func BenchmarkSchedDecide(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	for i := range sigs {
 		sigs[i] = Signals{
-			Draws: rng.Int63n(1 << 20), BitsSum: rng.Int63n(1 << 16), BitsCalls: rng.Int63n(1 << 12),
+			BitsSum: rng.Int63n(1 << 16), BitsCalls: rng.Int63n(1 << 12),
 			EFUnits: rng.Int63n(1 << 10), EFCorrected: rng.Int63n(1 << 16),
 		}
 	}

@@ -33,7 +33,11 @@ import (
 // exchange: vanilla ships layer 0's forward round in epoch 0 only, 101360 →
 // 66836, three of its rounds fewer (asserted below against uncached, the
 // total of a run that ships it every epoch); the sampled stacks are not
-// reproducible and ship it every epoch still.
+// reproducible and ship it every epoch still. The two sampled stacks alone
+// were re-recorded, losses and bytes, when a sampling coin became a pure
+// function of (pair seed, epoch, round, key) in place of two stateful streams
+// (semantic+sampling+q8ef 1176 → 1279, nsampling+aquant+delay 21383 →
+// 21111); vanilla did not move.
 func TestClusterGoldenBits(t *testing.T) {
 	plan := core.PlanConfig{Grouping: core.GroupingConfig{Seed: 3}}
 	cases := []struct {
@@ -42,9 +46,9 @@ func TestClusterGoldenBits(t *testing.T) {
 		cfg        exchange.Config
 	}{
 		{"vanilla", "3ff38cd2dc4e265e 3ff2603cf6a068db 3ff183ea38523da5 3ff0d7ac59473869 66836", 101360, exchange.Config{Seed: 3}},
-		{"semantic+sampling+q8ef", "3ff2c61b2a7def24 3ff21f5c78ff70a4 3ff1b70155b8af16 3ff107eb7d022902 1176", 1176,
+		{"semantic+sampling+q8ef", "3ff33ba284de033f 3ff1cfd777c6f2d5 3ff23194f47dff6d 3ff148d1879dce9f 1279", 1279,
 			exchange.Config{Semantic: true, Plan: plan, SampleRate: 0.5, QuantBits: 8, ErrorFeedback: true, Seed: 3}},
-		{"nsampling+aquant+delay", "3ff3ebfc182ee5f8 3ff2f6c07e86058e 3ff19c4328459329 3ff11390a51c2087 21383", 21383,
+		{"nsampling+aquant+delay", "3ff3b296a407120a 3ff2c25cbd7b1c78 3ff1f81a9e51fd6e 3ff16fcfbc61a908 21111", 21111,
 			exchange.Config{SampleRate: 0.5, SampleNodes: true, QuantBits: 8, AdaptiveQuant: true, DelayPeriod: 2, Seed: 3}},
 	}
 	d, part := setup(t, 2)

@@ -285,7 +285,7 @@ func (e *Oracle) exchangePair(r, peer int, h, delta *tensor.Matrix, backward boo
 	ps := &e.core.Pairs[idx]
 	coeff := e.core.Coeff
 	groups := e.core.Groups(idx, backward)
-	if !e.cfg.Semantic && (ps.Sampler != nil || ps.NodeSampler != nil) {
+	if !e.cfg.Semantic && ps.Sampler != nil {
 		e.sampleEdges += int64(len(e.core.CrossOut[idx]))
 	}
 	if cap(e.payload) < dim {
@@ -294,7 +294,7 @@ func (e *Oracle) exchangePair(r, peer int, h, delta *tensor.Matrix, backward boo
 	payload := e.payload[:dim]
 	plain := ps.Bits == 0 // nothing quantises: deliver the fp32 the wire ships
 	var bytes, msgs int64
-	e.core.Walk(idx, backward, func(u exchange.Unit) {
+	e.core.Walk(idx, backward, e.epoch, round, func(u exchange.Unit) {
 		msgs++
 		if u.Group < 0 {
 			scale := coeff[u.Sender] * u.Scale
@@ -332,7 +332,7 @@ func (e *Oracle) exchangePair(r, peer int, h, delta *tensor.Matrix, backward boo
 	})
 	if msgs > 0 {
 		bytes += wire.FrameHeaderBytes
-		if ps.Sampler != nil || ps.NodeSampler != nil {
+		if ps.Sampler != nil {
 			bytes += int64(e.core.Candidates(idx)+7) / 8
 		}
 		e.shard.Add(from, to, bytes, msgs)

@@ -21,18 +21,15 @@ import (
 // structural decision without ever serializing a plan; of the compiled state
 // it builds only its own worker's share.
 //
-// # Shared RNG streams across processes
+// # Coins without streams
 //
-// In-process, the ordered pair (s,t) owns ONE sampler stream, consumed by
-// worker s on forward rounds and worker t on backward rounds. Across
-// processes each node holds a replica of every pair's stream, but only the
-// encoding node consumes coins — so after each exchanging round every peer
-// ghost-advances the pairs it did not encode: the same unit walk the encoder
-// ran, with no sink (unit counts and memo keys derive from plans and
-// cross-edge lists, which all replicas share). Streams therefore
-// stay position-identical across all replicas, which is what makes a later
-// backward round, checkpoint, or repartition agree bit-for-bit with the
-// in-process oracle.
+// The ordered pair (s,t) is encoded by worker s on forward rounds and worker
+// t on backward rounds, on whichever node runs that worker. Its sampling coins
+// are a function of (pair seed, epoch, round ordinal, key) alone (see
+// exchange.Walk), so a node that did not encode a pair this round has nothing
+// to replay: every replica draws the same coins for it whenever it walks it,
+// which is what makes a later backward round, checkpoint, or repartition
+// agree bit-for-bit with the in-process oracle.
 //
 // # Shard rows
 //
@@ -46,8 +43,8 @@ type Peer struct {
 
 // NewPeer builds partition me's driven runtime for the method combination
 // cfg selects — the one a NewClusterFromConfig cluster would run. The whole
-// exchange core is constructed (every node needs every plan and stream to
-// encode, decode, and ghost-advance), but only what worker me runs is
+// exchange core is constructed (every node derives every plan and stream the
+// same way, and a repartition or a schedule moves them all), but only what worker me runs is
 // compiled: its local plan, the kernels of the pairs it touches, its scratch.
 // Rounds are executed by Round on the caller's goroutine. A bad peer id, or
 // a partition or configuration Validate refuses, is an error.
@@ -115,8 +112,7 @@ func (p *Peer) AlignRound(ordinal int) error {
 }
 
 // Round executes one aggregate round for this peer — the two halves a Cluster
-// worker runs, back to back, with the ghost-advance of the pairs other nodes
-// encoded between them: one encoded frame handed to send per peer (ascending,
+// worker runs, back to back: one encoded frame handed to send per peer (ascending,
 // skipping self), then nparts-1 recv calls, which must yield the peers' frames
 // in ascending sender order, each with the sender the transport names (a frame
 // whose batch header names another is refused). h and out are len(Own())×d: h carries the owned
@@ -136,9 +132,6 @@ func (p *Peer) Round(h, out *tensor.Matrix, backward bool, send func(peer int, f
 	if replay {
 		p.replayRound(p.me, h, out, target)
 	} else if err = p.sendHalf(p.me, h, out, backward, send); err == nil {
-		// This peer's pairs were encoded above; the others' coins were drawn
-		// in other processes.
-		p.core.GhostAdvance(p.me, backward)
 		err = p.recvHalf(p.me, h, out, target, backward, recv)
 	}
 	return p.endRound(target, out, replay, err)
@@ -156,7 +149,7 @@ func (p *Peer) TrafficDelta() (bytes, msgs []int64, work simnet.Work) {
 }
 
 // PeerState is the peer's checkpointable runtime state: every pair's stream
-// position plus the delayed-transmission cache restricted to the rows this
+// state (residuals and counters) plus the delayed-transmission cache restricted to the rows this
 // peer owns. Model parameters and the training-loop bookkeeping live in the
 // coordinator's checkpoint; graph, partition, plans, and kernels are
 // rebuilt deterministically from the Setup inputs and are never serialized.
@@ -238,8 +231,8 @@ func (p *Peer) State() *PeerState {
 // finds at another width than its own, which poisons the runtime.
 var ErrBadState = errors.New("worker: peer state does not fit the peer")
 
-// Restore rewinds the peer to a captured state: dirty streams are re-derived
-// from the configured seed and fast-forwarded to the saved position, the
+// Restore rewinds the peer to a captured state: every pair is re-seeded and
+// given back its saved residuals and counters, the
 // delay cache is rebuilt for the rows this peer owns, and any poisoning is
 // cleared. The peer must have been built with the same (graph, partition,
 // config) the state was captured under; the coordinator guarantees this by

@@ -343,7 +343,7 @@ func TestPeerAlignRound(t *testing.T) {
 // TestPeerRestoreRejectsMismatch covers the validation errors.
 func TestPeerRestoreRejectsMismatch(t *testing.T) {
 	d, part := setup(t, 3)
-	peer, err := NewPeer(d.Graph, part, 3, 0, exchange.Config{SampleRate: 0.5, Seed: 1})
+	peer, err := NewPeer(d.Graph, part, 3, 0, exchange.Config{SampleRate: 0.5, QuantBits: 8, ErrorFeedback: true, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -455,7 +455,7 @@ func TestPeerRoundRejectsGraphRows(t *testing.T) {
 func TestPeerRestoreIsAtomic(t *testing.T) {
 	d, part := setup(t, 3)
 	const nparts, dim = 3, 5
-	peers := newPeers(t, d.Graph, part, nparts, exchange.Config{SampleRate: 0.5, DelayPeriod: 2, Seed: 4})
+	peers := newPeers(t, d.Graph, part, nparts, exchange.Config{SampleRate: 0.5, QuantBits: 8, ErrorFeedback: true, DelayPeriod: 2, Seed: 4})
 	mesh := newPeerMesh(t, peers, dim)
 	ins := []*tensor.Matrix{randMat(d.NumNodes(), dim, 91), randMat(d.NumNodes(), dim, 92)}
 	for _, peer := range peers {
@@ -473,7 +473,7 @@ func TestPeerRestoreIsAtomic(t *testing.T) {
 		t.Fatalf("delay slots after a fresh epoch: %v, want two filled", before.Delay)
 	}
 	bad := peer.State()
-	bad.Pairs[1].SamplerDraws += 3
+	bad.Pairs[1].EFCorrected += 3
 	for i := range bad.Delay[0].Data {
 		bad.Delay[0].Data[i]++
 	}

@@ -326,7 +326,7 @@ func (x *exchanger) endRound(target, out *tensor.Matrix, replay bool, err error)
 }
 
 // replayRound is a replay round's whole body: no exchange anywhere, so no
-// coins are consumed — the local aggregate plus the cached slot.
+// coins are flipped — the local aggregate plus the cached slot.
 func (x *exchanger) replayRound(me int, h, out, slot *tensor.Matrix) {
 	x.localRows(me, h, out, 0, len(x.local[me].rows))
 	x.addOwnRows(me, slot, out)
@@ -455,7 +455,7 @@ func (x *exchanger) encodePeer(me, peer int, h *tensor.Matrix, backward bool) []
 	// Group messages sent, and the members they stand for: senders fused in
 	// plus receivers fanned out to.
 	groupMsgs, members := 0, 0
-	x.core.Walk(idx, backward, func(u exchange.Unit) {
+	x.core.Walk(idx, backward, x.epoch, x.round, func(u exchange.Unit) {
 		if u.Group < 0 {
 			scale := x.core.Coeff[u.Sender] * u.Scale
 			for i, v := range h.Row(int(rowOf[u.Sender])) {
@@ -498,7 +498,7 @@ func (x *exchanger) encodePeer(me, peer int, h *tensor.Matrix, backward bool) []
 func (x *exchanger) frame(idx, sender, width int) wire.Frame {
 	ps := &x.core.Pairs[idx]
 	return wire.Frame{Sender: int32(sender), Width: width, Bits: ps.Bits, Count: x.core.Candidates(idx),
-		Adaptive: ps.Adaptive != nil, Sampled: ps.Sampler != nil || ps.NodeSampler != nil}
+		Adaptive: ps.Adaptive != nil, Sampled: ps.Sampler != nil}
 }
 
 // addMsg appends the staged message ws.msg to the batch — quantized at the
