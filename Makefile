@@ -242,7 +242,11 @@ verify: build vet one-sink test examples race test-net cover fuzz-smoke
 # store's Pre+PostCompress over 70k units, ns/val): "ef-flat-before" /
 # "ef-flat" hold it, BenchmarkClusterRoundQuantEFInto and BenchmarkEpoch*
 # either side of the residual map becoming one flat slab per (pair, round
-# slot) (alternating prebuilt test binaries, every line kept).
+# slot) (alternating prebuilt test binaries, every line kept);
+# "encode-once-before" / "encode-once" hold BenchmarkClusterRound{Vanilla,
+# Sampled,Adaptive,Quant,QuantEF}Into either side of a per-arc frame copying a
+# sender's message bytes (wire.Batch.Repeat) instead of quantising them again
+# (same method).
 # The planning-pipeline benchmarks (one-sweep DBG extraction + concurrent plan
 # builds + EEP sweep, plus the 100k-preset dirty-fraction replan sweep
 # BenchmarkReplan100K*) refresh BENCH_plan.json the same way;

@@ -76,6 +76,14 @@ func (q *AdaptiveQuantizer) choose(v []float64) (bits int, lo, hi float64) {
 	return bits, lo, hi
 }
 
+// Repeat records an allocation decision of bits made for a payload equal to
+// one ChooseBits already chose bits for: the counters move exactly as a
+// second ChooseBits of it would move them, without ranging it again.
+func (q *AdaptiveQuantizer) Repeat(bits int) {
+	q.BitsSum += int64(bits)
+	q.Calls++
+}
+
 // Roundtrip quantizes v in place at an adaptively chosen bit width (see
 // Quantizer.Roundtrip) and returns the wire size (payload bits + 8 bytes
 // lo/step + 1 byte width).

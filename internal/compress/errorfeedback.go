@@ -102,6 +102,32 @@ func (ef *ErrorFeedback) PreCompress(key int64, payload []float64) {
 	ef.Corrected += int64(len(payload))
 }
 
+// Residual returns unit key's stored residual — what PreCompress would add
+// — as a view into the store, or nil when the unit holds none.
+func (ef *ErrorFeedback) Residual(key int64) []float64 {
+	round, u := splitKey(key)
+	if s := ef.slot(round); s != nil && s.holds(u) {
+		return s.res[u*s.width : (u+1)*s.width]
+	}
+	return nil
+}
+
+// Repeat stands for PreCompress and PostCompress of unit key when its
+// residual-corrected payload is bit-equal to that of unit from of the same
+// round slot, which has been through both this round: it counts the
+// correction PreCompress would have made and gives key from's new residual,
+// which is what PostCompress would have recorded.
+func (ef *ErrorFeedback) Repeat(key, from int64) {
+	round, u := splitKey(key)
+	_, f := splitKey(from)
+	s := ef.slot(round)
+	if s.holds(u) {
+		ef.Corrected += int64(s.width)
+	}
+	dst := ef.residual(round, u, s.width) // may grow the slot's slab
+	copy(dst, s.res[f*s.width:(f+1)*s.width])
+}
+
 // PostCompress records the new residual: true (pre-compression, already
 // residual-corrected) minus sent (what the receiver will reconstruct).
 func (ef *ErrorFeedback) PostCompress(key int64, trueVals, sent []float64) {

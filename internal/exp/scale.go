@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"time"
 
 	"scgnn/internal/core"
@@ -95,6 +96,10 @@ func ScaleBench(o Options, names []string) ([]ScaleResult, error) {
 func scaleOne(name string, o Options) (ScaleResult, error) {
 	nparts := o.Partitions
 	res := ScaleResult{Dataset: name, Rounds: 3}
+	// The heap meter counts objects not yet swept, so collect what earlier
+	// presets and experiments dropped before it starts: the footprint
+	// columns are this preset's pipeline, not the garbage it inherits.
+	runtime.GC()
 	w := newMemWatch(5 * time.Millisecond)
 	defer w.Stop()
 

@@ -50,3 +50,34 @@ func TestScaleQuickShape(t *testing.T) {
 		t.Fatalf("per-phase peaks missing: %+v", sr)
 	}
 }
+
+// scaleGarbage keeps the allocation of TestScaleFootprintIgnoresEarlierGarbage
+// from being optimised away.
+var scaleGarbage []byte
+
+// TestScaleFootprintIgnoresEarlierGarbage: the scale study's heap columns
+// are the preset's own pipeline. A run that inherits a few hundred MB of
+// garbage nothing has collected yet — as it does behind the experiments
+// `-exp all` runs first — reads what a clean run of the 10k preset reads
+// (9–17 MB), under a bound far below the garbage.
+func TestScaleFootprintIgnoresEarlierGarbage(t *testing.T) {
+	if testing.Short() {
+		t.Skip("10k preset in -short mode")
+	}
+	const garbage, bound = 256 << 20, 64 << 20
+	scaleGarbage = make([]byte, garbage)
+	scaleGarbage = nil
+	res, err := scaleOne("reddit-sim-10k", Options{Seed: 1, Partitions: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("heap high-water %.1f MB (gen %.1f, plan %.1f, replan %.1f)", float64(res.PeakHeapBytes)/(1<<20),
+		float64(res.GenPeakBytes)/(1<<20), float64(res.PlanPeakBytes)/(1<<20), float64(res.ReplanPeakBytes)/(1<<20))
+	for name, v := range map[string]uint64{"heap": res.PeakHeapBytes, "gen": res.GenPeakBytes,
+		"plan": res.PlanPeakBytes, "replan": res.ReplanPeakBytes} {
+		if v > bound {
+			t.Fatalf("%s high-water %.1f MB after %d MB of dropped garbage, over the %d MB a clean run stays under",
+				name, float64(v)/(1<<20), garbage>>20, bound>>20)
+		}
+	}
+}

@@ -270,14 +270,25 @@ func (c countConn) Write(p []byte) (int, error) {
 // connections. (Before the connections retained their buffers a round
 // allocated about thirteen times what it moved.) Each epoch is a
 // [32, 32, 16] GCN's: a 32-wide forward round, then the output layer's
-// 16-wide forward and backward rounds, since it multiplies first.
+// 16-wide forward and backward rounds, since it multiplies first. The gate
+// holds again after a Repartition that gives every node other rows: the
+// buffers a node sized for its old shard are resized once, then retained.
 func TestFleetSteadyStateAllocs(t *testing.T) {
 	const (
 		nparts = 4
 		epochs = 7
 	)
-	d, part, _ := testGraph(t, nparts)
+	d, part, part2 := testGraph(t, nparts)
 	n := d.NumNodes()
+	for p := 0; p < nparts; p++ {
+		same := true
+		for u := range part {
+			same = same && (part[u] == p) == (part2[u] == p)
+		}
+		if same {
+			t.Fatalf("the repartition leaves node %d its rows", p)
+		}
+	}
 	h32, dst32 := randMat(n, 32, 61), tensor.New(n, 32)
 	h16, dst16 := randMat(n, 16, 62), tensor.New(n, 16)
 	for name, cfg := range map[string]dist.Config{
@@ -306,22 +317,30 @@ func TestFleetSteadyStateAllocs(t *testing.T) {
 					}
 				}
 			}
-			for epoch := 0; epoch < 2; epoch++ {
-				runEpoch(epoch)
-			}
-			var before, after runtime.MemStats
-			moved := hub.Load()
-			runtime.ReadMemStats(&before)
-			for e := 2; e < 2+epochs; e++ {
+			// measure warms up for two epochs from epoch e, then gates the
+			// next ones.
+			measure := func(e int, when string) {
 				runEpoch(e)
+				runEpoch(e + 1)
+				var before, after runtime.MemStats
+				moved := hub.Load()
+				runtime.ReadMemStats(&before)
+				for k := e + 2; k < e+2+epochs; k++ {
+					runEpoch(k)
+				}
+				runtime.ReadMemStats(&after)
+				moved = (hub.Load() - moved) / (3 * epochs)
+				alloc := int64(after.TotalAlloc-before.TotalAlloc) / (3 * epochs)
+				t.Logf("%s: %d B allocated per round, %d B moved over the hub", when, alloc, moved)
+				if alloc*10 >= moved {
+					t.Fatalf("%s: a steady round allocates %d B, not under a tenth of the %d B it moves", when, alloc, moved)
+				}
 			}
-			runtime.ReadMemStats(&after)
-			moved = (hub.Load() - moved) / (3 * epochs)
-			alloc := int64(after.TotalAlloc-before.TotalAlloc) / (3 * epochs)
-			t.Logf("%d B allocated per round, %d B moved over the hub", alloc, moved)
-			if alloc*10 >= moved {
-				t.Fatalf("a steady round allocates %d B, not under a tenth of the %d B it moves", alloc, moved)
+			measure(0, "first partition")
+			if _, err := tc.coord.Repartition(part2); err != nil {
+				t.Fatal(err)
 			}
+			measure(2+epochs, "after the repartition")
 			tc.coord.Shutdown()
 		})
 	}

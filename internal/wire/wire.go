@@ -164,6 +164,51 @@ func (b *Batch) Add(m *Message) {
 	}
 }
 
+// Repeat appends a copy of the message at buf[from:to] — one this frame
+// already holds, bracketed by Size before and after it was added — as the
+// next message: the bytes an Add of the same payload at the same codec would
+// write, without encoding them again. It is admitted like any message
+// (Present first in a sampled frame); a span that is not one message of the
+// open frame panics.
+func (b *Batch) Repeat(from, to int) {
+	f := &b.frame
+	bits := f.Bits
+	if f.Adaptive && from >= 0 && from+8 < len(b.buf) {
+		bits = int(b.buf[from+8])
+	}
+	if from < b.messagesStart() || to > len(b.buf) || to-from != messageBytes(f.Width, bits, f.Adaptive) || f.Adaptive && bits == 0 {
+		panic(fmt.Sprintf("wire: span [%d, %d) of %d bytes is not a message of frame %+v", from, to, len(b.buf), *f))
+	}
+	b.admit(f.Width, bits, f.Adaptive)
+	b.buf = append(b.buf, b.buf[from:to]...)
+}
+
+// messageBytes is the encoded size of one message of width values at a codec:
+// fp32 values, or the quantised levels behind lo/step and, when adaptive, the
+// width byte.
+func messageBytes(width, bits int, adaptive bool) int {
+	switch {
+	case bits == 0:
+		return ValueBytes * width
+	case adaptive:
+		return 9 + (width*bits+7)/8
+	}
+	return 8 + (width*bits+7)/8
+}
+
+// messagesStart is the offset of the open frame's first message: past the
+// header and, when sampled, the presence bitmap.
+func (b *Batch) messagesStart() int {
+	if b.frame.Sampled {
+		return FrameHeaderBytes + (b.frame.Count+7)/8
+	}
+	return FrameHeaderBytes
+}
+
+// Size returns the length of the frame encoded so far; it brackets a message
+// for Repeat.
+func (b *Batch) Size() int { return len(b.buf) }
+
 // Len returns the number of messages in the batch.
 func (b *Batch) Len() int { return b.count }
 
@@ -203,11 +248,7 @@ func encodeQuantized(dst []byte, m *Message, bits int, adaptive bool, roundtrip 
 		panic(fmt.Sprintf("wire: roundtrip len %d, payload len %d", len(roundtrip), len(payload)))
 	}
 	grid := compress.NewGrid(payload, bits) // panics on a width outside 1..16
-	meta := 8
-	if adaptive {
-		meta = 9
-	}
-	dst, b := reserve(dst, meta+(len(payload)*bits+7)/8)
+	dst, b := reserve(dst, messageBytes(len(payload), bits, adaptive))
 	lo, step := grid.Meta()
 	binary.LittleEndian.PutUint32(b, math.Float32bits(lo))
 	binary.LittleEndian.PutUint32(b[4:], math.Float32bits(step))

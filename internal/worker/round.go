@@ -3,6 +3,7 @@ package worker
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 
 	"scgnn/internal/compress"
@@ -82,6 +83,7 @@ type workerScratch struct {
 	payload []float64    // outgoing payload / group-fuse accumulator
 	dec     []float64    // inbound group payload staging
 	efSent  []float64    // error feedback: receiver-reconstructed values
+	memo    senderMemo   // the frame being encoded: its per-node senders' messages
 }
 
 func (ws *workerScratch) ensure(dim int) {
@@ -90,6 +92,92 @@ func (ws *workerScratch) ensure(dim int) {
 		ws.dec = make([]float64, dim)
 		ws.efSent = make([]float64, dim)
 	}
+}
+
+// senderMemo is encodePeer's memo of the frame it is encoding: where the
+// frame holds each per-node sender's first message (its head), so the
+// sender's other arcs into the peer copy those bytes instead of building,
+// ranging, levelling and packing the same payload again. A per-node payload
+// is Coeff[sender]·Scale·h[sender], and Scale is constant over a walk, so
+// every arc of a sender carries the same bytes — unless error feedback has
+// given its units different residuals, which repeat checks. It is sized by
+// the worker's rows and the frame's distinct senders, retained across frames
+// and stamped per frame, so it allocates nothing in steady state.
+type senderMemo struct {
+	frame uint32     // the open frame's stamp; never 0
+	at    []memoSlot // by sender row: its head, if the open frame stamped it
+	heads []memoHead // the open frame's heads, in encode order
+	old   []float64  // error feedback: the heads' residuals before their correction
+	// repeated and refused count the messages repeat copied and those it
+	// left to a fresh encode since the worker was built; the tests read them
+	// to see both paths taken.
+	repeated, refused int64
+}
+
+type memoSlot struct {
+	frame uint32
+	head  int32
+}
+
+// memoHead is one sender's first message in the open frame.
+type memoHead struct {
+	from, to int   // its bytes in the batch
+	bits     int   // the width it was quantised at (adaptive)
+	unit     int64 // its candidate index
+	// old is the offset in senderMemo.old of the residual its error feedback
+	// corrected it with, or -1 when it held none.
+	old int
+}
+
+// begin opens a frame for a worker with rows rows: every earlier head is
+// forgotten.
+func (m *senderMemo) begin(rows int) {
+	if len(m.at) < rows {
+		m.at = make([]memoSlot, rows)
+	}
+	if m.frame++; m.frame == 0 {
+		clear(m.at)
+		m.frame = 1
+	}
+	m.heads, m.old = m.heads[:0], m.old[:0]
+}
+
+// head returns the index of row's head in the open frame, or -1.
+func (m *senderMemo) head(row int32) int {
+	if s := m.at[row]; s.frame == m.frame {
+		return int(s.head)
+	}
+	return -1
+}
+
+// add makes the message about to be encoded at byte from row's head; res is
+// the residual its error feedback is about to correct it with (nil: none).
+// It returns the head's index; the caller sets the head's end and width once
+// the message is encoded.
+func (m *senderMemo) add(row int32, unit int64, from int, res []float64) int {
+	k := len(m.heads)
+	m.at[row] = memoSlot{frame: m.frame, head: int32(k)}
+	h := memoHead{from: from, unit: unit, old: -1}
+	if res != nil {
+		h.old = len(m.old)
+		m.old = append(m.old, res...)
+	}
+	m.heads = append(m.heads, h)
+	return k
+}
+
+// sameResidual reports whether res — a unit's residual, nil when it holds
+// none — is bit for bit the one head hd was corrected with.
+func (m *senderMemo) sameResidual(hd *memoHead, res []float64) bool {
+	if res == nil || hd.old < 0 {
+		return res == nil && hd.old < 0
+	}
+	for i, v := range res {
+		if math.Float64bits(v) != math.Float64bits(m.old[hd.old+i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // newExchanger builds the runtime for the method combination cfg selects;
@@ -432,7 +520,9 @@ func (x *exchanger) localRows(me int, h, out *tensor.Matrix, from, to int) {
 // batch buffer, records the traffic on me's shard counter, and returns the
 // framed bytes. It is the wire runtime's sink of the shared unit walk: one
 // message per surviving group (Fig. 7(b)), one per surviving O2O residual or
-// cross arc (Fig. 7(a)), in walk order behind the frame's batch header.
+// cross arc (Fig. 7(a)), in walk order behind the frame's batch header. A
+// cross arc whose sender already has a message in the frame repeats that
+// message's bytes (senderMemo).
 // Forward it walks pair (me→peer); backward pair (peer→me) reversed — me owns
 // its sinks. The buffer is reused next round: receivers must fully consume it
 // before then (in-process the round barrier guarantees this; the socket
@@ -455,24 +545,48 @@ func (x *exchanger) encodePeer(me, peer int, h *tensor.Matrix, backward bool) []
 	// Group messages sent, and the members they stand for: senders fused in
 	// plus receivers fanned out to.
 	groupMsgs, members := 0, 0
+	// A semantic pair's per-node units are its O2O residuals, connections of
+	// one arc each: no sender recurs in its frame, so it keeps no memo.
+	var memo *senderMemo
+	if !x.core.Semantic() {
+		memo = &ws.memo
+		memo.begin(x.rows)
+	}
 	x.core.Walk(idx, backward, x.epoch, x.round, func(u exchange.Unit) {
-		if u.Group < 0 {
-			scale := x.core.Coeff[u.Sender] * u.Scale
-			for i, v := range h.Row(int(rowOf[u.Sender])) {
-				payload[i] = scale * v
-			}
-		} else {
+		if frame.Sampled {
+			batch.Present(int(u.Index))
+		}
+		if u.Group >= 0 {
 			// h_g = scale·Σ w(u)·f[u]·h_u in one fused pass over the members.
 			clear(payload)
 			rows, w := enc.Group(int(u.Group))
 			tensor.GatherAXPY(payload, h, rows, w, u.Scale)
 			groupMsgs++
 			members += len(rows) + len(groups[u.Group].DstNodes)
+			x.addMsg(ws, batch, ps, u.Index)
+			return
 		}
-		if frame.Sampled {
-			batch.Present(int(u.Index))
+		row, k := rowOf[u.Sender], -1
+		if memo != nil {
+			if k = memo.head(row); k >= 0 && x.repeat(ws, batch, ps, k, u.Index) {
+				return
+			}
 		}
-		x.addMsg(ws, batch, ps, u.Index)
+		scale := x.core.Coeff[u.Sender] * u.Scale
+		for i, v := range h.Row(int(row)) {
+			payload[i] = scale * v
+		}
+		if memo == nil || k >= 0 {
+			x.addMsg(ws, batch, ps, u.Index)
+			return
+		}
+		var res []float64
+		if ps.EF != nil {
+			res = ps.EF.Residual(compress.RoundUnitKey(x.round, u.Index))
+		}
+		k = memo.add(row, u.Index, batch.Size(), res)
+		bits := x.addMsg(ws, batch, ps, u.Index)
+		memo.heads[k].to, memo.heads[k].bits = batch.Size(), bits
 	})
 	buf := batch.Bytes()
 	// The frame is the traffic: its batch header, then the messages' payloads.
@@ -501,17 +615,45 @@ func (x *exchanger) frame(idx, sender, width int) wire.Frame {
 		Adaptive: ps.Adaptive != nil, Sampled: ps.Sampler != nil}
 }
 
+// repeat appends unit's message as a copy of the bytes of head k, a message
+// of the same sender earlier in the frame, when they are the bytes a fresh
+// encode of unit would write, and reports whether it did. Without error
+// feedback they always are. With it they are when unit's residual-corrected
+// payload is bit-equal to the head's: both held no residual, or bit-equal
+// ones. Then the sent values and the new residual are the head's too. The
+// pair's streams move exactly as addMsg would move them: the adaptive width
+// is counted, the correction counted and the head's new residual copied.
+func (x *exchanger) repeat(ws *workerScratch, batch *wire.Batch, ps *exchange.PairState, k int, unit int64) bool {
+	m := &ws.memo
+	hd := &m.heads[k]
+	key := compress.RoundUnitKey(x.round, unit)
+	if ps.EF != nil && !m.sameResidual(hd, ps.EF.Residual(key)) {
+		m.refused++
+		return false
+	}
+	m.repeated++
+	batch.Repeat(hd.from, hd.to)
+	if ps.Adaptive != nil {
+		ps.Adaptive.Repeat(hd.bits)
+	}
+	if ps.EF != nil {
+		ps.EF.Repeat(key, compress.RoundUnitKey(x.round, hd.unit))
+	}
+	return true
+}
+
 // addMsg appends the staged message ws.msg to the batch — quantized at the
 // pair's width when it has one, with residual error feedback layered on top
-// when enabled. unit is the message's candidate index within (pair, round);
+// when enabled — and returns the width it was quantised at (0: fp32). unit is
+// the message's candidate index within (pair, round);
 // with the round slot it keys the residual store (compress.RoundUnitKey), so
 // a unit meets its own residual again next epoch. Bytes reflect the reduced
 // wire size: ceil(n·bits/8) + 8 metadata in place of 4n (+1 when adaptive).
-func (x *exchanger) addMsg(ws *workerScratch, batch *wire.Batch, ps *exchange.PairState, unit int64) {
+func (x *exchanger) addMsg(ws *workerScratch, batch *wire.Batch, ps *exchange.PairState, unit int64) int {
 	m := &ws.msg
 	if ps.Bits <= 0 {
 		batch.Add(m)
-		return
+		return 0
 	}
 	key, sent := compress.RoundUnitKey(x.round, unit), []float64(nil)
 	if ps.EF != nil {
@@ -530,6 +672,7 @@ func (x *exchanger) addMsg(ws *workerScratch, batch *wire.Batch, ps *exchange.Pa
 		// values, which is what the residual is taken against.
 		ps.EF.PostCompress(key, m.Payload, sent)
 	}
+	return bits
 }
 
 // ErrCorruptFrame marks an inbound frame a round refused: bytes the wire

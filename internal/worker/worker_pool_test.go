@@ -22,8 +22,8 @@ func benchSetup() (*datasets.Dataset, []int) {
 }
 
 // TestClusterSteadyStateAllocs: after warm-up, a full aggregate round must not
-// allocate — encode buffers, frame slots, payload scratch, and traffic shards
-// are all retained across rounds, and the fork-join's goroutines start on
+// allocate — encode buffers, frame slots, payload scratch, the sender memo
+// and traffic shards are all retained across rounds, and the fork-join's goroutines start on
 // func values bound at construction. The rounds are a [32, 32, 16] GCN's
 // epoch: layer 0 aggregates its 32 features, and the output layer multiplies
 // first, so its forward and backward rounds are 16 wide — round slots of
@@ -54,6 +54,8 @@ func TestClusterSteadyStateAllocs(t *testing.T) {
 		{"sampling", exchange.Config{SampleRate: 0.5, Seed: 7}},
 		{"nsampling", exchange.Config{SampleRate: 0.5, SampleNodes: true, Seed: 7}},
 		{"aquant", exchange.Config{QuantBits: 8, AdaptiveQuant: true}},
+		{"sampling+quant8+ef", exchange.Config{SampleRate: 0.5, QuantBits: 8, ErrorFeedback: true, Seed: 7}},
+		{"aquant+sampling", exchange.Config{QuantBits: 8, AdaptiveQuant: true, SampleRate: 0.5, Seed: 7}},
 		{"delay3", exchange.Config{DelayPeriod: 3}},
 		{"semantic+nsampling", exchange.Config{Semantic: true, Plan: plan, SampleRate: 0.5, SampleNodes: true, Seed: 7}},
 		{"semantic+delay", exchange.Config{Semantic: true, Plan: plan, DelayPeriod: 2}},
