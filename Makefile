@@ -15,8 +15,12 @@ build:
 	GOARCH=arm64 $(GO) build ./...
 	GOARCH=arm64 $(GO) vet ./internal/tensor/ ./internal/compress/
 
+# bench/ is a module of its own, which ./... does not reach; vetting it builds
+# it against the product packages, so an API change that breaks the benchmark
+# fails here.
 vet:
 	$(GO) vet ./...
+	$(GO) vet -C bench ./...
 
 test:
 	$(GO) test ./...
@@ -114,7 +118,7 @@ loc:
 # bytes as one peer's frame in a 4-part cluster), the codec kernels (vector and
 # Go paths against the per-value reference), the tensor kernels (the CSR
 # gather, the ReLU mask passes and the column sum: vector bodies against Go
-# loops), the error-feedback store (flat slabs against the map oracle) and the
+# loops), the error-feedback store (shared records against the map oracle) and the
 # arc-bucket differ
 # (go test -fuzz accepts one target per invocation). FUZZTIME=10m for a soak;
 # the checked-in seed corpora under */testdata/fuzz/ are the starting point
@@ -246,7 +250,10 @@ verify: build vet one-sink test examples race test-net cover fuzz-smoke
 # "encode-once-before" / "encode-once" hold BenchmarkClusterRound{Vanilla,
 # Sampled,Adaptive,Quant,QuantEF}Into either side of a per-arc frame copying a
 # sender's message bytes (wire.Batch.Repeat) instead of quantising them again
-# (same method).
+# (same method); "ef-shared-before" / "ef-shared" hold
+# BenchmarkClusterRound{QuantEF,SampledQuantEF}Into either side of the
+# error-feedback residuals becoming records shared by reference (same method,
+# the sampled row added to the parent's test file for its side).
 # The planning-pipeline benchmarks (one-sweep DBG extraction + concurrent plan
 # builds + EEP sweep, plus the 100k-preset dirty-fraction replan sweep
 # BenchmarkReplan100K*) refresh BENCH_plan.json the same way;

@@ -1,9 +1,11 @@
 package compress
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
-	"math/bits"
+	"math"
+	"slices"
 
 	"scgnn/internal/tensor"
 )
@@ -18,12 +20,13 @@ import (
 //
 // Units are keyed by RoundUnitKey. A round exchanges payloads of one width,
 // so every residual of a round slot has the width of the slot's first one
-// since the last Reset; another width there panics. A slot keeps its
-// residuals in one flat slab, unit u's at [u·width, (u+1)·width), and a
-// bitset of the units that hold one: a unit is tracked from its first
-// PostCompress, so a candidate that was always dropped never is. Reset and
-// Restore keep the slabs, which grow only when a unit lands beyond them — to
-// the declared unit count (SetUnits) when that covers it, else by doubling.
+// since the last Reset; another width there panics. A unit is tracked from
+// its first PostCompress, so a candidate that was always dropped never is.
+// Residuals are records shared by reference and copied on write: Repeat
+// gives a unit another's record, PostCompress overwrites a record only for
+// its sole holder, so units with equal Ref hold bit-equal residuals. Freed
+// records are reused; a slot's arena grows only past them, by doubling, to at
+// most the declared unit count (SetUnits). Reset and Restore keep the arenas.
 //
 // A single store is not safe for concurrent use. The runtimes shard instead
 // of locking: one ErrorFeedback per ordered partition pair, touched in a
@@ -42,18 +45,19 @@ type ErrorFeedback struct {
 // residualSlot is one round slot's residuals.
 type residualSlot struct {
 	round, width int       // width is -1 until the slot's first residual
-	res          []float64 // unit u's residual at res[u·width:(u+1)·width]
-	has          []uint64  // bit u set: unit u holds a residual
+	id           []int32   // unit u's record + 1, 0 while it holds none
+	rec          []float64 // record r's residual at rec[r·width:(r+1)·width]
+	refs         []int32   // record r's holders; 0 while it is free
+	free         []int32   // records with no holder
 }
 
 // NewErrorFeedback returns an empty residual store with no declared unit
-// count: its slabs grow as units arrive.
+// count: its arenas grow as units arrive.
 func NewErrorFeedback() *ErrorFeedback {
 	return &ErrorFeedback{units: -1}
 }
 
-// SetUnits declares that every round slot's unit indices lie in [0, n), so a
-// slab is allocated at n units when its slot is first written.
+// SetUnits declares that every round slot's unit indices lie in [0, n).
 func (ef *ErrorFeedback) SetUnits(n int) { ef.units = n }
 
 // RoundUnitKey builds the canonical transfer-unit key from the aggregate
@@ -73,59 +77,53 @@ func splitKey(key int64) (round, unit int) {
 	return int(key >> 32), int(key & (1<<32 - 1))
 }
 
-// slot returns round's residual slot, or nil.
-func (ef *ErrorFeedback) slot(round int) *residualSlot {
-	for i := range ef.slots {
-		if ef.slots[i].round == round {
-			return &ef.slots[i]
-		}
+// unit returns key's round slot (opened on first use, ids grown to cover it).
+func (ef *ErrorFeedback) unit(key int64) (*residualSlot, int) {
+	round, u := splitKey(key)
+	i := slices.IndexFunc(ef.slots, func(s residualSlot) bool { return s.round == round })
+	if i < 0 {
+		i, ef.slots = len(ef.slots), append(ef.slots, residualSlot{round: round, width: -1})
 	}
-	return nil
+	if s := &ef.slots[i]; u >= len(s.id) {
+		s.id = grow(s.id, max(u+1, ef.units), -1)
+	}
+	return &ef.slots[i], u
 }
 
-func (s *residualSlot) holds(u int) bool {
-	return u>>6 < len(s.has) && s.has[u>>6]&(1<<(u&63)) != 0
+func (s *residualSlot) record(r int32) []float64 { return s.rec[int(r)*s.width : (int(r)+1)*s.width] }
+
+// Ref returns the id of the record unit key holds, or -1 when it holds none.
+// Units of one round slot with equal ids hold bit-equal residuals.
+func (ef *ErrorFeedback) Ref(key int64) int32 {
+	s, u := ef.unit(key)
+	return s.id[u] - 1
 }
 
 // PreCompress adds the stored residual of unit key into payload (in place),
 // returning the "true" values the compressor should now encode.
 func (ef *ErrorFeedback) PreCompress(key int64, payload []float64) {
-	round, u := splitKey(key)
-	s := ef.slot(round)
-	if s == nil || !s.holds(u) {
-		return
+	s, u := ef.unit(key)
+	if r := s.id[u] - 1; r >= 0 {
+		if len(payload) != s.width {
+			panic(fmt.Sprintf("compress: error-feedback unit %d length changed %d→%d", key, s.width, len(payload)))
+		}
+		tensor.AXPY(1, s.record(r), payload)
+		ef.Corrected += int64(len(payload))
 	}
-	if len(payload) != s.width {
-		panic(fmt.Sprintf("compress: error-feedback unit %d length changed %d→%d", key, s.width, len(payload)))
-	}
-	tensor.AXPY(1, s.res[u*s.width:(u+1)*s.width], payload)
-	ef.Corrected += int64(len(payload))
-}
-
-// Residual returns unit key's stored residual — what PreCompress would add
-// — as a view into the store, or nil when the unit holds none.
-func (ef *ErrorFeedback) Residual(key int64) []float64 {
-	round, u := splitKey(key)
-	if s := ef.slot(round); s != nil && s.holds(u) {
-		return s.res[u*s.width : (u+1)*s.width]
-	}
-	return nil
 }
 
 // Repeat stands for PreCompress and PostCompress of unit key when its
 // residual-corrected payload is bit-equal to that of unit from of the same
 // round slot, which has been through both this round: it counts the
 // correction PreCompress would have made and gives key from's new residual,
-// which is what PostCompress would have recorded.
+// which is what PostCompress would have recorded, by sharing its record.
 func (ef *ErrorFeedback) Repeat(key, from int64) {
-	round, u := splitKey(key)
+	s, u := ef.unit(key)
 	_, f := splitKey(from)
-	s := ef.slot(round)
-	if s.holds(u) {
+	if s.id[u] > 0 {
 		ef.Corrected += int64(s.width)
 	}
-	dst := ef.residual(round, u, s.width) // may grow the slot's slab
-	copy(dst, s.res[f*s.width:(f+1)*s.width])
+	ef.hold(s, u, s.id[f]-1)
 }
 
 // PostCompress records the new residual: true (pre-compression, already
@@ -134,59 +132,68 @@ func (ef *ErrorFeedback) PostCompress(key int64, trueVals, sent []float64) {
 	if len(trueVals) != len(sent) {
 		panic("compress: error-feedback length mismatch")
 	}
-	round, u := splitKey(key)
-	r := ef.residual(round, u, len(trueVals))
+	s, u := ef.unit(key)
+	r := ef.own(s, u, len(trueVals))
 	for i := range r {
 		r[i] = trueVals[i] - sent[i]
 	}
 }
 
-// residual returns unit u's residual in slot round, tracking the unit on its
-// first touch.
-func (ef *ErrorFeedback) residual(round, u, width int) []float64 {
-	s := ef.slot(round)
-	if s == nil {
-		ef.slots = append(ef.slots, residualSlot{round: round, width: -1})
-		s = &ef.slots[len(ef.slots)-1]
-	}
+// own returns a record of width values unit u holds alone, to be
+// overwritten: its own when it is the sole holder, else a fresh one.
+func (ef *ErrorFeedback) own(s *residualSlot, u, width int) []float64 {
 	if s.width < 0 {
 		s.width = width
 	} else if width != s.width {
-		panic(fmt.Sprintf("compress: error-feedback round slot %d holds %d-value residuals, got %d", round, s.width, width))
+		panic(fmt.Sprintf("compress: error-feedback round slot %d holds %d-value residuals, got %d", s.round, s.width, width))
 	}
-	if !s.holds(u) {
-		if n := u>>6 + 1; n > len(s.has) {
-			s.has = grow(s.has, n, (ef.units+63)/64)
-		}
-		if n := (u + 1) * width; n > len(s.res) {
-			s.res = grow(s.res, n, ef.units*width)
-		}
-		s.has[u>>6] |= 1 << (u & 63)
-		ef.tracked++
+	if r := s.id[u] - 1; r >= 0 && s.refs[r] == 1 {
+		return s.record(r)
 	}
-	return s.res[u*width : (u+1)*width]
+	r := int32(len(s.refs))
+	if n := len(s.free); n > 0 {
+		r, s.free = s.free[n-1], s.free[:n-1]
+	} else if s.refs = append(s.refs, 0); int(r+1)*width > len(s.rec) {
+		s.rec = grow(s.rec, int(r+1)*width, ef.units*width)
+	}
+	ef.hold(s, u, r)
+	return s.record(r)
 }
 
-// grow returns a copy of s lengthened to hint elements when that reaches n,
-// else to max(n, 2·len(s)).
-func grow[T any](s []T, n, hint int) []T {
+// hold makes unit u a holder of record r, releasing the record it held.
+func (ef *ErrorFeedback) hold(s *residualSlot, u int, r int32) {
+	old := s.id[u] - 1
+	if old == r {
+		return
+	} else if old < 0 {
+		ef.tracked++
+	} else if s.refs[old]--; s.refs[old] == 0 {
+		s.free = append(s.free, old)
+	}
+	s.id[u] = r + 1
+	s.refs[r]++
+}
+
+// grow returns a copy of s lengthened to max(n, 2·len(s)), but to no more
+// than limit when that reaches n.
+func grow[T any](s []T, n, limit int) []T {
 	size := max(n, 2*len(s))
-	if hint >= n {
-		size = hint
+	if limit >= n {
+		size = min(size, limit)
 	}
 	out := make([]T, size)
 	copy(out, s)
 	return out
 }
 
-// Snapshot deep-copies the residual store for checkpointing.
+// Snapshot deep-copies the residual store for checkpointing, one residual per
+// unit.
 func (ef *ErrorFeedback) Snapshot() map[int64][]float64 {
 	out := make(map[int64][]float64, ef.tracked)
 	for _, s := range ef.slots {
-		for k, word := range s.has {
-			for ; word != 0; word &= word - 1 {
-				u := k<<6 + bits.TrailingZeros64(word)
-				out[RoundUnitKey(s.round, int64(u))] = append([]float64(nil), s.res[u*s.width:(u+1)*s.width]...)
+		for u, r := range s.id {
+			if r > 0 {
+				out[RoundUnitKey(s.round, int64(u))] = slices.Clone(s.record(r - 1))
 			}
 		}
 	}
@@ -195,22 +202,35 @@ func (ef *ErrorFeedback) Snapshot() map[int64][]float64 {
 
 // Restore replaces the residual store with a copy of residuals (nil restores
 // an empty store), undoing any history accumulated since; Corrected is left
-// to the caller. The map must pass CheckResiduals.
+// to the caller. Bit-equal residuals of a round slot share one record again,
+// as the encoder left them. The map must pass CheckResiduals.
 func (ef *ErrorFeedback) Restore(residuals map[int64][]float64) {
 	corrected := ef.Corrected
 	ef.Reset()
 	ef.Corrected = corrected
+	shared := make(map[string]int32) // a residual's round slot and bits → its record
 	for k, v := range residuals {
-		round, u := splitKey(k)
-		copy(ef.residual(round, u, len(v)), v)
+		s, u := ef.unit(k)
+		bits := binary.LittleEndian.AppendUint64(nil, uint64(s.round))
+		for _, x := range v {
+			bits = binary.LittleEndian.AppendUint64(bits, math.Float64bits(x))
+		}
+		if r, ok := shared[string(bits)]; ok {
+			ef.hold(s, u, r)
+		} else {
+			copy(ef.own(s, u, len(v)), v)
+			shared[string(bits)] = s.id[u] - 1
+		}
 	}
 }
 
-// Reset clears residuals and counters (e.g. between runs), keeping the slabs.
+// Reset clears residuals and counters (e.g. between runs), keeping the
+// arenas.
 func (ef *ErrorFeedback) Reset() {
 	for i := range ef.slots {
-		clear(ef.slots[i].has)
-		ef.slots[i].width = -1
+		s := &ef.slots[i]
+		clear(s.id)
+		s.width, s.refs, s.free = -1, s.refs[:0], s.free[:0]
 	}
 	ef.tracked, ef.Corrected = 0, 0
 }
@@ -221,10 +241,8 @@ func (ef *ErrorFeedback) Units() int { return ef.tracked }
 // Width reports the width of round slot round's residuals; ok is false while
 // it holds none.
 func (ef *ErrorFeedback) Width(round int) (width int, ok bool) {
-	if s := ef.slot(round); s != nil && s.width >= 0 {
-		return s.width, true
-	}
-	return 0, false
+	s, _ := ef.unit(RoundUnitKey(round, 0))
+	return max(s.width, 0), s.width >= 0
 }
 
 // ErrBadResiduals marks a residual map CheckResiduals refused.

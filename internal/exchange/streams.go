@@ -66,7 +66,7 @@ func (s *Streams) Setting(idx int) sched.Setting {
 
 // Reseed (re)creates pair idx's state from scratch under its current setting:
 // the sampler is seeded DeriveSeed(seed, idx), the adaptive quantizer and
-// error-feedback store drop their history (the store keeps its slabs,
+// error-feedback store drop their history (the store keeps its arenas,
 // re-bounded by the pair's candidate count). Used at
 // construction, for the dirty pairs of a Repartition, and whenever a pair
 // changes rung — a re-seeded pair behaves exactly like the same pair in a

@@ -245,12 +245,12 @@ func (r *creader) i32s() []int32 {
 	}
 	return v
 }
-func (r *creader) i64s() []int64 {
+func (r *creader) i64s(dst []int64) []int64 {
 	n := r.count(8)
 	if r.err != nil || n == 0 {
-		return nil
+		return dst[:0]
 	}
-	v := make([]int64, n)
+	v := slices.Grow(dst[:0], n)[:n]
 	for i := range v {
 		v[i] = r.i64()
 	}
@@ -622,25 +622,25 @@ func (m RoundDone) encodeInto(w *cwriter) {
 	w.str(m.Err)
 }
 
-// decodeRoundDone stores the frame's nout out values into the listed rows of
-// out when they are exactly that many (a failed round ships none).
-func decodeRoundDone(p []byte, out *tensor.Matrix, rows []int32) (m RoundDone, nout int, err error) {
+// decodeRoundDone decodes into m, over its traffic rows, and stores the nout
+// out values into the listed rows of out when exactly that many (a failed round ships none).
+func decodeRoundDone(p []byte, m *RoundDone, out *tensor.Matrix, rows []int32) (nout int, err error) {
 	r := creader{b: p}
-	m = RoundDone{Seq: r.u64()}
+	m.Seq = r.u64()
 	vals := r.take(8 * r.count(8))
-	m.Bytes, m.Msgs = r.i64s(), r.i64s()
+	m.Bytes, m.Msgs = r.i64s(m.Bytes), r.i64s(m.Msgs)
 	m.Work = simnet.Work{ComputeFlops: r.i64(), QuantValues: r.i64(), SampleEdges: r.i64(), CacheValues: r.i64(), SemanticValues: r.i64()}
 	m.Err = r.str()
 	if err := r.done(); err != nil {
-		return RoundDone{}, 0, err
+		return 0, err
 	}
 	if len(m.Bytes) != len(m.Msgs) {
-		return RoundDone{}, 0, fmt.Errorf("%w: traffic rows %d bytes vs %d msgs", errBadControl, len(m.Bytes), len(m.Msgs))
+		return 0, fmt.Errorf("%w: traffic rows %d bytes vs %d msgs", errBadControl, len(m.Bytes), len(m.Msgs))
 	}
 	if len(vals) == 8*len(rows)*out.Cols {
 		loadRows(vals, out, rows)
 	}
-	return m, len(vals) / 8, nil
+	return len(vals) / 8, nil
 }
 
 // Batch is one node-to-node halo buffer. Seq tags the coordinator round it

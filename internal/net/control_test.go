@@ -128,15 +128,16 @@ func TestControlRoundtrips(t *testing.T) {
 	// A RoundDone lands in the rows the receiver names, and only there.
 	out := tensor.New(3, 1)
 	work := simnet.Work{ComputeFlops: 40, QuantValues: 3, SampleEdges: 5, CacheValues: 7, SemanticValues: 11}
-	done, nout, err := decodeRoundDone(encode(RoundDone{Seq: 2, Out: tensor.FromRows([][]float64{{5}}),
-		Bytes: []int64{0, 9}, Msgs: []int64{0, 1}, Work: work, Err: ""}), out, []int32{2})
+	var done RoundDone
+	nout, err := decodeRoundDone(encode(RoundDone{Seq: 2, Out: tensor.FromRows([][]float64{{5}}),
+		Bytes: []int64{0, 9}, Msgs: []int64{0, 1}, Work: work, Err: ""}), &done, out, []int32{2})
 	if err != nil || nout != 1 || out.Data[2] != 5 || out.Data[0] != 0 || done.Bytes[1] != 9 || done.Msgs[1] != 1 ||
 		done.Work != work {
 		t.Fatalf("round-done: %+v, %d, %v into %v", done, nout, err, out.Data)
 	}
 	// A float section of another size than the receiver expects is skipped,
 	// counted, and the destination left alone.
-	_, nout, err = decodeRoundDone(encode(RoundDone{Seq: 2, Err: "boom"}), out, []int32{1})
+	nout, err = decodeRoundDone(encode(RoundDone{Seq: 2, Err: "boom"}), &done, out, []int32{1})
 	if err != nil || nout != 0 || out.Data[1] != 0 {
 		t.Fatalf("round-done without rows: %d, %v into %v", nout, err, out.Data)
 	}

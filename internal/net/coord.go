@@ -89,21 +89,37 @@ type Coordinator struct {
 	work   simnet.Work // the nodes' processing counters since the epoch began
 	dones  []RoundDone // the replies of the round in flight, by node
 
+	// The epoch marker's and the round's fanOut runs, bound at construction,
+	// with their frames in fields: a steady epoch allocates nothing.
+	epochRuns, roundRuns []func()
+	fanErrs              []error
+	fanWG                sync.WaitGroup
+	epochMsg             Epoch
+	rounds               []Round
+	dst                  *tensor.Matrix
+
 	mu sync.Mutex // guards conns for Close from other goroutines
 }
 
 // NewCoordinator prepares a coordinator for the given node control
 // addresses (index = partition id). No connection is made until Connect.
 func NewCoordinator(addrs []string, opts CoordOptions) *Coordinator {
-	return &Coordinator{
-		opts:   opts.withDefaults(),
-		addrs:  addrs,
-		conns:  make([]*framed, len(addrs)),
-		nparts: len(addrs),
-		fabric: simnet.NewFabric(len(addrs)),
-		shard:  simnet.NewShardCounter(len(addrs)),
-		dones:  make([]RoundDone, len(addrs)),
+	c := &Coordinator{
+		opts:    opts.withDefaults(),
+		addrs:   addrs,
+		conns:   make([]*framed, len(addrs)),
+		nparts:  len(addrs),
+		fabric:  simnet.NewFabric(len(addrs)),
+		shard:   simnet.NewShardCounter(len(addrs)),
+		dones:   make([]RoundDone, len(addrs)),
+		rounds:  make([]Round, len(addrs)),
+		fanErrs: make([]error, len(addrs)),
 	}
+	epochOn := func(i int) error { return c.requestAck(i, frameEpoch, &c.epochMsg, c.opts.RoundTimeout) }
+	for i := range addrs {
+		c.epochRuns, c.roundRuns = append(c.epochRuns, c.bind(i, epochOn)), append(c.roundRuns, c.bind(i, c.roundOn))
+	}
+	return c
 }
 
 // Connect dials every node's control channel with retry/backoff, closing
@@ -185,20 +201,33 @@ func (c *Coordinator) requestAck(i int, ft frameType, m encoder, timeout time.Du
 	return nil
 }
 
-// broadcast runs fn for every node concurrently and returns the
-// lowest-node-id error (all goroutines are always awaited).
+// broadcast runs fn for every node concurrently and returns the nodes'
+// errors joined in node order (all goroutines are always awaited).
 func (c *Coordinator) broadcast(fn func(i int) error) error {
-	errs := make([]error, c.nparts)
-	var wg sync.WaitGroup
-	for i := 0; i < c.nparts; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			errs[i] = fn(i)
-		}(i)
+	runs := make([]func(), c.nparts)
+	for i := range runs {
+		runs[i] = c.bind(i, fn)
 	}
-	wg.Wait()
-	return errors.Join(errs...)
+	return c.fanOut(runs)
+}
+
+// bind returns the fanOut run that sets fanErrs[i] to fn(i).
+func (c *Coordinator) bind(i int, fn func(i int) error) func() {
+	return func() {
+		defer c.fanWG.Done()
+		c.fanErrs[i] = fn(i)
+	}
+}
+
+// fanOut runs every run on a goroutine of its own and joins fanErrs once all
+// are done. One fan-out runs at a time: one goroutine drives the coordinator.
+func (c *Coordinator) fanOut(runs []func()) error {
+	c.fanWG.Add(len(runs))
+	for _, run := range runs {
+		go run()
+	}
+	c.fanWG.Wait()
+	return errors.Join(c.fanErrs...)
 }
 
 // Setup distributes the training topology: every node receives the graph,
@@ -274,15 +303,12 @@ func (c *Coordinator) startEpoch(epoch int, eval bool) {
 	c.fabric.Reset()
 	c.work = simnet.Work{}
 	c.epoch, c.eval, c.round, c.skipped = epoch, eval, 0, false
-	m := Epoch{Epoch: int32(epoch), Eval: eval}
+	c.epochMsg = Epoch{Epoch: int32(epoch), Eval: eval}
 	if c.sched != nil {
 		c.mustSchedule(epoch)
-		m.Levels = toInt32s(c.sched.Levels())
+		c.epochMsg.Levels = toInt32s(c.sched.Levels())
 	}
-	err := c.broadcast(func(i int) error {
-		return c.requestAck(i, frameEpoch, m, c.opts.RoundTimeout)
-	})
-	if err != nil {
+	if err := c.fanOut(c.epochRuns); err != nil {
 		panic(fmt.Errorf("net: epoch marker: %w", err))
 	}
 }
@@ -423,35 +449,11 @@ func (c *Coordinator) AggregateInto(dst, h *tensor.Matrix, backward bool) error 
 		ordinal = int32(c.round)
 	}
 	c.round, c.skipped = c.round+1, false
-	err := c.broadcast(func(i int) error {
-		own := c.own[i]
-		m := Round{Seq: seq, Backward: backward, Cols: int32(h.Cols), H: h, Rows: own, Ordinal: ordinal}
-		resp, err := c.request(i, frameRound, m, frameRoundDone, 2*c.opts.RoundTimeout)
-		if err != nil {
-			return err
-		}
-		done, nout, err := decodeRoundDone(resp, dst, own)
-		if err != nil {
-			return fmt.Errorf("node %d: %w", i, err)
-		}
-		if done.Seq != seq {
-			return fmt.Errorf("node %d: %w: round-done seq %d, want %d", i, ErrProtocol, done.Seq, seq)
-		}
-		if done.Err != "" {
-			return fmt.Errorf("node %d: %w: %s", i, ErrRemote, done.Err)
-		}
-		if nout != len(own)*h.Cols {
-			return fmt.Errorf("node %d: %w: %d out values, want %d rows x %d cols",
-				i, ErrProtocol, nout, len(own), h.Cols)
-		}
-		if len(done.Bytes) != c.nparts {
-			return fmt.Errorf("node %d: %w: traffic row length %d, want %d",
-				i, ErrProtocol, len(done.Bytes), c.nparts)
-		}
-		c.dones[i] = done
-		return nil
-	})
-	if err != nil {
+	for i := range c.rounds {
+		c.rounds[i] = Round{Seq: seq, Backward: backward, Cols: int32(h.Cols), H: h, Rows: c.own[i], Ordinal: ordinal}
+	}
+	c.dst = dst
+	if err := c.fanOut(c.roundRuns); err != nil {
 		return fmt.Errorf("net: round %d: %w", seq, err)
 	}
 	for i, done := range c.dones {
@@ -463,6 +465,34 @@ func (c *Coordinator) AggregateInto(dst, h *tensor.Matrix, backward bool) error 
 		c.work.Add(done.Work)
 	}
 	c.fabric.Drain(c.shard)
+	return nil
+}
+
+// roundOn runs rounds[i] on node i, its rows into dst, its reply into dones[i].
+func (c *Coordinator) roundOn(i int) error {
+	m, done := &c.rounds[i], &c.dones[i]
+	resp, err := c.request(i, frameRound, m, frameRoundDone, 2*c.opts.RoundTimeout)
+	if err != nil {
+		return err
+	}
+	nout, err := decodeRoundDone(resp, done, c.dst, m.Rows)
+	if err != nil {
+		return fmt.Errorf("node %d: %w", i, err)
+	}
+	if done.Seq != m.Seq {
+		return fmt.Errorf("node %d: %w: round-done seq %d, want %d", i, ErrProtocol, done.Seq, m.Seq)
+	}
+	if done.Err != "" {
+		return fmt.Errorf("node %d: %w: %s", i, ErrRemote, done.Err)
+	}
+	if nout != len(m.Rows)*int(m.Cols) {
+		return fmt.Errorf("node %d: %w: %d out values, want %d rows x %d cols",
+			i, ErrProtocol, nout, len(m.Rows), m.Cols)
+	}
+	if len(done.Bytes) != c.nparts {
+		return fmt.Errorf("node %d: %w: traffic row length %d, want %d",
+			i, ErrProtocol, len(done.Bytes), c.nparts)
+	}
 	return nil
 }
 

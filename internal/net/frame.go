@@ -111,7 +111,7 @@ const readChunkLen = 64 << 10
 // returned verbatim when the stream ends cleanly between frames; any
 // mid-frame truncation surfaces as io.ErrUnexpectedEOF wrapped with context.
 func (f *framed) read() (frameType, []byte, error) {
-	if _, err := io.ReadFull(f.conn, f.hdr[:4]); err != nil {
+	if _, err := io.ReadFull(f, f.hdr[:4]); err != nil {
 		if err == io.EOF {
 			return 0, nil, io.EOF
 		}
@@ -124,7 +124,7 @@ func (f *framed) read() (frameType, []byte, error) {
 	if n > maxFrameLen {
 		return 0, nil, fmt.Errorf("%w: %d > %d", errFrameTooLarge, n, maxFrameLen)
 	}
-	if _, err := io.ReadFull(f.conn, f.hdr[4:5]); err != nil {
+	if _, err := io.ReadFull(f, f.hdr[4:5]); err != nil {
 		return 0, nil, fmt.Errorf("net: read frame type: %w", unexpectedEOF(err))
 	}
 	remaining := n - 1
@@ -135,12 +135,16 @@ func (f *framed) read() (frameType, []byte, error) {
 		}
 		start := len(f.rbuf)
 		f.rbuf = f.rbuf[:min(remaining, cap(f.rbuf))]
-		if _, err := io.ReadFull(f.conn, f.rbuf[start:]); err != nil {
+		if _, err := io.ReadFull(f, f.rbuf[start:]); err != nil {
 			return 0, nil, fmt.Errorf("net: read frame payload: %w", unexpectedEOF(err))
 		}
 	}
 	return frameType(f.hdr[4]), f.rbuf, nil
 }
+
+// Read makes f io.ReadFull's reader: the connection would be converted at run
+// time, through a type-assertion cache the runtime now and then reallocates.
+func (f *framed) Read(p []byte) (int, error) { return f.conn.Read(p) }
 
 // release drops both retained buffers. A connection calls it after the Setup
 // frame, which carries the whole job's edge list: its steady frames carry one

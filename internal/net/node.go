@@ -186,6 +186,11 @@ type Node struct {
 	addrs  []string
 	mesh   []*peerConn
 	bufs   map[int]*roundBufs
+	// Retained (under ctlMu) so that an epoch marker or a round allocates nothing.
+	ack       Ack
+	batch     Batch
+	roundDone RoundDone
+	timer     *time.Timer
 
 	done chan struct{}
 }
@@ -197,6 +202,7 @@ func NewNode(opts NodeOptions) *Node {
 		conns:    make(map[*framed]struct{}),
 		incoming: make(chan inConn, 64),
 		bufs:     make(map[int]*roundBufs),
+		timer:    time.NewTimer(0),
 		done:     make(chan struct{}),
 	}
 }
@@ -349,7 +355,8 @@ func (n *Node) handleControl(fc *framed, ft frameType, payload []byte) (shutdown
 		if err != nil {
 			return false, err
 		}
-		return false, n.reply(fc, frameAck, Ack{Err: errString(n.startEpoch(m))})
+		n.ack = Ack{Err: errString(n.startEpoch(m))}
+		return false, n.reply(fc, frameAck, &n.ack)
 	case frameRound:
 		m, h, err := decodeRound(payload)
 		if err != nil {
@@ -545,11 +552,12 @@ func (n *Node) teardownMesh() {
 	n.mesh = nil
 }
 
-// runRound executes one aggregate round (h: the scattered rows, still encoded)
-// and reports the owned out rows plus the traffic delta. A round failure rides
-// back in RoundDone.Err (the peer stays poisoned until restored).
-func (n *Node) runRound(m Round, h []byte) RoundDone {
-	resp := RoundDone{Seq: m.Seq}
+// runRound executes one aggregate round (h: the scattered rows, still encoded) and
+// reports, in n.roundDone, the owned out rows plus the traffic delta. A round
+// failure rides back in RoundDone.Err (the peer stays poisoned until restored).
+func (n *Node) runRound(m Round, h []byte) *RoundDone {
+	resp := &n.roundDone
+	*resp = RoundDone{Seq: m.Seq, Bytes: resp.Bytes[:0], Msgs: resp.Msgs[:0]}
 	if n.peer == nil {
 		resp.Err = "node has no setup"
 		return resp
@@ -574,9 +582,9 @@ func (n *Node) runRound(m Round, h []byte) RoundDone {
 		}
 	}
 
+	// Reset, never drained: a tick left from before comes ahead of the deadline.
 	deadline := time.Now().Add(n.opts.RoundTimeout)
-	timeout := time.NewTimer(n.opts.RoundTimeout)
-	defer timeout.Stop()
+	n.timer.Reset(n.opts.RoundTimeout)
 	send := func(peer int, frame []byte) error {
 		pc := n.mesh[peer]
 		if pc == nil {
@@ -584,7 +592,8 @@ func (n *Node) runRound(m Round, h []byte) RoundDone {
 		}
 		pc.fc.conn.SetWriteDeadline(deadline)
 		defer pc.fc.conn.SetWriteDeadline(time.Time{})
-		return pc.fc.write(frameBatch, Batch{Seq: m.Seq, From: int32(n.me), Data: frame})
+		n.batch = Batch{Seq: m.Seq, From: int32(n.me), Data: frame}
+		return pc.fc.write(frameBatch, &n.batch)
 	}
 	next := 0
 	recv := func() (int, []byte, error) {
@@ -614,7 +623,10 @@ func (n *Node) runRound(m Round, h []byte) RoundDone {
 				}
 				next++
 				return int(qf.from), qf.data, nil
-			case <-timeout.C:
+			case <-n.timer.C:
+				if time.Now().Before(deadline) {
+					continue
+				}
 				return 0, nil, fmt.Errorf("waiting for peer %d batch: %w", next, ErrRoundTimeout)
 			case <-n.done:
 				return 0, nil, errors.New("net: node is closed")
@@ -626,7 +638,7 @@ func (n *Node) runRound(m Round, h []byte) RoundDone {
 		return resp
 	}
 	resp.Out = bufs.out
-	resp.Bytes, resp.Msgs, resp.Work = n.peer.TrafficDelta()
+	resp.Bytes, resp.Msgs, resp.Work = n.peer.TrafficDelta(resp.Bytes, resp.Msgs)
 	return resp
 }
 

@@ -156,14 +156,12 @@ func (s *ShardCounter) Add(src, dst int, bytes, msgs int64) {
 
 // DrainRow copies out and zeroes the counters of every link src→dst — the
 // export step of a networked worker, which ships its own row's deltas to the
-// coordinator after each round instead of draining into a local fabric.
-func (s *ShardCounter) DrainRow(src int) (bytes, msgs []int64) {
-	bytes = make([]int64, s.nparts)
-	msgs = make([]int64, s.nparts)
+// coordinator after each round instead of draining into a local fabric,
+// over bytes and msgs.
+func (s *ShardCounter) DrainRow(src int, bytes, msgs []int64) ([]int64, []int64) {
 	row := s.bytes[src*s.nparts : (src+1)*s.nparts]
 	mrow := s.msgs[src*s.nparts : (src+1)*s.nparts]
-	copy(bytes, row)
-	copy(msgs, mrow)
+	bytes, msgs = append(bytes[:0], row...), append(msgs[:0], mrow...)
 	clear(row)
 	clear(mrow)
 	return bytes, msgs

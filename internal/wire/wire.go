@@ -92,8 +92,9 @@ type Batch struct {
 	count, room, last int  // messages, messages the frame admits next, the last Present
 }
 
-// Begin empties the batch, retaining its buffer, and opens a frame with
-// header f. An f no decoder accepts panics.
+// Begin empties the batch, retaining its buffer grown to the frame's worst
+// case (a message per candidate, whatever sampling sends), and opens a frame
+// with header f. An f no decoder accepts panics.
 func (b *Batch) Begin(f Frame) {
 	if f.Width < 1 || f.Count < 0 || f.Bits < 0 || f.Bits > 16 || f.Adaptive && f.Bits == 0 {
 		panic(fmt.Sprintf("wire: invalid frame %+v", f))
@@ -103,6 +104,7 @@ func (b *Batch) Begin(f Frame) {
 	if f.Sampled {
 		bitmap, b.room = (f.Count+7)/8, 0
 	}
+	b.buf = slices.Grow(b.buf, FrameHeaderBytes+bitmap+f.Count*messageBytes(f.Width, f.Bits, f.Adaptive))
 	var h []byte
 	b.buf, h = reserve(b.buf, FrameHeaderBytes+bitmap)
 	h[0], h[1] = byte(f.Bits), 0

@@ -111,26 +111,30 @@ func streamState(c *Cluster) []pairStreams {
 // residuals and correction counts, adaptive width tallies, scheduled rungs)
 // stay equal after every round. The memo must have repeated a message on
 // every lane, and on sampling+q8+EF, where dropped arcs leave a sender's
-// units different residuals, it must also have refused one.
+// units different residuals, it must also have refused one. On q8+EF and
+// sched(q8+EF) both runtimes restore their streams from a snapshot at the
+// boundary before epoch 3, as a resumed run does: the frames still match, and
+// the restored store shares records again, so the first round after the
+// restore repeats as often as a third, unrestored run's.
 func TestEncodeOnceEqualsFresh(t *testing.T) {
 	d, part := setup(t, 3)
 	n := d.NumNodes()
 	sched := sched.Policy{Enabled: true, EpochsPerLevel: 1}
 	lanes := []struct {
-		name       string
-		cfg        exchange.Config
-		mustRefuse bool
+		name                string
+		cfg                 exchange.Config
+		mustRefuse, restore bool
 	}{
-		{"vanilla", exchange.Config{}, false},
-		{"q8", exchange.Config{QuantBits: 8}, false},
-		{"q4", exchange.Config{QuantBits: 4}, false},
-		{"adaptive", exchange.Config{QuantBits: 8, AdaptiveQuant: true}, false},
-		{"sampling", exchange.Config{SampleRate: 0.5, Seed: 7}, false},
-		{"nsampling", exchange.Config{SampleRate: 0.5, SampleNodes: true, Seed: 7}, false},
-		{"q8+ef", exchange.Config{QuantBits: 8, ErrorFeedback: true}, false},
-		{"sampling+q8+ef", exchange.Config{SampleRate: 0.5, QuantBits: 8, ErrorFeedback: true, Seed: 7}, true},
-		{"delay2", exchange.Config{DelayPeriod: 2}, false},
-		{"sched(q8+ef)", exchange.Config{QuantBits: 8, ErrorFeedback: true, Sched: sched}, false},
+		{"vanilla", exchange.Config{}, false, false},
+		{"q8", exchange.Config{QuantBits: 8}, false, false},
+		{"q4", exchange.Config{QuantBits: 4}, false, false},
+		{"adaptive", exchange.Config{QuantBits: 8, AdaptiveQuant: true}, false, false},
+		{"sampling", exchange.Config{SampleRate: 0.5, Seed: 7}, false, false},
+		{"nsampling", exchange.Config{SampleRate: 0.5, SampleNodes: true, Seed: 7}, false, false},
+		{"q8+ef", exchange.Config{QuantBits: 8, ErrorFeedback: true}, false, true},
+		{"sampling+q8+ef", exchange.Config{SampleRate: 0.5, QuantBits: 8, ErrorFeedback: true, Seed: 7}, true, false},
+		{"delay2", exchange.Config{DelayPeriod: 2}, false, false},
+		{"sched(q8+ef)", exchange.Config{QuantBits: 8, ErrorFeedback: true, Sched: sched}, false, true},
 	}
 	// An epoch's rounds: a 6-wide and a 4-wide layer forward, then backward.
 	rounds := []struct {
@@ -141,16 +145,34 @@ func TestEncodeOnceEqualsFresh(t *testing.T) {
 		t.Run(lane.name, func(t *testing.T) {
 			got := NewClusterFromConfig(d.Graph, part, 3, lane.cfg)
 			want := NewClusterFromConfig(d.Graph, part, 3, lane.cfg)
+			plain := NewClusterFromConfig(d.Graph, part, 3, lane.cfg)
 			var levels [][]int
 			for epoch := 0; epoch < 6; epoch++ {
+				if lane.restore && epoch == 3 {
+					for _, c := range []*Cluster{got, want} {
+						if err := c.core.Restore(c.core.State()); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
 				got.StartEpoch(epoch)
 				want.StartEpoch(epoch)
+				plain.StartEpoch(epoch)
 				levels = append(levels, got.ScheduleLevels())
 				for r, round := range rounds {
 					h := randMat(n, round.width, int64(100*epoch+r))
+					before := [2]int64{repeats(got), repeats(plain)}
 					gotFrames := encodeRound(t, &got.exchanger, h, round.backward, func(me, peer int) []byte {
 						return got.encodePeer(me, peer, h, round.backward)
 					})
+					if lane.restore {
+						encodeRound(t, &plain.exchanger, h, round.backward, func(me, peer int) []byte {
+							return plain.encodePeer(me, peer, h, round.backward)
+						})
+						if g, p := repeats(got)-before[0], repeats(plain)-before[1]; epoch == 3 && r == 0 && g != p {
+							t.Fatalf("the first round after the restore repeated %d messages, an unrestored run %d", g, p)
+						}
+					}
 					wantFrames := encodeRound(t, &want.exchanger, h, round.backward, func(me, peer int) []byte {
 						return want.freshEncodePeer(me, peer, h, round.backward)
 					})
@@ -167,11 +189,11 @@ func TestEncodeOnceEqualsFresh(t *testing.T) {
 					}
 				}
 			}
-			var repeated, refused int64
+			var refused int64
 			for _, ws := range got.ws {
-				repeated += ws.memo.repeated
 				refused += ws.memo.refused
 			}
+			repeated := repeats(got)
 			t.Logf("%d messages repeated, %d refused", repeated, refused)
 			if repeated == 0 {
 				t.Fatal("the memo never repeated a message")
@@ -184,4 +206,13 @@ func TestEncodeOnceEqualsFresh(t *testing.T) {
 			}
 		})
 	}
+}
+
+// repeats is the number of messages c's workers' memos have repeated.
+func repeats(c *Cluster) int64 {
+	var n int64
+	for _, ws := range c.ws {
+		n += ws.memo.repeated
+	}
+	return n
 }

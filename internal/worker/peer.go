@@ -139,12 +139,13 @@ func (p *Peer) Round(h, out *tensor.Matrix, backward bool, send func(peer int, f
 
 // TrafficDelta exports and clears what the peer counted since the last call:
 // its per-destination traffic, bytes[d] and msgs[d] for every destination
-// partition d, and its processing counters. The coordinator merges the rows
-// and sums the counters of all nodes, reproducing the in-process cluster's
-// exact accounting.
-func (p *Peer) TrafficDelta() (bytes, msgs []int64, work simnet.Work) {
-	bytes, msgs = p.counters[p.me].DrainRow(p.me)
-	work, p.work[p.me] = p.work[p.me], simnet.Work{}
+// partition d, written over the slices passed in (grown when short), and its
+// processing counters. The coordinator merges the rows and sums the counters
+// of all nodes, reproducing the in-process cluster's exact accounting.
+func (p *Peer) TrafficDelta(bytes, msgs []int64) ([]int64, []int64, simnet.Work) {
+	bytes, msgs = p.counters[p.me].DrainRow(p.me, bytes, msgs)
+	work := p.work[p.me]
+	p.work[p.me] = simnet.Work{}
 	return bytes, msgs, work
 }
 

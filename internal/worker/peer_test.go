@@ -101,7 +101,7 @@ func (m *peerMesh) round(t *testing.T, backward bool) error {
 		}
 	}
 	for p, peer := range m.peers {
-		bytes, msgs, _ := peer.TrafficDelta()
+		bytes, msgs, _ := peer.TrafficDelta(nil, nil)
 		for d := 0; d < np; d++ {
 			if bytes[d] != 0 || msgs[d] != 0 {
 				m.shard.Add(p, d, bytes[d], msgs[d])

@@ -3,7 +3,6 @@ package worker
 import (
 	"errors"
 	"fmt"
-	"math"
 	"slices"
 
 	"scgnn/internal/compress"
@@ -107,7 +106,6 @@ type senderMemo struct {
 	frame uint32     // the open frame's stamp; never 0
 	at    []memoSlot // by sender row: its head, if the open frame stamped it
 	heads []memoHead // the open frame's heads, in encode order
-	old   []float64  // error feedback: the heads' residuals before their correction
 	// repeated and refused count the messages repeat copied and those it
 	// left to a fresh encode since the worker was built; the tests read them
 	// to see both paths taken.
@@ -124,14 +122,14 @@ type memoHead struct {
 	from, to int   // its bytes in the batch
 	bits     int   // the width it was quantised at (adaptive)
 	unit     int64 // its candidate index
-	// old is the offset in senderMemo.old of the residual its error feedback
-	// corrected it with, or -1 when it held none.
-	old int
+	// old is the error-feedback record it was corrected with
+	// (compress.ErrorFeedback.Ref), or -1 when it held none.
+	old int32
 }
 
-// begin opens a frame for a worker with rows rows: every earlier head is
-// forgotten.
-func (m *senderMemo) begin(rows int) {
+// begin opens a frame of count candidates for a worker with rows rows, forgetting
+// every earlier head and reserving the worst case, a sender per candidate.
+func (m *senderMemo) begin(rows, count int) {
 	if len(m.at) < rows {
 		m.at = make([]memoSlot, rows)
 	}
@@ -139,7 +137,7 @@ func (m *senderMemo) begin(rows int) {
 		clear(m.at)
 		m.frame = 1
 	}
-	m.heads, m.old = m.heads[:0], m.old[:0]
+	m.heads = slices.Grow(m.heads[:0], min(rows, count))
 }
 
 // head returns the index of row's head in the open frame, or -1.
@@ -150,34 +148,10 @@ func (m *senderMemo) head(row int32) int {
 	return -1
 }
 
-// add makes the message about to be encoded at byte from row's head; res is
-// the residual its error feedback is about to correct it with (nil: none).
-// It returns the head's index; the caller sets the head's end and width once
-// the message is encoded.
-func (m *senderMemo) add(row int32, unit int64, from int, res []float64) int {
-	k := len(m.heads)
-	m.at[row] = memoSlot{frame: m.frame, head: int32(k)}
-	h := memoHead{from: from, unit: unit, old: -1}
-	if res != nil {
-		h.old = len(m.old)
-		m.old = append(m.old, res...)
-	}
-	m.heads = append(m.heads, h)
-	return k
-}
-
-// sameResidual reports whether res — a unit's residual, nil when it holds
-// none — is bit for bit the one head hd was corrected with.
-func (m *senderMemo) sameResidual(hd *memoHead, res []float64) bool {
-	if res == nil || hd.old < 0 {
-		return res == nil && hd.old < 0
-	}
-	for i, v := range res {
-		if math.Float64bits(v) != math.Float64bits(m.old[hd.old+i]) {
-			return false
-		}
-	}
-	return true
+// add makes hd, the message just encoded, row's head.
+func (m *senderMemo) add(row int32, hd memoHead) {
+	m.at[row] = memoSlot{frame: m.frame, head: int32(len(m.heads))}
+	m.heads = append(m.heads, hd)
 }
 
 // newExchanger builds the runtime for the method combination cfg selects;
@@ -550,7 +524,7 @@ func (x *exchanger) encodePeer(me, peer int, h *tensor.Matrix, backward bool) []
 	var memo *senderMemo
 	if !x.core.Semantic() {
 		memo = &ws.memo
-		memo.begin(x.rows)
+		memo.begin(x.rows, frame.Count)
 	}
 	x.core.Walk(idx, backward, x.epoch, x.round, func(u exchange.Unit) {
 		if frame.Sampled {
@@ -580,13 +554,13 @@ func (x *exchanger) encodePeer(me, peer int, h *tensor.Matrix, backward bool) []
 			x.addMsg(ws, batch, ps, u.Index)
 			return
 		}
-		var res []float64
+		hd := memoHead{from: batch.Size(), unit: u.Index, old: -1}
 		if ps.EF != nil {
-			res = ps.EF.Residual(compress.RoundUnitKey(x.round, u.Index))
+			hd.old = ps.EF.Ref(compress.RoundUnitKey(x.round, u.Index))
 		}
-		k = memo.add(row, u.Index, batch.Size(), res)
-		bits := x.addMsg(ws, batch, ps, u.Index)
-		memo.heads[k].to, memo.heads[k].bits = batch.Size(), bits
+		hd.bits = x.addMsg(ws, batch, ps, u.Index)
+		hd.to = batch.Size()
+		memo.add(row, hd)
 	})
 	buf := batch.Bytes()
 	// The frame is the traffic: its batch header, then the messages' payloads.
@@ -618,16 +592,16 @@ func (x *exchanger) frame(idx, sender, width int) wire.Frame {
 // repeat appends unit's message as a copy of the bytes of head k, a message
 // of the same sender earlier in the frame, when they are the bytes a fresh
 // encode of unit would write, and reports whether it did. Without error
-// feedback they always are. With it they are when unit's residual-corrected
-// payload is bit-equal to the head's: both held no residual, or bit-equal
-// ones. Then the sent values and the new residual are the head's too. The
+// feedback they always are. With it they are when unit holds the record the
+// head was corrected with, or both held none: equal records are bit-equal
+// residuals, so the sent values and new residual are the head's too. The
 // pair's streams move exactly as addMsg would move them: the adaptive width
-// is counted, the correction counted and the head's new residual copied.
+// is counted, the correction counted and the head's new record shared.
 func (x *exchanger) repeat(ws *workerScratch, batch *wire.Batch, ps *exchange.PairState, k int, unit int64) bool {
 	m := &ws.memo
 	hd := &m.heads[k]
 	key := compress.RoundUnitKey(x.round, unit)
-	if ps.EF != nil && !m.sameResidual(hd, ps.EF.Residual(key)) {
+	if ps.EF != nil && ps.EF.Ref(key) != hd.old {
 		m.refused++
 		return false
 	}

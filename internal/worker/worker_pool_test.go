@@ -22,13 +22,18 @@ func benchSetup() (*datasets.Dataset, []int) {
 }
 
 // TestClusterSteadyStateAllocs: after warm-up, a full aggregate round must not
-// allocate — encode buffers, frame slots, payload scratch, the sender memo
-// and traffic shards are all retained across rounds, and the fork-join's goroutines start on
-// func values bound at construction. The rounds are a [32, 32, 16] GCN's
+// allocate once — encode buffers (reserved at a frame's worst case), frame
+// slots, payload scratch, the sender memo, the error-feedback record arenas
+// and traffic shards are all retained across rounds, and the fork-join's
+// goroutines start on func values bound at construction. The rounds are a [32, 32, 16] GCN's
 // epoch: layer 0 aggregates its 32 features, and the output layer multiplies
 // first, so its forward and backward rounds are 16 wide — round slots of
 // different widths, as production runs them.
 func TestClusterSteadyStateAllocs(t *testing.T) {
+	// One P, as testing.AllocsPerRun measures: with more, the runtime
+	// allocates for the goroutine descriptors and threads it starts on idle
+	// Ps, which are not the round's.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	d, part := setup(t, 3)
 	n := d.NumNodes()
 	rounds := []struct {
@@ -73,19 +78,23 @@ func TestClusterSteadyStateAllocs(t *testing.T) {
 				}
 			}
 			// Warm up so scratch buffers, batch capacities, the delay slots,
-			// and (for ef) the residual stores reach steady state. Three
-			// epochs cover a full delay period, so both fresh and replay
-			// rounds are measured below.
-			for i := 0; i < 3; i++ {
+			// and (for ef) the residual stores reach steady state: four
+			// epochs, in which sampling+ef's record arenas double up to the
+			// residuals its dropped arcs keep apart. They cover a full delay
+			// period, so both fresh and replay rounds are measured below.
+			for i := 0; i < 4; i++ {
 				runEpoch(i)
 			}
-			epoch := 3
-			allocs := testing.AllocsPerRun(10, func() {
-				runEpoch(epoch)
-				epoch++
-			})
-			if allocs != 0 {
-				t.Fatalf("steady-state round allocates %v times", allocs)
+			// Every malloc of the next ten epochs counts: a per-run
+			// average would round a few away.
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for e := 4; e < 14; e++ {
+				runEpoch(e)
+			}
+			runtime.ReadMemStats(&after)
+			if n := after.Mallocs - before.Mallocs; n != 0 {
+				t.Fatalf("ten steady-state epochs allocate %d times (%d B)", n, after.TotalAlloc-before.TotalAlloc)
 			}
 		})
 	}
@@ -321,6 +330,12 @@ func BenchmarkClusterRoundQuantInto(b *testing.B) {
 // returned to slot 0 would measure a map growing without bound.
 func BenchmarkClusterRoundQuantEFInto(b *testing.B) {
 	benchInto(b, exchange.Config{QuantBits: 8, ErrorFeedback: true})
+}
+
+// Under sampling, dropped arcs give a sender's units residuals of their own,
+// so this row's records are shared least and its memo refuses most.
+func BenchmarkClusterRoundSampledQuantEFInto(b *testing.B) {
+	benchInto(b, exchange.Config{SampleRate: 0.5, QuantBits: 8, ErrorFeedback: true, Seed: 7})
 }
 
 func BenchmarkClusterRoundDelayInto(b *testing.B) {
