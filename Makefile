@@ -22,8 +22,12 @@ vet:
 	$(GO) vet ./...
 	$(GO) vet -C bench ./...
 
+# TestLaneWorkPinned pins every method lane's per-epoch bytes, messages and
+# processing counters; they are exact integer sums, the same on one processor
+# and on two, which the second line checks.
 test:
 	$(GO) test ./...
+	$(GO) test -cpu 1,2 -run '^TestLaneWorkPinned$$' ./internal/worker/
 
 # The concurrent surfaces: the worker runtime (including the oracle
 # equivalence matrix over all Fig. 12(b) method combinations at GOMAXPROCS
@@ -49,7 +53,12 @@ test:
 # eval pass (TestEngineEqualsCluster). The pruned k-means (seeding's
 # triangle-inequality skip, the seeded first assignment step, the sweep's
 # fan-out) runs ten times against its serial reference loops
-# (TestKMeansMatchesReference).
+# (TestKMeansMatchesReference). So does the edge-sampled halo lane, ten
+# times over: a receiver there flips the coins of every arc of each star it
+# fans out, from a sampler value it takes off the pair's shared state
+# (compress.Sampler.At) while other workers walk their own pairs, against the
+# oracle and on the socket-free peer mesh (TestClusterEngineEquivalenceMatrix
+# and TestPeerClusterEquivalenceMatrix, lane sampling).
 race:
 	$(GO) test -race ./internal/dist/... ./internal/worker/... ./internal/exchange/... \
 		./internal/cluster/... ./internal/core/... ./internal/graph/... \
@@ -59,6 +68,7 @@ race:
 	$(GO) test -race -count=10 -run 'TestClusterArrivalOrderInvariant' ./internal/worker/
 	$(GO) test -race -count=10 -run 'TestEngineEqualsCluster' ./internal/dist/
 	$(GO) test -race -count=10 -run 'TestKMeansMatchesReference' ./internal/cluster/
+	$(GO) test -race -count=10 -run 'TestClusterEngineEquivalenceMatrix/^sampling$$|TestPeerClusterEquivalenceMatrix/^sampling$$' ./internal/worker/
 
 # The multi-process lane: the whole socket transport package under the race
 # detector (framing/control codecs, fault-injection matrix, cross-runtime
@@ -118,7 +128,7 @@ loc:
 # bytes as one peer's frame in a 4-part cluster), the codec kernels (vector and
 # Go paths against the per-value reference), the tensor kernels (the CSR
 # gather, the ReLU mask passes and the column sum: vector bodies against Go
-# loops), the error-feedback store (shared records against the map oracle) and the
+# loops), the error-feedback store (flat slabs against the map oracle) and the
 # arc-bucket differ
 # (go test -fuzz accepts one target per invocation). FUZZTIME=10m for a soak;
 # the checked-in seed corpora under */testdata/fuzz/ are the starting point
@@ -182,7 +192,10 @@ fuzz-smoke:
 # without streams: a sampling coin is a function of (pair, epoch, round, unit),
 # so there is no second sampler, no replay of other replicas' coins, no
 # sampler position in a checkpoint and no fast-forward, and neither the codecs
-# nor the exchange core draw from math/rand.
+# nor the exchange core draw from math/rand. And one baseline wire: the halo,
+# a message per (boundary row, peer) fanned out at the receiver, so no encode
+# memo, no repeated message bytes and no residual records shared between
+# units.
 one-sink:
 	@! grep -rn 'useReference\|DelayCache\|pairBuf\|NewRounds\|worker\.Rounds\|forEachTask\|putHeader\|MsgHeaderBytes\|Fabric) Send(' --include='*.go' . | grep -v _test.go
 	@! grep -n 'aggregate(' internal/gnn/*.go | grep -v '_test\.go:\|^internal/gnn/layer\.go:'
@@ -200,6 +213,7 @@ one-sink:
 	@! grep -rnE 'Remesh|RecoverNode|SchedUpdate|frameRemesh|frameSchedUpdate' --include='*.go' . | grep -v '_test\.go:'
 	@! grep -rnE 'GhostAdvance|NodeSampler|SamplerDraws|NodeState|randSource|\.Skip\(' --include='*.go' . | grep -v '_test\.go:'
 	@! grep -rn '"math/rand"' --include='*.go' internal/compress internal/exchange | grep -v '_test\.go:'
+	@! grep -rnE 'senderMemo|memoHead|memoSlot|\) Repeat\(|\) Ref\(|\.refs\b' --include='*.go' internal | grep -v '_test\.go:'
 
 # Every program under examples/, built into a temporary directory and run to
 # the end: go build compiles them, but only running them shows a facade call
@@ -253,7 +267,10 @@ verify: build vet one-sink test examples race test-net cover fuzz-smoke
 # (same method); "ef-shared-before" / "ef-shared" hold
 # BenchmarkClusterRound{QuantEF,SampledQuantEF}Into either side of the
 # error-feedback residuals becoming records shared by reference (same method,
-# the sampled row added to the parent's test file for its side).
+# the sampled row added to the parent's test file for its side); "halo-before" /
+# "halo" hold every BenchmarkClusterRound*Into row either side of the
+# baseline lanes shipping one message per (boundary row, peer) in place of
+# one per cross arc (same method, four alternations).
 # The planning-pipeline benchmarks (one-sweep DBG extraction + concurrent plan
 # builds + EEP sweep, plus the 100k-preset dirty-fraction replan sweep
 # BenchmarkReplan100K*) refresh BENCH_plan.json the same way;

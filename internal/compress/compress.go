@@ -57,7 +57,7 @@ func mix(base uint64, key int64) uint64 {
 
 // Sampler is the sampling baseline's coin (per edge, or BNS-GCN per boundary
 // node: the caller picks what a key names). A coin is a pure function of
-// (seed, epoch, round, key): Start positions the sampler on a round, and
+// (seed, epoch, round, key): At positions a sampler on a round, and
 // Coin(key) is the same bit for the same key however often, in whatever order
 // and on whichever replica it is asked — so the sampler keeps no stream, and
 // nothing about it needs replaying, checkpointing or restoring. Kept units
@@ -65,7 +65,7 @@ func mix(base uint64, key int64) uint64 {
 type Sampler struct {
 	Rate float64 // keep probability in (0, 1]
 	seed uint64
-	// round is the mixed (seed, epoch, round) position Start set; next is the
+	// round is the mixed (seed, epoch, round) position At set; next is the
 	// key Keep flips next.
 	round uint64
 	next  int64
@@ -77,14 +77,15 @@ func NewSampler(rate float64, seed int64) *Sampler {
 	if rate <= 0 || rate > 1 {
 		panic(fmt.Sprintf("compress: sample rate %v out of (0,1]", rate))
 	}
-	s := &Sampler{Rate: rate, seed: uint64(seed)}
-	s.Start(0, 0)
-	return s
+	s := (&Sampler{Rate: rate, seed: uint64(seed)}).At(0, 0)
+	return &s
 }
 
-// Start positions the sampler on round ordinal round of epoch epoch.
-func (s *Sampler) Start(epoch, round int) {
-	s.round, s.next = mix(mix(s.seed, int64(epoch)), int64(round)), 0
+// At returns the sampler positioned on round ordinal round of epoch epoch,
+// as a new value: it reads only what construction set, so any goroutine may
+// take one while another uses the sampler.
+func (s *Sampler) At(epoch, round int) Sampler {
+	return Sampler{Rate: s.Rate, seed: s.seed, round: mix(mix(s.seed, int64(epoch)), int64(round))}
 }
 
 // Coin reports whether the unit keyed key is transmitted this round.
@@ -92,7 +93,8 @@ func (s *Sampler) Coin(key int64) bool {
 	return s.Rate >= 1 || float64(mix(s.round, key)>>11)*0x1p-53 < s.Rate
 }
 
-// Keep flips the coin of the next key since Start: 0, 1, 2, …
+// Keep flips the coin of the next key since the sampler was positioned: 0,
+// 1, 2, …
 func (s *Sampler) Keep() bool {
 	s.next++
 	return s.Coin(s.next - 1)

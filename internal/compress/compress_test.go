@@ -155,7 +155,7 @@ func TestSamplerInvalidRate(t *testing.T) {
 
 func TestNodeSamplerConsistencyWithinRound(t *testing.T) {
 	s := NewSampler(0.5, 1)
-	s.Start(0, 1)
+	*s = s.At(0, 1)
 	for u := int64(0); u < 100; u++ {
 		first := s.Coin(u)
 		for k := 0; k < 5; k++ {
@@ -171,7 +171,7 @@ func TestNodeSamplerRate(t *testing.T) {
 	kept := 0
 	const rounds, nodes = 200, 50
 	for r := 0; r < rounds; r++ {
-		s.Start(0, r)
+		*s = s.At(0, r)
 		for u := int64(0); u < nodes; u++ {
 			if s.Coin(u) {
 				kept++
@@ -189,7 +189,7 @@ func TestNodeSamplerRate(t *testing.T) {
 
 func TestNodeSamplerRateOne(t *testing.T) {
 	s := NewSampler(1, 3)
-	s.Start(0, 1)
+	*s = s.At(0, 1)
 	for u := int64(0); u < 50; u++ {
 		if !s.Coin(u) {
 			t.Fatal("rate 1 dropped a node")
@@ -210,7 +210,7 @@ func TestNodeSamplerDecisionsChangeAcrossRounds(t *testing.T) {
 	changed := false
 	var prev []bool
 	for r := 0; r < 20 && !changed; r++ {
-		s.Start(0, r)
+		*s = s.At(0, r)
 		cur := make([]bool, 30)
 		for u := int64(0); u < 30; u++ {
 			cur[u] = s.Coin(u)
@@ -251,7 +251,7 @@ func TestCoinStatistics(t *testing.T) {
 		for e := range coin {
 			coin[e] = make([][]bool, rounds+1)
 			for r := range coin[e] {
-				s.Start(e, r)
+				*s = s.At(e, r)
 				coin[e][r] = make([]bool, keys+1)
 				for k := range coin[e][r] {
 					coin[e][r][k] = s.Coin(int64(k))
@@ -280,9 +280,9 @@ func TestCoinStatistics(t *testing.T) {
 		twin := NewSampler(rate, 17)
 		for _, pos := range [][2]int{{0, 0}, {3, 7}, {1, 49}} {
 			e, r := pos[0], pos[1]
-			s.Start(e+1, r+2) // anywhere else first
-			s.Start(e, r)
-			twin.Start(e, r)
+			*s = s.At(e+1, r+2) // anywhere else first
+			*s = s.At(e, r)
+			*twin = twin.At(e, r)
 			for k := 0; k < keys; k++ {
 				want := coin[e][r][k]
 				if s.Coin(int64(k)) != want || s.Coin(int64(k)) != want || twin.Keep() != want {

@@ -1,11 +1,9 @@
 package compress
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
-	"slices"
+	"math/bits"
 
 	"scgnn/internal/tensor"
 )
@@ -20,13 +18,13 @@ import (
 //
 // Units are keyed by RoundUnitKey. A round exchanges payloads of one width,
 // so every residual of a round slot has the width of the slot's first one
-// since the last Reset; another width there panics. A unit is tracked from
-// its first PostCompress, so a candidate that was always dropped never is.
-// Residuals are records shared by reference and copied on write: Repeat
-// gives a unit another's record, PostCompress overwrites a record only for
-// its sole holder, so units with equal Ref hold bit-equal residuals. Freed
-// records are reused; a slot's arena grows only past them, by doubling, to at
-// most the declared unit count (SetUnits). Reset and Restore keep the arenas.
+// since the last Reset; another width there panics. A slot keeps its
+// residuals in one flat slab, unit u's at [u·width, (u+1)·width), and a
+// bitset of the units that hold one: a unit is tracked from its first
+// PostCompress, so a candidate that was always dropped never is. Reset and
+// Restore keep the slabs, which grow only when a unit lands beyond them — to
+// the slot's declared unit count (SetUnits) when that covers it, else by
+// doubling.
 //
 // A single store is not safe for concurrent use. The runtimes shard instead
 // of locking: one ErrorFeedback per ordered partition pair, touched in a
@@ -35,7 +33,6 @@ import (
 // correction a unit sees is independent of goroutine scheduling.
 type ErrorFeedback struct {
 	slots   []residualSlot
-	units   int // declared unit count per slot, or -1
 	tracked int
 	// Corrected counts payload values corrected since the last reset (for
 	// the cost model).
@@ -45,20 +42,20 @@ type ErrorFeedback struct {
 // residualSlot is one round slot's residuals.
 type residualSlot struct {
 	round, width int       // width is -1 until the slot's first residual
-	id           []int32   // unit u's record + 1, 0 while it holds none
-	rec          []float64 // record r's residual at rec[r·width:(r+1)·width]
-	refs         []int32   // record r's holders; 0 while it is free
-	free         []int32   // records with no holder
+	units        int       // the declared unit count, or -1
+	res          []float64 // unit u's residual at res[u·width:(u+1)·width]
+	has          []uint64  // bit u set: unit u holds a residual
 }
 
 // NewErrorFeedback returns an empty residual store with no declared unit
-// count: its arenas grow as units arrive.
-func NewErrorFeedback() *ErrorFeedback {
-	return &ErrorFeedback{units: -1}
-}
+// count: its slabs grow as units arrive.
+func NewErrorFeedback() *ErrorFeedback { return &ErrorFeedback{} }
 
-// SetUnits declares that every round slot's unit indices lie in [0, n).
-func (ef *ErrorFeedback) SetUnits(n int) { ef.units = n }
+// SetUnits declares that round slot round's unit indices lie in [0, n) until
+// the next Reset, so its slab is allocated at n units when first written. A
+// slot's count is its round's direction's: a pair's forward and backward
+// rounds walk different units.
+func (ef *ErrorFeedback) SetUnits(round, n int) { ef.open(round).units = n }
 
 // RoundUnitKey builds the canonical transfer-unit key from the aggregate
 // round slot (layer × direction, stable across epochs in full-batch
@@ -77,53 +74,42 @@ func splitKey(key int64) (round, unit int) {
 	return int(key >> 32), int(key & (1<<32 - 1))
 }
 
-// unit returns key's round slot (opened on first use, ids grown to cover it).
-func (ef *ErrorFeedback) unit(key int64) (*residualSlot, int) {
-	round, u := splitKey(key)
-	i := slices.IndexFunc(ef.slots, func(s residualSlot) bool { return s.round == round })
-	if i < 0 {
-		i, ef.slots = len(ef.slots), append(ef.slots, residualSlot{round: round, width: -1})
+// slot returns round's residual slot, or nil.
+func (ef *ErrorFeedback) slot(round int) *residualSlot {
+	for i := range ef.slots {
+		if ef.slots[i].round == round {
+			return &ef.slots[i]
+		}
 	}
-	if s := &ef.slots[i]; u >= len(s.id) {
-		s.id = grow(s.id, max(u+1, ef.units), -1)
-	}
-	return &ef.slots[i], u
+	return nil
 }
 
-func (s *residualSlot) record(r int32) []float64 { return s.rec[int(r)*s.width : (int(r)+1)*s.width] }
+// open returns round's residual slot, opening it empty if there is none.
+func (ef *ErrorFeedback) open(round int) *residualSlot {
+	if s := ef.slot(round); s != nil {
+		return s
+	}
+	ef.slots = append(ef.slots, residualSlot{round: round, width: -1, units: -1})
+	return &ef.slots[len(ef.slots)-1]
+}
 
-// Ref returns the id of the record unit key holds, or -1 when it holds none.
-// Units of one round slot with equal ids hold bit-equal residuals.
-func (ef *ErrorFeedback) Ref(key int64) int32 {
-	s, u := ef.unit(key)
-	return s.id[u] - 1
+func (s *residualSlot) holds(u int) bool {
+	return u>>6 < len(s.has) && s.has[u>>6]&(1<<(u&63)) != 0
 }
 
 // PreCompress adds the stored residual of unit key into payload (in place),
 // returning the "true" values the compressor should now encode.
 func (ef *ErrorFeedback) PreCompress(key int64, payload []float64) {
-	s, u := ef.unit(key)
-	if r := s.id[u] - 1; r >= 0 {
-		if len(payload) != s.width {
-			panic(fmt.Sprintf("compress: error-feedback unit %d length changed %d→%d", key, s.width, len(payload)))
-		}
-		tensor.AXPY(1, s.record(r), payload)
-		ef.Corrected += int64(len(payload))
+	round, u := splitKey(key)
+	s := ef.slot(round)
+	if s == nil || !s.holds(u) {
+		return
 	}
-}
-
-// Repeat stands for PreCompress and PostCompress of unit key when its
-// residual-corrected payload is bit-equal to that of unit from of the same
-// round slot, which has been through both this round: it counts the
-// correction PreCompress would have made and gives key from's new residual,
-// which is what PostCompress would have recorded, by sharing its record.
-func (ef *ErrorFeedback) Repeat(key, from int64) {
-	s, u := ef.unit(key)
-	_, f := splitKey(from)
-	if s.id[u] > 0 {
-		ef.Corrected += int64(s.width)
+	if len(payload) != s.width {
+		panic(fmt.Sprintf("compress: error-feedback unit %d length changed %d→%d", key, s.width, len(payload)))
 	}
-	ef.hold(s, u, s.id[f]-1)
+	tensor.AXPY(1, s.res[u*s.width:(u+1)*s.width], payload)
+	ef.Corrected += int64(len(payload))
 }
 
 // PostCompress records the new residual: true (pre-compression, already
@@ -132,68 +118,55 @@ func (ef *ErrorFeedback) PostCompress(key int64, trueVals, sent []float64) {
 	if len(trueVals) != len(sent) {
 		panic("compress: error-feedback length mismatch")
 	}
-	s, u := ef.unit(key)
-	r := ef.own(s, u, len(trueVals))
+	round, u := splitKey(key)
+	r := ef.residual(round, u, len(trueVals))
 	for i := range r {
 		r[i] = trueVals[i] - sent[i]
 	}
 }
 
-// own returns a record of width values unit u holds alone, to be
-// overwritten: its own when it is the sole holder, else a fresh one.
-func (ef *ErrorFeedback) own(s *residualSlot, u, width int) []float64 {
+// residual returns unit u's residual in slot round, tracking the unit on its
+// first touch.
+func (ef *ErrorFeedback) residual(round, u, width int) []float64 {
+	s := ef.open(round)
 	if s.width < 0 {
 		s.width = width
 	} else if width != s.width {
-		panic(fmt.Sprintf("compress: error-feedback round slot %d holds %d-value residuals, got %d", s.round, s.width, width))
+		panic(fmt.Sprintf("compress: error-feedback round slot %d holds %d-value residuals, got %d", round, s.width, width))
 	}
-	if r := s.id[u] - 1; r >= 0 && s.refs[r] == 1 {
-		return s.record(r)
-	}
-	r := int32(len(s.refs))
-	if n := len(s.free); n > 0 {
-		r, s.free = s.free[n-1], s.free[:n-1]
-	} else if s.refs = append(s.refs, 0); int(r+1)*width > len(s.rec) {
-		s.rec = grow(s.rec, int(r+1)*width, ef.units*width)
-	}
-	ef.hold(s, u, r)
-	return s.record(r)
-}
-
-// hold makes unit u a holder of record r, releasing the record it held.
-func (ef *ErrorFeedback) hold(s *residualSlot, u int, r int32) {
-	old := s.id[u] - 1
-	if old == r {
-		return
-	} else if old < 0 {
+	if !s.holds(u) {
+		if n := u>>6 + 1; n > len(s.has) {
+			s.has = grow(s.has, n, (s.units+63)/64)
+		}
+		if n := (u + 1) * width; n > len(s.res) {
+			s.res = grow(s.res, n, s.units*width)
+		}
+		s.has[u>>6] |= 1 << (u & 63)
 		ef.tracked++
-	} else if s.refs[old]--; s.refs[old] == 0 {
-		s.free = append(s.free, old)
 	}
-	s.id[u] = r + 1
-	s.refs[r]++
+	return s.res[u*width : (u+1)*width]
 }
 
-// grow returns a copy of s lengthened to max(n, 2·len(s)), but to no more
-// than limit when that reaches n.
-func grow[T any](s []T, n, limit int) []T {
+// grow returns a copy of s lengthened to hint elements when that reaches n,
+// else to max(n, 2·len(s)).
+func grow[T any](s []T, n, hint int) []T {
 	size := max(n, 2*len(s))
-	if limit >= n {
-		size = min(size, limit)
+	if hint >= n {
+		size = hint
 	}
 	out := make([]T, size)
 	copy(out, s)
 	return out
 }
 
-// Snapshot deep-copies the residual store for checkpointing, one residual per
-// unit.
+// Snapshot deep-copies the residual store for checkpointing.
 func (ef *ErrorFeedback) Snapshot() map[int64][]float64 {
 	out := make(map[int64][]float64, ef.tracked)
 	for _, s := range ef.slots {
-		for u, r := range s.id {
-			if r > 0 {
-				out[RoundUnitKey(s.round, int64(u))] = slices.Clone(s.record(r - 1))
+		for k, word := range s.has {
+			for ; word != 0; word &= word - 1 {
+				u := k<<6 + bits.TrailingZeros64(word)
+				out[RoundUnitKey(s.round, int64(u))] = append([]float64(nil), s.res[u*s.width:(u+1)*s.width]...)
 			}
 		}
 	}
@@ -202,35 +175,24 @@ func (ef *ErrorFeedback) Snapshot() map[int64][]float64 {
 
 // Restore replaces the residual store with a copy of residuals (nil restores
 // an empty store), undoing any history accumulated since; Corrected is left
-// to the caller. Bit-equal residuals of a round slot share one record again,
-// as the encoder left them. The map must pass CheckResiduals.
+// to the caller. The map must pass CheckResiduals.
 func (ef *ErrorFeedback) Restore(residuals map[int64][]float64) {
 	corrected := ef.Corrected
 	ef.Reset()
 	ef.Corrected = corrected
-	shared := make(map[string]int32) // a residual's round slot and bits → its record
 	for k, v := range residuals {
-		s, u := ef.unit(k)
-		bits := binary.LittleEndian.AppendUint64(nil, uint64(s.round))
-		for _, x := range v {
-			bits = binary.LittleEndian.AppendUint64(bits, math.Float64bits(x))
-		}
-		if r, ok := shared[string(bits)]; ok {
-			ef.hold(s, u, r)
-		} else {
-			copy(ef.own(s, u, len(v)), v)
-			shared[string(bits)] = s.id[u] - 1
-		}
+		round, u := splitKey(k)
+		copy(ef.residual(round, u, len(v)), v)
 	}
 }
 
-// Reset clears residuals and counters (e.g. between runs), keeping the
-// arenas.
+// Reset clears residuals, declared counts and counters (e.g. between runs),
+// keeping the slabs.
 func (ef *ErrorFeedback) Reset() {
 	for i := range ef.slots {
 		s := &ef.slots[i]
-		clear(s.id)
-		s.width, s.refs, s.free = -1, s.refs[:0], s.free[:0]
+		clear(s.has)
+		s.width, s.units = -1, -1
 	}
 	ef.tracked, ef.Corrected = 0, 0
 }
@@ -241,8 +203,10 @@ func (ef *ErrorFeedback) Units() int { return ef.tracked }
 // Width reports the width of round slot round's residuals; ok is false while
 // it holds none.
 func (ef *ErrorFeedback) Width(round int) (width int, ok bool) {
-	s, _ := ef.unit(RoundUnitKey(round, 0))
-	return max(s.width, 0), s.width >= 0
+	if s := ef.slot(round); s != nil && s.width >= 0 {
+		return s.width, true
+	}
+	return 0, false
 }
 
 // ErrBadResiduals marks a residual map CheckResiduals refused.

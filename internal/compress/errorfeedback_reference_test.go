@@ -5,14 +5,13 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
-	"slices"
 	"testing"
 
 	"scgnn/internal/tensor"
 )
 
 // mapErrorFeedback is the residual store as a map from RoundUnitKey to one
-// slice per unit — the implementation ErrorFeedback's record store replaced,
+// slice per unit — the implementation ErrorFeedback's flat slabs replaced,
 // kept as the oracle they are held to.
 type mapErrorFeedback struct {
 	residual  map[int64][]float64
@@ -49,13 +48,6 @@ func (ef *mapErrorFeedback) PostCompress(key int64, trueVals, sent []float64) {
 	}
 }
 
-func (ef *mapErrorFeedback) Repeat(key, from int64) {
-	if r, ok := ef.residual[key]; ok {
-		ef.Corrected += int64(len(r))
-	}
-	ef.residual[key] = slices.Clone(ef.residual[from])
-}
-
 func (ef *mapErrorFeedback) Snapshot() map[int64][]float64 {
 	out := make(map[int64][]float64, len(ef.residual))
 	for k, v := range ef.residual {
@@ -90,48 +82,45 @@ func (s *opStream) next() int {
 	return int(b)
 }
 
-// driveBoth replays one op stream on the record store and the map oracle and
+// driveBoth replays one op stream on the flat store and the map oracle and
 // fails at the first difference: corrected payloads by bit pattern, Units,
-// Corrected and snapshots, and after every op, bit-equal oracle residuals
-// behind every pair of units of a slot with equal Ref. The stream picks a
-// width for each of four round slots, an optional declared unit count, then
-// encodes (a unit of a slot, kept or dropped, with a payload and a coarse
-// "sent" rounding of it), repeats a unit that holds a residual into another
-// of its slot, resets, snapshots and restores from the last snapshot.
+// Corrected and snapshots. The stream picks a width for each of four round
+// slots, an optional unit count declared for every slot (again after each
+// reset, which forgets it), then encodes (a unit of a slot,
+// kept or dropped, with a payload and a coarse "sent" rounding of it),
+// resets, snapshots and restores from the last snapshot.
 func driveBoth(t *testing.T, ops []byte) {
 	s := opStream(ops)
 	var widths [4]int
 	for r := range widths {
 		widths[r] = s.next() % 9
 	}
-	store, oracle := NewErrorFeedback(), newMapErrorFeedback()
+	flat, oracle := NewErrorFeedback(), newMapErrorFeedback()
 	maxUnits := 1 + s.next()%200
-	if s.next()%2 == 0 {
-		store.SetUnits(maxUnits)
+	declared := s.next()%2 == 0
+	declare := func() {
+		for r := range widths {
+			if declared {
+				flat.SetUnits(r, maxUnits)
+			}
+		}
 	}
+	declare()
 	var snap map[int64][]float64
 	for step := 0; len(s) > 0; step++ {
-		switch op := s.next() % 10; op {
+		switch op := s.next() % 8; op {
 		case 5:
-			store.Reset()
+			flat.Reset()
 			oracle.Reset()
+			declare()
 		case 6:
-			snap = store.Snapshot()
+			snap = flat.Snapshot()
 			if want := oracle.Snapshot(); !reflect.DeepEqual(snap, want) {
 				t.Fatalf("step %d: snapshot %v, oracle %v", step, snap, want)
 			}
 		case 7:
-			store.Restore(snap)
+			flat.Restore(snap)
 			oracle.Restore(snap)
-		case 8, 9:
-			round := s.next() % len(widths)
-			key := RoundUnitKey(round, int64((s.next()<<8|s.next())%maxUnits))
-			from := RoundUnitKey(round, int64((s.next()<<8|s.next())%maxUnits))
-			if _, ok := oracle.residual[from]; !ok {
-				continue
-			}
-			store.Repeat(key, from)
-			oracle.Repeat(key, from)
 		default:
 			round := s.next() % len(widths)
 			key := RoundUnitKey(round, int64((s.next()<<8|s.next())%maxUnits))
@@ -143,7 +132,7 @@ func driveBoth(t *testing.T, ops []byte) {
 				a[i] = float64(int8(s.next())) / 7
 			}
 			b := append([]float64(nil), a...)
-			store.PreCompress(key, a)
+			flat.PreCompress(key, a)
 			oracle.PreCompress(key, b)
 			for i := range a {
 				if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
@@ -154,46 +143,19 @@ func driveBoth(t *testing.T, ops []byte) {
 			for i, v := range a {
 				sent[i] = math.Round(v*2) / 2
 			}
-			store.PostCompress(key, a, sent)
+			flat.PostCompress(key, a, sent)
 			oracle.PostCompress(key, b, sent)
 		}
-		if store.Units() != oracle.Units() || store.Corrected != oracle.Corrected {
-			t.Fatalf("step %d: units %d corrected %d, oracle %d, %d", step, store.Units(), store.Corrected, oracle.Units(), oracle.Corrected)
+		if flat.Units() != oracle.Units() || flat.Corrected != oracle.Corrected {
+			t.Fatalf("step %d: units %d corrected %d, oracle %d, %d", step, flat.Units(), flat.Corrected, oracle.Units(), oracle.Corrected)
 		}
-		checkRefs(t, step, store, oracle)
 	}
-	if got, want := store.Snapshot(), oracle.Snapshot(); !reflect.DeepEqual(got, want) {
+	if got, want := flat.Snapshot(), oracle.Snapshot(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("final snapshot %v, oracle %v", got, want)
 	}
 }
 
-// checkRefs fails unless every unit the oracle holds a residual for holds a
-// record, and units of a slot holding one record hold bit-equal residuals.
-// With Units equal, the store then tracks no other unit.
-func checkRefs(t *testing.T, step int, store *ErrorFeedback, oracle *mapErrorFeedback) {
-	t.Helper()
-	holder := make(map[[2]int64]int64) // (round slot, record) → a unit holding it
-	for k, v := range oracle.residual {
-		r := store.Ref(k)
-		if r < 0 {
-			t.Fatalf("step %d key %#x: the oracle holds a residual, the store none", step, k)
-		}
-		id := [2]int64{k >> 32, int64(r)}
-		h, ok := holder[id]
-		if !ok {
-			holder[id] = k
-			continue
-		}
-		w := oracle.residual[h]
-		for i := range v {
-			if math.Float64bits(v[i]) != math.Float64bits(w[i]) {
-				t.Fatalf("step %d: keys %#x and %#x share record %d, the oracle holds %v and %v", step, k, h, r, v, w)
-			}
-		}
-	}
-}
-
-// TestErrorFeedbackMatchesMapOracle drives the store store and the map oracle
+// TestErrorFeedbackMatchesMapOracle drives the flat store and the map oracle
 // with the same seeded op streams.
 func TestErrorFeedbackMatchesMapOracle(t *testing.T) {
 	for seed := int64(1); seed <= 300; seed++ {
@@ -208,26 +170,16 @@ func FuzzErrorFeedback(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{8, 3, 0, 1, 7, 0, 0, 0, 0, 1, 1, 200, 17, 6, 5, 0, 2, 0, 9, 1, 3, 7})
 	f.Add([]byte{0, 0, 0, 0, 40, 1, 0, 1, 0, 3, 1, 6, 7, 0, 1, 0, 3, 1, 6})
-	// One 2-wide slot of 4 declared units: unit 1 is encoded and repeated into
-	// units 2 and 3 (one record, three holders); unit 1 and then 2 are encoded
-	// again (copy on write: fresh records), 3 alone (in place); unit 2 repeats
-	// unit 1, twice (its record is freed, then the repeat finds the record
-	// already held) and unit 0's first encode takes it off the
-	// free list; a snapshot and restore re-share bit-equal units, which
-	// encode and repeat once more.
-	f.Add([]byte{2, 0, 0, 0, 3, 0,
+	// Two 2-wide slots with 4 declared units each: units of both are encoded,
+	// the store is reset (forgetting the counts, declared again) and encoded
+	// into again, then a snapshot and its restore.
+	f.Add([]byte{2, 2, 0, 0, 3, 0,
 		0, 0, 0, 1, 1, 7, 14,
-		8, 0, 0, 2, 0, 1,
-		8, 0, 0, 3, 0, 1,
-		0, 0, 0, 1, 1, 21, 28,
-		0, 0, 0, 2, 1, 21, 28,
-		0, 0, 0, 3, 1, 3, 5,
-		8, 0, 0, 2, 0, 1,
-		8, 0, 0, 2, 0, 1,
-		0, 0, 0, 0, 1, 9, 9,
+		0, 1, 0, 3, 1, 21, 28,
+		5,
+		0, 1, 0, 2, 1, 3, 5,
+		0, 1, 0, 2, 1, 9, 9,
 		6, 7,
-		0, 0, 0, 1, 1, 7, 14,
-		8, 0, 0, 3, 0, 2,
-		9, 0, 0, 0, 0, 3})
+		0, 0, 0, 1, 1, 7, 14})
 	f.Fuzz(driveBoth)
 }

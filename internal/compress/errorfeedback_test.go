@@ -3,7 +3,6 @@ package compress
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
 	"testing"
 )
 
@@ -58,72 +57,45 @@ func TestErrorFeedbackReset(t *testing.T) {
 	}
 }
 
-// mallocs counts the heap allocations f makes, on one P as
-// testing.AllocsPerRun measures: with more, reading the counts can start an
-// idle P's thread, which the runtime allocates for.
-func mallocs(f func()) uint64 {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	f()
-	runtime.ReadMemStats(&after)
-	return after.Mallocs - before.Mallocs
-}
-
-// TestErrorFeedbackSlabs: with a declared unit count a slot's record arena
-// never exceeds units·width values, however its units share records and copy
-// them on write, and Reset keeps it — a round after a Reset, at the same width
-// or a narrower one, allocates nothing. Without a declared count the arena
-// grows by doubling.
+// TestErrorFeedbackSlabs: with a declared unit count a slot's slab is sized
+// for every unit of that slot at its first residual, whichever unit that is,
+// and Reset keeps it — a round after a Reset, at the same width or a narrower
+// one, allocates nothing. Without a declared count the slab grows by
+// doubling.
 func TestErrorFeedbackSlabs(t *testing.T) {
 	const units = 300
 	ef := NewErrorFeedback()
-	ef.SetUnits(units)
+	ef.SetUnits(0, units)
+	ef.SetUnits(1, units/3)
 	payload := make([]float64, 16)
-	// A round encodes every third unit and, when share is set, repeats it
-	// into the next two, as the encode memo does a sender's arcs; otherwise
-	// every unit is encoded on its own.
-	round := func(width int, share bool) {
+	ef.PostCompress(RoundUnitKey(0, 7), payload, payload)
+	ef.PostCompress(RoundUnitKey(1, 7), payload, payload)
+	for r, n := range []int{units, units / 3} {
+		if s := ef.slots[r]; len(s.res) != n*16 || len(s.has) != (n+63)/64 {
+			t.Fatalf("slot %d: first residual sized the slab at %d values, %d bitset words, want %d units", r, len(s.res), len(s.has), n)
+		}
+	}
+	round := func(width int) {
 		for r := 0; r < 3; r++ {
-			for u := int64(0); u < units; u++ {
+			ef.SetUnits(r, units)
+			for u := int64(units - 1); u >= 0; u-- {
 				k := RoundUnitKey(r, u)
-				if share && u%3 != 0 {
-					ef.Repeat(k, RoundUnitKey(r, u-u%3))
-					continue
-				}
-				payload[0] = float64(u)
 				ef.PreCompress(k, payload[:width])
 				ef.PostCompress(k, payload[:width], payload[:width])
 			}
 		}
 	}
-	arena := func(when string, width int) {
-		for _, s := range ef.slots {
-			if len(s.rec) > units*width {
-				t.Fatalf("%s: slot %d's arena holds %d values, over %d units × %d", when, s.round, len(s.rec), units, width)
-			}
-		}
-	}
-	for i, share := range []bool{true, false, true, false, true} {
-		round(16, share)
-		arena(fmt.Sprintf("round %d", i), 16)
-	}
-	if got := ef.slots[0].refs[ef.Ref(RoundUnitKey(0, 3))]; got != 3 {
-		t.Fatalf("a repeated record has %d holders, want 3", got)
-	}
+	round(16)
 	for _, width := range []int{16, 8, 16} {
-		for _, share := range []bool{false, true} {
-			if n := mallocs(func() { ef.Reset(); round(width, share); round(width, !share) }); n != 0 {
-				t.Fatalf("rounds at width %d after a Reset allocate %d times", width, n)
-			}
-			arena(fmt.Sprintf("width %d", width), 16)
+		if allocs := testing.AllocsPerRun(3, func() { ef.Reset(); round(width) }); allocs != 0 {
+			t.Fatalf("a round at width %d after a Reset allocates %v times", width, allocs)
 		}
 	}
 	grown := NewErrorFeedback()
-	for u, want := range []int{1, 2, 4, 4, 8} {
+	for u, want := range []int{1, 5, 10, 20, 20} {
 		grown.PostCompress(RoundUnitKey(0, int64(4*u)), payload[:4], payload[:4])
-		if got := len(grown.slots[0].rec); got != want*4 {
-			t.Fatalf("after unit %d the undeclared arena holds %d values, want %d", 4*u, got, want*4)
+		if got := len(grown.slots[0].res); got != want*4 {
+			t.Fatalf("after unit %d the undeclared slab holds %d values, want %d", 4*u, got, want*4)
 		}
 	}
 }

@@ -13,7 +13,7 @@ import (
 func TestSamplerRateOneDrawsNothing(t *testing.T) {
 	s := NewSampler(1.0, 7)
 	for round := 0; round < 3; round++ {
-		s.Start(1, round)
+		*s = s.At(1, round)
 		for i := int64(0); i < 10; i++ {
 			if !s.Keep() || !s.Coin(-i) {
 				t.Fatal("rate-1 sampler dropped a unit")

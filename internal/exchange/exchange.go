@@ -1,12 +1,13 @@
 // Package exchange is the single implementation of the reproduction's
 // exchange semantic — the rule of PAPER.md §1: per ordered partition pair,
-// one fused h_g = Σ w(u)·h_u per group plus raw O2O residuals (or one payload
-// per cross arc in the baseline), composable with sampling, quantisation and
-// error feedback. Every runtime holds one Core — the fork-join dist.Engine,
-// the in-process worker.Cluster and the multi-process worker.Peer, through the
-// one round body they share (internal/worker), and the test oracle they are
-// checked against — and supplies only where a surviving unit's payload goes
-// (see Walk's sink).
+// one fused h_g = Σ w(u)·h_u per group plus raw O2O residuals (or, in the
+// baseline, one payload per boundary row and peer — a halo star, fanned out
+// over the row's arcs by the receiver), composable with sampling,
+// quantisation and error feedback. Every runtime holds one Core — the
+// fork-join dist.Engine, the in-process worker.Cluster and the multi-process
+// worker.Peer, through the one round body they share (internal/worker), and
+// the test oracle they are checked against — and supplies only where a
+// surviving unit's payload goes (see Walk's sink).
 //
 // The package owns three things (DESIGN.md §15):
 //
@@ -46,7 +47,7 @@ func New(g *graph.Graph, part []int, nparts int, cfg Config) *Core {
 
 // Repartition moves the core to a new partition of the same graph, rebuilding
 // only what the change touched: pairs whose boundary sets are unchanged keep
-// their plan, arc list, sampler, adaptive history and residuals
+// their plan, arc list, stars, sampler, adaptive history and residuals
 // verbatim; dirty pairs get a rebuilt plan (bit-identical to a from-scratch
 // build) and freshly re-seeded streams. Rung levels never change. Returns the
 // ascending dirty pair indices; on error the core is unchanged, on success

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -48,6 +49,21 @@ func nonNil(plans []*core.PairPlan) []*core.PairPlan {
 	return out
 }
 
+// starUnits returns the unsampled star units of senders sending arcs[sender]
+// arcs each: one per sender, ascending.
+func starUnits(arcs map[int32]int32) []Unit {
+	senders := make([]int32, 0, len(arcs))
+	for u := range arcs {
+		senders = append(senders, u)
+	}
+	slices.Sort(senders)
+	out := make([]Unit, len(senders))
+	for i, u := range senders {
+		out[i] = Unit{Group: -1, Sender: u, Receiver: -1, Terms: arcs[u]}
+	}
+	return out
+}
+
 // collect runs one Walk at round ordinal round of epoch epoch and returns the
 // surviving units.
 func collect(c *Core, idx int, backward bool, epoch, round int) []Unit {
@@ -70,9 +86,10 @@ func feed(c *Core, idx int, backward bool, round int) {
 }
 
 // TestWalkOrderContract: without sampling every candidate survives, in the
-// contract order — groups by index then O2O in plan order (semantic), cross
-// arcs in bucket order (baseline) — with consecutive indices, unit scale 1,
-// and sender/receiver swapped on backward walks.
+// contract order — groups by index then O2O in plan order (semantic), halo
+// stars by sending node (baseline: one per source forward, one per sink
+// backward, each standing for its arcs) — with consecutive indices, unit scale
+// 1, and sender/receiver swapped on backward walks.
 func TestWalkOrderContract(t *testing.T) {
 	g, part := setup(t)
 	for _, o := range []Config{{}, semantic()} {
@@ -83,14 +100,16 @@ func TestWalkOrderContract(t *testing.T) {
 		units := 0
 		for idx := range c.Pairs {
 			fwd, bwd := collect(c, idx, false, 0, 0), collect(c, idx, true, 0, 0)
-			var want []Unit
+			var wantF, wantB []Unit
 			if o.Semantic {
 				if plan := c.PairPlans[idx]; plan != nil {
 					for gi := range plan.Groups {
-						want = append(want, Unit{Group: int32(gi)})
+						wantF = append(wantF, Unit{Group: int32(gi)})
 					}
+					wantB = slices.Clone(wantF)
 					for _, e := range plan.O2O {
-						want = append(want, Unit{Group: -1, Sender: e.Src, Receiver: e.Dst})
+						wantF = append(wantF, Unit{Group: -1, Sender: e.Src, Receiver: e.Dst, Terms: 1})
+						wantB = append(wantB, Unit{Group: -1, Sender: e.Dst, Receiver: e.Src, Terms: 1})
 					}
 					if len(c.Groups(idx, false)) != len(plan.Groups) || len(c.Groups(idx, true)) != len(plan.Groups) {
 						t.Fatalf("pair %d: Groups disagrees with the plan", idx)
@@ -99,29 +118,33 @@ func TestWalkOrderContract(t *testing.T) {
 					t.Fatalf("pair %d: groups without a plan", idx)
 				}
 			} else {
-				for _, e := range c.CrossOut[idx] {
-					want = append(want, Unit{Group: -1, Sender: e.U, Receiver: e.V})
+				srcArcs, dstArcs := make(map[int32]int32), make(map[int32]int32)
+				for _, e := range arcsOf(c, idx) {
+					srcArcs[e.U]++
+					dstArcs[e.V]++
+				}
+				wantF, wantB = starUnits(srcArcs), starUnits(dstArcs)
+			}
+			for _, dir := range []struct {
+				backward  bool
+				got, want []Unit
+			}{{false, fwd, wantF}, {true, bwd, wantB}} {
+				if len(dir.got) != len(dir.want) || c.Candidates(idx, dir.backward) != len(dir.want) {
+					t.Fatalf("pair %d backward=%v: %d units, %d candidates, want %d",
+						idx, dir.backward, len(dir.got), c.Candidates(idx, dir.backward), len(dir.want))
+				}
+				for i, w := range dir.want {
+					w.Index, w.Scale = int64(i), 1
+					if w.Group >= 0 {
+						// A group unit's node fields are not meaningful.
+						dir.got[i].Sender, dir.got[i].Receiver = 0, 0
+					}
+					if dir.got[i] != w {
+						t.Fatalf("pair %d backward=%v unit %d: %+v, want %+v", idx, dir.backward, i, dir.got[i], w)
+					}
 				}
 			}
-			if len(fwd) != len(want) || len(bwd) != len(want) || c.Candidates(idx) != len(want) {
-				t.Fatalf("pair %d: %d forward / %d backward units, %d candidates, want %d",
-					idx, len(fwd), len(bwd), c.Candidates(idx), len(want))
-			}
-			for i, w := range want {
-				w.Index, w.Scale = int64(i), 1
-				if w.Group >= 0 {
-					// A group unit's node fields are not meaningful.
-					fwd[i].Sender, fwd[i].Receiver, bwd[i].Sender, bwd[i].Receiver = 0, 0, 0, 0
-				}
-				if fwd[i] != w {
-					t.Fatalf("pair %d unit %d: forward %+v, want %+v", idx, i, fwd[i], w)
-				}
-				w.Sender, w.Receiver = w.Receiver, w.Sender
-				if bwd[i] != w {
-					t.Fatalf("pair %d unit %d: backward %+v, want %+v", idx, i, bwd[i], w)
-				}
-			}
-			units += len(want)
+			units += len(wantF) + len(wantB)
 		}
 		if units == 0 {
 			t.Fatal("no units walked")
@@ -133,8 +156,9 @@ func TestWalkOrderContract(t *testing.T) {
 // candidates, and survivors carry scale 1/rate and the candidate's index.
 // What survives is a function of (pair, epoch, round) alone: a fresh core
 // that walks the positions in reverse order yields the same units at each,
-// while the survivors move from round to round and from epoch to epoch. Under node coins a sender's units of one round share
-// one decision.
+// while the survivors move from round to round and from epoch to epoch. Under
+// node coins a sender's units of one round share one decision; under edge
+// coins a star survives with some of its arcs, which its Terms count.
 func TestWalkCoinsAreDeterministic(t *testing.T) {
 	g, part := setup(t)
 	type pos struct{ epoch, round int }
@@ -158,13 +182,16 @@ func TestWalkCoinsAreDeterministic(t *testing.T) {
 					all := collect(full, idx, backward, p.epoch, p.round)
 					kept := collect(enc, idx, backward, p.epoch, p.round)
 					walked[p] = append(walked[p], kept)
-					if len(all) > 8 && (len(kept) == 0 || len(kept) == len(all)) {
-						t.Fatalf("%s pair %d: kept %d of %d at rate 0.5", name, idx, len(kept), len(all))
+					if len(all) > 8 && (terms(kept) == 0 || terms(kept) == terms(all)) {
+						t.Fatalf("%s pair %d: kept %d of %d terms at rate 0.5", name, idx, terms(kept), terms(all))
 					}
 					survived := make([]bool, len(all))
 					for _, u := range kept {
 						w := all[u.Index]
 						w.Scale = 2
+						if stars := !nodes && !o.Semantic; stars && u.Terms >= 1 && u.Terms <= w.Terms {
+							w.Terms = u.Terms
+						}
 						if u != w {
 							t.Fatalf("%s pair %d: kept %+v, candidate %+v", name, idx, u, w)
 						}
@@ -193,6 +220,83 @@ func TestWalkCoinsAreDeterministic(t *testing.T) {
 			}
 		}
 	}
+}
+
+// allArcs lists every pair's bucketed cross arcs.
+func allArcs(c *Core) [][]graph.Edge {
+	out := make([][]graph.Edge, len(c.Pairs))
+	for idx := range out {
+		out[idx] = arcsOf(c, idx)
+	}
+	return out
+}
+
+// arcsOf lists pair idx's bucketed cross arcs, in bucket order.
+func arcsOf(c *Core, idx int) []graph.Edge {
+	srcs, dsts := c.buckets.Pair(idx)
+	arcs := make([]graph.Edge, len(srcs))
+	for p := range srcs {
+		arcs[p] = graph.Edge{U: srcs[p], V: dsts[p]}
+	}
+	return arcs
+}
+
+// TestStarsTransposeArcs: a baseline pair's forward stars are its arcs'
+// source runs and its backward stars its arcs sorted by (sink, source) — each
+// arc in exactly one star of each direction, at the position that names it,
+// between the star's sender and the position's receiver — and senders
+// ascend.
+func TestStarsTransposeArcs(t *testing.T) {
+	g, part := setup(t)
+	c := New(g, part, nparts, Config{})
+	stars := 0
+	for idx := range c.Pairs {
+		arcs := arcsOf(c, idx)
+		for _, backward := range []bool{false, true} {
+			st := c.Stars(idx, backward)
+			var got []graph.Edge
+			for k, sender := range st.Sender {
+				if k > 0 && st.Sender[k-1] >= sender {
+					t.Fatalf("pair %d backward=%v: star senders not ascending at %d", idx, backward, k)
+				}
+				for p := st.Off[k]; p < st.Off[k+1]; p++ {
+					e := graph.Edge{U: sender, V: st.Recv(p)}
+					if backward {
+						e = graph.Edge{U: st.Recv(p), V: sender}
+					}
+					if arcs[st.Arc(p)] != e {
+						t.Fatalf("pair %d backward=%v star %d position %d: arc %v, ends %v", idx, backward, k, p, arcs[st.Arc(p)], e)
+					}
+					got = append(got, e)
+				}
+			}
+			want := slices.Clone(arcs)
+			if backward {
+				slices.SortFunc(want, func(a, b graph.Edge) int {
+					if a.V != b.V {
+						return int(a.V - b.V)
+					}
+					return int(a.U - b.U)
+				})
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("pair %d backward=%v: stars hold %v, want %v", idx, backward, got, want)
+			}
+			stars += len(st.Sender)
+		}
+	}
+	if stars == 0 {
+		t.Fatal("no stars built")
+	}
+}
+
+// terms sums the units' delivered terms, a group counting one.
+func terms(units []Unit) int {
+	n := 0
+	for _, u := range units {
+		n += max(int(u.Terms), 1)
+	}
+	return n
 }
 
 // TestReseedGates: each gate of the setting creates exactly its stream, a
@@ -391,6 +495,7 @@ func TestReseedKeepsResidualSlabs(t *testing.T) {
 		for idx := range c.Pairs {
 			ef := c.Pairs[idx].EF
 			for r := 0; ef != nil && r < 3; r++ {
+				ef.SetUnits(r, c.Candidates(idx, r == 2))
 				c.Walk(idx, r == 2, 0, r, func(u Unit) {
 					k := compress.RoundUnitKey(r, u.Index)
 					ef.PreCompress(k, payload)
@@ -425,8 +530,9 @@ func TestReseedKeepsResidualSlabs(t *testing.T) {
 			if ef != stores[idx] {
 				t.Fatalf("pair %d at rung %d: store %p, was %p", idx, lv, ef, stores[idx])
 			}
-			// Three slots of every candidate; the second epoch corrects each.
-			if units := 3 * c.Candidates(idx); ef != nil && (ef.Units() != units || ef.Corrected != int64(units*len(payload))) {
+			// Three slots of every candidate, the last a backward one; the
+			// second epoch corrects each.
+			if units := 2*c.Candidates(idx, false) + c.Candidates(idx, true); ef != nil && (ef.Units() != units || ef.Corrected != int64(units*len(payload))) {
 				t.Fatalf("pair %d: %d units, %d corrected, want %d units", idx, ef.Units(), ef.Corrected, units)
 			}
 		}
@@ -489,8 +595,8 @@ func TestRepartition(t *testing.T) {
 			t.Fatalf("dirty set %v is not a strict, non-empty subset", dirty)
 		}
 		fresh := New(g, next, nparts, o)
-		if !reflect.DeepEqual(c.Own, fresh.Own) || !reflect.DeepEqual(c.CrossOut, fresh.CrossOut) ||
-			!reflect.DeepEqual(c.Part, fresh.Part) {
+		if !reflect.DeepEqual(c.Own, fresh.Own) || !reflect.DeepEqual(allArcs(c), allArcs(fresh)) ||
+			!reflect.DeepEqual(c.stars, fresh.stars) || !reflect.DeepEqual(c.Part, fresh.Part) {
 			t.Fatal("repartitioned topology differs from a fresh build")
 		}
 		if o.Semantic && string(core.MarshalPlans(nonNil(c.PairPlans))) != string(core.MarshalPlans(nonNil(fresh.PairPlans))) {
@@ -518,7 +624,7 @@ func TestRepartition(t *testing.T) {
 		if _, err := c.Repartition(part); err != nil {
 			t.Fatal(err)
 		}
-		if orig := New(g, part, nparts, o); !reflect.DeepEqual(c.CrossOut, orig.CrossOut) {
+		if orig := New(g, part, nparts, o); !reflect.DeepEqual(allArcs(c), allArcs(orig)) || !reflect.DeepEqual(c.stars, orig.stars) {
 			t.Fatal("moving back does not restore the arc buckets")
 		}
 	}
@@ -601,7 +707,7 @@ func TestTargetInvertsWalk(t *testing.T) {
 						units := collect(c, idx, backward, step, 1)
 						for _, u := range units {
 							group, receiver := c.Target(idx, backward, int(u.Index))
-							if group != u.Group || group < 0 && receiver != u.Receiver {
+							if wg, wr := unitTarget(u); group != wg || receiver != wr {
 								t.Fatalf("%s step %d pair %d backward=%v: Target(%d) = (%d, %d), Walk's unit %+v",
 									name, step, idx, backward, u.Index, group, receiver, u)
 							}
@@ -614,6 +720,19 @@ func TestTargetInvertsWalk(t *testing.T) {
 	}
 }
 
+// unitTarget is what Target should name for Walk's unit u: a group's index, a
+// star's own index (a star fans out like a group, over its arcs), or an O2O
+// residual's receiver.
+func unitTarget(u Unit) (group, receiver int32) {
+	switch {
+	case u.Group >= 0:
+		return u.Group, -1
+	case u.Receiver < 0:
+		return int32(u.Index), -1
+	}
+	return -1, u.Receiver
+}
+
 // checkSurvivorFrame encodes one message per unit, its index as the value,
 // into a frame whose bitmap marks the units' candidates, and requires the
 // decode — each message resolved through Target — to deliver exactly them.
@@ -623,7 +742,7 @@ func checkSurvivorFrame(t *testing.T, c *Core, idx int, backward bool, units []U
 		return
 	}
 	var b wire.Batch
-	b.Begin(wire.Frame{Width: 1, Count: c.Candidates(idx), Sampled: true})
+	b.Begin(wire.Frame{Width: 1, Count: c.Candidates(idx, backward), Sampled: true})
 	for _, u := range units {
 		b.Present(int(u.Index))
 		b.Add(&wire.Message{Payload: []float64{float64(u.Index)}})
@@ -637,7 +756,7 @@ func checkSurvivorFrame(t *testing.T, c *Core, idx int, backward bool, units []U
 		}
 		u := units[k]
 		group, receiver := c.Target(idx, backward, hd.Index)
-		if int64(hd.Index) != u.Index || val[0] != float64(u.Index) || group != u.Group || group < 0 && receiver != u.Receiver {
+		if wg, wr := unitTarget(u); int64(hd.Index) != u.Index || val[0] != float64(u.Index) || group != wg || receiver != wr {
 			t.Fatalf("pair %d: message %d decodes as candidate %d → (%d, %d), Walk's unit %+v", idx, k, hd.Index, group, receiver, u)
 		}
 	}

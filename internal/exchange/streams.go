@@ -36,15 +36,15 @@ type Streams struct {
 	seed   int64
 	sched  *sched.Scheduler
 	// efs[idx] is pair idx's error-feedback store, kept across Reseed once
-	// created; units is Core.Candidates, which sizes and bounds it.
+	// created; units is Core.Candidates, which bounds a restored one.
 	efs   []*compress.ErrorFeedback
-	units func(idx int) int
+	units func(idx int, backward bool) int
 	// gen counts the events that can change what a round computes on a fixed
 	// input: every Reseed and Restore, and every Core.Repartition.
 	gen uint64
 }
 
-func (s *Streams) init(nparts int, base sched.Setting, seed int64, policy sched.Policy, units func(idx int) int) {
+func (s *Streams) init(nparts int, base sched.Setting, seed int64, policy sched.Policy, units func(idx int, backward bool) int) {
 	*s = Streams{Pairs: make([]PairState, nparts*nparts), nparts: nparts, base: base, seed: seed,
 		efs: make([]*compress.ErrorFeedback, nparts*nparts), units: units}
 	if policy.Enabled {
@@ -66,8 +66,8 @@ func (s *Streams) Setting(idx int) sched.Setting {
 
 // Reseed (re)creates pair idx's state from scratch under its current setting:
 // the sampler is seeded DeriveSeed(seed, idx), the adaptive quantizer and
-// error-feedback store drop their history (the store keeps its arenas,
-// re-bounded by the pair's candidate count). Used at
+// error-feedback store drop their history (the store keeps its slabs; its
+// encoder declares each round slot's unit count). Used at
 // construction, for the dirty pairs of a Repartition, and whenever a pair
 // changes rung — a re-seeded pair behaves exactly like the same pair in a
 // freshly built runtime, which is what keeps reconfigured runtimes equal.
@@ -97,7 +97,6 @@ func (s *Streams) Reseed(idx int) {
 			}
 			ps.EF = s.efs[idx]
 			ps.EF.Reset()
-			ps.EF.SetUnits(s.units(idx))
 		}
 	}
 }
@@ -300,7 +299,7 @@ func (s *Streams) Restore(pairs []PairStreamState, levels []int32) error {
 		return fmt.Errorf("exchange: state has %d pair streams, runtime has %d (method config mismatch)", len(pairs), want)
 	}
 	for i := range pairs {
-		if err := compress.CheckResiduals(pairs[i].EF, s.units(i)); err != nil {
+		if err := compress.CheckResiduals(pairs[i].EF, max(s.units(i, false), s.units(i, true))); err != nil {
 			return fmt.Errorf("exchange: state pair %d: %w", i, err)
 		}
 	}

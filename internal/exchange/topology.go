@@ -8,9 +8,10 @@ import (
 )
 
 // Topology is everything a runtime derives from (graph, partition): ownership,
-// the per-pair cross-arc buckets, and — when semantic — the pair plans with
-// their reversed groups. Fields are read-only to callers; only Repartition
-// replaces them. Pairs are indexed s*NParts+t throughout.
+// the per-pair cross-arc buckets, and the pairs' transfer structure — the pair
+// plans with their reversed groups when semantic, else the halo stars. Fields
+// are read-only to callers; only Repartition replaces them. Pairs are indexed
+// s*NParts+t throughout.
 type Topology struct {
 	G      *graph.Graph
 	Part   []int
@@ -19,9 +20,6 @@ type Topology struct {
 	Coeff []float64
 	// Own[p] lists the nodes partition p owns, ascending.
 	Own [][]int32
-	// CrossOut[s*NParts+t] lists the cross arcs u→v with Part[u]=s, Part[v]=t
-	// in bucket order — the baseline exchange's transfer units.
-	CrossOut [][]graph.Edge
 	// PairPlans holds the semantic pair plans (nil slice when semantic is off,
 	// nil entries for pairs without cross arcs); RevGroups caches each plan's
 	// reversed groups for the backward pass (gradients flow dst→src through
@@ -29,14 +27,21 @@ type Topology struct {
 	PairPlans []*core.PairPlan
 	RevGroups [][]*core.Group
 
+	// stars[idx] holds a baseline pair's halo stars, forward then backward
+	// (nil when semantic: a plan's units are its groups and residuals).
+	stars [][2]Stars
+
 	// buckets is the CSR-of-pairs bucketing of the current partition's cross
-	// arcs, retained so Repartition can diff against it; spare is the
+	// arcs, retained so Repartition can diff against it and the stars can
+	// read their arcs' ends off it; spare is the
 	// bucketing the previous Repartition displaced, recycled as extraction
 	// scratch.
 	buckets, spare *graph.ArcBuckets
 	// planCache owns the plans and rebuilds only dirty pairs (nil when
 	// semantic is off).
 	planCache *core.PlanCache
+	// cnt is buildStars' all-zero counting scratch, one entry per node.
+	cnt []int32
 }
 
 func (t *Topology) init(g *graph.Graph, part []int, nparts int, semantic bool, planCfg core.PlanConfig) {
@@ -58,12 +63,25 @@ func (t *Topology) init(g *graph.Graph, part []int, nparts int, semantic bool, p
 		}
 	} else {
 		t.buckets = graph.ExtractArcBuckets(g, part, nparts)
-	}
-	t.CrossOut = make([][]graph.Edge, nparts*nparts)
-	for idx := range t.CrossOut {
-		t.CrossOut[idx] = t.buckets.Edges(idx)
+		t.stars = make([][2]Stars, nparts*nparts)
 	}
 	t.rebuildOwnership()
+	for idx := range t.stars {
+		t.installStars(idx)
+	}
+}
+
+// installStars rebuilds a baseline pair's stars from the current buckets and
+// ownership (a no-op on a semantic topology).
+func (t *Topology) installStars(idx int) {
+	if t.stars == nil {
+		return
+	}
+	if t.cnt == nil {
+		t.cnt = make([]int32, t.G.NumNodes())
+	}
+	srcs, dsts := t.buckets.Pair(idx)
+	t.stars[idx] = buildStars(srcs, dsts, t.Own[idx%t.NParts], t.cnt)
 }
 
 // Semantic reports whether the topology carries semantic plans.
@@ -119,10 +137,10 @@ func (t *Topology) repartition(part []int) ([]int, error) {
 	}
 	t.spare = t.buckets // displaced; recycled by the next extraction
 	t.buckets = nb
-	for _, idx := range dirty {
-		t.CrossOut[idx] = nb.Edges(idx)
-	}
 	t.Part = append([]int(nil), part...)
 	t.rebuildOwnership()
+	for _, idx := range dirty {
+		t.installStars(idx)
+	}
 	return dirty, nil
 }

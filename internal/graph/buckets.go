@@ -109,19 +109,6 @@ func (b *ArcBuckets) Pair(idx int) (srcs, dsts []int32) {
 	return b.Srcs[b.Off[idx]:b.Off[idx+1]], b.Dsts[b.Off[idx]:b.Off[idx+1]]
 }
 
-// Edges materializes pair idx's arc bucket as an edge list, in bucket order.
-func (b *ArcBuckets) Edges(idx int) []Edge {
-	srcs, dsts := b.Pair(idx)
-	if len(srcs) == 0 {
-		return nil
-	}
-	out := make([]Edge, len(srcs))
-	for k := range srcs {
-		out[k] = Edge{U: srcs[k], V: dsts[k]}
-	}
-	return out
-}
-
 // DBG materializes pair idx's directed bipartite boundary graph, or nil when
 // the bucket is empty. The result is byte-identical to ExtractDBG for the
 // same (graph, partition, pair).

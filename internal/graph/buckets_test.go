@@ -35,11 +35,10 @@ func TestArcBucketsAccessors(t *testing.T) {
 	if len(srcs) != 4 || srcs[0] != 0 || dsts[0] != 4 || srcs[3] != 2 || dsts[3] != 6 {
 		t.Fatalf("pair 0→1 bucket = %v→%v", srcs, dsts)
 	}
-	edges := b.Edges(1*2 + 0)
-	if len(edges) != 1 || edges[0] != (Edge{U: 4, V: 0}) {
-		t.Fatalf("pair 1→0 edges = %v", edges)
+	if srcs, dsts := b.Pair(1*2 + 0); len(srcs) != 1 || srcs[0] != 4 || dsts[0] != 0 {
+		t.Fatalf("pair 1→0 bucket = %v→%v", srcs, dsts)
 	}
-	if b.Edges(0) != nil || b.DBG(0) != nil {
+	if srcs, _ := b.Pair(0); len(srcs) != 0 || b.DBG(0) != nil {
 		t.Fatal("diagonal pair must be empty")
 	}
 	// Per-pair DBG materialization matches the reference extraction.

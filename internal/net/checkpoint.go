@@ -147,10 +147,11 @@ func LoadTrainingCheckpoint(path string) (*TrainingCheckpoint, error) {
 // peer-state blob alike:
 //
 //	4 bytes  magic "SCCK"
-//	1 byte   format version (4; older versions are refused: 1 held a gob
+//	1 byte   format version (5; older versions are refused: 1 held a gob
 //	         body, 2 wrote every delay-slot value, zero rows included, 3
 //	         carried sampler stream positions and listed a delay slot's
-//	         rows by 4-byte index)
+//	         rows by 4-byte index, 4 keyed a baseline pair's error-feedback
+//	         residuals by cross arc, where 5 keys them by halo star)
 //	8 bytes  body length  (little-endian u64)
 //	4 bytes  CRC32 (IEEE) of the body
 //	N bytes  body, in the control codec (control.go)
@@ -163,7 +164,7 @@ func LoadTrainingCheckpoint(path string) (*TrainingCheckpoint, error) {
 var ckMagic = [4]byte{'S', 'C', 'C', 'K'}
 
 const (
-	ckVersion   = 4
+	ckVersion   = 5
 	ckHeaderLen = 4 + 1 + 8 + 4
 )
 

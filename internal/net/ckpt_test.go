@@ -305,7 +305,8 @@ func TestCheckpointOverwriteAtomic(t *testing.T) {
 // TestCheckpointCorruption: every damage mode of the envelope or body —
 // truncated header, truncated body, flipped payload bit, bad magic, unknown
 // version, the gob-bodied version 1, the dense-delay version 2, version 3
-// with sampler stream positions and indexed delay rows, a length
+// with sampler stream positions and indexed delay rows, version 4 with
+// residuals keyed by cross arc, a length
 // field that disagrees, a bad CRC, a body of the other state type — surfaces
 // as a wrapped ErrCorruptCheckpoint from both decoders, never a clean load or
 // a panic.
@@ -325,6 +326,7 @@ func TestCheckpointCorruption(t *testing.T) {
 		"version-1":        edit(func(c []byte) { c[4] = 1 }),
 		"version-2":        edit(func(c []byte) { c[4] = 2 }),
 		"version-3":        edit(func(c []byte) { c[4] = 3 }),
+		"version-4":        edit(func(c []byte) { c[4] = 4 }),
 		"wrong-length":     edit(func(c []byte) { c[5]++ }),
 		"bad-crc":          edit(func(c []byte) { c[13] ^= 1 }),
 		"empty":            nil,
@@ -357,7 +359,9 @@ func TestCheckpointMissingFile(t *testing.T) {
 // carries — to their recorded bytes: a fresh peer of a stateless and of a
 // fully stateful configuration, and node 1 of a delay-lane fleet after one
 // epoch, whose filled slots list their rows by bitmap. Recorded again at
-// format version 4 (no sampler stream positions; the delay rows' bitmap).
+// format version 4 (no sampler stream positions; the delay rows' bitmap),
+// and once more at version 5 (a baseline pair's residual keys name halo
+// stars), where only the version byte moved.
 func TestPeerStateEncodedForm(t *testing.T) {
 	d, part, _ := testGraph(t, 3)
 	fresh := func(cfg exchange.Config) []byte {
@@ -389,9 +393,9 @@ func TestPeerStateEncodedForm(t *testing.T) {
 		size int
 		sum  string
 	}{
-		{"fresh semantic", fresh(exchange.Config{Semantic: true}), 37, "c232ac6db91cde72dac7d17397f3db322539d5a5456343c005370392312ca4ec"},
-		{"fresh " + stateful.MethodName(), fresh(stateful), 289, "fb44f2db8a16b8a15f7937beb46de5622d946f2a4186d96004d733bf006dcd0a"},
-		{"delay2 after an epoch", afterEpoch(exchange.Config{DelayPeriod: 2, Seed: 3}), 2531, "57958b242eec1015c9e91699915f572b200cc2fca3ebe9baff4e2548b69ac6cb"},
+		{"fresh semantic", fresh(exchange.Config{Semantic: true}), 37, "bc5068cef49a83e3cca5886b58bde4a5e6b748b7b963161d884fe50fa06f3f48"},
+		{"fresh " + stateful.MethodName(), fresh(stateful), 289, "1b3111686c71bc79542116eee3e1c78750f7406de69b1a657da049c58c0f4f3f"},
+		{"delay2 after an epoch", afterEpoch(exchange.Config{DelayPeriod: 2, Seed: 3}), 2531, "f2570efc4b1dc2d1db88c6e9f4b37118d12f0b6f4daabafd76d7f40b18cc75be"},
 	} {
 		if got := fmt.Sprintf("%x", sha256.Sum256(tc.blob)); len(tc.blob) != tc.size || got != tc.sum {
 			t.Errorf("%s: %d bytes, sha256 %s; recorded %d, %s", tc.name, len(tc.blob), got, tc.size, tc.sum)

@@ -62,7 +62,10 @@ func tamperFrame(c *Cluster, receiver, sender int, edit func(frame []byte) []byt
 // error from the round (wrapping wire.ErrMalformed where the bytes themselves
 // are not a frame), never a panic, and it poisons the cluster. Frames travel
 // from worker 1 to worker 0 — pair (1→0) has 13 candidates — except where the
-// case names worker 3, whose pair into 0 has none.
+// case names worker 3, whose pair into 0 has none. A baseline pair's
+// candidates are stars of one arc each here, so under edge sampling a star
+// the sender dropped has no surviving arc, and a frame that marks one present
+// is refused even when its bitmap and messages agree.
 func TestDecodeSeamRefusesHostileFrames(t *testing.T) {
 	g, part := chainGraph()
 	h := randMat(g.NumNodes(), 3, 31)
@@ -82,6 +85,9 @@ func TestDecodeSeamRefusesHostileFrames(t *testing.T) {
 			panic("the sampled frame kept all or none of its candidates")
 		}
 	}
+	// swap marks the first dropped candidate present and the first kept one
+	// absent: as many messages as bits, one of them for a dead star.
+	swap := func(_, f []byte) []byte { swapPresence(bitmap(f)); return f }
 	for _, tc := range []struct {
 		name, lane string
 		sender     int
@@ -92,7 +98,8 @@ func TestDecodeSeamRefusesHostileFrames(t *testing.T) {
 		{"sender other than the slot's", "semantic", 1, false, put(2, 2)},
 		{"width other than the round's", "vanilla", 1, false, put(6, 4)},
 		{"count other than the pair's candidates", "vanilla", 1, false, put(10, 14)},
-		{"bitmap popcount over the messages", "sampling", 1, true, flip(false)},
+		{"bitmap popcount over the messages", "nsampling", 1, true, flip(false)},
+		{"star present with no surviving arc", "sampling", 1, false, swap},
 		{"bitmap popcount under the messages", "sampling", 1, true, flip(true)},
 		{"bitmap bit past the count", "sampling", 1, true, func(_, f []byte) []byte { bitmap(f)[1] |= 0x80; return f }},
 		{"trailing bytes", "vanilla", 1, true, func(_, f []byte) []byte { return append(f, 0) }},
@@ -175,6 +182,35 @@ func TestPeerRefusesForeignSender(t *testing.T) {
 	}
 }
 
+// deadStarFrame is worker 1's forward frame for worker 0 on the sampling lane
+// with the presence of its first kept and first dropped star swapped: a frame
+// of consistent length whose bitmap marks a star none of whose arcs survives.
+func deadStarFrame(g *graph.Graph, part []int, h *tensor.Matrix) []byte {
+	c := NewClusterFromConfig(g, part, 4, frameLanes()["sampling"])
+	defer c.Close()
+	if err := c.AggregateInto(tensor.New(g.NumNodes(), h.Cols), h, false); err != nil {
+		panic(err)
+	}
+	f := append([]byte(nil), c.slots[1]...)
+	swapPresence(f[wire.FrameHeaderBytes:])
+	return f
+}
+
+// swapPresence flips the first set and the first clear bit of a 13-candidate
+// presence bitmap.
+func swapPresence(bm []byte) {
+	first := [2]int{-1, -1} // the first clear bit, the first set one
+	for i := 12; i >= 0; i-- {
+		first[bm[i/8]>>(i%8)&1] = i
+	}
+	if first[0] < 0 || first[1] < 0 {
+		panic("the sampled frame kept all or none of its candidates")
+	}
+	for _, i := range first {
+		bm[i/8] ^= 1 << (i % 8)
+	}
+}
+
 // FuzzDecodeBatch plants arbitrary bytes as worker 1's frame for worker 0 of
 // a 4-part cluster, on the lane and in the direction the first byte picks:
 // the round must end cleanly or in an ErrCorruptFrame error, never a panic.
@@ -208,6 +244,7 @@ func FuzzDecodeBatch(f *testing.F) {
 		tamperFrame(c, 0, 1, func([]byte) []byte { return planted })
 	}
 	f.Add(byte(0), []byte{0xff, 0xee, 0xdd})
+	f.Add(byte(4), deadStarFrame(g, part, h))
 	f.Fuzz(func(t *testing.T, lane byte, data []byte) {
 		c := clusters[int(lane&0x7f)%len(clusters)]
 		c.err = nil // each input gets a healthy cluster, at the epoch's first round

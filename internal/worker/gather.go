@@ -12,13 +12,13 @@ package worker
 // plan, tensor.GatherAXPY / tensor.ScatterAXPY per group.
 //
 // Invalidation contract (DESIGN.md §11): compiled state is a pure
-// function of (graph, part, plans/CrossOut, coeff) in the exchange core,
+// function of (graph, part, plans/stars, coeff) in the exchange core,
 // and of the process's row map: every row id the lists hold went through
 // rowOf.
 //   - kernels[idx] ← PairPlans[idx]: compiled at construction and for
 //     every dirty pair of a Repartition, for pairs with an endpoint this
 //     process runs — every such pair when a peer's row map changed.
-//   - local[p] ← (part, Own[p], plans/CrossOut touching p): compiled at
+//   - local[p] ← (part, Own[p], plans/stars touching p): compiled at
 //     construction and, on Repartition, for the partitions a moved
 //     node left or joined plus both endpoints of every dirty pair
 //     (dirtyLocalParts below proves that set is sufficient).
@@ -77,18 +77,19 @@ func (x *exchanger) groupPlans(idx int, backward bool) (enc, del *core.GroupList
 func (x *exchanger) compilePairKernels(idx int) {
 	k := &x.kernels[idx]
 	*k = pairKernels{}
+	np := x.core.NParts
 	p := x.core.PairPlans[idx]
 	if p == nil {
 		return
 	}
 	rev, coeff := x.core.RevGroups[idx], x.core.Coeff
-	if x.ws[idx/x.core.NParts] != nil {
+	if x.ws[idx/np] != nil {
 		k.encF = core.CompileEncode(p.Groups, coeff)
 		k.delB = core.CompileDeliver(rev, coeff)
 		x.toRows(k.encF.Rows)
 		x.toRows(k.delB.Rows)
 	}
-	if x.ws[idx%x.core.NParts] != nil {
+	if x.ws[idx%np] != nil {
 		k.encB = core.CompileEncode(rev, coeff)
 		k.delF = core.CompileDeliver(p.Groups, coeff)
 		x.toRows(k.encB.Rows)
@@ -111,7 +112,7 @@ func (x *exchanger) toRows(ids []int32) {
 // an outgoing batch in either direction: forward it encodes pair
 // (p→t)'s group members and O2O sources; backward it encodes pair
 // (t→p)'s reversed-group members (= that plan's DstNodes) and O2O
-// sinks. Vanilla mode reads the cross-arc endpoints it owns. Marked
+// sinks. A baseline pair reads its stars' senders. Marked
 // nodes are always owned by p, which is what lets compileLocal clear
 // the scratch by walking own[p].
 func (x *exchanger) markBoundary(p int, mark []bool) {
@@ -142,11 +143,11 @@ func (x *exchanger) markBoundary(p int, mark []bool) {
 				}
 			}
 		} else {
-			for _, e := range c.CrossOut[p*c.NParts+t] {
-				mark[e.U] = true
+			for _, u := range c.Stars(p*c.NParts+t, false).Sender {
+				mark[u] = true
 			}
-			for _, e := range c.CrossOut[t*c.NParts+p] {
-				mark[e.V] = true
+			for _, v := range c.Stars(t*c.NParts+p, true).Sender {
+				mark[v] = true
 			}
 		}
 	}

@@ -3,9 +3,12 @@ package worker
 // The definitional oracle every runtime is checked against: the sink
 // dist.Engine ran before it became a driver of the round body (exchangePair,
 // sendPayload and the local aggregate, moved here verbatim, coarse sequential
-// schedule only) plus the delay cache it kept. It walks the same exchange.Core
-// — the walk owns the coins, so there is nothing to compare there — and does
-// everything after the walk the slow, obvious way: float64 payloads built
+// schedule only) plus the delay cache it kept. On semantic pairs it walks the
+// same exchange.Core — the walk owns the coins, so there is nothing to compare
+// there. A baseline pair it defines per cross arc itself, from the graph and
+// the pair's coins alone (haloPair), so it shares neither the stars nor their
+// walk with production. Everything after that it does the slow,
+// obvious way: float64 payloads built
 // member by member off the plan, a compress.Grid round trip per unit standing
 // in for the codec, one tensor.AXPY per delivered term, bytes billed from the
 // wire format's closed form: per message its codec bytes only, per non-empty
@@ -285,8 +288,9 @@ func (e *Oracle) exchangePair(r, peer int, h, delta *tensor.Matrix, backward boo
 	ps := &e.core.Pairs[idx]
 	coeff := e.core.Coeff
 	groups := e.core.Groups(idx, backward)
-	if !e.cfg.Semantic && ps.Sampler != nil {
-		e.sampleEdges += int64(len(e.core.CrossOut[idx]))
+	if !e.cfg.Semantic {
+		e.haloPair(idx, from, to, h, delta, backward, round)
+		return
 	}
 	if cap(e.payload) < dim {
 		e.payload = make([]float64, dim)
@@ -333,7 +337,77 @@ func (e *Oracle) exchangePair(r, peer int, h, delta *tensor.Matrix, backward boo
 	if msgs > 0 {
 		bytes += wire.FrameHeaderBytes
 		if ps.Sampler != nil {
-			bytes += int64(e.core.Candidates(idx)+7) / 8
+			bytes += int64(e.core.Candidates(idx, backward)+7) / 8
+		}
+		e.shard.Add(from, to, bytes, msgs)
+	}
+}
+
+// haloPair is a baseline pair's exchange, defined per cross arc: arc u→v
+// carries f[u]·h_u into v's row (backward, f[v]·h_v into u's). The pair's arcs
+// are enumerated off the graph in bucket order — sources ascending, each
+// one's sinks in the partition ascending — and an arc survives its coin,
+// keyed by its index in that order, or by its sending node under node
+// sampling. A sender ships its row once per peer:
+// one message for every node with a surviving arc, built, error-corrected
+// (one residual per (sender, peer), keyed by the sending node) and coded at
+// its first surviving arc, then delivered along each surviving arc in arc
+// order. A frame's candidates are the pair's distinct senders.
+func (e *Oracle) haloPair(idx, from, to int, h, delta *tensor.Matrix, backward bool, round int) {
+	dim := h.Cols
+	ps := &e.core.Pairs[idx]
+	coeff := e.core.Coeff
+	var arcs []graph.Edge
+	for _, u := range e.core.Own[idx/e.nparts] {
+		for _, v := range e.core.G.Neighbors(u) {
+			if e.core.Part[v] == idx%e.nparts {
+				arcs = append(arcs, graph.Edge{U: u, V: v})
+			}
+		}
+	}
+	var coins compress.Sampler
+	scale := 1.0
+	if ps.Sampler != nil {
+		coins = ps.Sampler.At(e.epoch, round)
+		scale = coins.Scale()
+		e.sampleEdges += int64(len(arcs))
+	}
+	candidates := make(map[int32]bool)
+	arrived := make(map[int32][]float64) // sender → what its message delivers
+	var bytes, msgs int64
+	for a, arc := range arcs {
+		sender, receiver := arc.U, arc.V
+		if backward {
+			sender, receiver = receiver, sender
+		}
+		candidates[sender] = true
+		key := int64(a)
+		if ps.NodeCoins {
+			key = int64(sender)
+		}
+		if ps.Sampler != nil && !coins.Coin(key) {
+			continue
+		}
+		payload, ok := arrived[sender]
+		if !ok {
+			payload = make([]float64, dim)
+			for i, v := range h.Row(int(sender)) {
+				payload[i] = coeff[sender] * scale * v
+				if ps.Bits == 0 {
+					payload[i] = float64(float32(payload[i]))
+				}
+			}
+			bytes += e.sendPayload(ps, round, int64(sender), payload)
+			msgs++
+			arrived[sender] = payload
+		}
+		tensor.AXPY(coeff[receiver], payload, delta.Row(int(receiver)))
+		e.aggFlops += int64(2 * dim)
+	}
+	if msgs > 0 {
+		bytes += wire.FrameHeaderBytes
+		if ps.Sampler != nil {
+			bytes += int64(len(candidates)+7) / 8
 		}
 		e.shard.Add(from, to, bytes, msgs)
 	}

@@ -366,7 +366,7 @@ func TestPeerRestoreRejectsMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := int64(ef.core.Candidates(1))
+	n := int64(max(ef.core.Candidates(1, false), ef.core.Candidates(1, true)))
 	for name, res := range map[string]map[int64][]float64{
 		"negative unit":      {compress.RoundUnitKey(0, -1): make([]float64, 5)},
 		"unit past the pair": {compress.RoundUnitKey(0, n-1): make([]float64, 5), compress.RoundUnitKey(0, n): make([]float64, 5)},

@@ -82,7 +82,6 @@ type workerScratch struct {
 	payload []float64    // outgoing payload / group-fuse accumulator
 	dec     []float64    // inbound group payload staging
 	efSent  []float64    // error feedback: receiver-reconstructed values
-	memo    senderMemo   // the frame being encoded: its per-node senders' messages
 }
 
 func (ws *workerScratch) ensure(dim int) {
@@ -91,67 +90,6 @@ func (ws *workerScratch) ensure(dim int) {
 		ws.dec = make([]float64, dim)
 		ws.efSent = make([]float64, dim)
 	}
-}
-
-// senderMemo is encodePeer's memo of the frame it is encoding: where the
-// frame holds each per-node sender's first message (its head), so the
-// sender's other arcs into the peer copy those bytes instead of building,
-// ranging, levelling and packing the same payload again. A per-node payload
-// is Coeff[sender]·Scale·h[sender], and Scale is constant over a walk, so
-// every arc of a sender carries the same bytes — unless error feedback has
-// given its units different residuals, which repeat checks. It is sized by
-// the worker's rows and the frame's distinct senders, retained across frames
-// and stamped per frame, so it allocates nothing in steady state.
-type senderMemo struct {
-	frame uint32     // the open frame's stamp; never 0
-	at    []memoSlot // by sender row: its head, if the open frame stamped it
-	heads []memoHead // the open frame's heads, in encode order
-	// repeated and refused count the messages repeat copied and those it
-	// left to a fresh encode since the worker was built; the tests read them
-	// to see both paths taken.
-	repeated, refused int64
-}
-
-type memoSlot struct {
-	frame uint32
-	head  int32
-}
-
-// memoHead is one sender's first message in the open frame.
-type memoHead struct {
-	from, to int   // its bytes in the batch
-	bits     int   // the width it was quantised at (adaptive)
-	unit     int64 // its candidate index
-	// old is the error-feedback record it was corrected with
-	// (compress.ErrorFeedback.Ref), or -1 when it held none.
-	old int32
-}
-
-// begin opens a frame of count candidates for a worker with rows rows, forgetting
-// every earlier head and reserving the worst case, a sender per candidate.
-func (m *senderMemo) begin(rows, count int) {
-	if len(m.at) < rows {
-		m.at = make([]memoSlot, rows)
-	}
-	if m.frame++; m.frame == 0 {
-		clear(m.at)
-		m.frame = 1
-	}
-	m.heads = slices.Grow(m.heads[:0], min(rows, count))
-}
-
-// head returns the index of row's head in the open frame, or -1.
-func (m *senderMemo) head(row int32) int {
-	if s := m.at[row]; s.frame == m.frame {
-		return int(s.head)
-	}
-	return -1
-}
-
-// add makes hd, the message just encoded, row's head.
-func (m *senderMemo) add(row int32, hd memoHead) {
-	m.at[row] = memoSlot{frame: m.frame, head: int32(len(m.heads))}
-	m.heads = append(m.heads, hd)
 }
 
 // newExchanger builds the runtime for the method combination cfg selects;
@@ -494,9 +432,7 @@ func (x *exchanger) localRows(me int, h, out *tensor.Matrix, from, to int) {
 // batch buffer, records the traffic on me's shard counter, and returns the
 // framed bytes. It is the wire runtime's sink of the shared unit walk: one
 // message per surviving group (Fig. 7(b)), one per surviving O2O residual or
-// cross arc (Fig. 7(a)), in walk order behind the frame's batch header. A
-// cross arc whose sender already has a message in the frame repeats that
-// message's bytes (senderMemo).
+// halo star (Fig. 7(a)), in walk order behind the frame's batch header.
 // Forward it walks pair (me→peer); backward pair (peer→me) reversed — me owns
 // its sinks. The buffer is reused next round: receivers must fully consume it
 // before then (in-process the round barrier guarantees this; the socket
@@ -508,24 +444,21 @@ func (x *exchanger) encodePeer(me, peer int, h *tensor.Matrix, backward bool) []
 	if backward {
 		idx = peer*x.core.NParts + me
 	}
-	frame := x.frame(idx, me, h.Cols)
+	frame := x.frame(idx, me, h.Cols, backward)
 	batch.Begin(frame)
 	payload := ws.payload[:h.Cols]
 	msg := &ws.msg
 	msg.Payload = payload
 	ps := &x.core.Pairs[idx]
+	if ps.EF != nil {
+		ps.EF.SetUnits(x.round, frame.Count)
+	}
 	enc, _ := x.groupPlans(idx, backward)
 	groups, rowOf := x.core.Groups(idx, backward), x.rowOf
-	// Group messages sent, and the members they stand for: senders fused in
-	// plus receivers fanned out to.
-	groupMsgs, members := 0, 0
-	// A semantic pair's per-node units are its O2O residuals, connections of
-	// one arc each: no sender recurs in its frame, so it keeps no memo.
-	var memo *senderMemo
-	if !x.core.Semantic() {
-		memo = &ws.memo
-		memo.begin(x.rows, frame.Count)
-	}
+	// The receiver rows the frame's messages are delivered to: a per-node
+	// unit's terms, a group's members — senders fused in plus receivers
+	// fanned out to.
+	terms, members := 0, 0
 	x.core.Walk(idx, backward, x.epoch, x.round, func(u exchange.Unit) {
 		if frame.Sampled {
 			batch.Present(int(u.Index))
@@ -535,99 +468,54 @@ func (x *exchanger) encodePeer(me, peer int, h *tensor.Matrix, backward bool) []
 			clear(payload)
 			rows, w := enc.Group(int(u.Group))
 			tensor.GatherAXPY(payload, h, rows, w, u.Scale)
-			groupMsgs++
 			members += len(rows) + len(groups[u.Group].DstNodes)
-			x.addMsg(ws, batch, ps, u.Index)
-			return
-		}
-		row, k := rowOf[u.Sender], -1
-		if memo != nil {
-			if k = memo.head(row); k >= 0 && x.repeat(ws, batch, ps, k, u.Index) {
-				return
+		} else {
+			scale := x.core.Coeff[u.Sender] * u.Scale
+			for i, v := range h.Row(int(rowOf[u.Sender])) {
+				payload[i] = scale * v
 			}
+			terms += int(u.Terms)
 		}
-		scale := x.core.Coeff[u.Sender] * u.Scale
-		for i, v := range h.Row(int(row)) {
-			payload[i] = scale * v
-		}
-		if memo == nil || k >= 0 {
-			x.addMsg(ws, batch, ps, u.Index)
-			return
-		}
-		hd := memoHead{from: batch.Size(), unit: u.Index, old: -1}
-		if ps.EF != nil {
-			hd.old = ps.EF.Ref(compress.RoundUnitKey(x.round, u.Index))
-		}
-		hd.bits = x.addMsg(ws, batch, ps, u.Index)
-		hd.to = batch.Size()
-		memo.add(row, hd)
+		x.addMsg(ws, batch, ps, u.Index)
 	})
 	buf := batch.Bytes()
 	// The frame is the traffic: its batch header, then the messages' payloads.
 	x.counters[me].Add(me, peer, int64(len(buf)), int64(batch.Len()))
-	// The processing the batch stands for, on both of its ends: a per-node
-	// message is one delivered term, a group message one term per member.
+	// The processing the batch stands for, on both of its ends: a delivered
+	// term per receiver row, a group also one per member fused in.
 	w, dim := &x.work[me], h.Cols
-	w.ComputeFlops += int64(2 * dim * (batch.Len() - groupMsgs + members))
+	w.ComputeFlops += int64(2 * dim * (terms + members))
 	w.SemanticValues += int64(dim * members)
 	if ps.Bits > 0 {
 		w.QuantValues += int64(dim * batch.Len())
 	}
 	if !x.core.Semantic() && frame.Sampled {
-		w.SampleEdges += int64(len(x.core.CrossOut[idx]))
+		w.SampleEdges += int64(len(x.core.Stars(idx, backward).Ends))
 	}
 	return buf
 }
 
-// frame derives pair idx's batch header for a round of the given width sent
-// by sender, from state every replica shares: the pair's codec and sampling
-// gates and its candidate count. The encoder writes it; the decoder holds the
-// bytes to it.
-func (x *exchanger) frame(idx, sender, width int) wire.Frame {
+// frame derives pair idx's batch header for a round of the given width and
+// direction sent by sender, from state every replica shares: the pair's codec
+// and sampling gates and its candidate count. The encoder writes it; the
+// decoder holds the bytes to it.
+func (x *exchanger) frame(idx, sender, width int, backward bool) wire.Frame {
 	ps := &x.core.Pairs[idx]
-	return wire.Frame{Sender: int32(sender), Width: width, Bits: ps.Bits, Count: x.core.Candidates(idx),
+	return wire.Frame{Sender: int32(sender), Width: width, Bits: ps.Bits, Count: x.core.Candidates(idx, backward),
 		Adaptive: ps.Adaptive != nil, Sampled: ps.Sampler != nil}
-}
-
-// repeat appends unit's message as a copy of the bytes of head k, a message
-// of the same sender earlier in the frame, when they are the bytes a fresh
-// encode of unit would write, and reports whether it did. Without error
-// feedback they always are. With it they are when unit holds the record the
-// head was corrected with, or both held none: equal records are bit-equal
-// residuals, so the sent values and new residual are the head's too. The
-// pair's streams move exactly as addMsg would move them: the adaptive width
-// is counted, the correction counted and the head's new record shared.
-func (x *exchanger) repeat(ws *workerScratch, batch *wire.Batch, ps *exchange.PairState, k int, unit int64) bool {
-	m := &ws.memo
-	hd := &m.heads[k]
-	key := compress.RoundUnitKey(x.round, unit)
-	if ps.EF != nil && ps.EF.Ref(key) != hd.old {
-		m.refused++
-		return false
-	}
-	m.repeated++
-	batch.Repeat(hd.from, hd.to)
-	if ps.Adaptive != nil {
-		ps.Adaptive.Repeat(hd.bits)
-	}
-	if ps.EF != nil {
-		ps.EF.Repeat(key, compress.RoundUnitKey(x.round, hd.unit))
-	}
-	return true
 }
 
 // addMsg appends the staged message ws.msg to the batch — quantized at the
 // pair's width when it has one, with residual error feedback layered on top
-// when enabled — and returns the width it was quantised at (0: fp32). unit is
-// the message's candidate index within (pair, round);
+// when enabled. unit is the message's candidate index within (pair, round);
 // with the round slot it keys the residual store (compress.RoundUnitKey), so
 // a unit meets its own residual again next epoch. Bytes reflect the reduced
 // wire size: ceil(n·bits/8) + 8 metadata in place of 4n (+1 when adaptive).
-func (x *exchanger) addMsg(ws *workerScratch, batch *wire.Batch, ps *exchange.PairState, unit int64) int {
+func (x *exchanger) addMsg(ws *workerScratch, batch *wire.Batch, ps *exchange.PairState, unit int64) {
 	m := &ws.msg
 	if ps.Bits <= 0 {
 		batch.Add(m)
-		return 0
+		return
 	}
 	key, sent := compress.RoundUnitKey(x.round, unit), []float64(nil)
 	if ps.EF != nil {
@@ -646,22 +534,23 @@ func (x *exchanger) addMsg(ws *workerScratch, batch *wire.Batch, ps *exchange.Pa
 		// values, which is what the residual is taken against.
 		ps.EF.PostCompress(key, m.Payload, sent)
 	}
-	return bits
 }
 
 // ErrCorruptFrame marks an inbound frame a round refused: bytes the wire
-// decoder rejects (wire.ErrMalformed), or a batch header other than the one the
-// receiver derives for the pair (sender, width, codec, candidates, sampling).
+// decoder rejects (wire.ErrMalformed), a batch header other than the one the
+// receiver derives for the pair (sender, width, codec, candidates, sampling),
+// or a star marked present none of whose arcs survives its coin.
 var ErrCorruptFrame = errors.New("worker: corrupt frame")
 
 // decodeBatch walks sender from's inbound frame with the streaming decoder.
 // The sender is the transport's word, never the bytes': it picks the pair,
 // whose derived header the frame's must equal. Each message is then resolved
 // from its candidate index through the pair's structure (exchange's Target):
-// a per-node payload is decoded directly into an AXPY against its receiver's
-// row; a group payload is staged once in the retained scratch and fanned out
-// through the compiled deliver plan. Corrupt wire data is an ErrCorruptFrame
-// error, never a panic.
+// an O2O payload is decoded directly into an AXPY against its receiver's row;
+// a group or star payload is staged once in the retained scratch and fanned
+// out — a group through the compiled deliver plan, a star over its arcs, under
+// edge sampling only those that survive their coins, which the receiver flips
+// itself. Corrupt wire data is an ErrCorruptFrame error, never a panic.
 func (x *exchanger) decodeBatch(me, from int, backward bool, out *tensor.Matrix, buf []byte) error {
 	np := x.core.NParts
 	corrupt := func(format string, args ...any) error {
@@ -676,7 +565,7 @@ func (x *exchanger) decodeBatch(me, from int, backward bool, out *tensor.Matrix,
 	if backward {
 		idx = me*np + from
 	}
-	want := x.frame(idx, from, out.Cols)
+	want := x.frame(idx, from, out.Cols, backward)
 	if len(buf) == 0 {
 		if want.Count > 0 && !want.Sampled {
 			return corrupt("empty, want %d messages", want.Count)
@@ -692,18 +581,39 @@ func (x *exchanger) decodeBatch(me, from int, backward bool, out *tensor.Matrix,
 	scratch := x.ws[me].dec[:out.Cols]
 	coeff, rowOf := x.core.Coeff, x.rowOf
 	_, del := x.groupPlans(idx, backward)
+	halo := !x.core.Semantic()
+	var stars exchange.Stars
+	if halo {
+		stars = x.core.Stars(idx, backward)
+	}
+	coins, edges := x.core.EdgeCoins(idx, x.epoch, x.round)
 	for dec.More() {
 		hd, err := dec.Next()
 		if err != nil {
 			return corrupt("%w", err)
 		}
-		// The frame's width is the round's, so neither consumer can fail.
-		if gi, v := x.core.Target(idx, backward, hd.Index); gi < 0 {
+		// The frame's width is the round's, so no consumer can fail.
+		gi, v := x.core.Target(idx, backward, hd.Index)
+		switch {
+		case gi < 0:
 			_ = dec.AXPY(coeff[v], out.Row(int(rowOf[v])))
-		} else {
+		case !halo:
 			_ = dec.Read(scratch)
 			rows, w := del.Group(int(gi))
 			tensor.ScatterAXPY(out, rows, w, scratch, 1)
+		default:
+			_ = dec.Read(scratch)
+			kept := 0
+			for p := stars.Off[gi]; p < stars.Off[gi+1]; p++ {
+				if !edges || stars.Survives(&coins, p) {
+					r := stars.Recv(p)
+					tensor.AXPY(coeff[r], scratch, out.Row(int(rowOf[r])))
+					kept++
+				}
+			}
+			if kept == 0 {
+				return corrupt("star %d is present, but none of its arcs survives", gi)
+			}
 		}
 	}
 	return nil
