@@ -172,10 +172,10 @@ fuzz-smoke:
 # question on its own declaration line, as dist.Engine does to its cluster).
 # And one in-process training entry point: dist.Run (a worker.Cluster behind a
 # validation) is what the facade, the commands and the experiments train on;
-# dist.NewEngine is left to dist itself, tests, bench/ and abl-runtime's
-# engine-vs-cluster column. And goroutine counts and feature storage stay the
-# code's call: no exported Workers field, and no mmap feature store (its
-# allocator, the dataset knob and the by-name constructor that took it). And one
+# dist.NewEngine is left to dist itself, tests and bench/. And goroutine
+# counts and feature storage stay the code's call: no exported Workers field,
+# and no mmap feature store (its allocator, the dataset knob and the by-name
+# constructor that took it). And one
 # DBG adjacency: graph.DBG.Adj is a bitvec.CSR, with no dense bit matrix, no
 # interface over two representations and no switch that picks one. And every
 # entry point has a consumer: no multilevel partitioner (the paper's three
@@ -195,14 +195,16 @@ fuzz-smoke:
 # nor the exchange core draw from math/rand. And one baseline wire: the halo,
 # a message per (boundary row, peer) fanned out at the receiver, so no encode
 # memo, no repeated message bytes and no residual records shared between
-# units.
+# units. And one traffic accumulator: each worker's simnet.Tally, folded into
+# the fabric after the round (or shipped in RoundDone for the coordinator to
+# fold), with no nparts-squared shard counter, no row export and no drain.
 one-sink:
 	@! grep -rn 'useReference\|DelayCache\|pairBuf\|NewRounds\|worker\.Rounds\|forEachTask\|putHeader\|MsgHeaderBytes\|Fabric) Send(' --include='*.go' . | grep -v _test.go
 	@! grep -n 'aggregate(' internal/gnn/*.go | grep -v '_test\.go:\|^internal/gnn/layer\.go:'
 	@! grep -rn 'nn\.NewAdam(' --include='*.go' . | grep -v '_test\.go:\|^\./internal/nn/\|^\./internal/gnn/trainer\.go:\|^\./bench/'
 	@! grep -rn 'gnn\.NewTrainer(' --include='*.go' . | grep -v '_test\.go:\|^\./internal/gnn/\|^\./internal/dist/runner\.go:\|^\./bench/'
 	@! grep -rn '\.ReuseRound(' --include='*.go' . | grep -v '_test\.go:\|^\./internal/gnn/layer\.go:\|^[^:]*:[0-9]*:func ('
-	@! grep -rn 'dist\.NewEngine(' --include='*.go' . | grep -v '_test\.go:\|^\./internal/dist/\|^\./bench/\|^\./internal/exp/ablation\.go:'
+	@! grep -rn 'dist\.NewEngine(' --include='*.go' . | grep -v '_test\.go:\|^\./internal/dist/\|^\./bench/'
 	@! grep -rnE 'MappedAlloc|AllocFeatures|ByNameWith|syscall\.Mmap|^\s+Workers\s+[a-z*[]' --include='*.go' . | grep -v '_test\.go:'
 	@! grep -rnE 'SetDBGRepr|DBGRepr|bitvec\.Matrix|bitvec\.Bits|NewMatrix\(' --include='*.go' . | grep -v '_test\.go:'
 	@! grep -rnE 'Multilevel|multilevelPartition|SaveDataset|persist\.LoadDataset|datasetWire|WriteMarkdown' --include='*.go' . | grep -v '_test\.go:'
@@ -214,6 +216,7 @@ one-sink:
 	@! grep -rnE 'GhostAdvance|NodeSampler|SamplerDraws|NodeState|randSource|\.Skip\(' --include='*.go' . | grep -v '_test\.go:'
 	@! grep -rn '"math/rand"' --include='*.go' internal/compress internal/exchange | grep -v '_test\.go:'
 	@! grep -rnE 'senderMemo|memoHead|memoSlot|\) Repeat\(|\) Ref\(|\.refs\b' --include='*.go' internal | grep -v '_test\.go:'
+	@! grep -rnE 'ShardCounter|DrainRow|TrafficDelta|Fabric\) Drain\(' --include='*.go' . | grep -v '_test\.go:'
 
 # Every program under examples/, built into a temporary directory and run to
 # the end: go build compiles them, but only running them shows a facade call

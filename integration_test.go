@@ -148,7 +148,7 @@ func TestTrainingEngineEqualsCluster(t *testing.T) {
 
 		cl := worker.NewClusterFromConfig(ds.Graph, part, nparts, cfg)
 		got := train(cl, func() simnet.Snapshot {
-			snap := cl.Snapshot()
+			snap := cl.CaptureEpoch()
 			cl.ResetTraffic()
 			return snap
 		}, cl.ScheduleLevels)
@@ -159,10 +159,7 @@ func TestTrainingEngineEqualsCluster(t *testing.T) {
 			if g.loss != w.loss {
 				t.Errorf("%s epoch %d: cluster loss %016x, engine %016x", name, e, g.loss, w.loss)
 			}
-			// The engine's snapshot also carries its cost-model counters;
-			// the traffic the two runtimes share is the link accounting.
-			if g.traffic.TotalBytes != w.traffic.TotalBytes || g.traffic.TotalMessages != w.traffic.TotalMessages ||
-				g.traffic.MaxInboundBytes != w.traffic.MaxInboundBytes || g.traffic.MaxOutboundBytes != w.traffic.MaxOutboundBytes {
+			if g.traffic != w.traffic {
 				t.Errorf("%s epoch %d: cluster traffic %+v, engine %+v", name, e, g.traffic, w.traffic)
 			}
 		}

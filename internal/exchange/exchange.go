@@ -4,7 +4,7 @@
 // baseline, one payload per boundary row and peer — a halo star, fanned out
 // over the row's arcs by the receiver), composable with sampling,
 // quantisation and error feedback. Every runtime holds one Core — the
-// fork-join dist.Engine, the in-process worker.Cluster and the multi-process
+// in-process worker.Cluster (which dist.Engine wraps) and the multi-process
 // worker.Peer, through the one round body they share (internal/worker), and
 // the test oracle they are checked against — and supplies only where a
 // surviving unit's payload goes (see Walk's sink).

@@ -1,14 +1,10 @@
 package exp
 
 import (
-	"math/rand"
-
 	"scgnn/internal/core"
 	"scgnn/internal/dist"
 	"scgnn/internal/simnet"
 	"scgnn/internal/stats"
-	"scgnn/internal/tensor"
-	"scgnn/internal/worker"
 )
 
 // The ablation experiments isolate the design choices DESIGN.md §5 calls
@@ -213,51 +209,6 @@ func ablCodec(j *job) {
 	for _, cfg := range cfgs {
 		res := j.train(ds, part, j.Partitions, cfg, j.runCfg())
 		tb.AddRow(res.Method, res.MBPerEpoch(), res.TestAcc)
-	}
-}
-
-// ablRuntime cross-validates the two in-process reports — dist.Engine's
-// per-epoch snapshots (the report dist.Train reads off any runtime) against
-// a worker cluster's run totals — across the full 13-combination method matrix of
-// Fig. 12(b): every baseline, SC-GNN, and their compositions, including two
-// epochs so delayed-transmission replays are exercised. The engine is a
-// cluster, so the counts agree exactly; this experiment prints that as a
-// table (the title predates that and is kept so regenerated results diff
-// clean).
-func ablRuntime(j *job) {
-	tb := j.table("ablation: sequential engine vs goroutine workers",
-		"dataset", "method", "engine bytes", "wire bytes", "match")
-
-	lanes := Lanes(j.Seed)
-	names := matrixLaneNames(j.Seed)
-
-	for _, ds := range benchDatasets(j.Options) {
-		part := j.part(ds)
-		h, out := tensor.New(ds.NumNodes(), 16), tensor.New(ds.NumNodes(), 16)
-		rng := rand.New(rand.NewSource(j.Seed))
-		for i := range h.Data {
-			h.Data[i] = float64(float32(rng.NormFloat64()))
-		}
-		for _, name := range names {
-			cfg := lanes[name]
-			eng := dist.NewEngine(ds.Graph, part, j.Partitions, cfg)
-			cl := worker.NewClusterFromConfig(ds.Graph, part, j.Partitions, cfg)
-			var engBytes int64
-			for epoch := 0; epoch < 2; epoch++ {
-				eng.StartEpoch(epoch)
-				j.check(eng.AggregateInto(out, h, false))
-				engBytes += eng.CaptureEpoch().TotalBytes
-				cl.StartEpoch(epoch)
-				j.check(cl.AggregateInto(out, h, false))
-			}
-			wireBytes, _ := cl.Traffic()
-			cl.Close()
-
-			tb.AddRow(ds.Name, name, engBytes, wireBytes, engBytes == wireBytes)
-			if engBytes != wireBytes {
-				j.AddNote("%s/%s: MISMATCH engine %d vs wire %d", ds.Name, name, engBytes, wireBytes)
-			}
-		}
 	}
 }
 

@@ -116,19 +116,6 @@ func TestAblCodecShape(t *testing.T) {
 	}
 }
 
-func TestAblRuntimeShape(t *testing.T) {
-	r := quick(t, "abl-runtime")
-	for _, row := range r.Tables[0].Rows {
-		if row[4] != "true" {
-			t.Fatalf("%s/%s: engine and wire bytes disagree (%s vs %s)",
-				row[0], row[1], row[2], row[3])
-		}
-	}
-	if len(r.Notes) != 0 {
-		t.Fatalf("mismatches reported: %v", r.Notes)
-	}
-}
-
 func TestAblCurvesShape(t *testing.T) {
 	r := quick(t, "abl-curves")
 	fig := r.Figures[0]

@@ -91,8 +91,8 @@ var suite = []struct {
 	{"fig11", fig11}, {"fig12a", fig12a}, {"fig12b", fig12b}, {"table2", table2},
 	{"abl-codec", ablCodec}, {"abl-curves", ablCurves}, {"abl-depth", ablDepth},
 	{"abl-fabric", ablFabric}, {"abl-groups", ablGroupCount}, {"abl-replan", ablReplan},
-	{"abl-runtime", ablRuntime}, {"abl-sched", ablSched}, {"abl-seeds", ablSeeds},
-	{"abl-sim", ablSimilarity}, {"abl-weights", ablWeights}, {"scale", scale},
+	{"abl-sched", ablSched}, {"abl-seeds", ablSeeds}, {"abl-sim", ablSimilarity},
+	{"abl-weights", ablWeights}, {"scale", scale},
 }
 
 // IDs returns the experiment ids in display order.

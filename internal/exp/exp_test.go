@@ -38,7 +38,7 @@ func TestRegistryAndIDs(t *testing.T) {
 	want := []string{"fig2b", "fig2d", "fig4a", "fig4b", "fig6", "fig9", "fig10", "table1",
 		"fig11", "fig12a", "fig12b", "table2",
 		"abl-codec", "abl-curves", "abl-depth", "abl-fabric", "abl-groups", "abl-replan",
-		"abl-runtime", "abl-sched", "abl-seeds", "abl-sim", "abl-weights", "scale"}
+		"abl-sched", "abl-seeds", "abl-sim", "abl-weights", "scale"}
 	if ids := IDs(); !slices.Equal(ids, want) {
 		t.Fatalf("IDs() = %v\nwant %v", ids, want)
 	}

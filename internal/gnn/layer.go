@@ -40,8 +40,9 @@ func aggregate(agg Aggregator, buf **tensor.Matrix, h *tensor.Matrix, backward b
 // that can tell a layer whether the forward round it last ran on an unchanged
 // input would give the same bits again — which is the case for layer 0's
 // Agg(X) on every aggregator whose map is fixed (DESIGN.md, "Reproducible
-// rounds"). LocalAggregator implements it, and so do worker.Cluster,
-// dist.Engine and net.Coordinator; aggLinear.forward is its one caller.
+// rounds"). LocalAggregator implements it, and so do worker.Cluster and
+// net.Coordinator (dist.Engine forwards the question to its cluster);
+// aggLinear.aggregateFixed is its one caller.
 // Implementations are pointers: the layer keys its last aggregate on the
 // aggregator's identity as well as on the generation it reports.
 type RoundReuser interface {

@@ -597,16 +597,14 @@ func decodeRound(p []byte) (m Round, h []byte, err error) {
 
 // RoundDone reports a completed round: the aggregated rows this node owns
 // (a float section like Round's, encoded from the node's shard matrix Out,
-// whose rows are in that order), the per-destination traffic delta, the
-// processing counters the round added, and the node-side error if the round
-// failed.
+// whose rows are in that order), the node's tally since its last report —
+// bytes and messages to every destination, then the processing counters —
+// and the node-side error if the round failed (which ships an empty tally).
 type RoundDone struct {
-	Seq   uint64
-	Out   *tensor.Matrix
-	Bytes []int64
-	Msgs  []int64
-	Work  simnet.Work
-	Err   string
+	Seq uint64
+	Out *tensor.Matrix
+	simnet.Tally
+	Err string
 }
 
 func (m RoundDone) encodeInto(w *cwriter) {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	stdnet "net"
 	"slices"
@@ -130,7 +131,7 @@ func TestControlRoundtrips(t *testing.T) {
 	work := simnet.Work{ComputeFlops: 40, QuantValues: 3, SampleEdges: 5, CacheValues: 7, SemanticValues: 11}
 	var done RoundDone
 	nout, err := decodeRoundDone(encode(RoundDone{Seq: 2, Out: tensor.FromRows([][]float64{{5}}),
-		Bytes: []int64{0, 9}, Msgs: []int64{0, 1}, Work: work, Err: ""}), &done, out, []int32{2})
+		Tally: simnet.Tally{Bytes: []int64{0, 9}, Msgs: []int64{0, 1}, Work: work}}), &done, out, []int32{2})
 	if err != nil || nout != 1 || out.Data[2] != 5 || out.Data[0] != 0 || done.Bytes[1] != 9 || done.Msgs[1] != 1 ||
 		done.Work != work {
 		t.Fatalf("round-done: %+v, %d, %v into %v", done, nout, err, out.Data)
@@ -220,7 +221,7 @@ func TestControlValidation(t *testing.T) {
 	if _, _, err := decodeRound(append(encode(Round{Cols: 1}), 1, 0)); !errors.Is(err, errBadControl) {
 		t.Errorf("round with a torn ordinal: %v", err)
 	}
-	if _, err := decodeRoundDoneScratch(encode(RoundDone{Bytes: []int64{1}, Msgs: nil})); !errors.Is(err, errBadControl) {
+	if _, err := decodeRoundDoneScratch(encode(RoundDone{Tally: simnet.Tally{Bytes: []int64{1}}})); !errors.Is(err, errBadControl) {
 		t.Errorf("round-done ragged traffic: %v", err)
 	}
 	// Trailing garbage after a complete message.
@@ -246,6 +247,75 @@ func TestControlValidation(t *testing.T) {
 	// Negative schedule level.
 	if _, err := decodeEpoch(encode(Epoch{Levels: []int32{0, -1}})); !errors.Is(err, errBadControl) {
 		t.Errorf("negative sched level: %v", err)
+	}
+}
+
+// TestCoordRefusesHostileTally: the tally a node reports in its RoundDone is
+// socket bytes. Traffic to itself, or a negative count, is a protocol error
+// on the coordinator's side: it is not a panic in its fabric and it does not
+// slip into the epoch snapshot.
+func TestCoordRefusesHostileTally(t *testing.T) {
+	const nparts = 2
+	d, part, _ := testGraph(t, nparts)
+	h, out := randMat(d.NumNodes(), 3, 1), tensor.New(d.NumNodes(), 3)
+	for name, tamper := range map[string]func(*RoundDone){
+		"clean":          func(*RoundDone) {},
+		"self-bytes":     func(m *RoundDone) { m.Bytes[1] = 64 },
+		"self-messages":  func(m *RoundDone) { m.Msgs[1] = 1 },
+		"negative-bytes": func(m *RoundDone) { m.Bytes[0] = -64 },
+		"negative-msgs":  func(m *RoundDone) { m.Msgs[0] = -1 },
+		"negative-work":  func(m *RoundDone) { m.CacheValues = -5 },
+	} {
+		t.Run(name, func(t *testing.T) {
+			c := NewCoordinator(make([]string, nparts), quickCoordOpts())
+			c.g, c.part = d.Graph, part
+			c.rebuildOwn()
+			for i := range c.conns {
+				a, b := stdnet.Pipe()
+				defer a.Close()
+				defer b.Close()
+				c.conns[i] = &framed{conn: a}
+				go func() {
+					// The node side: one Round, one RoundDone reporting a
+					// frame to the other node, tampered on node 1.
+					fc := &framed{conn: b}
+					_, p, err := fc.read()
+					if err != nil {
+						return
+					}
+					m, vals, err := decodeRound(p)
+					if err != nil {
+						return
+					}
+					done := RoundDone{Seq: m.Seq, Out: tensor.New(len(vals)/8/int(m.Cols), int(m.Cols)), Tally: simnet.NewTally(nparts)}
+					done.Bytes[1-i], done.Msgs[1-i] = 64, 1
+					if i == 1 {
+						tamper(&done)
+					}
+					fc.write(frameRoundDone, done)
+				}()
+			}
+			err := func() (err error) {
+				defer func() {
+					if r := recover(); r != nil {
+						err = fmt.Errorf("panic: %v", r)
+					}
+				}()
+				return c.AggregateInto(out, h, false)
+			}()
+			if name == "clean" {
+				if s := c.CaptureEpoch(); err != nil || s.TotalBytes != 128 || s.MaxInboundMessages != 1 {
+					t.Fatalf("clean round: %v, %+v", err, s)
+				}
+				return
+			}
+			if !errors.Is(err, ErrProtocol) {
+				t.Fatalf("round with a hostile tally: %v, want ErrProtocol", err)
+			}
+			if s := c.CaptureEpoch(); s != (simnet.Snapshot{}) {
+				t.Fatalf("a refused round reached the snapshot: %+v", s)
+			}
+		})
 	}
 }
 

@@ -84,10 +84,8 @@ type Coordinator struct {
 	round   int
 	skipped bool
 
-	fabric *simnet.Fabric
-	shard  *simnet.ShardCounter
-	work   simnet.Work // the nodes' processing counters since the epoch began
-	dones  []RoundDone // the replies of the round in flight, by node
+	fabric *simnet.Fabric // the nodes' tallies since the epoch began
+	dones  []RoundDone    // the replies of the round in flight, by node
 
 	// The epoch marker's and the round's fanOut runs, bound at construction,
 	// with their frames in fields: a steady epoch allocates nothing.
@@ -110,7 +108,6 @@ func NewCoordinator(addrs []string, opts CoordOptions) *Coordinator {
 		conns:   make([]*framed, len(addrs)),
 		nparts:  len(addrs),
 		fabric:  simnet.NewFabric(len(addrs)),
-		shard:   simnet.NewShardCounter(len(addrs)),
 		dones:   make([]RoundDone, len(addrs)),
 		rounds:  make([]Round, len(addrs)),
 		fanErrs: make([]error, len(addrs)),
@@ -301,7 +298,6 @@ func (c *Coordinator) StartEvalEpoch(epoch int) { c.startEpoch(epoch, true) }
 
 func (c *Coordinator) startEpoch(epoch int, eval bool) {
 	c.fabric.Reset()
-	c.work = simnet.Work{}
 	c.epoch, c.eval, c.round, c.skipped = epoch, eval, 0, false
 	c.epochMsg = Epoch{Epoch: int32(epoch), Eval: eval}
 	if c.sched != nil {
@@ -389,11 +385,7 @@ func (c *Coordinator) setting(idx int) sched.Setting {
 // CaptureEpoch freezes this epoch's traffic and processing counters: per-link
 // byte and message totals and the nodes' processing counters, summed in node
 // order, identical to the in-process cluster's accounting.
-func (c *Coordinator) CaptureEpoch() simnet.Snapshot {
-	s := c.fabric.Capture()
-	s.Work = c.work
-	return s
-}
+func (c *Coordinator) CaptureEpoch() simnet.Snapshot { return c.fabric.Capture() }
 
 // Fabric exposes the coordinator's traffic fabric.
 func (c *Coordinator) Fabric() *simnet.Fabric { return c.fabric }
@@ -410,8 +402,8 @@ func (c *Coordinator) Forward(h *tensor.Matrix) *tensor.Matrix { return c.mustRo
 func (c *Coordinator) Backward(g *tensor.Matrix) *tensor.Matrix { return c.mustRound(g, true) }
 
 func (c *Coordinator) mustRound(h *tensor.Matrix, backward bool) *tensor.Matrix {
-	out, err := c.Round(h, backward)
-	if err != nil {
+	out := tensor.New(h.Rows, h.Cols)
+	if err := c.AggregateInto(out, h, backward); err != nil {
 		panic(err)
 	}
 	return out
@@ -428,9 +420,8 @@ func (c *Coordinator) Round(h *tensor.Matrix, backward bool) (*tensor.Matrix, er
 
 // AggregateInto scatters h's owned rows to every node, runs one lockstep
 // aggregate round over the mesh, gathers the owned out rows into dst (which
-// it overwrites: every row has one owner), and folds the per-node traffic
-// deltas into the fabric and the processing counters into the epoch's — the
-// allocation-free form gnn's models probe for.
+// it overwrites: every row has one owner), and folds every node's tally into
+// the fabric — the allocation-free form gnn's models probe for.
 // A mis-shaped h or dst is an error before any frame is written. An error
 // from the round leaves dst unusable and is typed: ErrPeerDown for a vanished
 // node, ErrRemote wrapping the node-side failure (itself a round timeout or
@@ -456,15 +447,9 @@ func (c *Coordinator) AggregateInto(dst, h *tensor.Matrix, backward bool) error 
 	if err := c.fanOut(c.roundRuns); err != nil {
 		return fmt.Errorf("net: round %d: %w", seq, err)
 	}
-	for i, done := range c.dones {
-		for d := 0; d < c.nparts; d++ {
-			if done.Bytes[d] != 0 || done.Msgs[d] != 0 {
-				c.shard.Add(i, d, done.Bytes[d], done.Msgs[d])
-			}
-		}
-		c.work.Add(done.Work)
+	for i := range c.dones {
+		c.fabric.Fold(i, &c.dones[i].Tally)
 	}
-	c.fabric.Drain(c.shard)
 	return nil
 }
 
@@ -492,6 +477,14 @@ func (c *Coordinator) roundOn(i int) error {
 	if len(done.Bytes) != c.nparts {
 		return fmt.Errorf("node %d: %w: traffic row length %d, want %d",
 			i, ErrProtocol, len(done.Bytes), c.nparts)
+	}
+	if done.Bytes[i] != 0 || done.Msgs[i] != 0 {
+		return fmt.Errorf("node %d: %w: %d bytes / %d messages to itself", i, ErrProtocol, done.Bytes[i], done.Msgs[i])
+	}
+	w := done.Work
+	if slices.Min(done.Bytes) < 0 || slices.Min(done.Msgs) < 0 ||
+		min(w.ComputeFlops, w.QuantValues, w.SampleEdges, w.CacheValues, w.SemanticValues) < 0 {
+		return fmt.Errorf("node %d: %w: negative count in its tally %v", i, ErrProtocol, done.Tally)
 	}
 	return nil
 }

@@ -6,9 +6,11 @@
 // markers (which carry the schedule's decisions), Repartition plan swaps, and
 // checkpoint/restore over a control channel.
 //
-// The in-process runtimes (dist.Engine, worker.Cluster) stay untouched as
-// the correctness oracle: the equivalence tests in this package lock the
-// socket deployment to them method-combo by method-combo.
+// A node runs the round body the in-process worker.Cluster runs, and the
+// coordinator folds the nodes' traffic tallies into the fabric as the cluster
+// folds its workers': the equivalence tests in this package lock the socket
+// deployment to the cluster method-combo by method-combo, the aggregates bit
+// for bit and each epoch's snapshot field by field.
 //
 // # Frame format
 //

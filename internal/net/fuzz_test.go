@@ -311,8 +311,8 @@ func frameSeeds() []corpusSeed {
 	round := Round{Seq: 9, Backward: true, Cols: 2,
 		H: tensor.FromRows([][]float64{{1, -2.5}, {0.25, 0}}), Rows: []int32{0, 1}}
 	done := RoundDone{Seq: 9, Out: tensor.FromRows([][]float64{{0.5, 1.5}}),
-		Bytes: []int64{0, 64}, Msgs: []int64{0, 3},
-		Work: simnet.Work{ComputeFlops: 96, QuantValues: 12, SemanticValues: 4}}
+		Tally: simnet.Tally{Bytes: []int64{0, 64}, Msgs: []int64{0, 3},
+			Work: simnet.Work{ComputeFlops: 96, QuantValues: 12, SemanticValues: 4}}}
 
 	truncated := frame(frameSetup, encode(setup))
 	truncated = truncated[:len(truncated)-7]

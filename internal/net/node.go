@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"scgnn/internal/graph"
+	"scgnn/internal/simnet"
 	"scgnn/internal/tensor"
 	"scgnn/internal/worker"
 )
@@ -552,12 +553,13 @@ func (n *Node) teardownMesh() {
 	n.mesh = nil
 }
 
-// runRound executes one aggregate round (h: the scattered rows, still encoded) and
-// reports, in n.roundDone, the owned out rows plus the traffic delta. A round
-// failure rides back in RoundDone.Err (the peer stays poisoned until restored).
+// runRound executes one aggregate round (h: the scattered rows, still encoded)
+// and reports, in n.roundDone, the owned out rows plus the peer's tally, which
+// it clears. A round failure rides back in RoundDone.Err (the peer stays
+// poisoned until restored).
 func (n *Node) runRound(m Round, h []byte) *RoundDone {
 	resp := &n.roundDone
-	*resp = RoundDone{Seq: m.Seq, Bytes: resp.Bytes[:0], Msgs: resp.Msgs[:0]}
+	*resp = RoundDone{Seq: m.Seq, Tally: simnet.Tally{Bytes: resp.Bytes[:0], Msgs: resp.Msgs[:0]}}
 	if n.peer == nil {
 		resp.Err = "node has no setup"
 		return resp
@@ -638,7 +640,9 @@ func (n *Node) runRound(m Round, h []byte) *RoundDone {
 		return resp
 	}
 	resp.Out = bufs.out
-	resp.Bytes, resp.Msgs, resp.Work = n.peer.TrafficDelta(resp.Bytes, resp.Msgs)
+	t := n.peer.Tally()
+	resp.Bytes, resp.Msgs, resp.Work = append(resp.Bytes, t.Bytes...), append(resp.Msgs, t.Msgs...), t.Work
+	t.Clear()
 	return resp
 }
 

@@ -208,9 +208,9 @@ func TestReuseMatchesUncached(t *testing.T) {
 }
 
 // TestNodeRefusesRoundBehind: the Round frame after a reused round carries
-// the ordinal the nodes move to; a frame behind a node's own ordinal is
-// refused with the peer's typed error, which reaches the coordinator as
-// ErrRemote.
+// the ordinal the nodes move to; a frame behind a node's own ordinal, or one
+// past the next delay slot a delay lane would open, is refused with the
+// peer's typed error, which reaches the coordinator as ErrRemote.
 func TestNodeRefusesRoundBehind(t *testing.T) {
 	const nparts = 2
 	d, part, _ := testGraph(t, nparts)
@@ -225,15 +225,21 @@ func TestNodeRefusesRoundBehind(t *testing.T) {
 		t.Fatal("generation 0 reused")
 	}
 	gen, _ := tc.coord.ReuseRound(0)
+	if _, err := tc.coord.Round(h, false); err != nil { // opens delay slot 0
+		t.Fatalf("epoch 0 round: %v", err)
+	}
+	tc.coord.StartEpoch(1)
 	if _, reuse := tc.coord.ReuseRound(gen); !reuse {
 		t.Fatal("a delay lane's current generation not reused")
 	}
 	if _, err := tc.coord.Round(h, false); err != nil { // ordinal 1
 		t.Fatalf("round after a reused one: %v", err)
 	}
-	tc.coord.round, tc.coord.skipped = 1, true // the nodes are at 2
-	_, err := tc.coord.Round(h, false)
-	if !errors.Is(err, ErrRemote) || !strings.Contains(err.Error(), worker.ErrRoundOrdinal.Error()) {
-		t.Fatalf("round behind the nodes: %v, want ErrRemote naming %q", err, worker.ErrRoundOrdinal)
+	for name, round := range map[string]int{"behind the nodes": 1, "past the next delay slot": 1 << 16} {
+		tc.coord.round, tc.coord.skipped = round, true // the nodes are at 2, with 2 slots open
+		_, err := tc.coord.Round(h, false)
+		if !errors.Is(err, ErrRemote) || !strings.Contains(err.Error(), worker.ErrRoundOrdinal.Error()) {
+			t.Fatalf("round %s: %v, want ErrRemote naming %q", name, err, worker.ErrRoundOrdinal)
+		}
 	}
 }

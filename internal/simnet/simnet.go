@@ -15,12 +15,45 @@ package simnet
 
 import "fmt"
 
-// Fabric records traffic between nparts workers.
+// Tally is one sender's traffic and processing counters since it was last
+// folded: Bytes[d] and Msgs[d] on its link to each destination d — bytes as
+// measured off the encoded frames, framing included, and the messages they
+// carry — and the Work its rounds did. Each worker writes only its own tally,
+// so a parallel round never contends on shared counters; a runtime folds every
+// tally into a Fabric after the round's barrier, or ships it to the one that
+// keeps the fabric. Counters are plain int64 sums, so the fold order cannot
+// change any total.
+type Tally struct {
+	Bytes, Msgs []int64
+	Work
+}
+
+// NewTally returns an empty tally for a sender on an nparts-worker fabric.
+func NewTally(nparts int) Tally {
+	if nparts < 1 {
+		panic(fmt.Sprintf("simnet: nparts = %d", nparts))
+	}
+	return Tally{Bytes: make([]int64, nparts), Msgs: make([]int64, nparts)}
+}
+
+// Send records a frame of the given bytes carrying msgs messages on the link
+// to dst.
+func (t *Tally) Send(dst int, bytes, msgs int64) {
+	t.Bytes[dst] += bytes
+	t.Msgs[dst] += msgs
+}
+
+// Clear zeroes the tally, keeping its slices.
+func (t *Tally) Clear() {
+	clear(t.Bytes)
+	clear(t.Msgs)
+	t.Work = Work{}
+}
+
+// Fabric records traffic between nparts workers: from[s] is everything
+// worker s sent, and the processing its rounds did, since the last Reset.
 type Fabric struct {
-	nparts int
-	// bytes[s][t] and msgs[s][t] account the ordered link s→t.
-	bytes [][]int64
-	msgs  [][]int64
+	from []Tally
 }
 
 // NewFabric returns a fabric for nparts workers.
@@ -28,32 +61,49 @@ func NewFabric(nparts int) *Fabric {
 	if nparts < 1 {
 		panic(fmt.Sprintf("simnet: nparts = %d", nparts))
 	}
-	f := &Fabric{nparts: nparts, bytes: make([][]int64, nparts), msgs: make([][]int64, nparts)}
-	for i := range f.bytes {
-		f.bytes[i] = make([]int64, nparts)
-		f.msgs[i] = make([]int64, nparts)
+	f := &Fabric{from: make([]Tally, nparts)}
+	for s := range f.from {
+		f.from[s] = NewTally(nparts)
 	}
 	return f
 }
 
 // NumParts returns the worker count.
-func (f *Fabric) NumParts() int { return f.nparts }
+func (f *Fabric) NumParts() int { return len(f.from) }
 
 // Reset clears all counters (called at epoch boundaries).
 func (f *Fabric) Reset() {
-	for i := range f.bytes {
-		for j := range f.bytes[i] {
-			f.bytes[i][j] = 0
-			f.msgs[i][j] = 0
-		}
+	for s := range f.from {
+		f.from[s].Clear()
 	}
+}
+
+// Fold adds worker src's tally into the fabric and clears it — the per-round
+// merge step of the runtimes, whose tallies outlive every round and must come
+// back empty. Call it only after the barrier that ends the round which filled
+// the tally. A tally for another fabric width, or one that sends to its own
+// worker (local data never crosses the fabric), panics.
+func (f *Fabric) Fold(src int, t *Tally) {
+	if len(t.Bytes) != len(f.from) || len(t.Msgs) != len(f.from) {
+		panic(fmt.Sprintf("simnet: fold a %d-link tally into a %d-part fabric", len(t.Bytes), len(f.from)))
+	}
+	if t.Bytes[src] != 0 || t.Msgs[src] != 0 {
+		panic("simnet: self-send")
+	}
+	acc := &f.from[src]
+	for d := range acc.Bytes {
+		acc.Bytes[d] += t.Bytes[d]
+		acc.Msgs[d] += t.Msgs[d]
+	}
+	acc.Work.Add(t.Work)
+	t.Clear()
 }
 
 // TotalBytes returns the sum of all link bytes.
 func (f *Fabric) TotalBytes() int64 {
 	var t int64
-	for i := range f.bytes {
-		for _, b := range f.bytes[i] {
+	for _, s := range f.from {
+		for _, b := range s.Bytes {
 			t += b
 		}
 	}
@@ -63,8 +113,8 @@ func (f *Fabric) TotalBytes() int64 {
 // TotalMessages returns the sum of all link message counts.
 func (f *Fabric) TotalMessages() int64 {
 	var t int64
-	for i := range f.msgs {
-		for _, m := range f.msgs[i] {
+	for _, s := range f.from {
+		for _, m := range s.Msgs {
 			t += m
 		}
 	}
@@ -72,28 +122,23 @@ func (f *Fabric) TotalMessages() int64 {
 }
 
 // LinkBytes returns the bytes sent on the ordered link s→t.
-func (f *Fabric) LinkBytes(s, t int) int64 { return f.bytes[s][t] }
+func (f *Fabric) LinkBytes(s, t int) int64 { return f.from[s].Bytes[t] }
 
 // LinkMessages returns the messages sent on the ordered link s→t.
-func (f *Fabric) LinkMessages(s, t int) int64 { return f.msgs[s][t] }
+func (f *Fabric) LinkMessages(s, t int) int64 { return f.from[s].Msgs[t] }
 
 // MaxInbound returns, over all workers, the maximum (bytes, msgs) arriving at
 // one worker — the receive-side bottleneck, since links into distinct
 // workers run in parallel.
 func (f *Fabric) MaxInbound() (int64, int64) {
 	var mb, mm int64
-	for t := 0; t < f.nparts; t++ {
+	for t := range f.from {
 		var b, m int64
-		for s := 0; s < f.nparts; s++ {
-			b += f.bytes[s][t]
-			m += f.msgs[s][t]
+		for _, s := range f.from {
+			b += s.Bytes[t]
+			m += s.Msgs[t]
 		}
-		if b > mb {
-			mb = b
-		}
-		if m > mm {
-			mm = m
-		}
+		mb, mm = max(mb, b), max(mm, m)
 	}
 	return mb, mm
 }
@@ -103,91 +148,19 @@ func (f *Fabric) MaxInbound() (int64, int64) {
 // outgoing traffic even when the destinations differ.
 func (f *Fabric) MaxOutbound() (int64, int64) {
 	var mb, mm int64
-	for s := 0; s < f.nparts; s++ {
+	for _, s := range f.from {
 		var b, m int64
-		for t := 0; t < f.nparts; t++ {
-			b += f.bytes[s][t]
-			m += f.msgs[s][t]
+		for t := range s.Bytes {
+			b += s.Bytes[t]
+			m += s.Msgs[t]
 		}
-		if b > mb {
-			mb = b
-		}
-		if m > mm {
-			mm = m
-		}
+		mb, mm = max(mb, b), max(mm, m)
 	}
 	return mb, mm
 }
 
-// ShardCounter accumulates link traffic privately on one goroutine so a
-// parallel halo exchange never contends on the shared fabric: each shard
-// records its own sends and the coordinator folds every shard into the
-// fabric with Drain after the round's barrier. Counters are plain int64
-// sums, so the drain order cannot change any total — parallel accounting
-// stays bit-identical to sequential accounting.
-type ShardCounter struct {
-	nparts int
-	// bytes/msgs are flattened [src*nparts+dst] link counters.
-	bytes, msgs []int64
-}
-
-// NewShardCounter returns an empty shard for an nparts-worker fabric.
-func NewShardCounter(nparts int) *ShardCounter {
-	if nparts < 1 {
-		panic(fmt.Sprintf("simnet: nparts = %d", nparts))
-	}
-	return &ShardCounter{
-		nparts: nparts,
-		bytes:  make([]int64, nparts*nparts),
-		msgs:   make([]int64, nparts*nparts),
-	}
-}
-
-// Add records traffic on the link src→dst: bytes as measured off the encoded
-// frames, framing included, and the messages they carry. Self-sends are
-// rejected: local data never crosses the fabric.
-func (s *ShardCounter) Add(src, dst int, bytes, msgs int64) {
-	if src == dst {
-		panic("simnet: self-send")
-	}
-	s.bytes[src*s.nparts+dst] += bytes
-	s.msgs[src*s.nparts+dst] += msgs
-}
-
-// DrainRow copies out and zeroes the counters of every link src→dst — the
-// export step of a networked worker, which ships its own row's deltas to the
-// coordinator after each round instead of draining into a local fabric,
-// over bytes and msgs.
-func (s *ShardCounter) DrainRow(src int, bytes, msgs []int64) ([]int64, []int64) {
-	row := s.bytes[src*s.nparts : (src+1)*s.nparts]
-	mrow := s.msgs[src*s.nparts : (src+1)*s.nparts]
-	bytes, msgs = append(bytes[:0], row...), append(msgs[:0], mrow...)
-	clear(row)
-	clear(mrow)
-	return bytes, msgs
-}
-
-// Drain folds a shard's counters into the fabric and zeroes the shard in the
-// same pass — the per-round merge step of the runtimes, whose ShardCounter
-// instances outlive every round and must come back empty. Call it only after
-// the barrier that ends the parallel phase which filled the shard.
-func (f *Fabric) Drain(s *ShardCounter) {
-	if s.nparts != f.nparts {
-		panic(fmt.Sprintf("simnet: drain shard for %d parts into %d-part fabric", s.nparts, f.nparts))
-	}
-	for src := 0; src < f.nparts; src++ {
-		for dst := 0; dst < f.nparts; dst++ {
-			i := src*s.nparts + dst
-			f.bytes[src][dst] += s.bytes[i]
-			f.msgs[src][dst] += s.msgs[i]
-			s.bytes[i] = 0
-			s.msgs[i] = 0
-		}
-	}
-}
-
-// Snapshot is a frozen copy of the fabric counters plus the processing
-// counters a method accumulated during one epoch.
+// Snapshot is a frozen copy of the fabric counters: the traffic and the
+// processing counters a method accumulated during one epoch.
 type Snapshot struct {
 	TotalBytes, TotalMessages int64
 	MaxInboundBytes           int64
@@ -218,11 +191,12 @@ func (w *Work) Add(o Work) {
 	w.SemanticValues += o.SemanticValues
 }
 
-// Capture freezes the fabric counters into a snapshot.
+// Capture freezes the fabric counters into a snapshot: the link totals and
+// bottlenecks, and the workers' processing counters summed in worker order.
 func (f *Fabric) Capture() Snapshot {
 	mb, mm := f.MaxInbound()
 	ob, om := f.MaxOutbound()
-	return Snapshot{
+	s := Snapshot{
 		TotalBytes:          f.TotalBytes(),
 		TotalMessages:       f.TotalMessages(),
 		MaxInboundBytes:     mb,
@@ -230,6 +204,10 @@ func (f *Fabric) Capture() Snapshot {
 		MaxOutboundBytes:    ob,
 		MaxOutboundMessages: om,
 	}
+	for _, t := range f.from {
+		s.Work.Add(t.Work)
+	}
+	return s
 }
 
 // CostModel converts a Snapshot into seconds. All rates are per unit.

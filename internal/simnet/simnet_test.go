@@ -8,11 +8,11 @@ import (
 )
 
 // send records one message of the given wire bytes on src→dst the way the
-// runtimes do: on a shard counter, drained into the fabric.
+// runtimes do: on the sender's tally, folded into the fabric.
 func send(f *Fabric, src, dst, bytes int) {
-	sc := NewShardCounter(f.NumParts())
-	sc.Add(src, dst, int64(bytes), 1)
-	f.Drain(sc)
+	t := NewTally(f.NumParts())
+	t.Send(dst, int64(bytes), 1)
+	f.Fold(src, &t)
 }
 
 func TestSendAccounting(t *testing.T) {
@@ -75,6 +75,15 @@ func TestCaptureSnapshot(t *testing.T) {
 	}
 	if !strings.Contains(s.String(), "bytes=100") {
 		t.Fatalf("String = %q", s.String())
+	}
+	// The workers' processing counters ride their tallies into the snapshot.
+	for src, cache := range []int64{3, 4} {
+		tl := NewTally(2)
+		tl.CacheValues = cache
+		f.Fold(src, &tl)
+	}
+	if s := f.Capture(); s.CacheValues != 7 || s.TotalBytes != 100 {
+		t.Fatalf("snapshot after folding work = %+v", s)
 	}
 }
 
@@ -177,20 +186,20 @@ func TestFabricProfiles(t *testing.T) {
 	}
 }
 
-// TestShardCounterMergeMatchesDirectSends is the accounting half of the
-// deterministic-parallelism contract: routing traffic through per-receiver
-// shards and draining them after the barrier must reproduce the exact
-// per-link counters of recording every message on the fabric as it is sent,
-// in any drain order.
-func TestShardCounterMergeMatchesDirectSends(t *testing.T) {
+// TestTallyFoldMatchesDirectSends is the accounting half of the
+// deterministic-parallelism contract: recording traffic and work on
+// per-sender tallies and folding them after the barrier, in any order, must
+// reproduce the exact per-link counters and work of folding every message as
+// it is sent.
+func TestTallyFoldMatchesDirectSends(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		nparts := 2 + rng.Intn(5)
 		direct := NewFabric(nparts)
-		sharded := NewFabric(nparts)
-		shards := make([]*ShardCounter, nparts)
-		for i := range shards {
-			shards[i] = NewShardCounter(nparts)
+		tallied := NewFabric(nparts)
+		tallies := make([]Tally, nparts)
+		for i := range tallies {
+			tallies[i] = NewTally(nparts)
 		}
 		for k := 0; k < 50; k++ {
 			src := rng.Intn(nparts)
@@ -200,43 +209,46 @@ func TestShardCounterMergeMatchesDirectSends(t *testing.T) {
 			}
 			bytes := rng.Intn(4096)
 			send(direct, src, dst, bytes)
-			// The receiver's goroutine records the send on its own shard.
-			shards[dst].Add(src, dst, int64(bytes), 1)
+			work := NewTally(nparts)
+			work.QuantValues = int64(bytes)
+			direct.Fold(src, &work)
+			// The sender's goroutine records the send on its own tally.
+			tallies[src].Send(dst, int64(bytes), 1)
+			tallies[src].QuantValues += int64(bytes)
 		}
-		// Drain in a random order: totals are plain sums, order-free.
 		for _, i := range rng.Perm(nparts) {
-			sharded.Drain(shards[i])
+			tallied.Fold(i, &tallies[i])
 		}
-		if direct.Capture() != sharded.Capture() {
+		if direct.Capture() != tallied.Capture() {
 			return false
 		}
 		for s := 0; s < nparts; s++ {
 			for d := 0; d < nparts; d++ {
-				if direct.LinkBytes(s, d) != sharded.LinkBytes(s, d) ||
-					direct.LinkMessages(s, d) != sharded.LinkMessages(s, d) {
+				if direct.LinkBytes(s, d) != tallied.LinkBytes(s, d) ||
+					direct.LinkMessages(s, d) != tallied.LinkMessages(s, d) {
 					return false
 				}
 			}
 		}
-		// Drain emptied the shards: a second one adds nothing.
-		for _, sc := range shards {
-			sharded.Drain(sc)
+		// Fold emptied the tallies: a second one adds nothing.
+		for i := range tallies {
+			tallied.Fold(i, &tallies[i])
 		}
-		return direct.Capture() == sharded.Capture()
+		return direct.Capture() == tallied.Capture()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-func TestShardCounterAddPreFramed(t *testing.T) {
-	sc := NewShardCounter(2)
-	// Add records bytes as-is: the caller measured the framed buffers, so
+func TestTallySendPreFramed(t *testing.T) {
+	tl := NewTally(2)
+	// Send records bytes as-is: the caller measured the framed buffers, so
 	// nothing is added per message.
-	sc.Add(0, 1, 100, 3)
+	tl.Send(1, 100, 3)
 	f := NewFabric(2)
 	send(f, 0, 1, 100)
-	f.Drain(sc)
+	f.Fold(0, &tl)
 	if got := f.TotalBytes(); got != 200 {
 		t.Fatalf("merged bytes = %d, want 200", got)
 	}
@@ -245,11 +257,12 @@ func TestShardCounterAddPreFramed(t *testing.T) {
 	}
 }
 
-func TestShardCounterPanics(t *testing.T) {
+func TestFabricPanics(t *testing.T) {
 	for name, fn := range map[string]func(){
-		"self-add":       func() { NewShardCounter(2).Add(0, 0, 10, 1) },
-		"drain-mismatch": func() { NewFabric(3).Drain(NewShardCounter(2)) },
-		"zero-parts":     func() { NewShardCounter(0) },
+		"self-fold":     func() { tl := NewTally(2); tl.Send(0, 10, 1); NewFabric(2).Fold(0, &tl) },
+		"fold-mismatch": func() { tl := NewTally(2); NewFabric(3).Fold(0, &tl) },
+		"zero-parts":    func() { NewTally(0) },
+		"zero-fabric":   func() { NewFabric(0) },
 	} {
 		func() {
 			defer func() {

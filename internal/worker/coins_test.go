@@ -23,7 +23,7 @@ func coinEpoch(c *Cluster, epoch int, h, g *tensor.Matrix) (fwd, bwd *tensor.Mat
 	c.ResetTraffic()
 	c.StartEpoch(epoch)
 	fwd, bwd = c.Forward(h), c.Backward(g)
-	return fwd, bwd, c.Snapshot().TotalBytes
+	return fwd, bwd, c.CaptureEpoch().TotalBytes
 }
 
 // TestSamplingStartsAtAnyEpoch: a sampling coin is a function of (pair,

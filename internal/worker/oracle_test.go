@@ -80,7 +80,7 @@ type Oracle struct {
 	cfg    exchange.Config
 
 	fabric *simnet.Fabric
-	shard  *simnet.ShardCounter // a round's traffic, drained into fabric at its end
+	sent   []simnet.Tally // a round's traffic by sender, folded into fabric at its end
 
 	delay *oracleDelayCache
 	// freshEval forces the next rounds to bypass delayed transmission —
@@ -109,7 +109,10 @@ func NewOracle(g *graph.Graph, part []int, nparts int, cfg exchange.Config) *Ora
 		nparts: nparts,
 		cfg:    cfg,
 		fabric: simnet.NewFabric(nparts),
-		shard:  simnet.NewShardCounter(nparts),
+		sent:   make([]simnet.Tally, nparts),
+	}
+	for p := range e.sent {
+		e.sent[p] = simnet.NewTally(nparts)
 	}
 	if cfg.DelayPeriod > 1 {
 		e.delay = newOracleDelayCache(cfg.DelayPeriod)
@@ -255,7 +258,9 @@ func (e *Oracle) remote(h, out *tensor.Matrix, backward bool) {
 			}
 		}
 	}
-	e.fabric.Drain(e.shard)
+	for p := range e.sent {
+		e.fabric.Fold(p, &e.sent[p])
+	}
 	if target != out {
 		e.delay.Store(round, target)
 		tensor.AddInPlace(out, target)
@@ -339,7 +344,7 @@ func (e *Oracle) exchangePair(r, peer int, h, delta *tensor.Matrix, backward boo
 		if ps.Sampler != nil {
 			bytes += int64(e.core.Candidates(idx, backward)+7) / 8
 		}
-		e.shard.Add(from, to, bytes, msgs)
+		e.sent[from].Send(to, bytes, msgs)
 	}
 }
 
@@ -409,7 +414,7 @@ func (e *Oracle) haloPair(idx, from, to int, h, delta *tensor.Matrix, backward b
 		if ps.Sampler != nil {
 			bytes += int64(len(candidates)+7) / 8
 		}
-		e.shard.Add(from, to, bytes, msgs)
+		e.sent[from].Send(to, bytes, msgs)
 	}
 }
 

@@ -93,19 +93,26 @@ func (p *Peer) StartEvalEpoch(epoch int) {
 	p.freshEval = true
 }
 
-// ErrRoundOrdinal marks a round asked for at an ordinal behind the peer's
-// own: a replica that has run a round its coordinator has not counted.
-var ErrRoundOrdinal = errors.New("worker: round ordinal behind the peer's")
+// ErrRoundOrdinal marks a round asked for at an ordinal the peer cannot move
+// to: one behind its own (a replica that has run a round its coordinator has
+// not counted), or, on a delay lane, one past the next delay slot.
+var ErrRoundOrdinal = errors.New("worker: round ordinal out of reach")
 
 // AlignRound moves the peer to round ordinal of the current epoch before its
 // next Round. The rounds between were served by the coordinator's model from
 // its own buffers (gnn.RoundReuser) and still take their ordinals, which key
 // the delay slots and error-feedback residuals, so the peer's rounds stay
 // where a Cluster's are. An ordinal behind the peer's is an ErrRoundOrdinal
-// error and changes nothing.
+// error and changes nothing. So is, on a delay lane, one whose round would
+// open a delay slot beyond the next, growing the slot table to the ordinal: a
+// skipped round is layer 0's forward, whose slot has been open since epoch 0,
+// so only a hostile frame asks for more.
 func (p *Peer) AlignRound(ordinal int) error {
 	if ordinal < p.round {
 		return fmt.Errorf("%w: round %d, the peer is at %d", ErrRoundOrdinal, ordinal, p.round)
+	}
+	if p.delayPeriod > 1 && ordinal > len(p.delaySlots) {
+		return fmt.Errorf("%w: round %d, the peer has %d delay slots open", ErrRoundOrdinal, ordinal, len(p.delaySlots))
 	}
 	p.round = ordinal
 	return nil
@@ -137,17 +144,12 @@ func (p *Peer) Round(h, out *tensor.Matrix, backward bool, send func(peer int, f
 	return p.endRound(target, out, replay, err)
 }
 
-// TrafficDelta exports and clears what the peer counted since the last call:
-// its per-destination traffic, bytes[d] and msgs[d] for every destination
-// partition d, written over the slices passed in (grown when short), and its
-// processing counters. The coordinator merges the rows and sums the counters
-// of all nodes, reproducing the in-process cluster's exact accounting.
-func (p *Peer) TrafficDelta(bytes, msgs []int64) ([]int64, []int64, simnet.Work) {
-	bytes, msgs = p.counters[p.me].DrainRow(p.me, bytes, msgs)
-	work := p.work[p.me]
-	p.work[p.me] = simnet.Work{}
-	return bytes, msgs, work
-}
+// Tally is what this peer's worker sent and did since the transport last
+// cleared it: its bytes and messages to every destination partition, and its
+// processing counters. The transport reports it after each round and clears
+// it; the coordinator folds every node's into one fabric, reproducing the
+// in-process cluster's exact accounting.
+func (p *Peer) Tally() *simnet.Tally { return &p.tally[p.me] }
 
 // PeerState is the peer's checkpointable runtime state: every pair's stream
 // state (residuals and counters) plus the delayed-transmission cache restricted to the rows this

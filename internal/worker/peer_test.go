@@ -28,7 +28,6 @@ type peerMesh struct {
 	h, out []*tensor.Matrix
 	chans  [][]chan []byte // chans[s][t]: frames from s to t
 	fabric *simnet.Fabric
-	shard  *simnet.ShardCounter
 }
 
 func newPeerMesh(t *testing.T, peers []*Peer, dim int) *peerMesh {
@@ -38,7 +37,6 @@ func newPeerMesh(t *testing.T, peers []*Peer, dim int) *peerMesh {
 		peers:  peers,
 		dim:    dim,
 		fabric: simnet.NewFabric(np),
-		shard:  simnet.NewShardCounter(np),
 	}
 	m.chans = make([][]chan []byte, np)
 	for s := 0; s < np; s++ {
@@ -68,7 +66,7 @@ func (m *peerMesh) scatter(h *tensor.Matrix) {
 }
 
 // round runs one lockstep aggregate round on every peer and folds each
-// peer's traffic delta into the mesh fabric.
+// peer's tally into the mesh fabric.
 func (m *peerMesh) round(t *testing.T, backward bool) error {
 	t.Helper()
 	np := len(m.peers)
@@ -101,14 +99,8 @@ func (m *peerMesh) round(t *testing.T, backward bool) error {
 		}
 	}
 	for p, peer := range m.peers {
-		bytes, msgs, _ := peer.TrafficDelta(nil, nil)
-		for d := 0; d < np; d++ {
-			if bytes[d] != 0 || msgs[d] != 0 {
-				m.shard.Add(p, d, bytes[d], msgs[d])
-			}
-		}
+		m.fabric.Fold(p, peer.Tally())
 	}
-	m.fabric.Drain(m.shard)
 	return nil
 }
 
@@ -200,7 +192,7 @@ func TestPeerClusterEquivalenceMatrix(t *testing.T) {
 						t.Fatalf("epoch %d bwd=%v: peer aggregate diverged from cluster", epoch, bwd)
 					}
 				}
-				if cs, ps := cl.Snapshot(), mesh.fabric.Capture(); cs != ps {
+				if cs, ps := cl.CaptureEpoch(), mesh.fabric.Capture(); cs != ps {
 					t.Fatalf("epoch %d: peer traffic %+v vs cluster %+v", epoch, ps, cs)
 				}
 			}
@@ -317,7 +309,8 @@ func TestNewPeerQuantBits(t *testing.T) {
 // TestPeerAlignRound: a peer moves forward to the ordinal its coordinator
 // names — the rounds between were served from the model's buffers — and
 // refuses one behind its own with ErrRoundOrdinal, changing nothing; an
-// epoch boundary starts the count again.
+// epoch boundary starts the count again. A delay lane also refuses an
+// ordinal past its next delay slot.
 func TestPeerAlignRound(t *testing.T) {
 	d, part := setup(t, 3)
 	p, err := NewPeer(d.Graph, part, 3, 1, exchange.Config{})
@@ -337,6 +330,23 @@ func TestPeerAlignRound(t *testing.T) {
 	p.StartEpoch(1)
 	if err := p.AlignRound(0); err != nil || p.round != 0 {
 		t.Fatalf("align to 0 in a new epoch: %v, at %d", err, p.round)
+	}
+
+	// On a delay lane the ordinal keys a delay slot, and a round opens every
+	// slot up to its own: an ordinal past the next slot is refused before
+	// any is allocated.
+	dp, err := NewPeer(d.Graph, part, 3, 1, exchange.MethodMatrix(4)["delay3"])
+	if err != nil {
+		t.Fatal(err)
+	}
+	dp.StartEpoch(0)
+	for _, ord := range []int{1 << 30, 1} {
+		if err := dp.AlignRound(ord); !errors.Is(err, ErrRoundOrdinal) || dp.round != 0 || len(dp.delaySlots) != 0 {
+			t.Fatalf("delay lane, align to %d with no slot open: %v, at %d, %d slots", ord, err, dp.round, len(dp.delaySlots))
+		}
+	}
+	if err := dp.AlignRound(0); err != nil {
+		t.Fatalf("delay lane, align to the next slot: %v", err)
 	}
 }
 

@@ -38,19 +38,18 @@ type exchanger struct {
 	// Compiled gather plans (see gather.go for the invalidation contract):
 	// kernels[idx] is pair idx's flattened encode/deliver lists (semantic
 	// only), local[p] worker p's local-aggregation CSR in boundary-first row
-	// order. local, ws and counters have an entry per partition, non-nil only
-	// for the workers this process runs.
-	kernels  []pairKernels
-	local    []*localPlan
-	ws       []*workerScratch
-	counters []*simnet.ShardCounter
-	// work[p] is worker p's share of the analytic cost model's processing
-	// counters: exact integer sums taken where the sizes already are — the
-	// compiled local plan's arc count, the walk's sink, the compiled group
-	// sizes, the delay slot's rows — so they depend on what was exchanged and
-	// never on how the round was scheduled. A driver drains them after the
-	// round barrier.
-	work []simnet.Work
+	// order. local, ws and tally have an entry per partition, set only for
+	// the workers this process runs.
+	kernels []pairKernels
+	local   []*localPlan
+	ws      []*workerScratch
+	// tally[p] is what worker p sent and did since it was last folded:
+	// its frames' bytes and messages per destination, and its share of the
+	// analytic cost model's processing counters — exact integer sums taken
+	// where the sizes already are (the compiled local plan's arc count, the
+	// walk's sink, the compiled group sizes, the delay slot's rows), so they
+	// depend on what was exchanged and never on how the round was scheduled.
+	tally []simnet.Tally
 	// phaseHook, when non-nil, observes each worker's round phases in
 	// execution order ("local-boundary", "send", "local-interior",
 	// "receive") — test instrumentation for the boundary-first schedule.
@@ -98,12 +97,11 @@ func (ws *workerScratch) ensure(dim int) {
 // are compiled only for what those workers encode, decode and aggregate.
 func newExchanger(g *graph.Graph, part []int, nparts, me int, cfg exchange.Config) *exchanger {
 	x := &exchanger{
-		core:     exchange.New(g, part, nparts, cfg),
-		me:       me,
-		local:    make([]*localPlan, nparts),
-		ws:       make([]*workerScratch, nparts),
-		counters: make([]*simnet.ShardCounter, nparts),
-		work:     make([]simnet.Work, nparts),
+		core:  exchange.New(g, part, nparts, cfg),
+		me:    me,
+		local: make([]*localPlan, nparts),
+		ws:    make([]*workerScratch, nparts),
+		tally: make([]simnet.Tally, nparts),
 	}
 	if cfg.DelayPeriod > 1 {
 		x.delayPeriod = cfg.DelayPeriod
@@ -111,7 +109,7 @@ func newExchanger(g *graph.Graph, part []int, nparts, me int, cfg exchange.Confi
 	for p := 0; p < nparts; p++ {
 		if me < 0 || p == me {
 			x.ws[p] = &workerScratch{batches: make([]wire.Batch, nparts)}
-			x.counters[p] = simnet.NewShardCounter(nparts)
+			x.tally[p] = simnet.NewTally(nparts)
 		}
 	}
 	x.mapRows()
@@ -404,7 +402,7 @@ func (x *exchanger) addOwnRows(me int, slot, out *tensor.Matrix) {
 		r := int(x.rowOf[u])
 		tensor.AXPY(1, slot.Row(r), out.Row(r))
 	}
-	x.work[me].CacheValues += int64(len(own) * out.Cols)
+	x.tally[me].CacheValues += int64(len(own) * out.Cols)
 }
 
 // hook reports a completed phase to the test instrumentation, if any.
@@ -425,11 +423,11 @@ func (x *exchanger) localRows(me int, h, out *tensor.Matrix, from, to int) {
 	// The cost model charges the neighbor terms, not the self loop each row
 	// opens with.
 	arcs := int(lp.off[to]-lp.off[from]) - (to - from)
-	x.work[me].ComputeFlops += int64(2 * h.Cols * arcs)
+	x.tally[me].ComputeFlops += int64(2 * h.Cols * arcs)
 }
 
 // encodePeer encodes worker me's outgoing halo for one peer into the retained
-// batch buffer, records the traffic on me's shard counter, and returns the
+// batch buffer, records the traffic on me's tally, and returns the
 // framed bytes. It is the wire runtime's sink of the shared unit walk: one
 // message per surviving group (Fig. 7(b)), one per surviving O2O residual or
 // halo star (Fig. 7(a)), in walk order behind the frame's batch header.
@@ -480,17 +478,17 @@ func (x *exchanger) encodePeer(me, peer int, h *tensor.Matrix, backward bool) []
 	})
 	buf := batch.Bytes()
 	// The frame is the traffic: its batch header, then the messages' payloads.
-	x.counters[me].Add(me, peer, int64(len(buf)), int64(batch.Len()))
+	tl, dim := &x.tally[me], h.Cols
+	tl.Send(peer, int64(len(buf)), int64(batch.Len()))
 	// The processing the batch stands for, on both of its ends: a delivered
 	// term per receiver row, a group also one per member fused in.
-	w, dim := &x.work[me], h.Cols
-	w.ComputeFlops += int64(2 * dim * (terms + members))
-	w.SemanticValues += int64(dim * members)
+	tl.ComputeFlops += int64(2 * dim * (terms + members))
+	tl.SemanticValues += int64(dim * members)
 	if ps.Bits > 0 {
-		w.QuantValues += int64(dim * batch.Len())
+		tl.QuantValues += int64(dim * batch.Len())
 	}
 	if !x.core.Semantic() && frame.Sampled {
-		w.SampleEdges += int64(len(x.core.Stars(idx, backward).Ends))
+		tl.SampleEdges += int64(len(x.core.Stars(idx, backward).Ends))
 	}
 	return buf
 }

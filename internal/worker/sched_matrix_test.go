@@ -65,7 +65,7 @@ func TestScheduledClusterEngineEquivalenceMatrix(t *testing.T) {
 				cl.StartEpoch(epoch)
 				gotF := cl.Forward(h)
 				gotB := cl.Backward(g)
-				snap := cl.Snapshot()
+				snap := cl.CaptureEpoch()
 				ref.StartEpoch(epoch)
 				// Decisions exact: both ran the pure decision function on
 				// their own signal snapshots.
@@ -197,7 +197,7 @@ func TestScheduledPeerClusterEquivalence(t *testing.T) {
 						t.Fatalf("epoch %d bwd=%v: peer aggregate diverged from cluster", epoch, bwd)
 					}
 				}
-				if cs, ps := cl.Snapshot(), mesh.fabric.Capture(); cs != ps {
+				if cs, ps := cl.CaptureEpoch(), mesh.fabric.Capture(); cs != ps {
 					t.Fatalf("epoch %d: peer traffic %+v vs cluster %+v", epoch, ps, cs)
 				}
 			}

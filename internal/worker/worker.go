@@ -4,11 +4,11 @@
 // paper's multi-GPU deployment. It holds the one round body (sendHalf,
 // recvHalf) and the two ways to drive it: Cluster runs all P workers in one
 // process, handing the frames over through in-memory slots — it is the runtime
-// behind every modeled figure too, dist.Engine being a Cluster reported per
-// epoch; Peer runs one worker in its own OS process, with internal/net
-// carrying the frames over sockets.
+// behind every modeled figure too, which dist.Run trains on; Peer runs one
+// worker in its own OS process, with internal/net carrying the frames over
+// sockets.
 //
-// The runtime executes the full Fig. 12(b) method matrix — vanilla per-edge
+// The runtime executes the full Fig. 12(b) method matrix — vanilla halo
 // exchange, SC-GNN semantic compression, Bernoulli edge/node sampling, fixed
 // and variance-adaptive wire quantization, quantized error feedback, and
 // delayed transmission — with actual fp32 wire encoding and bytes measured
@@ -62,9 +62,9 @@
 // remote contributions in sender order, a cluster's output is bit-identical
 // from run to run at any nparts and any GOMAXPROCS — and bit-identical to the
 // same round run by Peers over any transport, where frames arrive in any
-// order. After the second join the coordinator drains each worker's traffic
-// shard and processing counters in worker order, so the totals are exact and
-// schedule-free. Slots, encode buffers, payload scratch and the goroutines'
+// order. After the second join the coordinator folds each worker's tally —
+// its traffic and processing counters — into the fabric in worker order, so
+// the totals are exact and schedule-free. Slots, encode buffers, payload scratch and the goroutines'
 // entry points are retained across rounds: a steady-state round performs no
 // allocations.
 //
@@ -102,21 +102,18 @@ import (
 // Cluster runs the workers of every partition in one process, jointly
 // computing the partitioned GCN aggregate Â·h. It implements gnn.Aggregator, so
 // models train on it unchanged. Rounds must be driven by one goroutine at a
-// time; Traffic, Snapshot, and ResetTraffic may be called concurrently with
-// rounds.
+// time; Traffic, CaptureEpoch, and ResetTraffic may be called concurrently
+// with rounds.
 type Cluster struct {
 	exchanger
 
-	// Accounting is shard-and-merge instead of hot-loop atomics: each worker
-	// records its sends on its own ShardCounter and its processing on its own
-	// work entry (no cross-core contention during the round), and both are
-	// drained after the round's last join, in worker order, so every total is
+	// Accounting is tally-and-fold instead of hot-loop atomics: each worker
+	// records its sends and its processing on its own tally (no cross-core
+	// contention during the round), and the tallies are folded into the
+	// fabric after the round's last join, in worker order, so every total is
 	// exact and schedule-free.
 	trafficMu sync.Mutex
 	fabric    *simnet.Fabric
-	// done is the processing half of CaptureEpoch: the workers' work counters
-	// drained since the last reset.
-	done simnet.Work
 
 	// slots[t*nparts+s] is sender s's frame for receiver t this round: written
 	// by s in the first fork-join, read by t in the second. The bytes stay
@@ -209,7 +206,6 @@ func (c *Cluster) ResetTraffic() {
 	c.trafficMu.Lock()
 	defer c.trafficMu.Unlock()
 	c.fabric.Reset()
-	c.done = simnet.Work{}
 }
 
 // Traffic returns the real encoded bytes and message count since the last
@@ -220,23 +216,13 @@ func (c *Cluster) Traffic() (bytes, msgs int64) {
 	return c.fabric.TotalBytes(), c.fabric.TotalMessages()
 }
 
-// Snapshot freezes the per-link traffic accumulated since the last reset —
-// the half of CaptureEpoch a transport-driven fleet reports too.
-func (c *Cluster) Snapshot() simnet.Snapshot {
-	c.trafficMu.Lock()
-	defer c.trafficMu.Unlock()
-	return c.fabric.Capture()
-}
-
 // CaptureEpoch freezes everything the cost model reads, accumulated since the
-// last reset: Snapshot's traffic plus the processing counters of the rounds
+// last reset: the per-link traffic and the processing counters of the rounds
 // that produced it.
 func (c *Cluster) CaptureEpoch() simnet.Snapshot {
 	c.trafficMu.Lock()
 	defer c.trafficMu.Unlock()
-	s := c.fabric.Capture()
-	s.Work = c.done
-	return s
+	return c.fabric.Capture()
 }
 
 // Forward implements gnn.Aggregator with a concurrent halo exchange. It
@@ -283,13 +269,11 @@ func (c *Cluster) AggregateInto(dst, h *tensor.Matrix, backward bool) error {
 		c.forkJoin()
 	}
 	c.roundH, c.roundOut, c.roundTarget = nil, nil, nil
-	// Drain each worker's round into the totals after the join, in worker
+	// Fold each worker's tally into the totals after the join, in worker
 	// order — they are independent of goroutine scheduling.
 	c.trafficMu.Lock()
-	for p, sc := range c.counters {
-		c.fabric.Drain(sc)
-		c.done.Add(c.work[p])
-		c.work[p] = simnet.Work{}
+	for p := range c.tally {
+		c.fabric.Fold(p, &c.tally[p])
 	}
 	c.trafficMu.Unlock()
 	return c.endRound(target, dst, replay, errors.Join(c.roundErrs...))

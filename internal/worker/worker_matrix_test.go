@@ -45,7 +45,7 @@ func TestClusterEngineEquivalenceMatrix(t *testing.T) {
 					cl.StartEpoch(epoch)
 					gotF := cl.Forward(h)
 					gotB := cl.Backward(g)
-					snap := cl.Snapshot()
+					snap := cl.CaptureEpoch()
 					ref.StartEpoch(epoch)
 					wantF := ref.Forward(h)
 					wantB := ref.Backward(g)

@@ -24,7 +24,7 @@ func benchSetup() (*datasets.Dataset, []int) {
 // TestClusterSteadyStateAllocs: after warm-up, a full aggregate round must not
 // allocate once — encode buffers (reserved at a frame's worst case), frame
 // slots, payload scratch, the sender memo, the error-feedback record arenas
-// and traffic shards are all retained across rounds, and the fork-join's
+// and traffic tallies are all retained across rounds, and the fork-join's
 // goroutines start on func values bound at construction. The rounds are a [32, 32, 16] GCN's
 // epoch: layer 0 aggregates its 32 features, and the output layer multiplies
 // first, so its forward and backward rounds are 16 wide — round slots of
@@ -125,7 +125,7 @@ func TestClusterPersistentManyRounds(t *testing.T) {
 			}
 			switch i % 3 {
 			case 0:
-				c.Snapshot()
+				c.CaptureEpoch()
 			case 1:
 				c.Traffic()
 			default:

@@ -58,7 +58,7 @@ func oracleLockstep(t *testing.T, d *datasets.Dataset, part, next []int, nparts 
 		cl.StartEpoch(epoch)
 		gotF := cl.Forward(h)
 		gotB := cl.Backward(g)
-		snap := cl.Snapshot()
+		snap := cl.CaptureEpoch()
 		ref.StartEpoch(epoch)
 		wantF := ref.Forward(h)
 		wantB := ref.Backward(g)

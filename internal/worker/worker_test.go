@@ -251,9 +251,9 @@ func TestQuantizedClusterWire(t *testing.T) {
 	NewClusterFromConfig(d.Graph, part, 3, cfg)
 }
 
-// TestClusterPerLinkAccounting: the shard-and-merge plumbing must agree with
+// TestClusterPerLinkAccounting: the tally-and-fold plumbing must agree with
 // the oracle's fabric on the totals and both bottlenecks, not just the
-// totals, and the Snapshot view must stay consistent with Traffic across
+// totals, and the CaptureEpoch view must stay consistent with Traffic across
 // rounds and resets.
 func TestClusterPerLinkAccounting(t *testing.T) {
 	d, part := setup(t, 3)
@@ -267,7 +267,7 @@ func TestClusterPerLinkAccounting(t *testing.T) {
 	ref.Forward(h)
 	ref.Backward(h)
 
-	snap := c.Snapshot()
+	snap := c.CaptureEpoch()
 	refSnap := ref.CaptureEpoch()
 	if snap.TotalBytes != refSnap.TotalBytes || snap.TotalMessages != refSnap.TotalMessages ||
 		snap.MaxInboundBytes != refSnap.MaxInboundBytes || snap.MaxOutboundBytes != refSnap.MaxOutboundBytes {
@@ -275,14 +275,14 @@ func TestClusterPerLinkAccounting(t *testing.T) {
 	}
 	cb, cm := c.Traffic()
 	if cb != snap.TotalBytes || cm != snap.TotalMessages {
-		t.Fatalf("Traffic (%d, %d) disagrees with Snapshot (%d, %d)", cb, cm, snap.TotalBytes, snap.TotalMessages)
+		t.Fatalf("Traffic (%d, %d) disagrees with CaptureEpoch (%d, %d)", cb, cm, snap.TotalBytes, snap.TotalMessages)
 	}
 
 	c.ResetTraffic()
 	if cb, cm = c.Traffic(); cb != 0 || cm != 0 {
 		t.Fatalf("traffic after reset = (%d, %d)", cb, cm)
 	}
-	// Counters accumulate again after a reset (shards were drained, not
+	// Counters accumulate again after a reset (tallies were folded, not
 	// carried over).
 	c.Forward(h)
 	ref.StartEpoch(1)

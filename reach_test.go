@@ -26,7 +26,6 @@ var unreachedAllowed = map[string]string{
 	"scgnn/internal/simnet.Fabric.LinkBytes":     "test seam: per-link byte counters the traffic tests read",
 	"scgnn/internal/simnet.Fabric.LinkMessages":  "test seam: per-link message counters the traffic tests read",
 	"scgnn/internal/sched.Scheduler.Ladder":      "test seam: the rung table the scheduler tests index",
-	"scgnn/internal/worker.Cluster.Snapshot":     "test seam: per-link traffic the cross-runtime tests compare",
 	"scgnn/internal/tensor.FromRows":             "test seam: builds matrices from literals in tests",
 	"scgnn/internal/tensor.Matrix.Fill":          "test seam: fills matrices in tests",
 	"scgnn/internal/tensor.Matrix.Set":           "test seam: sets single elements in tests",

@@ -157,8 +157,8 @@ func TestPlanCacheFacade(t *testing.T) {
 
 func TestExperimentFacade(t *testing.T) {
 	ids := scgnn.ExperimentIDs()
-	if len(ids) != 24 { // 12 paper experiments + 11 ablations + the scale study
-		t.Fatalf("experiment count = %d, want 24", len(ids))
+	if len(ids) != 23 { // 12 paper experiments + 10 ablations + the scale study
+		t.Fatalf("experiment count = %d, want 23", len(ids))
 	}
 	out, err := scgnn.RunExperiment("fig4a", 1, 5)
 	if err != nil || !strings.Contains(out, "fig4a") {
