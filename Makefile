@@ -24,10 +24,13 @@ vet:
 
 # TestLaneWorkPinned pins every method lane's per-epoch bytes, messages and
 # processing counters; they are exact integer sums, the same on one processor
-# and on two, which the second line checks.
+# and on two, which the second line checks. TestQuickSuiteGolden holds every
+# number of the quick experiment suite to internal/exp/testdata/quick.golden;
+# it runs on the second line only, once on one processor and once on two,
+# which holds every table deterministic across GOMAXPROCS.
 test:
-	$(GO) test ./...
-	$(GO) test -cpu 1,2 -run '^TestLaneWorkPinned$$' ./internal/worker/
+	$(GO) test -skip '^TestQuickSuiteGolden$$' ./...
+	$(GO) test -cpu 1,2 -run '^TestLaneWorkPinned$$|^TestQuickSuiteGolden$$' ./internal/worker/ ./internal/exp/
 
 # The concurrent surfaces: the worker runtime (including the oracle
 # equivalence matrix over all Fig. 12(b) method combinations at GOMAXPROCS

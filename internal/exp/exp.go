@@ -7,7 +7,11 @@
 package exp
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
+	"hash"
+	"math"
 	"slices"
 	"strings"
 
@@ -55,6 +59,10 @@ type Report struct {
 	Tables  []*trace.Table
 	Figures []*trace.Figure
 	Notes   []string
+	// losses folds in the bit pattern of every training run's per-epoch
+	// losses, in run order (job.train): one digest that moves when any
+	// loss does.
+	losses hash.Hash
 }
 
 // AddNote records a free-text observation in the report.
@@ -133,7 +141,7 @@ func Run(id string, o Options) (rep *Report, err error) {
 			rep, err = nil, fmt.Errorf("exp %s: %w", id, b.err)
 		}
 	}()
-	j := &job{Options: o.withDefaults(), Report: &Report{ID: id}, asked: o}
+	j := &job{Options: o.withDefaults(), Report: &Report{ID: id, losses: sha256.New()}, asked: o}
 	suite[i].build(j)
 	return j.Report, nil
 }
@@ -156,10 +164,16 @@ func (j *job) cut(d *datasets.Dataset, nparts int, m partition.Method) []int {
 // part is the default partition: node-cut into Options.Partitions parts.
 func (j *job) part(d *datasets.Dataset) []int { return j.cut(d, j.Partitions, partition.NodeCut) }
 
-// train is dist.Run, failing the experiment on an error.
+// train is dist.Run, failing the experiment on an error. The run's losses
+// are folded into the report's digest.
 func (j *job) train(d *datasets.Dataset, part []int, nparts int, cfg dist.Config, rc dist.RunConfig) *dist.Result {
 	res, err := dist.Run(d, part, nparts, cfg, rc)
 	j.check(err)
+	var bits [8]byte
+	for _, e := range res.Epochs {
+		binary.LittleEndian.PutUint64(bits[:], math.Float64bits(e.Loss))
+		j.losses.Write(bits[:])
+	}
 	return res
 }
 

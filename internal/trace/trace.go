@@ -6,6 +6,7 @@ package trace
 import (
 	"fmt"
 	"io"
+	"strconv"
 	"strings"
 )
 
@@ -14,6 +15,9 @@ type Table struct {
 	Title   string
 	Columns []string
 	Rows    [][]string
+	// Exact holds each cell as Rows does, but a float cell in its shortest
+	// exact form: Rows is what a reader sees, Exact what a golden compares.
+	Exact [][]string
 }
 
 // NewTable creates a table with the given title and column names.
@@ -23,24 +27,30 @@ func NewTable(title string, columns ...string) *Table {
 
 // AddRow appends a row; values are formatted with %v unless already strings.
 func (t *Table) AddRow(values ...interface{}) {
-	row := make([]string, len(values))
+	row, exact := make([]string, len(values)), make([]string, len(values))
 	for i, v := range values {
 		switch x := v.(type) {
 		case string:
-			row[i] = x
+			row[i], exact[i] = x, x
 		case float64:
-			row[i] = formatFloat(x)
+			row[i], exact[i] = formatFloat(x), exactFloat(x)
 		case float32:
-			row[i] = formatFloat(float64(x))
+			row[i], exact[i] = formatFloat(float64(x)), exactFloat(float64(x))
 		default:
 			row[i] = fmt.Sprintf("%v", v)
+			exact[i] = row[i]
 		}
 	}
 	if len(row) != len(t.Columns) {
 		panic(fmt.Sprintf("trace: row has %d values, table has %d columns", len(row), len(t.Columns)))
 	}
 	t.Rows = append(t.Rows, row)
+	t.Exact = append(t.Exact, exact)
 }
+
+// exactFloat renders x in the shortest form that parses back to the same
+// float64.
+func exactFloat(x float64) string { return strconv.FormatFloat(x, 'g', -1, 64) }
 
 func formatFloat(x float64) string {
 	a := x

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -23,6 +24,21 @@ func TestTableRender(t *testing.T) {
 	// Alignment: both data rows start their second column at the same offset.
 	if strings.Index(lines[3], "1.5") != strings.Index(lines[4], "1234") {
 		t.Fatalf("columns misaligned:\n%s", out)
+	}
+}
+
+// TestTableKeepsExactCells: a float cell is kept beside its display string in
+// the shortest form that parses back to the same bits; other cells read the
+// same in both.
+func TestTableKeepsExactCells(t *testing.T) {
+	tb := NewTable("x", "name", "f64", "f32", "int")
+	a, third := 0.1, float32(1)
+	tb.AddRow("a", a+0.2, third/3, 7)
+	if got, want := tb.Rows[0], []string{"a", "0.300", "0.333", "7"}; !slices.Equal(got, want) {
+		t.Fatalf("display %q, want %q", got, want)
+	}
+	if got, want := tb.Exact[0], []string{"a", "0.30000000000000004", "0.3333333432674408", "7"}; !slices.Equal(got, want) {
+		t.Fatalf("exact %q, want %q", got, want)
 	}
 }
 
