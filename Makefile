@@ -56,9 +56,9 @@ test:
 # eval pass (TestEngineEqualsCluster). The pruned k-means (seeding's
 # triangle-inequality skip, the seeded first assignment step, the sweep's
 # fan-out) runs ten times against its serial reference loops
-# (TestKMeansMatchesReference). So does the edge-sampled halo lane, ten
-# times over: a receiver there flips the coins of every arc of each star it
-# fans out, from a sampler value it takes off the pair's shared state
+# (TestKMeansMatchesReference). So does the sampled halo lane, ten times
+# over: a receiver there walks the pair's coins to check the frame's presence
+# bits, from a sampler value it takes off the pair's shared state
 # (compress.Sampler.At) while other workers walk their own pairs, against the
 # oracle and on the socket-free peer mesh (TestClusterEngineEquivalenceMatrix
 # and TestPeerClusterEquivalenceMatrix, lane sampling).
@@ -201,6 +201,9 @@ fuzz-smoke:
 # units. And one traffic accumulator: each worker's simnet.Tally, folded into
 # the fabric after the round (or shipped in RoundDone for the coordinator to
 # fold), with no nparts-squared shard counter, no row export and no drain.
+# And one sampling coin: a boundary row's (or a plan group's) per pair and
+# round, so no per-arc coins, no switch between coin kinds and no receiver
+# replaying an arc's coin.
 one-sink:
 	@! grep -rn 'useReference\|DelayCache\|pairBuf\|NewRounds\|worker\.Rounds\|forEachTask\|putHeader\|MsgHeaderBytes\|Fabric) Send(' --include='*.go' . | grep -v _test.go
 	@! grep -n 'aggregate(' internal/gnn/*.go | grep -v '_test\.go:\|^internal/gnn/layer\.go:'
@@ -220,6 +223,7 @@ one-sink:
 	@! grep -rn '"math/rand"' --include='*.go' internal/compress internal/exchange | grep -v '_test\.go:'
 	@! grep -rnE 'senderMemo|memoHead|memoSlot|\) Repeat\(|\) Ref\(|\.refs\b' --include='*.go' internal | grep -v '_test\.go:'
 	@! grep -rnE 'ShardCounter|DrainRow|TrafficDelta|Fabric\) Drain\(' --include='*.go' . | grep -v '_test\.go:'
+	@! grep -rnE 'SampleNodes|NodeCoins|EdgeCoins|Survives\(' --include='*.go' . | grep -v '_test\.go:'
 
 # Every program under examples/, built into a temporary directory and run to
 # the end: go build compiles them, but only running them shows a facade call

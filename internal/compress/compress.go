@@ -3,9 +3,8 @@
 //
 //   - quantization (AdaQP-style): per-message affine b-bit quantization of
 //     the payload vector, trading bit-width for traffic;
-//   - sampling (BNS-GCN-style): Bernoulli edge or boundary-node sampling at
-//     a configured rate, with 1/rate rescaling to keep the aggregate
-//     unbiased;
+//   - sampling (BNS-GCN-style): Bernoulli boundary-node sampling at a
+//     configured rate, with 1/rate rescaling to keep the aggregate unbiased;
 //   - delayed transmission (Dorylus-style): stale remote contributions are
 //     cached and reused for period−1 epochs out of every period. That one is
 //     whole-round state, not a per-payload transform, so it lives with the
@@ -55,8 +54,9 @@ func mix(base uint64, key int64) uint64 {
 	return z ^ (z >> 31)
 }
 
-// Sampler is the sampling baseline's coin (per edge, or BNS-GCN per boundary
-// node: the caller picks what a key names). A coin is a pure function of
+// Sampler is the sampling baseline's coin, BNS-GCN's per boundary node (the
+// caller picks what a key names: exchange keys a boundary row or a plan
+// group). A coin is a pure function of
 // (seed, epoch, round, key): At positions a sampler on a round, and
 // Coin(key) is the same bit for the same key however often, in whatever order
 // and on whichever replica it is asked — so the sampler keeps no stream, and

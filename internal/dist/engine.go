@@ -1,7 +1,7 @@
 // Package dist implements the distributed full-batch GNN training runtime of
 // the reproduction: a partitioned aggregator whose cross-partition halo
 // exchange can be carried by any of the five methods the paper evaluates —
-// vanilla per-edge transfer, boundary sampling, quantization, delayed
+// vanilla halo transfer, boundary-node sampling, quantization, delayed
 // transmission, and SC-GNN semantic compression — alone or in combination
 // (the compatibility study of Fig. 12(b) composes them).
 //
@@ -52,7 +52,7 @@ type Config = exchange.Config
 // Vanilla returns the uncompressed baseline configuration.
 func Vanilla() Config { return Config{} }
 
-// Sampling returns the edge-sampling baseline at the given rate.
+// Sampling returns the boundary-node sampling baseline at the given rate.
 func Sampling(rate float64, seed int64) Config { return Config{SampleRate: rate, Seed: seed} }
 
 // Quant returns the quantization baseline at the given bit width.

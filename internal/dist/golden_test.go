@@ -60,9 +60,13 @@ func layer0Bytes(d *datasets.Dataset, part []int, nparts int, cfg Config) int64 
 // losses unchanged, when the baseline exchange began shipping a boundary row
 // once per peer and fanning it out at the receiver in place of one message
 // per cross arc (vanilla 52836 → 19356, uncached 84336 → 30768;
-// nsampling+aquant+delay 16250 → 6243).
+// nsampling+aquant+delay 16250 → 6243). The semantic stack alone was
+// re-recorded, losses and bytes, when per-node coins became the only coins
+// (semantic+sampling+q8ef 5675 → 5816: a group keyed by groupCoinKey and a
+// residual by its sender, not by candidate index); the sampling+aquant+delay
+// stack, node-sampled before (nsampling+aquant+delay), did not move.
 // Between them the three method stacks drive every
-// kind of per-pair state (edge coins, node coins, fixed and adaptive widths,
+// kind of per-pair state (group and row coins, fixed and adaptive widths,
 // error feedback, delay slots); internal/worker pins the same three.
 func TestEngineGoldenBits(t *testing.T) {
 	plan := core.PlanConfig{Grouping: core.GroupingConfig{Seed: 3}}
@@ -73,10 +77,10 @@ func TestEngineGoldenBits(t *testing.T) {
 		cfg        Config
 	}{
 		{"vanilla", "3fee229af1c25da5 3fecb46fcaaef361 3feb38bd50296ce0 3fe9b15b8bd5815d 19356", 30768, Config{Seed: 3}},
-		{"semantic+sampling+q8ef", "3fee720ed8fcca15 3fed3e864dbc2635 3fec405ae4b32cd0 3fec1c38d6f57bd8 5675", 5675,
+		{"semantic+sampling+q8ef", "3fee3ea7c4781661 3fedc12af63ce808 3febebc020596083 3feb37b31625e40f 5816", 5816,
 			Config{Semantic: true, Plan: plan, SampleRate: 0.5, QuantBits: 8, ErrorFeedback: true, Seed: 3}},
-		{"nsampling+aquant+delay", "3fee4ad9faaf5cc7 3fed4e68a2db650c 3feb51df2c3e7c35 3fea5b51d1c25c82 6243", 6243,
-			Config{SampleRate: 0.5, SampleNodes: true, QuantBits: 8, AdaptiveQuant: true, DelayPeriod: 2, Seed: 3}},
+		{"sampling+aquant+delay", "3fee4ad9faaf5cc7 3fed4e68a2db650c 3feb51df2c3e7c35 3fea5b51d1c25c82 6243", 6243,
+			Config{SampleRate: 0.5, QuantBits: 8, AdaptiveQuant: true, DelayPeriod: 2, Seed: 3}},
 	} {
 		var layer0 int64
 		if tc.name == "vanilla" {

@@ -19,7 +19,7 @@ import (
 // composition cells, so the sequential/parallel bit-equality guarantee is
 // exercised through every stateful compression path (per-pair RNG streams,
 // adaptive bit choice, delay slots, error-feedback residuals). It is the
-// exported MethodMatrix fixture — the same 13 combinations the worker
+// exported MethodMatrix fixture — the same 11 combinations the worker
 // runtime's oracle equivalence matrix and the ablation harness run.
 func equivalenceConfigs(seed int64) map[string]Config {
 	return exchange.MethodMatrix(seed)
@@ -120,7 +120,7 @@ func TestRunParallelEquivalence(t *testing.T) {
 func TestWorkersDefaultMatchesSequential(t *testing.T) {
 	d, part := smallSetup(t)
 	h := randMat(d.NumNodes(), 4, 11)
-	cfg := Config{SampleRate: 0.5, SampleNodes: true, Seed: 6}
+	cfg := Config{SampleRate: 0.5, Seed: 6}
 	def := NewEngine(d.Graph, part, 3, cfg)
 	def.StartEpoch(0)
 	got := def.Forward(h)
@@ -158,11 +158,10 @@ func collisionSetup(t *testing.T) (*graph.Graph, []int) {
 func TestGroupCoinKeySeparation(t *testing.T) {
 	g, part := collisionSetup(t)
 	cfg := Config{
-		Semantic:    true,
-		Plan:        core.PlanConfig{Grouping: core.GroupingConfig{Seed: 1}},
-		SampleRate:  0.5,
-		SampleNodes: true,
-		Seed:        42,
+		Semantic:   true,
+		Plan:       core.PlanConfig{Grouping: core.GroupingConfig{Seed: 1}},
+		SampleRate: 0.5,
+		Seed:       42,
 	}
 	eng := NewEngine(g, part, 2, cfg)
 

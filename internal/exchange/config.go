@@ -19,15 +19,13 @@ type Config struct {
 	Semantic bool
 	// Plan configures semantic grouping (group count, similarity, drop mask).
 	Plan core.PlanConfig
-	// SampleRate in (0,1) enables Bernoulli edge/unit sampling at that rate.
-	// 0 or 1 disables sampling.
+	// SampleRate in (0,1) enables boundary-node Bernoulli sampling at that
+	// rate (BNS-GCN's granularity): each round a pair keeps a boundary row's
+	// message — a halo star, or an O2O residual — or a plan group with that
+	// probability and rescales what it keeps by 1/SampleRate. Coins are
+	// seeded per ordered pair, so a row with arcs into several partitions
+	// flips one coin per (row, destination) pair. 0 or 1 disables sampling.
 	SampleRate float64
-	// SampleNodes switches sampling from per-edge coins to per-boundary-node
-	// coins (BNS-GCN's granularity): all of a node's cross edges toward one
-	// partition share one decision per round. Coins are seeded per ordered
-	// pair, so a node with cross edges into several partitions flips one
-	// coin per (node, destination) pair.
-	SampleNodes bool
 	// QuantBits in 1..16 is the width of affine payload quantization;
 	// 0 or >= 32 disables it. 17..31 is neither: the quantizer panics on it
 	// and worker.NewPeer rejects it.
@@ -65,11 +63,7 @@ func (c Config) MethodName() string {
 		parts = append(parts, "semantic")
 	}
 	if c.SampleRate > 0 && c.SampleRate < 1 {
-		if c.SampleNodes {
-			parts = append(parts, "nsampling")
-		} else {
-			parts = append(parts, "sampling")
-		}
+		parts = append(parts, "sampling")
 	}
 	if c.QuantBits > 0 && c.QuantBits < 32 {
 		if c.AdaptiveQuant {
@@ -99,15 +93,14 @@ func (c Config) MethodName() string {
 // annealing ladder when Sched is enabled.
 func (c Config) BaseSetting() sched.Setting {
 	return sched.Setting{
-		SampleRate:  c.SampleRate,
-		SampleNodes: c.SampleNodes,
-		QuantBits:   c.QuantBits,
-		Adaptive:    c.AdaptiveQuant,
-		EF:          c.ErrorFeedback,
+		SampleRate: c.SampleRate,
+		QuantBits:  c.QuantBits,
+		Adaptive:   c.AdaptiveQuant,
+		EF:         c.ErrorFeedback,
 	}
 }
 
-// MethodMatrix returns the 13 method combinations of the paper's
+// MethodMatrix returns the 11 method combinations of the paper's
 // compatibility study (Fig. 12(b)): every baseline alone, SC-GNN alone, and
 // SC-GNN composed with each baseline. It is the shared fixture behind every
 // runtime's equivalence matrix and the ablation harness — one map, so the
@@ -118,18 +111,16 @@ func (c Config) BaseSetting() sched.Setting {
 func MethodMatrix(seed int64) map[string]Config {
 	plan := core.PlanConfig{Grouping: core.GroupingConfig{Seed: seed}}
 	return map[string]Config{
-		"vanilla":            {Seed: seed},
-		"sampling":           {SampleRate: 0.5, Seed: seed},
-		"nsampling":          {SampleRate: 0.5, SampleNodes: true, Seed: seed},
-		"quant8":             {QuantBits: 8, Seed: seed},
-		"aquant":             {QuantBits: 8, AdaptiveQuant: true, Seed: seed},
-		"delay3":             {DelayPeriod: 3, Seed: seed},
-		"quant4+ef":          {QuantBits: 4, ErrorFeedback: true, Seed: seed},
-		"semantic":           {Semantic: true, Plan: plan, Seed: seed},
-		"semantic+quant":     {Semantic: true, Plan: plan, QuantBits: 8, Seed: seed},
-		"semantic+sampling":  {Semantic: true, Plan: plan, SampleRate: 0.5, Seed: seed},
-		"semantic+nsampling": {Semantic: true, Plan: plan, SampleRate: 0.5, SampleNodes: true, Seed: seed},
-		"semantic+delay":     {Semantic: true, Plan: plan, DelayPeriod: 2, Seed: seed},
-		"semantic+quant+ef":  {Semantic: true, Plan: plan, QuantBits: 4, ErrorFeedback: true, Seed: seed},
+		"vanilla":           {Seed: seed},
+		"sampling":          {SampleRate: 0.5, Seed: seed},
+		"quant8":            {QuantBits: 8, Seed: seed},
+		"aquant":            {QuantBits: 8, AdaptiveQuant: true, Seed: seed},
+		"delay3":            {DelayPeriod: 3, Seed: seed},
+		"quant4+ef":         {QuantBits: 4, ErrorFeedback: true, Seed: seed},
+		"semantic":          {Semantic: true, Plan: plan, Seed: seed},
+		"semantic+quant":    {Semantic: true, Plan: plan, QuantBits: 8, Seed: seed},
+		"semantic+sampling": {Semantic: true, Plan: plan, SampleRate: 0.5, Seed: seed},
+		"semantic+delay":    {Semantic: true, Plan: plan, DelayPeriod: 2, Seed: seed},
+		"semantic+quant+ef": {Semantic: true, Plan: plan, QuantBits: 4, ErrorFeedback: true, Seed: seed},
 	}
 }

@@ -34,7 +34,7 @@ func semantic() Config {
 // withBase returns cfg with its per-pair gates set from a scheduler setting
 // (the inverse of Config.BaseSetting).
 func withBase(cfg Config, b sched.Setting) Config {
-	cfg.SampleRate, cfg.SampleNodes = b.SampleRate, b.SampleNodes
+	cfg.SampleRate = b.SampleRate
 	cfg.QuantBits, cfg.AdaptiveQuant, cfg.ErrorFeedback = b.QuantBits, b.Adaptive, b.EF
 	return cfg
 }
@@ -152,13 +152,12 @@ func TestWalkOrderContract(t *testing.T) {
 	}
 }
 
-// TestWalkCoinsAreDeterministic: under both coin kinds a walk drops some
-// candidates, and survivors carry scale 1/rate and the candidate's index.
-// What survives is a function of (pair, epoch, round) alone: a fresh core
-// that walks the positions in reverse order yields the same units at each,
-// while the survivors move from round to round and from epoch to epoch. Under
-// node coins a sender's units of one round share one decision; under edge
-// coins a star survives with some of its arcs, which its Terms count.
+// TestWalkCoinsAreDeterministic: a walk drops some candidates, and survivors
+// carry scale 1/rate and the candidate's index, with a star's Terms its arc
+// count. What survives is a function of (pair, epoch, round) alone: a fresh
+// core that walks the positions in reverse order yields the same units at
+// each, while the survivors move from round to round and from epoch to epoch.
+// A sender's per-node units of one round share one decision.
 func TestWalkCoinsAreDeterministic(t *testing.T) {
 	g, part := setup(t)
 	type pos struct{ epoch, round int }
@@ -168,56 +167,50 @@ func TestWalkCoinsAreDeterministic(t *testing.T) {
 			order = append(order, pos{epoch, round})
 		}
 	}
-	for _, nodes := range []bool{false, true} {
-		for _, o := range []Config{{}, semantic()} {
-			o.SampleRate, o.SampleNodes = 0.5, nodes
-			o.Seed = 11
-			name := fmt.Sprintf("nodes=%v semantic=%v", nodes, o.Semantic)
-			enc := New(g, part, nparts, o)
-			full := New(g, part, nparts, Config{Semantic: o.Semantic, Plan: o.Plan})
-			walked := map[pos][][]Unit{}
-			for _, p := range order {
-				backward := p.round%2 == 1
-				for idx := range enc.Pairs {
-					all := collect(full, idx, backward, p.epoch, p.round)
-					kept := collect(enc, idx, backward, p.epoch, p.round)
-					walked[p] = append(walked[p], kept)
-					if len(all) > 8 && (terms(kept) == 0 || terms(kept) == terms(all)) {
-						t.Fatalf("%s pair %d: kept %d of %d terms at rate 0.5", name, idx, terms(kept), terms(all))
+	for _, o := range []Config{{}, semantic()} {
+		o.SampleRate, o.Seed = 0.5, 11
+		name := fmt.Sprintf("semantic=%v", o.Semantic)
+		enc := New(g, part, nparts, o)
+		full := New(g, part, nparts, Config{Semantic: o.Semantic, Plan: o.Plan})
+		walked := map[pos][][]Unit{}
+		for _, p := range order {
+			backward := p.round%2 == 1
+			for idx := range enc.Pairs {
+				all := collect(full, idx, backward, p.epoch, p.round)
+				kept := collect(enc, idx, backward, p.epoch, p.round)
+				walked[p] = append(walked[p], kept)
+				if len(all) > 8 && (terms(kept) == 0 || terms(kept) == terms(all)) {
+					t.Fatalf("%s pair %d: kept %d of %d terms at rate 0.5", name, idx, terms(kept), terms(all))
+				}
+				survived := make([]bool, len(all))
+				for _, u := range kept {
+					w := all[u.Index]
+					w.Scale = 2
+					if u != w {
+						t.Fatalf("%s pair %d: kept %+v, candidate %+v", name, idx, u, w)
 					}
-					survived := make([]bool, len(all))
-					for _, u := range kept {
-						w := all[u.Index]
-						w.Scale = 2
-						if stars := !nodes && !o.Semantic; stars && u.Terms >= 1 && u.Terms <= w.Terms {
-							w.Terms = u.Terms
-						}
-						if u != w {
-							t.Fatalf("%s pair %d: kept %+v, candidate %+v", name, idx, u, w)
-						}
-						survived[u.Index] = true
+					survived[u.Index] = true
+				}
+				decision := map[int32]bool{}
+				for i, w := range all {
+					if d, seen := decision[w.Sender]; w.Group < 0 && seen && d != survived[i] {
+						t.Fatalf("%s pair %d: sender %d kept and dropped in one round", name, idx, w.Sender)
 					}
-					decision := map[int32]bool{}
-					for i, w := range all {
-						if d, seen := decision[w.Sender]; nodes && w.Group < 0 && seen && d != survived[i] {
-							t.Fatalf("%s pair %d: sender %d kept and dropped in one round", name, idx, w.Sender)
-						}
-						decision[w.Sender] = survived[i]
-					}
+					decision[w.Sender] = survived[i]
 				}
 			}
-			again := New(g, part, nparts, o)
-			for k := len(order) - 1; k >= 0; k-- {
-				p := order[k]
-				for idx := range again.Pairs {
-					if got := collect(again, idx, p.round%2 == 1, p.epoch, p.round); !reflect.DeepEqual(got, walked[p][idx]) {
-						t.Fatalf("%s pair %d at %+v: walked out of order, %d survivors, want %d", name, idx, p, len(got), len(walked[p][idx]))
-					}
+		}
+		again := New(g, part, nparts, o)
+		for k := len(order) - 1; k >= 0; k-- {
+			p := order[k]
+			for idx := range again.Pairs {
+				if got := collect(again, idx, p.round%2 == 1, p.epoch, p.round); !reflect.DeepEqual(got, walked[p][idx]) {
+					t.Fatalf("%s pair %d at %+v: walked out of order, %d survivors, want %d", name, idx, p, len(got), len(walked[p][idx]))
 				}
 			}
-			if reflect.DeepEqual(walked[pos{0, 0}], walked[pos{0, 2}]) || reflect.DeepEqual(walked[pos{0, 0}], walked[pos{1, 0}]) {
-				t.Fatalf("%s: another round or epoch kept the same units", name)
-			}
+		}
+		if reflect.DeepEqual(walked[pos{0, 0}], walked[pos{0, 2}]) || reflect.DeepEqual(walked[pos{0, 0}], walked[pos{1, 0}]) {
+			t.Fatalf("%s: another round or epoch kept the same units", name)
 		}
 	}
 }
@@ -243,9 +236,8 @@ func arcsOf(c *Core, idx int) []graph.Edge {
 
 // TestStarsTransposeArcs: a baseline pair's forward stars are its arcs'
 // source runs and its backward stars its arcs sorted by (sink, source) — each
-// arc in exactly one star of each direction, at the position that names it,
-// between the star's sender and the position's receiver — and senders
-// ascend.
+// arc in exactly one star of each direction, between the star's sender and
+// one of its receivers — and senders ascend.
 func TestStarsTransposeArcs(t *testing.T) {
 	g, part := setup(t)
 	c := New(g, part, nparts, Config{})
@@ -259,13 +251,10 @@ func TestStarsTransposeArcs(t *testing.T) {
 				if k > 0 && st.Sender[k-1] >= sender {
 					t.Fatalf("pair %d backward=%v: star senders not ascending at %d", idx, backward, k)
 				}
-				for p := st.Off[k]; p < st.Off[k+1]; p++ {
-					e := graph.Edge{U: sender, V: st.Recv(p)}
+				for _, r := range st.Recv[st.Off[k]:st.Off[k+1]] {
+					e := graph.Edge{U: sender, V: r}
 					if backward {
-						e = graph.Edge{U: st.Recv(p), V: sender}
-					}
-					if arcs[st.Arc(p)] != e {
-						t.Fatalf("pair %d backward=%v star %d position %d: arc %v, ends %v", idx, backward, k, p, arcs[st.Arc(p)], e)
+						e = graph.Edge{U: r, V: sender}
 					}
 					got = append(got, e)
 				}
@@ -305,15 +294,14 @@ func terms(units []Unit) int {
 func TestReseedGates(t *testing.T) {
 	g, part := setup(t)
 	for _, tc := range []struct {
-		name                             string
-		base                             sched.Setting
-		sampler, nodeCoins, adaptive, ef bool
-		bits                             int
+		name                  string
+		base                  sched.Setting
+		sampler, adaptive, ef bool
+		bits                  int
 	}{
 		{name: "vanilla"},
 		{name: "rate 1 and bits 32 are off", base: sched.Setting{SampleRate: 1, QuantBits: 32, Adaptive: true, EF: true}},
 		{name: "sampling", base: sched.Setting{SampleRate: 0.3}, sampler: true},
-		{name: "nsampling", base: sched.Setting{SampleRate: 0.3, SampleNodes: true}, sampler: true, nodeCoins: true},
 		{name: "quant", base: sched.Setting{QuantBits: 8}, bits: 8},
 		{name: "aquant+ef", base: sched.Setting{QuantBits: 6, Adaptive: true, EF: true}, adaptive: true, ef: true, bits: 6},
 		{name: "1-bit adaptive", base: sched.Setting{QuantBits: 1, Adaptive: true}, adaptive: true, bits: 1},
@@ -327,7 +315,7 @@ func TestReseedGates(t *testing.T) {
 				}
 				continue
 			}
-			if (ps.Sampler != nil) != tc.sampler || ps.NodeCoins != tc.nodeCoins ||
+			if (ps.Sampler != nil) != tc.sampler ||
 				(ps.Adaptive != nil) != tc.adaptive || (ps.EF != nil) != tc.ef || ps.Bits != tc.bits {
 				t.Fatalf("%s: pair %d state %+v", tc.name, idx, ps)
 			}
@@ -413,7 +401,7 @@ func TestStateRestore(t *testing.T) {
 	pol := sched.Policy{Enabled: true, EpochsPerLevel: 1}
 	for name, o := range map[string]Config{
 		"sampling+ef":     {SampleRate: 0.5, QuantBits: 8, ErrorFeedback: true, Seed: 3},
-		"nsampling+aq":    {SampleRate: 0.5, SampleNodes: true, QuantBits: 8, AdaptiveQuant: true, Seed: 3},
+		"sampling+aq":     {SampleRate: 0.5, QuantBits: 8, AdaptiveQuant: true, Seed: 3},
 		"aquant+ef":       {QuantBits: 8, AdaptiveQuant: true, ErrorFeedback: true},
 		"sched(quant+ef)": {QuantBits: 8, ErrorFeedback: true, Seed: 3, Sched: pol},
 	} {
@@ -456,7 +444,7 @@ func TestStateRestore(t *testing.T) {
 			t.Fatalf("%s: levels accepted without a schedule", name)
 		}
 	}
-	for _, o := range []Config{{QuantBits: 8}, {SampleRate: 0.5, Seed: 3}, {SampleRate: 0.5, SampleNodes: true, Semantic: true}} {
+	for _, o := range []Config{{QuantBits: 8}, {SampleRate: 0.5, Seed: 3}, {SampleRate: 0.5, Semantic: true}} {
 		plain := New(g, part, nparts, o)
 		if pairs, levels := plain.State(); pairs != nil || levels != nil {
 			t.Fatalf("%+v: stateless core captured state", o)
@@ -656,8 +644,8 @@ func TestBadInputsPanic(t *testing.T) {
 // without a schedule wrapped around it, and all lanes carry the given seed.
 func TestMethodMatrixNames(t *testing.T) {
 	matrix := MethodMatrix(5)
-	if len(matrix) != 13 {
-		t.Fatalf("%d lanes, want the 13 combinations of Fig. 12(b)", len(matrix))
+	if len(matrix) != 11 {
+		t.Fatalf("%d lanes, want the 11 combinations of Fig. 12(b)", len(matrix))
 	}
 	for key, cfg := range matrix {
 		want := strings.Map(func(r rune) rune {
@@ -680,7 +668,7 @@ func TestMethodMatrixNames(t *testing.T) {
 }
 
 // TestTargetInvertsWalk holds Target to Walk on every lane of the method
-// matrix, each also with edge and with node sampling forced on, in both
+// matrix, each also with sampling forced on, in both
 // directions, on the partition the core was built for and after a
 // repartition: every unit Walk yields is what Target names at its index, and
 // a frame whose presence bitmap marks Walk's survivors decodes to exactly
@@ -692,10 +680,10 @@ func TestTargetInvertsWalk(t *testing.T) {
 		moved[u] = (moved[u] + 1) % nparts
 	}
 	for name, base := range MethodMatrix(5) {
-		for _, force := range []struct{ on, nodes bool }{{false, false}, {true, false}, {true, true}} {
+		for _, sampled := range []bool{false, true} {
 			cfg := base
-			if force.on {
-				cfg.SampleRate, cfg.SampleNodes = 0.5, force.nodes
+			if sampled {
+				cfg.SampleRate = 0.5
 			}
 			c := New(g, part, nparts, cfg)
 			for step, p := range [][]int{part, moved} {

@@ -15,11 +15,10 @@ import (
 // drop decisions and error feedback are independent of any parallel schedule.
 type PairState struct {
 	// Sampler is the pair's coin (nil when it does not sample), keyed by
-	// candidate index, or by sending node when NodeCoins is set (see Walk).
-	Sampler   *compress.Sampler
-	NodeCoins bool
-	Adaptive  *compress.AdaptiveQuantizer
-	EF        *compress.ErrorFeedback
+	// sending row or group (see Walk).
+	Sampler  *compress.Sampler
+	Adaptive *compress.AdaptiveQuantizer
+	EF       *compress.ErrorFeedback
 	// Bits is the pair's quantization width (0 = payloads ship raw). Under
 	// Adaptive it is the upper bound of the per-message choice.
 	Bits int
@@ -84,7 +83,6 @@ func (s *Streams) Reseed(idx int) {
 	st := s.Setting(idx)
 	if samples(st) {
 		ps.Sampler = compress.NewSampler(st.SampleRate, compress.DeriveSeed(s.seed, idx))
-		ps.NodeCoins = st.SampleNodes
 	}
 	if quantizes(st) {
 		ps.Bits = compress.NewQuantizer(st.QuantBits).Bits // validates the width

@@ -13,7 +13,7 @@ type Unit struct {
 	// unit — an O2O residual or a halo star — whose payload is Sender's row.
 	// Receiver is an O2O residual's (-1 for a star: it delivers over its
 	// arcs), and Terms the rows a per-node unit is delivered to: 1, or a
-	// star's surviving arcs. Both ends are oriented for the direction.
+	// star's arcs. Both ends are oriented for the direction.
 	Group, Sender, Receiver, Terms int32
 	// Scale is the sampling rescale 1/rate (exactly 1 when the pair does not
 	// sample); it multiplies the sender-side coefficient.
@@ -21,41 +21,30 @@ type Unit struct {
 }
 
 // groupCoinKey maps a plan-group index into the negative key space of a
-// pair's per-node coins. Boundary-node ids are always ≥ 0, so a group coin can
-// never be an O2O unit's per-node coin.
+// pair's coins. Boundary-node ids are always ≥ 0, so a group coin can never be
+// a per-node unit's coin.
 func groupCoinKey(gi int) int64 { return int64(-1 - gi) }
-
-// EdgeCoins returns the coins baseline pair idx flips per arc in round
-// ordinal round of epoch epoch, or false when it flips none. They are a value
-// the caller owns (compress.Sampler.At), so a receiver may take them while
-// another goroutine walks the pair.
-func (c *Core) EdgeCoins(idx, epoch, round int) (compress.Sampler, bool) {
-	ps := &c.Pairs[idx]
-	if ps.Sampler == nil || ps.NodeCoins || c.Semantic() {
-		return compress.Sampler{}, false
-	}
-	return ps.Sampler.At(epoch, round), true
-}
 
 // Walk enumerates pair idx's candidate transfer units for one round of one
 // direction — round ordinal round of epoch epoch — and calls sink for each
 // unit that survives sampling. It is the only code that decides which units
-// ship. The contract every runtime relies on:
+// ship, on the sending side and on the receiving side alike. The contract
+// every runtime relies on:
 //
 //   - order: semantic pairs yield groups by index, then O2O residuals in plan
 //     order; baseline pairs yield their stars (Stars) in order. Backward
 //     rounds walk the same pair's structure with sender and receiver swapped;
-//   - coins: the pair's sampler positioned on (epoch, round), keyed per edge
-//     by the arc's index in the pair's bucket — a star survives when any of
-//     its arcs does, and delivers over those — or keyed per node by the
-//     sending node (groups by groupCoinKey): under node sampling a group or a
-//     star is the transfer unit. A coin is a function of its position and key
-//     alone, so any replica walking the pair gets the same survivors, and one
-//     that does not walk it has nothing to catch up on;
+//   - coins: one per candidate, from the pair's sampler positioned on (epoch,
+//     round), keyed by the sending row of a star or an O2O residual (oriented
+//     for the direction) and by groupCoinKey for a plan group — BNS-GCN's
+//     boundary-node sampling, with a group or a star as the transfer unit. A
+//     coin is a function of its position and key alone, so any replica
+//     walking the pair gets the same survivors, and one that does not walk it
+//     has nothing to catch up on;
 //   - Index counts candidates, surviving or not.
 //
-// Walk does not allocate, and a sink must not retain the Unit's meaning past
-// its call. One goroutine per pair at a time.
+// Walk does not allocate and changes nothing; a sink must not retain the
+// Unit's meaning past its call.
 func (c *Core) Walk(idx int, backward bool, epoch, round int, sink func(Unit)) {
 	ps := &c.Pairs[idx]
 	u := Unit{Group: -1, Receiver: -1, Scale: 1}
@@ -64,43 +53,12 @@ func (c *Core) Walk(idx int, backward bool, epoch, round int, sink func(Unit)) {
 		coins = ps.Sampler.At(epoch, round)
 		u.Scale = coins.Scale()
 	}
-	// coin flips the current candidate's coin; nodeKey is its key under
-	// per-node sampling.
-	coin := func(nodeKey int64) bool {
-		if ps.Sampler == nil {
-			return true
-		}
-		if !ps.NodeCoins {
-			nodeKey = u.Index
-		}
-		return coins.Coin(nodeKey)
-	}
-	node := func(sender, receiver int32) {
-		if backward {
-			sender, receiver = receiver, sender
-		}
-		if coin(int64(sender)) {
-			u.Sender, u.Receiver = sender, receiver
-			sink(u)
-		}
-		u.Index++
-	}
+	keep := func(key int64) bool { return ps.Sampler == nil || coins.Coin(key) }
 	if !c.Semantic() {
 		st := c.Stars(idx, backward)
-		edges := ps.Sampler != nil && !ps.NodeCoins
 		for k, sender := range st.Sender {
-			u.Index, u.Sender = int64(k), sender
-			lo, hi := st.Off[k], st.Off[k+1]
-			u.Terms = hi - lo
-			if edges {
-				u.Terms = 0
-				for p := lo; p < hi; p++ {
-					if st.Survives(&coins, p) {
-						u.Terms++
-					}
-				}
-			}
-			if u.Terms > 0 && (edges || coin(int64(sender))) {
+			if keep(int64(sender)) {
+				u.Index, u.Sender, u.Terms = int64(k), sender, st.Off[k+1]-st.Off[k]
 				sink(u)
 			}
 		}
@@ -111,7 +69,7 @@ func (c *Core) Walk(idx int, backward bool, epoch, round int, sink func(Unit)) {
 		return
 	}
 	for gi := range plan.Groups {
-		if coin(groupCoinKey(gi)) {
+		if keep(groupCoinKey(gi)) {
 			u.Group = int32(gi)
 			sink(u)
 		}
@@ -119,7 +77,15 @@ func (c *Core) Walk(idx int, backward bool, epoch, round int, sink func(Unit)) {
 	}
 	u.Group, u.Terms = -1, 1
 	for _, o := range plan.O2O {
-		node(o.Src, o.Dst)
+		sender, receiver := o.Src, o.Dst
+		if backward {
+			sender, receiver = receiver, sender
+		}
+		if keep(int64(sender)) {
+			u.Sender, u.Receiver = sender, receiver
+			sink(u)
+		}
+		u.Index++
 	}
 }
 

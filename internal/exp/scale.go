@@ -36,7 +36,7 @@ type ScaleResult struct {
 	// RoundsPerSec is measured over Rounds forward AggregateInto rounds of
 	// the semantic worker cluster on the dataset's feature matrix.
 	// RoundsPerSecVanilla and RoundsPerSecQuant8 time the same rounds on
-	// the uncompressed per-edge wire and its 8-bit-quantized variant — the
+	// the uncompressed halo wire and its 8-bit-quantized variant — the
 	// baselines the semantic lane's throughput is compared against.
 	Rounds              int
 	RoundsPerSec        float64

@@ -76,8 +76,8 @@ func ablSched(j *job) {
 		tb.AddRow(ds.Name, res.Method, mb, res.TestAcc)
 		j.AddNote("%s: best fixed %s: %.3f MB total at acc %.4f (top fixed acc %.4f)",
 			ds.Name, best.res.Method, best.mb, best.res.TestAcc, maxAcc)
-		j.AddNote("%s: %s: %.3f MB total (%.1f%% fewer bytes) at acc %.4f (Δ%+.4f vs best fixed)",
-			ds.Name, res.Method, mb, 100*(1-mb/best.mb), res.TestAcc, res.TestAcc-best.res.TestAcc)
+		j.AddNote("%s: %s: %.3f MB total (%+.1f%% bytes vs best fixed) at acc %.4f (Δ%+.4f vs best fixed)",
+			ds.Name, res.Method, mb, 100*(mb/best.mb-1), res.TestAcc, res.TestAcc-best.res.TestAcc)
 	}
 }
 

@@ -386,7 +386,7 @@ func TestPeerStateEncodedForm(t *testing.T) {
 		}
 		return blobs[1]
 	}
-	stateful := exchange.Config{SampleRate: 0.5, SampleNodes: true, QuantBits: 4, ErrorFeedback: true, DelayPeriod: 2, Seed: 3}
+	stateful := exchange.Config{SampleRate: 0.5, QuantBits: 4, ErrorFeedback: true, DelayPeriod: 2, Seed: 3}
 	for _, tc := range []struct {
 		name string
 		blob []byte

@@ -351,7 +351,6 @@ func encodeConfig(w *cwriter, c dist.Config) {
 	sim, _ := simByte(g.Sim)
 	w.bool(c.Semantic)
 	w.f64(c.SampleRate)
-	w.bool(c.SampleNodes)
 	w.i32(int32(c.QuantBits))
 	w.bool(c.AdaptiveQuant)
 	w.bool(c.ErrorFeedback)
@@ -379,7 +378,6 @@ func decodeConfig(r *creader) dist.Config {
 	g, d, sc := &c.Plan.Grouping, &c.Plan.Drop, &c.Sched
 	c.Semantic = r.bool()
 	c.SampleRate = r.f64()
-	c.SampleNodes = r.bool()
 	c.QuantBits = int(r.i32())
 	c.AdaptiveQuant = r.bool()
 	c.ErrorFeedback = r.bool()

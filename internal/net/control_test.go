@@ -28,7 +28,6 @@ func exampleConfig() dist.Config {
 			UniformWeights: true,
 		},
 		SampleRate:    0.5,
-		SampleNodes:   true,
 		QuantBits:     4,
 		AdaptiveQuant: true,
 		ErrorFeedback: true,

@@ -15,7 +15,7 @@ import (
 )
 
 // schedMatrix wraps every MethodMatrix combination in an active anneal, so
-// the socket-deployment lockdown runs the same 13-combo coverage as the
+// the socket-deployment lockdown runs the same 11-combo coverage as the
 // fixed-rate matrix plus every rung transition (EpochsPerLevel 1 traverses
 // the whole ladder inside the test's epochs).
 func schedMatrix(seed int64) map[string]dist.Config {

@@ -44,8 +44,6 @@ import (
 type Setting struct {
 	// SampleRate in (0,1) samples transfer units (0 or 1 disables).
 	SampleRate float64
-	// SampleNodes switches the sampler from per-edge to per-node coins.
-	SampleNodes bool
 	// QuantBits in 1..16 is the payload quantization width; 0 or >= 32
 	// disables it (see exchange.Config.QuantBits).
 	QuantBits int

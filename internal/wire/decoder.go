@@ -99,6 +99,11 @@ func (d *Decoder) Frame() (Frame, error) {
 	return f, nil
 }
 
+// Present reports whether a sampled frame's presence bitmap marks candidate
+// i < Frame().Count; false on an unsampled or empty frame, which carry no
+// bitmap.
+func (d *Decoder) Present(i int) bool { return d.bitmap != nil && d.bitmap[i>>3]&(1<<(i&7)) != 0 }
+
 // Next parses and validates the next message, leaving its payload pending for
 // AXPY or Read. Calling Next again without consuming the payload skips it.
 func (d *Decoder) Next() (Header, error) {
@@ -111,7 +116,7 @@ func (d *Decoder) Next() (Header, error) {
 		return Header{}, malformed("%d trailing bytes after the last message", len(d.b))
 	}
 	f, i := &d.frame, d.next
-	for d.bitmap != nil && d.bitmap[i>>3]&(1<<(i&7)) == 0 {
+	for d.bitmap != nil && !d.Present(i) {
 		i++
 	}
 	b, w, meta := d.b, f.Bits, int64(8)

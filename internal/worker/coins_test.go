@@ -11,7 +11,7 @@ import (
 // their sampling coin.
 func samplingLanes() map[string]exchange.Config {
 	lanes := map[string]exchange.Config{}
-	for _, name := range []string{"sampling", "nsampling", "semantic+sampling", "semantic+nsampling"} {
+	for _, name := range []string{"sampling", "semantic+sampling"} {
 		lanes[name] = exchange.MethodMatrix(6)[name]
 	}
 	return lanes

@@ -36,12 +36,12 @@ func chainGraph() (*graph.Graph, []int) {
 // written its own.
 func frameLanes() map[string]exchange.Config {
 	return map[string]exchange.Config{
-		"vanilla":   {},
-		"semantic":  {Semantic: true},
-		"quant8":    {QuantBits: 8},
-		"aquant":    {QuantBits: 8, AdaptiveQuant: true},
-		"sampling":  {SampleRate: 0.5, Seed: 3},
-		"nsampling": {Semantic: true, SampleRate: 0.5, SampleNodes: true, Seed: 3},
+		"vanilla":           {},
+		"semantic":          {Semantic: true},
+		"quant8":            {QuantBits: 8},
+		"aquant":            {QuantBits: 8, AdaptiveQuant: true},
+		"sampling":          {SampleRate: 0.5, Seed: 3},
+		"semantic+sampling": {Semantic: true, SampleRate: 0.5, Seed: 3},
 	}
 }
 
@@ -62,10 +62,10 @@ func tamperFrame(c *Cluster, receiver, sender int, edit func(frame []byte) []byt
 // error from the round (wrapping wire.ErrMalformed where the bytes themselves
 // are not a frame), never a panic, and it poisons the cluster. Frames travel
 // from worker 1 to worker 0 — pair (1→0) has 13 candidates — except where the
-// case names worker 3, whose pair into 0 has none. A baseline pair's
-// candidates are stars of one arc each here, so under edge sampling a star
-// the sender dropped has no surviving arc, and a frame that marks one present
-// is refused even when its bitmap and messages agree.
+// case names worker 3, whose pair into 0 has none. On a sampled pair the
+// receiver walks the round's coins, so a frame that marks present a candidate
+// the coins drop, and absent one they keep, is refused even when its bitmap
+// and messages agree.
 func TestDecodeSeamRefusesHostileFrames(t *testing.T) {
 	g, part := chainGraph()
 	h := randMat(g.NumNodes(), 3, 31)
@@ -86,7 +86,7 @@ func TestDecodeSeamRefusesHostileFrames(t *testing.T) {
 		}
 	}
 	// swap marks the first dropped candidate present and the first kept one
-	// absent: as many messages as bits, one of them for a dead star.
+	// absent: as many messages as bits, one of them for a dropped candidate.
 	swap := func(_, f []byte) []byte { swapPresence(bitmap(f)); return f }
 	for _, tc := range []struct {
 		name, lane string
@@ -98,8 +98,9 @@ func TestDecodeSeamRefusesHostileFrames(t *testing.T) {
 		{"sender other than the slot's", "semantic", 1, false, put(2, 2)},
 		{"width other than the round's", "vanilla", 1, false, put(6, 4)},
 		{"count other than the pair's candidates", "vanilla", 1, false, put(10, 14)},
-		{"bitmap popcount over the messages", "nsampling", 1, true, flip(false)},
-		{"star present with no surviving arc", "sampling", 1, false, swap},
+		{"bitmap popcount over the messages", "semantic+sampling", 1, true, flip(false)},
+		{"presence other than the coins, halo", "sampling", 1, false, swap},
+		{"presence other than the coins, semantic", "semantic+sampling", 1, false, swap},
 		{"bitmap popcount under the messages", "sampling", 1, true, flip(true)},
 		{"bitmap bit past the count", "sampling", 1, true, func(_, f []byte) []byte { bitmap(f)[1] |= 0x80; return f }},
 		{"trailing bytes", "vanilla", 1, true, func(_, f []byte) []byte { return append(f, 0) }},
@@ -182,11 +183,11 @@ func TestPeerRefusesForeignSender(t *testing.T) {
 	}
 }
 
-// deadStarFrame is worker 1's forward frame for worker 0 on the sampling lane
-// with the presence of its first kept and first dropped star swapped: a frame
-// of consistent length whose bitmap marks a star none of whose arcs survives.
-func deadStarFrame(g *graph.Graph, part []int, h *tensor.Matrix) []byte {
-	c := NewClusterFromConfig(g, part, 4, frameLanes()["sampling"])
+// swappedFrame is worker 1's forward frame for worker 0 on a sampled lane
+// with the presence of its first kept and first dropped candidate swapped: a
+// frame of consistent length whose bitmap disagrees with the round's coins.
+func swappedFrame(g *graph.Graph, part []int, h *tensor.Matrix, lane string) []byte {
+	c := NewClusterFromConfig(g, part, 4, frameLanes()[lane])
 	defer c.Close()
 	if err := c.AggregateInto(tensor.New(g.NumNodes(), h.Cols), h, false); err != nil {
 		panic(err)
@@ -220,7 +221,7 @@ func FuzzDecodeBatch(f *testing.F) {
 	g, part := chainGraph()
 	h := randMat(g.NumNodes(), 3, 33)
 	out := tensor.New(g.NumNodes(), 3)
-	names := []string{"vanilla", "semantic", "quant8", "aquant", "sampling", "nsampling"}
+	names := []string{"vanilla", "semantic", "quant8", "aquant", "sampling", "semantic+sampling"}
 	var planted []byte
 	clusters := make([]*Cluster, len(names))
 	for i, name := range names {
@@ -244,7 +245,8 @@ func FuzzDecodeBatch(f *testing.F) {
 		tamperFrame(c, 0, 1, func([]byte) []byte { return planted })
 	}
 	f.Add(byte(0), []byte{0xff, 0xee, 0xdd})
-	f.Add(byte(4), deadStarFrame(g, part, h))
+	f.Add(byte(4), swappedFrame(g, part, h, "sampling"))
+	f.Add(byte(5), swappedFrame(g, part, h, "semantic+sampling"))
 	f.Fuzz(func(t *testing.T, lane byte, data []byte) {
 		c := clusters[int(lane&0x7f)%len(clusters)]
 		c.err = nil // each input gets a healthy cluster, at the epoch's first round

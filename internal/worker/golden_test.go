@@ -41,7 +41,12 @@ import (
 // unchanged, when the baseline exchange began shipping a boundary row once
 // per peer and fanning it out at the receiver in place of one message per
 // cross arc (vanilla 66836 → 15100, uncached 101360 → 22864;
-// nsampling+aquant+delay 21111 → 4767).
+// nsampling+aquant+delay 21111 → 4767). The semantic stack alone was
+// re-recorded, losses and bytes, when per-node coins became the only coins:
+// a group is keyed by groupCoinKey and a residual by its sender, not by
+// candidate index (semantic+sampling+q8ef 1279 → 1241); the
+// sampling+aquant+delay stack, node-sampled before (nsampling+aquant+delay),
+// did not move.
 func TestClusterGoldenBits(t *testing.T) {
 	plan := core.PlanConfig{Grouping: core.GroupingConfig{Seed: 3}}
 	cases := []struct {
@@ -50,10 +55,10 @@ func TestClusterGoldenBits(t *testing.T) {
 		cfg        exchange.Config
 	}{
 		{"vanilla", "3ff38cd2dc4e265e 3ff2603cf6a068db 3ff183ea38523da5 3ff0d7ac59473869 15100", 22864, exchange.Config{Seed: 3}},
-		{"semantic+sampling+q8ef", "3ff33ba284de033f 3ff1cfd777c6f2d5 3ff23194f47dff6d 3ff148d1879dce9f 1279", 1279,
+		{"semantic+sampling+q8ef", "3ff3863f4e2e42a2 3ff2cc0e244bd3c8 3ff1ca5af7ccd7ed 3ff11f00c8d8a179 1241", 1241,
 			exchange.Config{Semantic: true, Plan: plan, SampleRate: 0.5, QuantBits: 8, ErrorFeedback: true, Seed: 3}},
-		{"nsampling+aquant+delay", "3ff3b296a407120a 3ff2c25cbd7b1c78 3ff1f81a9e51fd6e 3ff16fcfbc61a908 4767", 4767,
-			exchange.Config{SampleRate: 0.5, SampleNodes: true, QuantBits: 8, AdaptiveQuant: true, DelayPeriod: 2, Seed: 3}},
+		{"sampling+aquant+delay", "3ff3b296a407120a 3ff2c25cbd7b1c78 3ff1f81a9e51fd6e 3ff16fcfbc61a908 4767", 4767,
+			exchange.Config{SampleRate: 0.5, QuantBits: 8, AdaptiveQuant: true, DelayPeriod: 2, Seed: 3}},
 	}
 	d, part := setup(t, 2)
 	for _, tc := range cases {

@@ -352,8 +352,8 @@ func (e *Oracle) exchangePair(r, peer int, h, delta *tensor.Matrix, backward boo
 // carries f[u]·h_u into v's row (backward, f[v]·h_v into u's). The pair's arcs
 // are enumerated off the graph in bucket order — sources ascending, each
 // one's sinks in the partition ascending — and an arc survives its coin,
-// keyed by its index in that order, or by its sending node under node
-// sampling. A sender ships its row once per peer:
+// keyed by its sending node, so a node's arcs into the peer survive or drop
+// together. A sender ships its row once per peer:
 // one message for every node with a surviving arc, built, error-corrected
 // (one residual per (sender, peer), keyed by the sending node) and coded at
 // its first surviving arc, then delivered along each surviving arc in arc
@@ -380,17 +380,13 @@ func (e *Oracle) haloPair(idx, from, to int, h, delta *tensor.Matrix, backward b
 	candidates := make(map[int32]bool)
 	arrived := make(map[int32][]float64) // sender → what its message delivers
 	var bytes, msgs int64
-	for a, arc := range arcs {
+	for _, arc := range arcs {
 		sender, receiver := arc.U, arc.V
 		if backward {
 			sender, receiver = receiver, sender
 		}
 		candidates[sender] = true
-		key := int64(a)
-		if ps.NodeCoins {
-			key = int64(sender)
-		}
-		if ps.Sampler != nil && !coins.Coin(key) {
+		if ps.Sampler != nil && !coins.Coin(int64(sender)) {
 			continue
 		}
 		payload, ok := arrived[sender]

@@ -114,7 +114,7 @@ func (m *peerMesh) gather(dst *tensor.Matrix) {
 }
 
 // TestPeerClusterEquivalenceMatrix locks the driven multi-replica Peer
-// runtime to the in-process cluster across the full 13-combo method matrix,
+// runtime to the in-process cluster across the full 11-combo method matrix,
 // including a mid-training Repartition: aggregates bit for bit (both drivers
 // run the one round body and sum inbound batches in sender order), per-epoch
 // traffic snapshots exactly — which transitively pins
@@ -214,7 +214,6 @@ func TestPeerStateRestoreRoundtrip(t *testing.T) {
 
 	for name, cfg := range map[string]exchange.Config{
 		"sampling":  {SampleRate: 0.5, Seed: 9},
-		"nsampling": {SampleRate: 0.5, SampleNodes: true, Seed: 9},
 		"quant4+ef": {QuantBits: 4, ErrorFeedback: true, Seed: 9},
 		"delay3":    {DelayPeriod: 3, Seed: 9},
 		"semantic":  {Semantic: true, SampleRate: 0.5, Seed: 9},

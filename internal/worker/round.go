@@ -488,7 +488,7 @@ func (x *exchanger) encodePeer(me, peer int, h *tensor.Matrix, backward bool) []
 		tl.QuantValues += int64(dim * batch.Len())
 	}
 	if !x.core.Semantic() && frame.Sampled {
-		tl.SampleEdges += int64(len(x.core.Stars(idx, backward).Ends))
+		tl.SampleEdges += int64(len(x.core.Stars(idx, backward).Recv))
 	}
 	return buf
 }
@@ -537,7 +537,7 @@ func (x *exchanger) addMsg(ws *workerScratch, batch *wire.Batch, ps *exchange.Pa
 // ErrCorruptFrame marks an inbound frame a round refused: bytes the wire
 // decoder rejects (wire.ErrMalformed), a batch header other than the one the
 // receiver derives for the pair (sender, width, codec, candidates, sampling),
-// or a star marked present none of whose arcs survives its coin.
+// or, on a sampled pair, presence bits other than the round's coins.
 var ErrCorruptFrame = errors.New("worker: corrupt frame")
 
 // decodeBatch walks sender from's inbound frame with the streaming decoder.
@@ -546,9 +546,10 @@ var ErrCorruptFrame = errors.New("worker: corrupt frame")
 // from its candidate index through the pair's structure (exchange's Target):
 // an O2O payload is decoded directly into an AXPY against its receiver's row;
 // a group or star payload is staged once in the retained scratch and fanned
-// out — a group through the compiled deliver plan, a star over its arcs, under
-// edge sampling only those that survive their coins, which the receiver flips
-// itself. Corrupt wire data is an ErrCorruptFrame error, never a panic.
+// out — a group through the compiled deliver plan, a star over its arcs. A
+// sampled frame must carry exactly the candidates that survive the round's
+// coins, which the receiver walks the pair for (exchange's Walk). Corrupt wire
+// data is an ErrCorruptFrame error, never a panic.
 func (x *exchanger) decodeBatch(me, from int, backward bool, out *tensor.Matrix, buf []byte) error {
 	np := x.core.NParts
 	corrupt := func(format string, args ...any) error {
@@ -564,14 +565,12 @@ func (x *exchanger) decodeBatch(me, from int, backward bool, out *tensor.Matrix,
 		idx = me*np + from
 	}
 	want := x.frame(idx, from, out.Cols, backward)
+	dec := wire.NewDecoder(buf)
 	if len(buf) == 0 {
 		if want.Count > 0 && !want.Sampled {
 			return corrupt("empty, want %d messages", want.Count)
 		}
-		return nil
-	}
-	dec := wire.NewDecoder(buf)
-	if got, err := dec.Frame(); err != nil {
+	} else if got, err := dec.Frame(); err != nil {
 		return corrupt("%w", err)
 	} else if got != want {
 		return corrupt("header %+v, want %+v", got, want)
@@ -584,12 +583,13 @@ func (x *exchanger) decodeBatch(me, from int, backward bool, out *tensor.Matrix,
 	if halo {
 		stars = x.core.Stars(idx, backward)
 	}
-	coins, edges := x.core.EdgeCoins(idx, x.epoch, x.round)
+	msgs := 0
 	for dec.More() {
 		hd, err := dec.Next()
 		if err != nil {
 			return corrupt("%w", err)
 		}
+		msgs++
 		// The frame's width is the round's, so no consumer can fail.
 		gi, v := x.core.Target(idx, backward, hd.Index)
 		switch {
@@ -601,17 +601,19 @@ func (x *exchanger) decodeBatch(me, from int, backward bool, out *tensor.Matrix,
 			tensor.ScatterAXPY(out, rows, w, scratch, 1)
 		default:
 			_ = dec.Read(scratch)
-			kept := 0
-			for p := stars.Off[gi]; p < stars.Off[gi+1]; p++ {
-				if !edges || stars.Survives(&coins, p) {
-					r := stars.Recv(p)
-					tensor.AXPY(coeff[r], scratch, out.Row(int(rowOf[r])))
-					kept++
-				}
+			for _, r := range stars.Recv[stars.Off[gi]:stars.Off[gi+1]] {
+				tensor.AXPY(coeff[r], scratch, out.Row(int(rowOf[r])))
 			}
-			if kept == 0 {
-				return corrupt("star %d is present, but none of its arcs survives", gi)
-			}
+		}
+	}
+	if want.Sampled {
+		kept, agree := 0, true
+		x.core.Walk(idx, backward, x.epoch, x.round, func(u exchange.Unit) {
+			agree = agree && dec.Present(int(u.Index))
+			kept++
+		})
+		if !agree || kept != msgs {
+			return corrupt("%d messages, but the round's coins keep %d candidates (all present: %v)", msgs, kept, agree)
 		}
 	}
 	return nil

@@ -12,7 +12,7 @@ import (
 
 // schedMatrix wraps every MethodMatrix combination in a variable-rate
 // schedule annealing toward it: the scheduled cross-runtime tests run the
-// exact 13-combo coverage the fixed-rate equivalence matrix does, plus the
+// exact 11-combo coverage the fixed-rate equivalence matrix does, plus the
 // rung transitions. EpochsPerLevel 1 makes a 6-epoch run traverse the whole
 // ladder.
 func schedMatrix(seed int64) map[string]exchange.Config {
@@ -220,7 +220,7 @@ func TestScheduledPeerStateRestoreRoundtrip(t *testing.T) {
 	for name, cfg := range map[string]exchange.Config{
 		"sched(quant4+ef)": {QuantBits: 4, ErrorFeedback: true, Seed: 9,
 			Sched: sched.Policy{Enabled: true, EpochsPerLevel: 2}},
-		"sched(semantic+nsampling)": {Semantic: true, SampleRate: 0.5, SampleNodes: true, Seed: 9,
+		"sched(semantic+sampling)": {Semantic: true, SampleRate: 0.5, Seed: 9,
 			Sched: sched.Policy{Enabled: true, EpochsPerLevel: 2}},
 	} {
 		cfg := cfg

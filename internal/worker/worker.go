@@ -9,7 +9,7 @@
 // sockets.
 //
 // The runtime executes the full Fig. 12(b) method matrix — vanilla halo
-// exchange, SC-GNN semantic compression, Bernoulli edge/node sampling, fixed
+// exchange, SC-GNN semantic compression, Bernoulli boundary-node sampling, fixed
 // and variance-adaptive wire quantization, quantized error feedback, and
 // delayed transmission — with actual fp32 wire encoding and bytes measured
 // off the encoded buffers. Tests assert that its aggregates and its measured

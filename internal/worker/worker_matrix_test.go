@@ -17,7 +17,7 @@ import (
 
 // TestClusterEngineEquivalenceMatrix is the lockdown of the full Fig. 12(b)
 // method coverage against the definitional oracle (oracle_test.go — the
-// analytic engine's former sink): for every one of the 13 method combinations
+// analytic engine's former sink): for every one of the 11 method combinations
 // the concurrent worker cluster, on its compiled gather plans, fused kernels
 // and real wire frames, must match the oracle's per-member loops and per-unit
 // grid round trips — aggregates, per-epoch traffic snapshots and every single

@@ -57,12 +57,11 @@ func TestClusterSteadyStateAllocs(t *testing.T) {
 		{"quant4+ef", exchange.Config{QuantBits: 4, ErrorFeedback: true}},
 		{"semantic+quant+ef", exchange.Config{Semantic: true, Plan: plan, QuantBits: 4, ErrorFeedback: true}},
 		{"sampling", exchange.Config{SampleRate: 0.5, Seed: 7}},
-		{"nsampling", exchange.Config{SampleRate: 0.5, SampleNodes: true, Seed: 7}},
 		{"aquant", exchange.Config{QuantBits: 8, AdaptiveQuant: true}},
 		{"sampling+quant8+ef", exchange.Config{SampleRate: 0.5, QuantBits: 8, ErrorFeedback: true, Seed: 7}},
 		{"aquant+sampling", exchange.Config{QuantBits: 8, AdaptiveQuant: true, SampleRate: 0.5, Seed: 7}},
 		{"delay3", exchange.Config{DelayPeriod: 3}},
-		{"semantic+nsampling", exchange.Config{Semantic: true, Plan: plan, SampleRate: 0.5, SampleNodes: true, Seed: 7}},
+		{"semantic+sampling", exchange.Config{Semantic: true, Plan: plan, SampleRate: 0.5, Seed: 7}},
 		{"semantic+delay", exchange.Config{Semantic: true, Plan: plan, DelayPeriod: 2}},
 	}
 	for _, tc := range cases {
@@ -312,7 +311,7 @@ func BenchmarkClusterRoundSemanticInto(b *testing.B) {
 }
 
 func BenchmarkClusterRoundSampledInto(b *testing.B) {
-	benchInto(b, exchange.Config{SampleRate: 0.5, SampleNodes: true, Seed: 7})
+	benchInto(b, exchange.Config{SampleRate: 0.5, Seed: 7})
 }
 
 func BenchmarkClusterRoundAdaptiveInto(b *testing.B) {

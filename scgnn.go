@@ -94,11 +94,13 @@ func EvaluatePartition(ds *Dataset, part []int, nparts int) PartitionStats {
 // combinations reproduce the compatibility study of Fig. 12(b).
 type Method = dist.Config
 
-// Vanilla is the uncompressed per-edge exchange (Fig. 7(a)).
+// Vanilla is the uncompressed exchange (Fig. 7(a)): one message per
+// (boundary row, peer), fanned out over the row's arcs at the receiver.
 func Vanilla() Method { return dist.Vanilla() }
 
-// Sampling transmits each cross connection with the given probability,
-// rescaling kept messages to stay unbiased (BNS-GCN-style baseline).
+// Sampling transmits each boundary row's message to a peer with the given
+// probability, rescaling kept messages to stay unbiased (BNS-GCN-style
+// boundary-node sampling).
 func Sampling(rate float64, seed int64) Method { return dist.Sampling(rate, seed) }
 
 // Quant transmits payloads at the given bit width via per-message affine
