@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"maps"
 	"runtime"
 	"slices"
 	"testing"
@@ -13,11 +14,16 @@ import (
 	"scgnn/internal/worker"
 )
 
-// driverLanes is every Fig. 12(b) combination, fixed-rate and under an active
-// anneal (EpochsPerLevel 1 walks the whole ladder in a six-epoch run).
+// driverLanes is every Fig. 12(b) combination, plus nsampling and
+// semantic+nsampling (the one sampling coin at 0.3, whose 1/r rescale is not
+// exact in floating point), fixed-rate and under an active anneal
+// (EpochsPerLevel 1 walks the whole ladder in a six-epoch run).
 func driverLanes(seed int64) map[string]Config {
 	lanes := exchange.MethodMatrix(seed)
-	for name, cfg := range exchange.MethodMatrix(seed) {
+	plan := lanes["semantic"].Plan
+	lanes["nsampling"] = Config{SampleRate: 0.3, Seed: seed}
+	lanes["semantic+nsampling"] = Config{Semantic: true, Plan: plan, SampleRate: 0.3, Seed: seed}
+	for name, cfg := range maps.Clone(lanes) {
 		cfg.Sched = sched.Policy{Enabled: true, EpochsPerLevel: 1}
 		lanes["sched("+name+")"] = cfg
 	}

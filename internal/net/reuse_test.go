@@ -63,7 +63,7 @@ var reproducibleLanes = map[string]bool{
 // TestReuseMatchesUncached: a GCN and a SAGE model trained on a cluster and a
 // socket fleet, each letting layer 0 keep its Agg(X), reproduce
 // the run that ships the round every epoch (an uncached cluster) on every
-// lane of the 11-combo matrix and on a scheduled delay lane — every loss and
+// lane of equivalenceLanes and on a scheduled delay lane — every loss and
 // the final eval pass's logits bit for bit, through a Repartition at an epoch
 // that does not transmit under delay3. The scheduled lane reaches its base
 // rung on such an epoch too, whose round replays a slot filled on a coined
@@ -99,7 +99,7 @@ func TestReuseMatchesUncached(t *testing.T) {
 			return b
 		}
 	}
-	lanes := exchange.MethodMatrix(9)
+	lanes := equivalenceLanes(9)
 	lanes["sched(delay3)"] = exchange.Config{DelayPeriod: 3, Seed: 9,
 		Sched: sched.Policy{Enabled: true, EpochsPerLevel: 2, Stagger: -1}}
 	top := len(sched.Ladder(sched.Setting{})) - 1

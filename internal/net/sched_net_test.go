@@ -8,19 +8,18 @@ import (
 	"testing"
 
 	"scgnn/internal/dist"
-	"scgnn/internal/exchange"
 	"scgnn/internal/gnn"
 	"scgnn/internal/sched"
 	"scgnn/internal/worker"
 )
 
-// schedMatrix wraps every MethodMatrix combination in an active anneal, so
-// the socket-deployment lockdown runs the same 11-combo coverage as the
+// schedMatrix wraps every equivalenceLanes lane in an active anneal, so
+// the socket-deployment lockdown runs the same 13-lane coverage as the
 // fixed-rate matrix plus every rung transition (EpochsPerLevel 1 traverses
 // the whole ladder inside the test's epochs).
 func schedMatrix(seed int64) map[string]dist.Config {
 	out := make(map[string]dist.Config)
-	for name, cfg := range exchange.MethodMatrix(seed) {
+	for name, cfg := range equivalenceLanes(seed) {
 		cfg.Sched = sched.Policy{Enabled: true, EpochsPerLevel: 1}
 		out["sched("+name+")"] = cfg
 	}

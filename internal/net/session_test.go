@@ -117,6 +117,18 @@ func quickCoordOpts() CoordOptions {
 	return CoordOptions{RoundTimeout: 5 * time.Second, DialRetries: 20, DialBackoff: 5 * time.Millisecond}
 }
 
+// equivalenceLanes is every exchange.MethodMatrix combination plus
+// nsampling and semantic+nsampling, the one sampling coin at a second rate:
+// at 0.3 the receiver's rescale by 1/r is not exact in floating point, so
+// the fleet and the cluster must apply it the same way.
+func equivalenceLanes(seed int64) map[string]dist.Config {
+	lanes := exchange.MethodMatrix(seed)
+	plan := lanes["semantic"].Plan
+	lanes["nsampling"] = dist.Config{SampleRate: 0.3, Seed: seed}
+	lanes["semantic+nsampling"] = dist.Config{Semantic: true, Plan: plan, SampleRate: 0.3, Seed: seed}
+	return lanes
+}
+
 // TestCoordClusterEquivalenceMatrix is the cross-runtime equivalence lock:
 // the multi-node socket deployment must agree with the in-process
 // worker.Cluster on every method combination, through a mid-training
@@ -133,7 +145,7 @@ func TestCoordClusterEquivalenceMatrix(t *testing.T) {
 	h := randMat(d.NumNodes(), 5, 77)
 	g := randMat(d.NumNodes(), 5, 78)
 
-	lanes := exchange.MethodMatrix(9)
+	lanes := equivalenceLanes(9)
 	lanes["semantic+jaccard"] = dist.Config{Semantic: true, Seed: 9, Plan: core.PlanConfig{
 		Grouping: core.GroupingConfig{K: 3, Seed: 9, Sim: core.JaccardSimilarity{}}}}
 	for name, cfg := range lanes {

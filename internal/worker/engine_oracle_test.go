@@ -42,7 +42,7 @@ func TestEngineSnapshotCounters(t *testing.T) {
 		g.Data[i] = float64(i%13) / 4
 	}
 
-	lanes := exchange.MethodMatrix(9)
+	lanes := worker.EquivalenceLanes(9)
 	lanes["delay2"] = exchange.Config{DelayPeriod: 2, Seed: 9}
 	for name, cfg := range lanes {
 		t.Run(name, func(t *testing.T) {

@@ -21,7 +21,7 @@ func TestKernelReferenceLockstep(t *testing.T) {
 	for _, nparts := range []int{2, 4} {
 		d, part := setup(t, nparts)
 		next := movedPart(t, d.NumNodes(), part, nparts)
-		for name, cfg := range exchange.MethodMatrix(11) {
+		for name, cfg := range EquivalenceLanes(11) {
 			t.Run(fmt.Sprintf("%dp/%s", nparts, name), func(t *testing.T) {
 				oracleLockstep(t, d, part, next, nparts, cfg, 91)
 			})

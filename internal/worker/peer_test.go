@@ -114,7 +114,7 @@ func (m *peerMesh) gather(dst *tensor.Matrix) {
 }
 
 // TestPeerClusterEquivalenceMatrix locks the driven multi-replica Peer
-// runtime to the in-process cluster across the full 11-combo method matrix,
+// runtime to the in-process cluster across all 13 lanes of EquivalenceLanes,
 // including a mid-training Repartition: aggregates bit for bit (both drivers
 // run the one round body and sum inbound batches in sender order), per-epoch
 // traffic snapshots exactly — which transitively pins
@@ -128,7 +128,7 @@ func TestPeerClusterEquivalenceMatrix(t *testing.T) {
 	g := randMat(d.NumNodes(), 5, 78)
 	want := tensor.New(d.NumNodes(), 5)
 
-	for name, cfg := range exchange.MethodMatrix(9) {
+	for name, cfg := range EquivalenceLanes(9) {
 		cfg := cfg
 		t.Run(name, func(t *testing.T) {
 			cl := NewClusterFromConfig(d.Graph, part, nparts, cfg)
@@ -214,6 +214,7 @@ func TestPeerStateRestoreRoundtrip(t *testing.T) {
 
 	for name, cfg := range map[string]exchange.Config{
 		"sampling":  {SampleRate: 0.5, Seed: 9},
+		"nsampling": {SampleRate: 0.3, Seed: 9},
 		"quant4+ef": {QuantBits: 4, ErrorFeedback: true, Seed: 9},
 		"delay3":    {DelayPeriod: 3, Seed: 9},
 		"semantic":  {Semantic: true, SampleRate: 0.5, Seed: 9},

@@ -10,14 +10,14 @@ import (
 	"scgnn/internal/tensor"
 )
 
-// schedMatrix wraps every MethodMatrix combination in a variable-rate
+// schedMatrix wraps every EquivalenceLanes lane in a variable-rate
 // schedule annealing toward it: the scheduled cross-runtime tests run the
-// exact 11-combo coverage the fixed-rate equivalence matrix does, plus the
+// exact 13-lane coverage the fixed-rate equivalence matrix does, plus the
 // rung transitions. EpochsPerLevel 1 makes a 6-epoch run traverse the whole
 // ladder.
 func schedMatrix(seed int64) map[string]exchange.Config {
 	out := make(map[string]exchange.Config)
-	for name, cfg := range exchange.MethodMatrix(seed) {
+	for name, cfg := range EquivalenceLanes(seed) {
 		cfg.Sched = sched.Policy{Enabled: true, EpochsPerLevel: 1}
 		out["sched("+name+")"] = cfg
 	}

@@ -15,9 +15,22 @@ import (
 	"scgnn/internal/tensor"
 )
 
+// EquivalenceLanes is the lane set the cross-runtime lockdowns run: every
+// exchange.MethodMatrix combination, plus nsampling and semantic+nsampling,
+// the one sampling coin at a second rate. At 0.3 the receiver's rescale by
+// 1/r is not exact in floating point, so every runtime must apply it the
+// same way, and fewer units survive a round than at the matrix's 0.5.
+func EquivalenceLanes(seed int64) map[string]exchange.Config {
+	lanes := exchange.MethodMatrix(seed)
+	plan := lanes["semantic"].Plan
+	lanes["nsampling"] = exchange.Config{SampleRate: 0.3, Seed: seed}
+	lanes["semantic+nsampling"] = exchange.Config{Semantic: true, Plan: plan, SampleRate: 0.3, Seed: seed}
+	return lanes
+}
+
 // TestClusterEngineEquivalenceMatrix is the lockdown of the full Fig. 12(b)
 // method coverage against the definitional oracle (oracle_test.go — the
-// analytic engine's former sink): for every one of the 11 method combinations
+// analytic engine's former sink): for every one of the 13 lanes of EquivalenceLanes
 // the concurrent worker cluster, on its compiled gather plans, fused kernels
 // and real wire frames, must match the oracle's per-member loops and per-unit
 // grid round trips — aggregates, per-epoch traffic snapshots and every single
@@ -33,7 +46,7 @@ func TestClusterEngineEquivalenceMatrix(t *testing.T) {
 	h := randMat(d.NumNodes(), 5, 77)
 	g := randMat(d.NumNodes(), 5, 78)
 
-	for name, cfg := range exchange.MethodMatrix(9) {
+	for name, cfg := range EquivalenceLanes(9) {
 		cfg := cfg
 		t.Run(name, func(t *testing.T) {
 			for _, workers := range []int{1, 2, 8} {

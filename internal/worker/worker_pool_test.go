@@ -57,6 +57,7 @@ func TestClusterSteadyStateAllocs(t *testing.T) {
 		{"quant4+ef", exchange.Config{QuantBits: 4, ErrorFeedback: true}},
 		{"semantic+quant+ef", exchange.Config{Semantic: true, Plan: plan, QuantBits: 4, ErrorFeedback: true}},
 		{"sampling", exchange.Config{SampleRate: 0.5, Seed: 7}},
+		{"nsampling", exchange.Config{SampleRate: 0.3, Seed: 7}},
 		{"aquant", exchange.Config{QuantBits: 8, AdaptiveQuant: true}},
 		{"sampling+quant8+ef", exchange.Config{SampleRate: 0.5, QuantBits: 8, ErrorFeedback: true, Seed: 7}},
 		{"aquant+sampling", exchange.Config{QuantBits: 8, AdaptiveQuant: true, SampleRate: 0.5, Seed: 7}},

@@ -36,7 +36,7 @@ func TestClusterEngineRepartitionLockstep(t *testing.T) {
 	d, part := setup(t, 3)
 	const nparts = 3
 	next := movedPart(t, d.NumNodes(), part, nparts)
-	for name, cfg := range exchange.MethodMatrix(9) {
+	for name, cfg := range EquivalenceLanes(9) {
 		t.Run(name, func(t *testing.T) {
 			oracleLockstep(t, d, part, next, nparts, cfg, 81)
 		})
