@@ -203,7 +203,10 @@ fuzz-smoke:
 # fold), with no nparts-squared shard counter, no row export and no drain.
 # And one sampling coin: a boundary row's (or a plan group's) per pair and
 # round, so no per-arc coins, no switch between coin kinds and no receiver
-# replaying an arc's coin.
+# replaying an arc's coin. And one scheduler signal: error feedback's
+# corrections per unit against a fixed threshold, so no trigger knobs and no
+# adaptive-width counters riding the pair streams, the frames or the
+# checkpoint.
 one-sink:
 	@! grep -rn 'useReference\|DelayCache\|pairBuf\|NewRounds\|worker\.Rounds\|forEachTask\|putHeader\|MsgHeaderBytes\|Fabric) Send(' --include='*.go' . | grep -v _test.go
 	@! grep -n 'aggregate(' internal/gnn/*.go | grep -v '_test\.go:\|^internal/gnn/layer\.go:'
@@ -224,6 +227,7 @@ one-sink:
 	@! grep -rnE 'senderMemo|memoHead|memoSlot|\) Repeat\(|\) Ref\(|\.refs\b' --include='*.go' internal | grep -v '_test\.go:'
 	@! grep -rnE 'ShardCounter|DrainRow|TrafficDelta|Fabric\) Drain\(' --include='*.go' . | grep -v '_test\.go:'
 	@! grep -rnE 'SampleNodes|NodeCoins|EdgeCoins|Survives\(' --include='*.go' . | grep -v '_test\.go:'
+	@! grep -rnE 'BitsTrigger|EFTrigger|AdaptiveBitsSum|AdaptiveCalls|sched-bits-trigger|sched-ef-trigger' --include='*.go' . | grep -v '_test\.go:'
 
 # Every program under examples/, built into a temporary directory and run to
 # the end: go build compiles them, but only running them shows a facade call

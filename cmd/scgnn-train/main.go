@@ -46,7 +46,7 @@ import (
 type options struct {
 	dataset, cut, method, model, nodes, nodeBin, ckPath                  string
 	parts, bits, period, groups, epochs, hidden, schedPace, schedStagger int
-	rate, lr, schedBits, schedEF                                         float64
+	rate, lr                                                             float64
 	dropO2O, verbose, sched, partsSet                                    bool
 	seed                                                                 int64
 }
@@ -79,8 +79,6 @@ func parseFlags(args []string) options {
 	fs.BoolVar(&o.sched, "sched", false, "variable-rate scheduling: anneal every partition pair from sampling+quant4 up to the chosen method")
 	fs.IntVar(&o.schedPace, "sched-epochs-per-level", 0, "scheduler: epochs per annealing rung (0 = default 2)")
 	fs.IntVar(&o.schedStagger, "sched-stagger", 0, "scheduler: spread pair transitions over up to this many extra epochs (0 = default 1, negative = none)")
-	fs.Float64Var(&o.schedBits, "sched-bits-trigger", 0, "scheduler: mean adaptive bit width that accelerates a pair one rung (0 = default 6)")
-	fs.Float64Var(&o.schedEF, "sched-ef-trigger", 0, "scheduler: error-feedback corrections per unit that accelerate a pair one rung (0 = default 64)")
 	fs.Parse(args)
 	fs.Visit(func(f *flag.Flag) { o.partsSet = o.partsSet || f.Name == "parts" })
 	return o
@@ -131,8 +129,7 @@ func (o options) configs() (job, error) {
 	var err error
 	j.cfg, err = dist.MethodFlags{Method: o.method, Rate: o.rate, Bits: o.bits, Period: o.period,
 		Groups: o.groups, DropO2O: o.dropO2O, Seed: o.seed,
-		Sched: sched.Policy{Enabled: o.sched, EpochsPerLevel: o.schedPace, Stagger: o.schedStagger,
-			BitsTrigger: o.schedBits, EFTrigger: o.schedEF}}.Config()
+		Sched: sched.Policy{Enabled: o.sched, EpochsPerLevel: o.schedPace, Stagger: o.schedStagger}}.Config()
 	return j, err
 }
 

@@ -68,6 +68,7 @@ func checkMethods(t *testing.T, fleet []string) {
 		{args: []string{"-method", "quant", "-bits", "16"}, method: "quant"},
 		{args: []string{"-method", "delay", "-period", "2"}, method: "delay"},
 		{args: []string{"-method", "quant", "-sched"}, method: "sched(quant)"},
+		{args: []string{"-method", "quant", "-sched", "-sched-epochs-per-level", "3"}, method: "sched(quant)"},
 		{args: []string{"-model", "sage", "-epochs", "1"}, method: "semantic"},
 		{args: []string{"-groups", "4", "-epochs", "1", "-hidden", "1"}, method: "semantic"},
 
@@ -88,6 +89,8 @@ func checkMethods(t *testing.T, fleet []string) {
 		{args: []string{"-method", "delay", "-period", "1"}, err: "-period 1"},
 		{args: []string{"-groups", "-2"}, err: "-groups -2"},
 		{args: []string{"-method", "topk"}, err: `unknown method "topk"`},
+		{args: []string{"-sched", "-sched-epochs-per-level", "-3"}, err: "-sched-epochs-per-level -3"},
+		{args: []string{"-method", "quant", "-sched", "-sched-epochs-per-level", "-1"}, err: "-sched-epochs-per-level -1"},
 	} {
 		args := append(slices.Clone(fleet), tc.args...)
 		j, err := parseFlags(args).configs()

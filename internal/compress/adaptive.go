@@ -20,15 +20,6 @@ type AdaptiveQuantizer struct {
 	// ErrorBudget is the tolerated error as a fraction of the payload's
 	// standard deviation (default 0.05).
 	ErrorBudget float64
-	// BitsSum and Calls accumulate every ChooseBits outcome since the
-	// quantizer was created: Calls counts allocation decisions, BitsSum their
-	// chosen widths. The variable-rate scheduler reads the pair (BitsSum ≥
-	// trigger·Calls means the payload stream wants wide words, so annealing
-	// toward finer rungs may accelerate). Both are integers on purpose:
-	// replicas that never encode a pair hold zeros, so a coordinator can merge
-	// per-node snapshots by summation without double counting.
-	BitsSum int64
-	Calls   int64
 }
 
 // NewAdaptiveQuantizer validates the range and returns the quantizer.
@@ -71,8 +62,6 @@ func (q *AdaptiveQuantizer) choose(v []float64) (bits int, lo, hi float64) {
 			}
 		}
 	}
-	q.BitsSum += int64(bits)
-	q.Calls++
 	return bits, lo, hi
 }
 

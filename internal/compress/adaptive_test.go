@@ -24,10 +24,10 @@ func TestAdaptiveQuantizerPicksFewBitsForSmooth(t *testing.T) {
 	if spikyBits <= smoothBits {
 		t.Fatalf("spiky payload got %d bits, smooth got %d; want spiky > smooth", spikyBits, smoothBits)
 	}
-	// Roundtrip makes the identical choice, and every choice is counted.
-	q.Roundtrip(spiky)
-	if q.Calls != 3 || q.BitsSum != int64(smoothBits+2*spikyBits) {
-		t.Fatalf("BitsSum/Calls = %d/%d, want %d/3", q.BitsSum, q.Calls, smoothBits+2*spikyBits)
+	// Roundtrip makes the identical choice: its wire size is the chosen
+	// width's.
+	if got, want := q.Roundtrip(spiky), (len(spiky)*spikyBits+7)/8+9; got != want {
+		t.Fatalf("Roundtrip wire size %d, want %d (%d bits)", got, want, spikyBits)
 	}
 }
 

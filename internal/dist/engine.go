@@ -77,11 +77,15 @@ type MethodFlags struct {
 }
 
 // Config maps the flags onto the exchange they select. A value the run would
-// panic on, or would quietly run as the vanilla exchange, is an error naming
-// the flag: -rate outside (0,1), -bits outside 1..16, -period below 2,
-// negative -groups, an unknown method.
+// panic on, or would quietly run as the vanilla exchange or a default, is an
+// error naming the flag: -rate outside (0,1), -bits outside 1..16, -period
+// below 2, negative -groups, an unknown method, a negative
+// -sched-epochs-per-level.
 func (f MethodFlags) Config() (Config, error) {
 	var cfg Config
+	if f.Sched.EpochsPerLevel < 0 {
+		return cfg, fmt.Errorf("-sched-epochs-per-level %d: want 0 (default 2) or more", f.Sched.EpochsPerLevel)
+	}
 	switch f.Method {
 	case "vanilla":
 		cfg = Vanilla()

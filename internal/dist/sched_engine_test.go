@@ -27,9 +27,8 @@ func schedBases(seed int64) map[string]Config {
 // TestScheduledWorkersInvariance: variable-rate scheduling must preserve the
 // engine's GOMAXPROCS-invariance guarantee — at any GOMAXPROCS the per-epoch
 // schedule decisions, outputs, and traffic snapshots are bit-identical. The
-// per-pair signals feeding Decide (sampler draws, adaptive bit sums, EF
-// counters) are all accumulated on single-owner pair state, so the parallel
-// schedule cannot perturb them.
+// per-pair signals feeding Decide (the EF counters) are accumulated on
+// single-owner pair state, so the parallel schedule cannot perturb them.
 func TestScheduledWorkersInvariance(t *testing.T) {
 	d, part := smallSetup(t)
 	const nparts = 3

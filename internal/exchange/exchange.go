@@ -47,7 +47,7 @@ func New(g *graph.Graph, part []int, nparts int, cfg Config) *Core {
 
 // Repartition moves the core to a new partition of the same graph, rebuilding
 // only what the change touched: pairs whose boundary sets are unchanged keep
-// their plan, arc list, stars, sampler, adaptive history and residuals
+// their plan, arc list, stars, sampler and residuals
 // verbatim; dirty pairs get a rebuilt plan (bit-identical to a from-scratch
 // build) and freshly re-seeded streams. Rung levels never change. Returns the
 // ascending dirty pair indices; on error the core is unchanged, on success

@@ -8,8 +8,9 @@ import (
 
 // schedPolicy paces the annealing ladder to the run length: the rung floor
 // spans the whole run, so half of training happens on the two sampled rungs
-// and the second half on the (near-)base error-feedback rungs. Signal
-// triggers still accelerate individual pairs past the floor.
+// and the second half on the (near-)base error-feedback rungs. The one signal,
+// error feedback's corrections per unit, still accelerates individual pairs
+// past the floor.
 func schedPolicy(epochs int) sched.Policy {
 	per := epochs / 4
 	if per < 1 {

@@ -229,7 +229,7 @@ func demoPeerState() *worker.PeerState {
 				compress.RoundUnitKey(1, 3): {0.5, -1},
 				compress.RoundUnitKey(0, 2): {0.25, 2},
 			},
-			AdaptiveBitsSum: 24, AdaptiveCalls: 3, EFCorrected: 5,
+			EFCorrected: 5,
 		}, {}, {}},
 		Levels: []int32{0, 1, 2, 0},
 		Delay: []*worker.DelaySlot{nil, {Rows: 4, Cols: 2, Index: []int32{0, 2, 3},
@@ -306,7 +306,7 @@ func TestCheckpointOverwriteAtomic(t *testing.T) {
 // truncated header, truncated body, flipped payload bit, bad magic, unknown
 // version, the gob-bodied version 1, the dense-delay version 2, version 3
 // with sampler stream positions and indexed delay rows, version 4 with
-// residuals keyed by cross arc, a length
+// residuals keyed by cross arc, version 5 with adaptive-width counters, a length
 // field that disagrees, a bad CRC, a body of the other state type — surfaces
 // as a wrapped ErrCorruptCheckpoint from both decoders, never a clean load or
 // a panic.
@@ -327,6 +327,7 @@ func TestCheckpointCorruption(t *testing.T) {
 		"version-2":        edit(func(c []byte) { c[4] = 2 }),
 		"version-3":        edit(func(c []byte) { c[4] = 3 }),
 		"version-4":        edit(func(c []byte) { c[4] = 4 }),
+		"version-5":        edit(func(c []byte) { c[4] = 5 }),
 		"wrong-length":     edit(func(c []byte) { c[5]++ }),
 		"bad-crc":          edit(func(c []byte) { c[13] ^= 1 }),
 		"empty":            nil,
@@ -360,8 +361,10 @@ func TestCheckpointMissingFile(t *testing.T) {
 // fully stateful configuration, and node 1 of a delay-lane fleet after one
 // epoch, whose filled slots list their rows by bitmap. Recorded again at
 // format version 4 (no sampler stream positions; the delay rows' bitmap),
-// and once more at version 5 (a baseline pair's residual keys name halo
-// stars), where only the version byte moved.
+// once more at version 5 (a baseline pair's residual keys name halo stars),
+// where only the version byte moved, and at version 6, where every pair's
+// two adaptive-width counters went: 16 B a pair, 144 B on the stateful
+// peer's nine pairs (289 B at version 5).
 func TestPeerStateEncodedForm(t *testing.T) {
 	d, part, _ := testGraph(t, 3)
 	fresh := func(cfg exchange.Config) []byte {
@@ -393,9 +396,9 @@ func TestPeerStateEncodedForm(t *testing.T) {
 		size int
 		sum  string
 	}{
-		{"fresh semantic", fresh(exchange.Config{Semantic: true}), 37, "bc5068cef49a83e3cca5886b58bde4a5e6b748b7b963161d884fe50fa06f3f48"},
-		{"fresh " + stateful.MethodName(), fresh(stateful), 289, "1b3111686c71bc79542116eee3e1c78750f7406de69b1a657da049c58c0f4f3f"},
-		{"delay2 after an epoch", afterEpoch(exchange.Config{DelayPeriod: 2, Seed: 3}), 2531, "f2570efc4b1dc2d1db88c6e9f4b37118d12f0b6f4daabafd76d7f40b18cc75be"},
+		{"fresh semantic", fresh(exchange.Config{Semantic: true}), 37, "dd2562ff7a889d156bb7321dea642990bf9034fcd7bd59f16cb017f9fbb45eb2"},
+		{"fresh " + stateful.MethodName(), fresh(stateful), 145, "24f6ef649e405bb98f98b46f3d1086d1e7d7446126e1d63fd9801f57f7df5d66"},
+		{"delay2 after an epoch", afterEpoch(exchange.Config{DelayPeriod: 2, Seed: 3}), 2531, "baef47a32277e8b1f0c2492531ac12bda9a30a44114020e8d33cf9d2caa72e01"},
 	} {
 		if got := fmt.Sprintf("%x", sha256.Sum256(tc.blob)); len(tc.blob) != tc.size || got != tc.sum {
 			t.Errorf("%s: %d bytes, sha256 %s; recorded %d, %s", tc.name, len(tc.blob), got, tc.size, tc.sum)

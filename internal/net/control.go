@@ -369,8 +369,6 @@ func encodeConfig(w *cwriter, c dist.Config) {
 	w.bool(sc.Enabled)
 	w.i32(int32(sc.EpochsPerLevel))
 	w.i32(int32(sc.Stagger))
-	w.f64(sc.BitsTrigger)
-	w.f64(sc.EFTrigger)
 }
 
 func decodeConfig(r *creader) dist.Config {
@@ -402,8 +400,6 @@ func decodeConfig(r *creader) dist.Config {
 	sc.Enabled = r.bool()
 	sc.EpochsPerLevel = int(r.i32())
 	sc.Stagger = int(r.i32())
-	sc.BitsTrigger = r.f64()
-	sc.EFTrigger = r.f64()
 	return c
 }
 
@@ -722,9 +718,9 @@ func decodeState(p []byte) (State, error) {
 }
 
 // SchedSig carries one node's per-pair scheduler signals (the integer-exact
-// counters of the sched package's signal contract, one 4×i64 record per pair
-// in pair-index order: BitsSum, BitsCalls, EFUnits, EFCorrected). The coordinator's request ships none; the node's
-// response fills them.
+// counters of the sched package's signal contract, one 2×i64 record per pair
+// in pair-index order: EFUnits, EFCorrected). The coordinator's request ships
+// none; the node's response fills them.
 type SchedSig struct {
 	Seq     uint64
 	Signals []sched.Signals
@@ -735,8 +731,6 @@ func (m SchedSig) encodeInto(w *cwriter) {
 	w.u64(m.Seq)
 	w.u32(uint32(len(m.Signals)))
 	for _, s := range m.Signals {
-		w.i64(s.BitsSum)
-		w.i64(s.BitsCalls)
 		w.i64(s.EFUnits)
 		w.i64(s.EFCorrected)
 	}
@@ -745,9 +739,9 @@ func (m SchedSig) encodeInto(w *cwriter) {
 
 func decodeSchedSig(p []byte) (SchedSig, error) {
 	r := creader{b: p}
-	m := SchedSig{Seq: r.u64(), Signals: list[sched.Signals](&r, 32)}
+	m := SchedSig{Seq: r.u64(), Signals: list[sched.Signals](&r, 16)}
 	for i := range m.Signals {
-		m.Signals[i] = sched.Signals{BitsSum: r.i64(), BitsCalls: r.i64(), EFUnits: r.i64(), EFCorrected: r.i64()}
+		m.Signals[i] = sched.Signals{EFUnits: r.i64(), EFCorrected: r.i64()}
 	}
 	m.Err = r.str()
 	return m, r.done()

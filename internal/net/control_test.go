@@ -33,7 +33,7 @@ func exampleConfig() dist.Config {
 		ErrorFeedback: true,
 		DelayPeriod:   3,
 		Seed:          7,
-		Sched:         sched.Policy{Enabled: true, EpochsPerLevel: 3, Stagger: 2, BitsTrigger: 5, EFTrigger: 32},
+		Sched:         sched.Policy{Enabled: true, EpochsPerLevel: 3, Stagger: 2},
 	}
 }
 
@@ -163,7 +163,7 @@ func TestControlRoundtrips(t *testing.T) {
 	}
 
 	sigs := []sched.Signals{
-		{BitsSum: 12, BitsCalls: 2, EFUnits: 1, EFCorrected: 9},
+		{EFUnits: 1, EFCorrected: 9},
 		{EFUnits: 4},
 	}
 	gotSig, err := decodeSchedSig(encode(SchedSig{Seq: 8, Signals: sigs}))
@@ -239,8 +239,8 @@ func TestControlValidation(t *testing.T) {
 	}
 	// A sched signal record cut short: two records declared, one and a
 	// half present.
-	sig := encode(SchedSig{Signals: []sched.Signals{{BitsSum: 1}, {BitsSum: 2}}})
-	if _, err := decodeSchedSig(append(sig[:8+4+32+8], sig[len(sig)-4:]...)); !errors.Is(err, errBadControl) {
+	sig := encode(SchedSig{Signals: []sched.Signals{{EFUnits: 1}, {EFUnits: 2}}})
+	if _, err := decodeSchedSig(append(sig[:8+4+16+8], sig[len(sig)-4:]...)); !errors.Is(err, errBadControl) {
 		t.Errorf("torn sched-sig record: %v", err)
 	}
 	// Negative schedule level.

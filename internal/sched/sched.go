@@ -16,18 +16,16 @@
 // # Signal contract
 //
 // Decide may only gate on signals that are integer-exact across runtimes
-// and restorable from a checkpoint:
+// and restorable from a checkpoint. There is one: EFUnits/EFCorrected, the
+// error-feedback unit and correction counts. The forward and backward
+// directions of a pair live on different nodes but use disjoint round-keyed
+// units, so per-node snapshots merge by summation.
 //
-//   - BitsSum/BitsCalls: cumulative adaptive bit-width choices. Replicas
-//     that never encode a pair hold zeros, so per-node snapshots merge by
-//     summation.
-//   - EFUnits/EFCorrected: error-feedback unit and correction counts. The
-//     forward and backward directions of a pair live on different nodes but
-//     use disjoint round-keyed units, so these also merge by summation.
-//
-// Signals holds these counters and nothing else but Draws, which no runtime
-// fills and Decide does not read (a sampling coin is a function of its round,
-// so there is no count of coins to signal).
+// Signals holds these counters and nothing else but Draws, BitsSum and
+// BitsCalls, which no runtime fills and Decide does not read: a sampling
+// coin is a function of its round, so there is no count of coins to signal,
+// and only the base rung can quantize at an adaptive width (Ladder), where
+// no signal can move a pair further.
 package sched
 
 import (
@@ -95,15 +93,12 @@ type Policy struct {
 	// link on the same boundary. Default 1; any negative value means no
 	// stagger (every pair transitions together).
 	Stagger int
-	// BitsTrigger accelerates a pair by one rung when its cumulative mean
-	// adaptive width reaches this many bits (the payload stream is asking
-	// for precision). Default 6.
-	BitsTrigger float64
-	// EFTrigger accelerates a pair by one rung when its cumulative
-	// error-feedback corrections reach this many values per tracked unit
-	// (residuals are doing heavy lifting). Default 64.
-	EFTrigger float64
 }
+
+// efCorrectionsPerUnit accelerates a pair by one rung when its cumulative
+// error-feedback corrections reach this many values per tracked unit
+// (residuals are doing heavy lifting).
+const efCorrectionsPerUnit = 64
 
 // WithDefaults fills unset policy knobs.
 func (p Policy) WithDefaults() Policy {
@@ -117,12 +112,6 @@ func (p Policy) WithDefaults() Policy {
 	if p.Stagger == 0 {
 		p.Stagger = 1
 	}
-	if p.BitsTrigger <= 0 {
-		p.BitsTrigger = 6
-	}
-	if p.EFTrigger <= 0 {
-		p.EFTrigger = 64
-	}
 	return p
 }
 
@@ -130,12 +119,9 @@ func (p Policy) WithDefaults() Policy {
 // epoch boundary: integer counters, the decision inputs (see the package
 // comment for the exactness contract).
 type Signals struct {
-	// Draws is unfilled and unread: no runtime reports it and no decision
-	// gates on it (see the package comment).
-	Draws int64
-	// BitsSum and BitsCalls accumulate adaptive bit-width choices.
-	BitsSum   int64
-	BitsCalls int64
+	// Draws, BitsSum and BitsCalls are unfilled and unread: no runtime
+	// reports them and no decision gates on them (see the package comment).
+	Draws, BitsSum, BitsCalls int64
 	// EFUnits counts tracked error-feedback units; EFCorrected counts
 	// values corrected.
 	EFUnits     int64
@@ -145,8 +131,6 @@ type Signals struct {
 // Merge folds o's counters into s: they sum (each replica holds its
 // disjoint share or an exact replica-reported zero).
 func (s Signals) Merge(o Signals) Signals {
-	s.BitsSum += o.BitsSum
-	s.BitsCalls += o.BitsCalls
 	s.EFUnits += o.EFUnits
 	s.EFCorrected += o.EFCorrected
 	return s
@@ -186,7 +170,7 @@ func stagger(seed int64, idx, width int) int {
 // function. For every pair:
 //
 //	floor  = max(0, (epoch − stagger(seed, idx)) / EpochsPerLevel)
-//	accel  = [mean adaptive bits ≥ BitsTrigger] + [EF corrections/unit ≥ EFTrigger]
+//	accel  = [EF corrections/unit ≥ efCorrectionsPerUnit]
 //	next   = max(prev, min(maxLevel, floor + accel))
 //
 // The max against prev makes schedules monotone (a relaxed pair never
@@ -205,15 +189,10 @@ func Decide(p Policy, epoch int, seed int64, prev []int, sigs []Signals, maxLeve
 		if off := stagger(seed, i, p.Stagger); epoch > off {
 			floor = (epoch - off) / p.EpochsPerLevel
 		}
-		accel := 0
-		sg := sigs[i]
-		if sg.BitsCalls > 0 && float64(sg.BitsSum) >= p.BitsTrigger*float64(sg.BitsCalls) {
-			accel++
+		n := floor
+		if sg := sigs[i]; sg.EFUnits > 0 && float64(sg.EFCorrected) >= efCorrectionsPerUnit*float64(sg.EFUnits) {
+			n++
 		}
-		if sg.EFUnits > 0 && float64(sg.EFCorrected) >= p.EFTrigger*float64(sg.EFUnits) {
-			accel++
-		}
-		n := floor + accel
 		if n > maxLevel {
 			n = maxLevel
 		}

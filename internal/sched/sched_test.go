@@ -9,12 +9,12 @@ import (
 
 func TestPolicyDefaults(t *testing.T) {
 	p := Policy{Enabled: true}.WithDefaults()
-	if p.EpochsPerLevel != 2 || p.Stagger != 1 || p.BitsTrigger != 6 || p.EFTrigger != 64 {
+	if p.EpochsPerLevel != 2 || p.Stagger != 1 {
 		t.Fatalf("unexpected defaults: %+v", p)
 	}
 	// Explicit values survive.
-	q := Policy{EpochsPerLevel: 5, Stagger: 3, BitsTrigger: 9, EFTrigger: 10}.WithDefaults()
-	if q.EpochsPerLevel != 5 || q.Stagger != 3 || q.BitsTrigger != 9 || q.EFTrigger != 10 {
+	q := Policy{EpochsPerLevel: 5, Stagger: 3}.WithDefaults()
+	if q.EpochsPerLevel != 5 || q.Stagger != 3 {
 		t.Fatalf("defaults clobbered explicit policy: %+v", q)
 	}
 	// Negative stagger is the explicit "no stagger" choice (every pair
@@ -53,6 +53,29 @@ func TestLadderShape(t *testing.T) {
 	}
 	if l[0].SampleRate <= 0 || l[0].SampleRate >= l[1].SampleRate || l[1].SampleRate >= 1 {
 		t.Fatalf("rungs 0/1 do not sample in ascending rate: %+v, %+v", l[0], l[1])
+	}
+}
+
+// TestLadderNoAdaptiveBelowTop is the premise that lets Decide ignore
+// adaptive widths: over every base setting — widths 0–16, with and without
+// adaptive width, error feedback and sampling — no rung below the top
+// quantizes at an adaptive width, so only the base rung, which no signal can
+// move past, ever adapts.
+func TestLadderNoAdaptiveBelowTop(t *testing.T) {
+	for bits := 0; bits <= 16; bits++ {
+		for _, rate := range []float64{0, 0.3} {
+			for _, adaptive := range []bool{false, true} {
+				for _, ef := range []bool{false, true} {
+					base := Setting{SampleRate: rate, QuantBits: bits, Adaptive: adaptive, EF: ef}
+					l := Ladder(base)
+					for i, s := range l[:len(l)-1] {
+						if s.Adaptive {
+							t.Fatalf("base %+v: rung %d of %d quantizes adaptively: %+v", base, i, len(l)-1, s)
+						}
+					}
+				}
+			}
+		}
 	}
 }
 
@@ -121,17 +144,17 @@ func TestDecideFloorConvergence(t *testing.T) {
 }
 
 func TestDecideAccelTriggers(t *testing.T) {
-	p := Policy{EpochsPerLevel: 100, Stagger: 0, BitsTrigger: 6, EFTrigger: 64}
+	p := Policy{EpochsPerLevel: 100, Stagger: 0}
 	prev := []int{0, 0, 0, 0, 0}
 	sigs := []Signals{
-		{},                             // no signals: stays put
-		{BitsSum: 60, BitsCalls: 10},   // mean 6 bits ≥ trigger: +1
-		{EFUnits: 2, EFCorrected: 128}, // 64 corrections/unit: +1
-		{BitsSum: 80, BitsCalls: 10, EFUnits: 1, EFCorrected: 64},  // both: +2
-		{BitsSum: 59, BitsCalls: 10, EFUnits: 2, EFCorrected: 127}, // both just under
+		{},                                     // no signals: stays put
+		{EFUnits: 2, EFCorrected: 128},         // 64 corrections/unit: +1
+		{EFUnits: 1, EFCorrected: 640},         // far over: still +1
+		{EFUnits: 2, EFCorrected: 127},         // just under
+		{Draws: 9, BitsSum: 80, BitsCalls: 10}, // unread counters
 	}
 	got := Decide(p, 1, 1, prev, sigs, 3)
-	want := []int{0, 1, 1, 2, 0}
+	want := []int{0, 1, 1, 0, 0}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("accel levels %v, want %v", got, want)
 	}
@@ -140,8 +163,8 @@ func TestDecideAccelTriggers(t *testing.T) {
 	if !reflect.DeepEqual(got, []int{3, 3, 3, 3, 3}) {
 		t.Fatalf("clamped levels %v, want all 3", got)
 	}
-	// Zero BitsCalls/EFUnits never fire even with nonzero sums.
-	got = Decide(p, 1, 1, []int{0}, []Signals{{BitsSum: 100, EFCorrected: 100}}, 3)
+	// Zero EFUnits never fire even with a nonzero correction count.
+	got = Decide(p, 1, 1, []int{0}, []Signals{{EFCorrected: 100}}, 3)
 	if got[0] != 0 {
 		t.Fatalf("denominator-free signals advanced a pair to %d", got[0])
 	}
@@ -156,8 +179,6 @@ func TestDecideMonotone(t *testing.T) {
 		p := Policy{
 			EpochsPerLevel: 1 + rng.Intn(4),
 			Stagger:        rng.Intn(4),
-			BitsTrigger:    1 + 10*rng.Float64(),
-			EFTrigger:      1 + 100*rng.Float64(),
 		}
 		npairs := 1 + rng.Intn(16)
 		maxLevel := 1 + rng.Intn(4)
@@ -166,8 +187,6 @@ func TestDecideMonotone(t *testing.T) {
 		sigs := make([]Signals, npairs)
 		for epoch := 0; epoch < 12; epoch++ {
 			for i := range sigs {
-				sigs[i].BitsSum += rng.Int63n(64)
-				sigs[i].BitsCalls += rng.Int63n(8)
 				sigs[i].EFUnits = rng.Int63n(8)
 				sigs[i].EFCorrected += rng.Int63n(512)
 			}
@@ -202,8 +221,8 @@ func TestDecideReplay(t *testing.T) {
 	sigs := make([]Signals, npairs)
 	for epoch := 0; epoch < epochs; epoch++ {
 		for i := range sigs {
-			sigs[i].BitsSum += rng.Int63n(40)
-			sigs[i].BitsCalls += rng.Int63n(6)
+			sigs[i].EFUnits += rng.Int63n(3)
+			sigs[i].EFCorrected += rng.Int63n(200)
 		}
 		snap := append([]Signals(nil), sigs...)
 		snaps = append(snaps, snap)
@@ -290,10 +309,10 @@ func TestDecideMismatchedSignalsPanics(t *testing.T) {
 }
 
 func TestSignalsMerge(t *testing.T) {
-	a := Signals{BitsSum: 2, BitsCalls: 3, EFUnits: 4, EFCorrected: 5}
-	b := Signals{BitsSum: 20, BitsCalls: 30, EFUnits: 40, EFCorrected: 50}
+	a := Signals{EFUnits: 4, EFCorrected: 5}
+	b := Signals{EFUnits: 40, EFCorrected: 50}
 	m := a.Merge(b)
-	want := Signals{BitsSum: 22, BitsCalls: 33, EFUnits: 44, EFCorrected: 55}
+	want := Signals{EFUnits: 44, EFCorrected: 55}
 	if m != want {
 		t.Fatalf("merge %+v, want %+v", m, want)
 	}
@@ -305,23 +324,23 @@ func TestSignalsMerge(t *testing.T) {
 func TestMergeNodeSignals(t *testing.T) {
 	const nparts = 2
 	node0 := []Signals{
-		{BitsSum: 6, BitsCalls: 1},
+		{EFUnits: 6, EFCorrected: 1},
 		{EFUnits: 4, EFCorrected: 8},
 		{},
-		{BitsSum: 4, BitsCalls: 1},
+		{EFUnits: 4, EFCorrected: 1},
 	}
 	node1 := []Signals{
 		{},
 		{EFUnits: 1, EFCorrected: 2},
-		{BitsSum: 16, BitsCalls: 2},
-		{EFUnits: 3, EFCorrected: 9, BitsSum: 8, BitsCalls: 1},
+		{EFUnits: 16, EFCorrected: 2},
+		{EFUnits: 3, EFCorrected: 9},
 	}
 	got := MergeNodeSignals(nparts, [][]Signals{node0, node1})
 	want := []Signals{
-		{BitsSum: 6, BitsCalls: 1},
+		{EFUnits: 6, EFCorrected: 1},
 		{EFUnits: 5, EFCorrected: 10},
-		{BitsSum: 16, BitsCalls: 2},
-		{EFUnits: 3, EFCorrected: 9, BitsSum: 12, BitsCalls: 2},
+		{EFUnits: 16, EFCorrected: 2},
+		{EFUnits: 7, EFCorrected: 10},
 	}
 	for i := range want {
 		if got[i] != want[i] {
@@ -356,7 +375,6 @@ func BenchmarkSchedDecide(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	for i := range sigs {
 		sigs[i] = Signals{
-			BitsSum: rng.Int63n(1 << 16), BitsCalls: rng.Int63n(1 << 12),
 			EFUnits: rng.Int63n(1 << 10), EFCorrected: rng.Int63n(1 << 16),
 		}
 	}
