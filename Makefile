@@ -206,7 +206,13 @@ fuzz-smoke:
 # replaying an arc's coin. And one scheduler signal: error feedback's
 # corrections per unit against a fixed threshold, so no trigger knobs and no
 # adaptive-width counters riding the pair streams, the frames or the
-# checkpoint.
+# checkpoint; and one adaptive width rule (compress.AdaptiveUpTo, taken by
+# value), so no quantizer object per pair outside compress. And one delivery
+# path for halo stars: each star decoded once into its staging row, then one
+# compiled receive gather per frame, weighed by the receiving rows'
+# coefficients, so no per-arc fan-out over a star's receivers; and no
+# per-term weight array in the local plan, whose weights are the
+# coefficients' products.
 one-sink:
 	@! grep -rn 'useReference\|DelayCache\|pairBuf\|NewRounds\|worker\.Rounds\|forEachTask\|putHeader\|MsgHeaderBytes\|Fabric) Send(' --include='*.go' . | grep -v _test.go
 	@! grep -n 'aggregate(' internal/gnn/*.go | grep -v '_test\.go:\|^internal/gnn/layer\.go:'
@@ -228,6 +234,9 @@ one-sink:
 	@! grep -rnE 'ShardCounter|DrainRow|TrafficDelta|Fabric\) Drain\(' --include='*.go' . | grep -v '_test\.go:'
 	@! grep -rnE 'SampleNodes|NodeCoins|EdgeCoins|Survives\(' --include='*.go' . | grep -v '_test\.go:'
 	@! grep -rnE 'BitsTrigger|EFTrigger|AdaptiveBitsSum|AdaptiveCalls|sched-bits-trigger|sched-ef-trigger' --include='*.go' . | grep -v '_test\.go:'
+	@! grep -rn '\*compress\.AdaptiveQuantizer' --include='*.go' . | grep -v '_test\.go:\|^\./internal/compress/'
+	@! grep -rnE 'lp\.w\b|^\s+w\s+\[\]float64' --include='*.go' internal/worker | grep -v '_test\.go:'
+	@! grep -n 'Recv\[' internal/worker/round.go
 
 # Every program under examples/, built into a temporary directory and run to
 # the end: go build compiles them, but only running them shows a facade call
@@ -284,7 +293,10 @@ verify: build vet one-sink test examples race test-net cover fuzz-smoke
 # the sampled row added to the parent's test file for its side); "halo-before" /
 # "halo" hold every BenchmarkClusterRound*Into row either side of the
 # baseline lanes shipping one message per (boundary row, peer) in place of
-# one per cross arc (same method, four alternations).
+# one per cross arc (same method, four alternations); "halo-gather-before" /
+# "halo-gather" hold BenchmarkClusterRound{Vanilla,Quant,QuantEF,Sampled}Into
+# either side of the halo receive becoming one compiled gather per frame
+# (same method, four alternations).
 # The planning-pipeline benchmarks (one-sweep DBG extraction + concurrent plan
 # builds + EEP sweep, plus the 100k-preset dirty-fraction replan sweep
 # BenchmarkReplan100K*) refresh BENCH_plan.json the same way;

@@ -178,9 +178,8 @@ func run(args []string) int {
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "scgnn-train:", err)
-		if j.run.Checkpoint != "" {
-			fmt.Fprintf(os.Stderr, "scgnn-train: restart any dead node and rerun the same command to resume from %s\n",
-				j.run.Checkpoint)
+		if hint := failureHint(err, j.run.Checkpoint); hint != "" {
+			fmt.Fprintln(os.Stderr, "scgnn-train:", hint)
 		}
 		return 1
 	}
@@ -203,6 +202,23 @@ func run(args []string) int {
 	fmt.Printf("epoch time      %.2f ms (modeled)\n", res.EpochTimeMs())
 	fmt.Printf("wall time       %s for %d epochs\n", res.WallTime.Round(1e6), len(res.Epochs))
 	return 0
+}
+
+// failureHint is the next step a failed run with checkpoint file ckpt ("":
+// none) suggests: a lost node, a round timeout or a protocol fault leave the
+// checkpoint good, so a rerun resumes from it; a checkpoint this binary
+// refuses fails every rerun until it is moved away. Any other failure gets
+// no hint.
+func failureHint(err error, ckpt string) string {
+	switch {
+	case ckpt == "":
+		return ""
+	case errors.Is(err, net.ErrCorruptCheckpoint):
+		return fmt.Sprintf("%s cannot be resumed by this binary; delete or move it to start fresh", ckpt)
+	case errors.Is(err, net.ErrPeerDown), errors.Is(err, net.ErrRoundTimeout), errors.Is(err, net.ErrProtocol):
+		return fmt.Sprintf("restart any dead node and rerun the same command to resume from %s", ckpt)
+	}
+	return ""
 }
 
 // fleet is the coordinator of a -nodes run and the node processes it

@@ -1,9 +1,13 @@
 package main
 
 import (
+	"errors"
+	"fmt"
 	"slices"
 	"strings"
 	"testing"
+
+	"scgnn/internal/net"
 )
 
 // TestConfigs: every method flag maps onto its exchange in process, and a
@@ -105,6 +109,40 @@ func checkMethods(t *testing.T, fleet []string) {
 			t.Errorf("%q: nodes %q over %d parts, want in process over 4", args, j.nodes, j.parts)
 		case tc.err != "" && (err == nil || !strings.Contains(err.Error(), tc.err)):
 			t.Errorf("%q: error %v, want one naming %q", args, err, tc.err)
+		}
+	}
+}
+
+// TestFailureHint: a checkpointed run that lost a node, timed out or met a
+// protocol fault is told to rerun; one whose checkpoint is refused — say a
+// version this binary no longer reads — is told to move the file, since a
+// rerun would fail the same way; other failures, and any run without a
+// checkpoint, get no hint.
+func TestFailureHint(t *testing.T) {
+	wrap := func(err error) error { return fmt.Errorf("dist: epoch 3: node 1: %w", err) }
+	for _, tc := range []struct {
+		name string
+		err  error
+		ckpt string
+		want string // substring of the hint; "" for none
+	}{
+		{"peer down", wrap(net.ErrPeerDown), "job.ck", "rerun the same command to resume from job.ck"},
+		{"round timeout", wrap(net.ErrRoundTimeout), "job.ck", "rerun the same command to resume from job.ck"},
+		{"protocol", wrap(net.ErrProtocol), "job.ck", "rerun the same command to resume from job.ck"},
+		{"corrupt checkpoint", fmt.Errorf("%w: unsupported version 5", net.ErrCorruptCheckpoint), "job.ck",
+			"delete or move it to start fresh"},
+		{"other failure", errors.New("dist: model diverged"), "job.ck", ""},
+		{"no checkpoint", wrap(net.ErrPeerDown), "", ""},
+	} {
+		got := failureHint(tc.err, tc.ckpt)
+		switch {
+		case tc.want == "" && got != "":
+			t.Errorf("%s: hint %q, want none", tc.name, got)
+		case tc.want != "" && !strings.Contains(got, tc.want):
+			t.Errorf("%s: hint %q, want one saying %q", tc.name, got, tc.want)
+		}
+		if errors.Is(tc.err, net.ErrCorruptCheckpoint) && strings.Contains(got, "rerun") {
+			t.Errorf("%s: hint %q suggests a rerun that cannot succeed", tc.name, got)
 		}
 	}
 }

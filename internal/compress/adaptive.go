@@ -22,15 +22,26 @@ type AdaptiveQuantizer struct {
 	ErrorBudget float64
 }
 
+// defaultErrorBudget is the error budget a non-positive one stands for.
+const defaultErrorBudget = 0.05
+
 // NewAdaptiveQuantizer validates the range and returns the quantizer.
 func NewAdaptiveQuantizer(minBits, maxBits int, errorBudget float64) *AdaptiveQuantizer {
 	if minBits < 1 || maxBits > 16 || minBits > maxBits {
 		panic("compress: adaptive bit range must satisfy 1 ≤ min ≤ max ≤ 16")
 	}
 	if errorBudget <= 0 {
-		errorBudget = 0.05
+		errorBudget = defaultErrorBudget
 	}
 	return &AdaptiveQuantizer{MinBits: minBits, MaxBits: maxBits, ErrorBudget: errorBudget}
+}
+
+// AdaptiveUpTo is the one width rule of an adaptive exchange pair whose
+// widths are bounded by bits (a validated 1..16): widths from min(2, bits)
+// up to bits at the default error budget. The quantizer is stateless, so
+// every message takes the rule by value.
+func AdaptiveUpTo(bits int) AdaptiveQuantizer {
+	return AdaptiveQuantizer{MinBits: min(2, bits), MaxBits: bits, ErrorBudget: defaultErrorBudget}
 }
 
 // ChooseBits applies the allocation rule to v without quantizing it,

@@ -81,3 +81,15 @@ func TestAdaptiveQuantizerEdgeCases(t *testing.T) {
 		NewAdaptiveQuantizer(8, 4, 0.1)
 	}()
 }
+
+// TestAdaptiveUpToIsTheRule: the exchange's width rule is the quantizer the
+// runtimes built per pair before it — widths from min(2, bits) to bits at the
+// default budget — so it picks the same width, and so the same bytes, for
+// every payload.
+func TestAdaptiveUpToIsTheRule(t *testing.T) {
+	for bits := 1; bits <= 16; bits++ {
+		if got, want := AdaptiveUpTo(bits), *NewAdaptiveQuantizer(min(2, bits), bits, 0); got != want {
+			t.Fatalf("AdaptiveUpTo(%d) = %+v, want %+v", bits, got, want)
+		}
+	}
+}

@@ -316,7 +316,7 @@ func TestReseedGates(t *testing.T) {
 				continue
 			}
 			if (ps.Sampler != nil) != tc.sampler ||
-				(ps.Adaptive != nil) != tc.adaptive || (ps.EF != nil) != tc.ef || ps.Bits != tc.bits {
+				ps.Adaptive != tc.adaptive || (ps.EF != nil) != tc.ef || ps.Bits != tc.bits {
 				t.Fatalf("%s: pair %d state %+v", tc.name, idx, ps)
 			}
 		}
@@ -368,7 +368,7 @@ func TestScheduleAndSignals(t *testing.T) {
 	if lv := c.Levels(); lv[1] != last {
 		t.Fatalf("levels after annealing %v, want rung %d", lv, last)
 	}
-	if c.Setting(1) != base || c.Pairs[1].Adaptive == nil || c.Pairs[1].EF == nil {
+	if c.Setting(1) != base || !c.Pairs[1].Adaptive || c.Pairs[1].EF == nil {
 		t.Fatalf("final rung not re-seeded to the base: %+v", c.Pairs[1])
 	}
 	// Drive two rounds through pair 1's residuals, then read them back.

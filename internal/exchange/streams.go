@@ -16,12 +16,13 @@ import (
 type PairState struct {
 	// Sampler is the pair's coin (nil when it does not sample), keyed by
 	// sending row or group (see Walk).
-	Sampler  *compress.Sampler
-	Adaptive *compress.AdaptiveQuantizer
-	EF       *compress.ErrorFeedback
+	Sampler *compress.Sampler
+	EF      *compress.ErrorFeedback
 	// Bits is the pair's quantization width (0 = payloads ship raw). Under
-	// Adaptive it is the upper bound of the per-message choice.
-	Bits int
+	// Adaptive it is the upper bound of the per-message choice, which
+	// compress.AdaptiveUpTo(Bits) makes.
+	Bits     int
+	Adaptive bool
 }
 
 // Streams holds every pair's PairState plus the variable-rate schedule that
@@ -86,9 +87,7 @@ func (s *Streams) Reseed(idx int) {
 	}
 	if quantizes(st) {
 		ps.Bits = compress.NewQuantizer(st.QuantBits).Bits // validates the width
-		if st.Adaptive {
-			ps.Adaptive = compress.NewAdaptiveQuantizer(min(2, st.QuantBits), st.QuantBits, 0)
-		}
+		ps.Adaptive = st.Adaptive
 		if st.EF {
 			if s.efs[idx] == nil {
 				s.efs[idx] = compress.NewErrorFeedback()

@@ -2,7 +2,8 @@
 //
 // The worker runtime's per-round cost is dominated by long runs of
 // rank-1 row updates: local aggregation (out_u += Σ w·h_v over a
-// precompiled neighbor list), semantic group fusion (payload += Σ w·h_u
+// precompiled neighbor list), halo receive (out_v += w·star over the
+// stars a row receives), semantic group fusion (payload += Σ w·h_u
 // over a member list), and group delivery (out_v += w·payload over a
 // destination list). Issuing one AXPY call per term pays call/branch
 // overhead per 32-wide vector op and re-loads the accumulator row from
@@ -10,10 +11,20 @@
 // unroll-by-4 across the indexed rows with the accumulator kept in
 // registers across the unroll, column-tiled so wide feature matrices
 // stay inside L1 while the row list streams. GatherCSR takes a whole
-// compiled neighbour-list CSR (a worker's local plan) in one call, so that
-// at the feature widths of the presets its vector body keeps each output
-// row in registers across the row's terms and prefetches rows ahead across
-// row boundaries.
+// compiled neighbour-list CSR (a worker's local plan, or the receive
+// plan of one inbound halo frame) in one call, so that at the feature
+// widths of the presets its vector body keeps each output row in
+// registers across the row's terms and prefetches rows ahead across row
+// boundaries.
+//
+// Weight contract: GatherAXPY and ScatterAXPY take one weight per term
+// (w[k]·scale). GatherCSR takes none: a term's weight comes from a
+// coefficient vector indexed by row (Weighting) — the GCN factor
+// 1/√(deg+1) of each row — so a compiled plan stores only row indices.
+// A local arc weighs coeff[u]·coeff[v] (Symmetric), a staged halo star,
+// whose sender already applied its own factor, coeff[v] (Receiver). The
+// product is formed as coeff[u]·coeff[v] and then applied, exactly the
+// weight a compiled per-term array would hold.
 //
 // Bit-identity contract (load-bearing — the worker/dist equivalence
 // tests compare outputs byte for byte): for every output element the
@@ -54,6 +65,21 @@ const gatherPrefetch = 16
 // registers across its term list.
 func registerRows(c int) bool { return useSIMD && c > 0 && c <= maxTileCols && c%4 == 0 }
 
+// Weighting says where GatherCSR takes a term's weight from: a coefficient
+// vector coeff with one entry per row of dst.
+type Weighting int
+
+const (
+	// perTerm is GatherAXPY's weighting in the vector gather: w[t]·scale.
+	perTerm Weighting = iota
+	// Symmetric weighs term t of output row i by coeff[rows[i]]·coeff[nbr[t]]:
+	// an arc between two rows of one row space (m's rows are dst's).
+	Symmetric
+	// Receiver weighs every term of output row i by coeff[rows[i]]: rows of m
+	// that already carry their sender's factor.
+	Receiver
+)
+
 // GatherAXPY accumulates y += Σ_k (w[k]·scale)·m.Row(rows[k]), visiting
 // rows in ascending k — bit-identical to the equivalent sequence of
 // AXPY(w[k]*scale, m.Row(rows[k]), y) calls. len(y) must equal m.Cols.
@@ -70,7 +96,7 @@ func GatherAXPY(y []float64, m *Matrix, rows []int32, w []float64, scale float64
 			// One output row: y itself, its terms the whole list.
 			var dst int32
 			off := [2]int32{0, int32(len(rows))}
-			gatherRows(&y[0], &dst, &off[0], 1, &m.Data[0], &rows[0], len(rows), &w[0], c, gatherPrefetch, scale)
+			gatherRows(&y[0], &dst, &off[0], 1, &m.Data[0], &rows[0], len(rows), &w[0], c, gatherPrefetch, scale, perTerm)
 		}
 		return
 	}
@@ -123,19 +149,21 @@ func GatherAXPY(y []float64, m *Matrix, rows []int32, w []float64, scale float64
 
 // GatherCSR accumulates, for every i in ascending order,
 //
-//	dst.Row(rows[i]) += Σ_{t ∈ [off[i], off[i+1])} w[t]·m.Row(nbr[t])
+//	dst.Row(rows[i]) += Σ_{t ∈ [off[i], off[i+1])} a_t·m.Row(nbr[t])
 //
-// with t ascending — bit-identical to GatherAXPY(dst.Row(rows[i]), m,
-// nbr[off[i]:off[i+1]], w[off[i]:off[i+1]], 1) row by row, repeated output
-// rows included. off holds len(rows)+1 non-decreasing offsets into nbr and
-// w, which may run on past off[len(rows)]: the vector body prefetches the
+// with t ascending, where a_t is how's weight read off coeff (one entry per
+// row of dst; under Symmetric m shares dst's rows) — bit-identical to the
+// sequential AXPY(a_t, m.Row(nbr[t]), dst.Row(rows[i])) loop, repeated
+// output rows included. off holds len(rows)+1 non-decreasing offsets into
+// nbr, which may run on past off[len(rows)]: the vector body prefetches the
 // row of term t+gatherPrefetch while term t runs, walking nbr as one array
 // across row boundaries, and stops prefetching gatherPrefetch terms before
 // len(nbr). Row indices are trusted exactly as GatherAXPY's are.
-func GatherCSR(dst, m *Matrix, rows, off, nbr []int32, w []float64) {
-	if dst.Cols != m.Cols || len(off) != len(rows)+1 || len(w) != len(nbr) {
-		panic(fmt.Sprintf("tensor: GatherCSR dst cols %d, m cols %d, rows %d, off %d, nbr %d, weights %d",
-			dst.Cols, m.Cols, len(rows), len(off), len(nbr), len(w)))
+func GatherCSR(dst, m *Matrix, rows, off, nbr []int32, coeff []float64, how Weighting) {
+	if dst.Cols != m.Cols || len(off) != len(rows)+1 || len(coeff) != dst.Rows ||
+		how != Symmetric && how != Receiver || how == Symmetric && m.Rows != dst.Rows {
+		panic(fmt.Sprintf("tensor: GatherCSR dst %dx%d, m %dx%d, rows %d, off %d, coefficients %d, weighting %d",
+			dst.Rows, dst.Cols, m.Rows, m.Cols, len(rows), len(off), len(coeff), how))
 	}
 	if len(rows) == 0 {
 		return
@@ -144,12 +172,25 @@ func GatherCSR(dst, m *Matrix, rows, off, nbr []int32, w []float64) {
 		panic(fmt.Sprintf("tensor: GatherCSR offsets [%d, %d] outside %d terms", off[0], off[len(rows)], len(nbr)))
 	}
 	if c := m.Cols; registerRows(c) && off[0] < off[len(rows)] {
-		gatherRows(&dst.Data[0], &rows[0], &off[0], len(rows), &m.Data[0], &nbr[0], len(nbr), &w[0], c, gatherPrefetch, 1)
+		gatherRows(&dst.Data[0], &rows[0], &off[0], len(rows), &m.Data[0], &nbr[0], len(nbr), &coeff[0], c, gatherPrefetch, 1, how)
 		return
 	}
+	// The Go path: each row's weights a chunk at a time, then GatherAXPY over
+	// the chunk's terms at scale 1, which leaves every weight as it is.
+	var buf [64]float64
 	for i, r := range rows {
-		lo, hi := off[i], off[i+1]
-		GatherAXPY(dst.Row(int(r)), m, nbr[lo:hi], w[lo:hi], 1)
+		y, fu := dst.Row(int(r)), coeff[r]
+		for lo, hi := off[i], off[i+1]; lo < hi; lo += int32(len(buf)) {
+			terms := nbr[lo:min(hi, lo+int32(len(buf)))]
+			w := buf[:len(terms)]
+			for k, v := range terms {
+				w[k] = fu
+				if how == Symmetric {
+					w[k] = fu * coeff[v]
+				}
+			}
+			GatherAXPY(y, m, terms, w, 1)
+		}
 	}
 }
 

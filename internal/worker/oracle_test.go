@@ -434,8 +434,9 @@ func (e *Oracle) sendPayload(ps *exchange.PairState, round int, unit int64, payl
 	bytes := wire.ValueBytes * len(payload)
 	if ps.Bits > 0 {
 		e.quantValues += int64(len(payload))
-		if ps.Adaptive != nil {
-			bytes = ps.Adaptive.Roundtrip(payload)
+		if ps.Adaptive {
+			rule := compress.AdaptiveUpTo(ps.Bits)
+			bytes = rule.Roundtrip(payload)
 		} else {
 			bytes = (&compress.Quantizer{Bits: ps.Bits}).Roundtrip(payload)
 		}

@@ -34,12 +34,15 @@ type exchanger struct {
 	me    int
 	rowOf []int32
 	rows  int
+	// coeff is the GCN factor of each of those rows (Coeff[u] at row
+	// rowOf[u]), the weights the compiled CSR gathers read.
+	coeff []float64
 
 	// Compiled gather plans (see gather.go for the invalidation contract):
-	// kernels[idx] is pair idx's flattened encode/deliver lists (semantic
-	// only), local[p] worker p's local-aggregation CSR in boundary-first row
-	// order. local, ws and tally have an entry per partition, set only for
-	// the workers this process runs.
+	// kernels[idx] is pair idx's flattened encode/deliver lists (semantic)
+	// or receive plans (baseline), local[p] worker p's local-aggregation CSR
+	// in boundary-first row order. local, ws and tally have an entry per
+	// partition, set only for the workers this process runs.
 	kernels []pairKernels
 	local   []*localPlan
 	ws      []*workerScratch
@@ -81,6 +84,10 @@ type workerScratch struct {
 	payload []float64    // outgoing payload / group-fuse accumulator
 	dec     []float64    // inbound group payload staging
 	efSent  []float64    // error feedback: receiver-reconstructed values
+	// stage holds one inbound halo frame's stars, a row each, for the
+	// receive gather; stars is the most any inbound frame carries.
+	stage []float64
+	stars int
 }
 
 func (ws *workerScratch) ensure(dim int) {
@@ -89,7 +96,14 @@ func (ws *workerScratch) ensure(dim int) {
 		ws.dec = make([]float64, dim)
 		ws.efSent = make([]float64, dim)
 	}
+	if cap(ws.stage) < ws.stars*dim {
+		ws.stage = make([]float64, ws.stars*dim)
+	}
 }
+
+// grow raises the star count the staging rows are sized for; they never
+// shrink.
+func (ws *workerScratch) grow(stars int) { ws.stars = max(ws.stars, stars) }
 
 // newExchanger builds the runtime for the method combination cfg selects;
 // delay is active for DelayPeriod > 1. me selects the one
@@ -113,11 +127,10 @@ func newExchanger(g *graph.Graph, part []int, nparts, me int, cfg exchange.Confi
 		}
 	}
 	x.mapRows()
-	if cfg.Semantic {
-		x.kernels = make([]pairKernels, nparts*nparts)
-		for idx := range x.kernels {
-			x.compilePairKernels(idx)
-		}
+	x.kernels = make([]pairKernels, nparts*nparts)
+	pos := make([]int32, g.NumNodes())
+	for idx := range x.kernels {
+		x.compilePairKernels(idx, pos)
 	}
 	mark := make([]bool, g.NumNodes())
 	for p := range x.ws {
@@ -132,22 +145,24 @@ func newExchanger(g *graph.Graph, part []int, nparts, me int, cfg exchange.Confi
 // shared width: a Cluster's are N×F, a Peer's len(Own())×F.
 var ErrRoundShape = errors.New("worker: round shapes")
 
-// mapRows derives rowOf and rows from the current ownership.
+// mapRows derives rowOf, rows and coeff from the current ownership.
 func (x *exchanger) mapRows() {
 	x.rowOf = make([]int32, x.core.G.NumNodes())
 	if x.me < 0 {
 		for u := range x.rowOf {
 			x.rowOf[u] = int32(u)
 		}
-		x.rows = len(x.rowOf)
+		x.rows, x.coeff = len(x.rowOf), x.core.Coeff
 		return
 	}
 	for u := range x.rowOf {
 		x.rowOf[u] = -1
 	}
 	own := x.core.Own[x.me]
+	x.coeff = make([]float64, len(own))
 	for k, u := range own {
 		x.rowOf[u] = int32(k)
+		x.coeff[k] = x.core.Coeff[u]
 	}
 	x.rows = len(own)
 }
@@ -209,9 +224,13 @@ func (x *exchanger) Repartition(part []int) ([]int, error) {
 	if remapped {
 		x.mapRows()
 	}
+	var pos []int32
 	for idx := range x.kernels {
 		if _, ok := slices.BinarySearch(dirty, idx); ok || remapped {
-			x.compilePairKernels(idx)
+			if pos == nil {
+				pos = make([]int32, len(part))
+			}
+			x.compilePairKernels(idx, pos)
 		}
 	}
 	// Local plans compile from the new ownership/plans/arcs, so this comes
@@ -419,7 +438,7 @@ func (x *exchanger) hook(me int, phase string) {
 // prefetch runs on into the rows that follow.
 func (x *exchanger) localRows(me int, h, out *tensor.Matrix, from, to int) {
 	lp := x.local[me]
-	tensor.GatherCSR(out, h, lp.rows[from:to], lp.off[from:to+1], lp.nbr, lp.w)
+	tensor.GatherCSR(out, h, lp.rows[from:to], lp.off[from:to+1], lp.nbr, x.coeff, tensor.Symmetric)
 	// The cost model charges the neighbor terms, not the self loop each row
 	// opens with.
 	arcs := int(lp.off[to]-lp.off[from]) - (to - from)
@@ -451,7 +470,7 @@ func (x *exchanger) encodePeer(me, peer int, h *tensor.Matrix, backward bool) []
 	if ps.EF != nil {
 		ps.EF.SetUnits(x.round, frame.Count)
 	}
-	enc, _ := x.groupPlans(idx, backward)
+	enc, _, _ := x.plans(idx, backward)
 	groups, rowOf := x.core.Groups(idx, backward), x.rowOf
 	// The receiver rows the frame's messages are delivered to: a per-node
 	// unit's terms, a group's members — senders fused in plus receivers
@@ -500,7 +519,7 @@ func (x *exchanger) encodePeer(me, peer int, h *tensor.Matrix, backward bool) []
 func (x *exchanger) frame(idx, sender, width int, backward bool) wire.Frame {
 	ps := &x.core.Pairs[idx]
 	return wire.Frame{Sender: int32(sender), Width: width, Bits: ps.Bits, Count: x.core.Candidates(idx, backward),
-		Adaptive: ps.Adaptive != nil, Sampled: ps.Sampler != nil}
+		Adaptive: ps.Adaptive, Sampled: ps.Sampler != nil}
 }
 
 // addMsg appends the staged message ws.msg to the batch — quantized at the
@@ -521,12 +540,13 @@ func (x *exchanger) addMsg(ws *workerScratch, batch *wire.Batch, ps *exchange.Pa
 		sent = ws.efSent[:len(m.Payload)]
 	}
 	bits := ps.Bits
-	if ps.Adaptive != nil {
+	if ps.Adaptive {
 		// Width is chosen on the residual-corrected payload, the values that
 		// are actually quantised.
-		bits = ps.Adaptive.ChooseBits(m.Payload)
+		rule := compress.AdaptiveUpTo(ps.Bits)
+		bits = rule.ChooseBits(m.Payload)
 	}
-	batch.AddQuantizedRoundtrip(m, bits, ps.Adaptive != nil, sent)
+	batch.AddQuantizedRoundtrip(m, bits, ps.Adaptive, sent)
 	if ps.EF != nil {
 		// The encode leaves the payload as it was: the residual-corrected
 		// values, which is what the residual is taken against.
@@ -545,9 +565,11 @@ var ErrCorruptFrame = errors.New("worker: corrupt frame")
 // whose derived header the frame's must equal. Each message is then resolved
 // from its candidate index through the pair's structure (exchange's Target):
 // an O2O payload is decoded directly into an AXPY against its receiver's row;
-// a group or star payload is staged once in the retained scratch and fanned
-// out — a group through the compiled deliver plan, a star over its arcs. A
-// sampled frame must carry exactly the candidates that survive the round's
+// a group payload is staged once in the retained scratch and fanned out
+// through the compiled deliver plan. A halo frame's stars are each decoded
+// once into their staging rows, and once the frame checks out the pair's
+// receive plan gathers them into the receiving rows (DESIGN.md §11 "Halo").
+// A sampled frame must carry exactly the candidates that survive the round's
 // coins, which the receiver walks the pair for (exchange's Walk). Corrupt wire
 // data is an ErrCorruptFrame error, never a panic.
 func (x *exchanger) decodeBatch(me, from int, backward bool, out *tensor.Matrix, buf []byte) error {
@@ -575,13 +597,19 @@ func (x *exchanger) decodeBatch(me, from int, backward bool, out *tensor.Matrix,
 	} else if got != want {
 		return corrupt("header %+v, want %+v", got, want)
 	}
-	scratch := x.ws[me].dec[:out.Cols]
+	ws := x.ws[me]
+	scratch := ws.dec[:out.Cols]
 	coeff, rowOf := x.core.Coeff, x.rowOf
-	_, del := x.groupPlans(idx, backward)
+	_, del, rp := x.plans(idx, backward)
 	halo := !x.core.Semantic()
-	var stars exchange.Stars
+	var stage tensor.Matrix
 	if halo {
-		stars = x.core.Stars(idx, backward)
+		stage = tensor.Matrix{Rows: rp.stars, Cols: out.Cols, Data: ws.stage[:rp.stars*out.Cols]}
+		if want.Sampled {
+			// An absent star then adds +0 to its receivers, which changes
+			// no row: every row starts the round at +0, so none holds −0.
+			clear(stage.Data)
+		}
 	}
 	msgs := 0
 	for dec.More() {
@@ -595,15 +623,12 @@ func (x *exchanger) decodeBatch(me, from int, backward bool, out *tensor.Matrix,
 		switch {
 		case gi < 0:
 			_ = dec.AXPY(coeff[v], out.Row(int(rowOf[v])))
-		case !halo:
+		case halo:
+			_ = dec.Read(stage.Row(int(gi)))
+		default:
 			_ = dec.Read(scratch)
 			rows, w := del.Group(int(gi))
 			tensor.ScatterAXPY(out, rows, w, scratch, 1)
-		default:
-			_ = dec.Read(scratch)
-			for _, r := range stars.Recv[stars.Off[gi]:stars.Off[gi+1]] {
-				tensor.AXPY(coeff[r], scratch, out.Row(int(rowOf[r])))
-			}
 		}
 	}
 	if want.Sampled {
@@ -615,6 +640,9 @@ func (x *exchanger) decodeBatch(me, from int, backward bool, out *tensor.Matrix,
 		if !agree || kept != msgs {
 			return corrupt("%d messages, but the round's coins keep %d candidates (all present: %v)", msgs, kept, agree)
 		}
+	}
+	if halo && msgs > 0 {
+		tensor.GatherCSR(out, &stage, rp.rows, rp.off, rp.star, x.coeff, tensor.Receiver)
 	}
 	return nil
 }

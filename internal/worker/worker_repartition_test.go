@@ -7,6 +7,7 @@ import (
 	"scgnn/internal/datasets"
 	"scgnn/internal/exchange"
 	"scgnn/internal/graph"
+	"scgnn/internal/tensor"
 )
 
 // movedPart deterministically moves every 7th node to the next partition,
@@ -127,6 +128,90 @@ func TestClusterRepartitionHostileInput(t *testing.T) {
 			cl.StartEpoch(0)
 			if !cl.Forward(h).Equal(before, 0) {
 				t.Fatal("failed Repartition changed the cluster's aggregate")
+			}
+		})
+	}
+}
+
+// TestRuntimesMatchOracleAcrossPartialRepartition holds both drivers of the
+// round body — a Cluster and a Peer mesh — to the per-arc oracle at zero
+// tolerance on every lane of EquivalenceLanes (sampling at 0.3 and delay 2
+// among them), forward and backward, before and after an incremental
+// Repartition that moves three nodes from partition 0 to 1: some pairs stay
+// clean and keep their compiled receive and gather plans, the dirty ones
+// recompile, and peers 0 and 1 map their shard rows afresh, which must
+// recompile every plan they hold, clean pairs' included, and their row
+// coefficients.
+func TestRuntimesMatchOracleAcrossPartialRepartition(t *testing.T) {
+	d, part := setup(t, 4)
+	const nparts, dim = 4, 5
+	n := d.NumNodes()
+	// Move nodes of partition 0 whose neighbors all live in 0 and 1: pairs
+	// (0,1) and (1,0) go dirty, and the pairs of 0 and 1 with 2 and 3 stay
+	// clean on shards whose rows moved.
+	next, moved := slices.Clone(part), 0
+	for u := range next {
+		nbrs := d.Graph.Neighbors(int32(u))
+		if next[u] == 0 && len(nbrs) > 0 && moved < 3 &&
+			!slices.ContainsFunc(nbrs, func(v int32) bool { return part[v] > 1 }) {
+			next[u], moved = 1, moved+1
+		}
+	}
+	h, g := randMat(n, dim, 61), randMat(n, dim, 62)
+	got := tensor.New(n, dim)
+	for name, cfg := range EquivalenceLanes(9) {
+		t.Run(name, func(t *testing.T) {
+			cl := NewClusterFromConfig(d.Graph, part, nparts, cfg)
+			defer cl.Close()
+			ref := NewOracle(d.Graph, part, nparts, cfg)
+			peers := newPeers(t, d.Graph, part, nparts, cfg)
+			mesh := newPeerMesh(t, peers, dim)
+			for epoch := 0; epoch < 4; epoch++ {
+				if epoch == 2 {
+					own := [][]int32{slices.Clone(peers[0].Own()), slices.Clone(peers[1].Own())}
+					want, err := ref.Repartition(next)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if len(want) == 0 || slices.Contains(want, 0*nparts+2) || slices.Contains(want, 3*nparts+1) {
+						t.Fatalf("dirty pairs %v: want some, but (0,2) and (3,1) clean", want)
+					}
+					dirty, err := cl.Repartition(next)
+					if err != nil || !slices.Equal(dirty, want) {
+						t.Fatalf("cluster Repartition: dirty %v, %v; oracle %v", dirty, err, want)
+					}
+					for p, peer := range peers {
+						if dirty, err := peer.Repartition(next); err != nil || !slices.Equal(dirty, want) {
+							t.Fatalf("peer %d Repartition: dirty %v, %v; oracle %v", p, dirty, err, want)
+						}
+					}
+					if slices.Equal(own[0], peers[0].Own()) || slices.Equal(own[1], peers[1].Own()) {
+						t.Fatal("the move left peer 0's or peer 1's shard as it was")
+					}
+				}
+				cl.StartEpoch(epoch)
+				ref.StartEpoch(epoch)
+				for _, peer := range peers {
+					peer.StartEpoch(epoch)
+				}
+				for _, bwd := range []bool{false, true} {
+					in, run, oracle := h, cl.Forward, ref.Forward
+					if bwd {
+						in, run, oracle = g, cl.Backward, ref.Backward
+					}
+					want, gotCl := oracle(in), run(in)
+					if !gotCl.Equal(want, 0) {
+						t.Fatalf("epoch %d backward %v: cluster diverged from the oracle", epoch, bwd)
+					}
+					mesh.scatter(in)
+					if err := mesh.round(t, bwd); err != nil {
+						t.Fatalf("epoch %d backward %v: %v", epoch, bwd, err)
+					}
+					mesh.gather(got)
+					if !got.Equal(want, 0) {
+						t.Fatalf("epoch %d backward %v: peers diverged from the oracle", epoch, bwd)
+					}
+				}
 			}
 		})
 	}

@@ -95,7 +95,8 @@ func EvaluatePartition(ds *Dataset, part []int, nparts int) PartitionStats {
 type Method = dist.Config
 
 // Vanilla is the uncompressed exchange (Fig. 7(a)): one message per
-// (boundary row, peer), fanned out over the row's arcs at the receiver.
+// (boundary row, peer), which the receiver adds into every row the boundary
+// row has an arc to.
 func Vanilla() Method { return dist.Vanilla() }
 
 // Sampling transmits each boundary row's message to a peer with the given
