@@ -207,12 +207,15 @@ fuzz-smoke:
 # corrections per unit against a fixed threshold, so no trigger knobs and no
 # adaptive-width counters riding the pair streams, the frames or the
 # checkpoint; and one adaptive width rule (compress.AdaptiveUpTo, taken by
-# value), so no quantizer object per pair outside compress. And one delivery
-# path for halo stars: each star decoded once into its staging row, then one
-# compiled receive gather per frame, weighed by the receiving rows'
-# coefficients, so no per-arc fan-out over a star's receivers; and no
-# per-term weight array in the local plan, whose weights are the
-# coefficients' products.
+# value), so no quantizer object per pair outside compress. And one receive
+# path: every inbound unit — a plan group, an O2O residual or a halo star —
+# decoded once into the staging row of its candidate index, then one compiled
+# receive gather per frame (a semantic frame's terms weighed per term by the
+# plan, a halo frame's by the receiving rows' coefficients), so no per-arc
+# fan-out over a star's receivers, no scatter of a group payload over its
+# members (ScatterAXPY, CompileDeliver), no residual decoded straight into its
+# row (dec.AXPY) and no Target choosing between them; and no per-term weight
+# array in the local plan, whose weights are the coefficients' products.
 one-sink:
 	@! grep -rn 'useReference\|DelayCache\|pairBuf\|NewRounds\|worker\.Rounds\|forEachTask\|putHeader\|MsgHeaderBytes\|Fabric) Send(' --include='*.go' . | grep -v _test.go
 	@! grep -n 'aggregate(' internal/gnn/*.go | grep -v '_test\.go:\|^internal/gnn/layer\.go:'
@@ -237,6 +240,9 @@ one-sink:
 	@! grep -rn '\*compress\.AdaptiveQuantizer' --include='*.go' . | grep -v '_test\.go:\|^\./internal/compress/'
 	@! grep -rnE 'lp\.w\b|^\s+w\s+\[\]float64' --include='*.go' internal/worker | grep -v '_test\.go:'
 	@! grep -n 'Recv\[' internal/worker/round.go
+	@! grep -rnE 'ScatterAXPY|scatterAXPYQuads|CompileDeliver' --include='*.go' . | grep -v '_test\.go:'
+	@! grep -rn ') Target(' --include='*.go' internal/exchange
+	@! grep -rn 'dec\.AXPY' --include='*.go' internal/worker
 
 # Every program under examples/, built into a temporary directory and run to
 # the end: go build compiles them, but only running them shows a facade call
@@ -296,7 +302,10 @@ verify: build vet one-sink test examples race test-net cover fuzz-smoke
 # one per cross arc (same method, four alternations); "halo-gather-before" /
 # "halo-gather" hold BenchmarkClusterRound{Vanilla,Quant,QuantEF,Sampled}Into
 # either side of the halo receive becoming one compiled gather per frame
-# (same method, four alternations).
+# (same method, four alternations); "semantic-receive-before" /
+# "semantic-receive" hold BenchmarkClusterRound{Semantic,Vanilla}Into either
+# side of the semantic frames joining that gather (same method, four
+# alternations).
 # The planning-pipeline benchmarks (one-sweep DBG extraction + concurrent plan
 # builds + EEP sweep, plus the 100k-preset dirty-fraction replan sweep
 # BenchmarkReplan100K*) refresh BENCH_plan.json the same way;

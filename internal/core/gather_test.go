@@ -2,6 +2,8 @@ package core
 
 import (
 	"math"
+	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -55,34 +57,89 @@ func TestCompileEncodeMatchesTraversal(t *testing.T) {
 	}
 }
 
-// TestCompileDeliverMatchesTraversal: same for the receiver side —
-// destination rows in group order with DDst·coeff baked.
-func TestCompileDeliverMatchesTraversal(t *testing.T) {
+// TestCompileReceiveIsTranspose: in both directions the receive list is the
+// transpose of the delivery traversal — each group's DstNodes weighed
+// DDst·coeff, then each O2O residual's receiver weighed coeff, candidate by
+// candidate — with the same weights, bit for bit: receiving rows ascending,
+// each row's candidates ascending. The scratch comes back all zero.
+func TestCompileReceiveIsTranspose(t *testing.T) {
 	p, coeff, _ := gatherTestPlan(t)
+	pos := make([]int32, len(coeff))
+	shared := false // some row receives two or more candidates
 	for _, backward := range []bool{false, true} {
 		groups := p.Groups
 		if backward {
 			groups = ReverseGroups(p)
 		}
-		dp := CompileDeliver(groups, coeff)
-		if dp.NumGroups() != len(groups) {
-			t.Fatalf("backward=%v: %d groups, want %d", backward, dp.NumGroups(), len(groups))
+		type term struct {
+			unit int32
+			w    float64
 		}
+		want := make(map[int32][]term)
 		for gi, grp := range groups {
-			rows, w := dp.Group(gi)
-			if len(rows) != len(grp.DstNodes) {
-				t.Fatalf("group %d: %d rows, want %d", gi, len(rows), len(grp.DstNodes))
-			}
 			for k, v := range grp.DstNodes {
-				if rows[k] != v {
-					t.Fatalf("group %d row %d: %d, want %d", gi, k, rows[k], v)
-				}
-				want := grp.DDst[k] * coeff[v]
-				if math.Float64bits(w[k]) != math.Float64bits(want) {
-					t.Fatalf("group %d weight %d: %v, want %v", gi, k, w[k], want)
+				want[v] = append(want[v], term{int32(gi), grp.DDst[k] * coeff[v]})
+			}
+		}
+		for j, e := range p.O2O {
+			v := e.Dst
+			if backward {
+				v = e.Src
+			}
+			want[v] = append(want[v], term{int32(len(groups) + j), coeff[v]})
+		}
+		l := CompileReceive(groups, p.O2O, backward, coeff, nodes(len(coeff)), pos)
+		if len(l.Rows) != len(want) || len(l.Off) != len(l.Rows)+1 || l.Off[0] != 0 ||
+			len(l.Units) != int(l.Off[len(l.Rows)]) || len(l.W) != len(l.Units) {
+			t.Fatalf("backward=%v: %d rows, %d offsets, %d units, %d weights for %d receivers",
+				backward, len(l.Rows), len(l.Off), len(l.Units), len(l.W), len(want))
+		}
+		for i, v := range l.Rows {
+			if i > 0 && l.Rows[i-1] >= v {
+				t.Fatalf("backward=%v: rows %d, %d not ascending", backward, l.Rows[i-1], v)
+			}
+			terms := want[v]
+			shared = shared || len(terms) > 1
+			lo, hi := l.Off[i], l.Off[i+1]
+			if int(hi-lo) != len(terms) {
+				t.Fatalf("backward=%v row %d: %d terms, want %d", backward, v, hi-lo, len(terms))
+			}
+			for k, tm := range terms {
+				if l.Units[lo+int32(k)] != tm.unit || math.Float64bits(l.W[lo+int32(k)]) != math.Float64bits(tm.w) {
+					t.Fatalf("backward=%v row %d term %d: unit %d weight %v, want %d, %v",
+						backward, v, k, l.Units[lo+int32(k)], l.W[lo+int32(k)], tm.unit, tm.w)
 				}
 			}
 		}
+	}
+	if !shared {
+		t.Fatal("no row receives two candidates: the order goes unchecked")
+	}
+	if slices.ContainsFunc(pos, func(n int32) bool { return n != 0 }) {
+		t.Fatal("CompileReceive left its scratch dirty")
+	}
+}
+
+// nodes returns the node ids 0..n-1, the receiving nodes of a test list.
+func nodes(n int) []int32 {
+	ids := make([]int32, n)
+	for i := range ids {
+		ids[i] = int32(i)
+	}
+	return ids
+}
+
+// TestTransposeWithoutWeights: a list without weights transposes to units
+// only — two units sharing a receiver list it once, in unit order.
+func TestTransposeWithoutWeights(t *testing.T) {
+	pos := make([]int32, 8)
+	l := Transpose([]int32{0, 2, 3, 5}, []int32{6, 1, 6, 1, 4}, nodes(8), pos)
+	want := RecvList{Rows: []int32{1, 4, 6}, Off: []int32{0, 2, 3, 5}, Units: []int32{0, 2, 2, 0, 1}}
+	if !reflect.DeepEqual(l, want) {
+		t.Fatalf("Transpose = %+v, want %+v", l, want)
+	}
+	if slices.ContainsFunc(pos, func(n int32) bool { return n != 0 }) {
+		t.Fatal("Transpose left its scratch dirty")
 	}
 }
 
@@ -115,15 +172,14 @@ func TestReverseGroupsMatchesPerGroupReverse(t *testing.T) {
 }
 
 // TestCompileEncodeEmpty: plans with no groups or residuals compile to
-// valid empty structures (NumGroups 0, no rows).
+// valid empty structures (no groups, no rows).
 func TestCompileEncodeEmpty(t *testing.T) {
 	coeff := []float64{1, 1}
 	ep := CompileEncode(nil, coeff)
 	if ep.NumGroups() != 0 || len(ep.Rows) != 0 {
 		t.Fatal("empty encode plan not empty")
 	}
-	dp := CompileDeliver(nil, coeff)
-	if dp.NumGroups() != 0 || len(dp.Rows) != 0 {
-		t.Fatal("empty deliver plan not empty")
+	if rl := CompileReceive(nil, nil, false, coeff, nodes(2), make([]int32, 2)); len(rl.Rows) != 0 || len(rl.Units) != 0 || !slices.Equal(rl.Off, []int32{0}) {
+		t.Fatal("empty receive plan not empty")
 	}
 }

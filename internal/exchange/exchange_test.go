@@ -59,7 +59,7 @@ func starUnits(arcs map[int32]int32) []Unit {
 	slices.Sort(senders)
 	out := make([]Unit, len(senders))
 	for i, u := range senders {
-		out[i] = Unit{Group: -1, Sender: u, Receiver: -1, Terms: arcs[u]}
+		out[i] = Unit{Group: -1, Sender: u, Terms: arcs[u]}
 	}
 	return out
 }
@@ -108,8 +108,8 @@ func TestWalkOrderContract(t *testing.T) {
 					}
 					wantB = slices.Clone(wantF)
 					for _, e := range plan.O2O {
-						wantF = append(wantF, Unit{Group: -1, Sender: e.Src, Receiver: e.Dst, Terms: 1})
-						wantB = append(wantB, Unit{Group: -1, Sender: e.Dst, Receiver: e.Src, Terms: 1})
+						wantF = append(wantF, Unit{Group: -1, Sender: e.Src, Terms: 1})
+						wantB = append(wantB, Unit{Group: -1, Sender: e.Dst, Terms: 1})
 					}
 					if len(c.Groups(idx, false)) != len(plan.Groups) || len(c.Groups(idx, true)) != len(plan.Groups) {
 						t.Fatalf("pair %d: Groups disagrees with the plan", idx)
@@ -137,7 +137,7 @@ func TestWalkOrderContract(t *testing.T) {
 					w.Index, w.Scale = int64(i), 1
 					if w.Group >= 0 {
 						// A group unit's node fields are not meaningful.
-						dir.got[i].Sender, dir.got[i].Receiver = 0, 0
+						dir.got[i].Sender = 0
 					}
 					if dir.got[i] != w {
 						t.Fatalf("pair %d backward=%v unit %d: %+v, want %+v", idx, dir.backward, i, dir.got[i], w)
@@ -664,13 +664,13 @@ func TestMethodMatrixNames(t *testing.T) {
 	}
 }
 
-// TestTargetInvertsWalk holds Target to Walk on every lane of the method
-// matrix, each also with sampling forced on, in both
-// directions, on the partition the core was built for and after a
-// repartition: every unit Walk yields is what Target names at its index, and
-// a frame whose presence bitmap marks Walk's survivors decodes to exactly
-// those units, in order.
-func TestTargetInvertsWalk(t *testing.T) {
+// TestCandidateIndexNamesUnit holds Walk's candidate indices to what the
+// receive plans assume of them, on every lane of the method matrix, each also
+// with sampling forced on, in both directions, on the partition the core was
+// built for and after a repartition: candidate i is plan group i, O2O residual
+// i−len(groups) or star i, and a frame whose presence bitmap marks Walk's
+// survivors decodes to exactly those candidates, in order.
+func TestCandidateIndexNamesUnit(t *testing.T) {
 	g, part := setup(t)
 	moved := append([]int(nil), part...)
 	for u := 0; u < len(moved); u += 7 {
@@ -691,10 +691,9 @@ func TestTargetInvertsWalk(t *testing.T) {
 					for _, backward := range []bool{false, true} {
 						units := collect(c, idx, backward, step, 1)
 						for _, u := range units {
-							group, receiver := c.Target(idx, backward, int(u.Index))
-							if wg, wr := unitTarget(u); group != wg || receiver != wr {
-								t.Fatalf("%s step %d pair %d backward=%v: Target(%d) = (%d, %d), Walk's unit %+v",
-									name, step, idx, backward, u.Index, group, receiver, u)
+							if want := candidateUnit(c, idx, backward, int(u.Index)); u.Group != want.Group || u.Sender != want.Sender && u.Group < 0 {
+								t.Fatalf("%s step %d pair %d backward=%v: candidate %d is %+v, Walk's unit %+v",
+									name, step, idx, backward, u.Index, want, u)
 							}
 						}
 						checkSurvivorFrame(t, c, idx, backward, units)
@@ -705,22 +704,27 @@ func TestTargetInvertsWalk(t *testing.T) {
 	}
 }
 
-// unitTarget is what Target should name for Walk's unit u: a group's index, a
-// star's own index (a star fans out like a group, over its arcs), or an O2O
-// residual's receiver.
-func unitTarget(u Unit) (group, receiver int32) {
-	switch {
-	case u.Group >= 0:
-		return u.Group, -1
-	case u.Receiver < 0:
-		return int32(u.Index), -1
+// candidateUnit is the unit candidate i of pair idx stands for, read off the
+// structure: a plan group (its index), an O2O residual or a star (its
+// sender, oriented for the direction).
+func candidateUnit(c *Core, idx int, backward bool, i int) Unit {
+	if !c.Semantic() {
+		return Unit{Group: -1, Sender: c.Stars(idx, backward).Sender[i]}
 	}
-	return -1, u.Receiver
+	plan := c.PairPlans[idx]
+	if i < len(plan.Groups) {
+		return Unit{Group: int32(i)}
+	}
+	e := plan.O2O[i-len(plan.Groups)]
+	if backward {
+		return Unit{Group: -1, Sender: e.Dst}
+	}
+	return Unit{Group: -1, Sender: e.Src}
 }
 
 // checkSurvivorFrame encodes one message per unit, its index as the value,
 // into a frame whose bitmap marks the units' candidates, and requires the
-// decode — each message resolved through Target — to deliver exactly them.
+// decode to yield exactly them, in order.
 func checkSurvivorFrame(t *testing.T, c *Core, idx int, backward bool, units []Unit) {
 	t.Helper()
 	if len(units) == 0 {
@@ -739,10 +743,8 @@ func checkSurvivorFrame(t *testing.T, c *Core, idx int, backward bool, units []U
 		if err != nil || k >= len(units) || dec.Read(val) != nil {
 			t.Fatalf("pair %d: message %d of %d: %v", idx, k, len(units), err)
 		}
-		u := units[k]
-		group, receiver := c.Target(idx, backward, hd.Index)
-		if wg, wr := unitTarget(u); int64(hd.Index) != u.Index || val[0] != float64(u.Index) || group != wg || receiver != wr {
-			t.Fatalf("pair %d: message %d decodes as candidate %d → (%d, %d), Walk's unit %+v", idx, k, hd.Index, group, receiver, u)
+		if u := units[k]; int64(hd.Index) != u.Index || val[0] != float64(u.Index) {
+			t.Fatalf("pair %d: message %d decodes as candidate %d, Walk's unit %+v", idx, k, hd.Index, u)
 		}
 	}
 }

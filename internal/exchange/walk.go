@@ -10,11 +10,10 @@ type Unit struct {
 	// (compress.RoundUnitKey(round, Index)) stay aligned across epochs.
 	Index int64
 	// Group is the plan-group index of a fused unit, or -1 for a per-node
-	// unit — an O2O residual or a halo star — whose payload is Sender's row.
-	// Receiver is an O2O residual's (-1 for a star: it delivers over its
-	// arcs), and Terms the rows a per-node unit is delivered to: 1, or a
-	// star's arcs. Both ends are oriented for the direction.
-	Group, Sender, Receiver, Terms int32
+	// unit — an O2O residual or a halo star — whose payload is Sender's row,
+	// oriented for the direction. Terms is the rows a per-node unit is
+	// delivered to: 1, or a star's arcs.
+	Group, Sender, Terms int32
 	// Scale is the sampling rescale 1/rate (exactly 1 when the pair does not
 	// sample); it multiplies the sender-side coefficient.
 	Scale float64
@@ -47,7 +46,7 @@ func groupCoinKey(gi int) int64 { return int64(-1 - gi) }
 // Unit's meaning past its call.
 func (c *Core) Walk(idx int, backward bool, epoch, round int, sink func(Unit)) {
 	ps := &c.Pairs[idx]
-	u := Unit{Group: -1, Receiver: -1, Scale: 1}
+	u := Unit{Group: -1, Scale: 1}
 	var coins compress.Sampler
 	if ps.Sampler != nil {
 		coins = ps.Sampler.At(epoch, round)
@@ -77,12 +76,12 @@ func (c *Core) Walk(idx int, backward bool, epoch, round int, sink func(Unit)) {
 	}
 	u.Group, u.Terms = -1, 1
 	for _, o := range plan.O2O {
-		sender, receiver := o.Src, o.Dst
+		sender := o.Src
 		if backward {
-			sender, receiver = receiver, sender
+			sender = o.Dst
 		}
 		if keep(int64(sender)) {
-			u.Sender, u.Receiver = sender, receiver
+			u.Sender = sender
 			sink(u)
 		}
 		u.Index++
@@ -100,24 +99,4 @@ func (c *Core) Candidates(idx int, backward bool) int {
 		return plan.VectorsPerRound()
 	}
 	return 0
-}
-
-// Target is Walk's inverse on the receiving side: what candidate i <
-// Candidates(idx, backward) of pair idx's round delivers to — a plan group or
-// a star, which fan out over their members (group ≥ 0: the group or star
-// index), else (-1) an O2O residual's receiver — as Walk sets it on the unit
-// with Index i. Kept small enough to inline into a per-message loop.
-func (c *Core) Target(idx int, backward bool, i int) (group, receiver int32) {
-	if !c.Semantic() {
-		return int32(i), -1
-	}
-	plan := c.PairPlans[idx]
-	if i < len(plan.Groups) {
-		return int32(i), -1
-	}
-	e := plan.O2O[i-len(plan.Groups)]
-	if backward {
-		return -1, e.Src
-	}
-	return -1, e.Dst
 }

@@ -28,7 +28,7 @@ func (f *fuzzBits) next() float64 {
 
 // FuzzTensorKernels turns bytes into a width, a CSR row list and float bits,
 // and requires every vector body to agree with its Go loop on them: the
-// register-resident gather (GatherCSR in either weighting, and GatherAXPY at
+// register-resident gather (GatherCSR in every weighting, and GatherAXPY at
 // the same widths), both ReLU mask passes and the column sum; the Go path of
 // GatherCSR must also equal the sequential AXPY loop. A NaN must come out exactly where
 // the Go loop puts one; which payload it carries after two NaNs met is the
@@ -45,12 +45,15 @@ func FuzzTensorKernels(f *testing.F) {
 		}
 		// Header: width 1…40 (the vector gather takes multiples of 4 up to
 		// 32), 1…16 matrix rows, 0…7 output rows and the weighting (bit 3:
-		// Receiver); then one byte per output row (destination and term
-		// count) and one per term (source row).
+		// Receiver, else bit 4: PerTerm, else Symmetric); then one byte per
+		// output row (destination and term count) and one per term (source
+		// row).
 		c, nm, nout := 1+int(data[0])%40, 1+int(data[1])%16, int(data[2])%8
 		how := Symmetric
 		if data[2]&8 != 0 {
 			how = Receiver
+		} else if data[2]&16 != 0 {
+			how = PerTerm
 		}
 		data = data[3:]
 		pick := func() int {
@@ -91,11 +94,15 @@ func FuzzTensorKernels(f *testing.F) {
 			coeff[i] = bits.next()
 		}
 		scale := bits.next()
+		csrW := coeff
+		if how == PerTerm {
+			csrW = w
+		}
 
 		run := func(vec bool) (csr *Matrix, y, relu, gate, sums []float64, mask []uint64) {
 			useSIMD = vec
 			csr = base.Clone()
-			GatherCSR(csr, m, rows, off, nbr, coeff, how)
+			GatherCSR(csr, m, rows, off, nbr, csrW, how)
 			y = append([]float64(nil), base.Row(0)...)
 			GatherAXPY(y, m, nbr, w, scale)
 			r := m.Clone()
@@ -110,7 +117,7 @@ func FuzzTensorKernels(f *testing.F) {
 		csrG, yG, reluG, gateG, sumsG, maskG := run(false)
 		csrS, yS, reluS, gateS, sumsS, maskS := run(true)
 		want := base.Clone()
-		axpyGatherCSR(want, m, rows, off, nbr, coeff, how)
+		axpyGatherCSR(want, m, rows, off, nbr, csrW, how)
 		if !bitsEqualOrNaN(csrG.Data, want.Data) {
 			t.Fatalf("GatherCSR weighting %d c=%d rows=%v off=%v nbr=%v: Go loop differs from sequential AXPY", how, c, rows, off, nbr)
 		}

@@ -1,30 +1,29 @@
-// Fused gather/scatter kernels for the distributed round hot path.
+// Fused gather kernels for the distributed round hot path.
 //
 // The worker runtime's per-round cost is dominated by long runs of
 // rank-1 row updates: local aggregation (out_u += Σ w·h_v over a
-// precompiled neighbor list), halo receive (out_v += w·star over the
-// stars a row receives), semantic group fusion (payload += Σ w·h_u
-// over a member list), and group delivery (out_v += w·payload over a
-// destination list). Issuing one AXPY call per term pays call/branch
-// overhead per 32-wide vector op and re-loads the accumulator row from
-// memory every term. GatherAXPY and ScatterAXPY fuse those runs:
-// unroll-by-4 across the indexed rows with the accumulator kept in
-// registers across the unroll, column-tiled so wide feature matrices
-// stay inside L1 while the row list streams. GatherCSR takes a whole
-// compiled neighbour-list CSR (a worker's local plan, or the receive
-// plan of one inbound halo frame) in one call, so that at the feature
-// widths of the presets its vector body keeps each output row in
-// registers across the row's terms and prefetches rows ahead across row
+// precompiled neighbor list), the receive (out_v += w·unit over the staged
+// units a row receives) and semantic group fusion (payload += Σ w·h_u over
+// a member list). Issuing one AXPY call per term pays call/branch overhead
+// per 32-wide vector op and re-loads the accumulator row from memory every
+// term. GatherAXPY fuses such a run: unroll-by-4 across the indexed rows
+// with the accumulator kept in registers across the unroll, column-tiled
+// so wide feature matrices stay inside L1 while the row list streams.
+// GatherCSR takes a whole compiled neighbour-list CSR (a worker's local
+// plan, or the receive plan of one inbound frame) in one call, so that at
+// the feature widths of the presets its vector body keeps each output row
+// in registers across the row's terms and prefetches rows ahead across row
 // boundaries.
 //
-// Weight contract: GatherAXPY and ScatterAXPY take one weight per term
-// (w[k]·scale). GatherCSR takes none: a term's weight comes from a
-// coefficient vector indexed by row (Weighting) — the GCN factor
-// 1/√(deg+1) of each row — so a compiled plan stores only row indices.
-// A local arc weighs coeff[u]·coeff[v] (Symmetric), a staged halo star,
-// whose sender already applied its own factor, coeff[v] (Receiver). The
-// product is formed as coeff[u]·coeff[v] and then applied, exactly the
-// weight a compiled per-term array would hold.
+// Weight contract: GatherAXPY takes one weight per term (w[k]·scale).
+// GatherCSR takes the Weighting its caller names: one weight per term
+// (PerTerm, the receive plan of a semantic frame, whose terms weigh
+// DDst·coeff per (group, member)), or a coefficient vector indexed by row —
+// the GCN factor 1/√(deg+1) of each row — so a compiled plan stores only
+// row indices. A local arc weighs coeff[u]·coeff[v] (Symmetric), a staged
+// halo star, whose sender already applied its own factor, coeff[v]
+// (Receiver). The product is formed as coeff[u]·coeff[v] and then applied,
+// exactly the weight a compiled per-term array would hold.
 //
 // Bit-identity contract (load-bearing — the worker/dist equivalence
 // tests compare outputs byte for byte): for every output element the
@@ -65,17 +64,18 @@ const gatherPrefetch = 16
 // registers across its term list.
 func registerRows(c int) bool { return useSIMD && c > 0 && c <= maxTileCols && c%4 == 0 }
 
-// Weighting says where GatherCSR takes a term's weight from: a coefficient
-// vector coeff with one entry per row of dst.
+// Weighting says where GatherCSR takes a term's weight from: a weight array
+// w with one entry per term, or a coefficient vector w with one entry per row
+// of dst.
 type Weighting int
 
 const (
-	// perTerm is GatherAXPY's weighting in the vector gather: w[t]·scale.
-	perTerm Weighting = iota
-	// Symmetric weighs term t of output row i by coeff[rows[i]]·coeff[nbr[t]]:
-	// an arc between two rows of one row space (m's rows are dst's).
+	// PerTerm weighs term t by w[t] (GatherAXPY's weighting, at scale 1).
+	PerTerm Weighting = iota
+	// Symmetric weighs term t of output row i by w[rows[i]]·w[nbr[t]]: an
+	// arc between two rows of one row space (m's rows are dst's).
 	Symmetric
-	// Receiver weighs every term of output row i by coeff[rows[i]]: rows of m
+	// Receiver weighs every term of output row i by w[rows[i]]: rows of m
 	// that already carry their sender's factor.
 	Receiver
 )
@@ -96,7 +96,7 @@ func GatherAXPY(y []float64, m *Matrix, rows []int32, w []float64, scale float64
 			// One output row: y itself, its terms the whole list.
 			var dst int32
 			off := [2]int32{0, int32(len(rows))}
-			gatherRows(&y[0], &dst, &off[0], 1, &m.Data[0], &rows[0], len(rows), &w[0], c, gatherPrefetch, scale, perTerm)
+			gatherRows(&y[0], &dst, &off[0], 1, &m.Data[0], &rows[0], len(rows), &w[0], c, gatherPrefetch, scale, PerTerm)
 		}
 		return
 	}
@@ -151,19 +151,24 @@ func GatherAXPY(y []float64, m *Matrix, rows []int32, w []float64, scale float64
 //
 //	dst.Row(rows[i]) += Σ_{t ∈ [off[i], off[i+1])} a_t·m.Row(nbr[t])
 //
-// with t ascending, where a_t is how's weight read off coeff (one entry per
-// row of dst; under Symmetric m shares dst's rows) — bit-identical to the
-// sequential AXPY(a_t, m.Row(nbr[t]), dst.Row(rows[i])) loop, repeated
-// output rows included. off holds len(rows)+1 non-decreasing offsets into
-// nbr, which may run on past off[len(rows)]: the vector body prefetches the
-// row of term t+gatherPrefetch while term t runs, walking nbr as one array
-// across row boundaries, and stops prefetching gatherPrefetch terms before
-// len(nbr). Row indices are trusted exactly as GatherAXPY's are.
-func GatherCSR(dst, m *Matrix, rows, off, nbr []int32, coeff []float64, how Weighting) {
-	if dst.Cols != m.Cols || len(off) != len(rows)+1 || len(coeff) != dst.Rows ||
-		how != Symmetric && how != Receiver || how == Symmetric && m.Rows != dst.Rows {
-		panic(fmt.Sprintf("tensor: GatherCSR dst %dx%d, m %dx%d, rows %d, off %d, coefficients %d, weighting %d",
-			dst.Rows, dst.Cols, m.Rows, m.Cols, len(rows), len(off), len(coeff), how))
+// with t ascending, where a_t is how's weight read off w (PerTerm: one entry
+// per term of nbr; otherwise one per row of dst, and under Symmetric m shares
+// dst's rows) — bit-identical to the sequential
+// AXPY(a_t, m.Row(nbr[t]), dst.Row(rows[i])) loop, repeated output rows
+// included. off holds len(rows)+1 non-decreasing offsets into nbr, which may
+// run on past off[len(rows)]: the vector body prefetches the row of term
+// t+gatherPrefetch while term t runs, walking nbr as one array across row
+// boundaries, and stops prefetching gatherPrefetch terms before len(nbr). Row
+// indices are trusted exactly as GatherAXPY's are.
+func GatherCSR(dst, m *Matrix, rows, off, nbr []int32, w []float64, how Weighting) {
+	wlen := dst.Rows
+	if how == PerTerm {
+		wlen = len(nbr)
+	}
+	if dst.Cols != m.Cols || len(off) != len(rows)+1 || len(w) != wlen ||
+		how < PerTerm || how > Receiver || how == Symmetric && m.Rows != dst.Rows {
+		panic(fmt.Sprintf("tensor: GatherCSR dst %dx%d, m %dx%d, rows %d, off %d, terms %d, weights %d, weighting %d",
+			dst.Rows, dst.Cols, m.Rows, m.Cols, len(rows), len(off), len(nbr), len(w), how))
 	}
 	if len(rows) == 0 {
 		return
@@ -172,81 +177,30 @@ func GatherCSR(dst, m *Matrix, rows, off, nbr []int32, coeff []float64, how Weig
 		panic(fmt.Sprintf("tensor: GatherCSR offsets [%d, %d] outside %d terms", off[0], off[len(rows)], len(nbr)))
 	}
 	if c := m.Cols; registerRows(c) && off[0] < off[len(rows)] {
-		gatherRows(&dst.Data[0], &rows[0], &off[0], len(rows), &m.Data[0], &nbr[0], len(nbr), &coeff[0], c, gatherPrefetch, 1, how)
+		gatherRows(&dst.Data[0], &rows[0], &off[0], len(rows), &m.Data[0], &nbr[0], len(nbr), &w[0], c, gatherPrefetch, 1, how)
 		return
 	}
-	// The Go path: each row's weights a chunk at a time, then GatherAXPY over
-	// the chunk's terms at scale 1, which leaves every weight as it is.
+	// The Go path: GatherAXPY over each row's terms at scale 1, which leaves
+	// every weight as it is — the terms' own (PerTerm), or formed off the
+	// coefficients a chunk at a time.
 	var buf [64]float64
 	for i, r := range rows {
-		y, fu := dst.Row(int(r)), coeff[r]
+		y := dst.Row(int(r))
+		if how == PerTerm {
+			GatherAXPY(y, m, nbr[off[i]:off[i+1]], w[off[i]:off[i+1]], 1)
+			continue
+		}
+		fu := w[r]
 		for lo, hi := off[i], off[i+1]; lo < hi; lo += int32(len(buf)) {
 			terms := nbr[lo:min(hi, lo+int32(len(buf)))]
-			w := buf[:len(terms)]
+			a := buf[:len(terms)]
 			for k, v := range terms {
-				w[k] = fu
+				a[k] = fu
 				if how == Symmetric {
-					w[k] = fu * coeff[v]
+					a[k] = fu * w[v]
 				}
 			}
-			GatherAXPY(y, m, terms, w, 1)
-		}
-	}
-}
-
-// ScatterAXPY accumulates m.Row(rows[k]) += (w[k]·scale)·x for every k,
-// in ascending k — bit-identical to the equivalent sequence of
-// AXPY(w[k]*scale, x, m.Row(rows[k])) calls (duplicate row indices
-// accumulate in k order per element). len(x) must equal m.Cols.
-func ScatterAXPY(m *Matrix, rows []int32, w []float64, x []float64, scale float64) {
-	if len(rows) != len(w) {
-		panic(fmt.Sprintf("tensor: ScatterAXPY rows %d, weights %d", len(rows), len(w)))
-	}
-	c := m.Cols
-	if len(x) != c {
-		panic(fmt.Sprintf("tensor: ScatterAXPY len(x) %d, m.Cols %d", len(x), c))
-	}
-	data := m.Data
-	for lo := 0; lo < c; lo += kernelTile {
-		hi := lo + kernelTile
-		if hi > c {
-			hi = c
-		}
-		xt := x[lo:hi]
-		k := 0
-		if quads := len(rows) / 4; useSIMD && quads > 0 {
-			// AVX2 body of the same quad loop; see GatherAXPY above. Each
-			// row's vector read-modify-write retires before the next row's
-			// load, preserving k order under duplicate rows.
-			scatterAXPYQuads(&xt[0], len(xt), &data[lo], &rows[0], &w[0], quads, c, scale)
-			k = quads * 4
-		}
-		for ; k+4 <= len(rows); k += 4 {
-			r0, r1 := int(rows[k])*c, int(rows[k+1])*c
-			r2, r3 := int(rows[k+2])*c, int(rows[k+3])*c
-			y0 := data[r0+lo : r0+hi][:len(xt)]
-			y1 := data[r1+lo : r1+hi][:len(xt)]
-			y2 := data[r2+lo : r2+hi][:len(xt)]
-			y3 := data[r3+lo : r3+hi][:len(xt)]
-			a0, a1 := w[k]*scale, w[k+1]*scale
-			a2, a3 := w[k+2]*scale, w[k+3]*scale
-			for j, xv := range xt {
-				// k-ascending per element even when rows repeat: y0 is
-				// updated before y1 reads, because aliased slices share
-				// backing memory.
-				y0[j] += a0 * xv
-				y1[j] += a1 * xv
-				y2[j] += a2 * xv
-				y3[j] += a3 * xv
-			}
-		}
-		for ; k < len(rows); k++ {
-			r := int(rows[k]) * c
-			y := data[r+lo : r+hi][:len(xt)]
-			a := w[k] * scale
-			for j, xv := range xt {
-				y[j] += a * xv
-			}
+			GatherAXPY(y, m, terms, a, 1)
 		}
 	}
 }

@@ -25,19 +25,11 @@ func cpuHasAVX2() bool
 //go:noescape
 func gatherAXPYQuads(y *float64, n int, data *float64, rows *int32, w *float64, quads, c int, scale float64)
 
-// scatterAXPYQuads runs the unroll-by-4 scatter loop over quads×4 rows:
-// data[rows[t]·c : +n] += (w[t]·scale)·x[0:n] in ascending t, preserving
-// per-element t order under duplicate rows (each row's store completes
-// before the next row's load).
-//
-//go:noescape
-func scatterAXPYQuads(x *float64, n int, data *float64, rows *int32, w *float64, quads, c int, scale float64)
-
 // gatherRows is the register-resident CSR gather: for each of nrows output
 // rows i, dst[rows[i]·c : +c] += Σ a_t·data[nbr[t]·c : +c] over t in
 // [off[i], off[i+1]) ascending, the output row held in c/4 YMM accumulators
 // across its terms (c a multiple of 4, at most 32). The weight a_t is the
-// mode's: w[t]·scale (perTerm), w[rows[i]]·w[nbr[t]] (Symmetric) or
+// mode's: w[t]·scale (PerTerm), w[rows[i]]·w[nbr[t]] (Symmetric) or
 // w[rows[i]] (Receiver). While term t runs it prefetches the row of term
 // t+pf (and, Symmetric, its w[nbr[t+pf]]), for t+pf < nnz = len(nbr).
 // Indices are trusted.

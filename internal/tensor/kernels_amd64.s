@@ -1,4 +1,4 @@
-// AVX2 bodies of the fused gather/scatter loops, the dense product tiles
+// AVX2 bodies of the fused gather loops, the dense product tiles
 // and the ReLU mask passes. See kernels.go for the bit-identity contract:
 // VMULPD/VADDPD (never FMA) so every element rounds exactly like the
 // generic scalar chain, vectorized only across the independent column index.
@@ -120,103 +120,6 @@ gnext:
 	ADDQ	$32, BX
 	DECQ	CX
 	JNZ	gquad
-	VZEROUPPER
-	RET
-
-// func scatterAXPYQuads(x *float64, n int, data *float64, rows *int32, w *float64, quads, c int, scale float64)
-TEXT ·scatterAXPYQuads(SB), NOSPLIT, $0-64
-	MOVQ	x+0(FP), DI
-	MOVQ	data+16(FP), SI
-	MOVQ	rows+24(FP), DX
-	MOVQ	w+32(FP), BX
-	MOVQ	quads+40(FP), CX
-	MOVQ	c+48(FP), R8
-	VMOVSD	scale+56(FP), X15
-
-squad:
-	MOVLQSX	(DX), R9
-	MOVLQSX	4(DX), R10
-	MOVLQSX	8(DX), R11
-	MOVLQSX	12(DX), R12
-	IMULQ	R8, R9
-	IMULQ	R8, R10
-	IMULQ	R8, R11
-	IMULQ	R8, R12
-	LEAQ	(SI)(R9*8), R9
-	LEAQ	(SI)(R10*8), R10
-	LEAQ	(SI)(R11*8), R11
-	LEAQ	(SI)(R12*8), R12
-	VMOVSD	(BX), X0
-	VMULSD	X15, X0, X0
-	VBROADCASTSD X0, Y4
-	VMOVSD	8(BX), X0
-	VMULSD	X15, X0, X0
-	VBROADCASTSD X0, Y5
-	VMOVSD	16(BX), X0
-	VMULSD	X15, X0, X0
-	VBROADCASTSD X0, Y6
-	VMOVSD	24(BX), X0
-	VMULSD	X15, X0, X0
-	VBROADCASTSD X0, Y7
-	MOVQ	n+8(FP), R13
-	XORQ	AX, AX
-
-svec:
-	CMPQ	R13, $4
-	JLT	stail
-	// Each row's read-modify-write completes before the next row's load,
-	// so duplicate rows accumulate in ascending t per element — exactly
-	// the generic path's aliasing behavior.
-	VMOVUPD	(DI)(AX*1), Y0
-	VMOVUPD	(R9)(AX*1), Y1
-	VMULPD	Y4, Y0, Y2
-	VADDPD	Y2, Y1, Y1
-	VMOVUPD	Y1, (R9)(AX*1)
-	VMOVUPD	(R10)(AX*1), Y1
-	VMULPD	Y5, Y0, Y2
-	VADDPD	Y2, Y1, Y1
-	VMOVUPD	Y1, (R10)(AX*1)
-	VMOVUPD	(R11)(AX*1), Y1
-	VMULPD	Y6, Y0, Y2
-	VADDPD	Y2, Y1, Y1
-	VMOVUPD	Y1, (R11)(AX*1)
-	VMOVUPD	(R12)(AX*1), Y1
-	VMULPD	Y7, Y0, Y2
-	VADDPD	Y2, Y1, Y1
-	VMOVUPD	Y1, (R12)(AX*1)
-	ADDQ	$32, AX
-	SUBQ	$4, R13
-	JMP	svec
-
-stail:
-	TESTQ	R13, R13
-	JZ	snext
-	VMOVSD	(DI)(AX*1), X0
-	VMOVSD	(R9)(AX*1), X1
-	VMULSD	X4, X0, X2
-	VADDSD	X2, X1, X1
-	VMOVSD	X1, (R9)(AX*1)
-	VMOVSD	(R10)(AX*1), X1
-	VMULSD	X5, X0, X2
-	VADDSD	X2, X1, X1
-	VMOVSD	X1, (R10)(AX*1)
-	VMOVSD	(R11)(AX*1), X1
-	VMULSD	X6, X0, X2
-	VADDSD	X2, X1, X1
-	VMOVSD	X1, (R11)(AX*1)
-	VMOVSD	(R12)(AX*1), X1
-	VMULSD	X7, X0, X2
-	VADDSD	X2, X1, X1
-	VMOVSD	X1, (R12)(AX*1)
-	ADDQ	$8, AX
-	DECQ	R13
-	JMP	stail
-
-snext:
-	ADDQ	$16, DX
-	ADDQ	$32, BX
-	DECQ	CX
-	JNZ	squad
 	VZEROUPPER
 	RET
 
@@ -344,7 +247,7 @@ TEXT ·mulTile(SB), NOSPLIT, $0-90
 //		acc += a · data[nbr[t]]              (VMULPD then VADDPD, x first)
 //	dst[rows[i]] = acc
 //
-// The weight a is the mode's (kernels.go's Weighting): w[t]·scale per term;
+// The weight a is the mode's (kernels.go's Weighting): w[t]·scale per term (PerTerm);
 // w[rows[i]]·w[nbr[t]] (Symmetric, the row's factor broadcast once per row,
 // and w[nbr[t+pf]] prefetched with its row); or w[rows[i]] for every term of
 // the row (Receiver). An output row with no

@@ -11,10 +11,6 @@ func gatherAXPYQuads(y *float64, n int, data *float64, rows *int32, w *float64, 
 	panic("tensor: vector kernel called without SIMD support")
 }
 
-func scatterAXPYQuads(x *float64, n int, data *float64, rows *int32, w *float64, quads, c int, scale float64) {
-	panic("tensor: vector kernel called without SIMD support")
-}
-
 func gatherRows(dst *float64, rows, off *int32, nrows int, data *float64, nbr *int32, nnz int, w *float64, c, pf int, scale float64, mode Weighting) {
 	panic("tensor: vector kernel called without SIMD support")
 }

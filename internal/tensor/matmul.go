@@ -2,7 +2,7 @@
 // dy·Wᵀ — each as one portable Go loop and, on amd64 with AVX2, one vector
 // body (mulTile in kernels_amd64.s) selected by useSIMD.
 //
-// Bit-identity contract (the same one the gather/scatter kernels in
+// Bit-identity contract (the same one the gather kernels in
 // kernels.go hold, and for the same reason — the engine/cluster/fleet
 // equivalence tests compare losses bit for bit): every output element is
 // the same chain of multiply-then-add steps, in the same ascending order

@@ -24,10 +24,10 @@ type Header struct{ Index, N int }
 // Decoder iterates the messages of an encoded frame in place: no []*Message
 // slice, no per-message payload allocation. Frame parses and validates the
 // batch header (Next does so on first use); Next then validates one message,
-// whose payload is consumed either by AXPY (fused decode-and-accumulate
-// straight into an output row, the hot path of the worker runtime's receive
-// phase) or by Read (into a caller-owned scratch slice, for group messages
-// that fan out to several rows).
+// whose payload is consumed either by Read (into a caller-owned slice: the
+// worker runtime's receive phase stages every unit at its candidate index,
+// then gathers the staged rows into the receivers) or by AXPY (fused
+// decode-and-accumulate into one row).
 //
 // Decoder trusts nothing it reads: the bitmap and each message are checked
 // against the remaining buffer in int64 arithmetic, bit widths outside

@@ -9,9 +9,11 @@ package worker
 // runtime compiles it once — at construction and on Repartition (dirty
 // state only) — into flat int32 row lists, and the round runs fused
 // kernels over them: tensor.GatherCSR over a worker's whole local plan
-// and over each inbound halo frame's receive plan, tensor.GatherAXPY /
-// tensor.ScatterAXPY per group. The CSR plans store no weights: the
-// kernel reads them off the row-ordered coefficients (exchanger.coeff).
+// and over each inbound frame's receive plan, tensor.GatherAXPY per
+// group it encodes. The local plan and a halo receive plan store no
+// weights: the kernel reads them off the row-ordered coefficients
+// (exchanger.coeff); a semantic receive plan carries its terms' weights,
+// which core compiles.
 //
 // Invalidation contract (DESIGN.md §11): compiled state is a pure
 // function of (graph, part, plans/stars, coeff) in the exchange core,
@@ -33,29 +35,22 @@ import (
 	"fmt"
 
 	"scgnn/internal/core"
-	"scgnn/internal/exchange"
 )
 
-// pairKernels is one ordered pair's compiled plans for both directions
-// (F = forward, B = backward): a semantic pair's encode/deliver group lists, a
-// baseline pair's receive plans. The source worker runs encF, delB and recvB,
-// the sink worker encB, delF and recvF; a half no worker of this process runs
-// stays nil. Zero value means "no plan" (no plan or no cross edges).
+// pairKernels is one ordered pair's compiled plans, per direction (index 0
+// forward, 1 backward): a semantic pair's encode group lists, and every
+// pair's receive plans — the units of a frame staged at their candidate
+// indices, gathered into the receiving rows. A semantic pair's is
+// core.CompileReceive's, its terms weighed per term (tensor.PerTerm); a
+// baseline pair's the transpose of its exchange.Stars, each term weighed by
+// the receiving row's coefficient (tensor.Receiver), so stars ordered by
+// sender are summed in ascending sender order, frame by frame. A direction's
+// sending worker runs its encode list, its receiving worker its receive plan;
+// a half no worker of this process runs stays empty. Zero value means "no
+// plan" (no plan or no cross edges).
 type pairKernels struct {
-	encF, encB, delF, delB *core.GroupList
-	recvF, recvB           *recvPlan
-}
-
-// recvPlan is one direction of a baseline pair's halo stars seen from the
-// receiving worker: the transpose of exchange.Stars. A frame's stars are
-// staged as rows 0..stars-1 of a matrix, star k in row k; receiving row
-// rows[i] (ascending) then sums the staged rows star[off[i]:off[i+1]], in
-// ascending star order, each weighed by the receiving row's coefficient
-// (tensor.Receiver). Stars are ordered by sender, so every row sums its
-// senders' terms in ascending sender order, frame by frame.
-type recvPlan struct {
-	stars           int
-	rows, off, star []int32
+	enc  [2]*core.GroupList
+	recv [2]core.RecvList
 }
 
 // localPlan is one worker's compiled local-aggregation CSR. rows holds
@@ -75,21 +70,22 @@ type localPlan struct {
 	nbr       []int32
 }
 
-// plans returns pair idx's compiled plans for the direction: its group
-// lists, nil when the pair has no plan (and then the unit walk yields no
-// group either), and its receive plan, nil on a semantic pair.
-func (x *exchanger) plans(idx int, backward bool) (enc, del *core.GroupList, recv *recvPlan) {
-	k := &x.kernels[idx]
+// plans returns pair idx's compiled plans for the direction: its encode
+// group list, nil when the pair has no plan (and then the unit walk yields no
+// group either), and its receive plan.
+func (x *exchanger) plans(idx int, backward bool) (enc *core.GroupList, recv *core.RecvList) {
+	k, d := &x.kernels[idx], 0
 	if backward {
-		return k.encB, k.delB, k.recvB
+		d = 1
 	}
-	return k.encF, k.delF, k.recvF
+	return k.enc[d], &k.recv[d]
 }
 
 // compilePairKernels refreshes pair idx's compiled plans from the core's
 // current plan or stars: each endpoint's half when this process runs that
-// endpoint, since the rows it lists are that worker's own. pos is a scratch
-// vector of one entry per node, all zero on entry and on return.
+// endpoint, since the rows it lists are that worker's own, and that worker's
+// staging rows grow to the direction's candidates. pos is a scratch vector of
+// one entry per node, all zero on entry and on return.
 func (x *exchanger) compilePairKernels(idx int, pos []int32) {
 	k := &x.kernels[idx]
 	*k = pairKernels{}
@@ -98,68 +94,33 @@ func (x *exchanger) compilePairKernels(idx int, pos []int32) {
 	if src == dst {
 		return
 	}
-	if !x.core.Semantic() {
-		if x.ws[dst] != nil {
-			k.recvF = x.compileRecv(x.core.Stars(idx, false), dst, pos)
-			x.ws[dst].grow(k.recvF.stars)
-		}
-		if x.ws[src] != nil {
-			k.recvB = x.compileRecv(x.core.Stars(idx, true), src, pos)
-			x.ws[src].grow(k.recvB.stars)
-		}
-		return
-	}
-	p := x.core.PairPlans[idx]
-	if p == nil {
-		return
-	}
-	rev, coeff := x.core.RevGroups[idx], x.core.Coeff
-	if x.ws[src] != nil {
-		k.encF = core.CompileEncode(p.Groups, coeff)
-		k.delB = core.CompileDeliver(rev, coeff)
-		x.toRows(k.encF.Rows)
-		x.toRows(k.delB.Rows)
-	}
-	if x.ws[dst] != nil {
-		k.encB = core.CompileEncode(rev, coeff)
-		k.delF = core.CompileDeliver(p.Groups, coeff)
-		x.toRows(k.encB.Rows)
-		x.toRows(k.delF.Rows)
-	}
-}
-
-// compileRecv transposes one direction's stars, received by worker recv,
-// into its receive plan: a counting sort of the arcs by receiving node (read
-// off recv's ascending nodes), taken in ascending star order, so each
-// receiver's stars stay ascending.
-func (x *exchanger) compileRecv(st exchange.Stars, recv int, pos []int32) *recvPlan {
-	receivers := 0
-	for _, v := range st.Recv {
-		if pos[v] == 0 {
-			receivers++
-		}
-		pos[v]++
-	}
-	rp := &recvPlan{stars: len(st.Sender), rows: make([]int32, 0, receivers), off: make([]int32, 1, receivers+1),
-		star: make([]int32, len(st.Recv))}
-	for _, v := range x.core.Own[recv] {
-		if n := pos[v]; n > 0 {
-			at := rp.off[len(rp.off)-1]
-			rp.rows, rp.off = append(rp.rows, v), append(rp.off, at+n)
-			pos[v] = at // v's next term
+	var p *core.PairPlan // nil on a baseline pair
+	if x.core.Semantic() {
+		if p = x.core.PairPlans[idx]; p == nil {
+			return
 		}
 	}
-	for k := range st.Sender {
-		for _, v := range st.Recv[st.Off[k]:st.Off[k+1]] {
-			rp.star[pos[v]] = int32(k)
-			pos[v]++
+	for d, backward := range [2]bool{false, true} {
+		sender, receiver := src, dst
+		if backward {
+			sender, receiver = dst, src
 		}
+		if x.ws[sender] != nil && p != nil {
+			k.enc[d] = core.CompileEncode(x.core.Groups(idx, backward), x.core.Coeff)
+			x.toRows(k.enc[d].Rows)
+		}
+		if x.ws[receiver] == nil {
+			continue
+		}
+		if nodes := x.core.Own[receiver]; p == nil {
+			st := x.core.Stars(idx, backward)
+			k.recv[d] = core.Transpose(st.Off, st.Recv, nodes, pos)
+		} else {
+			k.recv[d] = core.CompileReceive(x.core.Groups(idx, backward), p.O2O, backward, x.core.Coeff, nodes, pos)
+		}
+		x.toRows(k.recv[d].Rows)
+		x.ws[receiver].grow(x.core.Candidates(idx, backward))
 	}
-	for _, v := range rp.rows {
-		pos[v] = 0
-	}
-	x.toRows(rp.rows)
-	return rp
 }
 
 // toRows rewrites compiled node ids as rows of this process's matrices. The

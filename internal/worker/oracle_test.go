@@ -317,7 +317,12 @@ func (e *Oracle) exchangePair(r, peer int, h, delta *tensor.Matrix, backward boo
 				}
 			}
 			bytes += e.sendPayload(ps, round, u.Index, payload)
-			tensor.AXPY(coeff[u.Receiver], payload, delta.Row(int(u.Receiver)))
+			o2o := e.core.PairPlans[idx].O2O[int(u.Index)-len(groups)]
+			receiver := o2o.Dst
+			if backward {
+				receiver = o2o.Src
+			}
+			tensor.AXPY(coeff[receiver], payload, delta.Row(int(receiver)))
 			e.aggFlops += int64(2 * dim)
 			return
 		}

@@ -39,9 +39,9 @@ type exchanger struct {
 	coeff []float64
 
 	// Compiled gather plans (see gather.go for the invalidation contract):
-	// kernels[idx] is pair idx's flattened encode/deliver lists (semantic)
-	// or receive plans (baseline), local[p] worker p's local-aggregation CSR
-	// in boundary-first row order. local, ws and tally have an entry per
+	// kernels[idx] is pair idx's flattened encode lists (semantic) and
+	// receive plans, local[p] worker p's local-aggregation CSR in
+	// boundary-first row order. local, ws and tally have an entry per
 	// partition, set only for the workers this process runs.
 	kernels []pairKernels
 	local   []*localPlan
@@ -82,28 +82,26 @@ type workerScratch struct {
 	batches []wire.Batch // one encode buffer per peer (self entry unused)
 	msg     wire.Message // reused message struct for encoding
 	payload []float64    // outgoing payload / group-fuse accumulator
-	dec     []float64    // inbound group payload staging
 	efSent  []float64    // error feedback: receiver-reconstructed values
-	// stage holds one inbound halo frame's stars, a row each, for the
-	// receive gather; stars is the most any inbound frame carries.
+	// stage holds one inbound frame's units, a row per candidate, for the
+	// receive gather; units is the most candidates any inbound frame has.
 	stage []float64
-	stars int
+	units int
 }
 
 func (ws *workerScratch) ensure(dim int) {
 	if cap(ws.payload) < dim {
 		ws.payload = make([]float64, dim)
-		ws.dec = make([]float64, dim)
 		ws.efSent = make([]float64, dim)
 	}
-	if cap(ws.stage) < ws.stars*dim {
-		ws.stage = make([]float64, ws.stars*dim)
+	if cap(ws.stage) < ws.units*dim {
+		ws.stage = make([]float64, ws.units*dim)
 	}
 }
 
-// grow raises the star count the staging rows are sized for; they never
-// shrink.
-func (ws *workerScratch) grow(stars int) { ws.stars = max(ws.stars, stars) }
+// grow raises the candidate count the staging rows are sized for; they
+// never shrink.
+func (ws *workerScratch) grow(units int) { ws.units = max(ws.units, units) }
 
 // newExchanger builds the runtime for the method combination cfg selects;
 // delay is active for DelayPeriod > 1. me selects the one
@@ -470,7 +468,7 @@ func (x *exchanger) encodePeer(me, peer int, h *tensor.Matrix, backward bool) []
 	if ps.EF != nil {
 		ps.EF.SetUnits(x.round, frame.Count)
 	}
-	enc, _, _ := x.plans(idx, backward)
+	enc, _ := x.plans(idx, backward)
 	groups, rowOf := x.core.Groups(idx, backward), x.rowOf
 	// The receiver rows the frame's messages are delivered to: a per-node
 	// unit's terms, a group's members — senders fused in plus receivers
@@ -507,6 +505,10 @@ func (x *exchanger) encodePeer(me, peer int, h *tensor.Matrix, backward bool) []
 		tl.QuantValues += int64(dim * batch.Len())
 	}
 	if !x.core.Semantic() && frame.Sampled {
+		// Billed per arc, not per coin (a star flips one for its k arcs):
+		// the counter models the per-edge rebuild of the sampled adjacency
+		// (simnet.Work.SampleEdges, CostModel.SamplePerEdge), and the
+		// receive gather walks every arc of a sampled frame.
 		tl.SampleEdges += int64(len(x.core.Stars(idx, backward).Recv))
 	}
 	return buf
@@ -562,16 +564,13 @@ var ErrCorruptFrame = errors.New("worker: corrupt frame")
 
 // decodeBatch walks sender from's inbound frame with the streaming decoder.
 // The sender is the transport's word, never the bytes': it picks the pair,
-// whose derived header the frame's must equal. Each message is then resolved
-// from its candidate index through the pair's structure (exchange's Target):
-// an O2O payload is decoded directly into an AXPY against its receiver's row;
-// a group payload is staged once in the retained scratch and fanned out
-// through the compiled deliver plan. A halo frame's stars are each decoded
-// once into their staging rows, and once the frame checks out the pair's
-// receive plan gathers them into the receiving rows (DESIGN.md §11 "Halo").
-// A sampled frame must carry exactly the candidates that survive the round's
-// coins, which the receiver walks the pair for (exchange's Walk). Corrupt wire
-// data is an ErrCorruptFrame error, never a panic.
+// whose derived header the frame's must equal. Every message is decoded once
+// into the staging row of its candidate index, and once the frame checks out
+// one gather over the pair's receive plan adds the staged units into the
+// receiving rows (DESIGN.md §11 "Receive"). A sampled frame must carry
+// exactly the candidates that survive the round's coins, which the receiver
+// walks the pair for (exchange's Walk). Corrupt wire data is an
+// ErrCorruptFrame error, never a panic.
 func (x *exchanger) decodeBatch(me, from int, backward bool, out *tensor.Matrix, buf []byte) error {
 	np := x.core.NParts
 	corrupt := func(format string, args ...any) error {
@@ -597,19 +596,11 @@ func (x *exchanger) decodeBatch(me, from int, backward bool, out *tensor.Matrix,
 	} else if got != want {
 		return corrupt("header %+v, want %+v", got, want)
 	}
-	ws := x.ws[me]
-	scratch := ws.dec[:out.Cols]
-	coeff, rowOf := x.core.Coeff, x.rowOf
-	_, del, rp := x.plans(idx, backward)
-	halo := !x.core.Semantic()
-	var stage tensor.Matrix
-	if halo {
-		stage = tensor.Matrix{Rows: rp.stars, Cols: out.Cols, Data: ws.stage[:rp.stars*out.Cols]}
-		if want.Sampled {
-			// An absent star then adds +0 to its receivers, which changes
-			// no row: every row starts the round at +0, so none holds −0.
-			clear(stage.Data)
-		}
+	stage := tensor.Matrix{Rows: want.Count, Cols: out.Cols, Data: x.ws[me].stage[:want.Count*out.Cols]}
+	if want.Sampled {
+		// An absent unit then adds ±0 to its receivers, which changes no
+		// row: every row starts the round at +0, so none holds −0.
+		clear(stage.Data)
 	}
 	msgs := 0
 	for dec.More() {
@@ -618,18 +609,8 @@ func (x *exchanger) decodeBatch(me, from int, backward bool, out *tensor.Matrix,
 			return corrupt("%w", err)
 		}
 		msgs++
-		// The frame's width is the round's, so no consumer can fail.
-		gi, v := x.core.Target(idx, backward, hd.Index)
-		switch {
-		case gi < 0:
-			_ = dec.AXPY(coeff[v], out.Row(int(rowOf[v])))
-		case halo:
-			_ = dec.Read(stage.Row(int(gi)))
-		default:
-			_ = dec.Read(scratch)
-			rows, w := del.Group(int(gi))
-			tensor.ScatterAXPY(out, rows, w, scratch, 1)
-		}
+		// The frame's width is the round's, so Read cannot fail.
+		_ = dec.Read(stage.Row(hd.Index))
 	}
 	if want.Sampled {
 		kept, agree := 0, true
@@ -641,8 +622,13 @@ func (x *exchanger) decodeBatch(me, from int, backward bool, out *tensor.Matrix,
 			return corrupt("%d messages, but the round's coins keep %d candidates (all present: %v)", msgs, kept, agree)
 		}
 	}
-	if halo && msgs > 0 {
-		tensor.GatherCSR(out, &stage, rp.rows, rp.off, rp.star, x.coeff, tensor.Receiver)
+	if msgs > 0 {
+		_, rp := x.plans(idx, backward)
+		w, how := x.coeff, tensor.Receiver
+		if rp.W != nil {
+			w, how = rp.W, tensor.PerTerm
+		}
+		tensor.GatherCSR(out, &stage, rp.Rows, rp.Off, rp.Units, w, how)
 	}
 	return nil
 }

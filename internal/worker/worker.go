@@ -54,7 +54,9 @@
 //
 //	local-interior — the remaining owned rows
 //	receive        — stream-decode the nparts−1 inbound buffers, in ascending
-//	                 sender order, straight into the output rows it owns
+//	                 sender order, each unit into the staging row of its
+//	                 candidate index, then gather each frame's staged units
+//	                 into the output rows it owns over its receive plan
 //
 // A Peer runs the same two halves back to back, over its transport. The join
 // between the fork-joins is the round's only synchronisation: every slot is

@@ -4,6 +4,7 @@ import (
 	"slices"
 	"testing"
 
+	"scgnn/internal/core"
 	"scgnn/internal/datasets"
 	"scgnn/internal/exchange"
 	"scgnn/internal/graph"
@@ -215,4 +216,113 @@ func TestRuntimesMatchOracleAcrossPartialRepartition(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestSharedRowSumsCandidatesAscending holds the order in which a receiving
+// row sums a frame's units: a row in two or more of a pair's groups gets one
+// term per group, and with magnitudes that cancel (the sources of groups 0,
+// 1, 2, 3, … carry 1e16, 1, −1e16, 1e16, … times their normal draw) the low
+// bits of the sum tell one order from another. A Cluster and a Peer mesh must
+// equal the oracle, which adds the groups one by one in candidate order, at
+// zero tolerance: forward and backward, plain, sampled at 0.3 and with delay
+// 2, before and after a Repartition that dirties both pairs and recompiles
+// their receive plans.
+func TestSharedRowSumsCandidatesAscending(t *testing.T) {
+	d, part := setup(t, 2)
+	const nparts, dim = 2, 5
+	n := d.NumNodes()
+	next, moved := slices.Clone(part), 0
+	for u := range next {
+		if next[u] == 0 && moved < 3 && len(d.Graph.Neighbors(int32(u))) > 0 {
+			next[u], moved = 1, moved+1
+		}
+	}
+	plan := core.PlanConfig{Grouping: core.GroupingConfig{K: 8, Seed: 9}}
+	lanes := map[string]exchange.Config{
+		"semantic":           {Semantic: true, Plan: plan, Seed: 9},
+		"semantic+nsampling": {Semantic: true, Plan: plan, SampleRate: 0.3, Seed: 9},
+		"semantic+delay":     {Semantic: true, Plan: plan, DelayPeriod: 2, Seed: 9},
+	}
+	got := tensor.New(n, dim)
+	for name, cfg := range lanes {
+		t.Run(name, func(t *testing.T) {
+			cl := NewClusterFromConfig(d.Graph, part, nparts, cfg)
+			defer cl.Close()
+			ref := NewOracle(d.Graph, part, nparts, cfg)
+			peers := newPeers(t, d.Graph, part, nparts, cfg)
+			mesh := newPeerMesh(t, peers, dim)
+			h, g := cancelling(t, ref.core, n, dim, 63), cancelling(t, ref.core, n, dim, 64)
+			for epoch := 0; epoch < 4; epoch++ {
+				if epoch == 2 {
+					want, err := ref.Repartition(next)
+					if err != nil || !slices.Equal(want, []int{1, 2}) {
+						t.Fatalf("oracle Repartition: dirty %v, %v; want both pairs", want, err)
+					}
+					if dirty, err := cl.Repartition(next); err != nil || !slices.Equal(dirty, want) {
+						t.Fatalf("cluster Repartition: dirty %v, %v; oracle %v", dirty, err, want)
+					}
+					for p, peer := range peers {
+						if dirty, err := peer.Repartition(next); err != nil || !slices.Equal(dirty, want) {
+							t.Fatalf("peer %d Repartition: dirty %v, %v; oracle %v", p, dirty, err, want)
+						}
+					}
+					h, g = cancelling(t, ref.core, n, dim, 65), cancelling(t, ref.core, n, dim, 66)
+				}
+				cl.StartEpoch(epoch)
+				ref.StartEpoch(epoch)
+				for _, peer := range peers {
+					peer.StartEpoch(epoch)
+				}
+				for _, bwd := range []bool{false, true} {
+					in, run, oracle := h, cl.Forward, ref.Forward
+					if bwd {
+						in, run, oracle = g, cl.Backward, ref.Backward
+					}
+					want := oracle(in)
+					if !run(in).Equal(want, 0) {
+						t.Fatalf("epoch %d backward %v: cluster diverged from the oracle", epoch, bwd)
+					}
+					mesh.scatter(in)
+					if err := mesh.round(t, bwd); err != nil {
+						t.Fatalf("epoch %d backward %v: %v", epoch, bwd, err)
+					}
+					mesh.gather(got)
+					if !got.Equal(want, 0) {
+						t.Fatalf("epoch %d backward %v: peers diverged from the oracle", epoch, bwd)
+					}
+				}
+			}
+		})
+	}
+}
+
+// cancelling draws an n×dim input (randMat's) and scales the rows of every
+// pair's group sources by 1e16, 1 or −1e16, by group index mod 3. It fails
+// the test unless some pair has a receiving row in two or more groups.
+func cancelling(t *testing.T, c *exchange.Core, n, dim int, seed int64) *tensor.Matrix {
+	t.Helper()
+	h, shared := randMat(n, dim, seed), false
+	for _, plan := range c.PairPlans {
+		if plan == nil {
+			continue
+		}
+		groups := make(map[int32]int) // receiving row → its groups
+		for gi, grp := range plan.Groups {
+			mag := []float64{1e16, 1, -1e16}[gi%3]
+			for _, u := range grp.SrcNodes {
+				row := h.Row(int(u))
+				for j := range row {
+					row[j] *= mag
+				}
+			}
+			for _, v := range grp.DstNodes {
+				groups[v]++
+				shared = shared || groups[v] > 1
+			}
+		}
+	}
+	if !shared {
+		t.Fatal("no receiving row is in two groups of one pair")
+	}
+	return h
 }
