@@ -243,6 +243,9 @@ one-sink:
 	@! grep -rnE 'ScatterAXPY|scatterAXPYQuads|CompileDeliver' --include='*.go' . | grep -v '_test\.go:'
 	@! grep -rn ') Target(' --include='*.go' internal/exchange
 	@! grep -rn 'dec\.AXPY' --include='*.go' internal/worker
+	@! grep -rnE 'PairPlans|\.O2O\b' --include='*.go' internal/worker | grep -v '_test\.go:'
+	@! grep -rn 'func Transpose(' --include='*.go' internal/core
+	@! grep -n 'Semantic()' internal/exchange/walk.go
 
 # Every program under examples/, built into a temporary directory and run to
 # the end: go build compiles them, but only running them shows a facade call

@@ -11,7 +11,7 @@ package core
 // at their candidate indices).
 //
 // Ownership/invalidation contract (DESIGN.md §11): compiled plans are
-// pure functions of (plan groups, O2O residuals, coeff). They hold baked
+// pure functions of (plan groups, stars, coeff). They hold baked
 // copies — nothing aliases the PairPlan — so they stay valid until the
 // plan itself is replaced. Whoever compiles them (the worker runtime,
 // future runtimes) must recompile exactly when it swaps a plan:
@@ -26,9 +26,6 @@ type GroupList struct {
 	Rows []int32
 	W    []float64
 }
-
-// NumGroups returns the number of groups in the list.
-func (l *GroupList) NumGroups() int { return len(l.Off) - 1 }
 
 // Group returns group g's member rows and baked weights.
 func (l *GroupList) Group(g int) (rows []int32, w []float64) {
@@ -81,20 +78,22 @@ type RecvList struct {
 	W                []float64
 }
 
-// CompileReceive compiles the receiver side of one direction of a plan:
-// groups oriented for the direction (as for CompileEncode), then the O2O
-// residuals, candidate by candidate in Walk's order. Group g delivers to its
-// DstNodes, member k weighed DDst[k]·coeff[v]; residual j, candidate
-// len(groups)+j, to its receiver (Dst forward, Src backward) weighed
-// coeff[v]. nodes and pos are Transpose's.
-func CompileReceive(groups []*Group, o2o []O2OEdge, backward bool, coeff []float64, nodes, pos []int32) RecvList {
-	sink := func(e O2OEdge) int32 {
-		if backward {
-			return e.Src
-		}
-		return e.Dst
-	}
-	terms, rows := len(o2o), 0
+// CompileReceive compiles the receiver side of one direction of a pair,
+// candidate by candidate in Walk's order: its groups oriented for the
+// direction (as for CompileEncode), then its stars, star k delivering to
+// recv[off[k]:off[k+1]]. Group g, candidate g, delivers to its DstNodes,
+// member k weighed DDst[k]·coeff[v]; star k, candidate len(groups)+k, weighs
+// each receiver v by coeff[v]. Without groups W stays nil: every term is then
+// weighed by its receiving row's coefficient, the same value. nodes lists
+// every receiving node, ascending (the receiving partition's nodes); pos is a
+// scratch vector of one entry per node, all zero on entry and on return.
+//
+// It is a counting sort of the terms by receiving node: pos[v] first counts
+// v's terms, then, once the rows are laid out in nodes' order, holds v's next
+// slot. Placing the terms in ascending unit order keeps each receiver's units
+// ascending.
+func CompileReceive(groups []*Group, off, recv []int32, coeff []float64, nodes, pos []int32) RecvList {
+	terms, rows := len(recv), 0
 	tally := func(v int32) {
 		if pos[v] == 0 {
 			rows++
@@ -107,55 +106,9 @@ func CompileReceive(groups []*Group, o2o []O2OEdge, backward bool, coeff []float
 		}
 		terms += len(grp.DstNodes)
 	}
-	for _, e := range o2o {
-		tally(sink(e))
-	}
-	l := layout(terms, rows, nodes, pos)
-	l.W = make([]float64, terms)
-	add := func(unit, v int32, w float64) {
-		l.Units[pos[v]], l.W[pos[v]] = unit, w
-		pos[v]++
-	}
-	for gi, grp := range groups {
-		for k, v := range grp.DstNodes {
-			add(int32(gi), v, grp.DDst[k]*coeff[v])
-		}
-	}
-	for j, e := range o2o {
-		v := sink(e)
-		add(int32(len(groups)+j), v, coeff[v])
-	}
-	return l.release(pos)
-}
-
-// Transpose compiles the receive list, without weights, of a unit-major
-// delivery list: unit k delivers to the nodes recv[off[k]:off[k+1]]. nodes
-// lists every receiving node, ascending (the receiving partition's nodes); pos
-// is a scratch vector of one entry per node, all zero on entry and on return.
-func Transpose(off, recv, nodes, pos []int32) RecvList {
-	rows := 0
 	for _, v := range recv {
-		if pos[v] == 0 {
-			rows++
-		}
-		pos[v]++
+		tally(v)
 	}
-	l := layout(len(recv), rows, nodes, pos)
-	for k := 0; k+1 < len(off); k++ {
-		for _, v := range recv[off[k]:off[k+1]] {
-			l.Units[pos[v]] = int32(k)
-			pos[v]++
-		}
-	}
-	return l.release(pos)
-}
-
-// layout is the middle of the counting sort both compiles run, terms by
-// receiving node: with pos[v] holding the term count of each of the rows
-// receiving nodes, it lists them in nodes' order with their offsets and sets
-// pos[v] to v's first slot. Placing the terms in ascending unit order then
-// keeps each receiver's units ascending.
-func layout(terms, rows int, nodes, pos []int32) RecvList {
 	l := RecvList{Rows: make([]int32, rows), Off: make([]int32, rows+1), Units: make([]int32, terms)}
 	i := 0
 	for _, v := range nodes {
@@ -164,11 +117,26 @@ func layout(terms, rows int, nodes, pos []int32) RecvList {
 			i++
 		}
 	}
-	return l
-}
-
-// release zeroes the scratch entries of l's receiving nodes and returns l.
-func (l RecvList) release(pos []int32) RecvList {
+	if len(groups) > 0 {
+		l.W = make([]float64, terms)
+	}
+	add := func(unit, v int32, w float64) {
+		l.Units[pos[v]] = unit
+		if l.W != nil {
+			l.W[pos[v]] = w
+		}
+		pos[v]++
+	}
+	for gi, grp := range groups {
+		for k, v := range grp.DstNodes {
+			add(int32(gi), v, grp.DDst[k]*coeff[v])
+		}
+	}
+	for k := 0; k+1 < len(off); k++ {
+		for _, v := range recv[off[k]:off[k+1]] {
+			add(int32(len(groups)+k), v, coeff[v])
+		}
+	}
 	for _, v := range l.Rows {
 		pos[v] = 0
 	}

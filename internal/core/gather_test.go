@@ -36,8 +36,8 @@ func TestCompileEncodeMatchesTraversal(t *testing.T) {
 			groups = ReverseGroups(p)
 		}
 		ep := CompileEncode(groups, coeff)
-		if ep.NumGroups() != len(groups) {
-			t.Fatalf("backward=%v: %d groups, want %d", backward, ep.NumGroups(), len(groups))
+		if len(ep.Off)-1 != len(groups) {
+			t.Fatalf("backward=%v: %d groups, want %d", backward, len(ep.Off)-1, len(groups))
 		}
 		for gi, grp := range groups {
 			rows, w := ep.Group(gi)
@@ -59,9 +59,11 @@ func TestCompileEncodeMatchesTraversal(t *testing.T) {
 
 // TestCompileReceiveIsTranspose: in both directions the receive list is the
 // transpose of the delivery traversal — each group's DstNodes weighed
-// DDst·coeff, then each O2O residual's receiver weighed coeff, candidate by
-// candidate — with the same weights, bit for bit: receiving rows ascending,
-// each row's candidates ascending. The scratch comes back all zero.
+// DDst·coeff, then each star's receivers (here the O2O residuals, one arc
+// each) weighed coeff, candidate by candidate — with the same weights, bit
+// for bit: receiving rows ascending, each row's candidates ascending. The
+// scratch comes back all zero. Without groups the list carries no weights:
+// two stars sharing a receiver list it once, in unit order.
 func TestCompileReceiveIsTranspose(t *testing.T) {
 	p, coeff, _ := gatherTestPlan(t)
 	pos := make([]int32, len(coeff))
@@ -81,14 +83,16 @@ func TestCompileReceiveIsTranspose(t *testing.T) {
 				want[v] = append(want[v], term{int32(gi), grp.DDst[k] * coeff[v]})
 			}
 		}
+		off, recv := []int32{0}, []int32(nil)
 		for j, e := range p.O2O {
 			v := e.Dst
 			if backward {
 				v = e.Src
 			}
 			want[v] = append(want[v], term{int32(len(groups) + j), coeff[v]})
+			off, recv = append(off, int32(j+1)), append(recv, v)
 		}
-		l := CompileReceive(groups, p.O2O, backward, coeff, nodes(len(coeff)), pos)
+		l := CompileReceive(groups, off, recv, coeff, nodes(len(coeff)), pos)
 		if len(l.Rows) != len(want) || len(l.Off) != len(l.Rows)+1 || l.Off[0] != 0 ||
 			len(l.Units) != int(l.Off[len(l.Rows)]) || len(l.W) != len(l.Units) {
 			t.Fatalf("backward=%v: %d rows, %d offsets, %d units, %d weights for %d receivers",
@@ -118,6 +122,16 @@ func TestCompileReceiveIsTranspose(t *testing.T) {
 	if slices.ContainsFunc(pos, func(n int32) bool { return n != 0 }) {
 		t.Fatal("CompileReceive left its scratch dirty")
 	}
+	t.Run("no-groups", func(t *testing.T) {
+		l := CompileReceive(nil, []int32{0, 2, 3, 5}, []int32{6, 1, 6, 1, 4}, make([]float64, 8), nodes(8), pos)
+		want := RecvList{Rows: []int32{1, 4, 6}, Off: []int32{0, 2, 3, 5}, Units: []int32{0, 2, 2, 0, 1}}
+		if !reflect.DeepEqual(l, want) || l.W != nil {
+			t.Fatalf("CompileReceive = %+v, want %+v with W nil", l, want)
+		}
+		if slices.ContainsFunc(pos, func(n int32) bool { return n != 0 }) {
+			t.Fatal("CompileReceive left its scratch dirty")
+		}
+	})
 }
 
 // nodes returns the node ids 0..n-1, the receiving nodes of a test list.
@@ -127,20 +141,6 @@ func nodes(n int) []int32 {
 		ids[i] = int32(i)
 	}
 	return ids
-}
-
-// TestTransposeWithoutWeights: a list without weights transposes to units
-// only — two units sharing a receiver list it once, in unit order.
-func TestTransposeWithoutWeights(t *testing.T) {
-	pos := make([]int32, 8)
-	l := Transpose([]int32{0, 2, 3, 5}, []int32{6, 1, 6, 1, 4}, nodes(8), pos)
-	want := RecvList{Rows: []int32{1, 4, 6}, Off: []int32{0, 2, 3, 5}, Units: []int32{0, 2, 2, 0, 1}}
-	if !reflect.DeepEqual(l, want) {
-		t.Fatalf("Transpose = %+v, want %+v", l, want)
-	}
-	if slices.ContainsFunc(pos, func(n int32) bool { return n != 0 }) {
-		t.Fatal("Transpose left its scratch dirty")
-	}
 }
 
 // TestReverseGroupsMatchesPerGroupReverse pins the shared helper to the
@@ -176,10 +176,10 @@ func TestReverseGroupsMatchesPerGroupReverse(t *testing.T) {
 func TestCompileEncodeEmpty(t *testing.T) {
 	coeff := []float64{1, 1}
 	ep := CompileEncode(nil, coeff)
-	if ep.NumGroups() != 0 || len(ep.Rows) != 0 {
+	if len(ep.Off) != 1 || len(ep.Rows) != 0 {
 		t.Fatal("empty encode plan not empty")
 	}
-	if rl := CompileReceive(nil, nil, false, coeff, nodes(2), make([]int32, 2)); len(rl.Rows) != 0 || len(rl.Units) != 0 || !slices.Equal(rl.Off, []int32{0}) {
+	if rl := CompileReceive(nil, nil, nil, coeff, nodes(2), make([]int32, 2)); len(rl.Rows) != 0 || len(rl.Units) != 0 || !slices.Equal(rl.Off, []int32{0}) {
 		t.Fatal("empty receive plan not empty")
 	}
 }

@@ -21,8 +21,9 @@ type Config struct {
 	Plan core.PlanConfig
 	// SampleRate in (0,1) enables boundary-node Bernoulli sampling at that
 	// rate (BNS-GCN's granularity): each round a pair keeps a boundary row's
-	// message — a halo star, or an O2O residual — or a plan group with that
-	// probability and rescales what it keeps by 1/SampleRate. Coins are
+	// message — a halo star, which on a semantic pair is an O2O residual —
+	// or a plan group with that probability and rescales what it keeps by
+	// 1/SampleRate. Coins are
 	// seeded per ordered pair, so a row with arcs into several partitions
 	// flips one coin per (row, destination) pair. 0 or 1 disables sampling.
 	SampleRate float64

@@ -1,9 +1,10 @@
 // Package exchange is the single implementation of the reproduction's
 // exchange semantic — the rule of PAPER.md §1: per ordered partition pair,
-// one fused h_g = Σ w(u)·h_u per group plus raw O2O residuals (or, in the
-// baseline, one payload per boundary row and peer — a halo star, fanned out
-// over the row's arcs by the receiver), composable with sampling,
-// quantisation and error feedback. Every runtime holds one Core — the
+// one fused h_g = Σ w(u)·h_u per group, then one payload per halo star — a
+// boundary row shipped once to the peer and fanned out over its arcs there
+// by the receiver. A baseline pair has no groups and a star per boundary
+// row; a semantic pair's stars are its raw O2O residuals, one arc each. All
+// of it composes with sampling, quantisation and error feedback. Every runtime holds one Core — the
 // in-process worker.Cluster (which dist.Engine wraps) and the multi-process
 // worker.Peer, through the one round body they share (internal/worker), and
 // the test oracle they are checked against — and supplies only where a
@@ -12,8 +13,8 @@
 // The package owns three things (DESIGN.md §15):
 //
 //   - Topology: everything derived from (graph, partition) — ownership, the
-//     cross-arc buckets, the semantic plans — and the one incremental
-//     Repartition.
+//     cross-arc buckets, the semantic plans, every pair's stars — and the
+//     one incremental Repartition.
 //   - Streams: the per-ordered-pair compression state (sampler seeds,
 //     adaptive widths, error-feedback residuals, rung width), its
 //     variable-rate schedule, and its checkpoint form.

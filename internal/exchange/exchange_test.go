@@ -540,8 +540,9 @@ func mallocs(f func()) uint64 {
 
 // TestRepartition: a perturbed partition dirties some pairs and not others;
 // the core ends up structurally identical to one built on the new partition,
-// dirty pairs restart their streams, clean pairs keep theirs, rung levels are
-// untouched, and a malformed partition is an error that changes nothing.
+// dirty pairs restart their streams and a dirty semantic pair's stars are its
+// new plan's residuals, clean pairs keep their streams and stars, rung levels
+// are untouched, and a malformed partition is an error that changes nothing.
 func TestRepartition(t *testing.T) {
 	g, part := setup(t)
 	// Move partition-0 nodes with no neighbour in partition 2 over to 1: the
@@ -556,6 +557,10 @@ func TestRepartition(t *testing.T) {
 			next[u] = 1
 		}
 	}
+	moved := append([]int(nil), part...)
+	for u := 0; u < len(moved); u += 7 {
+		moved[u] = (moved[u] + 1) % nparts
+	}
 	for _, o := range []Config{
 		{SampleRate: 0.5, QuantBits: 8, ErrorFeedback: true, Seed: 4},
 		func() Config { o := semantic(); o.SampleRate, o.QuantBits, o.ErrorFeedback = 0.5, 8, true; return o }(),
@@ -566,6 +571,7 @@ func TestRepartition(t *testing.T) {
 			feed(c, idx, false, 0)
 		}
 		before, levels := c.State()
+		starsBefore := slices.Clone(c.stars)
 		if _, err := c.Repartition(part[:10]); err == nil {
 			t.Fatal("short partition accepted")
 		}
@@ -587,6 +593,7 @@ func TestRepartition(t *testing.T) {
 		if o.Semantic && string(core.MarshalPlans(nonNil(c.PairPlans))) != string(core.MarshalPlans(nonNil(fresh.PairPlans))) {
 			t.Fatal("repartitioned plans differ from a fresh build")
 		}
+		residuals := checkRepartitionedStars(t, c, dirty, starsBefore)
 		after, levelsAfter := c.State()
 		freshState, _ := fresh.State()
 		isDirty := make(map[int]bool)
@@ -612,7 +619,63 @@ func TestRepartition(t *testing.T) {
 		if orig := New(g, part, nparts, o); !reflect.DeepEqual(allArcs(c), allArcs(orig)) || !reflect.DeepEqual(c.stars, orig.stars) {
 			t.Fatal("moving back does not restore the arc buckets")
 		}
+		// A move that dirties every pair reaches the ones with residuals.
+		starsBefore = slices.Clone(c.stars)
+		if dirty, err = c.Repartition(moved); err != nil {
+			t.Fatal(err)
+		}
+		if residuals += checkRepartitionedStars(t, c, dirty, starsBefore); o.Semantic && residuals == 0 {
+			t.Fatal("no dirty pair has O2O residuals: the stars go unchecked")
+		}
 	}
+}
+
+// checkRepartitionedStars: a clean pair keeps the very stars it had before
+// the Repartition, and a dirty semantic pair's stars are its new plan's O2O
+// residuals, one arc each in plan order — sender the source forward and the
+// sink backward. It returns how many residuals the dirty pairs hold.
+func checkRepartitionedStars(t *testing.T, c *Core, dirty []int, before [][2]Stars) int {
+	t.Helper()
+	residuals := 0
+	for idx := range c.Pairs {
+		if !slices.Contains(dirty, idx) {
+			for d, st := range c.stars[idx] {
+				if old := before[idx][d]; !sameArrays(st.Off, old.Off) || !sameArrays(st.Sender, old.Sender) || !sameArrays(st.Recv, old.Recv) {
+					t.Fatalf("clean pair %d: stars rebuilt", idx)
+				}
+			}
+			continue
+		}
+		if !c.Semantic() {
+			continue
+		}
+		var o2o []core.O2OEdge
+		if plan := c.PairPlans[idx]; plan != nil {
+			o2o = plan.O2O
+		}
+		residuals += len(o2o)
+		for _, backward := range []bool{false, true} {
+			st := c.Stars(idx, backward)
+			if len(st.Sender) != len(o2o) || len(st.Recv) != len(o2o) {
+				t.Fatalf("dirty pair %d backward=%v: %d stars, %d receivers, want %d residuals", idx, backward, len(st.Sender), len(st.Recv), len(o2o))
+			}
+			for j, e := range o2o {
+				sender, recv := e.Src, e.Dst
+				if backward {
+					sender, recv = recv, sender
+				}
+				if st.Off[j] != int32(j) || st.Off[j+1] != int32(j+1) || st.Sender[j] != sender || st.Recv[j] != recv {
+					t.Fatalf("dirty pair %d backward=%v star %d: sender %d → %d, want residual %+v", idx, backward, j, st.Sender[j], st.Recv[j], e)
+				}
+			}
+		}
+	}
+	return residuals
+}
+
+// sameArrays reports whether a and b are the same slice of the same array.
+func sameArrays(a, b []int32) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
 }
 
 func TestBadInputsPanic(t *testing.T) {

@@ -8,10 +8,11 @@ import (
 )
 
 // Topology is everything a runtime derives from (graph, partition): ownership,
-// the per-pair cross-arc buckets, and the pairs' transfer structure — the pair
-// plans with their reversed groups when semantic, else the halo stars. Fields
-// are read-only to callers; only Repartition replaces them. Pairs are indexed
-// s*NParts+t throughout.
+// the per-pair cross-arc buckets, and the pairs' transfer structure — every
+// pair's units are its plan groups by index (with their reversed groups when
+// semantic; a baseline pair has none), then its halo stars in order (a
+// semantic pair's are its O2O residuals). Fields are read-only to callers;
+// only Repartition replaces them. Pairs are indexed s*NParts+t throughout.
 type Topology struct {
 	G      *graph.Graph
 	Part   []int
@@ -27,8 +28,7 @@ type Topology struct {
 	PairPlans []*core.PairPlan
 	RevGroups [][]*core.Group
 
-	// stars[idx] holds a baseline pair's halo stars, forward then backward
-	// (nil when semantic: a plan's units are its groups and residuals).
+	// stars[idx] holds pair idx's halo stars, forward then backward.
 	stars [][2]Stars
 
 	// buckets is the CSR-of-pairs bucketing of the current partition's cross
@@ -48,7 +48,7 @@ func (t *Topology) init(g *graph.Graph, part []int, nparts int, semantic bool, p
 	if len(part) != g.NumNodes() {
 		panic(fmt.Sprintf("exchange: partition len %d, want %d", len(part), g.NumNodes()))
 	}
-	*t = Topology{G: g, Part: part, NParts: nparts, Coeff: g.SymNormCoeffs()}
+	*t = Topology{G: g, Part: part, NParts: nparts, Coeff: g.SymNormCoeffs(), stars: make([][2]Stars, nparts*nparts)}
 	if semantic {
 		pc, err := core.NewPlanCache(g, part, nparts, planCfg)
 		if err != nil {
@@ -63,7 +63,6 @@ func (t *Topology) init(g *graph.Graph, part []int, nparts int, semantic bool, p
 		}
 	} else {
 		t.buckets = graph.ExtractArcBuckets(g, part, nparts)
-		t.stars = make([][2]Stars, nparts*nparts)
 	}
 	t.rebuildOwnership()
 	for idx := range t.stars {
@@ -71,10 +70,11 @@ func (t *Topology) init(g *graph.Graph, part []int, nparts int, semantic bool, p
 	}
 }
 
-// installStars rebuilds a baseline pair's stars from the current buckets and
-// ownership (a no-op on a semantic topology).
+// installStars rebuilds pair idx's stars: a semantic pair's from its plan's
+// O2O residuals, a baseline pair's from the current buckets and ownership.
 func (t *Topology) installStars(idx int) {
-	if t.stars == nil {
+	if t.Semantic() {
+		t.stars[idx] = residualStars(t.PairPlans[idx])
 		return
 	}
 	if t.cnt == nil {

@@ -10,19 +10,19 @@ package worker
 // state only) — into flat int32 row lists, and the round runs fused
 // kernels over them: tensor.GatherCSR over a worker's whole local plan
 // and over each inbound frame's receive plan, tensor.GatherAXPY per
-// group it encodes. The local plan and a halo receive plan store no
-// weights: the kernel reads them off the row-ordered coefficients
-// (exchanger.coeff); a semantic receive plan carries its terms' weights,
-// which core compiles.
+// group it encodes. The local plan and the receive plan of a pair without
+// groups store no weights: the kernel reads them off the row-ordered
+// coefficients (exchanger.coeff); a receive plan with groups carries its
+// terms' weights, which core compiles.
 //
 // Invalidation contract (DESIGN.md §11): compiled state is a pure
 // function of (graph, part, plans/stars, coeff) in the exchange core,
 // and of the process's row map: every row id the lists hold went through
 // rowOf.
-//   - kernels[idx] ← PairPlans[idx] (semantic) or Stars(idx, ·)
-//     (baseline): compiled at construction and for every dirty pair of
-//     a Repartition, for pairs with an endpoint this process runs —
-//     every such pair when a peer's row map changed.
+//   - kernels[idx] ← Groups(idx, ·) and Stars(idx, ·): compiled at
+//     construction and for every dirty pair of a Repartition, for pairs
+//     with an endpoint this process runs — every such pair when a peer's
+//     row map changed.
 //   - local[p] ← (part, Own[p], plans/stars touching p): compiled at
 //     construction and, on Repartition, for the partitions a moved
 //     node left or joined plus both endpoints of every dirty pair
@@ -38,16 +38,16 @@ import (
 )
 
 // pairKernels is one ordered pair's compiled plans, per direction (index 0
-// forward, 1 backward): a semantic pair's encode group lists, and every
-// pair's receive plans — the units of a frame staged at their candidate
-// indices, gathered into the receiving rows. A semantic pair's is
-// core.CompileReceive's, its terms weighed per term (tensor.PerTerm); a
-// baseline pair's the transpose of its exchange.Stars, each term weighed by
-// the receiving row's coefficient (tensor.Receiver), so stars ordered by
-// sender are summed in ascending sender order, frame by frame. A direction's
+// forward, 1 backward): the encode group lists of a pair with groups, and
+// every pair's receive plans — the units of a frame staged at their candidate
+// indices, gathered into the receiving rows (core.CompileReceive: groups,
+// then stars). A pair with groups weighs its terms per term
+// (tensor.PerTerm); one without weighs each term by the receiving row's
+// coefficient (tensor.Receiver), so a baseline pair's stars, ordered by
+// sender, are summed in ascending sender order, frame by frame. A direction's
 // sending worker runs its encode list, its receiving worker its receive plan;
-// a half no worker of this process runs stays empty. Zero value means "no
-// plan" (no plan or no cross edges).
+// a half no worker of this process runs stays empty, and so does a diagonal
+// pair.
 type pairKernels struct {
 	enc  [2]*core.GroupList
 	recv [2]core.RecvList
@@ -71,8 +71,8 @@ type localPlan struct {
 }
 
 // plans returns pair idx's compiled plans for the direction: its encode
-// group list, nil when the pair has no plan (and then the unit walk yields no
-// group either), and its receive plan.
+// group list, nil when the pair has no groups (and then the unit walk yields
+// no group either), and its receive plan.
 func (x *exchanger) plans(idx int, backward bool) (enc *core.GroupList, recv *core.RecvList) {
 	k, d := &x.kernels[idx], 0
 	if backward {
@@ -82,7 +82,7 @@ func (x *exchanger) plans(idx int, backward bool) (enc *core.GroupList, recv *co
 }
 
 // compilePairKernels refreshes pair idx's compiled plans from the core's
-// current plan or stars: each endpoint's half when this process runs that
+// current groups and stars: each endpoint's half when this process runs that
 // endpoint, since the rows it lists are that worker's own, and that worker's
 // staging rows grow to the direction's candidates. pos is a scratch vector of
 // one entry per node, all zero on entry and on return.
@@ -94,30 +94,21 @@ func (x *exchanger) compilePairKernels(idx int, pos []int32) {
 	if src == dst {
 		return
 	}
-	var p *core.PairPlan // nil on a baseline pair
-	if x.core.Semantic() {
-		if p = x.core.PairPlans[idx]; p == nil {
-			return
-		}
-	}
 	for d, backward := range [2]bool{false, true} {
 		sender, receiver := src, dst
 		if backward {
 			sender, receiver = dst, src
 		}
-		if x.ws[sender] != nil && p != nil {
-			k.enc[d] = core.CompileEncode(x.core.Groups(idx, backward), x.core.Coeff)
+		groups := x.core.Groups(idx, backward)
+		if x.ws[sender] != nil && len(groups) > 0 {
+			k.enc[d] = core.CompileEncode(groups, x.core.Coeff)
 			x.toRows(k.enc[d].Rows)
 		}
 		if x.ws[receiver] == nil {
 			continue
 		}
-		if nodes := x.core.Own[receiver]; p == nil {
-			st := x.core.Stars(idx, backward)
-			k.recv[d] = core.Transpose(st.Off, st.Recv, nodes, pos)
-		} else {
-			k.recv[d] = core.CompileReceive(x.core.Groups(idx, backward), p.O2O, backward, x.core.Coeff, nodes, pos)
-		}
+		st := x.core.Stars(idx, backward)
+		k.recv[d] = core.CompileReceive(groups, st.Off, st.Recv, x.core.Coeff, x.core.Own[receiver], pos)
 		x.toRows(k.recv[d].Rows)
 		x.ws[receiver].grow(x.core.Candidates(idx, backward))
 	}
@@ -135,45 +126,24 @@ func (x *exchanger) toRows(ids []int32) {
 }
 
 // markBoundary sets mark[u] for every node worker p reads when encoding
-// an outgoing batch in either direction: forward it encodes pair
-// (p→t)'s group members and O2O sources; backward it encodes pair
-// (t→p)'s reversed-group members (= that plan's DstNodes) and O2O
-// sinks. A baseline pair reads its stars' senders. Marked
-// nodes are always owned by p, which is what lets compileLocal clear
-// the scratch by walking own[p].
+// an outgoing batch in either direction: forward pair (p→t)'s group members
+// and star senders, backward pair (t→p)'s reversed-group members (= that
+// plan's DstNodes) and backward star senders. Marked nodes are always owned
+// by p, which is what lets compileLocal clear the scratch by walking own[p].
 func (x *exchanger) markBoundary(p int, mark []bool) {
 	c := x.core
 	for t := 0; t < c.NParts; t++ {
 		if t == p {
 			continue
 		}
-		if c.Semantic() {
-			if plan := c.PairPlans[p*c.NParts+t]; plan != nil {
-				for _, grp := range plan.Groups {
-					for _, u := range grp.SrcNodes {
-						mark[u] = true
-					}
-				}
-				for _, o := range plan.O2O {
-					mark[o.Src] = true
+		for d, idx := range [2]int{p*c.NParts + t, t*c.NParts + p} {
+			for _, grp := range c.Groups(idx, d == 1) {
+				for _, u := range grp.SrcNodes {
+					mark[u] = true
 				}
 			}
-			if plan := c.PairPlans[t*c.NParts+p]; plan != nil {
-				for _, grp := range plan.Groups {
-					for _, v := range grp.DstNodes {
-						mark[v] = true
-					}
-				}
-				for _, o := range plan.O2O {
-					mark[o.Dst] = true
-				}
-			}
-		} else {
-			for _, u := range c.Stars(p*c.NParts+t, false).Sender {
+			for _, u := range c.Stars(idx, d == 1).Sender {
 				mark[u] = true
-			}
-			for _, v := range c.Stars(t*c.NParts+p, true).Sender {
-				mark[v] = true
 			}
 		}
 	}

@@ -446,8 +446,9 @@ func (x *exchanger) localRows(me int, h, out *tensor.Matrix, from, to int) {
 // encodePeer encodes worker me's outgoing halo for one peer into the retained
 // batch buffer, records the traffic on me's tally, and returns the
 // framed bytes. It is the wire runtime's sink of the shared unit walk: one
-// message per surviving group (Fig. 7(b)), one per surviving O2O residual or
-// halo star (Fig. 7(a)), in walk order behind the frame's batch header.
+// message per surviving group (Fig. 7(b)), one per surviving halo star (Fig.
+// 7(a); an O2O residual is a one-arc star), in walk order behind the frame's
+// batch header.
 // Forward it walks pair (me→peer); backward pair (peer→me) reversed — me owns
 // its sinks. The buffer is reused next round: receivers must fully consume it
 // before then (in-process the round barrier guarantees this; the socket
@@ -508,7 +509,8 @@ func (x *exchanger) encodePeer(me, peer int, h *tensor.Matrix, backward bool) []
 		// Billed per arc, not per coin (a star flips one for its k arcs):
 		// the counter models the per-edge rebuild of the sampled adjacency
 		// (simnet.Work.SampleEdges, CostModel.SamplePerEdge), and the
-		// receive gather walks every arc of a sampled frame.
+		// receive gather walks every arc of a sampled frame. A semantic
+		// pair's residual stars go unbilled for now (a ROADMAP follow-up).
 		tl.SampleEdges += int64(len(x.core.Stars(idx, backward).Recv))
 	}
 	return buf

@@ -142,7 +142,12 @@ func TestClusterRepartitionHostileInput(t *testing.T) {
 // clean and keep their compiled receive and gather plans, the dirty ones
 // recompile, and peers 0 and 1 map their shard rows afresh, which must
 // recompile every plan they hold, clean pairs' included, and their row
-// coefficients.
+// coefficients. A second Repartition pulls one O2O residual's sink into its
+// source's partition, which changes that pair's O2O set. Four more lanes give
+// the unit model's edge shapes, plain and sampled at 0.5 with 4-bit
+// quantisation and error feedback: semantic pairs with residuals and no groups
+// (every group kind dropped), whose receive lists carry no weights, and pairs
+// with groups and no stars (core.DropO2O).
 func TestRuntimesMatchOracleAcrossPartialRepartition(t *testing.T) {
 	d, part := setup(t, 4)
 	const nparts, dim = 4, 5
@@ -158,37 +163,59 @@ func TestRuntimesMatchOracleAcrossPartialRepartition(t *testing.T) {
 			next[u], moved = 1, moved+1
 		}
 	}
+	lanes := EquivalenceLanes(9)
+	plan := lanes["semantic"].Plan
+	third, residualPair := residualMove(t, d.Graph, next, nparts, lanes["semantic"])
+	residualsOnly := plan
+	residualsOnly.Drop = core.DropMask{O2M: true, M2O: true, M2M: true}
+	dropO2O := plan
+	dropO2O.Drop = core.DropO2O
+	lossy := exchange.Config{SampleRate: 0.5, QuantBits: 4, ErrorFeedback: true, Seed: 9}
+	for name, drop := range map[string]core.PlanConfig{"residuals-only": residualsOnly, "dropO2O": dropO2O} {
+		lanes["semantic+"+name] = exchange.Config{Semantic: true, Plan: drop, Seed: 9}
+		cfg := lossy
+		cfg.Semantic, cfg.Plan = true, drop
+		lanes["semantic+"+name+"+sampling+quant4+ef"] = cfg
+	}
 	h, g := randMat(n, dim, 61), randMat(n, dim, 62)
 	got := tensor.New(n, dim)
-	for name, cfg := range EquivalenceLanes(9) {
+	for name, cfg := range lanes {
 		t.Run(name, func(t *testing.T) {
 			cl := NewClusterFromConfig(d.Graph, part, nparts, cfg)
 			defer cl.Close()
 			ref := NewOracle(d.Graph, part, nparts, cfg)
 			peers := newPeers(t, d.Graph, part, nparts, cfg)
 			mesh := newPeerMesh(t, peers, dim)
-			for epoch := 0; epoch < 4; epoch++ {
+			shape := func() {
+				t.Helper()
+				if cfg.Plan.Drop == residualsOnly.Drop {
+					checkResidualsOnly(t, cl)
+				} else if cfg.Plan.Drop == core.DropO2O {
+					for idx := range ref.core.Pairs {
+						if len(ref.core.Stars(idx, false).Sender) > 0 || len(ref.core.Stars(idx, true).Sender) > 0 {
+							t.Fatalf("pair %d has stars under DropO2O", idx)
+						}
+					}
+				}
+			}
+			shape()
+			for epoch := 0; epoch < 6; epoch++ {
 				if epoch == 2 {
 					own := [][]int32{slices.Clone(peers[0].Own()), slices.Clone(peers[1].Own())}
-					want, err := ref.Repartition(next)
-					if err != nil {
-						t.Fatal(err)
-					}
+					want := repartitionAll(t, ref, cl, peers, next)
 					if len(want) == 0 || slices.Contains(want, 0*nparts+2) || slices.Contains(want, 3*nparts+1) {
 						t.Fatalf("dirty pairs %v: want some, but (0,2) and (3,1) clean", want)
-					}
-					dirty, err := cl.Repartition(next)
-					if err != nil || !slices.Equal(dirty, want) {
-						t.Fatalf("cluster Repartition: dirty %v, %v; oracle %v", dirty, err, want)
-					}
-					for p, peer := range peers {
-						if dirty, err := peer.Repartition(next); err != nil || !slices.Equal(dirty, want) {
-							t.Fatalf("peer %d Repartition: dirty %v, %v; oracle %v", p, dirty, err, want)
-						}
 					}
 					if slices.Equal(own[0], peers[0].Own()) || slices.Equal(own[1], peers[1].Own()) {
 						t.Fatal("the move left peer 0's or peer 1's shard as it was")
 					}
+					shape()
+				}
+				if epoch == 4 {
+					if want := repartitionAll(t, ref, cl, peers, third); !slices.Contains(want, residualPair) {
+						t.Fatalf("dirty pairs %v: want %d, whose O2O set changed", want, residualPair)
+					}
+					shape()
 				}
 				cl.StartEpoch(epoch)
 				ref.StartEpoch(epoch)
@@ -215,6 +242,68 @@ func TestRuntimesMatchOracleAcrossPartialRepartition(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// repartitionAll moves the oracle, the cluster and every peer onto part and
+// returns the oracle's dirty pairs, failing unless the runtimes report the
+// same.
+func repartitionAll(t *testing.T, ref *Oracle, cl *Cluster, peers []*Peer, part []int) []int {
+	t.Helper()
+	want, err := ref.Repartition(part)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dirty, err := cl.Repartition(part); err != nil || !slices.Equal(dirty, want) {
+		t.Fatalf("cluster Repartition: dirty %v, %v; oracle %v", dirty, err, want)
+	}
+	for p, peer := range peers {
+		if dirty, err := peer.Repartition(part); err != nil || !slices.Equal(dirty, want) {
+			t.Fatalf("peer %d Repartition: dirty %v, %v; oracle %v", p, dirty, err, want)
+		}
+	}
+	return want
+}
+
+// residualMove returns part with the sink of the first O2O residual of cfg's
+// plans on it moved into the residual's source partition, and that pair: the
+// arc turns internal, so the pair's O2O set changes.
+func residualMove(t *testing.T, g *graph.Graph, part []int, nparts int, cfg exchange.Config) ([]int, int) {
+	t.Helper()
+	before := exchange.New(g, part, nparts, cfg)
+	for idx, plan := range before.PairPlans {
+		if plan == nil || len(plan.O2O) == 0 {
+			continue
+		}
+		next := slices.Clone(part)
+		next[plan.O2O[0].Dst] = idx / nparts
+		if err := graph.ValidatePartition(len(next), next, nparts); err != nil {
+			t.Fatal(err)
+		}
+		if after := exchange.New(g, next, nparts, cfg).PairPlans[idx]; after != nil && slices.Equal(after.O2O, plan.O2O) {
+			t.Fatalf("pair %d: moving a residual's sink left the O2O set as it was", idx)
+		}
+		return next, idx
+	}
+	t.Fatal("no pair has an O2O residual")
+	return nil, 0
+}
+
+// checkResidualsOnly: on a cluster whose plans keep no group, some pair
+// compiles a receive list with terms, and no receive list carries weights.
+func checkResidualsOnly(t *testing.T, cl *Cluster) {
+	t.Helper()
+	terms := 0
+	for idx, k := range cl.kernels {
+		for d, l := range k.recv {
+			if k.enc[d] != nil || l.W != nil {
+				t.Fatalf("pair %d direction %d: an encode list or receive weights without groups", idx, d)
+			}
+			terms += len(l.Units)
+		}
+	}
+	if terms == 0 {
+		t.Fatal("no pair receives a residual")
 	}
 }
 
